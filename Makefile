@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-fast bench bench-full validate validate-fast profile faults pipeline-smoke trace-smoke service-smoke planner-smoke
+.PHONY: test test-fast bench bench-full bench-repo validate validate-fast profile faults pipeline-smoke trace-smoke service-smoke planner-smoke
 
 test:            ## full tier-1 suite + quick conformance gate
 	$(PYTHON) -m pytest -x -q
@@ -21,6 +21,10 @@ bench:           ## quick perf harness; appends to BENCH_sweep.json, gates on pa
 
 bench-full:      ## full-size perf harness (minutes)
 	$(PYTHON) scripts/bench.py
+
+bench-repo:      ## the repo benchmark (BENCHMARK.json): quick pass over all five workloads + its tests
+	$(PYTHON) bench/run.py --quick
+	$(PYTHON) -m pytest bench/test_bench.py -q
 
 profile:         ## phase breakdown of the greedy engine at 6000 switches
 	$(PYTHON) scripts/profile.py

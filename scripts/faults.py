@@ -97,15 +97,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     instances = 2 if args.quick else args.instances
-    total = instances * len(args.severities) * len(args.schemes)
-    done = 0
-    tick = progress_printer("fault run", quiet=args.quiet)
-
-    def progress(record) -> None:
-        nonlocal done
-        done += 1
-        tick(done, total)
-
     started = time.monotonic()
     result = run_faults_ablation(
         severities=tuple(args.severities),
@@ -115,7 +106,7 @@ def main(argv=None) -> int:
         schemes=tuple(args.schemes),
         deadline_steps=args.deadline,
         drift_bound=args.drift,
-        progress=progress,
+        progress=progress_printer("fault run", quiet=args.quiet),
     )
     finish_progress(quiet=args.quiet)
     elapsed = time.monotonic() - started

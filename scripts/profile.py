@@ -10,7 +10,6 @@ Usage::
 
     python scripts/profile.py                  # 6000 switches (Fig. 10 max)
     python scripts/profile.py --size 4000      # the bench-gate size
-    python scripts/profile.py --engine fresh   # profile the reference engine
     python scripts/profile.py --json           # machine-readable snapshot
     python scripts/profile.py --memory         # peak RSS of the stage too
 
@@ -36,9 +35,9 @@ from repro.perf import measure_peak_rss, perf  # noqa: E402
 from repro.pipeline.cli import emit_json, script_parser  # noqa: E402
 
 
-def _stage(size: int, seed: int, engine: str) -> None:
+def _stage(size: int, seed: int) -> None:
     """The profiled stage, self-contained for the memory-measurement fork."""
-    greedy_schedule(segmented_instance(size, seed=seed), engine=engine)
+    greedy_schedule(segmented_instance(size, seed=seed))
 
 
 def main(argv=None) -> int:
@@ -51,12 +50,6 @@ def main(argv=None) -> int:
         type=int,
         default=None,
         help="instance seed (default: the size, matching the bench harness)",
-    )
-    parser.add_argument(
-        "--engine",
-        default="incremental",
-        choices=("incremental", "incremental-dict", "fresh"),
-        help="greedy engine to profile",
     )
     parser.add_argument(
         "--json", action="store_true", help="print the raw snapshot as JSON"
@@ -72,15 +65,15 @@ def main(argv=None) -> int:
     instance = segmented_instance(args.size, seed=seed)
     perf.enable()
     started = time.perf_counter()
-    result = greedy_schedule(instance, engine=args.engine)
+    result = greedy_schedule(instance)
     elapsed = time.perf_counter() - started
     print(
-        f"greedy[{args.size}] ({args.engine} engine): {elapsed:.3f}s "
+        f"greedy[{args.size}]: {elapsed:.3f}s "
         f"feasible={result.feasible} makespan={result.makespan}"
     )
     memory = None
     if args.memory:
-        memory = measure_peak_rss(_stage, args.size, seed, args.engine)
+        memory = measure_peak_rss(_stage, args.size, seed)
         print(
             f"greedy[{args.size}] memory: peak_rss={memory['peak_rss_mb']}MB "
             f"(baseline {memory['baseline_rss_mb']}MB, "

@@ -36,7 +36,6 @@ from repro.core import (
     GreedyResult,
     IntervalTracker,
     ArrayIntervalTracker,
-    NUMPY_AVAILABLE,
     OptimalResult,
     TimeExtendedNetwork,
     TraceResult,
@@ -73,7 +72,6 @@ __all__ = [
     "TraceResult",
     "IntervalTracker",
     "ArrayIntervalTracker",
-    "NUMPY_AVAILABLE",
     "GreedyResult",
     "FeasibilityResult",
     "OptimalResult",

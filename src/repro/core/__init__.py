@@ -30,7 +30,7 @@ from repro.core.schedule import UpdateSchedule, schedule_from_rounds
 from repro.core.timeext import TimeExtendedNetwork, build_window
 from repro.core.trace import TraceResult, trace_schedule, validate_schedule
 from repro.core.intervals import IntervalTracker, replay_schedule
-from repro.core.intervals_array import NUMPY_AVAILABLE, ArrayIntervalTracker
+from repro.core.intervals_array import ArrayIntervalTracker
 from repro.core.dependency import DependencySet, dependency_relations
 from repro.core.loops import creates_forwarding_loop
 from repro.core.greedy import GreedyResult, greedy_schedule
@@ -67,7 +67,6 @@ __all__ = [
     "validate_schedule",
     "IntervalTracker",
     "ArrayIntervalTracker",
-    "NUMPY_AVAILABLE",
     "replay_schedule",
     "DependencySet",
     "dependency_relations",

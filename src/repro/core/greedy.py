@@ -14,28 +14,17 @@ congestion-freedom ground truth.  Two decision modes are provided:
   backward walk, exactly as printed in the paper; the final schedule is
   still validated and the result reports any violation.
 
-Exact mode additionally offers two *engines* that produce byte-identical
-schedules (a differential test suite pins this over hundreds of seeds):
-
-* ``"incremental"`` (default): Algorithm 3 runs through a persistent
-  :class:`repro.core.dependency.DependencyState` that only recomputes
-  verdicts invalidated by last round's commits, and candidate heads are
-  probed one at a time with ``probe_and_commit`` on a copy-on-write
-  scratch clone that is adopted wholesale when the round is non-empty.
-  Sequential single-head probes split and sweep each accepted head's
-  fresh suffix exactly once, where the joint preview re-split every
-  accumulated head per candidate -- the asymptotic win behind this engine.
-  The flow state lives in the struct-of-arrays tracker
-  (:class:`repro.core.intervals_array.ArrayIntervalTracker`) when numpy is
-  available, falling back to the dict tracker otherwise.
-* ``"incremental-dict"``: the incremental probing strategy on the
-  dict-backed :class:`repro.core.intervals.IntervalTracker`; isolates the
-  representation swap for differential tests and benchmarks.
-* ``"fresh"``: the original from-scratch path -- Algorithm 3 recomputed
-  every step, every candidate confirmed with a joint
-  ``preview_round(accepted + [head])`` on the dict tracker.  Kept as the
-  executable reference both incremental engines are differential-tested
-  against.
+Exact mode runs Algorithm 3 through a persistent
+:class:`repro.core.dependency.DependencyState` that only recomputes
+verdicts invalidated by last round's commits, and probes candidate heads
+one at a time with ``probe_and_commit`` on a copy-on-write scratch clone
+that is adopted wholesale when the round is non-empty.  Sequential
+single-head probes split and sweep each accepted head's fresh suffix
+exactly once; they accept exactly the heads a joint
+``preview_round(accepted + [head])`` would (pinned at tracker level in
+``tests/test_array_tracker.py``).  The flow state lives in the
+struct-of-arrays tracker
+(:class:`repro.core.intervals_array.ArrayIntervalTracker`).
 
 Instances without a congestion-free schedule (the ILP can be infeasible;
 cf. Fig. 7) are completed best-effort: the remaining switches are applied in
@@ -47,14 +36,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.dependency import (
-    DependencySet,
-    DependencyState,
-    dependency_relations,
-)
+from repro.core.dependency import DependencySet, DependencyState
 from repro.core.instance import UpdateInstance
-from repro.core.intervals import IntervalTracker, RoundReport
-from repro.core.intervals_array import NUMPY_AVAILABLE, ArrayIntervalTracker
+from repro.core.intervals import RoundReport
+from repro.core.intervals_array import ArrayIntervalTracker
 from repro.core.loops import creates_forwarding_loop
 from repro.core.rounds import greedy_loop_free_rounds
 from repro.core.schedule import UpdateSchedule
@@ -63,11 +48,6 @@ from repro.perf import perf
 
 EXACT = "exact"
 PAPER = "paper"
-
-INCREMENTAL = "incremental"
-INCREMENTAL_DICT = "incremental-dict"
-FRESH = "fresh"
-_INCREMENTAL_ENGINES = (INCREMENTAL, INCREMENTAL_DICT)
 
 # Below this pending-set size, a round in which every chain head was
 # rejected falls back to probing every pending switch (exact knowledge is
@@ -109,7 +89,6 @@ def greedy_schedule(
     keep_dependency_log: bool = False,
     max_steps: Optional[int] = None,
     background=None,
-    engine: str = INCREMENTAL,
 ) -> GreedyResult:
     """Run Algorithm 2 and return a complete timed update schedule.
 
@@ -123,8 +102,6 @@ def greedy_schedule(
         background: Static per-link load from other flows (see
             :class:`repro.core.intervals.IntervalTracker`); exact mode's
             congestion checks then become joint across flows.
-        engine: ``"incremental"`` or ``"fresh"`` (see module docstring);
-            both produce identical schedules.
 
     Returns:
         A :class:`GreedyResult`; ``result.feasible`` distinguishes proper
@@ -132,14 +109,12 @@ def greedy_schedule(
     """
     if mode not in (EXACT, PAPER):
         raise ValueError(f"unknown greedy mode {mode!r}")
-    if engine not in (INCREMENTAL, INCREMENTAL_DICT, FRESH):
-        raise ValueError(f"unknown greedy engine {engine!r}")
     # Insertion-ordered dict as the pending set: O(1) membership tests and
     # removals with the same stable iteration order a list gave, minus the
     # O(n) ``list.remove`` per committed switch.
     pending: Dict[Node, None] = dict.fromkeys(instance.switches_to_update)
-    tracker = _make_tracker(instance, t0, background, engine)
-    state = DependencyState(instance, pending) if engine in _INCREMENTAL_ENGINES else None
+    tracker = ArrayIntervalTracker(instance, t0=t0, background=background)
+    state = DependencyState(instance, pending)
     times: Dict[Node, int] = {}
     violations: List[RoundReport] = []
     dependency_log: List[Tuple[int, DependencySet]] = []
@@ -154,12 +129,7 @@ def greedy_schedule(
             if not pending:
                 break
             with perf.span("dependencies"):
-                if state is not None:
-                    dependencies = state.relations(t)
-                else:
-                    dependencies = dependency_relations(
-                        instance, pending, tracker.applied, t
-                    )
+                dependencies = state.relations(t)
             if keep_dependency_log:
                 dependency_log.append((t, dependencies))
             if dependencies.has_cycle:
@@ -168,7 +138,7 @@ def greedy_schedule(
 
             with perf.span("select"):
                 round_nodes, adopted = _select_round(
-                    instance, tracker, dependencies, pending, t, mode, engine
+                    instance, tracker, dependencies, pending, t, mode
                 )
             if round_nodes:
                 if adopted is not None:
@@ -183,8 +153,7 @@ def greedy_schedule(
                 for node in round_nodes:
                     times[node] = t
                     del pending[node]
-                if state is not None:
-                    state.commit(round_nodes, t)
+                state.commit(round_nodes, t)
             else:
                 horizon = tracker.finite_drain_horizon()
                 if horizon is None or t > horizon:
@@ -221,34 +190,19 @@ def greedy_schedule(
     )
 
 
-def _make_tracker(
-    instance: UpdateInstance, t0: int, background, engine: str
-):
-    """The flow-state tracker backing ``engine``.
-
-    The default incremental engine rides the struct-of-arrays tracker and
-    silently degrades to the dict tracker when numpy is missing -- the two
-    are report-identical, so the fallback only costs speed.
-    """
-    if engine == INCREMENTAL and NUMPY_AVAILABLE:
-        return ArrayIntervalTracker(instance, t0=t0, background=background)
-    return IntervalTracker(instance, t0=t0, background=background)
-
-
 def _select_round(
     instance: UpdateInstance,
-    tracker: IntervalTracker,
+    tracker: ArrayIntervalTracker,
     dependencies: DependencySet,
     pending: Dict[Node, None],
     t: int,
     mode: str,
-    engine: str,
-) -> Tuple[List[Node], Optional[IntervalTracker]]:
+) -> Tuple[List[Node], Optional[ArrayIntervalTracker]]:
     """Pick the switches to update at step ``t`` (lines 9-14 of Algorithm 2).
 
     Returns ``(round_nodes, adopted)``: when ``adopted`` is not ``None`` it
     is a tracker with the whole round already committed at ``t`` (the
-    incremental engine's scratch clone) and the caller must swap it in
+    exact mode's scratch clone) and the caller must swap it in
     instead of re-applying the round.
     """
     round_nodes: List[Node] = []
@@ -263,29 +217,12 @@ def _select_round(
                 committed[head] = t
         return round_nodes, None
 
-    if engine == FRESH:
-        # Reference path: Algorithm 4's backward walk as a cheap prefilter,
-        # survivors confirmed with a joint preview against the flow state.
-        for head in dependencies.heads:
-            if creates_forwarding_loop(instance, committed, head, t):
-                continue
-            if tracker.preview_round(round_nodes + [head], t).ok:
-                round_nodes.append(head)
-                committed[head] = t
-        if round_nodes:
-            return round_nodes, None
-        if len(pending) <= _FALLBACK_PROBE_LIMIT:
-            for node in pending:
-                if tracker.preview_round(round_nodes + [node], t).ok:
-                    round_nodes.append(node)
-        return round_nodes, None
-
-    # Incremental engine: probe candidates one at a time against a scratch
-    # clone that accumulates the accepted heads.  Each probe splits and
-    # sweeps only the candidate's own deflections on top of a
-    # verified-clean baseline, which is decision-equivalent to the joint
-    # preview (the differential tests pin this) at a fraction of the work.
-    scratch: Optional[IntervalTracker] = None
+    # Probe candidates one at a time against a scratch clone that
+    # accumulates the accepted heads.  Each probe splits and sweeps only
+    # the candidate's own deflections on top of a verified-clean baseline,
+    # which is decision-equivalent to a joint preview of the whole round
+    # at a fraction of the work.
+    scratch: Optional[ArrayIntervalTracker] = None
     for head in dependencies.heads:
         if creates_forwarding_loop(instance, committed, head, t):
             continue

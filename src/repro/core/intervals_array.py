@@ -26,26 +26,19 @@ state column-wise:
   rebuilt in the dict tracker's exact order so reported spans are
   bitwise identical.
 
-The dict-backed tracker stays the differential oracle: the greedy engine
-pins ``engine="incremental"`` (this tracker) against ``engine="fresh"``
-(the dict tracker) byte-for-byte over hundreds of seeded instances.
+The dict-backed tracker stays the differential oracle:
+``tests/test_array_tracker.py`` drives both trackers in lockstep and
+compares every report byte-for-byte.
 
-When numpy is unavailable the module degrades gracefully:
-``NUMPY_AVAILABLE`` is ``False`` and the greedy engine silently falls back
-to the dict tracker.
+numpy is a hard dependency (``pyproject.toml``); importing this module
+without it fails with a plain ``ImportError``.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-try:  # pragma: no cover - exercised implicitly by every import
-    import numpy as np
-
-    NUMPY_AVAILABLE = True
-except ImportError:  # pragma: no cover - numpy is baked into CI images
-    np = None  # type: ignore[assignment]
-    NUMPY_AVAILABLE = False
+import numpy as np
 
 from repro.core.instance import UpdateInstance
 from repro.core.intervals import (
@@ -247,9 +240,7 @@ class ArrayIntervalTracker:
 
     Same public surface (``clone`` / ``preview_round`` / ``apply_round`` /
     ``probe_and_commit`` / ``congestion_spans`` / ...), same reports down
-    to the byte; only the representation differs.  Raises ``RuntimeError``
-    when constructed without numpy -- callers gate on
-    :data:`NUMPY_AVAILABLE`.
+    to the byte; only the representation differs.
     """
 
     def __init__(
@@ -260,8 +251,6 @@ class ArrayIntervalTracker:
             Dict[LinkKey, List[Tuple[Optional[int], Optional[int], float]]]
         ] = None,
     ) -> None:
-        if not NUMPY_AVAILABLE:  # pragma: no cover - guarded by callers
-            raise RuntimeError("ArrayIntervalTracker requires numpy")
         self.instance = instance
         self.t0 = t0
         self.background = background or {}

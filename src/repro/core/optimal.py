@@ -9,18 +9,10 @@ incumbent makespan and on the drain fix-point (waiting past the last finite
 flow class cannot unblock anything), and honours a wall-clock budget so the
 Fig. 10 cutoff behaviour can be reproduced.
 
-Two engines share this entry point (DESIGN.md §13):
-
-* ``engine="array"`` (default) -- the shared array-backed search core in
-  :mod:`repro.core.search`: COW clones on the
-  :class:`~repro.core.intervals_array.ArrayIntervalTracker`, probe-chain
-  subset expansion, a targeted pairwise-rescue candidate pass, a
-  transposition/dominance memo and a drain-horizon bound.  Falls back to
-  the dict tracker (same search) when numpy is unavailable.
-* ``engine="reference"`` -- the original dict-tracker search, kept
-  verbatim as the differential oracle
-  (``tests/test_search_engines.py`` pins feasibility / makespan /
-  proven between the two on hundreds of seeded instances).
+The search itself is the shared array-backed core in
+:mod:`repro.core.search` (DESIGN.md §13): COW tracker clones, probe-chain
+subset expansion, a targeted pairwise-rescue candidate pass, a
+transposition/dominance memo and a drain-horizon bound.
 
 :func:`exhaustive_schedule` is the brutally simple oracle used by the test
 suite on tiny instances.  The ILP formulation itself lives in
@@ -32,18 +24,16 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.core.greedy import greedy_schedule
 from repro.core.instance import UpdateInstance
-from repro.core.intervals import IntervalTracker
 from repro.core.schedule import UpdateSchedule
+from repro.core.search import run_optimal_search
 from repro.core.trace import trace_schedule
 from repro.network.graph import Node
 from repro.perf import perf
 from repro.trace import recorder
-
-OPT_ENGINES = ("array", "reference")
 
 
 @dataclass
@@ -89,7 +79,6 @@ def optimal_schedule(
     max_branch_width: int = 12,
     max_horizon: Optional[int] = None,
     node_budget: Optional[int] = None,
-    engine: str = "array",
 ) -> OptimalResult:
     """Find a minimum-makespan congestion- and loop-free schedule.
 
@@ -110,16 +99,17 @@ def optimal_schedule(
             instance gives the same result on any machine or under any
             load, which is what parallel sweeps need for byte-identical
             records.  Exhaustion returns the incumbent with
-            ``proven=False``, exactly like a timeout.
-        engine: ``"array"`` (default) for the shared array-backed core,
-            ``"reference"`` for the original dict-tracker search kept as
-            the differential oracle.
+            ``proven=False``, exactly like a timeout.  The budget is
+            checked on entry to each time step's DFS node, while the
+            probe-chain states committed during one step's subset
+            expansion count as explored without a check -- so
+            ``explored`` can overshoot the budget by one probe chain
+            (e.g. 162 under a budget of 60); it is a stopping rule, not
+            an upper bound on ``explored``.
 
     Returns:
         An :class:`OptimalResult`.
     """
-    if engine not in OPT_ENGINES:
-        raise ValueError(f"unknown OPT engine {engine!r} (expected one of {OPT_ENGINES})")
     pending_all: Tuple[Node, ...] = tuple(instance.switches_to_update)
     if not pending_all:
         empty = UpdateSchedule(times={}, start_time=t0)
@@ -143,33 +133,18 @@ def optimal_schedule(
         seed_times = seed.schedule.as_dict()
         seed_makespan = seed.schedule.makespan
 
-    handle = recorder.span("opt.search", {"engine": engine, "switches": len(pending_all)})
+    handle = recorder.span("opt.search", {"switches": len(pending_all)})
     try:
-        if engine == "array":
-            from repro.core.search import run_optimal_search
-
-            best_times, explored, timed_out, horizon_cut, width_cut = run_optimal_search(
-                instance,
-                t0,
-                time_budget,
-                max_branch_width,
-                max_horizon,
-                node_budget,
-                seed_times,
-                seed_makespan,
-            )
-        else:
-            best_times, explored, timed_out, horizon_cut, width_cut = _reference_search(
-                instance,
-                t0,
-                started,
-                time_budget,
-                max_branch_width,
-                max_horizon,
-                node_budget,
-                seed_times,
-                seed_makespan,
-            )
+        best_times, explored, timed_out, horizon_cut, width_cut = run_optimal_search(
+            instance,
+            t0,
+            time_budget,
+            max_branch_width,
+            max_horizon,
+            node_budget,
+            seed_times,
+            seed_makespan,
+        )
         elapsed = time.monotonic() - started
         schedule = None
         if best_times is not None:
@@ -200,140 +175,6 @@ def optimal_schedule(
         elapsed=elapsed,
         width_cut=width_cut,
     )
-
-
-def _reference_search(
-    instance: UpdateInstance,
-    t0: int,
-    started: float,
-    time_budget: Optional[float],
-    max_branch_width: int,
-    max_horizon: int,
-    node_budget: Optional[int],
-    seed_times: Optional[Dict[Node, int]],
-    seed_makespan: Optional[int],
-):
-    """The original dict-tracker branch and bound (differential oracle)."""
-    explored = 0
-    timed_out = False
-    horizon_cut = False
-    width_cut = False
-
-    best_times = dict(seed_times) if seed_times is not None else None
-    best_makespan = seed_makespan if seed_makespan is not None else max_horizon + 2
-
-    root = IntervalTracker(instance, t0=t0)
-
-    def out_of_time() -> bool:
-        nonlocal timed_out
-        if time_budget is not None and time.monotonic() - started > time_budget:
-            timed_out = True
-        return timed_out
-
-    def dfs(tracker: IntervalTracker, pending: Tuple[Node, ...], t: int, last_update: Optional[int]) -> None:
-        nonlocal explored, best_times, best_makespan, timed_out, horizon_cut, width_cut
-        if timed_out:
-            return
-        if time_budget is not None and time.monotonic() - started > time_budget:
-            timed_out = True
-            return
-        if node_budget is not None and explored >= node_budget:
-            timed_out = True
-            return
-        explored += 1
-        if not pending:
-            makespan = 0 if last_update is None else last_update - t0 + 1
-            if makespan < best_makespan:
-                best_makespan = makespan
-                best_times = dict(tracker.applied)
-            return
-        # Any remaining update happens at >= t, so the final makespan is at
-        # least t - t0 + 1; prune when that cannot beat the incumbent.
-        if t - t0 + 1 >= best_makespan:
-            return
-        if t - t0 > max_horizon:
-            horizon_cut = True
-            return
-
-        candidates, cut = _candidate_set(
-            tracker, pending, t, max_branch_width, out_of_time
-        )
-        width_cut = width_cut or cut
-        if timed_out:
-            return
-
-        # Larger rounds first: updating more switches per step reaches
-        # complete schedules (and hence strong incumbents) sooner.
-        applied_any = False
-        for size in range(len(candidates), 0, -1):
-            for subset in itertools.combinations(candidates, size):
-                if not tracker.preview_round(list(subset), t).ok:
-                    continue
-                applied_any = True
-                remaining = tuple(n for n in pending if n not in subset)
-                # Cheap bound before the (comparatively expensive) clone:
-                # with switches left over, the child's earliest possible
-                # completion updates at t + 1, for a makespan of at least
-                # t + 2 - t0 -- prune here instead of one level down.
-                if remaining and t + 2 - t0 >= best_makespan:
-                    continue
-                child = tracker.clone()
-                child.apply_round(list(subset), t)
-                dfs(child, remaining, t + 1, t)
-                if timed_out:
-                    return
-        # Waiting branch: always worth trying after a successful round (a
-        # later window may allow a larger one); when nothing was safe it
-        # only helps while finite flow classes still drain.
-        if applied_any:
-            dfs(tracker, pending, t + 1, last_update)
-        else:
-            horizon = tracker.finite_drain_horizon()
-            if horizon is not None and t <= horizon:
-                dfs(tracker, pending, t + 1, last_update)
-
-    with perf.span("opt.search"):
-        dfs(root, tuple(instance.switches_to_update), t0, None)
-    return best_times, explored, timed_out, horizon_cut, width_cut
-
-
-def _candidate_set(
-    tracker: IntervalTracker,
-    pending: Tuple[Node, ...],
-    t: int,
-    max_branch_width: int,
-    out_of_time=None,
-) -> Tuple[List[Node], bool]:
-    """Switches worth branching on at step ``t`` (plus a truncation flag).
-
-    Round safety is not monotone: a switch that is unsafe alone can be safe
-    when updated *together* with another switch whose update drains the
-    conflicting traffic (and vice versa).  Small pending sets are therefore
-    branched in full; larger ones take every individually-safe switch plus
-    any unsafe switch that some pending partner rescues.
-    """
-    if len(pending) <= max_branch_width:
-        return list(pending), False
-    safe: List[Node] = []
-    unsafe: List[Node] = []
-    for index, node in enumerate(pending):
-        if out_of_time is not None and index % 32 == 0 and out_of_time():
-            return safe, False
-        (safe if tracker.preview_round([node], t).ok else unsafe).append(node)
-    rescued: List[Node] = []
-    for node in unsafe:
-        if out_of_time is not None and out_of_time():
-            break
-        for partner in pending:
-            if partner is node:
-                continue
-            if tracker.preview_round([node, partner], t).ok:
-                rescued.append(node)
-                break
-    candidates = safe + rescued
-    if len(candidates) > max_branch_width:
-        return candidates[:max_branch_width], True
-    return candidates, False
 
 
 def exhaustive_schedule(

@@ -1,32 +1,26 @@
-"""Shared array-backed branch-and-bound core for the OPT and OR searches.
+"""Shared branch-and-bound core for the OPT and OR searches.
 
 :func:`repro.core.optimal.optimal_schedule` and
-:func:`repro.updates.order_replacement.minimize_rounds` used to run their
-searches directly on the dict :class:`~repro.core.intervals.IntervalTracker`
-(OPT) and on per-subset dict union-graph rebuilds (OR).  Profiling the
-BENCH opt workload showed the per-node cost, not the node count, was the
-bottleneck: one hard 30-switch instance spent its whole 2s budget on 14
-search nodes, almost all of it in ``preview_round`` subset probes and the
-O(n^2) pairwise-rescue candidate scan.
+:func:`repro.updates.order_replacement.minimize_rounds` both search here.
+The per-node cost, not the node count, bounds what an exact search can
+prove inside a budget, so the design keeps every node cheap; the
+feasibility / makespan / round-count / ``proven`` values it must
+reproduce are frozen in ``tests/data/engine_goldens.json``
+(``tests/test_search_engines.py``).
 
-This module hosts the ``engine="array"`` replacements.  Both engines keep
-the *reference* engines' value semantics (same candidate sets, same
-branch order up to subset enumeration order, same bounds) so the
-differential pins in ``tests/test_search_engines.py`` can compare
-feasibility / makespan / proven exactly; only the mechanics differ:
-
-* **Search state on the array tracker.**  OPT nodes hold an
-  :class:`~repro.core.intervals_array.ArrayIntervalTracker` (COW clones
-  are O(classes); congestion decisions are batched bincount passes).
-  Without numpy the same engine runs on the dict tracker unchanged --
-  every call it makes is part of the trackers' shared internal surface
-  (``_split`` / ``_check_new_congestion`` / ``_commit``).
-* **Probe chains instead of per-subset previews.**  The reference engine
-  previews every candidate subset from scratch (splitting ``|S|``
-  switches per probe).  Here subsets are enumerated as an
-  include/exclude DFS over the candidate list: each *include* edge
-  applies one switch to a scratch clone, so a subset costs one
-  single-switch split amortised instead of ``|S|``.  Transient
+* **Size-selected search state.**  OPT nodes hold an interval tracker
+  with COW clones: the dict :class:`~repro.core.intervals.IntervalTracker`
+  below :data:`ARRAY_STATE_THRESHOLD` switches, the
+  :class:`~repro.core.intervals_array.ArrayIntervalTracker` (batched
+  bincount congestion passes) from there up.  Every call the search
+  makes is part of the trackers' shared internal surface (``_split`` /
+  ``_check_new_congestion`` / ``_commit``).
+* **Probe chains instead of per-subset previews.**  Previewing every
+  candidate subset from scratch splits ``|S|`` switches per probe.
+  Here subsets are enumerated as an include/exclude DFS over the
+  candidate list: each *include* edge applies one switch to a scratch
+  clone, so a subset costs one single-switch split amortised instead of
+  ``|S|``.  Transient
   violations are carried as *debt* (a rescue partner later in the chain
   may clear them); a leaf with debt runs one global cleanliness check,
   which over a violation-free parent state is exactly the joint
@@ -38,7 +32,8 @@ feasibility / makespan / proven exactly; only the mechanics differ:
   a pending switch on the trajectory of a class crossing a violated
   link, on a split parent, or on a deflected piece.  The candidate pass
   therefore probes only that partner superset instead of every pending
-  switch -- same rescued set, O(n) fewer pair previews.
+  switch -- same rescued set as the full O(n^2) pair scan, O(n) fewer
+  pair previews.
 * **Transposition/dominance memo.**  Keyed by (applied set, live-class
   signature); an entry ``(t', last')`` dominates a node at ``(t, last)``
   when ``t' <= t`` and ``last' <= last``: the identical flow state was
@@ -53,14 +48,14 @@ feasibility / makespan / proven exactly; only the mechanics differ:
   (``t + 2 - t0``, every pending update at ``t + 1`` or later) already
   meets the incumbent makespan.
 
-The OR engine shares the same shape with a much simpler state: an
+The OR search shares the same shape with a much simpler state: an
 id-space union-graph cycle check (flat old/new next-hop tables, byte
-masks) replaces per-check dict graph builds, subsets of the greedy
-maximal safe set skip their per-subset safety recheck entirely (safe
-sets are downward closed, so the recheck is always true), and a sound
-``updated-set -> fewest rounds`` memo prunes revisits.  Node-budget
-determinism is preserved by both engines: explored-node accounting and
-branch order are pure functions of the instance.
+masks) instead of per-check dict graph builds, no per-subset safety
+recheck for subsets of the greedy maximal safe set (safe sets are
+downward closed, so the recheck is always true), and a sound
+``updated-set -> fewest rounds`` memo that prunes revisits.  Node
+budgets are deterministic in both searches: explored-node accounting
+and branch order are pure functions of the instance.
 """
 
 from __future__ import annotations
@@ -71,7 +66,7 @@ from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tup
 
 from repro.core.instance import UpdateInstance
 from repro.core.intervals import _EPS, DELIVERED, IntervalTracker
-from repro.core.intervals_array import NUMPY_AVAILABLE, ArrayIntervalTracker
+from repro.core.intervals_array import ArrayIntervalTracker
 from repro.core.rounds import greedy_loop_free_rounds
 from repro.network.graph import Node
 from repro.perf import perf
@@ -90,7 +85,7 @@ ARRAY_STATE_THRESHOLD = 200
 
 def make_search_tracker(instance: UpdateInstance, t0: int = 0):
     """The fastest exact tracker for search state at this instance size."""
-    if NUMPY_AVAILABLE and len(instance.network) >= ARRAY_STATE_THRESHOLD:
+    if len(instance.network) >= ARRAY_STATE_THRESHOLD:
         return ArrayIntervalTracker(instance, t0=t0)
     return IntervalTracker(instance, t0=t0)
 
@@ -100,7 +95,7 @@ def _class_is_empty(cls) -> bool:
 
 
 class _TrackerOps:
-    """The few representation-specific helpers the OPT engine needs.
+    """The few representation-specific helpers the OPT search needs.
 
     Both trackers share the internal split/check/commit surface; only
     "trajectory switch names" and "classes crossing a link" differ
@@ -237,14 +232,12 @@ class _ChainCache:
 
 
 class OptimalSearch:
-    """The ``engine="array"`` OPT branch and bound (see module docstring).
+    """The OPT branch and bound (see module docstring).
 
-    Drives the same DFS as the reference engine -- branch over candidate
-    subsets at each step plus a waiting branch -- with probe-chain subset
-    expansion, the targeted candidate pass, the dominance memo and the
-    drain-horizon bound.  Results are value-equal to the reference on
-    every completed search; explored-node counts differ (this engine
-    visits the same states much faster and prunes more).
+    A DFS that branches over candidate subsets at each step plus a
+    waiting branch, with probe-chain subset expansion, the targeted
+    candidate pass, the dominance memo and the drain-horizon bound.
+    ``explored`` counts committed probe-chain states.
     """
 
     def __init__(
@@ -382,15 +375,18 @@ class OptimalSearch:
     def _candidates(
         self, tracker, pending: Tuple[Node, ...], t: int, chain: _ChainCache
     ) -> List[Node]:
-        """The reference `_candidate_set`, with targeted rescue probes.
+        """Switches worth branching on at step ``t``.
 
-        Produces the same candidate list in the same order (safe switches
-        in pending order, then rescued switches in pending order) so both
-        engines agree on the branched subset family.  The pair scan only
-        probes partners that could possibly rescue (see
-        :meth:`_partner_superset`); everything refuted without a probe is
-        refuted by a route/load argument, not a heuristic, so the
-        resulting candidate set is *identical* to the reference scan's.
+        Round safety is not monotone: a switch that is unsafe alone can
+        be safe when updated *together* with a partner whose update
+        drains the conflicting traffic.  Pending sets up to
+        ``max_branch_width`` are therefore branched in full; larger ones
+        take every individually-safe switch (in pending order), then
+        every unsafe switch some pending partner rescues (in pending
+        order).  The pair scan only probes partners that could possibly
+        rescue (see :meth:`_partner_superset`); everything refuted
+        without a probe is refuted by a route/load argument, not a
+        heuristic, so the result equals the full pairwise scan's.
         """
         if len(pending) <= self.max_branch_width:
             return list(pending)
@@ -613,7 +609,7 @@ class OptimalSearch:
 
         The union is a complete rescuer superset for congestion, loop
         and black-hole failures alike, so probing only these partners
-        yields exactly the reference engine's rescued set.
+        yields exactly the full pairwise scan's rescued set.
         """
         ops = self._ops
         near: Set[Node] = set()
@@ -680,8 +676,8 @@ class OptimalSearch:
 
         Visits every non-empty subset exactly once, as a chain of
         single-switch applies on scratch clones; include-first ordering
-        reaches the full candidate set first, mirroring the reference
-        engine's largest-subsets-first incumbent hunting.
+        reaches the full candidate set first: larger rounds reach
+        complete schedules, and hence strong incumbents, sooner.
         """
         applied_any = False
         k = len(candidates)
@@ -717,7 +713,7 @@ class OptimalSearch:
                     include = False  # violation can never be cleared
             if include:
                 # Each committed probe-chain state is an expanded node of
-                # this engine's (binary include/exclude) search tree.
+                # the (binary include/exclude) search tree.
                 self.explored += 1
                 chosen.append(node)
                 descend(i + 1, child, child_debt)
@@ -757,7 +753,7 @@ def run_optimal_search(
     seed_times: Optional[Dict[Node, int]],
     seed_makespan: Optional[int],
 ):
-    """Run the array OPT engine; returns the raw search outcome.
+    """Run the OPT search; returns the raw search outcome.
 
     Returns ``(best_times, explored, timed_out, horizon_cut, width_cut)``
     -- :func:`repro.core.optimal.optimal_schedule` wraps this into an
@@ -787,7 +783,7 @@ class UnionGraphIds:
     Encodes the old/new next-hop tables as flat int lists over interned
     switch ids (shape borrowed from
     :class:`repro.core.intervals_array.InstanceArrays`, but numpy-free so
-    the OR engine never needs the dependency).  One safety check walks
+    the OR search never needs the dependency).  One safety check walks
     the implicit union graph with an iterative three-colour DFS over a
     byte array -- no per-check dict graph build.
     """
@@ -864,12 +860,10 @@ def run_round_search(
     max_branch_width: int,
     node_budget: Optional[int],
 ):
-    """The ``engine="array"`` round-minimisation branch and bound.
+    """The round-minimisation branch and bound.
 
-    Same branch structure as the reference ``minimize_rounds`` DFS --
-    greedy incumbent, greedy maximal safe set per node, subsets largest
-    first -- with three changes that preserve its incumbent evolution
-    exactly: the id-space safety oracle, no per-subset safety recheck
+    Greedy incumbent, greedy maximal safe set per node, subsets largest
+    first, on the id-space safety oracle; no per-subset safety recheck
     (safe sets are downward closed, so every subset of the maximal set
     passes), and a sound ``frozenset(updated) -> fewest rounds`` memo (a
     revisit with at least as many rounds used can never improve the
@@ -920,7 +914,7 @@ def run_round_search(
             return
         memo[updated_ids] = used_rounds
 
-        # Greedy maximal safe set, in pending order (same as reference).
+        # Greedy maximal safe set, in pending order.
         maximal: List[int] = []
         for index, node in enumerate(pending):
             if (

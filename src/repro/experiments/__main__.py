@@ -248,7 +248,13 @@ def _validate_schemes(args: argparse.Namespace) -> None:
 def _cmd_run(args: argparse.Namespace, resume: bool) -> int:
     ctx = _context(args)
     if not resume:
-        _validate_schemes(args)
+        try:
+            _validate_schemes(args)
+        except ValueError as exc:
+            # Unknown --set key, unregistered scheme or missing --paper
+            # preset: a usage error naming the valid choices, not a crash.
+            print(str(exc), file=sys.stderr)
+            return 2
     try:
         stored = run_to_store(
             args.scenario,

@@ -43,6 +43,8 @@ from repro.core.schedule import UpdateSchedule
 from repro.core.verdict import Verdict
 from repro.experiments.sweep import mixed_instance, sweep_seed
 from repro.faults import FaultPlan, FaultyChannel, severity_spec
+from repro.pipeline.context import RunContext
+from repro.pipeline.runner import run_in_memory
 from repro.simulator.dataplane import build_dataplane, install_config
 from repro.simulator.engine import Simulator
 from repro.updates.registry import ROUNDS, TWO_PHASE, get_planner, planners_for
@@ -213,9 +215,9 @@ def run_faults_ablation(
     drift_bound: float = 0.0,
     or_node_budget: int = 20_000,
     aug_epsilon: float = 0.0,
-    progress: Optional[Callable[[FaultRunRecord], None]] = None,
+    progress: Optional[Callable[[int, int], None]] = None,
 ) -> FaultsAblationResult:
-    """Sweep every scheme over every severity on seeded reroute instances.
+    """Run the ``faults`` scenario in memory: every scheme over every severity.
 
     Args:
         severities: Fault-severity grid (0 disables all faults).
@@ -234,55 +236,25 @@ def run_faults_ablation(
             realised apply on the integer grid, so the oracle is exact).
         or_node_budget: Branch-and-bound budget of OR's round minimiser.
         aug_epsilon: AUG's transient capacity headroom.
-        progress: Called with each finished :class:`FaultRunRecord`.
+        progress: Called with ``(done, total)`` after every run.
     """
-    planners_for(schemes)  # fail fast on unregistered names
-    result = FaultsAblationResult(
-        severities=tuple(severities),
-        schemes=tuple(schemes),
-        instances_per_point=instances_per_point,
+    return run_in_memory(
+        "faults",
+        overrides={
+            "severities": tuple(severities),
+            "instances_per_point": instances_per_point,
+            "switch_count": switch_count,
+            "base_seed": base_seed,
+            "schemes": tuple(schemes),
+            "time_unit": time_unit,
+            "deadline_steps": deadline_steps,
+            "max_retries": max_retries,
+            "drift_bound": drift_bound,
+            "or_node_budget": or_node_budget,
+            "aug_epsilon": aug_epsilon,
+        },
+        ctx=RunContext(progress=progress),
     )
-    for index in range(instances_per_point):
-        seed = sweep_seed(base_seed, switch_count, index)
-        instance = mixed_instance(switch_count, seed)
-        plans = _plan_schemes(instance, schemes, or_node_budget, aug_epsilon)
-        for severity in severities:
-            for scheme in schemes:
-                record = _run_one(
-                    scheme,
-                    instance,
-                    plans[scheme],
-                    severity=severity,
-                    seed=seed,
-                    time_unit=time_unit,
-                    deadline_steps=deadline_steps,
-                    max_retries=max_retries,
-                    drift_bound=drift_bound,
-                )
-                result.records.append(record)
-                if progress is not None:
-                    progress(record)
-    return result
-
-
-def _plan_schemes(
-    instance: UpdateInstance,
-    schemes: Sequence[str],
-    or_node_budget: int,
-    aug_epsilon: float = 0.0,
-) -> Dict[str, Optional[UpdateSchedule]]:
-    """Plan each scheme once per instance (plans are severity-independent).
-
-    Each planner's :meth:`~repro.updates.registry.Planner.fault_schedule`
-    decides its nominal schedule; ``None`` means the scheme plans nothing
-    up front (two-phase: install shadow rules, flip the ingress).
-    """
-    return {
-        planner.name: planner.fault_schedule(
-            instance, node_budget=or_node_budget, epsilon=aug_epsilon
-        )
-        for planner in planners_for(schemes)
-    }
 
 
 def _run_one(
@@ -466,7 +438,7 @@ def _to_step(
 # --- pipeline scenario -------------------------------------------------
 
 def _scenario_items(params: Mapping) -> List[Dict[str, object]]:
-    """One item per (instance index, severity, scheme), legacy loop order."""
+    """One item per (instance index, severity, scheme)."""
     planners_for(params["schemes"])  # fail fast on unregistered names
     base_seed = int(params["base_seed"])
     switch_count = int(params["switch_count"])
@@ -485,22 +457,23 @@ def _scenario_items(params: Mapping) -> List[Dict[str, object]]:
 
 
 def _scenario_evaluate(item: Mapping, params: Mapping, ctx) -> Dict[str, object]:
-    """Re-plan and execute one (instance, severity, scheme) cell.
+    """Plan and execute one (instance, severity, scheme) cell.
 
-    Plans are severity-independent and deterministic, so planning per cell
-    (rather than once per instance, as the legacy loop does) produces
-    records identical to the legacy runner's.
+    The planner's :meth:`~repro.updates.registry.Planner.fault_schedule`
+    decides the nominal schedule; ``None`` means the scheme plans nothing
+    up front (two-phase: install shadow rules, flip the ingress).  Plans
+    are severity-independent and deterministic, so the cells of one
+    instance stay paired across severities.
     """
     from dataclasses import asdict
 
     scheme = str(item["scheme"])
     instance = mixed_instance(int(params["switch_count"]), int(item["seed"]))
-    plan = _plan_schemes(
+    plan = get_planner(scheme).fault_schedule(
         instance,
-        [scheme],
-        int(params["or_node_budget"]),
-        float(params.get("aug_epsilon", 0.0) or 0.0),
-    )[scheme]
+        node_budget=int(params["or_node_budget"]),
+        epsilon=float(params.get("aug_epsilon", 0.0) or 0.0),
+    )
     record = _run_one(
         scheme,
         instance,

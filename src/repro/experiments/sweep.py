@@ -81,8 +81,6 @@ def run_instance(
     opt_node_budget: Optional[int] = None,
     or_node_budget: Optional[int] = None,
     verify: bool = False,
-    opt_engine: str = "array",
-    or_engine: str = "array",
     aug_epsilon: float = 0.0,
 ) -> Dict[str, InstanceOutcome]:
     """Evaluate the requested schemes on one instance.
@@ -99,11 +97,6 @@ def run_instance(
     :func:`repro.core.optimal.optimal_schedule` and
     :func:`repro.updates.order_replacement.minimize_rounds`).
 
-    ``opt_engine`` / ``or_engine`` pick the exact-search engines
-    (``"array"`` default, ``"reference"`` for the differential oracles;
-    DESIGN.md §13) -- note the engines count explored nodes at different
-    granularities, so node budgets are engine-specific.
-
     ``aug_epsilon`` is AUG's transient capacity headroom (DESIGN.md §15);
     at ``0.0`` AUG plans on the true network and matches Chronus exactly.
 
@@ -118,8 +111,6 @@ def run_instance(
         "or_skew": or_skew,
         "opt_node_budget": opt_node_budget,
         "or_node_budget": or_node_budget,
-        "opt_engine": opt_engine,
-        "or_engine": or_engine,
         "aug_epsilon": aug_epsilon,
     }
     outcomes: Dict[str, InstanceOutcome] = {}
@@ -190,8 +181,6 @@ class SweepItem:
     opt_node_budget: Optional[int] = None
     or_node_budget: Optional[int] = None
     verify: bool = False
-    opt_engine: str = "array"
-    or_engine: str = "array"
     aug_epsilon: float = 0.0
 
     def build_instance(self) -> UpdateInstance:
@@ -219,8 +208,6 @@ def evaluate_sweep_item(item: SweepItem) -> SweepRecord:
         opt_node_budget=item.opt_node_budget,
         or_node_budget=item.or_node_budget,
         verify=item.verify,
-        opt_engine=item.opt_engine,
-        or_engine=item.or_engine,
         aug_epsilon=item.aug_epsilon,
     )
     return record
@@ -241,8 +228,6 @@ def run_sweep(
     opt_node_budget: Optional[int] = None,
     or_node_budget: Optional[int] = None,
     verify: bool = False,
-    opt_engine: str = "array",
-    or_engine: str = "array",
     aug_epsilon: float = 0.0,
 ) -> List[SweepRecord]:
     """Generate and evaluate random instances for each network size.
@@ -273,8 +258,6 @@ def run_sweep(
             minimisation.
         verify: Fill every outcome's ``verifier_agrees`` flag by
             re-checking its schedule with the independent verifier.
-        opt_engine: OPT search engine (``"array"``/``"reference"``).
-        or_engine: OR round-minimisation engine (same choices).
         aug_epsilon: AUG's transient capacity headroom (``0.0`` matches
             Chronus exactly; unit-capacity workloads need ``>= 1.0`` to
             bind).
@@ -292,8 +275,6 @@ def run_sweep(
             opt_node_budget=opt_node_budget,
             or_node_budget=or_node_budget,
             verify=verify,
-            opt_engine=opt_engine,
-            or_engine=or_engine,
             aug_epsilon=aug_epsilon,
         )
         for count in switch_counts
@@ -394,8 +375,6 @@ def _register_scenario():
                 "opt_node_budget": None,
                 "or_node_budget": None,
                 "verify": False,
-                "opt_engine": "array",
-                "or_engine": "array",
                 "aug_epsilon": 0.0,
             },
             items=sweep_items,

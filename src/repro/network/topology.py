@@ -204,10 +204,14 @@ def segmented_reversal_topology(
         attempts += 1
         length = rng.randint(3, max(3, max_segment_length))
         start = rng.randint(1, max(1, count - length - 2))
-        span = range(start, start + length)
-        if any(i in occupied for i in span):
+        if any(i in occupied for i in range(start, start + length)):
             continue
-        occupied.update(span)
+        # The segment must end before the destination (index count - 1);
+        # on short chains the draw can overrun it, so shorten it to fit.
+        length = min(length, count - 1 - start)
+        if length < 3:
+            continue  # no room left for a reversal on this chain
+        occupied.update(range(start, start + length))
         chosen.append((start, start + length - 1))
     chosen.sort()
 

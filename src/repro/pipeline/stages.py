@@ -58,8 +58,6 @@ def sweep_evaluate(
         opt_node_budget=params.get("opt_node_budget"),  # type: ignore[arg-type]
         or_node_budget=params.get("or_node_budget"),  # type: ignore[arg-type]
         verify=verify,
-        opt_engine=str(params.get("opt_engine", "array")),
-        or_engine=str(params.get("or_engine", "array")),
         aug_epsilon=float(params.get("aug_epsilon", 0.0) or 0.0),
     )
     record = evaluate_sweep_item(sweep_item)

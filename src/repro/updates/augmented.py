@@ -21,7 +21,7 @@ from __future__ import annotations
 import random
 from typing import Dict, Mapping, Optional
 
-from repro.core.greedy import EXACT, INCREMENTAL, greedy_schedule
+from repro.core.greedy import EXACT, greedy_schedule
 from repro.core.instance import UpdateInstance
 from repro.network.graph import Network
 from repro.updates.base import (
@@ -68,7 +68,6 @@ class AugmentedProtocol(UpdateProtocol):
             judged on the true capacities.
         mode: Greedy decision mode, see :mod:`repro.core.greedy`.
         verify: Attach an independent verdict (on the *true* instance).
-        engine: Greedy engine, as for Chronus.
     """
 
     name = "aug"
@@ -78,18 +77,16 @@ class AugmentedProtocol(UpdateProtocol):
         epsilon: float = 0.0,
         mode: str = EXACT,
         verify: bool = False,
-        engine: str = INCREMENTAL,
     ) -> None:
         if epsilon < 0.0:
             raise ValueError("epsilon is a capacity headroom; it cannot be negative")
         self.epsilon = epsilon
         self.mode = mode
         self.verify = verify
-        self.engine = engine
 
     def plan(self, instance: UpdateInstance, t0: int = 0) -> UpdatePlan:
         relaxed = augmented_instance(instance, self.epsilon)
-        result = greedy_schedule(relaxed, t0=t0, mode=self.mode, engine=self.engine)
+        result = greedy_schedule(relaxed, t0=t0, mode=self.mode)
         schedule = result.schedule
         feasible = result.feasible
         notes = ""
@@ -145,7 +142,6 @@ class AugPlanner(Planner):
     name = "aug"
     title = "AUG: greedy timed updates with (1+epsilon) transient capacity headroom"
     sweep_order = 4
-    supports_engine = True
 
     def _plan(
         self,
@@ -155,13 +151,10 @@ class AugPlanner(Planner):
         background=None,
         t0: int = 0,
         epsilon: float = 0.0,
-        engine: str = INCREMENTAL,
         **_,
     ) -> PlanResult:
         relaxed = augmented_instance(instance, epsilon)
-        result = greedy_schedule(
-            relaxed, t0=t0, background=background, engine=engine
-        )
+        result = greedy_schedule(relaxed, t0=t0, background=background)
         notes = f"epsilon={epsilon:g}"
         if not result.feasible:
             notes += f"; best-effort after stalling at t={result.stalled_at}"

@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from typing import Optional
 
-from repro.core.greedy import EXACT, INCREMENTAL, greedy_schedule
+from repro.core.greedy import EXACT, greedy_schedule
 from repro.core.instance import UpdateInstance
 from repro.updates.base import (
     RuleAccounting,
@@ -32,22 +32,16 @@ class ChronusProtocol(UpdateProtocol):
             :mod:`repro.core.greedy`.
         verify: Attach an independent :class:`repro.core.verdict.Verdict`
             (from :func:`repro.validate.verify_schedule`) to every plan.
-        engine: Greedy engine (``"incremental"``, ``"incremental-dict"``
-            or ``"fresh"``); all engines produce identical schedules, the
-            default rides the struct-of-arrays tracker.
     """
 
     name = "chronus"
 
-    def __init__(
-        self, mode: str = EXACT, verify: bool = False, engine: str = INCREMENTAL
-    ) -> None:
+    def __init__(self, mode: str = EXACT, verify: bool = False) -> None:
         self.mode = mode
         self.verify = verify
-        self.engine = engine
 
     def plan(self, instance: UpdateInstance, t0: int = 0) -> UpdatePlan:
-        result = greedy_schedule(instance, t0=t0, mode=self.mode, engine=self.engine)
+        result = greedy_schedule(instance, t0=t0, mode=self.mode)
         schedule = result.schedule
 
         baseline = count_baseline_rules(instance)
@@ -95,7 +89,6 @@ class ChronusPlanner(Planner):
     name = "chronus"
     title = "Chronus: greedy congestion- and loop-free timed updates (Alg. 2)"
     sweep_order = 0
-    supports_engine = True
 
     def _plan(
         self,
@@ -104,13 +97,10 @@ class ChronusPlanner(Planner):
         rng: Optional[random.Random] = None,
         background=None,
         t0: int = 0,
-        engine: str = INCREMENTAL,
         mode: str = EXACT,
         **_,
     ) -> PlanResult:
-        result = greedy_schedule(
-            instance, t0=t0, mode=mode, background=background, engine=engine
-        )
+        result = greedy_schedule(instance, t0=t0, mode=mode, background=background)
         notes = ""
         if not result.feasible:
             notes = f"best-effort after stalling at t={result.stalled_at}"

@@ -30,8 +30,6 @@ class OptimalProtocol(UpdateProtocol):
             this for reproducible verdicts).
         verify: Attach an independent :class:`repro.core.verdict.Verdict`
             to every plan.
-        engine: Search engine (``"array"`` default, ``"reference"`` for
-            the differential oracle).
     """
 
     name = "opt"
@@ -41,12 +39,10 @@ class OptimalProtocol(UpdateProtocol):
         time_budget: Optional[float] = None,
         node_budget: Optional[int] = None,
         verify: bool = False,
-        engine: str = "array",
     ) -> None:
         self.time_budget = time_budget
         self.node_budget = node_budget
         self.verify = verify
-        self.engine = engine
 
     def plan(self, instance: UpdateInstance, t0: int = 0) -> UpdatePlan:
         result = optimal_schedule(
@@ -54,7 +50,6 @@ class OptimalProtocol(UpdateProtocol):
             t0=t0,
             time_budget=self.time_budget,
             node_budget=self.node_budget,
-            engine=self.engine,
         )
         if result.schedule is not None:
             schedule = result.schedule
@@ -108,7 +103,6 @@ class OptPlanner(Planner):
     title = "OPT: branch-and-bound optimum of the MUTP program"
     sweep_order = 1
     exact = True
-    supports_engine = True
     supports_budget = True
 
     def _plan(
@@ -120,7 +114,6 @@ class OptPlanner(Planner):
         t0: int = 0,
         time_budget: Optional[float] = None,
         node_budget: Optional[int] = None,
-        engine: str = "array",
         **_,
     ) -> PlanResult:
         result = optimal_schedule(
@@ -128,7 +121,6 @@ class OptPlanner(Planner):
             t0=t0,
             time_budget=time_budget,
             node_budget=node_budget,
-            engine=engine,
         )
         if result.schedule is not None:
             return PlanResult(
@@ -160,7 +152,6 @@ class OptPlanner(Planner):
         return {
             "time_budget": params.get("opt_budget", 1.0),
             "node_budget": params.get("opt_node_budget"),
-            "engine": params.get("opt_engine", "array"),
         }
 
     def protocol(self, **options) -> OptimalProtocol:
@@ -188,7 +179,6 @@ class OptPlanner(Planner):
             instance,
             time_budget=options.get("time_budget"),
             node_budget=options.get("node_budget"),
-            engine=str(options.get("engine", "array")),
         )
         if result.schedule is None:
             return None

@@ -18,17 +18,15 @@ rule-installation latencies of real switches -- come from
 
 from __future__ import annotations
 
-import itertools
 import random
-import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro.core.instance import UpdateInstance
-from repro.core.rounds import greedy_loop_free_rounds, round_is_loop_free
+from repro.core.rounds import greedy_loop_free_rounds
 from repro.core.schedule import UpdateSchedule, schedule_from_rounds
+from repro.core.search import run_round_search
 from repro.network.graph import Node
-from repro.perf import perf
 from repro.trace import recorder
 from repro.updates.base import (
     RuleAccounting,
@@ -37,8 +35,6 @@ from repro.updates.base import (
     count_baseline_rules,
 )
 from repro.updates.registry import ROUNDS, PlanResult, Planner, register_planner
-
-OR_ENGINES = ("array", "reference")
 
 
 @dataclass
@@ -74,7 +70,6 @@ def minimize_rounds(
     time_budget: Optional[float] = None,
     max_branch_width: int = 16,
     node_budget: Optional[int] = None,
-    engine: str = "array",
 ) -> RoundMinimizationResult:
     """Minimise the number of loop-free update rounds by branch and bound.
 
@@ -82,7 +77,8 @@ def minimize_rounds(
     update together (subsets of a safe set are safe, so enumeration starts
     from the greedy maximal set and removes elements).  The greedy partition
     seeds the incumbent; a wall-clock budget makes the solver anytime --
-    exactly the behaviour Fig. 10 measures.
+    exactly the behaviour Fig. 10 measures.  The search itself is
+    :func:`repro.core.search.run_round_search`.
 
     Args:
         instance: The update instance.
@@ -95,36 +91,21 @@ def minimize_rounds(
             instance, so results are reproducible across machines and
             under CPU contention (the parallel-vs-serial bench identity
             gate relies on this).
-        engine: ``"array"`` (default) for the shared search core in
-            :mod:`repro.core.search` (id-space union-graph oracle, no
-            redundant subset rechecks, sound updated-set memo);
-            ``"reference"`` for the original search kept as the
-            differential oracle.
     """
-    if engine not in OR_ENGINES:
-        raise ValueError(f"unknown OR engine {engine!r} (expected one of {OR_ENGINES})")
     handle = recorder.span(
-        "or.search",
-        {"engine": engine, "switches": len(tuple(instance.switches_to_update))},
+        "or.search", {"switches": len(tuple(instance.switches_to_update))}
     )
     try:
-        if engine == "array":
-            from repro.core.search import run_round_search
-
-            rounds, explored, timed_out, width_cut, elapsed = run_round_search(
-                instance, time_budget, max_branch_width, node_budget
-            )
-            result = RoundMinimizationResult(
-                rounds=rounds,
-                proven=not timed_out and not width_cut,
-                explored=explored,
-                elapsed=elapsed,
-                width_cut=width_cut,
-            )
-        else:
-            result = _reference_minimize_rounds(
-                instance, time_budget, max_branch_width, node_budget
-            )
+        rounds, explored, timed_out, width_cut, elapsed = run_round_search(
+            instance, time_budget, max_branch_width, node_budget
+        )
+        result = RoundMinimizationResult(
+            rounds=rounds,
+            proven=not timed_out and not width_cut,
+            explored=explored,
+            elapsed=elapsed,
+            width_cut=width_cut,
+        )
         if handle.span_id is not None:
             handle.attributes.update(
                 {
@@ -137,91 +118,6 @@ def minimize_rounds(
     finally:
         handle.close()
     return result
-
-
-def _reference_minimize_rounds(
-    instance: UpdateInstance,
-    time_budget: Optional[float],
-    max_branch_width: int,
-    node_budget: Optional[int],
-) -> RoundMinimizationResult:
-    """The original dict-graph branch and bound (differential oracle)."""
-    started = time.monotonic()
-    deadline = None if time_budget is None else started + time_budget
-    pending_all: Tuple[Node, ...] = tuple(instance.switches_to_update)
-    greedy = greedy_loop_free_rounds(instance, list(pending_all), deadline=deadline)
-    best: List[List[Node]] = greedy
-    best_count = len(greedy)
-    explored = 0
-    timed_out = deadline is not None and time.monotonic() > deadline
-    width_cut = False
-
-    def dfs(updated: Set[Node], pending: Tuple[Node, ...], used_rounds: int) -> None:
-        nonlocal best, best_count, explored, timed_out, width_cut
-        if timed_out:
-            return
-        if time_budget is not None and time.monotonic() - started > time_budget:
-            timed_out = True
-            return
-        if node_budget is not None and explored >= node_budget:
-            timed_out = True
-            return
-        explored += 1
-        if not pending:
-            if used_rounds < best_count:
-                best_count = used_rounds
-                best = _reconstruct(stack)
-            return
-        if used_rounds + 1 >= best_count:
-            return  # even one more round cannot beat the incumbent
-
-        # Safe subsets are downward closed, so enumerate subsets of the
-        # greedy maximal safe set, largest first.
-        maximal: List[Node] = []
-        for index, node in enumerate(pending):
-            if (
-                time_budget is not None
-                and index % 64 == 0
-                and time.monotonic() - started > time_budget
-            ):
-                timed_out = True
-                return
-            if round_is_loop_free(instance, updated, set(maximal) | {node}):
-                maximal.append(node)
-        if not maximal:
-            return  # dead end (possible only with exotic drain rules)
-        if len(maximal) > max_branch_width:
-            maximal = maximal[:max_branch_width]
-            width_cut = True
-
-        for size in range(len(maximal), 0, -1):
-            for subset in itertools.combinations(maximal, size):
-                if not round_is_loop_free(instance, updated, set(subset)):
-                    continue
-                stack.append(list(subset))
-                dfs(
-                    updated | set(subset),
-                    tuple(n for n in pending if n not in subset),
-                    used_rounds + 1,
-                )
-                stack.pop()
-                if timed_out:
-                    return
-
-    stack: List[List[Node]] = []
-    with perf.span("or.search"):
-        dfs(set(), pending_all, 0)
-    return RoundMinimizationResult(
-        rounds=best,
-        proven=not timed_out and not width_cut,
-        explored=explored,
-        elapsed=time.monotonic() - started,
-        width_cut=width_cut,
-    )
-
-
-def _reconstruct(stack: List[List[Node]]) -> List[List[Node]]:
-    return [list(round_nodes) for round_nodes in stack]
 
 
 def realize_round_times(
@@ -277,8 +173,6 @@ class OrderReplacementProtocol(UpdateProtocol):
             (reproducible results across machines).
         verify: Attach an independent :class:`repro.core.verdict.Verdict`
             for the *nominal* round schedule to every plan.
-        engine: Search engine for the exact solver (``"array"`` default,
-            ``"reference"`` for the differential oracle).
     """
 
     name = "or"
@@ -291,7 +185,6 @@ class OrderReplacementProtocol(UpdateProtocol):
         max_skew: int = 3,
         node_budget: Optional[int] = None,
         verify: bool = False,
-        engine: str = "array",
     ) -> None:
         self.exact = exact
         self.time_budget = time_budget
@@ -299,7 +192,6 @@ class OrderReplacementProtocol(UpdateProtocol):
         self.max_skew = max_skew
         self.node_budget = node_budget
         self.verify = verify
-        self.engine = engine
 
     def plan(self, instance: UpdateInstance, t0: int = 0) -> UpdatePlan:
         if self.exact:
@@ -307,7 +199,6 @@ class OrderReplacementProtocol(UpdateProtocol):
                 instance,
                 time_budget=self.time_budget,
                 node_budget=self.node_budget,
-                engine=self.engine,
             )
             rounds = result.rounds
             notes = "" if result.proven else "round minimisation hit its budget"
@@ -357,7 +248,6 @@ class OrPlanner(Planner):
     title = "OR: round-minimal loop-free replacement, realised asynchronously"
     sweep_order = 2
     exact = True
-    supports_engine = True
     supports_budget = True
     executor = ROUNDS
 
@@ -370,15 +260,11 @@ class OrPlanner(Planner):
         t0: int = 0,
         time_budget: Optional[float] = None,
         node_budget: Optional[int] = None,
-        engine: str = "array",
         skew: int = 3,
         **_,
     ) -> PlanResult:
         result = minimize_rounds(
-            instance,
-            time_budget=time_budget,
-            node_budget=node_budget,
-            engine=engine,
+            instance, time_budget=time_budget, node_budget=node_budget
         )
         if rng is None:
             rng = random.Random(0)
@@ -394,7 +280,6 @@ class OrPlanner(Planner):
         return {
             "time_budget": params.get("or_budget", 0.5),
             "node_budget": params.get("or_node_budget"),
-            "engine": params.get("or_engine", "array"),
             "skew": params.get("or_skew", 3),
         }
 

@@ -9,8 +9,8 @@ registry of :class:`Planner` entries:
 
 * a planner produces a normalized :class:`PlanResult` via
   :meth:`Planner.plan` (wrapped in a trace span carrying the scheme name);
-* capability flags (``two_phase``, ``exact``, ``supports_engine``,
-  ``supports_budget``) and the ``executor`` strategy replace every
+* capability flags (``two_phase``, ``exact``, ``supports_budget``) and
+  the ``executor`` strategy replace every
   name comparison downstream -- the verify adapter picks
   ``verify_schedule`` vs ``verify_two_phase`` from ``two_phase``, the
   gate's install skew and the differential replay pick their execution
@@ -124,7 +124,6 @@ class Planner(abc.ABC):
             overtaking-span formula instead of the interval tracker.
         exact: The planner is an anytime exact search -- it reports a
             ``proven`` flag and Fig. 10 aggregates it cutoff-gated.
-        supports_engine: Accepts an ``engine=`` option.
         supports_budget: Accepts ``time_budget=`` / ``node_budget=``.
         executor: Execution strategy (``"timed"``/``"rounds"``/
             ``"two-phase"``) for the differential replay, the gate's
@@ -136,7 +135,6 @@ class Planner(abc.ABC):
     sweep_order: int = 99
     two_phase: bool = False
     exact: bool = False
-    supports_engine: bool = False
     supports_budget: bool = False
     executor: str = TIMED
 
@@ -145,8 +143,8 @@ class Planner(abc.ABC):
     def plan(self, instance: UpdateInstance, **options) -> PlanResult:
         """Plan ``instance``, wrapped in a trace span tagged with the scheme.
 
-        Keyword options (``rng``, ``background``, ``engine``,
-        ``time_budget``, ``node_budget``, ...) are forwarded to the
+        Keyword options (``rng``, ``background``, ``time_budget``,
+        ``node_budget``, ...) are forwarded to the
         scheme's :meth:`_plan`; each planner consumes what it supports.
         """
         handle = recorder.span("plan", {"scheme": self.name})

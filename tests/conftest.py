@@ -1,5 +1,8 @@
 """Shared fixtures for the test suite."""
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.core.instance import (
@@ -9,6 +12,13 @@ from repro.core.instance import (
 )
 from repro.core.schedule import UpdateSchedule
 from repro.network.graph import Network
+
+
+@pytest.fixture(scope="session")
+def engine_goldens():
+    """Values frozen from the superseded engines (see the file's header keys)."""
+    path = Path(__file__).parent / "data" / "engine_goldens.json"
+    return json.loads(path.read_text())
 
 
 @pytest.fixture

@@ -22,11 +22,7 @@ from repro.core.instance import (
     segmented_instance,
 )
 from repro.core.intervals import IntervalTracker
-from repro.core.intervals_array import (
-    NUMPY_AVAILABLE,
-    ArrayIntervalTracker,
-    instance_arrays,
-)
+from repro.core.intervals_array import ArrayIntervalTracker, instance_arrays
 
 
 def _pair(instance, t0=0, background=None):
@@ -193,6 +189,41 @@ class TestLockstepProbe:
                 )
                 time += 1
 
+    @pytest.mark.parametrize("seed", range(40))
+    def test_sequential_probes_decide_like_joint_previews(self, seed):
+        """Greedy's round selection, at tracker level.
+
+        Probing candidates one at a time with ``probe_and_commit`` on a
+        scratch clone accepts exactly the candidates a joint
+        ``preview_round(accepted + [candidate])`` against the untouched
+        tracker accepts -- on both trackers, for random candidate orders
+        (most of which violate).
+        """
+        instance = random_instance(5 + seed % 9, seed=9900 + seed, max_delay=3)
+        rng = random.Random(6000 + seed)
+        dict_tracker, array_tracker = _pair(instance)
+        pending = list(instance.switches_to_update)
+        for time in range(4 * len(instance.network)):
+            if not pending:
+                break
+            rng.shuffle(pending)
+            scratches = dict_tracker.clone(), array_tracker.clone()
+            accepted = []
+            for node in pending:
+                label = f"seed={seed} t={time} accepted={accepted} node={node}"
+                joint = dict_tracker.preview_round(accepted + [node], time)
+                _assert_reports_match(
+                    joint, array_tracker.preview_round(accepted + [node], time), label
+                )
+                for scratch in scratches:
+                    assert scratch.probe_and_commit([node], time).ok == joint.ok, label
+                if joint.ok:
+                    accepted.append(node)
+            if accepted:
+                dict_tracker, array_tracker = scratches
+                _assert_states_match(dict_tracker, array_tracker, f"seed={seed} t={time}")
+                pending = [node for node in pending if node not in accepted]
+
     def test_preview_commits_nothing(self, seed=3):
         instance = random_instance(8, seed=seed, max_delay=3)
         dict_tracker, array_tracker = _pair(instance)
@@ -293,6 +324,3 @@ class TestInstanceArrays:
     def test_missing_link_is_none(self, fig1_instance):
         arrays = instance_arrays(fig1_instance)
         assert arrays.lid_of(0, 0) is None
-
-    def test_numpy_available_flag(self):
-        assert NUMPY_AVAILABLE is True

@@ -4,6 +4,9 @@ Tiny scales keep the suite fast; the assertions target the *direction* of
 each result (who wins), not absolute numbers.
 """
 
+import hashlib
+import json
+
 import pytest
 
 from repro.experiments import fig6, fig7, fig8, fig9, fig10, fig11, table2
@@ -42,6 +45,32 @@ class TestSweep:
         a = mixed_instance(20, seed=9)
         b = mixed_instance(20, seed=9)
         assert a.new_path == b.new_path
+
+    @pytest.mark.parametrize("count", range(3, 10))
+    def test_small_mixed_instances_all_build(self, count, engine_goldens):
+        # A reversed segment used to swallow the destination on short
+        # chains (a bare ValueError for most seeds below 8 switches).
+        # Every seed must now build -- UpdateInstance validates both paths
+        # -- and every instance that built before is bit-identical.
+        def digest(text):
+            return hashlib.sha256(text.encode()).hexdigest()
+
+        frozen = engine_goldens["mixed_instances"][str(count)]
+        built_before = {}
+        for seed in range(200):
+            instance = mixed_instance(count, seed)
+            assert len(instance.network) == count
+            assert instance.new_path[-1] == instance.old_path[-1]
+            if seed in frozen["seeds"]:
+                links = sorted(
+                    (l.src, l.dst, l.capacity, l.delay) for l in instance.network.links
+                )
+                paths = [list(instance.old_path), list(instance.new_path)]
+                built_before[str(seed)] = digest(
+                    json.dumps([*paths, links, instance.demand])
+                )
+        assert len(built_before) == frozen["built"]
+        assert digest(json.dumps(built_before, sort_keys=True)) == frozen["sha256"]
 
     def test_local_share_decreases_with_size(self):
         assert local_reroute_share(10) > local_reroute_share(60)

@@ -2,9 +2,8 @@
 
 The legacy ``run_*`` functions and script loops must keep producing the
 same numbers as their scenario-registry counterparts on seeded small
-grids -- both while they delegate to the pipeline and, for the ones that
-keep an independent loop (``run_faults_ablation``), as a genuine
-cross-implementation check.
+grids.  All of them delegate to the pipeline, so these are delegation
+pins: they catch a wrapper that drops or renames a parameter.
 """
 
 from dataclasses import asdict
@@ -52,8 +51,8 @@ def test_fig9_matches_scenario(tmp_path):
 
 
 def test_faults_legacy_loop_matches_scenario():
-    # run_faults_ablation keeps its own (pre-pipeline) loop: this is a
-    # true two-implementation equality check, records included.
+    # Delegation pin, records included.  The records' real cross-check
+    # -- verdict vs. fluid plane -- runs inside every faulted run.
     kwargs = {
         "severities": (0.0, 0.5),
         "instances_per_point": 2,

@@ -214,7 +214,6 @@ class TestRegistryApi:
         assert get_planner("opt").exact
         assert get_planner("or").exact
         assert not get_planner("aug").exact
-        assert get_planner("aug").supports_engine
 
 
 class TestLockstepByteIdentity:
@@ -361,22 +360,29 @@ class TestAugPlanner:
 
 class TestCliFailFast:
     def test_typo_exits_2_with_registered_names(self):
-        proc = subprocess.run(
-            [
-                sys.executable,
-                "-m",
-                "repro.experiments",
-                "run",
-                "sweep",
-                "--set",
-                "schemes=chrnous",
-            ],
-            capture_output=True,
-            text=True,
-            cwd=REPO_ROOT,
-            env={"PYTHONPATH": str(REPO_ROOT / "src"), "PATH": "/usr/bin:/bin"},
-        )
-        assert proc.returncode == 2
-        assert "chrnous" in proc.stderr
-        for name in ("chronus", "or", "tp", "opt", "aug"):
-            assert name in proc.stderr
+        # A misspelt scheme names the registered planners; a stale or
+        # misspelt --set key names the scenario's valid parameters.
+        cases = {
+            "schemes=chrnous": ("chrnous", "chronus", "or", "tp", "opt", "aug"),
+            "opt_engine=reference": ("opt_engine", "opt_node_budget", "schemes"),
+        }
+        for override, expected in cases.items():
+            proc = subprocess.run(
+                [
+                    sys.executable,
+                    "-m",
+                    "repro.experiments",
+                    "run",
+                    "sweep",
+                    "--set",
+                    override,
+                ],
+                capture_output=True,
+                text=True,
+                cwd=REPO_ROOT,
+                env={"PYTHONPATH": str(REPO_ROOT / "src"), "PATH": "/usr/bin:/bin"},
+            )
+            assert proc.returncode == 2, override
+            assert "Traceback" not in proc.stderr, override
+            for name in expected:
+                assert name in proc.stderr, override
