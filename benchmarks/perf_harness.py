@@ -30,6 +30,10 @@ What it measures:
 * **aug** -- strict greedy vs. the epsilon-augmented planner over one
   seeded batch: planning wall clock and completed-plan counts (what the
   transient capacity headroom buys; DESIGN.md §15).
+* **verify** -- seconds per ``verify_schedule`` call on one intent of the
+  32x12-pod service network (a short update inside a 416-node settle
+  window: the steady-tail replication's case) and on a 30-switch
+  ``mixed_instance`` (a small window: the transient walk's case).
 
 Timings reuse :func:`conftest.timed` / :func:`conftest.run_once` so the
 plain ``[bench]`` lines appear in any environment.
@@ -52,7 +56,7 @@ if str(_REPO_ROOT) not in sys.path:
 from benchmarks.conftest import run_once, timed
 from repro.core.cow import CowIndex
 from repro.core.greedy import greedy_schedule
-from repro.core.instance import segmented_instance
+from repro.core.instance import instance_from_paths, segmented_instance
 from repro.core.intervals import IntervalTracker, replay_schedule
 from repro.core.optimal import optimal_schedule
 from repro.experiments.sweep import mixed_instance, run_sweep
@@ -397,6 +401,67 @@ def bench_aug(
     }
 
 
+def bench_verify(
+    pods: int = 32,
+    pod_size: int = 12,
+    switch_count: int = 30,
+    calls: int = 200,
+    repeats: int = 5,
+) -> Dict[str, object]:
+    """Seconds per ``verify_schedule`` call on two window shapes (best-of).
+
+    ``service`` judges the Chronus plan that moves the first tenant of a
+    ``pods`` x ``pod_size`` service network onto its detour while its
+    partner already sits on the shared crossover link (so the capacity
+    check sees real background): a handful of update steps inside a
+    window of ``(|V| + 1) * max_delay`` emissions.  ``mixed`` judges the
+    Chronus plan of one ``mixed_instance(switch_count)``, where the window
+    is a few dozen emissions and the transient is most of it.
+    """
+    from repro.service.workload import build_workload
+    from repro.validate import verify_schedule
+
+    workload = build_workload(pods, pod_size, requests=1, mean_interarrival=1.0, seed=0)
+    tenant, partner = workload.pods[0], workload.pods[1]
+    intent = instance_from_paths(
+        workload.network, list(tenant.path_a), list(tenant.path_b), demand=tenant.demand
+    )
+    shared = [
+        link
+        for link in zip(partner.path_b, partner.path_b[1:])
+        if link in tenant.footprint
+    ]
+    background = {link: ((None, None, partner.demand),) for link in shared}
+    mixed = mixed_instance(switch_count, 7919 + switch_count)
+
+    out: Dict[str, object] = {}
+    for name, instance, extras, shape in (
+        ("service", intent, background, {"pods": pods, "pod_size": pod_size}),
+        ("mixed", mixed, None, {"switches": switch_count}),
+    ):
+        schedule = greedy_schedule(instance, background=extras).schedule
+
+        def verify_many():
+            for _ in range(calls):
+                verdict = verify_schedule(instance, schedule, background=extras)
+            return verdict
+
+        verdict, best = _best_of(repeats, verify_many, label=f"verify[{name}] run")
+        per_call = best / calls
+        print(
+            f"[bench] verify {name}: {per_call * 1e3:.3f} ms/verify "
+            f"(window {verdict.check_end - verdict.check_start + 1} steps, ok={verdict.ok})"
+        )
+        out[name] = dict(
+            shape,
+            calls=calls,
+            seconds_per_verify=round(per_call, 7),
+            window_steps=verdict.check_end - verdict.check_start + 1,
+            ok=verdict.ok,
+        )
+    return out
+
+
 def collect(quick: bool = False, workers: int = 4) -> Dict[str, object]:
     """Run every benchmark; return one BENCH_sweep.json record."""
     if quick:
@@ -418,6 +483,9 @@ def collect(quick: bool = False, workers: int = 4) -> Dict[str, object]:
                 cells=1, pods=4, pod_size=6, requests=16
             ),
             "aug": bench_aug(switch_count=14, instances=20),
+            "verify": bench_verify(
+                pods=4, pod_size=6, switch_count=14, calls=50, repeats=2
+            ),
         }
     else:
         record = {
@@ -430,6 +498,7 @@ def collect(quick: bool = False, workers: int = 4) -> Dict[str, object]:
             "memory": {"greedy": bench_greedy_memory()},
             "service": bench_service(),
             "aug": bench_aug(),
+            "verify": bench_verify(),
         }
     return record
 

@@ -31,7 +31,11 @@ Exit status is non-zero when a measured invariant fails:
 * the update-service bench is non-deterministic or non-conformant (hard
   failures on any machine), or its wall-clock updates/sec drops under
   1/1.3x the best prior full-size record from the same machine class on
-  the same workload (equal cell/pod/request shape).
+  the same workload (equal cell/pod/request shape), or
+* a ``verify`` row refutes its fixed-seed Chronus plan (hard failure on
+  any machine), or its seconds per ``verify_schedule`` call exceed 1.3x
+  the best prior full-size record from the same machine class on the
+  same shape.
 
 Full records also carry a ``memory`` column: peak RSS per greedy bench
 stage, measured in a forked child per size (see
@@ -58,6 +62,8 @@ SLOWDOWN_LIMIT = 1.2
 GREEDY_GATE_LIMIT = 1.3
 OPT_GATE_LIMIT = 1.3
 SERVICE_GATE_LIMIT = 1.3
+VERIFY_GATE_LIMIT = 1.3
+VERIFY_SHAPE_KEYS = ("pods", "pod_size", "switches")
 
 
 def greedy_regression(record, history):
@@ -212,6 +218,57 @@ def service_regression(record, history):
     return "; ".join(failures) if failures else None
 
 
+def verify_regression(record, history):
+    """Failure message when a ``verify`` row regressed, else None.
+
+    One hard invariant fails on any machine: the fixed-seed Chronus plans
+    the rows judge are consistent, so ``ok`` must stay true.  Each row's
+    ``seconds_per_verify`` (``service``, ``mixed``) is gated against the
+    best prior full-size record from the same machine class (equal
+    ``cpus``) measuring the same shape (equal ``pods`` / ``pod_size`` /
+    ``switches``); quick and profiled records are skipped on both sides,
+    rows without a comparable prior individually.
+    """
+    rows = record.get("verify")
+    if not isinstance(rows, dict):
+        return None
+    failures = []
+    timed = "profile" not in record and not record.get("quick")
+    for name, row in sorted(rows.items()):
+        if not isinstance(row, dict):
+            continue
+        if row.get("ok") is False:
+            failures.append(f"verify[{name}] refuted a fixed-seed Chronus plan")
+            continue
+        current = row.get("seconds_per_verify")
+        if not timed or not isinstance(current, (int, float)):
+            continue
+        prior = []
+        for entry in history:
+            if not isinstance(entry, dict) or entry.get("quick") or "profile" in entry:
+                continue
+            if entry.get("cpus") != record.get("cpus"):
+                continue
+            other = (entry.get("verify") or {}).get(name)
+            if not isinstance(other, dict):
+                continue
+            if any(other.get(key) != row.get(key) for key in VERIFY_SHAPE_KEYS):
+                continue
+            seconds = other.get("seconds_per_verify")
+            if isinstance(seconds, (int, float)):
+                prior.append(seconds)
+        if not prior:
+            continue
+        best = min(prior)
+        if best > 0 and current > VERIFY_GATE_LIMIT * best:
+            failures.append(
+                f"verify[{name}] took {current * 1e3:.3f} ms/verify, over "
+                f"{VERIFY_GATE_LIMIT}x the best prior record {best * 1e3:.3f} ms "
+                f"(machine class cpus={record.get('cpus')})"
+            )
+    return "; ".join(failures) if failures else None
+
+
 def main(argv=None) -> int:
     parser = script_parser(__doc__)
     add_quick_flag(parser, "small sizes for smoke runs")
@@ -281,6 +338,9 @@ def main(argv=None) -> int:
     service_failure = service_regression(record, history)
     if service_failure:
         failures.append(service_failure)
+    verify_failure = verify_regression(record, history)
+    if verify_failure:
+        failures.append(verify_failure)
     for failure in failures:
         print(f"BENCH GATE FAILURE: {failure}", file=sys.stderr)
     return 1 if failures else 0

@@ -250,3 +250,64 @@ class TestServiceRegressionGate:
         assert bench.service_regression(
             service_record(30.0), [service_record(900.0, quick=True)]
         ) is None
+
+
+def verify_record(service_seconds, mixed_seconds=0.001, cpus=1, pods=32,
+                  switches=30, ok=True, quick=False, profile=False):
+    entry = {
+        "cpus": cpus,
+        "quick": quick,
+        "verify": {
+            "service": {
+                "pods": pods, "pod_size": 12, "calls": 200,
+                "seconds_per_verify": service_seconds, "ok": ok,
+            },
+            "mixed": {
+                "switches": switches, "calls": 200,
+                "seconds_per_verify": mixed_seconds, "ok": True,
+            },
+        },
+    }
+    if profile:
+        entry["profile"] = {"spans": {}, "counters": {}}
+    return entry
+
+
+class TestVerifyRegressionGate:
+    def test_no_history_and_missing_block_skip(self):
+        assert bench.verify_regression(verify_record(0.0004), []) is None
+        assert bench.verify_regression({"cpus": 1}, [verify_record(0.0004)]) is None
+        # Records that predate the block are not comparable, not an error.
+        assert bench.verify_regression(verify_record(9.0), [{"cpus": 1}]) is None
+
+    def test_within_limit_passes(self):
+        history = [verify_record(0.0004)]
+        assert bench.verify_regression(verify_record(0.0005), history) is None
+
+    def test_each_row_gates_against_its_own_best(self):
+        history = [verify_record(0.0004, 0.002), verify_record(0.0008, 0.001)]
+        message = bench.verify_regression(verify_record(0.0006, 0.0012), history)
+        assert message is not None
+        assert "verify[service]" in message
+        assert "verify[mixed]" not in message
+
+    def test_other_shape_and_machine_class_skipped(self):
+        assert bench.verify_regression(
+            verify_record(9.0), [verify_record(0.0004, pods=4)]
+        ) is None
+        assert bench.verify_regression(
+            verify_record(9.0, mixed_seconds=9.0), [verify_record(0.0004, cpus=32)]
+        ) is None
+
+    def test_quick_and_profiled_records_skip_timing(self):
+        history = [verify_record(0.0004)]
+        assert bench.verify_regression(verify_record(9.0, quick=True), history) is None
+        assert bench.verify_regression(verify_record(9.0, profile=True), history) is None
+        assert bench.verify_regression(
+            verify_record(0.0004), [verify_record(0.00001, quick=True)]
+        ) is None
+
+    def test_refuted_plan_fails_even_on_quick_records(self):
+        message = bench.verify_regression(verify_record(0.0004, ok=False, quick=True), [])
+        assert message is not None
+        assert "verify[service]" in message

@@ -10,10 +10,12 @@ into one planning call with earlier intents superseded.
 """
 
 import asyncio
+import hashlib
 import json
 
 import pytest
 
+from repro.experiments.sweep import sweep_seed
 from repro.pipeline.store import canonical_json
 from repro.service import (
     AdmissionController,
@@ -193,6 +195,32 @@ class TestServiceLockstep:
         assert json.loads(canonical_json(record)) == json.loads(
             canonical_json(json.loads(json.dumps(record)))
         )
+
+
+# One cell of each service workload of the repo benchmark (bench/workloads.py
+# CONFIGs, seeded the way the bench seeds its first cell) and the sha256 of
+# its canonical record, taken before the verifier stopped walking every
+# emission: ``conformant`` flags and every virtual-time metric are in it.
+PINNED_CELLS = {
+    "service-steady": (
+        dict(pods=16, pod_size=8, requests=64, mean_interarrival=2.0, max_queue=64, planners=4),
+        "6c94d26d36a8a7fc62a987d7a2ff71b331b37f430795ecd291d642c160583acc",
+    ),
+    "service-burst": (
+        dict(pods=32, pod_size=12, requests=100, mean_interarrival=0.25, max_queue=1024, planners=4),
+        "45217a5d2665303ace6246e57d70560d69b662e8a5dc8d0e4861a52216ccde0c",
+    ),
+}
+
+
+class TestServiceRecordsPinned:
+    @pytest.mark.parametrize("name", sorted(PINNED_CELLS))
+    def test_bench_shaped_cell_record_is_unchanged(self, name):
+        shape, digest = PINNED_CELLS[name]
+        report = run_cell(ServiceConfig(seed=sweep_seed(42, shape["pods"], 0), **shape))
+        payload = canonical_json(report.to_record())
+        assert hashlib.sha256(payload.encode("utf-8")).hexdigest() == digest
+        assert report.summary["conformant_all"]
 
 
 class TestServiceOutcomes:
