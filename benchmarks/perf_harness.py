@@ -10,9 +10,16 @@ What it measures:
 
 * **greedy** -- the Chronus scheduler from 400 up to 100K switches (best
   of ``repeats`` runs at the small sizes, single runs at 20K+; the box
-  this repo grew on has noisy wall clocks).  The 20K/50K/100K sizes are
-  the struct-of-arrays tracker's territory -- the dict tracker needs
-  minutes there.
+  this repo grew on has noisy wall clocks).  Every size is long-path, so
+  all of them plan on the struct-of-arrays tracker -- the dict tracker
+  needs minutes at 20K+.
+* **greedy_dense** -- seconds per plan over 200 16-switch global reroutes
+  (``random_instance(16, capacity=2.0)``): the short-path side of
+  :func:`repro.core.tracker.make_tracker`, where rounds, not switches,
+  cost.
+* **tracker_grid** -- greedy ms/plan with each tracker forced, on random
+  and segmented instances either side of the factory's threshold, plus
+  ``same_schedules`` (the two must return equal ``GreedyResult``s).
 * **memory** -- peak RSS per greedy stage (instance build + schedule),
   measured in a forked child per size so one stage's high-water mark
   cannot mask another's.
@@ -53,11 +60,12 @@ if str(_REPO_ROOT / "src") not in sys.path:  # allow direct execution
 if str(_REPO_ROOT) not in sys.path:
     sys.path.insert(0, str(_REPO_ROOT))
 
+import repro.core.tracker as tracker_module
 from benchmarks.conftest import run_once, timed
 from repro.core.cow import CowIndex
 from repro.core.greedy import greedy_schedule
-from repro.core.instance import instance_from_paths, segmented_instance
-from repro.core.intervals import IntervalTracker, replay_schedule
+from repro.core.instance import instance_from_paths, random_instance, segmented_instance
+from repro.core.intervals import IntervalTracker
 from repro.core.optimal import optimal_schedule
 from repro.experiments.sweep import mixed_instance, run_sweep
 from repro.perf import measure_peak_rss
@@ -66,14 +74,23 @@ from repro.runtime import ParallelRunner, available_cpus
 BENCH_FILE = _REPO_ROOT / "BENCH_sweep.json"
 
 
+# A row whose first run is shorter than this gets FAST_ROW_REPEATS runs: the
+# minimum of two or three ~13 ms runs moves by more than the gates' 1.3x on
+# a shared box (greedy[400] tripped its own gate on timer noise), and ten
+# such runs cost under a second.
+FAST_ROW_SECONDS = 0.05
+FAST_ROW_REPEATS = 10
+
+
 def _best_of(repeats, fn, *args, label=None, **kwargs):
     """Best wall clock over ``repeats`` runs (noise-resistant) + result."""
-    best = None
-    result = None
-    for _ in range(max(1, repeats)):
+    result = run_once(None, fn, *args, label=label, **kwargs)
+    best = run_once.last_elapsed
+    if best < FAST_ROW_SECONDS:
+        repeats = max(repeats, FAST_ROW_REPEATS)
+    for _ in range(repeats - 1):
         result = run_once(None, fn, *args, label=label, **kwargs)
-        elapsed = run_once.last_elapsed
-        best = elapsed if best is None else min(best, elapsed)
+        best = min(best, run_once.last_elapsed)
     return result, best
 
 
@@ -127,6 +144,88 @@ def bench_greedy_memory(
             f"[bench] memory greedy n={size}: peak={stats['peak_rss_mb']}MB "
             f"delta={stats['delta_mb']}MB"
         )
+    return out
+
+
+def _dense_batch(switch_count: int, plans: int):
+    return [
+        random_instance(switch_count, seed=9000 + index, capacity=2.0)
+        for index in range(plans)
+    ]
+
+
+def _plan_all(instances):
+    return [greedy_schedule(instance) for instance in instances]
+
+
+def bench_greedy_dense(
+    switch_count: int = 16, plans: int = 200, repeats: int = 5
+) -> Dict[str, object]:
+    """Seconds per greedy plan over a batch of small global reroutes."""
+    batch = _dense_batch(switch_count, plans)
+    results, best = _best_of(repeats, _plan_all, batch, label="greedy_dense run")
+    per_plan = best / plans
+    feasible = sum(1 for result in results if result.feasible)
+    print(
+        f"[bench] greedy_dense {plans}x{switch_count}sw: "
+        f"{per_plan * 1e3:.3f} ms/plan ({feasible}/{plans} feasible)"
+    )
+    return {
+        "switches": switch_count,
+        "plans": plans,
+        "seconds_per_plan": round(per_plan, 7),
+        "feasible": feasible,
+    }
+
+
+def bench_tracker_grid(
+    random_sizes: Sequence[int] = (16, 32, 64),
+    segmented_sizes: Sequence[int] = (50, 100, 200, 400),
+    repeats: int = 3,
+) -> Dict[str, object]:
+    """Greedy ms/plan on each tracker, either side of the factory threshold.
+
+    Each cell plans one seeded batch twice, with the factory's threshold
+    moved to force one tracker class and then the other, and compares the
+    ``GreedyResult`` lists.  Random batches shrink with size (a 64-switch
+    global reroute is ~0.5 s on the array tracker).
+    """
+    cells = [
+        (f"random[{size}]", _dense_batch(size, 320 // size))
+        for size in random_sizes
+    ] + [
+        (
+            f"segmented[{size}]",
+            [segmented_instance(size, seed=9000 + index) for index in range(20)],
+        )
+        for size in segmented_sizes
+    ]
+    out: Dict[str, object] = {}
+    same = True
+    original = tracker_module.ARRAY_TRACKER_MIN_HOPS
+    try:
+        for name, batch in cells:
+            row: Dict[str, object] = {
+                "hops": len(batch[0].old_path) + len(batch[0].new_path),
+                "plans": len(batch),
+            }
+            results = {}
+            for key, threshold in (("array", 0), ("dict", sys.maxsize)):
+                tracker_module.ARRAY_TRACKER_MIN_HOPS = threshold
+                results[key], best = _best_of(
+                    repeats, _plan_all, batch, label=f"tracker_grid {name} {key}"
+                )
+                row[f"{key}_ms"] = round(best / len(batch) * 1e3, 3)
+            same = same and results["array"] == results["dict"]
+            out[name] = row
+            print(
+                f"[bench] tracker_grid {name} ({row['hops']} hops): "
+                f"array={row['array_ms']}ms dict={row['dict_ms']}ms per plan"
+            )
+    finally:
+        tracker_module.ARRAY_TRACKER_MIN_HOPS = original
+    out["same_schedules"] = same
+    print(f"[bench] tracker_grid same_schedules={same}")
     return out
 
 
@@ -188,8 +287,10 @@ def bench_clone(
 ) -> Dict[str, object]:
     """COW vs. eager clone micro-cost on a rich end-of-schedule state."""
     instance = segmented_instance(switch_count, seed=7)
-    schedule = greedy_schedule(instance).schedule
-    tracker = replay_schedule(instance, schedule)
+    # The dict tracker by name: the row measures its COW indexes.
+    tracker = IntervalTracker(instance)
+    for when, nodes in greedy_schedule(instance).schedule.rounds():
+        tracker.apply_round(nodes, when)
 
     def clone_many(clone_fn):
         for _ in range(clones):
@@ -469,6 +570,10 @@ def collect(quick: bool = False, workers: int = 4) -> Dict[str, object]:
             "quick": True,
             "cpus": available_cpus(),
             "greedy": bench_greedy(sizes=(200, 400), repeats=2),
+            "greedy_dense": bench_greedy_dense(plans=50, repeats=2),
+            "tracker_grid": bench_tracker_grid(
+                random_sizes=(16,), segmented_sizes=(50, 400), repeats=1
+            ),
             "opt": bench_opt(switch_count=20, seeds=tuple(range(4)), budget=1.0),
             "clone": bench_clone(switch_count=300, clones=500, repeats=2),
             "sweep": bench_sweep(
@@ -492,6 +597,8 @@ def collect(quick: bool = False, workers: int = 4) -> Dict[str, object]:
             "quick": False,
             "cpus": available_cpus(),
             "greedy": bench_greedy(),
+            "greedy_dense": bench_greedy_dense(),
+            "tracker_grid": bench_tracker_grid(),
             "opt": bench_opt(),
             "clone": bench_clone(),
             "sweep": bench_sweep(workers=workers),

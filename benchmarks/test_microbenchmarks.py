@@ -10,9 +10,10 @@ import pytest
 from repro.core.dependency import dependency_relations
 from repro.core.greedy import greedy_schedule
 from repro.core.instance import motivating_example, random_instance, segmented_instance
-from repro.core.intervals import IntervalTracker, replay_schedule
+from repro.core.intervals import IntervalTracker
 from repro.core.loops import creates_forwarding_loop
 from repro.core.trace import trace_schedule
+from repro.core.tracker import replay_schedule
 
 
 @pytest.fixture(scope="module")

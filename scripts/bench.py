@@ -24,6 +24,11 @@ Exit status is non-zero when a measured invariant fails:
   switches (same ``cpus`` count; runs on other machine classes are not
   comparable and skip the gate; sizes without a comparable prior are
   skipped individually), or
+* the ``tracker_grid`` block found an instance the two trackers
+  schedule differently (``same_schedules``; hard failure on any
+  machine), or ``greedy_dense`` seconds per plan exceed 1.3x the best
+  prior full-size record from the same machine class on the same shape,
+  or
 * OPT node throughput drops under 1/1.3x the best prior full-size
   record from the same machine class measuring the *same engine* on the
   same workload (engines count nodes at different granularities, so a
@@ -64,6 +69,23 @@ OPT_GATE_LIMIT = 1.3
 SERVICE_GATE_LIMIT = 1.3
 VERIFY_GATE_LIMIT = 1.3
 VERIFY_SHAPE_KEYS = ("pods", "pod_size", "switches")
+DENSE_SHAPE_KEYS = ("switches", "plans")
+
+
+def _comparable(record, history, block):
+    """``block`` of each prior record whose timings compare with ``record``'s.
+
+    That is: full-size, unprofiled, same machine class (equal ``cpus``).
+    """
+    return [
+        entry[block]
+        for entry in history
+        if isinstance(entry, dict)
+        and not entry.get("quick")
+        and "profile" not in entry
+        and entry.get("cpus") == record.get("cpus")
+        and isinstance(entry.get(block), dict)
+    ]
 
 
 def greedy_regression(record, history):
@@ -77,20 +99,15 @@ def greedy_regression(record, history):
     sizes and other machine classes have different clocks, so both are
     skipped.  Profiled records are skipped on both sides -- the enabled
     perf counters inflate the tracker hot path, so their timings are not
-    comparable to plain runs.
+    comparable to plain runs.  A quick *current* record is gated at the
+    sizes it shares with full records (400): that row is ~13 ms, which
+    is why the harness takes rows under 50 ms as a best-of-10
+    (``perf_harness.FAST_ROW_REPEATS``).
     """
     if "profile" in record:
         return None
     greedy = record.get("greedy") or {}
-    comparable = [
-        entry["greedy"]
-        for entry in history
-        if isinstance(entry, dict)
-        and not entry.get("quick")
-        and "profile" not in entry
-        and entry.get("cpus") == record.get("cpus")
-        and isinstance(entry.get("greedy"), dict)
-    ]
+    comparable = _comparable(record, history, "greedy")
     failures = []
     for size, current in sorted(greedy.items(), key=lambda item: int(item[0])):
         if not isinstance(current, (int, float)):
@@ -110,6 +127,40 @@ def greedy_regression(record, history):
                 f"(machine class cpus={record.get('cpus')})"
             )
     return "; ".join(failures) if failures else None
+
+
+def greedy_dense_regression(record, history):
+    """Failure message for the short-path greedy rows, else None.
+
+    One hard invariant fails on any machine: ``tracker_grid`` plans every
+    batch on both trackers, and the results must be equal
+    (``same_schedules``).  ``greedy_dense.seconds_per_plan`` is gated
+    against the best prior full-size record from the same machine class
+    (equal ``cpus``) measuring the same shape (equal ``switches`` /
+    ``plans``); quick and profiled records are skipped on both sides.
+    """
+    if (record.get("tracker_grid") or {}).get("same_schedules") is False:
+        return "tracker_grid: the dict and array trackers scheduled an instance differently"
+    dense = record.get("greedy_dense")
+    if "profile" in record or record.get("quick") or not isinstance(dense, dict):
+        return None
+    current = dense.get("seconds_per_plan")
+    prior = [
+        other["seconds_per_plan"]
+        for other in _comparable(record, history, "greedy_dense")
+        if all(other.get(key) == dense.get(key) for key in DENSE_SHAPE_KEYS)
+        and isinstance(other.get("seconds_per_plan"), (int, float))
+    ]
+    if not prior or not isinstance(current, (int, float)):
+        return None
+    best = min(prior)
+    if best > 0 and current > GREEDY_GATE_LIMIT * best:
+        return (
+            f"greedy_dense took {current * 1e3:.3f} ms/plan, over "
+            f"{GREEDY_GATE_LIMIT}x the best prior record {best * 1e3:.3f} ms "
+            f"(machine class cpus={record.get('cpus')})"
+        )
+    return None
 
 
 def opt_regression(record, history):
@@ -134,14 +185,7 @@ def opt_regression(record, history):
         return None
     engine = opt.get("engine", "reference")
     prior = []
-    for entry in history:
-        if not isinstance(entry, dict) or entry.get("quick") or "profile" in entry:
-            continue
-        if entry.get("cpus") != record.get("cpus"):
-            continue
-        other = entry.get("opt")
-        if not isinstance(other, dict):
-            continue
+    for other in _comparable(record, history, "opt"):
         if other.get("engine", "reference") != engine:
             continue
         if (
@@ -191,14 +235,7 @@ def service_regression(record, history):
         and isinstance(current, (int, float))
     ):
         prior = []
-        for entry in history:
-            if not isinstance(entry, dict) or entry.get("quick") or "profile" in entry:
-                continue
-            if entry.get("cpus") != record.get("cpus"):
-                continue
-            other = entry.get("service")
-            if not isinstance(other, dict):
-                continue
+        for other in _comparable(record, history, "service"):
             if any(
                 other.get(key) != service.get(key)
                 for key in ("cells", "pods", "requests")
@@ -244,12 +281,8 @@ def verify_regression(record, history):
         if not timed or not isinstance(current, (int, float)):
             continue
         prior = []
-        for entry in history:
-            if not isinstance(entry, dict) or entry.get("quick") or "profile" in entry:
-                continue
-            if entry.get("cpus") != record.get("cpus"):
-                continue
-            other = (entry.get("verify") or {}).get(name)
+        for block in _comparable(record, history, "verify"):
+            other = block.get(name)
             if not isinstance(other, dict):
                 continue
             if any(other.get(key) != row.get(key) for key in VERIFY_SHAPE_KEYS):
@@ -332,6 +365,9 @@ def main(argv=None) -> int:
     regression = greedy_regression(record, history)
     if regression:
         failures.append(regression)
+    dense_failure = greedy_dense_regression(record, history)
+    if dense_failure:
+        failures.append(dense_failure)
     opt_failure = opt_regression(record, history)
     if opt_failure:
         failures.append(opt_failure)

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.core.instance import UpdateInstance
-from repro.core.intervals import CongestionSpan, replay_schedule
 from repro.core.schedule import UpdateSchedule
+from repro.core.tracker import replay_schedule
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ Layout (one module per concept):
 * :mod:`repro.core.trace` -- unit-level dynamic-flow oracle (Defs. 1-3).
 * :mod:`repro.core.intervals` -- scalable exact flow tracking.
 * :mod:`repro.core.intervals_array` -- the same state struct-of-arrays.
+* :mod:`repro.core.tracker` -- picks one of the two per instance.
 * :mod:`repro.core.dependency` -- Algorithm 3 (dependency relation sets).
 * :mod:`repro.core.loops` -- Algorithm 4 (forwarding-loop check).
 * :mod:`repro.core.greedy` -- Algorithm 2 (the Chronus scheduler).
@@ -29,8 +30,9 @@ from repro.core.instance import (
 from repro.core.schedule import UpdateSchedule, schedule_from_rounds
 from repro.core.timeext import TimeExtendedNetwork, build_window
 from repro.core.trace import TraceResult, trace_schedule, validate_schedule
-from repro.core.intervals import IntervalTracker, replay_schedule
+from repro.core.intervals import IntervalTracker
 from repro.core.intervals_array import ArrayIntervalTracker
+from repro.core.tracker import make_tracker, replay_schedule
 from repro.core.dependency import DependencySet, dependency_relations
 from repro.core.loops import creates_forwarding_loop
 from repro.core.greedy import GreedyResult, greedy_schedule
@@ -67,6 +69,7 @@ __all__ = [
     "validate_schedule",
     "IntervalTracker",
     "ArrayIntervalTracker",
+    "make_tracker",
     "replay_schedule",
     "DependencySet",
     "dependency_relations",

@@ -22,9 +22,10 @@ that is adopted wholesale when the round is non-empty.  Sequential
 single-head probes split and sweep each accepted head's fresh suffix
 exactly once; they accept exactly the heads a joint
 ``preview_round(accepted + [head])`` would (pinned at tracker level in
-``tests/test_array_tracker.py``).  The flow state lives in the
-struct-of-arrays tracker
-(:class:`repro.core.intervals_array.ArrayIntervalTracker`).
+``tests/test_array_tracker.py``).  The flow state is whichever tracker
+:func:`repro.core.tracker.make_tracker` picks for the instance's paths --
+the dict layout on short trajectories, the struct-of-arrays layout on long
+ones; the schedule is the same either way (``tests/test_tracker_choice.py``).
 
 Instances without a congestion-free schedule (the ILP can be infeasible;
 cf. Fig. 7) are completed best-effort: the remaining switches are applied in
@@ -39,10 +40,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.core.dependency import DependencySet, DependencyState
 from repro.core.instance import UpdateInstance
 from repro.core.intervals import RoundReport
-from repro.core.intervals_array import ArrayIntervalTracker
 from repro.core.loops import creates_forwarding_loop
 from repro.core.rounds import greedy_loop_free_rounds
 from repro.core.schedule import UpdateSchedule
+from repro.core.tracker import Tracker, make_tracker
 from repro.network.graph import Node
 from repro.perf import perf
 
@@ -113,7 +114,7 @@ def greedy_schedule(
     # removals with the same stable iteration order a list gave, minus the
     # O(n) ``list.remove`` per committed switch.
     pending: Dict[Node, None] = dict.fromkeys(instance.switches_to_update)
-    tracker = ArrayIntervalTracker(instance, t0=t0, background=background)
+    tracker = make_tracker(instance, t0=t0, background=background)
     state = DependencyState(instance, pending)
     times: Dict[Node, int] = {}
     violations: List[RoundReport] = []
@@ -192,12 +193,12 @@ def greedy_schedule(
 
 def _select_round(
     instance: UpdateInstance,
-    tracker: ArrayIntervalTracker,
+    tracker: Tracker,
     dependencies: DependencySet,
     pending: Dict[Node, None],
     t: int,
     mode: str,
-) -> Tuple[List[Node], Optional[ArrayIntervalTracker]]:
+) -> Tuple[List[Node], Optional[Tracker]]:
     """Pick the switches to update at step ``t`` (lines 9-14 of Algorithm 2).
 
     Returns ``(round_nodes, adopted)``: when ``adopted`` is not ``None`` it
@@ -222,7 +223,7 @@ def _select_round(
     # the candidate's own deflections on top of a verified-clean baseline,
     # which is decision-equivalent to a joint preview of the whole round
     # at a fraction of the work.
-    scratch: Optional[ArrayIntervalTracker] = None
+    scratch: Optional[Tracker] = None
     for head in dependencies.heads:
         if creates_forwarding_loop(instance, committed, head, t):
             continue

@@ -10,9 +10,12 @@ an update round splits the affected classes at the deflection thresholds
 become short lists of departure-time intervals, so congestion checking is a
 sweep over a handful of intervals instead of a unit-by-unit replay.
 
-The tracker is the engine behind the Chronus greedy scheduler, the OPT
-search and all congestion metrics; tests cross-validate it against the unit
-tracer on thousands of random instances.
+This dict layout is the flow state of the greedy scheduler, the OPT search
+and every congestion metric on short trajectories;
+:func:`repro.core.tracker.make_tracker` switches to the array layout
+(:mod:`repro.core.intervals_array`, same reports byte for byte) where paths
+are long.  Tests cross-validate it against the unit tracer on thousands of
+random instances.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.core.cow import CowIndex
 from repro.core.instance import UpdateInstance
-from repro.core.schedule import UpdateSchedule
 from repro.network.graph import Node
 from repro.perf import perf
 
@@ -178,11 +180,15 @@ class IntervalTracker:
             background: Static load from *other* flows per link, as
                 ``(first departure, last departure, demand)`` triples
                 (``None`` bounds are open); included in every capacity
-                check.  This is how multi-flow scheduling composes.
+                check.  This is how multi-flow scheduling composes.  A
+                link the network lacks is a ``KeyError``.
         """
         self.instance = instance
         self.t0 = t0
         self.background = background or {}
+        for src, dst in self.background:
+            if not instance.network.has_link(src, dst):
+                raise KeyError(f"background load on non-existent link {src!r} -> {dst!r}")
         self._applied: Dict[Node, int] = {}
         self._last_time: Optional[int] = None
         self._classes: Dict[int, FlowClass] = {}
@@ -663,20 +669,6 @@ class IntervalTracker:
         self._link_index.add_all(cls.link_positions(), cid)
         self._node_index.add_all(cls.nodes, cid)
         return cid
-
-
-def replay_schedule(instance: UpdateInstance, schedule: UpdateSchedule) -> IntervalTracker:
-    """Replay a full schedule round by round and return the final tracker.
-
-    The tracker's ``loops``/``blackholes`` lists and
-    :meth:`IntervalTracker.congestion_spans` then describe every transient
-    violation of the schedule -- this is the scalable equivalent of
-    :func:`repro.core.trace.validate_schedule`.
-    """
-    tracker = IntervalTracker(instance, t0=schedule.t0)
-    for time, nodes in schedule.rounds():
-        tracker.apply_round(nodes, time)
-    return tracker
 
 
 # ----------------------------------------------------------------------

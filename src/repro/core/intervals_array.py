@@ -1,4 +1,4 @@
-"""Struct-of-arrays flow tracking: the greedy engine's numpy hot path.
+"""Struct-of-arrays flow tracking: the long-trajectory numpy hot path.
 
 :class:`repro.core.intervals.IntervalTracker` keeps each flow class as a
 tuple-of-tuples Python object and answers congestion probes by walking
@@ -26,9 +26,11 @@ state column-wise:
   rebuilt in the dict tracker's exact order so reported spans are
   bitwise identical.
 
-The dict-backed tracker stays the differential oracle:
-``tests/test_array_tracker.py`` drives both trackers in lockstep and
-compares every report byte-for-byte.
+Both layouts are production code: every probe here pays a fixed numpy call
+overhead, so on short trajectories the dict tracker is the faster of the
+two and :func:`repro.core.tracker.make_tracker` builds that one instead.
+``tests/test_array_tracker.py`` drives both in lockstep and compares
+every report byte-for-byte.
 
 numpy is a hard dependency (``pyproject.toml``); importing this module
 without it fails with a plain ``ImportError``.

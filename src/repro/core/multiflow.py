@@ -27,7 +27,6 @@ from repro.core.intervals import (
     IntervalTracker,
     LinkKey,
     _sweep_link,
-    replay_schedule,
 )
 from repro.core.schedule import UpdateSchedule
 from repro.network.graph import Network, Node
@@ -89,7 +88,12 @@ class MultiFlowReport:
 
 
 def flow_link_intervals(tracker: IntervalTracker) -> Background:
-    """The exact per-link departure intervals of one flow's final state."""
+    """The exact per-link departure intervals of one flow's final state.
+
+    Reads the dict layout (``FlowClass.links`` / ``departure_interval``),
+    which is why this module replays on :class:`IntervalTracker` directly
+    rather than through :func:`repro.core.tracker.make_tracker`.
+    """
     out: Background = {}
     demand = tracker.instance.demand
     for cls in tracker.classes:
@@ -97,6 +101,13 @@ def flow_link_intervals(tracker: IntervalTracker) -> Background:
             lo, hi = cls.departure_interval(index)
             out.setdefault(link, []).append((lo, hi, demand))
     return out
+
+
+def _replay(instance: UpdateInstance, schedule: UpdateSchedule) -> IntervalTracker:
+    tracker = IntervalTracker(instance, t0=schedule.t0)
+    for when, nodes in schedule.rounds():
+        tracker.apply_round(nodes, when)
+    return tracker
 
 
 def validate_multiflow(
@@ -119,7 +130,7 @@ def validate_multiflow(
         schedule = schedules.get(inst.flow.name)
         if schedule is None:
             raise KeyError(f"missing schedule for flow {inst.flow.name!r}")
-        trackers[inst.flow.name] = replay_schedule(inst, schedule)
+        trackers[inst.flow.name] = _replay(inst, schedule)
 
     joint: Background = {}
     for tracker in trackers.values():
@@ -186,9 +197,7 @@ def greedy_multiflow(
         instance = update.instance(name)
         result = greedy_schedule(instance, t0=t0, background=background)
         results[name] = result
-        tracker = IntervalTracker(instance, t0=t0)
-        for when, nodes in result.schedule.rounds():
-            tracker.apply_round(nodes, when)
+        tracker = _replay(instance, result.schedule)
         for link, intervals in flow_link_intervals(tracker).items():
             background.setdefault(link, []).extend(intervals)
 

@@ -8,11 +8,12 @@ feasibility / makespan / round-count / ``proven`` values it must
 reproduce are frozen in ``tests/data/engine_goldens.json``
 (``tests/test_search_engines.py``).
 
-* **Size-selected search state.**  OPT nodes hold an interval tracker
-  with COW clones: the dict :class:`~repro.core.intervals.IntervalTracker`
-  below :data:`ARRAY_STATE_THRESHOLD` switches, the
+* **Path-selected search state.**  OPT nodes hold an interval tracker
+  with COW clones, built by :func:`repro.core.tracker.make_tracker`: the
+  dict :class:`~repro.core.intervals.IntervalTracker` on short
+  trajectories, the
   :class:`~repro.core.intervals_array.ArrayIntervalTracker` (batched
-  bincount congestion passes) from there up.  Every call the search
+  bincount congestion passes) on long ones.  Every call the search
   makes is part of the trackers' shared internal surface (``_split`` /
   ``_check_new_congestion`` / ``_commit``).
 * **Probe chains instead of per-subset previews.**  Previewing every
@@ -65,29 +66,14 @@ import time
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.core.instance import UpdateInstance
-from repro.core.intervals import _EPS, DELIVERED, IntervalTracker
+from repro.core.intervals import _EPS, DELIVERED
 from repro.core.intervals_array import ArrayIntervalTracker
 from repro.core.rounds import greedy_loop_free_rounds
+from repro.core.tracker import make_tracker
 from repro.network.graph import Node
 from repro.perf import perf
 
 _NEG_LAST = -(1 << 60)
-
-
-# Below this many switches the dict tracker's per-operation cost beats the
-# array tracker's (numpy call overhead dominates batched wins on tiny
-# arrays; measured crossover is in the low hundreds on the bench host).
-# Exact-search instances are small by nature -- the searches are
-# exponential -- so the dict representation usually wins; the array state
-# takes over for the large instances the sweeps are growing toward.
-ARRAY_STATE_THRESHOLD = 200
-
-
-def make_search_tracker(instance: UpdateInstance, t0: int = 0):
-    """The fastest exact tracker for search state at this instance size."""
-    if len(instance.network) >= ARRAY_STATE_THRESHOLD:
-        return ArrayIntervalTracker(instance, t0=t0)
-    return IntervalTracker(instance, t0=t0)
 
 
 def _class_is_empty(cls) -> bool:
@@ -290,7 +276,7 @@ class OptimalSearch:
         if seed_times is not None and seed_makespan is not None:
             self.best_times = dict(seed_times)
             self.best_makespan = seed_makespan
-        root = make_search_tracker(self.instance, t0=self.t0)
+        root = make_tracker(self.instance, t0=self.t0)
         self._ops = _TrackerOps(root)
         pending = tuple(self.instance.switches_to_update)
         self._dfs(root, pending, self.t0, None)

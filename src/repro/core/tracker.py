@@ -1,0 +1,65 @@
+"""The one place a flow-state representation is chosen.
+
+:class:`~repro.core.intervals.IntervalTracker` (dict layout) and
+:class:`~repro.core.intervals_array.ArrayIntervalTracker` (struct of
+arrays) expose the same surface and return the same reports byte for
+byte (``tests/test_array_tracker.py``, ``tests/test_tracker_choice.py``);
+they differ only in what a probe costs.  The dict tracker pays Python
+work proportional to trajectory length for every class it creates; the
+array tracker pays a fixed numpy call overhead (~0.3 ms) per probe
+whatever the length.  Measured greedy ms/plan, array vs dict (the
+``tracker_grid`` block of ``BENCH_sweep.json`` record #10):
+
+* ``segmented_instance`` (few local detours on an n-hop chain): 8.0 vs
+  5.0 at 100 hops, 9.7 vs 10.9 at 200, 12.0 vs 54.3 at 800 (and 15x
+  apart at 20 000) -- the two cross at 180-200 hops;
+* ``random_instance`` (global reroutes): 10.6 vs 2.4 at 32 hops, 608 vs
+  137 at 128 -- dict wins ~4x at every size measured, so above the
+  threshold such instances keep the array cost they always had.
+
+Every caller that needs only the shared surface (greedy, the OPT search
+root, :func:`replay_schedule`, Algorithm 1) builds its tracker here, so
+the choice is made once, from the instance alone.
+"""
+
+from __future__ import annotations
+
+from typing import Union
+
+from repro.core.instance import UpdateInstance
+from repro.core.intervals import IntervalTracker
+from repro.core.intervals_array import ArrayIntervalTracker
+from repro.core.schedule import UpdateSchedule
+
+Tracker = Union[IntervalTracker, ArrayIntervalTracker]
+
+# Trajectory hops (old path + new path) from which the array layout is
+# built.  Paths, not network size: a service intent reroutes a 12-hop path
+# on a 416-node shared network and is a short-trajectory instance.
+ARRAY_TRACKER_MIN_HOPS = 200
+
+
+def make_tracker(instance: UpdateInstance, t0: int = 0, background=None) -> Tracker:
+    """The faster exact tracker for ``instance``'s trajectory length.
+
+    Arguments are those of :class:`~repro.core.intervals.IntervalTracker`;
+    background load on a link the network lacks is a ``KeyError`` from
+    either class.
+    """
+    hops = len(instance.old_path) + len(instance.new_path)
+    cls = ArrayIntervalTracker if hops >= ARRAY_TRACKER_MIN_HOPS else IntervalTracker
+    return cls(instance, t0=t0, background=background)
+
+
+def replay_schedule(instance: UpdateInstance, schedule: UpdateSchedule) -> Tracker:
+    """Replay a full schedule round by round and return the final tracker.
+
+    The tracker's ``loops``/``blackholes`` lists and ``congestion_spans()``
+    then describe every transient violation of the schedule: the interval
+    -level counterpart of :func:`repro.core.trace.validate_schedule`.
+    Callers may rely on the surface both trackers share, not on a layout.
+    """
+    tracker = make_tracker(instance, t0=schedule.t0)
+    for time, nodes in schedule.rounds():
+        tracker.apply_round(nodes, time)
+    return tracker

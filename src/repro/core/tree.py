@@ -16,7 +16,7 @@ edge crosses from the branch currently carrying the flow to the other one:
   greedy walk a complete decision procedure.
 
 This implementation realises the walk on the exact time-extended flow state
-(:class:`repro.core.intervals.IntervalTracker`) -- the tracker plays the
+(:func:`repro.core.tracker.make_tracker`) -- the tracker plays the
 role of the paper's ``.cons`` bookkeeping and of the "links disappear once
 drained" convention -- and uses the ``phi(p) - phi(q)`` comparison as the
 candidate priority.  The walk updates one crossing at a time and lets each
@@ -31,8 +31,8 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.instance import UpdateInstance
-from repro.core.intervals import IntervalTracker
 from repro.core.schedule import UpdateSchedule
+from repro.core.tracker import Tracker, make_tracker
 from repro.network.graph import Node
 
 
@@ -74,7 +74,7 @@ def check_update_feasibility(instance: UpdateInstance, t0: int = 0) -> Feasibili
             reason="nothing to update",
         )
 
-    tracker = IntervalTracker(instance, t0=t0)
+    tracker = make_tracker(instance, t0=t0)
     times: Dict[Node, int] = {}
     t = t0
     guard = 4 * (len(instance.network) + instance.old_path_delay + instance.new_path_delay) + 16
@@ -120,7 +120,7 @@ def check_update_feasibility(instance: UpdateInstance, t0: int = 0) -> Feasibili
 
 def _pick_crossing(
     instance: UpdateInstance,
-    tracker: IntervalTracker,
+    tracker: Tracker,
     pending: Sequence[Node],
     t: int,
 ) -> Optional[Node]:

@@ -2,6 +2,7 @@
 
 import importlib.util
 import sys
+import time
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -311,3 +312,72 @@ class TestVerifyRegressionGate:
         message = bench.verify_regression(verify_record(0.0004, ok=False, quick=True), [])
         assert message is not None
         assert "verify[service]" in message
+
+
+def dense_record(seconds, cpus=2, plans=200, same=True, quick=False, profile=False):
+    entry = {
+        "cpus": cpus,
+        "quick": quick,
+        "greedy_dense": {"switches": 16, "plans": plans, "seconds_per_plan": seconds},
+        "tracker_grid": {"same_schedules": same},
+    }
+    if profile:
+        entry["profile"] = {"spans": {}, "counters": {}}
+    return entry
+
+
+class TestGreedyDenseGate:
+    def test_no_history_and_missing_block_skip(self):
+        assert bench.greedy_dense_regression(dense_record(0.002), []) is None
+        assert bench.greedy_dense_regression({"cpus": 2}, [dense_record(0.002)]) is None
+        assert bench.greedy_dense_regression(dense_record(9.0), [{"cpus": 2}]) is None
+
+    def test_gates_against_the_best_comparable_prior(self):
+        history = [dense_record(0.004), dense_record(0.002)]
+        assert bench.greedy_dense_regression(dense_record(0.0025), history) is None
+        message = bench.greedy_dense_regression(dense_record(0.003), history)
+        assert message is not None
+        assert "greedy_dense" in message
+
+    def test_other_shape_and_machine_class_skipped(self):
+        assert bench.greedy_dense_regression(
+            dense_record(9.0), [dense_record(0.002, plans=50)]
+        ) is None
+        assert bench.greedy_dense_regression(
+            dense_record(9.0), [dense_record(0.002, cpus=32)]
+        ) is None
+
+    def test_quick_and_profiled_records_skip_timing(self):
+        history = [dense_record(0.002)]
+        assert bench.greedy_dense_regression(dense_record(9.0, quick=True), history) is None
+        assert bench.greedy_dense_regression(dense_record(9.0, profile=True), history) is None
+        assert bench.greedy_dense_regression(
+            dense_record(0.002), [dense_record(0.00001, quick=True)]
+        ) is None
+
+    def test_trackers_disagreeing_fails_even_on_quick_records(self):
+        message = bench.greedy_dense_regression(
+            dense_record(0.002, same=False, quick=True), []
+        )
+        assert message is not None
+        assert "tracker_grid" in message
+
+
+class TestFastRowsGetAStableMinimum:
+    """``--quick`` gates greedy[400], a ~13 ms row, against full records."""
+
+    def test_fast_row_is_a_best_of_ten(self, capsys):
+        calls = []
+        bench.perf_harness._best_of(2, calls.append, None)
+        assert len(calls) == bench.perf_harness.FAST_ROW_REPEATS >= 10
+
+    def test_slow_row_keeps_its_repeats(self, capsys):
+        calls = []
+
+        def slow(_):
+            calls.append(None)
+            time.sleep(bench.perf_harness.FAST_ROW_SECONDS * 1.2)
+
+        _, best = bench.perf_harness._best_of(2, slow, None)
+        assert len(calls) == 2
+        assert best >= bench.perf_harness.FAST_ROW_SECONDS

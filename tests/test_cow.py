@@ -14,8 +14,9 @@ import pytest
 from repro.core.cow import CowIndex
 from repro.core.greedy import greedy_schedule
 from repro.core.instance import random_instance, segmented_instance
-from repro.core.intervals import IntervalTracker, replay_schedule
+from repro.core.intervals import IntervalTracker
 from repro.core.trace import trace_schedule
+from repro.core.tracker import replay_schedule
 from repro.updates.order_replacement import (
     greedy_loop_free_rounds,
     realize_round_times,

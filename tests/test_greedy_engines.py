@@ -27,7 +27,7 @@ from repro.core.instance import (
     reversal_instance,
     segmented_instance,
 )
-from repro.core.intervals import replay_schedule
+from repro.core.tracker import replay_schedule
 from repro.core.serialization import schedule_to_json
 from repro.validate.verifier import verify_schedule
 

@@ -3,13 +3,10 @@
 import pytest
 
 from repro.core.instance import random_instance, segmented_instance
-from repro.core.intervals import (
-    FlowClass,
-    IntervalTracker,
-    replay_schedule,
-)
+from repro.core.intervals import FlowClass, IntervalTracker
 from repro.core.schedule import UpdateSchedule
 from repro.core.trace import trace_schedule
+from repro.core.tracker import replay_schedule
 
 
 class TestFlowClass:

@@ -76,7 +76,7 @@ class TestJointSweepConsistency:
     def test_single_flow_multiupdate_matches_tracker(self):
         """With one flow, the joint validator reduces to the tracker."""
         from repro.core.instance import motivating_example
-        from repro.core.intervals import replay_schedule
+        from repro.core.tracker import replay_schedule
 
         instance = motivating_example()
         update = MultiFlowUpdate(network=instance.network, instances=[instance])

@@ -17,7 +17,7 @@ from repro.core.instance import (
     random_instance,
     segmented_instance,
 )
-from repro.core.intervals import replay_schedule
+from repro.core.tracker import replay_schedule
 from repro.core.schedule import UpdateSchedule
 from repro.core.trace import is_complete, trace_schedule
 from repro.network.topology import two_path_topology
