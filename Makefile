@@ -10,7 +10,7 @@ test:            ## full tier-1 suite + quick conformance gate
 test-fast:       ## tier-1 without the slow markers
 	$(PYTHON) -m pytest -x -q -m "not slow"
 
-validate:        ## plan-conformance gate: 50 seeded instances x 4 protocols
+validate:        ## plan-conformance gate: 50 seeded instances x every registered scheme
 	$(PYTHON) scripts/validate.py
 
 validate-fast:   ## quick gate (the `make test` configuration)

@@ -26,7 +26,7 @@ from repro.core.instance import instance_from_topology
 from repro.network.topology import two_path_topology
 from repro.simulator import BandwidthMonitor, Simulator, build_dataplane
 from repro.simulator.dataplane import install_config
-from repro.updates import OrderReplacementProtocol
+from repro.updates import get_planner
 
 CAPACITY_MBPS = 5.0
 SEED = 11
@@ -76,8 +76,8 @@ def main() -> None:
     # --- OR: asynchronous rounds --------------------------------------
     instance, sim, plane, controller, monitor, rng = build_world(202)
     sim.run(until=5.0)
-    plan = OrderReplacementProtocol(rng=rng).plan(instance)
-    perform_round_update(controller, plane, instance, plan.schedule, time_unit=1.0)
+    plan = get_planner("or").plan(instance)
+    perform_round_update(controller, plane, instance, plan.dispatched, time_unit=1.0)
     sim.run(until=30.0)
     monitor.stop()
     or_peak = max(plane.links[l].peak_utilization() for l in plane.links)

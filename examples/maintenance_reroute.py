@@ -22,8 +22,7 @@ from repro import greedy_schedule, instance_from_paths, validate_schedule
 from repro.analysis.metrics import evaluate_schedule
 from repro.core.tree import check_update_feasibility
 from repro.network.topology import waxman_topology
-from repro.updates import OrderReplacementProtocol, TwoPhaseProtocol
-from repro.updates.order_replacement import realize_round_times
+from repro.updates import get_planner
 
 SEED = 23
 
@@ -73,17 +72,13 @@ def main() -> None:
     print(f"Chronus schedule: {greedy.schedule}")
     print(f"  consistent: {validation.ok} (claimed feasible: {greedy.feasible})")
 
-    or_protocol = OrderReplacementProtocol(rng=random.Random(SEED + 1))
-    plan = or_protocol.plan(instance)
-    realized = realize_round_times(
-        [list(nodes) for _, nodes in plan.rounds], rng=random.Random(SEED + 2)
-    )
-    metrics = evaluate_schedule(instance, realized)
+    plan = get_planner("or").plan(instance, rng=random.Random(SEED + 2))
+    metrics = evaluate_schedule(instance, plan.schedule)
     print(f"OR: {plan.round_count} rounds; realised execution has "
           f"{metrics.congested_timed_links} congested time-extended links, "
           f"{metrics.loop_events} loops")
 
-    tp = TwoPhaseProtocol().plan(instance)
+    tp = get_planner("tp").plan(instance)
     chronus_ops = len(instance.switches_to_update)
     print(f"TP: {tp.rules.operations} rule operations and peak table occupancy "
           f"{tp.rules.peak_rules} (Chronus: {chronus_ops} operations, no extra occupancy)")

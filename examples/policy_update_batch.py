@@ -19,7 +19,7 @@ import networkx as nx
 
 from repro import MultiFlowUpdate, greedy_multiflow, instance_from_paths
 from repro.network.topology import fat_tree_topology
-from repro.updates import TwoPhaseProtocol
+from repro.updates import rule_accounting
 
 SEED = 5
 FLOW_DEMAND = 0.1  # the full batch fits a unit-capacity link
@@ -86,7 +86,7 @@ def main() -> None:
         len(update.instance(name).switches_to_update) for name in result.results
     )
     tp_ops = sum(
-        TwoPhaseProtocol().plan(update.instance(name)).rules.operations
+        rule_accounting(update.instance(name), two_phase=True).operations
         for name in result.results
     )
     if tp_ops:

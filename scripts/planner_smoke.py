@@ -13,7 +13,12 @@ breaks registry-routed evaluation:
 4. a tiny deterministic sweep dispatches *all five* schemes through the
    registry with the independent verifier on -- every outcome must come
    back with ``verifier_agrees`` True;
-5. AUG at epsilon=0 is outcome-identical to Chronus on every instance.
+5. AUG at epsilon=0 is outcome-identical to Chronus on every instance;
+6. there is one plan type: every registered scheme plans a seeded
+   instance into an ``UpdatePlan`` that serialises, parses back equal
+   (dispatched schedule, rounds, rules, claim; same bytes when written
+   again) and is judged by ``planner.verify`` -- and ``repro.updates``
+   exports no second plan dataclass.
 
 Usage::
 
@@ -64,9 +69,14 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
 
+    import dataclasses
+
+    import repro.updates
+    from repro.core.serialization import plan_from_json, plan_to_json
     from repro.experiments.sweep import mixed_instance, run_instance, sweep_seed
     from repro.updates.registry import (
         UnknownSchemeError,
+        UpdatePlan,
         available_schemes,
         get_planner,
     )
@@ -123,6 +133,33 @@ def main(argv=None) -> int:
         f"{args.instances} instance(s) x {len(all_schemes)} scheme(s)",
     )
     check(aug_mismatches == 0, "aug at epsilon=0 equals chronus")
+
+    plan_types = sorted(
+        name
+        for name, exported in vars(repro.updates).items()
+        if dataclasses.is_dataclass(exported)
+        and "schedule" in {field.name for field in dataclasses.fields(exported)}
+    )
+    check(plan_types == ["UpdatePlan"], "one plan type exported", f"{plan_types}")
+    instance = mixed_instance(args.switches, sweep_seed(0, args.switches, 0))
+    for name in all_schemes:
+        planner = get_planner(name)
+        plan = planner.plan(instance, node_budget=BUDGETS["opt_node_budget"])
+        text = plan_to_json(plan)
+        parsed = plan_from_json(text)
+        verdict = planner.verify(instance, plan.dispatched)
+        check(
+            type(plan) is UpdatePlan
+            and type(parsed) is UpdatePlan
+            and parsed.schedule == plan.dispatched
+            and list(parsed.rounds) == list(plan.rounds)
+            and parsed.rules == plan.rules
+            and parsed.feasible == plan.claims_consistency
+            and plan_to_json(parsed) == text
+            and (verdict.ok or not plan.claims_consistency),
+            f"{name}: plan -> document -> plan, judged by planner.verify",
+            f"claims_consistency={plan.claims_consistency} verdict.ok={verdict.ok}",
+        )
 
     if failures:
         print(f"planner smoke: {len(failures)} check(s) FAILED")

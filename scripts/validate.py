@@ -1,14 +1,14 @@
 #!/usr/bin/env python3
 """Plan-conformance gate entry point (``make validate``).
 
-Sweeps N seeded instances through every protocol and fails -- with a
+Sweeps N seeded instances through every registered scheme and fails -- with a
 readable diff of each mismatch -- on any disagreement between the planner,
 the independent verifier (:mod:`repro.validate.verifier`) and the fluid
 simulator (:func:`repro.validate.differential_replay`).
 
 Usage::
 
-    python scripts/validate.py                 # 50 instances x 4 protocols
+    python scripts/validate.py                 # 50 instances x every scheme
     python scripts/validate.py --quick         # 8 instances (make test path)
     python scripts/validate.py -n 200 -s 12    # bigger sweep, 12 switches
     python scripts/validate.py --no-replay     # analytic engines only
@@ -36,7 +36,8 @@ from repro.pipeline.cli import (  # noqa: E402
     progress_printer,
     script_parser,
 )
-from repro.validate.gate import DEFAULT_PROTOCOLS, run_gate  # noqa: E402
+from repro.updates.registry import available_schemes  # noqa: E402
+from repro.validate.gate import run_gate  # noqa: E402
 
 
 def main(argv=None) -> int:
@@ -61,9 +62,9 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--protocols",
         nargs="+",
-        default=list(DEFAULT_PROTOCOLS),
-        choices=list(DEFAULT_PROTOCOLS),
-        help="protocols to gate (default: all four)",
+        default=list(available_schemes()),
+        choices=list(available_schemes()),
+        help="schemes to gate (default: every registered scheme)",
     )
     add_quick_flag(
         parser, "8 instances -- the default `make test` smoke configuration"

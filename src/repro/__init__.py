@@ -20,7 +20,9 @@ Package map:
 * :mod:`repro.core` -- the paper's algorithms (greedy, tree, OPT, MUTP ILP)
   and the dynamic-flow validators.
 * :mod:`repro.network` -- graphs, paths, flows, topology generators.
-* :mod:`repro.updates` -- protocols: Chronus, two-phase, order replacement.
+* :mod:`repro.updates` -- the planner registry: one class per scheme
+  (Chronus, OPT, OR, two-phase, AUG); ``get_planner(name).plan(instance)``
+  returns the one plan type, :class:`UpdatePlan`.
 * :mod:`repro.simulator` -- fluid discrete-event data plane.
 * :mod:`repro.controller` -- controller, async channel, clocks, Algorithm 5.
 * :mod:`repro.solver` -- ILP model + branch-and-bound.
@@ -55,12 +57,7 @@ from repro.core import (
     validate_schedule,
 )
 from repro.network import Flow, Link, Network
-from repro.updates import (
-    ChronusProtocol,
-    OptimalProtocol,
-    OrderReplacementProtocol,
-    TwoPhaseProtocol,
-)
+from repro.updates import UpdatePlan, available_schemes, get_planner
 
 __version__ = "1.0.0"
 
@@ -93,8 +90,7 @@ __all__ = [
     "Flow",
     "Link",
     "Network",
-    "ChronusProtocol",
-    "TwoPhaseProtocol",
-    "OrderReplacementProtocol",
-    "OptimalProtocol",
+    "UpdatePlan",
+    "available_schemes",
+    "get_planner",
 ]

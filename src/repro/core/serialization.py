@@ -50,38 +50,43 @@ def schedule_from_json(text: str) -> UpdateSchedule:
 
 
 def plan_to_json(plan, indent: int = 2) -> str:
-    """Serialise an :class:`repro.updates.base.UpdatePlan` to JSON text.
+    """Serialise an :class:`repro.updates.registry.UpdatePlan` to JSON text.
 
-    The document embeds the plan's execution semantics, derived from the
+    The document describes what the controller is handed
+    (``plan.dispatched``: the nominal round schedule for round-executed
+    schemes) and embeds the plan's execution semantics, derived from the
     registered planner's capability flags: ``semantics`` is
     ``"two-phase"`` for versioned-install plans (re-verify with
-    ``verify_two_phase``) and ``"in-place"`` otherwise, and ``executor``
-    is the strategy the differential replay would use.  Unregistered
-    protocols serialise with in-place/timed defaults.
+    ``verify_two_phase``) and ``"in-place"`` otherwise, ``executor`` is
+    the strategy the differential replay would use, and ``feasible`` is
+    the plan's consistency *claim* (always false for schemes that make
+    none).  Unregistered schemes serialise with in-place/timed defaults.
     """
-    from repro.updates.registry import TIMED, find_planner
+    from repro.updates.registry import TIMED
 
-    planner = find_planner(plan.protocol)
+    planner = plan.planner
     two_phase = planner is not None and planner.two_phase
+    schedule = plan.dispatched
+    rules = plan.rules
     payload: Dict[str, Any] = {
         "format": _PLAN_FORMAT,
-        "protocol": plan.protocol,
+        "protocol": plan.scheme,
         "semantics": "two-phase" if two_phase else "in-place",
         "executor": planner.executor if planner is not None else TIMED,
-        "feasible": plan.feasible,
+        "feasible": plan.claims_consistency,
         "notes": plan.notes,
         "rules": {
-            "installs": plan.rules.installs,
-            "modifies": plan.rules.modifies,
-            "deletes": plan.rules.deletes,
-            "baseline_rules": plan.rules.baseline_rules,
-            "peak_rules": plan.rules.peak_rules,
+            "installs": rules.installs,
+            "modifies": rules.modifies,
+            "deletes": rules.deletes,
+            "baseline_rules": rules.baseline_rules,
+            "peak_rules": rules.peak_rules,
         },
         "rounds": [[when, list(nodes)] for when, nodes in plan.rounds],
         "schedule": {
-            "start_time": plan.schedule.start_time,
-            "feasible": plan.schedule.feasible,
-            "times": dict(plan.schedule.times),
+            "start_time": schedule.start_time,
+            "feasible": schedule.feasible,
+            "times": dict(schedule.times),
         },
     }
     return json.dumps(payload, indent=indent, sort_keys=True)
@@ -90,14 +95,16 @@ def plan_to_json(plan, indent: int = 2) -> str:
 def plan_from_json(text: str):
     """Parse a plan previously produced by :func:`plan_to_json`.
 
-    The instance and verdict are not part of the document (they are
-    re-derivable and environment-bound); the returned plan carries
-    ``instance=None`` / ``verdict=None``.
+    The instance is not part of the document (it is environment-bound), so
+    the returned plan carries ``instance=None`` and the document's rounds
+    and rule accounting as recorded values; its ``schedule`` is the
+    dispatched one.
 
     Raises:
         ValueError: on unknown format markers or malformed payloads.
     """
-    from repro.updates.base import RuleAccounting, UpdatePlan
+    from repro.updates.base import RuleAccounting
+    from repro.updates.registry import UpdatePlan
 
     payload = json.loads(text)
     if not isinstance(payload, dict) or payload.get("format") != _PLAN_FORMAT:
@@ -126,12 +133,10 @@ def plan_from_json(text: str):
         for when, nodes in payload.get("rounds", [])
     ]
     return UpdatePlan(
-        protocol=str(payload.get("protocol", "")),
+        scheme=str(payload.get("protocol", "")),
         schedule=schedule,
-        rounds=rounds,
-        rules=rules,
         feasible=bool(payload.get("feasible", True)),
         notes=str(payload.get("notes", "")),
-        instance=None,
-        verdict=None,
+        recorded_rounds=rounds,
+        recorded_rules=rules,
     )

@@ -6,8 +6,8 @@ over-capacity ``(link, interval, load)`` -- produced by
 :func:`repro.validate.verify_schedule`, a re-derivation of the paper's
 Definitions 2 and 3 that shares no code with the
 :class:`repro.core.intervals.IntervalTracker` the schedulers reason over.
-Keeping the types in ``core`` lets :class:`repro.updates.base.UpdatePlan`
-carry its verdict without importing the verifier.
+Keeping the types in ``core`` lets experiment and replay code name a verdict
+without importing the verifier.
 """
 
 from __future__ import annotations

@@ -260,7 +260,7 @@ def run_faults_ablation(
 def _run_one(
     scheme: str,
     instance: UpdateInstance,
-    schedule: Optional[UpdateSchedule],
+    schedule: UpdateSchedule,
     *,
     severity: float,
     seed: int,
@@ -311,13 +311,11 @@ def _run_one(
             )
         )
     elif planner.executor == ROUNDS:
-        assert schedule is not None
-        round_schedule = schedule
         sim.schedule_at(
             start_true,
             lambda: trace_holder.append(
                 perform_resilient_update(
-                    controller, plane, instance, round_schedule,
+                    controller, plane, instance, schedule,
                     strategy="rounds", time_unit=time_unit,
                     retry_timeout=retry_timeout, max_retries=max_retries,
                     deadline=deadline_true,
@@ -325,7 +323,6 @@ def _run_one(
             ),
         )
     else:
-        assert schedule is not None
         trace_holder.append(
             perform_resilient_update(
                 controller, plane, instance, schedule,
@@ -342,7 +339,7 @@ def _run_one(
 
     trace = trace_holder[0] if trace_holder else ResilientTrace()
     completed = trace.finished_at is not None and not trace.aborted
-    t0 = schedule.t0 if schedule is not None else 0
+    t0 = schedule.t0
 
     verdict: Optional[Verdict] = None
     off_grid = False
@@ -459,17 +456,17 @@ def _scenario_items(params: Mapping) -> List[Dict[str, object]]:
 def _scenario_evaluate(item: Mapping, params: Mapping, ctx) -> Dict[str, object]:
     """Plan and execute one (instance, severity, scheme) cell.
 
-    The planner's :meth:`~repro.updates.registry.Planner.fault_schedule`
-    decides the nominal schedule; ``None`` means the scheme plans nothing
-    up front (two-phase: install shadow rules, flip the ingress).  Plans
-    are severity-independent and deterministic, so the cells of one
-    instance stay paired across severities.
+    What is executed is the plan's dispatched schedule (the nominal rounds
+    of a round-based scheme; two-phase reads only its start time -- it
+    installs shadow rules and flips the ingress).  Plans are
+    severity-independent and deterministic (node budget, no wall clock),
+    so the cells of one instance stay paired across severities.
     """
     from dataclasses import asdict
 
     scheme = str(item["scheme"])
     instance = mixed_instance(int(params["switch_count"]), int(item["seed"]))
-    plan = get_planner(scheme).fault_schedule(
+    plan = get_planner(scheme).plan(
         instance,
         node_budget=int(params["or_node_budget"]),
         epsilon=float(params.get("aug_epsilon", 0.0) or 0.0),
@@ -477,7 +474,7 @@ def _scenario_evaluate(item: Mapping, params: Mapping, ctx) -> Dict[str, object]
     record = _run_one(
         scheme,
         instance,
-        plan,
+        plan.dispatched,
         severity=float(item["severity"]),
         seed=int(item["seed"]),
         time_unit=float(params["time_unit"]),

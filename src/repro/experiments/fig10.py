@@ -16,6 +16,7 @@ byte-for-byte -- resume, however, preserves completed records verbatim.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence
 
@@ -55,10 +56,10 @@ def _time_one(item: _TimingItem) -> Dict[str, object]:
     Every run of a size is always measured (the serial loop short-circuits
     once a scheme blows the cutoff, but the aggregation below reproduces
     that outcome from the per-run proofs, so the reported numbers match).
-    Deselected schemes report zero elapsed and a failed proof.  Each
-    planner's :meth:`~repro.updates.registry.Planner.timed_run` decides
-    its measurement: exact searches take the cutoff as an anytime budget
-    and report their own elapsed/proven pair, heuristics are wall-clocked.
+    Deselected schemes report zero elapsed and a failed proof.  Every
+    planner receives the cutoff as its ``time_budget``: exact searches
+    take it as an anytime budget and their plan reports the solver's own
+    elapsed/proven pair, heuristics ignore it and are wall-clocked.
     """
     instance = segmented_instance(
         item.switch_count, seed=item.seed, segments=item.segments
@@ -67,7 +68,11 @@ def _time_one(item: _TimingItem) -> Dict[str, object]:
     for name in _record_schemes(item.schemes):
         planner = get_planner(name)
         if name in item.schemes:
-            elapsed, proven = planner.timed_run(instance, item.cutoff)
+            started = time.monotonic()
+            plan = planner.plan(instance, time_budget=item.cutoff)
+            wall = time.monotonic() - started
+            elapsed = plan.elapsed if planner.exact else wall
+            proven = plan.proven
         else:
             elapsed, proven = 0.0, False
         fields[f"{name}_elapsed"] = elapsed

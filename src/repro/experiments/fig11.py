@@ -100,7 +100,8 @@ def _items(params: Mapping) -> List[Dict[str, object]]:
 
 def _evaluate(item: Mapping, params: Mapping, ctx: WorkerContext) -> Dict[str, object]:
     """One candidate: both schemes' makespans, or nulls when the instance
-    does not contribute (a ``makespan_sample`` returned ``None``)."""
+    does not contribute (some scheme's plan is infeasible: greedy stalled,
+    exact search empty-handed), which keeps the CDFs paired."""
     schemes = tuple(params.get("schemes", DEFAULT_PAIR))
     instance = segmented_instance(int(item["switch_count"]), seed=int(item["seed"]))
     record: Dict[str, object] = {
@@ -111,10 +112,10 @@ def _evaluate(item: Mapping, params: Mapping, ctx: WorkerContext) -> Dict[str, o
     }
     samples: Dict[str, int] = {}
     for planner in planners_for(schemes):
-        value = planner.makespan_sample(instance, **planner.sweep_options(params))
-        if value is None:
+        plan = planner.plan(instance, **planner.sweep_options(params))
+        if not plan.feasible:
             return record  # non-contributing: every scheme stays null
-        samples[planner.name] = value
+        samples[planner.name] = plan.schedule.makespan
     record.update(samples)
     return record
 

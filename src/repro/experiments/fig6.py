@@ -236,9 +236,10 @@ def _run_scheme(
     if planner.executor == TWO_PHASE:
         _run_two_phase(sim, plane, controller, instance, update_at)
     elif planner.executor == ROUNDS:
-        plan = planner.protocol(rng=rng).plan(instance)
+        # No ``rng``: the asynchrony is the channel's, so planning must draw
+        # nothing from the scheme's stream.
         perform_round_update(
-            controller, plane, instance, plan.schedule, time_unit=1.0
+            controller, plane, instance, planner.plan(instance).dispatched, time_unit=1.0
         )
     else:
         schedule = planner.plan(instance, rng=rng).schedule

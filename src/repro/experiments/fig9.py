@@ -45,15 +45,6 @@ class Fig9Result:
         )
 
 
-def _rule_operations_chronus(instance) -> int:
-    """Chronus' rule footprint without running the scheduler.
-
-    The operation count depends only on the instance (one operation per
-    switch needing an update), so Fig. 9 avoids the scheduling cost.
-    """
-    return len(instance.switches_to_update)
-
-
 def _items(params: Mapping) -> List[Dict[str, object]]:
     base_seed = int(params["base_seed"])
     return [
@@ -70,7 +61,7 @@ def _items(params: Mapping) -> List[Dict[str, object]]:
 
 def _evaluate(item: Mapping, params: Mapping, ctx: WorkerContext) -> Dict[str, object]:
     from repro.core.instance import random_instance
-    from repro.updates import TwoPhaseProtocol
+    from repro.updates import rule_accounting
 
     instance = random_instance(
         int(item["switch_count"]),
@@ -81,8 +72,9 @@ def _evaluate(item: Mapping, params: Mapping, ctx: WorkerContext) -> Dict[str, o
         "key": item["key"],
         "switch_count": item["switch_count"],
         "seed": item["seed"],
-        "chronus_ops": _rule_operations_chronus(instance),
-        "tp_ops": TwoPhaseProtocol().plan(instance).rules.operations,
+        # The footprint depends only on the instance: no scheduler runs.
+        "chronus_ops": rule_accounting(instance).operations,
+        "tp_ops": rule_accounting(instance, two_phase=True).operations,
     }
 
 

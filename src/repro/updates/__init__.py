@@ -1,32 +1,34 @@
-"""Network update protocols: Chronus and the paper's baselines.
+"""Network update schemes: Chronus and the paper's baselines.
 
-Every protocol consumes an :class:`repro.core.instance.UpdateInstance` and
-produces an :class:`repro.updates.base.UpdatePlan`: update times (or rounds)
-plus rule-operation accounting.  The benchmark schemes follow Section V:
+Every scheme is one :class:`repro.updates.registry.Planner` subclass,
+registered at import time from its own module.  ``get_planner(name).plan(
+instance)`` is the only way to obtain a plan and
+:class:`repro.updates.registry.UpdatePlan` the only plan type: update
+times, the round partition of round-executed schemes, the feasibility
+claim, and rule-operation accounting derived on read.  The benchmark
+schemes follow Section V:
 
 * ``chronus`` -- the timed greedy scheduler (Algorithm 2);
 * ``tp`` -- two-phase versioned updates (Reitblatt et al.);
 * ``or`` -- order replacement updates minimising controller rounds while
-  avoiding forwarding loops (Ludwig et al.), solved greedily or exactly by
-  branch and bound;
+  avoiding forwarding loops (Ludwig et al.), solved by branch and bound;
 * ``opt`` -- the optimal MUTP solution;
 * ``aug`` -- greedy timed updates with ``(1+epsilon)`` transient capacity
   headroom (Henzinger & Pourdamghani).
 
-Each scheme also registers a :class:`repro.updates.registry.Planner` at
-import time; downstream code dispatches through the registry
-(:func:`repro.updates.registry.get_planner`) rather than comparing scheme
-names.
+Downstream code dispatches through the registry
+(:func:`repro.updates.registry.get_planner`) and the planners' capability
+flags rather than comparing scheme names.
 """
 
-from repro.updates.base import RuleAccounting, UpdatePlan, UpdateProtocol
+from repro.updates.base import RuleAccounting, rule_accounting
 from repro.updates.registry import (
     DEFAULT_SCHEMES,
     DuplicateSchemeError,
-    PlanResult,
     Planner,
     SchemeMetrics,
     UnknownSchemeError,
+    UpdatePlan,
     available_schemes,
     find_planner,
     get_planner,
@@ -34,23 +36,17 @@ from repro.updates.registry import (
     register_planner,
     sweep_planners,
 )
-from repro.updates.chronus import ChronusProtocol
-from repro.updates.two_phase import TwoPhaseProtocol, two_phase_congestion_spans
-from repro.updates.order_replacement import (
-    OrderReplacementProtocol,
-    minimize_rounds,
-    realize_round_times,
-)
-from repro.updates.optimal import OptimalProtocol
-from repro.updates.augmented import AugmentedProtocol, augmented_instance
+from repro.updates import chronus, optimal  # noqa: F401  (registration side effect)
+from repro.updates.two_phase import two_phase_congestion_spans
+from repro.updates.order_replacement import minimize_rounds, realize_round_times
+from repro.updates.augmented import augmented_instance
 
 __all__ = [
     "RuleAccounting",
+    "rule_accounting",
     "UpdatePlan",
-    "UpdateProtocol",
     "DEFAULT_SCHEMES",
     "DuplicateSchemeError",
-    "PlanResult",
     "Planner",
     "SchemeMetrics",
     "UnknownSchemeError",
@@ -60,13 +56,8 @@ __all__ = [
     "planners_for",
     "register_planner",
     "sweep_planners",
-    "ChronusProtocol",
-    "TwoPhaseProtocol",
     "two_phase_congestion_spans",
-    "OrderReplacementProtocol",
     "minimize_rounds",
     "realize_round_times",
-    "OptimalProtocol",
-    "AugmentedProtocol",
     "augmented_instance",
 ]

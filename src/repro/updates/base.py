@@ -1,4 +1,4 @@
-"""Common protocol interface and rule accounting.
+"""Rule accounting: what an update costs in flow-table operations.
 
 Fig. 9 of the paper compares "the number of rules" of Chronus against
 two-phase updates: what is counted are the *rule operations* the controller
@@ -7,19 +7,16 @@ modifies the action of existing rules, while two-phase updates install a
 complete second (version-tagged) rule set and later remove the old one.
 :class:`RuleAccounting` captures both that operation count and the peak
 number of rules resident in flow tables (the "flow table space headroom"
-argument of the introduction).
+argument of the introduction).  The footprint depends on the instance and
+on one bit of the scheme -- in-place replacement or versioned installs --
+so :func:`rule_accounting` is the only place it is written out.
 """
 
 from __future__ import annotations
 
-import abc
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.instance import UpdateInstance
-from repro.core.schedule import UpdateSchedule
-from repro.core.verdict import Verdict
-from repro.network.graph import Node
 
 
 @dataclass(frozen=True)
@@ -51,82 +48,32 @@ class RuleAccounting:
         return max(0, self.peak_rules - self.baseline_rules)
 
 
-@dataclass
-class UpdatePlan:
-    """A protocol's complete answer for one update instance.
+def rule_accounting(instance: UpdateInstance, two_phase: bool = False) -> RuleAccounting:
+    """The rule footprint of updating ``instance``.
 
-    Attributes:
-        protocol: Short protocol name (``chronus``/``tp``/``or``/``opt``).
-        schedule: Planned switch update times.  For round-based protocols
-            this is the *nominal* schedule (one time step per round); the
-            realised asynchronous times come from
-            :func:`repro.updates.order_replacement.realize_round_times`.
-        rounds: Controller interaction rounds (time, switches).
-        rules: Rule-operation accounting.
-        feasible: Whether the protocol claims transient consistency.
-        notes: Free-form diagnostic remarks.
-        instance: The instance the plan was computed for (lets downstream
-            consumers verify or replay the plan without re-threading it).
-        verdict: Independent conformance verdict from
-            :mod:`repro.validate` when the protocol was built with
-            ``verify=True``; ``None`` otherwise.
+    In-place schemes (Chronus, OPT, OR, AUG) rewrite one rule per switch
+    to update -- an install where the switch sits on the new path only, a
+    modification otherwise -- and delete nothing.  Two-phase updates
+    install a versioned copy on every switch holding a rule in either
+    configuration plus the ingress stamping rule, and remove every old
+    rule after the flip, so tables peak at twice their steady size.
     """
-
-    protocol: str
-    schedule: UpdateSchedule
-    rounds: List[Tuple[int, Tuple[Node, ...]]]
-    rules: RuleAccounting
-    feasible: bool = True
-    notes: str = ""
-    instance: Optional[UpdateInstance] = None
-    verdict: Optional[Verdict] = None
-
-    @property
-    def round_count(self) -> int:
-        return len(self.rounds)
-
-    @property
-    def makespan(self) -> int:
-        return self.schedule.makespan
-
-    @property
-    def conformant(self) -> Optional[bool]:
-        """Does the independent verdict back the plan's feasibility claim?
-
-        ``None`` without a verdict.  A plan claiming feasibility must have a
-        fully clean verdict; a best-effort plan (``feasible=False``) makes
-        no consistency claim, so any verdict backs it.
-        """
-        if self.verdict is None:
-            return None
-        if self.feasible:
-            return self.verdict.ok
-        return True
-
-
-class UpdateProtocol(abc.ABC):
-    """Interface shared by all update protocols."""
-
-    name: str = "abstract"
-
-    @abc.abstractmethod
-    def plan(self, instance: UpdateInstance, t0: int = 0) -> UpdatePlan:
-        """Compute the update plan for ``instance`` starting at ``t0``."""
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<{type(self).__name__} {self.name!r}>"
-
-
-def count_baseline_rules(instance: UpdateInstance) -> int:
-    """Rules present before the update: one per old-config switch."""
-    return len(instance.old_config)
-
-
-def union_rule_switches(instance: UpdateInstance) -> Sequence[Node]:
-    """Switches holding a rule in either configuration."""
-    seen: Dict[Node, None] = {}
-    for node in instance.old_config:
-        seen.setdefault(node)
-    for node in instance.new_config:
-        seen.setdefault(node)
-    return list(seen)
+    baseline = len(instance.old_config)  # one rule per old-config switch
+    if two_phase:
+        installs = len(instance.old_config.keys() | instance.new_config.keys()) + 1
+        return RuleAccounting(
+            installs=installs,
+            modifies=0,
+            deletes=baseline,
+            baseline_rules=baseline,
+            peak_rules=baseline + installs,
+        )
+    to_update = instance.switches_to_update
+    installs = sum(1 for node in to_update if instance.old_next_hop(node) is None)
+    return RuleAccounting(
+        installs=installs,
+        modifies=len(to_update) - installs,
+        deletes=0,
+        baseline_rules=baseline,
+        peak_rules=baseline + installs,
+    )

@@ -23,18 +23,11 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from repro.core.instance import UpdateInstance
-from repro.core.rounds import greedy_loop_free_rounds
 from repro.core.schedule import UpdateSchedule, schedule_from_rounds
 from repro.core.search import run_round_search
 from repro.network.graph import Node
 from repro.trace import recorder
-from repro.updates.base import (
-    RuleAccounting,
-    UpdatePlan,
-    UpdateProtocol,
-    count_baseline_rules,
-)
-from repro.updates.registry import ROUNDS, PlanResult, Planner, register_planner
+from repro.updates.registry import ROUNDS, Planner, UpdatePlan, register_planner
 
 
 @dataclass
@@ -160,95 +153,23 @@ def realize_round_times(
     return UpdateSchedule(times=times, start_time=t0, feasible=False)
 
 
-class OrderReplacementProtocol(UpdateProtocol):
-    """OR: round-minimal loop-free rule replacement.
-
-    Args:
-        exact: Use the branch-and-bound minimiser (the paper's choice);
-            otherwise the greedy maximal-round partition.
-        time_budget: Budget for the exact solver.
-        rng: Random source for realised asynchronous times.
-        max_skew: Asynchrony within a round, in time steps.
-        node_budget: Deterministic explored-node cap for the exact solver
-            (reproducible results across machines).
-        verify: Attach an independent :class:`repro.core.verdict.Verdict`
-            for the *nominal* round schedule to every plan.
-    """
-
-    name = "or"
-
-    def __init__(
-        self,
-        exact: bool = True,
-        time_budget: Optional[float] = None,
-        rng: Optional[random.Random] = None,
-        max_skew: int = 3,
-        node_budget: Optional[int] = None,
-        verify: bool = False,
-    ) -> None:
-        self.exact = exact
-        self.time_budget = time_budget
-        self.rng = rng if rng is not None else random.Random()
-        self.max_skew = max_skew
-        self.node_budget = node_budget
-        self.verify = verify
-
-    def plan(self, instance: UpdateInstance, t0: int = 0) -> UpdatePlan:
-        if self.exact:
-            result = minimize_rounds(
-                instance,
-                time_budget=self.time_budget,
-                node_budget=self.node_budget,
-            )
-            rounds = result.rounds
-            notes = "" if result.proven else "round minimisation hit its budget"
-        else:
-            rounds = greedy_loop_free_rounds(instance)
-            notes = "greedy maximal rounds"
-
-        baseline = count_baseline_rules(instance)
-        installs = sum(
-            1 for node in instance.switches_to_update if instance.old_next_hop(node) is None
-        )
-        modifies = len(instance.switches_to_update) - installs
-        rules = RuleAccounting(
-            installs=installs,
-            modifies=modifies,
-            deletes=0,
-            baseline_rules=baseline,
-            peak_rules=baseline + installs,
-        )
-        nominal = schedule_from_rounds(rounds, start_time=t0, feasible=False)
-        verdict = None
-        if self.verify:
-            from repro.validate.verifier import verify_schedule
-
-            verdict = verify_schedule(instance, nominal)
-        return UpdatePlan(
-            protocol=self.name,
-            schedule=nominal,
-            rounds=nominal.rounds(),
-            rules=rules,
-            feasible=False,  # loop-free by design, but capacity-oblivious
-            notes=notes,
-            instance=instance,
-            verdict=verdict,
-        )
-
-    def realize(self, plan: UpdatePlan, t0: int = 0) -> UpdateSchedule:
-        """Sample realised asynchronous update times for ``plan``."""
-        rounds = [list(nodes) for _, nodes in plan.rounds]
-        return realize_round_times(rounds, rng=self.rng, max_skew=self.max_skew, t0=t0)
-
-
 class OrPlanner(Planner):
-    """Registry entry for OR's realised asynchronous rounds."""
+    """OR: round-minimal loop-free rule replacement, realised asynchronously.
+
+    The plan carries both halves of a round-based execution: ``nominal``
+    is the round partition (what the controller dispatches and the gate
+    verifies), ``schedule`` one realisation of it under per-switch
+    installation latencies of up to ``skew`` steps (what the sweep
+    measures).  ``time_budget`` / ``node_budget`` bound the exact round
+    minimiser; the node budget is the reproducible one.
+    """
 
     name = "or"
     title = "OR: round-minimal loop-free replacement, realised asynchronously"
     sweep_order = 2
     exact = True
     supports_budget = True
+    claims_consistency = False  # loop-free by design, but capacity-oblivious
     executor = ROUNDS
 
     def _plan(
@@ -262,18 +183,20 @@ class OrPlanner(Planner):
         node_budget: Optional[int] = None,
         skew: int = 3,
         **_,
-    ) -> PlanResult:
+    ) -> UpdatePlan:
         result = minimize_rounds(
             instance, time_budget=time_budget, node_budget=node_budget
         )
         if rng is None:
             rng = random.Random(0)
-        realized = realize_round_times(result.rounds, rng=rng, max_skew=skew, t0=t0)
-        return PlanResult(
+        return UpdatePlan(
             scheme=self.name,
-            schedule=realized,
-            feasible=True,  # judged purely by the measured metrics
+            schedule=realize_round_times(result.rounds, rng=rng, max_skew=skew, t0=t0),
             notes="" if result.proven else "round minimisation hit its budget",
+            instance=instance,
+            nominal=schedule_from_rounds(result.rounds, start_time=t0, feasible=False),
+            proven=result.proven,
+            elapsed=result.elapsed,
         )
 
     def sweep_options(self, params):
@@ -282,30 +205,6 @@ class OrPlanner(Planner):
             "node_budget": params.get("or_node_budget"),
             "skew": params.get("or_skew", 3),
         }
-
-    def protocol(self, **options) -> OrderReplacementProtocol:
-        kwargs = {
-            "node_budget": options.get("node_budget"),
-            "verify": bool(options.get("verify", False)),
-        }
-        if options.get("rng") is not None:
-            kwargs["rng"] = options["rng"]
-        return OrderReplacementProtocol(**kwargs)
-
-    def fault_schedule(
-        self,
-        instance: UpdateInstance,
-        *,
-        node_budget: Optional[int] = None,
-        epsilon: float = 0.0,
-    ) -> Optional[UpdateSchedule]:
-        return schedule_from_rounds(
-            minimize_rounds(instance, node_budget=node_budget).rounds
-        )
-
-    def timed_run(self, instance: UpdateInstance, cutoff: float):
-        result = minimize_rounds(instance, time_budget=cutoff)
-        return result.elapsed, result.proven
 
 
 register_planner(OrPlanner())

@@ -7,15 +7,17 @@ and the update service -- adding a fifth scheme meant editing ~15 files.
 This module replaces all of that with a process-global, exact-name
 registry of :class:`Planner` entries:
 
-* a planner produces a normalized :class:`PlanResult` via
-  :meth:`Planner.plan` (wrapped in a trace span carrying the scheme name);
-* capability flags (``two_phase``, ``exact``, ``supports_budget``) and
-  the ``executor`` strategy replace every
+* :meth:`Planner.plan` is the only way to obtain a plan and its return
+  value, :class:`UpdatePlan`, the only plan type (wrapped in a trace span
+  carrying the scheme name);
+* capability flags (``two_phase``, ``exact``, ``supports_budget``,
+  ``claims_consistency``) and the ``executor`` strategy replace every
   name comparison downstream -- the verify adapter picks
   ``verify_schedule`` vs ``verify_two_phase`` from ``two_phase``, the
   gate's install skew and the differential replay pick their execution
   strategy from ``executor``, Fig. 10 decides proven-gated aggregation
-  from ``exact``;
+  from ``exact``, the gate and the plan document decide whether a plan
+  asserts transient consistency from ``claims_consistency``;
 * ``sweep_order`` pins the registry loop to the legacy if-chain order
   (chronus -> opt -> or), which keeps the shared per-instance RNG stream
   -- and therefore every pinned record -- byte-identical.
@@ -23,24 +25,24 @@ registry of :class:`Planner` entries:
 Planners register themselves at import time from their own
 ``repro.updates`` modules (:func:`register_planner`); lookups are by
 **exact** name and unknown names raise :class:`UnknownSchemeError`
-listing the registered planners.  Adding a scheme is one new module:
-subclass :class:`Planner`, implement ``_plan`` (and ``protocol`` for the
-gate), call ``register_planner`` -- every sweep, scenario, gate and
-serializer picks it up.
+listing the registered planners.  Adding a scheme is one new module with
+one class: subclass :class:`Planner`, implement ``_plan``, call
+``register_planner`` -- every sweep, scenario, gate and serializer picks
+it up.
 """
 
 from __future__ import annotations
 
 import abc
 import random
-import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.instance import UpdateInstance
 from repro.core.schedule import UpdateSchedule
+from repro.network.graph import Node
 from repro.trace import recorder
-from repro.updates.base import UpdateProtocol
+from repro.updates.base import RuleAccounting, rule_accounting
 
 #: Execution strategies (shared with :mod:`repro.validate.differential`).
 TIMED = "timed"
@@ -68,24 +70,91 @@ class DuplicateSchemeError(ValueError):
 
 
 @dataclass(frozen=True)
-class PlanResult:
-    """A planner's normalized answer for one instance.
+class UpdatePlan:
+    """A planner's complete answer for one update instance.
 
     Attributes:
         scheme: The planner's registry name.
-        schedule: The (possibly realised) switch update times.
-        feasible: The planner's consistency claim.  ``False`` means the
-            outcome counts as a congestion case regardless of measured
-            metrics (OPT's best-effort fallback, Chronus stalling);
-            planners that make no claim and are judged purely by their
-            metrics (OR's realised rounds) report ``True``.
-        notes: Free-form diagnostics.
+        schedule: The switch update times the scheme is *measured* on.  For
+            round-executed schemes these are the realised asynchronous
+            times of one execution (see ``nominal``).
+        feasible: ``False`` means the outcome counts as a congestion case
+            regardless of measured metrics (OPT's best-effort fallback,
+            Chronus stalling, AUG congesting the true capacities within
+            its headroom).  Planners that make no consistency claim
+            (``Planner.claims_consistency`` is false: OR) report ``True``
+            and are judged by their metrics alone.
+        notes: Free-form diagnostic remarks.
+        instance: The instance the plan was computed for (lets downstream
+            consumers verify, replay or account the plan without
+            re-threading it); ``None`` on a parsed document.
+        nominal: Round-executed schemes only: the round partition as a
+            schedule, one time step per round -- what the controller is
+            handed and the barriers stretch into ``schedule``.
+        proven: Exact searches: the search ran to completion, so the plan
+            is the optimum (or infeasibility is proven).  Heuristics are
+            always "proven".
+        elapsed: Exact searches: the solver's own wall-clock seconds.
+        recorded_rounds: Rounds that are not the time-grouping of the
+            dispatched schedule (two-phase: the install phase, then the
+            ingress flip), or the ones a parsed document stated.
+        recorded_rules: The rule accounting a parsed document stated (a
+            document has no instance to derive it from).
     """
 
     scheme: str
     schedule: UpdateSchedule
     feasible: bool = True
     notes: str = ""
+    instance: Optional[UpdateInstance] = field(default=None, compare=False, repr=False)
+    nominal: Optional[UpdateSchedule] = None
+    proven: bool = True
+    elapsed: float = field(default=0.0, compare=False)
+    recorded_rounds: Optional[Sequence[Tuple[int, Tuple[Node, ...]]]] = None
+    recorded_rules: Optional[RuleAccounting] = None
+
+    @property
+    def planner(self) -> Optional["Planner"]:
+        """The registered planner of ``scheme`` (``None`` if unregistered)."""
+        return find_planner(self.scheme)
+
+    @property
+    def dispatched(self) -> UpdateSchedule:
+        """The schedule the controller is handed: ``nominal`` for
+        round-executed schemes, ``schedule`` itself otherwise.  This is what
+        the gate verifies, the replays execute and the document stores."""
+        return self.schedule if self.nominal is None else self.nominal
+
+    @property
+    def claims_consistency(self) -> bool:
+        """Does the plan assert a congestion- and loop-free transition?"""
+        planner = self.planner
+        return self.feasible and (planner is None or planner.claims_consistency)
+
+    @property
+    def rounds(self) -> Sequence[Tuple[int, Tuple[Node, ...]]]:
+        """Controller interaction rounds ``(time, switches)``."""
+        if self.recorded_rounds is not None:
+            return self.recorded_rounds
+        return self.dispatched.rounds()
+
+    @property
+    def rules(self) -> RuleAccounting:
+        """Rule-operation accounting, derived from the instance on read."""
+        if self.recorded_rules is not None:
+            return self.recorded_rules
+        if self.instance is None:
+            raise ValueError("a plan without its instance has no rule accounting")
+        planner = self.planner
+        return rule_accounting(self.instance, planner is not None and planner.two_phase)
+
+    @property
+    def round_count(self) -> int:
+        return len(self.rounds)
+
+    @property
+    def makespan(self) -> int:
+        return self.schedule.makespan
 
 
 @dataclass(frozen=True)
@@ -125,6 +194,11 @@ class Planner(abc.ABC):
         exact: The planner is an anytime exact search -- it reports a
             ``proven`` flag and Fig. 10 aggregates it cutoff-gated.
         supports_budget: Accepts ``time_budget=`` / ``node_budget=``.
+        claims_consistency: A feasible plan of this scheme asserts a
+            congestion- and loop-free transition, which the gate holds it
+            to.  False for capacity-oblivious schemes (OR): their plans
+            are judged by measured metrics alone and their documents say
+            ``"feasible": false``.
         executor: Execution strategy (``"timed"``/``"rounds"``/
             ``"two-phase"``) for the differential replay, the gate's
             install skew and the fault-injection runner.
@@ -136,16 +210,18 @@ class Planner(abc.ABC):
     two_phase: bool = False
     exact: bool = False
     supports_budget: bool = False
+    claims_consistency: bool = True
     executor: str = TIMED
 
     # -- planning ------------------------------------------------------
 
-    def plan(self, instance: UpdateInstance, **options) -> PlanResult:
+    def plan(self, instance: UpdateInstance, **options) -> UpdatePlan:
         """Plan ``instance``, wrapped in a trace span tagged with the scheme.
 
         Keyword options (``rng``, ``background``, ``time_budget``,
         ``node_budget``, ...) are forwarded to the
-        scheme's :meth:`_plan`; each planner consumes what it supports.
+        scheme's :meth:`_plan`; each planner consumes what it supports
+        and ignores the rest.
         """
         handle = recorder.span("plan", {"scheme": self.name})
         try:
@@ -170,7 +246,7 @@ class Planner(abc.ABC):
         background=None,
         t0: int = 0,
         **options,
-    ) -> PlanResult:
+    ) -> UpdatePlan:
         """Scheme-specific planning (no tracing concerns)."""
 
     def sweep_options(self, params: Mapping[str, object]) -> Dict[str, object]:
@@ -182,18 +258,9 @@ class Planner(abc.ABC):
         """
         return {}
 
-    def protocol(self, **options) -> UpdateProtocol:
-        """Instantiate the scheme's :class:`UpdateProtocol` (gate factory).
-
-        Recognised options -- ``node_budget``, ``verify``, ``rng``,
-        ``epsilon`` -- are consumed where the scheme supports them and
-        ignored otherwise, exactly like the gate's legacy factory dict.
-        """
-        raise NotImplementedError(f"{self.name} has no protocol factory")
-
     # -- measurement and verification ----------------------------------
 
-    def measure(self, instance: UpdateInstance, result: PlanResult):
+    def measure(self, instance: UpdateInstance, result: UpdatePlan):
         """Consistency metrics of ``result`` on the *true* instance."""
         from repro.analysis.metrics import evaluate_schedule
 
@@ -210,7 +277,7 @@ class Planner(abc.ABC):
 
         return verify_schedule(instance, schedule, background=background)
 
-    def conformance(self, instance: UpdateInstance, result: PlanResult, metrics) -> bool:
+    def conformance(self, instance: UpdateInstance, result: UpdatePlan, metrics) -> bool:
         """Does the independent verifier reproduce the measured numbers?
 
         Compares the quantities the figures aggregate: congestion
@@ -225,47 +292,6 @@ class Planner(abc.ABC):
             and verdict.loop_free == metrics.loop_free
             and verdict.drop_free == (metrics.blackhole_events == 0)
         )
-
-    # -- scenario adapters ---------------------------------------------
-
-    def fault_schedule(
-        self,
-        instance: UpdateInstance,
-        *,
-        node_budget: Optional[int] = None,
-        epsilon: float = 0.0,
-    ) -> Optional[UpdateSchedule]:
-        """The severity-independent schedule the faults ablation executes.
-
-        ``None`` means the scheme plans nothing up front (two-phase:
-        install shadow rules, flip the ingress).  Round-based schemes
-        return their *nominal* round schedule.
-        """
-        return self.plan(instance).schedule
-
-    def timed_run(self, instance: UpdateInstance, cutoff: float) -> Tuple[float, bool]:
-        """(elapsed seconds, proven) of one Fig. 10 timing measurement.
-
-        Exact planners receive ``cutoff`` as their anytime budget and
-        report the solver's own elapsed/proven pair; heuristics are
-        wall-clocked and always "proven".
-        """
-        started = time.monotonic()
-        self._plan(instance)
-        return time.monotonic() - started, True
-
-    def makespan_sample(self, instance: UpdateInstance, **options) -> Optional[int]:
-        """Fig. 11 contribution: the makespan, or ``None`` to skip.
-
-        ``None`` marks the instance non-contributing for this scheme
-        (infeasible greedy result, exact search empty-handed); Fig. 11
-        drops the instance from every scheme's sample to keep the CDFs
-        paired.
-        """
-        result = self._plan(instance, **options)
-        if not result.feasible:
-            return None
-        return result.schedule.makespan
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<{type(self).__name__} {self.name!r}>"

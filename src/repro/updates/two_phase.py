@@ -28,81 +28,15 @@ from repro.core.instance import UpdateInstance
 from repro.core.intervals import CongestionSpan
 from repro.core.schedule import UpdateSchedule
 from repro.network.paths import arrival_offsets
-from repro.updates.base import (
-    RuleAccounting,
-    UpdatePlan,
-    UpdateProtocol,
-    count_baseline_rules,
-    union_rule_switches,
-)
 from repro.updates.registry import (
     TWO_PHASE,
-    PlanResult,
     Planner,
     SchemeMetrics,
+    UpdatePlan,
     register_planner,
 )
 
 _EPS = 1e-9
-
-
-class TwoPhaseProtocol(UpdateProtocol):
-    """TP: two-phase commit with version tags."""
-
-    name = "tp"
-
-    def __init__(self, flip_delay: int = 1, verify: bool = False) -> None:
-        if flip_delay < 1:
-            raise ValueError("the ingress flip happens after phase one")
-        self.flip_delay = flip_delay
-        self.verify = verify
-
-    def plan(self, instance: UpdateInstance, t0: int = 0) -> UpdatePlan:
-        baseline = count_baseline_rules(instance)
-        union = union_rule_switches(instance)
-        # Phase 1: versioned copies for every switch holding any rule (old
-        # rules also need version-matching duplicates), except the pure
-        # ingress stamping rule which phase 2 writes.
-        installs = len(union)
-        stamping = 1
-        deletes = baseline  # old-version rules removed after the flip
-
-        flip_time = t0 + self.flip_delay
-        # Nominal schedule: phase-1 rules at t0 (traffic-invisible), the
-        # ingress flip at flip_time.  For data-plane semantics only the flip
-        # matters; `two_phase_congestion_spans` evaluates it exactly.
-        times = {node: t0 for node in instance.switches_to_update}
-        times[instance.source] = flip_time
-        schedule = UpdateSchedule(times=times, start_time=t0)
-
-        spans = two_phase_congestion_spans(instance, flip_time)
-        rules = RuleAccounting(
-            installs=installs + stamping,
-            modifies=0,
-            deletes=deletes,
-            baseline_rules=baseline,
-            peak_rules=baseline + installs + stamping,
-        )
-        rounds = [
-            (t0, tuple(node for node in instance.switches_to_update if node != instance.source)),
-            (flip_time, (instance.source,)),
-        ]
-        notes = "" if not spans else f"{len(spans)} overtaking congestion span(s)"
-        verdict = None
-        if self.verify:
-            from repro.validate.verifier import verify_two_phase
-
-            verdict = verify_two_phase(instance, flip_time, t0=t0)
-        return UpdatePlan(
-            protocol=self.name,
-            schedule=schedule,
-            rounds=rounds,
-            rules=rules,
-            feasible=not spans,
-            notes=notes,
-            instance=instance,
-            verdict=verdict,
-        )
 
 
 def two_phase_congestion_spans(
@@ -167,16 +101,29 @@ class TwoPhasePlanner(Planner):
         t0: int = 0,
         flip_delay: int = 1,
         **_,
-    ) -> PlanResult:
-        plan = TwoPhaseProtocol(flip_delay=flip_delay).plan(instance, t0=t0)
-        return PlanResult(
+    ) -> UpdatePlan:
+        if flip_delay < 1:
+            raise ValueError("the ingress flip happens after phase one")
+        flip_time = t0 + flip_delay
+        # Nominal schedule: phase-1 rules at t0 (traffic-invisible), the
+        # ingress flip at flip_time.  For data-plane semantics only the flip
+        # matters; `two_phase_congestion_spans` evaluates it exactly.
+        times = {node: t0 for node in instance.switches_to_update}
+        times[instance.source] = flip_time
+        spans = two_phase_congestion_spans(instance, flip_time)
+        return UpdatePlan(
             scheme=self.name,
-            schedule=plan.schedule,
-            feasible=plan.feasible,
-            notes=plan.notes,
+            schedule=UpdateSchedule(times=times, start_time=t0),
+            feasible=not spans,
+            notes="" if not spans else f"{len(spans)} overtaking congestion span(s)",
+            instance=instance,
+            recorded_rounds=[
+                (t0, tuple(n for n in instance.switches_to_update if n != instance.source)),
+                (flip_time, (instance.source,)),
+            ],
         )
 
-    def measure(self, instance: UpdateInstance, result: PlanResult) -> SchemeMetrics:
+    def measure(self, instance: UpdateInstance, result: UpdatePlan) -> SchemeMetrics:
         flip_time = result.schedule.time_of(instance.source)
         spans = two_phase_congestion_spans(instance, flip_time)
         return SchemeMetrics(
@@ -196,12 +143,6 @@ class TwoPhasePlanner(Planner):
             t0=schedule.t0,
             background=background,
         )
-
-    def protocol(self, **options) -> TwoPhaseProtocol:
-        return TwoPhaseProtocol(verify=bool(options.get("verify", False)))
-
-    def fault_schedule(self, instance: UpdateInstance, **_) -> None:
-        return None  # tp plans nothing: install shadow rules, flip the ingress
 
 
 register_planner(TwoPhasePlanner())

@@ -51,7 +51,7 @@ from repro.simulator.flowtable import FlowRule, Match
 from repro.simulator.switch import HOST_PORT
 from repro.validate.verifier import verify_schedule, verify_two_phase
 
-from repro.updates.registry import ROUNDS, TIMED, TWO_PHASE, find_planner
+from repro.updates.registry import ROUNDS, TIMED, TWO_PHASE
 
 LinkKey = Tuple[Node, Node]
 
@@ -172,14 +172,15 @@ def differential_replay(
     """Execute ``plan`` on the fluid DES and cross-check every measurement.
 
     Args:
-        plan: An :class:`repro.updates.base.UpdatePlan` (or any object with
-            ``protocol`` and ``schedule`` attributes).
+        plan: An :class:`repro.updates.registry.UpdatePlan`; what is
+            executed is ``plan.dispatched`` (the nominal rounds of a
+            round-executed scheme).
         instance: The update instance; defaults to ``plan.instance``.
         time_unit: True seconds per schedule step (also the plane's delay
             scale, so analytic steps and fluid seconds stay aligned).
         seed: Seeds the install-latency stream for the rounds executor.
         executor: ``"timed"``, ``"rounds"`` or ``"two-phase"``; default
-            chosen from the plan's protocol.
+            chosen from the plan's registered planner.
         install_skew: Maximum per-switch installation latency in whole time
             steps (rounds executor only; the timed executor pre-programs
             switch-local execution times and two-phase flips one rule).
@@ -190,13 +191,13 @@ def differential_replay(
         and verifier tell the same story about this plan.
     """
     if instance is None:
-        instance = getattr(plan, "instance", None)
+        instance = plan.instance
     if instance is None:
         raise ValueError("differential_replay needs the plan's update instance")
     if executor is None:
-        planner = find_planner(plan.protocol)
+        planner = plan.planner
         executor = planner.executor if planner is not None else TIMED
-    schedule: UpdateSchedule = plan.schedule
+    schedule: UpdateSchedule = plan.dispatched
     t0 = schedule.t0
 
     sim = Simulator()
@@ -222,7 +223,7 @@ def differential_replay(
         return start_true + (step - t0) * time_unit
 
     report = DiffReport(
-        protocol=plan.protocol,
+        protocol=plan.scheme,
         executor=executor,
         realized=schedule,
         verdict=Verdict(schedule_complete=True),

@@ -27,10 +27,9 @@ from typing import Callable, List, Optional, Sequence
 
 from repro.analysis.metrics import evaluate_schedule
 from repro.core.instance import UpdateInstance
+from repro.updates.registry import ROUNDS, available_schemes, planners_for
 from repro.validate.differential import differential_replay
 from repro.validate.verifier import verify_plan
-
-DEFAULT_PROTOCOLS = ("chronus", "or", "tp", "opt")
 
 #: Explored-node cap for the exact searches (OPT, OR's round minimiser).
 #: Deterministic -- unlike a wall-clock budget -- so a gate run produces
@@ -92,22 +91,6 @@ class GateReport:
         return "\n".join(lines)
 
 
-def _build_protocols(protocols: Sequence[str], node_budget: Optional[int]):
-    """Instantiate the requested protocol objects (verify-enabled).
-
-    Resolution goes through the planner registry: each planner's
-    ``protocol`` factory consumes the options it supports (the node
-    budget binds OPT's and OR's exact searches) and ignores the rest,
-    like the legacy factory dict did.
-    """
-    from repro.updates.registry import planners_for
-
-    return [
-        (planner, planner.protocol(node_budget=node_budget, verify=True))
-        for planner in planners_for(protocols)
-    ]
-
-
 def check_plan(
     instance: UpdateInstance,
     plan,
@@ -120,29 +103,28 @@ def check_plan(
 ) -> List[Disagreement]:
     """All conformance checks for one plan on one instance."""
     out: List[Disagreement] = []
-    verdict = plan.verdict if plan.verdict is not None else verify_plan(instance, plan)
+    verdict = verify_plan(instance, plan)
 
     def planner_bug(detail: str) -> None:
         out.append(
             Disagreement(
                 seed=seed,
                 switch_count=switch_count,
-                protocol=plan.protocol,
+                protocol=plan.scheme,
                 kind="planner-verifier",
                 detail=detail,
             )
         )
 
-    # A feasibility claim must be backed by a clean independent verdict.
-    if plan.feasible and not verdict.ok:
+    # A feasibility claim must be backed by a clean independent verdict
+    # (schemes that make none -- OR -- are held to the engine checks only).
+    if plan.claims_consistency and not verdict.ok:
         planner_bug(
             "plan claims transient consistency but the verifier found "
             "violations:\n" + verdict.describe()
         )
 
-    from repro.updates.registry import find_planner
-
-    planner = find_planner(plan.protocol)
+    planner = plan.planner
     if planner is not None and planner.two_phase:
         # Two engines for two-phase congestion: the closed-form overtaking
         # spans versus the verifier's per-emission walk.
@@ -164,7 +146,7 @@ def check_plan(
     else:
         # The interval tracker is the figures' measurement engine; the
         # verifier re-derives the same quantities from scratch.
-        metrics = evaluate_schedule(instance, plan.schedule)
+        metrics = evaluate_schedule(instance, plan.dispatched)
         if metrics.congestion_free != verdict.congestion_free:
             planner_bug(
                 f"tracker congestion_free={metrics.congestion_free} but "
@@ -199,7 +181,7 @@ def check_plan(
                 Disagreement(
                     seed=seed,
                     switch_count=switch_count,
-                    protocol=plan.protocol,
+                    protocol=plan.scheme,
                     kind="verifier-simulator",
                     detail=report.describe(),
                 )
@@ -211,7 +193,7 @@ def run_gate(
     instance_count: int = 50,
     switch_count: int = 8,
     base_seed: int = 0,
-    protocols: Sequence[str] = DEFAULT_PROTOCOLS,
+    protocols: Optional[Sequence[str]] = None,
     replay: bool = True,
     node_budget: Optional[int] = DEFAULT_NODE_BUDGET,
     install_skew: int = 1,
@@ -228,7 +210,8 @@ def run_gate(
         instance_count: Seeded instances to sweep.
         switch_count: Network size of every instance.
         base_seed: Base of the :func:`sweep_seed` contract.
-        protocols: Protocol short names to gate.
+        protocols: Scheme names to gate; every registered scheme by
+            default.
         replay: Also run the fluid differential replay (the expensive
             half); planner <-> verifier checks always run.
         node_budget: Deterministic search budget for OPT and OR.
@@ -238,17 +221,17 @@ def run_gate(
     """
     from repro.experiments.sweep import mixed_instance, sweep_seed
 
-    from repro.updates.registry import ROUNDS
-
-    named = _build_protocols(protocols, node_budget)
+    if protocols is None:
+        protocols = available_schemes()
+    planners = planners_for(protocols)
     report = GateReport(
         instances=instance_count, switch_count=switch_count, protocols=tuple(protocols)
     )
     for index in range(instance_count):
         seed = sweep_seed(base_seed, switch_count, index)
         instance = mixed_instance(switch_count, seed)
-        for planner, protocol in named:
-            plan = protocol.plan(instance)
+        for planner in planners:
+            plan = planner.plan(instance, node_budget=node_budget)
             report.checked += 1
             report.disagreements.extend(
                 check_plan(

@@ -228,21 +228,20 @@ def verify_two_phase(
 
 
 def verify_plan(instance: UpdateInstance, plan) -> Verdict:
-    """Verify an :class:`repro.updates.base.UpdatePlan` under its own semantics.
+    """Verify an :class:`repro.updates.registry.UpdatePlan` under its own semantics.
 
-    The plan's registered planner supplies the verify adapter: two-phase
+    Judges what the controller is handed (``plan.dispatched``).  The
+    plan's registered planner supplies the verify adapter: two-phase
     planners route through :func:`verify_two_phase` (their nominal
     schedule describes versioned rule installs, not in-place
     replacements); every other scheme's schedule means exactly what
-    :func:`verify_schedule` checks.  Plans from unregistered protocols
-    fall back to :func:`verify_schedule`.
+    :func:`verify_schedule` checks.  Plans of unregistered schemes fall
+    back to :func:`verify_schedule`.
     """
-    from repro.updates.registry import find_planner
-
-    planner = find_planner(plan.protocol)
+    planner = plan.planner
     if planner is not None:
-        return planner.verify(instance, plan.schedule)
-    return verify_schedule(instance, plan.schedule)
+        return planner.verify(instance, plan.dispatched)
+    return verify_schedule(instance, plan.dispatched)
 
 
 def _checked_inputs(

@@ -17,10 +17,8 @@ from repro.core.instance import random_instance, segmented_instance
 from repro.core.intervals import IntervalTracker
 from repro.core.trace import trace_schedule
 from repro.core.tracker import replay_schedule
-from repro.updates.order_replacement import (
-    greedy_loop_free_rounds,
-    realize_round_times,
-)
+from repro.core.rounds import greedy_loop_free_rounds
+from repro.updates.order_replacement import realize_round_times
 
 
 class TestCowIndex:

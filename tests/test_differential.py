@@ -8,6 +8,7 @@ sample outside its query window (the latter lives in
 """
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -21,16 +22,13 @@ from repro.core.greedy import greedy_schedule
 from repro.core.instance import motivating_example
 from repro.simulator import Simulator, build_dataplane
 from repro.simulator.dataplane import install_config
-from repro.updates.chronus import ChronusProtocol
-from repro.updates.optimal import OptimalProtocol
-from repro.updates.order_replacement import OrderReplacementProtocol
-from repro.updates.two_phase import TwoPhaseProtocol
+from repro.updates import get_planner
 from repro.validate import differential_replay
 
 
 class TestDifferentialReplay:
     def test_chronus_timed_execution_agrees(self, fig1_instance):
-        plan = ChronusProtocol().plan(fig1_instance)
+        plan = get_planner("chronus").plan(fig1_instance)
         report = differential_replay(plan, instance=fig1_instance, seed=1)
         assert report.executor == "timed"
         assert report.ok, report.describe()
@@ -40,25 +38,24 @@ class TestDifferentialReplay:
         assert dict(report.realized.times) == dict(plan.schedule.times)
 
     def test_plan_carries_its_own_instance(self, fig1_instance):
-        plan = ChronusProtocol().plan(fig1_instance)
+        plan = get_planner("chronus").plan(fig1_instance)
         report = differential_replay(plan, seed=1)  # instance from the plan
         assert report.ok
 
     def test_missing_instance_rejected(self, fig1_instance):
-        plan = ChronusProtocol().plan(fig1_instance)
-        plan.instance = None
+        plan = replace(get_planner("chronus").plan(fig1_instance), instance=None)
         with pytest.raises(ValueError):
             differential_replay(plan)
 
     def test_opt_agrees(self, fig1_instance):
-        plan = OptimalProtocol(node_budget=20_000).plan(fig1_instance)
+        plan = get_planner("opt").plan(fig1_instance, node_budget=20_000)
         report = differential_replay(plan, instance=fig1_instance, seed=2)
         assert report.ok, report.describe()
 
     def test_or_rounds_with_skew_agree(self, fig1_instance):
         """Asynchronous install latencies shift the realised schedule; the
         replay must verify what actually happened, not the nominal rounds."""
-        plan = OrderReplacementProtocol(rng=random.Random(7)).plan(fig1_instance)
+        plan = get_planner("or").plan(fig1_instance, rng=random.Random(7))
         report = differential_replay(
             plan, instance=fig1_instance, seed=7, install_skew=2
         )
@@ -66,7 +63,7 @@ class TestDifferentialReplay:
         assert report.ok, report.describe()
 
     def test_two_phase_congestion_reproduced(self, shortcut_instance):
-        plan = TwoPhaseProtocol().plan(shortcut_instance)
+        plan = get_planner("tp").plan(shortcut_instance)
         assert not plan.feasible
         report = differential_replay(plan, instance=shortcut_instance, seed=3)
         assert report.executor == "two-phase"
@@ -74,7 +71,7 @@ class TestDifferentialReplay:
         assert not report.verdict.congestion_free  # and the plane measured it
 
     def test_two_phase_clean_update(self, tiny_instance):
-        plan = TwoPhaseProtocol().plan(tiny_instance)
+        plan = get_planner("tp").plan(tiny_instance)
         assert plan.feasible
         report = differential_replay(plan, instance=tiny_instance, seed=4)
         assert report.ok, report.describe()
@@ -83,17 +80,19 @@ class TestDifferentialReplay:
     def test_loops_leave_fluid_evidence(self):
         """A loop-predicting verdict requires circulating excess in the plane."""
         instance = motivating_example()
-        plan = ChronusProtocol().plan(instance)
+        plan = get_planner("chronus").plan(instance)
         # Corrupt the plan: swap the first and last update to force loops.
         rounds = plan.schedule.rounds()
-        plan.schedule = plan.schedule.swapped(rounds[0][1][0], rounds[-1][1][0])
+        plan = replace(
+            plan, schedule=plan.schedule.swapped(rounds[0][1][0], rounds[-1][1][0])
+        )
         report = differential_replay(plan, instance=instance, seed=5)
         assert not report.verdict.loop_free
         assert report.loops_confirmed is True
         assert report.ok, report.describe()
 
     def test_describe_is_readable(self, fig1_instance):
-        plan = ChronusProtocol().plan(fig1_instance)
+        plan = get_planner("chronus").plan(fig1_instance)
         report = differential_replay(plan, instance=fig1_instance, seed=1)
         assert "differential replay" in report.describe()
 

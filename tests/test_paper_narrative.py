@@ -24,7 +24,7 @@ from repro.core.trace import trace_schedule
 from repro.core.tree import check_update_feasibility
 from repro.simulator import Simulator, build_dataplane
 from repro.simulator.dataplane import install_config
-from repro.updates import ChronusProtocol, OrderReplacementProtocol, TwoPhaseProtocol
+from repro.updates import get_planner
 
 
 @pytest.fixture
@@ -72,8 +72,8 @@ class TestSectionII:
 
 class TestProtocolContrast:
     def test_chronus_never_adds_rules_tp_doubles_them(self, instance):
-        chronus = ChronusProtocol().plan(instance)
-        tp = TwoPhaseProtocol().plan(instance)
+        chronus = get_planner("chronus").plan(instance)
+        tp = get_planner("tp").plan(instance)
         assert chronus.rules.headroom == 0
         assert tp.rules.peak_rules >= 2 * tp.rules.baseline_rules
 
@@ -84,7 +84,7 @@ class TestProtocolContrast:
         chronus = greedy_schedule(instance)
         assert evaluate_schedule(instance, chronus.schedule).consistent
 
-        plan = OrderReplacementProtocol(rng=random.Random(3)).plan(instance)
+        plan = get_planner("or").plan(instance, rng=random.Random(3))
         congested = 0
         for seed in range(8):
             realized = realize_round_times(

@@ -79,6 +79,16 @@ def test_paper_preset_requires_paper_params():
         scenario.params_with(paper=True)
 
 
+def test_fig10_greedy_preset_targets_paper_sizes():
+    # `run --paper fig10-greedy`: Chronus alone at the paper's 1K-6K sizes
+    # under the 600 s cutoff (the affordable slice of the Fig. 10 preset).
+    params = get_scenario("fig10-greedy").params_with(paper=True)
+    assert tuple(params["schemes"]) == ("chronus",)
+    assert tuple(params["switch_counts"]) == (1000, 2000, 3000, 4000, 5000, 6000)
+    assert params["cutoff"] == 600.0
+    assert params["runs_per_size"] == 3
+
+
 def test_every_scenario_expands_a_unique_keyed_grid():
     for name in scenario_names():
         scenario = get_scenario(name)

@@ -409,3 +409,36 @@ def test_default_trace_path_picks_newest(tmp_path):
     assert default_trace_path(str(tmp_path)) == new
     with pytest.raises(TraceQueryError):
         default_trace_path(str(tmp_path / "empty"))
+
+
+# --- Fig. 10 / Fig. 11 plan through the registry seam -------------------
+
+@pytest.mark.parametrize(
+    "scenario, overrides, schemes",
+    [
+        (
+            "fig10",
+            {"switch_counts": [30], "cutoff": 30.0, "runs_per_size": 1},
+            {"chronus", "or", "opt"},
+        ),
+        ("fig11", {"switch_count": 30, "instances": 2, "opt_budget": 30.0}, {"chronus", "opt"}),
+    ],
+)
+def test_timing_and_makespan_scenarios_emit_plan_spans(tmp_path, scenario, overrides, schemes):
+    """Their items used to call ``_plan`` (or the solver) directly and
+    bypass the ``plan`` span every other scenario's planning shows up in."""
+    stored = run_to_store(
+        scenario,
+        overrides=overrides,
+        ctx=RunContext(trace="jsonl"),
+        store=ArtifactStore(root=tmp_path),
+        run_id="r1",
+    )
+    trace = read_trace(stored.handle.directory / "trace.jsonl")
+    items = {r.span_id for r in trace if r.name.startswith("item:")}
+    plans = [r for r in trace if r.kind == "span" and r.name == "plan"]
+    assert {r.attributes["scheme"] for r in plans} == schemes
+    assert len(plans) == len(schemes) * len(stored.records)
+    for record in plans:
+        assert record.parent_id in items
+        assert {"feasible", "makespan"} <= set(record.attributes)

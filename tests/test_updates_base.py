@@ -1,14 +1,9 @@
-"""Unit tests for the shared protocol plumbing (rule accounting, plans)."""
+"""Unit tests for the shared planner plumbing (rule accounting, plans)."""
 
 import pytest
 
 from repro.core.schedule import UpdateSchedule
-from repro.updates.base import (
-    RuleAccounting,
-    UpdatePlan,
-    count_baseline_rules,
-    union_rule_switches,
-)
+from repro.updates import RuleAccounting, UpdatePlan, rule_accounting
 
 
 class TestRuleAccounting:
@@ -34,12 +29,7 @@ class TestRuleAccounting:
 class TestUpdatePlan:
     def make_plan(self):
         schedule = UpdateSchedule({"a": 0, "b": 1, "c": 1})
-        return UpdatePlan(
-            protocol="x",
-            schedule=schedule,
-            rounds=schedule.rounds(),
-            rules=RuleAccounting(0, 3, 0, 3, 3),
-        )
+        return UpdatePlan(scheme="x", schedule=schedule)
 
     def test_round_count(self):
         assert self.make_plan().round_count == 2
@@ -50,11 +40,13 @@ class TestUpdatePlan:
 
 class TestHelpers:
     def test_count_baseline_rules(self, fig1_instance):
-        assert count_baseline_rules(fig1_instance) == 5  # v1..v5
+        for two_phase in (False, True):
+            rules = rule_accounting(fig1_instance, two_phase)
+            assert rules.baseline_rules == 5  # v1..v5
 
     def test_union_rule_switches(self, fig1_instance):
-        union = union_rule_switches(fig1_instance)
-        assert sorted(union) == ["v1", "v2", "v3", "v4", "v5"]
+        # Versioned copies on the union of both configurations + the stamp.
+        assert rule_accounting(fig1_instance, two_phase=True).installs == 5 + 1
 
     def test_union_includes_new_only_switches(self):
         from repro.core.instance import instance_from_paths
@@ -62,4 +54,6 @@ class TestHelpers:
 
         net = network_from_links([("a", "b"), ("b", "d"), ("a", "c"), ("c", "d")])
         instance = instance_from_paths(net, ["a", "b", "d"], ["a", "c", "d"])
-        assert sorted(union_rule_switches(instance)) == ["a", "b", "c"]
+        rules = rule_accounting(instance, two_phase=True)
+        assert rules.installs == 3 + 1  # a, b, c
+        assert rules.deletes == rules.baseline_rules == 2  # a, b

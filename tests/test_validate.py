@@ -19,14 +19,9 @@ from repro.core.instance import instance_from_paths
 from repro.core.schedule import UpdateSchedule
 from repro.experiments.sweep import mixed_instance
 from repro.network.graph import Network
-from repro.updates.chronus import ChronusProtocol
-from repro.updates.order_replacement import (
-    OrderReplacementProtocol,
-    greedy_loop_free_rounds,
-    realize_round_times,
-)
-from repro.updates.two_phase import TwoPhaseProtocol, two_phase_congestion_spans
-from repro.validate import verify_plan, verify_schedule, verify_two_phase
+from repro.core.rounds import greedy_loop_free_rounds
+from repro.updates import get_planner, realize_round_times, two_phase_congestion_spans
+from repro.validate import check_plan, verify_plan, verify_schedule, verify_two_phase
 
 
 def loop_trap_instance():
@@ -145,19 +140,13 @@ class TestVerifyTwoPhase:
 
 class TestVerifyPlan:
     def test_chronus_plan_carries_conformant_verdict(self, fig1_instance):
-        plan = ChronusProtocol(verify=True).plan(fig1_instance)
+        plan = get_planner("chronus").plan(fig1_instance)
         assert plan.instance is fig1_instance
-        assert plan.verdict is not None
-        assert plan.verdict.ok
-        assert plan.conformant is True
-
-    def test_plan_without_verify_has_no_verdict(self, fig1_instance):
-        plan = ChronusProtocol().plan(fig1_instance)
-        assert plan.verdict is None
-        assert plan.conformant is None
+        assert plan.claims_consistency
+        assert verify_plan(plan.instance, plan).ok
 
     def test_two_phase_judged_under_versioned_semantics(self, shortcut_instance):
-        plan = TwoPhaseProtocol(verify=True).plan(shortcut_instance)
+        plan = get_planner("tp").plan(shortcut_instance)
         assert not plan.feasible  # the span formula predicts overtaking
         verdict = verify_plan(shortcut_instance, plan)
         assert not verdict.congestion_free
@@ -166,9 +155,14 @@ class TestVerifyPlan:
         assert verdict.loop_free and verdict.drop_free
 
     def test_best_effort_plan_is_vacuously_conformant(self, shortcut_instance):
-        plan = OrderReplacementProtocol(verify=True).plan(shortcut_instance)
-        assert not plan.feasible
-        assert plan.conformant is True  # no consistency claim to break
+        plan = get_planner("or").plan(shortcut_instance)
+        # OR makes no consistency claim to break: its nominal rounds congest
+        # here, yet the gate holds it to the engine cross-checks only.
+        assert not plan.claims_consistency
+        assert not verify_plan(shortcut_instance, plan).ok
+        assert not check_plan(
+            shortcut_instance, plan, seed=0, switch_count=4, replay=False
+        )
 
 
 class TestTrackerAgreementProperty:

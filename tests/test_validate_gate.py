@@ -2,11 +2,12 @@
 
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from repro.updates.chronus import ChronusProtocol
+from repro.updates import available_schemes, get_planner
 from repro.validate import check_plan, run_gate
 from repro.validate.gate import Disagreement, GateReport
 
@@ -17,7 +18,8 @@ class TestRunGate:
     def test_small_sweep_agrees(self):
         report = run_gate(instance_count=4, switch_count=8, replay=True)
         assert report.ok
-        assert report.checked == 4 * 4  # four protocols per instance
+        assert report.protocols == available_schemes()
+        assert report.checked == 5 * 4  # every registered scheme per instance
         assert "all engines agree" in report.describe()
 
     def test_protocol_subset(self):
@@ -33,20 +35,21 @@ class TestRunGate:
 
     @pytest.mark.slow
     def test_acceptance_sweep(self):
-        """The acceptance bar: 50 seeded instances x all four protocols."""
+        """The acceptance bar: 50 seeded instances x every registered scheme."""
         report = run_gate(instance_count=50, switch_count=8, replay=True)
         assert report.ok, report.describe()
-        assert report.checked == 50 * 4
+        assert report.checked == 5 * 50
 
 
 class TestCheckPlanDetectsCorruption:
     def test_corrupted_schedule_reported(self, fig1_instance):
-        plan = ChronusProtocol().plan(fig1_instance)
+        plan = get_planner("chronus").plan(fig1_instance)
         rounds = plan.schedule.rounds()
         # Swap the first and last updates but keep the feasibility claim:
         # exactly the silent corruption the gate exists to catch.
-        plan.schedule = plan.schedule.swapped(rounds[0][1][0], rounds[-1][1][0])
-        plan.verdict = None
+        plan = replace(
+            plan, schedule=plan.schedule.swapped(rounds[0][1][0], rounds[-1][1][0])
+        )
         disagreements = check_plan(
             fig1_instance, plan, seed=0, switch_count=6, replay=False
         )
