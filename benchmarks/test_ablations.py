@@ -16,8 +16,9 @@ from repro.analysis.timeseries import render_table
 from repro.core.greedy import EXACT, PAPER, greedy_schedule
 from repro.core.instance import motivating_example, random_instance
 from repro.core.loops import creates_forwarding_loop, new_route_revisits
+from repro.core.rounds import greedy_loop_free_rounds
 from repro.core.trace import trace_schedule
-from repro.updates.order_replacement import greedy_loop_free_rounds, minimize_rounds
+from repro.updates.order_replacement import minimize_rounds
 
 SEEDS = range(40)
 
@@ -124,7 +125,7 @@ class TestClockSkewAblation:
             ConstantDelayModel,
             ControlChannel,
             Controller,
-            perform_timed_update,
+            perform_resilient_update,
             synchronized_clocks,
         )
         from repro.simulator import Simulator, build_dataplane
@@ -148,8 +149,9 @@ class TestClockSkewAblation:
             plane.inject_flow(instance.source, "h1", "v6", rate=1.0)
             sim.run(until=3.0)
             schedule = greedy_schedule(instance).schedule
-            perform_timed_update(
-                controller, plane, instance, schedule, time_unit=1.0, start_at=4.0
+            perform_resilient_update(
+                controller, plane, instance, schedule,
+                strategy="timed", time_unit=1.0, start_at=4.0,
             )
             sim.run(until=25.0)
             peak = max(plane.links[l].peak_utilization() for l in plane.links)
@@ -320,7 +322,7 @@ class TestStragglerAblation:
             ConstantDelayModel,
             ControlChannel,
             Controller,
-            perform_timed_update,
+            perform_resilient_update,
         )
         from repro.controller.clock import SwitchClock
         from repro.core.instance import motivating_example
@@ -347,8 +349,9 @@ class TestStragglerAblation:
             plane.inject_flow(instance.source, "h1", "v6", rate=1.0)
             sim.run(until=3.0)
             schedule = greedy_schedule(instance).schedule
-            perform_timed_update(
-                controller, plane, instance, schedule, time_unit=1.0, start_at=4.0
+            perform_resilient_update(
+                controller, plane, instance, schedule,
+                strategy="timed", time_unit=1.0, start_at=4.0,
             )
             sim.run(until=25.0)
             peak = max(plane.links[l].peak_utilization() for l in plane.links)

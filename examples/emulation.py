@@ -1,11 +1,12 @@
 """Emulated testbed run: Chronus vs. OR on the SDN data plane.
 
 The Mininet-experiment analogue (Section V-A): a 10-switch topology with
-5 Mbps links carrying a 5 Mbps flow.  Chronus executes its timed schedule
-through Time4-style scheduled FlowMods; OR pushes barrier-separated rounds
-through an asynchronous control channel with Dionysus-shaped installation
-latencies.  A bandwidth monitor polls byte counters every second, exactly
-like the Floodlight statistics module.
+5 Mbps links carrying a 5 Mbps flow.  Both plans go through the one
+execution path, ``execute_plan``, which reads the planner's ``executor``
+flag: Chronus ships Time4-style scheduled FlowMods; OR pushes
+barrier-separated rounds through an asynchronous control channel with
+Dionysus-shaped installation latencies.  A bandwidth monitor polls byte
+counters every second, exactly like the Floodlight statistics module.
 
 Run:  python examples/emulation.py
 """
@@ -14,18 +15,14 @@ import random
 
 from repro.controller import (
     ConstantDelayModel,
-    ControlChannel,
-    Controller,
     DionysusDelayModel,
-    perform_round_update,
-    perform_timed_update,
+    build_testbed,
+    execute_plan,
     synchronized_clocks,
 )
-from repro.core.greedy import greedy_schedule
 from repro.core.instance import instance_from_topology
 from repro.network.topology import two_path_topology
-from repro.simulator import BandwidthMonitor, Simulator, build_dataplane
-from repro.simulator.dataplane import install_config
+from repro.simulator import BandwidthMonitor
 from repro.updates import get_planner
 
 CAPACITY_MBPS = 5.0
@@ -38,46 +35,37 @@ def build_world(scheme_seed: int):
         10, rng=random.Random(SEED), capacity=CAPACITY_MBPS, max_delay=3
     )
     instance = instance_from_topology(topo, demand=CAPACITY_MBPS)
-    sim = Simulator()
-    plane = build_dataplane(sim, instance.network, delay_scale=1.0)
-    install_config(plane, instance)
     rng = random.Random(scheme_seed)
-    channel = ControlChannel(
-        sim,
+    sim, plane, controller = build_testbed(
+        instance,
         network_delay=ConstantDelayModel(0.002),
         install_delay=DionysusDelayModel(median=0.3, sigma=1.0, cap=2.0),
         rng=rng,
+        clocks=synchronized_clocks(instance.network.switches, max_offset=1e-6, rng=rng),
     )
-    clocks = synchronized_clocks(instance.network.switches, max_offset=1e-6, rng=rng)
-    controller = Controller(sim, channel, clocks)
-    for switch in plane.switches.values():
-        controller.manage(switch)
-    plane.inject_flow(instance.source, "h1", str(instance.destination), rate=CAPACITY_MBPS)
     monitor = BandwidthMonitor(plane, interval=1.0)
     monitor.start()
-    return instance, sim, plane, controller, monitor, rng
+    return instance, sim, plane, controller, monitor
 
 
 def main() -> None:
     # --- Chronus: timed execution ------------------------------------
-    instance, sim, plane, controller, monitor, _ = build_world(101)
+    instance, sim, plane, controller, monitor = build_world(101)
     sim.run(until=5.0)
-    schedule = greedy_schedule(instance).schedule
-    trace = perform_timed_update(
-        controller, plane, instance, schedule, time_unit=1.0, start_at=6.0
-    )
+    plan = get_planner("chronus").plan(instance)
+    trace = execute_plan(controller, plane, plan, start_at=6.0)
     sim.run(until=30.0)
     monitor.stop()
     chronus_peak = max(plane.links[l].peak_utilization() for l in plane.links)
-    print(f"Chronus: schedule {schedule}")
+    print(f"Chronus: schedule {plan.schedule}")
     print(f"  peak link utilisation {chronus_peak:.2f} / {CAPACITY_MBPS:.0f} Mbps, "
           f"max clock skew {trace.max_skew * 1e6:.1f} us")
 
     # --- OR: asynchronous rounds --------------------------------------
-    instance, sim, plane, controller, monitor, rng = build_world(202)
+    instance, sim, plane, controller, monitor = build_world(202)
     sim.run(until=5.0)
     plan = get_planner("or").plan(instance)
-    perform_round_update(controller, plane, instance, plan.dispatched, time_unit=1.0)
+    execute_plan(controller, plane, plan, start_at=5.0)
     sim.run(until=30.0)
     monitor.stop()
     or_peak = max(plane.links[l].peak_utilization() for l in plane.links)

@@ -18,7 +18,12 @@ breaks registry-routed evaluation:
    instance into an ``UpdatePlan`` that serialises, parses back equal
    (dispatched schedule, rounds, rules, claim; same bytes when written
    again) and is judged by ``planner.verify`` -- and ``repro.updates``
-   exports no second plan dataclass.
+   exports no second plan dataclass;
+7. there is one execution path: every registered scheme's ``executor``
+   flag is one ``execute_plan`` dispatches (its plan runs to completion on
+   a zero-latency testbed and reads back as the dispatched schedule), and
+   ``repro.controller`` exports one executor per strategy family, no
+   second stack.
 
 Usage::
 
@@ -70,8 +75,16 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     import dataclasses
+    import random
 
+    import repro.controller
     import repro.updates
+    from repro.controller import (
+        ConstantDelayModel,
+        build_testbed,
+        execute_plan,
+        realized_schedule,
+    )
     from repro.core.serialization import plan_from_json, plan_to_json
     from repro.experiments.sweep import mixed_instance, run_instance, sweep_seed
     from repro.updates.registry import (
@@ -159,6 +172,39 @@ def main(argv=None) -> int:
             and (verdict.ok or not plan.claims_consistency),
             f"{name}: plan -> document -> plan, judged by planner.verify",
             f"claims_consistency={plan.claims_consistency} verdict.ok={verdict.ok}",
+        )
+
+    performers = sorted(
+        name for name in repro.controller.__all__ if name.startswith("perform_")
+    )
+    check(
+        performers == ["perform_resilient_two_phase", "perform_resilient_update"],
+        "one executor per strategy family exported",
+        f"{performers}",
+    )
+    for name in all_schemes:
+        planner = get_planner(name)
+        plan = planner.plan(instance, node_budget=BUDGETS["opt_node_budget"])
+        sim, plane, controller = build_testbed(
+            instance,
+            network_delay=ConstantDelayModel(0.0),
+            install_delay=ConstantDelayModel(0.0),
+            rng=random.Random(0),
+        )
+        trace = execute_plan(controller, plane, plan, start_at=1.0)
+        sim.run(until=1.0 + plan.dispatched.makespan + 10.0)
+        realized, off_grid = realized_schedule(plan, trace, start_at=1.0)
+        check(
+            trace.completed
+            and controller.pending_barriers() == 0
+            and realized is not None
+            and not off_grid
+            and all(
+                when == plan.dispatched.time_of(node)
+                for node, when in realized.times.items()
+            ),
+            f"{name}: execute_plan dispatches executor={planner.executor!r}",
+            f"realized={realized}",
         )
 
     if failures:

@@ -1,34 +1,35 @@
-"""Algorithm 5: performing the timed network update.
+"""What an update puts on the wire, and the record of what came of it.
 
-Two execution strategies are provided:
+The executors themselves live in :mod:`repro.controller.resilient`; this
+module holds the pieces they share with the code that reads their results:
 
-* :func:`perform_timed_update` -- the Time4 strategy Chronus targets: every
-  FlowMod carries its scheduled switch-local execution time and is shipped
-  ahead of time; rules flip at (clock-offset-accurate) data-plane times.
-* :func:`perform_round_update` -- the paper's prototype strategy
-  (Algorithm 5 verbatim) usable by every protocol: per time step, send the
-  step's update messages, send barrier requests, wait for all barrier
-  replies, sleep one time unit, proceed.  With OR plans this reproduces the
-  asynchronous round behaviour whose congestion Fig. 6 shows.
+* :class:`ExecutionTrace` -- planned versus applied times per switch plus
+  the retry / abort / rollback bookkeeping;
+* :func:`_update_message` -- the one FlowMod that moves a switch to its new
+  rule, immediate (Algorithm 5's per-round sends) or carrying a Time4
+  switch-local execution time;
+* :func:`shadow_rules` -- the version-tagged copy of the new configuration
+  a two-phase update installs (also what Table II renders mid-transition).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from repro.controller.controller import Controller
 from repro.controller.messages import (
     FlowModAdd,
     FlowModModify,
     next_xid,
 )
 from repro.core.instance import UpdateInstance
-from repro.core.schedule import UpdateSchedule
 from repro.network.graph import Node
 from repro.simulator.dataplane import DataPlane
 from repro.simulator.flowtable import FlowRule, Match
-from repro.trace.recorder import trace_event
+from repro.simulator.switch import HOST_PORT
+
+#: Version tag stamped by the ingress flip and matched by the shadow rules.
+TP_TAG = 2
 
 
 @dataclass
@@ -36,19 +37,37 @@ class ExecutionTrace:
     """What actually happened on the wire and in the tables.
 
     Attributes:
-        planned: Intended true-time execution point per switch.
+        planned: Intended true-time execution point per switch (the send
+            time for unscheduled FlowMods).
         applied: Actual true time each switch's rule flip took effect.
         late: Seconds by which a scheduled (Time4) FlowMod arrived *after*
             its execution time, per switch -- the switch clamps execution to
             arrival, so these entries attribute ``max_skew`` to control-
             channel lateness rather than clock error.
-        finished_at: Time the final barrier reply (or last apply) landed.
+        finished_at: Time the final barrier reply (timed and two-phase: the
+            last apply) landed, or the abort instant.
+        aborted: The update gave up (retries exhausted or deadline passed).
+        abort_reason: Why, when ``aborted``.
+        retries: FlowMod resends per switch (only switches that needed any).
+        gave_up: Switches that exhausted their retry budget.
+        rolled_back: Switches sent a rollback message during abort, in send
+            order (newest update first).
     """
 
     planned: Dict[Node, float] = field(default_factory=dict)
     applied: Dict[Node, float] = field(default_factory=dict)
     late: Dict[Node, float] = field(default_factory=dict)
     finished_at: Optional[float] = None
+    aborted: bool = False
+    abort_reason: str = ""
+    retries: Dict[Node, int] = field(default_factory=dict)
+    gave_up: List[Node] = field(default_factory=list)
+    rolled_back: List[Node] = field(default_factory=list)
+
+    @property
+    def completed(self) -> bool:
+        """Every switch acknowledged and the update finished."""
+        return self.finished_at is not None and not self.aborted
 
     @property
     def max_skew(self) -> float:
@@ -59,6 +78,10 @@ class ExecutionTrace:
             if node in self.applied
         ]
         return max(gaps, default=0.0)
+
+    @property
+    def total_retries(self) -> int:
+        return sum(self.retries.values())
 
 
 def _update_message(
@@ -82,142 +105,21 @@ def _update_message(
     return FlowModAdd(xid=next_xid(), rule=rule, execute_at=execute_at)
 
 
-def perform_timed_update(
-    controller: Controller,
-    plane: DataPlane,
-    instance: UpdateInstance,
-    schedule: UpdateSchedule,
-    time_unit: float = 1.0,
-    start_at: Optional[float] = None,
-    lead_time: float = 0.5,
-    poll_interval: Optional[float] = None,
-) -> ExecutionTrace:
-    """Ship scheduled FlowMods ahead of time; switches fire them on their clocks.
+def shadow_rules(
+    plane: DataPlane, instance: UpdateInstance
+) -> List[Tuple[Node, FlowRule]]:
+    """The tagged copy of the new configuration, as ``(switch, rule)`` pairs.
 
-    Args:
-        controller: The controller managing the plane's switches.
-        plane: The data plane (for port lookups).
-        instance: The update instance.
-        schedule: Timed update schedule (integer steps).
-        time_unit: Seconds per schedule step.
-        start_at: True time of schedule step ``t0`` (default: now +
-            ``lead_time`` so messages arrive before their execution times).
-        lead_time: Shipping headroom in seconds.
-        poll_interval: Re-poll period while FlowMods are still pending
-            (default ``max(lead_time, time_unit) / 2``).
-
-    Returns:
-        An :class:`ExecutionTrace` (``applied`` fills in as the simulation
-        runs; query it after ``sim.run``).
+    One rule per new-config switch plus the delivery rule at the
+    destination, all named ``<flow>#v2``, matching :data:`TP_TAG` and
+    outranking the untagged rules -- invisible to traffic until the ingress
+    stamps the tag.
     """
-    sim = plane.sim
-    if start_at is None:
-        start_at = sim.now + lead_time
-    if poll_interval is None:
-        poll_interval = max(lead_time, time_unit) / 2 or 0.5
-    trace = ExecutionTrace()
-    xids: Dict[Node, int] = {}
-    for node, step in schedule.items():
-        when_true = start_at + (step - schedule.t0) * time_unit
-        trace.planned[node] = when_true
-        local = controller.managed(node).clock.local_time(when_true)
-        message = _update_message(plane, instance, node, execute_at=local)
-        xids[node] = message.xid
-        controller.send_flow_mod(node, message)
-
-    def harvest() -> None:
-        # A switch whose delivery or execution runs past its planned time
-        # (control-channel delay beyond the lead time, clock skew, a slow
-        # pipeline) must not be dropped from the trace: keep polling until
-        # every xid has resolved, then pin ``finished_at`` to the last
-        # actual apply instead of the first harvest's wall clock.
-        pending = False
-        for node, xid in xids.items():
-            if node in trace.applied:
-                continue
-            applied = controller.apply_time(node, xid)
-            if applied is not None:
-                trace.applied[node] = applied
-                trace_event(
-                    "apply",
-                    switch=str(node),
-                    planned=round(trace.planned[node], 6),
-                    applied=round(applied, 6),
-                )
-                lateness = controller.lateness(node, xid)
-                if lateness is not None:
-                    trace.late[node] = lateness
-                    trace_event(
-                        "late", switch=str(node), seconds=round(lateness, 6)
-                    )
-            else:
-                pending = True
-        if pending:
-            sim.schedule_after(poll_interval, harvest)
-        else:
-            trace.finished_at = max(trace.applied.values(), default=sim.now)
-
-    last = max(trace.planned.values(), default=sim.now)
-    sim.schedule_at(last + lead_time, harvest)
-    return trace
-
-
-def perform_round_update(
-    controller: Controller,
-    plane: DataPlane,
-    instance: UpdateInstance,
-    schedule: UpdateSchedule,
-    time_unit: float = 1.0,
-    on_finish: Optional[Callable[[ExecutionTrace], None]] = None,
-) -> ExecutionTrace:
-    """Algorithm 5: paced rounds with barriers and one-time-unit sleeps.
-
-    For each schedule time step (in order): send the step's update messages,
-    send a barrier request to each touched switch, wait for all barrier
-    replies, sleep one time unit, continue.  Rule flips happen after the
-    switches' random installation latencies, so consecutive steps stay
-    ordered (barriers) but switches within a step are asynchronous.
-
-    Returns:
-        The (eventually filled) :class:`ExecutionTrace`.
-    """
-    sim = plane.sim
-    trace = ExecutionTrace()
-    rounds: List[Tuple[int, Tuple[Node, ...]]] = schedule.rounds()
-    xids: Dict[Node, int] = {}
-
-    def run_round(index: int) -> None:
-        if index >= len(rounds):
-            for node, xid in xids.items():
-                applied = controller.apply_time(node, xid)
-                if applied is not None:
-                    trace.applied[node] = applied
-                    trace_event(
-                        "apply",
-                        switch=str(node),
-                        planned=round(trace.planned[node], 6),
-                        applied=round(applied, 6),
-                    )
-            trace.finished_at = sim.now
-            if on_finish is not None:
-                on_finish(trace)
-            return
-        step, nodes = rounds[index]
-        outstanding = {node: False for node in nodes}
-        for node in nodes:
-            trace.planned[node] = sim.now
-            message = _update_message(plane, instance, node, execute_at=None)
-            xids[node] = message.xid
-            controller.send_flow_mod(node, message)
-
-        def on_reply(reply, node=None) -> None:
-            outstanding[reply.switch] = True
-            if all(outstanding.values()):
-                # Sleep one time unit, then the next round (line 9).
-                sim.schedule_after(time_unit, lambda: run_round(index + 1))
-
-        for node in nodes:
-            controller.send_barrier(node, on_reply)
-
-    run_round(0)
-    return trace
+    name = f"{instance.flow.name}#v2"
+    match = Match(dst_prefix=str(instance.destination), tag=TP_TAG)
+    hops = [(node, plane.port_of(node, nxt)) for node, nxt in instance.new_config.items()]
+    hops.append((instance.destination, HOST_PORT))
+    return [
+        (node, FlowRule(name=name, match=match, out_port=port, priority=1))
+        for node, port in hops
+    ]

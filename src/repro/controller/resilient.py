@@ -1,11 +1,13 @@
-"""Resilient execution: retries, idempotence, deadline abort and rollback.
+"""The executors: every plan becomes control messages here, and only here.
 
-The plain executors (:mod:`repro.controller.executor`) assume a perfect
-control network: every FlowMod arrives, every barrier is answered.  Under a
-:class:`repro.faults.FaultyChannel` that assumption fails silently -- a lost
-reply leaks a barrier waiter forever and a lost FlowMod leaves a stale rule
-in place with nobody noticing.  This module executes the same plans with
-the failure handling a production controller would need:
+:func:`execute_plan` runs a plan the way its planner's ``executor`` flag
+says -- ``"rounds"`` (Algorithm 5: per-step sends, barrier sync,
+one-time-unit sleeps), ``"timed"`` (Time4: every FlowMod pre-programmed with
+its switch-local execution time) or ``"two-phase"`` (acknowledged shadow
+installs, then a scheduled ingress flip) -- through
+:func:`perform_resilient_update` and :func:`perform_resilient_two_phase`.
+There is no second, unacknowledged executor stack: a perfect control network
+is simply the case where nothing below ever fires.
 
 * every FlowMod is paired with a per-switch barrier acting as its
   acknowledgement; an unanswered barrier is **retried** after a timeout
@@ -20,20 +22,28 @@ the failure handling a production controller would need:
   recomputes when a switch cannot be scheduled, instead of leaving the
   network in a half-updated state.
 
-With faults disabled the resilient executor is a drop-in replacement: it
-sends exactly the messages of :func:`~repro.controller.executor.perform_round_update`
-(``strategy="rounds"``) or :func:`~repro.controller.executor.perform_timed_update`
-(``strategy="timed"``) in the same order, so the resulting traces are
-identical -- a property pinned by ``tests/test_resilient.py``.
+On a fault-free channel a retry timer must never fire (a spurious resend is
+harmless to the tables but consumes channel latency draws): callers whose
+acknowledgements can take longer than ``4 * time_unit`` pass a
+``retry_timeout`` above their channel's worst case.  What the plain
+(unacknowledged) timed and round executors did before they were deleted is
+frozen in ``tests/data/executor_goldens.json``; with faults off these
+executors replay it byte for byte (``tests/test_resilient.py``,
+``tests/test_executor_goldens.py``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.controller.controller import Controller
-from repro.controller.executor import ExecutionTrace, _update_message
+from repro.controller.executor import (
+    TP_TAG,
+    ExecutionTrace,
+    _update_message,
+    shadow_rules,
+)
 from repro.controller.messages import (
     ControlMessage,
     FlowModAdd,
@@ -45,39 +55,8 @@ from repro.core.instance import UpdateInstance
 from repro.core.schedule import UpdateSchedule
 from repro.network.graph import Node
 from repro.simulator.dataplane import DataPlane
-from repro.simulator.flowtable import FlowRule, Match
-from repro.simulator.switch import HOST_PORT
-from repro.trace.recorder import trace_event
-
-ROUNDS = "rounds"
-TIMED = "timed"
-
-#: Version tag of the two-phase executor's shadow rules.
-_TP_TAG = 2
-
-
-@dataclass
-class ResilientTrace(ExecutionTrace):
-    """An :class:`ExecutionTrace` plus the resilience bookkeeping.
-
-    Attributes:
-        aborted: The update gave up (retries exhausted or deadline passed).
-        abort_reason: Why, when ``aborted``.
-        retries: FlowMod resends per switch (only switches that needed any).
-        gave_up: Switches that exhausted their retry budget.
-        rolled_back: Switches sent a rollback message during abort, in send
-            order (newest update first).
-    """
-
-    aborted: bool = False
-    abort_reason: str = ""
-    retries: Dict[Node, int] = field(default_factory=dict)
-    gave_up: List[Node] = field(default_factory=list)
-    rolled_back: List[Node] = field(default_factory=list)
-
-    @property
-    def total_retries(self) -> int:
-        return sum(self.retries.values())
+from repro.trace.recorder import recorder, trace_event
+from repro.updates.registry import ROUNDS, TIMED, TWO_PHASE, UpdatePlan, get_planner
 
 
 @dataclass(frozen=True)
@@ -111,9 +90,8 @@ class _ResilientRun:
         backoff: float,
         max_retries: int,
         deadline: Optional[float],
-        trace: ResilientTrace,
         finished_at_from_applies: bool,
-        on_finish: Optional[Callable[[ResilientTrace], None]],
+        on_finish: Optional[Callable[[ExecutionTrace], None]],
     ) -> None:
         self._controller = controller
         self._sim = sim
@@ -123,10 +101,11 @@ class _ResilientRun:
         self._backoff = backoff
         self._max_retries = max_retries
         self._deadline = deadline
-        self.trace = trace
+        self.trace = ExecutionTrace()
         self._finished_at_from_applies = finished_at_from_applies
         self._on_finish = on_finish
         self._touched: List[_Item] = []
+        self._recorded: Set[int] = set()  # FlowMod xids already in the trace
         self._current: Dict[Node, _Item] = {}
         self._pending: set = set()
         self._attempt: Dict[Node, int] = {}
@@ -139,7 +118,11 @@ class _ResilientRun:
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
-    def start(self) -> None:
+    def start(self, at: Optional[float] = None) -> None:
+        """Begin now, or at true time ``at`` when that still lies ahead."""
+        if at is not None and at > self._sim.now:
+            self._sim.schedule_at(at, self.start)
+            return
         if self._deadline is not None:
             self._deadline_timer = self._sim.schedule_at(
                 max(self._deadline, self._sim.now), self._on_deadline
@@ -154,9 +137,8 @@ class _ResilientRun:
             return
         self._batch_index = index
         batch = self._batches[index]
-        # Send every FlowMod first, then every barrier -- the exact message
-        # order of the plain executors, so the channel's rng stream (and
-        # hence the fault-free trace) is identical.
+        # Send every FlowMod first, then every barrier: Algorithm 5's
+        # order, and the one the channel's rng stream is pinned to.
         for item in batch.items:
             self.trace.planned[item.node] = (
                 item.planned if item.planned is not None else self._sim.now
@@ -176,7 +158,6 @@ class _ResilientRun:
             return
         self._done = True
         self._cancel_deadline()
-        self._harvest()
         if self._finished_at_from_applies:
             self.trace.finished_at = max(
                 self.trace.applied.values(), default=self._sim.now
@@ -212,20 +193,13 @@ class _ResilientRun:
         node = reply.switch
         if self._done or node not in self._pending:
             return
-        item = self._current[node]
-        applied = self._controller.apply_time(node, item.message.xid)
-        if applied is None:
+        self._disarm(node)
+        if not self._record(self._current[node]):
             # The barrier drained but the install never took effect: the
             # switch-side apply failed.  Retry immediately.
-            self._disarm(node)
             self._retry(node)
             return
-        self._disarm(node)
         self._pending.discard(node)
-        self.trace.applied[node] = applied
-        lateness = self._controller.lateness(node, item.message.xid)
-        if lateness is not None:
-            self.trace.late[node] = lateness
         if not self._pending:
             batch = self._batches[self._batch_index]
             next_index = self._batch_index + 1
@@ -288,13 +262,12 @@ class _ResilientRun:
             xid = self._barrier_xid.get(node)
             if xid is not None:
                 self._controller.expire_barrier(xid)
-        self._harvest()
+        # An apply whose acknowledgement was lost still happened.
+        for item in self._touched:
+            self._record(item)
         # Roll back newest-first so dependent flips unwind in reverse order.
         for item in reversed(self._touched):
-            applied = (
-                self._controller.apply_time(item.node, item.message.xid) is not None
-            )
-            message = self._rollback(item, applied)
+            message = self._rollback(item, item.message.xid in self._recorded)
             if message is not None:
                 self._controller.send_flow_mod(item.node, message)
                 self.trace.rolled_back.append(item.node)
@@ -303,14 +276,30 @@ class _ResilientRun:
         if self._on_finish is not None:
             self._on_finish(self.trace)
 
-    def _harvest(self) -> None:
-        for item in self._touched:
-            applied = self._controller.apply_time(item.node, item.message.xid)
-            if applied is not None:
-                self.trace.applied[item.node] = applied
-                lateness = self._controller.lateness(item.node, item.message.xid)
-                if lateness is not None:
-                    self.trace.late[item.node] = lateness
+    def _record(self, item: _Item) -> bool:
+        """Enter ``item``'s apply into the trace, once; ``False`` until it landed."""
+        xid = item.message.xid
+        if xid in self._recorded:
+            return True
+        node = item.node
+        applied = self._controller.apply_time(node, xid)
+        if applied is None:
+            return False
+        self._recorded.add(xid)
+        self.trace.applied[node] = applied
+        lateness = self._controller.lateness(node, xid)
+        if lateness is not None:
+            self.trace.late[node] = lateness
+        if recorder.enabled:
+            trace_event(
+                "apply",
+                switch=str(node),
+                planned=round(self.trace.planned[node], 6),
+                applied=round(applied, 6),
+            )
+            if lateness is not None:
+                trace_event("late", switch=str(node), seconds=round(lateness, 6))
+        return True
 
 
 # ----------------------------------------------------------------------
@@ -348,8 +337,8 @@ def perform_resilient_update(
     backoff: float = 2.0,
     max_retries: int = 3,
     deadline: Optional[float] = None,
-    on_finish: Optional[Callable[[ResilientTrace], None]] = None,
-) -> ResilientTrace:
+    on_finish: Optional[Callable[[ExecutionTrace], None]] = None,
+) -> ExecutionTrace:
     """Execute ``schedule`` with acknowledgements, retries and rollback.
 
     Args:
@@ -361,9 +350,11 @@ def perform_resilient_update(
             sync, one-time-unit sleeps) or ``"timed"`` (Time4: every FlowMod
             pre-programmed with its switch-local execution time).
         time_unit: Seconds per schedule step.
-        start_at: True time of step ``t0`` (timed strategy; default now +
-            ``lead_time``).
-        lead_time: Shipping headroom for the timed strategy.
+        start_at: True time of step ``t0``: the instant the first round is
+            sent (rounds) or the first scheduled FlowMod fires (timed, whose
+            messages all ship now).  Default: now for rounds, now +
+            ``lead_time`` for timed.
+        lead_time: Shipping headroom of the timed default.
         retry_timeout: Base wait for a switch's acknowledgement before
             resending (default ``4 * time_unit``); grows by ``backoff`` per
             attempt.  Scheduled FlowMods wait until their execution time
@@ -375,13 +366,12 @@ def perform_resilient_update(
         on_finish: Called with the trace on completion *or* abort.
 
     Returns:
-        A :class:`ResilientTrace`; with faults disabled it matches the
-        plain executor's trace exactly.
+        The :class:`ExecutionTrace`, at once; it fills in as the simulation
+        runs (``finished_at`` is set on completion or abort).
     """
     sim = plane.sim
     if retry_timeout is None:
         retry_timeout = 4.0 * time_unit
-    trace = ResilientTrace()
 
     batches: List[_Batch] = []
     if strategy == ROUNDS:
@@ -391,7 +381,7 @@ def perform_resilient_update(
                 for node in nodes
             ]
             batches.append(_Batch(items=items, settle=time_unit))
-        finished_from_applies = False
+        send_at = start_at
     elif strategy == TIMED:
         if start_at is None:
             start_at = sim.now + lead_time
@@ -407,7 +397,7 @@ def perform_resilient_update(
                 )
             )
         batches.append(_Batch(items=items, settle=0.0))
-        finished_from_applies = True
+        send_at = None
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
 
@@ -422,12 +412,11 @@ def perform_resilient_update(
         backoff=backoff,
         max_retries=max_retries,
         deadline=deadline,
-        trace=trace,
-        finished_at_from_applies=finished_from_applies,
+        finished_at_from_applies=strategy == TIMED,
         on_finish=on_finish,
     )
-    run.start()
-    return trace
+    run.start(send_at)
+    return run.trace
 
 
 def perform_resilient_two_phase(
@@ -440,50 +429,24 @@ def perform_resilient_two_phase(
     backoff: float = 2.0,
     max_retries: int = 3,
     deadline: Optional[float] = None,
-    on_finish: Optional[Callable[[ResilientTrace], None]] = None,
-) -> ResilientTrace:
+    on_finish: Optional[Callable[[ExecutionTrace], None]] = None,
+) -> ExecutionTrace:
     """Two-phase update with acknowledged installs and a guarded flip.
 
-    Batch 1 installs the version-tagged shadow configuration (traffic-
-    invisible, so retries are free); once *every* install is confirmed,
-    batch 2 ships the ingress flip scheduled for true time ``flip_at``.
-    Abort rolls back: the flip is undone (untagged, old next hop) and every
-    confirmed shadow rule deleted.
+    Batch 1 installs the version-tagged shadow configuration now (traffic-
+    invisible, so it ships ahead and retries are free); once *every*
+    install is confirmed, batch 2 ships the ingress flip scheduled for true
+    time ``flip_at``.  Abort rolls back: the flip is undone (untagged, old
+    next hop) and every confirmed shadow rule deleted.
 
     Returns:
-        A :class:`ResilientTrace`; ``applied[source]`` is the realised flip
-        time.
+        The :class:`ExecutionTrace`; ``applied[source]`` is the realised
+        flip time.
     """
-    sim = plane.sim
-    trace = ResilientTrace()
-    dst_prefix = str(instance.destination)
-    rule_name = f"{instance.flow.name}#v2"
-
-    install_items: List[_Item] = []
-    for node, nxt in instance.new_config.items():
-        rule = FlowRule(
-            name=rule_name,
-            match=Match(dst_prefix=dst_prefix, tag=_TP_TAG),
-            out_port=plane.port_of(node, nxt),
-            priority=1,
-        )
-        install_items.append(
-            _Item(node=node, message=FlowModAdd(xid=next_xid(), rule=rule))
-        )
-    install_items.append(
-        _Item(
-            node=instance.destination,
-            message=FlowModAdd(
-                xid=next_xid(),
-                rule=FlowRule(
-                    name=rule_name,
-                    match=Match(dst_prefix=dst_prefix, tag=_TP_TAG),
-                    out_port=HOST_PORT,
-                    priority=1,
-                ),
-            ),
-        )
-    )
+    install_items = [
+        _Item(node=node, message=FlowModAdd(xid=next_xid(), rule=rule))
+        for node, rule in shadow_rules(plane, instance)
+    ]
 
     source = instance.source
     flip_local = controller.managed(source).clock.local_time(flip_at)
@@ -491,7 +454,7 @@ def perform_resilient_two_phase(
         xid=next_xid(),
         rule_name=instance.flow.name,
         out_port=plane.port_of(source, instance.new_next_hop(source)),
-        set_tag=_TP_TAG,
+        set_tag=TP_TAG,
         execute_at=flip_local,
     )
     flip_item = _Item(node=source, message=flip, planned=flip_at)
@@ -508,20 +471,112 @@ def perform_resilient_two_phase(
             )
         if not applied:
             return None  # the shadow rule never landed; nothing to delete
-        return FlowModDelete(xid=next_xid(), rule_name=rule_name)
+        return FlowModDelete(xid=next_xid(), rule_name=item.message.rule.name)
 
     run = _ResilientRun(
         controller,
-        sim,
+        plane.sim,
         [_Batch(items=install_items), _Batch(items=[flip_item])],
         rollback=rollback,
         retry_timeout=retry_timeout,
         backoff=backoff,
         max_retries=max_retries,
         deadline=deadline,
-        trace=trace,
         finished_at_from_applies=True,
         on_finish=on_finish,
     )
     run.start()
-    return trace
+    return run.trace
+
+
+# ----------------------------------------------------------------------
+# plans in, realised schedules out
+# ----------------------------------------------------------------------
+def execute_plan(
+    controller: Controller,
+    plane: DataPlane,
+    plan: UpdatePlan,
+    *,
+    start_at: float,
+    time_unit: float = 1.0,
+    retry_timeout: Optional[float] = None,
+    max_retries: int = 3,
+    deadline: Optional[float] = None,
+    on_finish: Optional[Callable[[ExecutionTrace], None]] = None,
+) -> ExecutionTrace:
+    """Execute ``plan.dispatched`` the way its planner's ``executor`` flag says.
+
+    The one place a plan turns into control messages, and the one dispatch
+    on ``planner.executor``.
+
+    Args:
+        controller: The controller managing the plane's switches.
+        plane: The data plane.
+        plan: The plan; carries its instance and names its planner.
+        start_at: True time of step ``t0``, for every strategy: the first
+            round is sent then (rounds), the step-``t0`` FlowMods fire then
+            (timed; call early enough for them to arrive), the ingress
+            flips ``flip step - t0`` steps later (two-phase, whose shadow
+            installs ship now).
+        time_unit: Seconds per schedule step.
+        retry_timeout: See :func:`perform_resilient_update`.
+        max_retries: Resends per switch before the update aborts.
+        deadline: Absolute true time of the abort-and-roll-back deadline.
+        on_finish: Called with the trace on completion *or* abort.
+
+    Raises:
+        UnknownSchemeError: ``plan.scheme`` names no registered planner.
+        ValueError: The plan carries no instance.
+    """
+    strategy = get_planner(plan.scheme).executor
+    instance = plan.instance
+    if instance is None:
+        raise ValueError("executing a plan needs its update instance")
+    schedule = plan.dispatched
+    if retry_timeout is None:
+        retry_timeout = 4.0 * time_unit
+    if strategy == TWO_PHASE:
+        flip_step = schedule.time_of(instance.source) - schedule.t0
+        return perform_resilient_two_phase(
+            controller, plane, instance, start_at + flip_step * time_unit,
+            retry_timeout=retry_timeout, max_retries=max_retries,
+            deadline=deadline, on_finish=on_finish,
+        )
+    return perform_resilient_update(
+        controller, plane, instance, schedule,
+        strategy=strategy, time_unit=time_unit, start_at=start_at,
+        retry_timeout=retry_timeout, max_retries=max_retries,
+        deadline=deadline, on_finish=on_finish,
+    )
+
+
+def realized_schedule(
+    plan: UpdatePlan, trace: ExecutionTrace, *, start_at: float, time_unit: float = 1.0
+) -> Tuple[Optional[UpdateSchedule], bool]:
+    """:func:`execute_plan` read backwards: apply times as integer steps.
+
+    The result is what ``planner.verify`` judges in place of the nominal
+    plan: every scheduled switch's realised step, or the ingress flip alone
+    for a two-phase plan (its shadow installs are invisible to traffic).
+
+    Returns:
+        ``(schedule, off_grid)``: ``schedule`` is ``None`` when a switch
+        never applied; ``off_grid`` flags an apply that missed the integer
+        time grid (clock drift), whose step is then rounded.
+    """
+    dispatched = plan.dispatched
+    t0 = dispatched.t0
+    nodes = dispatched.times
+    if get_planner(plan.scheme).two_phase:
+        nodes = [plan.instance.source]
+    times: Dict[Node, int] = {}
+    off_grid = False
+    for node in nodes:
+        applied = trace.applied.get(node)
+        if applied is None:
+            return None, off_grid
+        exact = (applied - start_at) / time_unit
+        step = round(exact)
+        off_grid = off_grid or abs(exact - step) > 1e-6
+        times[node] = t0 + step
+    return UpdateSchedule(times=times, start_time=min([t0, *times.values()])), off_grid

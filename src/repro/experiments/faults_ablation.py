@@ -6,8 +6,8 @@ assumption degrades.  A :class:`repro.faults.FaultPlan` (message loss and
 duplication, switch apply-failures, crash-stop, stragglers, optional clock
 drift) is scaled by a single severity knob and applied to seeded reroute
 instances from the figures' ``mixed_instance`` workload; each scheme runs
-through the resilient executor (:mod:`repro.controller.resilient`) with
-retries, idempotent resends and a deadline-triggered rollback.
+through :func:`repro.controller.resilient.execute_plan` -- the one execution
+path -- with retries, idempotent resends and a deadline-triggered rollback.
 
 Consistency is judged by the independent oracle of :mod:`repro.validate`:
 
@@ -31,24 +31,14 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.controller import Controller
+from repro.controller import build_testbed, execute_plan, realized_schedule
 from repro.controller.channel import ConstantDelayModel, StepDelayModel
-from repro.controller.resilient import (
-    ResilientTrace,
-    perform_resilient_two_phase,
-    perform_resilient_update,
-)
-from repro.core.instance import UpdateInstance
-from repro.core.schedule import UpdateSchedule
 from repro.core.verdict import Verdict
 from repro.experiments.sweep import mixed_instance, sweep_seed
-from repro.faults import FaultPlan, FaultyChannel, severity_spec
+from repro.faults import FaultPlan, severity_spec
 from repro.pipeline.context import RunContext
 from repro.pipeline.runner import run_in_memory
-from repro.simulator.dataplane import build_dataplane, install_config
-from repro.simulator.engine import Simulator
-from repro.updates.registry import ROUNDS, TWO_PHASE, get_planner, planners_for
-from repro.validate import verify_schedule, verify_two_phase
+from repro.updates.registry import UpdatePlan, get_planner, planners_for
 
 #: Default ablation trio; any registered scheme (e.g. ``aug``) can join
 #: via ``schemes=`` / ``--set schemes=``.
@@ -60,6 +50,10 @@ _FAULT_STREAM = 0xFA17
 
 #: Default severity grid of the ablation axis (0 = perfect network).
 DEFAULT_SEVERITIES = (0.0, 0.25, 0.5, 1.0)
+
+#: Steps between a two-phase plan's start and its ingress flip: room for the
+#: shadow installs (and a retry) to be acknowledged first.
+_FLIP_DELAY = 3
 
 
 @dataclass(frozen=True)
@@ -258,9 +252,7 @@ def run_faults_ablation(
 
 
 def _run_one(
-    scheme: str,
-    instance: UpdateInstance,
-    schedule: UpdateSchedule,
+    plan: UpdatePlan,
     *,
     severity: float,
     seed: int,
@@ -269,11 +261,8 @@ def _run_one(
     max_retries: int,
     drift_bound: float,
 ) -> FaultRunRecord:
-    """Execute one scheme on one instance under one fault severity."""
-    sim = Simulator()
-    plane = build_dataplane(sim, instance.network, delay_scale=time_unit)
-    install_config(plane, instance)
-
+    """Execute one plan on its instance under one fault severity."""
+    instance = plan.instance
     warmup_steps = instance.old_path_delay + 2
     start_true = warmup_steps * time_unit
     deadline_true = start_true + deadline_steps * time_unit
@@ -284,78 +273,33 @@ def _run_one(
         drift_bound=drift_bound,
     )
     fault_plan = FaultPlan(spec, seed=seed ^ _FAULT_STREAM)
-    channel = FaultyChannel(
-        sim,
-        fault_plan,
+    sim, plane, controller = build_testbed(
+        instance,
+        delay_scale=time_unit,
         network_delay=ConstantDelayModel(0.0),
         install_delay=StepDelayModel(time_unit=time_unit, max_steps=1),
         rng=random.Random(seed),
+        fault_plan=fault_plan,
     )
-    controller = Controller(sim, channel)
-    for switch in plane.switches.values():
-        controller.manage(switch)
-    fault_plan.wire(controller)
-    plane.inject_flow(
-        instance.source, "h1", str(instance.destination), rate=instance.demand
+    trace = execute_plan(
+        controller, plane, plan,
+        start_at=start_true, time_unit=time_unit,
+        max_retries=max_retries, deadline=deadline_true,
     )
-
-    retry_timeout = 4 * time_unit
-    trace_holder: List[ResilientTrace] = []
-    planner = get_planner(scheme)
-    if planner.executor == TWO_PHASE:
-        trace_holder.append(
-            perform_resilient_two_phase(
-                controller, plane, instance, start_true + 3 * time_unit,
-                retry_timeout=retry_timeout, max_retries=max_retries,
-                deadline=deadline_true,
-            )
-        )
-    elif planner.executor == ROUNDS:
-        sim.schedule_at(
-            start_true,
-            lambda: trace_holder.append(
-                perform_resilient_update(
-                    controller, plane, instance, schedule,
-                    strategy="rounds", time_unit=time_unit,
-                    retry_timeout=retry_timeout, max_retries=max_retries,
-                    deadline=deadline_true,
-                )
-            ),
-        )
-    else:
-        trace_holder.append(
-            perform_resilient_update(
-                controller, plane, instance, schedule,
-                strategy="timed", time_unit=time_unit, start_at=start_true,
-                retry_timeout=retry_timeout, max_retries=max_retries,
-                deadline=deadline_true,
-            )
-        )
 
     # The deadline guarantees the run resolves (finish or abort) by
     # ``deadline_true``; the extra margin lets rollback messages land and
     # the fluid plane settle before it is judged.
     sim.run(until=deadline_true + 10 * time_unit)
 
-    trace = trace_holder[0] if trace_holder else ResilientTrace()
-    completed = trace.finished_at is not None and not trace.aborted
-    t0 = schedule.t0
-
     verdict: Optional[Verdict] = None
     off_grid = False
-    if completed:
-        if planner.two_phase:
-            flip_step, off_grid = _to_step(
-                trace.applied.get(instance.source), start_true, time_unit, t0
-            )
-            if flip_step is not None:
-                verdict = verify_two_phase(instance, flip_step, t0=t0)
-        else:
-            realized, off_grid = _realized_schedule(
-                trace, schedule, start_true, time_unit
-            )
-            if realized is not None:
-                verdict = verify_schedule(instance, realized)
+    if trace.completed:
+        realized, off_grid = realized_schedule(
+            plan, trace, start_at=start_true, time_unit=time_unit
+        )
+        if realized is not None:
+            verdict = get_planner(plan.scheme).verify(instance, realized)
 
     drop_tolerance = 1e-6 * time_unit * max(1.0, instance.demand)
     dropped_volume = plane.total_dropped_volume()
@@ -380,10 +324,10 @@ def _run_one(
         completion_steps = (trace.finished_at - start_true) / time_unit
 
     return FaultRunRecord(
-        scheme=scheme,
+        scheme=plan.scheme,
         severity=severity,
         seed=seed,
-        completed=completed,
+        completed=trace.completed,
         aborted=trace.aborted,
         violated=violated,
         verdict_ok=None if verdict is None or off_grid else verdict.ok,
@@ -400,36 +344,6 @@ def _run_one(
         fluid_clean=fluid_clean,
         abort_reason=trace.abort_reason,
     )
-
-
-def _realized_schedule(
-    trace: ResilientTrace,
-    schedule: UpdateSchedule,
-    start_true: float,
-    time_unit: float,
-) -> Tuple[Optional[UpdateSchedule], bool]:
-    """Map the trace's apply times back onto integer schedule steps."""
-    t0 = schedule.t0
-    times: Dict = {}
-    off_grid = False
-    for node in schedule.times:
-        step, off = _to_step(trace.applied.get(node), start_true, time_unit, t0)
-        if step is None:
-            return None, off_grid
-        off_grid = off_grid or off
-        times[node] = step
-    return UpdateSchedule(times=times, start_time=min([t0, *times.values()])), off_grid
-
-
-def _to_step(
-    applied: Optional[float], start_true: float, time_unit: float, t0: int
-) -> Tuple[Optional[int], bool]:
-    """One apply time as an integer step; flags off-grid applies."""
-    if applied is None:
-        return None, False
-    exact = (applied - start_true) / time_unit
-    step = round(exact)
-    return t0 + step, abs(exact - step) > 1e-6
 
 
 # --- pipeline scenario -------------------------------------------------
@@ -457,24 +371,22 @@ def _scenario_evaluate(item: Mapping, params: Mapping, ctx) -> Dict[str, object]
     """Plan and execute one (instance, severity, scheme) cell.
 
     What is executed is the plan's dispatched schedule (the nominal rounds
-    of a round-based scheme; two-phase reads only its start time -- it
-    installs shadow rules and flips the ingress).  Plans are
+    of a round-based scheme; of a two-phase plan only the ingress flip
+    step matters -- the shadow installs ship ahead).  Plans are
     severity-independent and deterministic (node budget, no wall clock),
     so the cells of one instance stay paired across severities.
     """
     from dataclasses import asdict
 
-    scheme = str(item["scheme"])
     instance = mixed_instance(int(params["switch_count"]), int(item["seed"]))
-    plan = get_planner(scheme).plan(
+    plan = get_planner(str(item["scheme"])).plan(
         instance,
         node_budget=int(params["or_node_budget"]),
         epsilon=float(params.get("aug_epsilon", 0.0) or 0.0),
+        flip_delay=_FLIP_DELAY,
     )
     record = _run_one(
-        scheme,
-        instance,
-        plan.dispatched,
+        plan,
         severity=float(item["severity"]),
         seed=int(item["seed"]),
         time_unit=float(params["time_unit"]),

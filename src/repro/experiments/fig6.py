@@ -6,9 +6,10 @@ polling byte counters every second.  OR's asynchronous rounds push the
 hottest link to ~6 Mbps (beyond capacity -> loss), while Chronus and TP stay
 within the normal range.
 
-Here the same scenario runs on the fluid data plane: Chronus executes its
-timed schedule via Time4-style scheduled FlowMods, TP flips the ingress tag
-after installing the versioned rules, and OR pushes round by round through
+Here the same scenario runs on the fluid data plane, every scheme through
+:func:`repro.controller.resilient.execute_plan`: Chronus executes its timed
+schedule via Time4-style scheduled FlowMods, TP flips the ingress tag after
+its versioned rules are acknowledged, and OR pushes round by round through
 the asynchronous control channel with Dionysus-shaped installation
 latencies.
 
@@ -16,7 +17,9 @@ Pipeline scenario ``fig6``: one record per scheme (the bandwidth series of
 the hottest link plus the peak utilisation); because the execution runs on
 the discrete-event plane, the run context's optional fault severity is
 honoured -- ``run --fault-severity 0.5 fig6`` replays the same update over
-a lossy control channel.
+a lossy control channel, with retries and an abort at the ``duration``
+horizon, and the record then also says ``completed`` / ``aborted`` /
+``retries``.
 """
 
 from __future__ import annotations
@@ -27,11 +30,9 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.controller import (
     ConstantDelayModel,
-    ControlChannel,
-    Controller,
     DionysusDelayModel,
-    perform_round_update,
-    perform_timed_update,
+    build_testbed,
+    execute_plan,
     synchronized_clocks,
 )
 from repro.core.instance import UpdateInstance, instance_from_topology
@@ -39,11 +40,9 @@ from repro.network.topology import two_path_topology
 from repro.pipeline.context import RunContext, WorkerContext
 from repro.pipeline.runner import run_in_memory
 from repro.pipeline.scenario import Scenario, register
-from repro.simulator import BandwidthMonitor, Simulator, build_dataplane
-from repro.simulator.dataplane import install_config
-from repro.simulator.flowtable import FlowRule, Match
+from repro.simulator import BandwidthMonitor
 from repro.analysis.timeseries import render_series
-from repro.updates.registry import ROUNDS, TWO_PHASE, get_planner, planners_for
+from repro.updates.registry import get_planner, planners_for
 
 SCHEMES = ("chronus", "tp", "or")
 
@@ -51,6 +50,18 @@ SCHEMES = ("chronus", "tp", "or")
 #: streams (their recorded series depend on them); any other registered
 #: scheme gets a stable stream derived from its sweep order.
 _RNG_STREAM = {name: index for index, name in enumerate(SCHEMES)}
+
+#: Cap of the Dionysus-shaped installation latency, in seconds; a retry
+#: waits twice that, so on a loss-free channel none ever fires.
+_INSTALL_CAP = 2.0
+
+#: Seconds before ``update_at`` at which the controller acts: timed FlowMods
+#: and two-phase shadow installs ship with this headroom.
+_LEAD_TIME = 0.5
+
+#: Steps from ``update_at`` to the two-phase ingress flip (the shadow
+#: installs must be acknowledged first).
+_FLIP_DELAY = 3
 
 
 @dataclass
@@ -78,34 +89,46 @@ def _items(params: Mapping) -> List[Dict[str, object]]:
     return [{"key": scheme, "scheme": scheme} for scheme in params["schemes"]]
 
 
-def _evaluate(item: Mapping, params: Mapping, ctx: WorkerContext) -> Dict[str, object]:
-    """Run one scheme on the (seed-regenerated) rerouted topology."""
-    seed = int(params["seed"])
+def _instance(params: Mapping) -> UpdateInstance:
+    """The (seed-regenerated) rerouted topology every scheme runs on."""
     capacity = float(params["capacity_mbps"])
     topo = two_path_topology(
         int(params["switch_count"]),
-        rng=random.Random(seed),
+        rng=random.Random(int(params["seed"])),
         capacity=capacity,
         max_delay=int(params["max_delay_steps"]),
     )
-    instance = instance_from_topology(topo, demand=capacity)
-    monitor, plane = _run_scheme(
+    return instance_from_topology(topo, demand=capacity)
+
+
+def _evaluate(item: Mapping, params: Mapping, ctx: WorkerContext) -> Dict[str, object]:
+    """Run one scheme on the scenario's instance."""
+    capacity = float(params["capacity_mbps"])
+    monitor, testbed, trace = _run_scheme(
         str(item["scheme"]),
-        instance,
-        seed,
+        _instance(params),
+        int(params["seed"]),
         float(params["duration"]),
         float(params["update_at"]),
         float(params["delay_scale"]),
         fault_severity=ctx.fault_severity,
     )
     hottest = monitor.peak_series()
-    return {
+    record = {
         "key": item["key"],
         "scheme": item["scheme"],
         "series": [[s.time, s.mbps] for s in hottest],
-        "peak": max(plane.links[link].peak_utilization() for link in plane.links),
+        "peak": max(link.peak_utilization() for link in testbed.plane.links.values()),
         "capacity": capacity,
     }
+    if ctx.fault_severity:
+        # Only under faults, so the fault-free record stays byte-identical.
+        record.update(
+            completed=trace.completed,
+            aborted=trace.aborted,
+            retries=trace.total_retries,
+        )
+    return record
 
 
 def _aggregate(records: Sequence[Mapping], params: Mapping) -> Fig6Result:
@@ -192,132 +215,46 @@ def _run_scheme(
     delay_scale: float,
     fault_severity: Optional[float] = None,
 ):
+    """Execute ``scheme``'s plan on a monitored plane; step ``t0`` is ``update_at``."""
     planner = get_planner(scheme)
     stream = _RNG_STREAM.get(scheme, 3 + planner.sweep_order)
     rng = random.Random(seed * 1009 + stream * 997)
-    sim = Simulator()
-    plane = build_dataplane(sim, instance.network, delay_scale=delay_scale)
-    install_config(plane, instance)
     fault_plan = None
     if fault_severity:
-        from repro.faults import FaultPlan, FaultyChannel, severity_spec
+        from repro.faults import FaultPlan, severity_spec
 
         fault_plan = FaultPlan(
             severity_spec(fault_severity, crash_window=(update_at, duration)),
             seed=seed ^ 0xFA17,
         )
-        channel = FaultyChannel(
-            sim,
-            fault_plan,
-            network_delay=ConstantDelayModel(0.002),
-            install_delay=DionysusDelayModel(median=0.3, sigma=1.0, cap=2.0),
-            rng=rng,
-        )
-    else:
-        channel = ControlChannel(
-            sim,
-            network_delay=ConstantDelayModel(0.002),
-            install_delay=DionysusDelayModel(median=0.3, sigma=1.0, cap=2.0),
-            rng=rng,
-        )
-    clocks = synchronized_clocks(instance.network.switches, max_offset=1e-6, rng=rng)
-    controller = Controller(sim, channel, clocks)
-    for switch in plane.switches.values():
-        controller.manage(switch)
-    if fault_plan is not None:
-        fault_plan.wire(controller)
-    plane.inject_flow(
-        instance.source, "h1", str(instance.destination), rate=instance.demand
+    testbed = build_testbed(
+        instance,
+        delay_scale=delay_scale,
+        network_delay=ConstantDelayModel(0.002),
+        install_delay=DionysusDelayModel(median=0.3, sigma=1.0, cap=_INSTALL_CAP),
+        rng=rng,
+        clocks=synchronized_clocks(instance.network.switches, max_offset=1e-6, rng=rng),
+        fault_plan=fault_plan,
     )
-    monitor = BandwidthMonitor(plane, interval=1.0)
+    monitor = BandwidthMonitor(testbed.plane, interval=1.0)
     monitor.start()
-    sim.run(until=update_at)
+    testbed.sim.run(until=update_at - _LEAD_TIME)
 
-    if planner.executor == TWO_PHASE:
-        _run_two_phase(sim, plane, controller, instance, update_at)
-    elif planner.executor == ROUNDS:
-        # No ``rng``: the asynchrony is the channel's, so planning must draw
-        # nothing from the scheme's stream.
-        perform_round_update(
-            controller, plane, instance, planner.plan(instance).dispatched, time_unit=1.0
-        )
-    else:
-        schedule = planner.plan(instance, rng=rng).schedule
-        perform_timed_update(
-            controller, plane, instance, schedule, time_unit=delay_scale,
-            start_at=update_at + 0.5,
-        )
+    # No ``rng``: the asynchrony is the channel's, so planning draws nothing
+    # from the scheme's stream.
+    plan = planner.plan(instance, flip_delay=_FLIP_DELAY)
+    # The horizon is the deadline: an update still unacknowledged when the
+    # simulation ends is aborted (its barrier waiters expired), not left open.
+    trace = execute_plan(
+        testbed.controller, testbed.plane, plan,
+        start_at=update_at, time_unit=delay_scale,
+        retry_timeout=2 * _INSTALL_CAP,
+        deadline=duration,
+    )
 
-    sim.run(until=duration)
+    testbed.sim.run(until=duration)
     monitor.stop()  # drain the poll loop so later open-ended runs terminate
-    return monitor, plane
-
-
-def _run_two_phase(sim, plane, controller, instance: UpdateInstance, update_at: float) -> None:
-    """Two-phase execution: versioned rules, ingress flip, then cleanup.
-
-    Phase 1 installs the tagged new configuration (traffic-invisible);
-    phase 2 flips the ingress stamp; once the untagged traffic drained, the
-    old-version rules are deleted -- completing the full two-phase protocol
-    including its table-space release.
-    """
-    from repro.controller.messages import (
-        FlowModAdd,
-        FlowModDelete,
-        FlowModModify,
-        next_xid,
-    )
-
-    new_tag = 2
-    dst_prefix = str(instance.destination)
-    # Phase 1: install tagged copies of the new configuration everywhere.
-    for node, nxt in instance.new_config.items():
-        rule = FlowRule(
-            name=f"{instance.flow.name}#v2",
-            match=Match(dst_prefix=dst_prefix, tag=new_tag),
-            out_port=plane.port_of(node, nxt),
-            priority=1,
-        )
-        controller.send_flow_mod(node, FlowModAdd(xid=next_xid(), rule=rule))
-    from repro.simulator.switch import HOST_PORT
-
-    controller.send_flow_mod(
-        instance.destination,
-        FlowModAdd(
-            xid=next_xid(),
-            rule=FlowRule(
-                name=f"{instance.flow.name}#v2",
-                match=Match(dst_prefix=dst_prefix, tag=new_tag),
-                out_port=HOST_PORT,
-                priority=1,
-            ),
-        ),
-    )
-
-    # Phase 2 (after the rules settled): stamp new packets at the ingress.
-    def flip() -> None:
-        controller.send_flow_mod(
-            instance.source,
-            FlowModModify(
-                xid=next_xid(),
-                rule_name=instance.flow.name,
-                out_port=plane.port_of(instance.source, instance.new_next_hop(instance.source)),
-                set_tag=new_tag,
-            ),
-        )
-
-    # Cleanup: remove the old-version rules once untagged traffic drained
-    # (the ingress keeps its -- now stamping -- rule).
-    def cleanup() -> None:
-        for node in instance.old_config:
-            if node == instance.source:
-                continue
-            controller.send_flow_mod(
-                node, FlowModDelete(xid=next_xid(), rule_name=instance.flow.name)
-            )
-
-    sim.schedule_at(update_at + 3.0, flip)
-    sim.schedule_at(update_at + 6.0 + instance.old_path_delay, cleanup)
+    return monitor, testbed, trace
 
 
 def main() -> str:

@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Sequence
 
+from repro.controller.executor import shadow_rules
 from repro.core.instance import random_instance
 from repro.pipeline.context import RunContext, WorkerContext
 from repro.pipeline.runner import run_in_memory
@@ -69,24 +70,8 @@ def _build_tables(switch_count: int, seed: int) -> Dict[str, List[str]]:
     steady_destination = destination.table.render()
 
     # Two-phase transition: versioned copies resident alongside.
-    new_tag = 2
-    for node, nxt in instance.new_config.items():
-        plane.switch(node).table.add(
-            FlowRule(
-                name=f"{instance.flow.name}#v2",
-                match=Match(dst_prefix=str(instance.destination), tag=new_tag),
-                out_port=plane.port_of(node, nxt),
-                priority=1,
-            )
-        )
-    destination.table.add(
-        FlowRule(
-            name=f"{instance.flow.name}#v2",
-            match=Match(dst_prefix=str(instance.destination), tag=new_tag),
-            out_port=HOST_PORT,
-            priority=1,
-        )
-    )
+    for node, rule in shadow_rules(plane, instance):
+        plane.switch(node).table.add(rule)
     return {
         "source_rows": steady_source,
         "destination_rows": steady_destination,

@@ -11,7 +11,9 @@ three kinds of tasks:
   intent against its live rule state, plan it with the incremental
   greedy engine (static background load from the other tenants' current
   paths), verify the plan with :mod:`repro.validate`, then execute it
-  through the resilient timed executor on the shared plane;
+  through the timed strategy of ``perform_resilient_update`` on the shared
+  plane (so only schemes whose ``executor`` flag is ``"timed"`` are
+  accepted);
 * the **pump task** advances the DES simulator to the virtual clock
   once per time unit, so data-plane events (and executor ``on_finish``
   callbacks) fire at their exact simulated instants, and samples the
@@ -58,7 +60,7 @@ from repro.simulator.engine import Simulator
 from repro.simulator.flowtable import FlowRule, Match
 from repro.simulator.switch import HOST_PORT
 from repro.trace.recorder import trace_event
-from repro.updates.registry import get_planner
+from repro.updates.registry import TIMED, available_schemes, get_planner
 
 
 @dataclass(frozen=True)
@@ -81,8 +83,10 @@ class ServiceConfig:
     lead_ticks: int = 1
     max_retries: int = 3
     verify: bool = True
-    #: Registered planner that computes every tenant schedule; any
-    #: timed-executor scheme works (``chronus`` default, ``aug``, ...).
+    #: Registered planner that computes every tenant schedule.  Its
+    #: ``executor`` flag must be ``"timed"`` (``chronus``, ``aug``, ``opt``):
+    #: the service ships every schedule as scheduled FlowMods, so a
+    #: round-executed or two-phase scheme is rejected at construction.
     scheme: str = "chronus"
 
 
@@ -105,6 +109,17 @@ class UpdateService:
         self.workload = workload
         self.config = config
         self._scheme_planner = get_planner(config.scheme)
+        if self._scheme_planner.executor != TIMED:
+            timed = [
+                name for name in available_schemes()
+                if get_planner(name).executor == TIMED
+            ]
+            raise ValueError(
+                f"the update service executes timed schedules only; scheme "
+                f"{config.scheme!r} is executed as "
+                f"{self._scheme_planner.executor!r} (timed schemes: "
+                f"{', '.join(timed)})"
+            )
         self._sim = Simulator()
         self._plane: DataPlane = build_dataplane(
             self._sim, workload.network, delay_scale=config.time_unit
@@ -359,7 +374,7 @@ class UpdateService:
                     self._plane,
                     instance,
                     result.schedule,
-                    strategy="timed",
+                    strategy=TIMED,
                     time_unit=tick,
                     start_at=start_at,
                     retry_timeout=4.0 * tick,

@@ -44,7 +44,8 @@ from repro.network.graph import Node
 from repro.trace import recorder
 from repro.updates.base import RuleAccounting, rule_accounting
 
-#: Execution strategies (shared with :mod:`repro.validate.differential`).
+#: Execution strategies: the values of ``Planner.executor``, dispatched on
+#: by :func:`repro.controller.resilient.execute_plan` and nowhere else.
 TIMED = "timed"
 ROUNDS = "rounds"
 TWO_PHASE = "two-phase"

@@ -3,11 +3,11 @@
 The analytic verifier and the fluid discrete-event data plane implement the
 same physics twice -- per-emission trajectories on one side, delayed rate
 propagation on the other.  :func:`differential_replay` executes an update
-plan through the *real* controller/executor stack
-(:func:`~repro.controller.executor.perform_timed_update`,
-:func:`~repro.controller.executor.perform_round_update`, or a two-phase
-tagged flip), reads the update times that actually took effect back out of
-the :class:`~repro.controller.executor.ExecutionTrace`, verifies that
+plan through :func:`~repro.controller.resilient.execute_plan` -- the same
+acknowledged executors the service, the faults ablation and Fig. 6 run --
+reads the update times that actually took effect back out of the
+:class:`~repro.controller.executor.ExecutionTrace`
+(:func:`~repro.controller.resilient.realized_schedule`), verifies that
 *realised* schedule independently, and then compares the fluid links'
 measured utilisation timelines and drop volumes against the verdict's
 predicted loads, step by step, within a float tolerance.
@@ -26,41 +26,19 @@ Measured load *below* the prediction is always a disagreement.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass, field, replace
+from typing import List, Optional, Tuple
 
-from repro.controller.channel import (
-    ConstantDelayModel,
-    ControlChannel,
-    StepDelayModel,
-)
-from repro.controller.controller import Controller
-from repro.controller.executor import (
-    ExecutionTrace,
-    perform_round_update,
-    perform_timed_update,
-)
-from repro.controller.messages import FlowModAdd, FlowModModify, next_xid
+from repro.controller.channel import ConstantDelayModel, StepDelayModel
+from repro.controller.resilient import execute_plan, realized_schedule
+from repro.controller.testbed import build_testbed
 from repro.core.instance import UpdateInstance
 from repro.core.schedule import UpdateSchedule
 from repro.core.verdict import Verdict
 from repro.network.graph import Node
-from repro.simulator.dataplane import build_dataplane, install_config
-from repro.simulator.engine import Simulator
-from repro.simulator.flowtable import FlowRule, Match
-from repro.simulator.switch import HOST_PORT
-from repro.validate.verifier import verify_schedule, verify_two_phase
-
-from repro.updates.registry import ROUNDS, TIMED, TWO_PHASE
+from repro.updates.registry import get_planner
 
 LinkKey = Tuple[Node, Node]
-
-_TP_TAG = 2
-
-
-#: Integer-grid installation latency (promoted to the channel module so the
-#: faults ablation shares it); the old private name is kept as an alias.
-_IntegerStepLatency = StepDelayModel
 
 
 @dataclass(frozen=True)
@@ -165,7 +143,6 @@ def differential_replay(
     instance: Optional[UpdateInstance] = None,
     time_unit: float = 1.0,
     seed: int = 0,
-    executor: Optional[str] = None,
     install_skew: int = 0,
     tolerance: float = 1e-6,
 ) -> DiffReport:
@@ -174,46 +151,42 @@ def differential_replay(
     Args:
         plan: An :class:`repro.updates.registry.UpdatePlan`; what is
             executed is ``plan.dispatched`` (the nominal rounds of a
-            round-executed scheme).
+            round-executed scheme), the way the plan's registered planner
+            says (``planner.executor``).
         instance: The update instance; defaults to ``plan.instance``.
         time_unit: True seconds per schedule step (also the plane's delay
             scale, so analytic steps and fluid seconds stay aligned).
-        seed: Seeds the install-latency stream for the rounds executor.
-        executor: ``"timed"``, ``"rounds"`` or ``"two-phase"``; default
-            chosen from the plan's registered planner.
+        seed: Seeds the install-latency stream.
         install_skew: Maximum per-switch installation latency in whole time
-            steps (rounds executor only; the timed executor pre-programs
-            switch-local execution times and two-phase flips one rule).
+            steps.  It shifts a round-executed plan's realised schedule;
+            timed FlowMods are pre-programmed and a two-phase flip waits for
+            its (traffic-invisible) installs, so neither moves while the
+            skew does not exceed the flip delay.
         tolerance: Absolute rate tolerance when comparing loads.
 
     Returns:
         A :class:`DiffReport`; ``report.ok`` means the simulator, executor
         and verifier tell the same story about this plan.
+
+    Raises:
+        UnknownSchemeError: ``plan.scheme`` names no registered planner.
+        ValueError: Neither the plan nor ``instance`` supplies the instance.
     """
-    if instance is None:
-        instance = plan.instance
+    if instance is not None:
+        plan = replace(plan, instance=instance)
+    instance = plan.instance
     if instance is None:
         raise ValueError("differential_replay needs the plan's update instance")
-    if executor is None:
-        planner = plan.planner
-        executor = planner.executor if planner is not None else TIMED
+    planner = get_planner(plan.scheme)
     schedule: UpdateSchedule = plan.dispatched
     t0 = schedule.t0
 
-    sim = Simulator()
-    plane = build_dataplane(sim, instance.network, delay_scale=time_unit)
-    install_config(plane, instance)
-    channel = ControlChannel(
-        sim,
+    sim, plane, controller = build_testbed(
+        instance,
+        delay_scale=time_unit,
         network_delay=ConstantDelayModel(0.0),
-        install_delay=_IntegerStepLatency(time_unit=time_unit, max_steps=install_skew),
+        install_delay=StepDelayModel(time_unit=time_unit, max_steps=install_skew),
         rng=random.Random(seed),
-    )
-    controller = Controller(sim, channel)
-    for switch in plane.switches.values():
-        controller.manage(switch)
-    plane.inject_flow(
-        instance.source, "h1", str(instance.destination), rate=instance.demand
     )
 
     warmup_steps = instance.old_path_delay + 2
@@ -224,37 +197,19 @@ def differential_replay(
 
     report = DiffReport(
         protocol=plan.scheme,
-        executor=executor,
+        executor=planner.executor,
         realized=schedule,
         verdict=Verdict(schedule_complete=True),
         drop_tolerance=tolerance * time_unit * max(1.0, instance.demand),
     )
 
-    trace_holder: List[ExecutionTrace] = []
-    flip_xid: Optional[int] = None
-    if executor == TIMED:
-        trace_holder.append(
-            perform_timed_update(
-                controller, plane, instance, schedule,
-                time_unit=time_unit, start_at=to_true(t0),
-            )
-        )
-    elif executor == ROUNDS:
-        sim.schedule_at(
-            start_true,
-            lambda: trace_holder.append(
-                perform_round_update(
-                    controller, plane, instance, schedule, time_unit=time_unit
-                )
-            ),
-        )
-    elif executor == TWO_PHASE:
-        flip_step = schedule.time_of(instance.source)
-        flip_xid = _prepare_two_phase(
-            controller, plane, instance, to_true(flip_step)
-        )
-    else:
-        raise ValueError(f"unknown executor {executor!r}")
+    # An acknowledgement takes at most the install skew (the control network
+    # is instantaneous), so this retry timer can never fire.
+    trace = execute_plan(
+        controller, plane, plan,
+        start_at=start_true, time_unit=time_unit,
+        retry_timeout=(install_skew + 1) * time_unit,
+    )
 
     # Stage 1: run until every rule flip has landed, then read the realised
     # schedule back out of the trace -- the boundary this module audits.
@@ -262,19 +217,20 @@ def differential_replay(
     flips_done = t0 + schedule.makespan + rounds * (install_skew + 1) + 2
     sim.run(until=to_true(flips_done))
 
-    if executor == TWO_PHASE:
-        realized, verdict = _realize_two_phase(
-            report, controller, instance, flip_xid, to_true, time_unit, t0, schedule
+    realized, off_grid = realized_schedule(
+        plan, trace, start_at=start_true, time_unit=time_unit
+    )
+    if realized is None or off_grid:
+        problem = (
+            "was never observed to apply" if realized is None
+            else "landed off the integer time grid"
         )
-    else:
-        realized = _realized_schedule(
-            report, trace_holder, schedule, to_true, time_unit, t0
-        )
-        verdict = verify_schedule(instance, realized)
+        applied = ", ".join(f"{n}@{when:g}s" for n, when in trace.applied.items())
+        report.timing_errors.append(f"a rule flip {problem}; applied: {applied}")
+        return report  # flips unaccounted for; load comparison would lie
+    verdict = planner.verify(instance, realized)
     report.realized = realized
     report.verdict = verdict
-    if report.timing_errors:
-        return report  # flips unaccounted for; load comparison would lie
 
     # Stage 2: run the plane through the verdict's full check window, then
     # compare the measured utilisation at every unit-window midpoint.
@@ -283,112 +239,6 @@ def differential_replay(
     report.predicted_drops = bool(verdict.blackholes)
     report.measured_drop_volume = plane.total_dropped_volume()
     return report
-
-
-# ----------------------------------------------------------------------
-# executor adapters
-# ----------------------------------------------------------------------
-def _prepare_two_phase(
-    controller: Controller,
-    plane,
-    instance: UpdateInstance,
-    flip_true: float,
-) -> int:
-    """Install the tagged new configuration and schedule the ingress flip."""
-    dst_prefix = str(instance.destination)
-    for node, nxt in instance.new_config.items():
-        rule = FlowRule(
-            name=f"{instance.flow.name}#v2",
-            match=Match(dst_prefix=dst_prefix, tag=_TP_TAG),
-            out_port=plane.port_of(node, nxt),
-            priority=1,
-        )
-        controller.send_flow_mod(node, FlowModAdd(xid=next_xid(), rule=rule))
-    controller.send_flow_mod(
-        instance.destination,
-        FlowModAdd(
-            xid=next_xid(),
-            rule=FlowRule(
-                name=f"{instance.flow.name}#v2",
-                match=Match(dst_prefix=dst_prefix, tag=_TP_TAG),
-                out_port=HOST_PORT,
-                priority=1,
-            ),
-        ),
-    )
-    source = instance.source
-    local = controller.managed(source).clock.local_time(flip_true)
-    flip = FlowModModify(
-        xid=next_xid(),
-        rule_name=instance.flow.name,
-        out_port=plane.port_of(source, instance.new_next_hop(source)),
-        set_tag=_TP_TAG,
-        execute_at=local,
-    )
-    controller.send_flow_mod(source, flip)
-    return flip.xid
-
-
-def _realized_schedule(
-    report: DiffReport,
-    trace_holder: List[ExecutionTrace],
-    schedule: UpdateSchedule,
-    to_true,
-    time_unit: float,
-    t0: int,
-) -> UpdateSchedule:
-    """Map actual apply times back onto integer schedule steps."""
-    if not trace_holder:
-        report.timing_errors.append("executor never started")
-        return schedule
-    trace = trace_holder[0]
-    times: Dict[Node, int] = {}
-    for node in schedule.times:
-        applied = trace.applied.get(node)
-        if applied is None:
-            report.timing_errors.append(f"switch {node!r} never applied its update")
-            continue
-        step = _to_step(report, node, applied, to_true, time_unit, t0)
-        if step is not None:
-            times[node] = step
-    if report.timing_errors:
-        return schedule
-    return UpdateSchedule(times=times, start_time=min([t0, *times.values()]))
-
-
-def _realize_two_phase(
-    report: DiffReport,
-    controller: Controller,
-    instance: UpdateInstance,
-    flip_xid: Optional[int],
-    to_true,
-    time_unit: float,
-    t0: int,
-    schedule: UpdateSchedule,
-):
-    applied = controller.apply_time(instance.source, flip_xid)
-    if applied is None:
-        report.timing_errors.append("ingress flip never applied")
-        return schedule, Verdict(schedule_complete=True)
-    flip_step = _to_step(report, instance.source, applied, to_true, time_unit, t0)
-    if flip_step is None:
-        return schedule, Verdict(schedule_complete=True)
-    realized = UpdateSchedule({instance.source: flip_step}, start_time=min(t0, flip_step))
-    return realized, verify_two_phase(instance, flip_step, t0=t0)
-
-
-def _to_step(
-    report: DiffReport, node: Node, applied: float, to_true, time_unit: float, t0: int
-) -> Optional[int]:
-    exact = (applied - to_true(t0)) / time_unit
-    step = round(exact)
-    if abs(exact - step) > 1e-6:
-        report.timing_errors.append(
-            f"switch {node!r} applied at {applied:g}s -- off the integer "
-            f"time grid (step {exact:g})"
-        )
-        return None
-    return t0 + step
 
 
 # ----------------------------------------------------------------------

@@ -27,7 +27,7 @@ from typing import Callable, List, Optional, Sequence
 
 from repro.analysis.metrics import evaluate_schedule
 from repro.core.instance import UpdateInstance
-from repro.updates.registry import ROUNDS, available_schemes, planners_for
+from repro.updates.registry import available_schemes, planners_for
 from repro.validate.differential import differential_replay
 from repro.validate.verifier import verify_plan
 
@@ -215,8 +215,9 @@ def run_gate(
         replay: Also run the fluid differential replay (the expensive
             half); planner <-> verifier checks always run.
         node_budget: Deterministic search budget for OPT and OR.
-        install_skew: Extra integer-step installation latency range for
-            round-based replays (exercises realised asynchrony).
+        install_skew: Integer-step installation latency range of the
+            replays (realised asynchrony for round-executed plans; timed
+            and two-phase flips are scheduled and do not move).
         progress: Optional ``callback(done, total)`` after each instance.
     """
     from repro.experiments.sweep import mixed_instance, sweep_seed
@@ -240,7 +241,7 @@ def run_gate(
                     seed=seed,
                     switch_count=switch_count,
                     replay=replay,
-                    install_skew=install_skew if planner.executor == ROUNDS else 0,
+                    install_skew=install_skew,
                 )
             )
         if progress is not None:

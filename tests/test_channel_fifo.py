@@ -3,11 +3,13 @@
 Each controller<->switch connection is a TCP stream, so messages to one
 switch must be delivered in send order.  The channel used to sample every
 latency independently, letting a barrier request overtake its round's
-FlowMod under a wide-variance delay model -- ``perform_round_update`` then
-advanced to the next round (or declared the update finished) while the
-overtaken FlowMod was still in flight.  The pinned seeds below reproduce
-both observable symptoms against a keyless channel and must stay clean
-under the real FIFO-keyed one.
+FlowMod under a wide-variance delay model -- the unacknowledged round
+executor of the time then advanced to the next round (or declared the
+update finished) while the overtaken FlowMod was still in flight.  The
+acknowledged executor checks the apply behind every barrier reply, so
+against a keyless channel the same pinned seeds now surface as a *resend*
+(a reply with its FlowMod still in flight reads as a failed install) and
+must stay retry-free under the real FIFO-keyed one.
 """
 
 import random
@@ -19,7 +21,7 @@ from repro.controller import (
     ControlChannel,
     Controller,
     UniformDelayModel,
-    perform_round_update,
+    perform_resilient_update,
 )
 from repro.controller.channel import DelayModel
 from repro.core.greedy import greedy_schedule
@@ -33,10 +35,15 @@ WIDE_DELAY = (0.001, 2.0)
 TIME_UNIT = 0.5
 
 #: Seeds found by scanning 0..59 against the pre-fix (keyless) channel:
-#: the first two finish a round while its FlowMod is still in flight, the
-#: last two apply a later round's update before an earlier round's.
+#: under the unacknowledged executor the first two finished a round while
+#: its FlowMod was still in flight, the last two applied a later round's
+#: update before an earlier round's.
 MISSING_AT_FINISH_SEEDS = (1, 50)
 INVERTED_ROUND_SEEDS = (22, 26)
+
+#: FlowMod, barrier and reply each take at most 2 s (plus the 10 ms
+#: install), so an acknowledgement is never this late: no timer fires.
+RETRY_TIMEOUT = 10.0
 
 
 class KeylessChannel(ControlChannel):
@@ -59,8 +66,8 @@ class ScriptedDelay(DelayModel):
 def run_rounds(seed, channel_cls):
     """One round-by-round update under wide latency variance.
 
-    Returns ``(schedule, snapshot)`` where ``snapshot`` is the applied map
-    at the instant the executor declared the update finished.
+    Returns ``(schedule, snapshot, trace)`` where ``snapshot`` is the
+    applied map at the instant the executor declared the update finished.
     """
     instance = motivating_example()
     sim = Simulator()
@@ -78,13 +85,15 @@ def run_rounds(seed, channel_cls):
 
     schedule = greedy_schedule(instance).schedule
     snapshots = []
-    perform_round_update(
-        controller, plane, instance, schedule, time_unit=TIME_UNIT,
+    trace = perform_resilient_update(
+        controller, plane, instance, schedule,
+        strategy="rounds", time_unit=TIME_UNIT, retry_timeout=RETRY_TIMEOUT,
         on_finish=lambda trace: snapshots.append(dict(trace.applied)),
     )
     sim.run(until=200.0)
     assert snapshots, "round executor never finished"
-    return schedule, snapshots[0]
+    assert not trace.aborted
+    return schedule, snapshots[0], trace
 
 
 def round_violations(schedule, snapshot):
@@ -222,15 +231,15 @@ class TestRoundUpdateRegression:
 
     @pytest.mark.parametrize("seed", MISSING_AT_FINISH_SEEDS + INVERTED_ROUND_SEEDS)
     def test_fifo_channel_keeps_rounds_consistent(self, seed):
-        schedule, snapshot = run_rounds(seed, ControlChannel)
+        schedule, snapshot, trace = run_rounds(seed, ControlChannel)
         assert round_violations(schedule, snapshot) == []
+        assert trace.total_retries == 0
 
-    @pytest.mark.parametrize("seed", MISSING_AT_FINISH_SEEDS)
-    def test_keyless_channel_finishes_with_flowmod_in_flight(self, seed):
-        schedule, snapshot = run_rounds(seed, KeylessChannel)
-        assert any("missing" in p for p in round_violations(schedule, snapshot))
-
-    @pytest.mark.parametrize("seed", INVERTED_ROUND_SEEDS)
-    def test_keyless_channel_inverts_round_order(self, seed):
-        schedule, snapshot = run_rounds(seed, KeylessChannel)
-        assert "rounds inverted" in round_violations(schedule, snapshot)
+    @pytest.mark.parametrize("seed", MISSING_AT_FINISH_SEEDS + INVERTED_ROUND_SEEDS)
+    def test_keyless_barrier_overtake_is_caught(self, seed):
+        """The reply arrives with the FlowMod still in flight.  No timer
+        can fire (``RETRY_TIMEOUT``), so the resend proves the overtake --
+        and it is what keeps the rounds consistent regardless."""
+        schedule, snapshot, trace = run_rounds(seed, KeylessChannel)
+        assert trace.total_retries >= 1
+        assert round_violations(schedule, snapshot) == []

@@ -10,8 +10,7 @@ from repro.controller import (
     Controller,
     DionysusDelayModel,
     UniformDelayModel,
-    perform_round_update,
-    perform_timed_update,
+    perform_resilient_update,
     synchronized_clocks,
 )
 from repro.controller.clock import SwitchClock
@@ -158,8 +157,9 @@ class TestExecutors:
     def test_timed_update_executes_at_schedule(self):
         instance, sim, plane, controller = build_world()
         schedule = greedy_schedule(instance).schedule
-        trace = perform_timed_update(
-            controller, plane, instance, schedule, time_unit=1.0, start_at=2.0
+        trace = perform_resilient_update(
+            controller, plane, instance, schedule,
+            strategy="timed", time_unit=1.0, start_at=2.0,
         )
         sim.run(until=20.0)
         assert set(trace.applied) == set(instance.switches_to_update)
@@ -175,9 +175,9 @@ class TestExecutors:
         )
         schedule = greedy_schedule(instance).schedule
         finished = []
-        perform_round_update(
-            controller, plane, instance, schedule, time_unit=0.5,
-            on_finish=finished.append,
+        perform_resilient_update(
+            controller, plane, instance, schedule, strategy="rounds",
+            time_unit=0.5, on_finish=finished.append,
         )
         sim.run(until=60.0)
         assert finished

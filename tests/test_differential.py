@@ -16,13 +16,13 @@ from repro.controller import (
     ConstantDelayModel,
     ControlChannel,
     Controller,
-    perform_timed_update,
+    perform_resilient_update,
 )
 from repro.core.greedy import greedy_schedule
 from repro.core.instance import motivating_example
 from repro.simulator import Simulator, build_dataplane
 from repro.simulator.dataplane import install_config
-from repro.updates import get_planner
+from repro.updates import UnknownSchemeError, get_planner
 from repro.validate import differential_replay
 
 
@@ -46,6 +46,15 @@ class TestDifferentialReplay:
         plan = replace(get_planner("chronus").plan(fig1_instance), instance=None)
         with pytest.raises(ValueError):
             differential_replay(plan)
+
+    def test_unregistered_scheme_rejected(self, fig1_instance):
+        """The plan's planner decides how it is executed; there is neither
+        an ``executor=`` override nor a silent timed fallback."""
+        plan = replace(get_planner("chronus").plan(fig1_instance), scheme="nope")
+        with pytest.raises(UnknownSchemeError):
+            differential_replay(plan)
+        with pytest.raises(TypeError):
+            differential_replay(plan, executor="timed")
 
     def test_opt_agrees(self, fig1_instance):
         plan = get_planner("opt").plan(fig1_instance, node_budget=20_000)
@@ -98,8 +107,8 @@ class TestDifferentialReplay:
 
 
 class TestTimedHarvestRegression:
-    """The timed executor must not drop applies that land after the first
-    harvest (control delay beyond the lead time used to lose them)."""
+    """The timed strategy must not drop applies that land after their
+    planned time (control delay beyond the lead time used to lose them)."""
 
     def build(self, network_delay: float):
         instance = motivating_example()
@@ -123,10 +132,14 @@ class TestTimedHarvestRegression:
         # time, so every rule flips after the planned harvest point.
         instance, sim, plane, controller = self.build(network_delay=10.0)
         schedule = greedy_schedule(instance).schedule
-        trace = perform_timed_update(
-            controller, plane, instance, schedule, time_unit=1.0, lead_time=0.5
+        # An acknowledgement takes two 10 s crossings; the retry timer
+        # waits longer, so nothing is resent.
+        trace = perform_resilient_update(
+            controller, plane, instance, schedule,
+            strategy="timed", time_unit=1.0, lead_time=0.5, retry_timeout=30.0,
         )
         sim.run(until=60.0)
+        assert trace.total_retries == 0
         assert set(trace.applied) == set(schedule.times)
         assert trace.finished_at == pytest.approx(max(trace.applied.values()))
         # Every apply really was late: delivery happened after the plan.
@@ -137,8 +150,9 @@ class TestTimedHarvestRegression:
     def test_fast_channel_unaffected(self):
         instance, sim, plane, controller = self.build(network_delay=0.001)
         schedule = greedy_schedule(instance).schedule
-        trace = perform_timed_update(
-            controller, plane, instance, schedule, time_unit=1.0, lead_time=0.5
+        trace = perform_resilient_update(
+            controller, plane, instance, schedule,
+            strategy="timed", time_unit=1.0, lead_time=0.5,
         )
         sim.run(until=60.0)
         assert set(trace.applied) == set(schedule.times)

@@ -1,4 +1,4 @@
-"""Edge-case tests for the timed executors and FlowMod plumbing."""
+"""Edge-case tests for the timed strategy and FlowMod plumbing."""
 
 import random
 
@@ -8,7 +8,7 @@ from repro.controller import (
     ConstantDelayModel,
     ControlChannel,
     Controller,
-    perform_timed_update,
+    perform_resilient_update,
 )
 from repro.controller.clock import SwitchClock
 from repro.controller.executor import _update_message
@@ -65,8 +65,9 @@ class TestTimedExecutorDefaults:
         instance, sim, plane, controller = build_world()
         sim.run(until=2.0)
         schedule = greedy_schedule(instance).schedule
-        trace = perform_timed_update(
-            controller, plane, instance, schedule, time_unit=1.0, lead_time=0.5
+        trace = perform_resilient_update(
+            controller, plane, instance, schedule,
+            strategy="timed", time_unit=1.0, lead_time=0.5,
         )
         assert min(trace.planned.values()) == pytest.approx(2.5)
         sim.run(until=30.0)
@@ -76,8 +77,9 @@ class TestTimedExecutorDefaults:
     def test_planned_times_follow_schedule_steps(self):
         instance, sim, plane, controller = build_world()
         schedule = greedy_schedule(instance).schedule
-        trace = perform_timed_update(
-            controller, plane, instance, schedule, time_unit=2.0, start_at=10.0
+        trace = perform_resilient_update(
+            controller, plane, instance, schedule,
+            strategy="timed", time_unit=2.0, start_at=10.0,
         )
         for node, step in schedule.items():
             assert trace.planned[node] == pytest.approx(10.0 + 2.0 * step)

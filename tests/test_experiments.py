@@ -15,6 +15,7 @@ from repro.experiments.sweep import (
     mixed_instance,
     run_instance,
 )
+from repro.pipeline.context import WorkerContext
 
 
 class TestTable2:
@@ -38,6 +39,30 @@ class TestFig6:
         result = fig6.run_fig6(duration=12.0)
         assert set(result.series) == {"chronus", "tp", "or"}
         assert all(points for points in result.series.values())
+
+    @pytest.mark.parametrize("scheme", fig6.SCHEMES)
+    def test_fault_severity_resolves_every_update(self, scheme):
+        """Over a lossy channel the run retries, and whatever is still
+        unacknowledged at the horizon is aborted -- no barrier waiter leaks
+        (the plain executors this scenario used to call leaked them)."""
+        params = fig6.SCENARIO.defaults
+        _, testbed, trace = fig6._run_scheme(
+            scheme, fig6._instance(params), params["seed"], params["duration"],
+            params["update_at"], params["delay_scale"], fault_severity=1.0,
+        )
+        assert trace.finished_at is not None
+        assert trace.completed != trace.aborted
+        assert testbed.controller.pending_barriers() == 0
+
+    def test_record_reports_the_outcome_only_under_faults(self):
+        item = {"key": "or", "scheme": "or"}
+        params = fig6.SCENARIO.defaults
+        plain = fig6.SCENARIO.evaluate(item, params, WorkerContext())
+        faulted = fig6.SCENARIO.evaluate(item, params, WorkerContext(fault_severity=1.0))
+        assert set(plain) == {"key", "scheme", "series", "peak", "capacity"}
+        assert set(faulted) - set(plain) == {"completed", "aborted", "retries"}
+        assert faulted["completed"] != faulted["aborted"]
+        assert faulted["retries"] > 0
 
 
 class TestSweep:

@@ -8,7 +8,7 @@ from repro.controller import (
     ConstantDelayModel,
     ControlChannel,
     Controller,
-    perform_timed_update,
+    perform_resilient_update,
 )
 from repro.controller.messages import FlowModModify, next_xid
 from repro.core.greedy import greedy_schedule
@@ -194,10 +194,13 @@ class TestLateFlowMods:
         for switch in plane.switches.values():
             controller.manage(switch)
         schedule = greedy_schedule(instance).schedule
-        trace = perform_timed_update(
-            controller, plane, instance, schedule, time_unit=1.0
+        # Above the 20 s acknowledgement round trip: no spurious resend.
+        trace = perform_resilient_update(
+            controller, plane, instance, schedule,
+            strategy="timed", time_unit=1.0, retry_timeout=30.0,
         )
         sim.run(until=60.0)
+        assert trace.total_retries == 0
         assert set(trace.applied) == set(schedule.times)
         assert set(trace.late) == set(schedule.times)
         assert all(lateness > 0 for lateness in trace.late.values())

@@ -13,7 +13,7 @@ from repro.controller import (
     ConstantDelayModel,
     ControlChannel,
     Controller,
-    perform_timed_update,
+    perform_resilient_update,
     synchronized_clocks,
 )
 from repro.core.greedy import greedy_schedule
@@ -116,8 +116,9 @@ class TestDataPlaneExecution:
         sim.run(until=3.0)
 
         schedule = greedy_schedule(instance).schedule
-        trace = perform_timed_update(
-            controller, plane, instance, schedule, time_unit=1.0, start_at=4.0
+        trace = perform_resilient_update(
+            controller, plane, instance, schedule,
+            strategy="timed", time_unit=1.0, start_at=4.0,
         )
         sim.run(until=25.0)
 

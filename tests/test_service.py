@@ -26,6 +26,7 @@ from repro.service import (
 )
 from repro.service.requests import TERMINAL
 from repro.service.workload import _links_of
+from repro.updates.registry import ROUNDS, TIMED, get_planner
 
 SMALL = ServiceConfig(pods=4, pod_size=6, requests=24, mean_interarrival=1.5, seed=11)
 
@@ -315,3 +316,35 @@ class TestScenarioRegistration:
         )).to_record()
         direct["key"] = item["key"]
         assert canonical_json(record) == canonical_json(direct)
+
+
+# --- scheme acceptance (the service executes timed schedules only) -----
+
+class TestSchemeAcceptance:
+    """``_process_batch`` ships every schedule as scheduled FlowMods, so a
+    scheme the timed strategy cannot execute used to run to completion with
+    a silently wrong record (TP's nominal schedule pushed through the
+    single-version executor and judged by ``verify_two_phase``; OR's
+    realised schedule timed instead of run in rounds)."""
+
+    TINY = dict(pods=3, pod_size=5, requests=6, seed=3)
+
+    @pytest.mark.parametrize("scheme", ["chronus", "aug", "opt"])
+    def test_timed_schemes_run(self, scheme):
+        assert get_planner(scheme).executor == TIMED
+        report = run_cell(ServiceConfig(scheme=scheme, **self.TINY))
+        assert report.summary["completed"] > 0
+        assert report.summary["conformant_all"]
+
+    @pytest.mark.parametrize("scheme", ["or", "tp"])
+    def test_other_executors_are_rejected(self, scheme):
+        assert get_planner(scheme).executor != TIMED
+        with pytest.raises(ValueError, match="aug, chronus, opt"):
+            run_cell(ServiceConfig(scheme=scheme, **self.TINY))
+
+    def test_the_executor_flag_alone_decides(self, monkeypatch):
+        monkeypatch.setattr(get_planner("chronus"), "executor", ROUNDS)
+        with pytest.raises(ValueError, match="'rounds'"):
+            run_cell(ServiceConfig(scheme="chronus", **self.TINY))
+        monkeypatch.setattr(get_planner("or"), "executor", TIMED)
+        assert run_cell(ServiceConfig(scheme="or", **self.TINY)).summary["requests"] == 6

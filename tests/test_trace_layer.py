@@ -22,6 +22,8 @@ import pytest
 
 import repro.pipeline.store as store_mod
 import repro.runtime.parallel as parallel_mod
+from repro.experiments import fig6
+from repro.experiments.sweep import mixed_instance
 from repro.perf import perf
 from repro.pipeline.context import RunContext
 from repro.pipeline.runner import run_in_memory, run_to_store
@@ -442,3 +444,64 @@ def test_timing_and_makespan_scenarios_emit_plan_spans(tmp_path, scenario, overr
     for record in plans:
         assert record.parent_id in items
         assert {"feasible", "makespan"} <= set(record.attributes)
+
+
+# --- per-switch evidence from the one executor --------------------------
+
+def _applies_by_item(stored):
+    """``apply`` events of a traced run, grouped under their item span."""
+    trace = read_trace(stored.handle.directory / "trace.jsonl")
+    grouped = {}
+    for record in trace:
+        if record.kind == "event" and record.name == "apply":
+            assert {"switch", "planned", "applied"} <= set(record.attributes)
+            grouped.setdefault(record.parent_id, []).append(record.attributes["switch"])
+    return grouped
+
+
+@pytest.mark.parametrize(
+    "scenario, overrides",
+    [
+        ("faults", {"severities": [0.0], "instances_per_point": 1}),
+        ("fig6", {"duration": 20.0}),
+    ],
+)
+def test_executed_items_carry_one_apply_per_applied_switch(tmp_path, scenario, overrides):
+    """Every executed plan leaves per-switch evidence, whichever strategy
+    ran it -- the faults ablation used to emit none (only the deleted plain
+    executors said ``apply``)."""
+    stored = run_to_store(
+        scenario,
+        overrides=overrides,
+        ctx=RunContext(trace="jsonl"),
+        store=ArtifactStore(root=tmp_path),
+        run_id="r1",
+    )
+    applies = _applies_by_item(stored)
+    assert {r["scheme"] for r in stored.records} == {"chronus", "or", "tp"}
+    for record in stored.records:
+        if scenario == "faults":
+            instance = mixed_instance(8, record["seed"])
+        else:
+            instance = fig6._instance(fig6.SCENARIO.defaults)
+        expected = [str(node) for node in instance.switches_to_update]
+        if record["scheme"] == "tp":
+            # Shadow installs on the new path and the destination, then the flip.
+            expected = [str(node) for node in instance.new_config]
+            expected += [str(instance.destination), str(instance.source)]
+        assert sorted(applies[record["trace"]["span_id"]]) == sorted(expected)
+
+
+def test_traced_service_cell_carries_one_apply_per_applied_switch(tmp_path):
+    stored = run_to_store(
+        "service",
+        overrides={"cells": 1, "pods": 4, "pod_size": 6, "requests": 12},
+        ctx=RunContext(trace="jsonl"),
+        store=ArtifactStore(root=tmp_path),
+        run_id="r1",
+    )
+    (record,) = stored.records
+    completed = [r for r in record["requests"] if r["status"] == "completed"]
+    assert completed and record["summary"]["aborted"] == 0
+    (applies,) = _applies_by_item(stored).values()
+    assert len(applies) == sum(r["switches"] for r in completed)
