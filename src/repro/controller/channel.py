@@ -112,6 +112,7 @@ class ControlChannel:
         self.install_delay = install_delay or DionysusDelayModel()
         self._rng = rng if rng is not None else random.Random()
         self._last_delivery: Dict[Hashable, float] = {}
+        self._pruned_at: Optional[float] = None  # instant of the last prune
 
     def send(self, deliver: Callable[[], None], key: Optional[Hashable] = None) -> float:
         """Deliver a message after network latency; returns the delay until delivery.
@@ -141,9 +142,13 @@ class ControlChannel:
         entries is behaviour-preserving.  Without this, a long-running
         service leaks one entry per stream ever used -- and a stream key
         reused after a quiet spell would be ordered behind traffic that
-        drained ages ago.
+        drained ages ago.  Since a kept stale floor only costs memory, one
+        scan per simulated instant is enough.
         """
         now = self._sim.now
+        if now == self._pruned_at:
+            return
+        self._pruned_at = now
         stale = [key for key, floor in self._last_delivery.items() if floor <= now]
         for key in stale:
             del self._last_delivery[key]
@@ -156,6 +161,7 @@ class ControlChannel:
         cleared, as if every stream were a fresh connection.
         """
         self._last_delivery.clear()
+        self._pruned_at = None
 
     def draw_install_latency(self) -> float:
         """One switch-side rule-installation latency."""

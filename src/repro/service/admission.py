@@ -87,7 +87,11 @@ class AdmissionController(Generic[T]):
         if not self._queue:
             return []
 
-        # Union-find over queue positions: connect overlapping footprints.
+        # Union-find over queue positions.  Chaining every request to the
+        # earliest holder of each of its links joins exactly the requests
+        # whose footprints overlap, in one pass over the footprints instead
+        # of one intersection per pair; the earlier position stays root, so
+        # a root is its component's first arrival.
         parent = list(range(len(self._queue)))
 
         def find(i: int) -> int:
@@ -96,12 +100,16 @@ class AdmissionController(Generic[T]):
                 i = parent[i]
             return i
 
-        for i in range(len(self._queue)):
-            for j in range(i + 1, len(self._queue)):
-                if self._queue[i][1] & self._queue[j][1]:
-                    ri, rj = find(i), find(j)
-                    if ri != rj:
-                        parent[rj] = ri
+        holder: Dict[Tuple[str, str], int] = {}
+        for i, (_, footprint) in enumerate(self._queue):
+            root = i
+            for first in {holder.setdefault(link, i) for link in footprint}:
+                other = find(first)
+                if other < root:
+                    parent[root] = other
+                    root = other
+                elif other > root:
+                    parent[other] = root
 
         groups: Dict[int, List[int]] = {}
         for i in range(len(self._queue)):
@@ -109,10 +117,10 @@ class AdmissionController(Generic[T]):
 
         dispatched: List[Batch[T]] = []
         taken: set = set()
-        # Components in arrival order of their earliest member; components
-        # are pairwise disjoint, so dispatching one cannot block another.
-        for root in sorted(groups, key=lambda r: min(groups[r])):
-            members = groups[root]
+        # ``groups`` fills in arrival order of each component's earliest
+        # member; components are pairwise disjoint, so dispatching one
+        # cannot block another.
+        for members in groups.values():
             merged: Footprint = frozenset().union(
                 *(self._queue[i][1] for i in members)
             )

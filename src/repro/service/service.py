@@ -102,6 +102,37 @@ class CellReport:
         return {"seed": self.seed, "requests": self.requests, "summary": self.summary}
 
 
+#: Per pod, the other pods that share a link with its footprint and, for
+#: each of their paths ("a" / "b"), the shared links that path crosses.
+Sharers = Dict[str, List[Tuple[PodSpec, Dict[str, List[LinkKey]]]]]
+
+
+def _footprint_sharers(pods: List[PodSpec]) -> Sharers:
+    """Who can ever load each pod's footprint, in workload order."""
+    users: Dict[LinkKey, List[int]] = {}
+    for index, pod in enumerate(pods):
+        for link in pod.footprint:
+            users.setdefault(link, []).append(index)
+    sharers: Sharers = {}
+    for index, pod in enumerate(pods):
+        others = {i for link in pod.footprint for i in users[link]} - {index}
+        sharers[pod.name] = [
+            (
+                pods[i],
+                {
+                    target: [
+                        link
+                        for link in _links_of(pods[i].path(target))
+                        if link in pod.footprint
+                    ]
+                    for target in ("a", "b")
+                },
+            )
+            for i in sorted(others)
+        ]
+    return sharers
+
+
 class UpdateService:
     """The controller service over one workload; see module docstring."""
 
@@ -147,6 +178,8 @@ class UpdateService:
             self._plane.inject_flow(
                 pod.source, "h1", pod.destination, rate=pod.demand
             )
+
+        self._sharers = _footprint_sharers(workload.pods)
 
         self._admission: AdmissionController[RequestState] = AdmissionController(
             max_queue=config.max_queue
@@ -195,16 +228,14 @@ class UpdateService:
         every other tenant sits stably on its current path -- a constant
         background load, exactly the shape the tracker consumes.
         Restricted to the pod's own footprint so the incremental engine
-        never sweeps unrelated links.
+        never sweeps unrelated links; only the pods indexed as sharing a
+        link with it are visited, in workload order (the order the loads
+        have always been summed in).
         """
         loads: Dict[LinkKey, float] = {}
-        for other in self.workload.pods:
-            if other.name == pod.name:
-                continue
-            path = other.path(self._current[other.name])
-            for link in _links_of(path):
-                if link in pod.footprint:
-                    loads[link] = loads.get(link, 0.0) + other.demand
+        for other, shared in self._sharers[pod.name]:
+            for link in shared[self._current[other.name]]:
+                loads[link] = loads.get(link, 0.0) + other.demand
         if not loads:
             return None
         return {link: ((None, None, load),) for link, load in sorted(loads.items())}

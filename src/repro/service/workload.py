@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, FrozenSet, List, Sequence, Tuple
 
 from repro.network.graph import Network
@@ -57,8 +58,9 @@ class ServiceWorkload:
     pods: List[PodSpec]
     requests: List[UpdateRequest]
 
-    @property
+    @cached_property
     def pod_by_name(self) -> Dict[str, PodSpec]:
+        """Pods by tenant name (``pods`` is fixed once the workload is built)."""
         return {pod.name: pod for pod in self.pods}
 
 

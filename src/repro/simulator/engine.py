@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from heapq import heappop
 from typing import Optional
 
 from repro.simulator.events import Callback, EventQueue
@@ -53,25 +54,28 @@ class Simulator:
         Args:
             until: Stop once the next event lies beyond this time (the clock
                 is advanced to ``until``).
-            max_events: Safety valve against runaway event storms.
+            max_events: Safety valve against runaway event storms: raises
+                ``RuntimeError`` when a further event is due after this many.
 
         Returns:
             Number of events processed.
         """
+        heap = self._queue.heap
+        horizon = float("inf") if until is None else until
         processed = 0
-        while processed < max_events:
-            next_time = self._queue.peek_time()
-            if next_time is None:
+        while heap:
+            time, _, event = heap[0]
+            if event.cancelled:
+                heappop(heap)
+                continue
+            if time > horizon:
                 break
-            if until is not None and next_time > until:
-                break
-            event = self._queue.pop()
-            assert event is not None
-            self._now = event.time
+            if processed >= max_events:
+                raise RuntimeError(f"simulation exceeded {max_events} events")
+            heappop(heap)
+            self._now = time
             event.callback()
             processed += 1
-        else:
-            raise RuntimeError(f"simulation exceeded {max_events} events")
         if until is not None and until > self._now:
             self._now = until
         return processed

@@ -4,18 +4,19 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Tuple
 
 Callback = Callable[[], None]
 
 
-@dataclass(order=True)
 class _Event:
-    time: float
-    sequence: int
-    callback: Callback = field(compare=False)
-    cancelled: bool = field(default=False, compare=False)
+    """Cancellable handle of one scheduled callback."""
+
+    __slots__ = ("callback", "cancelled")
+
+    def __init__(self, callback: Callback) -> None:
+        self.callback = callback
+        self.cancelled = False
 
 
 class EventQueue:
@@ -23,16 +24,23 @@ class EventQueue:
 
     Events at equal times fire in scheduling order (FIFO), which keeps the
     simulation deterministic.
+
+    Attributes:
+        heap: ``(time, sequence, event)`` entries in :mod:`heapq` order.  The
+            unique sequence number decides equal times, so tuples compare in
+            C and never reach the event.  Cancelled events stay on the heap
+            until they surface; :meth:`Simulator.run
+            <repro.simulator.engine.Simulator.run>` walks the list directly.
     """
 
     def __init__(self) -> None:
-        self._heap: List[_Event] = []
+        self.heap: List[Tuple[float, int, _Event]] = []
         self._counter = itertools.count()
 
     def push(self, time: float, callback: Callback) -> _Event:
         """Schedule ``callback`` at ``time``; returns a cancellable handle."""
-        event = _Event(time=time, sequence=next(self._counter), callback=callback)
-        heapq.heappush(self._heap, event)
+        event = _Event(callback)
+        heapq.heappush(self.heap, (time, next(self._counter), event))
         return event
 
     def cancel(self, event: _Event) -> None:
@@ -41,20 +49,22 @@ class EventQueue:
 
     def pop(self) -> Optional[_Event]:
         """Remove and return the earliest live event, or ``None``."""
-        while self._heap:
-            event = heapq.heappop(self._heap)
+        heap = self.heap
+        while heap:
+            event = heapq.heappop(heap)[2]
             if not event.cancelled:
                 return event
         return None
 
     def peek_time(self) -> Optional[float]:
         """Time of the earliest live event, or ``None``."""
-        while self._heap and self._heap[0].cancelled:
-            heapq.heappop(self._heap)
-        return self._heap[0].time if self._heap else None
+        heap = self.heap
+        while heap and heap[0][2].cancelled:
+            heapq.heappop(heap)
+        return heap[0][0] if heap else None
 
     def __len__(self) -> int:
-        return sum(1 for event in self._heap if not event.cancelled)
+        return sum(1 for entry in self.heap if not entry[2].cancelled)
 
     def __bool__(self) -> bool:
         return self.peek_time() is not None

@@ -55,10 +55,14 @@ class PacketContext:
     tag: Optional[int] = None
 
     def with_tag(self, tag: Optional[int]) -> "PacketContext":
-        return replace(self, tag=tag)
+        if tag == self.tag:
+            return self
+        return PacketContext(self.in_port, self.src_prefix, self.dst_prefix, tag)
 
     def with_in_port(self, in_port: int) -> "PacketContext":
-        return replace(self, in_port=in_port)
+        if in_port == self.in_port:
+            return self
+        return PacketContext(in_port, self.src_prefix, self.dst_prefix, self.tag)
 
 
 @dataclass(frozen=True)
@@ -82,11 +86,17 @@ class FlowRule:
 
 
 class FlowTable:
-    """A switch's rule set with OpenFlow lookup semantics."""
+    """A switch's rule set with OpenFlow lookup semantics.
+
+    Attributes:
+        version: Bumped by every mutation, so a reader can tell whether a
+            lookup result it kept is still current.
+    """
 
     def __init__(self) -> None:
         self._rules: Dict[str, FlowRule] = {}
         self._order: List[str] = []
+        self.version = 0
 
     # ------------------------------------------------------------------
     # mutation (the three FlowMod flavours)
@@ -97,6 +107,7 @@ class FlowTable:
             raise ValueError(f"duplicate rule {rule.name!r}")
         self._rules[rule.name] = rule
         self._order.append(rule.name)
+        self.version += 1
 
     def modify(self, name: str, out_port: Optional[int] = None, set_tag: Optional[int] = None) -> FlowRule:
         """Rewrite a rule's action in place (Chronus' only operation)."""
@@ -105,6 +116,7 @@ class FlowTable:
         old = self._rules[name]
         new = replace(old, out_port=out_port if out_port is not None else old.out_port, set_tag=set_tag)
         self._rules[name] = new
+        self.version += 1
         return new
 
     def delete(self, name: str) -> None:
@@ -113,6 +125,7 @@ class FlowTable:
             raise KeyError(f"no rule {name!r}")
         del self._rules[name]
         self._order.remove(name)
+        self.version += 1
 
     # ------------------------------------------------------------------
     # lookup

@@ -10,6 +10,8 @@ exposes and Fig. 6 derives bandwidth from -- are integrals.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
+from operator import itemgetter
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.simulator.engine import Simulator
@@ -18,6 +20,8 @@ from repro.simulator.flowtable import PacketContext
 StreamKey = Tuple[str, str, Optional[int]]  # (src_prefix, dst_prefix, tag)
 
 _EPS = 1e-12
+
+_rate_of = itemgetter(1)  # of a ``(context, rate)`` entry
 
 
 def stream_key(context: PacketContext) -> StreamKey:
@@ -64,27 +68,33 @@ class DataLink:
     def set_stream_rate(self, context: PacketContext, rate: float) -> None:
         """Set a stream's rate at the tail; propagates after the delay."""
         key = stream_key(context)
-        current = self._rates.get(key, (None, 0.0))[1]
+        entry = self._rates.get(key)
+        current = 0.0 if entry is None else entry[1]
         if abs(current - rate) < _EPS:
             return
-        arriving = context.with_in_port(self._dst_in_port)
+        # The arriving context depends only on the key and this link, so a
+        # stream already carried keeps the one it has.
+        arriving = (
+            context.with_in_port(self._dst_in_port) if entry is None else entry[0]
+        )
         if rate < _EPS:
             self._rates.pop(key, None)
         else:
             self._rates[key] = (arriving, rate)
         self._record_breakpoint()
-        self._sim.schedule_after(self.delay, lambda: self._deliver(arriving, rate))
+        self._sim.schedule_after(self.delay, partial(self._deliver, arriving, rate))
+
+    def clear_stream(self, key: StreamKey) -> None:
+        """Zero one stream (a no-op when the link does not carry it)."""
+        entry = self._rates.pop(key, None)
+        if entry is not None:
+            self._record_breakpoint()
+            self._sim.schedule_after(self.delay, partial(self._deliver, entry[0], 0.0))
 
     def clear_absent_streams(self, live_keys) -> None:
         """Zero every stream not present in ``live_keys``."""
-        for key in list(self._rates):
-            if key not in live_keys:
-                context, _ = self._rates[key]
-                self._rates.pop(key)
-                self._record_breakpoint()
-                self._sim.schedule_after(
-                    self.delay, lambda ctx=context: self._deliver(ctx, 0.0)
-                )
+        for key in [key for key in self._rates if key not in live_keys]:
+            self.clear_stream(key)
 
     # ------------------------------------------------------------------
     # measurements
@@ -92,7 +102,9 @@ class DataLink:
     @property
     def utilization(self) -> float:
         """Current total rate in Mbps."""
-        return sum(rate for _, rate in self._rates.values())
+        # sum() rather than a loop: how it adds floats differs across Pythons,
+        # and recorded timelines are compared byte for byte.
+        return sum(map(_rate_of, self._rates.values()))
 
     def byte_counter(self, at: Optional[float] = None) -> float:
         """Megabits transferred up to ``at`` (default: now).

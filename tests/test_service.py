@@ -12,8 +12,11 @@ into one planning call with earlier intents superseded.
 import asyncio
 import hashlib
 import json
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.experiments.sweep import sweep_seed
 from repro.pipeline.store import canonical_json
@@ -25,6 +28,7 @@ from repro.service import (
     run_virtual,
 )
 from repro.service.requests import TERMINAL
+from repro.service.service import UpdateService
 from repro.service.workload import _links_of
 from repro.updates.registry import ROUNDS, TIMED, get_planner
 
@@ -98,6 +102,12 @@ class TestWorkload:
         for i, pod in enumerate(workload.pods):
             for other in workload.pods[i + 1:]:
                 assert not pod.footprint & other.footprint
+
+    def test_pod_by_name_is_built_once(self):
+        workload = build_workload(4, 6, 10, 2.0, seed=3)
+        by_name = workload.pod_by_name
+        assert by_name == {pod.name: pod for pod in workload.pods}
+        assert workload.pod_by_name is by_name
 
 
 # --- admission controller ----------------------------------------------
@@ -173,6 +183,68 @@ class TestAdmission:
         assert ctrl.in_flight_count == 0
         assert ctrl.offer("r3", _fp(("a", "b")))[0] == "admitted"
 
+    @given(
+        footprints=st.lists(
+            st.frozensets(st.integers(0, 11).map(lambda n: ("u", f"v{n}")), min_size=1, max_size=4),
+            min_size=1,
+            max_size=24,
+        ),
+        releases=st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_release_matches_the_all_pairs_rule(self, footprints, releases):
+        """Components, dispatch order and merged footprints as the pairwise rule gives them.
+
+        The model below is the rule ``release`` used to implement literally:
+        intersect every pair of queued footprints, take connected components,
+        dispatch each (earliest member first) unless it touches a batch still
+        in flight.
+        """
+        ctrl = AdmissionController(max_queue=len(footprints))
+        in_flight = {}  # token -> footprint
+        queue = []  # (item, footprint), arrival order
+
+        def dispatch(expected, batches):
+            assert [(b.items, b.footprint) for b in batches] == expected
+            in_flight.update((batch.token, batch.footprint) for batch in batches)
+
+        def components():
+            groups = [[i] for i in range(len(queue))]
+            for i in range(len(queue)):
+                for j in range(i + 1, len(queue)):
+                    if queue[i][1] & queue[j][1]:
+                        gi = next(g for g in groups if i in g)
+                        gj = next(g for g in groups if j in g)
+                        if gi is not gj:
+                            groups.remove(gj)
+                            gi.extend(gj)
+            return sorted((sorted(group) for group in groups), key=min)
+
+        for item, footprint in enumerate(footprints):
+            blocked = any(footprint & held for held in in_flight.values()) or any(
+                footprint & queued for _, queued in queue
+            )
+            decision, batch = ctrl.offer(item, footprint)
+            assert decision == ("queued" if blocked else "admitted")
+            if blocked:
+                queue.append((item, footprint))
+            else:
+                dispatch([([item], footprint)], [batch])
+
+        while in_flight:
+            token = releases.choice(sorted(in_flight))
+            del in_flight[token]
+            expected, taken = [], set()
+            for members in components():
+                merged = frozenset().union(*(queue[i][1] for i in members))
+                if not any(merged & held for held in in_flight.values()):
+                    expected.append(([queue[i][0] for i in members], merged))
+                    taken.update(members)
+            dispatch(expected, ctrl.release(token))
+            queue[:] = [entry for i, entry in enumerate(queue) if i not in taken]
+            assert ctrl.queue_depth == len(queue)
+        assert not queue  # nothing is left waiting once nothing is in flight
+
 
 # --- the service end-to-end --------------------------------------------
 
@@ -222,6 +294,36 @@ class TestServiceRecordsPinned:
         payload = canonical_json(report.to_record())
         assert hashlib.sha256(payload.encode("utf-8")).hexdigest() == digest
         assert report.summary["conformant_all"]
+
+
+class TestBackgroundIndex:
+    @pytest.mark.parametrize("share_links", [True, False])
+    def test_background_equals_the_walk_over_all_pods(self, share_links):
+        """The sharer index visits fewer pods but reports the same loads."""
+        config = ServiceConfig(pods=7, pod_size=6, requests=1, seed=5, share_links=share_links)
+        workload = build_workload(
+            config.pods, config.pod_size, config.requests, config.mean_interarrival,
+            seed=config.seed, demand=0.1, share_links=share_links,
+        )
+        service = UpdateService(workload, config)
+        rng = random.Random(9)
+        for _ in range(20):
+            for pod in workload.pods:
+                service._current[pod.name] = rng.choice("ab")
+            for pod in workload.pods:
+                loads = {}
+                for other in workload.pods:
+                    if other is pod:
+                        continue
+                    for link in _links_of(other.path(service._current[other.name])):
+                        if link in pod.footprint:
+                            loads[link] = loads.get(link, 0.0) + other.demand
+                expected = {
+                    link: ((None, None, load),) for link, load in sorted(loads.items())
+                } or None
+                got = service._background_for(pod)
+                assert got == expected
+                assert got is None or list(got) == list(expected)
 
 
 class TestServiceOutcomes:

@@ -35,6 +35,24 @@ class TestEventQueue:
         assert queue.pop() is None
         assert not queue
 
+    def test_len_and_bool_ignore_cancelled_entries(self):
+        queue = EventQueue()
+        first = queue.push(1.0, lambda: None)
+        second = queue.push(2.0, lambda: None)
+        assert len(queue) == 2 and queue
+        queue.cancel(first)
+        assert len(queue) == 1 and queue
+        assert queue.peek_time() == 2.0
+        queue.cancel(second)
+        assert len(queue) == 0 and not queue
+
+    def test_heap_entries_never_compare_events(self):
+        # Equal times are decided by the sequence number, so the handles
+        # (which define no ordering) are never reached by the heap.
+        queue = EventQueue()
+        handles = [queue.push(1.0, lambda: None) for _ in range(20)]
+        assert [queue.pop() for _ in handles] == handles
+
 
 class TestSimulator:
     def test_runs_in_time_order(self):
@@ -64,6 +82,61 @@ class TestSimulator:
         sim.schedule_at(1.0, lambda: sim.schedule_after(1.0, lambda: seen.append(sim.now)))
         sim.run()
         assert seen == [2.0]
+
+    def test_equal_time_events_fire_in_scheduling_order(self):
+        sim = Simulator()
+        seen = []
+
+        def first():
+            seen.append("first")
+            # Scheduled for the same instant from inside it: after everything
+            # already queued for that instant.
+            sim.schedule_after(0.0, lambda: seen.append("nested"))
+
+        sim.schedule_at(1.0, first)
+        for index in range(10):
+            sim.schedule_at(1.0, lambda index=index: seen.append(index))
+        assert sim.run() == 12
+        assert seen == ["first", *range(10), "nested"]
+
+    def test_cancelled_head_is_skipped_without_passing_until(self):
+        sim = Simulator()
+        seen = []
+        early = sim.schedule_at(1.0, lambda: seen.append("early"))
+        beyond = sim.schedule_at(3.0, lambda: seen.append("beyond"))
+        sim.schedule_at(5.0, lambda: seen.append("late"))
+        sim.cancel(early)
+        sim.cancel(beyond)
+        assert sim.run(until=2.0) == 0
+        assert sim.now == 2.0 and seen == []
+        assert sim.run(until=4.0) == 0
+        assert sim.now == 4.0
+        assert sim.run() == 1
+        assert sim.now == 5.0 and seen == ["late"]
+
+    def test_max_events_allows_a_run_that_ends_on_the_limit(self):
+        # Regression: the valve used to fire whenever processed == max_events,
+        # even when those events drained the queue or the next one was not due.
+        sim = Simulator()
+        seen = []
+        for time in (1.0, 2.0, 3.0):
+            sim.schedule_at(time, lambda time=time: seen.append(time))
+        assert sim.run(max_events=3) == 3
+        for time in (4.0, 5.0, 9.0):
+            sim.schedule_at(time, lambda time=time: seen.append(time))
+        assert sim.run(until=6.0, max_events=2) == 2  # 9.0 is not due
+        assert seen == [1.0, 2.0, 3.0, 4.0, 5.0] and sim.now == 6.0
+
+    def test_max_events_raises_only_when_a_further_event_is_due(self):
+        sim = Simulator()
+        seen = []
+        for time in (1.0, 2.0, 3.0, 4.0):
+            sim.schedule_at(time, lambda time=time: seen.append(time))
+        with pytest.raises(RuntimeError, match="exceeded 3 events"):
+            sim.run(max_events=3)
+        assert seen == [1.0, 2.0, 3.0]  # the fourth stays queued, unfired
+        assert sim.run() == 1
+        assert seen == [1.0, 2.0, 3.0, 4.0]
 
 
 class TestFlowTable:
