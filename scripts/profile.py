@@ -3,9 +3,11 @@
 
 ``greedy`` (the default, ``make profile``) runs the Chronus greedy engine
 on a paper-scale segmented instance with the :mod:`repro.perf` registry
-enabled and prints the hierarchical wall-clock breakdown (dependency
-analysis vs. round selection vs. tracker probes) together with the
-tracker's hit/miss counters.
+enabled and prints the hierarchical wall-clock breakdown (tracker build,
+dependency analysis and its commits, round selection with each probe split
+into ``split`` / ``deflect`` / ``check``, the final check) under a root span
+that covers the whole run, together with the tracker's counters and what a
+probe looked at per switch being updated.
 
 ``service`` runs one seeded cell of the update service shaped like the repo
 benchmark's ``service-burst`` workload and prints the DES event count, the
@@ -194,6 +196,16 @@ def main(argv=None) -> int:
         emit_json(snapshot)
     else:
         print(perf.report())
+        probes = perf.calls("greedy.select.tracker.probe")
+        deflections = perf.counter("tracker.array.deflections")
+        if probes and deflections:  # the array tracker ran
+            print(
+                f"  per probe: {perf.counter('tracker.array.batched_links') / probes:.1f} "
+                f"links batched; per deflection: "
+                f"{perf.counter('tracker.array.deflect_runs') / deflections:.1f} runs walked "
+                f"({len(instance.switches_to_update)} switches to update on a "
+                f"{len(instance.old_path)}-switch path)"
+            )
     return 0
 
 

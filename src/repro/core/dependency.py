@@ -18,6 +18,7 @@ every already-updated upstream switch before its update time.
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
@@ -304,10 +305,11 @@ class DependencyState:
       every ``v_i`` whose relation partner is ``a`` (the relation collapses
       into a deferral);
     * a commit on the old path lowers the drain-time prefix minima from its
-      path position onward; verdicts examining a switch whose drain time
-      actually changed are dropped (the propagation stops at the first
-      position whose prefix minimum is already lower, so the walk is
-      output-sensitive);
+      path position up to the first position whose minimum is already as
+      low; verdicts examining a switch in that range are dropped.  The
+      minima are kept as a staircase of breakpoints and read by bisection
+      (:meth:`drain`), so a commit costs the steps it swallows plus one
+      pass over the *watched* switches, never a walk along the path;
     * time passing needs no event: each verdict stores the last step it is
       valid for (``applied[v] - delay(v_i, v) - 1`` when ``v``'s committed
       rule flip is still ahead of the new flow's arrival, and
@@ -333,13 +335,15 @@ class DependencyState:
         # (as next hop / drain gate) or relies on x as relation partner.
         self._watch_hop: Dict[Node, Set[Node]] = {}
         self._watch_pred: Dict[Node, Set[Node]] = {}
-        # Incremental drain table: prefix minima of applied[a] - off(a)
-        # along the old path (see :func:`drain_table`).
-        self._old_path = instance.old_path
-        self._old_index = {node: i for i, node in enumerate(self._old_path)}
+        # Drain staircase: the prefix minima of applied[a] - off(a) along
+        # the old path (see :func:`drain_table`) as breakpoints -- ascending
+        # positions, strictly falling keys.  The minimum at a position is
+        # the key of the last breakpoint at or before it; before the first
+        # breakpoint old flow never stops.
+        self._old_index = instance.old_path_index
         self._offsets = instance.old_path_offsets
-        self._prefix_min: List[float] = [_INF] * len(self._old_path)
-        self._drains: Dict[Node, float] = {node: _INF for node in self._old_path}
+        self._stair_pos: List[int] = []
+        self._stair_key: List[int] = []
         self._cache: Optional[DependencySet] = None
         self._cache_valid_until = -_INF
         self._dirty = True
@@ -385,6 +389,20 @@ class DependencyState:
         self._dirty = False
         return deps
 
+    def drain(self, node: Node) -> Optional[float]:
+        """Last time old flow departs ``node`` (its :func:`drain_table` entry).
+
+        ``None`` off the old path, ``inf`` while no switch at or before
+        ``node`` has been committed.
+        """
+        position = self._old_index.get(node)
+        if position is None:
+            return None
+        step = bisect_right(self._stair_pos, position) - 1
+        if step < 0:
+            return _INF
+        return self._stair_key[step] - 1 + self._offsets[node]
+
     # ------------------------------------------------------------------
     # mutation
     # ------------------------------------------------------------------
@@ -395,45 +413,59 @@ class DependencyState:
         verdicts are recomputed lazily by the next :meth:`relations` call.
         """
         verdicts = self._verdicts
-        changed_drains: List[Node] = []
+        old_index = self._old_index
+        lowered: List[Tuple[int, int]] = []
         for node in nodes:
             self._pending.pop(node, None)
             self._applied[node] = time
             verdicts.pop(node, None)
-            position = self._old_index.get(node)
+            position = old_index.get(node)
             if position is not None:
-                self._lower_prefix_min(position, time, changed_drains)
+                stop = self._lower_staircase(position, time - self._offsets[node])
+                if stop is not None:
+                    lowered.append((position, stop))
+        dropped = list(nodes)
+        # Only watched switches can hold a verdict on a changed drain, and
+        # there are at most len(pending) of them.
+        for start, stop in lowered:
+            dropped.extend(
+                watched
+                for watched in self._watch_hop
+                if start <= old_index.get(watched, -1) < stop
+            )
+        for node in dropped:
+            for watcher in self._watch_hop.pop(node, ()):
+                verdicts.pop(watcher, None)
         for node in nodes:
-            for watcher in self._watch_hop.pop(node, ()):
-                verdicts.pop(watcher, None)
             for watcher in self._watch_pred.pop(node, ()):
-                verdicts.pop(watcher, None)
-        for node in changed_drains:
-            for watcher in self._watch_hop.pop(node, ()):
                 verdicts.pop(watcher, None)
         self._dirty = True
 
-    def _lower_prefix_min(
-        self, position: int, time: int, changed: List[Node]
-    ) -> None:
+    def _lower_staircase(self, position: int, key: int) -> Optional[int]:
         """Propagate ``applied[a] - off(a)`` into the prefix minima.
 
         The minima are non-increasing along the path, so the positions the
-        new key lowers form a contiguous run starting at ``position``; the
-        walk stops at the first position already at or below the key.
+        new key lowers form a contiguous run ``[position, stop)`` ending at
+        the first later breakpoint already at or below the key.  Returns
+        ``stop``, or ``None`` when the minimum at ``position`` is already
+        that low and nothing changes.
         """
-        offsets = self._offsets
-        path = self._old_path
-        key = time - offsets[path[position]]
-        prefix_min = self._prefix_min
-        drains = self._drains
-        for j in range(position, len(path)):
-            if prefix_min[j] <= key:
-                break
-            prefix_min[j] = key
-            node = path[j]
-            drains[node] = key - 1 + offsets[node]
-            changed.append(node)
+        stair_pos, stair_key = self._stair_pos, self._stair_key
+        step = bisect_right(stair_pos, position)
+        if step and stair_key[step - 1] <= key:
+            return None
+        end = step
+        while end < len(stair_pos) and stair_key[end] > key:
+            end += 1
+        if end == len(stair_pos):
+            stop = len(self.instance.old_path)
+        else:
+            stop = stair_pos[end]
+            if stair_key[end] == key:
+                end += 1  # same level from here on: keys stay strictly falling
+        stair_pos[step:end] = [position]
+        stair_key[step:end] = [key]
+        return stop
 
     # ------------------------------------------------------------------
     # verdicts
@@ -470,7 +502,7 @@ class DependencyState:
         if v_tilde is not None:
             link = network.get_link(v, v_tilde)
             if link is not None and link.capacity + _EPS < 2 * instance.demand:
-                drain = self._drains.get(v)
+                drain = self.drain(v)
                 if drain is not None and drain >= t_arrival:
                     if drain != _INF:
                         expires = min(expires, drain - delay)

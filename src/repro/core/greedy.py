@@ -110,21 +110,22 @@ def greedy_schedule(
     """
     if mode not in (EXACT, PAPER):
         raise ValueError(f"unknown greedy mode {mode!r}")
-    # Insertion-ordered dict as the pending set: O(1) membership tests and
-    # removals with the same stable iteration order a list gave, minus the
-    # O(n) ``list.remove`` per committed switch.
-    pending: Dict[Node, None] = dict.fromkeys(instance.switches_to_update)
-    tracker = make_tracker(instance, t0=t0, background=background)
-    state = DependencyState(instance, pending)
-    times: Dict[Node, int] = {}
-    violations: List[RoundReport] = []
-    dependency_log: List[Tuple[int, DependencySet]] = []
-    stalled_at: Optional[int] = None
-
-    if max_steps is None:
-        max_steps = 4 * (len(instance.network) + instance.old_path_delay + instance.new_path_delay) + 16
-
     with perf.span("greedy"):
+        # Insertion-ordered dict as the pending set: O(1) membership tests and
+        # removals with the same stable iteration order a list gave, minus the
+        # O(n) ``list.remove`` per committed switch.
+        pending: Dict[Node, None] = dict.fromkeys(instance.switches_to_update)
+        with perf.span("tracker.build"):
+            tracker = make_tracker(instance, t0=t0, background=background)
+        state = DependencyState(instance, pending)
+        times: Dict[Node, int] = {}
+        violations: List[RoundReport] = []
+        dependency_log: List[Tuple[int, DependencySet]] = []
+        stalled_at: Optional[int] = None
+
+        if max_steps is None:
+            max_steps = 4 * (len(instance.network) + instance.old_path_delay + instance.new_path_delay) + 16
+
         t = t0
         for _ in range(max_steps):
             if not pending:
@@ -154,7 +155,8 @@ def greedy_schedule(
                 for node in round_nodes:
                     times[node] = t
                     del pending[node]
-                state.commit(round_nodes, t)
+                with perf.span("dependencies"), perf.span("commit"):
+                    state.commit(round_nodes, t)
             else:
                 horizon = tracker.finite_drain_horizon()
                 if horizon is None or t > horizon:
@@ -180,15 +182,16 @@ def greedy_schedule(
                 for node in round_nodes:
                     times[node] = when
 
-    feasible = stalled_at is None and not violations and tracker.ok
-    schedule = UpdateSchedule(times=times, start_time=t0, feasible=feasible)
-    return GreedyResult(
-        schedule=schedule,
-        feasible=feasible,
-        stalled_at=stalled_at,
-        violations=violations,
-        dependency_log=dependency_log,
-    )
+        with perf.span("final_check"):
+            feasible = stalled_at is None and not violations and tracker.ok
+        schedule = UpdateSchedule(times=times, start_time=t0, feasible=feasible)
+        return GreedyResult(
+            schedule=schedule,
+            feasible=feasible,
+            stalled_at=stalled_at,
+            violations=violations,
+            dependency_log=dependency_log,
+        )
 
 
 def _select_round(

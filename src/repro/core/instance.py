@@ -94,6 +94,11 @@ class UpdateInstance:
         return {cur: prev for prev, cur in zip(path, path[1:])}
 
     @cached_property
+    def old_path_index(self) -> Dict[Node, int]:
+        """Position of each old-path switch along the old path."""
+        return {node: i for i, node in enumerate(self.old_path)}
+
+    @cached_property
     def old_path_offsets(self) -> Dict[Node, int]:
         """Departure-time offset of each old-path switch from the source."""
         from repro.network.paths import arrival_offsets

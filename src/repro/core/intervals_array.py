@@ -10,21 +10,47 @@ state column-wise:
 
 * **Per instance** (computed once, shared by every tracker and clone):
   switch ids, sorted int64 link keys (``src_id * n + dst_id``) with
-  parallel delay/capacity columns, and the old/new next-hop tables as flat
-  int lists.  Trajectories become int arrays; "which link is hop i" is a
-  vectorised ``searchsorted``.
+  parallel delay/capacity columns, the old/new next-hop tables as flat
+  int lists, and the chain skeleton below.  Trajectories become int arrays.
 * **Per class** (:class:`ArrayFlowClass`): node-id, link-id and offset
-  arrays plus scalar emission bounds.  Splitting shares the parent's
-  arrays structurally -- a trim reuses them outright (COW at the array
-  level) and a deflected piece concatenates a parent prefix *view* with
-  its freshly routed suffix; nothing is deep-copied.
-* **Per probe**: one batched decision pass over every link the round
-  touches -- a ``bincount`` total-load test and a lexsort adjacent-overlap
-  test -- instead of a Python sweep per link.  Only links that fail the
-  vectorised prefilter fall back to the exact event sweep
-  (:func:`repro.core.intervals._sweep_link`), with the interval list
-  rebuilt in the dict tracker's exact order so reported spans are
-  bitwise identical.
+  arrays plus scalar emission bounds and the positions of its decisive
+  links.  Splitting shares the parent's arrays structurally -- a trim
+  reuses them outright (COW at the array level) and a deflected piece
+  concatenates a parent prefix *view* with its freshly routed suffix;
+  nothing is deep-copied.
+* **Per probe**: one batched decision pass over the decisive links the
+  round touches -- a ``bincount`` total-load test and a lexsort
+  adjacent-overlap test -- instead of a Python sweep per link.  Only chains
+  whose decisive link fails the vectorised prefilter fall back to the exact
+  event sweep (:func:`repro.core.intervals._sweep_link`), on the interval
+  list in the dict tracker's exact order so reported spans are bitwise
+  identical.
+
+**Chains.**  On a long path almost every switch is a *chain interior*: it
+forwards to the same next hop in ``old_config`` and ``new_config``, has
+exactly one predecessor in ``old_config`` + ``new_config`` and is neither
+source nor destination; every other switch is a *junction*.  Whatever the
+update state, a flow class that crosses one link of a chain crosses all of
+it, in order and with the same relative timing: classes start at the source
+(a junction), an interior always has a rule (no black hole ends there), and
+the first switch a route reaches twice is a junction (an interior is entered
+from its one predecessor, which was then reached twice before it).  Three
+things follow, and the tracker is built on them:
+
+1. routing walks *runs* -- a junction's interior successor brings the
+   old-path slice up to the next junction in one step
+   (:meth:`ArrayIntervalTracker._deflect`), and a switch is found in a class
+   through the class's junctions (:meth:`ArrayIntervalTracker._hits`);
+2. a link whose source is interior, whose capacity equals its predecessor
+   link's, and which like that predecessor carries no background load is
+   **not decisive**: it sees the predecessor's intervals shifted by one
+   constant, in the same contribution order, against an equal capacity, so
+   its congestion decision *is* the predecessor's.  Probes and
+   :meth:`ArrayIntervalTracker.congestion_spans` gather and prefilter
+   decisive links only;
+3. when a decisive link does need the exact sweep, the non-decisive links
+   after it report the same spans moved by their constant, so one sweep
+   serves the chain (:meth:`ArrayIntervalTracker._sweep_chain`).
 
 Both layouts are production code: every probe here pays a fixed numpy call
 overhead, so on short trajectories the dict tracker is the faster of the
@@ -38,6 +64,8 @@ without it fails with a plain ``ImportError``.
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_left, bisect_right
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -66,9 +94,9 @@ class InstanceArrays:
 
     Built once per instance (cached on the instance object, like its
     ``cached_property`` fields) and shared by every tracker and clone.
-    Also owns the routing scratch buffers: a byte mask and a bool mask
-    over the switch ids, zeroed again after every use, so probing rounds
-    allocates nothing proportional to the network.
+    Also owns the routing scratch buffer: a byte mask over the switch ids,
+    zeroed again after every use, so probing rounds allocates nothing
+    proportional to the network.
     """
 
     __slots__ = (
@@ -85,8 +113,16 @@ class InstanceArrays:
         "next_new",
         "max_hops",
         "old_path_ids",
+        "old_path_lids",
+        "old_path_offsets",
+        "old_pos",
+        "interior",
+        "junctions",
+        "old_rule_lid",
+        "new_rule_lid",
+        "decisive",
+        "node_ids",
         "_suffix_mark",
-        "_node_mark",
     )
 
     def __init__(self, instance: UpdateInstance) -> None:
@@ -124,8 +160,81 @@ class InstanceArrays:
         self.old_path_ids = np.array(
             [id_of[node] for node in instance.old_path], dtype=np.int32
         )
+        self.old_path_lids = self.encode_links(self.old_path_ids)
+        self.old_path_offsets = np.concatenate(
+            (np.zeros(1, dtype=np.int64), np.cumsum(self.delay[self.old_path_lids]))
+        )
+        # Identity table: a one-element slice of it is a one-switch run in
+        # the same concatenation as the old-path slices.
+        self.node_ids = np.arange(n, dtype=np.int32)
         self._suffix_mark = bytearray(n)
-        self._node_mark = np.zeros(n, dtype=bool)
+        self._build_chains(
+            np.array(next_old, dtype=np.int64),
+            np.array(next_new, dtype=np.int64),
+            id_of[instance.source],
+        )
+
+    def _build_chains(self, next_old, next_new, source: int) -> None:
+        """The chain skeleton (module docstring, "Chains"), vectorised.
+
+        Only old-path switches are taken as interiors, so every chain is a
+        contiguous slice of the old path and a *run* -- the nodes from a
+        junction's successor to the next junction inclusive -- is the
+        old-path slice from its first node to the next entry of
+        ``junctions`` (the junctions' old-path positions, ascending).
+        ``decisive`` holds the instance's share of the flag (interior
+        source, capacity equal to the link before); trackers with
+        background load add theirs.
+        """
+        n = self.n_nodes
+        path = self.old_path_ids
+        has_old = next_old >= 0
+        predecessors = np.bincount(next_old[has_old], minlength=n)
+        rerouted = (next_new >= 0) & (next_new != next_old)
+        predecessors += np.bincount(next_new[rerouted], minlength=n)
+        interior = np.zeros(n, dtype=bool)
+        interior[path] = True
+        interior &= has_old & (next_old == next_new) & (predecessors == 1)
+        interior[source] = False
+        interior[self.dest] = False
+        self.interior = interior.tobytes()
+
+        old_pos = np.full(n, -1, dtype=np.int64)
+        old_pos[path] = np.arange(path.size, dtype=np.int64)
+        # Scalar-indexed in the routing loop: compact int arrays, which
+        # index like lists at an eighth of a list of ints' footprint.
+        self.old_pos = array("q", old_pos.tobytes())
+        self.junctions = array(
+            "q", (~interior[path]).nonzero()[0].astype(np.int64).tobytes()
+        )
+
+        lids = self.old_path_lids
+        decisive = np.ones(self.link_keys.size, dtype=bool)
+        same_capacity = self.capacity[lids[1:]] == self.capacity[lids[:-1]]
+        decisive[lids[1:][interior[path[1:-1]] & same_capacity]] = False
+        self.decisive = decisive
+
+        self.old_rule_lid = self._rule_lids(next_old)
+        self.new_rule_lid = self._rule_lids(next_new)
+
+    def _rule_lids(self, next_hop) -> "np.ndarray":
+        """Per switch, the link id its rule forwards over (-1 without a rule)."""
+        lids = np.full(self.n_nodes, -1, dtype=np.int64)
+        sources = np.flatnonzero(next_hop >= 0)
+        lids[sources] = self._link_ids(
+            sources * self.n_nodes + next_hop[sources],
+            "a forwarding rule crosses a non-existent link",
+        )
+        return lids
+
+    def _link_ids(self, keys, what: str) -> "np.ndarray":
+        """Link ids of the int64 ``keys``; ``KeyError(what)`` when one is absent."""
+        pos = np.searchsorted(self.link_keys, keys)
+        if keys.size:
+            clipped = np.minimum(pos, self.link_keys.size - 1)
+            if not bool(np.all(self.link_keys[clipped] == keys)):
+                raise KeyError(what)
+        return pos.astype(np.int64, copy=False)
 
     def encode_links(self, node_ids) -> "np.ndarray":
         """Link ids of the trajectory ``node_ids`` (vectorised lookup).
@@ -135,13 +244,9 @@ class InstanceArrays:
                 dict tracker would raise the same from its delay map).
         """
         ids = node_ids.astype(np.int64, copy=False)
-        keys = ids[:-1] * self.n_nodes + ids[1:]
-        pos = np.searchsorted(self.link_keys, keys)
-        if keys.size:
-            clipped = np.minimum(pos, self.link_keys.size - 1)
-            if not bool(np.all(self.link_keys[clipped] == keys)):
-                raise KeyError("trajectory crosses a non-existent link")
-        return pos.astype(np.int64, copy=False)
+        return self._link_ids(
+            ids[:-1] * self.n_nodes + ids[1:], "trajectory crosses a non-existent link"
+        )
 
     def lid_of(self, src: Node, dst: Node) -> Optional[int]:
         """Link id of ``src -> dst``, or ``None`` when absent."""
@@ -169,10 +274,12 @@ class ArrayFlowClass:
     """One flow class in columnar form (see module docstring).
 
     Mirrors :class:`repro.core.intervals.FlowClass` field for field, with
-    node names replaced by ids and tuples by numpy arrays.  Instances are
-    immutable by convention; splits share the parent's arrays (trims
-    outright, deflections as prefix views), which is what makes ``clone``
-    plus ``probe_and_commit`` O(touched state).
+    node names replaced by ids and tuples by numpy arrays, plus the
+    trajectory positions (``dec_pos``, ascending) and ids (``dec_lids``) of
+    its decisive links.  Instances are immutable by convention; splits
+    share the parent's arrays (trims outright, deflections as prefix
+    views), which is what makes ``clone`` plus ``probe_and_commit``
+    O(touched state).
     """
 
     __slots__ = (
@@ -181,10 +288,12 @@ class ArrayFlowClass:
         "nodes",
         "lids",
         "offsets",
+        "dec_pos",
+        "dec_lids",
         "outcome",
         "loop_node",
         "fresh_from",
-        "_sorted_holder",
+        "_lazy",
     )
 
     def __init__(
@@ -194,47 +303,109 @@ class ArrayFlowClass:
         nodes,
         lids,
         offsets,
+        dec_pos,
+        dec_lids,
         outcome: str = DELIVERED,
         loop_node: Optional[int] = None,
         fresh_from: int = 0,
-        sorted_holder: Optional[list] = None,
+        lazy: Optional[dict] = None,
     ) -> None:
         self.lo = lo
         self.hi = hi
         self.nodes = nodes
         self.lids = lids
         self.offsets = offsets
+        self.dec_pos = dec_pos
+        self.dec_lids = dec_lids
         self.outcome = outcome
         self.loop_node = loop_node
         self.fresh_from = fresh_from
-        # One-element list holding (sorted_lids, order); shared with trims
-        # so whichever relative computes the sort first serves both.
-        self._sorted_holder = [] if sorted_holder is None else sorted_holder
+        # Lookup tables over the decisive links, built on first use; shared
+        # with trims so whichever relative builds one first serves both.
+        self._lazy = {} if lazy is None else lazy
 
     def is_empty(self) -> bool:
         return self.lo is not None and self.hi is not None and self.lo > self.hi
 
-    def sorted_lids(self) -> Tuple["np.ndarray", "np.ndarray"]:
-        """``(sorted link ids, positions)`` -- lazy, shared with trims."""
-        holder = self._sorted_holder
-        if not holder:
-            order = np.argsort(self.lids, kind="stable")
-            holder.append((self.lids[order], order))
-        return holder[0]
+    def sorted_decisive(self) -> Tuple["np.ndarray", "np.ndarray"]:
+        """``(decisive link ids sorted, their positions)`` -- lazy, shared with trims."""
+        table = self._lazy.get("sorted")
+        if table is None:
+            order = np.argsort(self.dec_lids, kind="stable")
+            table = self._lazy["sorted"] = (self.dec_lids[order], self.dec_pos[order])
+        return table
+
+    def junction_positions(self) -> Dict[int, int]:
+        """``switch id -> position`` of every decisive link's source.
+
+        Every junction the trajectory leaves is among them (a link out of
+        a junction is always decisive) -- lazy, shared with trims.
+        """
+        table = self._lazy.get("junctions")
+        if table is None:
+            table = self._lazy["junctions"] = dict(
+                zip(self.nodes[self.dec_pos].tolist(), self.dec_pos.tolist())
+            )
+        return table
+
+    def chain_at(self, position: int) -> Tuple[List[int], List[int]]:
+        """The link at ``position`` and the non-decisive links after it.
+
+        Returns their ids and, per link, its departure offset relative to
+        the first -- the constant by which its intervals trail that link's.
+        """
+        following = int(self.dec_pos.searchsorted(position, side="right"))
+        stop = (
+            int(self.dec_pos[following])
+            if following < self.dec_pos.size
+            else self.lids.size
+        )
+        offsets = self.offsets[position:stop]
+        return self.lids[position:stop].tolist(), (offsets - offsets[0]).tolist()
 
 
-def _flat_ranges(starts, counts):
-    """Concatenate ``arange(starts[i], starts[i] + counts[i])`` segments."""
-    nz = counts > 0
-    starts = starts[nz]
-    counts = counts[nz]
-    if starts.size == 0:
-        return np.empty(0, dtype=np.int64)
-    ends = np.cumsum(counts)
-    total = int(ends[-1])
-    idx = np.arange(total, dtype=np.int64)
-    within = idx - np.repeat(ends - counts, counts)
-    return np.repeat(starts.astype(np.int64), counts) + within
+class _Batch:
+    """Columns of one batched decision: a row per departure interval.
+
+    Rows are appended in the dict tracker's per-link contribution order
+    (committed classes ascending id, background, fresh suffixes, piece
+    prefixes), so the rows of one touched link, read back in order, are the
+    interval list the dict tracker would hand ``_sweep_link``.
+    """
+
+    __slots__ = ("demand", "ti", "lo", "hi", "load")
+
+    def __init__(self, demand: float) -> None:
+        self.demand = demand
+        self.ti: List["np.ndarray"] = []
+        self.lo: List["np.ndarray"] = []
+        self.hi: List["np.ndarray"] = []
+        self.load: List["np.ndarray"] = []
+
+    def add_class(self, cls: ArrayFlowClass, positions, ti) -> None:
+        """``cls``'s load at trajectory ``positions``, on touched links ``ti``."""
+        offsets = cls.offsets[positions]
+        self.ti.append(ti)
+        self.lo.append(
+            np.full(ti.shape, _NEG_CLAMP, dtype=np.int64) if cls.lo is None else cls.lo + offsets
+        )
+        self.hi.append(
+            np.full(ti.shape, _POS_CLAMP, dtype=np.int64) if cls.hi is None else cls.hi + offsets
+        )
+        self.load.append(np.full(ti.shape, self.demand))
+
+    def add_background(self, ti: int, triples) -> None:
+        for lo, hi, load in triples:
+            self.ti.append(np.array([ti], dtype=np.int64))
+            self.lo.append(np.array([_NEG_CLAMP if lo is None else lo], dtype=np.int64))
+            self.hi.append(np.array([_POS_CLAMP if hi is None else hi], dtype=np.int64))
+            self.load.append(np.array([load]))
+
+    def columns(self):
+        """``(touched index, lo, hi, load)``, one entry per row."""
+        return tuple(
+            np.concatenate(parts) for parts in (self.ti, self.lo, self.hi, self.load)
+        )
 
 
 class ArrayIntervalTracker:
@@ -277,13 +448,32 @@ class ArrayIntervalTracker:
             if lid is None:
                 raise KeyError(f"background load on non-existent link {src!r} -> {dst!r}")
             self._bg_by_lid[lid] = [tuple(triple) for triple in triples]
+        # Background breaks a chain twice: the loaded link sees load its
+        # predecessor does not, and the link after it sees less than it.
+        self._decisive = arrays.decisive
+        if self._bg_by_lid:
+            self._decisive = arrays.decisive.copy()
+            for lid in self._bg_by_lid:
+                self._decisive[lid] = True
+                after = int(
+                    arrays.new_rule_lid[int(arrays.link_keys[lid]) % arrays.n_nodes]
+                )
+                if after >= 0:
+                    self._decisive[after] = True
 
-        ids = arrays.old_path_ids
-        lids = arrays.encode_links(ids)
-        offsets = np.concatenate(
-            (np.zeros(1, dtype=np.int64), np.cumsum(arrays.delay[lids]))
+        lids = arrays.old_path_lids
+        dec_pos = self._decisive[lids].nonzero()[0]
+        self._add_class(
+            ArrayFlowClass(
+                None,
+                None,
+                arrays.old_path_ids,
+                lids,
+                arrays.old_path_offsets,
+                dec_pos,
+                lids[dec_pos],
+            )
         )
-        self._add_class(ArrayFlowClass(None, None, ids, lids, offsets))
 
     def clone(self) -> "ArrayIntervalTracker":
         """An independent copy in O(classes + switches), not O(trajectory).
@@ -305,6 +495,7 @@ class ArrayIntervalTracker:
         other._cfg = list(self._cfg)
         other._spans_cache = self._spans_cache
         other._bg_by_lid = self._bg_by_lid
+        other._decisive = self._decisive
         return other
 
     # ------------------------------------------------------------------
@@ -382,27 +573,30 @@ class ArrayIntervalTracker:
     # ------------------------------------------------------------------
     def preview_round(self, nodes: Sequence[Node], time: int) -> RoundReport:
         with perf.span("tracker.preview"):
-            self._check_round_args(nodes, time)
-            pieces, _trims, _deflected, removed, report = self._split(nodes, time)
-            self._check_new_congestion(pieces, removed, report)
+            _trims, _deflected, _removed, report = self._probe(nodes, time)
             return report
 
     def apply_round(self, nodes: Sequence[Node], time: int) -> RoundReport:
         with perf.span("tracker.apply"):
-            self._check_round_args(nodes, time)
-            pieces, trims, deflected, removed, report = self._split(nodes, time)
-            self._check_new_congestion(pieces, removed, report)
+            trims, deflected, removed, report = self._probe(nodes, time)
             self._commit(nodes, time, trims, deflected, removed)
             return report
 
     def probe_and_commit(self, nodes: Sequence[Node], time: int) -> RoundReport:
         with perf.span("tracker.probe"):
-            self._check_round_args(nodes, time)
-            pieces, trims, deflected, removed, report = self._split(nodes, time)
-            self._check_new_congestion(pieces, removed, report)
+            trims, deflected, removed, report = self._probe(nodes, time)
             if report.ok:
                 self._commit(nodes, time, trims, deflected, removed)
             return report
+
+    def _probe(self, nodes: Sequence[Node], time: int):
+        """Split and check one round; ``(trims, deflected, removed, report)``."""
+        self._check_round_args(nodes, time)
+        with perf.span("split"):
+            pieces, trims, deflected, removed, report = self._split(nodes, time)
+        with perf.span("check"):
+            self._check_new_congestion(pieces, removed, report)
+        return trims, deflected, removed, report
 
     # ------------------------------------------------------------------
     # global checks
@@ -410,24 +604,17 @@ class ArrayIntervalTracker:
     def congestion_spans(self) -> List[CongestionSpan]:
         """All capacity violations of the committed state (cached).
 
-        One vectorised prefilter over every loaded link; only links the
-        prefilter cannot clear run the exact event sweep.  The result is
-        cached until the next commit.
+        One vectorised prefilter over every loaded *decisive* link; only
+        chains whose decisive link the prefilter cannot clear run the exact
+        event sweep, once per chain.  The result is cached until the next
+        commit.
         """
         cached = self._spans_cache
         if cached is not None:
             return list(cached)
         arrays = self.arrays
-        demand = arrays.demand
-        ti_parts: List["np.ndarray"] = []
-        lo_parts: List["np.ndarray"] = []
-        hi_parts: List["np.ndarray"] = []
-        load_parts: List["np.ndarray"] = []
-        lid_parts: List["np.ndarray"] = []
-        for cid in sorted(self._alive):
-            cls = self._classes[cid]
-            if cls.lids.size:
-                lid_parts.append(cls.lids)
+        classes = [cls for cls in self.classes if cls.lids.size]
+        lid_parts = [cls.dec_lids for cls in classes]
         bg_lids = sorted(self._bg_by_lid)
         if bg_lids:
             lid_parts.append(np.array(bg_lids, dtype=np.int64))
@@ -435,39 +622,25 @@ class ArrayIntervalTracker:
             self._spans_cache = ()
             return []
         touched = np.unique(np.concatenate(lid_parts))
-        T = touched.size
-        for cid in sorted(self._alive):
-            cls = self._classes[cid]
-            if not cls.lids.size:
-                continue
-            ti = np.searchsorted(touched, cls.lids)
-            ti_parts.append(ti)
-            lo_parts.append(self._bound_array(cls.lo, cls.offsets[:-1], _NEG_CLAMP))
-            hi_parts.append(self._bound_array(cls.hi, cls.offsets[:-1], _POS_CLAMP))
-            load_parts.append(np.full(cls.lids.size, demand))
+        batch = _Batch(arrays.demand)
+        for cls in classes:
+            batch.add_class(cls, cls.dec_pos, touched.searchsorted(cls.dec_lids))
         for lid in bg_lids:
-            for lo, hi, load in self._bg_by_lid[lid]:
-                ti_parts.append(np.array([np.searchsorted(touched, lid)], dtype=np.int64))
-                lo_parts.append(np.array([_NEG_CLAMP if lo is None else lo], dtype=np.int64))
-                hi_parts.append(np.array([_POS_CLAMP if hi is None else hi], dtype=np.int64))
-                load_parts.append(np.array([load]))
-        needs_exact = self._prefilter(
-            T,
-            arrays.capacity[touched],
-            np.concatenate(ti_parts),
-            np.concatenate(lo_parts),
-            np.concatenate(hi_parts),
-            np.concatenate(load_parts),
-        )
+            batch.add_background(int(touched.searchsorted(lid)), self._bg_by_lid[lid])
+        columns = batch.columns()
+        needs_exact = self._prefilter(touched.size, arrays.capacity[touched], *columns)
         spans: List[CongestionSpan] = []
         if needs_exact is not None:
-            for ti in np.flatnonzero(needs_exact).tolist():
-                lid = int(touched[ti])
-                link = arrays.link_name[lid]
-                intervals = self._exact_link_intervals(lid, (), set())
-                spans.extend(
-                    _sweep_link(link, float(arrays.capacity[lid]), intervals, self.t0)
-                )
+            for flagged in needs_exact.nonzero()[0].tolist():
+                lid = int(touched[flagged])
+                # Whichever class crosses the link crosses its whole chain.
+                chain = [lid], [0]
+                for cls in classes:
+                    at = (cls.dec_lids == lid).nonzero()[0]
+                    if at.size:
+                        chain = cls.chain_at(int(cls.dec_pos[at[0]]))
+                        break
+                self._sweep_chain(*chain, flagged, columns, spans)
         spans.sort(key=lambda span: (span.start, span.link))
         self._spans_cache = tuple(spans)
         return spans
@@ -510,8 +683,11 @@ class ArrayIntervalTracker:
 
         Class iteration order (ascending id), threshold arithmetic and the
         emission-axis partition match the dict tracker exactly; only the
-        hit scan (vectorised compare) and the routing (flat config table)
-        differ mechanically.
+        hit scan (each class's junction index) and the routing (flat config
+        table, walked run by run) differ mechanically.  ``pieces`` pairs
+        every replacement piece -- trims and deflections, in split order --
+        with its parent, the shape :mod:`repro.core.search` reads from
+        either tracker.
         """
         report = RoundReport(time=time, nodes=tuple(nodes))
         arrays = self.arrays
@@ -526,21 +702,12 @@ class ArrayIntervalTracker:
             trims: List[Tuple[int, ArrayFlowClass]] = []
             deflected: List[ArrayFlowClass] = []
             removed: Set[int] = set()
-            if len(round_ids) == 1:
-                target = round_ids[0]
-                round_arr = None
-            else:
-                target = None
-                round_arr = np.array(round_ids, dtype=np.int32)
             for cid in sorted(self._alive):
                 cls = self._classes[cid]
-                if target is not None:
-                    hits_idx = np.flatnonzero(cls.nodes == target)
-                else:
-                    hits_idx = np.flatnonzero(np.isin(cls.nodes, round_arr))
-                if hits_idx.size == 0:
+                hits = self._hits(cls, round_ids)
+                if not hits:
                     continue
-                split = self._split_class(cls, hits_idx, time, report)
+                split = self._split_class(cls, hits, time, report)
                 if split is None:
                     continue
                 trim, fresh = split
@@ -556,12 +723,39 @@ class ArrayIntervalTracker:
                 cfg[i] = value
         return pieces, trims, deflected, removed, report
 
-    def _split_class(self, cls: ArrayFlowClass, hits_idx, time: int, report: RoundReport):
-        hits = hits_idx.tolist()
-        if cls.outcome == LOOPED and hits and hits[-1] == len(cls.nodes) - 1:
-            hits.pop()
-        if not hits:
-            return None
+    def _hits(self, cls: ArrayFlowClass, round_ids: List[int]) -> List[int]:
+        """Ascending positions at which ``cls`` can deflect on the round.
+
+        A junction is found through the class's junction index; an interior
+        switch (a round may name one although its rule stays) sits a fixed
+        number of hops after the junction its chain leaves, if the class
+        took that exit.  The final position of a looped trajectory is where
+        the unit was killed (the revisit) and deflects nothing, so only a
+        black-holed trajectory can be hit on its last switch, which no link
+        leaves.
+        """
+        arrays = self.arrays
+        where = cls.junction_positions()
+        hits: Set[int] = set()
+        for node in round_ids:
+            position = where.get(node)
+            if position is None and arrays.interior[node]:
+                at = arrays.old_pos[node]
+                exit_at = arrays.junctions[bisect_right(arrays.junctions, at) - 1]
+                position = where.get(int(arrays.old_path_ids[exit_at]))
+                if position is not None:
+                    position += at - exit_at
+                    if position >= cls.nodes.size or int(cls.nodes[position]) != node:
+                        position = None
+            if position is not None:
+                hits.add(position)
+        if cls.outcome == BLACKHOLE and int(cls.nodes[-1]) in round_ids:
+            hits.add(cls.nodes.size - 1)
+        return sorted(hits)
+
+    def _split_class(
+        self, cls: ArrayFlowClass, hits: List[int], time: int, report: RoundReport
+    ):
         offsets = cls.offsets
         thresholds = [(time - int(offsets[i]), i) for i in hits]
         relevant = [
@@ -584,10 +778,12 @@ class ArrayIntervalTracker:
                 cls.nodes,
                 cls.lids,
                 cls.offsets,
+                cls.dec_pos,
+                cls.dec_lids,
                 cls.outcome,
                 cls.loop_node,
                 fresh_from=len(cls.nodes),
-                sorted_holder=cls._sorted_holder,
+                lazy=cls._lazy,
             )
 
         relevant.sort(key=lambda item: item[1])
@@ -602,7 +798,8 @@ class ArrayIntervalTracker:
                 hi = cls.hi if hi is None else min(hi, cls.hi)
             if hi is not None and lo > hi:
                 continue
-            piece = self._deflect(cls, index, lo, hi)
+            with perf.span("deflect"):
+                piece = self._deflect(cls, index, lo, hi)
             deflected.append(piece)
             if piece.outcome == LOOPED:
                 report.loops.append((lo, names[piece.loop_node]))
@@ -615,23 +812,32 @@ class ArrayIntervalTracker:
     ) -> ArrayFlowClass:
         """Route a deflected piece from trajectory position ``index``.
 
-        Two-phase equivalent of :func:`repro.core.intervals._route_from`:
-        a Python hop loop detects suffix-internal revisits with a byte
-        mask, then one vectorised pass finds the earliest prefix revisit
-        -- which always precedes whatever phase one stopped on, so
-        truncating there reproduces the dict semantics without an
-        O(prefix) ``set`` build per deflection.
+        :func:`repro.core.intervals._route_from`, walked run by run: an
+        interior successor brings its whole run as one old-path slice, and
+        only the junction a run ends on is tested for a revisit.  That is
+        exact because the first switch a route reaches twice is always a
+        junction: an interior switch is entered from its one predecessor,
+        which was then reached twice before it.  The suffix side of the
+        test is a byte mask over the junctions, the prefix side the
+        parent's junction index -- no O(prefix) ``set`` per deflection.
         """
         arrays = self.arrays
         cfg = self._cfg
         dest = arrays.dest
-        prefix_nodes = cls.nodes[: index + 1]
-        current = int(prefix_nodes[-1])
+        interior = arrays.interior
+        next_old = arrays.next_old
+        old_pos = arrays.old_pos
+        junctions = arrays.junctions
+        origin = current = int(cls.nodes[index])
+        in_prefix = cls.junction_positions()
         mark = arrays._suffix_mark
-        appended: List[int] = []
-        outcome = None
+        node_parts: List["np.ndarray"] = [cls.nodes[: index + 1]]
+        lid_parts: List["np.ndarray"] = [cls.lids[:index]]
+        marked: List[int] = []
+        budget = arrays.max_hops
+        outcome = LOOPED
         loop_node: Optional[int] = None
-        for _ in range(arrays.max_hops):
+        while budget:
             if current == dest:
                 outcome = DELIVERED
                 break
@@ -639,69 +845,77 @@ class ArrayIntervalTracker:
             if nxt < 0:
                 outcome = BLACKHOLE
                 break
-            appended.append(nxt)
-            if mark[nxt]:
-                outcome = LOOPED
-                loop_node = nxt
+            rule_lid = arrays.old_rule_lid if nxt == next_old[current] else arrays.new_rule_lid
+            lid_parts.append(rule_lid[current : current + 1])
+            if interior[nxt]:
+                start = old_pos[nxt]
+                stop = min(junctions[bisect_left(junctions, start)], start + budget - 1)
+                node_parts.append(arrays.old_path_ids[start : stop + 1])
+                lid_parts.append(arrays.old_path_lids[start:stop])
+                current = int(arrays.old_path_ids[stop])
+                budget -= stop + 1 - start
+            else:
+                node_parts.append(arrays.node_ids[nxt : nxt + 1])
+                current = nxt
+                budget -= 1
+            if mark[current] or current == origin or in_prefix.get(current, index) < index:
+                loop_node = current
                 break
-            mark[nxt] = 1
-            current = nxt
+            mark[current] = 1
+            marked.append(current)
         else:
-            outcome = LOOPED
-            loop_node = current
-        for node in appended:
+            loop_node = current  # hop guard: treat as a loop
+        for node in marked:
             mark[node] = 0
+        if perf.enabled:
+            perf.count("tracker.array.deflections")
+            perf.count("tracker.array.deflect_runs", len(node_parts) - 1)
 
-        suffix = np.array(appended, dtype=np.int32)
-        if suffix.size:
-            node_mark = arrays._node_mark
-            node_mark[prefix_nodes] = True
-            hit_mask = node_mark[suffix]
-            node_mark[prefix_nodes] = False
-            if hit_mask.any():
-                first = int(np.argmax(hit_mask))
-                suffix = suffix[: first + 1]
-                outcome = LOOPED
-                loop_node = int(suffix[-1])
-
-        if suffix.size:
-            walk = np.concatenate((prefix_nodes[-1:], suffix))
-            suffix_lids = arrays.encode_links(walk)
-            suffix_offsets = int(cls.offsets[index]) + np.cumsum(arrays.delay[suffix_lids])
-            nodes = np.concatenate((prefix_nodes, suffix))
-            lids = np.concatenate((cls.lids[:index], suffix_lids))
-            offsets = np.concatenate((cls.offsets[: index + 1], suffix_offsets))
-        else:
-            nodes = prefix_nodes
-            lids = cls.lids[:index]
-            offsets = cls.offsets[: index + 1]
+        # Offsets and decisive positions of the suffix from its link ids
+        # (all empty when the route ends where it starts).
+        keep = int(cls.dec_pos.searchsorted(index))
+        lids = np.concatenate(lid_parts)
+        suffix_lids = lids[index:]
+        suffix_dec = self._decisive[suffix_lids].nonzero()[0]
         return ArrayFlowClass(
-            lo, hi, nodes, lids, offsets, outcome, loop_node, fresh_from=index
+            lo,
+            hi,
+            np.concatenate(node_parts),
+            lids,
+            np.concatenate(
+                (
+                    cls.offsets[: index + 1],
+                    int(cls.offsets[index]) + np.cumsum(arrays.delay[suffix_lids]),
+                )
+            ),
+            np.concatenate((cls.dec_pos[:keep], suffix_dec + index)),
+            np.concatenate((cls.dec_lids[:keep], suffix_lids[suffix_dec])),
+            outcome,
+            loop_node,
+            fresh_from=index,
         )
 
     @staticmethod
-    def _bound_array(bound: Optional[int], offsets, clamp: int):
-        if bound is None:
-            return np.full(offsets.shape, clamp, dtype=np.int64)
-        return bound + offsets
+    def _class_positions_on(cls: ArrayFlowClass, anchors, ranks):
+        """``(positions, touched index per position)`` of ``cls`` on touched links.
 
-    def _class_positions_on(self, cls: ArrayFlowClass, touched):
-        """``(positions, touched-index per position)`` of ``cls`` on ``touched``.
-
-        ``touched`` is a sorted link-id array; positions come back in
-        ascending touched order, ascending trajectory position within one
-        link -- the dict tracker's iteration order.
+        Touched link ``i`` lies ``ranks[i]`` hops after the decisive link
+        ``anchors[i]`` of its chain (``ranks is None``: every touched link
+        is its own anchor), and a class that crosses the anchor crosses the
+        chain, so the class's sorted decisive table answers for both.  A
+        trajectory crosses a link at most once (it never leaves a switch
+        twice), so positions come back one per hit in ascending touched
+        order -- the dict tracker's iteration order.
         """
-        sorted_lids, order = cls.sorted_lids()
-        left = np.searchsorted(sorted_lids, touched, side="left")
-        right = np.searchsorted(sorted_lids, touched, side="right")
-        counts = right - left
-        if not int(counts.sum()):
+        sorted_lids, positions = cls.sorted_decisive()
+        if not sorted_lids.size:
             return None, None
-        flat = _flat_ranges(left, counts)
-        positions = order[flat]
-        ti = np.repeat(np.arange(touched.size, dtype=np.int64), counts)
-        return positions, ti
+        slot = np.minimum(sorted_lids.searchsorted(anchors), sorted_lids.size - 1)
+        ti = (sorted_lids[slot] == anchors).nonzero()[0]
+        if not ti.size:
+            return None, None
+        found = positions[slot[ti]]
+        return (found if ranks is None else found + ranks[ti]), ti
 
     def _check_new_congestion(
         self,
@@ -711,129 +925,176 @@ class ArrayIntervalTracker:
     ) -> None:
         """Batched port of :meth:`IntervalTracker._check_new_congestion`.
 
-        Same link set (links on fresh suffixes), same contributions
-        (committed classes, background, fresh suffixes, piece prefixes)
-        and the same per-link decision -- but taken for *all* touched
-        links in one vectorised pass.  Only links the prefilter cannot
-        prove clean run the exact sweep, on an interval list rebuilt in
-        the dict tracker's order, so span output is bitwise identical.
+        Same contributions (committed classes, background, fresh suffixes,
+        piece prefixes) and the same per-link decision as the dict tracker
+        -- but gathered only for the *decisive* links on the fresh suffixes
+        and taken for all of them in one vectorised pass.  A non-decisive
+        fresh link carries its predecessor's intervals shifted by one
+        constant, in the same order, against the same capacity, so its
+        decision is its predecessor's (module docstring, "Chains"); the
+        first fresh link of every piece is decided whatever its flag,
+        because the piece's own load reaches it as fresh load and its
+        predecessor as prefix load.  When the prefilter cannot prove a
+        decisive link clean its chain runs the exact sweep, on the interval
+        list in the dict tracker's order and in the dict tracker's
+        first-touch order, so span output is bitwise identical.
         """
         arrays = self.arrays
-        demand = arrays.demand
-        fresh_lid_parts: List["np.ndarray"] = []
-        fresh_lo_parts: List["np.ndarray"] = []
-        fresh_hi_parts: List["np.ndarray"] = []
+        lid_parts: List["np.ndarray"] = []
+        # First fresh links that are not decisive by flag:
+        # lid -> (the decisive link heading its chain, hops between them).
+        forced: Dict[int, Tuple[int, int]] = {}
         for piece, _parent in pieces:
             start = piece.fresh_from
             if start >= piece.lids.size:
                 continue
-            part = piece.lids[start:]
-            offs = piece.offsets[start : piece.lids.size]
-            fresh_lid_parts.append(part)
-            fresh_lo_parts.append(self._bound_array(piece.lo, offs, _NEG_CLAMP))
-            fresh_hi_parts.append(self._bound_array(piece.hi, offs, _POS_CLAMP))
-        if not fresh_lid_parts:
+            dec_pos = piece.dec_pos
+            first = int(dec_pos.searchsorted(start))
+            lid_parts.append(piece.dec_lids[first:])
+            if first == dec_pos.size or int(dec_pos[first]) != start:
+                anchor = int(dec_pos[first - 1])
+                forced[int(piece.lids[start])] = (int(piece.lids[anchor]), start - anchor)
+        if not lid_parts:
             return
-        all_fresh_lids = np.concatenate(fresh_lid_parts)
-        touched, first_seen = np.unique(all_fresh_lids, return_index=True)
+        if forced:
+            lid_parts.append(np.array(list(forced), dtype=np.int64))
+        touched = np.unique(np.concatenate(lid_parts))
         T = touched.size
         cap_t = arrays.capacity[touched]
+        anchors, ranks = touched, None
+        if forced:
+            anchors = touched.copy()
+            ranks = np.zeros(T, dtype=np.int64)
+            for lid, (anchor, rank) in forced.items():
+                at = int(touched.searchsorted(lid))
+                anchors[at] = anchor
+                ranks[at] = rank
 
-        ti_parts: List["np.ndarray"] = []
-        lo_parts: List["np.ndarray"] = []
-        hi_parts: List["np.ndarray"] = []
-        load_parts: List["np.ndarray"] = []
-        other_counts = np.zeros(T, dtype=np.int64)
-
+        batch = _Batch(arrays.demand)
         # Committed classes (ascending id, split parents excluded).
+        other_counts = np.zeros(T, dtype=np.int64)
         for cid in sorted(self._alive):
             if cid in removed:
                 continue
             cls = self._classes[cid]
-            if not cls.lids.size:
-                continue
-            positions, ti = self._class_positions_on(cls, touched)
-            if positions is None:
-                continue
-            offs = cls.offsets[positions]
-            ti_parts.append(ti)
-            lo_parts.append(self._bound_array(cls.lo, offs, _NEG_CLAMP))
-            hi_parts.append(self._bound_array(cls.hi, offs, _POS_CLAMP))
-            load_parts.append(np.full(ti.size, demand))
-            other_counts += np.bincount(ti, minlength=T)
+            positions, ti = self._class_positions_on(cls, anchors, ranks)
+            if positions is not None:
+                batch.add_class(cls, positions, ti)
+                other_counts[ti] += 1
         # Background load.
         if self._bg_by_lid:
             for ti_scalar, lid in enumerate(touched.tolist()):
-                for lo, hi, load in self._bg_by_lid.get(lid, ()):
-                    ti_parts.append(np.array([ti_scalar], dtype=np.int64))
-                    lo_parts.append(
-                        np.array([_NEG_CLAMP if lo is None else lo], dtype=np.int64)
-                    )
-                    hi_parts.append(
-                        np.array([_POS_CLAMP if hi is None else hi], dtype=np.int64)
-                    )
-                    load_parts.append(np.array([load]))
-                    other_counts[ti_scalar] += 1
-        # Fresh suffixes (piece order).
-        ti_fresh = np.searchsorted(touched, all_fresh_lids)
-        ti_parts.append(ti_fresh)
-        lo_parts.append(np.concatenate(fresh_lo_parts))
-        hi_parts.append(np.concatenate(fresh_hi_parts))
-        load_parts.append(np.full(ti_fresh.size, demand))
-        # The dict tracker appends prefix contributions into the same
-        # per-link "fresh" lists as the suffixes, so they count towards its
-        # multiply shortcut rather than as committed load.
-        fresh_counts = np.bincount(ti_fresh, minlength=T)
-        # Piece prefixes on touched links (piece order).
-        for piece, parent in pieces:
-            fresh_from = piece.fresh_from
-            if fresh_from == 0:
-                continue
-            positions, ti = self._class_positions_on(parent, touched)
+                triples = self._bg_by_lid.get(lid)
+                if triples:
+                    batch.add_background(ti_scalar, triples)
+                    other_counts[ti_scalar] += len(triples)
+        # Fresh suffixes, then piece prefixes on touched links, each in
+        # piece order.  The dict tracker appends prefix contributions into
+        # the same per-link "fresh" lists as the suffixes, so they count
+        # towards its multiply shortcut rather than as committed load.
+        fresh_hits = []
+        prefix_hits = []
+        for piece, _parent in pieces:
+            positions, ti = self._class_positions_on(piece, anchors, ranks)
             if positions is None:
                 continue
-            in_prefix = positions < fresh_from
-            if not bool(in_prefix.any()):
-                continue
-            positions = positions[in_prefix]
-            ti = ti[in_prefix]
-            offs = parent.offsets[positions]
-            ti_parts.append(ti)
-            lo_parts.append(self._bound_array(piece.lo, offs, _NEG_CLAMP))
-            hi_parts.append(self._bound_array(piece.hi, offs, _POS_CLAMP))
-            load_parts.append(np.full(ti.size, demand))
-            fresh_counts = fresh_counts + np.bincount(ti, minlength=T)
+            fresh = positions >= piece.fresh_from
+            if fresh.all():
+                fresh_hits.append((piece, positions, ti))
+            elif not fresh.any():
+                prefix_hits.append((piece, positions, ti))
+            else:
+                fresh_hits.append((piece, positions[fresh], ti[fresh]))
+                prefix_hits.append((piece, positions[~fresh], ti[~fresh]))
+        fresh_counts = np.zeros(T, dtype=np.int64)
+        for piece, positions, ti in fresh_hits + prefix_hits:
+            batch.add_class(piece, positions, ti)
+            fresh_counts[ti] += 1
 
-        ti_all = np.concatenate(ti_parts)
-        lo_all = np.concatenate(lo_parts)
-        hi_all = np.concatenate(hi_parts)
-        load_all = np.concatenate(load_parts)
+        columns = batch.columns()
         if perf.enabled:
             perf.count("tracker.array.batched_links", T)
-            perf.count("tracker.array.batched_intervals", int(ti_all.size))
+            perf.count("tracker.array.batched_intervals", int(columns[0].size))
         needs_exact = self._prefilter(
             T,
             cap_t,
-            ti_all,
-            lo_all,
-            hi_all,
-            load_all,
+            *columns,
             fresh_only_counts=np.where(other_counts == 0, fresh_counts, 0),
         )
-        if needs_exact is None or not bool(needs_exact.any()):
+        if needs_exact is None:
             return
-        # Exact sweeps, reported in the dict tracker's first-touch order.
-        exact_order = np.argsort(first_seen[needs_exact], kind="stable")
-        exact_tis = np.flatnonzero(needs_exact)[exact_order]
-        for ti_scalar in exact_tis.tolist():
-            lid = int(touched[ti_scalar])
-            link = arrays.link_name[lid]
-            intervals = self._exact_link_intervals(lid, pieces, removed)
-            if perf.enabled:
-                perf.count("tracker.array.exact_sweeps")
-            report.congestion.extend(
-                _sweep_link(link, float(arrays.capacity[lid]), intervals, self.t0)
+        # Exact sweeps, chain by chain in the dict tracker's first-touch
+        # order: a link's rank there is its index in the concatenation of
+        # all fresh suffixes, which the first piece that carries it fresh
+        # fixes -- and a chain's links are consecutive in that piece.
+        chains = []
+        for flagged in needs_exact.nonzero()[0].tolist():
+            before = 0
+            for piece, positions, ti in fresh_hits:
+                at = (ti == flagged).nonzero()[0]
+                if at.size:
+                    position = int(positions[at[0]])
+                    chain, shifts = piece.chain_at(position)
+                    # Another piece's forced first link is decided apart.
+                    for cut in range(1, len(chain)):
+                        if chain[cut] in forced:
+                            del chain[cut:], shifts[cut:]
+                            break
+                    chains.append((before + position, chain, shifts, flagged))
+                    break
+                before += piece.lids.size
+        chains.sort(key=lambda item: item[0])
+        for _rank, chain, shifts, flagged in chains:
+            self._sweep_chain(chain, shifts, flagged, columns, report.congestion)
+
+    def _sweep_chain(self, chain, shifts, flagged: int, columns, spans) -> None:
+        """Exact spans of every link in ``chain``, appended to ``spans``.
+
+        The chain's first link is touched link ``flagged``; its rows of the
+        batch ``columns`` are its interval list in the dict tracker's exact
+        order (committed classes ascending id, background, then fresh
+        suffixes and prefixes in piece order), so the event sweep's float
+        accumulation sequence -- and thus its spans -- is reproduced
+        exactly.  One sweep serves the chain: link ``i`` carries the first
+        link's intervals ``shifts[i]`` later, in the same order, against the
+        same capacity, so its spans are the first link's moved by that much
+        -- and only then clipped at ``t0``, which does not move.
+        """
+        arrays = self.arrays
+        if perf.enabled:
+            perf.count("tracker.array.exact_sweeps")
+            if len(chain) > 1:
+                perf.count("tracker.array.chains_expanded")
+        ti_all, lo_all, hi_all, load_all = columns
+        rows = (ti_all == flagged).nonzero()[0]
+        intervals = [
+            (None if lo == _NEG_CLAMP else lo, None if hi == _POS_CLAMP else hi, load)
+            for lo, hi, load in zip(
+                lo_all[rows].tolist(), hi_all[rows].tolist(), load_all[rows].tolist()
             )
+        ]
+        unclipped = _sweep_link(
+            arrays.link_name[chain[0]],
+            float(arrays.capacity[chain[0]]),
+            intervals,
+            _NEG_CLAMP,
+        )
+        if not unclipped:
+            return
+        if all(lo is None and hi is None for lo, hi, _ in intervals):
+            # Nothing finite to be relative to: the sweep then stands its
+            # infinities at fixed coordinates, the same on every link.
+            shifts = [0] * len(chain)
+        t0 = self.t0
+        for lid, shift in zip(chain, shifts):
+            link = arrays.link_name[lid]
+            for span in unclipped:
+                start = max(span.start + shift, t0)
+                end = span.end + shift
+                if end >= start:
+                    spans.append(
+                        CongestionSpan(link, start, end, span.load, span.capacity)
+                    )
 
     def _prefilter(
         self,
@@ -888,61 +1149,6 @@ class ArrayIntervalTracker:
             overlap = (tj[1:] == tj[:-1]) & (lo_j[1:] <= hi_j[:-1])
             fail[tj[1:][overlap]] = True
         return fail if bool(fail.any()) else None
-
-    def _exact_link_intervals(
-        self,
-        lid: int,
-        pieces: Sequence[Tuple[ArrayFlowClass, ArrayFlowClass]],
-        removed: Set[int],
-    ) -> List[Tuple[Optional[int], Optional[int], float]]:
-        """Interval list for one link in the dict tracker's exact order.
-
-        Committed classes ascending id (positions ascending), background,
-        then fresh suffixes and prefixes in piece order -- the order the
-        dict tracker feeds ``_sweep_link``, so the event sweep's float
-        accumulation sequence (and thus its spans) is reproduced exactly.
-        """
-        demand = self.arrays.demand
-        out: List[Tuple[Optional[int], Optional[int], float]] = []
-        for cid in sorted(self._alive):
-            if cid in removed:
-                continue
-            cls = self._classes[cid]
-            for pos in np.flatnonzero(cls.lids == lid).tolist():
-                offset = int(cls.offsets[pos])
-                out.append(
-                    (
-                        None if cls.lo is None else cls.lo + offset,
-                        None if cls.hi is None else cls.hi + offset,
-                        demand,
-                    )
-                )
-        out.extend(self._bg_by_lid.get(lid, ()))
-        for piece, _parent in pieces:
-            start = piece.fresh_from
-            for pos in np.flatnonzero(piece.lids[start:] == lid).tolist():
-                offset = int(piece.offsets[start + pos])
-                out.append(
-                    (
-                        None if piece.lo is None else piece.lo + offset,
-                        None if piece.hi is None else piece.hi + offset,
-                        demand,
-                    )
-                )
-        for piece, parent in pieces:
-            fresh_from = piece.fresh_from
-            if fresh_from == 0:
-                continue
-            for pos in np.flatnonzero(parent.lids[:fresh_from] == lid).tolist():
-                offset = int(parent.offsets[pos])
-                out.append(
-                    (
-                        None if piece.lo is None else piece.lo + offset,
-                        None if piece.hi is None else piece.hi + offset,
-                        demand,
-                    )
-                )
-        return out
 
     def _commit(
         self,

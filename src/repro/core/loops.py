@@ -8,12 +8,14 @@ walks backwards along the incoming solid (old-path) lines of ``v`` in the
 time-extended network -- a solid line exists at a given time only while old
 flow still arrives over it, which is determined by the committed update
 times of the upstream switches -- and reports a loop when it encounters
-``v'`` before reaching the source.
+``v'`` before reaching the source.  :func:`creates_forwarding_loop` answers
+that walk in closed form, from the committed switches between ``v'`` and
+``v`` instead of from every hop.
 """
 
 from __future__ import annotations
 
-from typing import Mapping, Optional, Set
+from typing import Mapping, Optional
 
 from repro.core.instance import UpdateInstance
 from repro.network.graph import Node
@@ -43,34 +45,29 @@ def creates_forwarding_loop(
     v_prime = instance.new_next_hop(v)
     if v_prime is None:
         return False
-    network = instance.network
-    source = instance.source
-
-    # Walk back along the old path from v.  The unit that would be deflected
-    # at v departs each upstream switch p at strictly earlier times; the
-    # solid line from p is live only while p still applies its old rule at
-    # that departure time.
-    x = v
-    tau = t
-    visited: Set[Node] = {v}
-    while True:
-        p = instance.old_predecessor(x)
-        if p is None:
+    # The backward walk along the old path from v, in closed form.  The unit
+    # that would be deflected at v departed each upstream switch p at
+    # t - (off(v) - off(p)); the solid line out of p is live there only while
+    # p still applies its old rule, i.e. unless applied[p] - off(p) <=
+    # t - off(v).  The walk reports a loop iff it reaches v' -- v' included,
+    # it tests liveness before identity -- so only the committed switches
+    # between v' and v can say no.
+    index = instance.old_path_index
+    here = index.get(v)
+    there = index.get(v_prime)
+    if here is None or there is None or there >= here:
+        return False
+    offsets = instance.old_path_offsets
+    deadline = t - offsets[v]
+    for p, when in applied.items():
+        position = index.get(p)
+        if (
+            position is not None
+            and there <= position < here
+            and when - offsets[p] <= deadline
+        ):
             return False
-        if p in visited:  # defensive: the old path is simple
-            return False
-        tau -= network.delay(p, x)
-        when = applied.get(p)
-        if when is not None and when <= tau:
-            # p stopped feeding the old path before this unit would have
-            # passed: the solid line into x no longer exists at this depth.
-            return False
-        if p == v_prime:
-            return True
-        if p == source:
-            return False
-        visited.add(p)
-        x = p
+    return True
 
 
 def new_route_revisits(

@@ -12,17 +12,26 @@ and violating alike) and compare everything observable at every step.
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 np = pytest.importorskip("numpy")
 
 from repro.core.instance import (
+    instance_from_paths,
     motivating_example,
     random_instance,
     reversal_instance,
     segmented_instance,
 )
 from repro.core.intervals import IntervalTracker
-from repro.core.intervals_array import ArrayIntervalTracker, instance_arrays
+from repro.core.intervals_array import (
+    ArrayFlowClass,
+    ArrayIntervalTracker,
+    instance_arrays,
+)
+from repro.network.graph import Network
+from tests.test_chain_goldens import interior_positions, rebuilt
 
 
 def _pair(instance, t0=0, background=None):
@@ -235,6 +244,206 @@ class TestLockstepProbe:
         )
         assert array_tracker.applied == {}
         _assert_states_match(dict_tracker, array_tracker, "after preview")
+
+
+OPERATIONS = ("preview_round", "probe_and_commit", "apply_round")
+
+
+class TestLongChains:
+    """Worlds whose paths are mostly chain interiors (DESIGN.md 11.6).
+
+    The instances above have 4-40 switches and almost no interior; here
+    the array tracker walks runs, decides once per chain and shifts one
+    sweep along it, and must still say what the dict tracker says.
+    """
+
+    @settings(
+        max_examples=25,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+    )
+    @given(data=st.data())
+    def test_drawn_worlds_in_lockstep(self, data):
+        draw = data.draw
+        hops = draw(st.integers(200, 600), label="hops")
+        capacity = draw(st.sampled_from((1.0, 2.0)), label="capacity")
+        instance = segmented_instance(
+            hops,
+            seed=draw(st.integers(0, 10_000), label="seed"),
+            segments=draw(st.integers(1, 8), label="segments"),
+            capacity=capacity,
+        )
+        path = instance.old_path
+        link_at = st.integers(0, len(path) - 2).map(lambda i: (path[i], path[i + 1]))
+        instance = rebuilt(
+            instance,
+            capacities=draw(
+                st.dictionaries(link_at, st.sampled_from((0.5, 1.0, 2.0, 3.0)), max_size=3),
+                label="capacities",
+            ),
+            # Unit delays turn a half-updated segment into a shortcut, the
+            # one way these worlds congest a whole chain.
+            unit_delays=draw(st.booleans(), label="unit_delays"),
+        )
+        bound = st.none() | st.integers(-5, 60)
+        background = draw(
+            st.dictionaries(
+                link_at,
+                st.lists(
+                    st.tuples(bound, bound, st.sampled_from((0.25, 0.5, 1.0))),
+                    min_size=1,
+                    max_size=2,
+                ),
+                max_size=3,
+            ),
+            label="background",
+        )
+        dict_tracker, array_tracker = _pair(instance, background=background)
+        _assert_states_match(dict_tracker, array_tracker, "initial")
+        order = list(draw(st.permutations(instance.switches_to_update), label="order"))
+        interior = [path[i] for i in interior_positions(instance)]
+        time = 0
+        for step in range(draw(st.integers(1, 12), label="steps")):
+            if not order:
+                break
+            nodes = [order.pop() for _ in range(min(len(order), draw(st.integers(1, 3))))]
+            if interior and draw(st.booleans()):
+                # A switch whose rule stays: the split starts mid-chain.
+                nodes.append(interior.pop(draw(st.integers(0, len(interior) - 1))))
+            operation = draw(st.sampled_from(OPERATIONS))
+            label = f"step={step} {operation} t={time} nodes={nodes}"
+            dict_report = getattr(dict_tracker, operation)(nodes, time)
+            _assert_reports_match(
+                dict_report, getattr(array_tracker, operation)(nodes, time), label
+            )
+            if operation == "preview_round" or (
+                operation == "probe_and_commit" and not dict_report.ok
+            ):
+                order = nodes[:1] + order  # still pending; try again last
+            time += draw(st.integers(0, 3))
+        _assert_states_match(dict_tracker, array_tracker, "final")
+
+
+def _shortcut_world(tail=200, capacities=None):
+    """``s -> a -> b -> m -> t1 -> ... -> d`` rerouted over ``s -> m``.
+
+    Capacity 2 for a demand of 1: updating ``s`` at 5 puts new flow on
+    ``m``'s out-link from 6 while old flow still leaves it until 7, so for
+    two steps every link of the chain behind ``m`` carries exactly its
+    capacity -- clean, unless a link is given less room.
+    """
+    tail_nodes = [f"t{i}" for i in range(1, tail + 1)] + ["d"]
+    old_path = ["s", "a", "b", "m", *tail_nodes]
+    network = Network()
+    for src, dst in zip(old_path, old_path[1:]):
+        network.add_link(src, dst, capacity=(capacities or {}).get((src, dst), 2.0), delay=1)
+    network.add_link("s", "m", capacity=2.0, delay=1)
+    return instance_from_paths(network, old_path, ["s", "m", *tail_nodes])
+
+
+def _without_flag(tracker, link):
+    """``tracker`` rebuilt as if ``link`` were not decisive."""
+    lid = tracker.arrays.lid_of(*link)
+    assert tracker._decisive[lid], f"{link} is not decisive to begin with"
+    tracker._decisive = tracker._decisive.copy()
+    tracker._decisive[lid] = False
+    initial = tracker._classes[0]
+    dec_pos = tracker._decisive[initial.lids].nonzero()[0]
+    tracker._classes[0] = ArrayFlowClass(
+        None, None, initial.nodes, initial.lids, initial.offsets, dec_pos, initial.lids[dec_pos]
+    )
+    return tracker
+
+
+class TestDecisiveFlagClauses:
+    """Each clause of the decisive flag earns its place.
+
+    One world per clause in which exactly that clause keeps the array
+    tracker right: the report equals the dict tracker's, and differs from
+    it as soon as the one link the clause flags is unflagged.
+    """
+
+    CASES = {
+        # A chain whose third link alone has less room, and alone overflows.
+        "capacity": (dict(capacities={("t2", "t3"): 1.0}), None, ("t2", "t3")),
+        # Background on the second link of the chain only: it alone overflows.
+        "own background": ({}, {("t1", "t2"): [(0, 50, 1.0)]}, ("t1", "t2")),
+        # ... and the link after it must not inherit that verdict.
+        "predecessor's background": ({}, {("t1", "t2"): [(0, 50, 1.0)]}, ("t2", "t3")),
+    }
+
+    @pytest.mark.parametrize("clause", sorted(CASES))
+    def test_clause_is_needed(self, clause):
+        world, background, flagged = self.CASES[clause]
+        instance = _shortcut_world(**world)
+        dict_tracker, array_tracker = _pair(instance, background=background)
+        expected = dict_tracker.apply_round(["s"], 5)
+        assert {span.link for span in expected.congestion} == {
+            ("t2", "t3") if clause == "capacity" else ("t1", "t2")
+        }
+        _assert_reports_match(expected, array_tracker.apply_round(["s"], 5), clause)
+        _assert_states_match(dict_tracker, array_tracker, clause)
+
+        mutant = _without_flag(
+            ArrayIntervalTracker(instance, background=background), flagged
+        )
+        assert mutant.apply_round(["s"], 5).congestion != expected.congestion
+        assert mutant.congestion_spans() != dict_tracker.congestion_spans()
+
+
+class TestRunWiseDeflection:
+    def _loop_world(self):
+        """A 200-switch chain whose switch ``x`` is rerouted back into it."""
+        chain = ["s"] + [f"c{i}" for i in range(1, 201)] + ["d"]
+        old_path = chain[:101] + ["x"] + chain[101:]
+        network = Network()
+        for src, dst in zip(old_path, old_path[1:]):
+            network.add_link(src, dst, capacity=1.0, delay=1)
+        for src, dst in [("x", "y"), ("y", "c50"), ("c60", "z"), ("z", "d")]:
+            network.add_link(src, dst, capacity=1.0, delay=1)
+        new_path = chain[:61] + ["z", "d"]
+        # Switches the new path leaves keep their rule (drain rules), so the
+        # stretches either side of x stay chain interiors.
+        keep = {
+            src: dst for src, dst in zip(old_path, old_path[1:]) if src not in new_path
+        }
+        instance = instance_from_paths(
+            network, old_path, new_path, extra_new_rules={**keep, "x": "y", "y": "c50"}
+        )
+        interior = instance_arrays(instance).interior
+        assert interior[instance_arrays(instance).id_of["c80"]]
+        return instance
+
+    def test_suffix_re_entering_its_prefix_mid_chain_loops_there(self):
+        """``x -> y -> c50`` lands in the middle of the stretch the flow came
+        down: the earliest prefix revisit wins, however far the walk ran."""
+        instance = self._loop_world()
+        dict_tracker, array_tracker = _pair(instance)
+        expected = dict_tracker.apply_round(["x", "y"], 3)
+        assert expected.loops and expected.loops[0][1] == "c50"
+        _assert_reports_match(expected, array_tracker.apply_round(["x", "y"], 3), "loop")
+        _assert_states_match(dict_tracker, array_tracker, "loop")
+
+    def test_split_starting_mid_chain(self):
+        """A round naming interior ``c80`` (its rule stays) next to ``x``: the
+        piece routed from ``c80`` starts inside a run, passes ``x`` and loops
+        on ``c50``, which precedes its own first switch in the prefix."""
+        instance = self._loop_world()
+        dict_tracker, array_tracker = _pair(instance)
+        for operation in ("preview_round", "apply_round"):
+            _assert_reports_match(
+                getattr(dict_tracker, operation)(["c80", "x", "y"], 3),
+                getattr(array_tracker, operation)(["c80", "x", "y"], 3),
+                operation,
+            )
+        _assert_states_match(dict_tracker, array_tracker, "mid-chain")
+        # c60's update cuts the loop's feed; both trackers see the same rest.
+        _assert_reports_match(
+            dict_tracker.apply_round(["c60"], 9),
+            array_tracker.apply_round(["c60"], 9),
+            "after",
+        )
+        _assert_states_match(dict_tracker, array_tracker, "after")
 
 
 class TestBackgroundLoad:

@@ -100,7 +100,7 @@ def _state_record(tracker):
     }
 
 
-def _interior_positions(instance):
+def interior_positions(instance):
     """Old-path positions strictly inside an unrerouted stretch.
 
     A position qualifies when it and both its neighbours keep their rule, so
@@ -140,7 +140,7 @@ def run_rounds(instance, background, seed):
     # A round naming a switch whose rule stays: the split starts mid-chain.
     interior = [
         instance.old_path[i]
-        for i in _interior_positions(instance)
+        for i in interior_positions(instance)
         if instance.old_path[i] not in tracker.applied
     ]
     if interior:
@@ -188,8 +188,12 @@ def fingerprint(instance, background, seed) -> dict:
 
 # --- worlds ------------------------------------------------------------
 
-def _rebuilt(instance, odd_link=None, odd_capacity=None, unit_delays=False):
-    """``instance`` on a copy of its network with capacities / delays edited."""
+def rebuilt(instance, capacities=None, unit_delays=False):
+    """``instance`` on a copy of its network with capacities / delays edited.
+
+    ``capacities`` maps ``(src, dst)`` to the capacity that link gets.
+    """
+    capacities = capacities or {}
     network = Network()
     for node in instance.network.switches:
         network.add_switch(node)
@@ -197,7 +201,7 @@ def _rebuilt(instance, odd_link=None, odd_capacity=None, unit_delays=False):
         network.add_link(
             link.src,
             link.dst,
-            capacity=odd_capacity if link.endpoints == odd_link else link.capacity,
+            capacity=capacities.get(link.endpoints, link.capacity),
             delay=1 if unit_delays else link.delay,
         )
     return instance_from_paths(
@@ -219,14 +223,14 @@ def segmented_world(size, segments, capacity, variant):
     instance = segmented_instance(
         size, seed=1900 + size + segments, segments=segments, capacity=capacity
     )
-    interior = _interior_positions(instance)
+    interior = interior_positions(instance)
     path = instance.old_path
     if "o" in variant or "f" in variant:
         i = interior[(2 * len(interior)) // 3]
-        instance = _rebuilt(
+        odd = {(path[i], path[i + 1]): 1.0 if capacity == 2.0 else 2.0}
+        instance = rebuilt(
             instance,
-            odd_link=(path[i], path[i + 1]) if "o" in variant else None,
-            odd_capacity=1.0 if capacity == 2.0 else 2.0,
+            capacities=odd if "o" in variant else None,
             unit_delays="f" in variant,
         )
     background = None

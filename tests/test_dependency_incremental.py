@@ -13,6 +13,8 @@ time passes with no commit -- the case that exercises verdict expiry).
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.core.dependency import (
     DependencyState,
@@ -24,6 +26,7 @@ from repro.core.instance import (
     reversal_instance,
     segmented_instance,
 )
+from tests.test_chain_goldens import rebuilt
 
 MAX_STEPS = 200
 
@@ -109,8 +112,72 @@ class TestDrainTableIncremental:
             state.commit(chosen, t)
             expected = drain_table(instance, applied)
             for node, value in expected.items():
-                assert state._drains[node] == value, f"t={t} node={node}"
+                assert state.drain(node) == value, f"t={t} node={node}"
             t += 1
+
+
+class TestStaircaseAtScale:
+    """The staircase drain table on long paths (DESIGN.md 7.4).
+
+    The parametrised trajectories above draw 4-40 switches, where a
+    staircase and a materialised table are the same few entries.  Here the
+    path is 300-2 000 switches: the relation sets must still equal the
+    from-scratch function's at every step, and ``drain(v)`` the table the
+    engine used to materialise, rebuilt here by the hop walk it replaced.
+    """
+
+    @settings(
+        max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+    )
+    @given(
+        size=st.integers(300, 2000),
+        seed=st.integers(0, 10_000),
+        segments=st.integers(1, 12),
+        policy=st.sampled_from(("heads", "random", "idle")),
+        unit_delays=st.booleans(),
+    )
+    def test_relations_and_drains_match(self, size, seed, segments, policy, unit_delays):
+        instance = segmented_instance(size, seed=seed, segments=segments)
+        if unit_delays:
+            instance = rebuilt(instance, unit_delays=True)
+        rng = random.Random(seed)
+        path = instance.old_path
+        offsets = instance.old_path_offsets
+        prefix_min = [float("inf")] * len(path)
+        drains = {node: float("inf") for node in path}
+        position = {node: i for i, node in enumerate(path)}
+
+        pending = list(instance.switches_to_update)
+        applied = {}
+        state = DependencyState(instance, pending)
+        for t in range(MAX_STEPS):
+            if not pending:
+                break
+            fresh = dependency_relations(instance, pending, applied, t)
+            _assert_same(fresh, state.relations(t), f"t={t} applied={applied}")
+            heads = fresh.heads
+            if policy == "heads":
+                chosen = heads
+            elif policy == "random":
+                chosen = [node for node in heads if rng.random() < 0.6]
+            else:
+                chosen = [] if t % 3 == 2 else heads
+            if not heads and fresh.has_cycle:
+                break
+            for node in chosen:
+                applied[node] = t
+                pending.remove(node)
+                # The materialised table's update, hop by hop.
+                key = t - offsets[node]
+                for j in range(position[node], len(path)):
+                    if prefix_min[j] <= key:
+                        break
+                    prefix_min[j] = key
+                    drains[path[j]] = key - 1 + offsets[path[j]]
+            state.commit(chosen, t)
+            assert all(state.drain(node) == drains[node] for node in path), f"t={t}"
+            assert drains == drain_table(instance, applied), f"t={t}"
+        assert state.drain("not-a-switch") is None
 
 
 class TestCacheFastPath:

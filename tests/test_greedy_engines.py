@@ -29,6 +29,7 @@ from repro.core.instance import (
 )
 from repro.core.tracker import replay_schedule
 from repro.core.serialization import schedule_to_json
+from repro.perf import perf
 from repro.validate.verifier import verify_schedule
 
 
@@ -99,7 +100,8 @@ def test_incremental_dict_engine_byte_identical(seed, engine_goldens):
 
 
 class TestScaleRegression:
-    """Wall-clock guard on the optimised hot path (generous CI headroom)."""
+    """Guards on the optimised hot path: a stopwatch with generous CI
+    headroom, and a count that cannot flake."""
 
     def test_n2000_completes_fast_and_feasible(self):
         instance = segmented_instance(2000, seed=2000)
@@ -111,3 +113,36 @@ class TestScaleRegression:
         # now runs in ~0.3s.  3s keeps slow CI machines out of the noise
         # while still catching an accidental return to the old complexity.
         assert elapsed < 3.0, f"greedy at n=2000 took {elapsed:.2f}s"
+
+    @pytest.mark.parametrize("size", [2000, 20000])
+    def test_probe_work_tracks_the_update_not_the_path(self, size):
+        """What a probe looks at is bounded by the switches being rerouted.
+
+        Links batched per probe and runs walked per deflection stay within
+        a small multiple of ``len(switches_to_update) + segments`` at both
+        sizes -- ten times the path changes neither -- and a feasible plan
+        with no congested probe expands no chain.  Any return to O(path)
+        work per probe (the all-fresh-links pass batched ~1 850 links per
+        probe at 10 000 switches) fails this whatever the machine.
+        """
+        segments = 4
+        instance = segmented_instance(size, seed=size, segments=segments)
+        perf.reset()
+        perf.enable()
+        try:
+            result = greedy_schedule(instance)
+            probes = perf.calls("greedy.select.tracker.probe")
+            counters = perf.snapshot()["counters"]
+        finally:
+            perf.disable()
+            perf.reset()
+        assert result.feasible
+        assert probes >= len(instance.switches_to_update)
+        bound = 2 * (len(instance.switches_to_update) + segments)
+        assert counters["tracker.array.batched_links"] <= bound * probes
+        assert (
+            counters["tracker.array.deflect_runs"]
+            <= bound * counters["tracker.array.deflections"]
+        )
+        assert "tracker.array.exact_sweeps" not in counters
+        assert "tracker.array.chains_expanded" not in counters

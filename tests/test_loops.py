@@ -1,7 +1,12 @@
 """Unit tests for Algorithm 4 (forwarding-loop check)."""
 
-import pytest
+import random
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.instance import motivating_example, random_instance, segmented_instance
 from repro.core.loops import creates_forwarding_loop, new_route_revisits
 
 
@@ -34,6 +39,60 @@ class TestBackwardWalk:
 
     def test_switch_without_new_rule_is_safe(self, tiny_instance):
         assert not creates_forwarding_loop(tiny_instance, {}, "b", 0)
+
+
+def _backward_walk(instance, applied, v, t):
+    """Algorithm 4 as printed: hop by hop up the old path from ``v``."""
+    v_prime = instance.new_next_hop(v)
+    if v_prime is None:
+        return False
+    x, tau = v, t
+    while True:
+        p = instance.old_predecessor(x)
+        if p is None:
+            return False
+        tau -= instance.network.delay(p, x)
+        when = applied.get(p)
+        if when is not None and when <= tau:
+            return False  # the solid line into x is gone at this depth
+        if p == v_prime:
+            return True
+        x = p
+
+
+class TestClosedFormEqualsTheWalk:
+    """``creates_forwarding_loop`` scans the committed switches between
+    ``v'`` and ``v``; the hop walk it replaced is the reference."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        kind=st.sampled_from(("random", "random-delays", "segmented", "fig1")),
+        size=st.integers(4, 40),
+        seed=st.integers(0, 10_000),
+        share=st.floats(0.0, 1.0),
+        horizon=st.integers(1, 30),
+    )
+    def test_every_pending_switch_at_several_times(self, kind, size, seed, share, horizon):
+        if kind == "fig1":
+            instance = motivating_example()
+        elif kind == "segmented":
+            instance = segmented_instance(size + 8, seed=seed, segments=1 + seed % 3)
+        else:
+            instance = random_instance(
+                size, seed=seed, max_delay=3 if kind == "random-delays" else None
+            )
+        rng = random.Random(seed)
+        switches = list(instance.switches_to_update)
+        applied = {
+            node: rng.randint(0, horizon) for node in switches if rng.random() < share
+        }
+        for v in switches:
+            if v in applied:
+                continue
+            for t in (0, horizon // 2, horizon, horizon + rng.randint(1, 2 * size)):
+                assert creates_forwarding_loop(instance, applied, v, t) == _backward_walk(
+                    instance, applied, v, t
+                ), (v, t, applied)
 
 
 class TestForwardVariant:

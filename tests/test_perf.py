@@ -4,6 +4,8 @@ import time
 
 import pytest
 
+from repro.core.greedy import greedy_schedule
+from repro.core.instance import segmented_instance
 from repro.perf import PerfRegistry, perf, render_report, timed
 from repro.perf.registry import _NULL_SPAN, _env_enabled
 
@@ -79,6 +81,61 @@ class TestSpans:
         reg.reset()
         assert reg.enabled
         assert reg.snapshot() == {"spans": {}, "counters": {}}
+
+
+class TestGreedySpanTree:
+    """``scripts/profile.py`` sizes tracker work from this tree, so its root
+    has to be the run: tracker build, Algorithm 3's commits and the final
+    check are spans under ``greedy``, not time outside it."""
+
+    @pytest.fixture
+    def profiled(self):
+        perf.reset()
+        perf.enable()
+        try:
+            yield perf
+        finally:
+            perf.disable()
+            perf.reset()
+
+    def test_root_covers_the_run_and_its_children(self, profiled):
+        instance = segmented_instance(1000, seed=5)
+        started = time.perf_counter()
+        greedy_schedule(instance)
+        wall = time.perf_counter() - started
+        spans = profiled.snapshot()["spans"]
+        assert set(spans) >= {
+            "greedy",
+            "greedy.tracker.build",
+            "greedy.dependencies",
+            "greedy.dependencies.commit",
+            "greedy.select",
+            "greedy.select.tracker.probe",
+            "greedy.select.tracker.probe.split",
+            "greedy.select.tracker.probe.split.deflect",
+            "greedy.select.tracker.probe.check",
+            "greedy.final_check",
+        }
+        root = spans["greedy"]["seconds"]
+        assert root <= wall
+        # Nothing but the mode check and the span's own bookkeeping runs
+        # outside the root (generous: 2 % on a quiet box).
+        assert root >= 0.9 * wall
+        parents = {}
+        for path, stat in spans.items():
+            parent = path.rsplit(".", 1)[0]
+            while parent not in spans and "." in parent:
+                parent = parent.rsplit(".", 1)[0]
+            if parent in spans and parent != path:
+                parents[parent] = parents.get(parent, 0.0) + stat["seconds"]
+        for parent, covered in parents.items():
+            assert covered <= spans[parent]["seconds"] + 1e-6, parent
+
+    def test_disabled_registry_records_nothing(self):
+        assert perf.enabled is False
+        perf.reset()
+        greedy_schedule(segmented_instance(300, seed=5))
+        assert perf.snapshot() == {"spans": {}, "counters": {}}
 
 
 class TestCounters:
