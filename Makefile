@@ -26,7 +26,7 @@ bench-repo:      ## the repo benchmark (BENCHMARK.json): quick pass over all fiv
 	$(PYTHON) bench/run.py --quick
 	$(PYTHON) -m pytest bench/test_bench.py -q
 
-profile:         ## phase breakdown of the greedy engine at 6000 switches
+profile:         ## phase breakdown of the greedy engine at 6000 switches (aggregate view of an in-memory trace)
 	$(PYTHON) scripts/profile.py
 
 faults:          ## fault-severity ablation: chronus/or/tp under an imperfect control plane
@@ -35,7 +35,7 @@ faults:          ## fault-severity ablation: chronus/or/tp under an imperfect co
 pipeline-smoke:  ## kill-and-resume a tiny scenario; gate on byte-identical records
 	$(PYTHON) scripts/pipeline_smoke.py
 
-trace-smoke:     ## pool run with a SQLite sink; gate on worker spans reaching it
+trace-smoke:     ## pool run with a SQLite sink + a traced service cell; gate on worker spans and per-request nesting
 	$(PYTHON) scripts/trace_smoke.py
 
 service-smoke:   ## burst through the update service; gate on terminal+conformant+lockstep

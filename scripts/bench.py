@@ -6,7 +6,7 @@ Usage::
     python scripts/bench.py            # full sizes (minutes)
     python scripts/bench.py --quick    # small sizes (CI smoke / make bench)
     python scripts/bench.py --no-write # measure only, leave the JSON alone
-    python scripts/bench.py --profile  # attach a repro.perf phase breakdown
+    python scripts/bench.py --profile  # attach the aggregate timers + counters
 
 Exit status is non-zero when a measured invariant fails:
 
@@ -59,8 +59,8 @@ for entry in (str(REPO_ROOT / "src"), str(REPO_ROOT)):
         sys.path.insert(0, entry)
 
 from benchmarks import perf_harness  # noqa: E402  (path setup above)
-from repro.perf import perf  # noqa: E402
 from repro.pipeline.cli import add_quick_flag, script_parser  # noqa: E402
+from repro.trace import TraceSession, aggregate, render_report  # noqa: E402
 from repro.validate.gate import run_gate  # noqa: E402
 
 SLOWDOWN_LIMIT = 1.2
@@ -98,7 +98,7 @@ def greedy_regression(record, history):
     (equal ``cpus``) are comparable; quick records measure different
     sizes and other machine classes have different clocks, so both are
     skipped.  Profiled records are skipped on both sides -- the enabled
-    perf counters inflate the tracker hot path, so their timings are not
+    timers and counters inflate the tracker hot path, so their timings are not
     comparable to plain runs.  A quick *current* record is gated at the
     sizes it shares with full records (400): that row is ~13 ms, which
     is why the harness takes rows under 50 ms as a best-of-10
@@ -314,7 +314,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--profile",
         action="store_true",
-        help="enable repro.perf and attach the phase breakdown to the record",
+        help="record the harness in memory and attach its aggregate view to the record",
     )
     parser.add_argument(
         "--no-verify",
@@ -324,11 +324,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     if args.profile:
-        perf.enable()
-    record = perf_harness.collect(quick=args.quick, workers=args.workers)
-    if args.profile:
-        record["profile"] = perf.snapshot()
-        print(perf.report())
+        with TraceSession(scenario="bench", run_id="profile") as session:
+            record = perf_harness.collect(quick=args.quick, workers=args.workers)
+        record["profile"] = aggregate(session.tape)
+        print(render_report(record["profile"]))
+    else:
+        record = perf_harness.collect(quick=args.quick, workers=args.workers)
 
     if not args.no_verify:
         gate = run_gate(

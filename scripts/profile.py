@@ -2,18 +2,20 @@
 """One-command phase profiles: the greedy scheduler and one service cell.
 
 ``greedy`` (the default, ``make profile``) runs the Chronus greedy engine
-on a paper-scale segmented instance with the :mod:`repro.perf` registry
-enabled and prints the hierarchical wall-clock breakdown (tracker build,
+on a paper-scale segmented instance inside a sink-less
+:class:`repro.trace.TraceSession` and prints the aggregate view of its tape
+(the view ``python -m repro.trace profile`` prints of a stored trace): the
+hierarchical wall-clock breakdown (tracker build,
 dependency analysis and its commits, round selection with each probe split
 into ``split`` / ``deflect`` / ``check``, the final check) under a root span
 that covers the whole run, together with the tracker's counters and what a
 probe looked at per switch being updated.
 
 ``service`` runs one seeded cell of the update service shaped like the repo
-benchmark's ``service-burst`` workload and prints the DES event count, the
-cost per event and the wall clock split by layer (plan / verify / dispatch
-/ DES / admission / build), so an execute-path change is sized from here
-rather than from an ad-hoc wrapper.
+benchmark's ``service-burst`` workload the same way and reads the DES event
+count, the cost per event and the wall clock split by layer (plan / verify
+/ dispatch / DES / admission / build) off the tape, so an execute-path
+change is sized from here rather than from an ad-hoc wrapper.
 
 Usage::
 
@@ -33,9 +35,7 @@ from __future__ import annotations
 
 import sys
 import time
-from contextlib import ExitStack
 from pathlib import Path
-from unittest import mock
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SRC = str(REPO_ROOT / "src")
@@ -44,8 +44,9 @@ if SRC not in sys.path:
 
 from repro.core.greedy import greedy_schedule  # noqa: E402
 from repro.core.instance import segmented_instance  # noqa: E402
-from repro.perf import measure_peak_rss, perf  # noqa: E402
+from repro.perf import measure_peak_rss  # noqa: E402
 from repro.pipeline.cli import emit_json, script_parser  # noqa: E402
+from repro.trace import TraceSession, aggregate, render_report  # noqa: E402
 
 
 def _stage(size: int, seed: int) -> None:
@@ -57,57 +58,45 @@ def _stage(size: int, seed: int) -> None:
 BURST_CELL = dict(
     pods=32, pod_size=12, requests=100, mean_interarrival=0.25, max_queue=1024, planners=4
 )
-SERVICE_LAYERS = ("plan", "verify", "dispatch", "des", "admission", "build")
+#: Layer -> the spans (recorded or aggregate) whose durations it sums.
+SERVICE_LAYERS = {
+    "plan": ("plan",),
+    "verify": ("validate.verifier.verify",),
+    "dispatch": ("controller.resilient.dispatch",),
+    "des": ("simulator.engine.run",),
+    "admission": ("service.admission.offer", "service.admission.release"),
+    "build": ("service.build",),
+}
 
 
 def _service_pass(seed: int) -> dict:
-    """Run one burst-shaped cell with a stopwatch around every layer boundary.
+    """Run one burst-shaped cell in a session and read each layer off its tape.
 
-    The boundaries are the names ``bench/tracing.py`` rebinds; none of them
-    runs inside another, so each total is that layer's own time.
+    None of the layers' timers runs inside another, so each total is that
+    layer's own time.
     """
-    import repro.service.service as service
-    from repro.service.admission import AdmissionController
-    from repro.simulator.engine import Simulator
+    from repro.service.service import ServiceConfig, run_cell
 
-    totals = dict.fromkeys(SERVICE_LAYERS, 0.0)
-    events = 0
-
-    def stopwatch(layer, function):
-        def timed(*args, **kwargs):
-            nonlocal events
-            started = time.perf_counter()
-            try:
-                result = function(*args, **kwargs)
-            finally:
-                totals[layer] += time.perf_counter() - started
-            if layer == "des":  # Simulator.run returns the events it processed
-                events += result
-            return result
-
-        return timed
-
-    config = service.ServiceConfig(seed=seed, **BURST_CELL)
-    planner = service.get_planner(config.scheme)
-    bindings = [
-        (planner, "plan", "plan"),
-        (planner, "verify", "verify"),
-        (service, "perform_resilient_update", "dispatch"),
-        (Simulator, "run", "des"),
-        (AdmissionController, "offer", "admission"),
-        (AdmissionController, "release", "admission"),
-        (service, "build_workload", "build"),
-        (service.UpdateService, "__init__", "build"),
-    ]
-    with ExitStack() as patches:
-        for owner, name, layer in bindings:
-            patches.enter_context(
-                mock.patch.object(owner, name, stopwatch(layer, getattr(owner, name)))
-            )
+    config = ServiceConfig(seed=seed, **BURST_CELL)
+    with TraceSession(scenario="profile", run_id=f"service-{seed}") as session:
         started = time.perf_counter()
-        report = service.run_cell(config)
+        report = run_cell(config)
         wall = time.perf_counter() - started
-    return {"wall_s": wall, "events": events, "layers_s": totals, "summary": report.summary}
+    totals = {
+        layer: sum(
+            record.duration_ms
+            for record in session.tape
+            if record.kind == "span" and record.name in names
+        )
+        / 1000.0
+        for layer, names in SERVICE_LAYERS.items()
+    }
+    return {
+        "wall_s": wall,
+        "events": aggregate(session.tape)["counters"]["simulator.engine.events"],
+        "layers_s": totals,
+        "summary": report.summary,
+    }
 
 
 def _profile_service(seed: int, repeat: int, as_json: bool) -> int:
@@ -173,10 +162,11 @@ def main(argv=None) -> int:
 
     seed = args.size if args.seed is None else args.seed
     instance = segmented_instance(args.size, seed=seed)
-    perf.enable()
-    started = time.perf_counter()
-    result = greedy_schedule(instance)
-    elapsed = time.perf_counter() - started
+    with TraceSession(scenario="profile", run_id=f"greedy-{args.size}") as session:
+        started = time.perf_counter()
+        result = greedy_schedule(instance)
+        elapsed = time.perf_counter() - started
+    profile = aggregate(session.tape)
     print(
         f"greedy[{args.size}]: {elapsed:.3f}s "
         f"feasible={result.feasible} makespan={result.makespan}"
@@ -190,19 +180,19 @@ def main(argv=None) -> int:
             f"stage delta {memory['delta_mb']}MB)"
         )
     if args.json:
-        snapshot = perf.snapshot()
         if memory is not None:
-            snapshot["memory"] = memory
-        emit_json(snapshot)
+            profile["memory"] = memory
+        emit_json(profile)
     else:
-        print(perf.report())
-        probes = perf.calls("greedy.select.tracker.probe")
-        deflections = perf.counter("tracker.array.deflections")
+        print(render_report(profile))
+        counters = profile["counters"]
+        probes = profile["spans"].get("greedy.select.tracker.probe", {}).get("calls")
+        deflections = counters.get("tracker.array.deflections")
         if probes and deflections:  # the array tracker ran
             print(
-                f"  per probe: {perf.counter('tracker.array.batched_links') / probes:.1f} "
+                f"  per probe: {counters['tracker.array.batched_links'] / probes:.1f} "
                 f"links batched; per deflection: "
-                f"{perf.counter('tracker.array.deflect_runs') / deflections:.1f} runs walked "
+                f"{counters['tracker.array.deflect_runs'] / deflections:.1f} runs walked "
                 f"({len(instance.switches_to_update)} switches to update on a "
                 f"{len(instance.old_path)}-switch path)"
             )

@@ -17,7 +17,11 @@ Exercises the trace layer end-to-end (``make trace-smoke``, CI's
    - each pipeline record's ``trace`` field points at a real span;
 3. re-run the same scenario serially with the sink off and fail unless
    ``records.jsonl`` is byte-identical to the traced pool run minus the
-   ``trace`` field -- tracing must stay observability-only.
+   ``trace`` field -- tracing must stay observability-only;
+4. run one traced burst-shaped service cell (its intents interleave on
+   four planner tasks) and fail unless every ``apply`` event's ancestor
+   chain holds exactly one ``service.request`` span and no span's parent
+   closed before the span opened -- the current span must be task-local.
 
 Single-core boxes are the reason for the ``available_cpus`` override
 below: the runner (correctly) refuses a pool when there is one usable
@@ -50,11 +54,37 @@ from repro.pipeline.cli import script_parser  # noqa: E402
 from repro.pipeline.context import RunContext  # noqa: E402
 from repro.pipeline.runner import run_to_store  # noqa: E402
 from repro.pipeline.store import ArtifactStore  # noqa: E402
-from repro.trace.query import filter_records, read_trace  # noqa: E402
+from repro.trace.query import ancestors, filter_records, read_trace  # noqa: E402
 
 SCENARIO = "fig9"
 OVERRIDES = {"switch_counts": [20, 30], "instances_per_size": 3}
 WORKERS = 2
+BURST_CELL = dict(cells=1, pods=8, pod_size=6, requests=40, mean_interarrival=0.25, planners=4)
+
+
+def _service_nesting_failures(store) -> list:
+    """Check 4: a traced burst-shaped cell is one subtree per request."""
+    stored = run_to_store(
+        "service", overrides=BURST_CELL, ctx=RunContext(trace="jsonl"), store=store, run_id="burst"
+    )
+    records = read_trace(stored.handle.directory / "trace.jsonl")
+    spans = {r.span_id: r for r in records if r.kind == "span"}
+    applies = filter_records(records, name="apply", kind="event")
+    print(f"[smoke] service cell: {len(applies)} apply event(s) to attribute")
+    failures = []
+    if not applies or any(
+        sum(span.name == "service.request" for span in ancestors(event, spans)) != 1
+        for event in applies
+    ):
+        failures.append("not every apply event sits under exactly one service.request span")
+    if any(
+        span.end_time is not None  # aggregates carry no interval
+        and span.parent_id in spans
+        and spans[span.parent_id].end_time < span.start_time
+        for span in spans.values()
+    ):
+        failures.append("a span opened after its parent had closed")
+    return failures
 
 
 def main(argv=None) -> int:
@@ -154,6 +184,7 @@ def main(argv=None) -> int:
                 "traced records (minus the trace field) differ from the "
                 "untraced serial run"
             )
+        failures.extend(_service_nesting_failures(store))
     finally:
         if args.keep:
             print(f"[smoke] store kept at {root}")
@@ -168,8 +199,8 @@ def _finish(failures) -> int:
         print(f"TRACE SMOKE FAILURE: {failure}", file=sys.stderr)
     if not failures:
         print(
-            "[smoke] OK: pool-worker spans reached the sink and tracing "
-            "left the records untouched"
+            "[smoke] OK: pool-worker spans reached the sink, tracing left the "
+            "records untouched and service spans nest per request"
         )
     return 1 if failures else 0
 

@@ -55,7 +55,7 @@ from repro.core.instance import UpdateInstance
 from repro.core.schedule import UpdateSchedule
 from repro.network.graph import Node
 from repro.simulator.dataplane import DataPlane
-from repro.trace.recorder import recorder, trace_event
+from repro.trace.recorder import recorder
 from repro.updates.registry import ROUNDS, TIMED, TWO_PHASE, UpdatePlan, get_planner
 
 
@@ -102,6 +102,10 @@ class _ResilientRun:
         self._max_retries = max_retries
         self._deadline = deadline
         self.trace = ExecutionTrace()
+        # Per-switch evidence goes to the span this execution was started
+        # under: the acknowledgements that carry it fire in simulator
+        # callbacks, in whichever task (or no task) runs the simulator.
+        self._span = recorder.current()
         self._finished_at_from_applies = finished_at_from_applies
         self._on_finish = on_finish
         self._touched: List[_Item] = []
@@ -231,7 +235,7 @@ class _ResilientRun:
             self._abort("deadline passed during retry")
             return
         self.trace.retries[node] = self.trace.retries.get(node, 0) + 1
-        trace_event("retry", switch=str(node), attempt=self._attempt[node])
+        self._span.event("retry", switch=str(node), attempt=self._attempt[node])
         # Same xid: a retry whose original arrived is deduplicated by the
         # switch, so resending is always safe.
         self._controller.send_flow_mod(node, self._current[node].message)
@@ -271,7 +275,7 @@ class _ResilientRun:
             if message is not None:
                 self._controller.send_flow_mod(item.node, message)
                 self.trace.rolled_back.append(item.node)
-                trace_event("rollback", switch=str(item.node), reason=reason)
+                self._span.event("rollback", switch=str(item.node), reason=reason)
         self.trace.finished_at = self._sim.now
         if self._on_finish is not None:
             self._on_finish(self.trace)
@@ -291,14 +295,14 @@ class _ResilientRun:
         if lateness is not None:
             self.trace.late[node] = lateness
         if recorder.enabled:
-            trace_event(
+            self._span.event(
                 "apply",
                 switch=str(node),
                 planned=round(self.trace.planned[node], 6),
                 applied=round(applied, 6),
             )
             if lateness is not None:
-                trace_event("late", switch=str(node), seconds=round(lateness, 6))
+                self._span.event("late", switch=str(node), seconds=round(lateness, 6))
         return True
 
 

@@ -45,7 +45,7 @@ from repro.core.rounds import greedy_loop_free_rounds
 from repro.core.schedule import UpdateSchedule
 from repro.core.tracker import Tracker, make_tracker
 from repro.network.graph import Node
-from repro.perf import perf
+from repro.trace.recorder import recorder
 
 EXACT = "exact"
 PAPER = "paper"
@@ -110,12 +110,12 @@ def greedy_schedule(
     """
     if mode not in (EXACT, PAPER):
         raise ValueError(f"unknown greedy mode {mode!r}")
-    with perf.span("greedy"):
+    with recorder.timer("greedy"):
         # Insertion-ordered dict as the pending set: O(1) membership tests and
         # removals with the same stable iteration order a list gave, minus the
         # O(n) ``list.remove`` per committed switch.
         pending: Dict[Node, None] = dict.fromkeys(instance.switches_to_update)
-        with perf.span("tracker.build"):
+        with recorder.timer("tracker.build"):
             tracker = make_tracker(instance, t0=t0, background=background)
         state = DependencyState(instance, pending)
         times: Dict[Node, int] = {}
@@ -130,7 +130,7 @@ def greedy_schedule(
         for _ in range(max_steps):
             if not pending:
                 break
-            with perf.span("dependencies"):
+            with recorder.timer("dependencies"):
                 dependencies = state.relations(t)
             if keep_dependency_log:
                 dependency_log.append((t, dependencies))
@@ -138,7 +138,7 @@ def greedy_schedule(
                 stalled_at = t
                 break
 
-            with perf.span("select"):
+            with recorder.timer("select"):
                 round_nodes, adopted = _select_round(
                     instance, tracker, dependencies, pending, t, mode
                 )
@@ -148,14 +148,14 @@ def greedy_schedule(
                     # (all verified clean); adopting it skips re-splitting.
                     tracker = adopted
                 else:
-                    with perf.span("apply"):
+                    with recorder.timer("apply"):
                         report = tracker.apply_round(round_nodes, t)
                     if not report.ok:
                         violations.append(report)
                 for node in round_nodes:
                     times[node] = t
                     del pending[node]
-                with perf.span("dependencies"), perf.span("commit"):
+                with recorder.timer("dependencies"), recorder.timer("commit"):
                     state.commit(round_nodes, t)
             else:
                 horizon = tracker.finite_drain_horizon()
@@ -182,7 +182,7 @@ def greedy_schedule(
                 for node in round_nodes:
                     times[node] = when
 
-        with perf.span("final_check"):
+        with recorder.timer("final_check"):
             feasible = stalled_at is None and not violations and tracker.ok
         schedule = UpdateSchedule(times=times, start_time=t0, feasible=feasible)
         return GreedyResult(

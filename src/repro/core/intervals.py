@@ -26,7 +26,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 from repro.core.cow import CowIndex
 from repro.core.instance import UpdateInstance
 from repro.network.graph import Node
-from repro.perf import perf
+from repro.trace.recorder import recorder
 
 LinkKey = Tuple[Node, Node]
 
@@ -307,7 +307,7 @@ class IntervalTracker:
 
         Does not modify the tracker.
         """
-        with perf.span("tracker.preview"):
+        with recorder.timer("tracker.preview"):
             self._check_round_args(nodes, time)
             pieces, _trims, _deflected, removed, report = self._split(nodes, time)
             self._check_new_congestion(pieces, removed, report)
@@ -315,7 +315,7 @@ class IntervalTracker:
 
     def apply_round(self, nodes: Sequence[Node], time: int) -> RoundReport:
         """Commit updating ``nodes`` at ``time`` and report new violations."""
-        with perf.span("tracker.apply"):
+        with recorder.timer("tracker.apply"):
             self._check_round_args(nodes, time)
             pieces, trims, deflected, removed, report = self._split(nodes, time)
             self._check_new_congestion(pieces, removed, report)
@@ -332,7 +332,7 @@ class IntervalTracker:
         probing heads one at a time against a scratch clone that accumulates
         the accepted ones.
         """
-        with perf.span("tracker.probe"):
+        with recorder.timer("tracker.probe"):
             self._check_round_args(nodes, time)
             pieces, trims, deflected, removed, report = self._split(nodes, time)
             self._check_new_congestion(pieces, removed, report)
@@ -565,13 +565,13 @@ class IntervalTracker:
         capacities = self.instance.network.capacity_map()
         classes = self._classes
         alive = self._alive
-        profiling = perf.enabled
+        profiling = recorder.enabled
         for link, fresh in extras.items():
             capacity = capacities[link]
             committed = self._committed_entries(link)
             if not committed and len(fresh) * demand <= capacity + _EPS:
                 if profiling:
-                    perf.count("tracker.links_skipped")
+                    recorder.count("tracker.links_skipped")
                 continue  # combined fresh load cannot exceed capacity
             intervals = []
             for entry in committed:
@@ -592,8 +592,8 @@ class IntervalTracker:
                     )
             intervals.extend(fresh)
             if profiling:
-                perf.count("tracker.sweeps")
-                perf.count("tracker.sweep_intervals", len(intervals))
+                recorder.count("tracker.sweeps")
+                recorder.count("tracker.sweep_intervals", len(intervals))
             report.congestion.extend(
                 _sweep_link(link, capacity, intervals, self.t0)
             )
@@ -610,8 +610,8 @@ class IntervalTracker:
         ``(cid, offset, load)`` against the class's current bounds.
         """
         memo = self._entry_memo.get(link)
-        if perf.enabled:
-            perf.count(
+        if recorder.enabled:
+            recorder.count(
                 "tracker.entry_memo.hit" if memo is not None else "tracker.entry_memo.miss"
             )
         if memo is not None:

@@ -84,7 +84,7 @@ from repro.core.intervals import (
     _sweep_link,
 )
 from repro.network.graph import Node
-from repro.perf import perf
+from repro.trace.recorder import recorder
 
 _CACHE_ATTR = "_soa_arrays"
 
@@ -572,18 +572,18 @@ class ArrayIntervalTracker:
     # rounds
     # ------------------------------------------------------------------
     def preview_round(self, nodes: Sequence[Node], time: int) -> RoundReport:
-        with perf.span("tracker.preview"):
+        with recorder.timer("tracker.preview"):
             _trims, _deflected, _removed, report = self._probe(nodes, time)
             return report
 
     def apply_round(self, nodes: Sequence[Node], time: int) -> RoundReport:
-        with perf.span("tracker.apply"):
+        with recorder.timer("tracker.apply"):
             trims, deflected, removed, report = self._probe(nodes, time)
             self._commit(nodes, time, trims, deflected, removed)
             return report
 
     def probe_and_commit(self, nodes: Sequence[Node], time: int) -> RoundReport:
-        with perf.span("tracker.probe"):
+        with recorder.timer("tracker.probe"):
             trims, deflected, removed, report = self._probe(nodes, time)
             if report.ok:
                 self._commit(nodes, time, trims, deflected, removed)
@@ -592,9 +592,9 @@ class ArrayIntervalTracker:
     def _probe(self, nodes: Sequence[Node], time: int):
         """Split and check one round; ``(trims, deflected, removed, report)``."""
         self._check_round_args(nodes, time)
-        with perf.span("split"):
+        with recorder.timer("split"):
             pieces, trims, deflected, removed, report = self._split(nodes, time)
-        with perf.span("check"):
+        with recorder.timer("check"):
             self._check_new_congestion(pieces, removed, report)
         return trims, deflected, removed, report
 
@@ -798,7 +798,7 @@ class ArrayIntervalTracker:
                 hi = cls.hi if hi is None else min(hi, cls.hi)
             if hi is not None and lo > hi:
                 continue
-            with perf.span("deflect"):
+            with recorder.timer("deflect"):
                 piece = self._deflect(cls, index, lo, hi)
             deflected.append(piece)
             if piece.outcome == LOOPED:
@@ -867,9 +867,9 @@ class ArrayIntervalTracker:
             loop_node = current  # hop guard: treat as a loop
         for node in marked:
             mark[node] = 0
-        if perf.enabled:
-            perf.count("tracker.array.deflections")
-            perf.count("tracker.array.deflect_runs", len(node_parts) - 1)
+        if recorder.enabled:
+            recorder.count("tracker.array.deflections")
+            recorder.count("tracker.array.deflect_runs", len(node_parts) - 1)
 
         # Offsets and decisive positions of the suffix from its link ids
         # (all empty when the route ends where it starts).
@@ -1012,9 +1012,9 @@ class ArrayIntervalTracker:
             fresh_counts[ti] += 1
 
         columns = batch.columns()
-        if perf.enabled:
-            perf.count("tracker.array.batched_links", T)
-            perf.count("tracker.array.batched_intervals", int(columns[0].size))
+        if recorder.enabled:
+            recorder.count("tracker.array.batched_links", T)
+            recorder.count("tracker.array.batched_intervals", int(columns[0].size))
         needs_exact = self._prefilter(
             T,
             cap_t,
@@ -1061,10 +1061,10 @@ class ArrayIntervalTracker:
         -- and only then clipped at ``t0``, which does not move.
         """
         arrays = self.arrays
-        if perf.enabled:
-            perf.count("tracker.array.exact_sweeps")
+        if recorder.enabled:
+            recorder.count("tracker.array.exact_sweeps")
             if len(chain) > 1:
-                perf.count("tracker.array.chains_expanded")
+                recorder.count("tracker.array.chains_expanded")
         ti_all, lo_all, hi_all, load_all = columns
         rows = (ti_all == flagged).nonzero()[0]
         intervals = [

@@ -32,8 +32,7 @@ from repro.core.schedule import UpdateSchedule
 from repro.core.search import run_optimal_search
 from repro.core.trace import trace_schedule
 from repro.network.graph import Node
-from repro.perf import perf
-from repro.trace import recorder
+from repro.trace.recorder import recorder
 
 
 @dataclass
@@ -127,14 +126,13 @@ def optimal_schedule(
     # Seed the incumbent with the greedy schedule when it is feasible.
     seed_times: Optional[Dict[Node, int]] = None
     seed_makespan: Optional[int] = None
-    with perf.span("opt.seed"):
+    with recorder.timer("opt.seed"):
         seed = greedy_schedule(instance, t0=t0)
     if seed.feasible:
         seed_times = seed.schedule.as_dict()
         seed_makespan = seed.schedule.makespan
 
-    handle = recorder.span("opt.search", {"switches": len(pending_all)})
-    try:
+    with recorder.timer("opt.search") as search:
         best_times, explored, timed_out, horizon_cut, width_cut = run_optimal_search(
             instance,
             t0,
@@ -157,17 +155,13 @@ def optimal_schedule(
             and not width_cut
             and (schedule is not None or not horizon_cut)
         )
-        if handle.span_id is not None:
-            handle.attributes.update(
-                {
-                    "explored": explored,
-                    "proven": proven,
-                    "width_cut": width_cut,
-                    "feasible": schedule is not None,
-                }
-            )
-    finally:
-        handle.close()
+        search.set(
+            switches=len(pending_all),
+            explored=explored,
+            proven=proven,
+            width_cut=width_cut,
+            feasible=schedule is not None,
+        )
     return OptimalResult(
         schedule=schedule,
         proven=proven,

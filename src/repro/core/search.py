@@ -71,7 +71,6 @@ from repro.core.intervals_array import ArrayIntervalTracker
 from repro.core.rounds import greedy_loop_free_rounds
 from repro.core.tracker import make_tracker
 from repro.network.graph import Node
-from repro.perf import perf
 
 _NEG_LAST = -(1 << 60)
 
@@ -748,8 +747,7 @@ def run_optimal_search(
     search = OptimalSearch(
         instance, t0, time_budget, max_branch_width, max_horizon, node_budget
     )
-    with perf.span("opt.search"):
-        best_times, _best_makespan = search.run(seed_times, seed_makespan)
+    best_times, _best_makespan = search.run(seed_times, seed_makespan)
     return (
         best_times,
         search.explored,
@@ -940,6 +938,5 @@ def run_round_search(
                 if timed_out:
                     return
 
-    with perf.span("or.search"):
-        dfs(frozenset(), pending_ids, 0)
+    dfs(frozenset(), pending_ids, 0)
     return best, explored, timed_out, width_cut, time.monotonic() - started

@@ -43,6 +43,7 @@ from repro.pipeline.scenario import (
     get_scenario,
 )
 from repro.pipeline.store import ArtifactStore, StoreError
+from repro.trace.query import aggregate, render_report
 from repro.updates.registry import UnknownSchemeError, planners_for
 
 #: The battery ``python -m repro.experiments`` (no arguments) runs, in the
@@ -76,7 +77,7 @@ def _add_context_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--profile",
         action="store_true",
-        help="collect repro.perf spans and print the report",
+        help="record the run in memory and print its aggregate timers and counters",
     )
     parser.add_argument(
         "--fault-severity",
@@ -200,11 +201,9 @@ def _store(args: argparse.Namespace) -> ArtifactStore:
     return ArtifactStore(root=args.runs_dir)
 
 
-def _print_profile(args: argparse.Namespace) -> None:
-    if args.profile:
-        from repro.perf import perf
-
-        print(perf.report(min_seconds=0.001))
+def _print_profile(ctx: RunContext) -> None:
+    if ctx.profile:
+        print(render_report(aggregate(ctx.tape), min_seconds=0.001))
 
 
 def _cmd_list() -> int:
@@ -289,7 +288,7 @@ def _cmd_run(args: argparse.Namespace, resume: bool) -> int:
             print(f"trace: {where} (inspect: python -m repro.trace show)")
     if not args.no_report:
         print(stored.aggregate().render())
-    _print_profile(args)
+    _print_profile(ctx)
     return 0
 
 

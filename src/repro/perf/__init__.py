@@ -1,32 +1,10 @@
-"""``repro.perf``: hierarchical wall-clock profiling for the hot paths.
+"""``repro.perf``: peak-RSS measurement for bench stages.
 
-The scheduling engines (greedy, OPT, OR) and the interval tracker are
-instrumented with :class:`PerfRegistry` spans and counters.  Profiling is
-**off by default** and costs a single attribute check per instrumented
-call site when disabled; enable it with :func:`perf.enable`, the
-``REPRO_PERF=1`` environment variable, ``scripts/bench.py --profile`` or
-``make profile``.
-
-Quick tour::
-
-    from repro.perf import perf
-
-    perf.enable()
-    greedy_schedule(instance)
-    print(perf.report())        # flame-style text tree + counters
-    data = perf.snapshot()      # JSON-ready, for BENCH_sweep.json
-    perf.reset()
+Timers and counters live in :mod:`repro.trace` (one recorder, one tape;
+``python -m repro.trace profile`` renders them); what is left here is the
+forked high-water-mark measurement the bench harness's memory column uses.
 """
 
 from repro.perf.memory import measure_peak_rss, peak_rss_mb
-from repro.perf.registry import PerfRegistry, perf, timed
-from repro.perf.report import render_report
 
-__all__ = [
-    "PerfRegistry",
-    "measure_peak_rss",
-    "peak_rss_mb",
-    "perf",
-    "timed",
-    "render_report",
-]
+__all__ = ["measure_peak_rss", "peak_rss_mb"]

@@ -12,8 +12,8 @@ re-implement individually:
 * **RunContext** (:mod:`repro.pipeline.context`): the cross-cutting
   services -- ``sweep_seed`` deterministic seeding, the
   :class:`~repro.runtime.ParallelRunner`, the conformance verifier flag,
-  :mod:`repro.perf` profiling and an optional fault severity -- threaded
-  through every scenario uniformly.
+  tracing and profiling (one :mod:`repro.trace` session) and an optional
+  fault severity -- threaded through every scenario uniformly.
 * **Artifact store** (:mod:`repro.pipeline.store`): every run streams
   per-instance records to ``runs/<scenario>/<run-id>/records.jsonl``
   beside a ``manifest.json`` (config hash, params, git revision); an

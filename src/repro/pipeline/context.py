@@ -3,17 +3,19 @@
 Before the pipeline each experiment module re-plumbed the same four
 services by hand: ``sweep_seed`` deterministic seeding, the
 :class:`~repro.runtime.ParallelRunner`, the conformance verifier flag and
-the :mod:`repro.perf` spans.  :class:`RunContext` carries them once, and
-the executor hands each pool worker the picklable slice it needs
-(:class:`WorkerContext`).
+profiling.  :class:`RunContext` carries them once, and the executor hands
+each pool worker the picklable slice it needs (:class:`WorkerContext`).
+Tracing and profiling are one :class:`~repro.trace.TraceSession` per run:
+``trace`` names its sink, ``profile`` keeps its records in ``tape``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, List, Optional
 
 from repro.runtime import ParallelRunner
+from repro.trace.record import TraceRecord
 
 
 @dataclass(frozen=True)
@@ -29,10 +31,10 @@ class WorkerContext:
             execute on the discrete-event plane; analytic scenarios
             ignore it.
         trace_id: The run's trace id when a sink is enabled, ``None``
-            otherwise.  The executor's worker entry point opens an
-            ``item:<key>`` span (and links the record to it) only when
-            this matches the process-global recorder's live trace --
-            which pool workers inherit through ``fork``.
+            otherwise.  The executor's worker entry point links each
+            record to its ``item:<key>`` span only when this matches the
+            process-global recorder's live trace -- which pool workers
+            inherit, current span included, through ``fork``.
     """
 
     verify: bool = False
@@ -49,8 +51,11 @@ class RunContext:
             records are identical for any worker count because every item
             is seeded independently (the ``sweep_seed`` contract).
         verify: See :class:`WorkerContext`.
-        profile: Enable the :mod:`repro.perf` registry around the run; the
-            executor wraps the scenario in a ``pipeline.<name>`` span.
+        profile: Record the run into ``tape`` even without a sink; the
+            recorder is on for the run's session only and released when it
+            ends, interrupted runs included.
+        tape: Filled by a ``profile`` run: the session's records, whose
+            :func:`repro.trace.query.aggregate` view is the profile.
         fault_severity: See :class:`WorkerContext`.
         trace: Optional trace-sink spec (``"console"``, ``"jsonl[:PATH]"``,
             ``"sqlite[:PATH]"``; see :func:`repro.trace.open_sink`).  File
@@ -73,6 +78,7 @@ class RunContext:
     serial_threshold_seconds: Optional[float] = None
     runner: Optional[ParallelRunner] = None
     progress: Optional[Callable[[int, int], None]] = None
+    tape: List[TraceRecord] = field(default_factory=list)
 
     def __post_init__(self) -> None:
         if self.runner is None:

@@ -22,14 +22,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Sequence
 
-from repro.perf import perf
 from repro.pipeline.context import RunContext, WorkerContext
 from repro.pipeline.scenario import Scenario, get_scenario
 from repro.pipeline.store import ArtifactStore, RunHandle, canonical_json, new_run_id
-from repro.trace.recorder import perf_delta, recorder, worker_attributes
+from repro.trace.recorder import recorder
 from repro.trace.session import TraceSession
+from repro.trace.sinks import open_sink
 
 import json
+import os
 
 
 class RunInterrupted(RuntimeError):
@@ -58,41 +59,32 @@ class _ItemTask:
 def evaluate_task(task: _ItemTask) -> Dict[str, object]:
     """Worker entry point: look the scenario up and evaluate one item.
 
-    When the run is traced (the task's ``trace_id`` matches the live
-    recorder -- pool workers inherit the configured recorder through
-    ``fork``), the item evaluates inside an ``item:<key>`` span: the
-    item's :mod:`repro.perf` delta streams as child spans/counter
-    events, executor ``apply``/``late`` events attach to the open span,
-    and the returned record carries a ``trace`` field linking it to its
-    span.  Untraced runs take the original path untouched.
+    While a session is live (pool workers inherit the configured
+    recorder and its current span through ``fork``), the item evaluates
+    inside an ``item:<key>`` span: plan spans, the aggregate timers and
+    counters they own and executor ``apply``/``late`` events nest below
+    it.  When the session feeds a sink (the task's ``trace_id`` names
+    the live trace) the returned record carries a ``trace`` field
+    linking it to its span.  Untraced runs take the original path
+    untouched.
     """
     scenario = get_scenario(task.scenario)
     wctx = task.worker_context
-    tracing = (
-        wctx.trace_id is not None
-        and recorder.enabled
-        and recorder.trace_id == wctx.trace_id
-    )
-    if not tracing:
+    if not recorder.enabled:
         record = dict(scenario.evaluate(task.item, task.params, wctx))
         record.setdefault("key", task.item["key"])
         return record
 
     key = str(task.item["key"])
-    attributes = worker_attributes()
-    attributes["key"] = key
+    attributes = {"pid": os.getpid(), "key": key}
     for extra in ("switch_count", "seed"):
         if extra in task.item:
             attributes[extra] = task.item[extra]
-    before = perf.snapshot()
     with recorder.span(f"item:{key}", attributes) as span:
         record = dict(scenario.evaluate(task.item, task.params, wctx))
         record.setdefault("key", task.item["key"])
-        recorder.perf_spans(
-            perf_delta(before, perf.snapshot()),
-            strip_prefix=f"pipeline.{task.scenario}.",
-        )
-    record["trace"] = {"trace_id": recorder.trace_id, "span_id": span.span_id}
+    if wctx.trace_id == recorder.trace_id:
+        record["trace"] = {"trace_id": recorder.trace_id, "span_id": span.span_id}
     return record
 
 
@@ -124,11 +116,12 @@ def execute(
     read back.  ``stop_after`` raises :class:`RunInterrupted` once that
     many *new* records have been sunk.
 
-    ``trace`` (a begun-or-not :class:`~repro.trace.session.TraceSession`)
-    turns the run into a trace: the executor begins the session, flushes
-    buffered records to its sink after every checkpointed batch, and
-    finishes it -- with status ``interrupted`` when ``stop_after`` or the
-    caller's kill cuts the run short -- however the run ends.
+    ``trace`` (a :class:`~repro.trace.session.TraceSession` not yet
+    begun) turns the run into a trace or a profile: the executor begins
+    the session, flushes buffered records to its sink or tape after
+    every checkpointed batch, and finishes it -- with status
+    ``interrupted`` when ``stop_after`` or the caller's kill cuts the run
+    short -- however the run ends, so the recorder is never left on.
     """
     items = list(scenario.items(params))
     keys = [str(item["key"]) for item in items]
@@ -153,46 +146,45 @@ def execute(
         summary.satisfied_early = True
         return summary
 
-    if ctx.profile:
-        perf.enable()
     if trace is not None:
         trace.begin(params)
-    wctx = ctx.worker_context(trace.trace_id if trace is not None else None)
+    wctx = ctx.worker_context(
+        trace.trace_id if trace is not None and trace.sink is not None else None
+    )
     batch_size = ctx.batch_size
     status = "interrupted"
     try:
-        with perf.span(f"pipeline.{scenario.name}"):
-            for start in range(0, len(pending), batch_size):
-                batch = pending[start : start + batch_size]
-                tasks = [
-                    _ItemTask(
-                        scenario=scenario.name,
-                        params=params,
-                        item=item,
-                        worker_context=wctx,
+        for start in range(0, len(pending), batch_size):
+            batch = pending[start : start + batch_size]
+            tasks = [
+                _ItemTask(
+                    scenario=scenario.name,
+                    params=params,
+                    item=item,
+                    worker_context=wctx,
+                )
+                for item in batch
+            ]
+            for record in ctx.runner.map(evaluate_task, tasks):
+                record = json.loads(canonical_json(record))
+                sink(record)
+                records.append(record)
+                summary.emitted += 1
+                if ctx.progress is not None:
+                    ctx.progress(summary.skipped + summary.emitted, len(items))
+                if stop_after is not None and summary.emitted >= stop_after:
+                    raise RunInterrupted(
+                        f"stopped {scenario.name} after {summary.emitted} new "
+                        f"record(s) as requested"
                     )
-                    for item in batch
-                ]
-                for record in ctx.runner.map(evaluate_task, tasks):
-                    record = json.loads(canonical_json(record))
-                    sink(record)
-                    records.append(record)
-                    summary.emitted += 1
-                    if ctx.progress is not None:
-                        ctx.progress(summary.skipped + summary.emitted, len(items))
-                    if stop_after is not None and summary.emitted >= stop_after:
-                        raise RunInterrupted(
-                            f"stopped {scenario.name} after {summary.emitted} new "
-                            f"record(s) as requested"
-                        )
-                    if scenario.enough is not None and scenario.enough(
-                        records, params
-                    ):
-                        summary.satisfied_early = True
-                        status = "ok"
-                        return summary
-                if trace is not None:
-                    trace.flush()
+                if scenario.enough is not None and scenario.enough(
+                    records, params
+                ):
+                    summary.satisfied_early = True
+                    status = "ok"
+                    return summary
+            if trace is not None:
+                trace.flush()
         status = "ok"
         return summary
     finally:
@@ -217,13 +209,16 @@ class StoredRun:
 def _trace_session(
     ctx: RunContext, scenario_name: str, run_id: str, directory=None
 ) -> Optional[TraceSession]:
-    """Build the run's :class:`TraceSession` when ``ctx.trace`` asks for one."""
-    if not ctx.trace:
+    """The run's :class:`TraceSession` when ``ctx`` asks for a trace or a profile."""
+    if not (ctx.trace or ctx.profile):
         return None
-    from repro.trace.sinks import open_sink
-
-    sink = open_sink(ctx.trace, directory=directory)
-    return TraceSession(sink, scenario=scenario_name, run_id=run_id)
+    sink = open_sink(ctx.trace, directory=directory) if ctx.trace else None
+    return TraceSession(
+        sink,
+        scenario=scenario_name,
+        run_id=run_id,
+        tape=ctx.tape if ctx.profile else None,
+    )
 
 
 def run_in_memory(
@@ -287,7 +282,7 @@ def run_to_store(
         records.append(record)
 
     trace = _trace_session(ctx, name, handle.run_id, directory=handle.directory)
-    if trace is not None:
+    if trace is not None and trace.sink is not None:
         # Stamp the manifest so `python -m repro.trace` (and readers of
         # the run directory) can find the trace without guessing.
         trace_meta: Dict[str, object] = {

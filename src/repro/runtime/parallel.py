@@ -41,6 +41,8 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Callable, Iterable, List, Optional, Sequence, TypeVar
 
+from repro.trace.worker import collection_hooks
+
 Item = TypeVar("Item")
 Result = TypeVar("Result")
 
@@ -75,29 +77,13 @@ def _run_chunk_collecting(
 ):
     """Like :func:`_run_chunk`, bracketed by worker-state hooks.
 
-    ``prepare`` drains fork-inherited profiling/trace state so the
-    parent's data is never shipped back twice; ``collect`` returns the
-    chunk's own contribution alongside its results.
+    ``prepare`` drops the fork-inherited tape so the parent's records are
+    never shipped back twice; ``collect`` returns the chunk's own records
+    alongside its results.
     """
     prepare()
     results = [fn(item) for item in chunk]
     return results, collect()
-
-
-def _collection_hooks():
-    """(prepare, collect, merge) when perf/trace state must cross the pool.
-
-    ``fork`` pool workers accumulate :mod:`repro.perf` spans and trace
-    records in their own process globals; without collection they die
-    with the worker and the parent's report only shows its in-process
-    first-item probe.  The hooks live in :mod:`repro.trace.worker`; this
-    returns ``None`` (zero overhead) when neither registry is live.
-    """
-    try:
-        from repro.trace.worker import collection_hooks
-    except ImportError:  # pragma: no cover - trace layer always ships
-        return None
-    return collection_hooks()
 
 
 @dataclass
@@ -155,7 +141,7 @@ class ParallelRunner:
             if first_seconds * len(rest) < self.serial_threshold_seconds:
                 return head + [fn(item) for item in rest]
         chunks = self._chunks(rest, workers)
-        hooks = _collection_hooks()
+        hooks = collection_hooks()
         try:
             context = multiprocessing.get_context("fork")
             with ProcessPoolExecutor(

@@ -22,6 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
+from repro.trace.recorder import NULL_SPAN
+
 #: Terminal request statuses.
 TERMINAL = frozenset({"completed", "superseded", "noop", "rejected", "aborted"})
 
@@ -50,6 +52,9 @@ class RequestState:
     makespan: Optional[float] = None
     switches: Optional[int] = None
     conformant: Optional[bool] = None
+    #: The request's ``service.request`` span, submit to terminal status
+    #: (the shared no-op while tracing is off).
+    span: object = field(default=NULL_SPAN, repr=False, compare=False)
 
     @property
     def terminal(self) -> bool:

@@ -19,6 +19,12 @@ three kinds of tasks:
   callbacks) fire at their exact simulated instants, and samples the
   queue depth.
 
+Every request is one ``service.request`` span, opened by the arrival task
+and made current (``attach``) in whichever planner task plans, verifies
+and executes it, so its ``plan`` / ``validate.verifier.verify`` /
+``execute`` spans and per-switch ``apply`` events nest under it and under
+no other request (DESIGN.md §14.4).
+
 The simulator and the asyncio loop share one time axis; nothing reads
 the wall clock, so a cell run is a pure function of its seed.  Requests
 are *intents* rebased at planning time, which is what makes rejected,
@@ -43,7 +49,6 @@ from repro.controller.controller import Controller
 from repro.controller.resilient import perform_resilient_update
 from repro.core.instance import UpdateInstance, config_from_path
 from repro.network.flows import Flow
-from repro.perf import perf
 from repro.service.admission import AdmissionController, Batch
 from repro.service.metrics import latency_summary, queue_summary
 from repro.service.requests import RequestState, UpdateRequest
@@ -59,7 +64,7 @@ from repro.simulator.dataplane import DataPlane, build_dataplane
 from repro.simulator.engine import Simulator
 from repro.simulator.flowtable import FlowRule, Match
 from repro.simulator.switch import HOST_PORT
-from repro.trace.recorder import trace_event
+from repro.trace.recorder import recorder
 from repro.updates.registry import TIMED, available_schemes, get_planner
 
 
@@ -105,6 +110,11 @@ class CellReport:
 #: Per pod, the other pods that share a link with its footprint and, for
 #: each of their paths ("a" / "b"), the shared links that path crosses.
 Sharers = Dict[str, List[Tuple[PodSpec, Dict[str, List[LinkKey]]]]]
+
+
+def _stamp(when: Optional[float]) -> Optional[float]:
+    """A virtual-clock instant as a span attribute (deterministic, so stable)."""
+    return None if when is None else round(when, 6)
 
 
 def _footprint_sharers(pods: List[PodSpec]) -> Sharers:
@@ -261,12 +271,18 @@ class UpdateService:
         state.status = status
         state.finished_at = when
         self._pending -= 1
-        trace_event(
-            "service.done",
-            request=state.request.id,
-            tenant=state.request.tenant,
+        state.span.set(
             status=status,
+            batch=state.batch,
+            admitted_at=_stamp(state.admitted_at),
+            planned_at=_stamp(state.planned_at),
+            started_at=_stamp(state.started_at),
+            finished_at=_stamp(when),
+            makespan=state.makespan,
+            switches=state.switches,
+            conformant=state.conformant,
         )
+        state.span.close()
         if self._pending <= 0:
             self._all_done.set()
 
@@ -293,14 +309,22 @@ class UpdateService:
             self._submit(self._states[request.id], loop.time())
 
     def _submit(self, state: RequestState, now: float) -> None:
-        pod = self.workload.pod_by_name[state.request.tenant]
-        decision, batch = self._admission.offer(state, pod.footprint)
-        trace_event(
-            "service.admit",
-            request=state.request.id,
-            tenant=state.request.tenant,
-            decision=decision,
+        request = state.request
+        pod = self.workload.pod_by_name[request.tenant]
+        # Open, but current only for the offer: the arrival task goes on to
+        # the next request while planner tasks continue this one.
+        state.span = recorder.span(
+            "service.request",
+            {
+                "request": request.id,
+                "tenant": request.tenant,
+                "target": request.target,
+                "arrival": _stamp(request.arrival),
+            },
         )
+        with state.span.attach(), recorder.timer("service.admission.offer"):
+            decision, batch = self._admission.offer(state, pod.footprint)
+        state.span.set(admit=decision)
         if decision == "admitted":
             assert batch is not None
             self._dispatch(batch, now)
@@ -309,10 +333,17 @@ class UpdateService:
         else:
             self._terminal(state, "rejected", now)
 
+    def _run_plane(self, until: float) -> None:
+        """Advance the shared data plane to virtual time ``until``."""
+        with recorder.timer("simulator.engine.run"):
+            events = self._sim.run(until=until)
+        if recorder.enabled:
+            recorder.count("simulator.engine.events", events)
+
     async def _pump(self) -> None:
         loop = asyncio.get_running_loop()
         while True:
-            self._sim.run(until=loop.time())
+            self._run_plane(until=loop.time())
             self._queue_samples.append(
                 self._admission.queue_depth + self._plan_backlog
             )
@@ -342,29 +373,22 @@ class UpdateService:
 
         plans: List[Tuple[PodSpec, RequestState, List[RequestState], object, object, object]] = []
         noops: List[Tuple[RequestState, List[RequestState]]] = []
-        with perf.span("service.plan"):
-            for tenant, group in by_tenant.items():
-                effective, superseded = group[-1], group[:-1]
-                pod = self.workload.pod_by_name[tenant]
-                target = effective.request.target
-                if target == self._current[tenant]:
-                    noops.append((effective, superseded))
-                    continue
-                instance = self._instance_for(pod, target)
-                background = self._background_for(pod)
+        for tenant, group in by_tenant.items():
+            effective, superseded = group[-1], group[:-1]
+            for state in superseded:
+                state.span.set(superseded_by=effective.request.id)
+            pod = self.workload.pod_by_name[tenant]
+            target = effective.request.target
+            if target == self._current[tenant]:
+                noops.append((effective, superseded))
+                continue
+            instance = self._instance_for(pod, target)
+            background = self._background_for(pod)
+            with effective.span.attach():
                 result = self._scheme_planner.plan(instance, background=background)
-                plans.append(
-                    (pod, effective, superseded, instance, result, background)
-                )
-                trace_event(
-                    "service.plan",
-                    batch=batch.token,
-                    tenant=tenant,
-                    request=effective.request.id,
-                    feasible=result.feasible,
-                    makespan=result.schedule.makespan,
-                    switches=len(instance.switches_to_update),
-                )
+            plans.append(
+                (pod, effective, superseded, instance, result, background)
+            )
 
         # Planning service time: one charge per planning call (batch).
         if config.plan_ticks > 0:
@@ -391,36 +415,43 @@ class UpdateService:
 
                 conformant: Optional[bool] = None
                 if config.verify:
-                    conformant = self._scheme_planner.verify(
-                        instance, result.schedule, background=background
-                    ).ok
+                    with effective.span.attach(), recorder.timer(
+                        "validate.verifier.verify"
+                    ) as verify:
+                        conformant = self._scheme_planner.verify(
+                            instance, result.schedule, background=background
+                        ).ok
+                        verify.set(ok=conformant)
 
                 start_at = max(self._sim.now, loop.time()) + config.lead_ticks * tick
                 deadline = start_at + (
                     result.schedule.makespan + 8 + 4 * config.max_retries
                 ) * tick
                 done = asyncio.Event()
-                trace = perform_resilient_update(
-                    self._controller,
-                    self._plane,
-                    instance,
-                    result.schedule,
-                    strategy=TIMED,
-                    time_unit=tick,
-                    start_at=start_at,
-                    retry_timeout=4.0 * tick,
-                    max_retries=config.max_retries,
-                    deadline=deadline,
-                    on_finish=lambda _trace, _event=done: _event.set(),
-                )
-                effective.started_at = start_at
-                await done.wait()
+                with effective.span.attach(), recorder.span(
+                    "execute", {"batch": batch.token}
+                ) as execute:
+                    with recorder.timer("controller.resilient.dispatch"):
+                        trace = perform_resilient_update(
+                            self._controller,
+                            self._plane,
+                            instance,
+                            result.schedule,
+                            strategy=TIMED,
+                            time_unit=tick,
+                            start_at=start_at,
+                            retry_timeout=4.0 * tick,
+                            max_retries=config.max_retries,
+                            deadline=deadline,
+                            on_finish=lambda _trace, _event=done: _event.set(),
+                        )
+                    effective.started_at = start_at
+                    await done.wait()
+                    status = "aborted" if trace.aborted else "completed"
+                    execute.set(status=status, makespan=result.schedule.makespan)
                 finished = loop.time()
 
-                if trace.aborted:
-                    status = "aborted"
-                else:
-                    status = "completed"
+                if not trace.aborted:
                     # Commit the live state: overlay the new next hops;
                     # stale off-path rules stay behind, as on real switches.
                     self._rules[pod.name].update(instance.new_config)
@@ -428,21 +459,15 @@ class UpdateService:
                 effective.makespan = result.schedule.makespan
                 effective.switches = len(instance.switches_to_update)
                 effective.conformant = conformant
-                trace_event(
-                    "service.execute",
-                    batch=batch.token,
-                    request=effective.request.id,
-                    tenant=pod.name,
-                    status=status,
-                    makespan=result.schedule.makespan,
-                )
                 for state in superseded:
                     state.conformant = conformant
                     self._terminal(state, "superseded", finished)
                 self._terminal(effective, status, finished)
         finally:
             now = loop.time()
-            for ready in self._admission.release(batch.token):
+            with recorder.timer("service.admission.release"):
+                released = self._admission.release(batch.token)
+            for ready in released:
                 self._dispatch(ready, now)
 
     # ------------------------------------------------------------------
@@ -478,7 +503,7 @@ class UpdateService:
             await asyncio.gather(arrivals, pump, *workers, return_exceptions=True)
 
         # Drain in-flight data-plane traffic past the last control event.
-        self._sim.run(until=self._sim.now + 5.0 * config.time_unit)
+        self._run_plane(until=self._sim.now + 5.0 * config.time_unit)
         return self._report()
 
     def _report(self) -> CellReport:
@@ -527,20 +552,22 @@ class UpdateService:
 
 def run_cell(config: ServiceConfig) -> CellReport:
     """Build the workload for ``config`` and run one full service cell."""
-    workload = build_workload(
-        pods=config.pods,
-        pod_size=config.pod_size,
-        requests=config.requests,
-        mean_interarrival=config.mean_interarrival,
-        seed=config.seed,
-        demand=config.demand,
-        capacity=config.capacity,
-        delay=config.delay,
-        share_links=config.share_links,
-    )
+    with recorder.timer("service.build"):
+        workload = build_workload(
+            pods=config.pods,
+            pod_size=config.pod_size,
+            requests=config.requests,
+            mean_interarrival=config.mean_interarrival,
+            seed=config.seed,
+            demand=config.demand,
+            capacity=config.capacity,
+            delay=config.delay,
+            share_links=config.share_links,
+        )
 
     async def main() -> CellReport:
-        service = UpdateService(workload, config)
+        with recorder.timer("service.build"):
+            service = UpdateService(workload, config)
         return await service.run()
 
     return run_virtual(main())

@@ -1,37 +1,43 @@
-"""``repro.trace``: the unified observability layer (spans, events, sinks).
+"""``repro.trace``: the one observability layer (spans, timers, counters, sinks).
 
-Before this package the harness had three disjoint views of one run:
-:mod:`repro.perf` counters/spans, the pipeline's ``records.jsonl`` and
-the executors' :class:`~repro.controller.executor.ExecutionTrace`.
-They now meet on a single OTel-shaped record stream
-(:class:`TraceRecord`), produced by the **pipeline runner and the
-executors only** and consumed through a pluggable :class:`TraceSink`
-(console / JSONL / SQLite):
+Everything that times, counts or explains a run meets on a single
+OTel-shaped record stream (:class:`TraceRecord`), written through the
+three verbs of the process-global :data:`recorder` (recorded span,
+aggregate timer, counter -- see :mod:`repro.trace.recorder`) and consumed
+through a pluggable :class:`TraceSink` (console / JSONL / SQLite) or, for
+profiles, a sink-less session's in-memory tape:
 
 * the runner opens a ``run`` root span and one ``item:<key>`` span per
   evaluated item (attributes: key, seed, pid);
-* each item's :mod:`repro.perf` delta streams as aggregate child spans
-  and ``counter:*`` events;
-* the executors' per-switch ``apply`` / ``late`` / retry evidence
-  lands as span events (:func:`trace_event`);
+* every planner's ``plan`` span owns the aggregate timers and counters of
+  the engine that ran under it (``greedy.select.tracker.probe``, the
+  ``opt.search`` call with ``explored`` / ``proven``);
+* the update service opens one ``service.request`` span per intent, with
+  its ``plan``, ``validate.verifier.verify`` and ``execute`` below it;
+* the executors' per-switch ``apply`` / ``late`` / ``retry`` /
+  ``rollback`` evidence lands as events on the span the execution was
+  started under;
 * pipeline records gain a ``trace`` field linking them to their span --
   only when a sink is enabled, so untraced records stay byte-identical.
 
 Tracing is observability-only: nothing on the planning side reads it.
-Pool workers buffer records in the process-global :data:`recorder` and
-ship them back with their chunk results (see :mod:`repro.trace.worker`),
-so sinks only ever run in the parent process.
+What "the current span" is lives in one context variable, so asyncio
+tasks and pool workers each nest their own spans; pool workers ship their
+records back with their chunk results (see :mod:`repro.trace.worker`), so
+sinks only ever run in the parent process.
 
 Quick tour::
 
     python -m repro.experiments run sweep --workers 2 --trace sqlite
     python -m repro.trace show                # tree view of the run
     python -m repro.trace spans --switch s3   # one switch's evidence
+    python -m repro.trace spans --status aborted   # the intents that ended so
     python -m repro.trace slowest -n 15       # where the time went
+    python -m repro.trace profile             # aggregate self-time tree + counters
 """
 
 from repro.trace.record import TraceRecord, derive_trace_id, utc_now_iso
-from repro.trace.recorder import TraceRecorder, recorder, trace_event
+from repro.trace.recorder import TraceRecorder, recorder
 from repro.trace.session import TraceSession
 from repro.trace.sinks import (
     ConsoleSink,
@@ -40,7 +46,7 @@ from repro.trace.sinks import (
     TraceSink,
     open_sink,
 )
-from repro.trace.query import read_trace
+from repro.trace.query import aggregate, read_trace, render_report
 
 __all__ = [
     "ConsoleSink",
@@ -50,10 +56,11 @@ __all__ = [
     "TraceRecorder",
     "TraceSession",
     "TraceSink",
+    "aggregate",
     "derive_trace_id",
     "open_sink",
     "read_trace",
     "recorder",
-    "trace_event",
+    "render_report",
     "utc_now_iso",
 ]

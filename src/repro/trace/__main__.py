@@ -6,7 +6,9 @@ Subcommands over a trace file (JSONL or SQLite, auto-detected)::
     python -m repro.trace show [TRACE_ID]            # tree view
     python -m repro.trace spans --name greedy --json # filtered records
     python -m repro.trace spans --switch s3          # per-switch evidence
+    python -m repro.trace spans --status aborted     # requests that ended so
     python -m repro.trace slowest -n 15              # slowest-span report
+    python -m repro.trace profile --min-ms 1         # aggregate timers + counters
 
 Without ``--path`` the newest ``trace.db``/``trace.jsonl`` under the
 runs root (``$REPRO_RUNS_DIR`` or ``./runs``) is used, i.e. the trace of
@@ -20,10 +22,13 @@ import sys
 from typing import List, Optional
 
 from repro.trace.query import (
+    STATUS_CHOICES,
     TraceQueryError,
+    aggregate,
     default_trace_path,
     filter_records,
     read_trace,
+    render_report,
     render_slowest,
     render_traces,
     render_tree,
@@ -72,6 +77,12 @@ def build_parser() -> argparse.ArgumentParser:
     spans.add_argument(
         "--kind", default=None, choices=("span", "event"), help="record kind"
     )
+    spans.add_argument(
+        "--status",
+        default=None,
+        choices=STATUS_CHOICES,
+        help="service requests that ended this way (or the late applies)",
+    )
     spans.add_argument("--trace-id", default=None, help="trace id (prefix ok)")
     spans.add_argument(
         "--json", action="store_true", help="emit records as JSON lines"
@@ -82,6 +93,18 @@ def build_parser() -> argparse.ArgumentParser:
     slowest.add_argument("-n", type=int, default=10, help="rows (default 10)")
     slowest.add_argument("--scenario", default=None, help="exact scenario name")
     _add_common(slowest)
+
+    profile = sub.add_parser(
+        "profile", help="aggregate self-time tree and hit/miss counters"
+    )
+    profile.add_argument(
+        "--min-ms",
+        type=float,
+        default=0.0,
+        metavar="N",
+        help="hide tree lines below N milliseconds (default: show all)",
+    )
+    _add_common(profile)
 
     return parser
 
@@ -116,6 +139,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             name=args.name,
             switch=args.switch,
             kind=args.kind,
+            status=args.status,
         )
         if args.json:
             from repro.trace.record import record_to_line
@@ -124,6 +148,10 @@ def main(argv: Optional[List[str]] = None) -> int:
                 print(record_to_line(record))
         else:
             print(render_tree(records))
+        return 0
+
+    if args.command == "profile":
+        print(render_report(aggregate(records), min_seconds=args.min_ms / 1000.0))
         return 0
 
     # slowest

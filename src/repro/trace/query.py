@@ -3,8 +3,12 @@
 Every function here is sink-agnostic: :func:`read_trace` sniffs whether
 a path is a SQLite database or a JSONL file and returns the same
 ``List[TraceRecord]`` either way (pinned by the round-trip tests), and
-the renderers operate on records only.  The CLI in
-:mod:`repro.trace.__main__` is a thin argparse shell over this module.
+the renderers operate on records only -- a file's, or a sink-less
+session's in-memory tape.  :func:`aggregate` is the one profile view
+(``--profile``, ``scripts/profile.py``, ``scripts/bench.py --profile`` and
+``python -m repro.trace profile`` all print it through
+:func:`render_report`).  The CLI in :mod:`repro.trace.__main__` is a thin
+argparse shell over this module.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ import json
 import os
 import sqlite3
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence
 
 from repro.trace.record import TraceRecord, record_from_line
 
@@ -100,6 +104,11 @@ def default_trace_path(runs_root: Optional[str] = None) -> Path:
     return candidates[-1]
 
 
+#: ``--status`` values: a service request's terminal status, or ``late``
+#: for the switches whose rule applied after its scheduled time.
+STATUS_CHOICES = ("aborted", "rejected", "late", "superseded")
+
+
 def filter_records(
     records: Sequence[TraceRecord],
     trace_id: Optional[str] = None,
@@ -107,10 +116,23 @@ def filter_records(
     name: Optional[str] = None,
     switch: Optional[str] = None,
     kind: Optional[str] = None,
+    status: Optional[str] = None,
 ) -> List[TraceRecord]:
-    """Subset by trace, scenario, name substring, switch attribute, kind."""
+    """Subset by trace, scenario, name substring, switch attribute, kind.
+
+    ``status`` keeps only what ended that way: the ``service.request``
+    spans whose ``status`` attribute says so, or the ``late`` events.
+    """
     out = []
     for record in records:
+        if status == "late":
+            if record.kind != "event" or record.name != "late":
+                continue
+        elif status is not None and (
+            record.name != "service.request"
+            or record.attributes.get("status") != status
+        ):
+            continue
         if trace_id is not None and not record.trace_id.startswith(trace_id):
             continue
         if scenario is not None and record.scenario != scenario:
@@ -125,6 +147,16 @@ def filter_records(
     return out
 
 
+def ancestors(
+    record: TraceRecord, spans: Mapping[str, TraceRecord]
+) -> Iterator[TraceRecord]:
+    """``record``'s enclosing spans, innermost first (``spans``: by span id)."""
+    parent = spans.get(record.parent_id)  # type: ignore[arg-type]
+    while parent is not None:
+        yield parent
+        parent = spans.get(parent.parent_id)  # type: ignore[arg-type]
+
+
 # ----------------------------------------------------------------------
 # renderers
 # ----------------------------------------------------------------------
@@ -135,7 +167,10 @@ def _span_line(record: TraceRecord, depth: int) -> str:
     )
     status = "" if record.status == "ok" else f" !{record.status}"
     extras = []
-    for key in ("key", "switch", "calls", "value", "run_id"):
+    for key in (
+        "key", "scheme", "request", "tenant", "admit", "status",
+        "superseded_by", "switch", "calls", "value", "run_id",
+    ):
         if key in record.attributes:
             extras.append(f"{key}={record.attributes[key]}")
     tag = "" if record.kind == "span" else "* "
@@ -206,4 +241,128 @@ def render_traces(records: Sequence[TraceRecord]) -> str:
             f"{info['spans']} span(s) {info['events']} event(s)  "
             f"since {info['start']}"
         )
+    return "\n".join(lines)
+
+
+# ----------------------------------------------------------------------
+# the aggregate (profile) view
+# ----------------------------------------------------------------------
+
+def aggregate(records: Iterable[TraceRecord]) -> Dict[str, Dict]:
+    """Sum a tape's aggregate spans by dotted path and its counters by name.
+
+    Returns ``{"spans": {path: {"calls", "seconds"}}, "counters": {name:
+    total}}`` -- the JSON-ready shape ``BENCH_sweep.json``'s ``profile``
+    blocks hold.  Every scope's aggregates (and the timer calls filed on
+    their own) count towards the same path, so a whole run, one item or one
+    request subtree can be summed alike.
+    """
+    spans: Dict[str, List[float]] = {}
+    counters: Dict[str, int] = {}
+    for record in records:
+        attributes = record.attributes
+        if record.kind == "span":
+            if attributes.get("aggregate"):
+                stat = spans.setdefault(record.name, [0, 0.0])
+                stat[0] += int(attributes["calls"])  # type: ignore[call-overload]
+                stat[1] += float(attributes["seconds"])  # type: ignore[arg-type]
+        elif record.name.startswith("counter:"):
+            name = record.name[len("counter:"):]
+            counters[name] = counters.get(name, 0) + int(attributes["value"])  # type: ignore[call-overload]
+    return {
+        "spans": {
+            path: {"calls": int(calls), "seconds": round(seconds, 6)}
+            for path, (calls, seconds) in sorted(spans.items())
+        },
+        "counters": dict(sorted(counters.items())),
+    }
+
+
+_BAR_WIDTH = 18
+
+
+def _format_count(value: int) -> str:
+    if value >= 10_000_000:
+        return f"{value / 1_000_000:.0f}M"
+    if value >= 10_000:
+        return f"{value / 1000:.0f}k"
+    return str(value)
+
+
+def render_report(profile: Dict[str, Dict], min_seconds: float = 0.0) -> str:
+    """Render an :func:`aggregate` view as a text report.
+
+    The span section is a flame-style tree: children indent under their
+    parent path, each line showing total seconds, the share of its root
+    span, call count, and -- when a span has children -- its *self* time
+    (time not attributed to any child span).  The counter section pairs
+    ``<name>.hit`` / ``<name>.miss`` counters into hit-rate lines.
+    """
+    spans: Dict[str, Dict] = profile.get("spans", {})
+    counters: Dict[str, int] = profile.get("counters", {})
+    lines: List[str] = []
+
+    if spans:
+        lines.append("span tree (seconds, share of root, calls; self = minus child spans)")
+        children: Dict[str, List[str]] = {}
+        roots: List[str] = []
+        for path in spans:
+            parent = path.rsplit(".", 1)[0] if "." in path else None
+            # Attach to the nearest recorded ancestor (a timer name may
+            # itself be dotted, so intermediate paths need not exist).
+            while parent is not None and parent not in spans:
+                parent = parent.rsplit(".", 1)[0] if "." in parent else None
+            if parent is None:
+                roots.append(path)
+            else:
+                children.setdefault(parent, []).append(path)
+
+        def emit(path: str, depth: int, root_seconds: float) -> None:
+            stat = spans[path]
+            seconds = stat["seconds"]
+            if seconds < min_seconds and depth > 0:
+                return
+            share = 100.0 * seconds / root_seconds if root_seconds else 100.0
+            bar = "#" * max(1, int(round(share / 100.0 * _BAR_WIDTH)))
+            name = path.rsplit(".", 1)[-1] if depth else path
+            kids = sorted(
+                children.get(path, ()), key=lambda p: -spans[p]["seconds"]
+            )
+            self_seconds = seconds - sum(spans[k]["seconds"] for k in kids)
+            self_note = f"  self={self_seconds:.3f}s" if kids else ""
+            lines.append(
+                f"  {'  ' * depth}{name:<{max(28 - 2 * depth, 8)}} "
+                f"{seconds:9.3f}s {share:5.1f}% {stat['calls']:>8}x "
+                f"{bar:<{_BAR_WIDTH}}{self_note}"
+            )
+            for kid in kids:
+                emit(kid, depth + 1, root_seconds)
+
+        for root in sorted(roots, key=lambda p: -spans[p]["seconds"]):
+            emit(root, 0, spans[root]["seconds"])
+    else:
+        lines.append("span tree: (no spans recorded)")
+
+    if counters:
+        lines.append("")
+        lines.append("counters")
+        paired = set()
+        for name in sorted(counters):
+            if name in paired:
+                continue
+            if name.endswith(".hit") and name[:-4] + ".miss" in counters:
+                base = name[:-4]
+                hit = counters[name]
+                miss = counters[base + ".miss"]
+                paired.add(base + ".miss")
+                total = hit + miss
+                rate = 100.0 * hit / total if total else 0.0
+                lines.append(
+                    f"  {base:<34} {_format_count(hit):>8} hit "
+                    f"{_format_count(miss):>8} miss  ({rate:.1f}% hit)"
+                )
+            elif name.endswith(".miss") and name[:-5] + ".hit" in counters:
+                continue  # rendered with its .hit partner
+            else:
+                lines.append(f"  {name:<34} {_format_count(counters[name]):>8}")
     return "\n".join(lines)

@@ -12,7 +12,7 @@ attributes apart from ``pid``) is derived from the run's configuration
 alone, so a serial run and a pool run of the same ``(scenario,
 run_id)`` produce records whose :meth:`TraceRecord.stable_view` are
 identical.  Only wall-clock fields (``start_time``, ``end_time``,
-``duration_ms``, the ``seconds`` attribute of perf-derived spans) and
+``duration_ms``, the ``seconds`` attribute of aggregate spans) and
 the recording ``pid`` vary between runs.
 """
 
@@ -33,9 +33,13 @@ SPAN = "span"
 EVENT = "event"
 
 
-def utc_now_iso() -> str:
+def utc_iso(moment: datetime) -> str:
     """Timezone-aware UTC ISO-8601, the only timestamp format traces use."""
-    return datetime.now(timezone.utc).isoformat(timespec="microseconds")
+    return moment.astimezone(timezone.utc).isoformat(timespec="microseconds")
+
+
+def utc_now_iso() -> str:
+    return utc_iso(datetime.now(timezone.utc))
 
 
 def derive_trace_id(scenario: str, run_id: str) -> str:
@@ -64,15 +68,17 @@ class TraceRecord:
         trace_id: The run's trace (see :func:`derive_trace_id`).
         span_id: This record's id (events get their own id too).
         parent_id: Enclosing span, ``None`` for the run root.
-        name: Span path (``"run"``, ``"item:n10-i0"``, ``"greedy.select"``)
-            or event name (``"apply"``, ``"late"``, ``"counter:..."``).
+        name: Span name (``"run"``, ``"item:n10-i0"``, ``"plan"``), an
+            aggregate's dotted timer path below its owning span
+            (``"greedy.select"``), or an event name (``"apply"``,
+            ``"late"``, ``"counter:..."``).
         scenario: The scenario the run executed.
         start_time: UTC ISO-8601 (:func:`utc_now_iso`).
         end_time: UTC ISO-8601; ``None`` for events and aggregate spans.
         duration_ms: Wall-clock milliseconds (``None`` for events).
         status: ``"ok"``, ``"error"`` or ``"interrupted"``.
         attributes: JSON-serialisable key/values (switch names, seeds,
-            perf call counts, the recording pid, ...).
+            an aggregate's ``calls`` / ``seconds``, the recording pid, ...).
     """
 
     kind: str

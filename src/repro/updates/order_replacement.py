@@ -26,7 +26,7 @@ from repro.core.instance import UpdateInstance
 from repro.core.schedule import UpdateSchedule, schedule_from_rounds
 from repro.core.search import run_round_search
 from repro.network.graph import Node
-from repro.trace import recorder
+from repro.trace.recorder import recorder
 from repro.updates.registry import ROUNDS, Planner, UpdatePlan, register_planner
 
 
@@ -85,10 +85,7 @@ def minimize_rounds(
             under CPU contention (the parallel-vs-serial bench identity
             gate relies on this).
     """
-    handle = recorder.span(
-        "or.search", {"switches": len(tuple(instance.switches_to_update))}
-    )
-    try:
+    with recorder.timer("or.search") as search:
         rounds, explored, timed_out, width_cut, elapsed = run_round_search(
             instance, time_budget, max_branch_width, node_budget
         )
@@ -99,17 +96,13 @@ def minimize_rounds(
             elapsed=elapsed,
             width_cut=width_cut,
         )
-        if handle.span_id is not None:
-            handle.attributes.update(
-                {
-                    "explored": result.explored,
-                    "proven": result.proven,
-                    "width_cut": result.width_cut,
-                    "rounds": result.round_count,
-                }
-            )
-    finally:
-        handle.close()
+        search.set(
+            switches=len(tuple(instance.switches_to_update)),
+            explored=result.explored,
+            proven=result.proven,
+            width_cut=result.width_cut,
+            rounds=result.round_count,
+        )
     return result
 
 

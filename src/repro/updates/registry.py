@@ -224,18 +224,9 @@ class Planner(abc.ABC):
         scheme's :meth:`_plan`; each planner consumes what it supports
         and ignores the rest.
         """
-        handle = recorder.span("plan", {"scheme": self.name})
-        try:
+        with recorder.span("plan", {"scheme": self.name}) as span:
             result = self._plan(instance, **options)
-            if handle.span_id is not None:
-                handle.attributes.update(
-                    {
-                        "feasible": result.feasible,
-                        "makespan": result.schedule.makespan,
-                    }
-                )
-        finally:
-            handle.close()
+            span.set(feasible=result.feasible, makespan=result.schedule.makespan)
         return result
 
     @abc.abstractmethod

@@ -29,7 +29,7 @@ from repro.core.instance import (
 )
 from repro.core.tracker import replay_schedule
 from repro.core.serialization import schedule_to_json
-from repro.perf import perf
+from repro.trace import TraceSession, aggregate
 from repro.validate.verifier import verify_schedule
 
 
@@ -127,15 +127,11 @@ class TestScaleRegression:
         """
         segments = 4
         instance = segmented_instance(size, seed=size, segments=segments)
-        perf.reset()
-        perf.enable()
-        try:
+        with TraceSession(scenario="unit", run_id="scale") as session:
             result = greedy_schedule(instance)
-            probes = perf.calls("greedy.select.tracker.probe")
-            counters = perf.snapshot()["counters"]
-        finally:
-            perf.disable()
-            perf.reset()
+        profile = aggregate(session.tape)
+        probes = profile["spans"]["greedy.select.tracker.probe"]["calls"]
+        counters = profile["counters"]
         assert result.feasible
         assert probes >= len(instance.switches_to_update)
         bound = 2 * (len(instance.switches_to_update) + segments)

@@ -1,9 +1,10 @@
-"""Golden replay for what a traced run says, item by item.
+"""Golden replay: the one span model says what the two frozen stacks said.
 
-``tests/data/trace_goldens.json`` was written by this file's ``__main__`` at
-the revision it records, by the two span stacks the repository then had --
-the ``repro.perf`` registry (dotted-path aggregate timers and counters) and
-the ``repro.trace`` recorder (``run`` / ``item:<key>`` / ``plan`` /
+``tests/data/trace_goldens.json`` was written at the revision it records
+(by the ``__main__`` this file had in commit ``94670cc``, before any
+``src/`` change) by the two span stacks the repository then had -- the
+``repro.perf`` registry (dotted-path aggregate timers and counters) and the
+``repro.trace`` recorder (``run`` / ``item:<key>`` / ``plan`` /
 ``opt.search`` spans, executor events, the service's point events) -- joined
 by the per-item perf delta.  It is data, not a digest.  Per traced seeded run
 (``RUNS`` below) it holds
@@ -11,28 +12,37 @@ by the per-item perf delta.  It is data, not a digest.  Per traced seeded run
 * ``registry``: the perf registry's ``calls`` by full dotted path and its
   counter totals over the whole run, wrapper prefixes included;
 * per item, ``calls`` by the aggregate spans' names and ``counters`` by the
-  ``counter:*`` events' names, as the tape filed them under the item;
+  ``counter:*`` events' names, as the flat tape filed them under the item;
 * per item, ``records``: the multiset of every other span and event of the
   item's subtree as ``[kind, name, status, stable attributes]``;
 * per service request, ``requests``: ``id``, ``tenant``, the admit decision,
   the terminal ``status``, ``makespan``, ``switches`` and the switches its
-  execution applied, in acknowledgement order (read off the
-  ``ExecutionTrace`` each ``perform_resilient_update`` call returned -- the
-  flat tape cannot attribute an ``apply`` to a request).
+  execution applied, in acknowledgement order (read off each
+  ``ExecutionTrace`` -- the flat tape could not attribute an ``apply`` to a
+  request).
 
-The burst-shaped cell (``service-burst``) is there because its intents
-interleave: the generator refuses to write the file unless at least two
-requests are executing at once.
+What the one recorder must reproduce, per item: ``calls`` summed by path
+over the item's whole subtree and every counter total, **equal** once the
+two wrapper timers this change deleted (``pipeline.<scenario>`` around the
+run, ``service.plan`` around a batch's planning) are dropped from the front
+of the frozen paths; the ``apply`` / ``late`` / ``retry`` / ``rollback``
+events with their attributes; the ``item`` and ``plan`` spans; the
+``opt.search`` / ``or.search`` records with ``explored`` / ``proven`` /
+``width_cut`` (now the one timed call, so not even the duplicate's ``calls``
+line is lost); and every per-request fact, now an attribute of that request's
+own ``service.request`` span or an ``apply`` under its ``execute`` span.
+What is new is named: the service-layer timers and the event counter of
+``SERVICE_TIMERS`` / ``SERVICE_COUNTERS``, and the request / verify /
+execute spans that replace the five ``service.*`` point events.
 
-Regenerate (only ever at a revision that still has both stacks)::
-
-    PYTHONPATH=src python tests/test_trace_goldens.py > tests/data/trace_goldens.json
+The fixture can only be regenerated at a revision that still has both
+stacks (``git checkout 94670cc && PYTHONPATH=src python
+tests/test_trace_goldens.py > tests/data/trace_goldens.json``).
 """
 
 import json
-import subprocess
-import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -40,7 +50,7 @@ import pytest
 from repro.pipeline.context import RunContext
 from repro.pipeline.runner import run_to_store
 from repro.pipeline.store import ArtifactStore
-from repro.trace.query import read_trace
+from repro.trace.query import aggregate, ancestors, read_trace
 
 GOLDENS_PATH = Path(__file__).parent / "data" / "trace_goldens.json"
 
@@ -101,19 +111,13 @@ def traced_run(name):
 
 
 def item_subtrees(tape):
-    """``{item key: [records of its subtree, item span included]}``."""
-    children = {}
-    for record in tape:
-        children.setdefault(record.parent_id, []).append(record)
+    """``{item key: [records of its subtree, item span included]}``, tape order."""
+    spans = {record.span_id: record for record in tape if record.kind == "span"}
     subtrees = {}
     for record in tape:
-        if record.kind == "span" and record.name.startswith("item:"):
-            members, frontier = [], [record]
-            while frontier:
-                node = frontier.pop()
-                members.append(node)
-                frontier.extend(children.get(node.span_id, ()))
-            subtrees[record.attributes["key"]] = members
+        for span in (record, *ancestors(record, spans)):
+            if span.kind == "span" and span.name.startswith("item:"):
+                subtrees.setdefault(span.attributes["key"], []).append(record)
     return subtrees
 
 
@@ -130,32 +134,47 @@ def _sorted_entries(records):
 
 
 # ----------------------------------------------------------------------
-# the flat tape of the two stacks, read into the golden's shape
+# frozen paths -> the paths the one recorder files them under
 # ----------------------------------------------------------------------
 
-def _is_aggregate(record):
-    return record.kind == "span" and record.attributes.get("source") == "perf"
+#: Timers and counters the service layer gained (named after the bench's
+#: per-layer metrics); everything else must match the fixture exactly.
+SERVICE_TIMERS = {
+    "service.build",
+    "service.admission.offer",
+    "service.admission.release",
+    "validate.verifier.verify",
+    "controller.resilient.dispatch",
+    "simulator.engine.run",
+}
+SERVICE_COUNTERS = {"simulator.engine.events"}
+#: Spans that replace the service's ``service.*`` point events.
+SERVICE_SPANS = {"service.request", "execute", "validate.verifier.verify"}
 
 
-def _is_counter(record):
-    return record.kind == "event" and record.name.startswith("counter:")
+def without_wrappers(calls, scenario):
+    """Frozen ``calls`` with the two deleted wrapper timers dropped."""
+    out = {}
+    for path, count in calls.items():
+        for wrapper in (f"pipeline.{scenario}", "service.plan"):
+            if path == wrapper:
+                path = None
+                break
+            if path.startswith(wrapper + "."):
+                path = path[len(wrapper) + 1:]
+        if path is not None:
+            out[path] = out.get(path, 0) + count
+    return out
 
 
-def summarise_item(members):
-    calls, counters, others = {}, {}, []
-    for record in members:
-        if _is_aggregate(record):
-            calls[record.name] = calls.get(record.name, 0) + record.attributes["calls"]
-        elif _is_counter(record):
-            name = record.name[len("counter:"):]
-            counters[name] = counters.get(name, 0) + record.attributes["value"]
-        else:
-            others.append(record)
-    return {
-        "calls": dict(sorted(calls.items())),
-        "counters": dict(sorted(counters.items())),
-        "records": _sorted_entries(others),
-    }
+def calls_and_counters(records):
+    profile = aggregate(records)
+    calls = {path: stat["calls"] for path, stat in profile["spans"].items()}
+    return calls, profile["counters"]
+
+
+def minus_new(found, new):
+    return {name: value for name, value in found.items() if name not in new}
 
 
 def test_fixture_covers_every_run_and_its_evidence():
@@ -173,133 +192,92 @@ def test_fixture_covers_every_run_and_its_evidence():
     assert any(request["applied"] for request in burst["requests"])
 
 
-@pytest.mark.parametrize("name", sorted(RUNS))
-def test_traced_run_replays_the_frozen_tape(name):
-    golden = json.loads(GOLDENS_PATH.read_text())["runs"][name]
-    _, tape = traced_run(name)
+@pytest.fixture(scope="module", params=sorted(RUNS))
+def replay(request):
+    golden = json.loads(GOLDENS_PATH.read_text())["runs"][request.param]
+    _, tape = traced_run(request.param)
     subtrees = item_subtrees(tape)
     assert set(subtrees) == set(golden["items"])
+    return golden, tape, subtrees
+
+
+def test_calls_and_counters_are_equal_per_item(replay):
+    golden, _, subtrees = replay
     for key, members in subtrees.items():
         expected = golden["items"][key]
-        summary = json.loads(json.dumps(summarise_item(members)))
-        assert summary["calls"] == expected["calls"], key
-        assert summary["counters"] == expected["counters"], key
-        assert summary["records"] == expected["records"], key
+        calls, counters = calls_and_counters(members)
+        assert minus_new(calls, SERVICE_TIMERS) == without_wrappers(
+            expected["calls"], golden["scenario"]
+        ), key
+        assert minus_new(counters, SERVICE_COUNTERS) == expected["counters"], key
+        if golden["scenario"] == "service":
+            assert SERVICE_TIMERS <= set(calls) and SERVICE_COUNTERS <= set(counters)
+        else:
+            assert not (SERVICE_TIMERS & set(calls))
 
 
-# ----------------------------------------------------------------------
-# the generator (needs repro.perf and the service's point events)
-# ----------------------------------------------------------------------
-
-def _generate_run(name):
-    import repro.service.service as service
-    from repro.perf import perf
-
-    executions, services = [], []
-    dispatch, init = service.perform_resilient_update, service.UpdateService.__init__
-
-    def recording_dispatch(controller, plane, instance, schedule, **kwargs):
-        trace = dispatch(controller, plane, instance, schedule, **kwargs)
-        executions.append((instance.flow.name, trace))
-        return trace
-
-    def recording_init(self, *args, **kwargs):
-        init(self, *args, **kwargs)
-        services.append(self)
-
-    service.perform_resilient_update = recording_dispatch
-    service.UpdateService.__init__ = recording_init
-    perf.reset()
-    try:
-        stored, tape = traced_run(name)
-        registry = perf.snapshot()
-    finally:
-        service.perform_resilient_update = dispatch
-        service.UpdateService.__init__ = init
-        perf.reset()
-
-    scenario, overrides = RUNS[name]
-    items = {key: summarise_item(members) for key, members in item_subtrees(tape).items()}
-    if scenario == "service":
-        (cell,) = items.values()
-        (record,) = stored.records
-        (live,) = services
-        cell.update(_request_facts(record, tape, executions, live))
-    return {
-        "scenario": scenario,
-        "overrides": overrides,
-        "registry": {
-            "calls": {path: stat["calls"] for path, stat in registry["spans"].items()},
-            "counters": registry["counters"],
-        },
-        "items": items,
-    }
-
-
-def _request_facts(record, tape, executions, live):
-    """Per-request facts of one cell, from its point events and executions."""
-    admit, done, planned, executed = {}, {}, {}, []
-    for event in tape:
-        attributes = event.attributes
-        if event.name == "service.admit":
-            admit[attributes["request"]] = attributes["decision"]
-        elif event.name == "service.done":
-            done[attributes["request"]] = attributes["status"]
-        elif event.name == "service.plan" and event.kind == "event":
-            planned[attributes["request"]] = attributes["switches"]
-        elif event.name == "service.execute":
-            executed.append((attributes["request"], attributes["tenant"]))
-    # A tenant's updates never overlap (admission holds its footprint), so its
-    # k-th dispatch is its k-th ``service.execute`` event.
-    applied = {}
-    remaining = list(executions)
-    for request, tenant in executed:
-        index = next(i for i, (name, _) in enumerate(remaining) if name == tenant)
-        _, trace = remaining.pop(index)
-        applied[request] = [str(node) for node in trace.applied]
-    assert not remaining
-    requests = []
-    for entry in record["requests"]:
-        assert done[entry["id"]] == entry["status"]
-        if entry["id"] in planned and entry["switches"] is not None:
-            assert planned[entry["id"]] == entry["switches"]
-        requests.append(
-            {
-                "id": entry["id"],
-                "tenant": entry["tenant"],
-                "admit": admit[entry["id"]],
-                "status": entry["status"],
-                "makespan": entry["makespan"],
-                "switches": entry["switches"],
-                "applied": applied.get(entry["id"], []),
-            }
-        )
-    windows = [
-        (state.started_at, state.finished_at)
-        for state in live._states.values()
-        if state.started_at is not None and state.finished_at is not None
-    ]
-    executing_at_once = max(
-        (sum(1 for a, b in windows if a <= start < b) for start, _ in windows),
-        default=0,
+def test_calls_and_counters_are_equal_over_the_run(replay):
+    """The registry's whole-run totals, which carried ``pipeline.<scenario>.``."""
+    golden, tape, _ = replay
+    calls, counters = calls_and_counters(tape)
+    assert minus_new(calls, SERVICE_TIMERS) == without_wrappers(
+        golden["registry"]["calls"], golden["scenario"]
     )
-    return {"requests": requests, "executing_at_once": executing_at_once}
+    assert minus_new(counters, SERVICE_COUNTERS) == golden["registry"]["counters"]
 
 
-def _revision():
-    try:
-        return subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
-            check=True, capture_output=True, text=True, cwd=Path(__file__).parent,
-        ).stdout.strip()
-    except (OSError, subprocess.CalledProcessError):
-        return "unknown"
+def test_recorded_spans_and_evidence_are_equal_per_item(replay):
+    golden, _, subtrees = replay
+    for key, members in subtrees.items():
+        frozen = Counter(
+            json.dumps(entry, sort_keys=True)
+            for entry in golden["items"][key]["records"]
+            if not (entry[0] == "event" and entry[1].startswith("service."))
+        )
+        found = Counter()
+        for record in members:
+            entry = _entry(record)
+            attributes = entry[3]
+            if record.kind == "event" and record.name.startswith("counter:"):
+                continue
+            if record.name in SERVICE_SPANS:
+                continue
+            if attributes.pop("aggregate", False):
+                if record.name not in ("opt.search", "or.search"):
+                    continue
+                assert attributes.pop("calls") == 1
+            found[json.dumps(entry, sort_keys=True)] += 1
+        assert found == frozen, key
+        assert not any(r.name.startswith("service.") and r.kind == "event" for r in members)
 
 
-if __name__ == "__main__":
-    runs = {name: _generate_run(name) for name in RUNS}
-    burst = runs["service-burst"]["items"]["cell0"]
-    if burst["executing_at_once"] < 2:
-        raise SystemExit("the burst-shaped cell's intents do not interleave")
-    json.dump({"revision": _revision(), "runs": runs}, sys.stdout, indent=1, sort_keys=True)
-    sys.stdout.write("\n")
+@pytest.mark.parametrize(
+    "replay",
+    [name for name in sorted(RUNS) if RUNS[name][0] == "service"],
+    indirect=True,
+)
+def test_every_request_fact_is_on_its_own_span(replay):
+    golden, tape, subtrees = replay
+    (members,) = subtrees.values()
+    (expected,) = golden["items"].values()
+    by_id = {record.span_id: record for record in tape}
+    spans = {
+        record.attributes["request"]: record
+        for record in members
+        if record.name == "service.request"
+    }
+    applied = {request: [] for request in spans}
+    for record in members:  # tape order is acknowledgement order
+        if record.kind == "event" and record.name == "apply":
+            execute, request = list(ancestors(record, by_id))[:2]
+            assert (execute.name, request.name) == ("execute", "service.request")
+            applied[request.attributes["request"]].append(record.attributes["switch"])
+    assert len(spans) == len(expected["requests"])
+    for fact in expected["requests"]:
+        attributes = spans[fact["id"]].attributes
+        assert attributes["tenant"] == fact["tenant"]
+        assert attributes["admit"] == fact["admit"]
+        assert attributes["status"] == fact["status"]
+        assert attributes.get("makespan") == fact["makespan"]
+        assert attributes.get("switches") == fact["switches"]
+        assert applied[fact["id"]] == fact["applied"]

@@ -7,13 +7,19 @@ The hard guarantees under test:
 * manifests and trace records carry timezone-aware UTC timestamps;
 * a JSONL sink and a SQLite sink round-trip identical records;
 * a pool run's trace is record-for-record identical to the serial run's
-  in its :meth:`TraceRecord.stable_view` projection, and its perf
-  spans/counters merge back into the parent registry (nothing is
-  silently dropped with ``REPRO_PERF=1`` under the pool);
+  in its :meth:`TraceRecord.stable_view` projection, and a profiled pool
+  run's aggregate timers and counters come back on the one tape (nothing
+  is silently dropped under the pool);
 * tracing is observability-only: records gain exactly the ``trace``
-  link field and nothing else, and stay untouched with sinks off.
+  link field and nothing else, and stay untouched with sinks off;
+* the current span is task-local: interleaved coroutines and handles
+  closed out of order never become each other's parents, and a traced
+  service cell is one subtree per request;
+* a run's session -- traced or profiled, finished or interrupted --
+  releases the recorder.
 """
 
+import asyncio
 import json
 import re
 from datetime import datetime, timedelta
@@ -24,34 +30,36 @@ import repro.pipeline.store as store_mod
 import repro.runtime.parallel as parallel_mod
 from repro.experiments import fig6
 from repro.experiments.sweep import mixed_instance
-from repro.perf import perf
 from repro.pipeline.context import RunContext
-from repro.pipeline.runner import run_in_memory, run_to_store
+from repro.pipeline.runner import RunInterrupted, run_in_memory, run_to_store
 from repro.pipeline.store import ArtifactStore, new_run_id
 from repro.trace.__main__ import main as trace_cli
-from repro.trace.query import TraceQueryError, default_trace_path, read_trace
+from repro.trace.query import (
+    TraceQueryError,
+    aggregate,
+    ancestors,
+    default_trace_path,
+    read_trace,
+)
 from repro.trace.record import (
     TraceRecord,
     derive_span_id,
     derive_trace_id,
     utc_now_iso,
 )
-from repro.trace.recorder import recorder
+from repro.trace.recorder import NULL_SPAN, recorder
+from repro.trace.session import TraceSession
 from repro.trace.sinks import JsonlSink, SqliteSink, open_sink
 
 TINY_FIG9 = {"switch_counts": [20], "instances_per_size": 4}
 
 
 @pytest.fixture(autouse=True)
-def _clean_global_state():
-    """Every test starts and ends with idle perf/trace registries."""
-    perf.disable()
-    perf.reset()
-    recorder.deactivate()
+def _recorder_is_released():
+    """No test may find the recorder on, or leave it on."""
+    assert not recorder.enabled
     yield
-    perf.disable()
-    perf.reset()
-    recorder.deactivate()
+    assert not recorder.enabled
 
 
 @pytest.fixture
@@ -274,13 +282,49 @@ def test_tracing_changes_records_only_by_the_trace_field(tmp_path):
 
 
 def test_trace_session_restores_global_state(tmp_path):
-    assert not perf.enabled and not recorder.enabled
+    assert not recorder.enabled
     _traced_run(tmp_path, "restore", RunContext(trace="jsonl"))
-    assert not perf.enabled, "TraceSession must restore the perf flag"
     assert not recorder.enabled, "TraceSession must release the recorder"
+    assert recorder.current() is NULL_SPAN
 
 
-# --- pool perf merge (satellite: REPRO_PERF=1 under the pool) ----------
+def test_profiled_run_releases_the_recorder(tmp_path):
+    """``RunContext(profile=True)`` used to switch the process-global perf
+    registry on for good: every later plan in the process was profiled."""
+    ctx = RunContext(profile=True)
+    run_in_memory("fig9", overrides=TINY_FIG9, ctx=ctx)
+    assert not recorder.enabled
+    assert any(record.name == "run" for record in ctx.tape)
+
+    interrupted = RunContext(profile=True)
+    with pytest.raises(RunInterrupted):
+        run_to_store(
+            "fig9",
+            overrides=TINY_FIG9,
+            ctx=interrupted,
+            store=ArtifactStore(root=tmp_path),
+            run_id="r1",
+            stop_after=2,
+        )
+    assert not recorder.enabled, "an interrupted profile must release it too"
+    (root,) = [record for record in interrupted.tape if record.name == "run"]
+    assert root.status == "interrupted"
+
+
+def test_profiled_records_carry_no_trace_field(tmp_path):
+    """A profile is a session without a sink: nothing to link records to."""
+    stored = run_to_store(
+        "fig9",
+        overrides=TINY_FIG9,
+        ctx=RunContext(profile=True),
+        store=ArtifactStore(root=tmp_path),
+        run_id="r1",
+    )
+    assert all("trace" not in record for record in stored.records)
+    assert "trace" not in stored.handle.manifest
+
+
+# --- pool profile merge: worker aggregates come back on the one tape ----
 
 #: fig9 is analytic (no instrumented engines); fig7's node budgets bound
 #: the search deterministically, so span/counter totals are
@@ -296,12 +340,11 @@ TINY_FIG7 = {
 
 
 def _profiled_counts(ctx):
-    perf.reset()
     run_in_memory("fig7", overrides=TINY_FIG7, ctx=ctx)
-    snapshot = perf.snapshot()
+    profile = aggregate(ctx.tape)
     return {
-        path: stat["calls"] for path, stat in snapshot["spans"].items()
-    }, dict(snapshot["counters"])
+        path: stat["calls"] for path, stat in profile["spans"].items()
+    }, dict(profile["counters"])
 
 
 def test_pool_perf_spans_merge_back(two_cpus):
@@ -311,14 +354,12 @@ def test_pool_perf_spans_merge_back(two_cpus):
     # own spans; now every per-item span and counter comes back.
     assert pool_calls == serial_calls
     assert pool_counters == serial_counters
-    assert any(path.startswith("pipeline.fig7.") for path in pool_calls)
+    assert "opt.seed.greedy.select.tracker.probe" in pool_calls
 
 
 # --- resume appends to the same trace ----------------------------------
 
 def test_resumed_run_extends_the_same_trace(tmp_path):
-    from repro.pipeline.runner import RunInterrupted
-
     store = ArtifactStore(root=tmp_path)
     with pytest.raises(RunInterrupted):
         run_to_store(
@@ -492,16 +533,285 @@ def test_executed_items_carry_one_apply_per_applied_switch(tmp_path, scenario, o
         assert sorted(applies[record["trace"]["span_id"]]) == sorted(expected)
 
 
-def test_traced_service_cell_carries_one_apply_per_applied_switch(tmp_path):
+# --- service intents: one subtree per request ---------------------------
+
+SMALL_CELL = {"cells": 1, "pods": 4, "pod_size": 6, "requests": 12}
+#: tests/test_trace_goldens.py's burst-shaped cell: its intents interleave.
+BURST_CELL = {
+    "cells": 1,
+    "pods": 8,
+    "pod_size": 6,
+    "requests": 40,
+    "mean_interarrival": 0.25,
+    "planners": 4,
+}
+
+
+def _traced_cell(tmp_path, overrides, label="cell"):
     stored = run_to_store(
         "service",
-        overrides={"cells": 1, "pods": 4, "pod_size": 6, "requests": 12},
+        overrides=overrides,
         ctx=RunContext(trace="jsonl"),
-        store=ArtifactStore(root=tmp_path),
+        store=ArtifactStore(root=tmp_path / label),
         run_id="r1",
     )
     (record,) = stored.records
+    return record, read_trace(stored.handle.directory / "trace.jsonl")
+
+
+def _request_of(record, by_id):
+    """The ``service.request`` spans on ``record``'s ancestor chain."""
+    return [s for s in ancestors(record, by_id) if s.name == "service.request"]
+
+
+def _applies_under_execute(trace):
+    """``{request id: [switch, ...]}`` from each request's ``execute`` span."""
+    by_id = {r.span_id: r for r in trace if r.kind == "span"}
+    applied = {}
+    for record in trace:
+        if record.kind == "event" and record.name == "apply":
+            execute = by_id[record.parent_id]
+            assert execute.name == "execute"
+            (request,) = _request_of(record, by_id)
+            applied.setdefault(request.attributes["request"], []).append(
+                record.attributes["switch"]
+            )
+    return applied
+
+
+def test_traced_service_cell_carries_one_apply_per_applied_switch(tmp_path):
+    """Each completed request's ``execute`` span holds one ``apply`` per
+    switch of that request -- attributable, where the flat tape only had a
+    cell-wide total."""
+    record, trace = _traced_cell(tmp_path, SMALL_CELL)
     completed = [r for r in record["requests"] if r["status"] == "completed"]
     assert completed and record["summary"]["aborted"] == 0
-    (applies,) = _applies_by_item(stored).values()
-    assert len(applies) == sum(r["switches"] for r in completed)
+    applied = _applies_under_execute(trace)
+    assert set(applied) == {r["id"] for r in completed}
+    for request in completed:
+        assert len(applied[request["id"]]) == request["switches"]
+
+
+def test_interleaved_intents_nest_under_their_own_request(tmp_path):
+    record, trace = _traced_cell(tmp_path, BURST_CELL)
+    by_id = {r.span_id: r for r in trace if r.kind == "span"}
+    (cell,) = [r for r in trace if r.name == "item:cell0"]
+    requests = [r for r in trace if r.name == "service.request"]
+
+    # Exactly one request span per request, each directly under the cell,
+    # carrying the request's outcome and its virtual-clock stamps.
+    assert sorted(r.attributes["request"] for r in requests) == [
+        entry["id"] for entry in record["requests"]
+    ]
+    outcome = {entry["id"]: entry for entry in record["requests"]}
+    for span in requests:
+        entry = outcome[span.attributes["request"]]
+        assert span.parent_id == cell.span_id
+        assert span.attributes["tenant"] == entry["tenant"]
+        assert span.attributes["status"] == entry["status"]
+        assert span.attributes["arrival"] == entry["arrival"]
+        assert round(
+            span.attributes["finished_at"] - span.attributes["arrival"], 6
+        ) == round(entry["latency"], 6)
+
+    # The intents really interleave: two executions overlap in virtual time.
+    windows = [
+        (r.attributes["started_at"], r.attributes["finished_at"])
+        for r in requests
+        if "started_at" in r.attributes
+    ]
+    assert any(
+        sum(1 for a, b in windows if a <= start < b) >= 2 for start, _ in windows
+    )
+
+    # Every plan / verify / execute span and every apply reaches its own
+    # request and never another's.
+    below = [
+        r
+        for r in trace
+        if r.name in ("plan", "validate.verifier.verify", "execute", "apply")
+    ]
+    assert below
+    for child in below:
+        assert len(_request_of(child, by_id)) == 1, child.name
+    planned = {
+        _request_of(r, by_id)[0].attributes["request"]
+        for r in trace
+        if r.name == "plan"
+    }
+    assert planned == {
+        entry["id"]
+        for entry in record["requests"]
+        if entry["status"] in ("completed", "aborted")
+    }
+
+    # A merged-away request names the request that took its place.
+    superseded = [r for r in requests if r.attributes["status"] == "superseded"]
+    assert superseded
+    for span in superseded:
+        winner = outcome[span.attributes["superseded_by"]]
+        assert winner["tenant"] == span.attributes["tenant"]
+        assert winner["batch"] == span.attributes["batch"]
+
+
+def test_traced_service_cell_is_deterministic(tmp_path):
+    _, first = _traced_cell(tmp_path, BURST_CELL, "first")
+    _, second = _traced_cell(tmp_path, BURST_CELL, "second")
+    assert [r.stable_view() for r in first] == [r.stable_view() for r in second]
+
+
+def test_cli_status_filter_returns_the_requests_that_ended_so(tmp_path, capsys):
+    # Four queue slots and tight links: some intents are rejected, some abort.
+    overrides = dict(BURST_CELL, max_queue=4, capacity=1.0)
+    record, _ = _traced_cell(tmp_path, overrides)
+    by_status = {}
+    for entry in record["requests"]:
+        by_status.setdefault(entry["status"], set()).add(entry["id"])
+    assert by_status.get("rejected") and by_status.get("aborted")
+    for status in ("aborted", "rejected", "superseded"):
+        assert (
+            trace_cli(
+                ["spans", "--runs-dir", str(tmp_path / "cell"), "--status", status, "--json"]
+            )
+            == 0
+        )
+        lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert all(line["name"] == "service.request" for line in lines)
+        assert {line["attributes"]["request"] for line in lines} == by_status.get(
+            status, set()
+        )
+
+
+def test_cli_show_prints_one_subtree_per_request(tmp_path, capsys):
+    record, _ = _traced_cell(tmp_path, SMALL_CELL)
+    assert trace_cli(["show", "--runs-dir", str(tmp_path / "cell")]) == 0
+    tree = capsys.readouterr().out.splitlines()
+    assert sum("service.request" in line for line in tree) == len(record["requests"])
+    depth = {
+        name: {len(line) - len(line.lstrip()) for line in tree if line.strip().startswith(name)}
+        for name in ("service.request", "plan", "execute", "* apply")
+    }
+    assert depth["service.request"] == {4}
+    assert depth["plan"] == {6} and depth["execute"] == {6}
+    assert depth["* apply"] == {8}
+
+
+def test_cli_profile_renders_the_aggregate_view(tmp_path, capsys):
+    run_to_store(
+        "fig7",
+        overrides=dict(TINY_FIG7, instances_per_size=1),
+        ctx=RunContext(trace="sqlite"),
+        store=ArtifactStore(root=tmp_path),
+        run_id="r1",
+    )
+    assert trace_cli(["profile", "--runs-dir", str(tmp_path), "--min-ms", "0"]) == 0
+    out = capsys.readouterr().out
+    assert "span tree" in out and "greedy" in out and "opt.search" in out
+    assert "tracker.entry_memo" in out and "% hit" in out
+
+
+# --- the current span is task-local -------------------------------------
+
+@pytest.fixture
+def session():
+    with TraceSession(scenario="unit", run_id="r1") as live:
+        yield live
+
+
+def _by_name(tape):
+    spans = {r.name: r for r in tape if r.kind == "span"}
+    assert len(spans) == sum(1 for r in tape if r.kind == "span")
+    return spans
+
+
+def test_interleaved_coroutines_keep_their_own_parents(session):
+    """Two coroutines sharing one list-typed stack became each other's
+    parents (``B.plan`` under ``A.plan``, ``A.plan`` under ``B``) and left
+    closed ids behind; a context variable gives each task its own."""
+
+    async def intent(name, gate_in, gate_out):
+        with recorder.span(name):
+            gate_out.set()
+            await gate_in.wait()
+            with recorder.span(f"{name}.plan"):
+                await asyncio.sleep(0)
+            await asyncio.sleep(0)
+
+    async def cell():
+        with recorder.span("cell"):
+            a_open, b_open = asyncio.Event(), asyncio.Event()
+            await asyncio.gather(
+                intent("A", b_open, a_open), intent("B", a_open, b_open)
+            )
+            with recorder.span("sibling"):
+                pass
+        assert recorder.current().name == "run"
+
+    asyncio.run(cell())
+    session.flush()
+    spans = _by_name(session.tape)
+    assert spans["A.plan"].parent_id == spans["A"].span_id
+    assert spans["B.plan"].parent_id == spans["B"].span_id
+    assert spans["A"].parent_id == spans["cell"].span_id
+    assert spans["B"].parent_id == spans["cell"].span_id
+    assert spans["sibling"].parent_id == spans["cell"].span_id
+
+
+def test_out_of_order_close_leaves_nobody_a_closed_parent(session):
+    root = recorder.current()
+    outer = recorder.span("outer").__enter__()
+    inner = recorder.span("inner").__enter__()
+    outer.close()  # out of order: ``inner`` is still open and current
+    assert recorder.current() is inner
+    with recorder.span("under-inner"):
+        pass
+    inner.__exit__(None, None, None)
+    # The context still points at ``outer``, which is closed: skipped.
+    assert recorder.current() is root
+    with recorder.span("after"):
+        pass
+    session.flush()
+    spans = _by_name(session.tape)
+    assert spans["under-inner"].parent_id == spans["inner"].span_id
+    assert spans["after"].parent_id == root.span_id
+
+
+def test_attach_continues_a_span_in_another_task(session):
+    """A span opened in one coroutine, made current in another: what the
+    service does with a request between its arrival and planner tasks."""
+    handles = {}
+
+    async def arrivals():
+        for name in ("r0", "r1"):
+            handles[name] = recorder.span(name)  # open, current nowhere
+            assert recorder.current().name == "run"
+            await asyncio.sleep(0)
+
+    async def planner(name):
+        with handles[name].attach():
+            with recorder.span("plan"):
+                await asyncio.sleep(0)
+                recorder.current().event("planned", request=name)
+        assert recorder.current().name == "run"
+        handles[name].close()
+
+    async def main():
+        await arrivals()
+        await asyncio.gather(planner("r0"), planner("r1"))
+
+    asyncio.run(main())
+    session.flush()
+    by_id = {r.span_id: r for r in session.tape}
+    events = [r for r in session.tape if r.name == "planned"]
+    assert len(events) == 2
+    for event in events:
+        plan = by_id[event.parent_id]
+        assert plan.name == "plan"
+        assert by_id[plan.parent_id].name == event.attributes["request"]
+
+
+def test_nothing_is_current_once_the_session_ends():
+    with TraceSession(scenario="unit", run_id="r1"):
+        with recorder.span("cell"):
+            assert recorder.current().name == "cell"
+    assert recorder.current() is NULL_SPAN
