@@ -15,8 +15,13 @@ exceeds the Chronus makespan, every OR partition passes
 against the brute-force ``exhaustive_schedule``.
 """
 
+import hashlib
+import json
+import sys
+
 import pytest
 
+from repro.core import tracker as tracker_module
 from repro.core.greedy import greedy_schedule
 from repro.core.instance import (
     random_instance,
@@ -25,6 +30,7 @@ from repro.core.instance import (
 )
 from repro.core.optimal import optimal_schedule, exhaustive_schedule
 from repro.core.rounds import round_is_loop_free
+from repro.experiments.sweep import mixed_instance, sweep_seed
 from repro.updates.order_replacement import minimize_rounds
 from repro.validate.verifier import verify_schedule
 
@@ -216,3 +222,70 @@ class TestWidthCut:
         result = optimal_schedule(instance)
         assert not result.width_cut
         assert result.proven
+
+
+# sha256 over ``(explored, proven, makespan, sorted schedule)`` of every
+# search below, frozen at commit 2d36b4b (the parent of the PR that made a
+# refused include cost a split instead of a clone + split + check + commit).
+# ``engine_goldens.json`` stores no ``explored``; these digests do, so a
+# change to the cost of a search node cannot quietly become a change to the
+# number or order of nodes.  The dict and the array search state gave the
+# same bytes at the freeze and must keep doing so.
+NODE_ACCOUNTING_DIGESTS = {
+    "sweep": "8de953894cfcfdb436f3a18f0b6280cf775c47d4d674631f6d41145baef9c27a",
+    "goldens": "7599d36ec6a2c584a0043416fc96b4acfa31eff2f77a694617e4d4660ef31ac2",
+}
+
+
+def _accounting_row(result):
+    schedule = None
+    if result.schedule is not None:
+        schedule = sorted(result.schedule.as_dict().items())
+    return [result.explored, result.proven, result.makespan, schedule]
+
+
+def _sweep_corpus(_goldens):
+    """The ``sweep-paper`` shape: 200 mixed instances under 60 nodes."""
+    for count in (8, 9):
+        for index in range(100):
+            instance = mixed_instance(count, sweep_seed(7, count, index))
+            yield optimal_schedule(instance, time_budget=600, node_budget=60)
+
+
+def _goldens_corpus(goldens):
+    """Every ``opt`` / ``opt_node_budget`` instance of this file."""
+    for seed in range(60):
+        yield optimal_schedule(random_instance(4 + seed % 6, seed=1700 + seed, max_delay=3))
+    for count in range(3, 10):
+        yield optimal_schedule(reversal_instance(count))
+    for count in range(3, 9):
+        yield optimal_schedule(reversal_instance(count, demand=1.0, capacity=1.0))
+    for seed in range(12):
+        yield optimal_schedule(
+            segmented_instance(10, seed=400 + seed, segments=2, max_segment_length=4)
+        )
+    yield optimal_schedule(random_instance(10, seed=11), max_branch_width=2)
+    for seed in range(12):
+        yield optimal_schedule(random_instance(9, seed=6000 + seed), max_branch_width=2)
+    budget = goldens["opt_node_budget"]["node_budget"]
+    for seed in range(20):
+        instance = random_instance(12 + seed % 3, seed=500 + seed * 13)
+        yield optimal_schedule(instance, node_budget=budget)
+
+
+class TestNodeAccountingPinned:
+    """``explored``, ``proven``, makespan and schedule of OPT, as one digest."""
+
+    @pytest.mark.parametrize("state", ["dict", "array"])
+    @pytest.mark.parametrize(
+        "corpus", [_sweep_corpus, _goldens_corpus], ids=["sweep", "goldens"]
+    )
+    def test_digest(self, corpus, state, engine_goldens, monkeypatch):
+        threshold = 0 if state == "array" else sys.maxsize
+        monkeypatch.setattr(tracker_module, "ARRAY_TRACKER_MIN_HOPS", threshold)
+        rows = [_accounting_row(result) for result in corpus(engine_goldens)]
+        digest = hashlib.sha256(
+            json.dumps(rows, sort_keys=True, default=str).encode()
+        ).hexdigest()
+        name = corpus.__name__.strip("_").split("_")[0]
+        assert digest == NODE_ACCOUNTING_DIGESTS[name], f"{name} on the {state} state"
