@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""One-command phase profiles: the greedy scheduler and one service cell.
+"""One-command phase profiles: the greedy scheduler, the OPT search, a service cell.
 
 ``greedy`` (the default, ``make profile``) runs the Chronus greedy engine
 on a paper-scale segmented instance inside a sink-less
@@ -8,8 +8,15 @@ on a paper-scale segmented instance inside a sink-less
 hierarchical wall-clock breakdown (tracker build,
 dependency analysis and its commits, round selection with each probe split
 into ``split`` / ``deflect`` / ``check``, the final check) under a root span
-that covers the whole run, together with the tracker's counters and what a
-probe looked at per switch being updated.
+that covers the whole run, together with the tracker's counters, what a
+probe looked at per switch being updated, and how many probes a round
+accepted and refused (by the split alone / by the congestion pass / skipped
+by the fallback because the answer was known).
+
+``search`` runs OPT on ``mixed_instance(size, sweep_seed(seed, size, i))``
+-- the ``sweep-paper`` shape -- under a node budget and reads off the tape
+the nodes explored, the include edges kept and pruned, the clones paid and
+the search's microseconds per node, so a search change is sized from here.
 
 ``service`` runs one seeded cell of the update service shaped like the repo
 benchmark's ``service-burst`` workload the same way and reads the DES event
@@ -23,6 +30,8 @@ Usage::
     python scripts/profile.py --size 4000      # the bench-gate size
     python scripts/profile.py --json           # machine-readable snapshot
     python scripts/profile.py --memory         # peak RSS of the stage too
+    python scripts/profile.py search           # OPT, 9 switches, 60 nodes, seed 7
+    python scripts/profile.py search --size 12 --nodes 300 --repeat 50
     python scripts/profile.py service          # one burst-shaped cell, seed 7
     python scripts/profile.py service --seed 301 --repeat 9
 
@@ -121,30 +130,86 @@ def _profile_service(seed: int, repeat: int, as_json: bool) -> int:
     return 0
 
 
+def _profile_search(size: int, seed: int, instances: int, nodes: int, as_json: bool) -> int:
+    from repro.core.optimal import optimal_schedule
+    from repro.experiments.sweep import mixed_instance, sweep_seed
+
+    with TraceSession(scenario="profile", run_id=f"search-{size}-{seed}") as session:
+        for index in range(instances):
+            instance = mixed_instance(size, sweep_seed(seed, size, index))
+            optimal_schedule(instance, time_budget=600, node_budget=nodes)
+    profile = aggregate(session.tape)
+    searches = [r for r in session.tape if r.kind == "span" and r.name == "opt.search"]
+    explored = sum(int(r.attributes["explored"]) for r in searches)
+    if as_json:
+        profile["explored"] = explored
+        emit_json(profile)
+        return 0
+    counters = profile["counters"]
+    seconds = profile["spans"]["opt.search"]["seconds"]
+    print(
+        f"opt.search[{size}] x{instances} (seed {seed}, node budget {nodes}): "
+        f"{seconds:.4f}s  nodes {explored}  proven "
+        f"{sum(bool(r.attributes['proven']) for r in searches)}/{instances}"
+    )
+    print(
+        f"  includes kept {counters.get('search.include.kept', 0)}  "
+        f"pruned {counters.get('search.include.pruned', 0)}  "
+        f"clones {counters.get('search.clones', 0)}  "
+        f"sweeps {counters.get('tracker.sweeps', 0)}"
+    )
+    print(f"  {1e6 * seconds / max(explored, 1):.1f} us/node")
+    return 0
+
+
+def _refusals_line(profile: dict) -> str:
+    """Probes accepted / refused per greedy round, off the refusal counters."""
+    counters, spans = profile["counters"], profile["spans"]
+    rounds = spans.get("greedy.select", {}).get("calls", 0)
+    probes = spans.get("greedy.select.tracker.probe", {}).get("calls", 0)
+    by_split = counters.get("tracker.probe.refused.split", 0)
+    by_congestion = counters.get("tracker.probe.refused.congestion", 0)
+    accepted = probes - by_split - by_congestion
+    per_round = max(rounds, 1)
+    return (
+        f"  per round ({rounds} rounds): {accepted / per_round:.2f} probes accepted, "
+        f"{(by_split + by_congestion) / per_round:.2f} refused "
+        f"({by_split} by the split, {by_congestion} by congestion), "
+        f"{counters.get('greedy.fallback.skipped', 0)} fallback re-probes skipped"
+    )
+
+
 def main(argv=None) -> int:
     parser = script_parser(__doc__)
     parser.add_argument(
         "mode",
         nargs="?",
-        choices=("greedy", "service"),
+        choices=("greedy", "search", "service"),
         default="greedy",
         help="what to profile (default greedy)",
     )
     parser.add_argument(
-        "--size", type=int, default=6000, help="switches to update (default 6000)"
+        "--size",
+        type=int,
+        default=None,
+        help="switches to update (default: greedy 6000, search 9)",
     )
     parser.add_argument(
         "--seed",
         type=int,
         default=None,
         help="instance seed (greedy default: the size, matching the bench "
-        "harness; service default: 7)",
+        "harness; search and service default: 7)",
     )
     parser.add_argument(
         "--repeat",
         type=int,
         default=5,
-        help="service mode: passes to run; the fastest is reported (default 5)",
+        help="service mode: passes to run, the fastest is reported; search "
+        "mode: instances to run, totals are reported (default 5)",
+    )
+    parser.add_argument(
+        "--nodes", type=int, default=60, help="search mode: OPT node budget (default 60)"
     )
     parser.add_argument(
         "--json", action="store_true", help="print the raw snapshot as JSON"
@@ -155,11 +220,15 @@ def main(argv=None) -> int:
         help="also report the stage's peak RSS (forked re-run, see above)",
     )
     args = parser.parse_args(argv)
-    if args.mode == "service":
-        return _profile_service(
-            7 if args.seed is None else args.seed, max(1, args.repeat), args.json
-        )
+    if args.mode != "greedy":
+        seed = 7 if args.seed is None else args.seed
+        repeat = max(1, args.repeat)
+        if args.mode == "service":
+            return _profile_service(seed, repeat, args.json)
+        return _profile_search(args.size or 9, seed, repeat, args.nodes, args.json)
 
+    if args.size is None:
+        args.size = 6000
     seed = args.size if args.seed is None else args.seed
     instance = segmented_instance(args.size, seed=seed)
     with TraceSession(scenario="profile", run_id=f"greedy-{args.size}") as session:
@@ -185,6 +254,7 @@ def main(argv=None) -> int:
         emit_json(profile)
     else:
         print(render_report(profile))
+        print(_refusals_line(profile))
         counters = profile["counters"]
         probes = profile["spans"].get("greedy.select.tracker.probe", {}).get("calls")
         deflections = counters.get("tracker.array.deflections")

@@ -22,7 +22,10 @@ that is adopted wholesale when the round is non-empty.  Sequential
 single-head probes split and sweep each accepted head's fresh suffix
 exactly once; they accept exactly the heads a joint
 ``preview_round(accepted + [head])`` would (pinned at tracker level in
-``tests/test_array_tracker.py``).  The flow state is whichever tracker
+``tests/test_array_tracker.py``).  A refused probe costs what it takes to
+refuse it (``probe_and_commit`` returns a witness and leaves the scratch
+untouched), and the all-heads-refused fallback does not ask again about a
+head this round already refused while the scratch has not moved.  The flow state is whichever tracker
 :func:`repro.core.tracker.make_tracker` picks for the instance's paths --
 the dict layout on short trajectories, the struct-of-arrays layout on long
 ones; the schedule is the same either way (``tests/test_tracker_choice.py``).
@@ -35,7 +38,7 @@ greedy loop-free rounds and the result is flagged infeasible.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.dependency import DependencySet, DependencyState
 from repro.core.instance import UpdateInstance
@@ -227,6 +230,7 @@ def _select_round(
     # which is decision-equivalent to a joint preview of the whole round
     # at a fraction of the work.
     scratch: Optional[Tracker] = None
+    refused: Set[Node] = set()
     for head in dependencies.heads:
         if creates_forwarding_loop(instance, committed, head, t):
             continue
@@ -235,10 +239,20 @@ def _select_round(
         if scratch.probe_and_commit([head], t).ok:
             round_nodes.append(head)
             committed[head] = t
+        else:
+            refused.add(head)
     if not round_nodes and len(pending) <= _FALLBACK_PROBE_LIMIT:
         for node in pending:
+            if node in refused:
+                # A refused probe left the scratch untouched, so until a
+                # fallback probe is accepted it is bit for bit the state
+                # this head was refused on: the answer is known.
+                if recorder.enabled:
+                    recorder.count("greedy.fallback.skipped")
+                continue
             if scratch is None:
                 scratch = tracker.clone()
             if scratch.probe_and_commit([node], t).ok:
                 round_nodes.append(node)
+                refused.clear()
     return round_nodes, scratch if round_nodes else None

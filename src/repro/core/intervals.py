@@ -217,8 +217,9 @@ class IntervalTracker:
         indexes are copy-on-write (:class:`repro.core.cow.CowIndex`), so
         only their head-pointer dicts are copied -- every per-key id
         sequence is structurally shared with this tracker.  The congestion
-        memos carry over: they are keyed on per-link revisions, which both
-        copies advance independently after the split.
+        memos carry over as shallow dict copies of immutable tuples: each
+        copy appends its own commits' entries to its own dict, and readers
+        filter the entries against their own ``_alive`` set.
         """
         other = object.__new__(IntervalTracker)
         other.instance = self.instance
@@ -325,19 +326,35 @@ class IntervalTracker:
     def probe_and_commit(self, nodes: Sequence[Node], time: int) -> RoundReport:
         """Apply ``nodes`` at ``time`` only when doing so violates nothing.
 
-        One split + one sweep either way: a clean probe commits the already
+        A clean probe is one split + one sweep and commits the already
         -computed pieces instead of re-splitting (what ``preview_round``
-        followed by ``apply_round`` would do), a dirty probe leaves the
-        tracker untouched.  This is the greedy engine's per-candidate step:
+        followed by ``apply_round`` would do); its report and the state it
+        leaves are ``apply_round``'s.  A refused probe leaves the tracker
+        untouched and costs what it takes to refuse it -- its report is a
+        *witness*, not the full list of violations: the split stops at the
+        first class that loops or black-holes (no congestion pass follows),
+        the congestion pass at the first over-capacity link.  The contract:
+        ``probe_and_commit(n, t).ok == preview_round(n, t).ok``, and each of
+        ``loops`` / ``blackholes`` / ``congestion`` is a prefix of the list
+        ``preview_round(n, t)`` reports (non-empty for at least one of them
+        when refused).  This is the greedy engine's per-candidate step:
         probing heads one at a time against a scratch clone that accumulates
         the accepted ones.
         """
         with recorder.timer("tracker.probe"):
             self._check_round_args(nodes, time)
-            pieces, trims, deflected, removed, report = self._split(nodes, time)
-            self._check_new_congestion(pieces, removed, report)
-            if report.ok:
+            pieces, trims, deflected, removed, report = self._split(
+                nodes, time, witness=True
+            )
+            if report.loops or report.blackholes:
+                if recorder.enabled:
+                    recorder.count("tracker.probe.refused.split")
+                return report
+            self._check_new_congestion(pieces, removed, report, witness=True)
+            if not report.congestion:
                 self._commit(nodes, time, trims, deflected, removed)
+            elif recorder.enabled:
+                recorder.count("tracker.probe.refused.congestion")
             return report
 
     def _commit(
@@ -462,7 +479,7 @@ class IntervalTracker:
                 raise ValueError("the destination switch is never updated")
 
     def _split(
-        self, nodes: Sequence[Node], time: int
+        self, nodes: Sequence[Node], time: int, witness: bool = False
     ) -> Tuple[
         List[Tuple[FlowClass, FlowClass]],
         List[Tuple[int, FlowClass]],
@@ -478,7 +495,10 @@ class IntervalTracker:
         in-place replacements, ``deflected`` holds the freshly routed
         pieces to register as new classes, and ``removed`` is the check's
         exclusion set (every split parent -- its old bounds must not be
-        double-counted against the pieces).
+        double-counted against the pieces).  With ``witness`` the split
+        stops at the first class that reports a loop or black hole: the
+        report then refuses the round and nothing else of the result may be
+        used.
         """
         report = RoundReport(time=time, nodes=tuple(nodes))
         round_set = set(nodes)
@@ -500,6 +520,8 @@ class IntervalTracker:
                 continue
             cls = self._classes[cid]
             split = _split_class(self.instance, cls, round_set, time, config, report)
+            if witness and (report.loops or report.blackholes):
+                break
             if split is None:
                 continue
             trim, fresh = split
@@ -517,6 +539,7 @@ class IntervalTracker:
         pieces: List[Tuple[FlowClass, FlowClass]],
         removed: Set[int],
         report: RoundReport,
+        witness: bool = False,
     ) -> None:
         """Sweep only the links whose load pattern the round changed.
 
@@ -530,7 +553,8 @@ class IntervalTracker:
         building a position index per piece -- parents are committed classes
         whose index is built once and reused across every probe.  Links
         whose combined committed + fresh load cannot exceed capacity are
-        skipped without a sweep.
+        skipped without a sweep.  With ``witness`` the pass returns at the
+        first link found over capacity.
         """
         demand = self.instance.demand
         extras: Dict[LinkKey, List[Tuple[Optional[int], Optional[int], float]]] = {}
@@ -597,6 +621,8 @@ class IntervalTracker:
             report.congestion.extend(
                 _sweep_link(link, capacity, intervals, self.t0)
             )
+            if witness and report.congestion:
+                return
 
     def _committed_entries(self, link: LinkKey) -> Tuple[_Entry, ...]:
         """The committed load contributions on ``link`` (memoised).

@@ -56,7 +56,10 @@ Both layouts are production code: every probe here pays a fixed numpy call
 overhead, so on short trajectories the dict tracker is the faster of the
 two and :func:`repro.core.tracker.make_tracker` builds that one instead.
 ``tests/test_array_tracker.py`` drives both in lockstep and compares
-every report byte-for-byte.
+every report byte-for-byte -- except a refused ``probe_and_commit``, whose
+report is a witness (a prefix of the ``preview_round`` report, which *is*
+byte-equal): the dict tracker's congestion witness ends with a link, this
+one's with a chain.
 
 numpy is a hard dependency (``pyproject.toml``); importing this module
 without it fails with a plain ``ImportError``.
@@ -413,7 +416,8 @@ class ArrayIntervalTracker:
 
     Same public surface (``clone`` / ``preview_round`` / ``apply_round`` /
     ``probe_and_commit`` / ``congestion_spans`` / ...), same reports down
-    to the byte; only the representation differs.
+    to the byte (same verdict and a witness of the same report where a
+    probe is refused); only the representation differs.
     """
 
     def __init__(
@@ -583,19 +587,34 @@ class ArrayIntervalTracker:
             return report
 
     def probe_and_commit(self, nodes: Sequence[Node], time: int) -> RoundReport:
+        """:meth:`IntervalTracker.probe_and_commit`: a refusal is a witness."""
         with recorder.timer("tracker.probe"):
-            trims, deflected, removed, report = self._probe(nodes, time)
+            trims, deflected, removed, report = self._probe(nodes, time, witness=True)
             if report.ok:
                 self._commit(nodes, time, trims, deflected, removed)
+            elif recorder.enabled:
+                recorder.count(
+                    "tracker.probe.refused.congestion"
+                    if report.congestion
+                    else "tracker.probe.refused.split"
+                )
             return report
 
-    def _probe(self, nodes: Sequence[Node], time: int):
-        """Split and check one round; ``(trims, deflected, removed, report)``."""
+    def _probe(self, nodes: Sequence[Node], time: int, witness: bool = False):
+        """Split and check one round; ``(trims, deflected, removed, report)``.
+
+        With ``witness`` a violation ends the work: the split stops at the
+        first class that loops or black-holes and no congestion pass follows
+        it; the congestion pass stops at the first chain that is over
+        capacity (the batched prefilter decides all links in one pass either
+        way, so only the exact sweeps are saved).
+        """
         self._check_round_args(nodes, time)
         with recorder.timer("split"):
-            pieces, trims, deflected, removed, report = self._split(nodes, time)
-        with recorder.timer("check"):
-            self._check_new_congestion(pieces, removed, report)
+            pieces, trims, deflected, removed, report = self._split(nodes, time, witness)
+        if not (witness and (report.loops or report.blackholes)):
+            with recorder.timer("check"):
+                self._check_new_congestion(pieces, removed, report, witness)
         return trims, deflected, removed, report
 
     # ------------------------------------------------------------------
@@ -678,7 +697,7 @@ class ArrayIntervalTracker:
             if node == self.instance.destination:
                 raise ValueError("the destination switch is never updated")
 
-    def _split(self, nodes: Sequence[Node], time: int):
+    def _split(self, nodes: Sequence[Node], time: int, witness: bool = False):
         """Columnar port of :meth:`IntervalTracker._split`.
 
         Class iteration order (ascending id), threshold arithmetic and the
@@ -708,6 +727,8 @@ class ArrayIntervalTracker:
                 if not hits:
                     continue
                 split = self._split_class(cls, hits, time, report)
+                if witness and (report.loops or report.blackholes):
+                    break
                 if split is None:
                     continue
                 trim, fresh = split
@@ -922,6 +943,7 @@ class ArrayIntervalTracker:
         pieces: List[Tuple[ArrayFlowClass, ArrayFlowClass]],
         removed: Set[int],
         report: RoundReport,
+        witness: bool = False,
     ) -> None:
         """Batched port of :meth:`IntervalTracker._check_new_congestion`.
 
@@ -1046,6 +1068,8 @@ class ArrayIntervalTracker:
         chains.sort(key=lambda item: item[0])
         for _rank, chain, shifts, flagged in chains:
             self._sweep_chain(chain, shifts, flagged, columns, report.congestion)
+            if witness and report.congestion:
+                return
 
     def _sweep_chain(self, chain, shifts, flagged: int, columns, spans) -> None:
         """Exact spans of every link in ``chain``, appended to ``spans``.

@@ -19,9 +19,11 @@ reproduce are frozen in ``tests/data/engine_goldens.json``
 * **Probe chains instead of per-subset previews.**  Previewing every
   candidate subset from scratch splits ``|S|`` switches per probe.
   Here subsets are enumerated as an include/exclude DFS over the
-  candidate list: each *include* edge applies one switch to a scratch
-  clone, so a subset costs one single-switch split amortised instead of
-  ``|S|``.  Transient
+  candidate list: each *include* edge applies one switch on top of its
+  parent's state, so a subset costs one single-switch split amortised
+  instead of ``|S|`` -- and the edge is decided on the parent (both
+  ``_split`` and ``_check_new_congestion`` are read-only), so only a kept
+  include pays for a clone and a commit.  Transient
   violations are carried as *debt* (a rescue partner later in the chain
   may clear them); a leaf with debt runs one global cleanliness check,
   which over a violation-free parent state is exactly the joint
@@ -71,6 +73,7 @@ from repro.core.intervals_array import ArrayIntervalTracker
 from repro.core.rounds import greedy_loop_free_rounds
 from repro.core.tracker import make_tracker
 from repro.network.graph import Node
+from repro.trace.recorder import recorder
 
 _NEG_LAST = -(1 << 60)
 
@@ -617,42 +620,60 @@ class OptimalSearch:
 
     # -- expansion -----------------------------------------------------
     @staticmethod
-    def _apply_one(tracker, node: Node, t: int):
-        """Apply one switch unconditionally; returns (pieces, report)."""
-        pieces, trims, deflected, removed, report = tracker._split([node], t)
-        tracker._check_new_congestion(pieces, removed, report)
-        tracker._commit([node], t, trims, deflected, removed)
-        return pieces, report
-
-    @staticmethod
     def _state_clean(tracker) -> bool:
         return not (tracker.loops or tracker.blackholes or tracker.congestion_spans())
 
-    def _repairable(self, tracker, pieces, report, rest: Sequence[Node]) -> bool:
-        """Can any switch in ``rest`` still clear this apply's violations?
-
-        Same completeness argument as :meth:`_rescue_partners`: a later
-        include can only remove a violation by touching the violating
-        pieces, their parents, or a class loading a violated link.
-        """
-        if not rest:
-            return False
+    def _on_pieces(self, tracker, pieces, rest: Set[Node]) -> bool:
+        """Does a switch in ``rest`` sit on a split piece or its parent?"""
         ops = self._ops
-        rest_set = set(rest)
         for piece, parent in pieces:
-            if rest_set.intersection(ops.class_nodes(tracker, piece)):
+            if not rest.isdisjoint(ops.class_nodes(tracker, piece)):
                 return True
-            if rest_set.intersection(ops.class_nodes(tracker, parent)):
+            if not rest.isdisjoint(ops.class_nodes(tracker, parent)):
                 return True
+        return False
+
+    def _on_congested_links(self, tracker, report, rest: Set[Node]) -> bool:
+        """Does a switch in ``rest`` sit on a class loading a violated link?"""
+        ops = self._ops
         seen_links = set()
         for span in report.congestion:
             if span.link in seen_links:
                 continue
             seen_links.add(span.link)
             for cls in ops.classes_crossing(tracker, span.link):
-                if rest_set.intersection(ops.class_nodes(tracker, cls)):
+                if not rest.isdisjoint(ops.class_nodes(tracker, cls)):
                     return True
         return False
+
+    def _decide_include(self, tracker, node: Node, t: int, rest: Set[Node]):
+        """Decide one include edge on the state it leaves, without touching it.
+
+        Returns ``None`` when applying ``node`` violates something no switch
+        in ``rest`` (the candidates still to be decided) can clear, else
+        ``(clean, split)`` with ``split`` the arguments ``_commit`` adopts
+        on a clone.  A later include can only remove a violation by touching
+        the violating pieces, their parents, or a class loading a violated
+        link (the completeness argument of :meth:`_partner_superset`); the
+        first two are known after the split, so a loop or black hole with a
+        possible rescuer there is carried as debt without a congestion pass.
+        Every class the commit would add or kill is in ``pieces``, so the
+        third question has the same answer before the commit as after it.
+        """
+        pieces, trims, deflected, removed, report = tracker._split([node], t)
+        swept = report.ok  # a clean split is a clean round only once swept
+        if swept:
+            tracker._check_new_congestion(pieces, removed, report)
+        keep = report.ok
+        if not keep and rest:
+            keep = self._on_pieces(tracker, pieces, rest)
+            if not keep:
+                if not swept:
+                    tracker._check_new_congestion(pieces, removed, report)
+                keep = self._on_congested_links(tracker, report, rest)
+        if recorder.enabled:
+            recorder.count("search.include.kept" if keep else "search.include.pruned")
+        return (report.ok, (trims, deflected, removed)) if keep else None
 
     def _expand_subsets(
         self, tracker, pending: Tuple[Node, ...], candidates: List[Node], t: int
@@ -660,12 +681,15 @@ class OptimalSearch:
         """Include/exclude DFS over ``candidates`` (include first).
 
         Visits every non-empty subset exactly once, as a chain of
-        single-switch applies on scratch clones; include-first ordering
-        reaches the full candidate set first: larger rounds reach
-        complete schedules, and hence strong incumbents, sooner.
+        single-switch applies; include-first ordering reaches the full
+        candidate set first: larger rounds reach complete schedules, and
+        hence strong incumbents, sooner.  An include is decided on its
+        parent's state (:meth:`_decide_include`); only a kept one pays for
+        a clone and a commit.
         """
         applied_any = False
         k = len(candidates)
+        rests = [set(candidates[i + 1 :]) for i in range(k)]
         chosen: List[Node] = []
         t0 = self.t0
 
@@ -687,21 +711,16 @@ class OptimalSearch:
                 return
             node = candidates[i]
             # Include branch first (larger subsets first).
-            child = scratch.clone()
-            pieces, report = self._apply_one(child, node, t)
-            child_debt = debt
-            include = True
-            if not report.ok:
-                if self._repairable(child, pieces, report, candidates[i + 1 :]):
-                    child_debt = True
-                else:
-                    include = False  # violation can never be cleared
-            if include:
+            decision = self._decide_include(scratch, node, t, rests[i])
+            if decision is not None:
+                clean, split = decision
+                child = self._clone(scratch)
+                child._commit([node], t, *split)
                 # Each committed probe-chain state is an expanded node of
                 # the (binary include/exclude) search tree.
                 self.explored += 1
                 chosen.append(node)
-                descend(i + 1, child, child_debt)
+                descend(i + 1, child, debt or not clean)
                 chosen.pop()
             if self.timed_out:
                 return
@@ -712,20 +731,28 @@ class OptimalSearch:
 
     def _expand_full(self, tracker, pending: Tuple[Node, ...], t: int) -> bool:
         """Probe only the all-pending round (the full_only fast path)."""
-        child = tracker.clone()
+        child = tracker  # cloned on the first commit; ``tracker`` stays as it is
         debt = False
-        for node in pending:
-            pieces, report = self._apply_one(child, node, t)
+        for index, node in enumerate(pending):
+            decision = self._decide_include(child, node, t, set(pending[index + 1 :]))
             self.explored += 1
-            if not report.ok:
-                idx = pending.index(node)
-                if not self._repairable(child, pieces, report, pending[idx + 1 :]):
-                    return False
-                debt = True
+            if decision is None:
+                return False
+            clean, split = decision
+            debt = debt or not clean
+            if child is tracker:
+                child = self._clone(tracker)
+            child._commit([node], t, *split)
         if debt and not self._state_clean(child):
             return False
         self._dfs(child, (), t + 1, t)
         return True
+
+    @staticmethod
+    def _clone(tracker):
+        if recorder.enabled:
+            recorder.count("search.clones")
+        return tracker.clone()
 
 
 def run_optimal_search(

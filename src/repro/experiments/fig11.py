@@ -154,6 +154,7 @@ SCENARIO = register(
             "instances": 30,
             "base_seed": 5,
             "opt_budget": 2.0,
+            "opt_node_budget": None,
             "schemes": DEFAULT_PAIR,
         },
         items=_items,

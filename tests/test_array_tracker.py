@@ -7,6 +7,11 @@ congestion spans), same committed state (applied times, per-link
 departure timelines, loads), same error behaviour.  These tests drive
 both trackers in lockstep through seeded random round sequences (clean
 and violating alike) and compare everything observable at every step.
+
+One report is not compared byte for byte: a refused ``probe_and_commit``
+returns a *witness* (DESIGN.md 7.4), which each tracker cuts where its own
+work stops.  Those are held to the probe contract instead
+(:class:`TestProbeContract`).
 """
 
 import random
@@ -31,7 +36,7 @@ from repro.core.intervals_array import (
     instance_arrays,
 )
 from repro.network.graph import Network
-from tests.test_chain_goldens import interior_positions, rebuilt
+from tests.test_chain_goldens import assert_witness, interior_positions, rebuilt
 
 
 def _pair(instance, t0=0, background=None):
@@ -53,8 +58,21 @@ def _class_key(entry):
     )
 
 
+def _class_entries(tracker):
+    """``(lo, hi, switch names)`` of every live class, either layout, sorted."""
+    if isinstance(tracker, ArrayIntervalTracker):
+        names = tracker.arrays.names
+        entries = (
+            (cls.lo, cls.hi, tuple(names[i] for i in cls.nodes.tolist()))
+            for cls in tracker.classes
+        )
+    else:
+        entries = ((cls.lo, cls.hi, tuple(cls.nodes)) for cls in tracker.classes)
+    return sorted(entries, key=_class_key)
+
+
 def _assert_states_match(dict_tracker, array_tracker, label):
-    """Every observable of the two trackers agrees."""
+    """Every observable of the two trackers agrees (any two layouts)."""
     assert array_tracker.applied == dict_tracker.applied, label
     assert array_tracker.loops == dict_tracker.loops, label
     assert array_tracker.blackholes == dict_tracker.blackholes, label
@@ -72,21 +90,8 @@ def _assert_states_match(dict_tracker, array_tracker, label):
         assert array_tracker.link_departure_spans(
             link.src, link.dst
         ) == dict_tracker.link_departure_spans(link.src, link.dst), (label, link)
-    # Class sets agree up to ordering of (bounds, trajectory); the array
-    # tracker stores trajectories as node-id arrays, so translate back.
-    names = array_tracker.arrays.names
-    dict_classes = sorted(
-        ((cls.lo, cls.hi, tuple(cls.nodes)) for cls in dict_tracker.classes),
-        key=_class_key,
-    )
-    array_classes = sorted(
-        (
-            (cls.lo, cls.hi, tuple(names[i] for i in cls.nodes.tolist()))
-            for cls in array_tracker.classes
-        ),
-        key=_class_key,
-    )
-    assert array_classes == dict_classes, label
+    # Class sets agree up to ordering of (bounds, trajectory).
+    assert _class_entries(array_tracker) == _class_entries(dict_tracker), label
 
 
 def _assert_reports_match(dict_report, array_report, label):
@@ -171,6 +176,25 @@ class TestLockstepApply:
             _assert_states_match(dict_tracker, array_tracker, label)
 
 
+def _lockstep_probe(dict_tracker, array_tracker, nodes, time, label):
+    """``probe_and_commit`` on both; returns the dict tracker's report.
+
+    Accepted probes report byte-equal; refused ones are each a witness of
+    the (byte-equal) preview -- the two may stop at different lengths.
+    """
+    preview = dict_tracker.preview_round(nodes, time)
+    _assert_reports_match(preview, array_tracker.preview_round(nodes, time), label)
+    dict_report = dict_tracker.probe_and_commit(nodes, time)
+    array_report = array_tracker.probe_and_commit(nodes, time)
+    if preview.ok:
+        _assert_reports_match(preview, dict_report, label)
+        _assert_reports_match(preview, array_report, label)
+    else:
+        assert_witness(dict_report, preview, label)
+        assert_witness(array_report, preview, label)
+    return dict_report
+
+
 class TestLockstepProbe:
     """probe_and_commit commits exactly when clean; states must not drift."""
 
@@ -182,9 +206,7 @@ class TestLockstepProbe:
         time = 0
         for node in sorted(instance.switches_to_update, key=str):
             label = f"probe seed={seed} node={node} t={time}"
-            dict_report = dict_tracker.probe_and_commit([node], time)
-            array_report = array_tracker.probe_and_commit([node], time)
-            _assert_reports_match(dict_report, array_report, label)
+            dict_report = _lockstep_probe(dict_tracker, array_tracker, [node], time, label)
             _assert_states_match(dict_tracker, array_tracker, label)
             if dict_report.ok:
                 time += rng.randint(1, 2)
@@ -192,10 +214,7 @@ class TestLockstepProbe:
                 # A rejected probe must leave both trackers untouched; the
                 # node is retried later at a strictly larger time.
                 time += rng.randint(2, 4)
-                retry = dict_tracker.probe_and_commit([node], time)
-                _assert_reports_match(
-                    retry, array_tracker.probe_and_commit([node], time), label
-                )
+                _lockstep_probe(dict_tracker, array_tracker, [node], time, label)
                 time += 1
 
     @pytest.mark.parametrize("seed", range(40))
@@ -244,6 +263,86 @@ class TestLockstepProbe:
         )
         assert array_tracker.applied == {}
         _assert_states_match(dict_tracker, array_tracker, "after preview")
+
+
+class TestProbeContract:
+    """What ``probe_and_commit`` promises, on each tracker by itself.
+
+    ``.ok`` is ``preview_round``'s; refused, the tracker is untouched and
+    every list of the report is a prefix of the preview's; accepted, report
+    and state are ``apply_round``'s on a clone, byte for byte.
+    """
+
+    @settings(
+        max_examples=60,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+    )
+    @given(data=st.data())
+    def test_probe_is_a_witness_of_the_preview(self, data):
+        draw = data.draw
+        seed = draw(st.integers(0, 10_000), label="seed")
+        if draw(st.booleans(), label="global reroute"):
+            instance = random_instance(draw(st.integers(4, 16), label="n"), seed=seed, max_delay=3)
+        else:
+            instance = segmented_instance(
+                draw(st.integers(12, 240), label="n"),
+                seed=seed,
+                segments=draw(st.integers(1, 6), label="segments"),
+            )
+            instance = rebuilt(instance, unit_delays=draw(st.booleans(), label="unit_delays"))
+        links = [link.endpoints for link in instance.network.links]
+        bound = st.none() | st.integers(-5, 40)
+        background = draw(
+            st.dictionaries(
+                st.sampled_from(links),
+                st.lists(
+                    st.tuples(bound, bound, st.sampled_from((0.25, 0.5, 1.0))),
+                    min_size=1,
+                    max_size=2,
+                ),
+                max_size=4,
+            ),
+            label="background",
+        )
+        order = list(draw(st.permutations(instance.switches_to_update), label="order"))
+        trackers = _pair(instance, background=background)
+        time = draw(st.integers(0, 2), label="t0")
+        while order:
+            nodes = [order.pop() for _ in range(min(len(order), draw(st.integers(1, 3))))]
+            force = draw(st.booleans(), label="apply a refused round anyway")
+            verdicts = []
+            for tracker in trackers:
+                label = f"{type(tracker).__name__} t={time} nodes={nodes}"
+                preview = tracker.preview_round(nodes, time)
+                before, applied = tracker.clone(), tracker.clone()
+                applied_report = applied.apply_round(nodes, time)
+                probe = tracker.probe_and_commit(nodes, time)
+                assert_witness(probe, preview, label)
+                if probe.ok:
+                    _assert_reports_match(applied_report, probe, label)
+                    _assert_states_match(applied, tracker, label)
+                else:
+                    _assert_states_match(before, tracker, label)
+                    if force:
+                        # Later probes then run over a state that already
+                        # violates; a probe reports what *it* would add.
+                        tracker.apply_round(nodes, time)
+                verdicts.append(probe.ok)
+            assert verdicts[0] == verdicts[1]
+            time += draw(st.integers(0, 3))
+        _assert_states_match(*trackers, "final")
+
+    def test_a_refusal_stops_at_its_first_witness(self):
+        """Not vacuous: the shortcut world's refused probe says less than its preview."""
+        instance = _shortcut_world(capacities={("t2", "t3"): 1.0, ("t5", "t6"): 1.0})
+        for tracker in _pair(instance):
+            preview = tracker.preview_round(["s"], 5)
+            probe = tracker.probe_and_commit(["s"], 5)
+            assert_witness(probe, preview, type(tracker).__name__)
+            assert {span.link for span in preview.congestion} == {("t2", "t3"), ("t5", "t6")}
+            assert {span.link for span in probe.congestion} == {("t2", "t3")}
+            assert tracker.applied == {}
 
 
 OPERATIONS = ("preview_round", "probe_and_commit", "apply_round")
@@ -312,10 +411,15 @@ class TestLongChains:
                 nodes.append(interior.pop(draw(st.integers(0, len(interior) - 1))))
             operation = draw(st.sampled_from(OPERATIONS))
             label = f"step={step} {operation} t={time} nodes={nodes}"
-            dict_report = getattr(dict_tracker, operation)(nodes, time)
-            _assert_reports_match(
-                dict_report, getattr(array_tracker, operation)(nodes, time), label
-            )
+            if operation == "probe_and_commit":
+                dict_report = _lockstep_probe(
+                    dict_tracker, array_tracker, nodes, time, label
+                )
+            else:
+                dict_report = getattr(dict_tracker, operation)(nodes, time)
+                _assert_reports_match(
+                    dict_report, getattr(array_tracker, operation)(nodes, time), label
+                )
             if operation == "preview_round" or (
                 operation == "probe_and_commit" and not dict_report.ok
             ):

@@ -29,6 +29,14 @@ makes long chains congest at all; ``random_instance(110...130)``; and
 Fig. 1's pattern, drain rule included, between a 300-switch prefix and a
 300-switch suffix.
 
+A refused ``probe_and_commit`` has since become a *witness* (it stops at
+the first class that loops or black-holes, or at the first over-capacity
+chain; DESIGN.md section 7.4), so its own report is no longer the frozen
+one.  The fixture is not regenerated for that: every probe round is first
+previewed, the frozen digest is taken over the preview's report -- which is
+what the probe returned at the frozen revision -- and the probe itself is
+held to its contract against that preview (:func:`checked_probe`).
+
 Regenerate (only ever at a revision whose tracker is the reference)::
 
     PYTHONPATH=src python tests/test_chain_goldens.py > tests/data/chain_goldens.json
@@ -100,6 +108,38 @@ def _state_record(tracker):
     }
 
 
+def assert_witness(probe, preview, label=""):
+    """``probe_and_commit``'s report against ``preview_round``'s, same round.
+
+    Same verdict, and every list a prefix of the preview's: nothing the
+    preview does not say, in the order it says it.  An accepted probe has
+    nothing to report and a refused one at least one violation, so the
+    verdict pins both ends.
+    """
+    assert (probe.time, probe.nodes) == (preview.time, preview.nodes), label
+    assert probe.ok == preview.ok, label
+    for name in ("loops", "blackholes", "congestion"):
+        found, full = getattr(probe, name), getattr(preview, name)
+        assert found == full[: len(found)], (label, name)
+
+
+def checked_probe(tracker, nodes, time):
+    """``probe_and_commit`` held to its contract; returns the full report.
+
+    Accepted: the probe's report is the preview's, byte for byte.  Refused:
+    it is a witness of the preview's and the tracker is left as it was.
+    """
+    preview = tracker.preview_round(nodes, time)
+    before = None if preview.ok else _state_record(tracker)
+    probe = tracker.probe_and_commit(nodes, time)
+    if preview.ok:
+        assert _report_record("", probe) == _report_record("", preview)
+    else:
+        assert_witness(probe, preview, (nodes, time))
+        assert _state_record(tracker) == before
+    return preview
+
+
 def interior_positions(instance):
     """Old-path positions strictly inside an unrerouted stretch.
 
@@ -129,7 +169,10 @@ def run_rounds(instance, background, seed):
         width = rng.randint(1, min(3, len(order)))
         nodes, rest = order[:width], order[width:]
         operation = rng.choice(OPERATIONS)
-        report = getattr(tracker, operation)(nodes, time)
+        if operation == "probe_and_commit":
+            report = checked_probe(tracker, nodes, time)
+        else:
+            report = getattr(tracker, operation)(nodes, time)
         records.append(_report_record(operation, report))
         committed = operation == "apply_round" or (
             operation == "probe_and_commit" and report.ok

@@ -276,7 +276,13 @@ def test_in_memory_matches_stored_aggregation(tmp_path):
 
 
 def test_enough_predicate_stops_fig11_early(tmp_path):
-    overrides = {"switch_count": 40, "instances": 2, "opt_budget": 30.0}
+    # OPT is bounded by nodes, not by waiting for a wall clock to expire.
+    overrides = {
+        "switch_count": 40,
+        "instances": 2,
+        "opt_budget": 600.0,
+        "opt_node_budget": 2000,
+    }
     store = ArtifactStore(root=tmp_path)
     stored = run_to_store("fig11", overrides, store=store, run_id="r1")
     grid = len(list(get_scenario("fig11").items(stored.params)))

@@ -167,6 +167,17 @@ class TestNodeBudgets:
                 assert result.feasible == reference["feasible"], f"seed={seed}"
         assert proven >= frozen["reference_proven"]
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="known defect, pinned not fixed: the budget is tested on entry to "
+        "a search state while subset expansion bumps explored unchecked "
+        "(ROADMAP, 'Break the planners on purpose')",
+    )
+    def test_explored_respects_the_node_budget(self):
+        result = optimal_schedule(mixed_instance(12, 0), node_budget=60)
+        assert not result.proven
+        assert result.explored <= 60  # 641 today
+
     def test_or_node_budget_deterministic(self):
         instance = random_instance(12, seed=99)
         first = minimize_rounds(instance, node_budget=200)

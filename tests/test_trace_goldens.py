@@ -38,6 +38,38 @@ execute spans that replace the five ``service.*`` point events.
 The fixture can only be regenerated at a revision that still has both
 stacks (``git checkout 94670cc && PYTHONPATH=src python
 tests/test_trace_goldens.py > tests/data/trace_goldens.json``).
+
+**Entries re-pinned since, by cause.**  The fixture pins *work* counters,
+and a refusal that costs less does less work.  When ``probe_and_commit``
+became a witness, greedy's fallback stopped re-probing refused heads and
+OPT began deciding an include before cloning (DESIGN.md 7.4, 13.2), these
+keys -- and no others -- dropped, in every run that refuses anything
+(``faults``, ``faults-giveup``, ``fig6``, ``fig7``, ``service``,
+``service-burst``; ``fig9`` refuses nothing and did not move).  The
+fixture's ``moved`` block holds each key's frozen and re-pinned value per
+item, and ``test_only_refusal_work_moved`` holds it to this list:
+
+* ``tracker.sweeps``, ``tracker.sweep_intervals`` (``MOVED_COUNTERS``) --
+  a refused probe stops sweeping at its first over-capacity link and does
+  not sweep at all behind a loop or black hole; in OPT (``fig7``) a loop /
+  black-hole include whose rescuer sits on its pieces is carried as debt
+  unswept, and a skipped fallback probe sweeps nothing (``fig6``);
+* ``tracker.links_skipped`` -- the same passes, cut short or not run, also
+  skip fewer provably-clean links;
+* ``tracker.entry_memo.hit`` / ``.miss`` -- fewer links looked up for the
+  reasons above; in OPT the lookups now land on the *parent's* memo, which
+  every sibling include shares, instead of on a fresh clone's (misses fall
+  tenfold on ``fig7``'s two wide items);
+* ``calls`` of ``greedy.select.tracker.probe`` (``MOVED_CALLS``) -- the
+  fallback skips the heads it refused in the same round (``fig6``: 10 -> 8).
+
+New keys, written at the same revision and pinned from then on
+(``REFUSAL_COUNTERS``): ``tracker.probe.refused.split`` / ``.congestion``,
+``greedy.fallback.skipped``, ``search.include.kept`` / ``.pruned``,
+``search.clones``.  Every span, event, attribute, status, request fact,
+timer path and every other counter is the frozen one, byte for byte: the
+re-pin (this file's ``__main__``) rewrites only the keys named here and
+refuses to run when anything else differs.
 """
 
 import json
@@ -152,16 +184,41 @@ SERVICE_COUNTERS = {"simulator.engine.events"}
 SERVICE_SPANS = {"service.request", "execute", "validate.verifier.verify"}
 
 
+#: Work counters and timer paths a cheaper refusal lowered (module docstring).
+MOVED_COUNTERS = {
+    "tracker.sweeps",
+    "tracker.sweep_intervals",
+    "tracker.links_skipped",
+    "tracker.entry_memo.hit",
+    "tracker.entry_memo.miss",
+}
+MOVED_CALLS = {"greedy.select.tracker.probe"}
+#: Counters that say why: new with the same change, pinned by the fixture.
+REFUSAL_COUNTERS = {
+    "tracker.probe.refused.split",
+    "tracker.probe.refused.congestion",
+    "greedy.fallback.skipped",
+    "search.include.kept",
+    "search.include.pruned",
+    "search.clones",
+}
+
+
+def _unwrapped(path, scenario):
+    """A frozen timer path without the two deleted wrappers (``None``: dropped)."""
+    for wrapper in (f"pipeline.{scenario}", "service.plan"):
+        if path == wrapper:
+            return None
+        if path.startswith(wrapper + "."):
+            path = path[len(wrapper) + 1:]
+    return path
+
+
 def without_wrappers(calls, scenario):
     """Frozen ``calls`` with the two deleted wrapper timers dropped."""
     out = {}
     for path, count in calls.items():
-        for wrapper in (f"pipeline.{scenario}", "service.plan"):
-            if path == wrapper:
-                path = None
-                break
-            if path.startswith(wrapper + "."):
-                path = path[len(wrapper) + 1:]
+        path = _unwrapped(path, scenario)
         if path is not None:
             out[path] = out.get(path, 0) + count
     return out
@@ -190,6 +247,28 @@ def test_fixture_covers_every_run_and_its_evidence():
     burst = goldens["runs"]["service-burst"]["items"]["cell0"]
     assert burst["executing_at_once"] >= 2
     assert any(request["applied"] for request in burst["requests"])
+
+
+def test_only_refusal_work_moved():
+    """The re-pinned entries are the listed work counters, and they fell."""
+    goldens = json.loads(GOLDENS_PATH.read_text())
+    moved = goldens["moved"]["keys"]
+    assert set(moved) == set(RUNS) - {"fig9"}
+    for name, scopes in moved.items():
+        run = goldens["runs"][name]
+        for scope, keys in scopes.items():
+            pinned = run["registry"] if scope == "registry" else run["items"][scope]
+            for key, (frozen, now) in keys.items():
+                kind, _, path = key.partition(":")
+                assert now == pinned[kind][path], (name, scope, key)
+                if frozen is None:
+                    assert path in REFUSAL_COUNTERS, (name, scope, key)
+                    continue
+                assert now < frozen, (name, scope, key)
+                if kind == "calls":
+                    assert _unwrapped(path, run["scenario"]) in MOVED_CALLS
+                else:
+                    assert path in MOVED_COUNTERS, (name, scope, key)
 
 
 @pytest.fixture(scope="module", params=sorted(RUNS))
@@ -281,3 +360,64 @@ def test_every_request_fact_is_on_its_own_span(replay):
         assert attributes.get("makespan") == fact["makespan"]
         assert attributes.get("switches") == fact["switches"]
         assert applied[fact["id"]] == fact["applied"]
+
+
+def _repin(goldens):
+    """Rewrite the ``MOVED_*`` / ``REFUSAL_COUNTERS`` entries from a fresh replay.
+
+    Anything else that differs from the fixture is an error, not a re-pin.
+    A key re-pinned before keeps the value it was frozen at.
+    """
+    moved = goldens.get("moved", {}).get("keys", {})
+    for name in sorted(RUNS):
+        run = goldens["runs"][name]
+        _, tape = traced_run(name)
+        scopes = dict(item_subtrees(tape))
+        assert set(scopes) == set(run["items"]), name
+        scopes["registry"] = tape
+        for scope, members in scopes.items():
+            pinned = run["registry"] if scope == "registry" else run["items"][scope]
+            calls, counters = calls_and_counters(members)
+            calls = minus_new(calls, SERVICE_TIMERS)
+            counters = minus_new(counters, SERVICE_COUNTERS)
+            changes = {}
+            for path, frozen in pinned["calls"].items():
+                plain = _unwrapped(path, run["scenario"])
+                if plain is None or calls.get(plain) == frozen:
+                    continue
+                sharing = [
+                    p for p in pinned["calls"] if _unwrapped(p, run["scenario"]) == plain
+                ]
+                if plain not in MOVED_CALLS or len(sharing) != 1:
+                    raise SystemExit(f"{name}/{scope}: calls of {path} moved")
+                changes["calls:" + path] = [frozen, calls[plain]]
+            if set(calls) != set(without_wrappers(pinned["calls"], run["scenario"])):
+                raise SystemExit(f"{name}/{scope}: timer paths differ")
+            for path in sorted(set(counters) | set(pinned["counters"])):
+                frozen, now = pinned["counters"].get(path), counters.get(path)
+                if frozen == now:
+                    continue
+                if path not in (REFUSAL_COUNTERS if frozen is None else MOVED_COUNTERS):
+                    raise SystemExit(f"{name}/{scope}: counter {path} moved")
+                changes["counters:" + path] = [frozen, now]
+            for key, (frozen, now) in changes.items():
+                kind, _, path = key.partition(":")
+                pinned[kind][path] = now
+                history = moved.setdefault(name, {}).setdefault(scope, {})
+                history[key] = [history.get(key, [frozen])[0], now]
+    return moved
+
+
+if __name__ == "__main__":
+    import subprocess
+
+    frozen = json.loads(GOLDENS_PATH.read_text())
+    frozen["moved"] = {
+        "revision": subprocess.run(
+            ["git", "rev-parse", "--short", "HEAD"],
+            capture_output=True, text=True, check=True,
+        ).stdout.strip(),
+        "note": "[frozen, re-pinned] per key, replayed on the working tree on top of this revision; see tests/test_trace_goldens.py",
+        "keys": _repin(frozen),
+    }
+    GOLDENS_PATH.write_text(json.dumps(frozen, indent=1, sort_keys=True) + "\n")

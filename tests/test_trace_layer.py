@@ -464,7 +464,11 @@ def test_default_trace_path_picks_newest(tmp_path):
             {"switch_counts": [30], "cutoff": 30.0, "runs_per_size": 1},
             {"chronus", "or", "opt"},
         ),
-        ("fig11", {"switch_count": 30, "instances": 2, "opt_budget": 30.0}, {"chronus", "opt"}),
+        (
+            "fig11",
+            {"switch_count": 30, "instances": 2, "opt_budget": 600.0, "opt_node_budget": 2000},
+            {"chronus", "opt"},
+        ),
     ],
 )
 def test_timing_and_makespan_scenarios_emit_plan_spans(tmp_path, scenario, overrides, schemes):
