@@ -19,7 +19,9 @@ What it measures:
   cost.
 * **tracker_grid** -- greedy ms/plan with each tracker forced, on random
   and segmented instances either side of the factory's threshold, plus
-  ``same_schedules`` (the two must return equal ``GreedyResult``s).
+  ``same_schedules`` (the two must return equal ``GreedyResult``s); and
+  on the array tracker alone at 10 000 switches x 4 / 16 / 32 segments
+  (feasible seeds), the cells in which cost grows with the segment count.
 * **memory** -- peak RSS per greedy stage (instance build + schedule),
   measured in a forked child per size so one stage's high-water mark
   cannot mask another's.
@@ -178,17 +180,40 @@ def bench_greedy_dense(
     }
 
 
+def _feasible_batch(size: int, segments: int, plans: int) -> List:
+    """The first ``plans`` seeds from 9100 on which greedy finds a schedule.
+
+    Planning each candidate once is also what warms the instance's cached
+    encodings, so the timed passes measure plans, not builds.
+    """
+    batch: List = []
+    seed = 9100
+    while len(batch) < plans:
+        instance = segmented_instance(size, seed=seed, segments=segments)
+        if greedy_schedule(instance).feasible:
+            batch.append(instance)
+        seed += 1
+    return batch
+
+
 def bench_tracker_grid(
     random_sizes: Sequence[int] = (16, 32, 64),
     segmented_sizes: Sequence[int] = (50, 100, 200, 400),
     repeats: int = 3,
+    long_size: int = 10000,
+    long_segments: Sequence[int] = (4, 16, 32),
+    long_plans: int = 4,
 ) -> Dict[str, object]:
     """Greedy ms/plan on each tracker, either side of the factory threshold.
 
     Each cell plans one seeded batch twice, with the factory's threshold
     moved to force one tracker class and then the other, and compares the
     ``GreedyResult`` lists.  Random batches shrink with size (a 64-switch
-    global reroute is ~0.5 s on the array tracker).
+    global reroute is ~0.5 s on the array tracker).  The ``long_size``
+    cells run on the array tracker only (the dict tracker needs minutes
+    there): one per segment count, ``long_plans`` feasible instances each
+    -- the shapes whose rounds, probes and deflections grow with the
+    segments while the path stays put.
     """
     cells = [
         (f"random[{size}]", _dense_batch(size, 320 // size))
@@ -224,6 +249,17 @@ def bench_tracker_grid(
             )
     finally:
         tracker_module.ARRAY_TRACKER_MIN_HOPS = original
+    for segments in long_segments:
+        batch = _feasible_batch(long_size, segments, long_plans)
+        name = f"segmented[{long_size}x{segments}]"
+        _results, best = _best_of(repeats, _plan_all, batch, label=f"tracker_grid {name} array")
+        out[name] = {
+            "hops": len(batch[0].old_path) + len(batch[0].new_path),
+            "plans": len(batch),
+            "segments": segments,
+            "array_ms": round(best / len(batch) * 1e3, 3),
+        }
+        print(f"[bench] tracker_grid {name}: array={out[name]['array_ms']}ms per plan")
     out["same_schedules"] = same
     print(f"[bench] tracker_grid same_schedules={same}")
     return out
@@ -572,7 +608,11 @@ def collect(quick: bool = False, workers: int = 4) -> Dict[str, object]:
             "greedy": bench_greedy(sizes=(200, 400), repeats=2),
             "greedy_dense": bench_greedy_dense(plans=50, repeats=2),
             "tracker_grid": bench_tracker_grid(
-                random_sizes=(16,), segmented_sizes=(50, 400), repeats=1
+                random_sizes=(16,),
+                segmented_sizes=(50, 400),
+                repeats=1,
+                long_size=2000,
+                long_plans=2,
             ),
             "opt": bench_opt(switch_count=20, seeds=tuple(range(4)), budget=1.0),
             "clone": bench_clone(switch_count=300, clones=500, repeats=2),

@@ -28,7 +28,8 @@ Exit status is non-zero when a measured invariant fails:
   schedule differently (``same_schedules``; hard failure on any
   machine), or ``greedy_dense`` seconds per plan exceed 1.3x the best
   prior full-size record from the same machine class on the same shape,
-  or
+  or a long-path ``tracker_grid`` cell (array tracker, 10 000 switches x
+  4 / 16 / 32 segments) exceeds 1.3x its best comparable prior, or
 * OPT node throughput drops under 1/1.3x the best prior full-size
   record from the same machine class measuring the *same engine* on the
   same workload (engines count nodes at different granularities, so a
@@ -70,6 +71,7 @@ SERVICE_GATE_LIMIT = 1.3
 VERIFY_GATE_LIMIT = 1.3
 VERIFY_SHAPE_KEYS = ("pods", "pod_size", "switches")
 DENSE_SHAPE_KEYS = ("switches", "plans")
+GRID_SHAPE_KEYS = ("hops", "plans", "segments")
 
 
 def _comparable(record, history, block):
@@ -161,6 +163,44 @@ def greedy_dense_regression(record, history):
             f"(machine class cpus={record.get('cpus')})"
         )
     return None
+
+
+def tracker_grid_regression(record, history):
+    """Failure message when a long-path ``tracker_grid`` cell regressed, else None.
+
+    The cells planned on the array tracker alone (rows with ``segments``:
+    10 000 switches x 4 / 16 / 32 segments) are gated, each against the
+    best prior full-size record from the same machine class measuring the
+    same shape (equal ``hops`` / ``plans`` / ``segments``); quick and
+    profiled records are skipped on both sides.  The short cells stay
+    ungated: they exist to show which tracker wins where, in milliseconds.
+    """
+    grid = record.get("tracker_grid")
+    if "profile" in record or record.get("quick") or not isinstance(grid, dict):
+        return None
+    comparable = _comparable(record, history, "tracker_grid")
+    failures = []
+    for name, row in sorted(grid.items()):
+        if not isinstance(row, dict) or "segments" not in row:
+            continue
+        prior = [
+            other[name]["array_ms"]
+            for other in comparable
+            if isinstance(other.get(name), dict)
+            and all(other[name].get(key) == row.get(key) for key in GRID_SHAPE_KEYS)
+            and isinstance(other[name].get("array_ms"), (int, float))
+        ]
+        current = row.get("array_ms")
+        if not prior or not isinstance(current, (int, float)):
+            continue
+        best = min(prior)
+        if best > 0 and current > GREEDY_GATE_LIMIT * best:
+            failures.append(
+                f"tracker_grid {name} took {current:.3f} ms/plan, over "
+                f"{GREEDY_GATE_LIMIT}x the best prior record {best:.3f} ms "
+                f"(machine class cpus={record.get('cpus')})"
+            )
+    return "; ".join(failures) if failures else None
 
 
 def opt_regression(record, history):
@@ -369,6 +409,9 @@ def main(argv=None) -> int:
     dense_failure = greedy_dense_regression(record, history)
     if dense_failure:
         failures.append(dense_failure)
+    grid_failure = tracker_grid_regression(record, history)
+    if grid_failure:
+        failures.append(grid_failure)
     opt_failure = opt_regression(record, history)
     if opt_failure:
         failures.append(opt_failure)

@@ -28,6 +28,7 @@ Usage::
 
     python scripts/profile.py                  # 6000 switches (Fig. 10 max)
     python scripts/profile.py --size 4000      # the bench-gate size
+    python scripts/profile.py greedy --size 10000 --segments 16   # nested reversals
     python scripts/profile.py --json           # machine-readable snapshot
     python scripts/profile.py --memory         # peak RSS of the stage too
     python scripts/profile.py search           # OPT, 9 switches, 60 nodes, seed 7
@@ -58,9 +59,9 @@ from repro.pipeline.cli import emit_json, script_parser  # noqa: E402
 from repro.trace import TraceSession, aggregate, render_report  # noqa: E402
 
 
-def _stage(size: int, seed: int) -> None:
+def _stage(size: int, seed: int, segments: int) -> None:
     """The profiled stage, self-contained for the memory-measurement fork."""
-    greedy_schedule(segmented_instance(size, seed=seed))
+    greedy_schedule(segmented_instance(size, seed=seed, segments=segments))
 
 
 #: bench/workloads.py::ServiceBurst.CONFIG -- the cell the service mode times.
@@ -202,6 +203,13 @@ def main(argv=None) -> int:
         "harness; search and service default: 7)",
     )
     parser.add_argument(
+        "--segments",
+        type=int,
+        default=4,
+        help="greedy mode: rerouted segments on the path (default 4, the "
+        "bench workloads' shape; 16 and 32 are the many-round shapes)",
+    )
+    parser.add_argument(
         "--repeat",
         type=int,
         default=5,
@@ -230,7 +238,7 @@ def main(argv=None) -> int:
     if args.size is None:
         args.size = 6000
     seed = args.size if args.seed is None else args.seed
-    instance = segmented_instance(args.size, seed=seed)
+    instance = segmented_instance(args.size, seed=seed, segments=args.segments)
     with TraceSession(scenario="profile", run_id=f"greedy-{args.size}") as session:
         started = time.perf_counter()
         result = greedy_schedule(instance)
@@ -242,7 +250,7 @@ def main(argv=None) -> int:
     )
     memory = None
     if args.memory:
-        memory = measure_peak_rss(_stage, args.size, seed)
+        memory = measure_peak_rss(_stage, args.size, seed, args.segments)
         print(
             f"greedy[{args.size}] memory: peak_rss={memory['peak_rss_mb']}MB "
             f"(baseline {memory['baseline_rss_mb']}MB, "
@@ -265,6 +273,14 @@ def main(argv=None) -> int:
                 f"{counters['tracker.array.deflect_runs'] / deflections:.1f} runs walked "
                 f"({len(instance.switches_to_update)} switches to update on a "
                 f"{len(instance.old_path)}-switch path)"
+            )
+            print(
+                f"  per deflection ({deflections}): "
+                f"{counters['tracker.array.shared_runs'] / deflections:.1f} runs shared "
+                f"with the parent, "
+                f"{counters['tracker.array.deflect_runs'] / deflections:.1f} runs routed, "
+                f"{counters.get('tracker.array.materialised', 0) / deflections:.2f} "
+                f"views materialised"
             )
     return 0
 

@@ -11,13 +11,16 @@ state column-wise:
 * **Per instance** (computed once, shared by every tracker and clone):
   switch ids, sorted int64 link keys (``src_id * n + dst_id``) with
   parallel delay/capacity columns, the old/new next-hop tables as flat
-  int lists, and the chain skeleton below.  Trajectories become int arrays.
-* **Per class** (:class:`ArrayFlowClass`): node-id, link-id and offset
-  arrays plus scalar emission bounds and the positions of its decisive
-  links.  Splitting shares the parent's arrays structurally -- a trim
-  reuses them outright (COW at the array level) and a deflected piece
-  concatenates a parent prefix *view* with its freshly routed suffix;
-  nothing is deep-copied.
+  int lists, the old path as id / link / offset columns, and the chain
+  skeleton below.
+* **Per class** (:class:`ArrayFlowClass`): scalar emission bounds, the
+  trajectory as a short list of *runs* (an old-path slice or a single
+  switch, each with its base position and base offset) and the positions,
+  ids and offsets of its decisive links -- O(junctions), never O(path).
+  Splitting shares structurally: a trim reuses its parent's tables
+  outright, a deflected piece takes the parent's runs up to the hit and
+  adds the runs it routes; the full-length columns exist only as an
+  on-demand view (:meth:`ArrayFlowClass.view`) no probe builds.
 * **Per probe**: one batched decision pass over the decisive links the
   round touches -- a ``bincount`` total-load test and a lexsort
   adjacent-overlap test -- instead of a Python sweep per link.  Only chains
@@ -69,7 +72,7 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left, bisect_right
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -109,6 +112,7 @@ class InstanceArrays:
         "link_keys",
         "capacity",
         "delay",
+        "link_delay",
         "link_name",
         "demand",
         "dest",
@@ -118,13 +122,15 @@ class InstanceArrays:
         "old_path_ids",
         "old_path_lids",
         "old_path_offsets",
+        "path_ids",
+        "path_offsets",
         "old_pos",
         "interior",
         "junctions",
         "old_rule_lid",
         "new_rule_lid",
         "decisive",
-        "node_ids",
+        "path_dec",
         "_suffix_mark",
     )
 
@@ -146,7 +152,14 @@ class InstanceArrays:
         order = np.argsort(keys, kind="stable")
         self.link_keys = keys[order]
         self.capacity = np.array([link.capacity for link in links], dtype=np.float64)[order]
-        self.delay = np.array([link.delay for link in links], dtype=np.int64)[order]
+        # ``link_delay`` / ``path_ids`` / ``path_offsets`` are what the
+        # routing loop indexes one scalar at a time: compact int arrays,
+        # which index like lists (to Python ints) at an eighth of a list's
+        # footprint.  ``delay`` / ``old_path_ids`` / ``old_path_offsets``
+        # are numpy views of the same buffers for the vectorised readers.
+        self.link_delay, self.delay = _twin(
+            "q", np.array([link.delay for link in links], dtype=np.int64)[order]
+        )
         self.link_name: List[LinkKey] = [links[i].endpoints for i in order]
 
         self.demand = float(instance.demand)
@@ -160,16 +173,16 @@ class InstanceArrays:
         self.next_old = next_old
         self.next_new = next_new
         self.max_hops = n + 1
-        self.old_path_ids = np.array(
-            [id_of[node] for node in instance.old_path], dtype=np.int32
+        self.path_ids, self.old_path_ids = _twin(
+            "i", np.array([id_of[node] for node in instance.old_path], dtype=np.int32)
         )
         self.old_path_lids = self.encode_links(self.old_path_ids)
-        self.old_path_offsets = np.concatenate(
-            (np.zeros(1, dtype=np.int64), np.cumsum(self.delay[self.old_path_lids]))
+        self.path_offsets, self.old_path_offsets = _twin(
+            "q",
+            np.concatenate(
+                (np.zeros(1, dtype=np.int64), np.cumsum(self.delay[self.old_path_lids]))
+            ),
         )
-        # Identity table: a one-element slice of it is a one-switch run in
-        # the same concatenation as the old-path slices.
-        self.node_ids = np.arange(n, dtype=np.int32)
         self._suffix_mark = bytearray(n)
         self._build_chains(
             np.array(next_old, dtype=np.int64),
@@ -204,8 +217,7 @@ class InstanceArrays:
 
         old_pos = np.full(n, -1, dtype=np.int64)
         old_pos[path] = np.arange(path.size, dtype=np.int64)
-        # Scalar-indexed in the routing loop: compact int arrays, which
-        # index like lists at an eighth of a list of ints' footprint.
+        # Scalar-indexed in the routing loop, like ``path_ids``.
         self.old_pos = array("q", old_pos.tobytes())
         self.junctions = array(
             "q", (~interior[path]).nonzero()[0].astype(np.int64).tobytes()
@@ -216,11 +228,27 @@ class InstanceArrays:
         same_capacity = self.capacity[lids[1:]] == self.capacity[lids[:-1]]
         decisive[lids[1:][interior[path[1:-1]] & same_capacity]] = False
         self.decisive = decisive
+        self.path_dec = self.decisive_path(decisive)
 
         self.old_rule_lid = self._rule_lids(next_old)
         self.new_rule_lid = self._rule_lids(next_new)
 
-    def _rule_lids(self, next_hop) -> "np.ndarray":
+    def decisive_path(self, decisive) -> Tuple[List[int], List[int], List[int]]:
+        """The old-path links flagged in ``decisive``, in path order.
+
+        ``(old-path positions, link ids, departure offsets)`` as parallel
+        lists: the one table a routed run bisects for its decisive entries
+        (O(junctions) long, whatever the path), and the decisive tables of
+        the initial class.
+        """
+        at = decisive[self.old_path_lids].nonzero()[0]
+        return (
+            at.tolist(),
+            self.old_path_lids[at].tolist(),
+            self.old_path_offsets[at].tolist(),
+        )
+
+    def _rule_lids(self, next_hop) -> array:
         """Per switch, the link id its rule forwards over (-1 without a rule)."""
         lids = np.full(self.n_nodes, -1, dtype=np.int64)
         sources = np.flatnonzero(next_hop >= 0)
@@ -228,7 +256,7 @@ class InstanceArrays:
             sources * self.n_nodes + next_hop[sources],
             "a forwarding rule crosses a non-existent link",
         )
-        return lids
+        return array("q", lids.tobytes())
 
     def _link_ids(self, keys, what: str) -> "np.ndarray":
         """Link ids of the int64 ``keys``; ``KeyError(what)`` when one is absent."""
@@ -264,6 +292,12 @@ class InstanceArrays:
         return pos
 
 
+def _twin(typecode: str, values: "np.ndarray") -> Tuple[array, "np.ndarray"]:
+    """``values`` as a compact int array and a numpy view of its buffer."""
+    flat = array(typecode, values.tobytes())
+    return flat, np.frombuffer(flat, dtype=values.dtype)
+
+
 def instance_arrays(instance: UpdateInstance) -> InstanceArrays:
     """The cached :class:`InstanceArrays` of ``instance``."""
     cached = getattr(instance, _CACHE_ATTR, None)
@@ -273,26 +307,50 @@ def instance_arrays(instance: UpdateInstance) -> InstanceArrays:
     return cached
 
 
-class ArrayFlowClass:
-    """One flow class in columnar form (see module docstring).
+class TrajectoryView(NamedTuple):
+    """A class's trajectory at full length (:meth:`ArrayFlowClass.view`)."""
 
-    Mirrors :class:`repro.core.intervals.FlowClass` field for field, with
-    node names replaced by ids and tuples by numpy arrays, plus the
-    trajectory positions (``dec_pos``, ascending) and ids (``dec_lids``) of
-    its decisive links.  Instances are immutable by convention; splits
-    share the parent's arrays (trims outright, deflections as prefix
-    views), which is what makes ``clone`` plus ``probe_and_commit``
-    O(touched state).
+    nodes: "np.ndarray"  # switch ids, int32
+    lids: "np.ndarray"  # link ids, one fewer
+    offsets: "np.ndarray"  # cumulative delay at every switch
+
+
+class ArrayFlowClass:
+    """One flow class in run-length form (see module docstring).
+
+    Mirrors :class:`repro.core.intervals.FlowClass` in what it says, not in
+    how: the trajectory of ``length`` switches is a short list of *runs*.
+    Run ``i`` covers trajectory positions ``run_pos[i]`` up to the next
+    run's (``length`` for the last).  ``run_start[i] >= 0`` is the old-path
+    position of its first switch -- the run is that old-path slice -- and a
+    negative entry ``~switch id`` is a single switch off the old path;
+    ``run_off[i]`` is the cumulative delay at its first switch.  Beside the
+    runs sit the tables a probe reads: the positions (``dec_pos``,
+    ascending), ids (``dec_lids``) and departure offsets (``dec_offsets``)
+    of the class's decisive links, and the switch and offset the trajectory
+    ends on.  Nothing here is as long as the path; :meth:`view` builds the
+    full-length columns for the few readers that want them.
+
+    Instances are immutable by convention.  A trim shares every table of
+    its parent, a deflected piece takes the parent's runs up to the hit by
+    one slice of the run lists (a cut inside a run needs no new entry: a
+    run's length is read off its successor), which is what makes ``clone``
+    plus ``probe_and_commit`` O(touched state).
     """
 
     __slots__ = (
+        "arrays",
         "lo",
         "hi",
-        "nodes",
-        "lids",
-        "offsets",
+        "length",
+        "run_pos",
+        "run_start",
+        "run_off",
         "dec_pos",
         "dec_lids",
+        "dec_offsets",
+        "last_node",
+        "last_offset",
         "outcome",
         "loop_node",
         "fresh_from",
@@ -301,41 +359,117 @@ class ArrayFlowClass:
 
     def __init__(
         self,
+        arrays: InstanceArrays,
         lo: Optional[int],
         hi: Optional[int],
-        nodes,
-        lids,
-        offsets,
-        dec_pos,
-        dec_lids,
+        length: int,
+        runs: Tuple[List[int], List[int], List[int]],
+        decisive,
+        last: Tuple[int, int],
         outcome: str = DELIVERED,
         loop_node: Optional[int] = None,
         fresh_from: int = 0,
         lazy: Optional[dict] = None,
     ) -> None:
+        self.arrays = arrays
         self.lo = lo
         self.hi = hi
-        self.nodes = nodes
-        self.lids = lids
-        self.offsets = offsets
-        self.dec_pos = dec_pos
-        self.dec_lids = dec_lids
+        self.length = length
+        self.run_pos, self.run_start, self.run_off = runs
+        self.dec_pos, self.dec_lids, self.dec_offsets = decisive
+        self.last_node, self.last_offset = last
         self.outcome = outcome
         self.loop_node = loop_node
         self.fresh_from = fresh_from
-        # Lookup tables over the decisive links, built on first use; shared
-        # with trims so whichever relative builds one first serves both.
+        # Lookup tables over the decisive links and the full-length view,
+        # built on first use; shared with trims so whichever relative
+        # builds one first serves both.
         self._lazy = {} if lazy is None else lazy
+
+    def trimmed(self, lo: Optional[int], hi: Optional[int]) -> "ArrayFlowClass":
+        """The same trajectory emitted over ``[lo, hi]``, every table shared."""
+        return ArrayFlowClass(
+            self.arrays,
+            lo,
+            hi,
+            self.length,
+            (self.run_pos, self.run_start, self.run_off),
+            (self.dec_pos, self.dec_lids, self.dec_offsets),
+            (self.last_node, self.last_offset),
+            self.outcome,
+            self.loop_node,
+            fresh_from=self.length,
+            lazy=self._lazy,
+        )
 
     def is_empty(self) -> bool:
         return self.lo is not None and self.hi is not None and self.lo > self.hi
 
-    def sorted_decisive(self) -> Tuple["np.ndarray", "np.ndarray"]:
-        """``(decisive link ids sorted, their positions)`` -- lazy, shared with trims."""
+    def node_at(self, position: int) -> int:
+        """The switch id at trajectory ``position``."""
+        run = bisect_right(self.run_pos, position) - 1
+        start = self.run_start[run]
+        if start < 0:
+            return ~start
+        return self.arrays.path_ids[start + position - self.run_pos[run]]
+
+    def offset_at(self, position: int) -> int:
+        """The cumulative delay at trajectory ``position``."""
+        run = bisect_right(self.run_pos, position) - 1
+        start = self.run_start[run]
+        offset = self.run_off[run]
+        within = position - self.run_pos[run]
+        if within:
+            path = self.arrays.path_offsets
+            offset += path[start + within] - path[start]
+        return offset
+
+    def view(self) -> TrajectoryView:
+        """The full-length columns, materialised from the runs.
+
+        O(path) to build and to hold (cached, shared with trims): for the
+        exact search's signature and rescuer questions and for tests,
+        never for a probe -- ``tracker.array.materialised`` counts the
+        builds and stays 0 on the greedy and replay paths.
+        """
+        view = self._lazy.get("view")
+        if view is None:
+            if recorder.enabled:
+                recorder.count("tracker.array.materialised")
+            arrays = self.arrays
+            path_ids = arrays.old_path_ids
+            path_offsets = arrays.old_path_offsets
+            node_parts = []
+            offset_parts = []
+            ends = self.run_pos[1:] + [self.length]
+            for pos, start, offset, end in zip(
+                self.run_pos, self.run_start, self.run_off, ends
+            ):
+                if start < 0:
+                    node_parts.append(np.array([~start], dtype=np.int32))
+                    offset_parts.append(np.array([offset], dtype=np.int64))
+                else:
+                    stop = start + end - pos
+                    node_parts.append(path_ids[start:stop])
+                    offset_parts.append(
+                        path_offsets[start:stop] + (offset - arrays.path_offsets[start])
+                    )
+            nodes = np.concatenate(node_parts)
+            view = self._lazy["view"] = TrajectoryView(
+                nodes, arrays.encode_links(nodes), np.concatenate(offset_parts)
+            )
+        return view
+
+    def sorted_decisive(self) -> Tuple["np.ndarray", "np.ndarray", "np.ndarray"]:
+        """Decisive ``(link ids sorted, positions, offsets)`` -- lazy, shared with trims."""
         table = self._lazy.get("sorted")
         if table is None:
             order = np.argsort(self.dec_lids, kind="stable")
-            table = self._lazy["sorted"] = (self.dec_lids[order], self.dec_pos[order])
+            table = self._lazy["sorted"] = (
+                self.dec_lids[order],
+                self.dec_pos[order],
+                self.dec_offsets[order],
+            )
         return table
 
     def junction_positions(self) -> Dict[int, int]:
@@ -346,8 +480,10 @@ class ArrayFlowClass:
         """
         table = self._lazy.get("junctions")
         if table is None:
+            arrays = self.arrays
+            sources = arrays.link_keys[self.dec_lids] // arrays.n_nodes
             table = self._lazy["junctions"] = dict(
-                zip(self.nodes[self.dec_pos].tolist(), self.dec_pos.tolist())
+                zip(sources.tolist(), self.dec_pos.tolist())
             )
         return table
 
@@ -356,15 +492,31 @@ class ArrayFlowClass:
 
         Returns their ids and, per link, its departure offset relative to
         the first -- the constant by which its intervals trail that link's.
+        A non-decisive link leaves a chain interior, so whatever follows
+        the decisive link heading the chain is consecutive old-path links
+        and both columns are slices of the instance's.
         """
+        arrays = self.arrays
         following = int(self.dec_pos.searchsorted(position, side="right"))
         stop = (
             int(self.dec_pos[following])
             if following < self.dec_pos.size
-            else self.lids.size
+            else self.length - 1
         )
-        offsets = self.offsets[position:stop]
-        return self.lids[position:stop].tolist(), (offsets - offsets[0]).tolist()
+        head = following - 1
+        head_lid = int(self.dec_lids[head])
+        behind = position - int(self.dec_pos[head])
+        count = stop - position
+        if count == 1 and not behind:
+            return [head_lid], [0]
+        # The head then enters an interior: it is the old-path link before it.
+        entered = int(arrays.link_keys[head_lid]) % arrays.n_nodes
+        first = arrays.old_pos[entered] - 1 + behind
+        offsets = arrays.old_path_offsets[first : first + count]
+        return (
+            arrays.old_path_lids[first : first + count].tolist(),
+            (offsets - offsets[0]).tolist(),
+        )
 
 
 class _Batch:
@@ -385,9 +537,8 @@ class _Batch:
         self.hi: List["np.ndarray"] = []
         self.load: List["np.ndarray"] = []
 
-    def add_class(self, cls: ArrayFlowClass, positions, ti) -> None:
-        """``cls``'s load at trajectory ``positions``, on touched links ``ti``."""
-        offsets = cls.offsets[positions]
+    def add_class(self, cls: ArrayFlowClass, offsets, ti) -> None:
+        """``cls``'s load departing ``offsets`` after emission, on touched links ``ti``."""
         self.ti.append(ti)
         self.lo.append(
             np.full(ti.shape, _NEG_CLAMP, dtype=np.int64) if cls.lo is None else cls.lo + offsets
@@ -439,11 +590,11 @@ class ArrayIntervalTracker:
         self._classes: Dict[int, ArrayFlowClass] = {}
         self._alive: Set[int] = set()
         self._next_id = 0
-        # Committed next-hop table: old config with the new rule substituted
-        # for every applied switch (-1 = no rule).  Probes override the
-        # round's entries in place and restore them, so routing is plain
-        # list indexing with no per-hop dict lookups.
-        self._cfg: List[int] = list(arrays.next_old)
+        # Ids of the applied switches: they forward by ``next_new``, every
+        # other switch by ``next_old``.  A probe adds its round's ids for
+        # the split and takes them out again, so neither a tracker nor a
+        # clone holds a table as long as the network.
+        self._moved: Set[int] = set()
         self._spans_cache: Optional[Tuple[CongestionSpan, ...]] = None
 
         self._bg_by_lid: Dict[int, List[Tuple[Optional[int], Optional[int], float]]] = {}
@@ -455,36 +606,35 @@ class ArrayIntervalTracker:
         # Background breaks a chain twice: the loaded link sees load its
         # predecessor does not, and the link after it sees less than it.
         self._decisive = arrays.decisive
+        self._path_dec = arrays.path_dec
         if self._bg_by_lid:
             self._decisive = arrays.decisive.copy()
             for lid in self._bg_by_lid:
                 self._decisive[lid] = True
-                after = int(
-                    arrays.new_rule_lid[int(arrays.link_keys[lid]) % arrays.n_nodes]
-                )
+                after = arrays.new_rule_lid[int(arrays.link_keys[lid]) % arrays.n_nodes]
                 if after >= 0:
                     self._decisive[after] = True
+            self._path_dec = arrays.decisive_path(self._decisive)
 
-        lids = arrays.old_path_lids
-        dec_pos = self._decisive[lids].nonzero()[0]
+        # The initial class: the old path as one run.
         self._add_class(
             ArrayFlowClass(
+                arrays,
                 None,
                 None,
-                arrays.old_path_ids,
-                lids,
-                arrays.old_path_offsets,
-                dec_pos,
-                lids[dec_pos],
+                arrays.old_path_ids.size,
+                ([0], [0], [0]),
+                tuple(np.array(column, dtype=np.int64) for column in self._path_dec),
+                (arrays.path_ids[-1], arrays.path_offsets[-1]),
             )
         )
 
     def clone(self) -> "ArrayIntervalTracker":
-        """An independent copy in O(classes + switches), not O(trajectory).
+        """An independent copy in O(classes + applied switches), not O(network).
 
-        Class objects (and through them every trajectory array) are shared
-        structurally; only the small per-tracker dicts, the alive set and
-        the flat config table are copied.
+        Class objects (and through them every run list and decisive table)
+        are shared structurally; only the small per-tracker dicts, the alive
+        set and the set of applied switches are copied.
         """
         other = object.__new__(ArrayIntervalTracker)
         other.instance = self.instance
@@ -496,10 +646,11 @@ class ArrayIntervalTracker:
         other._classes = dict(self._classes)
         other._alive = set(self._alive)
         other._next_id = self._next_id
-        other._cfg = list(self._cfg)
+        other._moved = set(self._moved)
         other._spans_cache = self._spans_cache
         other._bg_by_lid = self._bg_by_lid
         other._decisive = self._decisive
+        other._path_dec = self._path_dec
         return other
 
     # ------------------------------------------------------------------
@@ -529,7 +680,7 @@ class ArrayIntervalTracker:
             cls = self._classes[cid]
             if cls.outcome == BLACKHOLE and not cls.is_empty():
                 events.append(
-                    (cls.lo if cls.lo is not None else cls.hi, names[int(cls.nodes[-1])])
+                    (cls.lo if cls.lo is not None else cls.hi, names[cls.last_node])
                 )
         return events
 
@@ -538,19 +689,11 @@ class ArrayIntervalTracker:
         return [self._classes[cid] for cid in sorted(self._alive)]
 
     def load_at(self, src: Node, dst: Node, time: int) -> float:
-        lid = self.arrays.lid_of(src, dst)
-        if lid is None:
-            return 0.0
         demand = self.arrays.demand
         total = 0.0
-        for cid in sorted(self._alive):
-            cls = self._classes[cid]
-            for pos in np.flatnonzero(cls.lids == lid).tolist():
-                offset = int(cls.offsets[pos])
-                lo = None if cls.lo is None else cls.lo + offset
-                hi = None if cls.hi is None else cls.hi + offset
-                if (lo is None or lo <= time) and (hi is None or time <= hi):
-                    total += demand
+        for lo, hi in self.link_departure_spans(src, dst):
+            if (lo is None or lo <= time) and (hi is None or time <= hi):
+                total += demand
         return total
 
     def link_departure_spans(
@@ -559,11 +702,12 @@ class ArrayIntervalTracker:
         lid = self.arrays.lid_of(src, dst)
         if lid is None:
             return []
+        head = self._chain_head(lid)
         spans: List[Tuple[Optional[int], Optional[int]]] = []
         for cid in sorted(self._alive):
             cls = self._classes[cid]
-            for pos in np.flatnonzero(cls.lids == lid).tolist():
-                offset = int(cls.offsets[pos])
+            offset = self._offset_behind(cls, *head)
+            if offset is not None:
                 spans.append(
                     (
                         None if cls.lo is None else cls.lo + offset,
@@ -571,6 +715,54 @@ class ArrayIntervalTracker:
                     )
                 )
         return spans
+
+    def _chain_head(self, lid: int) -> Tuple[int, int, int]:
+        """``(decisive link heading lid's chain, hops behind it, delay behind it)``.
+
+        A decisive link heads its own chain.  Any other is an old-path link
+        out of a chain interior, and whatever class crosses it reached it
+        over the old-path links before it, back to the nearest decisive
+        one -- so the class's decisive tables answer for it (a trajectory
+        leaves no switch twice, hence crosses a link at most once).
+        """
+        if self._decisive[lid]:
+            return lid, 0, 0
+        arrays = self.arrays
+        positions, lids, offsets = self._path_dec
+        at = arrays.old_pos[int(arrays.link_keys[lid]) // arrays.n_nodes]
+        head = bisect_right(positions, at) - 1
+        return (
+            lids[head],
+            at - positions[head],
+            arrays.path_offsets[at] - offsets[head],
+        )
+
+    @staticmethod
+    def _offset_behind(
+        cls: ArrayFlowClass, head: int, rank: int, shift: int
+    ) -> Optional[int]:
+        """``cls``'s departure offset ``rank`` links behind decisive link ``head``.
+
+        ``None`` when the trajectory does not cross ``head`` or ends before
+        that link (only a hop-guarded route ends inside a chain).
+        """
+        sorted_lids, positions, offsets = cls.sorted_decisive()
+        slot = int(sorted_lids.searchsorted(head))
+        if (
+            slot == sorted_lids.size
+            or int(sorted_lids[slot]) != head
+            or int(positions[slot]) + rank >= cls.length - 1
+        ):
+            return None
+        return int(offsets[slot]) + shift
+
+    def crosses(self, cls: ArrayFlowClass, src: Node, dst: Node) -> bool:
+        """Whether ``cls``'s trajectory traverses the link ``src -> dst``."""
+        lid = self.arrays.lid_of(src, dst)
+        return (
+            lid is not None
+            and self._offset_behind(cls, *self._chain_head(lid)) is not None
+        )
 
     # ------------------------------------------------------------------
     # rounds
@@ -632,7 +824,7 @@ class ArrayIntervalTracker:
         if cached is not None:
             return list(cached)
         arrays = self.arrays
-        classes = [cls for cls in self.classes if cls.lids.size]
+        classes = [cls for cls in self.classes if cls.length > 1]
         lid_parts = [cls.dec_lids for cls in classes]
         bg_lids = sorted(self._bg_by_lid)
         if bg_lids:
@@ -643,7 +835,7 @@ class ArrayIntervalTracker:
         touched = np.unique(np.concatenate(lid_parts))
         batch = _Batch(arrays.demand)
         for cls in classes:
-            batch.add_class(cls, cls.dec_pos, touched.searchsorted(cls.dec_lids))
+            batch.add_class(cls, cls.dec_offsets, touched.searchsorted(cls.dec_lids))
         for lid in bg_lids:
             batch.add_background(int(touched.searchsorted(lid)), self._bg_by_lid[lid])
         columns = batch.columns()
@@ -673,7 +865,7 @@ class ArrayIntervalTracker:
             cls = self._classes[cid]
             if cls.hi is None:
                 continue
-            last = cls.hi + int(cls.offsets[-1])
+            last = cls.hi + cls.last_offset
             horizon = last if horizon is None else max(horizon, last)
         return horizon
 
@@ -702,8 +894,8 @@ class ArrayIntervalTracker:
 
         Class iteration order (ascending id), threshold arithmetic and the
         emission-axis partition match the dict tracker exactly; only the
-        hit scan (each class's junction index) and the routing (flat config
-        table, walked run by run) differ mechanically.  ``pieces`` pairs
+        hit scan (each class's junction index) and the routing (flat next-hop
+        tables, walked run by run) differ mechanically.  ``pieces`` pairs
         every replacement piece -- trims and deflections, in split order --
         with its parent, the shape :mod:`repro.core.search` reads from
         either tracker.
@@ -712,10 +904,9 @@ class ArrayIntervalTracker:
         arrays = self.arrays
         id_of = arrays.id_of
         round_ids = [id_of[node] for node in nodes]
-        cfg = self._cfg
-        saved = [(i, cfg[i]) for i in round_ids]
-        for i in round_ids:
-            cfg[i] = arrays.next_new[i]
+        moved = self._moved
+        added = [i for i in round_ids if i not in moved]
+        moved.update(added)
         try:
             pieces: List[Tuple[ArrayFlowClass, ArrayFlowClass]] = []
             trims: List[Tuple[int, ArrayFlowClass]] = []
@@ -740,8 +931,7 @@ class ArrayIntervalTracker:
                     deflected.append(piece)
                     pieces.append((piece, cls))
         finally:
-            for i, value in saved:
-                cfg[i] = value
+            moved.difference_update(added)
         return pieces, trims, deflected, removed, report
 
     def _hits(self, cls: ArrayFlowClass, round_ids: List[int]) -> List[int]:
@@ -763,22 +953,21 @@ class ArrayIntervalTracker:
             if position is None and arrays.interior[node]:
                 at = arrays.old_pos[node]
                 exit_at = arrays.junctions[bisect_right(arrays.junctions, at) - 1]
-                position = where.get(int(arrays.old_path_ids[exit_at]))
+                position = where.get(arrays.path_ids[exit_at])
                 if position is not None:
                     position += at - exit_at
-                    if position >= cls.nodes.size or int(cls.nodes[position]) != node:
+                    if position >= cls.length or cls.node_at(position) != node:
                         position = None
             if position is not None:
                 hits.add(position)
-        if cls.outcome == BLACKHOLE and int(cls.nodes[-1]) in round_ids:
-            hits.add(cls.nodes.size - 1)
+        if cls.outcome == BLACKHOLE and cls.last_node in round_ids:
+            hits.add(cls.length - 1)
         return sorted(hits)
 
     def _split_class(
         self, cls: ArrayFlowClass, hits: List[int], time: int, report: RoundReport
     ):
-        offsets = cls.offsets
-        thresholds = [(time - int(offsets[i]), i) for i in hits]
+        thresholds = [(time - cls.offset_at(i), i) for i in hits]
         relevant = [
             (threshold, i)
             for threshold, i in thresholds
@@ -793,19 +982,7 @@ class ArrayIntervalTracker:
         lowest_threshold = min(threshold for threshold, _ in relevant)
         keep_hi = lowest_threshold - 1
         if cls.lo is None or cls.lo <= keep_hi:
-            trim = ArrayFlowClass(
-                cls.lo,
-                keep_hi if cls.hi is None else min(cls.hi, keep_hi),
-                cls.nodes,
-                cls.lids,
-                cls.offsets,
-                cls.dec_pos,
-                cls.dec_lids,
-                cls.outcome,
-                cls.loop_node,
-                fresh_from=len(cls.nodes),
-                lazy=cls._lazy,
-            )
+            trim = cls.trimmed(cls.lo, keep_hi if cls.hi is None else min(cls.hi, keep_hi))
 
         relevant.sort(key=lambda item: item[1])
         previous_threshold: Optional[int] = None
@@ -825,7 +1002,7 @@ class ArrayIntervalTracker:
             if piece.outcome == LOOPED:
                 report.loops.append((lo, names[piece.loop_node]))
             elif piece.outcome == BLACKHOLE:
-                report.blackholes.append((lo, names[int(piece.nodes[-1])]))
+                report.blackholes.append((lo, names[piece.last_node]))
         return trim, deflected
 
     def _deflect(
@@ -841,19 +1018,40 @@ class ArrayIntervalTracker:
         which was then reached twice before it.  The suffix side of the
         test is a byte mask over the junctions, the prefix side the
         parent's junction index -- no O(prefix) ``set`` per deflection.
+
+        The piece is built at run length too.  Its runs are the parent's up
+        to ``index`` (one slice of three short lists) plus one entry per
+        run routed here.  Its decisive entries are the parent's before
+        ``index`` plus, per routed run, the link entering it (out of a
+        junction, so decisive; only a route that starts on an interior asks
+        the flag) and the decisive old-path links inside it, which two
+        bisects cut out of the tracker's sorted ``_path_dec`` table -- no
+        pass over the suffix, whose offsets are the run's base offset plus
+        a difference of two old-path offsets.
         """
         arrays = self.arrays
-        cfg = self._cfg
+        moved = self._moved
         dest = arrays.dest
         interior = arrays.interior
-        next_old = arrays.next_old
         old_pos = arrays.old_pos
         junctions = arrays.junctions
-        origin = current = int(cls.nodes[index])
+        link_delay = arrays.link_delay
+        path_ids = arrays.path_ids
+        path_offsets = arrays.path_offsets
+        path_dec, path_dec_lids, path_dec_offsets = self._path_dec
+        shared = bisect_right(cls.run_pos, index)
+        run_pos = cls.run_pos[:shared]
+        run_start = cls.run_start[:shared]
+        run_off = cls.run_off[:shared]
+        # Int arrays, not lists: numpy reads their buffers without a copy.
+        dec_pos = array("q")
+        dec_lids = array("q")
+        dec_offsets = array("q")
+        origin = current = cls.node_at(index)
+        position = index
+        offset = cls.offset_at(index)
         in_prefix = cls.junction_positions()
         mark = arrays._suffix_mark
-        node_parts: List["np.ndarray"] = [cls.nodes[: index + 1]]
-        lid_parts: List["np.ndarray"] = [cls.lids[:index]]
         marked: List[int] = []
         budget = arrays.max_hops
         outcome = LOOPED
@@ -862,21 +1060,46 @@ class ArrayIntervalTracker:
             if current == dest:
                 outcome = DELIVERED
                 break
-            nxt = cfg[current]
+            if current in moved:
+                nxt = arrays.next_new[current]
+                lid = arrays.new_rule_lid[current]
+            else:
+                nxt = arrays.next_old[current]
+                lid = arrays.old_rule_lid[current]
             if nxt < 0:
                 outcome = BLACKHOLE
                 break
-            rule_lid = arrays.old_rule_lid if nxt == next_old[current] else arrays.new_rule_lid
-            lid_parts.append(rule_lid[current : current + 1])
+            if not interior[current] or self._decisive[lid]:
+                dec_pos.append(position)
+                dec_lids.append(lid)
+                dec_offsets.append(offset)
+            position += 1
+            run_pos.append(position)
             if interior[nxt]:
                 start = old_pos[nxt]
                 stop = min(junctions[bisect_left(junctions, start)], start + budget - 1)
-                node_parts.append(arrays.old_path_ids[start : stop + 1])
-                lid_parts.append(arrays.old_path_lids[start:stop])
-                current = int(arrays.old_path_ids[stop])
+                # An interior is entered over the old-path link before it.
+                base = path_offsets[start]
+                offset += base - path_offsets[start - 1]
+                run_start.append(start)
+                run_off.append(offset)
+                first = bisect_left(path_dec, start)
+                last = bisect_left(path_dec, stop, first)
+                if first != last:
+                    dec_pos.extend(at + (position - start) for at in path_dec[first:last])
+                    dec_lids.extend(path_dec_lids[first:last])
+                    dec_offsets.extend(
+                        off + (offset - base) for off in path_dec_offsets[first:last]
+                    )
+                position += stop - start
+                offset += path_offsets[stop] - base
+                current = path_ids[stop]
                 budget -= stop + 1 - start
             else:
-                node_parts.append(arrays.node_ids[nxt : nxt + 1])
+                offset += link_delay[lid]
+                at = old_pos[nxt]
+                run_start.append(at if at >= 0 else ~nxt)
+                run_off.append(offset)
                 current = nxt
                 budget -= 1
             if mark[current] or current == origin or in_prefix.get(current, index) < index:
@@ -890,53 +1113,54 @@ class ArrayIntervalTracker:
             mark[node] = 0
         if recorder.enabled:
             recorder.count("tracker.array.deflections")
-            recorder.count("tracker.array.deflect_runs", len(node_parts) - 1)
+            recorder.count("tracker.array.deflect_runs", len(run_pos) - shared)
+            recorder.count("tracker.array.shared_runs", shared)
 
-        # Offsets and decisive positions of the suffix from its link ids
-        # (all empty when the route ends where it starts).
         keep = int(cls.dec_pos.searchsorted(index))
-        lids = np.concatenate(lid_parts)
-        suffix_lids = lids[index:]
-        suffix_dec = self._decisive[suffix_lids].nonzero()[0]
         return ArrayFlowClass(
+            arrays,
             lo,
             hi,
-            np.concatenate(node_parts),
-            lids,
-            np.concatenate(
-                (
-                    cls.offsets[: index + 1],
-                    int(cls.offsets[index]) + np.cumsum(arrays.delay[suffix_lids]),
+            position + 1,
+            (run_pos, run_start, run_off),
+            tuple(
+                np.concatenate((kept[:keep], np.frombuffer(routed, dtype=np.int64)))
+                for kept, routed in (
+                    (cls.dec_pos, dec_pos),
+                    (cls.dec_lids, dec_lids),
+                    (cls.dec_offsets, dec_offsets),
                 )
             ),
-            np.concatenate((cls.dec_pos[:keep], suffix_dec + index)),
-            np.concatenate((cls.dec_lids[:keep], suffix_lids[suffix_dec])),
+            (current, offset),
             outcome,
             loop_node,
             fresh_from=index,
         )
 
     @staticmethod
-    def _class_positions_on(cls: ArrayFlowClass, anchors, ranks):
-        """``(positions, touched index per position)`` of ``cls`` on touched links.
+    def _class_positions_on(cls: ArrayFlowClass, anchors, behind):
+        """``(positions, offsets, touched index per hit)`` of ``cls`` on touched links.
 
-        Touched link ``i`` lies ``ranks[i]`` hops after the decisive link
-        ``anchors[i]`` of its chain (``ranks is None``: every touched link
-        is its own anchor), and a class that crosses the anchor crosses the
-        chain, so the class's sorted decisive table answers for both.  A
-        trajectory crosses a link at most once (it never leaves a switch
-        twice), so positions come back one per hit in ascending touched
-        order -- the dict tracker's iteration order.
+        Touched link ``i`` lies ``behind[0][i]`` hops and ``behind[1][i]``
+        delay after the decisive link ``anchors[i]`` of its chain (``behind
+        is None``: every touched link is its own anchor), and a class that
+        crosses the anchor crosses the chain, so the class's sorted decisive
+        table answers for both.  A trajectory crosses a link at most once
+        (it never leaves a switch twice), so hits come back one per link in
+        ascending touched order -- the dict tracker's iteration order.
         """
-        sorted_lids, positions = cls.sorted_decisive()
+        sorted_lids, positions, offsets = cls.sorted_decisive()
         if not sorted_lids.size:
-            return None, None
+            return None, None, None
         slot = np.minimum(sorted_lids.searchsorted(anchors), sorted_lids.size - 1)
         ti = (sorted_lids[slot] == anchors).nonzero()[0]
         if not ti.size:
-            return None, None
-        found = positions[slot[ti]]
-        return (found if ranks is None else found + ranks[ti]), ti
+            return None, None, None
+        at = slot[ti]
+        if behind is None:
+            return positions[at], offsets[at], ti
+        ranks, shifts = behind
+        return positions[at] + ranks[ti], offsets[at] + shifts[ti], ti
 
     def _check_new_congestion(
         self,
@@ -963,19 +1187,21 @@ class ArrayIntervalTracker:
         """
         arrays = self.arrays
         lid_parts: List["np.ndarray"] = []
-        # First fresh links that are not decisive by flag:
-        # lid -> (the decisive link heading its chain, hops between them).
-        forced: Dict[int, Tuple[int, int]] = {}
+        # First fresh links that are not decisive by flag: lid -> the
+        # decisive link heading its chain, hops and delay between them.
+        forced: Dict[int, Tuple[int, int, int]] = {}
         for piece, _parent in pieces:
             start = piece.fresh_from
-            if start >= piece.lids.size:
+            if start >= piece.length - 1:
                 continue
             dec_pos = piece.dec_pos
             first = int(dec_pos.searchsorted(start))
             lid_parts.append(piece.dec_lids[first:])
             if first == dec_pos.size or int(dec_pos[first]) != start:
-                anchor = int(dec_pos[first - 1])
-                forced[int(piece.lids[start])] = (int(piece.lids[anchor]), start - anchor)
+                # The piece starts on a chain interior: its first link is
+                # that switch's (unchanged) rule.
+                lid = arrays.old_rule_lid[piece.node_at(start)]
+                forced[lid] = self._chain_head(lid)
         if not lid_parts:
             return
         if forced:
@@ -983,14 +1209,15 @@ class ArrayIntervalTracker:
         touched = np.unique(np.concatenate(lid_parts))
         T = touched.size
         cap_t = arrays.capacity[touched]
-        anchors, ranks = touched, None
+        anchors, behind = touched, None
         if forced:
             anchors = touched.copy()
-            ranks = np.zeros(T, dtype=np.int64)
-            for lid, (anchor, rank) in forced.items():
+            behind = ranks, shifts = np.zeros((2, T), dtype=np.int64)
+            for lid, (anchor, rank, shift) in forced.items():
                 at = int(touched.searchsorted(lid))
                 anchors[at] = anchor
                 ranks[at] = rank
+                shifts[at] = shift
 
         batch = _Batch(arrays.demand)
         # Committed classes (ascending id, split parents excluded).
@@ -999,9 +1226,9 @@ class ArrayIntervalTracker:
             if cid in removed:
                 continue
             cls = self._classes[cid]
-            positions, ti = self._class_positions_on(cls, anchors, ranks)
+            positions, offsets, ti = self._class_positions_on(cls, anchors, behind)
             if positions is not None:
-                batch.add_class(cls, positions, ti)
+                batch.add_class(cls, offsets, ti)
                 other_counts[ti] += 1
         # Background load.
         if self._bg_by_lid:
@@ -1017,20 +1244,20 @@ class ArrayIntervalTracker:
         fresh_hits = []
         prefix_hits = []
         for piece, _parent in pieces:
-            positions, ti = self._class_positions_on(piece, anchors, ranks)
+            positions, offsets, ti = self._class_positions_on(piece, anchors, behind)
             if positions is None:
                 continue
             fresh = positions >= piece.fresh_from
             if fresh.all():
-                fresh_hits.append((piece, positions, ti))
+                fresh_hits.append((piece, positions, offsets, ti))
             elif not fresh.any():
-                prefix_hits.append((piece, positions, ti))
+                prefix_hits.append((piece, positions, offsets, ti))
             else:
-                fresh_hits.append((piece, positions[fresh], ti[fresh]))
-                prefix_hits.append((piece, positions[~fresh], ti[~fresh]))
+                fresh_hits.append((piece, positions[fresh], offsets[fresh], ti[fresh]))
+                prefix_hits.append((piece, positions[~fresh], offsets[~fresh], ti[~fresh]))
         fresh_counts = np.zeros(T, dtype=np.int64)
-        for piece, positions, ti in fresh_hits + prefix_hits:
-            batch.add_class(piece, positions, ti)
+        for piece, _positions, offsets, ti in fresh_hits + prefix_hits:
+            batch.add_class(piece, offsets, ti)
             fresh_counts[ti] += 1
 
         columns = batch.columns()
@@ -1052,7 +1279,7 @@ class ArrayIntervalTracker:
         chains = []
         for flagged in needs_exact.nonzero()[0].tolist():
             before = 0
-            for piece, positions, ti in fresh_hits:
+            for piece, positions, _offsets, ti in fresh_hits:
                 at = (ti == flagged).nonzero()[0]
                 if at.size:
                     position = int(positions[at[0]])
@@ -1064,7 +1291,7 @@ class ArrayIntervalTracker:
                             break
                     chains.append((before + position, chain, shifts, flagged))
                     break
-                before += piece.lids.size
+                before += piece.length - 1
         chains.sort(key=lambda item: item[0])
         for _rank, chain, shifts, flagged in chains:
             self._sweep_chain(chain, shifts, flagged, columns, report.congestion)
@@ -1195,8 +1422,7 @@ class ArrayIntervalTracker:
         arrays = self.arrays
         for node in nodes:
             self._applied[node] = time
-            node_id = arrays.id_of[node]
-            self._cfg[node_id] = arrays.next_new[node_id]
+            self._moved.add(arrays.id_of[node])
         self._last_time = time
         self._spans_cache = None
 

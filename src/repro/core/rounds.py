@@ -11,11 +11,15 @@ cycle is realised by some interleaving and vice versa.
 
 This module provides the exact safety check and a greedy maximal-round
 construction; it is shared by the OR baseline and by Chronus' best-effort
-fallback for infeasible instances.
+fallback for infeasible instances.  The check exists twice on purpose: the
+dict-graph functions are the definition, read off the paragraph above, and
+:class:`UnionGraphIds` is the id-space oracle every planner runs on
+(``tests/test_rounds.py`` holds the two together).
 """
 
 from __future__ import annotations
 
+import time
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.core.instance import UpdateInstance
@@ -90,6 +94,140 @@ def round_is_loop_free(
     return not has_cycle(union_forwarding_edges(instance, updated, set(in_round)))
 
 
+class UnionGraphIds:
+    """Id-space union-graph safety oracle for rounds of one instance.
+
+    Encodes the old/new next-hop tables as flat int lists over interned
+    switch ids (shape borrowed from
+    :class:`repro.core.intervals_array.InstanceArrays`, but numpy-free so
+    neither the OR search nor the best-effort fallback needs the
+    dependency).  A full check walks the implicit union graph with an
+    iterative three-colour DFS over a byte array -- no per-check dict graph
+    build -- and growing a round costs one reachability walk per candidate
+    (:meth:`maximal_safe_round`), not a full check each.
+    """
+
+    __slots__ = ("names", "id_of", "n", "next_old", "next_new", "starts")
+
+    def __init__(self, instance: UpdateInstance) -> None:
+        names = list(instance.network.switches)
+        id_of = {name: i for i, name in enumerate(names)}
+        self.names = names
+        self.id_of = id_of
+        self.n = len(names)
+        next_old = [-1] * self.n
+        for src, dst in instance.old_config.items():
+            next_old[id_of[src]] = id_of[dst]
+        next_new = [-1] * self.n
+        for src, dst in instance.new_config.items():
+            next_new[id_of[src]] = id_of[dst]
+        self.next_old = next_old
+        self.next_new = next_new
+        # Only switches with at least one out-edge can be on a cycle.
+        self.starts = [
+            i for i in range(self.n) if next_old[i] >= 0 or next_new[i] >= 0
+        ]
+
+    def round_is_safe(self, updated: bytearray, in_round: bytearray) -> bool:
+        """Acyclicity of the union graph (both rules for in-round switches).
+
+        Semantically identical to :func:`round_is_loop_free`; only the
+        graph representation differs.
+        """
+        WHITE, GREY, BLACK = 0, 1, 2
+        colour = bytearray(self.n)
+        next_old = self.next_old
+        next_new = self.next_new
+
+        def out_edges(v: int) -> Tuple[int, ...]:
+            if updated[v]:
+                new = next_new[v]
+                return (new,) if new >= 0 else ()
+            if in_round[v]:
+                return tuple(h for h in (next_old[v], next_new[v]) if h >= 0)
+            old = next_old[v]
+            return (old,) if old >= 0 else ()
+
+        for start in self.starts:
+            if colour[start] != WHITE:
+                continue
+            stack: List[Tuple[int, Tuple[int, ...], int]] = [
+                (start, out_edges(start), 0)
+            ]
+            colour[start] = GREY
+            while stack:
+                v, children, index = stack[-1]
+                if index < len(children):
+                    stack[-1] = (v, children, index + 1)
+                    child = children[index]
+                    state = colour[child]
+                    if state == GREY:
+                        return False
+                    if state == WHITE:
+                        colour[child] = GREY
+                        stack.append((child, out_edges(child), 0))
+                else:
+                    colour[v] = BLACK
+                    stack.pop()
+        return True
+
+    def _closes_cycle(self, updated: bytearray, in_round: bytearray, node: int) -> bool:
+        """Whether ``node`` joining the *acyclic* round ``in_round`` closes a cycle.
+
+        Joining adds exactly one edge to the union graph, ``node`` to its
+        new next hop, so the graph stays acyclic iff ``node`` cannot be
+        reached from there.
+        """
+        next_old = self.next_old
+        next_new = self.next_new
+        first = next_new[node]
+        if first < 0 or first == next_old[node]:
+            return False  # no edge the graph does not already have
+        seen = bytearray(self.n)
+        stack = [first]
+        while stack:
+            v = stack.pop()
+            while v >= 0 and not seen[v]:
+                if v == node:
+                    return True
+                seen[v] = 1
+                if updated[v]:
+                    v = next_new[v]
+                else:
+                    if in_round[v] and next_new[v] >= 0:
+                        stack.append(next_new[v])
+                    v = next_old[v]
+        return False
+
+    def maximal_safe_round(
+        self,
+        updated: bytearray,
+        candidates: Sequence[int],
+        deadline: Optional[float] = None,
+    ) -> Optional[List[int]]:
+        """Greedily absorb every candidate that keeps the round loop-free.
+
+        The candidates accepted, in the order given: exactly those a full
+        :meth:`round_is_safe` of "accepted so far plus this one" accepts.
+        One full check of the base graph is enough -- over a cyclic base
+        (a forced round leaves one) every round is unsafe and nothing is
+        accepted -- and from then on the graph is acyclic before each
+        candidate, which adds one edge.  ``None`` once ``deadline`` (a
+        ``time.monotonic()`` value, looked at every 64 candidates) passed.
+        """
+        in_round = bytearray(self.n)
+        if not self.round_is_safe(updated, in_round):
+            return []
+        accepted: List[int] = []
+        for index, node in enumerate(candidates):
+            if deadline is not None and index % 64 == 0 and time.monotonic() > deadline:
+                return None
+            if not self._closes_cycle(updated, in_round, node):
+                in_round[node] = 1
+                accepted.append(node)
+        return accepted
+
+
 def greedy_loop_free_rounds(
     instance: UpdateInstance,
     pending: Optional[Sequence[Node]] = None,
@@ -111,29 +249,28 @@ def greedy_loop_free_rounds(
     Returns:
         The round partition, first round first.
     """
-    import time as _time
-
     if pending is None:
         pending = list(instance.switches_to_update)
-    remaining: List[Node] = list(pending)
-    done: Set[Node] = set(updated or ())
+    graph = UnionGraphIds(instance)
+    id_of = graph.id_of
+    names = graph.names
+    remaining: List[int] = [id_of[node] for node in pending]
+    done = bytearray(graph.n)
+    for node in updated or ():
+        done[id_of[node]] = 1
     rounds: List[List[Node]] = []
     while remaining:
-        if deadline is not None and _time.monotonic() > deadline:
-            rounds.append(list(remaining))
+        if deadline is not None and time.monotonic() > deadline:
+            rounds.append([names[i] for i in remaining])
             break
-        current: List[Node] = []
-        for node in list(remaining):
-            if round_is_loop_free(instance, done, set(current) | {node}):
-                current.append(node)
-        if not current:
-            # No safe single update exists; force the first switch through to
-            # guarantee termination (the resulting loop is the instance's).
-            current = [remaining[0]]
+        # No safe single update exists: force the first switch through to
+        # guarantee termination (the resulting loop is the instance's).
+        current = graph.maximal_safe_round(done, remaining) or remaining[:1]
         for node in current:
-            remaining.remove(node)
-        done.update(current)
-        rounds.append(current)
+            done[node] = 1
+        in_round = set(current)
+        remaining = [node for node in remaining if node not in in_round]
+        rounds.append([names[i] for i in current])
     return rounds
 
 

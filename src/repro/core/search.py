@@ -51,10 +51,11 @@ reproduce are frozen in ``tests/data/engine_goldens.json``
   (``t + 2 - t0``, every pending update at ``t + 1`` or later) already
   meets the incumbent makespan.
 
-The OR search shares the same shape with a much simpler state: an
-id-space union-graph cycle check (flat old/new next-hop tables, byte
-masks) instead of per-check dict graph builds, no per-subset safety
-recheck for subsets of the greedy maximal safe set (safe sets are
+The OR search shares the same shape with a much simpler state: the
+id-space union-graph oracle of :mod:`repro.core.rounds` (flat old/new
+next-hop tables, byte masks; a maximal safe set costs one full check plus
+one reachability walk per candidate) instead of per-check dict graph
+builds, no per-subset safety recheck for subsets of the greedy maximal safe set (safe sets are
 downward closed, so the recheck is always true), and a sound
 ``updated-set -> fewest rounds`` memo that prunes revisits.  Node
 budgets are deterministic in both searches: explored-node accounting
@@ -70,7 +71,7 @@ from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tup
 from repro.core.instance import UpdateInstance
 from repro.core.intervals import _EPS, DELIVERED
 from repro.core.intervals_array import ArrayIntervalTracker
-from repro.core.rounds import greedy_loop_free_rounds
+from repro.core.rounds import UnionGraphIds, greedy_loop_free_rounds
 from repro.core.tracker import make_tracker
 from repro.network.graph import Node
 from repro.trace.recorder import recorder
@@ -86,8 +87,11 @@ class _TrackerOps:
     """The few representation-specific helpers the OPT search needs.
 
     Both trackers share the internal split/check/commit surface; only
-    "trajectory switch names" and "classes crossing a link" differ
-    mechanically between the dict and array layouts.
+    "trajectory switch names", "the delay at a position" and "classes
+    crossing a link" differ mechanically between the dict and array
+    layouts.  An array class holds runs, not columns: names and the
+    signature read its cached full-length :meth:`ArrayFlowClass.view`,
+    the link and offset questions are answered from its decisive tables.
     """
 
     def __init__(self, tracker) -> None:
@@ -96,21 +100,17 @@ class _TrackerOps:
     def class_nodes(self, tracker, cls) -> Sequence[Node]:
         if self.array:
             names = tracker.arrays.names
-            return [names[i] for i in cls.nodes.tolist()]
+            return [names[i] for i in cls.view().nodes.tolist()]
         return cls.nodes
+
+    def offset_at(self, cls, position: int) -> int:
+        """The cumulative delay at trajectory ``position`` of ``cls``."""
+        return cls.offset_at(position) if self.array else cls.offsets[position]
 
     def classes_crossing(self, tracker, link) -> List:
         """Alive committed classes whose trajectory crosses ``link``."""
         if self.array:
-            lid = tracker.arrays.lid_of(*link)
-            if lid is None:
-                return []
-            out = []
-            for cid in sorted(tracker._alive):
-                cls = tracker._classes[cid]
-                if cls.lids.size and bool((cls.lids == lid).any()):
-                    out.append(cls)
-            return out
+            return [cls for cls in tracker.classes if tracker.crosses(cls, *link)]
         seen: Set[int] = set()
         out = []
         for cid in tracker._link_index.get(link, ()):
@@ -123,12 +123,7 @@ class _TrackerOps:
     def crosses(self, tracker, cls, link) -> bool:
         """Whether ``cls``'s trajectory traverses ``link``."""
         if self.array:
-            lid = tracker.arrays.lid_of(*link)
-            return (
-                lid is not None
-                and cls.lids.size > 0
-                and bool((cls.lids == lid).any())
-            )
+            return tracker.crosses(cls, *link)
         src, dst = link
         nodes = cls.nodes
         for i in range(len(nodes) - 1):
@@ -152,7 +147,7 @@ class _TrackerOps:
             cls = tracker._classes[cid]
             if _class_is_empty(cls):
                 continue
-            traj = cls.nodes if not self.array else cls.nodes.tobytes()
+            traj = cls.view().nodes.tobytes() if self.array else cls.nodes
             parts.append(
                 (
                     cls.lo is not None,
@@ -520,8 +515,7 @@ class OptimalSearch:
                 return True
         return False
 
-    @staticmethod
-    def _failure_retry_time(pieces) -> Optional[int]:
+    def _failure_retry_time(self, pieces) -> Optional[int]:
         """First step at which this probe's loop/black-hole failure can clear.
 
         A deflected piece at hit index ``i`` exists exactly while the
@@ -540,7 +534,7 @@ class OptimalSearch:
                 continue
             if parent.hi is None:
                 continue  # permanent; handled by _permanent_failure
-            clear = int(parent.hi) + int(parent.offsets[piece.fresh_from]) + 1
+            clear = int(parent.hi) + self._ops.offset_at(parent, piece.fresh_from) + 1
             if retry is None or clear > retry:
                 retry = clear
         return retry
@@ -788,83 +782,6 @@ def run_optimal_search(
 # OR: round minimisation on the id-space union graph
 # ----------------------------------------------------------------------
 
-class UnionGraphIds:
-    """Id-space union-graph safety oracle for the OR search.
-
-    Encodes the old/new next-hop tables as flat int lists over interned
-    switch ids (shape borrowed from
-    :class:`repro.core.intervals_array.InstanceArrays`, but numpy-free so
-    the OR search never needs the dependency).  One safety check walks
-    the implicit union graph with an iterative three-colour DFS over a
-    byte array -- no per-check dict graph build.
-    """
-
-    __slots__ = ("names", "id_of", "n", "next_old", "next_new", "starts")
-
-    def __init__(self, instance: UpdateInstance) -> None:
-        names = list(instance.network.switches)
-        id_of = {name: i for i, name in enumerate(names)}
-        self.names = names
-        self.id_of = id_of
-        self.n = len(names)
-        next_old = [-1] * self.n
-        for src, dst in instance.old_config.items():
-            next_old[id_of[src]] = id_of[dst]
-        next_new = [-1] * self.n
-        for src, dst in instance.new_config.items():
-            next_new[id_of[src]] = id_of[dst]
-        self.next_old = next_old
-        self.next_new = next_new
-        # Only switches with at least one out-edge can be on a cycle.
-        self.starts = [
-            i for i in range(self.n) if next_old[i] >= 0 or next_new[i] >= 0
-        ]
-
-    def round_is_safe(self, updated: bytearray, in_round: bytearray) -> bool:
-        """Acyclicity of the union graph (both rules for in-round switches).
-
-        Semantically identical to
-        :func:`repro.core.rounds.round_is_loop_free`; only the graph
-        representation differs.
-        """
-        WHITE, GREY, BLACK = 0, 1, 2
-        colour = bytearray(self.n)
-        next_old = self.next_old
-        next_new = self.next_new
-
-        def out_edges(v: int) -> Tuple[int, ...]:
-            if updated[v]:
-                new = next_new[v]
-                return (new,) if new >= 0 else ()
-            if in_round[v]:
-                return tuple(h for h in (next_old[v], next_new[v]) if h >= 0)
-            old = next_old[v]
-            return (old,) if old >= 0 else ()
-
-        for start in self.starts:
-            if colour[start] != WHITE:
-                continue
-            stack: List[Tuple[int, Tuple[int, ...], int]] = [
-                (start, out_edges(start), 0)
-            ]
-            colour[start] = GREY
-            while stack:
-                v, children, index = stack[-1]
-                if index < len(children):
-                    stack[-1] = (v, children, index + 1)
-                    child = children[index]
-                    state = colour[child]
-                    if state == GREY:
-                        return False
-                    if state == WHITE:
-                        colour[child] = GREY
-                        stack.append((child, out_edges(child), 0))
-                else:
-                    colour[v] = BLACK
-                    stack.pop()
-        return True
-
-
 def run_round_search(
     instance: UpdateInstance,
     time_budget: Optional[float],
@@ -898,7 +815,6 @@ def run_round_search(
     names = graph.names
     pending_ids = tuple(id_of[node] for node in pending_all)
     updated_mask = bytearray(graph.n)
-    round_mask = bytearray(graph.n)
     memo: Dict[FrozenSet[int], int] = {}
     stack: List[Tuple[int, ...]] = []
 
@@ -926,22 +842,10 @@ def run_round_search(
         memo[updated_ids] = used_rounds
 
         # Greedy maximal safe set, in pending order.
-        maximal: List[int] = []
-        for index, node in enumerate(pending):
-            if (
-                time_budget is not None
-                and index % 64 == 0
-                and time.monotonic() - started > time_budget
-            ):
-                timed_out = True
-                return
-            round_mask[node] = 1
-            if graph.round_is_safe(updated_mask, round_mask):
-                maximal.append(node)
-            else:
-                round_mask[node] = 0
-        for node in maximal:
-            round_mask[node] = 0
+        maximal = graph.maximal_safe_round(updated_mask, pending, deadline)
+        if maximal is None:
+            timed_out = True
+            return
         if not maximal:
             return  # dead end (possible only with exotic drain rules)
         if len(maximal) > max_branch_width:

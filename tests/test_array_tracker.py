@@ -63,7 +63,7 @@ def _class_entries(tracker):
     if isinstance(tracker, ArrayIntervalTracker):
         names = tracker.arrays.names
         entries = (
-            (cls.lo, cls.hi, tuple(names[i] for i in cls.nodes.tolist()))
+            (cls.lo, cls.hi, tuple(names[i] for i in cls.view().nodes.tolist()))
             for cls in tracker.classes
         )
     else:
@@ -451,10 +451,16 @@ def _without_flag(tracker, link):
     assert tracker._decisive[lid], f"{link} is not decisive to begin with"
     tracker._decisive = tracker._decisive.copy()
     tracker._decisive[lid] = False
+    tracker._path_dec = tracker.arrays.decisive_path(tracker._decisive)
     initial = tracker._classes[0]
-    dec_pos = tracker._decisive[initial.lids].nonzero()[0]
     tracker._classes[0] = ArrayFlowClass(
-        None, None, initial.nodes, initial.lids, initial.offsets, dec_pos, initial.lids[dec_pos]
+        tracker.arrays,
+        None,
+        None,
+        initial.length,
+        (initial.run_pos, initial.run_start, initial.run_off),
+        tuple(np.array(column, dtype=np.int64) for column in tracker._path_dec),
+        (initial.last_node, initial.last_offset),
     )
     return tracker
 

@@ -363,6 +363,58 @@ class TestGreedyDenseGate:
         assert "tracker_grid" in message
 
 
+def grid_record(ms, cpus=2, plans=4, quick=False, profile=False):
+    entry = {
+        "quick": quick,
+        "cpus": cpus,
+        "tracker_grid": {
+            "segmented[400]": {"hops": 800, "plans": 20, "array_ms": 8.6, "dict_ms": 68.9},
+            "segmented[10000x16]": {
+                "hops": 20000, "plans": plans, "segments": 16, "array_ms": ms,
+            },
+            "same_schedules": True,
+        },
+    }
+    if profile:
+        entry["profile"] = {}
+    return entry
+
+
+class TestTrackerGridGate:
+    """The long-path cells (array tracker only) are gated per cell at 1.3x."""
+
+    def test_no_history_and_missing_block_skip(self):
+        assert bench.tracker_grid_regression(grid_record(100.0), []) is None
+        assert bench.tracker_grid_regression({"cpus": 2}, [grid_record(100.0)]) is None
+        assert bench.tracker_grid_regression(grid_record(900.0), [{"cpus": 2}]) is None
+
+    def test_gates_against_the_best_comparable_prior(self):
+        history = [grid_record(140.0), grid_record(100.0)]
+        assert bench.tracker_grid_regression(grid_record(125.0), history) is None
+        message = bench.tracker_grid_regression(grid_record(135.0), history)
+        assert message is not None
+        assert "segmented[10000x16]" in message
+
+    def test_short_cells_are_not_gated(self):
+        current = grid_record(100.0)
+        current["tracker_grid"]["segmented[400]"]["array_ms"] = 500.0
+        assert bench.tracker_grid_regression(current, [grid_record(100.0)]) is None
+
+    def test_other_shape_machine_class_quick_and_profiled_skipped(self):
+        assert bench.tracker_grid_regression(
+            grid_record(900.0), [grid_record(100.0, plans=2)]
+        ) is None
+        assert bench.tracker_grid_regression(
+            grid_record(900.0), [grid_record(100.0, cpus=32)]
+        ) is None
+        history = [grid_record(100.0)]
+        assert bench.tracker_grid_regression(grid_record(900.0, quick=True), history) is None
+        assert bench.tracker_grid_regression(grid_record(900.0, profile=True), history) is None
+        assert bench.tracker_grid_regression(
+            grid_record(100.0), [grid_record(1.0, quick=True)]
+        ) is None
+
+
 class TestFastRowsGetAStableMinimum:
     """``--quick`` gates greedy[400], a ~13 ms row, against full records."""
 

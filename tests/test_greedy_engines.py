@@ -142,3 +142,43 @@ class TestScaleRegression:
         )
         assert "tracker.array.exact_sweeps" not in counters
         assert "tracker.array.chains_expanded" not in counters
+
+    def test_no_class_is_materialised_on_the_greedy_and_replay_paths(self):
+        """Classes are runs; the full-length view is for the exact search.
+
+        Neither a 10 000-switch greedy plan nor the replay of its schedule
+        builds one (``tracker.array.materialised`` stays 0), so neither
+        holds or touches memory proportional to the path per class.  The
+        counter is alive: asking for a view builds it once, and once only.
+        """
+        instance = segmented_instance(10000, seed=10000)
+        with TraceSession(scenario="unit", run_id="runs") as session:
+            result = greedy_schedule(instance)
+            replayed = replay_schedule(instance, result.schedule)
+            assert result.feasible and replayed.ok
+        counters = aggregate(session.tape)["counters"]
+        assert counters["tracker.array.deflections"] > 0
+        assert "tracker.array.materialised" not in counters
+        with TraceSession(scenario="unit", run_id="view") as session:
+            cls = replayed.classes[-1]
+            assert cls.view() is cls.view()
+        assert aggregate(session.tape)["counters"]["tracker.array.materialised"] == 1
+
+    def test_best_effort_completion_does_not_rebuild_the_union_graph(self):
+        """A stalled 10 000-switch plan finishes in its rounds' time.
+
+        This instance stalls at t = 0 on a dependency cycle and is finished
+        best-effort in 11 greedy loop-free rounds over 244 switches.  With
+        one dict union graph built per candidate that took 18.4 s; on the
+        id-space oracle (one full check per round, one reachability walk
+        per candidate) it takes about half a second, and the schedule is
+        the one frozen at the parent commit.
+        """
+        instance = segmented_instance(10000, seed=77, segments=32)
+        start = time.perf_counter()
+        result = greedy_schedule(instance)
+        elapsed = time.perf_counter() - start
+        digest = hashlib.sha256(schedule_to_json(result.schedule).encode()).hexdigest()
+        assert (result.feasible, result.stalled_at) == (False, 0)
+        assert digest == "294350fe8ee9a8efebcb6df673ef93cf35f307838389078602b52efc4bb6925e"
+        assert elapsed < 3.6, f"best-effort completion took {elapsed:.2f}s (18.4 s / 5)"

@@ -6,8 +6,12 @@
 * ``plan_from_json(plan_to_json(p))`` round-trips the dispatched schedule,
   the rounds, the rule accounting and the consistency claim for all five
   schemes, and re-serialises to the same bytes.
+* ``mixed_instance`` at 4-7 switches -- sizes that once crashed the
+  generator -- builds, is planned by every registered scheme, and every
+  plan that claims consistency is judged clean.
 """
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -85,3 +89,23 @@ def test_rules_match_the_frozen_formulas_and_documents_round_trip(count, seed):
         assert parsed.feasible == plan.claims_consistency, scheme
         assert parsed.notes == plan.notes
         assert plan_to_json(parsed) == text, scheme
+
+
+@pytest.mark.parametrize("count", (4, 5, 6, 7))
+def test_tiny_mixed_instances_build_plan_and_verify(count):
+    """``mixed_instance`` below 8 switches, 20 seeds a size, all five schemes."""
+    schemes = available_schemes()
+    assert len(schemes) == 5
+    for seed in range(20):
+        instance = mixed_instance(count, seed)
+        assert len(instance.old_path) >= 2 and instance.old_path[-1] == instance.destination
+        for scheme in schemes:
+            planner = get_planner(scheme)
+            plan = planner.plan(instance, node_budget=NODE_BUDGET)
+            if not planner.two_phase:  # TP times its ingress flip instead
+                assert set(plan.dispatched.times) == set(instance.switches_to_update), (
+                    scheme,
+                    seed,
+                )
+            if plan.claims_consistency:
+                assert planner.verify(instance, plan.dispatched).ok, (scheme, count, seed)

@@ -108,3 +108,110 @@ class TestGreedyRounds:
             updated = {node for node, when in times.items() if when <= t}
             edges = union_forwarding_edges(instance, updated, set())
             assert not has_cycle(edges)
+
+
+def _reference_rounds(instance, pending=None, updated=None):
+    """``greedy_loop_free_rounds`` as the module docstring defines it: one
+    full dict-graph check per candidate."""
+    remaining = list(instance.switches_to_update if pending is None else pending)
+    done = set(updated or ())
+    rounds = []
+    while remaining:
+        current = []
+        for node in list(remaining):
+            if round_is_loop_free(instance, done, set(current) | {node}):
+                current.append(node)
+        if not current:
+            current = [remaining[0]]
+        for node in current:
+            remaining.remove(node)
+        done.update(current)
+        rounds.append(current)
+    return rounds
+
+
+def _drain_cycle_instance():
+    """Two drain rules that point at each other in the new configuration.
+
+    ``x`` and ``y`` carry no rule today and point at one another afterwards:
+    whichever updates second closes ``x <-> y``, so it is forced through and
+    leaves a cyclic base in which no later candidate is safe either.
+    """
+    from repro.core.instance import instance_from_paths
+    from repro.network.graph import Network
+
+    network = Network()
+    for src, dst in [
+        ("s", "a"), ("a", "b"), ("b", "d"), ("s", "b"), ("a", "d"),
+        ("x", "y"), ("y", "x"),
+    ]:
+        network.add_link(src, dst, capacity=1.0, delay=1)
+    return instance_from_paths(
+        network,
+        old_path=["s", "a", "b", "d"],
+        new_path=["s", "b", "d"],
+        extra_new_rules={"x": "y", "y": "x", "a": "d"},
+    )
+
+
+class TestIdSpaceOracle:
+    """The id-space oracle every planner runs on against the definition."""
+
+    @staticmethod
+    def _instances():
+        from repro.core.instance import random_instance, reversal_instance, segmented_instance
+        from repro.experiments.sweep import mixed_instance
+
+        for seed in range(25):
+            yield random_instance(5 + seed % 9, seed=seed * 11)
+            yield mixed_instance(8 + seed % 6, seed)
+        yield reversal_instance(9)
+        for seed in range(4):
+            yield segmented_instance(120, seed=seed, segments=8, max_segment_length=6)
+        yield _drain_cycle_instance()
+
+    def test_rounds_equal_the_definition(self):
+        for instance in self._instances():
+            assert greedy_loop_free_rounds(instance) == _reference_rounds(instance)
+
+    def test_forced_round_leaves_every_later_candidate_unsafe(self):
+        instance = _drain_cycle_instance()
+        rounds = greedy_loop_free_rounds(instance)
+        assert rounds == _reference_rounds(instance)
+        assert not rounds_are_loop_free(instance, rounds)
+        forced = next(
+            index
+            for index in range(len(rounds))
+            if not rounds_are_loop_free(instance, rounds[: index + 1])
+        )
+        # The forced switch goes alone, and so does everything after it.
+        assert all(len(r) == 1 for r in rounds[forced:])
+
+    def test_respects_updated_and_pending_like_the_definition(self):
+        import random
+
+        for instance in self._instances():
+            nodes = list(instance.switches_to_update)
+            random.Random(len(nodes)).shuffle(nodes)
+            done, pending = set(nodes[: len(nodes) // 3]), nodes[len(nodes) // 3 :]
+            assert greedy_loop_free_rounds(instance, pending, done) == _reference_rounds(
+                instance, pending, done
+            )
+
+    def test_maximal_round_is_what_full_checks_accept(self):
+        from repro.core.rounds import UnionGraphIds
+
+        for instance in self._instances():
+            graph = UnionGraphIds(instance)
+            pending = [graph.id_of[node] for node in instance.switches_to_update]
+            updated = bytearray(graph.n)
+            expected, mask = [], bytearray(graph.n)
+            for node in pending:
+                mask[node] = 1
+                if graph.round_is_safe(updated, mask):
+                    expected.append(node)
+                else:
+                    mask[node] = 0
+            assert graph.maximal_safe_round(updated, pending) == expected
+            if pending:
+                assert graph.maximal_safe_round(updated, pending, deadline=0.0) is None
