@@ -437,8 +437,6 @@ class ArrayFlowClass:
             if recorder.enabled:
                 recorder.count("tracker.array.materialised")
             arrays = self.arrays
-            path_ids = arrays.old_path_ids
-            path_offsets = arrays.old_path_offsets
             node_parts = []
             offset_parts = []
             ends = self.run_pos[1:] + [self.length]
@@ -450,9 +448,10 @@ class ArrayFlowClass:
                     offset_parts.append(np.array([offset], dtype=np.int64))
                 else:
                     stop = start + end - pos
-                    node_parts.append(path_ids[start:stop])
+                    node_parts.append(arrays.old_path_ids[start:stop])
                     offset_parts.append(
-                        path_offsets[start:stop] + (offset - arrays.path_offsets[start])
+                        arrays.old_path_offsets[start:stop]
+                        + (offset - arrays.path_offsets[start])
                     )
             nodes = np.concatenate(node_parts)
             view = self._lazy["view"] = TrajectoryView(
@@ -699,22 +698,26 @@ class ArrayIntervalTracker:
     def link_departure_spans(
         self, src: Node, dst: Node
     ) -> List[Tuple[Optional[int], Optional[int]]]:
+        return [
+            (
+                None if cls.lo is None else cls.lo + offset,
+                None if cls.hi is None else cls.hi + offset,
+            )
+            for cls, offset in self.crossings(src, dst)
+        ]
+
+    def crossings(self, src: Node, dst: Node) -> List[Tuple[ArrayFlowClass, int]]:
+        """Every alive class crossing ``src -> dst`` with its departure offset there."""
         lid = self.arrays.lid_of(src, dst)
         if lid is None:
             return []
         head = self._chain_head(lid)
-        spans: List[Tuple[Optional[int], Optional[int]]] = []
-        for cid in sorted(self._alive):
-            cls = self._classes[cid]
+        found = []
+        for cls in self.classes:
             offset = self._offset_behind(cls, *head)
             if offset is not None:
-                spans.append(
-                    (
-                        None if cls.lo is None else cls.lo + offset,
-                        None if cls.hi is None else cls.hi + offset,
-                    )
-                )
-        return spans
+                found.append((cls, offset))
+        return found
 
     def _chain_head(self, lid: int) -> Tuple[int, int, int]:
         """``(decisive link heading lid's chain, hops behind it, delay behind it)``.
@@ -1033,6 +1036,8 @@ class ArrayIntervalTracker:
         moved = self._moved
         dest = arrays.dest
         interior = arrays.interior
+        next_old, old_rule_lid = arrays.next_old, arrays.old_rule_lid
+        next_new, new_rule_lid = arrays.next_new, arrays.new_rule_lid
         old_pos = arrays.old_pos
         junctions = arrays.junctions
         link_delay = arrays.link_delay
@@ -1061,11 +1066,11 @@ class ArrayIntervalTracker:
                 outcome = DELIVERED
                 break
             if current in moved:
-                nxt = arrays.next_new[current]
-                lid = arrays.new_rule_lid[current]
+                nxt = next_new[current]
+                lid = new_rule_lid[current]
             else:
-                nxt = arrays.next_old[current]
-                lid = arrays.old_rule_lid[current]
+                nxt = next_old[current]
+                lid = old_rule_lid[current]
             if nxt < 0:
                 outcome = BLACKHOLE
                 break

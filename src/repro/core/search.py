@@ -55,10 +55,10 @@ The OR search shares the same shape with a much simpler state: the
 id-space union-graph oracle of :mod:`repro.core.rounds` (flat old/new
 next-hop tables, byte masks; a maximal safe set costs one full check plus
 one reachability walk per candidate) instead of per-check dict graph
-builds, no per-subset safety recheck for subsets of the greedy maximal safe set (safe sets are
-downward closed, so the recheck is always true), and a sound
-``updated-set -> fewest rounds`` memo that prunes revisits.  Node
-budgets are deterministic in both searches: explored-node accounting
+builds, no per-subset safety recheck for subsets of the greedy maximal
+safe set (safe sets are downward closed, so the recheck is always true),
+and a sound ``updated-set -> fewest rounds`` memo that prunes revisits.
+Node budgets are deterministic in both searches: explored-node accounting
 and branch order are pure functions of the instance.
 """
 
@@ -110,7 +110,7 @@ class _TrackerOps:
     def classes_crossing(self, tracker, link) -> List:
         """Alive committed classes whose trajectory crosses ``link``."""
         if self.array:
-            return [cls for cls in tracker.classes if tracker.crosses(cls, *link)]
+            return [cls for cls, _offset in tracker.crossings(*link)]
         seen: Set[int] = set()
         out = []
         for cid in tracker._link_index.get(link, ()):
