@@ -8,24 +8,24 @@ they differ only in what a probe costs.  The dict tracker pays Python
 work proportional to trajectory length for every class it creates; the
 array tracker pays a fixed numpy call overhead per probe and per alive
 class, and otherwise what the *rerouted switches* need, not what the path
-is long (chains, :mod:`repro.core.intervals_array`).  Measured greedy
-ms/plan, array vs dict (the ``tracker_grid`` block of ``BENCH_sweep.json``
-record #11):
+is long (chains and run-length classes, :mod:`repro.core.intervals_array`).
+Measured greedy ms/plan, array vs dict (the ``tracker_grid`` block of
+``BENCH_sweep.json`` record #13):
 
-* ``segmented_instance`` (few local detours on an n-hop chain): 4.9 vs
-  4.2 at 100 hops, 6.2 vs 10.6 at 200, 6.2 vs 50.9 at 800 (and 7.2 vs
-  1 303 at 20 000) -- since the array tracker became chain-aware the two
-  cross at about 100-120 hops rather than 180-200, and the array cost no
-  longer grows with the path;
+* ``segmented_instance`` (few local detours on an n-hop chain): 5.4 vs
+  7.9 at 100 hops, 7.7 vs 12.0 at 200, 6.6 vs 58.9 at 800 -- the two
+  cross at about 100 hops and the array cost does not grow with the
+  path: 6.2 at 20 000 hops on 4 segments.  It grows with the *segments*
+  (80.8 on 16, 543 on 32 at 20 000 hops), where rounds, probes and the
+  runs a deflection routes all multiply;
 * ``random_instance`` (global reroutes, where every switch is a junction
-  and there is no chain to skip): 5.8 vs 1.9 at 32 hops, 245 vs 112 at
-  128, 1 581 vs 886 at 256 -- dict wins 2-3x at every size measured (it
-  was 4x: the gap halved, it did not close), so above the threshold such
-  instances still run on their slower side.
+  and there is no chain to skip): 6.5 vs 2.0 at 32 hops, 23.3 vs 11.5 at
+  64, 180 vs 54.8 at 128 -- dict wins 2-3x at every size measured, so
+  above the threshold such instances still run on their slower side.
 
 The threshold stays at 200: between 100 and 200 hops the two are within
-1.2-1.7x of each other either way, and moving it would trade a small
-segmented gain for filing more global reroutes on their slow side.
+1.5-1.6x of each other on segmented plans, and moving it would trade a
+small segmented gain for filing more global reroutes on their slow side.
 
 Every caller that needs only the shared surface (greedy, the OPT search
 root, :func:`replay_schedule`, Algorithm 1) builds its tracker here, so
