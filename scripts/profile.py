@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""One-command phase profiles: the greedy scheduler, the OPT search, a service cell.
+"""One-command phase profiles: the greedy scheduler, the OPT search, a service
+cell, a sweep item.
 
 ``greedy`` (the default, ``make profile``) runs the Chronus greedy engine
 on a paper-scale segmented instance inside a sink-less
@@ -24,6 +25,15 @@ count, the cost per event and the wall clock split by layer (plan / verify
 / dispatch / DES / admission / build) off the tape, so an execute-path
 change is sized from here rather than from an ad-hoc wrapper.
 
+``item`` runs sweep items shaped like the repo benchmark's ``sweep-paper``
+workload (five schemes, node budgets 60/60, ``aug_epsilon=1``, verified)
+through the registered ``sweep`` scenario's own evaluate stage into a
+temporary artifact store and reads one item's life off the tape: build,
+plan / measure / verify per scheme, store, and what is left, summing to the
+``item:<key>`` spans' wall clock -- with the three reuse counters of the
+item-scoped sharing (DESIGN.md 15.1), so a sweep-path change is sized from
+here.
+
 Usage::
 
     python scripts/profile.py                  # 6000 switches (Fig. 10 max)
@@ -35,6 +45,8 @@ Usage::
     python scripts/profile.py search --size 12 --nodes 300 --repeat 50
     python scripts/profile.py service          # one burst-shaped cell, seed 7
     python scripts/profile.py service --seed 301 --repeat 9
+    python scripts/profile.py item             # 5 items, 9 switches, seed 7
+    python scripts/profile.py item --size 12 --seed 101 --repeat 50
 
 ``--memory`` reproduces BENCH_sweep.json's memory column locally: the
 stage (instance build + schedule) re-runs in a forked child and its peak
@@ -131,6 +143,104 @@ def _profile_service(seed: int, repeat: int, as_json: bool) -> int:
     return 0
 
 
+#: bench/workloads.py::SweepPaper -- the item the item mode times.
+PAPER_ITEM = dict(
+    schemes=("chronus", "or", "opt", "tp", "aug"),
+    opt_budget=600.0,
+    or_budget=600.0,
+    opt_node_budget=60,
+    or_node_budget=60,
+    aug_epsilon=1.0,
+    verify=True,
+)
+#: Span or timer name -> the phase of an item's life it is.
+ITEM_PHASES = {
+    "core.instance.build": "build",
+    "plan": "plan",
+    "analysis.metrics.measure": "measure",
+    "validate.verifier.verify": "verify",
+    "pipeline.store.append": "store",
+}
+REUSE_COUNTERS = ("sweep.incumbent.reused", "sweep.judged.reused", "sweep.judged.fresh")
+
+
+def _item_phases(tape) -> dict:
+    """``{"wall": s, phase: {scheme (or "all"): s}}`` off a tape of items.
+
+    A measure that ran inside a plan span (AUG judging its claim on the true
+    capacities) counts as that scheme's measure, not as its plan.
+    """
+    by_id = {record.span_id: record for record in tape if record.kind == "span"}
+    seconds_by = {phase: {} for phase in ITEM_PHASES.values()}
+    wall = 0.0
+
+    def add(phase: str, scheme: str, seconds: float) -> None:
+        seconds_by[phase][scheme] = seconds_by[phase].get(scheme, 0.0) + seconds
+
+    for record in by_id.values():
+        seconds = (record.duration_ms or 0.0) / 1000.0
+        if record.name.startswith("item:"):
+            wall += seconds
+        elif record.name in ITEM_PHASES:
+            phase = ITEM_PHASES[record.name]
+            scheme = record.attributes.get("scheme", "all")
+            add(phase, scheme, seconds)
+            if phase != "plan" and by_id[record.parent_id].name == "plan":
+                add("plan", scheme, -seconds)
+    return {"wall": wall, **seconds_by}
+
+
+def _profile_item(size: int, seed: int, items: int, as_json: bool) -> int:
+    import tempfile
+
+    import repro.experiments  # noqa: F401  (registers the scenarios)
+    from repro.pipeline.context import WorkerContext
+    from repro.pipeline.scenario import get_scenario
+    from repro.pipeline.store import ArtifactStore
+    from repro.trace.recorder import recorder
+
+    scenario = get_scenario("sweep")
+    overrides = dict(PAPER_ITEM, switch_counts=(size,), instances_per_size=items, base_seed=seed)
+    with tempfile.TemporaryDirectory(prefix="profile-item-") as root:
+        handle = ArtifactStore(root=root).create("sweep", scenario.params_with(overrides))
+        params = handle.params
+        with TraceSession(scenario="profile", run_id=f"item-{size}-{seed}") as session:
+            for item in scenario.items(params):
+                with recorder.span(f"item:{item['key']}"):
+                    record = scenario.evaluate(item, params, WorkerContext())
+                    with recorder.timer("pipeline.store.append"):
+                        handle.append(record)
+        handle.finish(status="complete", records=items)
+    phases = _item_phases(session.tape)
+    counters = aggregate(session.tape)["counters"]
+    reuse = {name: counters.get(name, 0) for name in REUSE_COUNTERS}
+    if as_json:
+        emit_json({**phases, "items": items, "counters": reuse})
+        return 0
+    wall = phases.pop("wall")
+    schemes = list(params["schemes"])
+    print(
+        f"sweep item[{size}] x{items} (seed {seed}, sweep-paper shape): "
+        f"{wall:.4f}s  {1e3 * wall / items:.2f} ms/item"
+    )
+    print(f"  {'':<8}" + "".join(f"{scheme:>9}" for scheme in schemes) + f"{'total':>9}  share")
+    phases["rest"] = {"all": wall - sum(sum(cells.values()) for cells in phases.values())}
+    for phase, cells in phases.items():
+        blank = "" if "all" in cells else "-"  # a phase without schemes has no columns
+        row = "".join(
+            f"{cells[scheme]:9.4f}" if scheme in cells else f"{blank:>9}"
+            for scheme in schemes
+        )
+        total = sum(cells.values())
+        print(f"  {phase:<8}{row}{total:9.4f}  {total / wall:5.1%}")
+    print(
+        f"  reuse: incumbent {reuse['sweep.incumbent.reused']}/{items} items, schedules "
+        f"judged {reuse['sweep.judged.fresh']} fresh + "
+        f"{reuse['sweep.judged.reused']} reused"
+    )
+    return 0
+
+
 def _profile_search(size: int, seed: int, instances: int, nodes: int, as_json: bool) -> int:
     from repro.core.optimal import optimal_schedule
     from repro.experiments.sweep import mixed_instance, sweep_seed
@@ -185,7 +295,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "mode",
         nargs="?",
-        choices=("greedy", "search", "service"),
+        choices=("greedy", "search", "service", "item"),
         default="greedy",
         help="what to profile (default greedy)",
     )
@@ -193,14 +303,14 @@ def main(argv=None) -> int:
         "--size",
         type=int,
         default=None,
-        help="switches to update (default: greedy 6000, search 9)",
+        help="switches to update (default: greedy 6000, search and item 9)",
     )
     parser.add_argument(
         "--seed",
         type=int,
         default=None,
         help="instance seed (greedy default: the size, matching the bench "
-        "harness; search and service default: 7)",
+        "harness; search, service and item default: 7)",
     )
     parser.add_argument(
         "--segments",
@@ -214,7 +324,7 @@ def main(argv=None) -> int:
         type=int,
         default=5,
         help="service mode: passes to run, the fastest is reported; search "
-        "mode: instances to run, totals are reported (default 5)",
+        "and item mode: instances to run, totals are reported (default 5)",
     )
     parser.add_argument(
         "--nodes", type=int, default=60, help="search mode: OPT node budget (default 60)"
@@ -233,6 +343,8 @@ def main(argv=None) -> int:
         repeat = max(1, args.repeat)
         if args.mode == "service":
             return _profile_service(seed, repeat, args.json)
+        if args.mode == "item":
+            return _profile_item(args.size or 9, seed, repeat, args.json)
         return _profile_search(args.size or 9, seed, repeat, args.nodes, args.json)
 
     if args.size is None:

@@ -26,7 +26,7 @@ import time
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
-from repro.core.greedy import greedy_schedule
+from repro.core.greedy import GreedyResult, greedy_schedule
 from repro.core.instance import UpdateInstance
 from repro.core.schedule import UpdateSchedule
 from repro.core.search import run_optimal_search
@@ -45,7 +45,9 @@ class OptimalResult:
             (so the result is the true optimum / a true infeasibility
             proof).
         explored: Number of search nodes visited.
-        elapsed: Wall-clock seconds spent.
+        elapsed: Wall-clock seconds spent: the greedy seed plus the search,
+            or the search alone when the caller supplied the incumbent
+            (whoever ran that greedy accounts for its time).
         width_cut: Whether a candidate set was truncated to
             ``max_branch_width`` somewhere in the search.  A truncated
             branch may hide a better schedule *or* the only feasible
@@ -78,6 +80,7 @@ def optimal_schedule(
     max_branch_width: int = 12,
     max_horizon: Optional[int] = None,
     node_budget: Optional[int] = None,
+    incumbent: Optional[GreedyResult] = None,
 ) -> OptimalResult:
     """Find a minimum-makespan congestion- and loop-free schedule.
 
@@ -111,6 +114,12 @@ def optimal_schedule(
             purpose" item makes it one, and
             ``tests/test_search_engines.py::test_explored_respects_the_node_budget``
             (a strict xfail) pins the defect until then.
+        incumbent: The result of ``greedy_schedule(instance, t0=t0)`` when
+            the caller already has it (a sweep item whose Chronus plan is
+            that very run); the search seeds from it instead of running
+            the greedy again and ``elapsed`` then excludes the seed.  Any
+            other greedy result (another instance, mode or background)
+            gives a wrong bound.
 
     Returns:
         An :class:`OptimalResult`.
@@ -132,8 +141,10 @@ def optimal_schedule(
     # Seed the incumbent with the greedy schedule when it is feasible.
     seed_times: Optional[Dict[Node, int]] = None
     seed_makespan: Optional[int] = None
-    with recorder.timer("opt.seed"):
-        seed = greedy_schedule(instance, t0=t0)
+    seed = incumbent
+    if seed is None:
+        with recorder.timer("opt.seed"):
+            seed = greedy_schedule(instance, t0=t0)
     if seed.feasible:
         seed_times = seed.schedule.as_dict()
         seed_makespan = seed.schedule.makespan

@@ -30,7 +30,8 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.core.instance import UpdateInstance, random_instance, segmented_instance
 from repro.runtime import ParallelRunner
-from repro.updates.registry import DEFAULT_SCHEMES, sweep_planners
+from repro.trace.recorder import recorder
+from repro.updates.registry import DEFAULT_SCHEMES, SharedEvaluation, sweep_planners
 
 
 def sweep_seed(base_seed: int, switch_count: int, index: int) -> int:
@@ -103,6 +104,12 @@ def run_instance(
     With ``verify=True`` every evaluated schedule is re-checked by the
     independent verifier and the outcome's ``verifier_agrees`` flag is
     filled in (see :class:`InstanceOutcome`).
+
+    The schemes share one :class:`~repro.updates.registry.SharedEvaluation`
+    for the length of this call: the default greedy runs once (Chronus'
+    plan is OPT's incumbent) and every *distinct* schedule is measured and
+    verified once, however many schemes returned it.  The outcomes equal
+    those of each scheme evaluated alone.
     """
     rng = random.Random(seed ^ 0x5EED)
     knobs = {
@@ -114,16 +121,19 @@ def run_instance(
         "aug_epsilon": aug_epsilon,
     }
     outcomes: Dict[str, InstanceOutcome] = {}
+    shared = SharedEvaluation(instance)
     for planner in sweep_planners(schemes):
-        result = planner.plan(instance, rng=rng, **planner.sweep_options(knobs))
-        metrics = planner.measure(instance, result)
+        result = planner.plan(
+            instance, rng=rng, shared=shared, **planner.sweep_options(knobs)
+        )
+        metrics = shared.metrics(planner, result)
         outcomes[planner.name] = InstanceOutcome(
             scheme=planner.name,
             congestion_free=metrics.congestion_free and result.feasible,
             congested_timed_links=metrics.congested_timed_links,
             makespan=metrics.makespan,
             verifier_agrees=(
-                planner.conformance(instance, result, metrics) if verify else None
+                shared.agrees(planner, result, metrics) if verify else None
             ),
         )
     return outcomes
@@ -199,8 +209,10 @@ class SweepItem:
 def evaluate_sweep_item(item: SweepItem) -> SweepRecord:
     """Worker function: regenerate one instance and evaluate all schemes."""
     record = SweepRecord(switch_count=item.switch_count, seed=item.seed)
+    with recorder.timer("core.instance.build"):
+        instance = item.build_instance()
     record.outcomes = run_instance(
-        item.build_instance(),
+        instance,
         item.seed,
         schemes=item.schemes,
         opt_budget=item.opt_budget,

@@ -10,7 +10,6 @@ re-implementing grid expansion and scheme dispatch.
 
 from __future__ import annotations
 
-from dataclasses import asdict
 from typing import Dict, List, Mapping, Sequence
 
 from repro.pipeline.context import WorkerContext
@@ -65,8 +64,10 @@ def sweep_evaluate(
         "key": item["key"],
         "switch_count": record.switch_count,
         "seed": record.seed,
+        # InstanceOutcome is flat, so its field dict is the record; asdict
+        # would recurse into every field to find that out.
         "outcomes": {
-            scheme: asdict(outcome) for scheme, outcome in record.outcomes.items()
+            scheme: dict(vars(outcome)) for scheme, outcome in record.outcomes.items()
         },
     }
 

@@ -15,7 +15,12 @@ from typing import Optional
 
 from repro.core.greedy import EXACT, greedy_schedule
 from repro.core.instance import UpdateInstance
-from repro.updates.registry import Planner, UpdatePlan, register_planner
+from repro.updates.registry import (
+    Planner,
+    SharedEvaluation,
+    UpdatePlan,
+    register_planner,
+)
 
 
 class ChronusPlanner(Planner):
@@ -37,9 +42,13 @@ class ChronusPlanner(Planner):
         background=None,
         t0: int = 0,
         mode: str = EXACT,
+        shared: Optional[SharedEvaluation] = None,
         **_,
     ) -> UpdatePlan:
-        result = greedy_schedule(instance, t0=t0, mode=mode, background=background)
+        if shared is not None and mode == EXACT and background is None:
+            result = shared.greedy(t0)
+        else:
+            result = greedy_schedule(instance, t0=t0, mode=mode, background=background)
         notes = ""
         if not result.feasible:
             notes = (

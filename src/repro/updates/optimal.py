@@ -9,7 +9,12 @@ from repro.core.instance import UpdateInstance
 from repro.core.optimal import optimal_schedule
 from repro.core.rounds import greedy_loop_free_rounds
 from repro.updates.order_replacement import realize_round_times
-from repro.updates.registry import Planner, UpdatePlan, register_planner
+from repro.updates.registry import (
+    Planner,
+    SharedEvaluation,
+    UpdatePlan,
+    register_planner,
+)
 
 
 class OptPlanner(Planner):
@@ -38,6 +43,7 @@ class OptPlanner(Planner):
         t0: int = 0,
         time_budget: Optional[float] = None,
         node_budget: Optional[int] = None,
+        shared: Optional[SharedEvaluation] = None,
         **_,
     ) -> UpdatePlan:
         result = optimal_schedule(
@@ -45,6 +51,7 @@ class OptPlanner(Planner):
             t0=t0,
             time_budget=time_budget,
             node_budget=node_budget,
+            incumbent=None if shared is None else shared.greedy(t0, timer="opt.seed"),
         )
         if result.schedule is not None:
             return UpdatePlan(

@@ -38,10 +38,11 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
+from repro.core.greedy import GreedyResult, greedy_schedule
 from repro.core.instance import UpdateInstance
 from repro.core.schedule import UpdateSchedule
 from repro.network.graph import Node
-from repro.trace import recorder
+from repro.trace.recorder import NULL_SPAN, recorder
 from repro.updates.base import RuleAccounting, rule_accounting
 
 #: Execution strategies: the values of ``Planner.executor``, dispatched on
@@ -95,7 +96,10 @@ class UpdatePlan:
         proven: Exact searches: the search ran to completion, so the plan
             is the optimum (or infeasibility is proven).  Heuristics are
             always "proven".
-        elapsed: Exact searches: the solver's own wall-clock seconds.
+        elapsed: Exact searches: the solver's own wall-clock seconds --
+            without the incumbent's greedy run when the plan took it from
+            a ``shared`` evaluation (a plain ``plan(instance)`` runs and
+            counts its own seed, which is what Fig. 10 times).
         recorded_rounds: Rounds that are not the time-grouping of the
             dispatched schedule (two-phase: the install phase, then the
             ingress flip), or the ones a parsed document stated.
@@ -220,9 +224,12 @@ class Planner(abc.ABC):
         """Plan ``instance``, wrapped in a trace span tagged with the scheme.
 
         Keyword options (``rng``, ``background``, ``time_budget``,
-        ``node_budget``, ...) are forwarded to the
+        ``node_budget``, ``shared``, ...) are forwarded to the
         scheme's :meth:`_plan`; each planner consumes what it supports
-        and ignores the rest.
+        and ignores the rest.  ``shared`` is the caller's
+        :class:`SharedEvaluation` of this very instance: a planner may
+        take an answer from it instead of computing it, never a different
+        answer.
         """
         with recorder.span("plan", {"scheme": self.name}) as span:
             result = self._plan(instance, **options)
@@ -287,6 +294,91 @@ class Planner(abc.ABC):
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<{type(self).__name__} {self.name!r}>"
+
+
+# -- what one sweep item shares ----------------------------------------
+
+
+class SharedEvaluation:
+    """One instance's answers, each computed once (DESIGN.md §15.1).
+
+    The sweep evaluates every scheme on the same instance; three of the
+    questions it asks are pure functions of ``(instance, schedule)`` that
+    several schemes ask identically -- the default greedy schedule
+    (Chronus' plan *is* OPT's incumbent), a schedule's metrics and its
+    conformance verdict (OPT mostly returns the incumbent unchanged).
+    This object answers each once.  Its owner creates it for one
+    evaluation of one instance and drops it afterwards
+    (:func:`repro.experiments.sweep.run_instance`); nothing is kept on the
+    instance, a planner or a module, so a plain ``planner.plan(instance)``
+    does all of its own work every time.
+
+    Metrics and verdicts are keyed by the schedule *and* by the planner's
+    ``measure`` / ``verify`` / ``conformance`` implementations: two-phase
+    plans are judged by their own formulas and never take a tracker
+    answer.  The schedule key keeps the insertion order of ``times`` --
+    exactly what the replay and the verifier read.
+    """
+
+    __slots__ = ("instance", "_greedy", "_metrics", "_agrees")
+
+    def __init__(self, instance: UpdateInstance) -> None:
+        self.instance = instance
+        self._greedy: Dict[int, GreedyResult] = {}
+        self._metrics: Dict[tuple, object] = {}
+        self._agrees: Dict[tuple, bool] = {}
+
+    def greedy(self, t0: int = 0, timer: Optional[str] = None) -> GreedyResult:
+        """``greedy_schedule(instance, t0=t0)``, run by whoever asks first.
+
+        ``timer`` names the aggregate the run is timed under when this call
+        is the one that runs it (OPT's ``opt.seed``).
+        """
+        result = self._greedy.get(t0)
+        if result is not None:
+            recorder.count("sweep.incumbent.reused")
+            return result
+        with recorder.timer(timer) if timer else NULL_SPAN:
+            result = self._greedy[t0] = greedy_schedule(self.instance, t0=t0)
+        return result
+
+    def metrics(self, planner: "Planner", result: UpdatePlan):
+        """``planner.measure(instance, result)``, once per distinct schedule."""
+        key = (type(planner).measure, *_schedule_key(result.schedule))
+        metrics = self._metrics.get(key)
+        if metrics is not None:
+            recorder.count("sweep.judged.reused")
+            return metrics
+        recorder.count("sweep.judged.fresh")
+        with recorder.timer("analysis.metrics.measure") as timed:
+            timed.set(scheme=planner.name)
+            metrics = self._metrics[key] = planner.measure(self.instance, result)
+        return metrics
+
+    def agrees(self, planner: "Planner", result: UpdatePlan, metrics) -> bool:
+        """``planner.conformance(instance, result, metrics)`` for ``metrics``
+        from :meth:`metrics`, once per distinct schedule."""
+        kind = type(planner)
+        key = (
+            kind.measure,
+            kind.verify,
+            kind.conformance,
+            *_schedule_key(result.schedule),
+        )
+        agrees = self._agrees.get(key)
+        if agrees is None:
+            with recorder.timer("validate.verifier.verify") as timed:
+                timed.set(scheme=planner.name)
+                agrees = self._agrees[key] = planner.conformance(
+                    self.instance, result, metrics
+                )
+        return agrees
+
+
+def _schedule_key(schedule: UpdateSchedule) -> tuple:
+    """What a replay or a verifier reads of a schedule, hashable: ``t0`` and
+    the update times in insertion order (``rounds()`` keeps it)."""
+    return schedule.t0, tuple(schedule.times.items())
 
 
 # -- the process-global registry ---------------------------------------

@@ -6,6 +6,12 @@ on pinned seeds, and the outcome records must be *byte-identical* (compared
 as canonical JSON).  All schemes share one per-instance RNG stream, so any
 drift in evaluation order, PRNG consumption or fallback handling shows up
 here immediately.
+
+The same if-chain, grown by the ``tp`` and ``aug`` branches in the same
+style, is the *unshared oracle* of the sweep item's sharing
+(``SharedEvaluation``, DESIGN.md 15.1): every scheme runs its own greedy,
+its own replay and its own verifier call there, and ``run_instance`` must
+say the same thing about every hypothesis-drawn item.
 """
 
 import json
@@ -17,6 +23,8 @@ from pathlib import Path
 from typing import Dict, Optional
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.metrics import evaluate_schedule
 from repro.core.greedy import greedy_schedule
@@ -29,6 +37,7 @@ from repro.experiments.sweep import (
     sweep_seed,
 )
 from repro.core.rounds import greedy_loop_free_rounds
+from repro.trace import TraceSession, aggregate
 from repro.updates.order_replacement import minimize_rounds, realize_round_times
 from repro.updates.registry import (
     DEFAULT_SCHEMES,
@@ -42,6 +51,7 @@ from repro.updates.registry import (
     register_planner,
     sweep_planners,
 )
+from tests.test_trace_goldens import calls_and_counters
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -69,14 +79,21 @@ def legacy_run_instance(
     opt_node_budget: Optional[int] = None,
     or_node_budget: Optional[int] = None,
     verify: bool = False,
+    aug_epsilon: float = 0.0,
 ) -> Dict[str, InstanceOutcome]:
     """Frozen copy of the pre-registry if-chain (the byte-identity oracle).
 
     This is the dispatch code the registry replaced, kept verbatim minus
     the engine knobs (pinned to the ``"array"`` default).  Do not "fix" or
-    modernise it -- its job is to stay exactly what shipped.
+    modernise it -- its job is to stay exactly what shipped.  The ``tp``
+    and ``aug`` branches at the end are not from that revision: they spell
+    out, in the same direct-call style, what those two planners do, so
+    that the whole chain evaluates every scheme on its own -- no answer of
+    one branch is handed to another.
     """
-    from repro.validate.verifier import verify_schedule
+    from repro.updates.augmented import augmented_instance
+    from repro.updates.two_phase import two_phase_congestion_spans
+    from repro.validate.verifier import verify_schedule, verify_two_phase
 
     rng = random.Random(seed ^ 0x5EED)
     outcomes: Dict[str, InstanceOutcome] = {}
@@ -140,6 +157,40 @@ def legacy_run_instance(
             congested_timed_links=metrics.congested_timed_links,
             makespan=metrics.makespan,
             verifier_agrees=conformance(realized, metrics),
+        )
+
+    if "tp" in schemes:
+        spans = two_phase_congestion_spans(instance, 1)
+        links = sum(span.timed_link_count for span in spans)
+        agrees = None
+        if verify:
+            verdict = verify_two_phase(instance, 1, t0=0)
+            agrees = (
+                verdict.congestion_free == (not spans)
+                and verdict.congested_timed_links == links
+                and verdict.loop_free
+                and verdict.drop_free
+            )
+        outcomes["tp"] = InstanceOutcome(
+            scheme="tp",
+            congestion_free=not spans,
+            congested_timed_links=links,
+            makespan=2,
+            verifier_agrees=agrees,
+        )
+
+    if "aug" in schemes:
+        result = greedy_schedule(augmented_instance(instance, aug_epsilon))
+        metrics = evaluate_schedule(instance, result.schedule)
+        feasible = result.feasible
+        if feasible and aug_epsilon > 0.0:
+            feasible = evaluate_schedule(instance, result.schedule).congestion_free
+        outcomes["aug"] = InstanceOutcome(
+            scheme="aug",
+            congestion_free=metrics.congestion_free and feasible,
+            congested_timed_links=metrics.congested_timed_links,
+            makespan=metrics.makespan,
+            verifier_agrees=conformance(result.schedule, metrics),
         )
 
     return outcomes
@@ -245,6 +296,136 @@ class TestLockstepByteIdentity:
             new = run_instance(instance, seed, schemes=schemes, **BUDGETS)
             old = legacy_run_instance(instance, seed, schemes=schemes, **BUDGETS)
             assert canonical(new) == canonical(old)
+
+
+ALL_SCHEMES = ("chronus", "or", "opt", "tp", "aug")
+#: The ``sweep-paper`` node budgets: items of a few milliseconds.
+SMALL_BUDGETS = dict(BUDGETS, opt_node_budget=60, or_node_budget=60)
+
+
+class TestSharingIsInvisible:
+    """One item's shared answers change nothing an outcome says."""
+
+    @settings(
+        max_examples=60,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        count=st.integers(min_value=4, max_value=12),
+        seed=st.integers(0, 10_000),
+        aug_epsilon=st.sampled_from([0.0, 1.0]),
+        schemes=st.sets(st.sampled_from(ALL_SCHEMES), min_size=1),
+        verify=st.booleans(),
+    )
+    def test_run_instance_equals_each_scheme_alone(
+        self, count, seed, aug_epsilon, schemes, verify
+    ):
+        instance = mixed_instance(count, seed)
+        knobs = dict(SMALL_BUDGETS, verify=verify, aug_epsilon=aug_epsilon)
+        schemes = tuple(sorted(schemes))
+        shared = run_instance(instance, seed, schemes=schemes, **knobs)
+        alone = legacy_run_instance(instance, seed, schemes=schemes, **knobs)
+        assert canonical(shared) == canonical(alone)
+
+    def test_every_distinct_schedule_is_judged_exactly_once(self, monkeypatch):
+        # The pinned item of TestAugPlanner: AUG's relaxed schedule differs
+        # from Chronus', OPT returns the incumbent.  Whatever is shared, each
+        # distinct schedule still goes through the tracker replay and the
+        # independent verifier once -- and TP through its own pair.
+        seed = sweep_seed(0, 8, 17)
+        instance = mixed_instance(8, seed)
+        measured, verified = [], []
+
+        def spy(planner, method, log):
+            original = getattr(planner, method)
+
+            def spied(inst, subject, **options):
+                schedule = getattr(subject, "schedule", subject)
+                log.append((type(planner).measure, tuple(schedule.items())))
+                return original(inst, subject, **options)
+
+            # An item in the instance dict shadows the method and is
+            # removed again on undo (setattr would leave a bound copy).
+            monkeypatch.setitem(vars(planner), method, spied)
+
+        for name in ALL_SCHEMES:
+            spy(get_planner(name), "measure", measured)
+            spy(get_planner(name), "verify", verified)
+        outcomes = run_instance(
+            instance, seed, schemes=ALL_SCHEMES, verify=True, aug_epsilon=1.0, **SMALL_BUDGETS
+        )
+        plans = {
+            name: get_planner(name).plan(
+                instance, rng=random.Random(0), epsilon=1.0, node_budget=60
+            )
+            for name in ("chronus", "opt", "tp", "aug")
+        }
+        assert plans["opt"].schedule == plans["chronus"].schedule
+        assert plans["aug"].schedule != plans["chronus"].schedule
+        assert all(outcome.verifier_agrees for outcome in outcomes.values())
+        assert len(measured) == len(set(measured)) == 4  # chronus=opt, or, tp, aug
+        assert measured == verified
+        assert (type(get_planner("tp")).measure, tuple(plans["tp"].schedule.items())) in measured
+
+
+def _profile(run):
+    """``(timer calls by path, counters)`` of ``run()`` under a trace session."""
+    with TraceSession(scenario="test", run_id="registry") as session:
+        run()
+    return calls_and_counters(session.tape)
+
+
+class TestNothingOutlivesTheItem:
+    """The guard against memoising the benchmark: what an item shares dies
+    with ``run_instance``'s frame; a plain ``plan(instance)`` never sees it."""
+
+    SEED = sweep_seed(7, 9, 3)
+    KNOBS = dict(SMALL_BUDGETS, schemes=ALL_SCHEMES, verify=True, aug_epsilon=1.0)
+
+    def test_consecutive_plans_each_run_their_greedy(self):
+        instance = mixed_instance(9, self.SEED)
+        chronus, opt = get_planner("chronus"), get_planner("opt")
+        once, _ = _profile(lambda: chronus.plan(instance))
+        twice, _ = _profile(lambda: [chronus.plan(instance), chronus.plan(instance)])
+        assert once["greedy"] == 1 and twice["greedy"] == 2
+        assert twice == {path: 2 * calls for path, calls in once.items()}
+        # ... and OPT its own seed, after an item has shared one on this object.
+        run_instance(instance, self.SEED, **self.KNOBS)
+        seeded, _ = _profile(lambda: opt.plan(instance, node_budget=60))
+        assert seeded["opt.seed"] == seeded["opt.seed.greedy"] == 1
+
+    def test_two_items_cost_twice_one_item(self):
+        instance = mixed_instance(9, self.SEED)
+        run = lambda: run_instance(instance, self.SEED, **self.KNOBS)  # noqa: E731
+        run()  # the instance's own lazy fields (path delays, array encoding)
+        held = set(vars(instance))
+        planners = {name: dict(vars(get_planner(name))) for name in available_schemes()}
+        one_calls, one_counters = _profile(run)
+        two_calls, two_counters = _profile(lambda: [run(), run()])
+        assert one_counters["sweep.incumbent.reused"] == 1
+        assert one_counters["sweep.judged.reused"] >= 1
+        assert not any(path.startswith("opt.seed") for path in one_calls)
+        assert two_calls == {path: 2 * calls for path, calls in one_calls.items()}
+        assert two_counters == {name: 2 * n for name, n in one_counters.items()}
+        assert set(vars(instance)) == held
+        for name in available_schemes():
+            assert vars(get_planner(name)) == planners[name], name
+
+    def test_fig10_times_opt_with_its_own_seed(self):
+        # Fig. 10's OPT running time is the solver's own clock; it must keep
+        # covering the greedy seed (nothing shares an incumbent there).
+        from repro.experiments.fig10 import _TimingItem, _time_one
+
+        item = _TimingItem(switch_count=200, seed=4, segments=1, cutoff=30.0)
+        with TraceSession(scenario="test", run_id="fig10") as session:
+            fields = _time_one(item)
+        view = aggregate(session.tape)
+        seed = view["spans"]["opt.seed"]
+        assert seed["calls"] == 1 and view["spans"]["opt.seed.greedy"]["calls"] == 1
+        assert fields["opt_proven"]
+        assert fields["opt_elapsed"] >= seed["seconds"]
+        assert "sweep.incumbent.reused" not in view["counters"]
 
 
 class TestVerifyAdapters:

@@ -33,6 +33,7 @@ from repro.core.rounds import round_is_loop_free
 from repro.experiments.sweep import mixed_instance, sweep_seed
 from repro.updates.order_replacement import minimize_rounds
 from repro.validate.verifier import verify_schedule
+from tests.test_greedy_engines import _random, _segmented
 
 
 def _assert_opt_golden(instance, golden, label, **kwargs):
@@ -300,3 +301,50 @@ class TestNodeAccountingPinned:
         ).hexdigest()
         name = corpus.__name__.strip("_").split("_")[0]
         assert digest == NODE_ACCOUNTING_DIGESTS[name], f"{name} on the {state} state"
+
+
+class TestSuppliedIncumbent:
+    """``incumbent=`` is the seed greedy handed over, not a different search.
+
+    A sweep item gives OPT the greedy result Chronus planned a moment
+    earlier (``SharedEvaluation.greedy``); the search must come out field
+    for field as if it had run that greedy itself -- on the greedy pin
+    corpus of ``engine_goldens.json`` (140 random, 60 segmented, 10
+    reversals; the three paper-mode pins re-use instances of the other
+    families), under a node budget so the 40-switch instances stay cheap
+    and ``explored`` is a function of the instance alone.
+    """
+
+    @pytest.mark.parametrize(
+        "family, keys",
+        [("random", range(140)), ("segmented", range(60)), ("reversal", range(4, 14))],
+    )
+    def test_equals_the_seeded_search(self, family, keys):
+        build = {"random": _random, "segmented": _segmented, "reversal": reversal_instance}
+        reused = 0
+        for key in keys:
+            instance = build[family](key)
+            seed = greedy_schedule(instance)
+            own = optimal_schedule(instance, node_budget=60)
+            given = optimal_schedule(instance, node_budget=60, incumbent=seed)
+            assert _accounting_row(given) == _accounting_row(own), f"{family} {key}"
+            assert given.width_cut == own.width_cut, f"{family} {key}"
+            if given.schedule is not None:
+                # Insertion order too: it is the item's sharing key.
+                assert list(given.schedule.items()) == list(own.schedule.items())
+                reused += list(given.schedule.items()) == list(seed.schedule.items())
+        assert reused, f"OPT never returned the incumbent on the {family} family"
+
+    def test_supplied_incumbent_skips_the_seed_timer(self):
+        from repro.trace import TraceSession, aggregate
+
+        instance = _random(5)
+        seed = greedy_schedule(instance)
+        with TraceSession(scenario="test", run_id="incumbent") as session:
+            optimal_schedule(instance, incumbent=seed)
+        given = set(aggregate(session.tape)["spans"])
+        with TraceSession(scenario="test", run_id="seeded") as session:
+            optimal_schedule(instance)
+        own = set(aggregate(session.tape)["spans"])
+        assert "opt.search" in given and not any(p.startswith("opt.seed") for p in given)
+        assert "opt.seed.greedy" in own

@@ -63,7 +63,22 @@ item, and ``test_only_refusal_work_moved`` holds it to this list:
 * ``calls`` of ``greedy.select.tracker.probe`` (``MOVED_CALLS``) -- the
   fallback skips the heads it refused in the same round (``fig6``: 10 -> 8).
 
-New keys, written at the same revision and pinned from then on
+A second cause moved ``fig7`` alone (``SHARING_RUNS``; DESIGN.md 15.1): a
+sweep item now answers each question once.  OPT takes the greedy result
+Chronus planned as its incumbent, so the ``opt.seed`` timer and every
+``opt.seed.greedy.*`` leaf below it are gone (``[n, null]`` in ``moved``)
+and the tracker work counters and ``tracker.probe.refused.split`` fall by
+the seed greedy's share; a schedule two schemes return (OPT handing back
+the incumbent) is replayed once, so ``tracker.apply`` calls fall -- and
+are filed under the new ``analysis.metrics.measure`` timer that now wraps
+each replay (``tracker.apply`` gone, ``analysis.metrics.measure`` and
+``analysis.metrics.measure.tracker.apply`` new, beside
+``core.instance.build``: ``SHARING_NEW_CALLS``, ``[null, n]``).  The three
+counters that say so are new (``SHARING_COUNTERS``).  ``explored`` /
+``proven`` of every ``opt.search``, every span and every attribute are the
+frozen ones.
+
+New keys, written at the refusal revision and pinned from then on
 (``REFUSAL_COUNTERS``): ``tracker.probe.refused.split`` / ``.congestion``,
 ``greedy.fallback.skipped``, ``search.include.kept`` / ``.pruned``,
 ``search.clones``.  Every span, event, attribute, status, request fact,
@@ -204,6 +219,42 @@ REFUSAL_COUNTERS = {
 }
 
 
+#: The runs whose items share answers between schemes (module docstring).
+SHARING_RUNS = {"fig7"}
+SHARING_LOWERED = MOVED_COUNTERS | {"tracker.probe.refused.split"}
+SHARING_GONE_CALLS = ("opt.seed", "tracker.apply")  # the path or a prefix of it
+SHARING_NEW_CALLS = {
+    "core.instance.build",
+    "analysis.metrics.measure",
+    "analysis.metrics.measure.tracker.apply",
+}
+SHARING_COUNTERS = {
+    "sweep.incumbent.reused",
+    "sweep.judged.reused",
+    "sweep.judged.fresh",
+}
+
+
+def _explained(name, kind, path, frozen, now):
+    """Does one of the two causes explain ``kind:path`` going ``frozen -> now``?
+
+    ``None`` stands for "no such key"; ``path`` is free of wrapper prefixes.
+    """
+    sharing = name in SHARING_RUNS
+    if kind == "counters":
+        if frozen is None:
+            return path in REFUSAL_COUNTERS or (sharing and path in SHARING_COUNTERS)
+        lowered = SHARING_LOWERED if sharing else MOVED_COUNTERS
+        return now is not None and now < frozen and path in lowered
+    if frozen is None:
+        return sharing and path in SHARING_NEW_CALLS
+    if now is None:
+        return sharing and any(
+            path == gone or path.startswith(gone + ".") for gone in SHARING_GONE_CALLS
+        )
+    return now < frozen and path in MOVED_CALLS
+
+
 def _unwrapped(path, scenario):
     """A frozen timer path without the two deleted wrappers (``None``: dropped)."""
     for wrapper in (f"pipeline.{scenario}", "service.plan"):
@@ -250,7 +301,7 @@ def test_fixture_covers_every_run_and_its_evidence():
 
 
 def test_only_refusal_work_moved():
-    """The re-pinned entries are the listed work counters, and they fell."""
+    """The re-pinned entries are the ones the two listed causes explain."""
     goldens = json.loads(GOLDENS_PATH.read_text())
     moved = goldens["moved"]["keys"]
     assert set(moved) == set(RUNS) - {"fig9"}
@@ -260,15 +311,14 @@ def test_only_refusal_work_moved():
             pinned = run["registry"] if scope == "registry" else run["items"][scope]
             for key, (frozen, now) in keys.items():
                 kind, _, path = key.partition(":")
-                assert now == pinned[kind][path], (name, scope, key)
-                if frozen is None:
-                    assert path in REFUSAL_COUNTERS, (name, scope, key)
-                    continue
-                assert now < frozen, (name, scope, key)
+                assert now == pinned[kind].get(path), (name, scope, key)
                 if kind == "calls":
-                    assert _unwrapped(path, run["scenario"]) in MOVED_CALLS
-                else:
-                    assert path in MOVED_COUNTERS, (name, scope, key)
+                    path = _unwrapped(path, run["scenario"])
+                assert _explained(name, kind, path, frozen, now), (name, scope, key)
+    # The sharing is in the fixture: no item of fig7 seeds OPT on its own.
+    for item in goldens["runs"]["fig7"]["items"].values():
+        assert item["counters"]["sweep.incumbent.reused"] == 1
+        assert not any(path.startswith("opt.seed") for path in item["calls"])
 
 
 @pytest.fixture(scope="module", params=sorted(RUNS))
@@ -363,10 +413,11 @@ def test_every_request_fact_is_on_its_own_span(replay):
 
 
 def _repin(goldens):
-    """Rewrite the ``MOVED_*`` / ``REFUSAL_COUNTERS`` entries from a fresh replay.
+    """Rewrite the entries :func:`_explained` allows from a fresh replay.
 
     Anything else that differs from the fixture is an error, not a re-pin.
-    A key re-pinned before keeps the value it was frozen at.
+    A key re-pinned before keeps the value it was frozen at; a key that is
+    gone leaves the fixture and stays in ``moved`` as ``[frozen, null]``.
     """
     moved = goldens.get("moved", {}).get("keys", {})
     for name in sorted(RUNS):
@@ -381,28 +432,37 @@ def _repin(goldens):
             calls = minus_new(calls, SERVICE_TIMERS)
             counters = minus_new(counters, SERVICE_COUNTERS)
             changes = {}
-            for path, frozen in pinned["calls"].items():
-                plain = _unwrapped(path, run["scenario"])
-                if plain is None or calls.get(plain) == frozen:
+            plain_of = {
+                path: _unwrapped(path, run["scenario"]) for path in pinned["calls"]
+            }
+            for path, plain in plain_of.items():
+                frozen, now = pinned["calls"][path], calls.get(plain)
+                if plain is None or now == frozen:
                     continue
-                sharing = [
-                    p for p in pinned["calls"] if _unwrapped(p, run["scenario"]) == plain
-                ]
-                if plain not in MOVED_CALLS or len(sharing) != 1:
+                if list(plain_of.values()).count(plain) != 1 or not _explained(
+                    name, "calls", plain, frozen, now
+                ):
                     raise SystemExit(f"{name}/{scope}: calls of {path} moved")
-                changes["calls:" + path] = [frozen, calls[plain]]
-            if set(calls) != set(without_wrappers(pinned["calls"], run["scenario"])):
-                raise SystemExit(f"{name}/{scope}: timer paths differ")
+                changes["calls:" + path] = [frozen, now]
+            for plain in sorted(set(calls) - set(plain_of.values())):
+                if not _explained(name, "calls", plain, None, calls[plain]):
+                    raise SystemExit(f"{name}/{scope}: new timer path {plain}")
+                changes["calls:" + plain] = [None, calls[plain]]
             for path in sorted(set(counters) | set(pinned["counters"])):
                 frozen, now = pinned["counters"].get(path), counters.get(path)
                 if frozen == now:
                     continue
-                if path not in (REFUSAL_COUNTERS if frozen is None else MOVED_COUNTERS):
+                history = moved.get(name, {}).get(scope, {}).get("counters:" + path)
+                first = history[0] if history else frozen
+                if not _explained(name, "counters", path, first, now):
                     raise SystemExit(f"{name}/{scope}: counter {path} moved")
                 changes["counters:" + path] = [frozen, now]
             for key, (frozen, now) in changes.items():
                 kind, _, path = key.partition(":")
-                pinned[kind][path] = now
+                if now is None:
+                    del pinned[kind][path]
+                else:
+                    pinned[kind][path] = now
                 history = moved.setdefault(name, {}).setdefault(scope, {})
                 history[key] = [history.get(key, [frozen])[0], now]
     return moved
@@ -412,12 +472,14 @@ if __name__ == "__main__":
     import subprocess
 
     frozen = json.loads(GOLDENS_PATH.read_text())
+    head = subprocess.run(
+        ["git", "rev-parse", "--short", "HEAD"],
+        capture_output=True, text=True, check=True,
+    ).stdout.strip()
+    earlier = frozen.get("moved", {}).get("revisions", [])
     frozen["moved"] = {
-        "revision": subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
-            capture_output=True, text=True, check=True,
-        ).stdout.strip(),
-        "note": "[frozen, re-pinned] per key, replayed on the working tree on top of this revision; see tests/test_trace_goldens.py",
+        "revisions": earlier + [head] * (head not in earlier),
+        "note": "[frozen, re-pinned] per key (null: no such key), replayed on the working tree on top of the last of these revisions, one per cause; see tests/test_trace_goldens.py",
         "keys": _repin(frozen),
     }
     GOLDENS_PATH.write_text(json.dumps(frozen, indent=1, sort_keys=True) + "\n")

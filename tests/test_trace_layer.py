@@ -354,7 +354,11 @@ def test_pool_perf_spans_merge_back(two_cpus):
     # own spans; now every per-item span and counter comes back.
     assert pool_calls == serial_calls
     assert pool_counters == serial_counters
-    assert "opt.seed.greedy.select.tracker.probe" in pool_calls
+    # A worker-side leaf three timers deep; the item-level sharing counters
+    # ride the same merge (OPT takes Chronus' greedy: no ``opt.seed`` leaf).
+    assert "greedy.select.tracker.probe" in pool_calls
+    assert "analysis.metrics.measure.tracker.apply" in pool_calls
+    assert pool_counters["sweep.incumbent.reused"] == TINY_FIG7["instances_per_size"]
 
 
 # --- resume appends to the same trace ----------------------------------
