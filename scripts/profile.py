@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """One-command phase profiles: the greedy scheduler, the OPT search, a service
-cell, a sweep item.
+cell, a sweep item, the cold path.
 
 ``greedy`` (the default, ``make profile``) runs the Chronus greedy engine
 on a paper-scale segmented instance inside a sink-less
@@ -34,6 +34,12 @@ plan / measure / verify per scheme, store, and what is left, summing to the
 item-scoped sharing (DESIGN.md 15.1), so a sweep-path change is sized from
 here.
 
+``cold`` is what a fresh process and a fresh instance pay before the warm
+numbers above apply: ``import repro`` in a new interpreter (wall time, repro
+modules loaded, whether scipy was), then per ``segmented_instance(size)``
+of the ``plan-large`` shape the medians of its build, its first Chronus plan
+(which derives the instance's cached tables) and a warm re-plan.
+
 Usage::
 
     python scripts/profile.py                  # 6000 switches (Fig. 10 max)
@@ -47,6 +53,8 @@ Usage::
     python scripts/profile.py service --seed 301 --repeat 9
     python scripts/profile.py item             # 5 items, 9 switches, seed 7
     python scripts/profile.py item --size 12 --seed 101 --repeat 50
+    python scripts/profile.py cold             # 10000 switches, median of 5
+    python scripts/profile.py cold --size 2000 --repeat 12
 
 ``--memory`` reproduces BENCH_sweep.json's memory column locally: the
 stage (instance build + schedule) re-runs in a forked child and its peak
@@ -55,6 +63,10 @@ RSS is reported next to the wall-clock breakdown.
 
 from __future__ import annotations
 
+import json
+import os
+import statistics
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -273,6 +285,74 @@ def _profile_search(size: int, seed: int, instances: int, nodes: int, as_json: b
     return 0
 
 
+#: Run in a new interpreter: what ``import repro`` costs and loads.
+IMPORT_PROBE = """\
+import json, sys, time
+started = time.perf_counter()
+import repro
+seconds = time.perf_counter() - started
+print(json.dumps(dict(
+    seconds=seconds,
+    repro_modules=sum(name.split(".")[0] == "repro" for name in sys.modules),
+    scipy="scipy" in sys.modules,
+)))
+"""
+
+
+def _import_probe() -> dict:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC, env.get("PYTHONPATH"))))
+    completed = subprocess.run(
+        [sys.executable, "-c", IMPORT_PROBE], capture_output=True, text=True, env=env, check=True
+    )
+    return json.loads(completed.stdout.splitlines()[-1])
+
+
+def _profile_cold(size: int, seed: int, repeat: int, as_json: bool) -> int:
+    from repro.experiments.sweep import sweep_seed
+    from repro.updates.registry import get_planner
+
+    probes = [_import_probe() for _ in range(repeat)]
+    planner = get_planner("chronus")
+    planner.plan(segmented_instance(200, seed=seed))  # the process's own lazy set-up
+    samples = {"build": [], "first plan": [], "warm plan": []}
+    for index in range(repeat):
+        started = time.perf_counter()
+        instance = segmented_instance(size, seed=sweep_seed(seed, size, index))
+        built = time.perf_counter()
+        planner.plan(instance)
+        first = time.perf_counter()
+        planner.plan(instance)
+        samples["build"].append(built - started)
+        samples["first plan"].append(first - built)
+        samples["warm plan"].append(time.perf_counter() - first)
+    medians_ms = {
+        "import repro": 1e3 * statistics.median(probe["seconds"] for probe in probes),
+        **{phase: 1e3 * statistics.median(values) for phase, values in samples.items()},
+    }
+    imported = probes[-1]
+    if as_json:
+        emit_json(
+            {
+                "size": size,
+                "seed": seed,
+                "repeat": repeat,
+                "medians_ms": medians_ms,
+                "repro_modules": imported["repro_modules"],
+                "scipy": imported["scipy"],
+            }
+        )
+        return 0
+    print(f"cold path (segmented[{size}], seed {seed}, median of {repeat}):")
+    for phase, ms in medians_ms.items():
+        print(f"  {phase:<13}{ms:8.1f} ms")
+    print(
+        f"  import repro loads {imported['repro_modules']} repro modules, scipy "
+        f"{'loaded' if imported['scipy'] else 'not loaded'}"
+    )
+    return 0
+
+
 def _refusals_line(profile: dict) -> str:
     """Probes accepted / refused per greedy round, off the refusal counters."""
     counters, spans = profile["counters"], profile["spans"]
@@ -295,7 +375,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "mode",
         nargs="?",
-        choices=("greedy", "search", "service", "item"),
+        choices=("greedy", "search", "service", "item", "cold"),
         default="greedy",
         help="what to profile (default greedy)",
     )
@@ -303,14 +383,14 @@ def main(argv=None) -> int:
         "--size",
         type=int,
         default=None,
-        help="switches to update (default: greedy 6000, search and item 9)",
+        help="switches to update (default: greedy 6000, search and item 9, cold 10000)",
     )
     parser.add_argument(
         "--seed",
         type=int,
         default=None,
         help="instance seed (greedy default: the size, matching the bench "
-        "harness; search, service and item default: 7)",
+        "harness; search, service, item and cold default: 7)",
     )
     parser.add_argument(
         "--segments",
@@ -324,7 +404,8 @@ def main(argv=None) -> int:
         type=int,
         default=5,
         help="service mode: passes to run, the fastest is reported; search "
-        "and item mode: instances to run, totals are reported (default 5)",
+        "and item mode: instances to run, totals are reported; cold mode: "
+        "import probes and instances, medians are reported (default 5)",
     )
     parser.add_argument(
         "--nodes", type=int, default=60, help="search mode: OPT node budget (default 60)"
@@ -345,6 +426,8 @@ def main(argv=None) -> int:
             return _profile_service(seed, repeat, args.json)
         if args.mode == "item":
             return _profile_item(args.size or 9, seed, repeat, args.json)
+        if args.mode == "cold":
+            return _profile_cold(args.size or 10_000, seed, repeat, args.json)
         return _profile_search(args.size or 9, seed, repeat, args.nodes, args.json)
 
     if args.size is None:

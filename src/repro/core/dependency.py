@@ -168,8 +168,8 @@ def dependency_relations(
             v_tilde = instance.old_next_hop(v)
         if v_tilde is None:
             continue
-        link = network.get_link(v, v_tilde)
-        if link is None or link.capacity + _EPS >= 2 * demand:
+        capacity = network.capacity_map().get((v, v_tilde))
+        if capacity is None or capacity + _EPS >= 2 * demand:
             continue
         # Old flow still departs (v, v~) at or after the new flow's arrival?
         drain = drains.get(v)
@@ -500,8 +500,8 @@ class DependencyState:
         self._watch_hop.setdefault(v, set()).add(v_i)
         kind, partner = _NONE, None
         if v_tilde is not None:
-            link = network.get_link(v, v_tilde)
-            if link is not None and link.capacity + _EPS < 2 * instance.demand:
+            capacity = network.capacity_map().get((v, v_tilde))
+            if capacity is not None and capacity + _EPS < 2 * instance.demand:
                 drain = self.drain(v)
                 if drain is not None and drain >= t_arrival:
                     if drain != _INF:

@@ -15,13 +15,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.network.flows import Flow
 from repro.network.graph import Network, Node
-from repro.network.paths import (
-    Path,
-    as_path,
-    path_delay,
-    path_links,
-    validate_path,
-)
+from repro.network.paths import Path, arrival_offsets, as_path, path_delay, path_links
 from repro.network.topology import (
     TwoPathTopology,
     reversal_topology,
@@ -52,11 +46,15 @@ class UpdateInstance:
     new_config: Config
 
     def __post_init__(self) -> None:
-        validate_path(self.network, self.old_path)
-        validate_path(self.network, self.new_path)
+        # Each fact is checked once: tracing a config to the destination
+        # proves its path simple (a repeated switch would cycle forever), and
+        # the hop check below covers every path hop, since each is a rule.
+        self.old_path
+        self.new_path
+        links = self.network.delay_map()
         for config_name, config in (("old", self.old_config), ("new", self.new_config)):
             for node, nxt in config.items():
-                if not self.network.has_link(node, nxt):
+                if (node, nxt) not in links:
                     raise ValueError(
                         f"{config_name} config routes {node!r} -> {nxt!r} over a missing link"
                     )
@@ -91,18 +89,16 @@ class UpdateInstance:
     @cached_property
     def _old_predecessors(self) -> Dict[Node, Node]:
         path = self.old_path
-        return {cur: prev for prev, cur in zip(path, path[1:])}
+        return dict(zip(path[1:], path))
 
     @cached_property
     def old_path_index(self) -> Dict[Node, int]:
         """Position of each old-path switch along the old path."""
-        return {node: i for i, node in enumerate(self.old_path)}
+        return dict(zip(self.old_path, range(len(self.old_path))))
 
     @cached_property
     def old_path_offsets(self) -> Dict[Node, int]:
         """Departure-time offset of each old-path switch from the source."""
-        from repro.network.paths import arrival_offsets
-
         return dict(zip(self.old_path, arrival_offsets(self.network, self.old_path)))
 
     @cached_property
@@ -114,17 +110,15 @@ class UpdateInstance:
         Order follows the old path first (upstream to downstream), then any
         remaining new-config switches in new-path order.
         """
-        needed = [
-            node
-            for node, nxt in self.new_config.items()
-            if self.old_config.get(node) != nxt
-        ]
-        needed_set = set(needed)
-        ordered: List[Node] = [n for n in self.old_path if n in needed_set]
-        seen = set(ordered)
-        ordered.extend(n for n in self.new_path if n in needed_set and n not in seen)
-        seen.update(ordered)
-        ordered.extend(n for n in needed if n not in seen)
+        old_config = self.old_config
+        needed = [node for node, nxt in self.new_config.items() if old_config.get(node) != nxt]
+        index = self.old_path_index
+        ordered: List[Node] = sorted((n for n in needed if n in index), key=index.__getitem__)
+        rest = set(needed).difference(ordered)
+        if rest:  # switches off the old path: new-path order, then config order
+            ordered.extend(n for n in self.new_path if n in rest)
+            rest.difference_update(ordered)
+            ordered.extend(n for n in needed if n in rest)
         return tuple(ordered)
 
     def old_next_hop(self, node: Node) -> Optional[Node]:
@@ -163,7 +157,7 @@ class UpdateInstance:
     @cached_property
     def old_path_delay(self) -> int:
         """``phi(p_init)``."""
-        return path_delay(self.network, self.old_path)
+        return self.old_path_offsets[self.destination]
 
     @cached_property
     def new_path_delay(self) -> int:
@@ -172,11 +166,12 @@ class UpdateInstance:
 
 
 def _trace_config(config: Config, source: Node, destination: Node, max_hops: int) -> Path:
+    """The path ``config`` routes from ``source``; simple whenever it returns."""
     nodes: List[Node] = [source]
     current = source
     for _ in range(max_hops + 1):
         if current == destination:
-            return as_path(nodes)
+            return tuple(nodes)
         nxt = config.get(current)
         if nxt is None:
             raise ValueError(f"config black-holes the flow at {current!r}")
@@ -187,7 +182,7 @@ def _trace_config(config: Config, source: Node, destination: Node, max_hops: int
 
 def config_from_path(path: Sequence[Node]) -> Config:
     """Next-hop mapping realising ``path``."""
-    return {src: dst for src, dst in path_links(path)}
+    return dict(path_links(path))
 
 
 def instance_from_paths(

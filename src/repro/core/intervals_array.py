@@ -70,6 +70,7 @@ without it fails with a plain ``ImportError``.
 
 from __future__ import annotations
 
+import itertools
 from array import array
 from bisect import bisect_left, bisect_right
 from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
@@ -138,44 +139,43 @@ class InstanceArrays:
         network = instance.network
         names = network.switches
         self.names: List[Node] = names
-        self.id_of: Dict[Node, int] = {name: i for i, name in enumerate(names)}
         n = len(names)
+        self.id_of: Dict[Node, int] = dict(zip(names, range(n)))
         self.n_nodes = n
         id_of = self.id_of
 
-        links = network.links
-        keys = np.fromiter(
-            (id_of[link.src] * n + id_of[link.dst] for link in links),
-            dtype=np.int64,
-            count=len(links),
-        )
+        # The network's two maps share one key order, the links' insertion order.
+        delays = network.delay_map()
+        pairs = list(delays)
+        ends = _ids(id_of, itertools.chain.from_iterable(pairs), 2 * len(pairs))
+        keys = ends[0::2] * n + ends[1::2]
         order = np.argsort(keys, kind="stable")
         self.link_keys = keys[order]
-        self.capacity = np.array([link.capacity for link in links], dtype=np.float64)[order]
+        self.capacity = np.fromiter(
+            network.capacity_map().values(), dtype=np.float64, count=len(pairs)
+        )[order]
         # ``link_delay`` / ``path_ids`` / ``path_offsets`` are what the
         # routing loop indexes one scalar at a time: compact int arrays,
         # which index like lists (to Python ints) at an eighth of a list's
         # footprint.  ``delay`` / ``old_path_ids`` / ``old_path_offsets``
         # are numpy views of the same buffers for the vectorised readers.
         self.link_delay, self.delay = _twin(
-            "q", np.array([link.delay for link in links], dtype=np.int64)[order]
+            "q", np.fromiter(delays.values(), dtype=np.int64, count=len(pairs))[order]
         )
-        self.link_name: List[LinkKey] = [links[i].endpoints for i in order]
+        self.link_name: List[LinkKey] = [pairs[i] for i in order.tolist()]
 
         self.demand = float(instance.demand)
         self.dest = id_of[instance.destination]
-        next_old = [-1] * n
-        for src, dst in instance.old_config.items():
-            next_old[id_of[src]] = id_of[dst]
-        next_new = [-1] * n
-        for src, dst in instance.new_config.items():
-            next_new[id_of[src]] = id_of[dst]
-        self.next_old = next_old
-        self.next_new = next_new
-        self.max_hops = n + 1
-        self.path_ids, self.old_path_ids = _twin(
-            "i", np.array([id_of[node] for node in instance.old_path], dtype=np.int32)
+        old_path, new_path = instance.old_path, instance.new_path
+        old_ids = _ids(id_of, old_path, len(old_path))
+        next_old = _next_hops(id_of, instance.old_config, old_path, old_ids, n)
+        next_new = _next_hops(
+            id_of, instance.new_config, new_path, _ids(id_of, new_path, len(new_path)), n
         )
+        self.next_old = next_old.tolist()
+        self.next_new = next_new.tolist()
+        self.max_hops = n + 1
+        self.path_ids, self.old_path_ids = _twin("i", old_ids.astype(np.int32))
         self.old_path_lids = self.encode_links(self.old_path_ids)
         self.path_offsets, self.old_path_offsets = _twin(
             "q",
@@ -184,11 +184,7 @@ class InstanceArrays:
             ),
         )
         self._suffix_mark = bytearray(n)
-        self._build_chains(
-            np.array(next_old, dtype=np.int64),
-            np.array(next_new, dtype=np.int64),
-            id_of[instance.source],
-        )
+        self._build_chains(next_old, next_new, id_of[instance.source])
 
     def _build_chains(self, next_old, next_new, source: int) -> None:
         """The chain skeleton (module docstring, "Chains"), vectorised.
@@ -290,6 +286,25 @@ class InstanceArrays:
         if pos >= self.link_keys.size or int(self.link_keys[pos]) != key:
             return None
         return pos
+
+
+def _ids(id_of: Dict[Node, int], nodes, count: int) -> "np.ndarray":
+    """The int64 ids of the ``count`` switches ``nodes`` yields."""
+    return np.fromiter(map(id_of.__getitem__, nodes), dtype=np.int64, count=count)
+
+
+def _next_hops(id_of: Dict[Node, int], config, path, path_ids, n: int) -> "np.ndarray":
+    """Per switch id, the id its rule in ``config`` forwards to (-1 without one).
+
+    ``path`` (ids ``path_ids``) is the route traced through ``config``, so
+    its rules are its consecutive ids; only rules off it are looked up.
+    """
+    table = np.full(n, -1, dtype=np.int64)
+    table[path_ids[:-1]] = path_ids[1:]
+    if len(config) >= len(path):
+        off = config.keys() - set(path)
+        table[_ids(id_of, off, len(off))] = _ids(id_of, map(config.__getitem__, off), len(off))
+    return table
 
 
 def _twin(typecode: str, values: "np.ndarray") -> Tuple[array, "np.ndarray"]:

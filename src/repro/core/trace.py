@@ -155,7 +155,7 @@ def trace_schedule(
     t0 = schedule.t0
     t_last = schedule.last_time
 
-    max_delay = max((link.delay for link in network.links), default=1)
+    max_delay = max(network.delay_map().values(), default=1)
     settle = (len(network) + 1) * max_delay
     emit_start = t0 - instance.old_path_delay
     emit_end = t_last + settle + extra_horizon

@@ -22,24 +22,15 @@ paper's original scale (``run --paper``).
 | service       | Beyond the paper: the long-running update-service loop      |
 | sweep         | Section V-B's raw instance sweep with every knob exposed    |
 
-Importing this package populates the scenario registry; the registry's
-``_ensure_loaded`` does exactly that, so library users never import the
-experiment modules directly just to resolve a name.
+Importing an experiment module registers its scenario; importing this
+package loads none of them, so ``import repro.experiments.sweep`` pays for
+one module, not eleven.  The registry's first name lookup calls
+:func:`load_all`, so library users never import the experiment modules
+directly just to resolve a name; ``repro.experiments.fig7`` and friends
+import on first attribute access.
 """
 
-from repro.experiments import (
-    faults_ablation,
-    fig6,
-    fig7,
-    fig8,
-    fig9,
-    fig10,
-    fig11,
-    service,
-    sweep,
-    table2,
-    walkthrough,
-)
+from importlib import import_module
 
 __all__ = [
     "table2",
@@ -54,3 +45,15 @@ __all__ = [
     "walkthrough",
     "faults_ablation",
 ]
+
+
+def load_all() -> None:
+    """Import every experiment module, registering every scenario."""
+    for name in __all__:
+        import_module(f"{__name__}.{name}")
+
+
+def __getattr__(name: str):
+    if name in __all__:
+        return import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

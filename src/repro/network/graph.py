@@ -17,6 +17,15 @@ DEFAULT_CAPACITY = 1.0
 DEFAULT_DELAY = 1
 
 
+def _check_link(src: Node, dst: Node, capacity: float, delay: int) -> None:
+    if src == dst:
+        raise ValueError(f"self-loop link {src!r} -> {dst!r}")
+    if capacity <= 0:
+        raise ValueError(f"link capacity must be positive, got {capacity}")
+    if not isinstance(delay, int) or delay < 1:
+        raise ValueError(f"link delay must be a positive integer, got {delay}")
+
+
 @dataclass(frozen=True)
 class Link:
     """A directed link ``src -> dst`` with capacity and integer delay.
@@ -36,12 +45,7 @@ class Link:
     delay: int = DEFAULT_DELAY
 
     def __post_init__(self) -> None:
-        if self.src == self.dst:
-            raise ValueError(f"self-loop link {self.src!r} -> {self.dst!r}")
-        if self.capacity <= 0:
-            raise ValueError(f"link capacity must be positive, got {self.capacity}")
-        if not isinstance(self.delay, int) or self.delay < 1:
-            raise ValueError(f"link delay must be a positive integer, got {self.delay}")
+        _check_link(self.src, self.dst, self.capacity, self.delay)
 
     @property
     def endpoints(self) -> Tuple[Node, Node]:
@@ -56,9 +60,16 @@ class Network:
     ordered switch pair; parallel links are rejected, while anti-parallel
     links (``u -> v`` and ``v -> u``) are allowed and independent.
 
+    A link's attributes live in two flat ``(src, dst) -> delay / capacity``
+    dicts, the ones :meth:`delay_map` / :meth:`capacity_map` hand to the
+    hot paths, and that is all a build writes per link: a :class:`Link` is
+    a view built (once) only when asked for, and the adjacency lists behind
+    :meth:`successors` and friends are derived from the links on first use.
+
     Example:
         >>> net = Network()
         >>> net.add_link("v1", "v2", capacity=1.0, delay=1)
+        >>> net.link("v1", "v2")
         Link(src='v1', dst='v2', capacity=1.0, delay=1)
         >>> net.has_link("v1", "v2")
         True
@@ -66,21 +77,18 @@ class Network:
 
     def __init__(self) -> None:
         self._nodes: Dict[Node, None] = {}
-        self._links: Dict[Tuple[Node, Node], Link] = {}
-        self._out: Dict[Node, List[Node]] = {}
-        self._in: Dict[Node, List[Node]] = {}
-        self._delay_map: Optional[Dict[Tuple[Node, Node], int]] = None
-        self._capacity_map: Optional[Dict[Tuple[Node, Node], float]] = None
+        self._delay: Dict[Tuple[Node, Node], int] = {}
+        self._capacity: Dict[Tuple[Node, Node], float] = {}
+        self._views: Dict[Tuple[Node, Node], Link] = {}
+        # (out, in) adjacency, derived from the links; None after a change.
+        self._adjacency: Optional[Tuple[Dict[Node, List[Node]], Dict[Node, List[Node]]]] = None
 
     # ------------------------------------------------------------------
     # construction
     # ------------------------------------------------------------------
     def add_switch(self, node: Node) -> None:
         """Register a switch; idempotent."""
-        if node not in self._nodes:
-            self._nodes[node] = None
-            self._out[node] = []
-            self._in[node] = []
+        self._nodes.setdefault(node)
 
     def add_link(
         self,
@@ -88,22 +96,22 @@ class Network:
         dst: Node,
         capacity: float = DEFAULT_CAPACITY,
         delay: int = DEFAULT_DELAY,
-    ) -> Link:
+    ) -> None:
         """Add a directed link; endpoints are registered automatically.
 
         Raises:
-            ValueError: if the link already exists.
+            ValueError: if the link already exists or its attributes are
+                invalid (see :class:`Link`).
         """
         key = (src, dst)
-        if key in self._links:
+        if key in self._delay:
             raise ValueError(f"duplicate link {src!r} -> {dst!r}")
-        link = Link(src, dst, capacity=capacity, delay=delay)
-        self.add_switch(src)
-        self.add_switch(dst)
-        self._links[key] = link
-        self._out[src].append(dst)
-        self._in[dst].append(src)
-        return link
+        _check_link(src, dst, capacity, delay)
+        self._nodes.setdefault(src)
+        self._nodes.setdefault(dst)
+        self._delay[key] = delay
+        self._capacity[key] = capacity
+        self._adjacency = None
 
     def ensure_link(
         self,
@@ -113,10 +121,9 @@ class Network:
         delay: int = DEFAULT_DELAY,
     ) -> Link:
         """Return the existing link ``src -> dst`` or create it."""
-        existing = self._links.get((src, dst))
-        if existing is not None:
-            return existing
-        return self.add_link(src, dst, capacity=capacity, delay=delay)
+        if (src, dst) not in self._delay:
+            self.add_link(src, dst, capacity=capacity, delay=delay)
+        return self.link(src, dst)
 
     # ------------------------------------------------------------------
     # queries
@@ -129,7 +136,7 @@ class Network:
     @property
     def links(self) -> List[Link]:
         """All links, in insertion order."""
-        return list(self._links.values())
+        return [self._view(key) for key in self._delay]
 
     def __contains__(self, node: Node) -> bool:
         return node in self._nodes
@@ -139,7 +146,7 @@ class Network:
 
     def has_link(self, src: Node, dst: Node) -> bool:
         """Whether the directed link ``src -> dst`` exists."""
-        return (src, dst) in self._links
+        return (src, dst) in self._delay
 
     def link(self, src: Node, dst: Node) -> Link:
         """The link ``src -> dst``.
@@ -147,60 +154,76 @@ class Network:
         Raises:
             KeyError: if the link does not exist.
         """
-        try:
-            return self._links[(src, dst)]
-        except KeyError:
-            raise KeyError(f"no link {src!r} -> {dst!r}") from None
+        if (src, dst) not in self._delay:
+            raise KeyError(f"no link {src!r} -> {dst!r}")
+        return self._view((src, dst))
 
     def get_link(self, src: Node, dst: Node) -> Optional[Link]:
         """The link ``src -> dst`` or ``None``."""
-        return self._links.get((src, dst))
+        return self._view((src, dst)) if (src, dst) in self._delay else None
 
     def capacity(self, src: Node, dst: Node) -> float:
         """Capacity ``C_{src,dst}``; raises ``KeyError`` if absent."""
-        return self.link(src, dst).capacity
+        try:
+            return self._capacity[(src, dst)]
+        except KeyError:
+            raise KeyError(f"no link {src!r} -> {dst!r}") from None
 
     def delay(self, src: Node, dst: Node) -> int:
         """Delay ``sigma_{src,dst}``; raises ``KeyError`` if absent."""
-        return self.link(src, dst).delay
+        try:
+            return self._delay[(src, dst)]
+        except KeyError:
+            raise KeyError(f"no link {src!r} -> {dst!r}") from None
 
     def delay_map(self) -> Dict[Tuple[Node, Node], int]:
         """Flat ``(src, dst) -> delay`` dict for hot-path lookups.
 
-        Rebuilt lazily whenever links were added since the last call;
-        callers must not mutate the returned dict.
+        The network's own store, in link insertion order (the order of
+        :attr:`links` and of :meth:`capacity_map`); callers must not mutate
+        it.
         """
-        cached = self._delay_map
-        if cached is None or len(cached) != len(self._links):
-            cached = {key: link.delay for key, link in self._links.items()}
-            self._delay_map = cached
-        return cached
+        return self._delay
 
     def capacity_map(self) -> Dict[Tuple[Node, Node], float]:
         """Flat ``(src, dst) -> capacity`` dict (see :meth:`delay_map`)."""
-        cached = self._capacity_map
-        if cached is None or len(cached) != len(self._links):
-            cached = {key: link.capacity for key, link in self._links.items()}
-            self._capacity_map = cached
-        return cached
+        return self._capacity
 
     def successors(self, node: Node) -> List[Node]:
-        """Heads of out-links of ``node``."""
-        return list(self._out.get(node, ()))
+        """Heads of out-links of ``node``, in link insertion order."""
+        return list(self._adjacent()[0].get(node, ()))
 
     def predecessors(self, node: Node) -> List[Node]:
-        """Tails of in-links of ``node``."""
-        return list(self._in.get(node, ()))
+        """Tails of in-links of ``node``, in link insertion order."""
+        return list(self._adjacent()[1].get(node, ()))
 
     def out_links(self, node: Node) -> Iterator[Link]:
         """Iterate over the out-links of ``node``."""
-        for dst in self._out.get(node, ()):
-            yield self._links[(node, dst)]
+        for dst in self.successors(node):
+            yield self._view((node, dst))
 
     def in_links(self, node: Node) -> Iterator[Link]:
         """Iterate over the in-links of ``node``."""
-        for src in self._in.get(node, ()):
-            yield self._links[(src, node)]
+        for src in self.predecessors(node):
+            yield self._view((src, node))
+
+    def _adjacent(self) -> Tuple[Dict[Node, List[Node]], Dict[Node, List[Node]]]:
+        if self._adjacency is None:
+            heads: Dict[Node, List[Node]] = {}
+            tails: Dict[Node, List[Node]] = {}
+            for src, dst in self._delay:
+                heads.setdefault(src, []).append(dst)
+                tails.setdefault(dst, []).append(src)
+            self._adjacency = (heads, tails)
+        return self._adjacency
+
+    def _view(self, key: Tuple[Node, Node]) -> Link:
+        """The :class:`Link` of an existing ``key``, built on first request."""
+        view = self._views.get(key)
+        if view is None:
+            view = Link(*key, capacity=self._capacity[key], delay=self._delay[key])
+            self._views[key] = view
+        return view
 
     # ------------------------------------------------------------------
     # misc
@@ -208,14 +231,13 @@ class Network:
     def copy(self) -> "Network":
         """A structural copy sharing no mutable state."""
         clone = Network()
-        for node in self._nodes:
-            clone.add_switch(node)
-        for link in self._links.values():
-            clone.add_link(link.src, link.dst, capacity=link.capacity, delay=link.delay)
+        clone._nodes = dict(self._nodes)
+        clone._delay = dict(self._delay)
+        clone._capacity = dict(self._capacity)
         return clone
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"Network(switches={len(self._nodes)}, links={len(self._links)})"
+        return f"Network(switches={len(self._nodes)}, links={len(self._delay)})"
 
 
 def network_from_links(links: Iterable[Tuple[Node, Node]], capacity: float = DEFAULT_CAPACITY, delay: int = DEFAULT_DELAY) -> Network:

@@ -6,6 +6,8 @@ of link delays along a path, which :func:`path_delay` computes.
 
 from __future__ import annotations
 
+from itertools import accumulate
+from operator import eq
 from typing import Iterator, List, Sequence, Tuple
 
 from repro.network.graph import Network, Node
@@ -23,16 +25,15 @@ def as_path(nodes: Sequence[Node]) -> Path:
     path = tuple(nodes)
     if len(path) < 2:
         raise ValueError(f"a path needs at least two nodes, got {path!r}")
-    for a, b in zip(path, path[1:]):
-        if a == b:
-            raise ValueError(f"path repeats node {a!r} consecutively")
+    if any(map(eq, path, path[1:])):
+        repeated = next(a for a, b in zip(path, path[1:]) if a == b)
+        raise ValueError(f"path repeats node {repeated!r} consecutively")
     return path
 
 
 def path_links(path: Sequence[Node]) -> Iterator[Tuple[Node, Node]]:
     """Iterate over the ``(src, dst)`` link pairs of ``path``."""
-    for a, b in zip(path, path[1:]):
-        yield (a, b)
+    return zip(path, path[1:])
 
 
 def is_simple(path: Sequence[Node]) -> bool:
@@ -55,7 +56,7 @@ def validate_path(network: Network, path: Sequence[Node]) -> None:
 
 def path_delay(network: Network, path: Sequence[Node]) -> int:
     """``phi(p)``: the total transmission delay along ``path``."""
-    return sum(network.delay(src, dst) for src, dst in path_links(path))
+    return sum(map(network.delay_map().__getitem__, path_links(path)))
 
 
 def arrival_offsets(network: Network, path: Sequence[Node]) -> List[int]:
@@ -65,10 +66,7 @@ def arrival_offsets(network: Network, path: Sequence[Node]) -> List[int]:
     at which a unit of flow departs ``path[i]`` (zero processing delay at
     switches, per the paper's dynamic-flow model).
     """
-    offsets = [0]
-    for src, dst in path_links(path):
-        offsets.append(offsets[-1] + network.delay(src, dst))
-    return offsets
+    return list(accumulate(map(network.delay_map().__getitem__, path_links(path)), initial=0))
 
 
 def follow_config(config, source: Node, destination: Node, max_hops: int) -> Tuple[Path, bool]:

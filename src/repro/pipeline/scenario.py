@@ -15,8 +15,8 @@ A :class:`Scenario` is the whole of one experiment, stated declaratively:
 
 Scenarios register themselves at import time (each experiment module
 calls :func:`register` on its own scenario); the registry is therefore
-populated by importing :mod:`repro.experiments`, which
-:func:`get_scenario` does lazily.  Lookup is by **exact** name -- a typo
+populated by importing the experiment modules, which the first
+:func:`get_scenario` does.  Lookup is by **exact** name -- a typo
 raises :class:`UnknownScenarioError` listing every valid name rather
 than silently fuzzy-matching several experiments.
 """
@@ -107,6 +107,7 @@ class Scenario:
 
 
 _REGISTRY: Dict[str, Scenario] = {}
+_LOADED = False
 
 
 def register(scenario: Scenario) -> Scenario:
@@ -116,8 +117,13 @@ def register(scenario: Scenario) -> Scenario:
 
 
 def _ensure_loaded() -> None:
-    """Populate the registry by importing the experiment modules."""
-    import repro.experiments  # noqa: F401  (registration side effect)
+    """Populate the registry by importing the experiment modules, once."""
+    global _LOADED
+    if not _LOADED:
+        from repro.experiments import load_all
+
+        load_all()
+        _LOADED = True
 
 
 def scenario_names() -> List[str]:

@@ -6,6 +6,10 @@ solve the LP relaxation; if some integer variable is fractional, branch into
 cannot beat the incumbent.  Depth-first with best-bound child ordering keeps
 memory flat, and a wall-clock budget turns the solver into an anytime one
 (needed to reproduce the paper's Fig. 10 cutoffs).
+
+scipy is imported by :func:`solve_ilp` itself, on first use: nothing else
+in the package needs it, so ``import repro`` does not pay its import time
+and memory.
 """
 
 from __future__ import annotations
@@ -16,7 +20,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
-from scipy.optimize import linprog
 
 from repro.solver.ilp import ILPModel
 
@@ -63,6 +66,8 @@ def solve_ilp(
         time_budget: Wall-clock seconds; ``None`` = unlimited.
         node_budget: Maximum explored nodes; ``None`` = unlimited.
     """
+    from scipy.optimize import linprog
+
     started = time.monotonic()
     c, a_ub, b_ub, a_eq, b_eq, base_bounds, order = model.to_standard_form()
     integer_index = [

@@ -46,12 +46,10 @@ def augmented_instance(instance: UpdateInstance, epsilon: float) -> UpdateInstan
     network = Network()
     for node in instance.network.switches:
         network.add_switch(node)
-    for link in instance.network.links:
+    capacities = instance.network.capacity_map()
+    for (src, dst), delay in instance.network.delay_map().items():
         network.add_link(
-            link.src,
-            link.dst,
-            capacity=link.capacity * (1.0 + epsilon),
-            delay=link.delay,
+            src, dst, capacity=capacities[(src, dst)] * (1.0 + epsilon), delay=delay
         )
     return UpdateInstance(
         network=network,
