@@ -100,20 +100,9 @@ def optimal_schedule(
             Unlike ``time_budget`` this is *deterministic*: the same
             instance gives the same result on any machine or under any
             load, which is what parallel sweeps need for byte-identical
-            records.  Exhaustion returns the incumbent with
-            ``proven=False``, exactly like a timeout.  Known defect:
-            the budget is checked on entry to each time step's DFS
-            node, while the probe-chain states committed during subset
-            expansion count as explored without a check -- and one
-            expansion commits up to ``2 ** max_branch_width`` of them,
-            under every DFS node still on the stack.  ``explored``
-            therefore overshoots by whole subset expansions, not by one
-            probe chain: ``mixed_instance(12, 0)`` under a budget of 60
-            reports 641.  Today it is a stopping rule, not an upper
-            bound on ``explored``; ROADMAP's "Break the planners on
-            purpose" item makes it one, and
-            ``tests/test_search_engines.py::test_explored_respects_the_node_budget``
-            (a strict xfail) pins the defect until then.
+            records.  It is checked before every counted state, so
+            ``explored <= node_budget`` always holds; exhaustion returns
+            the incumbent with ``proven=False``, exactly like a timeout.
         incumbent: The result of ``greedy_schedule(instance, t0=t0)`` when
             the caller already has it (a sweep item whose Chronus plan is
             that very run); the search seeds from it instead of running
