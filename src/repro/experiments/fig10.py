@@ -5,7 +5,10 @@ blow past the 600-second cutoff beyond 4K (orders of magnitude slower),
 while Chronus stays below 600 s even at 6K.  The *shape* -- Chronus
 polynomial, OR/OPT exponential-with-cutoff -- is what matters; both the
 sizes and the cutoff scale down proportionally here so the harness runs in
-minutes (pass the paper's values to reproduce the original axes).
+minutes (pass the paper's values to reproduce the original axes).  On
+these local reroutes OPT's loop-freedom bound usually proves Chronus'
+schedule optimal at the root, so here only OR keeps the cutoff
+(EXPERIMENTS.md, faithfulness note 5).
 
 Pipeline scenarios ``fig10`` (all three schedulers) and ``fig10-greedy``
 (Chronus alone at the paper's 1K-6K sizes): one record per (size, run)
@@ -105,8 +108,8 @@ class Fig10Result:
 
 def _segments_for(count: int) -> int:
     """Rerouted regions grow with the fabric: one detour on small networks,
-    several on large ones (keeps the exact solvers' completing-then-cutoff
-    shape of the paper's figure)."""
+    several on large ones (keeps OR's completing-then-cutoff shape of the
+    paper's figure)."""
     return max(1, min(6, count // 250))
 
 

@@ -19,6 +19,9 @@ the parent's planner path reported the relaxed greedy's claim, the
 protocol path the claim re-judged on the true capacities.  The single
 path answers what the protocol path did; the sweep records cannot tell
 (``congestion_free = metrics and feasible``) and are pinned unchanged.
+
+Documents re-pinned since are listed, with what they were and why, in the
+fixture's ``moved`` block (``test_moved_documents_differ_by_their_cause``).
 """
 
 import hashlib
@@ -92,6 +95,30 @@ def test_goldens_cover_every_registered_scheme(goldens):
     assert len(goldens["entries"]) == 102
     for entry in goldens["entries"]:
         assert set(entry["protocol"]) == set(SCHEMES) | {"aug@1"}
+
+
+def test_moved_documents_differ_by_their_cause(goldens):
+    """A re-pinned document is the frozen one with only what its cause moves.
+
+    Cause ``bound``: OPT's loop-freedom bound proves the schedule it had, so
+    the budget note goes and the rest of the document -- schedule, rounds,
+    rules, claim -- hashes back to the frozen bytes with the old note.
+    """
+    moved = goldens["moved"]
+    by_id = {entry["id"]: entry for entry in goldens["entries"]}
+    assert moved["entries"]
+    for key, change in moved["entries"].items():
+        entry_id, _, label = key.rpartition("/")
+        assert change["cause"] in moved["causes"], key
+        pinned = by_id[entry_id]["protocol"][label]
+        frozen_notes = change["frozen"]["notes"]
+        assert (frozen_notes, pinned["document"]["notes"]) == (
+            "optimality not proven (budget)",
+            "",
+        ), key
+        frozen = dict(pinned["document"], notes=frozen_notes)
+        assert _sha(json.dumps(frozen, indent=2, sort_keys=True)) == change["frozen"]["sha256"]
+        assert pinned["sha256"] != change["frozen"]["sha256"], key
 
 
 @pytest.mark.parametrize("label", SCHEMES + ("aug@1",))
