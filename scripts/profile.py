@@ -16,8 +16,9 @@ by the fallback because the answer was known).
 
 ``search`` runs OPT on ``mixed_instance(size, sweep_seed(seed, size, i))``
 -- the ``sweep-paper`` shape -- under a node budget and reads off the tape
-the nodes explored, the include edges kept and pruned, the clones paid and
-the search's microseconds per node, so a search change is sized from here.
+the nodes explored, the proven share, the nodes the loop-freedom bound
+pruned, the include edges kept and pruned, the clones paid and the search's
+microseconds per node, so a search change is sized from here.
 
 ``service`` runs one seeded cell of the update service shaped like the repo
 benchmark's ``service-burst`` workload the same way and reads the DES event
@@ -31,8 +32,8 @@ through the registered ``sweep`` scenario's own evaluate stage into a
 temporary artifact store and reads one item's life off the tape: build,
 plan / measure / verify per scheme, store, and what is left, summing to the
 ``item:<key>`` spans' wall clock -- with the three reuse counters of the
-item-scoped sharing (DESIGN.md 15.1), so a sweep-path change is sized from
-here.
+item-scoped sharing (DESIGN.md 15.1) and OPT's proven share and bound
+prunes, so a sweep-path change is sized from here.
 
 ``cold`` is what a fresh process and a fresh instance pay before the warm
 numbers above apply: ``import repro`` in a new interpreter (wall time, repro
@@ -226,8 +227,14 @@ def _profile_item(size: int, seed: int, items: int, as_json: bool) -> int:
     phases = _item_phases(session.tape)
     counters = aggregate(session.tape)["counters"]
     reuse = {name: counters.get(name, 0) for name in REUSE_COUNTERS}
+    searches = [r for r in session.tape if r.kind == "span" and r.name == "opt.search"]
     if as_json:
-        emit_json({**phases, "items": items, "counters": reuse})
+        opt = {
+            "searches": len(searches),
+            "proven": sum(bool(r.attributes["proven"]) for r in searches),
+            "bound_pruned": counters.get("search.bound.pruned", 0),
+        }
+        emit_json({**phases, "items": items, "counters": reuse, "opt": opt})
         return 0
     wall = phases.pop("wall")
     schemes = list(params["schemes"])
@@ -250,7 +257,17 @@ def _profile_item(size: int, seed: int, items: int, as_json: bool) -> int:
         f"judged {reuse['sweep.judged.fresh']} fresh + "
         f"{reuse['sweep.judged.reused']} reused"
     )
+    print(
+        f"  opt: {_proven_line(searches)}, "
+        f"{counters.get('search.bound.pruned', 0)} nodes pruned by the loop-freedom bound"
+    )
     return 0
+
+
+def _proven_line(searches) -> str:
+    """``proven k/n (share)`` over the ``opt.search`` records of a tape."""
+    proven = sum(bool(record.attributes["proven"]) for record in searches)
+    return f"proven {proven}/{len(searches)} ({proven / max(len(searches), 1):.2f})"
 
 
 def _profile_search(size: int, seed: int, instances: int, nodes: int, as_json: bool) -> int:
@@ -272,11 +289,11 @@ def _profile_search(size: int, seed: int, instances: int, nodes: int, as_json: b
     seconds = profile["spans"]["opt.search"]["seconds"]
     print(
         f"opt.search[{size}] x{instances} (seed {seed}, node budget {nodes}): "
-        f"{seconds:.4f}s  nodes {explored}  proven "
-        f"{sum(bool(r.attributes['proven']) for r in searches)}/{instances}"
+        f"{seconds:.4f}s  nodes {explored}  {_proven_line(searches)}"
     )
     print(
-        f"  includes kept {counters.get('search.include.kept', 0)}  "
+        f"  bound pruned {counters.get('search.bound.pruned', 0)}  "
+        f"includes kept {counters.get('search.include.kept', 0)}  "
         f"pruned {counters.get('search.include.pruned', 0)}  "
         f"clones {counters.get('search.clones', 0)}  "
         f"sweeps {counters.get('tracker.sweeps', 0)}"

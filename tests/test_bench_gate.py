@@ -142,6 +142,14 @@ class TestOptRegressionGate:
         history = [opt_record(2000.0, engine="reference")]
         assert bench.opt_regression(opt_record(100.0, engine="array"), history) is None
 
+    def test_bounded_search_nodes_not_comparable(self):
+        # The loop-freedom bound changed what an OPT node is: the harness
+        # labels its row apart from the unbounded search's "array" records.
+        engine = bench.perf_harness.OPT_ENGINE
+        assert engine != "array"
+        history = [opt_record(3000.0, engine="array")]
+        assert bench.opt_regression(opt_record(100.0, engine=engine), history) is None
+
     def test_legacy_records_count_as_reference(self):
         history = [opt_record(172.0, omit_engine=True)]
         message = bench.opt_regression(opt_record(100.0, engine="reference"), history)
