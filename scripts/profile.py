@@ -20,11 +20,17 @@ the nodes explored, the proven share, the nodes the loop-freedom bound
 pruned, the include edges kept and pruned, the clones paid and the search's
 microseconds per node, so a search change is sized from here.
 
-``service`` runs one seeded cell of the update service shaped like the repo
-benchmark's ``service-burst`` workload the same way and reads the DES event
-count, the cost per event and the wall clock split by layer (plan / verify
-/ dispatch / DES / admission / build) off the tape, so an execute-path
-change is sized from here rather than from an ad-hoc wrapper.
+``service`` runs ``--cells`` consecutive cells of the update service shaped
+like the repo benchmark's ``service-burst`` workload, in one process and
+seeded as the bench seeds that workload's cells (``--seed 42 --cells 7`` are
+its cells at seed 42), the same way and reads one intent's life off the
+tape: the DES event count and cost per event, the garbage collector's
+collections and seconds per generation (``gc.callbacks``), the mean verify
+window (``check_end - check_start``) and the wall clock split by layer
+(plan / verify / dispatch / DES / admission / build / gc / loop+rest, which
+sum to it; a collection is charged to ``gc``, not to the layer it
+interrupted), so an execute-path change is sized from here rather than from
+an ad-hoc wrapper.
 
 ``item`` runs sweep items shaped like the repo benchmark's ``sweep-paper``
 workload (five schemes, node budgets 60/60, ``aug_epsilon=1``, verified)
@@ -52,6 +58,7 @@ Usage::
     python scripts/profile.py search --size 12 --nodes 300 --repeat 50
     python scripts/profile.py service          # one burst-shaped cell, seed 7
     python scripts/profile.py service --seed 301 --repeat 9
+    python scripts/profile.py service --seed 42 --cells 7 --repeat 3   # the bench's cells
     python scripts/profile.py item             # 5 items, 9 switches, seed 7
     python scripts/profile.py item --size 12 --seed 101 --repeat 50
     python scripts/profile.py cold             # 10000 switches, median of 5
@@ -64,6 +71,7 @@ RSS is reported next to the wall-clock breakdown.
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import statistics
@@ -82,6 +90,7 @@ from repro.core.instance import segmented_instance  # noqa: E402
 from repro.perf import measure_peak_rss  # noqa: E402
 from repro.pipeline.cli import emit_json, script_parser  # noqa: E402
 from repro.trace import TraceSession, aggregate, render_report  # noqa: E402
+from repro.trace.recorder import _CURRENT  # noqa: E402  (gc attribution, service mode)
 
 
 def _stage(size: int, seed: int, segments: int) -> None:
@@ -102,57 +111,148 @@ SERVICE_LAYERS = {
     "admission": ("service.admission.offer", "service.admission.release"),
     "build": ("service.build",),
 }
+_LAYER_OF = {name: layer for layer, names in SERVICE_LAYERS.items() for name in names}
 
 
-def _service_pass(seed: int) -> dict:
-    """Run one burst-shaped cell in a session and read each layer off its tape.
+def _open_layer():
+    """The layer whose span or timer is open where the running code is, if any.
+
+    Reads the recorder's current frame: a span is named by ``name``, a
+    timer by its dotted ``path`` (a span's ``path`` is empty).
+    """
+    frame = _CURRENT.get()
+    while frame is not None:
+        layer = _LAYER_OF.get(frame.path or frame.name)
+        if layer is not None and not frame.closed:
+            return layer
+        frame = frame.enclosing
+    return None
+
+
+class _GcClock:
+    """A ``gc.callbacks`` hook: collections and seconds per generation, each
+    pause also charged to the layer it interrupted (see :func:`_open_layer`)."""
+
+    def __init__(self) -> None:
+        self.collections = [0, 0, 0]
+        self.seconds = [0.0, 0.0, 0.0]
+        self.in_layer = dict.fromkeys(SERVICE_LAYERS, 0.0)
+        self._layer = None
+        self._started = 0.0
+
+    def __call__(self, phase: str, info: dict) -> None:
+        if phase == "start":
+            self._layer = _open_layer()
+            self._started = time.perf_counter()
+            return
+        seconds = time.perf_counter() - self._started
+        self.collections[info["generation"]] += 1
+        self.seconds[info["generation"]] += seconds
+        if self._layer is not None:
+            self.in_layer[self._layer] += seconds
+
+
+def _service_pass(seed: int, cells: int) -> dict:
+    """Run ``cells`` burst-shaped cells in one session, seeded as the bench
+    seeds them, and read each layer off the tape.
 
     None of the layers' timers runs inside another, so each total is that
-    layer's own time.
+    layer's own time; a collection is a layer of its own (``gc``) and is
+    taken out of the layer it interrupted, so the layers, ``gc`` and the
+    rest sum to the wall time.  Every verdict's window is kept on the way.
     """
+    from repro.experiments.sweep import sweep_seed
     from repro.service.service import ServiceConfig, run_cell
+    from repro.updates.registry import get_planner
 
-    config = ServiceConfig(seed=seed, **BURST_CELL)
-    with TraceSession(scenario="profile", run_id=f"service-{seed}") as session:
-        started = time.perf_counter()
-        report = run_cell(config)
-        wall = time.perf_counter() - started
-    totals = {
+    configs = [
+        ServiceConfig(seed=sweep_seed(seed, BURST_CELL["pods"], index), **BURST_CELL)
+        for index in range(cells)
+    ]
+    planner = get_planner(configs[0].scheme)
+    verify = planner.verify
+    windows = []
+
+    def judged(instance, schedule, **options):
+        verdict = verify(instance, schedule, **options)
+        windows.append(verdict.check_end - verdict.check_start)
+        return verdict
+
+    clock = _GcClock()
+    planner.verify = judged  # shadows the method on this planner object only
+    gc.callbacks.append(clock)
+    try:
+        with TraceSession(scenario="profile", run_id=f"service-{seed}") as session:
+            started = time.perf_counter()
+            reports = [run_cell(config) for config in configs]
+            wall = time.perf_counter() - started
+    finally:
+        gc.callbacks.remove(clock)
+        del planner.verify
+    layers = {
         layer: sum(
             record.duration_ms
             for record in session.tape
             if record.kind == "span" and record.name in names
         )
         / 1000.0
+        - clock.in_layer[layer]
         for layer, names in SERVICE_LAYERS.items()
     }
+    gc_seconds = sum(clock.seconds)
     return {
         "wall_s": wall,
+        "cells": cells,
         "events": aggregate(session.tape)["counters"]["simulator.engine.events"],
-        "layers_s": totals,
-        "summary": report.summary,
+        "layers_s": layers,
+        "gc": {
+            "seconds": gc_seconds,
+            "seconds_by_generation": clock.seconds,
+            "collections_by_generation": clock.collections,
+        },
+        "rest_s": wall - sum(layers.values()) - gc_seconds,
+        "verifies": len(windows),
+        "verify_window_mean": statistics.fmean(windows) if windows else None,
+        "summaries": [report.summary for report in reports],
     }
 
 
-def _profile_service(seed: int, repeat: int, as_json: bool) -> int:
-    best = min((_service_pass(seed) for _ in range(repeat)), key=lambda p: p["wall_s"])
+def _profile_service(seed: int, cells: int, repeat: int, as_json: bool) -> int:
+    best = min(
+        (_service_pass(seed, cells) for _ in range(repeat)), key=lambda p: p["wall_s"]
+    )
     if as_json:
         emit_json(best)
         return 0
     wall, events, layers = best["wall_s"], best["events"], best["layers_s"]
-    summary = best["summary"]
+    total = {
+        key: sum(summary[key] for summary in best["summaries"])
+        for key in ("completed", "superseded", "batches")
+    }
     print(
-        f"service cell (burst shape, seed {seed}, best of {repeat}): {wall:.4f}s "
-        f"completed={summary['completed']} superseded={summary['superseded']} "
-        f"batches={summary['batches']}"
+        f"service x{cells} cell(s) (burst shape, seed {seed}, best of {repeat}): "
+        f"{wall:.4f}s completed={total['completed']} superseded={total['superseded']} "
+        f"batches={total['batches']}"
     )
     print(
         f"  DES events {events}   {1e6 * layers['des'] / max(events, 1):.2f} us/event"
     )
-    for layer in SERVICE_LAYERS:
-        print(f"  {layer:<10} {layers[layer]:.4f}s  {layers[layer] / wall:6.1%}")
-    rest = wall - sum(layers.values())
-    print(f"  {'loop+rest':<10} {rest:.4f}s  {rest / wall:6.1%}")
+    collected = best["gc"]
+    print(
+        "  gc collections by generation "
+        + " / ".join(map(str, collected["collections_by_generation"]))
+        + "   seconds "
+        + " / ".join(f"{s:.4f}" for s in collected["seconds_by_generation"])
+    )
+    if best["verifies"]:
+        print(
+            f"  verify window {best['verify_window_mean']:.1f} steps on average "
+            f"over {best['verifies']} verdicts"
+        )
+    rows = dict(layers, gc=collected["seconds"])
+    rows["loop+rest"] = best["rest_s"]
+    for layer, seconds in rows.items():
+        print(f"  {layer:<10} {seconds:.4f}s  {seconds / wall:6.1%}")
     return 0
 
 
@@ -428,6 +528,13 @@ def main(argv=None) -> int:
         "--nodes", type=int, default=60, help="search mode: OPT node budget (default 60)"
     )
     parser.add_argument(
+        "--cells",
+        type=int,
+        default=1,
+        help="service mode: consecutive cells per pass in one process, seeded "
+        "as the bench seeds a workload's cells (default 1)",
+    )
+    parser.add_argument(
         "--json", action="store_true", help="print the raw snapshot as JSON"
     )
     parser.add_argument(
@@ -440,7 +547,7 @@ def main(argv=None) -> int:
         seed = 7 if args.seed is None else args.seed
         repeat = max(1, args.repeat)
         if args.mode == "service":
-            return _profile_service(seed, repeat, args.json)
+            return _profile_service(seed, max(1, args.cells), repeat, args.json)
         if args.mode == "item":
             return _profile_item(args.size or 9, seed, repeat, args.json)
         if args.mode == "cold":

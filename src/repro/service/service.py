@@ -251,9 +251,16 @@ class UpdateService:
         return {link: ((None, None, load),) for link, load in sorted(loads.items())}
 
     def _instance_for(self, pod: PodSpec, target: str) -> UpdateInstance:
-        """Rebase the intent on the tenant's live rules."""
+        """Rebase the intent on the tenant's live rules, on its pod's network.
+
+        Every live rule routes over a footprint link (the instance refuses
+        one that does not, naming it), so every trajectory is a walk in the
+        footprint: planning and verifying there gives the shared network's
+        answers, and the verifier's ``(|V| + 1) * max_delay`` window shrinks
+        to the pod's size (DESIGN.md 14.4).
+        """
         return UpdateInstance(
-            network=self.workload.network,
+            network=pod.network,
             flow=Flow(
                 name=pod.name,
                 source=pod.source,
@@ -504,7 +511,13 @@ class UpdateService:
 
         # Drain in-flight data-plane traffic past the last control event.
         self._run_plane(until=self._sim.now + 5.0 * config.time_unit)
-        return self._report()
+        report = self._report()
+        # Release the cell's world: unfired events (cancelled deadline
+        # timers, deliveries past the drain) and the plane's wiring are the
+        # two reference cycles through every switch, link and agent.
+        self._sim.release()
+        self._plane.release()
+        return report
 
     def _report(self) -> CellReport:
         states = [self._states[rid] for rid in sorted(self._states)]

@@ -15,12 +15,17 @@ link -- the case the admission controller and batch merging exist for.
 
 Node names are namespaced (``p3s5``), so destination-prefix rule
 matching on the shared data plane can never alias across tenants.
+
+Each pod also carries its *footprint network*: the switches and links of
+``path_a`` and ``path_b`` with the shared network's capacities and delays.
+Every rule a tenant ever holds routes over one of those links, so an
+intent is planned and verified on that network alone (DESIGN.md 14.4).
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Dict, FrozenSet, List, Sequence, Tuple
 
@@ -32,7 +37,12 @@ LinkKey = Tuple[str, str]
 
 @dataclass(frozen=True)
 class PodSpec:
-    """One tenant: its two paths and the links any update can touch."""
+    """One tenant: its two paths and the links any update can touch.
+
+    ``network`` is the footprint as a :class:`Network` of its own (the
+    shared network's capacities and delays), the one the tenant's intents
+    are planned and verified on.
+    """
 
     name: str
     source: str
@@ -41,6 +51,7 @@ class PodSpec:
     path_b: Tuple[str, ...]
     demand: float
     footprint: FrozenSet[LinkKey]
+    network: Network = field(compare=False, repr=False)
 
     def path(self, target: str) -> Tuple[str, ...]:
         if target == "a":
@@ -142,6 +153,14 @@ def build_workload(
                 network.add_link(src, dst, capacity=capacity, delay=delay)
 
         footprint = frozenset(_links_of(chain)) | frozenset(_links_of(path_b))
+        pod_network = Network()
+        for src, dst in _links_of(chain) + _links_of(path_b):
+            if not pod_network.has_link(src, dst):
+                pod_network.add_link(
+                    src, dst,
+                    capacity=network.capacity(src, dst),
+                    delay=network.delay(src, dst),
+                )
         pod_specs.append(
             PodSpec(
                 name=f"p{index}",
@@ -151,6 +170,7 @@ def build_workload(
                 path_b=path_b,
                 demand=demand,
                 footprint=footprint,
+                network=pod_network,
             )
         )
 

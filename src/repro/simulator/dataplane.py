@@ -68,6 +68,18 @@ class DataPlane:
         """Megabits black-holed across the plane since the simulation began."""
         return sum(sw.dropped_volume() for sw in self.switches.values())
 
+    def release(self) -> None:
+        """Unwire every switch from its out-links once no traffic will move.
+
+        Switch -> out-link -> head switch references follow the topology,
+        so a topology with a directed cycle is a reference cycle; cutting
+        the switch side lets a finished plane go by reference counting.
+        What was measured stays readable (timelines, byte counters,
+        volumes); the plane cannot carry traffic again.
+        """
+        for switch in self.switches.values():
+            switch.detach_links()
+
 
 def build_dataplane(
     sim: Simulator,

@@ -48,6 +48,15 @@ class Simulator:
         """Cancel a previously scheduled event."""
         self._queue.cancel(handle)
 
+    def release(self) -> None:
+        """Drop every unfired event, cancelled or not, once nothing will run.
+
+        A pending callback holds whatever scheduled it (a link, a switch,
+        an executor's timer), and each of those holds the simulator back:
+        dropping the queue lets a finished world go by reference counting.
+        """
+        self._queue.heap.clear()
+
     def run(self, until: Optional[float] = None, max_events: int = 10_000_000) -> int:
         """Process events until the queue drains or ``until`` is reached.
 

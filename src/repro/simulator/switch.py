@@ -68,6 +68,11 @@ class DataSwitch:
         self._out_links[port] = link
         self._forwarded_version = None  # a dropped stream may now have a way out
 
+    def detach_links(self) -> None:
+        """Disconnect every output port (see
+        :meth:`repro.simulator.dataplane.DataPlane.release`)."""
+        self._out_links.clear()
+
     @property
     def ports(self) -> List[int]:
         return sorted(self._out_links)

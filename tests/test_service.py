@@ -10,6 +10,8 @@ into one planning call with earlier intents superseded.
 """
 
 import asyncio
+import dataclasses
+import gc
 import hashlib
 import json
 import random
@@ -18,7 +20,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.controller.controller import ManagedSwitch
+from repro.core.instance import UpdateInstance, config_from_path
 from repro.experiments.sweep import sweep_seed
+from repro.network.flows import Flow
 from repro.pipeline.store import canonical_json
 from repro.service import (
     AdmissionController,
@@ -30,7 +35,11 @@ from repro.service import (
 from repro.service.requests import TERMINAL
 from repro.service.service import UpdateService
 from repro.service.workload import _links_of
+from repro.simulator.engine import Simulator
+from repro.simulator.link import DataLink
+from repro.simulator.switch import DataSwitch
 from repro.updates.registry import ROUNDS, TIMED, get_planner
+from repro.validate import verify_schedule
 
 SMALL = ServiceConfig(pods=4, pod_size=6, requests=24, mean_interarrival=1.5, seed=11)
 
@@ -102,6 +111,19 @@ class TestWorkload:
         for i, pod in enumerate(workload.pods):
             for other in workload.pods[i + 1:]:
                 assert not pod.footprint & other.footprint
+
+    @pytest.mark.parametrize("share_links", [True, False])
+    def test_pod_network_is_the_footprint(self, share_links):
+        workload = build_workload(5, 7, 10, 2.0, seed=3, capacity=3.0, delay=2,
+                                  share_links=share_links)
+        shared = workload.network
+        for pod in workload.pods:
+            network = pod.network
+            assert set(network.delay_map()) == pod.footprint
+            assert set(network.switches) == set(pod.path_a) | set(pod.path_b)
+            for src, dst in pod.footprint:
+                assert network.capacity(src, dst) == shared.capacity(src, dst)
+                assert network.delay(src, dst) == shared.delay(src, dst)
 
     def test_pod_by_name_is_built_once(self):
         workload = build_workload(4, 6, 10, 2.0, seed=3)
@@ -324,6 +346,142 @@ class TestBackgroundIndex:
                 got = service._background_for(pod)
                 assert got == expected
                 assert got is None or list(got) == list(expected)
+
+
+def _workload_of(config):
+    return build_workload(
+        config.pods, config.pod_size, config.requests, config.mean_interarrival,
+        seed=config.seed, demand=config.demand, capacity=config.capacity,
+        delay=config.delay, share_links=config.share_links,
+    )
+
+
+class TestPodNetworks:
+    """An intent planned and verified on its pod's footprint network gets the
+    answers the whole shared network gives.  The shared-network instance is
+    built here only, as the oracle: the service has no such path."""
+
+    @staticmethod
+    def assert_same_answers(instance, shared, background):
+        planner = get_planner("chronus")
+        plan = planner.plan(instance, background=background)
+        expected = planner.plan(shared, background=background)
+        assert list(plan.schedule.times.items()) == list(expected.schedule.times.items())
+        assert plan.feasible == expected.feasible
+        verdict = verify_schedule(instance, plan.schedule, background=background)
+        reference = verify_schedule(shared, expected.schedule, background=background)
+        for flag in ("ok", "loop_free", "drop_free", "congestion_free"):
+            assert getattr(verdict, flag) == getattr(reference, flag), flag
+        # Only the settle past the last update differs: it is the pod's.
+        assert verdict.check_end - plan.schedule.last_time <= (
+            reference.check_end - expected.schedule.last_time
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        pods=st.integers(2, 5),
+        pod_size=st.integers(4, 8),
+        seed=st.integers(0, 2**16),
+        capacity=st.sampled_from([1.0, 1.5, 2.0]),
+        share_links=st.booleans(),
+        data=st.data(),
+    )
+    def test_live_states_plan_and_verify_alike(
+        self, pods, pod_size, seed, capacity, share_links, data
+    ):
+        """Live states drawn the way the service reaches them: each tenant's
+        rules are ``path_a``'s overlaid by its completed moves, stale
+        off-path rules included.  Capacities under ``2 * demand`` make some
+        intents infeasible, so refusals and violating verdicts are drawn too."""
+        config = ServiceConfig(
+            pods=pods, pod_size=pod_size, requests=1, seed=seed,
+            capacity=capacity, share_links=share_links,
+        )
+        workload = _workload_of(config)
+        service = UpdateService(workload, config)
+        for pod in workload.pods:
+            moves = data.draw(st.lists(st.sampled_from("ab"), max_size=3))
+            for move in moves:
+                service._rules[pod.name].update(config_from_path(pod.path(move)))
+            service._current[pod.name] = moves[-1] if moves else "a"
+        pod = data.draw(st.sampled_from(workload.pods))
+        target = "b" if service._current[pod.name] == "a" else "a"  # not a noop
+        instance = service._instance_for(pod, target)
+        assert instance.network is pod.network
+        shared = dataclasses.replace(instance, network=workload.network)
+        self.assert_same_answers(instance, shared, service._background_for(pod))
+
+    @pytest.mark.parametrize("name", sorted(PINNED_CELLS))
+    def test_every_intent_of_a_pinned_cell(self, name, monkeypatch):
+        shape, _ = PINNED_CELLS[name]
+        config = ServiceConfig(seed=sweep_seed(42, shape["pods"], 0), **shape)
+        planner = get_planner(config.scheme)
+        intents = []
+        original = planner.plan
+
+        def plan(instance, **options):
+            intents.append((instance, options["background"]))
+            return original(instance, **options)
+
+        monkeypatch.setattr(planner, "plan", plan)
+        report = run_cell(config)
+        monkeypatch.undo()
+        assert len(intents) >= report.summary["completed"] > 0
+        workload = _workload_of(config)
+        for instance, background in intents:
+            pod = workload.pod_by_name[instance.flow.name]
+            assert set(instance.network.delay_map()) == pod.footprint
+            shared = dataclasses.replace(instance, network=workload.network)
+            self.assert_same_answers(instance, shared, background)
+
+    def test_a_live_rule_off_the_footprint_is_refused(self):
+        config = ServiceConfig(pods=4, pod_size=6, requests=1, seed=5)
+        workload = _workload_of(config)
+        service = UpdateService(workload, config)
+        pod, other = workload.pods[0], workload.pods[2]
+        src, dst = next(
+            link for link in _links_of(other.path_a) if link not in pod.footprint
+        )
+        service._rules[pod.name][src] = dst  # a stale rule the shared network has
+        UpdateInstance(  # which the shared network would have let through
+            network=workload.network,
+            flow=Flow(
+                name=pod.name, source=pod.source, destination=pod.destination,
+                demand=pod.demand,
+            ),
+            old_config=dict(service._rules[pod.name]),
+            new_config=config_from_path(pod.path_b),
+        )
+        with pytest.raises(ValueError, match=f"{src!r} -> {dst!r} over a missing link"):
+            service._instance_for(pod, "b")
+
+
+class TestCellTeardown:
+    """A finished cell frees its world by reference counting alone."""
+
+    KINDS = (DataSwitch, DataLink, ManagedSwitch, Simulator)
+
+    def cyclic_world(self) -> int:
+        """How many data-plane objects only the cycle collector could free."""
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            gc.collect()
+            return sum(isinstance(obj, self.KINDS) for obj in gc.garbage)
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            gc.collect()  # free what was saved, so the next probe starts clean
+
+    def test_a_finished_cell_leaves_no_cyclic_data_plane(self):
+        shape, _ = PINNED_CELLS["service-burst"]
+        config = ServiceConfig(seed=sweep_seed(42, shape["pods"], 0), **shape)
+        gc.collect()
+        # The probe sees a world that was never released ...
+        UpdateService(_workload_of(config), config)
+        assert self.cyclic_world() > 0
+        # ... and none once a cell has run.
+        run_cell(config)
+        assert self.cyclic_world() == 0
 
 
 class TestServiceOutcomes:
