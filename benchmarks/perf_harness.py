@@ -30,8 +30,9 @@ What it measures:
 * **clone** -- ``IntervalTracker.clone()`` micro-cost on a 1K-switch
   end state, against an eager entry-by-entry copy of the same state (the
   pre-copy-on-write behaviour), giving the structural-sharing speedup.
-* **sweep** -- a Fig. 7-style sweep, serial vs. ``ParallelRunner``,
-  asserting the records are identical and reporting the speedup.
+* **sweep** -- the ``sweep`` scenario, serial vs. ``RunContext(workers=N)``
+  (the ``run --workers N`` path), asserting the records are identical and
+  reporting the speedup.
 * **service** -- the full update-service loop (admission, merging,
   planning, verification, resilient execution on the shared DES plane):
   wall-clock updates/sec plus the virtual p50/p95 latency, with
@@ -69,9 +70,10 @@ from repro.core.greedy import greedy_schedule
 from repro.core.instance import instance_from_paths, random_instance, segmented_instance
 from repro.core.intervals import IntervalTracker
 from repro.core.optimal import optimal_schedule
-from repro.experiments.sweep import mixed_instance, run_sweep
+from repro.experiments.sweep import mixed_instance
 from repro.perf import measure_peak_rss
-from repro.runtime import ParallelRunner, available_cpus
+from repro.pipeline import RunContext, run_in_memory
+from repro.runtime import available_cpus
 
 BENCH_FILE = _REPO_ROOT / "BENCH_sweep.json"
 
@@ -363,9 +365,11 @@ def bench_sweep(
     node_budget: int = 5000,
     or_node_budget: int = 1000,
 ) -> Dict[str, object]:
-    """Fig. 7-style sweep, serial vs. parallel, with an identity check.
+    """The ``sweep`` scenario, serial vs. ``RunContext(workers=N)``.
 
-    OPT and OR are bounded by the deterministic ``node_budget`` /
+    Both sides run the path ``python -m repro.experiments run sweep
+    --workers N`` takes, and their ``.records`` must compare equal.  OPT
+    and OR are bounded by the deterministic ``node_budget`` /
     ``or_node_budget`` (and given slack wall-clock budgets that never bind
     at this size): record identity must not hinge on how loaded the
     machine happens to be, or the comparison measures solver luck rather
@@ -373,7 +377,8 @@ def bench_sweep(
     the serial/parallel comparison itself -- budget-bound searches simply
     do less work per instance when workers contend for cores.
     """
-    kwargs = dict(
+    overrides = dict(
+        switch_counts=(switch_count,),
         instances_per_size=instances,
         base_seed=base_seed,
         opt_budget=60.0,
@@ -381,11 +386,11 @@ def bench_sweep(
         opt_node_budget=node_budget,
         or_node_budget=or_node_budget,
     )
-    serial, serial_s = timed(run_sweep, [switch_count], **kwargs)
+    serial, serial_s = timed(run_in_memory, "sweep", overrides)
     parallel, parallel_s = timed(
-        run_sweep, [switch_count], max_workers=workers, **kwargs
+        run_in_memory, "sweep", overrides, ctx=RunContext(workers=workers)
     )
-    identical = serial == parallel
+    identical = serial.records == parallel.records
     cpus = available_cpus()
     record: Dict[str, object] = {
         "switches": switch_count,

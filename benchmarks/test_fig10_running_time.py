@@ -5,15 +5,16 @@ the small end and blow past the cutoff beyond it, while Chronus stays under
 the cutoff even at 6K.  Sizes and cutoff scale down proportionally here.
 """
 
-from repro.experiments.fig10 import run_fig10
+from repro.pipeline import run_in_memory
 
 
 def test_fig10_running_time(benchmark, once):
     result = once(
         benchmark,
-        run_fig10,
-        switch_counts=(100, 250, 500, 1000, 2000, 4000),
-        cutoff=3.0,
+        run_in_memory,
+        "fig10",
+        {"switch_counts": (100, 250, 500, 1000, 2000, 4000), "cutoff": 3.0},
+        label="fig10",
     )
     print()
     print(result.render())

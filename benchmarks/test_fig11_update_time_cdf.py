@@ -4,16 +4,16 @@ Paper result: most Chronus updates finish within ~15 time units and OPT
 within ~13 -- Chronus is near-optimal.
 """
 
-from repro.experiments.fig11 import run_fig11
+from repro.pipeline import run_in_memory
 
 
 def test_fig11_update_time_cdf(benchmark, once):
     result = once(
         benchmark,
-        run_fig11,
-        switch_count=400,
-        instances=15,
-        opt_budget=1.0,
+        run_in_memory,
+        "fig11",
+        {"switch_count": 400, "instances": 15, "opt_budget": 1.0},
+        label="fig11",
     )
     print()
     print(result.render())

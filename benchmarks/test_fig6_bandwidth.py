@@ -4,11 +4,11 @@ Paper result: OR's asynchronous rounds push the hottest 5 Mbps link to
 ~6 Mbps (beyond capacity), while Chronus and TP stay in the normal range.
 """
 
-from repro.experiments.fig6 import run_fig6
+from repro.pipeline import run_in_memory
 
 
 def test_fig6_bandwidth_consumption(benchmark, once):
-    result = once(benchmark, run_fig6, duration=30.0)
+    result = once(benchmark, run_in_memory, "fig6", {"duration": 30.0}, label="fig6")
     print()
     print(result.render())
     assert result.peaks["chronus"] <= result.capacity + 1e-6

@@ -4,16 +4,20 @@ Paper result: at 60 switches, >65% of instances are congestion-free under
 Chronus and OPT against ~15% for OR; Chronus tracks OPT closely.
 """
 
-from repro.experiments.fig7 import run_fig7
+from repro.pipeline import run_in_memory
 
 
 def test_fig7_congestion_cases(benchmark, once):
     result = once(
         benchmark,
-        run_fig7,
-        switch_counts=(10, 20, 30, 40, 50, 60),
-        instances_per_size=10,
-        opt_budget=0.5,
+        run_in_memory,
+        "fig7",
+        {
+            "switch_counts": (10, 20, 30, 40, 50, 60),
+            "instances_per_size": 10,
+            "opt_budget": 0.5,
+        },
+        label="fig7",
     )
     print()
     print(result.render())

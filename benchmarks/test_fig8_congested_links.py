@@ -4,15 +4,16 @@ Paper result: Chronus reduces the number of congested links of the
 time-extended network by ~70% relative to OR, more at larger sizes.
 """
 
-from repro.experiments.fig8 import run_fig8
+from repro.pipeline import run_in_memory
 
 
 def test_fig8_congested_links(benchmark, once):
     result = once(
         benchmark,
-        run_fig8,
-        switch_counts=(10, 20, 30, 40, 50, 60),
-        instances_per_size=10,
+        run_in_memory,
+        "fig8",
+        {"switch_counts": (10, 20, 30, 40, 50, 60), "instances_per_size": 10},
+        label="fig8",
     )
     print()
     print(result.render())

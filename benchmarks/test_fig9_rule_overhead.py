@@ -4,15 +4,16 @@ Paper result: ~596 (TP) vs ~190 (Chronus) rule operations at 300 switches;
 Chronus saves over 60% on average, and TP grows far faster with size.
 """
 
-from repro.experiments.fig9 import run_fig9
+from repro.pipeline import run_in_memory
 
 
 def test_fig9_rule_overhead(benchmark, once):
     result = once(
         benchmark,
-        run_fig9,
-        switch_counts=(100, 200, 300, 400, 500, 600),
-        instances_per_size=15,
+        run_in_memory,
+        "fig9",
+        {"switch_counts": (100, 200, 300, 400, 500, 600), "instances_per_size": 15},
+        label="fig9",
     )
     print()
     print(result.render())

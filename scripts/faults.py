@@ -33,11 +33,8 @@ SRC = str(REPO_ROOT / "src")
 if SRC not in sys.path:
     sys.path.insert(0, SRC)
 
-from repro.experiments.faults_ablation import (  # noqa: E402
-    DEFAULT_SEVERITIES,
-    SCHEMES,
-    run_faults_ablation,
-)
+from repro.experiments.faults_ablation import DEFAULT_SEVERITIES, SCHEMES  # noqa: E402
+from repro.pipeline import RunContext, run_in_memory  # noqa: E402
 from repro.pipeline.cli import (  # noqa: E402
     add_quick_flag,
     add_quiet_flag,
@@ -98,15 +95,18 @@ def main(argv=None) -> int:
 
     instances = 2 if args.quick else args.instances
     started = time.monotonic()
-    result = run_faults_ablation(
-        severities=tuple(args.severities),
-        instances_per_point=instances,
-        switch_count=args.switches,
-        base_seed=args.base_seed,
-        schemes=tuple(args.schemes),
-        deadline_steps=args.deadline,
-        drift_bound=args.drift,
-        progress=progress_printer("fault run", quiet=args.quiet),
+    result = run_in_memory(
+        "faults",
+        {
+            "severities": tuple(args.severities),
+            "instances_per_point": instances,
+            "switch_count": args.switches,
+            "base_seed": args.base_seed,
+            "schemes": tuple(args.schemes),
+            "deadline_steps": args.deadline,
+            "drift_bound": args.drift,
+        },
+        ctx=RunContext(progress=progress_printer("fault run", quiet=args.quiet)),
     )
     finish_progress(quiet=args.quiet)
     elapsed = time.monotonic() - started

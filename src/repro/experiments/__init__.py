@@ -1,11 +1,12 @@
 """The evaluation harness: one module per table/figure of the paper.
 
-Every experiment registers a declarative :class:`repro.pipeline.Scenario`
-(run them with ``python -m repro.experiments run <name>``) and keeps its
-legacy ``run_*`` entry point returning the same structured result.
-Default parameters are scaled so the whole harness finishes in minutes on
-a laptop; each scenario carries ``paper_params`` with the knobs of the
-paper's original scale (``run --paper``).
+Every experiment registers a declarative :class:`repro.pipeline.Scenario`,
+and a scenario is its only entry point: ``python -m repro.experiments run
+<name>`` from the shell, ``run_in_memory(name, overrides, ctx)`` from
+:mod:`repro.pipeline` in a library, both returning the same structured
+result.  Default parameters are scaled so the whole harness finishes in
+minutes on a laptop; each scenario carries ``paper_params`` with the
+knobs of the paper's original scale (``run --paper``).
 
 | Scenario      | Reproduces                                                  |
 |---------------|-------------------------------------------------------------|

@@ -10,20 +10,17 @@ Subcommands over the scenario registry and the artifact store::
 ``run`` streams records to ``runs/<scenario>/<run-id>/`` (override the
 root with ``--runs-dir`` or ``$REPRO_RUNS_DIR``), checkpointed per
 record; a killed run resumes byte-identically.  ``report`` aggregates a
-stored run without recomputing anything.
-
-Invoked with bare scenario names (or none), it behaves as the legacy
-battery runner: every named experiment executes in memory and prints its
-figure/table.  Names must match a registered scenario **exactly** --
-``fig1`` no longer silently selects Figs. 10 and 11.
+stored run without recomputing anything.  A subcommand is required, and
+scenario names must match a registered scenario **exactly** (``run fig1``
+exits 2 naming ``fig10`` and ``fig11``).  Library callers use
+:func:`repro.pipeline.run_in_memory` instead.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-import time
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 from repro.pipeline.cli import (
     finish_progress,
@@ -34,7 +31,6 @@ from repro.pipeline.context import RunContext
 from repro.pipeline.runner import (
     RunInterrupted,
     report_from_store,
-    run_in_memory,
     run_to_store,
 )
 from repro.pipeline.scenario import (
@@ -45,21 +41,6 @@ from repro.pipeline.scenario import (
 from repro.pipeline.store import ArtifactStore, StoreError
 from repro.trace.query import aggregate, render_report
 from repro.updates.registry import UnknownSchemeError, planners_for
-
-#: The battery ``python -m repro.experiments`` (no arguments) runs, in the
-#: order the paper presents them.
-LEGACY_DEFAULT = (
-    "walkthrough",
-    "table2",
-    "fig6",
-    "fig7",
-    "fig8",
-    "fig9",
-    "fig10",
-    "fig11",
-)
-
-SUBCOMMANDS = ("list", "run", "resume", "report")
 
 #: Exit code of a ``--stop-after`` interruption (distinct from argparse's 2).
 EXIT_INTERRUPTED = 3
@@ -142,7 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="python -m repro.experiments",
         description="Run, resume and report the paper's experiments.",
     )
-    sub = parser.add_subparsers(dest="command")
+    sub = parser.add_subparsers(dest="command", required=True)
 
     sub.add_parser("list", help="list registered scenarios")
 
@@ -300,42 +281,18 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def _legacy(names: Sequence[str]) -> int:
-    """The historical battery runner: in-memory runs, rendered output."""
-    wanted = list(names) or list(LEGACY_DEFAULT)
-    # Resolve every name before running anything: a typo at position N
-    # should not cost N-1 experiments of compute first.
-    scenarios = [get_scenario(name) for name in wanted]
-    for scenario in scenarios:
-        banner = f"{scenario.paper} ({scenario.name})"
-        print("=" * 72)
-        print(banner)
-        print("=" * 72)
-        started = time.monotonic()
-        result = run_in_memory(scenario.name, ctx=RunContext())
-        print(result.render())
-        print(f"[{banner} finished in {time.monotonic() - started:.1f} s]\n")
-    return 0
-
-
 def main(argv: Optional[List[str]] = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
+    args = build_parser().parse_args(argv)
     try:
-        if argv and argv[0] in SUBCOMMANDS:
-            args = build_parser().parse_args(argv)
-            if args.command == "list":
-                return _cmd_list()
-            if args.command == "run":
-                return _cmd_run(args, resume=False)
-            if args.command == "resume":
-                args.overrides = []
-                args.paper = False
-                return _cmd_run(args, resume=True)
-            return _cmd_report(args)
-        if argv and argv[0] in ("-h", "--help"):
-            build_parser().parse_args(argv)
-            return 0
-        return _legacy(argv)
+        if args.command == "list":
+            return _cmd_list()
+        if args.command == "run":
+            return _cmd_run(args, resume=False)
+        if args.command == "resume":
+            args.overrides = []
+            args.paper = False
+            return _cmd_run(args, resume=True)
+        return _cmd_report(args)
     except UnknownScenarioError as exc:
         print(str(exc), file=sys.stderr)
         return 2

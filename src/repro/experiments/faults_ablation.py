@@ -29,15 +29,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.controller import build_testbed, execute_plan, realized_schedule
 from repro.controller.channel import ConstantDelayModel, StepDelayModel
 from repro.core.verdict import Verdict
 from repro.experiments.sweep import mixed_instance, sweep_seed
 from repro.faults import FaultPlan, severity_spec
-from repro.pipeline.context import RunContext
-from repro.pipeline.runner import run_in_memory
 from repro.updates.registry import UpdatePlan, get_planner, planners_for
 
 #: Default ablation trio; any registered scheme (e.g. ``aug``) can join
@@ -195,60 +193,6 @@ class FaultsAblationResult:
                     f"  {r.scheme} severity={r.severity:g} seed={r.seed}"
                 )
         return "\n".join(lines)
-
-
-def run_faults_ablation(
-    severities: Sequence[float] = DEFAULT_SEVERITIES,
-    instances_per_point: int = 5,
-    switch_count: int = 8,
-    base_seed: int = 7,
-    schemes: Sequence[str] = SCHEMES,
-    time_unit: float = 1.0,
-    deadline_steps: int = 60,
-    max_retries: int = 3,
-    drift_bound: float = 0.0,
-    or_node_budget: int = 20_000,
-    aug_epsilon: float = 0.0,
-    progress: Optional[Callable[[int, int], None]] = None,
-) -> FaultsAblationResult:
-    """Run the ``faults`` scenario in memory: every scheme over every severity.
-
-    Args:
-        severities: Fault-severity grid (0 disables all faults).
-        instances_per_point: Seeded instances per (scheme, severity) cell;
-            the same instances are reused across cells so curves are
-            paired.
-        switch_count: Network size of every instance.
-        base_seed: Base of the ``sweep_seed`` contract.
-        schemes: Registered scheme names (see
-            :func:`repro.updates.registry.available_schemes`).
-        time_unit: True seconds per schedule step.
-        deadline_steps: Abort-and-roll-back deadline, in steps after the
-            update starts.
-        max_retries: FlowMod resends per switch before giving up.
-        drift_bound: Clock-drift magnitude bound in seconds (0 keeps every
-            realised apply on the integer grid, so the oracle is exact).
-        or_node_budget: Branch-and-bound budget of OR's round minimiser.
-        aug_epsilon: AUG's transient capacity headroom.
-        progress: Called with ``(done, total)`` after every run.
-    """
-    return run_in_memory(
-        "faults",
-        overrides={
-            "severities": tuple(severities),
-            "instances_per_point": instances_per_point,
-            "switch_count": switch_count,
-            "base_seed": base_seed,
-            "schemes": tuple(schemes),
-            "time_unit": time_unit,
-            "deadline_steps": deadline_steps,
-            "max_retries": max_retries,
-            "drift_bound": drift_bound,
-            "or_node_budget": or_node_budget,
-            "aug_epsilon": aug_epsilon,
-        },
-        ctx=RunContext(progress=progress),
-    )
 
 
 def _run_one(
@@ -447,14 +391,3 @@ def _register_scenario():
 
 
 SCENARIO = _register_scenario()
-
-
-def main() -> str:
-    result = run_faults_ablation()
-    text = result.render()
-    print(text)
-    return text
-
-
-if __name__ == "__main__":
-    main()

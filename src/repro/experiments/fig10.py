@@ -10,6 +10,14 @@ these local reroutes OPT's loop-freedom bound usually proves Chronus'
 schedule optimal at the root, so here only OR keeps the cutoff
 (EXPERIMENTS.md, faithfulness note 5).
 
+The workload is the locally-rerouted (segmented reversal) distribution:
+at the paper's 1K-6K scale a full random permutation would make every
+scheduler's output linear in ``n``, contradicting the paper's
+~15-time-unit updates (Fig. 11).  With ``--workers N`` each measurement
+still runs single-threaded inside its worker, but concurrent workers
+contend for cores -- use parallel timing for the shape of the curves,
+serial for publishable absolute numbers.
+
 Pipeline scenarios ``fig10`` (all three schedulers) and ``fig10-greedy``
 (Chronus alone at the paper's 1K-6K sizes): one record per (size, run)
 timing measurement; the cutoff aggregation reads records only.  Timing
@@ -25,8 +33,7 @@ from typing import Dict, List, Mapping, Optional, Sequence
 
 from repro.analysis.timeseries import render_table
 from repro.core.instance import segmented_instance
-from repro.pipeline.context import RunContext, WorkerContext
-from repro.pipeline.runner import run_in_memory
+from repro.pipeline.context import WorkerContext
 from repro.pipeline.scenario import Scenario, register
 from repro.updates.registry import DEFAULT_SCHEMES, get_planner, planners_for
 
@@ -229,55 +236,3 @@ GREEDY_SCENARIO = register(
         },
     )
 )
-
-
-def run_fig10(
-    switch_counts: Sequence[int] = (100, 250, 500, 1000, 2000, 4000),
-    cutoff: float = 5.0,
-    base_seed: int = 4,
-    runs_per_size: int = 1,
-    max_workers: int = 1,
-    schemes: Sequence[str] = SCHEMES,
-) -> Fig10Result:
-    """Time the three schedulers per size, honouring a cutoff.
-
-    The exact solvers (OR's branch and bound and OPT) receive ``cutoff`` as
-    their anytime budget: exceeding it without a *proven* result counts as a
-    cutoff, matching the paper's ">600 s" treatment.  The workload is the
-    locally-rerouted (segmented reversal) distribution -- at the paper's
-    1K-6K scale a full random permutation would make every scheduler's
-    output linear in ``n``, contradicting the paper's ~15-time-unit updates
-    (Fig. 11).
-
-    ``max_workers > 1`` measures the (size, run) grid concurrently.  Each
-    measurement still runs single-threaded inside its worker, but
-    concurrent workers do contend for cores -- use parallel timing for the
-    shape of the curves, serial for publishable absolute numbers.
-
-    ``schemes`` restricts which schedulers run (any registered planner
-    names); the paper-scale ``fig10-greedy`` preset uses ``("chronus",)``
-    to get the 6K-switch Chronus point without hours of exact-solver
-    cutoffs.
-    """
-    return run_in_memory(
-        "fig10",
-        overrides={
-            "switch_counts": tuple(switch_counts),
-            "cutoff": cutoff,
-            "base_seed": base_seed,
-            "runs_per_size": runs_per_size,
-            "schemes": tuple(schemes),
-        },
-        ctx=RunContext(workers=max_workers),
-    )
-
-
-def main() -> str:
-    result = run_fig10()
-    text = result.render()
-    print(text)
-    return text
-
-
-if __name__ == "__main__":
-    main()

@@ -15,13 +15,12 @@ contributing indices.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 from repro.analysis.stats import cdf_points, percentile
 from repro.analysis.timeseries import render_table
 from repro.core.instance import segmented_instance
-from repro.pipeline.context import RunContext, WorkerContext
-from repro.pipeline.runner import run_in_memory
+from repro.pipeline.context import WorkerContext
 from repro.pipeline.scenario import Scenario, register
 from repro.updates.registry import planners_for
 
@@ -164,45 +163,3 @@ SCENARIO = register(
         paper_params={"instances": 500, "opt_budget": 10.0},
     )
 )
-
-
-def run_fig11(
-    switch_count: int = 400,
-    instances: int = 30,
-    base_seed: int = 5,
-    opt_budget: float = 2.0,
-    max_workers: int = 1,
-    schemes: Sequence[str] = DEFAULT_PAIR,
-) -> Fig11Result:
-    """Collect update-time samples for both schemes.
-
-    Paper scale: 400 switches with the locally-rerouted (segmented
-    reversal) workload; OPT runs under an anytime budget and contributes
-    its incumbent.  Candidates are evaluated in index-ordered batches
-    (parallel when ``max_workers > 1``) but always *consumed* serially in
-    index order, so the sample is identical for any worker count; a
-    parallel run may merely evaluate a few candidates past the stopping
-    point.
-    """
-    return run_in_memory(
-        "fig11",
-        overrides={
-            "switch_count": switch_count,
-            "instances": instances,
-            "base_seed": base_seed,
-            "opt_budget": opt_budget,
-            "schemes": tuple(schemes),
-        },
-        ctx=RunContext(workers=max_workers),
-    )
-
-
-def main() -> str:
-    result = run_fig11()
-    text = result.render()
-    print(text)
-    return text
-
-
-if __name__ == "__main__":
-    main()

@@ -37,8 +37,7 @@ from repro.controller import (
 )
 from repro.core.instance import UpdateInstance, instance_from_topology
 from repro.network.topology import two_path_topology
-from repro.pipeline.context import RunContext, WorkerContext
-from repro.pipeline.runner import run_in_memory
+from repro.pipeline.context import WorkerContext
 from repro.pipeline.scenario import Scenario, register
 from repro.simulator import BandwidthMonitor
 from repro.analysis.timeseries import render_series
@@ -170,42 +169,6 @@ SCENARIO = register(
 )
 
 
-def run_fig6(
-    seed: int = 3,
-    switch_count: int = 10,
-    capacity_mbps: float = 5.0,
-    duration: float = 30.0,
-    update_at: float = 5.0,
-    delay_scale: float = 1.0,
-    max_delay_steps: int = 3,
-) -> Fig6Result:
-    """Run the three schemes on one randomly rerouted 10-switch topology.
-
-    Args:
-        seed: Seeds topology, final path and all latencies.
-        switch_count: Switches on the initial path (paper: 10).
-        capacity_mbps: Link capacity and flow rate (paper: 5 Mbps).
-        duration: Simulated seconds per scheme.
-        update_at: True time the update begins.
-        delay_scale: Seconds per model time step (link delays become
-            ``step * delay_scale`` seconds, paper range 5 ms - 1 s).
-        max_delay_steps: Link delays drawn from ``[1, max_delay_steps]``.
-    """
-    return run_in_memory(
-        "fig6",
-        overrides={
-            "seed": seed,
-            "switch_count": switch_count,
-            "capacity_mbps": capacity_mbps,
-            "duration": duration,
-            "update_at": update_at,
-            "delay_scale": delay_scale,
-            "max_delay_steps": max_delay_steps,
-        },
-        ctx=RunContext(),
-    )
-
-
 def _run_scheme(
     scheme: str,
     instance: UpdateInstance,
@@ -255,14 +218,3 @@ def _run_scheme(
     testbed.sim.run(until=duration)
     monitor.stop()  # drain the poll loop so later open-ended runs terminate
     return monitor, testbed, trace
-
-
-def main() -> str:
-    result = run_fig6()
-    text = result.render()
-    print(text)
-    return text
-
-
-if __name__ == "__main__":
-    main()

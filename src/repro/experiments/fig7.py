@@ -17,8 +17,6 @@ from typing import Dict, List, Mapping, Sequence
 
 from repro.analysis.timeseries import render_table
 from repro.experiments.sweep import congestion_free_percentage
-from repro.pipeline.context import RunContext
-from repro.pipeline.runner import run_in_memory
 from repro.pipeline.scenario import Scenario, register
 from repro.pipeline.stages import (
     sweep_evaluate,
@@ -89,38 +87,3 @@ SCENARIO = register(
         paper_params={"instances_per_size": 500, "opt_budget": 2.0},
     )
 )
-
-
-def run_fig7(
-    switch_counts: Sequence[int] = (10, 20, 30, 40, 50, 60),
-    instances_per_size: int = 20,
-    base_seed: int = 1,
-    opt_budget: float = 1.0,
-    max_workers: int = 1,
-) -> Fig7Result:
-    """Run the ``fig7`` scenario in memory and aggregate the percentages.
-
-    ``max_workers > 1`` fans the sweep over a process pool; the records
-    (and hence the figure) are identical to a serial run.
-    """
-    return run_in_memory(
-        "fig7",
-        overrides={
-            "switch_counts": tuple(switch_counts),
-            "instances_per_size": instances_per_size,
-            "base_seed": base_seed,
-            "opt_budget": opt_budget,
-        },
-        ctx=RunContext(workers=max_workers),
-    )
-
-
-def main() -> str:
-    result = run_fig7()
-    text = result.render()
-    print(text)
-    return text
-
-
-if __name__ == "__main__":
-    main()

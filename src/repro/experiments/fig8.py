@@ -16,8 +16,6 @@ from typing import Dict, List, Mapping, Sequence
 
 from repro.analysis.timeseries import render_table
 from repro.experiments.sweep import total_congested_links
-from repro.pipeline.context import RunContext
-from repro.pipeline.runner import run_in_memory
 from repro.pipeline.scenario import Scenario, register
 from repro.pipeline.stages import (
     sweep_evaluate,
@@ -84,36 +82,3 @@ SCENARIO = register(
         paper_params={"instances_per_size": 500},
     )
 )
-
-
-def run_fig8(
-    switch_counts: Sequence[int] = (10, 20, 30, 40, 50, 60),
-    instances_per_size: int = 20,
-    base_seed: int = 2,
-    max_workers: int = 1,
-) -> Fig8Result:
-    """Run the ``fig8`` scenario in memory and sum congested links.
-
-    ``max_workers > 1`` fans the sweep over a process pool; the records
-    (and hence the figure) are identical to a serial run.
-    """
-    return run_in_memory(
-        "fig8",
-        overrides={
-            "switch_counts": tuple(switch_counts),
-            "instances_per_size": instances_per_size,
-            "base_seed": base_seed,
-        },
-        ctx=RunContext(workers=max_workers),
-    )
-
-
-def main() -> str:
-    result = run_fig8()
-    text = result.render()
-    print(text)
-    return text
-
-
-if __name__ == "__main__":
-    main()

@@ -9,6 +9,9 @@ Chronus sends one in-place modification per rerouted switch.
 
 Pipeline scenario ``fig9``: one record per (size, instance) carrying both
 protocols' operation counts; the box statistics are pure aggregation.
+``detour_fraction`` controls how much of the network the random final
+path traverses; 0.6 reproduces the paper's ratio (~190 Chronus vs ~596 TP
+rule operations at 300 switches).
 """
 
 from __future__ import annotations
@@ -18,8 +21,7 @@ from typing import Dict, List, Mapping, Sequence
 
 from repro.analysis.stats import BoxStats, box_stats, mean
 from repro.analysis.timeseries import render_table
-from repro.pipeline.context import RunContext, WorkerContext
-from repro.pipeline.runner import run_in_memory
+from repro.pipeline.context import WorkerContext
 from repro.pipeline.scenario import Scenario, register
 
 
@@ -112,38 +114,3 @@ SCENARIO = register(
         paper_params={"instances_per_size": 500},
     )
 )
-
-
-def run_fig9(
-    switch_counts: Sequence[int] = (100, 200, 300, 400, 500, 600),
-    instances_per_size: int = 20,
-    base_seed: int = 3,
-    detour_fraction: float = 0.6,
-) -> Fig9Result:
-    """Measure rule operations per protocol across instance sizes.
-
-    ``detour_fraction`` controls how much of the network the random final
-    path traverses; 0.6 reproduces the paper's ratio (~190 Chronus vs ~596
-    TP rule operations at 300 switches).
-    """
-    return run_in_memory(
-        "fig9",
-        overrides={
-            "switch_counts": tuple(switch_counts),
-            "instances_per_size": instances_per_size,
-            "base_seed": base_seed,
-            "detour_fraction": detour_fraction,
-        },
-        ctx=RunContext(),
-    )
-
-
-def main() -> str:
-    result = run_fig9()
-    text = result.render()
-    print(text)
-    return text
-
-
-if __name__ == "__main__":
-    main()

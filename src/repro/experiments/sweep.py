@@ -15,6 +15,14 @@ per run.  For every instance the sweep runs:
 The per-instance records carry everything the three figures aggregate:
 congestion-case flags, congested time-extended link counts and makespans.
 
+Every instance descends from its :func:`sweep_seed` alone, so serial and
+parallel runs produce byte-identical records -- with one caveat:
+``opt_budget`` / ``or_budget`` are *wall-clock* budgets, and a budget that
+expires mid-search in one run but not the other changes that instance's
+outcome.  For strict record identity (tests, the bench gate) bound OPT
+and OR with the deterministic ``opt_node_budget`` / ``or_node_budget``
+instead and size the wall-clock budgets so they never bind.
+
 Scheme dispatch goes through :mod:`repro.updates.registry`: the sweep
 resolves names with :func:`repro.updates.registry.sweep_planners` and loops
 over :class:`repro.updates.registry.Planner` entries -- any registered
@@ -29,7 +37,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from repro.core.instance import UpdateInstance, random_instance, segmented_instance
-from repro.runtime import ParallelRunner
 from repro.trace.recorder import recorder
 from repro.updates.registry import DEFAULT_SCHEMES, SharedEvaluation, sweep_planners
 
@@ -223,78 +230,6 @@ def evaluate_sweep_item(item: SweepItem) -> SweepRecord:
         aug_epsilon=item.aug_epsilon,
     )
     return record
-
-
-def run_sweep(
-    switch_counts: Sequence[int],
-    instances_per_size: int = 20,
-    base_seed: int = 0,
-    schemes: Sequence[str] = DEFAULT_SCHEMES,
-    opt_budget: float = 1.0,
-    workload: str = "mixed",
-    max_delay: Optional[int] = None,
-    detour_fraction: float = 1.0,
-    max_workers: int = 1,
-    runner: Optional[ParallelRunner] = None,
-    or_budget: float = 0.5,
-    opt_node_budget: Optional[int] = None,
-    or_node_budget: Optional[int] = None,
-    verify: bool = False,
-    aug_epsilon: float = 0.0,
-) -> List[SweepRecord]:
-    """Generate and evaluate random instances for each network size.
-
-    Paper scale: sizes 10..60 step 10, 500 instances per run, >= 30 runs.
-    Defaults here are laptop-scale; raise ``instances_per_size`` to match.
-
-    Every instance descends from its :func:`sweep_seed` alone, so serial
-    and parallel runs produce byte-identical records -- with one caveat:
-    ``opt_budget``/``or_budget`` are *wall-clock* budgets, and a budget
-    that expires mid-search in one run but not the other changes that
-    instance's outcome.  For strict record identity (tests, the bench
-    gate) bound OPT and OR with the deterministic ``opt_node_budget`` /
-    ``or_node_budget`` instead and size the wall-clock budgets so they
-    never bind.
-
-    Args:
-        workload: ``"mixed"`` (default, see :func:`mixed_instance`) or
-            ``"permutation"`` (every final path reshuffles the whole chain).
-        max_workers: Worker processes for the sweep; results are identical
-            to a serial run because every item is seeded independently.
-        runner: Pre-configured :class:`ParallelRunner` (overrides
-            ``max_workers``).
-        or_budget: Wall-clock budget for OR's round minimisation.
-        opt_node_budget: Deterministic explored-node cap for OPT (see
-            :func:`run_instance`).
-        or_node_budget: Deterministic explored-node cap for OR's round
-            minimisation.
-        verify: Fill every outcome's ``verifier_agrees`` flag by
-            re-checking its schedule with the independent verifier.
-        aug_epsilon: AUG's transient capacity headroom (``0.0`` matches
-            Chronus exactly; unit-capacity workloads need ``>= 1.0`` to
-            bind).
-    """
-    items = [
-        SweepItem(
-            switch_count=count,
-            seed=sweep_seed(base_seed, count, index),
-            schemes=tuple(schemes),
-            opt_budget=opt_budget,
-            workload=workload,
-            max_delay=max_delay,
-            detour_fraction=detour_fraction,
-            or_budget=or_budget,
-            opt_node_budget=opt_node_budget,
-            or_node_budget=or_node_budget,
-            verify=verify,
-            aug_epsilon=aug_epsilon,
-        )
-        for count in switch_counts
-        for index in range(instances_per_size)
-    ]
-    if runner is None:
-        runner = ParallelRunner(max_workers=max_workers)
-    return runner.map(evaluate_sweep_item, items)
 
 
 def congestion_free_percentage(

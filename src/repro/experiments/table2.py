@@ -18,8 +18,7 @@ from typing import Dict, List, Mapping, Sequence
 
 from repro.controller.executor import shadow_rules
 from repro.core.instance import random_instance
-from repro.pipeline.context import RunContext, WorkerContext
-from repro.pipeline.runner import run_in_memory
+from repro.pipeline.context import WorkerContext
 from repro.pipeline.scenario import Scenario, register
 from repro.simulator import Simulator, build_dataplane
 from repro.simulator.dataplane import install_config
@@ -115,23 +114,3 @@ SCENARIO = register(
         aggregate=_aggregate,
     )
 )
-
-
-def run_table2(switch_count: int = 12, seed: int = 12) -> Table2Result:
-    """Build the tables for a ``switch_count``-switch emulation topology."""
-    return run_in_memory(
-        "table2",
-        overrides={"switch_count": switch_count, "seed": seed},
-        ctx=RunContext(),
-    )
-
-
-def main() -> str:
-    result = run_table2()
-    text = result.render()
-    print(text)
-    return text
-
-
-if __name__ == "__main__":
-    main()

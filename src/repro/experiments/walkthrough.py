@@ -98,13 +98,3 @@ SCENARIO = register(
         aggregate=_aggregate,
     )
 )
-
-
-def main() -> str:
-    text = run_walkthrough()
-    print(text)
-    return text
-
-
-if __name__ == "__main__":
-    main()

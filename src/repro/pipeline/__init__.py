@@ -20,9 +20,9 @@ re-implement individually:
   interrupted run resumes by skipping completed record keys and produces
   byte-identical records to an uninterrupted run.
 * **Executor** (:mod:`repro.pipeline.runner`): ordered, checkpointed
-  evaluation of a scenario's items -- in memory (the legacy ``run_*``
-  wrappers) or against the store (the ``python -m repro.experiments
-  run|resume|report`` CLI).
+  evaluation of a scenario's items -- in memory (:func:`run_in_memory`,
+  the library call) or against the store (the ``python -m
+  repro.experiments run|resume|report`` CLI).
 * **Script helpers** (:mod:`repro.pipeline.cli`): the argparse/progress/
   JSON boilerplate shared by ``scripts/*.py``.
 

@@ -2,8 +2,8 @@
 
 One code path serves every consumer:
 
-* the legacy ``run_*`` wrappers call :func:`run_in_memory` (records stay
-  in a list, the aggregate comes back directly);
+* library callers, tests and benchmarks call :func:`run_in_memory`
+  (records stay in a list, the aggregate comes back directly);
 * ``python -m repro.experiments run|resume`` calls :func:`run_to_store`
   (records stream to the artifact store, checkpointed per record);
 * ``report`` calls :func:`report_from_store` (aggregation only -- the
@@ -230,7 +230,7 @@ def run_in_memory(
     """Run a scenario without the store and return its aggregate result."""
     scenario = get_scenario(name)
     params = scenario.params_with(overrides, paper=paper)
-    # Normalise exactly as the store would, so wrappers and stored runs
+    # Normalise exactly as the store would, so in-memory and stored runs
     # aggregate from identical data.
     params = json.loads(canonical_json(params))
     records: List[Dict[str, object]] = []

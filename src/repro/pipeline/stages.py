@@ -73,7 +73,7 @@ def sweep_evaluate(
 
 
 def sweep_records_from_dicts(records: Sequence[Mapping[str, object]]):
-    """Rehydrate stored sweep records for the legacy aggregations."""
+    """Rehydrate stored sweep records for the figures' aggregations."""
     from repro.experiments.sweep import InstanceOutcome, SweepRecord
 
     rebuilt = []

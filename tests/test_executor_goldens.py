@@ -27,9 +27,9 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments.faults_ablation import DEFAULT_SEVERITIES, run_faults_ablation
-from repro.experiments.fig6 import run_fig6
+from repro.experiments.faults_ablation import DEFAULT_SEVERITIES
 from repro.experiments.sweep import mixed_instance
+from repro.pipeline import run_in_memory
 from repro.updates.registry import available_schemes, get_planner
 from repro.validate.differential import differential_replay
 
@@ -97,8 +97,8 @@ def test_differential_reports_replay(scheme):
 # --- faults --quick ------------------------------------------------------
 
 def test_faults_quick_records_replay():
-    result = run_faults_ablation(
-        severities=tuple(DEFAULT_SEVERITIES), instances_per_point=2
+    result = run_in_memory(
+        "faults", {"severities": tuple(DEFAULT_SEVERITIES), "instances_per_point": 2}
     )
     assert [asdict(record) for record in result.records] == GOLDENS["faults_quick"]
 
@@ -107,7 +107,7 @@ def test_faults_quick_records_replay():
 
 @pytest.mark.parametrize("seed", _by("fig6", "seed"))
 def test_fig6_records_replay(seed):
-    result = run_fig6(seed=seed)
+    result = run_in_memory("fig6", {"seed": seed})
     for entry in (e for e in GOLDENS["fig6"] if e["seed"] == seed):
         scheme = entry["scheme"]
         series = [[t, m] for t, m in result.series[scheme]]

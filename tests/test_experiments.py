@@ -10,19 +10,19 @@ import json
 import pytest
 
 from repro.core.instance import segmented_instance
-from repro.experiments import fig6, fig7, fig8, fig9, fig10, fig11, table2
+from repro.experiments import fig6, fig10
 from repro.experiments.sweep import (
     local_reroute_share,
     mixed_instance,
     run_instance,
 )
-from repro.pipeline.context import WorkerContext
+from repro.pipeline import RunContext, WorkerContext, run_in_memory
 from repro.updates import get_planner
 
 
 class TestTable2:
     def test_tables_render(self):
-        result = table2.run_table2(switch_count=8, seed=2)
+        result = run_in_memory("table2", {"switch_count": 8, "seed": 2})
         text = result.render()
         assert "InPort" in text
         assert "Output" in text
@@ -32,13 +32,13 @@ class TestTable2:
 
 class TestFig6:
     def test_or_congests_while_chronus_stays_within_capacity(self):
-        result = fig6.run_fig6(duration=25.0)
+        result = run_in_memory("fig6", {"duration": 25.0})
         assert result.peaks["chronus"] <= result.capacity + 1e-6
         assert result.peaks["or"] > result.capacity + 1e-6
         assert "Fig. 6" in result.render()
 
     def test_series_cover_all_schemes(self):
-        result = fig6.run_fig6(duration=12.0)
+        result = run_in_memory("fig6", {"duration": 12.0})
         assert set(result.series) == {"chronus", "tp", "or"}
         assert all(points for points in result.series.values())
 
@@ -120,16 +120,17 @@ class TestSweep:
         assert all(o.verifier_agrees is True for o in outcomes.values())
 
     def test_sweep_threads_verify_flag(self):
-        from repro.experiments.sweep import run_sweep
-
-        records = run_sweep(
-            [10],
-            instances_per_size=3,
-            schemes=("chronus", "or"),
-            opt_node_budget=5_000,
-            or_node_budget=5_000,
-            verify=True,
-        )
+        records = run_in_memory(
+            "sweep",
+            {
+                "switch_counts": (10,),
+                "instances_per_size": 3,
+                "schemes": ("chronus", "or"),
+                "opt_node_budget": 5_000,
+                "or_node_budget": 5_000,
+            },
+            ctx=RunContext(verify=True),
+        ).records
         flags = [
             outcome.verifier_agrees
             for record in records
@@ -141,8 +142,9 @@ class TestSweep:
 @pytest.mark.slow
 class TestFig7:
     def test_chronus_at_least_matches_or(self):
-        result = fig7.run_fig7(
-            switch_counts=(10, 30), instances_per_size=4, opt_budget=0.3
+        result = run_in_memory(
+            "fig7",
+            {"switch_counts": (10, 30), "instances_per_size": 4, "opt_budget": 0.3},
         )
         for index in range(2):
             assert (
@@ -155,20 +157,24 @@ class TestFig7:
 @pytest.mark.slow
 class TestFig8:
     def test_chronus_congests_fewer_timed_links(self):
-        result = fig8.run_fig8(switch_counts=(30,), instances_per_size=5)
+        result = run_in_memory("fig8", {"switch_counts": (30,), "instances_per_size": 5})
         assert result.congested["chronus"][0] <= result.congested["or"][0]
         assert "Fig. 8" in result.render()
 
 
 class TestFig9:
     def test_chronus_saves_over_half_the_rules(self):
-        result = fig9.run_fig9(switch_counts=(100, 300), instances_per_size=4)
+        result = run_in_memory(
+            "fig9", {"switch_counts": (100, 300), "instances_per_size": 4}
+        )
         for count in (100, 300):
             assert result.chronus_boxes[count].mean < 0.5 * result.tp_means[count]
         assert "Fig. 9" in result.render()
 
     def test_matches_paper_magnitudes_at_300(self):
-        result = fig9.run_fig9(switch_counts=(300,), instances_per_size=6)
+        result = run_in_memory(
+            "fig9", {"switch_counts": (300,), "instances_per_size": 6}
+        )
         # Paper: ~190 (Chronus) vs ~596 (TP) rule operations.
         assert 150 <= result.chronus_boxes[300].mean <= 230
         assert 540 <= result.tp_means[300] <= 660
@@ -177,7 +183,7 @@ class TestFig9:
 @pytest.mark.slow
 class TestFig10:
     def test_chronus_fast_exact_solvers_cut_off(self):
-        result = fig10.run_fig10(switch_counts=(60, 600), cutoff=1.0)
+        result = run_in_memory("fig10", {"switch_counts": (60, 600), "cutoff": 1.0})
         assert result.seconds["chronus"][0] is not None
         assert result.seconds["chronus"][1] is not None
         # OPT no longer runs into the cutoff at 600 switches: on this local
@@ -191,7 +197,9 @@ class TestFig10:
         assert "cutoff" in result.render()
 
     def test_scheme_selection_skips_exact_solvers(self):
-        result = fig10.run_fig10(switch_counts=(60,), cutoff=1.0, schemes=("chronus",))
+        result = run_in_memory(
+            "fig10", {"switch_counts": (60,), "cutoff": 1.0, "schemes": ("chronus",)}
+        )
         assert set(result.seconds) == {"chronus"}
         assert result.seconds["chronus"][0] is not None
         rendered = result.render()
@@ -199,13 +207,17 @@ class TestFig10:
 
     def test_unknown_scheme_rejected(self):
         with pytest.raises(ValueError):
-            fig10.run_fig10(switch_counts=(20,), schemes=("chronus", "magic"))
+            run_in_memory(
+                "fig10", {"switch_counts": (20,), "schemes": ("chronus", "magic")}
+            )
 
 
 @pytest.mark.slow
 class TestFig11:
     def test_chronus_near_optimal_update_time(self):
-        result = fig11.run_fig11(switch_count=40, instances=5, opt_budget=1.0)
+        result = run_in_memory(
+            "fig11", {"switch_count": 40, "instances": 5, "opt_budget": 1.0}
+        )
         assert len(result.chronus_times) == 5
         for chronus, opt in zip(result.chronus_times, result.opt_times):
             assert opt <= chronus

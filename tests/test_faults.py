@@ -13,8 +13,8 @@ from repro.controller import (
 from repro.controller.messages import FlowModModify, next_xid
 from repro.core.greedy import greedy_schedule
 from repro.core.instance import motivating_example
-from repro.experiments.faults_ablation import run_faults_ablation
 from repro.faults import FaultPlan, FaultSpec, FaultyChannel, severity_spec
+from repro.pipeline import run_in_memory
 from repro.simulator import Simulator, build_dataplane
 from repro.simulator.dataplane import install_config
 
@@ -208,8 +208,8 @@ class TestLateFlowMods:
 
 class TestFaultsAblation:
     def test_smoke_and_invariants(self):
-        result = run_faults_ablation(
-            severities=(0.0, 1.0), instances_per_point=2
+        result = run_in_memory(
+            "faults", {"severities": (0.0, 1.0), "instances_per_point": 2}
         )
         assert len(result.records) == 2 * 2 * 3
         assert result.oracle_ok
@@ -226,14 +226,16 @@ class TestFaultsAblation:
         assert all(r.verdict_ok is not None and not r.off_grid for r in completed)
 
     def test_deterministic(self):
-        kwargs = dict(severities=(0.5,), instances_per_point=2)
+        overrides = {"severities": (0.5,), "instances_per_point": 2}
         assert (
-            run_faults_ablation(**kwargs).records
-            == run_faults_ablation(**kwargs).records
+            run_in_memory("faults", overrides).records
+            == run_in_memory("faults", overrides).records
         )
 
     def test_render_mentions_every_scheme(self):
-        result = run_faults_ablation(severities=(0.0,), instances_per_point=1)
+        result = run_in_memory(
+            "faults", {"severities": (0.0,), "instances_per_point": 1}
+        )
         text = result.render()
         for scheme in ("chronus", "or", "tp"):
             assert scheme in text
@@ -241,4 +243,4 @@ class TestFaultsAblation:
 
     def test_unknown_scheme_rejected(self):
         with pytest.raises(ValueError):
-            run_faults_ablation(schemes=("chronus", "nope"))
+            run_in_memory("faults", {"schemes": ("chronus", "nope")})

@@ -304,7 +304,7 @@ def test_records_are_canonical_json_lines(tmp_path):
 # --- the unified CLI (in-process) -------------------------------------
 
 def test_cli_rejects_inexact_name(capsys):
-    assert cli_main(["fig1"]) == 2
+    assert cli_main(["run", "fig1"]) == 2
     err = capsys.readouterr().err
     assert "unknown scenario 'fig1'" in err
     assert "fig10" in err and "fig11" in err

@@ -276,18 +276,22 @@ class TestLockstepByteIdentity:
         assert canonical(new) == canonical(old)
 
     def test_opt_fallback_path_matches_legacy(self):
-        # A congestion-infeasible instance: OPT falls back to best-effort
-        # rounds, consuming PRNG draws *before* OR's skewed realisation --
-        # the subtlest byte-identity hazard in the chain.
-        found = False
-        for index in range(40):
-            seed = sweep_seed(3, 16, index)
-            instance = mixed_instance(16, seed)
-            new = run_instance(instance, seed, **BUDGETS)
-            old = legacy_run_instance(instance, seed, **BUDGETS)
-            assert canonical(new) == canonical(old)
-            found = found or not new["opt"].congestion_free
-        assert found, "no infeasible instance in the pinned seed range"
+        """A congestion-infeasible instance: OPT falls back to best-effort
+        rounds, consuming PRNG draws *before* OR's skewed realisation --
+        the subtlest byte-identity hazard in the chain.
+
+        Of ``sweep_seed(3, 16, 0..39)`` only index 14 takes the fallback,
+        so that one seed is pinned.  Dispatch on feasible instances is
+        held by ``test_default_trio_matches_legacy``,
+        ``test_subset_dispatch_matches_legacy`` and the hypothesis
+        property :class:`TestSharingIsInvisible`.
+        """
+        seed = sweep_seed(3, 16, 14)
+        instance = mixed_instance(16, seed)
+        new = run_instance(instance, seed, **BUDGETS)
+        old = legacy_run_instance(instance, seed, **BUDGETS)
+        assert not new["opt"].congestion_free, "the pinned seed no longer falls back"
+        assert canonical(new) == canonical(old)
 
     def test_subset_dispatch_matches_legacy(self):
         seed = sweep_seed(1, 12, 0)

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.experiments.sweep import SweepItem, evaluate_sweep_item, run_sweep
+from repro.experiments.sweep import SweepItem, evaluate_sweep_item
+from repro.pipeline import RunContext, run_in_memory
 from repro.runtime import ParallelRunner, available_cpus, fork_available
 from repro.runtime.parallel import _run_chunk
 
@@ -133,8 +134,8 @@ class TestMinWorkThreshold:
 
 class TestSweepDeterminism:
     # Deterministic OPT/OR bounds: record identity must not depend on wall
-    # clock (see run_sweep's docstring).
-    KWARGS = dict(
+    # clock (see repro.experiments.sweep's module docstring).
+    PARAMS = dict(
         instances_per_size=8,
         base_seed=9,
         opt_budget=30.0,
@@ -143,18 +144,20 @@ class TestSweepDeterminism:
         or_node_budget=200,
     )
 
+    def sweep(self, switch_counts, ctx=None):
+        params = dict(self.PARAMS, switch_counts=switch_counts)
+        return run_in_memory("sweep", params, ctx=ctx).records
+
     def test_parallel_records_identical_to_serial(self):
-        serial = run_sweep([10, 12], **self.KWARGS)
-        parallel = run_sweep([10, 12], max_workers=4, **self.KWARGS)
+        serial = self.sweep((10, 12))
+        parallel = self.sweep((10, 12), ctx=RunContext(workers=4))
         assert serial == parallel
 
     def test_rerun_is_reproducible(self):
-        first = run_sweep([10], **self.KWARGS)
-        second = run_sweep([10], **self.KWARGS)
-        assert first == second
+        assert self.sweep((10,)) == self.sweep((10,))
 
     def test_item_evaluation_matches_inline_sweep(self):
-        records = run_sweep([10], **self.KWARGS)
+        records = self.sweep((10,))
         item = SweepItem(
             switch_count=10,
             seed=records[0].seed,
