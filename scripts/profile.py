@@ -41,11 +41,13 @@ plan / measure / verify per scheme, store, and what is left, summing to the
 item-scoped sharing (DESIGN.md 15.1) and OPT's proven share and bound
 prunes, so a sweep-path change is sized from here.
 
-``cold`` is what a fresh process and a fresh instance pay before the warm
-numbers above apply: ``import repro`` in a new interpreter (wall time, repro
-modules loaded, whether scipy was), then per ``segmented_instance(size)``
-of the ``plan-large`` shape the medians of its build, its first Chronus plan
-(which derives the instance's cached tables) and a warm re-plan.
+``cold`` is what a fresh process pays before the warm numbers above apply,
+for the two shapes the bench plans -- ``random_instance(16)`` (``plan-dense``)
+and ``segmented_instance(size)`` (``plan-large``): in new interpreters, the
+medians of ``import repro``, the imports one Chronus plan needs, the build,
+the first plan (which derives the instance's cached tables and pays the lazy
+imports the plan triggers) and a warm re-plan, and what the process has
+loaded by then -- modules, and whether numpy and scipy were among them.
 
 Usage::
 
@@ -61,7 +63,7 @@ Usage::
     python scripts/profile.py service --seed 42 --cells 7 --repeat 3   # the bench's cells
     python scripts/profile.py item             # 5 items, 9 switches, seed 7
     python scripts/profile.py item --size 12 --seed 101 --repeat 50
-    python scripts/profile.py cold             # 10000 switches, median of 5
+    python scripts/profile.py cold             # 16 and 10000 switches, median of 5
     python scripts/profile.py cold --size 2000 --repeat 12
 
 ``--memory`` reproduces BENCH_sweep.json's memory column locally: the
@@ -402,71 +404,77 @@ def _profile_search(size: int, seed: int, instances: int, nodes: int, as_json: b
     return 0
 
 
-#: Run in a new interpreter: what ``import repro`` costs and loads.
-IMPORT_PROBE = """\
+#: Run in a new interpreter: what ``import repro`` costs and loads, then
+#: what one plan of one shape costs a fresh process -- the imports it needs,
+#: the build, the first plan (which pays the lazy imports it triggers) and a
+#: warm re-plan -- and what the process has loaded by then.
+COLD_PROBE = """\
 import json, sys, time
 started = time.perf_counter()
 import repro
-seconds = time.perf_counter() - started
+bare = time.perf_counter()
+from repro.core.instance import {generator}
+from repro.updates.registry import get_planner
+imported = time.perf_counter()
+instance = {generator}({size}, seed={seed}{options})
+built = time.perf_counter()
+get_planner("chronus").plan(instance)
+first = time.perf_counter()
+get_planner("chronus").plan(instance)
 print(json.dumps(dict(
-    seconds=seconds,
+    seconds={{"import repro": bare - started, "imports": imported - bare,
+              "build": built - imported, "first plan": first - built,
+              "warm plan": time.perf_counter() - first}},
+    modules=len(sys.modules),
     repro_modules=sum(name.split(".")[0] == "repro" for name in sys.modules),
+    numpy="numpy" in sys.modules,
     scipy="scipy" in sys.modules,
 )))
 """
 
 
-def _import_probe() -> dict:
+def _cold_probe(generator: str, size: int, seed: int, options: str) -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC, env.get("PYTHONPATH"))))
+    code = COLD_PROBE.format(generator=generator, size=size, seed=seed, options=options)
     completed = subprocess.run(
-        [sys.executable, "-c", IMPORT_PROBE], capture_output=True, text=True, env=env, check=True
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
     )
     return json.loads(completed.stdout.splitlines()[-1])
 
 
 def _profile_cold(size: int, seed: int, repeat: int, as_json: bool) -> int:
-    from repro.experiments.sweep import sweep_seed
-    from repro.updates.registry import get_planner
-
-    probes = [_import_probe() for _ in range(repeat)]
-    planner = get_planner("chronus")
-    planner.plan(segmented_instance(200, seed=seed))  # the process's own lazy set-up
-    samples = {"build": [], "first plan": [], "warm plan": []}
-    for index in range(repeat):
-        started = time.perf_counter()
-        instance = segmented_instance(size, seed=sweep_seed(seed, size, index))
-        built = time.perf_counter()
-        planner.plan(instance)
-        first = time.perf_counter()
-        planner.plan(instance)
-        samples["build"].append(built - started)
-        samples["first plan"].append(first - built)
-        samples["warm plan"].append(time.perf_counter() - first)
-    medians_ms = {
-        "import repro": 1e3 * statistics.median(probe["seconds"] for probe in probes),
-        **{phase: 1e3 * statistics.median(values) for phase, values in samples.items()},
+    # The two bench shapes a process plans: plan-dense's short global reroute
+    # (dict tracker) and plan-large's long path (array tracker).
+    plans = {
+        "random[16]": ("random_instance", 16, ", capacity=2.0"),
+        f"segmented[{size}]": ("segmented_instance", size, ""),
     }
-    imported = probes[-1]
+    shapes = {}
+    for label, (generator, switches, options) in plans.items():
+        probes = [_cold_probe(generator, switches, seed, options) for _ in range(repeat)]
+        last = probes[-1]
+        shapes[label] = {
+            "medians_ms": {
+                phase: 1e3 * statistics.median(probe["seconds"][phase] for probe in probes)
+                for phase in last["seconds"]
+            },
+            **{key: last[key] for key in ("modules", "repro_modules", "numpy", "scipy")},
+        }
     if as_json:
-        emit_json(
-            {
-                "size": size,
-                "seed": seed,
-                "repeat": repeat,
-                "medians_ms": medians_ms,
-                "repro_modules": imported["repro_modules"],
-                "scipy": imported["scipy"],
-            }
-        )
+        emit_json({"seed": seed, "repeat": repeat, "shapes": shapes})
         return 0
-    print(f"cold path (segmented[{size}], seed {seed}, median of {repeat}):")
-    for phase, ms in medians_ms.items():
-        print(f"  {phase:<13}{ms:8.1f} ms")
-    print(
-        f"  import repro loads {imported['repro_modules']} repro modules, scipy "
-        f"{'loaded' if imported['scipy'] else 'not loaded'}"
-    )
+    print(f"cold path (fresh interpreters, seed {seed}, median of {repeat}, ms):")
+    phases = list(next(iter(shapes.values()))["medians_ms"])
+    print(f"  {'shape':<18}" + "".join(f"{phase:>14}" for phase in phases) + "   loaded")
+    for label, shape in shapes.items():
+        print(
+            f"  {label:<18}"
+            + "".join(f"{shape['medians_ms'][phase]:14.1f}" for phase in phases)
+            + f"   {shape['modules']} modules ({shape['repro_modules']} repro), numpy "
+            f"{'loaded' if shape['numpy'] else 'not loaded'}, scipy "
+            f"{'loaded' if shape['scipy'] else 'not loaded'}"
+        )
     return 0
 
 
@@ -522,7 +530,7 @@ def main(argv=None) -> int:
         default=5,
         help="service mode: passes to run, the fastest is reported; search "
         "and item mode: instances to run, totals are reported; cold mode: "
-        "import probes and instances, medians are reported (default 5)",
+        "fresh processes per shape, medians are reported (default 5)",
     )
     parser.add_argument(
         "--nodes", type=int, default=60, help="search mode: OPT node budget (default 60)"

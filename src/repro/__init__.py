@@ -28,69 +28,46 @@ Package map:
 * :mod:`repro.solver` -- ILP model + branch-and-bound.
 * :mod:`repro.analysis` -- metrics and statistics.
 * :mod:`repro.experiments` -- one module per table/figure of the paper.
+
+``import repro`` imports none of them: each name below loads its module on
+first use (:mod:`repro.lazy`).
 """
 
-from repro.core import (
-    FeasibilityResult,
-    MultiFlowUpdate,
-    greedy_multiflow,
-    validate_multiflow,
-    GreedyResult,
-    IntervalTracker,
-    ArrayIntervalTracker,
-    OptimalResult,
-    TimeExtendedNetwork,
-    TraceResult,
-    UpdateInstance,
-    UpdateSchedule,
-    check_update_feasibility,
-    greedy_schedule,
-    instance_from_paths,
-    instance_from_topology,
-    motivating_example,
-    optimal_schedule,
-    random_instance,
-    replay_schedule,
-    reversal_instance,
-    solve_mutp,
-    trace_schedule,
-    validate_schedule,
-)
-from repro.network import Flow, Link, Network
-from repro.updates import UpdatePlan, available_schemes, get_planner
+from repro.lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "__version__",
-    "UpdateInstance",
-    "UpdateSchedule",
-    "TimeExtendedNetwork",
-    "TraceResult",
-    "IntervalTracker",
-    "ArrayIntervalTracker",
-    "GreedyResult",
-    "FeasibilityResult",
-    "OptimalResult",
-    "greedy_schedule",
-    "optimal_schedule",
-    "check_update_feasibility",
-    "solve_mutp",
-    "trace_schedule",
-    "validate_schedule",
-    "replay_schedule",
-    "motivating_example",
-    "random_instance",
-    "reversal_instance",
-    "instance_from_paths",
-    "instance_from_topology",
-    "MultiFlowUpdate",
-    "greedy_multiflow",
-    "validate_multiflow",
-    "Flow",
-    "Link",
-    "Network",
-    "UpdatePlan",
-    "available_schemes",
-    "get_planner",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "core": (
+            "UpdateInstance",
+            "UpdateSchedule",
+            "TimeExtendedNetwork",
+            "TraceResult",
+            "IntervalTracker",
+            "ArrayIntervalTracker",
+            "GreedyResult",
+            "FeasibilityResult",
+            "OptimalResult",
+            "greedy_schedule",
+            "optimal_schedule",
+            "check_update_feasibility",
+            "solve_mutp",
+            "trace_schedule",
+            "validate_schedule",
+            "replay_schedule",
+            "motivating_example",
+            "random_instance",
+            "reversal_instance",
+            "instance_from_paths",
+            "instance_from_topology",
+            "MultiFlowUpdate",
+            "greedy_multiflow",
+            "validate_multiflow",
+        ),
+        "network": ("Flow", "Link", "Network"),
+        "updates": ("UpdatePlan", "available_schemes", "get_planner"),
+    },
+)
+__all__.insert(0, "__version__")

@@ -17,78 +17,48 @@ Layout (one module per concept):
 * :mod:`repro.core.mutp` -- the MUTP integer program (program (3)).
 * :mod:`repro.core.optimal` -- OPT, the exact minimum-update-time search.
 * :mod:`repro.core.multiflow` -- multi-flow composition (program (3)'s F).
+
+Every name below loads its module on first use (:mod:`repro.lazy`), so
+``ArrayIntervalTracker`` -- and numpy with it -- loads only when read.
 """
 
-from repro.core.instance import (
-    UpdateInstance,
-    instance_from_paths,
-    instance_from_topology,
-    motivating_example,
-    random_instance,
-    reversal_instance,
-)
-from repro.core.schedule import UpdateSchedule, schedule_from_rounds
-from repro.core.timeext import TimeExtendedNetwork, build_window
-from repro.core.trace import TraceResult, trace_schedule, validate_schedule
-from repro.core.intervals import IntervalTracker
-from repro.core.intervals_array import ArrayIntervalTracker
-from repro.core.tracker import make_tracker, replay_schedule
-from repro.core.dependency import DependencySet, dependency_relations
-from repro.core.loops import creates_forwarding_loop
-from repro.core.greedy import GreedyResult, greedy_schedule
-from repro.core.tree import FeasibilityResult, check_update_feasibility
-from repro.core.optimal import OptimalResult, optimal_schedule
-from repro.core.mutp import build_mutp_model, solve_mutp
-from repro.core.serialization import (
-    plan_from_json,
-    plan_to_json,
-    schedule_from_json,
-    schedule_to_json,
-)
-from repro.core.multiflow import (
-    MultiFlowReport,
-    MultiFlowResult,
-    MultiFlowUpdate,
-    greedy_multiflow,
-    validate_multiflow,
-)
+from repro.lazy import lazy_exports
 
-__all__ = [
-    "UpdateInstance",
-    "instance_from_paths",
-    "instance_from_topology",
-    "motivating_example",
-    "random_instance",
-    "reversal_instance",
-    "UpdateSchedule",
-    "schedule_from_rounds",
-    "TimeExtendedNetwork",
-    "build_window",
-    "TraceResult",
-    "trace_schedule",
-    "validate_schedule",
-    "IntervalTracker",
-    "ArrayIntervalTracker",
-    "make_tracker",
-    "replay_schedule",
-    "DependencySet",
-    "dependency_relations",
-    "creates_forwarding_loop",
-    "GreedyResult",
-    "greedy_schedule",
-    "FeasibilityResult",
-    "check_update_feasibility",
-    "OptimalResult",
-    "optimal_schedule",
-    "build_mutp_model",
-    "solve_mutp",
-    "MultiFlowUpdate",
-    "MultiFlowReport",
-    "MultiFlowResult",
-    "greedy_multiflow",
-    "validate_multiflow",
-    "schedule_to_json",
-    "schedule_from_json",
-    "plan_to_json",
-    "plan_from_json",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "instance": (
+            "UpdateInstance",
+            "instance_from_paths",
+            "instance_from_topology",
+            "motivating_example",
+            "random_instance",
+            "reversal_instance",
+        ),
+        "schedule": ("UpdateSchedule", "schedule_from_rounds"),
+        "timeext": ("TimeExtendedNetwork", "build_window"),
+        "trace": ("TraceResult", "trace_schedule", "validate_schedule"),
+        "intervals": ("IntervalTracker",),
+        "intervals_array": ("ArrayIntervalTracker",),
+        "tracker": ("make_tracker", "replay_schedule"),
+        "dependency": ("DependencySet", "dependency_relations"),
+        "loops": ("creates_forwarding_loop",),
+        "greedy": ("GreedyResult", "greedy_schedule"),
+        "tree": ("FeasibilityResult", "check_update_feasibility"),
+        "optimal": ("OptimalResult", "optimal_schedule"),
+        "mutp": ("build_mutp_model", "solve_mutp"),
+        "multiflow": (
+            "MultiFlowUpdate",
+            "MultiFlowReport",
+            "MultiFlowResult",
+            "greedy_multiflow",
+            "validate_multiflow",
+        ),
+        "serialization": (
+            "schedule_to_json",
+            "schedule_from_json",
+            "plan_to_json",
+            "plan_from_json",
+        ),
+    },
+)

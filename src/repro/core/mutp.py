@@ -23,13 +23,15 @@ uses OPT.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.core.instance import UpdateInstance
 from repro.core.schedule import UpdateSchedule
-from repro.solver.branch_and_bound import INFEASIBLE, BranchAndBoundResult, solve_ilp
-from repro.solver.ilp import EQ, GEQ, LEQ, ILPModel
 from repro.network.graph import Node
+
+if TYPE_CHECKING:
+    from repro.solver.branch_and_bound import BranchAndBoundResult
+    from repro.solver.ilp import ILPModel
 
 OLD = "old"
 NEW = "new"
@@ -81,6 +83,8 @@ def build_mutp_model(
     Returns:
         The model plus decoding metadata.
     """
+    from repro.solver.ilp import EQ, LEQ, ILPModel  # numpy loads with the ILP
+
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
     network = instance.network
@@ -184,6 +188,8 @@ def solve_mutp(
     at all is reported as infeasible (rather than propagating the builder's
     error): no schedule within that horizon can route the flow.
     """
+    from repro.solver.branch_and_bound import INFEASIBLE, BranchAndBoundResult, solve_ilp
+
     try:
         built = build_mutp_model(instance, horizon, t0=t0)
     except ValueError as error:

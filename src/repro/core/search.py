@@ -88,8 +88,7 @@ import time
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.core.instance import UpdateInstance
-from repro.core.intervals import _EPS, DELIVERED
-from repro.core.intervals_array import ArrayIntervalTracker
+from repro.core.intervals import _EPS, DELIVERED, IntervalTracker
 from repro.core.rounds import UnionGraphIds, greedy_loop_free_rounds
 from repro.core.tracker import make_tracker
 from repro.network.graph import Node
@@ -115,7 +114,7 @@ class _TrackerOps:
     """
 
     def __init__(self, tracker) -> None:
-        self.array = isinstance(tracker, ArrayIntervalTracker)
+        self.array = not isinstance(tracker, IntervalTracker)
 
     def class_nodes(self, tracker, cls) -> Sequence[Node]:
         if self.array:

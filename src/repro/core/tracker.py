@@ -34,14 +34,16 @@ the choice is made once, from the instance alone.
 
 from __future__ import annotations
 
-from typing import Union
+from typing import TYPE_CHECKING, Union
 
 from repro.core.instance import UpdateInstance
 from repro.core.intervals import IntervalTracker
-from repro.core.intervals_array import ArrayIntervalTracker
 from repro.core.schedule import UpdateSchedule
 
-Tracker = Union[IntervalTracker, ArrayIntervalTracker]
+if TYPE_CHECKING:
+    from repro.core.intervals_array import ArrayIntervalTracker
+
+Tracker = Union[IntervalTracker, "ArrayIntervalTracker"]
 
 # Trajectory hops (old path + new path) from which the array layout is
 # built.  Paths, not network size: a service intent reroutes a 12-hop path
@@ -57,8 +59,13 @@ def make_tracker(instance: UpdateInstance, t0: int = 0, background=None) -> Trac
     either class.
     """
     hops = len(instance.old_path) + len(instance.new_path)
-    cls = ArrayIntervalTracker if hops >= ARRAY_TRACKER_MIN_HOPS else IntervalTracker
-    return cls(instance, t0=t0, background=background)
+    if hops < ARRAY_TRACKER_MIN_HOPS:
+        return IntervalTracker(instance, t0=t0, background=background)
+    # The array layout is numpy's only user on the planning side: a process
+    # that plans nothing this long never loads it (DESIGN.md §16.1).
+    from repro.core.intervals_array import ArrayIntervalTracker
+
+    return ArrayIntervalTracker(instance, t0=t0, background=background)
 
 
 def replay_schedule(instance: UpdateInstance, schedule: UpdateSchedule) -> Tracker:

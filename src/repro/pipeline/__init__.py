@@ -37,34 +37,20 @@ Quick tour::
     print(run.handle.records_path)      # runs/fig9/<run-id>/records.jsonl
 """
 
-from repro.pipeline.context import RunContext, WorkerContext
-from repro.pipeline.scenario import (
-    Scenario,
-    UnknownScenarioError,
-    get_scenario,
-    register,
-    scenario_names,
-)
-from repro.pipeline.store import ArtifactStore, RunHandle
-from repro.pipeline.runner import (
-    RunInterrupted,
-    run_in_memory,
-    run_to_store,
-    report_from_store,
-)
+from repro.lazy import lazy_exports
 
-__all__ = [
-    "ArtifactStore",
-    "RunContext",
-    "RunHandle",
-    "RunInterrupted",
-    "Scenario",
-    "UnknownScenarioError",
-    "WorkerContext",
-    "get_scenario",
-    "register",
-    "report_from_store",
-    "run_in_memory",
-    "run_to_store",
-    "scenario_names",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "store": ("ArtifactStore", "RunHandle"),
+        "context": ("RunContext", "WorkerContext"),
+        "runner": ("RunInterrupted", "report_from_store", "run_in_memory", "run_to_store"),
+        "scenario": (
+            "Scenario",
+            "UnknownScenarioError",
+            "get_scenario",
+            "register",
+            "scenario_names",
+        ),
+    },
+)

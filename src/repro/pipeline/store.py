@@ -6,8 +6,9 @@ Every scenario run writes two files:
   (sorted keys, compact separators), appended and flushed record by
   record, so a killed run loses at most the line being written;
 * ``manifest.json`` -- the run's identity: scenario name, materialised
-  parameters, a config hash over both, the base git revision, creation
-  time and status (``running`` / ``interrupted`` / ``complete``).
+  parameters, a config hash over both, the git revision of the code that
+  ran (:func:`code_revision`), creation time and status (``running`` /
+  ``interrupted`` / ``complete``).
 
 Resumability is a byte-level guarantee: records are written strictly in
 item order, so the completed records of an interrupted run are a prefix
@@ -20,6 +21,7 @@ file is byte-identical to a never-interrupted run (pinned by
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import json
@@ -68,6 +70,16 @@ def git_revision(cwd: Optional[Path] = None) -> Optional[str]:
     if completed.returncode != 0:
         return None
     return completed.stdout.strip() or None
+
+
+@functools.lru_cache(maxsize=None)
+def code_revision() -> Optional[str]:
+    """The revision of the tree this ``repro`` was imported from, once per process.
+
+    Not the caller's working directory: a run started elsewhere still
+    names the code that produced its records.
+    """
+    return git_revision(Path(__file__).resolve().parent)
 
 
 class StoreError(RuntimeError):
@@ -218,7 +230,7 @@ class ArtifactStore:
             "run_id": run_id,
             "params": _jsonable(params),
             "config_hash": config_hash(scenario_name, params),
-            "git_rev": git_revision(),
+            "git_rev": code_revision(),
             "created_at": _now(),
             "status": "running",
             "records": 0,

@@ -28,16 +28,17 @@ provides the one primitive the experiments need -- :class:`ParallelRunner`
 
 Work functions must be module-level (picklable) and must not rely on
 mutable global state; per-item randomness must come from the item's seed.
+
+``multiprocessing`` and ``concurrent.futures`` load only when a pool is
+about to start (:func:`fork_available`, :func:`_fork_pool`): an
+in-process map never imports them.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import pickle
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Callable, Iterable, List, Optional, Sequence, TypeVar
 
@@ -62,7 +63,19 @@ def fork_available() -> bool:
     items; without it (Windows, some macOS setups) the runner stays
     in-process rather than paying spawn-and-reimport per worker.
     """
+    import multiprocessing
+
     return "fork" in multiprocessing.get_all_start_methods()
+
+
+def _fork_pool(workers: int):
+    """A ``fork``-context process pool of ``workers`` processes."""
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(
+        max_workers=workers, mp_context=multiprocessing.get_context("fork")
+    )
 
 
 def _run_chunk(fn: Callable[[Item], Result], chunk: Sequence[Item]) -> List[Result]:
@@ -124,9 +137,7 @@ class ParallelRunner:
         # box (or affinity-restricted container) extra workers just add
         # fork + IPC cost on top of the same serial compute.
         workers = min(self.max_workers, available_cpus())
-        if workers <= 1 or len(work) <= 1 or not fork_available():
-            return [fn(item) for item in work]
-        if not _picklable(fn):
+        if workers <= 1 or len(work) <= 1 or not _picklable(fn):
             return [fn(item) for item in work]
         # Min-work probe: run (and time) the first item here.  Per-item
         # cost is unknowable up front, and a pool under ~half a second of
@@ -140,14 +151,14 @@ class ParallelRunner:
             rest = work[1:]
             if first_seconds * len(rest) < self.serial_threshold_seconds:
                 return head + [fn(item) for item in rest]
+        if not fork_available():
+            return head + [fn(item) for item in rest]
+        from concurrent.futures.process import BrokenProcessPool
+
         chunks = self._chunks(rest, workers)
         hooks = collection_hooks()
         try:
-            context = multiprocessing.get_context("fork")
-            with ProcessPoolExecutor(
-                max_workers=min(workers, len(chunks)),
-                mp_context=context,
-            ) as pool:
+            with _fork_pool(min(workers, len(chunks))) as pool:
                 if hooks is None:
                     futures = [
                         pool.submit(_run_chunk, fn, chunk) for chunk in chunks

@@ -15,32 +15,21 @@ The registered pipeline scenario lives in
 :mod:`repro.experiments.service`; run it with::
 
     python -m repro.experiments run service
+
+Every name below loads its module on first use (:mod:`repro.lazy`), so a
+process that reads only :mod:`repro.service.metrics` -- the sweep does,
+through the registered scenarios -- never imports asyncio.
 """
 
-from repro.service.admission import AdmissionController, Batch
-from repro.service.requests import TERMINAL, RequestState, UpdateRequest
-from repro.service.service import (
-    CellReport,
-    ServiceConfig,
-    UpdateService,
-    run_cell,
-)
-from repro.service.vclock import VirtualTimeLoop, run_virtual
-from repro.service.workload import PodSpec, ServiceWorkload, build_workload
+from repro.lazy import lazy_exports
 
-__all__ = [
-    "AdmissionController",
-    "Batch",
-    "CellReport",
-    "PodSpec",
-    "RequestState",
-    "ServiceConfig",
-    "ServiceWorkload",
-    "TERMINAL",
-    "UpdateRequest",
-    "UpdateService",
-    "VirtualTimeLoop",
-    "build_workload",
-    "run_cell",
-    "run_virtual",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "admission": ("AdmissionController", "Batch"),
+        "requests": ("RequestState", "TERMINAL", "UpdateRequest"),
+        "service": ("CellReport", "ServiceConfig", "UpdateService", "run_cell"),
+        "vclock": ("VirtualTimeLoop", "run_virtual"),
+        "workload": ("PodSpec", "ServiceWorkload", "build_workload"),
+    },
+)

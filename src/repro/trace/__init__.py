@@ -36,31 +36,20 @@ Quick tour::
     python -m repro.trace profile             # aggregate self-time tree + counters
 """
 
-from repro.trace.record import TraceRecord, derive_trace_id, utc_now_iso
-from repro.trace.recorder import TraceRecorder, recorder
-from repro.trace.session import TraceSession
-from repro.trace.sinks import (
-    ConsoleSink,
-    JsonlSink,
-    SqliteSink,
-    TraceSink,
-    open_sink,
-)
-from repro.trace.query import aggregate, read_trace, render_report
+# ``recorder`` is also the name of its submodule, which every instrumented
+# module imports; importing a submodule binds it on the package, so this
+# one name is bound here (the module loads with any traced code anyway).
+from repro.trace.recorder import recorder
+from repro.lazy import lazy_exports
 
-__all__ = [
-    "ConsoleSink",
-    "JsonlSink",
-    "SqliteSink",
-    "TraceRecord",
-    "TraceRecorder",
-    "TraceSession",
-    "TraceSink",
-    "aggregate",
-    "derive_trace_id",
-    "open_sink",
-    "read_trace",
-    "recorder",
-    "render_report",
-    "utc_now_iso",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "sinks": ("ConsoleSink", "JsonlSink", "SqliteSink", "TraceSink", "open_sink"),
+        "record": ("TraceRecord", "derive_trace_id", "utc_now_iso"),
+        "recorder": ("TraceRecorder",),
+        "session": ("TraceSession",),
+        "query": ("aggregate", "read_trace", "render_report"),
+    },
+)
+__all__.append("recorder")

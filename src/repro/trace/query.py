@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import json
 import os
-import sqlite3
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence
 
@@ -58,6 +57,8 @@ def _read_jsonl(path: Path) -> List[TraceRecord]:
 
 
 def _read_sqlite(path: Path) -> List[TraceRecord]:
+    import sqlite3
+
     conn = sqlite3.connect(str(path))
     try:
         rows = conn.execute(

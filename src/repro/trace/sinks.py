@@ -17,12 +17,14 @@ no sink ever sees concurrent writers.
 
 from __future__ import annotations
 
-import sqlite3
 import sys
 from pathlib import Path
-from typing import IO, Optional, Protocol
+from typing import IO, TYPE_CHECKING, Optional, Protocol
 
 from repro.trace.record import TraceRecord, record_to_line
+
+if TYPE_CHECKING:
+    import sqlite3
 
 JSONL_NAME = "trace.jsonl"
 SQLITE_NAME = "trace.db"
@@ -113,6 +115,8 @@ class SqliteSink:
 
     def _connection(self) -> sqlite3.Connection:
         if self._conn is None:
+            import sqlite3  # loads with the first SQLite sink that opens
+
             self.path.parent.mkdir(parents=True, exist_ok=True)
             self._conn = sqlite3.connect(str(self.path))
             self._conn.executescript(_SCHEMA)

@@ -145,6 +145,23 @@ def test_store_roundtrip_and_manifest(tmp_path):
     assert len(manifest["config_hash"]) == 16
 
 
+def test_manifest_names_the_checkout_not_the_working_directory(tmp_path, monkeypatch):
+    # Regression: the revision was read in the caller's working directory,
+    # so a run started outside the checkout stamped null (and one started
+    # in another repository stamped that repository's HEAD).
+    from pathlib import Path
+
+    from repro.pipeline.store import git_revision
+
+    checkout = git_revision(Path(__file__).resolve().parent)
+    if checkout is None:
+        pytest.skip("the tests do not run from a git checkout")
+    monkeypatch.chdir(tmp_path)
+    handle = ArtifactStore(root=tmp_path / "runs").create("fig9", {}, run_id="r1")
+    assert handle.manifest["git_rev"] == checkout
+    assert json.loads(handle.manifest_path.read_text())["git_rev"] == checkout
+
+
 def test_store_open_defaults_to_latest(tmp_path):
     store = ArtifactStore(root=tmp_path)
     store.create("fig9", {}, run_id="20240101T000000-1")

@@ -100,7 +100,7 @@ class TestMinWorkThreshold:
         def _boom(*args, **kwargs):
             raise AssertionError("pool must not start for tiny work")
 
-        monkeypatch.setattr(parallel_module, "ProcessPoolExecutor", _boom)
+        monkeypatch.setattr(parallel_module, "_fork_pool", _boom)
         runner = ParallelRunner(max_workers=4)
         items = list(range(50))
         assert runner.map(_square, items) == [x * x for x in items]
@@ -126,7 +126,7 @@ class TestMinWorkThreshold:
         def _boom(*args, **kwargs):
             raise AssertionError("pool must not start on a single-core box")
 
-        monkeypatch.setattr(parallel_module, "ProcessPoolExecutor", _boom)
+        monkeypatch.setattr(parallel_module, "_fork_pool", _boom)
         runner = ParallelRunner(max_workers=8, serial_threshold_seconds=0.0)
         items = list(range(40))
         assert runner.map(_square, items) == [x * x for x in items]
