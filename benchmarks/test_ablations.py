@@ -17,8 +17,8 @@ from repro.core.greedy import EXACT, PAPER, greedy_schedule
 from repro.core.instance import motivating_example, random_instance
 from repro.core.loops import creates_forwarding_loop, new_route_revisits
 from repro.core.rounds import greedy_loop_free_rounds
-from repro.core.trace import trace_schedule
 from repro.updates.order_replacement import minimize_rounds
+from repro.validate import verify_schedule
 
 SEEDS = range(40)
 
@@ -37,7 +37,7 @@ class TestGreedyModeAblation:
                         paper.feasible,
                         exact.schedule.makespan,
                         paper.schedule.makespan,
-                        trace_schedule(instance, paper.schedule).ok,
+                        verify_schedule(instance, paper.schedule).ok,
                     )
                 )
             return rows
@@ -200,7 +200,7 @@ class TestSlackCapacityAblation:
                         10, seed=3_000 + seed, capacity=factor, demand=1.0
                     )
                     result = greedy_schedule(instance)
-                    ok = result.feasible and trace_schedule(
+                    ok = result.feasible and verify_schedule(
                         instance, result.schedule
                     ).ok
                     feasible += ok

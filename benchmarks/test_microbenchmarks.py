@@ -12,8 +12,8 @@ from repro.core.greedy import greedy_schedule
 from repro.core.instance import motivating_example, random_instance, segmented_instance
 from repro.core.intervals import IntervalTracker
 from repro.core.loops import creates_forwarding_loop
-from repro.core.trace import trace_schedule
 from repro.core.tracker import replay_schedule
+from repro.validate import verify_schedule
 
 
 @pytest.fixture(scope="module")
@@ -69,10 +69,10 @@ class TestSchedulers:
 
 
 class TestValidators:
-    def test_unit_tracer_fig1(self, benchmark):
+    def test_verifier_fig1(self, benchmark):
         instance = motivating_example()
         schedule = greedy_schedule(instance).schedule
-        benchmark(lambda: trace_schedule(instance, schedule))
+        benchmark(lambda: verify_schedule(instance, schedule))
 
     def test_interval_validator_medium(self, benchmark, once, medium_instance):
         schedule = greedy_schedule(medium_instance).schedule

@@ -18,7 +18,7 @@ import random
 
 import networkx as nx
 
-from repro import greedy_schedule, instance_from_paths, validate_schedule
+from repro import greedy_schedule, instance_from_paths, verify_schedule
 from repro.analysis.metrics import evaluate_schedule
 from repro.core.tree import check_update_feasibility
 from repro.network.topology import waxman_topology
@@ -68,7 +68,7 @@ def main() -> None:
     print(f"\nAlgorithm 1: congestion-free transition feasible = {feasibility.feasible}")
 
     greedy = greedy_schedule(instance)
-    validation = validate_schedule(instance, greedy.schedule)
+    validation = verify_schedule(instance, greedy.schedule)
     print(f"Chronus schedule: {greedy.schedule}")
     print(f"  consistent: {validation.ok} (claimed feasible: {greedy.feasible})")
 

@@ -7,7 +7,7 @@ Walks the motivating example end to end:
 2. show why naive strategies fail (transient loops / congestion);
 3. run Algorithm 1 (feasibility), Algorithm 2 (the greedy timed schedule)
    with its Algorithm 3 dependency sets, and OPT;
-4. validate everything against the exact dynamic-flow tracer.
+4. judge every schedule with the independent verifier (Definitions 1-3).
 
 Run:  python examples/quickstart.py
 """
@@ -17,7 +17,7 @@ from repro import (
     greedy_schedule,
     motivating_example,
     optimal_schedule,
-    trace_schedule,
+    verify_schedule,
 )
 from repro.core.schedule import UpdateSchedule
 
@@ -33,19 +33,21 @@ def main() -> None:
     all_at_once = UpdateSchedule(
         {node: 0 for node in instance.switches_to_update}, start_time=0
     )
-    result = trace_schedule(instance, all_at_once)
-    loop_nodes = sorted({event.node for event in result.loops})
-    print(f"All-at-once update: {len(result.loops)} forwarding-loop events "
-          f"(switches revisited: {', '.join(loop_nodes)})")
+    verdict = verify_schedule(instance, all_at_once)
+    print(f"All-at-once update: {len(verdict.loops)} forwarding-loop events "
+          f"(switches revisited: {', '.join(verdict.loop_nodes)})")
 
     # Naive strategy 2: the Fig. 2(b) order -> congestion on (v4, v3).
     fig2b = UpdateSchedule(
         {"v1": 0, "v2": 0, "v3": 1, "v4": 1, "v5": 1}, start_time=0
     )
-    result = trace_schedule(instance, fig2b)
-    for event in result.congestion:
-        print(f"Fig. 2(b) order: link {event.link[0]}->{event.link[1]} carries "
-              f"{event.load:g} units at t{event.time} (capacity {event.capacity:g})")
+    verdict = verify_schedule(instance, fig2b)
+    for violation in verdict.congestion:
+        src, dst = violation.link
+        for t in range(violation.start, violation.end + 1):
+            print(f"Fig. 2(b) order: link {src}->{dst} carries "
+                  f"{verdict.loads[violation.link][t]:g} units at t{t} "
+                  f"(capacity {violation.capacity:g})")
     print()
 
     # Algorithm 1: does a consistent timed sequence exist at all?
@@ -58,7 +60,7 @@ def main() -> None:
     for t, deps in greedy.dependency_log:
         chains = ", ".join("(" + " -> ".join(chain) + ")" for chain in deps.chains)
         print(f"  t{t}: dependency relation set {{{chains}}}")
-    validation = trace_schedule(instance, greedy.schedule)
+    validation = verify_schedule(instance, greedy.schedule)
     print(f"  congestion-free: {validation.congestion_free}, "
           f"loop-free: {validation.loop_free}, makespan: {greedy.makespan} steps")
 

@@ -8,17 +8,17 @@ for the paper's Mininet/Floodlight testbed.
 
 Quick start::
 
-    from repro import motivating_example, greedy_schedule, validate_schedule
+    from repro import motivating_example, greedy_schedule, verify_schedule
 
     instance = motivating_example()          # the paper's Fig. 1 network
     result = greedy_schedule(instance)       # Algorithm 2
     print(result.schedule)                   # v2@t0, {v1,v3}@t1, v4@t2, v5@t3
-    assert validate_schedule(instance, result.schedule).ok
+    assert verify_schedule(instance, result.schedule).ok
 
 Package map:
 
 * :mod:`repro.core` -- the paper's algorithms (greedy, tree, OPT, MUTP ILP)
-  and the dynamic-flow validators.
+  and the dynamic-flow trackers.
 * :mod:`repro.network` -- graphs, paths, flows, topology generators.
 * :mod:`repro.updates` -- the planner registry: one class per scheme
   (Chronus, OPT, OR, two-phase, AUG); ``get_planner(name).plan(instance)``
@@ -26,6 +26,9 @@ Package map:
 * :mod:`repro.simulator` -- fluid discrete-event data plane.
 * :mod:`repro.controller` -- controller, async channel, clocks, Algorithm 5.
 * :mod:`repro.solver` -- ILP model + branch-and-bound.
+* :mod:`repro.validate` -- the independent judge of Definitions 1-3
+  (:func:`verify_schedule` returns a :class:`Verdict`) and its cross-checks
+  against the simulator.
 * :mod:`repro.analysis` -- metrics and statistics.
 * :mod:`repro.experiments` -- one module per table/figure of the paper.
 
@@ -44,7 +47,6 @@ __all__, __getattr__, __dir__ = lazy_exports(
             "UpdateInstance",
             "UpdateSchedule",
             "TimeExtendedNetwork",
-            "TraceResult",
             "IntervalTracker",
             "ArrayIntervalTracker",
             "GreedyResult",
@@ -54,8 +56,6 @@ __all__, __getattr__, __dir__ = lazy_exports(
             "optimal_schedule",
             "check_update_feasibility",
             "solve_mutp",
-            "trace_schedule",
-            "validate_schedule",
             "replay_schedule",
             "motivating_example",
             "random_instance",
@@ -67,6 +67,7 @@ __all__, __getattr__, __dir__ = lazy_exports(
             "validate_multiflow",
         ),
         "network": ("Flow", "Link", "Network"),
+        "validate": ("Verdict", "verify_schedule"),
         "updates": ("UpdatePlan", "available_schemes", "get_planner"),
     },
 )

@@ -13,8 +13,7 @@ from typing import List, Optional
 from repro.core.greedy import greedy_schedule
 from repro.core.instance import UpdateInstance
 from repro.core.schedule import UpdateSchedule
-from repro.core.trace import trace_schedule
-from repro.network.graph import Node
+from repro.validate.verifier import verify_schedule
 
 
 def render_flow_timeline(
@@ -38,14 +37,18 @@ def render_flow_timeline(
         t_end: Last rendered step (default: until the new path's steady
             state).
     """
-    result = trace_schedule(instance, schedule)
+    verdict = verify_schedule(instance, schedule)
     times = schedule.as_dict()
     if t_start is None:
         t_start = schedule.t0 - instance.old_path_delay
     if t_end is None:
         t_end = schedule.last_time + instance.new_path_delay + 1
 
-    congested = {(event.link, event.time) for event in result.congestion}
+    congested = {
+        (violation.link, t)
+        for violation in verdict.congestion
+        for t in range(violation.start, violation.end + 1)
+    }
     lines: List[str] = []
     header = (
         f"time-extended flow state of {instance.flow.name!r} "
@@ -56,7 +59,7 @@ def render_flow_timeline(
     for t in range(t_start, t_end + 1):
         updates = sorted(node for node, when in times.items() if when == t)
         loaded: List[str] = []
-        for (src, dst), series in sorted(result.loads.items()):
+        for (src, dst), series in sorted(verdict.loads.items()):
             load = series.get(t, 0.0)
             if load <= 0.0:
                 continue
@@ -67,10 +70,10 @@ def render_flow_timeline(
         update_note = f"  update: {', '.join(updates)}" if updates else ""
         lines.append(f"t{t:>3}: {' '.join(loaded) or '(idle)'}{update_note}")
     summary = []
-    if result.loops:
-        summary.append(f"{len(result.loops)} loop event(s)")
-    if result.congestion:
-        summary.append(f"{len(result.congestion)} congestion event(s)")
+    if verdict.loops:
+        summary.append(f"{len(verdict.loops)} loop event(s)")
+    if verdict.congestion:
+        summary.append(f"{verdict.congested_timed_links} congestion event(s)")
     lines.append("verdict: " + (", ".join(summary) if summary else "consistent"))
     return "\n".join(lines)
 

@@ -5,7 +5,6 @@ Layout (one module per concept):
 * :mod:`repro.core.instance` -- update instances (graph + two configs).
 * :mod:`repro.core.schedule` -- timed update schedules.
 * :mod:`repro.core.timeext` -- the time-extended network (Definition 4).
-* :mod:`repro.core.trace` -- unit-level dynamic-flow oracle (Defs. 1-3).
 * :mod:`repro.core.intervals` -- scalable exact flow tracking.
 * :mod:`repro.core.intervals_array` -- the same state struct-of-arrays.
 * :mod:`repro.core.tracker` -- picks one of the two per instance.
@@ -37,7 +36,6 @@ __all__, __getattr__, __dir__ = lazy_exports(
         ),
         "schedule": ("UpdateSchedule", "schedule_from_rounds"),
         "timeext": ("TimeExtendedNetwork", "build_window"),
-        "trace": ("TraceResult", "trace_schedule", "validate_schedule"),
         "intervals": ("IntervalTracker",),
         "intervals_array": ("ArrayIntervalTracker",),
         "tracker": ("make_tracker", "replay_schedule"),

@@ -1,7 +1,7 @@
 """Scalable exact dynamic-flow tracking via emission intervals.
 
-The unit tracer in :mod:`repro.core.trace` follows every emitted unit of
-flow individually, which is quadratic.  This module exploits that the source
+The verifier in :mod:`repro.validate.verifier` follows emitted units of
+flow hop by hop.  This module exploits that the source
 emits at a *constant* rate: all units emitted within a contiguous time
 interval that experience the same sequence of forwarding rules follow the
 same trajectory, merely time-shifted.  Such a group is a :class:`FlowClass`;
@@ -14,7 +14,7 @@ This dict layout is the flow state of the greedy scheduler, the OPT search
 and every congestion metric on short trajectories;
 :func:`repro.core.tracker.make_tracker` switches to the array layout
 (:mod:`repro.core.intervals_array`, same reports byte for byte) where paths
-are long.  Tests cross-validate it against the unit tracer on thousands of
+are long.  Tests cross-validate it against the verifier on thousands of
 random instances.
 """
 

@@ -30,9 +30,9 @@ from repro.core.greedy import GreedyResult, greedy_schedule
 from repro.core.instance import UpdateInstance
 from repro.core.schedule import UpdateSchedule
 from repro.core.search import run_optimal_search
-from repro.core.trace import trace_schedule
 from repro.network.graph import Node
 from repro.trace.recorder import recorder
+from repro.validate.verifier import verify_schedule
 
 
 @dataclass
@@ -185,7 +185,8 @@ def exhaustive_schedule(
     """Brute-force oracle: try every time assignment up to ``max_makespan``.
 
     Every switch gets every time in ``[t0, t0 + max_makespan - 1]``; each
-    complete assignment is validated with the unit tracer.  Exponential --
+    complete assignment is judged by
+    :func:`repro.validate.verifier.verify_schedule`.  Exponential --
     strictly for tests on tiny instances.
 
     Returns:
@@ -202,6 +203,6 @@ def exhaustive_schedule(
                 continue  # realise this makespan exactly (smaller ones failed)
             times = dict(zip(nodes, assignment))
             schedule = UpdateSchedule(times=times, start_time=t0)
-            if trace_schedule(instance, schedule).ok:
+            if verify_schedule(instance, schedule).ok:
                 return schedule
     return None

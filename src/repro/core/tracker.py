@@ -73,7 +73,7 @@ def replay_schedule(instance: UpdateInstance, schedule: UpdateSchedule) -> Track
 
     The tracker's ``loops``/``blackholes`` lists and ``congestion_spans()``
     then describe every transient violation of the schedule: the interval
-    -level counterpart of :func:`repro.core.trace.validate_schedule`.
+    -level counterpart of :func:`repro.validate.verifier.verify_schedule`.
     Callers may rely on the surface both trackers share, not on a layout.
     """
     tracker = make_tracker(instance, t0=schedule.t0)

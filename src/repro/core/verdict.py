@@ -65,8 +65,9 @@ class Verdict:
         loops: All Definition 2 violations (one per looped emission).
         blackholes: All dropped emissions.
         congestion: All Definition 3 violations as maximal intervals.
-        loads: Per-link, per-departure-step total load (flow + background),
-            complete over ``[check_start, check_end]`` -- what
+        loads: Per-link, per-departure-step load of the judged flow alone
+            (background load counts in ``congestion``, not here), complete
+            over ``[check_start, check_end]`` -- what
             :func:`repro.validate.differential_replay` cross-checks the
             fluid simulator's utilisation timelines against.
         check_start: First fully-derived (and checked) time step.

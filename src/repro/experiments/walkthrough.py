@@ -18,9 +18,9 @@ from typing import Dict, List, Mapping, Sequence
 from repro.analysis.illustrate import render_dependency_evolution, render_flow_timeline
 from repro.core.instance import motivating_example
 from repro.core.schedule import UpdateSchedule
-from repro.core.trace import trace_schedule
 from repro.pipeline.context import WorkerContext
 from repro.pipeline.scenario import Scenario, register
+from repro.validate.verifier import verify_schedule
 
 
 def run_walkthrough() -> str:
@@ -33,19 +33,24 @@ def run_walkthrough() -> str:
     parts.append("")
 
     all_at_once = UpdateSchedule({v: 0 for v in instance.switches_to_update})
-    result = trace_schedule(instance, all_at_once)
-    loops = ", ".join(f"revisit of {event.node} (emission {event.emission})" for event in result.loops)
+    verdict = verify_schedule(instance, all_at_once)
+    loops = ", ".join(f"revisit of {event.node} (emission {event.emission})" for event in verdict.loops)
     parts.append("Fig. 2(a) -- all switches updated at t0:")
-    parts.append(f"  {len(result.loops)} forwarding loops: {loops}")
+    parts.append(f"  {len(verdict.loops)} forwarding loops: {loops}")
     parts.append("")
 
     fig2b = UpdateSchedule({"v1": 0, "v2": 0, "v3": 1, "v4": 1, "v5": 1})
-    result = trace_schedule(instance, fig2b)
-    for event in result.congestion:
+    verdict = verify_schedule(instance, fig2b)
+    congested = sorted(
+        (t, violation.link, violation.capacity)
+        for violation in verdict.congestion
+        for t in range(violation.start, violation.end + 1)
+    )
+    for t, (src, dst), capacity in congested:
         parts.append(
             "Fig. 2(b) -- {v1,v2}@t0 then {v3,v4,v5}@t1: link "
-            f"{event.link[0]}->{event.link[1]} carries {event.load:g} > "
-            f"{event.capacity:g} at t{event.time}"
+            f"{src}->{dst} carries {verdict.loads[(src, dst)][t]:g} > "
+            f"{capacity:g} at t{t}"
         )
     parts.append("")
 

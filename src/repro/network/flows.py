@@ -4,7 +4,7 @@ A *dynamic flow* (Definition 1 in the paper, after Ford & Fulkerson) is a
 constant-rate flow whose per-link utilisation varies over time as rules
 change and in-flight traffic drains.  The static part -- who talks to whom
 and at what rate -- is captured here; the temporal behaviour lives in
-:mod:`repro.core.trace` and :mod:`repro.core.intervals`.
+:mod:`repro.core.intervals` and :mod:`repro.validate.verifier`.
 """
 
 from __future__ import annotations

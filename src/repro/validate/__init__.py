@@ -7,8 +7,9 @@ silently corrupts every figure.  This package cross-checks both against a
 third, deliberately independent implementation:
 
 * :func:`verify_schedule` -- re-derives Definitions 2 and 3 for any
-  :class:`repro.core.schedule.UpdateSchedule` by replaying every emission's
-  trajectory, sharing **no code** with the interval tracker;
+  :class:`repro.core.schedule.UpdateSchedule`, sharing **no code** with the
+  interval tracker: it walks each transient emission hop by hop and
+  replicates the one steady trajectory the later emissions share;
 * :func:`verify_two_phase` -- the same judgement under two-phase versioned
   semantics (packets travel either the all-old or the all-new path);
 * :func:`differential_replay` -- executes a plan on the fluid data plane via
@@ -16,31 +17,27 @@ third, deliberately independent implementation:
   utilisation timelines and drop volumes against the verdict's predictions;
 * :mod:`repro.validate.gate` -- the ``make validate`` sweep failing on any
   planner <-> verifier <-> simulator disagreement.
+
+Every name below loads its module on first use (:mod:`repro.lazy`), so
+judging a schedule does not import the simulator that
+:func:`differential_replay` drives.
 """
 
-from repro.core.verdict import (
-    BlackholeViolation,
-    CapacityViolation,
-    LoopViolation,
-    Verdict,
-)
-from repro.validate.differential import DiffReport, TimelineMismatch, differential_replay
-from repro.validate.gate import Disagreement, GateReport, check_plan, run_gate
-from repro.validate.verifier import verify_plan, verify_schedule, verify_two_phase
+from repro.lazy import lazy_exports
 
-__all__ = [
-    "Verdict",
-    "LoopViolation",
-    "BlackholeViolation",
-    "CapacityViolation",
-    "verify_schedule",
-    "verify_two_phase",
-    "verify_plan",
-    "differential_replay",
-    "DiffReport",
-    "TimelineMismatch",
-    "Disagreement",
-    "GateReport",
-    "check_plan",
-    "run_gate",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "verifier": (
+            "Verdict",
+            "LoopViolation",
+            "BlackholeViolation",
+            "CapacityViolation",
+            "verify_schedule",
+            "verify_two_phase",
+            "verify_plan",
+        ),
+        "differential": ("differential_replay", "DiffReport", "TimelineMismatch"),
+        "gate": ("Disagreement", "GateReport", "check_plan", "run_gate"),
+    },
+)

@@ -2,9 +2,9 @@
 
 Two layers of assurance: unit tests pin :class:`repro.core.cow.CowIndex`'s
 snapshot isolation down exactly, and a 200+-instance sweep cross-validates
-the COW interval tracker against the quadratic unit tracer oracle
-(:mod:`repro.core.trace`) -- the structural sharing must never change a
-single verdict.
+the COW interval tracker against the independent verifier
+(:func:`repro.validate.verify_schedule`) -- the structural sharing must
+never change a single verdict.
 """
 
 import random
@@ -15,10 +15,10 @@ from repro.core.cow import CowIndex
 from repro.core.greedy import greedy_schedule
 from repro.core.instance import random_instance, segmented_instance
 from repro.core.intervals import IntervalTracker
-from repro.core.trace import trace_schedule
 from repro.core.tracker import replay_schedule
 from repro.core.rounds import greedy_loop_free_rounds
 from repro.updates.order_replacement import realize_round_times
+from repro.validate import verify_schedule
 
 
 class TestCowIndex:
@@ -135,10 +135,10 @@ class TestTrackerCloneIsolation:
 
 
 class TestTrackerMatchesUnitTracer:
-    """COW tracker vs. the quadratic oracle on a broad instance sweep."""
+    """COW tracker vs. the verifier on a broad instance sweep."""
 
     def _assert_verdicts_agree(self, instance, schedule):
-        oracle = trace_schedule(instance, schedule)
+        oracle = verify_schedule(instance, schedule)
         tracker = replay_schedule(instance, schedule)
         assert bool(oracle.loops) == bool(tracker.loops)
         assert bool(oracle.blackholes) == bool(tracker.blackholes)

@@ -139,7 +139,6 @@ class TestSweep:
         assert flags and all(flag is True for flag in flags)
 
 
-@pytest.mark.slow
 class TestFig7:
     def test_chronus_at_least_matches_or(self):
         result = run_in_memory(
@@ -154,7 +153,6 @@ class TestFig7:
         assert "Fig. 7" in result.render()
 
 
-@pytest.mark.slow
 class TestFig8:
     def test_chronus_congests_fewer_timed_links(self):
         result = run_in_memory("fig8", {"switch_counts": (30,), "instances_per_size": 5})
@@ -180,7 +178,6 @@ class TestFig9:
         assert 540 <= result.tp_means[300] <= 660
 
 
-@pytest.mark.slow
 class TestFig10:
     def test_chronus_fast_exact_solvers_cut_off(self):
         result = run_in_memory("fig10", {"switch_counts": (60, 600), "cutoff": 1.0})
@@ -212,7 +209,6 @@ class TestFig10:
             )
 
 
-@pytest.mark.slow
 class TestFig11:
     def test_chronus_near_optimal_update_time(self):
         result = run_in_memory(

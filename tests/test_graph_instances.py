@@ -8,9 +8,9 @@ from repro.core.greedy import greedy_schedule
 from repro.core.instance import random_instance
 from repro.core.mutp import solve_mutp
 from repro.core.optimal import optimal_schedule
-from repro.core.trace import trace_schedule
 from repro.network.topology import fat_tree_topology, waxman_topology
 from repro.planning import random_reroute_instance
+from repro.validate import verify_schedule
 
 
 class TestGeneratorOnFatTree:
@@ -33,7 +33,7 @@ class TestGeneratorOnFatTree:
         if instance is None:
             pytest.skip("no reroute for this pair")
         result = greedy_schedule(instance)
-        assert trace_schedule(instance, result.schedule).ok == result.feasible
+        assert verify_schedule(instance, result.schedule).ok == result.feasible
 
     def test_too_short_path_returns_none(self):
         net = fat_tree_topology(4)
@@ -49,7 +49,7 @@ class TestGeneratorOnWaxman:
         if instance is None:
             pytest.skip("disconnected or no alternative route")
         result = greedy_schedule(instance)
-        oracle = trace_schedule(instance, result.schedule)
+        oracle = verify_schedule(instance, result.schedule)
         assert result.feasible == oracle.ok
 
 
@@ -91,7 +91,7 @@ class TestMutpCrossValidation:
         schedule, result = solve_mutp(instance, horizon=opt.makespan)
         assert result.status == "optimal"
         assert schedule.makespan == opt.makespan
-        assert trace_schedule(instance, schedule).ok
+        assert verify_schedule(instance, schedule).ok
         if opt.makespan > 1:
             below, result_below = solve_mutp(instance, horizon=opt.makespan - 1)
             assert below is None  # the optimum really is the minimum

@@ -8,7 +8,7 @@ from repro.core.instance import (
     reversal_instance,
     segmented_instance,
 )
-from repro.core.trace import is_complete, trace_schedule
+from repro.validate import verify_schedule
 
 
 class TestMotivatingExample:
@@ -16,7 +16,7 @@ class TestMotivatingExample:
         result = greedy_schedule(fig1_instance)
         assert result.feasible
         assert result.schedule.makespan == 4
-        assert trace_schedule(fig1_instance, result.schedule).ok
+        assert verify_schedule(fig1_instance, result.schedule).ok
 
     def test_first_round_is_v2_only(self, fig1_instance):
         # The paper: "the dependency relation set at t0 is ... where we can
@@ -46,7 +46,7 @@ class TestMotivatingExample:
         result = greedy_schedule(fig1_instance, t0=10)
         assert result.schedule.t0 == 10
         assert min(result.schedule.times.values()) >= 10
-        assert trace_schedule(fig1_instance, result.schedule).ok
+        assert verify_schedule(fig1_instance, result.schedule).ok
 
 
 class TestFeasibilityReporting:
@@ -54,7 +54,7 @@ class TestFeasibilityReporting:
         result = greedy_schedule(shortcut_instance)
         assert not result.feasible
         assert result.stalled_at is not None
-        assert is_complete(shortcut_instance, result.schedule)
+        assert verify_schedule(shortcut_instance, result.schedule).schedule_complete
         assert not result.schedule.feasible
 
     def test_feasible_instance_has_clean_tracker(self, tiny_instance):
@@ -68,8 +68,9 @@ class TestAdversarialReversal:
     def test_reversal_instances_scheduled_consistently(self, count):
         instance = reversal_instance(count)
         result = greedy_schedule(instance)
-        assert trace_schedule(instance, result.schedule).ok == result.feasible
-        assert is_complete(instance, result.schedule)
+        verdict = verify_schedule(instance, result.schedule)
+        assert verdict.ok == result.feasible
+        assert verdict.schedule_complete
 
 
 class TestRandomInstances:
@@ -77,16 +78,16 @@ class TestRandomInstances:
     def test_claim_matches_oracle(self, seed):
         instance = random_instance(4 + seed % 8, seed=seed)
         result = greedy_schedule(instance)
-        oracle = trace_schedule(instance, result.schedule)
+        oracle = verify_schedule(instance, result.schedule)
         assert result.feasible == oracle.ok
-        assert is_complete(instance, result.schedule)
+        assert oracle.schedule_complete
 
     @pytest.mark.parametrize("seed", range(10))
     def test_paper_mode_is_loop_free(self, seed):
         """Theorem 3: Algorithm 4 guarantees loop-freedom in paper mode."""
         instance = random_instance(4 + seed % 8, seed=100 + seed)
         result = greedy_schedule(instance, mode=PAPER)
-        oracle = trace_schedule(instance, result.schedule)
+        oracle = verify_schedule(instance, result.schedule)
         if result.feasible:
             assert oracle.loop_free
 
@@ -95,7 +96,7 @@ class TestRandomInstances:
         instance = segmented_instance(30, seed=seed, segments=2, max_segment_length=6)
         result = greedy_schedule(instance)
         assert result.feasible
-        assert trace_schedule(instance, result.schedule).ok
+        assert verify_schedule(instance, result.schedule).ok
 
 
 class TestDeterminism:

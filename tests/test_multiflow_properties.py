@@ -13,8 +13,8 @@ from repro.core.multiflow import (
     validate_multiflow,
 )
 from repro.core.schedule import UpdateSchedule
-from repro.core.trace import trace_schedule
 from repro.network.graph import Network
+from repro.validate import verify_schedule
 
 COMMON = dict(deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
@@ -53,7 +53,7 @@ class TestIndependenceOfDisjointFlows:
             }
             schedule = UpdateSchedule(times, start_time=0)
             schedules[inst.flow.name] = schedule
-            per_flow_ok &= trace_schedule(inst, schedule).ok
+            per_flow_ok &= verify_schedule(inst, schedule).ok
         report = validate_multiflow(update, schedules)
         assert report.ok == per_flow_ok
 

@@ -4,8 +4,8 @@ import pytest
 
 from repro.core.mutp import build_mutp_model, solve_mutp
 from repro.core.optimal import optimal_schedule
-from repro.core.trace import trace_schedule
 from repro.core.instance import random_instance
+from repro.validate import verify_schedule
 
 
 class TestModelShape:
@@ -36,7 +36,7 @@ class TestSolving:
         assert result.objective == pytest.approx(3.0)  # last step index => 4 steps
         assert schedule is not None
         assert schedule.makespan == 4
-        assert trace_schedule(fig1_instance, schedule).ok
+        assert verify_schedule(fig1_instance, schedule).ok
 
     def test_infeasible_below_optimum_horizon(self, fig1_instance):
         schedule, result = solve_mutp(fig1_instance, horizon=3, time_budget=60)
@@ -50,7 +50,7 @@ class TestSolving:
         schedule, result = solve_mutp(instance, horizon=opt.makespan, time_budget=60)
         assert result.status == "optimal"
         assert schedule.makespan == opt.makespan
-        assert trace_schedule(instance, schedule).ok
+        assert verify_schedule(instance, schedule).ok
 
     def test_infeasible_instance(self, shortcut_instance):
         schedule, result = solve_mutp(shortcut_instance, horizon=4, time_budget=60)
@@ -61,4 +61,4 @@ class TestSolving:
         schedule, result = solve_mutp(tiny_instance, horizon=1, time_budget=60)
         assert result.status == "optimal"
         assert schedule.makespan == 1
-        assert trace_schedule(tiny_instance, schedule).ok
+        assert verify_schedule(tiny_instance, schedule).ok

@@ -5,7 +5,7 @@ import pytest
 from repro.core.greedy import greedy_schedule
 from repro.core.instance import random_instance
 from repro.core.optimal import exhaustive_schedule, optimal_schedule
-from repro.core.trace import trace_schedule
+from repro.validate import verify_schedule
 
 
 class TestMotivatingExample:
@@ -13,7 +13,7 @@ class TestMotivatingExample:
         result = optimal_schedule(fig1_instance)
         assert result.proven
         assert result.makespan == 4
-        assert trace_schedule(fig1_instance, result.schedule).ok
+        assert verify_schedule(fig1_instance, result.schedule).ok
 
     def test_matches_exhaustive(self, fig1_instance):
         brute = exhaustive_schedule(fig1_instance, max_makespan=5)
@@ -47,7 +47,7 @@ class TestAgainstOracle:
         instance = random_instance(6, seed=400 + seed)
         result = optimal_schedule(instance, time_budget=10)
         if result.schedule is not None:
-            assert trace_schedule(instance, result.schedule).ok
+            assert verify_schedule(instance, result.schedule).ok
 
 
 class TestEdgeCases:

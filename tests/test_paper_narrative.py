@@ -20,11 +20,11 @@ from repro.core.greedy import greedy_schedule
 from repro.core.instance import motivating_example
 from repro.core.optimal import optimal_schedule
 from repro.core.schedule import UpdateSchedule
-from repro.core.trace import trace_schedule
 from repro.core.tree import check_update_feasibility
 from repro.simulator import Simulator, build_dataplane
 from repro.simulator.dataplane import install_config
 from repro.updates import get_planner
+from repro.validate import verify_schedule
 
 
 @pytest.fixture
@@ -37,29 +37,29 @@ class TestSectionII:
         """'assume we first only update v2: hence, the subsequent flow is
         routed directly to v6 through the link (v2, v6)' -- and the old
         flow drains behind it without congestion."""
-        result = trace_schedule(instance, UpdateSchedule({"v2": 0}))
-        assert result.ok
-        assert result.loads[("v2", "v6")]  # the new link carries flow
+        verdict = verify_schedule(instance, UpdateSchedule({"v2": 0}))
+        assert verdict.loops == [] and verdict.blackholes == [] and verdict.congestion == []
+        assert verdict.loads[("v2", "v6")]  # the new link carries flow
 
     def test_claim_three_loops_when_all_updated_at_t0(self, instance):
         """Fig. 2(a): 'there would be three forwarding loops'."""
         schedule = UpdateSchedule({v: 0 for v in instance.switches_to_update})
-        result = trace_schedule(instance, schedule)
+        result = verify_schedule(instance, schedule)
         assert len(result.loops) == 3
 
     def test_claim_fig2b_capacity_violation(self, instance):
         """Fig. 2(b): 'the capacity of the link (v4(t1), v3(t2)) cannot
         accommodate the flows from v1 and v3'."""
         schedule = UpdateSchedule({"v1": 0, "v2": 0, "v3": 1, "v4": 1, "v5": 1})
-        result = trace_schedule(instance, schedule)
+        result = verify_schedule(instance, schedule)
         violation = [e for e in result.congestion if e.link == ("v4", "v3")]
-        assert violation and violation[0].load == pytest.approx(2.0)
+        assert violation and violation[0].peak_load == pytest.approx(2.0)
 
     def test_claim_paper_timed_sequence_is_consistent(self, instance):
         """Fig. 1(e)-(h): v2@t0, v3@t1, {v1,v4}@t2, v5@t3 is congestion-
         and loop-free at any moment in time."""
         schedule = UpdateSchedule({"v2": 0, "v3": 1, "v1": 2, "v4": 2, "v5": 3})
-        assert trace_schedule(instance, schedule).ok
+        assert verify_schedule(instance, schedule).ok
 
     def test_claim_four_steps_is_optimal(self, instance):
         """No schedule completes the example in fewer than four steps."""

@@ -56,9 +56,9 @@ class TestFailoverPlanner:
         plan = plan_link_failover(diamond, ["a", "b", "c", "d"], ("b", "c"))
         assert plan.feasibility.feasible
         assert plan.consistent
-        from repro.core.trace import trace_schedule
+        from repro.validate import verify_schedule
 
-        assert trace_schedule(plan.instance, plan.result.schedule).ok
+        assert verify_schedule(plan.instance, plan.result.schedule).ok
 
     def test_fast_detour_flagged_inconsistent(self):
         # The only detour is *faster* than the failed segment: rerouting

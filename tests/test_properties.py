@@ -1,8 +1,8 @@
 """Property-based tests (hypothesis) on the core invariants.
 
 These are the heavy guns of the suite: random instances and random
-schedules drive the scalable interval tracker against the unit-level
-oracle, and the schedulers' guarantees are checked on whatever hypothesis
+schedules drive the scalable interval tracker against the independent
+verifier (:func:`repro.validate.verify_schedule`), and the schedulers' guarantees are checked on whatever hypothesis
 dreams up.
 """
 
@@ -19,8 +19,8 @@ from repro.core.instance import (
 )
 from repro.core.tracker import replay_schedule
 from repro.core.schedule import UpdateSchedule
-from repro.core.trace import is_complete, trace_schedule
 from repro.network.topology import two_path_topology
+from repro.validate import verify_schedule
 
 COMMON = dict(
     deadline=None,
@@ -46,9 +46,9 @@ class TestTrackerOracleEquivalence:
     @given(data=instance_and_schedule())
     @settings(max_examples=120, **COMMON)
     def test_violation_flags_agree(self, data):
-        """The interval tracker and the unit tracer agree on every verdict."""
+        """The interval tracker and the verifier agree on every verdict."""
         instance, schedule = data
-        oracle = trace_schedule(instance, schedule)
+        oracle = verify_schedule(instance, schedule)
         tracker = replay_schedule(instance, schedule)
         assert bool(oracle.loops) == bool(tracker.loops)
         assert bool(oracle.blackholes) == bool(tracker.blackholes)
@@ -58,11 +58,11 @@ class TestTrackerOracleEquivalence:
     @settings(max_examples=60, **COMMON)
     def test_congested_link_counts_agree_when_loop_free(self, data):
         instance, schedule = data
-        oracle = trace_schedule(instance, schedule)
+        oracle = verify_schedule(instance, schedule)
         if oracle.loops or oracle.blackholes:
             return  # the oracle truncates loopy/dropped units' loads
         tracker = replay_schedule(instance, schedule)
-        assert len(oracle.congested_timed_links) == tracker.congested_timed_link_count()
+        assert oracle.congested_timed_links == tracker.congested_timed_link_count()
 
 
 class TestGreedyGuarantees:
@@ -76,8 +76,8 @@ class TestGreedyGuarantees:
         and the scheduler always produces a complete schedule."""
         instance = random_instance(count, seed=seed)
         result = greedy_schedule(instance)
-        assert is_complete(instance, result.schedule)
-        oracle = trace_schedule(instance, result.schedule)
+        oracle = verify_schedule(instance, result.schedule)
+        assert oracle.schedule_complete
         assert result.feasible == oracle.ok
 
     @given(
@@ -93,7 +93,7 @@ class TestGreedyGuarantees:
         )
         result = greedy_schedule(instance)
         assert result.feasible
-        assert trace_schedule(instance, result.schedule).ok
+        assert verify_schedule(instance, result.schedule).ok
 
 
 class TestScheduleAlgebra:
@@ -137,8 +137,8 @@ class TestTraceInvariants:
     def test_empty_update_is_always_clean(self, count, seed):
         """Doing nothing never violates anything: the steady old path."""
         instance = random_instance(count, seed=seed)
-        result = trace_schedule(instance, UpdateSchedule({}, start_time=0))
-        assert result.ok
+        verdict = verify_schedule(instance, UpdateSchedule({}, start_time=0))
+        assert verdict.loops == [] and verdict.blackholes == [] and verdict.congestion == []
 
     @given(
         count=st.integers(min_value=3, max_value=8),
@@ -154,4 +154,4 @@ class TestTraceInvariants:
         times = {node: when + rng.randint(0, 3) for node in nodes}
         base = UpdateSchedule(times, start_time=0)
         moved = base.shifted(100)
-        assert trace_schedule(instance, base).ok == trace_schedule(instance, moved).ok
+        assert verify_schedule(instance, base).ok == verify_schedule(instance, moved).ok

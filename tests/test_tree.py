@@ -4,8 +4,8 @@ import pytest
 
 from repro.core.instance import random_instance, reversal_instance, segmented_instance
 from repro.core.optimal import optimal_schedule
-from repro.core.trace import trace_schedule
 from repro.core.tree import _segment_delays, check_update_feasibility
+from repro.validate import verify_schedule
 
 
 class TestExamples:
@@ -13,7 +13,7 @@ class TestExamples:
         result = check_update_feasibility(fig1_instance)
         assert result.feasible
         assert result.schedule is not None
-        assert trace_schedule(fig1_instance, result.schedule).ok
+        assert verify_schedule(fig1_instance, result.schedule).ok
 
     def test_slow_detour_feasible(self, tiny_instance):
         assert check_update_feasibility(tiny_instance).feasible
@@ -75,4 +75,4 @@ class TestAgreementWithOPT:
         instance = random_instance(7, seed=50 + seed)
         result = check_update_feasibility(instance)
         if result.feasible:
-            assert trace_schedule(instance, result.schedule).ok
+            assert verify_schedule(instance, result.schedule).ok

@@ -7,20 +7,20 @@ import pytest
 from repro.analysis.metrics import evaluate_schedule
 from repro.core.instance import random_instance
 from repro.core.rounds import greedy_loop_free_rounds, rounds_are_loop_free
-from repro.core.trace import trace_schedule
 from repro.updates import (
     get_planner,
     minimize_rounds,
     realize_round_times,
     two_phase_congestion_spans,
 )
+from repro.validate import verify_schedule
 
 
 class TestChronusProtocol:
     def test_plan_is_consistent(self, fig1_instance):
         plan = get_planner("chronus").plan(fig1_instance)
         assert plan.feasible
-        assert trace_schedule(fig1_instance, plan.schedule).ok
+        assert verify_schedule(fig1_instance, plan.schedule).ok
 
     def test_rule_accounting_only_modifies(self, fig1_instance):
         plan = get_planner("chronus").plan(fig1_instance)
@@ -135,7 +135,7 @@ class TestOptimalProtocol:
         plan = get_planner("opt").plan(fig1_instance, time_budget=20)
         assert plan.feasible
         assert plan.makespan == 4
-        assert trace_schedule(fig1_instance, plan.schedule).ok
+        assert verify_schedule(fig1_instance, plan.schedule).ok
 
     def test_infeasible_falls_back_to_rounds(self, shortcut_instance):
         plan = get_planner("opt").plan(shortcut_instance, time_budget=20)

@@ -33,7 +33,6 @@ class TestRunGate:
         with pytest.raises(ValueError):
             run_gate(instance_count=1, protocols=("chronus", "bogus"))
 
-    @pytest.mark.slow
     def test_acceptance_sweep(self):
         """The acceptance bar: 50 seeded instances x every registered scheme."""
         report = run_gate(instance_count=50, switch_count=8, replay=True)
