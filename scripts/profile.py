@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""One-command phase profiles: the greedy scheduler, the OPT search, a service
-cell, a sweep item, the cold path.
+"""One-command phase profiles: the greedy scheduler, the dict tracker's probe,
+the OPT search, a service cell, a sweep item, the cold path.
 
 ``greedy`` (the default, ``make profile``) runs the Chronus greedy engine
 on a paper-scale segmented instance inside a sink-less
@@ -13,6 +13,17 @@ that covers the whole run, together with the tracker's counters, what a
 probe looked at per switch being updated, and how many probes a round
 accepted and refused (by the split alone / by the congestion pass / skipped
 by the fallback because the answer was known).
+
+``dense`` plans ``--plans`` Chronus schedules of the repo benchmark's
+``plan-dense`` shape -- ``random_instance(16, capacity=2.0)`` seeded by
+``sweep_seed(seed, 16, i)``, planned through the registered ``chronus``
+planner on the dict tracker -- and splits each probe into its ``split`` /
+``check`` / ``commit`` phases (the tracker's ``_split``,
+``_check_new_congestion`` and ``_commit``, timed by wrappers this mode puts
+around them for the run), next to the rest of the probe and greedy's final
+check, with the alive classes a probe sees, how many class splits left the
+class untouched and every ``tracker.*`` counter, so that layer is sized
+from here.
 
 ``search`` runs OPT on ``mixed_instance(size, sweep_seed(seed, size, i))``
 -- the ``sweep-paper`` shape -- under a node budget and reads off the tape
@@ -56,6 +67,8 @@ Usage::
     python scripts/profile.py greedy --size 10000 --segments 16   # nested reversals
     python scripts/profile.py --json           # machine-readable snapshot
     python scripts/profile.py --memory         # peak RSS of the stage too
+    python scripts/profile.py dense            # 200 plan-dense plans, seed 7
+    python scripts/profile.py dense --seed 3001 --plans 20 --json
     python scripts/profile.py search           # OPT, 9 switches, 60 nodes, seed 7
     python scripts/profile.py search --size 12 --nodes 300 --repeat 50
     python scripts/profile.py service          # one burst-shaped cell, seed 7
@@ -80,6 +93,7 @@ import statistics
 import subprocess
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -366,6 +380,126 @@ def _profile_item(size: int, seed: int, items: int, as_json: bool) -> int:
     return 0
 
 
+#: bench/workloads.py::PlanDense -- the shape the dense mode plans.
+DENSE_SHAPE = dict(size=16, capacity=2.0)
+#: Dict-tracker method -> the probe phase the dense mode times it as.
+PROBE_PHASES = {"_split": "split", "_check_new_congestion": "check", "_commit": "commit"}
+
+
+@contextmanager
+def _probe_phases(tally: dict):
+    """Time the dict tracker's probe phases while the block runs.
+
+    Each method of :data:`PROBE_PHASES` runs inside a recorder timer of its
+    phase's name, so the tape files it under the probe that called it;
+    ``tally`` gathers the alive classes each split sees and the class splits
+    made and left untouched.  The originals are put back on exit.
+    """
+    from repro.core import intervals
+    from repro.trace.recorder import recorder
+
+    tracker_class = intervals.IntervalTracker
+    originals = {name: getattr(tracker_class, name) for name in PROBE_PHASES}
+    split_class = intervals._split_class
+
+    def timed(name, method):
+        def wrapper(self, *args, **kwargs):
+            if name == "_split":
+                tally["splits"] += 1
+                tally["alive"] += len(self._alive)
+            with recorder.timer(PROBE_PHASES[name]):
+                return method(self, *args, **kwargs)
+
+        return wrapper
+
+    def counted(*args):
+        result = split_class(*args)
+        tally["class_splits"] += 1
+        tally["untouched"] += result is None
+        return result
+
+    for name, method in originals.items():
+        setattr(tracker_class, name, timed(name, method))
+    intervals._split_class = counted
+    try:
+        yield
+    finally:
+        for name, method in originals.items():
+            setattr(tracker_class, name, method)
+        intervals._split_class = split_class
+
+
+def _profile_dense(seed: int, plans: int, as_json: bool) -> int:
+    from repro.core.instance import random_instance
+    from repro.experiments.sweep import sweep_seed
+    from repro.updates.registry import get_planner
+
+    size, capacity = DENSE_SHAPE["size"], DENSE_SHAPE["capacity"]
+    instances = [
+        random_instance(size, seed=sweep_seed(seed, size, index), capacity=capacity)
+        for index in range(plans)
+    ]
+    planner = get_planner("chronus")
+    tally = dict.fromkeys(("splits", "alive", "class_splits", "untouched"), 0)
+    with _probe_phases(tally), TraceSession(scenario="profile", run_id=f"dense-{seed}") as session:
+        started = time.perf_counter()
+        for instance in instances:
+            planner.plan(instance)
+        wall = time.perf_counter() - started
+    profile = aggregate(session.tape)
+    spans, counters = profile["spans"], profile["counters"]
+    probe = spans.get("greedy.select.tracker.probe", {"calls": 0, "seconds": 0.0})
+    phases = {
+        phase: spans.get(f"greedy.select.tracker.probe.{phase}", {"calls": 0, "seconds": 0.0})
+        for phase in PROBE_PHASES.values()
+    }
+    phases["probe rest"] = {
+        "calls": probe["calls"],
+        "seconds": probe["seconds"] - sum(cell["seconds"] for cell in phases.values()),
+    }
+    phases["final check"] = spans.get("greedy.final_check", {"calls": 0, "seconds": 0.0})
+    rounds = spans.get("greedy.select", {}).get("calls", 0)
+    tracker_counters = {
+        name: value for name, value in counters.items() if name.startswith("tracker.")
+    }
+    if as_json:
+        emit_json(
+            {
+                "seed": seed,
+                "plans": plans,
+                "wall_s": wall,
+                "rounds": rounds,
+                "probes": probe["calls"],
+                "phases": phases,
+                "tally": tally,
+                "counters": tracker_counters,
+            }
+        )
+        return 0
+    print(
+        f"dense x{plans} plans (random[{size}], capacity {capacity}, seed {seed}): "
+        f"{wall:.4f}s  {plans / wall:.1f} plans/s  {rounds} rounds  "
+        f"{probe['calls']} probes (traced, phases wrapped)"
+    )
+    for phase, cell in phases.items():
+        print(
+            f"  {phase:<12}{cell['calls']:>8} calls {cell['seconds']:9.4f}s "
+            f"{cell['seconds'] / wall:6.1%}  "
+            f"{1e6 * cell['seconds'] / max(cell['calls'], 1):7.1f} us/call"
+        )
+    splits = max(tally["splits"], 1)
+    sweeps = counters.get("tracker.sweeps", 0)
+    print(
+        f"  per probe: {tally['alive'] / splits:.1f} alive classes; "
+        f"{tally['class_splits']} class splits, {tally['untouched']} left the class "
+        f"untouched ({tally['untouched'] / max(tally['class_splits'], 1):.0%}); "
+        f"{counters.get('tracker.sweep_intervals', 0) / max(sweeps, 1):.1f} intervals per sweep"
+    )
+    for name, value in tracker_counters.items():
+        print(f"  {name:<36}{value:>8}")
+    return 0
+
+
 def _proven_line(searches) -> str:
     """``proven k/n (share)`` over the ``opt.search`` records of a tape."""
     proven = sum(bool(record.attributes["proven"]) for record in searches)
@@ -500,7 +634,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "mode",
         nargs="?",
-        choices=("greedy", "search", "service", "item", "cold"),
+        choices=("greedy", "dense", "search", "service", "item", "cold"),
         default="greedy",
         help="what to profile (default greedy)",
     )
@@ -515,7 +649,7 @@ def main(argv=None) -> int:
         type=int,
         default=None,
         help="instance seed (greedy default: the size, matching the bench "
-        "harness; search, service, item and cold default: 7)",
+        "harness; dense, search, service, item and cold default: 7)",
     )
     parser.add_argument(
         "--segments",
@@ -536,6 +670,9 @@ def main(argv=None) -> int:
         "--nodes", type=int, default=60, help="search mode: OPT node budget (default 60)"
     )
     parser.add_argument(
+        "--plans", type=int, default=200, help="dense mode: plans to run (default 200)"
+    )
+    parser.add_argument(
         "--cells",
         type=int,
         default=1,
@@ -554,6 +691,8 @@ def main(argv=None) -> int:
     if args.mode != "greedy":
         seed = 7 if args.seed is None else args.seed
         repeat = max(1, args.repeat)
+        if args.mode == "dense":
+            return _profile_dense(seed, max(1, args.plans), args.json)
         if args.mode == "service":
             return _profile_service(seed, max(1, args.cells), repeat, args.json)
         if args.mode == "item":

@@ -20,7 +20,8 @@ random instances.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from operator import itemgetter
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.core.cow import CowIndex
@@ -44,15 +45,21 @@ _EPS = 1e-9
 # is all that test uses) is preserved.
 _NEG_CLAMP = -(1 << 60)
 _POS_CLAMP = 1 << 60
+_coordinate = itemgetter(0)
 
 DELIVERED = "delivered"
 BLACKHOLE = "blackhole"
 LOOPED = "looped"
 
 
-@dataclass(frozen=True)
 class FlowClass:
     """A maximal group of emissions sharing one space-time trajectory.
+
+    A plain ``__slots__`` class rather than a dataclass: the tracker builds
+    one per split piece on every probe, so construction cost is on the hot
+    path.  Instances are never mutated after construction (trims and
+    deflections build new ones); equality, hashing and ``repr`` cover the
+    seven public fields, as a frozen dataclass's would.
 
     Attributes:
         lo: First emission time of the group (``None`` means minus infinity:
@@ -75,16 +82,65 @@ class FlowClass:
             links.
     """
 
-    lo: Optional[int]
-    hi: Optional[int]
-    nodes: Tuple[Node, ...]
-    offsets: Tuple[int, ...]
-    outcome: str = DELIVERED
-    loop_node: Optional[Node] = None
-    fresh_from: int = 0
-    _link_positions: Optional[Dict[LinkKey, List[int]]] = field(
-        default=None, compare=False, repr=False
+    __slots__ = (
+        "lo",
+        "hi",
+        "nodes",
+        "offsets",
+        "outcome",
+        "loop_node",
+        "fresh_from",
+        "_link_positions",
+        "_node_positions",
     )
+
+    def __init__(
+        self,
+        lo: Optional[int],
+        hi: Optional[int],
+        nodes: Tuple[Node, ...],
+        offsets: Tuple[int, ...],
+        outcome: str = DELIVERED,
+        loop_node: Optional[Node] = None,
+        fresh_from: int = 0,
+        _link_positions: Optional[Dict[LinkKey, List[int]]] = None,
+        _node_positions: Optional[Dict[Node, List[int]]] = None,
+    ) -> None:
+        self.lo = lo
+        self.hi = hi
+        self.nodes = nodes
+        self.offsets = offsets
+        self.outcome = outcome
+        self.loop_node = loop_node
+        self.fresh_from = fresh_from
+        self._link_positions = _link_positions
+        self._node_positions = _node_positions
+
+    def _fields(self) -> tuple:
+        return (
+            self.lo,
+            self.hi,
+            self.nodes,
+            self.offsets,
+            self.outcome,
+            self.loop_node,
+            self.fresh_from,
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        return (
+            f"FlowClass(lo={self.lo!r}, hi={self.hi!r}, nodes={self.nodes!r}, "
+            f"offsets={self.offsets!r}, outcome={self.outcome!r}, "
+            f"loop_node={self.loop_node!r}, fresh_from={self.fresh_from!r})"
+        )
 
     def is_empty(self) -> bool:
         """Whether the emission interval contains no integer time."""
@@ -110,7 +166,18 @@ class FlowClass:
             nodes = self.nodes
             for i in range(len(nodes) - 1):
                 cached.setdefault((nodes[i], nodes[i + 1]), []).append(i)
-            object.__setattr__(self, "_link_positions", cached)
+            self._link_positions = cached
+        return cached
+
+    def node_positions(self) -> Dict[Node, List[int]]:
+        """``switch -> trajectory indices``, ascending (cached like
+        :meth:`link_positions`)."""
+        cached = self._node_positions
+        if cached is None:
+            cached = {}
+            for i, node in enumerate(self.nodes):
+                cached.setdefault(node, []).append(i)
+            self._node_positions = cached
         return cached
 
 
@@ -130,9 +197,12 @@ class CongestionSpan:
         return self.end - self.start + 1
 
 
-@dataclass
 class RoundReport:
     """What applying (or previewing) one update round would do.
+
+    A ``__slots__`` class (one is built per probe) with a dataclass's
+    equality and ``repr``; defining ``__eq__`` alone leaves it unhashable,
+    as a mutable dataclass is.
 
     Attributes:
         time: The round's time point.
@@ -142,11 +212,36 @@ class RoundReport:
         congestion: New capacity violations caused by the round.
     """
 
-    time: int
-    nodes: Tuple[Node, ...]
-    loops: List[Tuple[int, Node]] = field(default_factory=list)
-    blackholes: List[Tuple[int, Node]] = field(default_factory=list)
-    congestion: List[CongestionSpan] = field(default_factory=list)
+    __slots__ = ("time", "nodes", "loops", "blackholes", "congestion")
+
+    def __init__(
+        self,
+        time: int,
+        nodes: Tuple[Node, ...],
+        loops: Optional[List[Tuple[int, Node]]] = None,
+        blackholes: Optional[List[Tuple[int, Node]]] = None,
+        congestion: Optional[List[CongestionSpan]] = None,
+    ) -> None:
+        self.time = time
+        self.nodes = nodes
+        self.loops = [] if loops is None else loops
+        self.blackholes = [] if blackholes is None else blackholes
+        self.congestion = [] if congestion is None else congestion
+
+    def _fields(self) -> tuple:
+        return (self.time, self.nodes, self.loops, self.blackholes, self.congestion)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self) -> str:
+        return (
+            f"RoundReport(time={self.time!r}, nodes={self.nodes!r}, "
+            f"loops={self.loops!r}, blackholes={self.blackholes!r}, "
+            f"congestion={self.congestion!r})"
+        )
 
     @property
     def ok(self) -> bool:
@@ -277,7 +372,10 @@ class IntervalTracker:
         return [self._classes[cid] for cid in sorted(self._alive)]
 
     def load_at(self, src: Node, dst: Node, time: int) -> float:
-        """Total flow departing over ``src -> dst`` at ``time``."""
+        """This flow's load departing over ``src -> dst`` at ``time``.
+
+        Background load (the ``background`` argument) is not included.
+        """
         total = 0.0
         for cid in self._link_index.get((src, dst), ()):  # stale ids filtered below
             if cid not in self._alive:
@@ -498,14 +596,12 @@ class IntervalTracker:
         double-counted against the pieces).  With ``witness`` the split
         stops at the first class that reports a loop or black hole: the
         report then refuses the round and nothing else of the result may be
-        used.
+        used.  Deflected units follow a :class:`_RoundConfig` view of the
+        mixed configuration, not a per-probe copy of it.
         """
         report = RoundReport(time=time, nodes=tuple(nodes))
         round_set = set(nodes)
-        applied_after = dict(self._applied)
-        for node in nodes:
-            applied_after[node] = time
-        config = self.instance.config_at(applied_after, time)
+        config = _RoundConfig(self.instance, self._applied, round_set)
 
         pieces: List[Tuple[FlowClass, FlowClass]] = []
         trims: List[Tuple[int, FlowClass]] = []
@@ -515,11 +611,14 @@ class IntervalTracker:
         candidates: Set[int] = set()
         for node in round_set:
             candidates.update(self._node_index.get(node, ()))
+        alive = self._alive
+        classes = self._classes
+        instance = self.instance
         for cid in sorted(candidates):
-            if cid not in self._alive:
+            if cid not in alive:
                 continue
-            cls = self._classes[cid]
-            split = _split_class(self.instance, cls, round_set, time, config, report)
+            cls = classes[cid]
+            split = _split_class(instance, cls, round_set, time, config, report)
             if witness and (report.loops or report.blackholes):
                 break
             if split is None:
@@ -587,37 +686,33 @@ class IntervalTracker:
                     hi = None if hi0 is None else hi0 + offsets[i]
                     fresh_list.append((lo, hi, demand))
         capacities = self.instance.network.capacity_map()
+        entry_memo = self._entry_memo
         classes = self._classes
         alive = self._alive
         profiling = recorder.enabled
         for link, fresh in extras.items():
             capacity = capacities[link]
-            committed = self._committed_entries(link)
+            committed = entry_memo.get(link)
+            if committed is None:
+                committed = self._committed_entries(link)  # counts the miss
+            elif profiling:
+                recorder.count("tracker.entry_memo.hit")
             if not committed and len(fresh) * demand <= capacity + _EPS:
                 if profiling:
                     recorder.count("tracker.links_skipped")
                 continue  # combined fresh load cannot exceed capacity
-            intervals = []
-            for entry in committed:
-                cid = entry[0]
-                if cid is None:
-                    intervals.append(entry[1:])
-                elif cid in alive and cid not in removed:
-                    cls = classes[cid]
-                    offset = entry[1]
-                    lo0 = cls.lo
-                    hi0 = cls.hi
-                    intervals.append(
-                        (
-                            None if lo0 is None else lo0 + offset,
-                            None if hi0 is None else hi0 + offset,
-                            entry[2],
-                        )
-                    )
-            intervals.extend(fresh)
+            # ``_sweep_link``'s first test, decided before its input is
+            # built: the live committed loads, then the fresh ones, summed
+            # in the order the sweep sums them (same float rounding).
+            intervals, total = _resolve_live(committed, alive, removed, classes)
+            for item in fresh:
+                total += item[2]
             if profiling:
                 recorder.count("tracker.sweeps")
-                recorder.count("tracker.sweep_intervals", len(intervals))
+                recorder.count("tracker.sweep_intervals", len(intervals) + len(fresh))
+            if total <= capacity + _EPS:
+                continue
+            intervals.extend(fresh)
             report.congestion.extend(
                 _sweep_link(link, capacity, intervals, self.t0)
             )
@@ -663,27 +758,14 @@ class IntervalTracker:
         memo = self._span_memo.get(link)
         if memo is not None:
             return memo
-        alive = self._alive
-        classes = self._classes
-        intervals = []
-        for entry in self._committed_entries(link):
-            cid = entry[0]
-            if cid is None:
-                intervals.append(entry[1:])
-            elif cid in alive:
-                cls = classes[cid]
-                offset = entry[1]
-                lo0 = cls.lo
-                hi0 = cls.hi
-                intervals.append(
-                    (
-                        None if lo0 is None else lo0 + offset,
-                        None if hi0 is None else hi0 + offset,
-                        entry[2],
-                    )
-                )
+        intervals, total = _resolve_live(
+            self._committed_entries(link), self._alive, (), self._classes
+        )
         capacity = self.instance.network.capacity_map()[link]
-        spans = tuple(_sweep_link(link, capacity, intervals, self.t0))
+        if total <= capacity + _EPS:
+            spans: Tuple[CongestionSpan, ...] = ()
+        else:
+            spans = tuple(_sweep_link(link, capacity, intervals, self.t0))
         self._span_memo[link] = spans
         return spans
 
@@ -700,60 +782,122 @@ class IntervalTracker:
 # ----------------------------------------------------------------------
 # pure helpers
 # ----------------------------------------------------------------------
+def _resolve_live(
+    entries: Tuple[_Entry, ...], alive: Set[int], removed, classes: Dict[int, FlowClass]
+) -> Tuple[List[Tuple[Optional[int], Optional[int], float]], float]:
+    """``(lo, hi, load)`` departure intervals of the entries of live
+    classes not in ``removed`` (background load is always live), class
+    entries resolved against their class's current emission bounds, and
+    their total load summed in entry order."""
+    intervals = []
+    total = 0.0
+    for entry in entries:
+        cid = entry[0]
+        if cid is None:
+            intervals.append(entry[1:])
+            total += entry[3]
+        elif cid in alive and cid not in removed:
+            cls = classes[cid]
+            offset = entry[1]
+            load = entry[2]
+            lo0 = cls.lo
+            hi0 = cls.hi
+            intervals.append(
+                (
+                    None if lo0 is None else lo0 + offset,
+                    None if hi0 is None else hi0 + offset,
+                    load,
+                )
+            )
+            total += load
+    return intervals, total
+
+
+class _RoundConfig:
+    """The mixed configuration a round's deflected units follow, read lazily.
+
+    What ``instance.config_at(applied + round, time)`` would build, without
+    copying either table per probe: rounds are chronological, so every
+    switch already applied -- and every switch of this round -- is on its
+    new rule at ``time`` (``None`` when the new configuration has no rule
+    there); every other switch is on its old rule.
+    """
+
+    __slots__ = ("_old", "_new", "_applied", "_round")
+
+    def __init__(
+        self, instance: UpdateInstance, applied: Mapping[Node, int], round_set: Set[Node]
+    ) -> None:
+        self._old = instance.old_config
+        self._new = instance.new_config
+        self._applied = applied
+        self._round = round_set
+
+    def get(self, node: Node) -> Optional[Node]:
+        if node in self._applied or node in self._round:
+            return self._new.get(node)
+        return self._old.get(node)
+
+
 def _make_class(
-    instance: UpdateInstance,
-    lo: Optional[int],
-    hi: Optional[int],
-    nodes: Sequence[Node],
-    outcome: str = DELIVERED,
-    loop_node: Optional[Node] = None,
-    fresh_from: int = 0,
+    instance: UpdateInstance, lo: Optional[int], hi: Optional[int], nodes: Sequence[Node]
 ) -> FlowClass:
+    """A delivered class over ``nodes``, offsets summed from the source."""
     delays = instance.network.delay_map()
     offsets = [0]
     acc = 0
     for src, dst in zip(nodes, nodes[1:]):
         acc += delays[(src, dst)]
         offsets.append(acc)
-    return FlowClass(
-        lo=lo,
-        hi=hi,
-        nodes=tuple(nodes),
-        offsets=tuple(offsets),
-        outcome=outcome,
-        loop_node=loop_node,
-        fresh_from=fresh_from,
-    )
+    return FlowClass(lo=lo, hi=hi, nodes=tuple(nodes), offsets=tuple(offsets))
 
 
-def _route_from(
+def _deflect(
     instance: UpdateInstance,
     config: Mapping[Node, Node],
-    prefix: Sequence[Node],
-) -> Tuple[List[Node], str, Optional[Node]]:
-    """Extend ``prefix`` by following ``config`` from its last switch.
+    parent: FlowClass,
+    index: int,
+    lo: Optional[int],
+    hi: Optional[int],
+) -> FlowClass:
+    """The piece of ``parent`` emitted in ``[lo, hi]`` that deflects at
+    trajectory position ``index``.
 
-    Returns the full node sequence (prefix included), the outcome, and the
-    revisited switch for looped routes.  Looped routes are truncated right
-    after the first revisit.
+    One walk: the piece keeps ``parent``'s first ``index + 1`` switches and
+    their offsets, then follows ``config`` from ``parent.nodes[index]``,
+    extending nodes and offsets together.  The route ends delivered at the
+    destination, black-holed at a switch without a rule, or looped right
+    after its first revisit (also when the hop guard trips); the piece's
+    links from ``index`` on are fresh.
     """
-    nodes = list(prefix)
-    visited = set(prefix)
-    current = nodes[-1]
+    nodes = list(parent.nodes[: index + 1])
+    offsets = list(parent.offsets[: index + 1])
+    visited = set(nodes)
+    delays = instance.network.delay_map()
     destination = instance.destination
-    max_hops = len(instance.network) + 1
-    for _ in range(max_hops):
+    current = nodes[-1]
+    acc = offsets[-1]
+    outcome = LOOPED
+    loop_node = None
+    for _ in range(len(instance.network) + 1):
         if current == destination:
-            return nodes, DELIVERED, None
+            outcome = DELIVERED
+            break
         nxt = config.get(current)
         if nxt is None:
-            return nodes, BLACKHOLE, None
+            outcome = BLACKHOLE
+            break
+        acc += delays[(current, nxt)]
         nodes.append(nxt)
+        offsets.append(acc)
         if nxt in visited:
-            return nodes, LOOPED, nxt
+            loop_node = nxt
+            break
         visited.add(nxt)
         current = nxt
-    return nodes, LOOPED, current  # hop guard: treat as a loop
+    else:
+        loop_node = current  # hop guard: treat as a loop
+    return FlowClass(lo, hi, tuple(nodes), tuple(offsets), outcome, loop_node, index)
 
 
 def _split_class(
@@ -772,72 +916,76 @@ def _split_class(
     Loop and black-hole events for non-empty deflected pieces are appended
     to ``report``.
     """
-    hits = [i for i, node in enumerate(cls.nodes) if node in round_set]
-    if cls.outcome == LOOPED and hits and hits[-1] == len(cls.nodes) - 1:
+    positions = cls.node_positions()
+    hits: List[int] = []
+    for node in round_set:
+        found = positions.get(node)
+        if found is not None:
+            hits += found
+    if not hits:
+        return None
+    hits.sort()
+    if cls.outcome == LOOPED and hits[-1] == len(cls.nodes) - 1:
         # The final position of a looped trajectory is where the unit was
         # killed (the revisit); it cannot be re-routed from there.  Earlier
         # occurrences may still deflect units before the loop forms.
         hits.pop()
-    if not hits:
-        return None
+        if not hits:
+            return None
 
     # Deflection threshold per hit: emissions >= time - offset reach the
-    # switch after its update.  Offsets grow strictly along the trajectory,
-    # so thresholds strictly decrease with the index.
-    thresholds = [(time - cls.offsets[i], i) for i in hits]
-
-    relevant = [
-        (threshold, i)
-        for threshold, i in thresholds
-        if cls.hi is None or threshold <= cls.hi
-    ]
-    if not relevant:
-        return None
+    # switch after its update.  Offsets grow along the trajectory, so in
+    # ascending index order the thresholds never increase; a hit whose
+    # threshold lies past the last emission deflects nothing.
+    offsets = cls.offsets
+    cls_lo = cls.lo
+    cls_hi = cls.hi
+    if cls_hi is not None:
+        hits = [i for i in hits if time - offsets[i] <= cls_hi]
+        if not hits:
+            return None
 
     trim: Optional[FlowClass] = None
     deflected: List[FlowClass] = []
 
-    # Emissions below every threshold keep the original trajectory.
-    lowest_threshold = min(threshold for threshold, _ in relevant)
-    keep_hi = lowest_threshold - 1
-    if cls.lo is None or cls.lo <= keep_hi:
+    # Emissions below every threshold (the last hit's) keep the original
+    # trajectory.
+    keep_hi = time - offsets[hits[-1]] - 1
+    if cls_lo is None or cls_lo <= keep_hi:
         trim = FlowClass(
-            lo=cls.lo,
-            hi=keep_hi if cls.hi is None else min(cls.hi, keep_hi),
-            nodes=cls.nodes,
-            offsets=cls.offsets,
-            outcome=cls.outcome,
-            loop_node=cls.loop_node,
-            fresh_from=len(cls.nodes),  # trimmed: no new load anywhere
-            # Identical trajectory: share the parent's position cache
-            # instead of rebuilding a full-trajectory dict per trim.
-            _link_positions=cls._link_positions,
+            cls_lo,
+            keep_hi if cls_hi is None else min(cls_hi, keep_hi),
+            cls.nodes,
+            offsets,
+            cls.outcome,
+            cls.loop_node,
+            len(cls.nodes),  # trimmed: no new load anywhere
+            # Identical trajectory: share the parent's position caches
+            # instead of rebuilding full-trajectory dicts per trim.
+            cls._link_positions,
+            positions,
         )
 
     # A unit deflects at its *first* trajectory switch whose threshold it
-    # meets.  Thresholds decrease with the index, so sorting hits by index
-    # gives the emission-axis partition from the top down.
-    relevant.sort(key=lambda item: item[1])  # ascending index
+    # meets, so in ascending index order the pieces partition the emission
+    # axis from the top down.
     previous_threshold: Optional[int] = None  # threshold of the previous (smaller) index
-    for threshold, index in relevant:
+    for index in hits:
+        threshold = time - offsets[index]
         lo = threshold
         hi = None if previous_threshold is None else previous_threshold - 1
         previous_threshold = threshold
-        lo = lo if cls.lo is None else max(lo, cls.lo)
-        if cls.hi is not None:
-            hi = cls.hi if hi is None else min(hi, cls.hi)
+        lo = lo if cls_lo is None else max(lo, cls_lo)
+        if cls_hi is not None:
+            hi = cls_hi if hi is None else min(hi, cls_hi)
         if hi is not None and lo > hi:
             continue
-        prefix = cls.nodes[: index + 1]
-        nodes, outcome, loop_node = _route_from(instance, config, prefix)
-        piece = _make_class(
-            instance, lo, hi, nodes, outcome, loop_node, fresh_from=index
-        )
+        piece = _deflect(instance, config, cls, index, lo, hi)
         deflected.append(piece)
-        if outcome == LOOPED:
-            report.loops.append((lo, loop_node))
-        elif outcome == BLACKHOLE:
-            report.blackholes.append((lo, nodes[-1]))
+        if piece.outcome == LOOPED:
+            report.loops.append((lo, piece.loop_node))
+        elif piece.outcome == BLACKHOLE:
+            report.blackholes.append((lo, piece.nodes[-1]))
     return trim, deflected
 
 
@@ -866,25 +1014,26 @@ def _sweep_link(
     # Sentinel clamps for the disjointness test: any clamp lying outside
     # every finite coordinate yields the same verdict, so the precise
     # min/max pass over the coordinates is deferred to the slow path.
-    clamped = sorted(
+    clamped = [
         (_NEG_CLAMP if lo is None else lo, _POS_CLAMP if hi is None else hi, demand)
         for lo, hi, demand in intervals
-    )
+    ]
+    clamped.sort()
     # Fast exit covering the overwhelming share of probe sweeps (a clean
     # link the round routed new load over): the intervals are pairwise
     # disjoint and none exceeds the capacity on its own, so no departure
     # time stacks two of them.  One pass over the lo-sorted list decides
     # it; only links that fail fall through to the full event sweep.
-    disjoint = True
-    reach: Optional[int] = None
+    limit = capacity + _EPS
+    reach = _NEG_CLAMP - 1  # below every clamped coordinate
     for lo, hi, demand in clamped:
         if lo > hi:
             continue
-        if demand > capacity + _EPS or (reach is not None and lo <= reach):
-            disjoint = False
+        if demand > limit or lo <= reach:
             break
-        reach = hi if reach is None else max(reach, hi)
-    if disjoint:
+        if hi > reach:
+            reach = hi
+    else:
         return []
     # Slow path: re-clamp just outside the finite coordinates so reported
     # span bounds stay exact.
@@ -901,36 +1050,34 @@ def _sweep_link(
         events.append((hi + 1, -demand))
     if not events:
         return []
-    events.sort(key=lambda item: item[0])
+    events.sort(key=_coordinate)  # stable: equal coordinates keep their order
     spans: List[CongestionSpan] = []
     load = 0.0
     segment_start: Optional[int] = None
     peak = 0.0
-    index = 0
-    while index < len(events):
-        coord = events[index][0]
-        while index < len(events) and events[index][0] == coord:
-            load += events[index][1]
-            index += 1
-        over = load > capacity + _EPS
-        if over and segment_start is None:
-            segment_start = coord
-            peak = load
+    last = len(events) - 1
+    for index, (coord, delta) in enumerate(events):
+        load += delta
+        if index < last and events[index + 1][0] == coord:
+            continue  # the load at ``coord`` counts every event there
+        if load > limit:
+            if segment_start is None:
+                segment_start = coord
+                peak = load
+            elif load > peak:
+                peak = load
         elif segment_start is not None:
-            if over:
-                peak = max(peak, load)
-            else:
-                end = coord - 1
-                start = max(segment_start, t0)
-                if end >= start:
-                    spans.append(
-                        CongestionSpan(
-                            link=link,
-                            start=start,
-                            end=end,
-                            load=peak,
-                            capacity=capacity,
-                        )
+            end = coord - 1
+            start = max(segment_start, t0)
+            if end >= start:
+                spans.append(
+                    CongestionSpan(
+                        link=link,
+                        start=start,
+                        end=end,
+                        load=peak,
+                        capacity=capacity,
                     )
-                segment_start = None
+                )
+            segment_start = None
     return spans

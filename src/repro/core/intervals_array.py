@@ -703,6 +703,10 @@ class ArrayIntervalTracker:
         return [self._classes[cid] for cid in sorted(self._alive)]
 
     def load_at(self, src: Node, dst: Node, time: int) -> float:
+        """This flow's load departing over ``src -> dst`` at ``time``.
+
+        Background load (the ``background`` argument) is not included.
+        """
         demand = self.arrays.demand
         total = 0.0
         for lo, hi in self.link_departure_spans(src, dst):
@@ -1028,7 +1032,7 @@ class ArrayIntervalTracker:
     ) -> ArrayFlowClass:
         """Route a deflected piece from trajectory position ``index``.
 
-        :func:`repro.core.intervals._route_from`, walked run by run: an
+        :func:`repro.core.intervals._deflect`, walked run by run: an
         interior successor brings its whole run as one old-path slice, and
         only the junction a run ends on is tested for a revisit.  That is
         exact because the first switch a route reaches twice is always a

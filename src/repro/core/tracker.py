@@ -10,21 +10,21 @@ array tracker pays a fixed numpy call overhead per probe and per alive
 class, and otherwise what the *rerouted switches* need, not what the path
 is long (chains and run-length classes, :mod:`repro.core.intervals_array`).
 Measured greedy ms/plan, array vs dict (the ``tracker_grid`` block of
-``BENCH_sweep.json`` record #13):
+``BENCH_sweep.json`` record #19):
 
-* ``segmented_instance`` (few local detours on an n-hop chain): 5.4 vs
-  7.9 at 100 hops, 7.7 vs 12.0 at 200, 6.6 vs 58.9 at 800 -- the two
-  cross at about 100 hops and the array cost does not grow with the
-  path: 6.2 at 20 000 hops on 4 segments.  It grows with the *segments*
-  (80.8 on 16, 543 on 32 at 20 000 hops), where rounds, probes and the
-  runs a deflection routes all multiply;
+* ``segmented_instance`` (few local detours on an n-hop chain): 4.9 vs
+  6.7 at 100 hops, 6.9 vs 14.3 at 200, 7.6 vs 71.9 at 800 -- the array
+  tracker is ahead from about 100 hops and its cost does not grow with
+  the path: 8.2 at 20 000 hops on 4 segments.  It grows with the
+  *segments* (118 on 16, 490 on 32 at 20 000 hops), where rounds,
+  probes and the runs a deflection routes all multiply;
 * ``random_instance`` (global reroutes, where every switch is a junction
-  and there is no chain to skip): 6.5 vs 2.0 at 32 hops, 23.3 vs 11.5 at
-  64, 180 vs 54.8 at 128 -- dict wins 2-3x at every size measured, so
+  and there is no chain to skip): 5.9 vs 2.0 at 32 hops, 30.6 vs 8.8 at
+  64, 172 vs 44.9 at 128 -- dict wins 3-4x at every size measured, so
   above the threshold such instances still run on their slower side.
 
 The threshold stays at 200: between 100 and 200 hops the two are within
-1.5-1.6x of each other on segmented plans, and moving it would trade a
+1.4-2.1x of each other on segmented plans, and moving it would trade a
 small segmented gain for filing more global reroutes on their slow side.
 
 Every caller that needs only the shared surface (greedy, the OPT search

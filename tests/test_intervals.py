@@ -42,6 +42,27 @@ class TestTrackerBasics:
         assert tracker.load_at("v1", "v2", -100) == 1.0
         assert tracker.load_at("v2", "v6", 0) == 0.0
 
+    @pytest.mark.parametrize("layout", ["dict", "array"])
+    def test_load_at_leaves_background_out(self, fig1_instance, layout):
+        # ``load_at`` is this flow's own load; background only enters the
+        # capacity checks.
+        if layout == "array":
+            pytest.importorskip("numpy")
+            from repro.core.intervals_array import ArrayIntervalTracker as layout_class
+        else:
+            layout_class = IntervalTracker
+        background = {("v1", "v2"): [(None, None, 0.5)], ("v2", "v6"): [(0, 9, 0.25)]}
+        plain = layout_class(fig1_instance)
+        loaded = layout_class(fig1_instance, background=background)
+        for tracker in (plain, loaded):
+            tracker.apply_round(["v2"], 0)
+        for link in fig1_instance.network.links:
+            for time in range(-3, 12):
+                assert loaded.load_at(link.src, link.dst, time) == plain.load_at(
+                    link.src, link.dst, time
+                )
+        assert loaded.load_at("v1", "v2", -100) == 1.0
+
     def test_rounds_must_be_chronological(self, fig1_instance):
         tracker = IntervalTracker(fig1_instance)
         tracker.apply_round(["v2"], 3)

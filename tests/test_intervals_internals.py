@@ -1,8 +1,12 @@
 """White-box tests for the interval tracker's splitting machinery."""
 
-import pytest
+import random
 
-from repro.core.instance import motivating_example
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro.core.instance import motivating_example, random_instance
 from repro.core.intervals import (
     BLACKHOLE,
     DELIVERED,
@@ -10,10 +14,14 @@ from repro.core.intervals import (
     FlowClass,
     IntervalTracker,
     RoundReport,
-    _route_from,
+    _deflect,
+    _make_class,
+    _RoundConfig,
     _split_class,
     _sweep_link,
 )
+from repro.experiments.sweep import mixed_instance
+from repro.network.paths import arrival_offsets
 
 
 @pytest.fixture
@@ -26,24 +34,31 @@ def make_report():
 
 
 class TestRouteFrom:
+    """The deflection walk: a parent's prefix, then ``config`` onwards."""
+
+    def deflect(self, instance, config, index):
+        parent = _make_class(instance, None, None, instance.old_path)
+        return _deflect(instance, config, parent, index, 0, None)
+
     def test_reaches_destination(self, instance):
-        nodes, outcome, loop = _route_from(instance, instance.old_config, ["v1"])
-        assert nodes == ["v1", "v2", "v3", "v4", "v5", "v6"]
-        assert outcome == DELIVERED and loop is None
+        piece = self.deflect(instance, instance.old_config, 0)
+        assert piece.nodes == ("v1", "v2", "v3", "v4", "v5", "v6")
+        assert piece.outcome == DELIVERED and piece.loop_node is None
 
     def test_detects_revisit_of_prefix(self, instance):
         config = dict(instance.old_config)
         config["v4"] = "v3"  # v4's new rule while v3 still points forward
-        nodes, outcome, loop = _route_from(instance, config, ["v1", "v2", "v3", "v4"])
-        assert outcome == LOOPED
-        assert loop == "v3"
-        assert nodes[-1] == "v3"  # truncated right after the revisit
+        piece = self.deflect(instance, config, 3)
+        assert piece.outcome == LOOPED
+        assert piece.loop_node == "v3"
+        assert piece.nodes[-1] == "v3"  # truncated right after the revisit
+        assert piece.fresh_from == 3
 
     def test_blackhole_on_missing_rule(self, instance):
         config = {"v1": "v2"}  # nothing beyond v2
-        nodes, outcome, loop = _route_from(instance, config, ["v1"])
-        assert outcome == BLACKHOLE
-        assert nodes == ["v1", "v2"]
+        piece = self.deflect(instance, config, 0)
+        assert piece.outcome == BLACKHOLE
+        assert piece.nodes == ("v1", "v2")
 
 
 class TestSplitClass:
@@ -286,3 +301,140 @@ class TestNodeIndexConsistency:
                 assert cid in tracker._node_index[node]
             for _, link in cls.links():
                 assert cid in tracker._link_index[link]
+
+
+def _drawn_world(kind, size, seed, background_seed):
+    """An instance of ``kind`` with dyadic background loads on a few links
+    (dyadic, so any summation order gives the same float)."""
+    if kind == "random":
+        instance = random_instance(size, seed=seed, capacity=2.0)
+    else:
+        instance = mixed_instance(size, seed)
+    rng = random.Random(background_seed)
+    links = [(link.src, link.dst) for link in instance.network.links]
+    background = {}
+    for link in rng.sample(links, min(len(links), rng.randint(0, 3))):
+        lo = rng.choice([None, rng.randint(-4, 6)])
+        hi = rng.choice([None, rng.randint(6, 16)])
+        background[link] = [(lo, hi, rng.choice([0.25, 0.5, 1.0]))]
+    return instance, background
+
+
+def _random_rounds(instance, seed):
+    """Chronological random rounds over every switch to update (any order,
+    so loops and black holes occur)."""
+    rng = random.Random(seed)
+    pending = list(instance.switches_to_update)
+    rng.shuffle(pending)
+    time = rng.randint(-2, 2)
+    while pending:
+        size = rng.randint(1, min(3, len(pending)))
+        yield pending[:size], time
+        pending = pending[size:]
+        time += rng.randint(0, 3)
+
+
+class TestFastPathsEqualDefinitions:
+    """The probe kernel's shortcuts against what they stand for, on drawn
+    worlds driven through chronological random rounds."""
+
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        kind=st.sampled_from(["random", "mixed"]),
+        size=st.integers(8, 24),
+        seed=st.integers(0, 10_000),
+        background_seed=st.integers(0, 10_000),
+        rounds_seed=st.integers(0, 10_000),
+    )
+    def test_fast_paths(self, kind, size, seed, background_seed, rounds_seed):
+        instance, background = _drawn_world(kind, size, seed, background_seed)
+        network = instance.network
+        tracker = IntervalTracker(instance, background=background)
+        for nodes, time in _random_rounds(instance, rounds_seed):
+            # The lazy configuration reads what ``config_at`` builds.
+            updated = dict(tracker.applied, **dict.fromkeys(nodes, time))
+            config = instance.config_at(updated, time)
+            lazy = _RoundConfig(instance, tracker._applied, set(nodes))
+            for node in network.switches:
+                assert lazy.get(node) == config.get(node), node
+            # Every deflected piece's offsets are its trajectory's delays.
+            _pieces, _trims, deflected, _removed, _report = tracker._split(nodes, time)
+            for piece in deflected:
+                assert list(piece.offsets) == arrival_offsets(network, piece.nodes)
+            tracker.apply_round(nodes, time)
+            for cls in tracker.classes:
+                scan = {}
+                for index, node in enumerate(cls.nodes):
+                    scan.setdefault(node, []).append(index)
+                assert cls.node_positions() == scan
+                assert list(cls.offsets) == arrival_offsets(network, cls.nodes)
+            # Links whose load fits skip the sweep: same spans as sweeping
+            # every link's full interval list.
+            swept = []
+            for link in sorted(set(tracker._link_index) | set(background)):
+                intervals = [
+                    (lo, hi, instance.demand)
+                    for lo, hi in tracker.link_departure_spans(*link)
+                ]
+                intervals += background.get(link, [])
+                swept += _sweep_link(link, network.capacity(*link), intervals, tracker.t0)
+            swept.sort(key=lambda span: (span.start, span.link))
+            assert tracker.congestion_spans() == swept
+
+
+class TestFlowClassValueSemantics:
+    """Equality, hashing and ``repr`` over the public fields, as the
+    dataclasses ``FlowClass`` (frozen) and ``RoundReport`` defined them."""
+
+    def test_round_report(self):
+        report = RoundReport(time=3, nodes=("v2",))
+        assert repr(report) == (
+            "RoundReport(time=3, nodes=('v2',), loops=[], blackholes=[], congestion=[])"
+        )
+        assert report == RoundReport(3, ("v2",), [], [], [])
+        assert report != RoundReport(time=3, nodes=("v2",), loops=[(0, "v3")])
+        assert report.ok and not RoundReport(time=3, nodes=(), blackholes=[(1, "v4")]).ok
+        with pytest.raises(TypeError):
+            hash(report)
+
+    def test_keyword_constructions_used_by_the_tests(self):
+        cls = FlowClass(lo=2, hi=5, nodes=("a", "b", "c"), offsets=(0, 1, 3))
+        assert repr(cls) == (
+            "FlowClass(lo=2, hi=5, nodes=('a', 'b', 'c'), offsets=(0, 1, 3), "
+            "outcome='delivered', loop_node=None, fresh_from=0)"
+        )
+        looped = FlowClass(
+            lo=0, hi=5, nodes=("v1", "v2", "v3", "v4", "v3"), offsets=(0, 1, 2, 3, 4),
+            outcome=LOOPED, loop_node="v3",
+        )
+        assert repr(looped) == (
+            "FlowClass(lo=0, hi=5, nodes=('v1', 'v2', 'v3', 'v4', 'v3'), "
+            "offsets=(0, 1, 2, 3, 4), outcome='looped', loop_node='v3', fresh_from=0)"
+        )
+        assert cls != looped and cls.__eq__(object()) is NotImplemented
+
+    @given(
+        lo=st.one_of(st.none(), st.integers(-50, 50)),
+        hi=st.one_of(st.none(), st.integers(-50, 50)),
+        length=st.integers(1, 6),
+        outcome=st.sampled_from([DELIVERED, BLACKHOLE, LOOPED]),
+        loop_node=st.one_of(st.none(), st.sampled_from(["a", "b"])),
+        fresh_from=st.integers(0, 6),
+    )
+    def test_value_semantics(self, lo, hi, length, outcome, loop_node, fresh_from):
+        nodes = tuple("abcdef"[:length])
+        offsets = tuple(range(length))
+        fields = (lo, hi, nodes, offsets, outcome, loop_node, fresh_from)
+        cls = FlowClass(
+            lo=lo, hi=hi, nodes=nodes, offsets=offsets, outcome=outcome,
+            loop_node=loop_node, fresh_from=fresh_from,
+        )
+        twin = FlowClass(*fields)
+        twin.link_positions()  # the caches take no part in equality
+        twin.node_positions()
+        assert cls == twin and hash(cls) == hash(twin) == hash(fields)
+        assert repr(cls) == (
+            f"FlowClass(lo={lo!r}, hi={hi!r}, nodes={nodes!r}, offsets={offsets!r}, "
+            f"outcome={outcome!r}, loop_node={loop_node!r}, fresh_from={fresh_from!r})"
+        )
+        assert cls != FlowClass(*fields[:-1], fresh_from + 1)
