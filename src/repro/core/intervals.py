@@ -302,7 +302,7 @@ class IntervalTracker:
         # links one by one; the (rare) global congestion check clears it.
         self._spans_dirty = False
 
-        initial = _make_class(instance, None, None, instance.old_path)
+        initial = _make_class(instance)
         self._add_class(initial)
 
     def clone(self) -> "IntervalTracker":
@@ -839,17 +839,14 @@ class _RoundConfig:
         return self._old.get(node)
 
 
-def _make_class(
-    instance: UpdateInstance, lo: Optional[int], hi: Optional[int], nodes: Sequence[Node]
-) -> FlowClass:
-    """A delivered class over ``nodes``, offsets summed from the source."""
+def _make_class(instance: UpdateInstance) -> FlowClass:
+    """The initial class: every emission, on the old path."""
+    path = instance.old_path
     delays = instance.network.delay_map()
     offsets = [0]
-    acc = 0
-    for src, dst in zip(nodes, nodes[1:]):
-        acc += delays[(src, dst)]
-        offsets.append(acc)
-    return FlowClass(lo=lo, hi=hi, nodes=tuple(nodes), offsets=tuple(offsets))
+    for src, dst in zip(path, path[1:]):
+        offsets.append(offsets[-1] + delays[(src, dst)])
+    return FlowClass(None, None, tuple(path), tuple(offsets))
 
 
 def _deflect(

@@ -37,7 +37,7 @@ class TestRouteFrom:
     """The deflection walk: a parent's prefix, then ``config`` onwards."""
 
     def deflect(self, instance, config, index):
-        parent = _make_class(instance, None, None, instance.old_path)
+        parent = _make_class(instance)
         return _deflect(instance, config, parent, index, 0, None)
 
     def test_reaches_destination(self, instance):
