@@ -48,9 +48,11 @@ workload (five schemes, node budgets 60/60, ``aug_epsilon=1``, verified)
 through the registered ``sweep`` scenario's own evaluate stage into a
 temporary artifact store and reads one item's life off the tape: build,
 plan / measure / verify per scheme, store, and what is left, summing to the
-``item:<key>`` spans' wall clock -- with the three reuse counters of the
-item-scoped sharing (DESIGN.md 15.1) and OPT's proven share and bound
-prunes, so a sweep-path change is sized from here.
+``item:<key>`` spans' wall clock -- with the reuse counters of the
+item-scoped sharing (DESIGN.md 15.1: where each judged schedule's metrics
+came from -- a fresh replay, the greedy's final check, or an earlier
+answer) and OPT's proven share and bound prunes, so a sweep-path change is
+sized from here.
 
 ``cold`` is what a fresh process pays before the warm numbers above apply,
 for the two shapes the bench plans -- ``random_instance(16)`` (``plan-dense``)
@@ -290,7 +292,12 @@ ITEM_PHASES = {
     "validate.verifier.verify": "verify",
     "pipeline.store.append": "store",
 }
-REUSE_COUNTERS = ("sweep.incumbent.reused", "sweep.judged.reused", "sweep.judged.fresh")
+REUSE_COUNTERS = (
+    "sweep.incumbent.reused",
+    "sweep.judged.fresh",
+    "sweep.judged.greedy",
+    "sweep.judged.reused",
+)
 
 
 def _item_phases(tape) -> dict:
@@ -370,7 +377,8 @@ def _profile_item(size: int, seed: int, items: int, as_json: bool) -> int:
         print(f"  {phase:<8}{row}{total:9.4f}  {total / wall:5.1%}")
     print(
         f"  reuse: incumbent {reuse['sweep.incumbent.reused']}/{items} items, schedules "
-        f"judged {reuse['sweep.judged.fresh']} fresh + "
+        f"judged {reuse['sweep.judged.fresh']} by a fresh replay + "
+        f"{reuse['sweep.judged.greedy']} by the greedy's final check + "
         f"{reuse['sweep.judged.reused']} reused"
     )
     print(

@@ -40,9 +40,9 @@ _Entry = Tuple  # (None, lo, hi, load) | (cid, offset, load)
 
 _EPS = 1e-9
 
-# Infinity stand-ins for the sweep's disjointness fast path; far outside any
+# Infinity stand-ins for the event sweep (``_overloads``); far outside any
 # reachable departure time, so order relative to finite coordinates (which
-# is all that test uses) is preserved.
+# is all the sweep uses) is preserved.
 _NEG_CLAMP = -(1 << 60)
 _POS_CLAMP = 1 << 60
 _coordinate = itemgetter(0)
@@ -420,6 +420,23 @@ class IntervalTracker:
             self._check_new_congestion(pieces, removed, report)
             self._commit(nodes, time, trims, deflected, removed)
             return report
+
+    def commit_round(self, nodes: Sequence[Node], time: int) -> None:
+        """Commit updating ``nodes`` at ``time`` without checking it.
+
+        The state ``apply_round`` leaves (same classes, same ids), without
+        the congestion pass and without a report: for a replay that reads
+        only the final state (``loops`` / ``blackholes`` /
+        ``congestion_spans()``), never a round's report.  The per-link
+        entry memos are then built by the final check, which lists a link's
+        background load after all of its class load (a memo built mid-way
+        lists later pieces after the background).  The sum order can only
+        differ there, so the spans are ``apply_round``'s without background
+        and with dyadic background loads.
+        """
+        self._check_round_args(nodes, time)
+        _pieces, trims, deflected, removed, _report = self._split(nodes, time)
+        self._commit(nodes, time, trims, deflected, removed)
 
     def probe_and_commit(self, nodes: Sequence[Node], time: int) -> RoundReport:
         """Apply ``nodes`` at ``time`` only when doing so violates nothing.
@@ -995,10 +1012,69 @@ def _sweep_link(
     """Find over-capacity departure-time segments on one link.
 
     Each ``(lo, hi, demand)`` interval contributes ``demand`` load over the
-    departure times ``[lo, hi]``; infinities are clamped just outside the
-    finite coordinates, which preserves all finite overlaps (at most one
-    minus-infinite and one plus-infinite interval can exist per link
-    lineage, and two opposite-open intervals overlap on a finite segment).
+    departure times ``[lo, hi]``.  The sweep runs on sentinel clamps
+    (:func:`_overloads`); only a span that touches one is given a reported
+    bound: minus infinity just below the finite coordinates
+    (:func:`_open_start`), plus infinity just past the finite coordinates
+    *and* ``t0`` (:func:`_open_end`) -- so an overload that never ends is
+    reported even when every finite coordinate lies before ``t0``.  Spans
+    start no earlier than ``t0``.
+    """
+    spans: List[CongestionSpan] = []
+    for start, end, peak in _overloads(intervals, capacity):
+        if start == _NEG_CLAMP:
+            start = _open_start(intervals, t0)
+        if end == _POS_CLAMP:
+            end = _open_end(intervals, t0)
+        if start < t0:
+            start = t0
+        if end >= start:
+            spans.append(
+                CongestionSpan(link=link, start=start, end=end, load=peak, capacity=capacity)
+            )
+    return spans
+
+
+def _open_start(intervals: List[Tuple[Optional[int], Optional[int], float]], t0: int) -> int:
+    """Where an overload open to minus infinity is reported to start: one
+    before the first finite coordinate of ``intervals`` (``t0 - 1`` when
+    there is none), clipped at ``t0`` by the caller."""
+    first = None
+    for lo, hi, _demand in intervals:
+        if lo is not None and (first is None or lo < first):
+            first = lo
+        if hi is not None and (first is None or hi < first):
+            first = hi
+    return (t0 if first is None else first) - 1
+
+
+def _open_end(intervals: List[Tuple[Optional[int], Optional[int], float]], t0: int) -> int:
+    """Where an overload open to plus infinity is reported to end: one past
+    the last finite coordinate of ``intervals`` or ``t0``, whichever is later
+    (the load is constant from there on)."""
+    last = t0
+    for lo, hi, _demand in intervals:
+        if lo is not None and lo > last:
+            last = lo
+        if hi is not None and hi > last:
+            last = hi
+    return last + 1
+
+
+def _overloads(
+    intervals: List[Tuple[Optional[int], Optional[int], float]], capacity: float
+) -> List[Tuple[int, int, float]]:
+    """Over-capacity segments ``(start, end, peak load)`` of ``intervals``.
+
+    One event sweep on the sentinel clamps: an open bound stands at
+    ``_NEG_CLAMP`` / ``_POS_CLAMP``, far outside any reachable departure
+    time.  Replacing the sentinels by the precise clamps of
+    :func:`_sweep_link` is monotone and injective on the event coordinates
+    (both lie outside every finite one), so every event keeps its place in
+    the stable sort and every load is the same float; only a segment's
+    open end differs, and it reads ``_NEG_CLAMP`` (a segment open to minus
+    infinity starts there) or ``_POS_CLAMP`` (open to plus infinity) for the
+    caller to place.
     """
     if not intervals:
         return []
@@ -1006,41 +1082,15 @@ def _sweep_link(
     total = 0.0
     for _lo, _hi, demand in intervals:
         total += demand
-    if total <= capacity + _EPS:
-        return []
-    # Sentinel clamps for the disjointness test: any clamp lying outside
-    # every finite coordinate yields the same verdict, so the precise
-    # min/max pass over the coordinates is deferred to the slow path.
-    clamped = [
-        (_NEG_CLAMP if lo is None else lo, _POS_CLAMP if hi is None else hi, demand)
-        for lo, hi, demand in intervals
-    ]
-    clamped.sort()
-    # Fast exit covering the overwhelming share of probe sweeps (a clean
-    # link the round routed new load over): the intervals are pairwise
-    # disjoint and none exceeds the capacity on its own, so no departure
-    # time stacks two of them.  One pass over the lo-sorted list decides
-    # it; only links that fail fall through to the full event sweep.
     limit = capacity + _EPS
-    reach = _NEG_CLAMP - 1  # below every clamped coordinate
-    for lo, hi, demand in clamped:
-        if lo > hi:
-            continue
-        if demand > limit or lo <= reach:
-            break
-        if hi > reach:
-            reach = hi
-    else:
+    if total <= limit:
         return []
-    # Slow path: re-clamp just outside the finite coordinates so reported
-    # span bounds stay exact.
-    finite = [x for lo, hi, _ in intervals for x in (lo, hi) if x is not None]
-    neg = (min(finite) if finite else 0) - 1
-    pos = (max(finite) if finite else 0) + 1
     events: List[Tuple[int, float]] = []  # (coordinate, +/- demand)
     for lo, hi, demand in intervals:
-        lo = neg if lo is None else lo
-        hi = pos if hi is None else hi
+        if lo is None:
+            lo = _NEG_CLAMP
+        if hi is None:
+            hi = _POS_CLAMP
         if lo > hi:
             continue
         events.append((lo, demand))
@@ -1048,7 +1098,7 @@ def _sweep_link(
     if not events:
         return []
     events.sort(key=_coordinate)  # stable: equal coordinates keep their order
-    spans: List[CongestionSpan] = []
+    segments: List[Tuple[int, int, float]] = []
     load = 0.0
     segment_start: Optional[int] = None
     peak = 0.0
@@ -1064,17 +1114,6 @@ def _sweep_link(
             elif load > peak:
                 peak = load
         elif segment_start is not None:
-            end = coord - 1
-            start = max(segment_start, t0)
-            if end >= start:
-                spans.append(
-                    CongestionSpan(
-                        link=link,
-                        start=start,
-                        end=end,
-                        load=peak,
-                        capacity=capacity,
-                    )
-                )
+            segments.append((segment_start, coord - 1, peak))
             segment_start = None
-    return spans
+    return segments

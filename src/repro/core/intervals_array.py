@@ -88,7 +88,9 @@ from repro.core.intervals import (
     _EPS,
     _NEG_CLAMP,
     _POS_CLAMP,
-    _sweep_link,
+    _open_end,
+    _open_start,
+    _overloads,
 )
 from repro.network.graph import Node
 from repro.trace.recorder import recorder
@@ -800,6 +802,13 @@ class ArrayIntervalTracker:
             self._commit(nodes, time, trims, deflected, removed)
             return report
 
+    def commit_round(self, nodes: Sequence[Node], time: int) -> None:
+        """:meth:`IntervalTracker.commit_round`: ``apply_round``'s state,
+        no congestion pass, no report."""
+        self._check_round_args(nodes, time)
+        _pieces, trims, deflected, removed, _report = self._split(nodes, time)
+        self._commit(nodes, time, trims, deflected, removed)
+
     def probe_and_commit(self, nodes: Sequence[Node], time: int) -> RoundReport:
         """:meth:`IntervalTracker.probe_and_commit`: a refusal is a witness."""
         with recorder.timer("tracker.probe"):
@@ -1332,8 +1341,10 @@ class ArrayIntervalTracker:
         accumulation sequence -- and thus its spans -- is reproduced
         exactly.  One sweep serves the chain: link ``i`` carries the first
         link's intervals ``shifts[i]`` later, in the same order, against the
-        same capacity, so its spans are the first link's moved by that much
-        -- and only then clipped at ``t0``, which does not move.
+        same capacity, so its overloads are the first link's moved by that
+        much.  Each link then places an open end the way
+        :func:`repro.core.intervals._sweep_link` does for its own (shifted)
+        coordinates, and clips at ``t0``, which does not move.
         """
         arrays = self.arrays
         if recorder.enabled:
@@ -1348,28 +1359,22 @@ class ArrayIntervalTracker:
                 lo_all[rows].tolist(), hi_all[rows].tolist(), load_all[rows].tolist()
             )
         ]
-        unclipped = _sweep_link(
-            arrays.link_name[chain[0]],
-            float(arrays.capacity[chain[0]]),
-            intervals,
-            _NEG_CLAMP,
-        )
-        if not unclipped:
+        capacity = float(arrays.capacity[chain[0]])
+        segments = _overloads(intervals, capacity)
+        if not segments:
             return
-        if all(lo is None and hi is None for lo, hi, _ in intervals):
-            # Nothing finite to be relative to: the sweep then stands its
-            # infinities at fixed coordinates, the same on every link.
-            shifts = [0] * len(chain)
         t0 = self.t0
         for lid, shift in zip(chain, shifts):
             link = arrays.link_name[lid]
-            for span in unclipped:
-                start = max(span.start + shift, t0)
-                end = span.end + shift
+            for start, end, peak in segments:
+                if start == _NEG_CLAMP:
+                    start = _open_start(intervals, t0 - shift)
+                if end == _POS_CLAMP:
+                    end = _open_end(intervals, t0 - shift)
+                start = max(start + shift, t0)
+                end += shift
                 if end >= start:
-                    spans.append(
-                        CongestionSpan(link, start, end, span.load, span.capacity)
-                    )
+                    spans.append(CongestionSpan(link, start, end, peak, capacity))
 
     def _prefilter(
         self,

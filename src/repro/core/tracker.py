@@ -68,15 +68,21 @@ def make_tracker(instance: UpdateInstance, t0: int = 0, background=None) -> Trac
     return ArrayIntervalTracker(instance, t0=t0, background=background)
 
 
-def replay_schedule(instance: UpdateInstance, schedule: UpdateSchedule) -> Tracker:
+def replay_schedule(
+    instance: UpdateInstance, schedule: UpdateSchedule, background=None
+) -> Tracker:
     """Replay a full schedule round by round and return the final tracker.
 
     The tracker's ``loops``/``blackholes`` lists and ``congestion_spans()``
     then describe every transient violation of the schedule: the interval
     -level counterpart of :func:`repro.validate.verifier.verify_schedule`.
-    Callers may rely on the surface both trackers share, not on a layout.
+    Rounds are committed without their per-round congestion pass
+    (``commit_round``): the final state is the one ``apply_round`` leaves,
+    and the final check reads every link once.  ``background`` is the
+    trackers' static load from other flows.  Callers may rely on the surface
+    both trackers share, not on a layout.
     """
-    tracker = make_tracker(instance, t0=schedule.t0)
+    tracker = make_tracker(instance, t0=schedule.t0, background=background)
     for time, nodes in schedule.rounds():
-        tracker.apply_round(nodes, time)
+        tracker.commit_round(nodes, time)
     return tracker

@@ -23,7 +23,7 @@ from typing import Dict, Mapping, Optional
 
 from repro.core.greedy import greedy_schedule
 from repro.core.instance import UpdateInstance
-from repro.core.tracker import make_tracker
+from repro.core.tracker import replay_schedule
 from repro.network.graph import Network
 from repro.updates.registry import (
     Planner,
@@ -111,9 +111,7 @@ class AugPlanner(Planner):
         if shared is not None and background is None:
             claimed = UpdatePlan(scheme=self.name, schedule=schedule, instance=instance)
             return not shared.metrics(self, claimed).congestion_free
-        tracker = make_tracker(instance, t0=schedule.t0, background=background)
-        for time, nodes in schedule.rounds():
-            tracker.apply_round(nodes, time)
+        tracker = replay_schedule(instance, schedule, background=background)
         return bool(tracker.congestion_spans())
 
     def sweep_options(self, params: Mapping[str, object]) -> Dict[str, object]:

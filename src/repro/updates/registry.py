@@ -317,22 +317,29 @@ class SharedEvaluation:
     ``measure`` / ``verify`` / ``conformance`` implementations: two-phase
     plans are judged by their own formulas and never take a tracker
     answer.  The schedule key keeps the insertion order of ``times`` --
-    exactly what the replay and the verifier read.
+    exactly what the replay and the verifier read.  A feasible greedy's
+    schedule is measured by the greedy itself: its final check found no
+    loop, black hole or congestion span in the flow state its rounds built,
+    which is what ``Planner.measure`` would replay them into.
     """
 
-    __slots__ = ("instance", "_greedy", "_metrics", "_agrees")
+    __slots__ = ("instance", "_greedy", "_metrics", "_checked", "_agrees")
 
     def __init__(self, instance: UpdateInstance) -> None:
         self.instance = instance
         self._greedy: Dict[int, GreedyResult] = {}
         self._metrics: Dict[tuple, object] = {}
+        # Metrics keys the greedy's final check answered, not yet asked for.
+        self._checked: set = set()
         self._agrees: Dict[tuple, bool] = {}
 
     def greedy(self, t0: int = 0, timer: Optional[str] = None) -> GreedyResult:
         """``greedy_schedule(instance, t0=t0)``, run by whoever asks first.
 
         ``timer`` names the aggregate the run is timed under when this call
-        is the one that runs it (OPT's ``opt.seed``).
+        is the one that runs it (OPT's ``opt.seed``).  A feasible result
+        also answers :meth:`metrics` for its schedule under
+        ``Planner.measure``: no congestion, loop or black hole.
         """
         result = self._greedy.get(t0)
         if result is not None:
@@ -340,6 +347,15 @@ class SharedEvaluation:
             return result
         with recorder.timer(timer) if timer else NULL_SPAN:
             result = self._greedy[t0] = greedy_schedule(self.instance, t0=t0)
+        if result.feasible:
+            # An infeasible result is replayed instead: its loop and
+            # black-hole *counts* depend on how the replay partitions the
+            # flow into classes, which the greedy's own tracker does not.
+            from repro.analysis.metrics import ScheduleMetrics
+
+            key = (Planner.measure, *_schedule_key(result.schedule))
+            self._metrics[key] = ScheduleMetrics(result.makespan, 0, 0, 0, 0)
+            self._checked.add(key)
         return result
 
     def metrics(self, planner: "Planner", result: UpdatePlan):
@@ -347,7 +363,11 @@ class SharedEvaluation:
         key = (type(planner).measure, *_schedule_key(result.schedule))
         metrics = self._metrics.get(key)
         if metrics is not None:
-            recorder.count("sweep.judged.reused")
+            if key in self._checked:
+                self._checked.discard(key)
+                recorder.count("sweep.judged.greedy")
+            else:
+                recorder.count("sweep.judged.reused")
             return metrics
         recorder.count("sweep.judged.fresh")
         with recorder.timer("analysis.metrics.measure") as timed:

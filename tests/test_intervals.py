@@ -1,6 +1,8 @@
 """Unit and equivalence tests for the interval-based flow tracker."""
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.core.instance import random_instance, segmented_instance
 from repro.core.intervals import FlowClass, IntervalTracker
@@ -166,3 +168,93 @@ class TestEquivalenceWithUnitTracer:
         schedule = greedy_schedule(instance).schedule
         assert verify_schedule(instance, schedule).ok
         assert replay_schedule(instance, schedule).ok
+
+
+def _layout(name):
+    if name == "array":
+        from repro.core.intervals_array import ArrayIntervalTracker
+
+        return ArrayIntervalTracker
+    return IntervalTracker
+
+
+def _replayed(layout, instance, schedule, background):
+    tracker = _layout(layout)(instance, t0=schedule.t0, background=background)
+    for time, nodes in schedule.rounds():
+        tracker.apply_round(nodes, time)
+    return tracker
+
+
+class TestSteadyOverlap:
+    """An overload that never ends is reported even when every finite
+    coordinate on its link lies before ``t0``."""
+
+    STEADY = {("v1", "v2"): [(None, None, 0.5)]}
+
+    def test_sweep_keeps_an_endless_overload_past_t0(self):
+        from repro.core.intervals import _sweep_link
+
+        # The live departures after Chronus' rounds on mixed_instance(9, 39).
+        intervals = [(None, -4, 1.0), (-3, -3, 1.0), (-2, None, 1.0), (None, None, 0.5)]
+        (span,) = _sweep_link(("v1", "v2"), 1.0, intervals, 0)
+        assert (span.start, span.end, span.load) == (0, 1, 1.5)
+        (late,) = _sweep_link(("v1", "v2"), 1.0, intervals, 7)
+        assert (late.start, late.end) == (7, 8)
+        # Nothing finite: the open ends stand either side of t0.
+        (alone,) = _sweep_link(("a", "b"), 1.0, [(None, None, 1.0), (None, None, 0.5)], 5)
+        assert (alone.start, alone.end) == (5, 6)
+
+    @pytest.mark.parametrize("layout", ["dict", "array"])
+    def test_greedy_does_not_lose_the_steady_overlap(self, layout, monkeypatch):
+        from repro.core import tracker as tracker_module
+        from repro.core.greedy import greedy_schedule
+        from repro.experiments.sweep import mixed_instance
+
+        if layout == "array":
+            monkeypatch.setattr(tracker_module, "ARRAY_TRACKER_MIN_HOPS", 0)
+        instance = mixed_instance(9, 39)
+        initial = _layout(layout)(instance, background=self.STEADY)
+        assert [span.link for span in initial.congestion_spans()] == [("v1", "v2")]
+        result = greedy_schedule(instance, background=self.STEADY)
+        verdict = verify_schedule(instance, result.schedule, background=self.STEADY)
+        assert [(v.link, v.start) for v in verdict.congestion] == [(("v1", "v2"), 0)]
+        assert not result.feasible
+        replayed = _replayed(layout, instance, result.schedule, self.STEADY)
+        assert [(s.link, s.start) for s in replayed.congestion_spans()] == [(("v1", "v2"), 0)]
+        assert not replayed.ok
+
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        kind=st.sampled_from(["mixed", "random"]),
+        size=st.integers(6, 14),
+        seed=st.integers(0, 10_000),
+        link_pick=st.integers(0, 10_000),
+        load=st.sampled_from([0.25, 0.5, 0.75, 1.0]),
+        greedy=st.booleans(),
+        schedule_seed=st.integers(0, 10_000),
+    )
+    def test_tracker_and_verifier_agree_under_unbounded_background(
+        self, kind, size, seed, link_pick, load, greedy, schedule_seed
+    ):
+        import random
+
+        from repro.core.greedy import greedy_schedule
+        from repro.experiments.sweep import mixed_instance
+
+        if kind == "mixed":
+            instance = mixed_instance(size, seed)
+        else:
+            instance = random_instance(size, seed=seed)
+        path = instance.old_path
+        link = (path[link_pick % (len(path) - 1)], path[link_pick % (len(path) - 1) + 1])
+        background = {link: [(None, None, load)]}
+        if greedy:
+            schedule = greedy_schedule(instance, background=background).schedule
+        else:
+            rng = random.Random(schedule_seed)
+            times = {node: rng.randint(0, 6) for node in instance.switches_to_update}
+            schedule = UpdateSchedule(times, start_time=0)
+        verdict = verify_schedule(instance, schedule, background=background)
+        for layout in ("dict", "array"):
+            tracker = _replayed(layout, instance, schedule, background)
+            assert (not tracker.congestion_spans()) == verdict.congestion_free, layout

@@ -335,8 +335,9 @@ class TestSharingIsInvisible:
     def test_every_distinct_schedule_is_judged_exactly_once(self, monkeypatch):
         # The pinned item of TestAugPlanner: AUG's relaxed schedule differs
         # from Chronus', OPT returns the incumbent.  Whatever is shared, each
-        # distinct schedule still goes through the tracker replay and the
-        # independent verifier once -- and TP through its own pair.
+        # distinct schedule goes through the independent verifier once -- and
+        # TP through its own pair.  The tracker replays each one once, except
+        # Chronus' feasible schedule, which the greedy's final check measured.
         seed = sweep_seed(0, 8, 17)
         instance = mixed_instance(8, seed)
         measured, verified = [], []
@@ -367,9 +368,12 @@ class TestSharingIsInvisible:
         }
         assert plans["opt"].schedule == plans["chronus"].schedule
         assert plans["aug"].schedule != plans["chronus"].schedule
+        assert plans["chronus"].feasible
         assert all(outcome.verifier_agrees for outcome in outcomes.values())
-        assert len(measured) == len(set(measured)) == 4  # chronus=opt, or, tp, aug
-        assert measured == verified
+        assert len(verified) == len(set(verified)) == 4  # chronus=opt, or, tp, aug
+        chronus = (type(get_planner("chronus")).measure, tuple(plans["chronus"].schedule.items()))
+        assert verified[0] == chronus
+        assert measured == verified[1:]
         assert (type(get_planner("tp")).measure, tuple(plans["tp"].schedule.items())) in measured
 
 
@@ -574,6 +578,40 @@ class TestAugPlanner:
                 instance, seed, schemes=("aug",), aug_epsilon=1.0, verify=True
             )["aug"]
             assert outcome.verifier_agrees is True
+
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        count=st.integers(6, 14),
+        seed=st.integers(0, 10_000),
+        background_seed=st.integers(0, 10_000),
+        epsilon=st.sampled_from([0.5, 1.0]),
+    )
+    def test_background_claim_is_one_replay(self, count, seed, background_seed, epsilon):
+        # Off a sweep item AUG judges its claim with ``replay_schedule``;
+        # the verdict is the hand-rolled round-by-round replay's and the
+        # independent verifier's, on dyadic background loads.
+        from repro.core.tracker import make_tracker
+        from repro.updates.augmented import augmented_instance
+        from repro.validate.verifier import verify_schedule
+
+        instance = mixed_instance(count, seed)
+        rng = random.Random(background_seed)
+        links = [(link.src, link.dst) for link in instance.network.links]
+        background = {
+            link: [(rng.choice([None, rng.randint(-4, 6)]), rng.choice([None, rng.randint(6, 16)]),
+                    rng.choice([0.25, 0.5]))]
+            for link in rng.sample(links, min(len(links), rng.randint(1, 3)))
+        }
+        relaxed = greedy_schedule(augmented_instance(instance, epsilon), background=background)
+        plan = get_planner("aug").plan(instance, epsilon=epsilon, background=background)
+        assert plan.schedule == relaxed.schedule
+        tracker = make_tracker(instance, t0=plan.schedule.t0, background=background)
+        for time, nodes in plan.schedule.rounds():
+            tracker.apply_round(nodes, time)
+        congests = bool(tracker.congestion_spans())
+        assert plan.feasible == (relaxed.feasible and not congests)
+        verdict = verify_schedule(instance, plan.schedule, background=background)
+        assert verdict.congestion_free == (not congests)
 
 
 class TestCliFailFast:

@@ -86,6 +86,15 @@ attribute sets; ``proven`` may only go ``False -> True``); the search's
 work counters fall or vanish with the nodes it no longer expands
 (``BOUND_LOWERED``); ``search.bound.pruned`` is new (``BOUND_COUNTERS``).
 
+A fourth cause moved ``fig7`` alone (``JUDGED_RUNS``; DESIGN.md 15.1): a
+feasible greedy is its own measurement, and a replay commits its rounds
+without a per-round congestion pass.  Chronus' schedule (which OPT hands
+back) is no longer replayed, so ``analysis.metrics.measure`` calls and
+``sweep.judged.fresh`` fall (``JUDGED_CALLS``, ``JUDGED_LOWERED``), the
+replay's ``tracker.apply`` calls below the measure timer are gone, and the
+replay's tracker work counters fall with the rounds it no longer checks;
+``sweep.judged.greedy`` is new (``JUDGED_COUNTERS``).
+
 New keys, written at the refusal revision and pinned from then on
 (``REFUSAL_COUNTERS``): ``tracker.probe.refused.split`` / ``.congestion``,
 ``greedy.fallback.skipped``, ``search.include.kept`` / ``.pruned``,
@@ -258,6 +267,13 @@ SHARING_COUNTERS = {
     "sweep.judged.fresh",
 }
 
+#: The runs whose feasible greedy schedules are measured by the greedy and
+#: whose replays commit unchecked (module docstring).
+JUDGED_RUNS = {"fig7"}
+JUDGED_LOWERED = MOVED_COUNTERS | {"sweep.judged.fresh"}
+JUDGED_CALLS = "analysis.metrics.measure"  # the timer and every path below it
+JUDGED_COUNTERS = {"sweep.judged.greedy"}
+
 #: The runs whose OPT searches the loop-freedom bound cuts short.
 BOUND_RUNS = {"fig7"}
 BOUND_LOWERED = SHARING_LOWERED | {
@@ -285,12 +301,13 @@ def _bound_explains_record(frozen, now):
 
 
 def _explained(name, kind, path, frozen, now):
-    """Does one of the three causes explain ``kind:path`` going ``frozen -> now``?
+    """Does one of the four causes explain ``kind:path`` going ``frozen -> now``?
 
     ``None`` stands for "no such key"; ``path`` is free of wrapper prefixes.
     """
     sharing = name in SHARING_RUNS
     bound = name in BOUND_RUNS
+    judged = name in JUDGED_RUNS
     if kind == "records":
         return bound and path == BOUND_RECORD and _bound_explains_record(frozen, now)
     if kind == "counters":
@@ -299,13 +316,22 @@ def _explained(name, kind, path, frozen, now):
                 path in REFUSAL_COUNTERS
                 or (sharing and path in SHARING_COUNTERS)
                 or (bound and path in BOUND_COUNTERS)
+                or (judged and path in JUDGED_COUNTERS)
             )
         if bound and path in BOUND_LOWERED and (now is None or now < frozen):
+            return True
+        if judged and path in JUDGED_LOWERED and now is not None and now < frozen:
             return True
         lowered = SHARING_LOWERED if sharing else MOVED_COUNTERS
         return now is not None and now < frozen and path in lowered
     if frozen is None:
         return sharing and path in SHARING_NEW_CALLS
+    if (
+        judged
+        and (path == JUDGED_CALLS or path.startswith(JUDGED_CALLS + "."))
+        and (now is None or now < frozen)
+    ):
+        return True
     if now is None:
         return sharing and any(
             path == gone or path.startswith(gone + ".") for gone in SHARING_GONE_CALLS
@@ -359,7 +385,7 @@ def test_fixture_covers_every_run_and_its_evidence():
 
 
 def test_only_refusal_work_moved():
-    """The re-pinned entries are the ones the three listed causes explain."""
+    """The re-pinned entries are the ones the four listed causes explain."""
     goldens = json.loads(GOLDENS_PATH.read_text())
     moved = goldens["moved"]["keys"]
     assert set(moved) == set(RUNS) - {"fig9"}
@@ -376,10 +402,12 @@ def test_only_refusal_work_moved():
                 if kind == "calls":
                     path = _unwrapped(path, run["scenario"])
                 assert _explained(name, kind, path, frozen, now), (name, scope, key)
-    # The sharing is in the fixture: no item of fig7 seeds OPT on its own.
+    # The sharing is in the fixture: no item of fig7 seeds OPT on its own,
+    # and none replays the feasible schedule Chronus and OPT share.
     for item in goldens["runs"]["fig7"]["items"].values():
         assert item["counters"]["sweep.incumbent.reused"] == 1
         assert not any(path.startswith("opt.seed") for path in item["calls"])
+        assert item["counters"]["sweep.judged.greedy"] == 1
 
 
 @pytest.fixture(scope="module", params=sorted(RUNS))

@@ -355,9 +355,11 @@ def test_pool_perf_spans_merge_back(two_cpus):
     assert pool_calls == serial_calls
     assert pool_counters == serial_counters
     # A worker-side leaf three timers deep; the item-level sharing counters
-    # ride the same merge (OPT takes Chronus' greedy: no ``opt.seed`` leaf).
+    # ride the same merge (OPT takes Chronus' greedy: no ``opt.seed`` leaf;
+    # a replay commits its rounds untimed, under the measure timer).
     assert "greedy.select.tracker.probe" in pool_calls
-    assert "analysis.metrics.measure.tracker.apply" in pool_calls
+    assert "analysis.metrics.measure" in pool_calls
+    assert not any(path.startswith("analysis.metrics.measure.") for path in pool_calls)
     assert pool_counters["sweep.incumbent.reused"] == TINY_FIG7["instances_per_size"]
 
 
