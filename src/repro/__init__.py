@@ -25,7 +25,7 @@ Package map:
   returns the one plan type, :class:`UpdatePlan`.
 * :mod:`repro.simulator` -- fluid discrete-event data plane.
 * :mod:`repro.controller` -- controller, async channel, clocks, Algorithm 5.
-* :mod:`repro.solver` -- ILP model + branch-and-bound.
+* :mod:`repro.solver` -- ILP model, solved exactly by HiGHS (scipy).
 * :mod:`repro.validate` -- the independent judge of Definitions 1-3
   (:func:`verify_schedule` returns a :class:`Verdict`) and its cross-checks
   against the simulator.
@@ -46,7 +46,6 @@ __all__, __getattr__, __dir__ = lazy_exports(
         "core": (
             "UpdateInstance",
             "UpdateSchedule",
-            "TimeExtendedNetwork",
             "IntervalTracker",
             "ArrayIntervalTracker",
             "GreedyResult",

@@ -4,7 +4,6 @@ Layout (one module per concept):
 
 * :mod:`repro.core.instance` -- update instances (graph + two configs).
 * :mod:`repro.core.schedule` -- timed update schedules.
-* :mod:`repro.core.timeext` -- the time-extended network (Definition 4).
 * :mod:`repro.core.intervals` -- scalable exact flow tracking.
 * :mod:`repro.core.intervals_array` -- the same state struct-of-arrays.
 * :mod:`repro.core.tracker` -- picks one of the two per instance.
@@ -13,7 +12,8 @@ Layout (one module per concept):
 * :mod:`repro.core.greedy` -- Algorithm 2 (the Chronus scheduler).
 * :mod:`repro.core.tree` -- Algorithm 1 (feasibility check).
 * :mod:`repro.core.rounds` -- round-based loop-freedom (OR machinery).
-* :mod:`repro.core.mutp` -- the MUTP integer program (program (3)).
+* :mod:`repro.core.mutp` -- the MUTP integer program (program (3)) over
+  the time-extended network (Definition 4).
 * :mod:`repro.core.optimal` -- OPT, the exact minimum-update-time search.
 * :mod:`repro.core.multiflow` -- multi-flow composition (program (3)'s F).
 
@@ -35,7 +35,6 @@ __all__, __getattr__, __dir__ = lazy_exports(
             "reversal_instance",
         ),
         "schedule": ("UpdateSchedule", "schedule_from_rounds"),
-        "timeext": ("TimeExtendedNetwork", "build_window"),
         "intervals": ("IntervalTracker",),
         "intervals_array": ("ArrayIntervalTracker",),
         "tracker": ("make_tracker", "replay_schedule"),

@@ -1014,16 +1014,14 @@ def _sweep_link(
     Each ``(lo, hi, demand)`` interval contributes ``demand`` load over the
     departure times ``[lo, hi]``.  The sweep runs on sentinel clamps
     (:func:`_overloads`); only a span that touches one is given a reported
-    bound: minus infinity just below the finite coordinates
-    (:func:`_open_start`), plus infinity just past the finite coordinates
-    *and* ``t0`` (:func:`_open_end`) -- so an overload that never ends is
-    reported even when every finite coordinate lies before ``t0``.  Spans
-    start no earlier than ``t0``.
+    bound: minus infinity is ``t0`` (spans start no earlier, so an overload
+    that always held starts there), plus infinity just past the finite
+    coordinates *and* ``t0`` (:func:`_open_end`) -- so an overload that
+    never ends is reported even when every finite coordinate lies before
+    ``t0``.
     """
     spans: List[CongestionSpan] = []
     for start, end, peak in _overloads(intervals, capacity):
-        if start == _NEG_CLAMP:
-            start = _open_start(intervals, t0)
         if end == _POS_CLAMP:
             end = _open_end(intervals, t0)
         if start < t0:
@@ -1033,19 +1031,6 @@ def _sweep_link(
                 CongestionSpan(link=link, start=start, end=end, load=peak, capacity=capacity)
             )
     return spans
-
-
-def _open_start(intervals: List[Tuple[Optional[int], Optional[int], float]], t0: int) -> int:
-    """Where an overload open to minus infinity is reported to start: one
-    before the first finite coordinate of ``intervals`` (``t0 - 1`` when
-    there is none), clipped at ``t0`` by the caller."""
-    first = None
-    for lo, hi, _demand in intervals:
-        if lo is not None and (first is None or lo < first):
-            first = lo
-        if hi is not None and (first is None or hi < first):
-            first = hi
-    return (t0 if first is None else first) - 1
 
 
 def _open_end(intervals: List[Tuple[Optional[int], Optional[int], float]], t0: int) -> int:

@@ -89,7 +89,6 @@ from repro.core.intervals import (
     _NEG_CLAMP,
     _POS_CLAMP,
     _open_end,
-    _open_start,
     _overloads,
 )
 from repro.network.graph import Node
@@ -1367,8 +1366,6 @@ class ArrayIntervalTracker:
         for lid, shift in zip(chain, shifts):
             link = arrays.link_name[lid]
             for start, end, peak in segments:
-                if start == _NEG_CLAMP:
-                    start = _open_start(intervals, t0 - shift)
                 if end == _POS_CLAMP:
                     end = _open_end(intervals, t0 - shift)
                 start = max(start + shift, t0)

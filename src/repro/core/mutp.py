@@ -11,8 +11,14 @@ keeps implicit in the construction of ``P(f)`` -- through explicit one-hot
 update-time variables ``z_{v,k}``: a path hop that leaves switch ``v`` at
 time ``tau`` using the new rule forces ``v`` to be updated by ``tau``
 (``x_{f,p} <= sum_{k: t0+k <= tau} z_{v,k}``), and a hop using the old rule
-forces the opposite.  The resulting model is solved exactly by
-:mod:`repro.solver.branch_and_bound`.
+forces the opposite.  The resulting model is solved exactly by HiGHS
+(:func:`repro.solver.ilp.solve_ilp`).
+
+:func:`_enumerate_paths` is the one encoding of the time-extended network
+``G_T`` (Definition 4): it walks timed nodes ``(v, tau)`` along timed links
+``((u, tau), (v, tau + d(u, v)))``, restricted to the two rules a switch
+can hold.  It is not cut at a window's end: late emissions of program (3)
+travel past the last update step.
 
 Path sets grow exponentially with the horizon, so this formulation is the
 *reference* solver for small instances (it cross-validates the practical
@@ -30,8 +36,7 @@ from repro.core.schedule import UpdateSchedule
 from repro.network.graph import Node
 
 if TYPE_CHECKING:
-    from repro.solver.branch_and_bound import BranchAndBoundResult
-    from repro.solver.ilp import ILPModel
+    from repro.solver.ilp import ILPModel, ILPResult
 
 OLD = "old"
 NEW = "new"
@@ -181,22 +186,23 @@ def solve_mutp(
     horizon: int,
     t0: int = 0,
     time_budget: Optional[float] = None,
-) -> Tuple[Optional[UpdateSchedule], BranchAndBoundResult]:
+) -> Tuple[Optional[UpdateSchedule], ILPResult]:
     """Build and solve program (3); returns ``(schedule, solver result)``.
 
-    A horizon so short that some emission has no loop-free space-time path
-    at all is reported as infeasible (rather than propagating the builder's
-    error): no schedule within that horizon can route the flow.
+    ``time_budget`` is HiGHS' wall-clock ``time_limit``.  A horizon so short
+    that some emission has no loop-free space-time path at all is reported
+    as infeasible (rather than propagating the builder's error): no schedule
+    within that horizon can route the flow.
     """
-    from repro.solver.branch_and_bound import INFEASIBLE, BranchAndBoundResult, solve_ilp
+    from repro.solver.ilp import INFEASIBLE, ILPResult, solve_ilp
 
     try:
         built = build_mutp_model(instance, horizon, t0=t0)
     except ValueError as error:
         if "no loop-free space-time path" not in str(error):
             raise
-        return None, BranchAndBoundResult(status=INFEASIBLE)
-    result = solve_ilp(built.model, time_budget=time_budget)
+        return None, ILPResult(status=INFEASIBLE)
+    result = solve_ilp(built.model, time_limit=time_budget)
     if result.solution is None:
         return None, result
     return built.decode(result.solution), result

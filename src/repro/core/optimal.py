@@ -1,13 +1,21 @@
-"""OPT: exact minimum-update-time search.
+"""OPT: exact minimum-update-time search over round-clean schedules.
 
 The paper obtains OPT by solving the MUTP integer program with branch and
 bound.  This module provides the practical exact solver: a depth-first
 branch-and-bound over *timed update decisions* -- at every time step, branch
 over the subsets of currently-safe switches to update (plus waiting) -- with
-an interval tracker as the exact transient state.  The search prunes on the
-incumbent makespan and on the drain fix-point (waiting past the last finite
-flow class cannot unblock anything), and honours a wall-clock budget so the
-Fig. 10 cutoff behaviour can be reproduced.
+an interval tracker as the exact transient state.  What it proves is the
+minimum over schedules whose every round previews clean: the state after
+each round, every later switch on its old rule, is free of loops, black
+holes and congestion.  The true optimum of program (3) can be shorter -- a
+later round may reroute traffic before an earlier round's transient
+overload happens -- and the ILP of :mod:`repro.core.mutp` finds it
+(``tests/test_mutp.py::TestThirdOpinion`` pins three such instances).
+
+The search prunes on the incumbent makespan and on the drain fix-point
+(waiting past the last finite flow class cannot unblock anything), and
+honours a wall-clock budget so the Fig. 10 cutoff behaviour can be
+reproduced.
 
 The search itself is the shared array-backed core in
 :mod:`repro.core.search` (DESIGN.md §13): COW tracker clones, probe-chain
@@ -42,8 +50,8 @@ class OptimalResult:
     Attributes:
         schedule: Best congestion- and loop-free schedule found, or ``None``.
         proven: Whether the search ran to completion without truncation
-            (so the result is the true optimum / a true infeasibility
-            proof).
+            (so the result is the minimum over schedules whose every round
+            previews clean / a proof that no such schedule exists).
         explored: Number of search nodes visited.
         elapsed: Wall-clock seconds spent: the greedy seed plus the search,
             or the search alone when the caller supplied the incumbent
@@ -82,7 +90,7 @@ def optimal_schedule(
     node_budget: Optional[int] = None,
     incumbent: Optional[GreedyResult] = None,
 ) -> OptimalResult:
-    """Find a minimum-makespan congestion- and loop-free schedule.
+    """Find the minimum makespan over schedules whose every round previews clean.
 
     Args:
         instance: The update instance.

@@ -2,6 +2,10 @@
 
 :func:`repro.core.optimal.optimal_schedule` and
 :func:`repro.updates.order_replacement.minimize_rounds` both search here.
+OPT's search space is the schedules whose every round previews clean (no
+loop, black hole or congestion with every later switch on its old rule);
+its proven makespan is the minimum over those, which the ILP of
+:mod:`repro.core.mutp` can beat.
 The per-node cost, not the node count, bounds what an exact search can
 prove inside a budget, so the design keeps every node cheap; the
 feasibility / makespan / round-count / ``proven`` values it must
@@ -236,7 +240,8 @@ class _ChainCache:
 class OptimalSearch:
     """The OPT branch and bound (see module docstring).
 
-    A DFS that branches over candidate subsets at each step plus a
+    Finds the minimum makespan over schedules whose every round previews
+    clean.  A DFS that branches over candidate subsets at each step plus a
     waiting branch, with probe-chain subset expansion, the targeted
     candidate pass, the dominance memo, the drain-horizon bound and the
     loop-freedom bound.  ``explored`` counts DFS nodes and committed

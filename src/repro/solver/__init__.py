@@ -1,19 +1,17 @@
-"""Optimisation substrate: a small ILP model plus branch-and-bound solver.
+"""Optimisation substrate: a small ILP model solved exactly by HiGHS.
 
 The paper solves the MUTP integer program (3) "using the branch and bound
-method".  No external MILP solver is available offline, so this package
-implements the pieces from scratch: :mod:`repro.solver.ilp` holds a compact
-model representation, and :mod:`repro.solver.branch_and_bound` solves it
-exactly by branching on fractional variables of scipy LP relaxations.
+method".  :mod:`repro.solver.ilp` holds a compact model representation and
+:func:`~repro.solver.ilp.solve_ilp`, which lowers it onto matrices and
+calls ``scipy.optimize.milp`` (HiGHS' branch and cut) with a zero gap.
 """
 
-from repro.solver.ilp import Constraint, ILPModel, Variable
-from repro.solver.branch_and_bound import BranchAndBoundResult, solve_ilp
+from repro.solver.ilp import Constraint, ILPModel, ILPResult, Variable, solve_ilp
 
 __all__ = [
     "Constraint",
     "ILPModel",
     "Variable",
-    "BranchAndBoundResult",
+    "ILPResult",
     "solve_ilp",
 ]

@@ -1,13 +1,20 @@
-"""A compact integer linear program representation.
+"""A compact integer linear program and its exact solution by HiGHS.
 
 Kept deliberately small: named variables with bounds and integrality, linear
 constraints with ``<=``/``>=``/``==`` senses, and a minimisation objective.
-:func:`ILPModel.to_standard_form` lowers the model onto the matrix form that
-``scipy.optimize.linprog`` consumes.
+:func:`ILPModel.to_standard_form` lowers the model onto matrices, and
+:func:`solve_ilp` hands them to ``scipy.optimize.milp`` (the HiGHS
+branch-and-cut MILP solver) with a zero relative gap, so ``optimal`` means
+proven.
+
+scipy is imported by :func:`solve_ilp` itself, on first use: nothing else
+in the package needs it, so ``import repro`` does not pay its import time
+and memory.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Tuple
 
@@ -18,6 +25,14 @@ GEQ = ">="
 EQ = "=="
 _SENSES = (LEQ, GEQ, EQ)
 
+OPTIMAL = "optimal"
+FEASIBLE = "feasible"  # time limit hit with an incumbent
+INFEASIBLE = "infeasible"
+UNKNOWN = "unknown"  # time limit hit without an incumbent
+
+_MILP_OPTIMAL = 0
+_MILP_INFEASIBLE = 2
+
 
 @dataclass(frozen=True)
 class Variable:
@@ -27,7 +42,7 @@ class Variable:
         name: Unique identifier.
         lower: Lower bound (default 0).
         upper: Upper bound (``None`` = unbounded above).
-        integer: Whether branch-and-bound must drive it integral.
+        integer: Whether the solver must drive it integral.
     """
 
     name: str
@@ -102,14 +117,8 @@ class ILPModel:
     # ------------------------------------------------------------------
     def to_standard_form(
         self,
-        extra_bounds: Optional[Mapping[str, Tuple[float, Optional[float]]]] = None,
     ) -> Tuple[np.ndarray, Optional[np.ndarray], Optional[np.ndarray], Optional[np.ndarray], Optional[np.ndarray], List[Tuple[float, Optional[float]]], List[str]]:
-        """Lower to ``(c, A_ub, b_ub, A_eq, b_eq, bounds, order)`` for scipy.
-
-        Args:
-            extra_bounds: Per-variable bound overrides used by the
-                branch-and-bound search (tightened on branching).
-        """
+        """Lower to ``(c, A_ub, b_ub, A_eq, b_eq, bounds, order)`` for scipy."""
         order = list(self.variables)
         index = {name: i for i, name in enumerate(order)}
         n = len(order)
@@ -136,16 +145,9 @@ class ILPModel:
                 eq_rows.append(row)
                 eq_rhs.append(constraint.rhs)
 
-        bounds: List[Tuple[float, Optional[float]]] = []
-        for name in order:
-            var = self.variables[name]
-            lower, upper = var.lower, var.upper
-            if extra_bounds and name in extra_bounds:
-                extra_lower, extra_upper = extra_bounds[name]
-                lower = max(lower, extra_lower)
-                if extra_upper is not None:
-                    upper = extra_upper if upper is None else min(upper, extra_upper)
-            bounds.append((lower, upper))
+        bounds = [
+            (self.variables[name].lower, self.variables[name].upper) for name in order
+        ]
 
         a_ub = np.vstack(ub_rows) if ub_rows else None
         b_ub = np.asarray(ub_rhs) if ub_rhs else None
@@ -157,3 +159,73 @@ class ILPModel:
     def integer_variables(self) -> List[str]:
         """Names of variables that must be integral."""
         return [name for name, var in self.variables.items() if var.integer]
+
+
+@dataclass
+class ILPResult:
+    """Solver outcome.
+
+    Attributes:
+        status: ``optimal`` / ``feasible`` / ``infeasible`` / ``unknown``.
+        objective: Incumbent objective value (``None`` without incumbent).
+        solution: Incumbent assignment by variable name.
+        nodes: Branch-and-cut nodes HiGHS explored (0 for a pure LP).
+        elapsed: Wall-clock seconds spent.
+    """
+
+    status: str
+    objective: Optional[float] = None
+    solution: Optional[Dict[str, float]] = None
+    nodes: int = 0
+    elapsed: float = 0.0
+
+    @property
+    def proven_optimal(self) -> bool:
+        return self.status == OPTIMAL
+
+
+def solve_ilp(model: ILPModel, time_limit: Optional[float] = None) -> ILPResult:
+    """Minimise ``model`` to proven optimality (or until the time limit).
+
+    Args:
+        model: The ILP to minimise.
+        time_limit: Wall-clock seconds for HiGHS; ``None`` = unlimited.
+    """
+    from scipy.optimize import Bounds, LinearConstraint, milp
+
+    started = time.monotonic()
+    c, a_ub, b_ub, a_eq, b_eq, bounds, order = model.to_standard_form()
+    constraints = []
+    if a_ub is not None:
+        constraints.append(LinearConstraint(a_ub, -np.inf, b_ub))
+    if a_eq is not None:
+        constraints.append(LinearConstraint(a_eq, b_eq, b_eq))
+    options: Dict[str, float] = {"mip_rel_gap": 0.0}
+    if time_limit is not None:
+        options["time_limit"] = time_limit
+    result = milp(
+        c,
+        integrality=[int(model.variables[name].integer) for name in order],
+        bounds=Bounds(
+            [lower for lower, _ in bounds],
+            [np.inf if upper is None else upper for _, upper in bounds],
+        ),
+        constraints=constraints,
+        options=options,
+    )
+    elapsed = time.monotonic() - started
+    nodes = result.get("mip_node_count") or 0
+    if result.status == _MILP_INFEASIBLE:
+        return ILPResult(status=INFEASIBLE, nodes=nodes, elapsed=elapsed)
+    if result.x is None:
+        return ILPResult(status=UNKNOWN, nodes=nodes, elapsed=elapsed)
+    solution = {name: float(result.x[i]) for i, name in enumerate(order)}
+    for name in model.integer_variables:
+        solution[name] = round(solution[name])
+    return ILPResult(
+        status=OPTIMAL if result.status == _MILP_OPTIMAL else FEASIBLE,
+        objective=float(result.fun),
+        solution=solution,
+        nodes=nodes,
+        elapsed=elapsed,
+    )

@@ -37,6 +37,10 @@ previewed, the frozen digest is taken over the preview's report -- which is
 what the probe returned at the frozen revision -- and the probe itself is
 held to its contract against that preview (:func:`checked_probe`).
 
+Worlds re-pinned since are listed, with their frozen fingerprint and the
+cause that moved them, in the fixture's ``moved`` block
+(:func:`test_moved_worlds_differ_by_their_cause`).
+
 Regenerate (only ever at a revision whose tracker is the reference)::
 
     PYTHONPATH=src python tests/test_chain_goldens.py > tests/data/chain_goldens.json
@@ -52,12 +56,15 @@ from unittest import mock
 
 import pytest
 
+from repro.core import intervals, intervals_array
 from repro.core import tracker as tracker_module
 from repro.core.greedy import greedy_schedule
 from repro.core.instance import instance_from_paths, random_instance, segmented_instance
+from repro.core.intervals import IntervalTracker
 from repro.core.intervals_array import ArrayIntervalTracker
 from repro.core.serialization import schedule_to_json
 from repro.network.graph import Network
+from repro.validate import verify_schedule
 
 GOLDENS_PATH = Path(__file__).parent / "data" / "chain_goldens.json"
 
@@ -336,8 +343,13 @@ WORLDS["fig1-between-chains"] = (fig1_world, ())
 
 
 @pytest.fixture(scope="module")
-def goldens():
-    return json.loads(GOLDENS_PATH.read_text())["worlds"]
+def fixture():
+    return json.loads(GOLDENS_PATH.read_text())
+
+
+@pytest.fixture(scope="module")
+def goldens(fixture):
+    return fixture["worlds"]
 
 
 @pytest.mark.parametrize("name", sorted(WORLDS))
@@ -348,6 +360,90 @@ def test_world_replays_byte_for_byte(name, goldens):
 
 def test_every_frozen_world_is_replayed(goldens):
     assert sorted(goldens) == sorted(WORLDS)
+
+
+def _open_start_before_first_coordinate(overloads):
+    """``_overloads`` with the frozen revision's minus-infinity bound.
+
+    A segment open to minus infinity started one before the first finite
+    coordinate of the link's intervals (``t0 - 1`` when there was none --
+    clipped to ``t0`` either way).  Both trackers' sweeps read the bound
+    from ``_overloads``, so placing it here undoes the cause in both.
+    """
+
+    def frozen_rule(link_intervals, capacity):
+        coordinates = [
+            bound
+            for lo, hi, _demand in link_intervals
+            for bound in (lo, hi)
+            if bound is not None
+        ]
+        segments = overloads(link_intervals, capacity)
+        if not coordinates:
+            return segments
+        first = min(coordinates) - 1
+        return [
+            (first if start == intervals._NEG_CLAMP else start, end, peak)
+            for start, end, peak in segments
+        ]
+
+    return frozen_rule
+
+
+def test_moved_worlds_differ_by_their_cause(fixture):
+    """A re-pinned world is the frozen one with only what its cause moves.
+
+    Cause ``open-start``: an overload open to minus infinity is reported
+    from ``t0``.  With the frozen bound put back, the world's fingerprint
+    is the frozen one byte for byte; the greedy outcome (schedule,
+    feasibility, stall, violation count) and the round tallies never moved.
+    """
+    moved = fixture["moved"]
+    assert moved["entries"]
+    for name, change in sorted(moved["entries"].items()):
+        assert change["cause"] in moved["causes"], name
+        pinned, frozen = fixture["worlds"][name], change["frozen"]
+        assert pinned != frozen, name
+        for key in ("rounds", "violating", "congested"):
+            assert pinned[key] == frozen[key], (name, key)
+        for key in ("sha256", "feasible", "stalled_at", "violations"):
+            assert pinned["greedy"][key] == frozen["greedy"][key], (name, key)
+        build, args = WORLDS[name]
+        with mock.patch.object(
+            intervals, "_overloads", _open_start_before_first_coordinate(intervals._overloads)
+        ), mock.patch.object(
+            intervals_array,
+            "_overloads",
+            _open_start_before_first_coordinate(intervals_array._overloads),
+        ):
+            assert fingerprint(*build(*args)) == frozen, name
+
+
+@pytest.mark.parametrize("tracker_class", [IntervalTracker, ArrayIntervalTracker])
+def test_an_overload_that_always_held_starts_at_t0(tracker_class):
+    """``segmented-1000-4-c1-b``'s greedy schedule, replayed.
+
+    The link carrying the ``(None, None)`` background is over capacity from
+    ``t0 = 0`` on, as the verifier says; the trackers used to report that
+    span from 213, one before the first finite coordinate of its intervals.
+    (Only starts are compared: an overload that never ends is reported to
+    end one past the last finite coordinate, the verifier's at its window's
+    end.)
+    """
+    instance, background, _seed = segmented_world(1000, 4, 1.0, "b")
+    (link,) = [key for key, triples in background.items() if triples[0][:2] == (None, None)]
+    with mock.patch.object(tracker_module, "ARRAY_TRACKER_MIN_HOPS", 0):
+        result = greedy_schedule(instance, background=background, max_steps=GREEDY_STEPS)
+    replay = tracker_class(instance, background=background)
+    for time, nodes in result.schedule.rounds():
+        replay.apply_round(nodes, time)
+    spans = [(span.start, span.end) for span in replay.congestion_spans() if span.link == link]
+    assert spans[0] == (0, 215)
+    verdict = verify_schedule(instance, result.schedule, background=background)
+    assert not verdict.loops
+    assert [start for start, _end in spans] == [
+        violation.start for violation in verdict.congestion if violation.link == link
+    ]
 
 
 def test_the_corpus_exercises_what_it_claims(goldens):

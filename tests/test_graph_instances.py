@@ -72,7 +72,10 @@ class TestMutpCrossValidation:
 
     OPT runs under a node budget and the ILP to completion, so what each
     proves is the same on every machine; no case skips (seed 10 draws an
-    infeasible instance).
+    infeasible instance).  The "one step below" check is the path
+    builder's: on every feasible seed here no loop-free space-time path
+    exists at ``makespan - 1``, so the solver never runs.  Lower bounds the
+    solver itself proves are in ``tests/test_mutp.py``.
     """
 
     OPT_NODES = 20_000

@@ -4,7 +4,7 @@ Each check runs in its own interpreter, since this one has long since
 imported everything.  The rule (DESIGN.md, "What a process imports"):
 
 * scipy (~0.4 s, ~40 MB) loads only when the MUTP ILP is solved
-  (:func:`repro.solver.branch_and_bound.solve_ilp`);
+  (:func:`repro.solver.ilp.solve_ilp`, which calls ``scipy.optimize.milp``);
 * numpy (~0.1 s) only with the array tracker (``make_tracker`` on a
   trajectory of ``ARRAY_TRACKER_MIN_HOPS`` or more) or the ILP;
 * ``multiprocessing`` and the process pool only when

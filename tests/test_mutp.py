@@ -1,11 +1,75 @@
-"""Unit tests for the MUTP integer program (program (3))."""
+"""Unit tests for the MUTP integer program (program (3)).
+
+Besides the model's shape and small solves, the ILP is a third opinion on
+OPT (``repro.core.optimal``), judged by brute force: the ILP optimum equals
+:func:`exhaustive_schedule`'s, and OPT -- the minimum over schedules whose
+every round previews clean -- can only be longer.  The seeds below are
+``random_instance(n, seed=seed, max_delay=3)`` with ``n = seed // 10_000``.
+"""
+
+import itertools
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from repro.core.mutp import build_mutp_model, solve_mutp
-from repro.core.optimal import optimal_schedule
+from repro.core.optimal import exhaustive_schedule, optimal_schedule
 from repro.core.instance import random_instance
+from repro.core.schedule import UpdateSchedule
 from repro.validate import verify_schedule
+
+OPT_NODES = 20_000
+
+#: Seeds where the builder accepts horizon ``makespan - 1`` and the solver
+#: itself proves it infeasible.
+LOWER_BOUND_SEEDS = (40005, 50034, 60000, 70002)
+
+#: Seeds where the true optimum lets a later round reroute traffic before
+#: an earlier round's transient overload happens: ``(seed, OPT, ILP)``.
+OPT_OVERSHOOT = ((60192, 7, 6), (70029, 8, 7), (70116, 5, 3))
+
+
+def _seeded(seed):
+    return random_instance(seed // 10_000, seed=seed, max_delay=3)
+
+
+def _proven_opt(instance):
+    opt = optimal_schedule(instance, node_budget=OPT_NODES)
+    assert opt.proven
+    return opt
+
+
+def _round_clean_minimum(instance, max_makespan):
+    """The least makespan of a schedule whose every round is clean.
+
+    A round is clean when the schedule cut after it -- every later switch
+    left on its old rule -- has no loop, black hole or congestion by the
+    verifier; rounds are tried step by step from ``t = 0``.
+    """
+    nodes = tuple(instance.switches_to_update)
+
+    def clean(times):
+        verdict = verify_schedule(instance, UpdateSchedule(times=times, start_time=0))
+        return not (verdict.loops or verdict.blackholes or verdict.congestion)
+
+    def extend(times, t, last):
+        pending = [node for node in nodes if node not in times]
+        if not pending:
+            return True
+        if t > last:
+            return False
+        for size in range(len(pending), -1, -1):
+            for batch in itertools.combinations(pending, size):
+                step = dict(times, **{node: t for node in batch})
+                if (not batch or clean(step)) and extend(step, t + 1, last):
+                    return True
+        return False
+
+    for makespan in range(1, max_makespan + 1):
+        if extend({}, 0, makespan - 1):
+            return makespan
+    return None
 
 
 class TestModelShape:
@@ -62,3 +126,62 @@ class TestSolving:
         assert result.status == "optimal"
         assert schedule.makespan == 1
         assert verify_schedule(tiny_instance, schedule).ok
+
+
+class TestThirdOpinion:
+    """The ILP against brute force and OPT on ``max_delay=3`` instances."""
+
+    #: Brute force runs where ``makespan ** switches`` assignments stay few.
+    BRUTE_FORCE_ASSIGNMENTS = 3_000
+
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(count=st.integers(4, 7), seed=st.integers(0, 2**20))
+    def test_ilp_is_the_brute_force_optimum_and_opt_no_shorter(self, count, seed):
+        instance = random_instance(count, seed=seed, max_delay=3)
+        switches = len(instance.switches_to_update)
+        assume(switches > 0)
+        opt = optimal_schedule(instance, node_budget=OPT_NODES)
+        assume(opt.proven and opt.schedule is not None)
+        schedule, result = solve_mutp(instance, horizon=opt.makespan)
+        assert result.status == "optimal"
+        assert verify_schedule(instance, schedule).ok
+        assert opt.makespan >= schedule.makespan
+        if schedule.makespan ** switches <= self.BRUTE_FORCE_ASSIGNMENTS:
+            brute = exhaustive_schedule(instance, max_makespan=schedule.makespan)
+            assert brute.makespan == schedule.makespan
+
+    @pytest.mark.parametrize("seed", LOWER_BOUND_SEEDS)
+    def test_solver_proves_one_step_below_opt_infeasible(self, seed):
+        instance = _seeded(seed)
+        opt = _proven_opt(instance)
+        build_mutp_model(instance, horizon=opt.makespan - 1)  # the builder accepts it
+        schedule, result = solve_mutp(instance, horizon=opt.makespan - 1)
+        assert schedule is None
+        assert result.status == "infeasible"
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="OPT searches only round-clean schedules; the optimum here is not one",
+    )
+    @pytest.mark.parametrize("seed,opt_makespan,ilp_makespan", OPT_OVERSHOOT)
+    def test_opt_proven_makespan_is_the_ilp_optimum(self, seed, opt_makespan, ilp_makespan):
+        instance = _seeded(seed)
+        opt = _proven_opt(instance)
+        schedule, result = solve_mutp(instance, horizon=opt.makespan)
+        assert result.status == "optimal"
+        assert opt.makespan == schedule.makespan
+
+    @pytest.mark.parametrize("seed,opt_makespan,ilp_makespan", OPT_OVERSHOOT)
+    def test_opt_is_the_round_clean_minimum(self, seed, opt_makespan, ilp_makespan):
+        instance = _seeded(seed)
+        opt = _proven_opt(instance)
+        assert opt.makespan == opt_makespan
+        assert _round_clean_minimum(instance, opt.makespan) == opt_makespan
+
+    @pytest.mark.parametrize("seed,opt_makespan,ilp_makespan", OPT_OVERSHOOT)
+    def test_ilp_schedule_is_shorter_and_verified(self, seed, opt_makespan, ilp_makespan):
+        instance = _seeded(seed)
+        schedule, result = solve_mutp(instance, horizon=opt_makespan)
+        assert result.status == "optimal"
+        assert schedule.makespan == ilp_makespan
+        assert verify_schedule(instance, schedule).ok

@@ -1,14 +1,8 @@
-"""Unit tests for the ILP model and branch-and-bound solver."""
+"""Unit tests for the ILP model and its solution by HiGHS."""
 
 import pytest
 
-from repro.solver.ilp import EQ, GEQ, LEQ, ILPModel
-from repro.solver.branch_and_bound import (
-    FEASIBLE,
-    INFEASIBLE,
-    OPTIMAL,
-    solve_ilp,
-)
+from repro.solver.ilp import EQ, GEQ, INFEASIBLE, LEQ, OPTIMAL, ILPModel, solve_ilp
 
 
 def knapsack_model():
@@ -62,20 +56,22 @@ class TestModel:
 
 
 class TestBranchAndBound:
+    """``solve_ilp`` proves optima with HiGHS' branch and cut."""
+
     def test_knapsack_optimum(self):
         result = solve_ilp(knapsack_model())
         assert result.status == OPTIMAL
         assert result.objective == pytest.approx(-16)
         assert result.solution == {"a": 1, "b": 1, "c": 0}
 
-    def test_pure_lp_solves_in_one_node(self):
+    def test_continuous_variable_stays_fractional(self):
         model = ILPModel()
-        model.add_variable("x", upper=4)
+        model.add_variable("x", upper=3)
+        model.add_constraint({"x": 2}, LEQ, 3)
         model.set_objective({"x": -1})
         result = solve_ilp(model)
         assert result.status == OPTIMAL
-        assert result.objective == pytest.approx(-4)
-        assert result.nodes == 1
+        assert result.solution["x"] == pytest.approx(1.5)
 
     def test_infeasible(self):
         model = ILPModel()
@@ -104,16 +100,6 @@ class TestBranchAndBound:
         result = solve_ilp(model)
         assert result.status == OPTIMAL
         assert result.solution["x"] == 1
-
-    def test_node_budget_caps_search(self):
-        # Root LP is fractional (x = 1.5); one node cannot finish the job.
-        model = ILPModel()
-        model.add_variable("x", upper=3, integer=True)
-        model.add_constraint({"x": 2}, LEQ, 3)
-        model.set_objective({"x": -1})
-        result = solve_ilp(model, node_budget=1)
-        assert result.status == "unknown"
-        assert result.nodes == 1
 
     def test_bigger_assignment_problem(self):
         # 3x3 assignment, minimise cost; optimum is 1+2+1 = 4.
