@@ -2,9 +2,13 @@
 """One-command phase profiles: the greedy scheduler, the dict tracker's probe,
 the OPT search, a service cell, a sweep item, the cold path.
 
-``greedy`` (the default, ``make profile``) runs the Chronus greedy engine
-on a paper-scale segmented instance inside a sink-less
-:class:`repro.trace.TraceSession` and prints the aggregate view of its tape
+``greedy`` (the default, ``make profile``) plans a paper-scale segmented
+instance with the Chronus greedy engine once untraced -- that first plan
+pays for encoding the instance, which later plans of the same instance
+reuse, and its wall time is printed on one line -- then plans it again,
+warm (the unit the repo benchmark's ``plan-large`` times), inside a
+sink-less :class:`repro.trace.TraceSession` and prints the aggregate view of
+that plan's tape
 (the view ``python -m repro.trace profile`` prints of a stored trace): the
 hierarchical wall-clock breakdown (tracker build,
 dependency analysis and its commits, round selection with each probe split
@@ -12,7 +16,10 @@ into ``split`` / ``deflect`` / ``check``, the final check) under a root span
 that covers the whole run, together with the tracker's counters, what a
 probe looked at per switch being updated, and how many probes a round
 accepted and refused (by the split alone / by the congestion pass / skipped
-by the fallback because the answer was known).
+by the fallback because the answer was known).  On the array tracker it
+also prints, per probe, the links the congestion check decided, the
+class-table entries it read (one per alive class and decided link) and
+the chains it swept exactly.
 
 ``dense`` plans ``--plans`` Chronus schedules of the repo benchmark's
 ``plan-dense`` shape -- ``random_instance(16, capacity=2.0)`` seeded by
@@ -713,13 +720,19 @@ def main(argv=None) -> int:
         args.size = 6000
     seed = args.size if args.seed is None else args.seed
     instance = segmented_instance(args.size, seed=seed, segments=args.segments)
+    started = time.perf_counter()
+    greedy_schedule(instance)
+    print(
+        f"greedy[{args.size}] first plan (encodes the instance): "
+        f"{time.perf_counter() - started:.3f}s"
+    )
     with TraceSession(scenario="profile", run_id=f"greedy-{args.size}") as session:
         started = time.perf_counter()
         result = greedy_schedule(instance)
         elapsed = time.perf_counter() - started
     profile = aggregate(session.tape)
     print(
-        f"greedy[{args.size}]: {elapsed:.3f}s "
+        f"greedy[{args.size}] warm plan: {elapsed:.3f}s "
         f"feasible={result.feasible} makespan={result.makespan}"
     )
     memory = None
@@ -742,8 +755,12 @@ def main(argv=None) -> int:
         deflections = counters.get("tracker.array.deflections")
         if probes and deflections:  # the array tracker ran
             print(
-                f"  per probe: {counters['tracker.array.batched_links'] / probes:.1f} "
-                f"links batched; per deflection: "
+                f"  per probe: {counters['tracker.array.links_decided'] / probes:.1f} "
+                f"links decided, "
+                f"{counters['tracker.array.entries_read'] / probes:.1f} class-table "
+                f"entries read, "
+                f"{counters.get('tracker.array.exact_sweeps', 0) / probes:.2f} "
+                f"links swept; per deflection: "
                 f"{counters['tracker.array.deflect_runs'] / deflections:.1f} runs walked "
                 f"({len(instance.switches_to_update)} switches to update on a "
                 f"{len(instance.old_path)}-switch path)"

@@ -21,13 +21,17 @@ state column-wise:
   outright, a deflected piece takes the parent's runs up to the hit and
   adds the runs it routes; the full-length columns exist only as an
   on-demand view (:meth:`ArrayFlowClass.view`) no probe builds.
-* **Per probe**: one batched decision pass over the decisive links the
-  round touches -- a ``bincount`` total-load test and a lexsort
-  adjacent-overlap test -- instead of a Python sweep per link.  Only chains
-  whose decisive link fails the vectorised prefilter fall back to the exact
-  event sweep (:func:`repro.core.intervals._sweep_link`), on the interval
-  list in the dict tracker's exact order so reported spans are bitwise
-  identical.
+  Each class also answers, through one lazy dict
+  (:meth:`ArrayFlowClass.decisive_offsets`), when its load leaves over
+  any decisive link it crosses; a deflected piece takes its parent's dict
+  up to the hit.
+* **Per probe**: the decisive links the round's fresh suffixes touch, each
+  decided in plain Python from those dicts the way the dict tracker
+  decides a link -- a total-load test and a disjointness test
+  (:func:`_needs_sweep`).  Only chains whose decisive link fails both fall
+  back to the exact event sweep (:func:`repro.core.intervals._overloads`),
+  on the interval list in the dict tracker's exact order so reported spans
+  are bitwise identical.
 
 **Chains.**  On a long path almost every switch is a *chain interior*: it
 forwards to the same next hop in ``old_config`` and ``new_config``, has
@@ -48,16 +52,17 @@ things follow, and the tracker is built on them:
    link's, and which like that predecessor carries no background load is
    **not decisive**: it sees the predecessor's intervals shifted by one
    constant, in the same contribution order, against an equal capacity, so
-   its congestion decision *is* the predecessor's.  Probes and
-   :meth:`ArrayIntervalTracker.congestion_spans` gather and prefilter
+   its congestion decision *is* the predecessor's.  Class lookups, probes
+   and :meth:`ArrayIntervalTracker.congestion_spans` hold and decide
    decisive links only;
 3. when a decisive link does need the exact sweep, the non-decisive links
    after it report the same spans moved by their constant, so one sweep
    serves the chain (:meth:`ArrayIntervalTracker._sweep_chain`).
 
-Both layouts are production code: every probe here pays a fixed numpy call
-overhead, so on short trajectories the dict tracker is the faster of the
-two and :func:`repro.core.tracker.make_tracker` builds that one instead.
+Both layouts are production code: every deflection here pays a fixed
+numpy call overhead, so on short trajectories the dict tracker is the
+faster of the two and :func:`repro.core.tracker.make_tracker` builds that
+one instead.
 ``tests/test_array_tracker.py`` drives both in lockstep and compares
 every report byte-for-byte -- except a refused ``probe_and_commit``, whose
 report is a witness (a prefix of the ``preview_round`` report, which *is*
@@ -73,6 +78,7 @@ from __future__ import annotations
 import itertools
 from array import array
 from bisect import bisect_left, bisect_right
+from operator import le
 from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -113,6 +119,7 @@ class InstanceArrays:
         "n_nodes",
         "link_keys",
         "capacity",
+        "link_capacity",
         "delay",
         "link_delay",
         "link_name",
@@ -152,14 +159,18 @@ class InstanceArrays:
         keys = ends[0::2] * n + ends[1::2]
         order = np.argsort(keys, kind="stable")
         self.link_keys = keys[order]
-        self.capacity = np.fromiter(
-            network.capacity_map().values(), dtype=np.float64, count=len(pairs)
-        )[order]
-        # ``link_delay`` / ``path_ids`` / ``path_offsets`` are what the
-        # routing loop indexes one scalar at a time: compact int arrays,
-        # which index like lists (to Python ints) at an eighth of a list's
-        # footprint.  ``delay`` / ``old_path_ids`` / ``old_path_offsets``
-        # are numpy views of the same buffers for the vectorised readers.
+        # ``link_delay`` / ``link_capacity`` / ``path_ids`` / ``path_offsets``
+        # are what the routing loop and the congestion check index one
+        # scalar at a time: compact arrays, which index like lists (to
+        # Python numbers) at an eighth of a list's footprint.  ``delay`` /
+        # ``capacity`` / ``old_path_ids`` / ``old_path_offsets`` are numpy
+        # views of the same buffers for the vectorised readers.
+        self.link_capacity, self.capacity = _twin(
+            "d",
+            np.fromiter(
+                network.capacity_map().values(), dtype=np.float64, count=len(pairs)
+            )[order],
+        )
         self.link_delay, self.delay = _twin(
             "q", np.fromiter(delays.values(), dtype=np.int64, count=len(pairs))[order]
         )
@@ -345,7 +356,10 @@ class ArrayFlowClass:
     ascending), ids (``dec_lids``) and departure offsets (``dec_offsets``)
     of the class's decisive links, and the switch and offset the trajectory
     ends on.  Nothing here is as long as the path; :meth:`view` builds the
-    full-length columns for the few readers that want them.
+    full-length columns for the few readers that want them.  A piece's
+    fresh suffix starts at position ``fresh_from``, at departure offset
+    ``fresh_offset`` (``_POS_CLAMP`` for a trim, which has none) and at
+    entry ``fresh_dec`` of the decisive tables.
 
     Instances are immutable by convention.  A trim shares every table of
     its parent, a deflected piece takes the parent's runs up to the hit by
@@ -370,6 +384,8 @@ class ArrayFlowClass:
         "outcome",
         "loop_node",
         "fresh_from",
+        "fresh_offset",
+        "fresh_dec",
         "_lazy",
     )
 
@@ -384,7 +400,7 @@ class ArrayFlowClass:
         last: Tuple[int, int],
         outcome: str = DELIVERED,
         loop_node: Optional[int] = None,
-        fresh_from: int = 0,
+        fresh: Tuple[int, int, int] = (0, 0, 0),
         lazy: Optional[dict] = None,
     ) -> None:
         self.arrays = arrays
@@ -396,7 +412,7 @@ class ArrayFlowClass:
         self.last_node, self.last_offset = last
         self.outcome = outcome
         self.loop_node = loop_node
-        self.fresh_from = fresh_from
+        self.fresh_from, self.fresh_offset, self.fresh_dec = fresh
         # Lookup tables over the decisive links and the full-length view,
         # built on first use; shared with trims so whichever relative
         # builds one first serves both.
@@ -414,7 +430,7 @@ class ArrayFlowClass:
             (self.last_node, self.last_offset),
             self.outcome,
             self.loop_node,
-            fresh_from=self.length,
+            fresh=(self.length, _POS_CLAMP, len(self.dec_lids)),
             lazy=self._lazy,
         )
 
@@ -475,17 +491,32 @@ class ArrayFlowClass:
             )
         return view
 
-    def sorted_decisive(self) -> Tuple["np.ndarray", "np.ndarray", "np.ndarray"]:
-        """Decisive ``(link ids sorted, positions, offsets)`` -- lazy, shared with trims."""
-        table = self._lazy.get("sorted")
+    def decisive_offsets(self) -> Dict[int, int]:
+        """``link id -> departure offset`` of every decisive link it crosses.
+
+        The one question a congestion check asks a class -- when, if at
+        all, does its load leave over this decisive link -- as one dict
+        lookup (a trajectory crosses a link at most once).  Link delays are
+        positive, so along one trajectory offsets order links as positions
+        do.  Lazy, shared with trims; kept in trajectory order, so a
+        deflected piece whose parent has its table takes that table's first
+        entries (its prefix) and adds the links it routed.
+        """
+        table = self._lazy.get("offsets")
         if table is None:
-            order = np.argsort(self.dec_lids, kind="stable")
-            table = self._lazy["sorted"] = (
-                self.dec_lids[order],
-                self.dec_pos[order],
-                self.dec_offsets[order],
-            )
+            base = self._lazy.pop("base", None)
+            if base is None:
+                table = dict(zip(self.dec_lids.tolist(), self.dec_offsets.tolist()))
+            else:
+                parent, keep, routed = base
+                table = dict(itertools.islice(parent.items(), keep))
+                table.update(routed)
+            self._lazy["offsets"] = table
         return table
+
+    def position_of(self, lid: int) -> int:
+        """The trajectory position of decisive link ``lid``, which it crosses."""
+        return int(self.dec_pos[int(np.flatnonzero(self.dec_lids == lid)[0])])
 
     def junction_positions(self) -> Dict[int, int]:
         """``switch id -> position`` of every decisive link's source.
@@ -534,49 +565,6 @@ class ArrayFlowClass:
         )
 
 
-class _Batch:
-    """Columns of one batched decision: a row per departure interval.
-
-    Rows are appended in the dict tracker's per-link contribution order
-    (committed classes ascending id, background, fresh suffixes, piece
-    prefixes), so the rows of one touched link, read back in order, are the
-    interval list the dict tracker would hand ``_sweep_link``.
-    """
-
-    __slots__ = ("demand", "ti", "lo", "hi", "load")
-
-    def __init__(self, demand: float) -> None:
-        self.demand = demand
-        self.ti: List["np.ndarray"] = []
-        self.lo: List["np.ndarray"] = []
-        self.hi: List["np.ndarray"] = []
-        self.load: List["np.ndarray"] = []
-
-    def add_class(self, cls: ArrayFlowClass, offsets, ti) -> None:
-        """``cls``'s load departing ``offsets`` after emission, on touched links ``ti``."""
-        self.ti.append(ti)
-        self.lo.append(
-            np.full(ti.shape, _NEG_CLAMP, dtype=np.int64) if cls.lo is None else cls.lo + offsets
-        )
-        self.hi.append(
-            np.full(ti.shape, _POS_CLAMP, dtype=np.int64) if cls.hi is None else cls.hi + offsets
-        )
-        self.load.append(np.full(ti.shape, self.demand))
-
-    def add_background(self, ti: int, triples) -> None:
-        for lo, hi, load in triples:
-            self.ti.append(np.array([ti], dtype=np.int64))
-            self.lo.append(np.array([_NEG_CLAMP if lo is None else lo], dtype=np.int64))
-            self.hi.append(np.array([_POS_CLAMP if hi is None else hi], dtype=np.int64))
-            self.load.append(np.array([load]))
-
-    def columns(self):
-        """``(touched index, lo, hi, load)``, one entry per row."""
-        return tuple(
-            np.concatenate(parts) for parts in (self.ti, self.lo, self.hi, self.load)
-        )
-
-
 class ArrayIntervalTracker:
     """Drop-in :class:`IntervalTracker` replacement on the array layout.
 
@@ -612,12 +600,20 @@ class ArrayIntervalTracker:
         self._moved: Set[int] = set()
         self._spans_cache: Optional[Tuple[CongestionSpan, ...]] = None
 
-        self._bg_by_lid: Dict[int, List[Tuple[Optional[int], Optional[int], float]]] = {}
+        # Background rows per link id, open bounds clamped (``_needs_sweep``).
+        self._bg_by_lid: Dict[int, List[Tuple[int, int, float]]] = {}
         for (src, dst), triples in self.background.items():
             lid = arrays.lid_of(src, dst)
             if lid is None:
                 raise KeyError(f"background load on non-existent link {src!r} -> {dst!r}")
-            self._bg_by_lid[lid] = [tuple(triple) for triple in triples]
+            self._bg_by_lid[lid] = [
+                (
+                    _NEG_CLAMP if lo is None else int(lo),
+                    _POS_CLAMP if hi is None else int(hi),
+                    float(load),
+                )
+                for lo, hi, load in triples
+            ]
         # Background breaks a chain twice: the loaded link sees load its
         # predecessor does not, and the link after it sees less than it.
         self._decisive = arrays.decisive
@@ -734,7 +730,7 @@ class ArrayIntervalTracker:
         head = self._chain_head(lid)
         found = []
         for cls in self.classes:
-            offset = self._offset_behind(cls, *head)
+            offset = self._behind(cls, *head)
             if offset is not None:
                 found.append((cls, offset))
         return found
@@ -761,31 +757,24 @@ class ArrayIntervalTracker:
         )
 
     @staticmethod
-    def _offset_behind(
-        cls: ArrayFlowClass, head: int, rank: int, shift: int
-    ) -> Optional[int]:
-        """``cls``'s departure offset ``rank`` links behind decisive link ``head``.
+    def _behind(cls: ArrayFlowClass, head: int, _rank: int, shift: int) -> Optional[int]:
+        """``cls``'s departure offset on the link ``shift`` delay behind ``head``.
 
-        ``None`` when the trajectory does not cross ``head`` or ends before
-        that link (only a hop-guarded route ends inside a chain).
+        ``head`` is a decisive link and the link lies on its chain
+        (:meth:`_chain_head`).  The class crosses that link when it crosses
+        ``head`` and leaves the link before its last switch -- only a
+        hop-guarded route ends inside a chain -- and departs ``shift`` after
+        it departs over ``head``; ``None`` otherwise.
         """
-        sorted_lids, positions, offsets = cls.sorted_decisive()
-        slot = int(sorted_lids.searchsorted(head))
-        if (
-            slot == sorted_lids.size
-            or int(sorted_lids[slot]) != head
-            or int(positions[slot]) + rank >= cls.length - 1
-        ):
+        offset = cls.decisive_offsets().get(head)
+        if offset is None or offset + shift >= cls.last_offset:
             return None
-        return int(offsets[slot]) + shift
+        return offset + shift
 
     def crosses(self, cls: ArrayFlowClass, src: Node, dst: Node) -> bool:
         """Whether ``cls``'s trajectory traverses the link ``src -> dst``."""
         lid = self.arrays.lid_of(src, dst)
-        return (
-            lid is not None
-            and self._offset_behind(cls, *self._chain_head(lid)) is not None
-        )
+        return lid is not None and self._behind(cls, *self._chain_head(lid)) is not None
 
     # ------------------------------------------------------------------
     # rounds
@@ -828,8 +817,8 @@ class ArrayIntervalTracker:
         With ``witness`` a violation ends the work: the split stops at the
         first class that loops or black-holes and no congestion pass follows
         it; the congestion pass stops at the first chain that is over
-        capacity (the batched prefilter decides all links in one pass either
-        way, so only the exact sweeps are saved).
+        capacity (every touched link is decided first either way, so only
+        the exact sweeps are saved).
         """
         self._check_round_args(nodes, time)
         with recorder.timer("split"):
@@ -845,43 +834,47 @@ class ArrayIntervalTracker:
     def congestion_spans(self) -> List[CongestionSpan]:
         """All capacity violations of the committed state (cached).
 
-        One vectorised prefilter over every loaded *decisive* link; only
-        chains whose decisive link the prefilter cannot clear run the exact
+        One pass over the alive classes' decisive links gathers every loaded
+        decisive link's rows (classes ascending id, then background), and
+        each link is decided as a probe decides it (:func:`_needs_sweep`);
+        only a chain whose decisive link is not cleared runs the exact
         event sweep, once per chain.  The result is cached until the next
         commit.
         """
         cached = self._spans_cache
         if cached is not None:
             return list(cached)
-        arrays = self.arrays
-        classes = [cls for cls in self.classes if cls.length > 1]
-        lid_parts = [cls.dec_lids for cls in classes]
-        bg_lids = sorted(self._bg_by_lid)
-        if bg_lids:
-            lid_parts.append(np.array(bg_lids, dtype=np.int64))
-        if not lid_parts:
-            self._spans_cache = ()
-            return []
-        touched = np.unique(np.concatenate(lid_parts))
-        batch = _Batch(arrays.demand)
+        classes = self.classes
+        rows_of: Dict[int, Tuple[List[int], List[int]]] = {}
+        # The first class on each link: it crosses the link's whole chain.
+        first: Dict[int, ArrayFlowClass] = {}
         for cls in classes:
-            batch.add_class(cls, cls.dec_offsets, touched.searchsorted(cls.dec_lids))
-        for lid in bg_lids:
-            batch.add_background(int(touched.searchsorted(lid)), self._bg_by_lid[lid])
-        columns = batch.columns()
-        needs_exact = self._prefilter(touched.size, arrays.capacity[touched], *columns)
+            lo, hi = cls.lo, cls.hi
+            for lid, offset in cls.decisive_offsets().items():
+                rows = rows_of.get(lid)
+                if rows is None:
+                    rows = rows_of[lid] = ([], [])
+                    first[lid] = cls
+                rows[0].append(_NEG_CLAMP if lo is None else lo + offset)
+                rows[1].append(_POS_CLAMP if hi is None else hi + offset)
+        background = self._bg_by_lid
+        for lid in background:
+            rows_of.setdefault(lid, ([], []))
+        demand = self.arrays.demand
+        capacities = self.arrays.link_capacity
+        ragged = any(cls.is_empty() for cls in classes)
         spans: List[CongestionSpan] = []
-        if needs_exact is not None:
-            for flagged in needs_exact.nonzero()[0].tolist():
-                lid = int(touched[flagged])
-                # Whichever class crosses the link crosses its whole chain.
+        for lid, (los, his) in rows_of.items():
+            triples = background.get(lid, ())
+            rows = los, his, len(los), triples
+            if not _needs_sweep(*rows, demand, capacities[lid] + _EPS, ragged):
+                continue
+            cls = first.get(lid)
+            if cls is None:
                 chain = [lid], [0]
-                for cls in classes:
-                    at = (cls.dec_lids == lid).nonzero()[0]
-                    if at.size:
-                        chain = cls.chain_at(int(cls.dec_pos[at[0]]))
-                        break
-                self._sweep_chain(*chain, flagged, columns, spans)
+            else:
+                chain = cls.chain_at(cls.position_of(lid))
+            self._sweep_chain(*chain, _intervals(*rows, demand), spans)
         spans.sort(key=lambda span: (span.start, span.link))
         self._spans_cache = tuple(spans)
         return spans
@@ -1081,7 +1074,7 @@ class ArrayIntervalTracker:
         dec_offsets = array("q")
         origin = current = cls.node_at(index)
         position = index
-        offset = cls.offset_at(index)
+        offset = begin = cls.offset_at(index)
         in_prefix = cls.junction_positions()
         mark = arrays._suffix_mark
         marked: List[int] = []
@@ -1149,6 +1142,10 @@ class ArrayIntervalTracker:
             recorder.count("tracker.array.shared_runs", shared)
 
         keep = int(cls.dec_pos.searchsorted(index))
+        parent_table = cls._lazy.get("offsets")
+        lazy = None
+        if parent_table is not None:
+            lazy = {"base": (parent_table, keep, zip(dec_lids, dec_offsets))}
         return ArrayFlowClass(
             arrays,
             lo,
@@ -1166,33 +1163,9 @@ class ArrayIntervalTracker:
             (current, offset),
             outcome,
             loop_node,
-            fresh_from=index,
+            fresh=(index, begin, keep),
+            lazy=lazy,
         )
-
-    @staticmethod
-    def _class_positions_on(cls: ArrayFlowClass, anchors, behind):
-        """``(positions, offsets, touched index per hit)`` of ``cls`` on touched links.
-
-        Touched link ``i`` lies ``behind[0][i]`` hops and ``behind[1][i]``
-        delay after the decisive link ``anchors[i]`` of its chain (``behind
-        is None``: every touched link is its own anchor), and a class that
-        crosses the anchor crosses the chain, so the class's sorted decisive
-        table answers for both.  A trajectory crosses a link at most once
-        (it never leaves a switch twice), so hits come back one per link in
-        ascending touched order -- the dict tracker's iteration order.
-        """
-        sorted_lids, positions, offsets = cls.sorted_decisive()
-        if not sorted_lids.size:
-            return None, None, None
-        slot = np.minimum(sorted_lids.searchsorted(anchors), sorted_lids.size - 1)
-        ti = (sorted_lids[slot] == anchors).nonzero()[0]
-        if not ti.size:
-            return None, None, None
-        at = slot[ti]
-        if behind is None:
-            return positions[at], offsets[at], ti
-        ranks, shifts = behind
-        return positions[at] + ranks[ti], offsets[at] + shifts[ti], ti
 
     def _check_new_congestion(
         self,
@@ -1201,164 +1174,158 @@ class ArrayIntervalTracker:
         report: RoundReport,
         witness: bool = False,
     ) -> None:
-        """Batched port of :meth:`IntervalTracker._check_new_congestion`.
+        """:meth:`IntervalTracker._check_new_congestion` over decisive links.
 
         Same contributions (committed classes, background, fresh suffixes,
         piece prefixes) and the same per-link decision as the dict tracker
-        -- but gathered only for the *decisive* links on the fresh suffixes
-        and taken for all of them in one vectorised pass.  A non-decisive
-        fresh link carries its predecessor's intervals shifted by one
-        constant, in the same order, against the same capacity, so its
-        decision is its predecessor's (module docstring, "Chains"); the
+        -- but only for the *decisive* links on the fresh suffixes.  A
+        non-decisive fresh link carries its predecessor's intervals shifted
+        by one constant, in the same order, against the same capacity, so
+        its decision is its predecessor's (module docstring, "Chains"); the
         first fresh link of every piece is decided whatever its flag,
         because the piece's own load reaches it as fresh load and its
-        predecessor as prefix load.  When the prefilter cannot prove a
-        decisive link clean its chain runs the exact sweep, on the interval
-        list in the dict tracker's order and in the dict tracker's
-        first-touch order, so span output is bitwise identical.
+        predecessor as prefix load.
+
+        Each touched link's rows are gathered in plain Python, in the dict
+        tracker's order, from the classes' :meth:`ArrayFlowClass.
+        decisive_offsets`: the committed classes (ascending id, split
+        parents left out), background, then each piece's load -- fresh where
+        it leaves at or after the piece's fresh suffix begins, prefix before
+        -- fresh rows first, each kind in piece order.  A link is clean when
+        nothing else loads it and its fresh count times the demand fits, or
+        when :func:`_needs_sweep` clears it.  Any other link has its chain
+        run the exact sweep, in the dict tracker's first-touch order (the
+        first piece carrying the link fresh, then the link's place there),
+        so span output is bitwise identical.
         """
         arrays = self.arrays
-        lid_parts: List["np.ndarray"] = []
-        # First fresh links that are not decisive by flag: lid -> the
-        # decisive link heading its chain, hops and delay between them.
+        demand = arrays.demand
+        # Each piece's bounds and table, and where its fresh suffix begins
+        # as a departure offset: a link it leaves before that is on its
+        # prefix, which it shares with its parent.
+        tables = []
+        # The decisive links on the fresh suffixes, and the first fresh
+        # links that are not decisive by flag: lid -> the decisive link
+        # heading its chain, hops and delay between them.
+        touched: Set[int] = set()
         forced: Dict[int, Tuple[int, int, int]] = {}
         for piece, _parent in pieces:
+            offsets = piece.decisive_offsets()
+            begin = piece.fresh_offset
+            tables.append((piece.lo, piece.hi, offsets, begin))
             start = piece.fresh_from
             if start >= piece.length - 1:
                 continue
-            dec_pos = piece.dec_pos
-            first = int(dec_pos.searchsorted(start))
-            lid_parts.append(piece.dec_lids[first:])
-            if first == dec_pos.size or int(dec_pos[first]) != start:
+            touched.update(itertools.islice(offsets, piece.fresh_dec, None))
+            fresh = itertools.islice(offsets.values(), piece.fresh_dec, None)
+            if next(fresh, None) != begin:
                 # The piece starts on a chain interior: its first link is
                 # that switch's (unchanged) rule.
                 lid = arrays.old_rule_lid[piece.node_at(start)]
                 forced[lid] = self._chain_head(lid)
-        if not lid_parts:
-            return
-        if forced:
-            lid_parts.append(np.array(list(forced), dtype=np.int64))
-        touched = np.unique(np.concatenate(lid_parts))
-        T = touched.size
-        cap_t = arrays.capacity[touched]
-        anchors, behind = touched, None
-        if forced:
-            anchors = touched.copy()
-            behind = ranks, shifts = np.zeros((2, T), dtype=np.int64)
-            for lid, (anchor, rank, shift) in forced.items():
-                at = int(touched.searchsorted(lid))
-                anchors[at] = anchor
-                ranks[at] = rank
-                shifts[at] = shift
+        touched.update(forced)
 
-        batch = _Batch(arrays.demand)
-        # Committed classes (ascending id, split parents excluded).
-        other_counts = np.zeros(T, dtype=np.int64)
+        classes = self._classes
+        committed = []
         for cid in sorted(self._alive):
-            if cid in removed:
-                continue
-            cls = self._classes[cid]
-            positions, offsets, ti = self._class_positions_on(cls, anchors, behind)
-            if positions is not None:
-                batch.add_class(cls, offsets, ti)
-                other_counts[ti] += 1
-        # Background load.
-        if self._bg_by_lid:
-            for ti_scalar, lid in enumerate(touched.tolist()):
-                triples = self._bg_by_lid.get(lid)
-                if triples:
-                    batch.add_background(ti_scalar, triples)
-                    other_counts[ti_scalar] += len(triples)
-        # Fresh suffixes, then piece prefixes on touched links, each in
-        # piece order.  The dict tracker appends prefix contributions into
-        # the same per-link "fresh" lists as the suffixes, so they count
-        # towards its multiply shortcut rather than as committed load.
-        fresh_hits = []
-        prefix_hits = []
-        for piece, _parent in pieces:
-            positions, offsets, ti = self._class_positions_on(piece, anchors, behind)
-            if positions is None:
-                continue
-            fresh = positions >= piece.fresh_from
-            if fresh.all():
-                fresh_hits.append((piece, positions, offsets, ti))
-            elif not fresh.any():
-                prefix_hits.append((piece, positions, offsets, ti))
-            else:
-                fresh_hits.append((piece, positions[fresh], offsets[fresh], ti[fresh]))
-                prefix_hits.append((piece, positions[~fresh], offsets[~fresh], ti[~fresh]))
-        fresh_counts = np.zeros(T, dtype=np.int64)
-        for piece, _positions, offsets, ti in fresh_hits + prefix_hits:
-            batch.add_class(piece, offsets, ti)
-            fresh_counts[ti] += 1
-
-        columns = batch.columns()
-        if recorder.enabled:
-            recorder.count("tracker.array.batched_links", T)
-            recorder.count("tracker.array.batched_intervals", int(columns[0].size))
-        needs_exact = self._prefilter(
-            T,
-            cap_t,
-            *columns,
-            fresh_only_counts=np.where(other_counts == 0, fresh_counts, 0),
+            if cid not in removed:
+                cls = classes[cid]
+                committed.append((cls.lo, cls.hi, cls.decisive_offsets()))
+        # A class that emits nothing loads nothing: rows are sifted for it
+        # only if one is present.
+        ragged = any(
+            lo is not None and hi is not None and lo > hi
+            for lo, hi, *_table in itertools.chain(committed, tables)
         )
-        if needs_exact is None:
+        background = self._bg_by_lid
+        capacities = arrays.link_capacity
+        neg, pos = _NEG_CLAMP, _POS_CLAMP
+        flagged = []
+        for lid in touched:
+            head, _rank, shift = forced[lid] if lid in forced else (lid, 0, 0)
+            los: List[int] = []
+            his: List[int] = []
+            add_lo, add_hi = los.append, his.append
+            for lo, hi, offsets in committed:
+                if head in offsets:
+                    offset = offsets[head] + shift
+                    add_lo(neg if lo is None else lo + offset)
+                    add_hi(pos if hi is None else hi + offset)
+            before = len(los)
+            triples = background.get(lid, ())
+            prefix_los: List[int] = []
+            prefix_his: List[int] = []
+            for lo, hi, offsets, begin in tables:
+                if head in offsets:
+                    offset = offsets[head] + shift
+                    if offset >= begin:
+                        add_lo(neg if lo is None else lo + offset)
+                        add_hi(pos if hi is None else hi + offset)
+                    else:
+                        prefix_los.append(neg if lo is None else lo + offset)
+                        prefix_his.append(pos if hi is None else hi + offset)
+            los += prefix_los
+            his += prefix_his
+            limit = capacities[lid] + _EPS
+            if not (before or triples) and len(los) * demand <= limit:
+                continue  # combined fresh load cannot exceed capacity
+            if _needs_sweep(los, his, before, triples, demand, limit, ragged):
+                flagged.append((lid, (los, his, before, triples)))
+        if recorder.enabled:
+            recorder.count("tracker.array.links_decided", len(touched))
+            recorder.count(
+                "tracker.array.entries_read",
+                len(touched) * (len(committed) + len(tables)),
+            )
+        if not flagged:
             return
         # Exact sweeps, chain by chain in the dict tracker's first-touch
-        # order: a link's rank there is its index in the concatenation of
-        # all fresh suffixes, which the first piece that carries it fresh
-        # fixes -- and a chain's links are consecutive in that piece.
+        # order: the first piece that carries the link fresh, then the
+        # link's place there -- and a chain's links are consecutive in that
+        # piece.
         chains = []
-        for flagged in needs_exact.nonzero()[0].tolist():
-            before = 0
-            for piece, positions, _offsets, ti in fresh_hits:
-                at = (ti == flagged).nonzero()[0]
-                if at.size:
-                    position = int(positions[at[0]])
-                    chain, shifts = piece.chain_at(position)
-                    # Another piece's forced first link is decided apart.
-                    for cut in range(1, len(chain)):
-                        if chain[cut] in forced:
-                            del chain[cut:], shifts[cut:]
-                            break
-                    chains.append((before + position, chain, shifts, flagged))
-                    break
-                before += piece.length - 1
+        for lid, rows in flagged:
+            head = forced[lid] if lid in forced else (lid, 0, 0)
+            for order, (piece, _parent) in enumerate(pieces):
+                offset = self._behind(piece, *head)
+                if offset is None or offset < tables[order][3]:
+                    continue
+                chain, shifts = piece.chain_at(piece.position_of(head[0]) + head[1])
+                # Another piece's forced first link is decided apart.
+                for cut in range(1, len(chain)):
+                    if chain[cut] in forced:
+                        del chain[cut:], shifts[cut:]
+                        break
+                intervals = _intervals(*rows, demand)
+                chains.append(((order, offset), chain, shifts, intervals))
+                break
         chains.sort(key=lambda item: item[0])
-        for _rank, chain, shifts, flagged in chains:
-            self._sweep_chain(chain, shifts, flagged, columns, report.congestion)
+        for _rank, *sweep in chains:
+            self._sweep_chain(*sweep, report.congestion)
             if witness and report.congestion:
                 return
 
-    def _sweep_chain(self, chain, shifts, flagged: int, columns, spans) -> None:
+    def _sweep_chain(self, chain, shifts, intervals, spans) -> None:
         """Exact spans of every link in ``chain``, appended to ``spans``.
 
-        The chain's first link is touched link ``flagged``; its rows of the
-        batch ``columns`` are its interval list in the dict tracker's exact
-        order (committed classes ascending id, background, then fresh
-        suffixes and prefixes in piece order), so the event sweep's float
-        accumulation sequence -- and thus its spans -- is reproduced
-        exactly.  One sweep serves the chain: link ``i`` carries the first
-        link's intervals ``shifts[i]`` later, in the same order, against the
-        same capacity, so its overloads are the first link's moved by that
-        much.  Each link then places an open end the way
-        :func:`repro.core.intervals._sweep_link` does for its own (shifted)
-        coordinates, and clips at ``t0``, which does not move.
+        ``intervals`` is the chain's first link's interval list in the dict
+        tracker's exact order (committed classes ascending id, background,
+        then fresh suffixes and prefixes in piece order), so the event
+        sweep's float accumulation sequence -- and thus its spans -- is
+        reproduced exactly.  One sweep serves the
+        chain: link ``i`` carries the first link's intervals ``shifts[i]``
+        later, in the same order, against the same capacity, so its
+        overloads are the first link's moved by that much.  Each link then
+        places an open end the way :func:`repro.core.intervals._sweep_link`
+        does for its own (shifted) coordinates, and clips at ``t0``, which
+        does not move.
         """
         arrays = self.arrays
         if recorder.enabled:
             recorder.count("tracker.array.exact_sweeps")
             if len(chain) > 1:
                 recorder.count("tracker.array.chains_expanded")
-        ti_all, lo_all, hi_all, load_all = columns
-        rows = (ti_all == flagged).nonzero()[0]
-        intervals = [
-            (None if lo == _NEG_CLAMP else lo, None if hi == _POS_CLAMP else hi, load)
-            for lo, hi, load in zip(
-                lo_all[rows].tolist(), hi_all[rows].tolist(), load_all[rows].tolist()
-            )
-        ]
-        capacity = float(arrays.capacity[chain[0]])
+        capacity = arrays.link_capacity[chain[0]]
         segments = _overloads(intervals, capacity)
         if not segments:
             return
@@ -1372,60 +1339,6 @@ class ArrayIntervalTracker:
                 end += shift
                 if end >= start:
                     spans.append(CongestionSpan(link, start, end, peak, capacity))
-
-    def _prefilter(
-        self,
-        T: int,
-        cap_t,
-        ti_all,
-        lo_all,
-        hi_all,
-        load_all,
-        fresh_only_counts=None,
-    ):
-        """Vectorised per-link congestion decision.
-
-        Returns ``None`` when every link is provably clean, else a bool
-        array over the touched links marking those that need the exact
-        sweep.  Mirrors the dict tracker's fast exits: total load within
-        capacity, and lo-sorted pairwise-disjoint intervals none of which
-        exceeds capacity on its own.  ``fresh_only_counts`` reproduces the
-        dict tracker's pre-sweep multiply shortcut (``count * demand``)
-        on links carrying nothing but fresh load, so boundary-exact float
-        behaviour matches even for irrational demands.
-        """
-        totals = np.bincount(ti_all, weights=load_all, minlength=T)
-        over = totals > cap_t + _EPS
-        if fresh_only_counts is not None:
-            fresh_only = fresh_only_counts > 0
-            if bool(fresh_only.any()):
-                over = over & (
-                    ~fresh_only
-                    | (fresh_only_counts * self.arrays.demand > cap_t + _EPS)
-                )
-        if not bool(over.any()):
-            return None
-        sel = over[ti_all]
-        ti_s = ti_all[sel]
-        lo_s = lo_all[sel]
-        hi_s = hi_all[sel]
-        load_s = load_all[sel]
-        nonempty = lo_s <= hi_s
-        ti_s = ti_s[nonempty]
-        lo_s = lo_s[nonempty]
-        hi_s = hi_s[nonempty]
-        load_s = load_s[nonempty]
-        fail = np.zeros(T, dtype=bool)
-        oversized = load_s > cap_t[ti_s] + _EPS
-        fail[ti_s[oversized]] = True
-        if ti_s.size > 1:
-            order = np.lexsort((lo_s, ti_s))
-            tj = ti_s[order]
-            lo_j = lo_s[order]
-            hi_j = hi_s[order]
-            overlap = (tj[1:] == tj[:-1]) & (lo_j[1:] <= hi_j[:-1])
-            fail[tj[1:][overlap]] = True
-        return fail if bool(fail.any()) else None
 
     def _commit(
         self,
@@ -1458,3 +1371,69 @@ class ArrayIntervalTracker:
         self._classes[cid] = cls
         self._alive.add(cid)
         return cid
+
+
+def _needs_sweep(
+    los: List[int],
+    his: List[int],
+    before: int,
+    triples: List[Tuple[int, int, float]],
+    demand: float,
+    limit: float,
+    ragged: bool,
+) -> bool:
+    """Whether only the exact event sweep can clear a link's rows.
+
+    Class rows depart over ``los[i]`` to ``his[i]`` (open bounds clamped)
+    with ``demand`` each; the background rows ``triples`` come after the
+    first ``before`` of them (committed classes) and before the rest.  No
+    sweep is needed when the rows that depart at all are pairwise disjoint
+    and none exceeds ``limit`` on its own -- no two loads ever add up -- or
+    when the total load, summed in row order as the sweep sums it, is
+    within ``limit``.  Disjointness is read off the two bound columns
+    sorted apart: the rows are disjoint exactly when every first departure
+    but the smallest comes after the preceding last one.  ``ragged`` says a
+    class row may depart not at all (``lo > hi``).
+    """
+    firsts, lasts = los, his
+    heaviest = demand
+    if ragged or triples:
+        kept = [(lo, hi) for lo, hi in zip(los, his) if lo <= hi]
+        if not kept:
+            heaviest = 0.0
+        for lo, hi, load in triples:
+            if lo <= hi:
+                kept.append((lo, hi))
+                heaviest = max(heaviest, load)
+        firsts = [lo for lo, _hi in kept]
+        lasts = [hi for _lo, hi in kept]
+    if heaviest <= limit and (
+        len(firsts) < 2
+        or not any(map(le, itertools.islice(sorted(firsts), 1, None), sorted(lasts)))
+    ):
+        return False
+    total = 0.0
+    for _row in range(before):
+        total += demand
+    for _lo, _hi, load in triples:
+        total += load
+    for _row in range(len(los) - before):
+        total += demand
+    return total > limit
+
+
+def _intervals(
+    los: List[int],
+    his: List[int],
+    before: int,
+    triples: List[Tuple[int, int, float]],
+    demand: float,
+) -> List[Tuple[Optional[int], Optional[int], float]]:
+    """A link's rows (:func:`_needs_sweep`) as the event sweep's interval
+    list, in row order, open bounds ``None`` again."""
+    rows = [(lo, hi, demand) for lo, hi in zip(los, his)]
+    rows[before:before] = triples
+    return [
+        (None if lo == _NEG_CLAMP else lo, None if hi == _POS_CLAMP else hi, load)
+        for lo, hi, load in rows
+    ]

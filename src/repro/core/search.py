@@ -16,8 +16,8 @@ reproduce are frozen in ``tests/data/engine_goldens.json``
   with COW clones, built by :func:`repro.core.tracker.make_tracker`: the
   dict :class:`~repro.core.intervals.IntervalTracker` on short
   trajectories, the
-  :class:`~repro.core.intervals_array.ArrayIntervalTracker` (batched
-  bincount congestion passes) on long ones.  Every call the search
+  :class:`~repro.core.intervals_array.ArrayIntervalTracker` (congestion
+  decided per decisive link, from per-class lookup tables) on long ones.  Every call the search
   makes is part of the trackers' shared internal surface (``_split`` /
   ``_check_new_congestion`` / ``_commit``).
 * **Probe chains instead of per-subset previews.**  Previewing every

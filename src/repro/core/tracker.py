@@ -6,26 +6,28 @@ arrays) expose the same surface and return the same reports byte for
 byte (``tests/test_array_tracker.py``, ``tests/test_tracker_choice.py``);
 they differ only in what a probe costs.  The dict tracker pays Python
 work proportional to trajectory length for every class it creates; the
-array tracker pays a fixed numpy call overhead per probe and per alive
-class, and otherwise what the *rerouted switches* need, not what the path
-is long (chains and run-length classes, :mod:`repro.core.intervals_array`).
-Measured greedy ms/plan, array vs dict (the ``tracker_grid`` block of
-``BENCH_sweep.json`` record #19):
+array tracker pays a dict lookup per alive class for each decisive link a
+probe touches, and otherwise what the *rerouted switches* need, not what
+the path is long (chains and run-length classes,
+:mod:`repro.core.intervals_array`).  Measured greedy ms/plan, array vs
+dict (``benchmarks/perf_harness.bench_tracker_grid``, one run on a 2-cpu
+box, the same run's dict column beside each array figure):
 
-* ``segmented_instance`` (few local detours on an n-hop chain): 4.9 vs
-  6.7 at 100 hops, 6.9 vs 14.3 at 200, 7.6 vs 71.9 at 800 -- the array
+* ``segmented_instance`` (few local detours on an n-hop chain): 5.8 vs
+  8.3 at 100 hops, 6.6 vs 17.9 at 200, 7.3 vs 83.4 at 800 -- the array
   tracker is ahead from about 100 hops and its cost does not grow with
-  the path: 8.2 at 20 000 hops on 4 segments.  It grows with the
-  *segments* (118 on 16, 490 on 32 at 20 000 hops), where rounds,
-  probes and the runs a deflection routes all multiply;
+  the path: 4-8 at 20 000 hops on 4 segments.  It grows with the
+  *segments* (75-110 on 16, 500-600 on 32 at 20 000 hops), where rounds,
+  probes, alive classes and the runs a deflection routes all multiply;
 * ``random_instance`` (global reroutes, where every switch is a junction
-  and there is no chain to skip): 5.9 vs 2.0 at 32 hops, 30.6 vs 8.8 at
-  64, 172 vs 44.9 at 128 -- dict wins 3-4x at every size measured, so
-  above the threshold such instances still run on their slower side.
+  and there is no chain to skip): 3.2 vs 1.5 at 32 hops, 23.3 vs 10.2 at
+  64, 145 vs 54 at 128, 2 074 vs 682 at 256 -- dict wins 2-3x at every
+  size measured, so above the threshold such instances still run on
+  their slower side.
 
-The threshold stays at 200: between 100 and 200 hops the two are within
-1.4-2.1x of each other on segmented plans, and moving it would trade a
-small segmented gain for filing more global reroutes on their slow side.
+The threshold stays at 200: between 100 and 200 hops the array tracker is
+already ahead on segmented plans, and moving it would trade a small
+segmented gain for filing more global reroutes on their slow side.
 
 Every caller that needs only the shared surface (greedy, the OPT search
 root, :func:`replay_schedule`, Algorithm 1) builds its tracker here, so

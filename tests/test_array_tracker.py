@@ -556,6 +556,153 @@ class TestRunWiseDeflection:
         _assert_states_match(dict_tracker, array_tracker, "after")
 
 
+def _scanned(tracker, lids):
+    """``{lid: [(class, departure offset), ...]}`` by a from-scratch scan.
+
+    Each alive class, ascending id, searched for every link of ``lids``
+    through its decisive table sorted by link id; a non-decisive link is
+    found through the decisive link heading its chain, ``rank`` links and
+    ``shift`` delay before it, where a class that crosses the head crosses
+    the chain.  This is how a probe found committed load before classes
+    kept lookup tables.
+    """
+    behind = {lid: tracker._chain_head(lid) for lid in lids}
+    anchors = np.array([behind[lid][0] for lid in lids], dtype=np.int64)
+    found = {lid: [] for lid in lids}
+    for cls in tracker.classes:
+        order = np.argsort(cls.dec_lids, kind="stable")
+        sorted_lids = cls.dec_lids[order]
+        if not sorted_lids.size:
+            continue
+        slot = np.minimum(sorted_lids.searchsorted(anchors), sorted_lids.size - 1)
+        for at in (sorted_lids[slot] == anchors).nonzero()[0].tolist():
+            lid = lids[at]
+            _head, rank, shift = behind[lid]
+            position = int(cls.dec_pos[order][slot[at]]) + rank
+            if position < cls.length - 1:
+                found[lid].append((cls, int(cls.dec_offsets[order][slot[at]]) + shift))
+    return found
+
+
+def _assert_lookups_match_scan(tracker, label):
+    """Every alive class's lookup table, and the committed load on every
+    link a class crosses (plus a sample of chain links behind them), equal
+    the from-scratch scan."""
+    arrays = tracker.arrays
+    lids = set()
+    for cls in tracker.classes:
+        table = cls.decisive_offsets()
+        assert list(table.items()) == list(
+            zip(cls.dec_lids.tolist(), cls.dec_offsets.tolist())
+        ), label
+        lids.update(table)
+    chain_links = np.flatnonzero(~tracker._decisive[arrays.old_path_lids])
+    lids.update(arrays.old_path_lids[chain_links[::17]].tolist())
+    lids = sorted(lids)
+    for lid, expected in _scanned(tracker, lids).items():
+        assert tracker.crossings(*arrays.link_name[lid]) == expected, (label, lid)
+
+
+def _state(tracker):
+    """What a clone's commits must leave alone: bounds, tables, crossings."""
+    return (
+        tracker.applied,
+        [(cls.lo, cls.hi, tuple(cls.decisive_offsets().items())) for cls in tracker.classes],
+        tracker.congestion_spans(),
+    )
+
+
+class TestLookupTables:
+    """The lookup tables a probe reads against a from-scratch scan.
+
+    A probe finds committed load on a link through every alive class's
+    :meth:`ArrayFlowClass.decisive_offsets`, which a deflected piece takes
+    from its parent's table; here, after every step of drawn round
+    sequences -- probes, applies, commits and clones -- each table equals
+    the class's decisive columns and ``crossings()`` equals a scan of the
+    sorted decisive tables, on long chains with background and interior
+    first links and on global reroutes alike.
+    """
+
+    OPERATIONS = ("probe_and_commit", "apply_round", "commit_round", "clone")
+
+    @settings(
+        max_examples=30,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+    )
+    @given(data=st.data())
+    def test_tables_equal_a_scan(self, data):
+        draw = data.draw
+        interior: list = []
+        background = None
+        if draw(st.booleans(), label="global reroute"):
+            instance = random_instance(
+                draw(st.integers(6, 40), label="switches"),
+                seed=draw(st.integers(0, 10_000), label="seed"),
+                max_delay=3,
+            )
+        else:
+            instance = segmented_instance(
+                draw(st.integers(200, 500), label="hops"),
+                seed=draw(st.integers(0, 10_000), label="seed"),
+                segments=draw(st.integers(1, 8), label="segments"),
+            )
+            path = instance.old_path
+            link_at = st.integers(0, len(path) - 2).map(lambda i: (path[i], path[i + 1]))
+            instance = rebuilt(
+                instance,
+                capacities=draw(
+                    st.dictionaries(link_at, st.sampled_from((0.5, 1.5, 3.0)), max_size=3),
+                    label="odd capacities",
+                ),
+                unit_delays=draw(st.booleans(), label="unit_delays"),
+            )
+            bound = st.none() | st.integers(-5, 60)
+            background = draw(
+                st.dictionaries(
+                    link_at,
+                    st.lists(
+                        st.tuples(bound, bound, st.sampled_from((0.25, 1.0))),
+                        min_size=1,
+                        max_size=2,
+                    ),
+                    max_size=2,
+                ),
+                label="background",
+            )
+            interior = [path[i] for i in interior_positions(instance)]
+        tracker = ArrayIntervalTracker(instance, background=background)
+        _assert_lookups_match_scan(tracker, "initial")
+        order = list(draw(st.permutations(instance.switches_to_update), label="order"))
+        time = 0
+        for step in range(draw(st.integers(1, 10), label="steps")):
+            if not order:
+                break
+            operation = draw(st.sampled_from(self.OPERATIONS), label="operation")
+            label = f"step={step} {operation} t={time}"
+            if operation == "clone":
+                before = _state(tracker)
+                clone = tracker.clone()
+                clone.apply_round([order[-1]], time)
+                _assert_lookups_match_scan(clone, label + " clone")
+                assert _state(tracker) == before, label
+                _assert_lookups_match_scan(tracker, label)
+                if draw(st.booleans(), label="go on with the clone"):
+                    tracker = clone
+                    order.pop()
+                continue
+            nodes = [order.pop() for _ in range(min(len(order), draw(st.integers(1, 3))))]
+            if interior and draw(st.booleans()):
+                # A switch whose rule stays: the first fresh link is a chain's.
+                nodes.append(interior.pop(draw(st.integers(0, len(interior) - 1))))
+            report = getattr(tracker, operation)(nodes, time)
+            if operation == "probe_and_commit" and not report.ok:
+                order = nodes[:1] + order
+            _assert_lookups_match_scan(tracker, label)
+            time += draw(st.integers(0, 3))
+
+
 class TestBackgroundLoad:
     def test_background_interleaves_identically(self):
         instance = motivating_example()

@@ -118,12 +118,13 @@ class TestScaleRegression:
     def test_probe_work_tracks_the_update_not_the_path(self, size):
         """What a probe looks at is bounded by the switches being rerouted.
 
-        Links batched per probe and runs walked per deflection stay within
-        a small multiple of ``len(switches_to_update) + segments`` at both
-        sizes -- ten times the path changes neither -- and a feasible plan
-        with no congested probe expands no chain.  Any return to O(path)
-        work per probe (the all-fresh-links pass batched ~1 850 links per
-        probe at 10 000 switches) fails this whatever the machine.
+        Links decided and class table entries read per probe, and runs
+        walked per deflection, stay within a small multiple of
+        ``len(switches_to_update) + segments`` at both sizes -- ten times
+        the path changes none of them -- and a feasible plan with no
+        congested probe expands no chain.  Any return to O(path) work per
+        probe (the all-fresh-links pass decided ~1 850 links per probe at
+        10 000 switches) fails this whatever the machine.
         """
         segments = 4
         instance = segmented_instance(size, seed=size, segments=segments)
@@ -135,7 +136,8 @@ class TestScaleRegression:
         assert result.feasible
         assert probes >= len(instance.switches_to_update)
         bound = 2 * (len(instance.switches_to_update) + segments)
-        assert counters["tracker.array.batched_links"] <= bound * probes
+        assert counters["tracker.array.links_decided"] <= bound * probes
+        assert counters["tracker.array.entries_read"] <= bound * probes
         assert (
             counters["tracker.array.deflect_runs"]
             <= bound * counters["tracker.array.deflections"]
