@@ -627,7 +627,7 @@ class TestLookupTables:
     OPERATIONS = ("probe_and_commit", "apply_round", "commit_round", "clone")
 
     @settings(
-        max_examples=30,
+        max_examples=60,
         deadline=None,
         suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
     )
