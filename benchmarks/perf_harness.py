@@ -199,7 +199,7 @@ def _feasible_batch(size: int, segments: int, plans: int) -> List:
 
 
 def bench_tracker_grid(
-    random_sizes: Sequence[int] = (16, 32, 64),
+    random_sizes: Sequence[int] = (16, 32, 64, 128),
     segmented_sizes: Sequence[int] = (50, 100, 200, 400),
     repeats: int = 3,
     long_size: int = 10000,

@@ -16,10 +16,13 @@ into ``split`` / ``deflect`` / ``check``, the final check) under a root span
 that covers the whole run, together with the tracker's counters, what a
 probe looked at per switch being updated, and how many probes a round
 accepted and refused (by the split alone / by the congestion pass / skipped
-by the fallback because the answer was known).  On the array tracker it
+by the fallback because the answer was known), with the ``split`` /
+``deflect`` / ``check`` shares of the plan.  On the array tracker it
 also prints, per probe, the links the congestion check decided, the
 class-table entries it read (one per alive class and decided link) and
-the chains it swept exactly.
+the chains it swept exactly; and per deflection, the runs it took from
+its parent up to the hit and the runs it routed past it -- walked, or
+copied from the parent's tail where its route rejoins the parent's.
 
 ``dense`` plans ``--plans`` Chronus schedules of the repo benchmark's
 ``plan-dense`` shape -- ``random_instance(16, capacity=2.0)`` seeded by
@@ -743,37 +746,72 @@ def main(argv=None) -> int:
             f"(baseline {memory['baseline_rss_mb']}MB, "
             f"stage delta {memory['delta_mb']}MB)"
         )
+    counters = profile["counters"]
+    shares = _phase_shares(profile["spans"])
+    deflections = counters.get("tracker.array.deflections")
+    per_deflection = None
+    if deflections:  # the array tracker ran
+        routed = counters["tracker.array.deflect_runs"]
+        copied = counters.get("tracker.array.tail_runs", 0)
+        per_deflection = {
+            "deflections": deflections,
+            "runs_shared": counters["tracker.array.shared_runs"] / deflections,
+            "runs_routed": routed / deflections,
+            "runs_walked": (routed - copied) / deflections,
+            "runs_copied": copied / deflections,
+            "views": counters.get("tracker.array.materialised", 0) / deflections,
+        }
     if args.json:
         if memory is not None:
             profile["memory"] = memory
+        profile["phase_shares"] = shares
+        if per_deflection is not None:
+            profile["per_deflection"] = per_deflection
         emit_json(profile)
     else:
         print(render_report(profile))
         print(_refusals_line(profile))
-        counters = profile["counters"]
+        print(
+            "  phases of the warm plan: "
+            + ", ".join(f"{phase} {share:.1%}" for phase, share in shares.items())
+            + " (deflect inside split)"
+        )
         probes = profile["spans"].get("greedy.select.tracker.probe", {}).get("calls")
-        deflections = counters.get("tracker.array.deflections")
-        if probes and deflections:  # the array tracker ran
+        if probes and per_deflection is not None:
             print(
                 f"  per probe: {counters['tracker.array.links_decided'] / probes:.1f} "
                 f"links decided, "
                 f"{counters['tracker.array.entries_read'] / probes:.1f} class-table "
                 f"entries read, "
                 f"{counters.get('tracker.array.exact_sweeps', 0) / probes:.2f} "
-                f"links swept; per deflection: "
-                f"{counters['tracker.array.deflect_runs'] / deflections:.1f} runs walked "
-                f"({len(instance.switches_to_update)} switches to update on a "
-                f"{len(instance.old_path)}-switch path)"
+                f"links swept ({len(instance.switches_to_update)} switches to update "
+                f"on a {len(instance.old_path)}-switch path)"
             )
             print(
                 f"  per deflection ({deflections}): "
-                f"{counters['tracker.array.shared_runs'] / deflections:.1f} runs shared "
-                f"with the parent, "
-                f"{counters['tracker.array.deflect_runs'] / deflections:.1f} runs routed, "
-                f"{counters.get('tracker.array.materialised', 0) / deflections:.2f} "
-                f"views materialised"
+                f"{per_deflection['runs_shared']:.1f} runs shared with the parent "
+                f"up to the hit, {per_deflection['runs_routed']:.1f} runs routed: "
+                f"{per_deflection['runs_walked']:.1f} walked, "
+                f"{per_deflection['runs_copied']:.1f} copied from the parent's tail; "
+                f"{per_deflection['views']:.2f} views materialised"
             )
     return 0
+
+
+def _phase_shares(spans: dict) -> dict:
+    """The probe phases' shares of the whole plan (the ``greedy`` root span).
+
+    Every span named ``split`` / ``deflect`` / ``check`` counts, wherever
+    the tracker ran it (probes, applies); ``deflect`` lies inside ``split``.
+    """
+    root = spans.get("greedy", {}).get("seconds") or 0.0
+    shares = {}
+    for phase in ("split", "deflect", "check"):
+        seconds = sum(
+            cell["seconds"] for path, cell in spans.items() if path.rsplit(".", 1)[-1] == phase
+        )
+        shares[phase] = seconds / root if root else 0.0
+    return shares
 
 
 if __name__ == "__main__":

@@ -1,4 +1,4 @@
-"""Struct-of-arrays flow tracking: the long-trajectory numpy hot path.
+"""Struct-of-arrays flow tracking: the long-trajectory hot path.
 
 :class:`repro.core.intervals.IntervalTracker` keeps each flow class as a
 tuple-of-tuples Python object and answers congestion probes by walking
@@ -8,19 +8,21 @@ and trajectories are O(n) while classes are few (a greedy run at n=4000
 creates ~80 classes over ~4000-hop paths).  This module stores the same
 state column-wise:
 
-* **Per instance** (computed once, shared by every tracker and clone):
-  switch ids, sorted int64 link keys (``src_id * n + dst_id``) with
-  parallel delay/capacity columns, the old/new next-hop tables as flat
-  int lists, the old path as id / link / offset columns, and the chain
-  skeleton below.
+* **Per instance** (computed once with numpy, shared by every tracker and
+  clone): switch ids, sorted int64 link keys (``src_id * n + dst_id``)
+  with parallel delay/capacity columns, the old/new next-hop tables
+  as flat int lists, the old path as id / link / offset columns, and the
+  chain skeleton below.
 * **Per class** (:class:`ArrayFlowClass`): scalar emission bounds, the
   trajectory as a short list of *runs* (an old-path slice or a single
   switch, each with its base position and base offset) and the positions,
-  ids and offsets of its decisive links -- O(junctions), never O(path).
-  Splitting shares structurally: a trim reuses its parent's tables
-  outright, a deflected piece takes the parent's runs up to the hit and
-  adds the runs it routes; the full-length columns exist only as an
-  on-demand view (:meth:`ArrayFlowClass.view`) no probe builds.
+  ids and offsets of its decisive links as ``array('q')`` columns --
+  O(junctions), never O(path).  Splitting shares structurally: a trim
+  reuses its parent's tables outright, a deflected piece takes the
+  parent's runs up to the hit, walks its detour and, where that rejoins
+  the parent's route past the round's last hit on it, copies the
+  parent's tail instead of walking it; the full-length columns exist only
+  as an on-demand view (:meth:`ArrayFlowClass.view`) no probe builds.
   Each class also answers, through one lazy dict
   (:meth:`ArrayFlowClass.decisive_offsets`), when its load leaves over
   any decisive link it crosses; a deflected piece takes its parent's dict
@@ -60,17 +62,19 @@ things follow, and the tracker is built on them:
    serves the chain (:meth:`ArrayIntervalTracker._sweep_chain`).
 
 Both layouts are production code: every deflection here pays a fixed
-numpy call overhead, so on short trajectories the dict tracker is the
-faster of the two and :func:`repro.core.tracker.make_tracker` builds that
-one instead.
+cost for its run and decisive tables and every class for its lookup
+dicts, so on short trajectories the dict tracker is the faster of the two
+and :func:`repro.core.tracker.make_tracker` builds that one instead.
 ``tests/test_array_tracker.py`` drives both in lockstep and compares
 every report byte-for-byte -- except a refused ``probe_and_commit``, whose
 report is a witness (a prefix of the ``preview_round`` report, which *is*
 byte-equal): the dict tracker's congestion witness ends with a link, this
 one's with a chain.
 
-numpy is a hard dependency (``pyproject.toml``); importing this module
-without it fails with a plain ``ImportError``.
+numpy builds the per-instance encoding and :meth:`ArrayFlowClass.view`;
+no probe, commit or congestion check calls it.  It is a hard dependency
+(``pyproject.toml``); importing this module without it fails with a plain
+``ImportError``.
 """
 
 from __future__ import annotations
@@ -117,6 +121,7 @@ class InstanceArrays:
         "names",
         "id_of",
         "n_nodes",
+        "link_key",
         "link_keys",
         "capacity",
         "link_capacity",
@@ -132,6 +137,7 @@ class InstanceArrays:
         "old_path_lids",
         "old_path_offsets",
         "path_ids",
+        "path_lids",
         "path_offsets",
         "old_pos",
         "interior",
@@ -158,13 +164,14 @@ class InstanceArrays:
         ends = _ids(id_of, itertools.chain.from_iterable(pairs), 2 * len(pairs))
         keys = ends[0::2] * n + ends[1::2]
         order = np.argsort(keys, kind="stable")
-        self.link_keys = keys[order]
-        # ``link_delay`` / ``link_capacity`` / ``path_ids`` / ``path_offsets``
-        # are what the routing loop and the congestion check index one
-        # scalar at a time: compact arrays, which index like lists (to
-        # Python numbers) at an eighth of a list's footprint.  ``delay`` /
-        # ``capacity`` / ``old_path_ids`` / ``old_path_offsets`` are numpy
-        # views of the same buffers for the vectorised readers.
+        # ``link_key`` / ``link_delay`` / ``link_capacity`` / ``path_ids`` /
+        # ``path_lids`` / ``path_offsets`` are what the routing loop and the
+        # congestion check index one scalar at a time (or bisect): compact
+        # arrays, which index like lists (to Python numbers) at an eighth of
+        # a list's footprint.  ``link_keys`` / ``delay`` / ``capacity`` /
+        # ``old_path_*`` are numpy views of the same buffers for the
+        # vectorised readers.
+        self.link_key, self.link_keys = _twin("q", keys[order])
         self.link_capacity, self.capacity = _twin(
             "d",
             np.fromiter(
@@ -188,7 +195,9 @@ class InstanceArrays:
         self.next_new = next_new.tolist()
         self.max_hops = n + 1
         self.path_ids, self.old_path_ids = _twin("i", old_ids.astype(np.int32))
-        self.old_path_lids = self.encode_links(self.old_path_ids)
+        self.path_lids, self.old_path_lids = _twin(
+            "q", self.encode_links(self.old_path_ids)
+        )
         self.path_offsets, self.old_path_offsets = _twin(
             "q",
             np.concatenate(
@@ -207,8 +216,8 @@ class InstanceArrays:
         old-path slice from its first node to the next entry of
         ``junctions`` (the junctions' old-path positions, ascending).
         ``decisive`` holds the instance's share of the flag (interior
-        source, capacity equal to the link before); trackers with
-        background load add theirs.
+        source, capacity equal to the link before), one byte per link id;
+        trackers with background load add theirs to a copy.
         """
         n = self.n_nodes
         path = self.old_path_ids
@@ -235,21 +244,21 @@ class InstanceArrays:
         decisive = np.ones(self.link_keys.size, dtype=bool)
         same_capacity = self.capacity[lids[1:]] == self.capacity[lids[:-1]]
         decisive[lids[1:][interior[path[1:-1]] & same_capacity]] = False
-        self.decisive = decisive
+        self.decisive = bytearray(decisive.tobytes())
         self.path_dec = self.decisive_path(decisive)
 
         self.old_rule_lid = self._rule_lids(next_old)
         self.new_rule_lid = self._rule_lids(next_new)
 
     def decisive_path(self, decisive) -> Tuple[List[int], List[int], List[int]]:
-        """The old-path links flagged in ``decisive``, in path order.
+        """The old-path links flagged in ``decisive`` (a byte per link id).
 
         ``(old-path positions, link ids, departure offsets)`` as parallel
-        lists: the one table a routed run bisects for its decisive entries
-        (O(junctions) long, whatever the path), and the decisive tables of
-        the initial class.
+        lists, in path order: the one table a routed run bisects for its
+        decisive entries (O(junctions) long, whatever the path), and the
+        decisive tables of the initial class.
         """
-        at = decisive[self.old_path_lids].nonzero()[0]
+        at = np.frombuffer(decisive, dtype=np.bool_)[self.old_path_lids].nonzero()[0]
         return (
             at.tolist(),
             self.old_path_lids[at].tolist(),
@@ -294,8 +303,8 @@ class InstanceArrays:
         if sid is None or did is None:
             return None
         key = sid * self.n_nodes + did
-        pos = int(np.searchsorted(self.link_keys, key))
-        if pos >= self.link_keys.size or int(self.link_keys[pos]) != key:
+        pos = bisect_left(self.link_key, key)
+        if pos == len(self.link_key) or self.link_key[pos] != key:
             return None
         return pos
 
@@ -353,10 +362,12 @@ class ArrayFlowClass:
     negative entry ``~switch id`` is a single switch off the old path;
     ``run_off[i]`` is the cumulative delay at its first switch.  Beside the
     runs sit the tables a probe reads: the positions (``dec_pos``,
-    ascending), ids (``dec_lids``) and departure offsets (``dec_offsets``)
-    of the class's decisive links, and the switch and offset the trajectory
-    ends on.  Nothing here is as long as the path; :meth:`view` builds the
-    full-length columns for the few readers that want them.  A piece's
+    ascending), ids (``dec_lids``) and departure offsets (``dec_offsets``,
+    ascending) of the class's decisive links as int arrays (``array('q')``:
+    bisected and sliced in plain Python, no numpy call on a probe), and the
+    switch and offset the trajectory ends on.  Nothing here is as long as
+    the path; :meth:`view` builds the full-length columns for the few
+    readers that want them.  A piece's
     fresh suffix starts at position ``fresh_from``, at departure offset
     ``fresh_offset`` (``_POS_CLAMP`` for a trim, which has none) and at
     entry ``fresh_dec`` of the decisive tables.
@@ -364,7 +375,9 @@ class ArrayFlowClass:
     Instances are immutable by convention.  A trim shares every table of
     its parent, a deflected piece takes the parent's runs up to the hit by
     one slice of the run lists (a cut inside a run needs no new entry: a
-    run's length is read off its successor), which is what makes ``clone``
+    run's length is read off its successor) and, where its route rejoins
+    the parent's, the parent's entries after the junction it rejoins at
+    (:meth:`ArrayIntervalTracker._deflect`), which is what makes ``clone``
     plus ``probe_and_commit`` O(touched state).
     """
 
@@ -504,19 +517,29 @@ class ArrayFlowClass:
         """
         table = self._lazy.get("offsets")
         if table is None:
-            base = self._lazy.pop("base", None)
-            if base is None:
-                table = dict(zip(self.dec_lids.tolist(), self.dec_offsets.tolist()))
+            parent = self._lazy.pop("base", None)
+            if parent is None:
+                table = dict(zip(self.dec_lids, self.dec_offsets))
             else:
-                parent, keep, routed = base
+                keep = self.fresh_dec
                 table = dict(itertools.islice(parent.items(), keep))
-                table.update(routed)
+                table.update(
+                    zip(
+                        itertools.islice(self.dec_lids, keep, None),
+                        itertools.islice(self.dec_offsets, keep, None),
+                    )
+                )
             self._lazy["offsets"] = table
         return table
 
     def position_of(self, lid: int) -> int:
-        """The trajectory position of decisive link ``lid``, which it crosses."""
-        return int(self.dec_pos[int(np.flatnonzero(self.dec_lids == lid)[0])])
+        """The trajectory position of decisive link ``lid``, which it crosses.
+
+        Departure offsets ascend with positions, so ``lid``'s offset finds
+        its entry by one bisect.
+        """
+        offsets = self.dec_offsets
+        return self.dec_pos[bisect_left(offsets, self.decisive_offsets()[lid])]
 
     def junction_positions(self) -> Dict[int, int]:
         """``switch id -> position`` of every decisive link's source.
@@ -527,10 +550,9 @@ class ArrayFlowClass:
         table = self._lazy.get("junctions")
         if table is None:
             arrays = self.arrays
-            sources = arrays.link_keys[self.dec_lids] // arrays.n_nodes
-            table = self._lazy["junctions"] = dict(
-                zip(sources.tolist(), self.dec_pos.tolist())
-            )
+            keys = map(arrays.link_key.__getitem__, self.dec_lids)
+            sources = map(arrays.n_nodes.__rfloordiv__, keys)  # key // n
+            table = self._lazy["junctions"] = dict(zip(sources, self.dec_pos))
         return table
 
     def chain_at(self, position: int) -> Tuple[List[int], List[int]]:
@@ -543,25 +565,22 @@ class ArrayFlowClass:
         and both columns are slices of the instance's.
         """
         arrays = self.arrays
-        following = int(self.dec_pos.searchsorted(position, side="right"))
-        stop = (
-            int(self.dec_pos[following])
-            if following < self.dec_pos.size
-            else self.length - 1
-        )
+        dec_pos = self.dec_pos
+        following = bisect_right(dec_pos, position)
+        stop = dec_pos[following] if following < len(dec_pos) else self.length - 1
         head = following - 1
-        head_lid = int(self.dec_lids[head])
-        behind = position - int(self.dec_pos[head])
+        head_lid = self.dec_lids[head]
+        behind = position - dec_pos[head]
         count = stop - position
         if count == 1 and not behind:
             return [head_lid], [0]
         # The head then enters an interior: it is the old-path link before it.
-        entered = int(arrays.link_keys[head_lid]) % arrays.n_nodes
+        entered = arrays.link_key[head_lid] % arrays.n_nodes
         first = arrays.old_pos[entered] - 1 + behind
-        offsets = arrays.old_path_offsets[first : first + count]
+        base = arrays.path_offsets[first]
         return (
-            arrays.old_path_lids[first : first + count].tolist(),
-            (offsets - offsets[0]).tolist(),
+            arrays.path_lids[first : first + count].tolist(),
+            [offset - base for offset in arrays.path_offsets[first : first + count]],
         )
 
 
@@ -616,13 +635,14 @@ class ArrayIntervalTracker:
             ]
         # Background breaks a chain twice: the loaded link sees load its
         # predecessor does not, and the link after it sees less than it.
+        # One byte per link id, read one link at a time by the routing loop.
         self._decisive = arrays.decisive
         self._path_dec = arrays.path_dec
         if self._bg_by_lid:
             self._decisive = arrays.decisive.copy()
             for lid in self._bg_by_lid:
                 self._decisive[lid] = True
-                after = arrays.new_rule_lid[int(arrays.link_keys[lid]) % arrays.n_nodes]
+                after = arrays.new_rule_lid[arrays.link_key[lid] % arrays.n_nodes]
                 if after >= 0:
                     self._decisive[after] = True
             self._path_dec = arrays.decisive_path(self._decisive)
@@ -633,9 +653,9 @@ class ArrayIntervalTracker:
                 arrays,
                 None,
                 None,
-                arrays.old_path_ids.size,
+                len(arrays.path_ids),
                 ([0], [0], [0]),
-                tuple(np.array(column, dtype=np.int64) for column in self._path_dec),
+                tuple(array("q", column) for column in self._path_dec),
                 (arrays.path_ids[-1], arrays.path_offsets[-1]),
             )
         )
@@ -748,7 +768,7 @@ class ArrayIntervalTracker:
             return lid, 0, 0
         arrays = self.arrays
         positions, lids, offsets = self._path_dec
-        at = arrays.old_pos[int(arrays.link_keys[lid]) // arrays.n_nodes]
+        at = arrays.old_pos[arrays.link_key[lid] // arrays.n_nodes]
         head = bisect_right(positions, at) - 1
         return (
             lids[head],
@@ -1010,6 +1030,10 @@ class ArrayIntervalTracker:
         relevant.sort(key=lambda item: item[1])
         previous_threshold: Optional[int] = None
         names = self.arrays.names
+        # Past its last hit a delivered class's route is the one every
+        # switch forwards on now (:meth:`_deflect`, "Tails"); a piece that
+        # rejoins it there takes the rest.
+        rejoin_after = hits[-1] if cls.outcome == DELIVERED else cls.length
         for threshold, index in relevant:
             lo = threshold
             hi = None if previous_threshold is None else previous_threshold - 1
@@ -1020,7 +1044,7 @@ class ArrayIntervalTracker:
             if hi is not None and lo > hi:
                 continue
             with recorder.timer("deflect"):
-                piece = self._deflect(cls, index, lo, hi)
+                piece = self._deflect(cls, index, lo, hi, rejoin_after)
             deflected.append(piece)
             if piece.outcome == LOOPED:
                 report.loops.append((lo, names[piece.loop_node]))
@@ -1029,7 +1053,12 @@ class ArrayIntervalTracker:
         return trim, deflected
 
     def _deflect(
-        self, cls: ArrayFlowClass, index: int, lo: Optional[int], hi: Optional[int]
+        self,
+        cls: ArrayFlowClass,
+        index: int,
+        lo: Optional[int],
+        hi: Optional[int],
+        rejoin_after: int,
     ) -> ArrayFlowClass:
         """Route a deflected piece from trajectory position ``index``.
 
@@ -1051,9 +1080,34 @@ class ArrayIntervalTracker:
         bisects cut out of the tracker's sorted ``_path_dec`` table -- no
         pass over the suffix, whose offsets are the run's base offset plus
         a difference of two old-path offsets.
+
+        **Tails.**  When the walk reaches a junction the parent crosses at
+        a position ``q > rejoin_after``, the rest of the route is the
+        parent's from ``q`` on, and the piece copies it -- the parent's run
+        and decisive entries after ``q``, positions and offsets moved by
+        one constant each -- instead of walking it.  The walk would have
+        found exactly that, because three things hold there:
+
+        1. the parent was delivered (``rejoin_after`` is its length
+           otherwise), so its route from ``q`` ends at the destination;
+        2. no switch past ``q`` forwards differently now than when the
+           parent was routed.  A switch the round moves is a hit, and
+           ``rejoin_after`` is the parent's last hit.  A switch an earlier
+           round moved at time ``t'`` and the parent kept lies where all
+           of the parent's load had passed by ``t'``: ``hi + off(p) < t'``.
+           This split is relevant, ``t - off(index) <= hi``, and rounds
+           come in time order, ``t' <= t``; so ``off(p) < off(index)``
+           and every such switch lies before the hit;
+        3. no switch the piece walked lies past ``q`` on the parent.  By
+           (2) a walk from such a switch follows the parent's route, and
+           this one went on to the junction at ``q``: the parent would
+           cross that junction twice.
+
+        So (1) and (2) are tested and (3) follows from them.
         """
         arrays = self.arrays
         moved = self._moved
+        decisive = self._decisive
         dest = arrays.dest
         interior = arrays.interior
         next_old, old_rule_lid = arrays.next_old, arrays.old_rule_lid
@@ -1068,19 +1122,20 @@ class ArrayIntervalTracker:
         run_pos = cls.run_pos[:shared]
         run_start = cls.run_start[:shared]
         run_off = cls.run_off[:shared]
-        # Int arrays, not lists: numpy reads their buffers without a copy.
-        dec_pos = array("q")
-        dec_lids = array("q")
-        dec_offsets = array("q")
+        keep = bisect_left(cls.dec_pos, index)
+        dec_pos = cls.dec_pos[:keep]
+        dec_lids = cls.dec_lids[:keep]
+        dec_offsets = cls.dec_offsets[:keep]
         origin = current = cls.node_at(index)
         position = index
         offset = begin = cls.offset_at(index)
-        in_prefix = cls.junction_positions()
+        in_parent = cls.junction_positions()
         mark = arrays._suffix_mark
         marked: List[int] = []
         budget = arrays.max_hops
         outcome = LOOPED
         loop_node: Optional[int] = None
+        rejoin = -1
         while budget:
             if current == dest:
                 outcome = DELIVERED
@@ -1094,7 +1149,7 @@ class ArrayIntervalTracker:
             if nxt < 0:
                 outcome = BLACKHOLE
                 break
-            if not interior[current] or self._decisive[lid]:
+            if not interior[current] or decisive[lid]:
                 dec_pos.append(position)
                 dec_lids.append(lid)
                 dec_offsets.append(offset)
@@ -1111,10 +1166,10 @@ class ArrayIntervalTracker:
                 first = bisect_left(path_dec, start)
                 last = bisect_left(path_dec, stop, first)
                 if first != last:
-                    dec_pos.extend(at + (position - start) for at in path_dec[first:last])
+                    dec_pos.extend([at + (position - start) for at in path_dec[first:last]])
                     dec_lids.extend(path_dec_lids[first:last])
                     dec_offsets.extend(
-                        off + (offset - base) for off in path_dec_offsets[first:last]
+                        [off + (offset - base) for off in path_dec_offsets[first:last]]
                     )
                 position += stop - start
                 offset += path_offsets[stop] - base
@@ -1127,44 +1182,70 @@ class ArrayIntervalTracker:
                 run_off.append(offset)
                 current = nxt
                 budget -= 1
-            if mark[current] or current == origin or in_prefix.get(current, index) < index:
+            if mark[current] or current == origin:
                 loop_node = current
                 break
+            at = in_parent.get(current)
+            if at is not None:
+                if at > rejoin_after:
+                    rejoin = at
+                    break
+                if at < index:
+                    loop_node = current
+                    break
             mark[current] = 1
             marked.append(current)
         else:
             loop_node = current  # hop guard: treat as a loop
         for node in marked:
             mark[node] = 0
+        walked = len(run_pos) - shared
+        if rejoin >= 0:
+            shift = position - rejoin
+            # The parent's entry for the link out of the junction: it leaves
+            # there ``offset`` into the piece.
+            entry = bisect_left(cls.dec_pos, rejoin)
+            delta = offset - cls.dec_offsets[entry]
+            parent_pos, parent_start, parent_off = cls.run_pos, cls.run_start, cls.run_off
+            run = bisect_right(parent_pos, rejoin + 1) - 1
+            if parent_pos[run] <= rejoin:
+                # The junction is inside one of the parent's old-path runs:
+                # the piece's next run starts one switch after it.
+                start = parent_start[run] + rejoin + 1 - parent_pos[run]
+                run_pos.append(position + 1)
+                run_start.append(start)
+                run_off.append(offset + path_offsets[start] - path_offsets[start - 1])
+                run += 1
+            run_pos += [at + shift for at in parent_pos[run:]]
+            run_start += parent_start[run:]
+            run_off += [off + delta for off in parent_off[run:]]
+            dec_pos.extend([at + shift for at in cls.dec_pos[entry:]])
+            dec_lids += cls.dec_lids[entry:]
+            dec_offsets.extend([off + delta for off in cls.dec_offsets[entry:]])
+            outcome = DELIVERED
+            current = cls.last_node
+            position = cls.length - 1 + shift
+            offset = cls.last_offset + delta
         if recorder.enabled:
             recorder.count("tracker.array.deflections")
             recorder.count("tracker.array.deflect_runs", len(run_pos) - shared)
             recorder.count("tracker.array.shared_runs", shared)
+            if rejoin >= 0:
+                recorder.count("tracker.array.tail_runs", len(run_pos) - shared - walked)
 
-        keep = int(cls.dec_pos.searchsorted(index))
         parent_table = cls._lazy.get("offsets")
-        lazy = None
-        if parent_table is not None:
-            lazy = {"base": (parent_table, keep, zip(dec_lids, dec_offsets))}
         return ArrayFlowClass(
             arrays,
             lo,
             hi,
             position + 1,
             (run_pos, run_start, run_off),
-            tuple(
-                np.concatenate((kept[:keep], np.frombuffer(routed, dtype=np.int64)))
-                for kept, routed in (
-                    (cls.dec_pos, dec_pos),
-                    (cls.dec_lids, dec_lids),
-                    (cls.dec_offsets, dec_offsets),
-                )
-            ),
+            (dec_pos, dec_lids, dec_offsets),
             (current, offset),
             outcome,
             loop_node,
             fresh=(index, begin, keep),
-            lazy=lazy,
+            lazy=None if parent_table is None else {"base": parent_table},
         )
 
     def _check_new_congestion(

@@ -14,7 +14,11 @@ work stops.  Those are held to the probe contract instead
 (:class:`TestProbeContract`).
 """
 
+import bisect
 import random
+from array import array
+from contextlib import contextmanager
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -29,13 +33,14 @@ from repro.core.instance import (
     reversal_instance,
     segmented_instance,
 )
-from repro.core.intervals import IntervalTracker
+from repro.core.intervals import BLACKHOLE, DELIVERED, LOOPED, IntervalTracker
 from repro.core.intervals_array import (
     ArrayFlowClass,
     ArrayIntervalTracker,
     instance_arrays,
 )
 from repro.network.graph import Network
+from repro.trace import TraceSession, aggregate
 from tests.test_chain_goldens import assert_witness, interior_positions, rebuilt
 
 
@@ -459,7 +464,7 @@ def _without_flag(tracker, link):
         None,
         initial.length,
         (initial.run_pos, initial.run_start, initial.run_off),
-        tuple(np.array(column, dtype=np.int64) for column in tracker._path_dec),
+        tuple(array("q", column) for column in tracker._path_dec),
         (initial.last_node, initial.last_offset),
     )
     return tracker
@@ -570,17 +575,19 @@ def _scanned(tracker, lids):
     anchors = np.array([behind[lid][0] for lid in lids], dtype=np.int64)
     found = {lid: [] for lid in lids}
     for cls in tracker.classes:
-        order = np.argsort(cls.dec_lids, kind="stable")
-        sorted_lids = cls.dec_lids[order]
+        dec_lids = np.asarray(cls.dec_lids)
+        order = np.argsort(dec_lids, kind="stable")
+        sorted_lids = dec_lids[order]
         if not sorted_lids.size:
             continue
         slot = np.minimum(sorted_lids.searchsorted(anchors), sorted_lids.size - 1)
         for at in (sorted_lids[slot] == anchors).nonzero()[0].tolist():
             lid = lids[at]
             _head, rank, shift = behind[lid]
-            position = int(cls.dec_pos[order][slot[at]]) + rank
+            position = int(np.asarray(cls.dec_pos)[order][slot[at]]) + rank
             if position < cls.length - 1:
-                found[lid].append((cls, int(cls.dec_offsets[order][slot[at]]) + shift))
+                offset = np.asarray(cls.dec_offsets)[order][slot[at]]
+                found[lid].append((cls, int(offset) + shift))
     return found
 
 
@@ -596,7 +603,8 @@ def _assert_lookups_match_scan(tracker, label):
             zip(cls.dec_lids.tolist(), cls.dec_offsets.tolist())
         ), label
         lids.update(table)
-    chain_links = np.flatnonzero(~tracker._decisive[arrays.old_path_lids])
+    flags = np.frombuffer(tracker._decisive, dtype=bool)
+    chain_links = np.flatnonzero(~flags[arrays.old_path_lids])
     lids.update(arrays.old_path_lids[chain_links[::17]].tolist())
     lids = sorted(lids)
     for lid, expected in _scanned(tracker, lids).items():
@@ -612,8 +620,185 @@ def _state(tracker):
     )
 
 
+def _walk_everything(tracker, cls, index):
+    """The reference route of a piece deflected from ``cls`` at ``index``.
+
+    The tracker's run-by-run walk with no tail taken from the parent: every
+    run after the hit is routed switch rule by switch rule, under the rules
+    in force now (the tracker's applied switches plus the round's, which
+    the split has added), until the destination, a dead end, a revisit or
+    the hop guard.  Returns what the piece must hold.
+    """
+    arrays = tracker.arrays
+    moved = tracker._moved
+    path_dec, path_dec_lids, path_dec_offsets = tracker._path_dec
+    junctions = arrays.junctions
+    shared = bisect.bisect_right(cls.run_pos, index)
+    run_pos, run_start, run_off = (
+        cls.run_pos[:shared], cls.run_start[:shared], cls.run_off[:shared]
+    )
+    keep = bisect.bisect_left(cls.dec_pos, index)
+    dec_pos, dec_lids, dec_offsets = (
+        list(cls.dec_pos[:keep]), list(cls.dec_lids[:keep]), list(cls.dec_offsets[:keep])
+    )
+    origin = current = cls.node_at(index)
+    position, offset = index, cls.offset_at(index)
+    in_prefix = cls.junction_positions()
+    seen = set()
+    budget = arrays.max_hops
+    outcome, loop_node = LOOPED, None
+    while budget:
+        if current == arrays.dest:
+            outcome = DELIVERED
+            break
+        if current in moved:
+            nxt, lid = arrays.next_new[current], arrays.new_rule_lid[current]
+        else:
+            nxt, lid = arrays.next_old[current], arrays.old_rule_lid[current]
+        if nxt < 0:
+            outcome = BLACKHOLE
+            break
+        if not arrays.interior[current] or tracker._decisive[lid]:
+            dec_pos.append(position)
+            dec_lids.append(lid)
+            dec_offsets.append(offset)
+        position += 1
+        run_pos.append(position)
+        if arrays.interior[nxt]:
+            start = arrays.old_pos[nxt]
+            stop = min(junctions[bisect.bisect_left(junctions, start)], start + budget - 1)
+            base = arrays.path_offsets[start]
+            offset += base - arrays.path_offsets[start - 1]
+            run_start.append(start)
+            run_off.append(offset)
+            first = bisect.bisect_left(path_dec, start)
+            last = bisect.bisect_left(path_dec, stop, first)
+            dec_pos += [at + position - start for at in path_dec[first:last]]
+            dec_lids += path_dec_lids[first:last]
+            dec_offsets += [off + offset - base for off in path_dec_offsets[first:last]]
+            position += stop - start
+            offset += arrays.path_offsets[stop] - base
+            current = arrays.path_ids[stop]
+            budget -= stop + 1 - start
+        else:
+            offset += arrays.link_delay[lid]
+            at = arrays.old_pos[nxt]
+            run_start.append(at if at >= 0 else ~nxt)
+            run_off.append(offset)
+            current = nxt
+            budget -= 1
+        if current in seen or current == origin or in_prefix.get(current, index) < index:
+            loop_node = current
+            break
+        seen.add(current)
+    else:
+        loop_node = current
+    return {
+        "length": position + 1,
+        "runs": _coalesced(arrays, run_pos, run_start, run_off),
+        "decisive": (dec_pos, dec_lids, dec_offsets),
+        "last": (current, offset),
+        "outcome": outcome,
+        "loop_node": loop_node,
+    }
+
+
+def _coalesced(arrays, run_pos, run_start, run_off):
+    """Runs as the old-path slices and single switches they spell.
+
+    A run that carries on the old-path slice before it, at the offset that
+    slice reaches, is merged into it: a tail taken from the parent may keep
+    the parent's longer runs where a walk breaks them at every junction.
+    """
+    merged = []
+    for pos, start, off in zip(run_pos, run_start, run_off):
+        if merged and start > 0:
+            last_pos, last_start, last_off = merged[-1]
+            at = last_start + pos - last_pos
+            if last_start >= 0 and at == start and off == last_off + (
+                arrays.path_offsets[at] - arrays.path_offsets[last_start]
+            ):
+                continue
+        merged.append((pos, start, off))
+    return merged
+
+
+def _spelled(cls):
+    """What :func:`_walk_everything` returns, read off a class."""
+    return {
+        "length": cls.length,
+        "runs": _coalesced(cls.arrays, cls.run_pos, cls.run_start, cls.run_off),
+        "decisive": tuple(list(column) for column in (cls.dec_pos, cls.dec_lids, cls.dec_offsets)),
+        "last": (cls.last_node, cls.last_offset),
+        "outcome": cls.outcome,
+        "loop_node": cls.loop_node,
+    }
+
+
+@contextmanager
+def _walked_references(references):
+    """Route every piece the tracker deflects a second time, by the walk.
+
+    ``references`` maps each piece's run list (which its trims share) to
+    the piece and its walk-everything route, checked on the spot.
+    """
+    deflect = ArrayIntervalTracker._deflect
+
+    def checked(self, cls, index, *args):
+        piece = deflect(self, cls, index, *args)
+        expected = _walk_everything(self, cls, index)
+        expected["decisive"] = tuple(expected["decisive"])
+        assert _spelled(piece) == expected, ("deflected", index)
+        references[id(piece.run_pos)] = (piece, expected)
+        return piece
+
+    with mock.patch.object(ArrayIntervalTracker, "_deflect", checked):
+        yield
+
+
+def _assert_routes_match_walks(tracker, references, label):
+    """Every alive deflected class holds what walking its route gives."""
+    for cls in tracker.classes:
+        found = references.get(id(cls.run_pos))
+        if found is not None:
+            piece, expected = found
+            assert piece.run_pos is cls.run_pos
+            assert _spelled(cls) == expected, label
+
+
+def _nested_reversal(count, depth, pad, seed):
+    """Amiri et al.'s nested path reversals, between two chains.
+
+    Old path ``s, p1..p_pad, v1..v_count, q1..q_pad, d``.  The new path
+    visits the ``v`` block reversed, except that its middle third is
+    visited in old order with *its* middle third reversed again, ``depth``
+    levels deep: every level turns the direction round.  Delays are drawn
+    from 1-3.
+    """
+    rng = random.Random(seed)
+
+    def nest(block, level):
+        if level == 0 or len(block) < 6:
+            return block[::-1]
+        third = len(block) // 3
+        head, middle, tail = block[:third], block[third:-third], block[-third:]
+        return tail[::-1] + nest(middle, level - 1)[::-1] + head[::-1]
+
+    before = [f"p{i}" for i in range(pad)]
+    block = [f"v{i}" for i in range(count)]
+    after = [f"q{i}" for i in range(pad)]
+    old_path = ["s", *before, *block, *after, "d"]
+    new_path = ["s", *before, *nest(block, depth), *after, "d"]
+    network = Network()
+    for path in (old_path, new_path):
+        for src, dst in zip(path, path[1:]):
+            if not network.has_link(src, dst):
+                network.add_link(src, dst, capacity=1.0, delay=rng.randint(1, 3))
+    return instance_from_paths(network, old_path, new_path)
+
+
 class TestLookupTables:
-    """The lookup tables a probe reads against a from-scratch scan.
+    """The lookup tables a probe reads, and the routes pieces hold.
 
     A probe finds committed load on a link through every alive class's
     :meth:`ArrayFlowClass.decisive_offsets`, which a deflected piece takes
@@ -621,32 +806,63 @@ class TestLookupTables:
     sequences -- probes, applies, commits and clones -- each table equals
     the class's decisive columns and ``crossings()`` equals a scan of the
     sorted decisive tables, on long chains with background and interior
-    first links and on global reroutes alike.
+    first links, many-segment chains, nested reversals and global reroutes
+    alike.
+
+    A deflected piece that rejoins its parent's route takes the parent's
+    tail instead of walking it (:meth:`ArrayIntervalTracker._deflect`,
+    "Tails"), so every piece is also routed a second time by walking
+    everything, and every alive class's runs, decisive columns, last
+    switch and offset, outcome and loop switch must equal that walk's.
+    ``tracker.array.tail_runs`` must be positive over the draws: tails
+    were taken, the comparison is not vacuous.
     """
 
     OPERATIONS = ("probe_and_commit", "apply_round", "commit_round", "clone")
+    WORLDS = ("global reroute", "segmented", "many segments", "nested reversal")
 
-    @settings(
-        max_examples=60,
-        deadline=None,
-        suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
-    )
-    @given(data=st.data())
-    def test_tables_equal_a_scan(self, data):
-        draw = data.draw
+    def test_tables_equal_a_scan(self):
+        tally = {}
+
+        @settings(
+            max_examples=80,
+            deadline=None,
+            suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+        )
+        @given(data=st.data())
+        def drawn(data):
+            with TraceSession(scenario="unit", run_id="tables") as session:
+                self._drawn_steps(data.draw)
+            for name, value in aggregate(session.tape)["counters"].items():
+                tally[name] = tally.get(name, 0) + value
+
+        drawn()
+        assert tally.get("tracker.array.deflections", 0) > 0
+        assert tally.get("tracker.array.tail_runs", 0) > 0
+
+    def _drawn_steps(self, draw):
         interior: list = []
         background = None
-        if draw(st.booleans(), label="global reroute"):
+        world = draw(st.sampled_from(self.WORLDS), label="world")
+        if world == "global reroute":
             instance = random_instance(
                 draw(st.integers(6, 40), label="switches"),
                 seed=draw(st.integers(0, 10_000), label="seed"),
                 max_delay=3,
             )
+        elif world == "nested reversal":
+            instance = _nested_reversal(
+                draw(st.integers(6, 60), label="reversed"),
+                draw(st.integers(0, 3), label="depth"),
+                draw(st.integers(0, 80), label="pad"),
+                draw(st.integers(0, 10_000), label="seed"),
+            )
         else:
+            many = world == "many segments"
             instance = segmented_instance(
                 draw(st.integers(200, 500), label="hops"),
                 seed=draw(st.integers(0, 10_000), label="seed"),
-                segments=draw(st.integers(1, 8), label="segments"),
+                segments=draw(st.integers(16, 32) if many else st.integers(1, 8), label="segments"),
             )
             path = instance.old_path
             link_at = st.integers(0, len(path) - 2).map(lambda i: (path[i], path[i + 1]))
@@ -672,35 +888,39 @@ class TestLookupTables:
                 label="background",
             )
             interior = [path[i] for i in interior_positions(instance)]
+        references: dict = {}
         tracker = ArrayIntervalTracker(instance, background=background)
         _assert_lookups_match_scan(tracker, "initial")
         order = list(draw(st.permutations(instance.switches_to_update), label="order"))
         time = 0
-        for step in range(draw(st.integers(1, 10), label="steps")):
-            if not order:
-                break
-            operation = draw(st.sampled_from(self.OPERATIONS), label="operation")
-            label = f"step={step} {operation} t={time}"
-            if operation == "clone":
-                before = _state(tracker)
-                clone = tracker.clone()
-                clone.apply_round([order[-1]], time)
-                _assert_lookups_match_scan(clone, label + " clone")
-                assert _state(tracker) == before, label
+        with _walked_references(references):
+            for step in range(draw(st.integers(1, 12), label="steps")):
+                if not order:
+                    break
+                operation = draw(st.sampled_from(self.OPERATIONS), label="operation")
+                label = f"step={step} {operation} t={time}"
+                if operation == "clone":
+                    before = _state(tracker)
+                    clone = tracker.clone()
+                    clone.apply_round([order[-1]], time)
+                    _assert_lookups_match_scan(clone, label + " clone")
+                    _assert_routes_match_walks(clone, references, label + " clone")
+                    assert _state(tracker) == before, label
+                    _assert_lookups_match_scan(tracker, label)
+                    if draw(st.booleans(), label="go on with the clone"):
+                        tracker = clone
+                        order.pop()
+                    continue
+                nodes = [order.pop() for _ in range(min(len(order), draw(st.integers(1, 3))))]
+                if interior and draw(st.booleans()):
+                    # A switch whose rule stays: the first fresh link is a chain's.
+                    nodes.append(interior.pop(draw(st.integers(0, len(interior) - 1))))
+                report = getattr(tracker, operation)(nodes, time)
+                if operation == "probe_and_commit" and not report.ok:
+                    order = nodes[:1] + order
                 _assert_lookups_match_scan(tracker, label)
-                if draw(st.booleans(), label="go on with the clone"):
-                    tracker = clone
-                    order.pop()
-                continue
-            nodes = [order.pop() for _ in range(min(len(order), draw(st.integers(1, 3))))]
-            if interior and draw(st.booleans()):
-                # A switch whose rule stays: the first fresh link is a chain's.
-                nodes.append(interior.pop(draw(st.integers(0, len(interior) - 1))))
-            report = getattr(tracker, operation)(nodes, time)
-            if operation == "probe_and_commit" and not report.ok:
-                order = nodes[:1] + order
-            _assert_lookups_match_scan(tracker, label)
-            time += draw(st.integers(0, 3))
+                _assert_routes_match_walks(tracker, references, label)
+                time += draw(st.integers(0, 3))
 
 
 class TestBackgroundLoad:

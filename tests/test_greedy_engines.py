@@ -145,6 +145,61 @@ class TestScaleRegression:
         assert "tracker.array.exact_sweeps" not in counters
         assert "tracker.array.chains_expanded" not in counters
 
+    def test_a_deflection_walks_only_what_it_does_not_share(self):
+        """Runs walked per deflection stay a few on 16 segments.
+
+        A piece whose route rejoins its parent's copies the parent's tail
+        instead of walking it (``tracker.array.tail_runs``); what it walks
+        is the detour.  On this 10 000-switch, 16-segment plan a deflection
+        walked 33.7 runs when every run was walked and walks 3.6 now (of
+        13.0 it routes): 8 leaves room for a different draw, not for a
+        return to walking the tail.  ``tracker.array.deflect_runs`` still
+        counts every run a piece routes, walked or copied.
+        """
+        instance = segmented_instance(10000, seed=10000, segments=16)
+        with TraceSession(scenario="unit", run_id="tails") as session:
+            result = greedy_schedule(instance)
+        counters = aggregate(session.tape)["counters"]
+        assert result.feasible
+        deflections = counters["tracker.array.deflections"]
+        routed = counters["tracker.array.deflect_runs"]
+        walked = routed - counters.get("tracker.array.tail_runs", 0)
+        assert walked <= 8 * deflections, walked / deflections
+        assert routed >= 2 * walked
+
+    def test_a_warm_plan_calls_no_numpy(self, monkeypatch):
+        """numpy encodes the instance; probes and commits never call it.
+
+        With the instance encoded, the array tracker module's ``np`` and
+        the encoding's numpy views are swapped for objects that refuse
+        every use, and a 16-segment plan, its replay and their congestion
+        checks still run: class columns are ``array('q')``, read by bisect,
+        slice and dict lookup.
+        """
+        from repro.core import intervals_array
+
+        class Refused:
+            def __getattr__(self, name):
+                raise AssertionError(f"numpy on the probe path: {name}")
+
+            def __getitem__(self, key):
+                raise AssertionError("numpy on the probe path: indexing")
+
+            def __len__(self):
+                raise AssertionError("numpy on the probe path: len")
+
+        instance = segmented_instance(10000, seed=10000, segments=16)
+        expected = greedy_schedule(instance)
+        arrays = intervals_array.instance_arrays(instance)
+        monkeypatch.setattr(intervals_array, "np", Refused())
+        for name in (
+            "link_keys", "delay", "capacity", "old_path_ids", "old_path_lids", "old_path_offsets"
+        ):
+            monkeypatch.setattr(arrays, name, Refused())
+        result = greedy_schedule(instance)
+        assert result.schedule == expected.schedule and result.feasible
+        assert replay_schedule(instance, result.schedule).ok
+
     def test_no_class_is_materialised_on_the_greedy_and_replay_paths(self):
         """Classes are runs; the full-length view is for the exact search.
 

@@ -67,7 +67,7 @@ def _assert_layout(dict_tracker, array_tracker, label):
             assert cls.offset_at(position) == int(offsets[position]), (label, position)
 
         # The decisive tables are the flagged links of the columns.
-        flagged = array_tracker._decisive[lids].nonzero()[0]
+        flagged = np.frombuffer(array_tracker._decisive, dtype=bool)[lids].nonzero()[0]
         assert cls.dec_pos.tolist() == flagged.tolist(), label
         assert cls.dec_lids.tolist() == lids[flagged].tolist(), label
         assert cls.dec_offsets.tolist() == offsets[cls.dec_pos].tolist(), label
