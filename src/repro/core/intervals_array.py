@@ -49,7 +49,8 @@ things follow, and the tracker is built on them:
 1. routing walks *runs* -- a junction's interior successor brings the
    old-path slice up to the next junction in one step
    (:meth:`ArrayIntervalTracker._deflect`), and a switch is found in a class
-   through the class's junctions (:meth:`ArrayIntervalTracker._hits`);
+   through the link out of it in the class's decisive dict
+   (:meth:`ArrayIntervalTracker._hits`);
 2. a link whose source is interior, whose capacity equals its predecessor
    link's, and which like that predecessor carries no background load is
    **not decisive**: it sees the predecessor's intervals shifted by one
@@ -541,20 +542,6 @@ class ArrayFlowClass:
         offsets = self.dec_offsets
         return self.dec_pos[bisect_left(offsets, self.decisive_offsets()[lid])]
 
-    def junction_positions(self) -> Dict[int, int]:
-        """``switch id -> position`` of every decisive link's source.
-
-        Every junction the trajectory leaves is among them (a link out of
-        a junction is always decisive) -- lazy, shared with trims.
-        """
-        table = self._lazy.get("junctions")
-        if table is None:
-            arrays = self.arrays
-            keys = map(arrays.link_key.__getitem__, self.dec_lids)
-            sources = map(arrays.n_nodes.__rfloordiv__, keys)  # key // n
-            table = self._lazy["junctions"] = dict(zip(sources, self.dec_pos))
-        return table
-
     def chain_at(self, position: int) -> Tuple[List[int], List[int]]:
         """The link at ``position`` and the non-decisive links after it.
 
@@ -937,7 +924,7 @@ class ArrayIntervalTracker:
 
         Class iteration order (ascending id), threshold arithmetic and the
         emission-axis partition match the dict tracker exactly; only the
-        hit scan (each class's junction index) and the routing (flat next-hop
+        hit scan (each class's decisive dict) and the routing (flat next-hop
         tables, walked run by run) differ mechanically.  ``pieces`` pairs
         every replacement piece -- trims and deflections, in split order --
         with its parent, the shape :mod:`repro.core.search` reads from
@@ -977,40 +964,54 @@ class ArrayIntervalTracker:
             moved.difference_update(added)
         return pieces, trims, deflected, removed, report
 
-    def _hits(self, cls: ArrayFlowClass, round_ids: List[int]) -> List[int]:
-        """Ascending positions at which ``cls`` can deflect on the round.
+    def _hits(self, cls: ArrayFlowClass, round_ids: List[int]) -> List[Tuple[int, int]]:
+        """Ascending ``(position, offset)`` at which ``cls`` can deflect on the round.
 
-        A junction is found through the class's junction index; an interior
-        switch (a round may name one although its rule stays) sits a fixed
-        number of hops after the junction its chain leaves, if the class
-        took that exit.  The final position of a looped trajectory is where
-        the unit was killed (the revisit) and deflects nothing, so only a
-        black-holed trajectory can be hit on its last switch, which no link
-        leaves.
+        A class leaves a switch by one of the switch's two rules, and a link
+        out of a junction is decisive: a junction is found by looking its old
+        and new rule's links up in the class's decisive dict, which gives
+        the offset, and the position is one bisect of the ascending offsets
+        away.  An interior switch (a round may name one although its rule
+        stays) sits a fixed number of hops after the junction its chain
+        leaves, if the class took that exit.  The final position of a looped
+        trajectory is where the unit was killed (the revisit) and deflects
+        nothing, so only a black-holed trajectory can be hit on its last
+        switch, which no link leaves.
         """
         arrays = self.arrays
-        where = cls.junction_positions()
-        hits: Set[int] = set()
+        old_rule_lid, new_rule_lid = arrays.old_rule_lid, arrays.new_rule_lid
+        leaves = cls.decisive_offsets().get
+        hits: Set[Tuple[int, int]] = set()
         for node in round_ids:
-            position = where.get(node)
-            if position is None and arrays.interior[node]:
+            offset = leaves(old_rule_lid[node])
+            if offset is None:
+                offset = leaves(new_rule_lid[node])
+            if offset is not None:
+                hits.add((cls.dec_pos[bisect_left(cls.dec_offsets, offset)], offset))
+            elif arrays.interior[node]:
                 at = arrays.old_pos[node]
                 exit_at = arrays.junctions[bisect_right(arrays.junctions, at) - 1]
-                position = where.get(arrays.path_ids[exit_at])
-                if position is not None:
+                exit = arrays.path_ids[exit_at]
+                offset = leaves(old_rule_lid[exit])
+                if offset is None:
+                    offset = leaves(new_rule_lid[exit])
+                if offset is not None:
+                    position = cls.dec_pos[bisect_left(cls.dec_offsets, offset)]
                     position += at - exit_at
-                    if position >= cls.length or cls.node_at(position) != node:
-                        position = None
-            if position is not None:
-                hits.add(position)
+                    if position < cls.length and cls.node_at(position) == node:
+                        hits.add((position, cls.offset_at(position)))
         if cls.outcome == BLACKHOLE and cls.last_node in round_ids:
-            hits.add(cls.length - 1)
+            hits.add((cls.length - 1, cls.last_offset))
         return sorted(hits)
 
     def _split_class(
-        self, cls: ArrayFlowClass, hits: List[int], time: int, report: RoundReport
+        self,
+        cls: ArrayFlowClass,
+        hits: List[Tuple[int, int]],
+        time: int,
+        report: RoundReport,
     ):
-        thresholds = [(time - cls.offset_at(i), i) for i in hits]
+        thresholds = [(time - offset, i) for i, offset in hits]
         relevant = [
             (threshold, i)
             for threshold, i in thresholds
@@ -1033,7 +1034,7 @@ class ArrayIntervalTracker:
         # Past its last hit a delivered class's route is the one every
         # switch forwards on now (:meth:`_deflect`, "Tails"); a piece that
         # rejoins it there takes the rest.
-        rejoin_after = hits[-1] if cls.outcome == DELIVERED else cls.length
+        rejoin_after = hits[-1][1] if cls.outcome == DELIVERED else cls.last_offset
         for threshold, index in relevant:
             lo = threshold
             hi = None if previous_threshold is None else previous_threshold - 1
@@ -1068,8 +1069,10 @@ class ArrayIntervalTracker:
         exact because the first switch a route reaches twice is always a
         junction: an interior switch is entered from its one predecessor,
         which was then reached twice before it.  The suffix side of the
-        test is a byte mask over the junctions, the prefix side the
-        parent's junction index -- no O(prefix) ``set`` per deflection.
+        test is a byte mask over the junctions, the prefix side a lookup of
+        the junction's two rule links in the parent's decisive dict (as
+        :meth:`_hits` finds a switch) -- no O(prefix) ``set`` per
+        deflection.
 
         The piece is built at run length too.  Its runs are the parent's up
         to ``index`` (one slice of three short lists) plus one entry per
@@ -1081,18 +1084,20 @@ class ArrayIntervalTracker:
         pass over the suffix, whose offsets are the run's base offset plus
         a difference of two old-path offsets.
 
-        **Tails.**  When the walk reaches a junction the parent crosses at
-        a position ``q > rejoin_after``, the rest of the route is the
-        parent's from ``q`` on, and the piece copies it -- the parent's run
-        and decisive entries after ``q``, positions and offsets moved by
-        one constant each -- instead of walking it.  The walk would have
-        found exactly that, because three things hold there:
+        **Tails.**  When the walk reaches a junction the parent leaves at
+        an offset past ``rejoin_after`` (position ``q``), the rest of the
+        route is the parent's from ``q`` on, and the piece copies it -- the
+        parent's run and decisive entries after ``q``, positions and
+        offsets moved by one constant each -- instead of walking it.  The
+        walk would have found exactly that, because three things hold
+        there:
 
-        1. the parent was delivered (``rejoin_after`` is its length
-           otherwise), so its route from ``q`` ends at the destination;
+        1. the parent was delivered (``rejoin_after`` is its last offset
+           otherwise, which no departure passes), so its route from ``q``
+           ends at the destination;
         2. no switch past ``q`` forwards differently now than when the
            parent was routed.  A switch the round moves is a hit, and
-           ``rejoin_after`` is the parent's last hit.  A switch an earlier
+           ``rejoin_after`` is the parent's last hit's offset.  A switch an earlier
            round moved at time ``t'`` and the parent kept lies where all
            of the parent's load had passed by ``t'``: ``hi + off(p) < t'``.
            This split is relevant, ``t - off(index) <= hi``, and rounds
@@ -1126,16 +1131,24 @@ class ArrayIntervalTracker:
         dec_pos = cls.dec_pos[:keep]
         dec_lids = cls.dec_lids[:keep]
         dec_offsets = cls.dec_offsets[:keep]
-        origin = current = cls.node_at(index)
-        position = index
-        offset = begin = cls.offset_at(index)
-        in_parent = cls.junction_positions()
+        # ``node_at`` and ``offset_at`` of the hit, off the run it cuts.
+        start = run_start[-1]
+        offset = run_off[-1]
+        if start < 0:
+            origin = ~start
+        else:
+            at = start + index - run_pos[-1]
+            origin = path_ids[at]
+            offset += path_offsets[at] - path_offsets[start]
+        current, position, begin = origin, index, offset
+        parent_table = cls.decisive_offsets()
+        leaves = parent_table.get
         mark = arrays._suffix_mark
         marked: List[int] = []
         budget = arrays.max_hops
         outcome = LOOPED
         loop_node: Optional[int] = None
-        rejoin = -1
+        rejoin: Optional[int] = None
         while budget:
             if current == dest:
                 outcome = DELIVERED
@@ -1185,12 +1198,16 @@ class ArrayIntervalTracker:
             if mark[current] or current == origin:
                 loop_node = current
                 break
-            at = in_parent.get(current)
-            if at is not None:
-                if at > rejoin_after:
-                    rejoin = at
+            # Where the parent leaves this junction, if it does: by the one of
+            # its two rules it had when the parent was routed.
+            left = leaves(old_rule_lid[current])
+            if left is None:
+                left = leaves(new_rule_lid[current])
+            if left is not None:
+                if left > rejoin_after:
+                    rejoin = left
                     break
-                if at < index:
+                if left < begin:  # on the prefix
                     loop_node = current
                     break
             mark[current] = 1
@@ -1200,18 +1217,19 @@ class ArrayIntervalTracker:
         for node in marked:
             mark[node] = 0
         walked = len(run_pos) - shared
-        if rejoin >= 0:
-            shift = position - rejoin
-            # The parent's entry for the link out of the junction: it leaves
-            # there ``offset`` into the piece.
-            entry = bisect_left(cls.dec_pos, rejoin)
-            delta = offset - cls.dec_offsets[entry]
+        if rejoin is not None:
+            # The parent's entry for the link out of the junction, which the
+            # piece leaves ``offset`` into its route.
+            entry = bisect_left(cls.dec_offsets, rejoin)
+            joined = cls.dec_pos[entry]
+            shift = position - joined
+            delta = offset - rejoin
             parent_pos, parent_start, parent_off = cls.run_pos, cls.run_start, cls.run_off
-            run = bisect_right(parent_pos, rejoin + 1) - 1
-            if parent_pos[run] <= rejoin:
+            run = bisect_right(parent_pos, joined + 1) - 1
+            if parent_pos[run] <= joined:
                 # The junction is inside one of the parent's old-path runs:
                 # the piece's next run starts one switch after it.
-                start = parent_start[run] + rejoin + 1 - parent_pos[run]
+                start = parent_start[run] + joined + 1 - parent_pos[run]
                 run_pos.append(position + 1)
                 run_start.append(start)
                 run_off.append(offset + path_offsets[start] - path_offsets[start - 1])
@@ -1230,10 +1248,9 @@ class ArrayIntervalTracker:
             recorder.count("tracker.array.deflections")
             recorder.count("tracker.array.deflect_runs", len(run_pos) - shared)
             recorder.count("tracker.array.shared_runs", shared)
-            if rejoin >= 0:
+            if rejoin is not None:
                 recorder.count("tracker.array.tail_runs", len(run_pos) - shared - walked)
 
-        parent_table = cls._lazy.get("offsets")
         return ArrayFlowClass(
             arrays,
             lo,
@@ -1245,7 +1262,7 @@ class ArrayIntervalTracker:
             outcome,
             loop_node,
             fresh=(index, begin, keep),
-            lazy=None if parent_table is None else {"base": parent_table},
+            lazy={"base": parent_table},
         )
 
     def _check_new_congestion(

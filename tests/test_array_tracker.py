@@ -643,7 +643,7 @@ def _walk_everything(tracker, cls, index):
     )
     origin = current = cls.node_at(index)
     position, offset = index, cls.offset_at(index)
-    in_prefix = cls.junction_positions()
+    in_prefix = {cls.node_at(at): at for at in cls.dec_pos}
     seen = set()
     budget = arrays.max_hops
     outcome, loop_node = LOOPED, None

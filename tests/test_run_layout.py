@@ -71,8 +71,10 @@ def _assert_layout(dict_tracker, array_tracker, label):
         assert cls.dec_pos.tolist() == flagged.tolist(), label
         assert cls.dec_lids.tolist() == lids[flagged].tolist(), label
         assert cls.dec_offsets.tolist() == offsets[cls.dec_pos].tolist(), label
-        for node, position in cls.junction_positions().items():
-            assert int(nodes[position]) == node, label
+        # A switch the class leaves over a decisive link is found there.
+        for position in cls.dec_pos:
+            found = array_tracker._hits(cls, [int(nodes[position])])
+            assert found == [(position, int(offsets[position]))], label
     expected = [
         (cls.lo, cls.hi, tuple(cls.nodes), tuple(cls.offsets))
         for cls in dict_tracker.classes
