@@ -534,13 +534,30 @@ class ArrayFlowClass:
         return table
 
     def position_of(self, lid: int) -> int:
-        """The trajectory position of decisive link ``lid``, which it crosses.
+        """The trajectory position of decisive link ``lid``, which it crosses."""
+        return self.position_leaving(self.decisive_offsets()[lid])
 
-        Departure offsets ascend with positions, so ``lid``'s offset finds
-        its entry by one bisect.
+    def position_leaving(self, offset: int) -> int:
+        """The position of the decisive link the class leaves at ``offset``.
+
+        Departure offsets ascend with positions: one bisect.
         """
-        offsets = self.dec_offsets
-        return self.dec_pos[bisect_left(offsets, self.decisive_offsets()[lid])]
+        return self.dec_pos[bisect_left(self.dec_offsets, offset)]
+
+    def leaves(self, node: int) -> Optional[int]:
+        """The offset at which the trajectory leaves switch ``node`` over a
+        decisive link, ``None`` if it does not.
+
+        A trajectory leaves a switch by one of the switch's two rules, so
+        this is a lookup of their links in :meth:`decisive_offsets`; every
+        junction it leaves is found (a link out of a junction is decisive).
+        """
+        arrays = self.arrays
+        table = self.decisive_offsets()
+        offset = table.get(arrays.old_rule_lid[node])
+        if offset is None:
+            offset = table.get(arrays.new_rule_lid[node])
+        return offset
 
     def chain_at(self, position: int) -> Tuple[List[int], List[int]]:
         """The link at ``position`` and the non-decisive links after it.
@@ -967,9 +984,7 @@ class ArrayIntervalTracker:
     def _hits(self, cls: ArrayFlowClass, round_ids: List[int]) -> List[Tuple[int, int]]:
         """Ascending ``(position, offset)`` at which ``cls`` can deflect on the round.
 
-        A class leaves a switch by one of the switch's two rules, and a link
-        out of a junction is decisive: a junction is found by looking its old
-        and new rule's links up in the class's decisive dict, which gives
+        A junction is found by :meth:`ArrayFlowClass.leaves`, which gives
         the offset, and the position is one bisect of the ascending offsets
         away.  An interior switch (a round may name one although its rule
         stays) sits a fixed number of hops after the junction its chain
@@ -979,25 +994,17 @@ class ArrayIntervalTracker:
         switch, which no link leaves.
         """
         arrays = self.arrays
-        old_rule_lid, new_rule_lid = arrays.old_rule_lid, arrays.new_rule_lid
-        leaves = cls.decisive_offsets().get
         hits: Set[Tuple[int, int]] = set()
         for node in round_ids:
-            offset = leaves(old_rule_lid[node])
-            if offset is None:
-                offset = leaves(new_rule_lid[node])
+            offset = cls.leaves(node)
             if offset is not None:
-                hits.add((cls.dec_pos[bisect_left(cls.dec_offsets, offset)], offset))
+                hits.add((cls.position_leaving(offset), offset))
             elif arrays.interior[node]:
                 at = arrays.old_pos[node]
                 exit_at = arrays.junctions[bisect_right(arrays.junctions, at) - 1]
-                exit = arrays.path_ids[exit_at]
-                offset = leaves(old_rule_lid[exit])
-                if offset is None:
-                    offset = leaves(new_rule_lid[exit])
+                offset = cls.leaves(arrays.path_ids[exit_at])
                 if offset is not None:
-                    position = cls.dec_pos[bisect_left(cls.dec_offsets, offset)]
-                    position += at - exit_at
+                    position = cls.position_leaving(offset) + at - exit_at
                     if position < cls.length and cls.node_at(position) == node:
                         hits.add((position, cls.offset_at(position)))
         if cls.outcome == BLACKHOLE and cls.last_node in round_ids:
@@ -1198,8 +1205,8 @@ class ArrayIntervalTracker:
             if mark[current] or current == origin:
                 loop_node = current
                 break
-            # Where the parent leaves this junction, if it does: by the one of
-            # its two rules it had when the parent was routed.
+            # ``cls.leaves(current)``, inline: where the parent leaves this
+            # junction, if it does.
             left = leaves(old_rule_lid[current])
             if left is None:
                 left = leaves(new_rule_lid[current])
@@ -1221,7 +1228,7 @@ class ArrayIntervalTracker:
             # The parent's entry for the link out of the junction, which the
             # piece leaves ``offset`` into its route.
             entry = bisect_left(cls.dec_offsets, rejoin)
-            joined = cls.dec_pos[entry]
+            joined = cls.dec_pos[entry]  # ``cls.position_leaving(rejoin)``
             shift = position - joined
             delta = offset - rejoin
             parent_pos, parent_start, parent_off = cls.run_pos, cls.run_start, cls.run_off
