@@ -10,18 +10,20 @@ array tracker pays a dict lookup per alive class for each decisive link a
 probe touches, and otherwise what the *rerouted switches* need, not what
 the path is long (chains and run-length classes,
 :mod:`repro.core.intervals_array`).  Measured greedy ms/plan, array vs
-dict (``benchmarks/perf_harness.bench_tracker_grid``, one run on a 2-cpu
-box, the same run's dict column beside each array figure):
+dict (``benchmarks/perf_harness.bench_tracker_grid``, ``BENCH_sweep.json``
+record #22, one run on a 2-cpu box, the same run's dict column beside each
+array figure):
 
-* ``segmented_instance`` (few local detours on an n-hop chain): 5.8 vs
-  8.3 at 100 hops, 6.6 vs 17.9 at 200, 7.3 vs 83.4 at 800 -- the array
-  tracker is ahead from about 100 hops and its cost does not grow with
-  the path: 4-8 at 20 000 hops on 4 segments.  It grows with the
-  *segments* (75-110 on 16, 500-600 on 32 at 20 000 hops), where rounds,
-  probes, alive classes and the runs a deflection routes all multiply;
+* ``segmented_instance`` (few local detours on an n-hop chain): 2.8 vs
+  6.1 at 100 hops, 3.2 vs 10.8 at 200, 4.2 vs 50.2 at 800 -- the array
+  tracker is ahead from below 100 hops and its cost does not grow with
+  the path: 2.8 at 20 000 hops on 4 segments.  It grows with the
+  *segments* (46 on 16, 342 on 32 at 20 000 hops), where rounds, probes
+  and alive classes multiply; a deflection walks only its detour and
+  copies the rest of its parent's route;
 * ``random_instance`` (global reroutes, where every switch is a junction
-  and there is no chain to skip): 3.2 vs 1.5 at 32 hops, 23.3 vs 10.2 at
-  64, 145 vs 54 at 128, 2 074 vs 682 at 256 -- dict wins 2-3x at every
+  and there is no chain to skip): 2.2 vs 1.4 at 32 hops, 11.9 vs 5.8 at
+  64, 78 vs 30 at 128, 1 102 vs 388 at 256 -- dict wins 1.5-2.8x at every
   size measured, so above the threshold such instances still run on
   their slower side.
 
