@@ -13,6 +13,10 @@ grid (``make pipeline-smoke``, CI's ``pipeline-smoke`` job):
    uninterrupted one, the resume skipped exactly K records, and both
    manifests agree on the config hash.
 
+Steps 2-4 run twice: in-process (``RunContext(workers=1)``) and at
+``RunContext(workers=2)``, where the cut lands while the run's pool is
+busy (on a single-CPU box the second pass runs in-process too).
+
 Usage::
 
     python scripts/pipeline_smoke.py                   # fig9 tiny grid
@@ -53,6 +57,64 @@ SMOKE_OVERRIDES = {
     },
 }
 
+#: Worker counts the cut-and-resume runs at: in-process, then one pool.
+WORKERS = (1, 2)
+
+
+def _cut_and_resume(scenario, overrides, store, stop_after, full, workers) -> list:
+    """Steps 2-4 at ``workers`` against the uninterrupted run ``full``."""
+    run_id = f"interrupted-w{workers}"
+    label = f"[smoke] workers={workers}:"
+    failures = []
+    try:
+        run_to_store(
+            scenario,
+            overrides=overrides,
+            ctx=RunContext(workers=workers),
+            store=store,
+            run_id=run_id,
+            stop_after=stop_after,
+        )
+        failures.append(f"{label} stop_after={stop_after} did not interrupt the run")
+    except RunInterrupted as interrupted:
+        print(f"{label} {interrupted}")
+        # Model a kill mid-write: a dangling partial line.
+        with open(interrupted.handle.records_path, "a") as handle:
+            handle.write('{"key":"torn-')
+
+    resumed = run_to_store(
+        scenario,
+        ctx=RunContext(workers=workers),
+        store=store,
+        run_id=run_id,
+        resume=True,
+    )
+    print(
+        f"{label} resumed: skipped {resumed.summary.skipped}, "
+        f"emitted {resumed.summary.emitted}"
+    )
+    if resumed.handle.records_path.read_bytes() != full.handle.records_path.read_bytes():
+        failures.append(
+            f"{label} resumed records.jsonl differs from the uninterrupted run"
+        )
+    if resumed.summary.skipped != stop_after:
+        failures.append(
+            f"{label} resume skipped {resumed.summary.skipped} record(s), "
+            f"expected {stop_after}"
+        )
+    full_hash = full.handle.manifest["config_hash"]
+    resumed_hash = resumed.handle.manifest["config_hash"]
+    if resumed_hash != full_hash:
+        failures.append(
+            f"{label} config hashes diverged: {full_hash} != {resumed_hash}"
+        )
+    if resumed.handle.manifest["status"] != "complete":
+        failures.append(
+            f"{label} resumed manifest status is "
+            f"{resumed.handle.manifest['status']!r}, not 'complete'"
+        )
+    return failures
+
 
 def main(argv=None) -> int:
     parser = script_parser(__doc__)
@@ -91,57 +153,9 @@ def main(argv=None) -> int:
             f"-> {full.handle.records_path}"
         )
 
-        try:
-            run_to_store(
-                args.scenario,
-                overrides=overrides,
-                ctx=RunContext(),
-                store=store,
-                run_id="interrupted",
-                stop_after=args.stop_after,
-            )
-            failures.append(
-                f"stop_after={args.stop_after} did not interrupt the run"
-            )
-        except RunInterrupted as interrupted:
-            print(f"[smoke] {interrupted}")
-            # Model a kill mid-write: a dangling partial line.
-            with open(interrupted.handle.records_path, "a") as handle:
-                handle.write('{"key":"torn-')
-
-        resumed = run_to_store(
-            args.scenario,
-            ctx=RunContext(),
-            store=store,
-            run_id="interrupted",
-            resume=True,
-        )
-        print(
-            f"[smoke] resumed: skipped {resumed.summary.skipped}, "
-            f"emitted {resumed.summary.emitted}"
-        )
-
-        full_bytes = full.handle.records_path.read_bytes()
-        resumed_bytes = resumed.handle.records_path.read_bytes()
-        if full_bytes != resumed_bytes:
-            failures.append(
-                "resumed records.jsonl differs from the uninterrupted run"
-            )
-        if resumed.summary.skipped != args.stop_after:
-            failures.append(
-                f"resume skipped {resumed.summary.skipped} record(s), "
-                f"expected {args.stop_after}"
-            )
-        full_hash = full.handle.manifest["config_hash"]
-        resumed_hash = resumed.handle.manifest["config_hash"]
-        if full_hash != resumed_hash:
-            failures.append(
-                f"config hashes diverged: {full_hash} != {resumed_hash}"
-            )
-        if resumed.handle.manifest["status"] != "complete":
-            failures.append(
-                f"resumed manifest status is "
-                f"{resumed.handle.manifest['status']!r}, not 'complete'"
+        for workers in WORKERS:
+            failures += _cut_and_resume(
+                args.scenario, overrides, store, args.stop_after, full, workers
             )
     finally:
         if args.keep:
@@ -154,7 +168,8 @@ def main(argv=None) -> int:
     if not failures:
         print(
             f"[smoke] OK: interrupted-after-{args.stop_after} + resume is "
-            "byte-identical to the uninterrupted run"
+            "byte-identical to the uninterrupted run at workers "
+            + ", ".join(map(str, WORKERS))
         )
     return 1 if failures else 0
 

@@ -4,8 +4,8 @@
 Exercises the trace layer end-to-end (``make trace-smoke``, CI's
 ``trace-smoke`` job):
 
-1. run a tiny deterministic scenario with ``--workers 2``, the min-work
-   probe disabled (``serial_threshold_seconds=0``) and a SQLite sink;
+1. run a tiny deterministic scenario with ``--workers 2`` and a SQLite
+   sink;
 2. query the trace back through :mod:`repro.trace.query` (the same code
    path as ``python -m repro.trace``) and fail unless
    - the run root span and every ``item:<key>`` span are present,
@@ -24,7 +24,7 @@ Exercises the trace layer end-to-end (``make trace-smoke``, CI's
    closed before the span opened -- the current span must be task-local.
 
 Single-core boxes are the reason for the ``available_cpus`` override
-below: the runner (correctly) refuses a pool when there is one usable
+below: the executor (correctly) refuses a pool when there is one usable
 CPU, but this gate exists precisely to exercise the pool path, so it
 lifts the cap for the duration of the smoke.
 
@@ -104,11 +104,7 @@ def main(argv=None) -> int:
         traced = run_to_store(
             SCENARIO,
             overrides=OVERRIDES,
-            ctx=RunContext(
-                workers=WORKERS,
-                trace="sqlite",
-                serial_threshold_seconds=0,
-            ),
+            ctx=RunContext(workers=WORKERS, trace="sqlite"),
             store=store,
             run_id="traced",
         )

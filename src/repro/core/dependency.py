@@ -56,26 +56,6 @@ class DependencySet:
         return [chain[0] for chain in self.chains if chain and chain[0] not in self.deferred]
 
 
-def last_old_emission(instance: UpdateInstance, applied: Mapping[Node, int]) -> Optional[int]:
-    """The last emission time that still travels the *full* old path.
-
-    A unit emitted at ``e`` departs old-path switch ``a`` at ``e + off(a)``
-    and follows the old rule there iff ``e + off(a) < update_time(a)``.
-    Returns ``None`` when no old-path switch has been updated yet (old flow
-    keeps coming indefinitely).
-    """
-    old_path = instance.old_path
-    offsets = arrival_offsets(instance.network, old_path)
-    bound: Optional[int] = None
-    for node, offset in zip(old_path, offsets):
-        when = applied.get(node)
-        if when is None:
-            continue
-        candidate = when - offset - 1
-        bound = candidate if bound is None else min(bound, candidate)
-    return bound
-
-
 def last_old_departure(
     instance: UpdateInstance, applied: Mapping[Node, int], node: Node
 ) -> Optional[float]:

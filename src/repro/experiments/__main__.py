@@ -77,14 +77,6 @@ def _add_context_flags(parser: argparse.ArgumentParser) -> None:
         "(inspect with python -m repro.trace)",
     )
     parser.add_argument(
-        "--serial-threshold",
-        type=float,
-        default=None,
-        metavar="S",
-        help="min projected pool work in seconds (0 always uses the pool; "
-        "default: the runner's heuristic)",
-    )
-    parser.add_argument(
         "--quiet", action="store_true", help="suppress the progress line"
     )
 
@@ -172,7 +164,6 @@ def _context(args: argparse.Namespace) -> RunContext:
         profile=args.profile,
         fault_severity=args.fault_severity,
         trace=args.trace,
-        serial_threshold_seconds=args.serial_threshold,
     )
     ctx.progress = progress_printer("record", quiet=args.quiet)
     return ctx

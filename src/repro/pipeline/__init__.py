@@ -10,8 +10,9 @@ re-implement individually:
   by exact name; the registry is populated by importing
   :mod:`repro.experiments`.
 * **RunContext** (:mod:`repro.pipeline.context`): the cross-cutting
-  services -- ``sweep_seed`` deterministic seeding, the
-  :class:`~repro.runtime.ParallelRunner`, the conformance verifier flag,
+  services -- ``sweep_seed`` deterministic seeding, the worker count
+  (one fork pool per run, :mod:`repro.runtime.parallel`), the
+  conformance verifier flag,
   tracing and profiling (one :mod:`repro.trace` session) and an optional
   fault severity -- threaded through every scenario uniformly.
 * **Artifact store** (:mod:`repro.pipeline.store`): every run streams

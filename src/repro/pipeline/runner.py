@@ -10,11 +10,12 @@ One code path serves every consumer:
   compute/print decoupling the figures lacked).
 
 Records are produced strictly in item order whatever the worker count:
-items are mapped in contiguous batches through the
-:class:`~repro.runtime.ParallelRunner` (which preserves submission
-order) and appended as each batch completes.  Completed keys therefore
-always form a prefix of the item list, which is what makes interrupted
-runs resumable byte-identically.
+every pending item goes through one :func:`~repro.runtime.parallel.ordered_map`
+(one fork pool for the whole run when ``ctx.workers > 1``, a plain
+in-process loop otherwise), and each record is appended -- the run's
+checkpoint -- as soon as it and every earlier one are in.  Completed keys
+therefore always form a prefix of the item list, which is what makes
+interrupted runs resumable byte-identically.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence
 from repro.pipeline.context import RunContext, WorkerContext
 from repro.pipeline.scenario import Scenario, get_scenario
 from repro.pipeline.store import ArtifactStore, RunHandle, canonical_json, new_run_id
+from repro.runtime.parallel import ordered_map
 from repro.trace.recorder import recorder
 from repro.trace.session import TraceSession
 from repro.trace.sinks import open_sink
@@ -119,7 +121,7 @@ def execute(
     ``trace`` (a :class:`~repro.trace.session.TraceSession` not yet
     begun) turns the run into a trace or a profile: the executor begins
     the session, flushes buffered records to its sink or tape after
-    every checkpointed batch, and finishes it -- with status
+    every checkpointed record, and finishes it -- with status
     ``interrupted`` when ``stop_after`` or the caller's kill cuts the run
     short -- however the run ends, so the recorder is never left on.
     """
@@ -151,43 +153,36 @@ def execute(
     wctx = ctx.worker_context(
         trace.trace_id if trace is not None and trace.sink is not None else None
     )
-    batch_size = ctx.batch_size
+    tasks = [
+        _ItemTask(scenario=scenario.name, params=params, item=item, worker_context=wctx)
+        for item in pending
+    ]
+    results = ordered_map(evaluate_task, tasks, ctx.workers)
     status = "interrupted"
     try:
-        for start in range(0, len(pending), batch_size):
-            batch = pending[start : start + batch_size]
-            tasks = [
-                _ItemTask(
-                    scenario=scenario.name,
-                    params=params,
-                    item=item,
-                    worker_context=wctx,
+        for record in results:
+            record = json.loads(canonical_json(record))
+            sink(record)
+            records.append(record)
+            summary.emitted += 1
+            if ctx.progress is not None:
+                ctx.progress(summary.skipped + summary.emitted, len(items))
+            if stop_after is not None and summary.emitted >= stop_after:
+                raise RunInterrupted(
+                    f"stopped {scenario.name} after {summary.emitted} new "
+                    f"record(s) as requested"
                 )
-                for item in batch
-            ]
-            for record in ctx.runner.map(evaluate_task, tasks):
-                record = json.loads(canonical_json(record))
-                sink(record)
-                records.append(record)
-                summary.emitted += 1
-                if ctx.progress is not None:
-                    ctx.progress(summary.skipped + summary.emitted, len(items))
-                if stop_after is not None and summary.emitted >= stop_after:
-                    raise RunInterrupted(
-                        f"stopped {scenario.name} after {summary.emitted} new "
-                        f"record(s) as requested"
-                    )
-                if scenario.enough is not None and scenario.enough(
-                    records, params
-                ):
-                    summary.satisfied_early = True
-                    status = "ok"
-                    return summary
+            if scenario.enough is not None and scenario.enough(records, params):
+                summary.satisfied_early = True
+                status = "ok"
+                return summary
             if trace is not None:
                 trace.flush()
         status = "ok"
         return summary
     finally:
+        # Stop the pool (if one runs) before the session ends.
+        results.close()
         if trace is not None:
             trace.finish(status)
 

@@ -7,5 +7,5 @@ how the experiments use it.
 from repro.lazy import lazy_exports
 
 __all__, __getattr__, __dir__ = lazy_exports(
-    __name__, {"parallel": ("ParallelRunner", "available_cpus", "fork_available")}
+    __name__, {"parallel": ("ordered_map", "available_cpus", "fork_available")}
 )

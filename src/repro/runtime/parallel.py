@@ -3,31 +3,30 @@
 The evaluation harness is embarrassingly parallel: every update instance
 is generated from its own integer seed and evaluated independently, so a
 sweep is a pure ``map`` over self-contained work items.  This module
-provides the one primitive the experiments need -- :class:`ParallelRunner`
--- with the properties the harness relies on:
+provides the one primitive the executor needs -- :func:`ordered_map` --
+with the properties the harness relies on:
 
-* **Determinism.**  The runner never re-seeds or re-orders anything: the
+* **Determinism.**  The map never re-seeds or re-orders anything: the
   caller derives each item's seed from ``(base_seed, instance_index)``
   before submission, workers receive the finished items, and results come
-  back in submission order.  A parallel run is therefore byte-identical
-  to the serial run, whatever the worker count or chunking.
-* **Graceful degradation.**  ``max_workers=1`` (the default everywhere),
-  a platform without ``fork``, or a work function the pool cannot pickle
-  all fall back to plain in-process execution -- same results, no pool.
-* **Chunking.**  Items are submitted in contiguous chunks, amortising
-  process-pool IPC over many small instances.
-* **Min-work threshold.**  The first item is always evaluated in-process
-  and timed; when the projected total work cannot amortise the pool's
-  startup cost the remaining items run serially too.  Tiny sweeps (the
-  quick bench's 24 instances recorded a 0.83x "speedup" from pool
-  overhead) thus never pay for a pool, and because fallback preserves
-  item order the records stay byte-identical either way.  Workers are
-  additionally capped at :func:`available_cpus` -- on a single-core (or
-  affinity-restricted) box a pool only adds fork and IPC cost, so the
-  runner stays in-process no matter how much work there is.
+  back in submission order.  A pool run is therefore byte-identical to
+  the serial run, whatever the worker count.
+* **One pool per map.**  The generator forks its pool once, feeds it
+  every item (one item per task, so stragglers rebalance) and yields each
+  result as soon as it and all earlier ones are in.  A consumer that
+  checkpoints per result therefore always holds a prefix of the items.
+* **Graceful degradation.**  One worker, one usable CPU, one item or a
+  platform without ``fork`` run a plain in-process loop -- same results,
+  no pool.  On a single-core (or affinity-restricted) box a pool only adds
+  fork and IPC cost, so workers are capped at :func:`available_cpus`.  A
+  worker that dies, or a result that cannot be pickled, sends the items
+  not yet yielded through the same in-process loop.
 
-Work functions must be module-level (picklable) and must not rely on
-mutable global state; per-item randomness must come from the item's seed.
+The work function reaches the workers through ``fork`` (the pool
+initializer's arguments are inherited, never pickled), so it may be any
+callable; items and results cross the process boundary by pickle.  Work
+functions must not rely on mutable global state; per-item randomness must
+come from the item's seed.
 
 ``multiprocessing`` and ``concurrent.futures`` load only when a pool is
 about to start (:func:`fork_available`, :func:`_fork_pool`): an
@@ -38,14 +37,18 @@ from __future__ import annotations
 
 import os
 import pickle
-import time
-from dataclasses import dataclass
-from typing import Callable, Iterable, List, Optional, Sequence, TypeVar
+from typing import Callable, Iterator, Optional, Sequence, TypeVar
 
-from repro.trace.worker import collection_hooks
+from repro.trace.recorder import recorder
+from repro.trace.worker import merge_payload, worker_collect, worker_prepare
 
 Item = TypeVar("Item")
 Result = TypeVar("Result")
+
+# A pool worker's work function, and whether it hands its records back;
+# set by _install in each worker.
+_work: Optional[Callable] = None
+_traced = False
 
 
 def available_cpus() -> int:
@@ -60,7 +63,7 @@ def fork_available() -> bool:
     """Whether the platform supports the ``fork`` start method.
 
     ``fork`` is what makes pool workers cheap enough for sub-second work
-    items; without it (Windows, some macOS setups) the runner stays
+    items; without it (Windows, some macOS setups) the map stays
     in-process rather than paying spawn-and-reimport per worker.
     """
     import multiprocessing
@@ -68,147 +71,70 @@ def fork_available() -> bool:
     return "fork" in multiprocessing.get_all_start_methods()
 
 
-def _fork_pool(workers: int):
+def _fork_pool(workers: int, initializer: Callable, initargs: tuple):
     """A ``fork``-context process pool of ``workers`` processes."""
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
     return ProcessPoolExecutor(
-        max_workers=workers, mp_context=multiprocessing.get_context("fork")
+        max_workers=workers,
+        mp_context=multiprocessing.get_context("fork"),
+        initializer=initializer,
+        initargs=initargs,
     )
 
 
-def _run_chunk(fn: Callable[[Item], Result], chunk: Sequence[Item]) -> List[Result]:
-    return [fn(item) for item in chunk]
+def _install(fn: Callable, traced: bool) -> None:
+    """Pool initializer: keep the work function, drop the inherited tape."""
+    global _work, _traced
+    _work, _traced = fn, traced
+    if traced:
+        worker_prepare()
 
 
-def _run_chunk_collecting(
-    fn: Callable[[Item], Result],
-    chunk: Sequence[Item],
-    prepare: Callable[[], None],
-    collect: Callable[[], object],
-):
-    """Like :func:`_run_chunk`, bracketed by worker-state hooks.
+def _apply(item):
+    """Evaluate one item in a worker; return it with the item's own records."""
+    result = _work(item)
+    return result, (worker_collect() if _traced else None)
 
-    ``prepare`` drops the fork-inherited tape so the parent's records are
-    never shipped back twice; ``collect`` returns the chunk's own records
-    alongside its results.
+
+def ordered_map(
+    fn: Callable[[Item], Result], items: Sequence[Item], workers: int
+) -> Iterator[Result]:
+    """Yield ``fn(item)`` for every item, in item order.
+
+    ``workers`` (capped at :func:`available_cpus` and the item count)
+    above one runs the items over a fork pool that lives as long as the
+    generator; otherwise, or without ``fork``, they run in-process.  While
+    a trace session is live each worker's records come back with its
+    result and join the parent tape, in item order, just before that
+    result is yielded.  Exceptions raised by ``fn`` propagate unchanged in
+    both modes.  Closing the generator early cancels the items not yet
+    started and waits for the running ones.
     """
-    prepare()
-    results = [fn(item) for item in chunk]
-    return results, collect()
+    workers = min(workers, available_cpus(), len(items))
+    if workers <= 1 or not fork_available():
+        for item in items:
+            yield fn(item)
+        return
+    from concurrent.futures.process import BrokenProcessPool
 
-
-@dataclass
-class ParallelRunner:
-    """Ordered, deterministic ``map`` over a process pool.
-
-    Args:
-        max_workers: Worker processes; ``1`` (or fewer) runs in-process.
-            The effective count is capped at :func:`available_cpus`.
-        chunk_size: Items per pool task; default splits the items into
-            about four chunks per worker so stragglers rebalance.
-        serial_threshold_seconds: Minimum projected total work (first
-            item's wall time times the remaining item count) below which
-            the pool is skipped and everything runs in-process; ``0``
-            disables the heuristic and always uses the pool.
-
-    Example:
-        >>> runner = ParallelRunner(max_workers=1)
-        >>> runner.map(abs, [-2, -1, 3])
-        [2, 1, 3]
-    """
-
-    max_workers: int = 1
-    chunk_size: Optional[int] = None
-    serial_threshold_seconds: float = 0.5
-
-    def map(self, fn: Callable[[Item], Result], items: Iterable[Item]) -> List[Result]:
-        """Apply ``fn`` to every item, returning results in item order.
-
-        Falls back to in-process execution when the pool is pointless
-        (``max_workers <= 1``, a single usable CPU, one item, projected
-        work below the min-work threshold) or unavailable (no ``fork``,
-        unpicklable work function).  Exceptions raised by ``fn`` itself
-        propagate unchanged in both modes.
-        """
-        work = list(items)
-        # A pool can only help with cores to spread over: on a single-core
-        # box (or affinity-restricted container) extra workers just add
-        # fork + IPC cost on top of the same serial compute.
-        workers = min(self.max_workers, available_cpus())
-        if workers <= 1 or len(work) <= 1 or not _picklable(fn):
-            return [fn(item) for item in work]
-        # Min-work probe: run (and time) the first item here.  Per-item
-        # cost is unknowable up front, and a pool under ~half a second of
-        # total work costs more in fork + IPC than it buys.
-        head: List[Result] = []
-        rest: Sequence[Item] = work
-        if self.serial_threshold_seconds > 0:
-            started = time.perf_counter()
-            head = [fn(work[0])]
-            first_seconds = time.perf_counter() - started
-            rest = work[1:]
-            if first_seconds * len(rest) < self.serial_threshold_seconds:
-                return head + [fn(item) for item in rest]
-        if not fork_available():
-            return head + [fn(item) for item in rest]
-        from concurrent.futures.process import BrokenProcessPool
-
-        chunks = self._chunks(rest, workers)
-        hooks = collection_hooks()
-        try:
-            with _fork_pool(min(workers, len(chunks))) as pool:
-                if hooks is None:
-                    futures = [
-                        pool.submit(_run_chunk, fn, chunk) for chunk in chunks
-                    ]
-                    results: List[Result] = list(head)
-                    for future in futures:
-                        results.extend(future.result())
-                    return results
-                prepare, collect, merge = hooks
-                futures = [
-                    pool.submit(_run_chunk_collecting, fn, chunk, prepare, collect)
-                    for chunk in chunks
-                ]
-                results = list(head)
-                payloads = []
-                for future in futures:
-                    chunk_results, payload = future.result()
-                    results.extend(chunk_results)
-                    payloads.append(payload)
-                # Merge only once every chunk succeeded, in submission
-                # order, so a broken pool never leaves half-merged state
-                # behind before the in-process redo below.
-                for payload in payloads:
-                    merge(payload)
-                return results
-        except (BrokenProcessPool, pickle.PicklingError):
-            # A worker died or a result would not round-trip; the items
-            # themselves are still valid, so redo the map in-process.
-            return list(head) + [fn(item) for item in rest]
-
-    def _chunks(self, work: Sequence[Item], workers: Optional[int] = None) -> List[Sequence[Item]]:
-        """Split ``work`` into chunks sized for the *effective* pool.
-
-        ``workers`` is the cpu-capped worker count ``map()`` computed; it
-        must be used instead of ``self.max_workers``, otherwise an
-        affinity-restricted host (say 2 usable cpus under
-        ``max_workers=16``) gets 64 tiny chunks for a 2-process pool --
-        all IPC overhead and stragglers, no extra parallelism.
-        """
-        if workers is None:
-            workers = min(self.max_workers, available_cpus())
-        size = self.chunk_size
-        if size is None or size < 1:
-            size = max(1, len(work) // (max(1, workers) * 4))
-        return [work[i : i + size] for i in range(0, len(work), size)]
-
-
-def _picklable(fn: Callable) -> bool:
+    done = 0
+    pool = _fork_pool(workers, _install, (fn, recorder.enabled))
     try:
-        pickle.dumps(fn)
-        return True
-    except Exception:
-        return False
+        futures = [pool.submit(_apply, item) for item in items]
+        for future in futures:
+            result, payload = future.result()
+            if payload is not None:
+                merge_payload(payload)
+            done += 1
+            yield result
+        return
+    except (BrokenProcessPool, pickle.PicklingError):
+        # A worker died or a result would not round-trip; the items
+        # themselves are still valid, so the rest run in-process.
+        pass
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
+    for item in items[done:]:
+        yield fn(item)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
@@ -187,9 +188,15 @@ class ILPResult:
 def solve_ilp(model: ILPModel, time_limit: Optional[float] = None) -> ILPResult:
     """Minimise ``model`` to proven optimality (or until the time limit).
 
+    HiGHS' presolve can wrongly declare a feasible model infeasible (seen
+    on program (3) for ``random_instance(14, seed=9)`` at horizon 8), so
+    an ``infeasible`` verdict is certified by solving again with presolve
+    off, and that second verdict is the one returned.
+
     Args:
         model: The ILP to minimise.
-        time_limit: Wall-clock seconds for HiGHS; ``None`` = unlimited.
+        time_limit: Wall-clock seconds for HiGHS, both calls together;
+            ``None`` = unlimited.
     """
     from scipy.optimize import Bounds, LinearConstraint, milp
 
@@ -200,10 +207,11 @@ def solve_ilp(model: ILPModel, time_limit: Optional[float] = None) -> ILPResult:
         constraints.append(LinearConstraint(a_ub, -np.inf, b_ub))
     if a_eq is not None:
         constraints.append(LinearConstraint(a_eq, b_eq, b_eq))
-    options: Dict[str, float] = {"mip_rel_gap": 0.0}
+    options: Dict[str, object] = {"mip_rel_gap": 0.0}
     if time_limit is not None:
         options["time_limit"] = time_limit
-    result = milp(
+    solve = partial(
+        milp,
         c,
         integrality=[int(model.variables[name].integer) for name in order],
         bounds=Bounds(
@@ -211,10 +219,15 @@ def solve_ilp(model: ILPModel, time_limit: Optional[float] = None) -> ILPResult:
             [np.inf if upper is None else upper for _, upper in bounds],
         ),
         constraints=constraints,
-        options=options,
     )
-    elapsed = time.monotonic() - started
+    result = solve(options=options)
     nodes = result.get("mip_node_count") or 0
+    if result.status == _MILP_INFEASIBLE:
+        if time_limit is not None:
+            options["time_limit"] = max(0.0, started + time_limit - time.monotonic())
+        result = solve(options=dict(options, presolve=False))
+        nodes += result.get("mip_node_count") or 0
+    elapsed = time.monotonic() - started
     if result.status == _MILP_INFEASIBLE:
         return ILPResult(status=INFEASIBLE, nodes=nodes, elapsed=elapsed)
     if result.x is None:

@@ -23,7 +23,7 @@ profiles, a sink-less session's in-memory tape:
 Tracing is observability-only: nothing on the planning side reads it.
 What "the current span" is lives in one context variable, so asyncio
 tasks and pool workers each nest their own spans; pool workers ship their
-records back with their chunk results (see :mod:`repro.trace.worker`), so
+records back with each item's result (see :mod:`repro.trace.worker`), so
 sinks only ever run in the parent process.
 
 Quick tour::

@@ -31,8 +31,8 @@ The recorder is process-local, disabled by default, and a disabled site is
 one attribute check returning the shared :data:`NULL_SPAN` -- no context
 lookup, no allocation; hot loops hoist ``if recorder.enabled:`` around
 their counters.  Nothing on the planning side reads the tape: whoever owns
-the sink (the :class:`~repro.trace.session.TraceSession`, or the chunk
-hooks of :mod:`repro.trace.worker` in pool workers) drains it in execution
+the sink (the :class:`~repro.trace.session.TraceSession`, or the item
+hand-off of :mod:`repro.trace.worker` in pool workers) drains it in execution
 order.  Span ids are **deterministic** -- derived from the trace id, the
 parent span and a per-``(parent, name)`` sequence number
 (:func:`repro.trace.record.derive_span_id`), never from time or randomness
@@ -282,8 +282,8 @@ class TraceRecorder:
 
     All state is process-local and single-threaded by design (the
     schedulers are single-threaded, asyncio tasks interleave on one thread
-    and the pool parallelism is process level, reconciled by the chunk
-    hooks); what is *current* is per task, in :data:`_CURRENT`.
+    and the pool parallelism is process level, reconciled by the item
+    hand-off); what is *current* is per task, in :data:`_CURRENT`.
     """
 
     __slots__ = ("enabled", "trace_id", "scenario", "_records", "_seq")

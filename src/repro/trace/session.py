@@ -3,7 +3,7 @@
 A session is the only thing that switches the recorder on, and it always
 switches it off again: ``begin`` configures the process-global recorder
 and opens the ``run`` root span, ``flush`` drains the tape after every
-checkpointed batch, and ``finish`` closes the root span, drains the rest
+checkpointed record, and ``finish`` closes the root span, drains the rest
 and releases the recorder -- however the run ended.
 
 Tracing to a sink and profiling are the same session: with a sink the

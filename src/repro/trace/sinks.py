@@ -3,7 +3,7 @@
 The protocol is two methods -- ``emit(record)`` and ``close()`` -- so a
 sink swap never touches the emitting side (the illumo-flow tracer
 shape).  Sinks are owned by the parent process only: pool workers buffer
-records in the recorder and ship them back with their chunk results, so
+records in the recorder and ship them back with each item's result, so
 no sink ever sees concurrent writers.
 
 ``open_sink`` parses the CLI-facing spec::

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+import repro.runtime.parallel as parallel
 from repro.core.instance import (
     instance_from_paths,
     motivating_example,
@@ -65,3 +66,9 @@ def shortcut_instance():
     ]:
         net.add_link(src, dst, capacity=1.0, delay=delay)
     return instance_from_paths(net, ["a", "b", "c", "d"], ["a", "c", "d"])
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """Lift the CPU cap so a run's pool forks on single-core boxes too."""
+    monkeypatch.setattr(parallel, "available_cpus", lambda: 2)

@@ -121,6 +121,16 @@ class TestSolving:
         assert schedule is None
         assert result.status == "infeasible"
 
+    def test_presolve_infeasible_verdict_is_certified(self):
+        # HiGHS' presolve calls this model infeasible; with presolve off
+        # it is optimal at makespan 7.
+        instance = random_instance(14, seed=9)
+        schedule, result = solve_mutp(instance, horizon=8, time_budget=60)
+        assert result.status == "optimal"
+        assert schedule is not None
+        assert schedule.makespan == 7
+        assert verify_schedule(instance, schedule).ok
+
     def test_slow_detour_one_step(self, tiny_instance):
         schedule, result = solve_mutp(tiny_instance, horizon=1, time_budget=60)
         assert result.status == "optimal"

@@ -6,9 +6,12 @@ and serial/parallel/in-memory execution all see the same records.
 """
 
 import json
+import os
 
 import pytest
 
+import repro.pipeline.runner as runner
+import repro.runtime.parallel as parallel
 from repro.experiments.__main__ import main as cli_main
 from repro.experiments.sweep import sweep_seed
 from repro.pipeline import (
@@ -238,19 +241,24 @@ def test_corrupt_interior_line_is_an_error(tmp_path):
 
 # --- executor: resume and determinism ---------------------------------
 
-def test_interrupted_then_resumed_is_byte_identical(tmp_path):
+def _assert_cut_and_resume_is_byte_identical(tmp_path, workers):
     store = ArtifactStore(root=tmp_path)
     full = run_to_store("fig9", TINY_FIG9, store=store, run_id="full")
     assert full.summary.emitted == 4
+    full_lines = full.handle.records_path.read_bytes().splitlines(keepends=True)
 
+    ctx = RunContext(workers=workers)
     with pytest.raises(RunInterrupted):
-        run_to_store("fig9", TINY_FIG9, store=store, run_id="cut", stop_after=2)
+        run_to_store(
+            "fig9", TINY_FIG9, ctx=ctx, store=store, run_id="cut", stop_after=2
+        )
     cut = store.open("fig9", "cut")
     assert cut.manifest["status"] == "running"  # what a kill leaves behind
+    assert cut.records_path.read_bytes() == b"".join(full_lines[:2])
     with open(cut.records_path, "a") as f:
         f.write('{"key":"torn')  # and it died mid-write
 
-    resumed = run_to_store("fig9", store=store, run_id="cut", resume=True)
+    resumed = run_to_store("fig9", ctx=ctx, store=store, run_id="cut", resume=True)
     assert resumed.summary.skipped == 2
     assert resumed.summary.emitted == 2
     assert (
@@ -261,6 +269,62 @@ def test_interrupted_then_resumed_is_byte_identical(tmp_path):
     assert (
         resumed.handle.manifest["config_hash"]
         == full.handle.manifest["config_hash"]
+    )
+
+
+def test_interrupted_then_resumed_is_byte_identical(tmp_path):
+    _assert_cut_and_resume_is_byte_identical(tmp_path, workers=1)
+
+
+def test_interrupted_mid_pool_then_resumed_is_byte_identical(tmp_path, two_cpus):
+    # The cut lands while the pool still runs later items: the store holds
+    # exactly the prefix, and the resume (its own pool) finishes it.
+    _assert_cut_and_resume_is_byte_identical(tmp_path, workers=2)
+
+
+def test_a_run_starts_one_pool(tmp_path, two_cpus, monkeypatch):
+    starts = []
+    fork_pool = parallel._fork_pool
+
+    def counting(workers, *args):
+        starts.append(workers)
+        return fork_pool(workers, *args)
+
+    monkeypatch.setattr(parallel, "_fork_pool", counting)
+    overrides = dict(TINY_FIG9, instances_per_size=5)
+    stored = run_to_store(
+        "fig9", overrides, ctx=RunContext(workers=2), store=ArtifactStore(root=tmp_path)
+    )
+    assert len(stored.records) == 10
+    assert starts == [2]
+
+
+def test_a_dead_worker_leaves_the_records_whole(tmp_path, two_cpus, monkeypatch):
+    scenario = get_scenario("fig9")
+    keys = [str(item["key"]) for item in scenario.items(scenario.params_with(TINY_FIG9))]
+    parent = os.getpid()
+    evaluate = runner.evaluate_task
+    in_parent = []
+
+    def dies_in_a_worker(task):
+        key = str(task.item["key"])
+        if os.getpid() == parent:
+            in_parent.append(key)
+        elif key == keys[2]:
+            os._exit(1)
+        return evaluate(task)
+
+    store = ArtifactStore(root=tmp_path)
+    serial = run_to_store("fig9", TINY_FIG9, store=store, run_id="serial")
+    monkeypatch.setattr(runner, "evaluate_task", dies_in_a_worker)
+    pooled = run_to_store(
+        "fig9", TINY_FIG9, ctx=RunContext(workers=2), store=store, run_id="pool"
+    )
+    assert keys[2] in in_parent  # the pool broke and the rest ran here
+    assert pooled.handle.manifest["status"] == "complete"
+    assert (
+        pooled.handle.records_path.read_bytes()
+        == serial.handle.records_path.read_bytes()
     )
 
 

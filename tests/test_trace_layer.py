@@ -27,7 +27,6 @@ from datetime import datetime, timedelta
 import pytest
 
 import repro.pipeline.store as store_mod
-import repro.runtime.parallel as parallel_mod
 from repro.experiments import fig6
 from repro.experiments.sweep import mixed_instance
 from repro.pipeline.context import RunContext
@@ -62,14 +61,8 @@ def _recorder_is_released():
     assert not recorder.enabled
 
 
-@pytest.fixture
-def two_cpus(monkeypatch):
-    """Lift the CPU cap so the pool forks on single-core CI boxes too."""
-    monkeypatch.setattr(parallel_mod, "available_cpus", lambda: 2)
-
-
 def pool_ctx(**kwargs) -> RunContext:
-    return RunContext(workers=2, serial_threshold_seconds=0, **kwargs)
+    return RunContext(workers=2, **kwargs)
 
 
 # --- run ids (satellite: same-second collision, sortable width) --------
