@@ -26,7 +26,7 @@ bench-repo:      ## the repo benchmark (BENCHMARK.json): quick pass over all fiv
 	$(PYTHON) bench/run.py --quick
 	$(PYTHON) -m pytest bench/test_bench.py -q
 
-profile:         ## phase breakdown of the greedy engine at 6000 switches (aggregate view of an in-memory trace)
+profile:         ## the greedy engine at 6000 switches: span tree, counters and derived views of an in-memory trace
 	$(PYTHON) scripts/profile.py
 
 faults:          ## fault-severity ablation: chronus/or/tp under an imperfect control plane

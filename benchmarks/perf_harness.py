@@ -138,7 +138,7 @@ def bench_greedy_memory(
     process would let the largest stage mask all others.  ``delta_mb`` is
     the stage's growth over the inherited process image and is the
     comparable number across machines; reproduce locally with
-    ``scripts/profile.py --memory``.
+    ``python scripts/bench.py --no-write`` (this column, full sizes).
     """
     out: Dict[str, Dict[str, float]] = {}
     for size in sizes:

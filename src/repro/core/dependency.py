@@ -242,11 +242,6 @@ def merge_relations(
     return chains, has_cycle
 
 
-def _stable_key(pending: Sequence[Node]):
-    index = {node: i for i, node in enumerate(pending)}
-    return lambda node: index.get(node, len(index))
-
-
 # ----------------------------------------------------------------------
 # Incremental engine
 # ----------------------------------------------------------------------

@@ -287,6 +287,45 @@ def segmented_instance(
     return instance_from_topology(topo, demand=demand)
 
 
+def nested_reversal_instance(
+    count: int,
+    depth: int,
+    pad: int,
+    seed: Optional[int] = None,
+    capacity: float = 1.0,
+    max_delay: int = 3,
+) -> UpdateInstance:
+    """Amiri et al.'s nested path reversals ("Being Greedy is Hard"), between
+    two chains.
+
+    Old path ``s, p1..p_pad, v1..v_count, q1..q_pad, d``.  The new path
+    visits the ``v`` block reversed, except that its middle third is
+    visited in old order with *its* middle third reversed again, ``depth``
+    levels deep: every level turns the direction round.  Delays are drawn
+    from ``1..max_delay``; every link has ``capacity``.
+    """
+    rng = random.Random(seed)
+
+    def nest(block: List[str], level: int) -> List[str]:
+        if level == 0 or len(block) < 6:
+            return block[::-1]
+        third = len(block) // 3
+        head, middle, tail = block[:third], block[third:-third], block[-third:]
+        return tail[::-1] + nest(middle, level - 1)[::-1] + head[::-1]
+
+    before = [f"p{i}" for i in range(pad)]
+    block = [f"v{i}" for i in range(count)]
+    after = [f"q{i}" for i in range(pad)]
+    old_path = ["s", *before, *block, *after, "d"]
+    new_path = ["s", *before, *nest(block, depth), *after, "d"]
+    network = Network()
+    for path in (old_path, new_path):
+        for src, dst in zip(path, path[1:]):
+            if not network.has_link(src, dst):
+                network.add_link(src, dst, capacity=capacity, delay=rng.randint(1, max_delay))
+    return instance_from_paths(network, old_path, new_path)
+
+
 def motivating_example() -> UpdateInstance:
     """The paper's Fig. 1 six-switch example.
 

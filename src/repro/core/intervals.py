@@ -458,14 +458,16 @@ class IntervalTracker:
         """
         with recorder.timer("tracker.probe"):
             self._check_round_args(nodes, time)
-            pieces, trims, deflected, removed, report = self._split(
-                nodes, time, witness=True
-            )
+            with recorder.timer("split"):
+                pieces, trims, deflected, removed, report = self._split(
+                    nodes, time, witness=True
+                )
             if report.loops or report.blackholes:
                 if recorder.enabled:
                     recorder.count("tracker.probe.refused.split")
                 return report
-            self._check_new_congestion(pieces, removed, report, witness=True)
+            with recorder.timer("check"):
+                self._check_new_congestion(pieces, removed, report, witness=True)
             if not report.congestion:
                 self._commit(nodes, time, trims, deflected, removed)
             elif recorder.enabled:
@@ -614,7 +616,9 @@ class IntervalTracker:
         stops at the first class that reports a loop or black hole: the
         report then refuses the round and nothing else of the result may be
         used.  Deflected units follow a :class:`_RoundConfig` view of the
-        mixed configuration, not a per-probe copy of it.
+        mixed configuration, not a per-probe copy of it.  A traced split
+        counts itself, the alive classes it saw and the class splits it made
+        and left untouched (``tracker.splits`` / ``tracker.split.*``).
         """
         report = RoundReport(time=time, nodes=tuple(nodes))
         round_set = set(nodes)
@@ -631,14 +635,17 @@ class IntervalTracker:
         alive = self._alive
         classes = self._classes
         instance = self.instance
+        class_splits = untouched = 0
         for cid in sorted(candidates):
             if cid not in alive:
                 continue
             cls = classes[cid]
             split = _split_class(instance, cls, round_set, time, config, report)
+            class_splits += 1
             if witness and (report.loops or report.blackholes):
                 break
             if split is None:
+                untouched += 1
                 continue
             trim, fresh = split
             removed.add(cid)
@@ -648,6 +655,11 @@ class IntervalTracker:
             for piece in fresh:
                 deflected.append(piece)
                 pieces.append((piece, cls))
+        if recorder.enabled:
+            recorder.count("tracker.splits")
+            recorder.count("tracker.split.alive", len(alive))
+            recorder.count("tracker.split.classes", class_splits)
+            recorder.count("tracker.split.untouched", untouched)
         return pieces, trims, deflected, removed, report
 
     def _check_new_congestion(

@@ -36,6 +36,7 @@ from repro.core.schedule import UpdateSchedule
 from repro.network.graph import Node
 
 if TYPE_CHECKING:
+    from repro.core.verdict import Verdict
     from repro.solver.ilp import ILPModel, ILPResult
 
 OLD = "old"
@@ -43,6 +44,21 @@ NEW = "new"
 ARRIVE = "arrive"  # destination pseudo-hop: no rule, capacity only
 
 Hop = Tuple[Node, int, str]  # (switch, departure time, rule used)
+
+
+class ILPScheduleRejected(RuntimeError):
+    """The verifier refused a schedule decoded from an ILP solution.
+
+    Program (3) encodes Definitions 2 and 3, so this is a modelling or
+    decoding fault, not an infeasible instance.  ``verdict`` holds every
+    violation; the message names the first.
+    """
+
+    def __init__(self, verdict: "Verdict") -> None:
+        violations = [*verdict.loops, *verdict.blackholes, *verdict.congestion]
+        first = violations[0] if violations else "a switch that never updates"
+        super().__init__(f"the verifier refused the ILP's schedule: {first}")
+        self.verdict = verdict
 
 
 @dataclass
@@ -192,9 +208,12 @@ def solve_mutp(
     ``time_budget`` is HiGHS' wall-clock ``time_limit``.  A horizon so short
     that some emission has no loop-free space-time path at all is reported
     as infeasible (rather than propagating the builder's error): no schedule
-    within that horizon can route the flow.
+    within that horizon can route the flow.  Every decoded schedule is
+    judged by :func:`repro.validate.verify_schedule` before it is returned;
+    one the judge refuses raises :class:`ILPScheduleRejected`.
     """
     from repro.solver.ilp import INFEASIBLE, ILPResult, solve_ilp
+    from repro.validate.verifier import verify_schedule
 
     try:
         built = build_mutp_model(instance, horizon, t0=t0)
@@ -205,7 +224,11 @@ def solve_mutp(
     result = solve_ilp(built.model, time_limit=time_budget)
     if result.solution is None:
         return None, result
-    return built.decode(result.solution), result
+    schedule = built.decode(result.solution)
+    verdict = verify_schedule(instance, schedule)
+    if not verdict.ok:
+        raise ILPScheduleRejected(verdict)
+    return schedule, result
 
 
 def _z(node: Node, k: int) -> str:

@@ -39,7 +39,7 @@ from repro.pipeline.scenario import (
     get_scenario,
 )
 from repro.pipeline.store import ArtifactStore, StoreError
-from repro.trace.query import aggregate, render_report
+from repro.trace.query import profile_of, render_report
 from repro.updates.registry import UnknownSchemeError, planners_for
 
 #: Exit code of a ``--stop-after`` interruption (distinct from argparse's 2).
@@ -58,7 +58,7 @@ def _add_context_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--profile",
         action="store_true",
-        help="record the run in memory and print its aggregate timers and counters",
+        help="record the run in memory and print its timers, counters and derived views",
     )
     parser.add_argument(
         "--fault-severity",
@@ -175,7 +175,7 @@ def _store(args: argparse.Namespace) -> ArtifactStore:
 
 def _print_profile(ctx: RunContext) -> None:
     if ctx.profile:
-        print(render_report(aggregate(ctx.tape), min_seconds=0.001))
+        print(render_report(profile_of(ctx.tape), min_seconds=0.001))
 
 
 def _cmd_list() -> int:

@@ -1,10 +1,11 @@
-"""``repro.perf``: peak-RSS measurement for bench stages.
+"""``repro.perf``: what a bench measures outside the recorder.
 
-Timers and counters live in :mod:`repro.trace` (one recorder, one tape;
-``python -m repro.trace profile`` renders them); what is left here is the
-forked high-water-mark measurement the bench harness's memory column uses.
+Timers and counters live in :mod:`repro.trace`; what is left here is the
+forked peak-RSS measurement of the bench harness's memory column, and the
+gc pauses and cold path of :mod:`repro.perf.process`.
 """
 
 from repro.perf.memory import measure_peak_rss, peak_rss_mb
+from repro.perf.process import cold_path, gc_pauses, render_cold, render_gc
 
-__all__ = ["measure_peak_rss", "peak_rss_mb"]
+__all__ = ["cold_path", "gc_pauses", "measure_peak_rss", "peak_rss_mb", "render_cold", "render_gc"]

@@ -1,9 +1,8 @@
 """RunContext: the cross-cutting services threaded through every scenario.
 
-Before the pipeline each experiment module re-plumbed the same four
-services by hand: ``sweep_seed`` deterministic seeding, the worker
-count, the conformance verifier flag and profiling.  :class:`RunContext`
-carries them once, and the executor hands each pool worker the
+It carries the worker count, the conformance verifier flag, the fault
+severity and tracing once (seeding is the scenarios' own: each item
+carries its ``sweep_seed``), and the executor hands each pool worker the
 picklable slice it needs (:class:`WorkerContext`).
 Tracing and profiling are one :class:`~repro.trace.TraceSession` per run:
 ``trace`` names its sink, ``profile`` keeps its records in ``tape``.
@@ -56,7 +55,7 @@ class RunContext:
             recorder is on for the run's session only and released when it
             ends, interrupted runs included.
         tape: Filled by a ``profile`` run: the session's records, whose
-            :func:`repro.trace.query.aggregate` view is the profile.
+            :func:`repro.trace.query.profile_of` view is the profile.
         fault_severity: See :class:`WorkerContext`.
         trace: Optional trace-sink spec (``"console"``, ``"jsonl[:PATH]"``,
             ``"sqlite[:PATH]"``; see :func:`repro.trace.open_sink`).  File
@@ -80,10 +79,3 @@ class RunContext:
             fault_severity=self.fault_severity,
             trace_id=trace_id,
         )
-
-    @staticmethod
-    def seed_for(base_seed: int, switch_count: int, index: int) -> int:
-        """The harness seeding contract (see :func:`repro.experiments.sweep.sweep_seed`)."""
-        from repro.experiments.sweep import sweep_seed
-
-        return sweep_seed(base_seed, switch_count, index)

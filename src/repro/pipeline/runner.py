@@ -273,7 +273,8 @@ def run_to_store(
     records: List[Dict[str, object]] = list(prior)
 
     def sink(record: Dict[str, object]) -> None:
-        handle.append(record)
+        with recorder.timer("pipeline.store.append"):
+            handle.append(record)
         records.append(record)
 
     trace = _trace_session(ctx, name, handle.run_id, directory=handle.directory)

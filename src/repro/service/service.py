@@ -425,10 +425,12 @@ class UpdateService:
                     with effective.span.attach(), recorder.timer(
                         "validate.verifier.verify"
                     ) as verify:
-                        conformant = self._scheme_planner.verify(
+                        verdict = self._scheme_planner.verify(
                             instance, result.schedule, background=background
-                        ).ok
-                        verify.set(ok=conformant)
+                        )
+                        conformant = verdict.ok
+                        window = verdict.check_end - verdict.check_start
+                        verify.set(ok=conformant, window=window)
 
                 start_at = max(self._sim.now, loop.time()) + config.lead_ticks * tick
                 deadline = start_at + (

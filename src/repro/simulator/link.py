@@ -147,15 +147,6 @@ class DataLink:
             peak = max(peak, sample.rate)
         return peak
 
-    def utilization_at(self, when: float) -> float:
-        """Total rate active at time ``when`` (from the breakpoint timeline)."""
-        rate = 0.0
-        for sample in self._timeline:
-            if sample.time > when:
-                break
-            rate = sample.rate
-        return rate
-
     def congested_seconds(self, tolerance: float = 1e-9) -> float:
         """Total time the link spent above capacity."""
         total = 0.0

@@ -180,10 +180,6 @@ class ILPResult:
     nodes: int = 0
     elapsed: float = 0.0
 
-    @property
-    def proven_optimal(self) -> bool:
-        return self.status == OPTIMAL
-
 
 def solve_ilp(model: ILPModel, time_limit: Optional[float] = None) -> ILPResult:
     """Minimise ``model`` to proven optimality (or until the time limit).

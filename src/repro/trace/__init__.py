@@ -33,7 +33,7 @@ Quick tour::
     python -m repro.trace spans --switch s3   # one switch's evidence
     python -m repro.trace spans --status aborted   # the intents that ended so
     python -m repro.trace slowest -n 15       # where the time went
-    python -m repro.trace profile             # aggregate self-time tree + counters
+    python -m repro.trace profile             # self-time tree, counters, views
 """
 
 # ``recorder`` is also the name of its submodule, which every instrumented
@@ -49,7 +49,7 @@ __all__, __getattr__, __dir__ = lazy_exports(
         "record": ("TraceRecord", "derive_trace_id", "utc_now_iso"),
         "recorder": ("TraceRecorder",),
         "session": ("TraceSession",),
-        "query": ("aggregate", "read_trace", "render_report"),
+        "query": ("aggregate", "profile_of", "read_trace", "render_report"),
     },
 )
 __all__.append("recorder")

@@ -8,7 +8,7 @@ Subcommands over a trace file (JSONL or SQLite, auto-detected)::
     python -m repro.trace spans --switch s3          # per-switch evidence
     python -m repro.trace spans --status aborted     # requests that ended so
     python -m repro.trace slowest -n 15              # slowest-span report
-    python -m repro.trace profile --min-ms 1         # aggregate timers + counters
+    python -m repro.trace profile --min-ms 1         # timers, counters, derived views
 
 Without ``--path`` the newest ``trace.db``/``trace.jsonl`` under the
 runs root (``$REPRO_RUNS_DIR`` or ``./runs``) is used, i.e. the trace of
@@ -24,9 +24,9 @@ from typing import List, Optional
 from repro.trace.query import (
     STATUS_CHOICES,
     TraceQueryError,
-    aggregate,
     default_trace_path,
     filter_records,
+    profile_of,
     read_trace,
     render_report,
     render_slowest,
@@ -95,7 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(slowest)
 
     profile = sub.add_parser(
-        "profile", help="aggregate self-time tree and hit/miss counters"
+        "profile", help="aggregate self-time tree, counters and derived views"
     )
     profile.add_argument(
         "--min-ms",
@@ -151,7 +151,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0
 
     if args.command == "profile":
-        print(render_report(aggregate(records), min_seconds=args.min_ms / 1000.0))
+        print(render_report(profile_of(records), min_seconds=args.min_ms / 1000.0))
         return 0
 
     # slowest

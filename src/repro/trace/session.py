@@ -8,12 +8,12 @@ and releases the recorder -- however the run ended.
 
 Tracing to a sink and profiling are the same session: with a sink the
 drained records stream to it, without one they collect in ``tape`` (an
-in-memory list), whose :func:`repro.trace.query.aggregate` view is the
+in-memory list), whose :func:`repro.trace.query.profile_of` view is the
 profile.  As a context manager a sink-less session profiles a block::
 
     with TraceSession(scenario="profile", run_id="greedy") as session:
         greedy_schedule(instance)
-    print(render_report(aggregate(session.tape)))
+    print(render_report(profile_of(session.tape)))
 
 The trace id is :func:`~repro.trace.record.derive_trace_id` of the
 ``(scenario, run_id)`` pair, so resuming an interrupted run appends to

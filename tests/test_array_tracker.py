@@ -29,6 +29,7 @@ np = pytest.importorskip("numpy")
 from repro.core.instance import (
     instance_from_paths,
     motivating_example,
+    nested_reversal_instance,
     random_instance,
     reversal_instance,
     segmented_instance,
@@ -766,37 +767,6 @@ def _assert_routes_match_walks(tracker, references, label):
             assert _spelled(cls) == expected, label
 
 
-def _nested_reversal(count, depth, pad, seed):
-    """Amiri et al.'s nested path reversals, between two chains.
-
-    Old path ``s, p1..p_pad, v1..v_count, q1..q_pad, d``.  The new path
-    visits the ``v`` block reversed, except that its middle third is
-    visited in old order with *its* middle third reversed again, ``depth``
-    levels deep: every level turns the direction round.  Delays are drawn
-    from 1-3.
-    """
-    rng = random.Random(seed)
-
-    def nest(block, level):
-        if level == 0 or len(block) < 6:
-            return block[::-1]
-        third = len(block) // 3
-        head, middle, tail = block[:third], block[third:-third], block[-third:]
-        return tail[::-1] + nest(middle, level - 1)[::-1] + head[::-1]
-
-    before = [f"p{i}" for i in range(pad)]
-    block = [f"v{i}" for i in range(count)]
-    after = [f"q{i}" for i in range(pad)]
-    old_path = ["s", *before, *block, *after, "d"]
-    new_path = ["s", *before, *nest(block, depth), *after, "d"]
-    network = Network()
-    for path in (old_path, new_path):
-        for src, dst in zip(path, path[1:]):
-            if not network.has_link(src, dst):
-                network.add_link(src, dst, capacity=1.0, delay=rng.randint(1, 3))
-    return instance_from_paths(network, old_path, new_path)
-
-
 class TestLookupTables:
     """The lookup tables a probe reads, and the routes pieces hold.
 
@@ -851,7 +821,7 @@ class TestLookupTables:
                 max_delay=3,
             )
         elif world == "nested reversal":
-            instance = _nested_reversal(
+            instance = nested_reversal_instance(
                 draw(st.integers(6, 60), label="reversed"),
                 draw(st.integers(0, 3), label="depth"),
                 draw(st.integers(0, 80), label="pad"),

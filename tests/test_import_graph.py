@@ -8,7 +8,7 @@ imported everything.  The rule (DESIGN.md, "What a process imports"):
 * numpy (~0.1 s) only with the array tracker (``make_tracker`` on a
   trajectory of ``ARRAY_TRACKER_MIN_HOPS`` or more) or the ILP;
 * ``multiprocessing`` and the process pool only when
-  :class:`~repro.runtime.ParallelRunner` starts a pool;
+  :func:`~repro.runtime.parallel.ordered_map` forks a pool;
 * ``sqlite3`` only when a SQLite trace sink opens or a trace file is read;
 * a package surface (``repro``, ``repro.core``, ...) imports nothing until
   one of its names is read (:mod:`repro.lazy`).

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from repro.core.mutp import build_mutp_model, solve_mutp
+from repro.core.mutp import ILPScheduleRejected, MUTPModel, build_mutp_model, solve_mutp
 from repro.core.optimal import exhaustive_schedule, optimal_schedule
 from repro.core.instance import random_instance
 from repro.core.schedule import UpdateSchedule
@@ -130,6 +130,18 @@ class TestSolving:
         assert schedule is not None
         assert schedule.makespan == 7
         assert verify_schedule(instance, schedule).ok
+
+    def test_a_schedule_the_verifier_refuses_is_an_error(self, fig1_instance, monkeypatch):
+        # Decode every switch at t0: Fig. 2's three transient loops.
+        def everything_at_once(model, solution):
+            return UpdateSchedule(
+                times={node: model.t0 for node in model.updatable}, start_time=model.t0
+            )
+
+        monkeypatch.setattr(MUTPModel, "decode", everything_at_once)
+        with pytest.raises(ILPScheduleRejected, match="LoopViolation") as refused:
+            solve_mutp(fig1_instance, horizon=4, time_budget=60)
+        assert refused.value.verdict.loops and not refused.value.verdict.ok
 
     def test_slow_detour_one_step(self, tiny_instance):
         schedule, result = solve_mutp(tiny_instance, horizon=1, time_budget=60)

@@ -10,9 +10,10 @@ import time
 import pytest
 
 from repro.core.greedy import greedy_schedule
-from repro.core.instance import segmented_instance
-from repro.trace import TraceSession, aggregate, render_report
+from repro.core.instance import random_instance, segmented_instance
+from repro.trace import TraceSession, aggregate, profile_of, render_report
 from repro.trace.recorder import NULL_SPAN, TraceRecorder, recorder
+from repro.updates.registry import get_planner
 
 
 def taped(work) -> list:
@@ -176,9 +177,10 @@ class TestOwnership:
 
 
 class TestGreedySpanTree:
-    """``scripts/profile.py`` sizes tracker work from this tree, so its root
-    has to be the run: tracker build, Algorithm 3's commits and the final
-    check are timers under ``greedy``, not time outside it."""
+    """Profiles size tracker work from this tree, so its root has to be the
+    run: tracker build, Algorithm 3's commits and the final check are timers
+    under ``greedy``, not time outside it; and both tracker layouts split a
+    probe under the same names."""
 
     def test_root_covers_the_run_and_its_children(self):
         instance = segmented_instance(1000, seed=5)
@@ -189,7 +191,10 @@ class TestGreedySpanTree:
             greedy_schedule(instance)
             wall.append(time.perf_counter() - started)
 
-        spans = profiled(work)["spans"]
+        profile = profile_of(taped(work))
+        spans = profile["spans"]
+        assert {"per_round", "phase_shares", "per_probe", "per_deflection"} <= set(profile)
+        assert set(profile["phase_shares"]) == {"split", "deflect", "check"}
         assert set(spans) >= {
             "greedy",
             "greedy.tracker.build",
@@ -216,6 +221,20 @@ class TestGreedySpanTree:
                 parents[parent] = parents.get(parent, 0.0) + stat["seconds"]
         for parent, covered in parents.items():
             assert covered <= spans[parent]["seconds"] + 1e-5, parent
+
+    def test_dict_tracker_probe_has_the_array_trackers_phases(self):
+        # plan-dense's shape: 16 switches, a global reroute, the dict tracker.
+        instance = random_instance(16, seed=3, capacity=2.0)
+        profile = profile_of(taped(lambda: get_planner("chronus").plan(instance)))
+        spans = profile["spans"]
+        probes = spans["greedy.select.tracker.probe"]["calls"]
+        assert spans["greedy.select.tracker.probe.split"]["calls"] == probes
+        assert 0 < spans["greedy.select.tracker.probe.check"]["calls"] <= probes
+        assert "greedy.select.tracker.probe.split.deflect" not in spans  # array only
+        assert profile["counters"]["tracker.splits"] >= probes
+        assert set(profile["phase_shares"]) == {"split", "check"}
+        assert profile["per_round"]["probes"] == probes
+        assert 0 <= profile["per_split"]["untouched_share"] <= 1
 
     def test_disabled_registry_records_nothing(self):
         assert recorder.enabled is False

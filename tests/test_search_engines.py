@@ -20,10 +20,13 @@ import json
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import tracker as tracker_module
 from repro.core.greedy import greedy_schedule
 from repro.core.instance import (
+    nested_reversal_instance,
     random_instance,
     reversal_instance,
     segmented_instance,
@@ -77,6 +80,24 @@ class TestOptAgainstExhaustive:
         else:
             assert result.schedule is not None
             assert result.makespan == oracle.makespan
+
+
+class TestGreedyOnTheHardFamily:
+    """Amiri et al. ("Being Greedy is Hard"): with identical link delays the
+    nested reversals are easy, and greedy's makespan is OPT's."""
+
+    @settings(max_examples=24, deadline=None)
+    @given(
+        count=st.integers(6, 12),
+        depth=st.integers(0, 2),
+        seed=st.integers(0, 10_000),
+    )
+    def test_identical_delays_greedy_is_optimal(self, count, depth, seed):
+        instance = nested_reversal_instance(count, depth, 1, seed, capacity=2.0, max_delay=1)
+        greedy = greedy_schedule(instance)
+        opt = optimal_schedule(instance, node_budget=20_000)
+        assert opt.proven and greedy.feasible
+        assert greedy.makespan == opt.makespan
 
 
 class TestOptEnginesAgree:

@@ -33,7 +33,12 @@ line is lost); and every per-request fact, now an attribute of that request's
 own ``service.request`` span or an ``apply`` under its ``execute`` span.
 What is new is named: the service-layer timers and the event counter of
 ``SERVICE_TIMERS`` / ``SERVICE_COUNTERS``, and the request / verify /
-execute spans that replace the five ``service.*`` point events.
+execute spans that replace the five ``service.*`` point events.  So are the
+keys the profile views (``repro.trace.query.VIEWS``) read: the dict
+tracker's ``split`` / ``check`` timers below ``tracker.probe``
+(``PROBE_TIMERS``), its ``tracker.split*`` tally (``SPLIT_COUNTERS``), the
+run's ``pipeline.store.append`` timer (``STORE_TIMERS``) and the service
+verify timer's ``window`` attribute (``VERIFY_ATTRIBUTES``).
 
 The fixture can only be regenerated at a revision that still has both
 stacks (``git checkout 94670cc && PYTHONPATH=src python
@@ -114,7 +119,7 @@ import pytest
 from repro.pipeline.context import RunContext
 from repro.pipeline.runner import run_to_store
 from repro.pipeline.store import ArtifactStore
-from repro.trace.query import aggregate, ancestors, read_trace
+from repro.trace.query import aggregate, ancestors, profile_of, read_trace
 
 GOLDENS_PATH = Path(__file__).parent / "data" / "trace_goldens.json"
 
@@ -230,6 +235,34 @@ SERVICE_TIMERS = {
 SERVICE_COUNTERS = {"simulator.engine.events"}
 #: Spans that replace the service's ``service.*`` point events.
 SERVICE_SPANS = {"service.request", "execute", "validate.verifier.verify"}
+
+#: Keys the profile views read: the dict tracker's probe phases (leaves of a
+#: ``tracker.probe`` path, the array tracker's names), its split tally, the
+#: store's appends (timed on the run, outside every item) and the verdict
+#: window beside the service verify timer's ``ok``.
+PROBE_TIMERS = {"split", "check"}
+SPLIT_COUNTERS = {
+    "tracker.splits",
+    "tracker.split.alive",
+    "tracker.split.classes",
+    "tracker.split.untouched",
+}
+STORE_TIMERS = {"pipeline.store.append"}
+VERIFY_ATTRIBUTES = {"window"}
+
+
+def is_new_timer(path):
+    """A timer path the fixture cannot hold: a service layer, a store
+    append, or a probe phase."""
+    parent, _, leaf = path.rpartition(".")
+    return (
+        path in SERVICE_TIMERS
+        or path in STORE_TIMERS
+        or (leaf in PROBE_TIMERS and (parent == "tracker.probe" or parent.endswith(".tracker.probe")))
+    )
+
+
+NEW_COUNTERS = SERVICE_COUNTERS | SPLIT_COUNTERS
 
 
 #: Work counters and timer paths a cheaper refusal lowered (module docstring).
@@ -365,8 +398,12 @@ def calls_and_counters(records):
     return calls, profile["counters"]
 
 
-def minus_new(found, new):
-    return {name: value for name, value in found.items() if name not in new}
+def known_calls(calls):
+    return {path: value for path, value in calls.items() if not is_new_timer(path)}
+
+
+def known_counters(counters):
+    return {name: value for name, value in counters.items() if name not in NEW_COUNTERS}
 
 
 def test_fixture_covers_every_run_and_its_evidence():
@@ -424,10 +461,10 @@ def test_calls_and_counters_are_equal_per_item(replay):
     for key, members in subtrees.items():
         expected = golden["items"][key]
         calls, counters = calls_and_counters(members)
-        assert minus_new(calls, SERVICE_TIMERS) == without_wrappers(
+        assert known_calls(calls) == without_wrappers(
             expected["calls"], golden["scenario"]
         ), key
-        assert minus_new(counters, SERVICE_COUNTERS) == expected["counters"], key
+        assert known_counters(counters) == expected["counters"], key
         if golden["scenario"] == "service":
             assert SERVICE_TIMERS <= set(calls) and SERVICE_COUNTERS <= set(counters)
         else:
@@ -438,10 +475,37 @@ def test_calls_and_counters_are_equal_over_the_run(replay):
     """The registry's whole-run totals, which carried ``pipeline.<scenario>.``."""
     golden, tape, _ = replay
     calls, counters = calls_and_counters(tape)
-    assert minus_new(calls, SERVICE_TIMERS) == without_wrappers(
+    assert known_calls(calls) == without_wrappers(
         golden["registry"]["calls"], golden["scenario"]
     )
-    assert minus_new(counters, SERVICE_COUNTERS) == golden["registry"]["counters"]
+    assert known_counters(counters) == golden["registry"]["counters"]
+
+
+def test_the_new_keys_are_recorded(replay):
+    """What is named new is there: every dict-tracker probe is split into
+    its phases, every split is tallied, every record's append is timed and
+    every service verdict carries its window."""
+    golden, tape, _ = replay
+    calls, counters = calls_and_counters(tape)
+    probes = [path for path in calls if path.endswith("tracker.probe")]
+    for path in probes:
+        assert calls[path + ".split"] == calls[path], path
+        assert calls.get(path + ".check", 0) <= calls[path], path
+    if probes:
+        assert SPLIT_COUNTERS <= set(counters)
+        assert counters["tracker.split.untouched"] <= counters["tracker.split.classes"]
+    assert calls["pipeline.store.append"] == sum(
+        1 for record in tape if record.kind == "span" and record.name.startswith("item:")
+    )
+    verdicts = [record for record in tape if record.name == "validate.verifier.verify"]
+    for record in verdicts:
+        assert set(record.attributes) == {"aggregate", "calls", "seconds", "ok"} | VERIFY_ATTRIBUTES
+        assert record.attributes["window"] > 0
+    assert bool(verdicts) == (golden["scenario"] == "service")
+    if verdicts:
+        view = profile_of(tape)["service"]
+        assert view["verifies"] == len(verdicts) and view["cells"] == len(golden["items"])
+        assert sum(view["layers_s"].values()) + view["rest_s"] == pytest.approx(view["wall_s"])
 
 
 def test_recorded_spans_and_evidence_are_equal_per_item(replay):
@@ -518,8 +582,8 @@ def _repin(goldens):
         for scope, members in scopes.items():
             pinned = run["registry"] if scope == "registry" else run["items"][scope]
             calls, counters = calls_and_counters(members)
-            calls = minus_new(calls, SERVICE_TIMERS)
-            counters = minus_new(counters, SERVICE_COUNTERS)
+            calls = known_calls(calls)
+            counters = known_counters(counters)
             changes = {}
             plain_of = {
                 path: _unwrapped(path, run["scenario"]) for path in pinned["calls"]

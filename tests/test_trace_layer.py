@@ -38,6 +38,7 @@ from repro.trace.query import (
     aggregate,
     ancestors,
     default_trace_path,
+    profile_of,
     read_trace,
 )
 from repro.trace.record import (
@@ -711,6 +712,34 @@ def test_cli_profile_renders_the_aggregate_view(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "span tree" in out and "greedy" in out and "opt.search" in out
     assert "tracker.entry_memo" in out and "% hit" in out
+
+
+def test_cli_profile_of_a_stored_sweep_has_the_item_table_and_opt_line(tmp_path, capsys):
+    from repro.experiments.__main__ import main as experiments_cli
+
+    assert experiments_cli([
+        "run", "sweep", "--trace", "jsonl", "--runs-dir", str(tmp_path), "--run-id", "r1",
+        "--set", "switch_counts=[9]", "--set", "instances_per_size=3",
+        "--set", 'schemes=["chronus","or","opt","tp","aug"]',
+        "--set", "opt_node_budget=60", "--set", "or_node_budget=60",
+        "--set", "aug_epsilon=1.0", "--set", "verify=true", "--quiet", "--no-report",
+    ]) == 0
+    path = tmp_path / "sweep" / "r1" / "trace.jsonl"
+    capsys.readouterr()
+    assert trace_cli(["profile", "--path", str(path)]) == 0
+    out = capsys.readouterr().out
+    table = out[out.index("sweep items x3:"):].splitlines()
+    columns = table[1].split()
+    assert sorted(columns[:-2]) == ["aug", "chronus", "opt", "or", "tp"]
+    assert columns[-2:] == ["total", "share"]
+    assert [line.split()[0] for line in table[2:8]] == [
+        "build", "plan", "measure", "verify", "store", "rest"
+    ]
+    assert any(line.startswith("  opt: proven ") and "/3 (" in line for line in table)
+    # The table is the stored tape's: what the launcher prints of its own.
+    view = profile_of(read_trace(path))["item_phases"]
+    assert view["items"] == 3 and view["store"]["all"] > 0
+    assert set(view["plan"]) == {"chronus", "or", "opt", "tp", "aug"}
 
 
 # --- the current span is task-local -------------------------------------
