@@ -1,7 +1,8 @@
-"""Copy-on-write index for the interval tracker.
+"""Copy-on-write index for the dict-layout interval tracker.
 
-The OPT branch-and-bound search clones its :class:`~repro.core.intervals.
-IntervalTracker` at every branch.  A naive clone copies the ``link ->
+The OPT branch-and-bound search clones its flow state at every branch,
+and on short trajectories that state is the dict layout of
+:mod:`repro.core.intervals`.  A naive clone copies its ``link ->
 class ids`` and ``node -> class ids`` indexes entry by entry, which is
 O(total index entries) -- the dominant per-clone cost once a search
 lineage has split the flow into many classes over long trajectories.

@@ -153,6 +153,18 @@ class FlowClass:
         hi = None if self.hi is None else self.hi + offset
         return lo, hi
 
+    def offset_at(self, position: int) -> int:
+        """The cumulative delay at trajectory ``position``."""
+        return self.offsets[position]
+
+    def switch_names(self) -> Tuple[Node, ...]:
+        """The trajectory's switches, source first."""
+        return self.nodes
+
+    def trajectory_key(self) -> Tuple[Node, ...]:
+        """A hashable value equal between classes of equal trajectory."""
+        return self.nodes
+
     def links(self):
         """Iterate ``(index, (src, dst))`` over the trajectory's links."""
         for i in range(len(self.nodes) - 1):
@@ -376,27 +388,41 @@ class IntervalTracker:
 
         Background load (the ``background`` argument) is not included.
         """
+        demand = self.instance.demand
         total = 0.0
-        for cid in self._link_index.get((src, dst), ()):  # stale ids filtered below
-            if cid not in self._alive:
-                continue
-            cls = self._classes[cid]
-            for index in cls.link_positions().get((src, dst), ()):
-                lo, hi = cls.departure_interval(index)
-                if (lo is None or lo <= time) and (hi is None or time <= hi):
-                    total += self.instance.demand
+        for lo, hi in self.link_departure_spans(src, dst):
+            if (lo is None or lo <= time) and (hi is None or time <= hi):
+                total += demand
         return total
 
     def link_departure_spans(self, src: Node, dst: Node) -> List[Tuple[Optional[int], Optional[int]]]:
         """Departure intervals of all live classes on ``src -> dst``."""
-        spans: List[Tuple[Optional[int], Optional[int]]] = []
-        for cid in self._link_index.get((src, dst), ()):  # keep insertion order
-            if cid not in self._alive:
-                continue
-            cls = self._classes[cid]
-            for index in cls.link_positions().get((src, dst), ()):
-                spans.append(cls.departure_interval(index))
-        return spans
+        return [
+            (
+                None if cls.lo is None else cls.lo + offset,
+                None if cls.hi is None else cls.hi + offset,
+            )
+            for cls, offset in self.crossings(src, dst)
+        ]
+
+    def crossings(self, src: Node, dst: Node) -> List[Tuple[FlowClass, int]]:
+        """Every alive class crossing ``src -> dst`` with its departure offset there."""
+        link = (src, dst)
+        found = []
+        for cid in self._link_index.get(link, ()):  # ascending ids; stale ones skipped
+            if cid in self._alive:
+                cls = self._classes[cid]
+                for index in cls.link_positions()[link]:
+                    found.append((cls, cls.offsets[index]))
+        return found
+
+    def crosses(self, cls: FlowClass, src: Node, dst: Node) -> bool:
+        """Whether ``cls``'s trajectory traverses the link ``src -> dst``."""
+        nodes = cls.nodes
+        for i in range(len(nodes) - 1):
+            if nodes[i] == src and nodes[i + 1] == dst:
+                return True
+        return False
 
     # ------------------------------------------------------------------
     # rounds

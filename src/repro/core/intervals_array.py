@@ -505,6 +505,15 @@ class ArrayFlowClass:
             )
         return view
 
+    def switch_names(self) -> List[Node]:
+        """The trajectory's switches, source first (off :meth:`view`)."""
+        names = self.arrays.names
+        return [names[i] for i in self.view().nodes.tolist()]
+
+    def trajectory_key(self) -> bytes:
+        """A hashable value equal between classes of equal trajectory."""
+        return self.view().nodes.tobytes()
+
     def decisive_offsets(self) -> Dict[int, int]:
         """``link id -> departure offset`` of every decisive link it crosses.
 

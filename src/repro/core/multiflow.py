@@ -6,8 +6,9 @@ evaluation use one flow per update instance.  This module closes the gap:
 * :class:`MultiFlowUpdate` bundles several single-flow update instances that
   share one network;
 * :func:`validate_multiflow` checks congestion-freedom *across* flows
-  exactly (per-flow trackers plus a joint per-link interval sweep) and
-  loop-freedom per flow;
+  exactly (each flow's schedule replayed by
+  :func:`repro.core.tracker.replay_schedule`, then one joint per-link
+  interval sweep) and loop-freedom per flow;
 * :func:`greedy_multiflow` schedules the flows sequentially: each flow's
   Algorithm-2 run sees the (exact, time-varying) load of all previously
   scheduled flows as background.  Sequential composition is a heuristic --
@@ -22,13 +23,9 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.greedy import GreedyResult, greedy_schedule
 from repro.core.instance import UpdateInstance
-from repro.core.intervals import (
-    CongestionSpan,
-    IntervalTracker,
-    LinkKey,
-    _sweep_link,
-)
+from repro.core.intervals import CongestionSpan, LinkKey, _sweep_link
 from repro.core.schedule import UpdateSchedule
+from repro.core.tracker import Tracker, replay_schedule
 from repro.network.graph import Network, Node
 
 Background = Dict[LinkKey, List[Tuple[Optional[int], Optional[int], float]]]
@@ -87,27 +84,21 @@ class MultiFlowReport:
         )
 
 
-def flow_link_intervals(tracker: IntervalTracker) -> Background:
+def flow_link_intervals(tracker: Tracker) -> Background:
     """The exact per-link departure intervals of one flow's final state.
 
-    Reads the dict layout (``FlowClass.links`` / ``departure_interval``),
-    which is why this module replays on :class:`IntervalTracker` directly
-    rather than through :func:`repro.core.tracker.make_tracker`.
+    Every hop of a trajectory follows an old or a new rule, so the rule
+    links of the instance are the only links that can carry its load.
     """
+    instance = tracker.instance
+    demand = instance.demand
+    rules = dict.fromkeys([*instance.old_config.items(), *instance.new_config.items()])
     out: Background = {}
-    demand = tracker.instance.demand
-    for cls in tracker.classes:
-        for index, link in cls.links():
-            lo, hi = cls.departure_interval(index)
-            out.setdefault(link, []).append((lo, hi, demand))
+    for link in rules:
+        spans = tracker.link_departure_spans(*link)
+        if spans:
+            out[link] = [(lo, hi, demand) for lo, hi in spans]
     return out
-
-
-def _replay(instance: UpdateInstance, schedule: UpdateSchedule) -> IntervalTracker:
-    tracker = IntervalTracker(instance, t0=schedule.t0)
-    for when, nodes in schedule.rounds():
-        tracker.apply_round(nodes, when)
-    return tracker
 
 
 def validate_multiflow(
@@ -125,12 +116,12 @@ def validate_multiflow(
         loop-free and no link ever exceeds its capacity under the *combined*
         load of all flows.
     """
-    trackers: Dict[str, IntervalTracker] = {}
+    trackers: Dict[str, Tracker] = {}
     for inst in update.instances:
         schedule = schedules.get(inst.flow.name)
         if schedule is None:
             raise KeyError(f"missing schedule for flow {inst.flow.name!r}")
-        trackers[inst.flow.name] = _replay(inst, schedule)
+        trackers[inst.flow.name] = replay_schedule(inst, schedule)
 
     joint: Background = {}
     for tracker in trackers.values():
@@ -197,7 +188,7 @@ def greedy_multiflow(
         instance = update.instance(name)
         result = greedy_schedule(instance, t0=t0, background=background)
         results[name] = result
-        tracker = _replay(instance, result.schedule)
+        tracker = replay_schedule(instance, result.schedule)
         for link, intervals in flow_link_intervals(tracker).items():
             background.setdefault(link, []).extend(intervals)
 

@@ -13,13 +13,13 @@ reproduce are frozen in ``tests/data/engine_goldens.json``
 (``tests/test_search_engines.py``).
 
 * **Path-selected search state.**  OPT nodes hold an interval tracker
-  with COW clones, built by :func:`repro.core.tracker.make_tracker`: the
-  dict :class:`~repro.core.intervals.IntervalTracker` on short
-  trajectories, the
-  :class:`~repro.core.intervals_array.ArrayIntervalTracker` (congestion
-  decided per decisive link, from per-class lookup tables) on long ones.  Every call the search
-  makes is part of the trackers' shared internal surface (``_split`` /
-  ``_check_new_congestion`` / ``_commit``).
+  with cheap clones, built by :func:`repro.core.tracker.make_tracker`,
+  which alone picks its layout.  Every call the search makes is on the
+  surface both layouts share: the split / check / commit internals
+  (``_split`` / ``_check_new_congestion`` / ``_commit``), the classes on
+  a link (``crossings`` / ``crosses``) and, per class, its switch names,
+  its delay at a position and its trajectory key (``switch_names`` /
+  ``offset_at`` / ``trajectory_key``).
 * **Probe chains instead of per-subset previews.**  Previewing every
   candidate subset from scratch splits ``|S|`` switches per probe.
   Here subsets are enumerated as an include/exclude DFS over the
@@ -89,10 +89,10 @@ from __future__ import annotations
 
 import itertools
 import time
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.core.instance import UpdateInstance
-from repro.core.intervals import _EPS, DELIVERED, IntervalTracker
+from repro.core.intervals import _EPS, DELIVERED
 from repro.core.rounds import UnionGraphIds, greedy_loop_free_rounds
 from repro.core.tracker import make_tracker
 from repro.network.graph import Node
@@ -106,82 +106,32 @@ def _class_is_empty(cls) -> bool:
     return cls.lo is not None and cls.hi is not None and cls.lo > cls.hi
 
 
-class _TrackerOps:
-    """The few representation-specific helpers the OPT search needs.
+def _signature(tracker) -> Tuple:
+    """Exact value identity of the live flow state.
 
-    Both trackers share the internal split/check/commit surface; only
-    "trajectory switch names", "the delay at a position" and "classes
-    crossing a link" differ mechanically between the dict and array
-    layouts.  An array class holds runs, not columns: names and the
-    signature read its cached full-length :meth:`ArrayFlowClass.view`,
-    the link and offset questions are answered from its decisive tables.
+    Two trackers over the same instance with equal signatures and equal
+    applied sets route and congest identically forever: the signature
+    captures every non-empty class's emission bounds and full trajectory,
+    and the routing table is a function of the applied set.  Empty classes
+    are skipped -- they contribute no load, no loops and no drain
+    horizon... almost: the drain horizon scans them too, so they are kept
+    distinct via the horizon field.
     """
-
-    def __init__(self, tracker) -> None:
-        self.array = not isinstance(tracker, IntervalTracker)
-
-    def class_nodes(self, tracker, cls) -> Sequence[Node]:
-        if self.array:
-            names = tracker.arrays.names
-            return [names[i] for i in cls.view().nodes.tolist()]
-        return cls.nodes
-
-    def offset_at(self, cls, position: int) -> int:
-        """The cumulative delay at trajectory ``position`` of ``cls``."""
-        return cls.offset_at(position) if self.array else cls.offsets[position]
-
-    def classes_crossing(self, tracker, link) -> List:
-        """Alive committed classes whose trajectory crosses ``link``."""
-        if self.array:
-            return [cls for cls, _offset in tracker.crossings(*link)]
-        seen: Set[int] = set()
-        out = []
-        for cid in tracker._link_index.get(link, ()):
-            if cid in seen or cid not in tracker._alive:
-                continue
-            seen.add(cid)
-            out.append(tracker._classes[cid])
-        return out
-
-    def crosses(self, tracker, cls, link) -> bool:
-        """Whether ``cls``'s trajectory traverses ``link``."""
-        if self.array:
-            return tracker.crosses(cls, *link)
-        src, dst = link
-        nodes = cls.nodes
-        for i in range(len(nodes) - 1):
-            if nodes[i] == src and nodes[i + 1] == dst:
-                return True
-        return False
-
-    def signature(self, tracker) -> Tuple:
-        """Exact value identity of the live flow state.
-
-        Two trackers over the same instance with equal signatures and
-        equal applied sets route and congest identically forever: the
-        signature captures every non-empty class's emission bounds and
-        full trajectory, and the routing table is a function of the
-        applied set.  Empty classes are skipped -- they contribute no
-        load, no loops and no drain horizon... almost: the drain horizon
-        scans them too, so they are kept distinct via the horizon field.
-        """
-        parts = []
-        for cid in sorted(tracker._alive):
-            cls = tracker._classes[cid]
-            if _class_is_empty(cls):
-                continue
-            traj = cls.view().nodes.tobytes() if self.array else cls.nodes
-            parts.append(
-                (
-                    cls.lo is not None,
-                    cls.lo if cls.lo is not None else 0,
-                    cls.hi is not None,
-                    cls.hi if cls.hi is not None else 0,
-                    traj,
-                )
+    parts = []
+    for cls in tracker.classes:
+        if _class_is_empty(cls):
+            continue
+        parts.append(
+            (
+                cls.lo is not None,
+                cls.lo if cls.lo is not None else 0,
+                cls.hi is not None,
+                cls.hi if cls.hi is not None else 0,
+                cls.trajectory_key(),
             )
-        parts.sort()
-        return (tuple(parts), tracker.finite_drain_horizon())
+        )
+    parts.sort()
+    return (tuple(parts), tracker.finite_drain_horizon())
 
 
 class _ChainCache:
@@ -322,7 +272,6 @@ class OptimalSearch:
             self.best_times = dict(seed_times)
             self.best_makespan = seed_makespan
         root = make_tracker(self.instance, t0=self.t0)
-        self._ops = _TrackerOps(root)
         pending = tuple(self.instance.switches_to_update)
         self._dfs(root, pending, self.t0, None)
         return self.best_times, self.best_makespan
@@ -358,7 +307,7 @@ class OptimalSearch:
             return
 
         last_key = _NEG_LAST if last_update is None else last_update
-        memo_key = (frozenset(pending), self._ops.signature(tracker))
+        memo_key = (frozenset(pending), _signature(tracker))
         entries = self._memo.get(memo_key)
         if entries is not None and any(
             te <= t and le <= last_key for te, le in entries
@@ -482,9 +431,7 @@ class OptimalSearch:
             if report.ok:
                 safe.append(node)
                 continue
-            partners = self._partner_superset(
-                tracker, pending, node, pieces, report, chain.relieved
-            )
+            partners = self._partner_superset(pending, node, pieces, report, chain.relieved)
             if self._permanent_failure(tracker, pieces, report):
                 chain.perm_partners[node] = partners
                 if not partners:
@@ -565,7 +512,6 @@ class OptimalSearch:
                 return True
         if not report.congestion:
             return False
-        ops = self._ops
         demand = self._demand
         infinite_pieces = [p for p, _ in pieces if p.hi is None and not p.is_empty()]
         parents: Dict[int, object] = {}
@@ -577,14 +523,14 @@ class OptimalSearch:
         for span in report.congestion:
             link = span.link
             count = 0
-            for cls in ops.classes_crossing(tracker, link):
+            for cls, _offset in tracker.crossings(*link):
                 if cls.hi is None and not _class_is_empty(cls):
                     count += 1
             for parent in parents.values():
-                if ops.crosses(tracker, parent, link):
+                if tracker.crosses(parent, *link):
                     count -= 1
             for piece in infinite_pieces:
-                if ops.crosses(tracker, piece, link):
+                if tracker.crosses(piece, *link):
                     count += 1
             if count * demand > span.capacity + _EPS:
                 return True
@@ -609,7 +555,7 @@ class OptimalSearch:
                 continue
             if parent.hi is None:
                 continue  # permanent; handled by _permanent_failure
-            clear = int(parent.hi) + self._ops.offset_at(parent, piece.fresh_from) + 1
+            clear = int(parent.hi) + parent.offset_at(piece.fresh_from) + 1
             if retry is None or clear > retry:
                 retry = clear
         return retry
@@ -624,13 +570,12 @@ class OptimalSearch:
         either on this map for a violated link, or on the violating
         pieces/parents themselves (handled separately).
         """
-        ops = self._ops
         pending_set = set(pending)
         relieved: Dict[Node, Set] = {}
         for cls in tracker.classes:
             if _class_is_empty(cls):
                 continue
-            names = ops.class_nodes(tracker, cls)
+            names = cls.switch_names()
             suffix: List = []
             for i in range(len(names) - 2, -1, -1):
                 suffix.append((names[i], names[i + 1]))
@@ -642,9 +587,8 @@ class OptimalSearch:
                     bucket.update(suffix)
         return relieved
 
+    @staticmethod
     def _partner_superset(
-        self,
-        tracker,
         pending: Tuple[Node, ...],
         node: Node,
         pieces,
@@ -668,11 +612,10 @@ class OptimalSearch:
         and black-hole failures alike, so probing only these partners
         yields exactly the full pairwise scan's rescued set.
         """
-        ops = self._ops
         near: Set[Node] = set()
         for piece, parent in pieces:
-            near.update(ops.class_nodes(tracker, piece))
-            near.update(ops.class_nodes(tracker, parent))
+            near.update(piece.switch_names())
+            near.update(parent.switch_names())
         violated = {span.link for span in report.congestion}
         out: List[Node] = []
         for p in pending:
@@ -692,26 +635,26 @@ class OptimalSearch:
     def _state_clean(tracker) -> bool:
         return not (tracker.loops or tracker.blackholes or tracker.congestion_spans())
 
-    def _on_pieces(self, tracker, pieces, rest: Set[Node]) -> bool:
+    @staticmethod
+    def _on_pieces(pieces, rest: Set[Node]) -> bool:
         """Does a switch in ``rest`` sit on a split piece or its parent?"""
-        ops = self._ops
         for piece, parent in pieces:
-            if not rest.isdisjoint(ops.class_nodes(tracker, piece)):
+            if not rest.isdisjoint(piece.switch_names()):
                 return True
-            if not rest.isdisjoint(ops.class_nodes(tracker, parent)):
+            if not rest.isdisjoint(parent.switch_names()):
                 return True
         return False
 
-    def _on_congested_links(self, tracker, report, rest: Set[Node]) -> bool:
+    @staticmethod
+    def _on_congested_links(tracker, report, rest: Set[Node]) -> bool:
         """Does a switch in ``rest`` sit on a class loading a violated link?"""
-        ops = self._ops
         seen_links = set()
         for span in report.congestion:
             if span.link in seen_links:
                 continue
             seen_links.add(span.link)
-            for cls in ops.classes_crossing(tracker, span.link):
-                if not rest.isdisjoint(ops.class_nodes(tracker, cls)):
+            for cls, _offset in tracker.crossings(*span.link):
+                if not rest.isdisjoint(cls.switch_names()):
                     return True
         return False
 
@@ -735,7 +678,7 @@ class OptimalSearch:
             tracker._check_new_congestion(pieces, removed, report)
         keep = report.ok
         if not keep and rest:
-            keep = self._on_pieces(tracker, pieces, rest)
+            keep = self._on_pieces(pieces, rest)
             if not keep:
                 if not swept:
                     tracker._check_new_congestion(pieces, removed, report)

@@ -16,7 +16,6 @@ knobs of the paper's original scale (``run --paper``).
 | fig8          | Fig. 8 -- congested time-extended links vs. network size    |
 | fig9          | Fig. 9 -- forwarding-rule overhead, Chronus vs. two-phase   |
 | fig10         | Fig. 10 -- scheduler running time vs. network size          |
-| fig10-greedy  | Fig. 10's Chronus-only large-scale variant                  |
 | fig11         | Fig. 11 -- CDF of the update time, Chronus vs. OPT          |
 | walkthrough   | Figs. 1/2/5 -- the Section II motivating example            |
 | faults        | Beyond the paper: consistency vs. control-plane faults      |

@@ -18,9 +18,10 @@ still runs single-threaded inside its worker, but concurrent workers
 contend for cores -- use parallel timing for the shape of the curves,
 serial for publishable absolute numbers.
 
-Pipeline scenarios ``fig10`` (all three schedulers) and ``fig10-greedy``
-(Chronus alone at the paper's 1K-6K sizes): one record per (size, run)
-timing measurement; the cutoff aggregation reads records only.  Timing
+Pipeline scenario ``fig10`` (all three schedulers; ``--set
+schemes=chronus`` gives the Chronus curve alone, affordable at the paper's
+1K-6K sizes): one record per (size, run) timing measurement; the cutoff
+aggregation reads records only.  Timing
 records are wall-clock measurements, so re-running never reproduces them
 byte-for-byte -- resume, however, preserves completed records verbatim.
 """
@@ -198,33 +199,6 @@ SCENARIO = register(
             "base_seed": 4,
             "runs_per_size": 1,
             "schemes": SCHEMES,
-        },
-        items=_items,
-        evaluate=_evaluate,
-        aggregate=_aggregate,
-        paper_params={
-            "switch_counts": (1000, 2000, 3000, 4000, 5000, 6000),
-            "cutoff": 600.0,
-            "runs_per_size": 3,
-        },
-    )
-)
-
-GREEDY_SCENARIO = register(
-    Scenario(
-        name="fig10-greedy",
-        title="Fig. 10's Chronus curve alone (affordable at the paper's sizes)",
-        paper="Fig. 10",
-        description=(
-            "The Chronus scheduler only -- minutes instead of hours at the "
-            "paper's 1K-6K sizes; " + _FIG10_DESCRIPTION
-        ),
-        defaults={
-            "switch_counts": (100, 250, 500, 1000, 2000, 4000),
-            "cutoff": 5.0,
-            "base_seed": 4,
-            "runs_per_size": 1,
-            "schemes": ("chronus",),
         },
         items=_items,
         evaluate=_evaluate,

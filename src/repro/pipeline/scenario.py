@@ -102,8 +102,35 @@ class Scenario:
                     f"unknown parameter(s) {sorted(unknown)} for scenario "
                     f"{self.name!r}; valid: {sorted(params)}"
                 )
+            for key, value in overrides.items():
+                _check_kind(key, value, self.defaults[key])
             params.update(overrides)
         return params
+
+
+# An override's accepted types, by the type of its default (first match; a
+# bool is an int to ``isinstance``, so only a bool default accepts one).
+_KINDS = (
+    (bool, "bool", (bool,)),
+    (int, "int", (int,)),
+    (float, "float", (int, float)),
+    (str, "str", (str,)),
+    ((tuple, list), "sequence", (tuple, list)),
+)
+
+
+def _check_kind(key: str, value: object, default: object) -> None:
+    """Reject an override whose type does not fit its default's kind.
+
+    A ``None`` default, or one of no listed kind, accepts anything.
+    """
+    for default_types, kind, accepted in _KINDS:
+        if isinstance(default, default_types):
+            if not isinstance(value, accepted) or (
+                isinstance(value, bool) and kind != "bool"
+            ):
+                raise ValueError(f"parameter {key!r} expects {kind}, got {value!r}")
+            return
 
 
 _REGISTRY: Dict[str, Scenario] = {}

@@ -85,7 +85,6 @@ class ServiceConfig:
     plan_ticks: int = 1
     max_queue: int = 32
     time_unit: float = 1.0
-    lead_ticks: int = 1
     max_retries: int = 3
     verify: bool = True
     #: Registered planner that computes every tenant schedule.  Its
@@ -432,7 +431,9 @@ class UpdateService:
                         window = verdict.check_end - verdict.check_start
                         verify.set(ok=conformant, window=window)
 
-                start_at = max(self._sim.now, loop.time()) + config.lead_ticks * tick
+                # One tick of lead: the FlowMods due at the schedule's t0
+                # must reach their switches before they fire.
+                start_at = max(self._sim.now, loop.time()) + tick
                 deadline = start_at + (
                     result.schedule.makespan + 8 + 4 * config.max_retries
                 ) * tick

@@ -47,12 +47,24 @@ def read_trace(path) -> List[TraceRecord]:
 
 
 def _read_jsonl(path: Path) -> List[TraceRecord]:
+    """Every record of a JSONL trace.
+
+    An unterminated last line that does not parse is a killed run's torn
+    write and is dropped, as the artifact store drops one on resume; any
+    other bad line is a :class:`TraceQueryError` naming ``path:line``.
+    """
     records = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                records.append(record_from_line(line))
+    lines = path.read_bytes().splitlines(keepends=True)
+    for number, line in enumerate(lines, 1):
+        try:
+            text = line.decode("utf-8").strip()
+            if text:
+                records.append(record_from_line(text))
+        except (ValueError, TypeError, AttributeError) as exc:
+            torn = number == len(lines) and not line.endswith(b"\n")
+            if torn and isinstance(exc, ValueError):
+                break
+            raise TraceQueryError(f"{path}:{number}: not a trace record ({exc})") from exc
     return records
 
 

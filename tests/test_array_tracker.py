@@ -66,15 +66,17 @@ def _class_key(entry):
 
 def _class_entries(tracker):
     """``(lo, hi, switch names)`` of every live class, either layout, sorted."""
-    if isinstance(tracker, ArrayIntervalTracker):
-        names = tracker.arrays.names
-        entries = (
-            (cls.lo, cls.hi, tuple(names[i] for i in cls.view().nodes.tolist()))
-            for cls in tracker.classes
-        )
-    else:
-        entries = ((cls.lo, cls.hi, tuple(cls.nodes)) for cls in tracker.classes)
+    entries = ((cls.lo, cls.hi, tuple(cls.switch_names())) for cls in tracker.classes)
     return sorted(entries, key=_class_key)
+
+
+def _keyed_classes(tracker):
+    """``{id(cls): sort key}`` and the live classes in key order."""
+    keys = {
+        id(cls): _class_key((cls.lo, cls.hi, tuple(cls.switch_names())))
+        for cls in tracker.classes
+    }
+    return keys, sorted(tracker.classes, key=lambda cls: keys[id(cls)])
 
 
 def _assert_states_match(dict_tracker, array_tracker, label):
@@ -91,13 +93,36 @@ def _assert_states_match(dict_tracker, array_tracker, label):
         array_tracker.congested_timed_link_count()
         == dict_tracker.congested_timed_link_count()
     ), label
-    instance = dict_tracker.instance
-    for link in instance.network.links:
-        assert array_tracker.link_departure_spans(
-            link.src, link.dst
-        ) == dict_tracker.link_departure_spans(link.src, link.dst), (label, link)
-    # Class sets agree up to ordering of (bounds, trajectory).
+    # Class sets agree up to ordering of (bounds, trajectory); matched that
+    # way, each pair agrees on its delay at every position.
     assert _class_entries(array_tracker) == _class_entries(dict_tracker), label
+    (dict_keys, dict_classes), (array_keys, array_classes) = (
+        _keyed_classes(dict_tracker),
+        _keyed_classes(array_tracker),
+    )
+    pairs = list(zip(dict_classes, array_classes))
+    for dict_cls, array_cls in pairs:
+        for position in range(len(dict_cls.switch_names())):
+            assert array_cls.offset_at(position) == dict_cls.offset_at(position), (
+                label,
+                position,
+            )
+    # Per link: the same departures, the same classes crossing it at the
+    # same offsets, and ``crosses`` says so for every class.
+    for link in dict_tracker.instance.network.links:
+        src, dst = link.src, link.dst
+        assert array_tracker.link_departure_spans(
+            src, dst
+        ) == dict_tracker.link_departure_spans(src, dst), (label, link)
+        assert sorted(
+            (array_keys[id(cls)], offset) for cls, offset in array_tracker.crossings(src, dst)
+        ) == sorted(
+            (dict_keys[id(cls)], offset) for cls, offset in dict_tracker.crossings(src, dst)
+        ), (label, link)
+        for dict_cls, array_cls in pairs:
+            assert array_tracker.crosses(array_cls, src, dst) == dict_tracker.crosses(
+                dict_cls, src, dst
+            ), (label, link)
 
 
 def _assert_reports_match(dict_report, array_report, label):

@@ -1,5 +1,9 @@
 """Unit tests for multi-flow update scheduling."""
 
+import random
+import sys
+from unittest import mock
+
 import pytest
 
 from repro.core.instance import instance_from_paths
@@ -10,7 +14,9 @@ from repro.core.multiflow import (
     validate_multiflow,
 )
 from repro.core.intervals import IntervalTracker
+from repro.core import tracker as tracker_module
 from repro.core.schedule import UpdateSchedule
+from repro.core.tracker import replay_schedule
 from repro.network.graph import Network
 
 
@@ -125,3 +131,79 @@ class TestSequentialGreedy:
         result = greedy_multiflow(update)
         spans = [r.schedule.makespan for r in result.results.values()]
         assert result.makespan == max(spans)
+
+
+def long_shared_update(trunk_capacity: float, seed: int) -> MultiFlowUpdate:
+    """Two 150-switch flows, each swapping a few switch pairs, that meet on
+    a four-switch trunk: 300+ trajectory hops, so the default tracker is
+    the array layout."""
+    rng = random.Random(seed)
+    net = Network()
+    trunk = [f"T{i}" for i in range(4)]
+    instances = []
+    for name in "AB":
+        chain = [f"{name}{i}" for i in range(150)]
+        swapped = list(chain)
+        for p in range(5, 146, 30):
+            swapped[p + 1], swapped[p + 2] = swapped[p + 2], swapped[p + 1]
+        old_path = chain + trunk + [f"{name}_dst"]
+        new_path = swapped + trunk + [f"{name}_dst"]
+        for path in (old_path, new_path):
+            for src, dst in zip(path, path[1:]):
+                if not net.has_link(src, dst):
+                    shared = src in trunk or dst in trunk
+                    net.add_link(
+                        src,
+                        dst,
+                        capacity=trunk_capacity if shared else 2.0,
+                        delay=rng.randint(1, 3),
+                    )
+        instances.append(instance_from_paths(net, old_path, new_path, flow_name=name))
+    return MultiFlowUpdate(network=net, instances=instances)
+
+
+class TestEitherLayout:
+    """Multi-flow answers do not depend on which tracker layout replays."""
+
+    @staticmethod
+    def _run(update, threshold):
+        with mock.patch.object(tracker_module, "ARRAY_TRACKER_MIN_HOPS", threshold):
+            result = greedy_multiflow(update)
+            rng = random.Random(7)
+            drawn = {
+                inst.flow.name: UpdateSchedule(
+                    {node: rng.randint(0, 6) for node in inst.switches_to_update},
+                    start_time=0,
+                )
+                for inst in update.instances
+            }
+            intervals = {
+                name: flow_link_intervals(replay_schedule(update.instance(name), schedule))
+                for name, schedule in result.schedules.items()
+            }
+            return (
+                {name: r.schedule.times for name, r in result.results.items()},
+                result.feasible,
+                result.report,
+                validate_multiflow(update, drawn),
+                intervals,
+            )
+
+    @pytest.mark.parametrize(
+        "update",
+        [
+            two_flow_update(1.0),
+            two_flow_update(2.0),
+            long_shared_update(2.5, seed=0),  # A's load leaves B no room: infeasible
+            long_shared_update(3.0, seed=1),
+        ],
+        ids=["short-tight", "short", "long-tight", "long"],
+    )
+    def test_dict_and_array_layouts_agree(self, update):
+        dict_run = self._run(update, sys.maxsize)
+        array_run = self._run(update, 0)
+        assert array_run == dict_run
+        hops = min(len(i.old_path) + len(i.new_path) for i in update.instances)
+        if hops >= tracker_module.ARRAY_TRACKER_MIN_HOPS:
+            # The default run builds the array layout and answers the same.
+            assert self._run(update, tracker_module.ARRAY_TRACKER_MIN_HOPS) == array_run

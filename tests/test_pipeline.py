@@ -51,7 +51,6 @@ def test_registry_has_every_experiment():
         "fig8",
         "fig9",
         "fig10",
-        "fig10-greedy",
         "fig11",
         "table2",
         "walkthrough",
@@ -83,9 +82,9 @@ def test_paper_preset_requires_paper_params():
 
 
 def test_fig10_greedy_preset_targets_paper_sizes():
-    # `run --paper fig10-greedy`: Chronus alone at the paper's 1K-6K sizes
-    # under the 600 s cutoff (the affordable slice of the Fig. 10 preset).
-    params = get_scenario("fig10-greedy").params_with(paper=True)
+    # `run --paper fig10 --set schemes=chronus`: Chronus alone at the paper's
+    # 1K-6K sizes under the 600 s cutoff (the affordable slice of the preset).
+    params = get_scenario("fig10").params_with({"schemes": ["chronus"]}, paper=True)
     assert tuple(params["schemes"]) == ("chronus",)
     assert tuple(params["switch_counts"]) == (1000, 2000, 3000, 4000, 5000, 6000)
     assert params["cutoff"] == 600.0

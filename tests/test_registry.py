@@ -617,19 +617,22 @@ class TestAugPlanner:
 class TestCliFailFast:
     def test_typo_exits_2_with_registered_names(self):
         # A misspelt scheme names the registered planners; a stale or
-        # misspelt --set key names the scenario's valid parameters.
-        cases = {
-            "schemes=chrnous": ("chrnous", "chronus", "or", "tp", "opt", "aug"),
-            "opt_engine=reference": ("opt_engine", "opt_node_budget", "schemes"),
-        }
-        for override, expected in cases.items():
+        # misspelt --set key names the scenario's valid parameters; a value
+        # of the wrong kind names the key, the value and the kind expected.
+        cases = [
+            ("sweep", "schemes=chrnous", ("chrnous", "chronus", "or", "tp", "opt", "aug")),
+            ("sweep", "opt_engine=reference", ("opt_engine", "opt_node_budget", "schemes")),
+            ("sweep", "instances_per_size=abc", ("instances_per_size", "'abc'", "int")),
+            ("fig9", "switch_counts=5", ("switch_counts", "5", "sequence")),
+        ]
+        for scenario, override, expected in cases:
             proc = subprocess.run(
                 [
                     sys.executable,
                     "-m",
                     "repro.experiments",
                     "run",
-                    "sweep",
+                    scenario,
                     "--set",
                     override,
                 ],

@@ -197,6 +197,34 @@ def test_jsonl_and_sqlite_sinks_round_trip_identically(tmp_path):
     assert from_sqlite == records
 
 
+def _jsonl_lines(records):
+    return "".join(json.dumps(record.to_json()) + "\n" for record in records)
+
+
+def test_torn_last_jsonl_line_is_dropped(tmp_path, capsys):
+    records = _sample_records()
+    path = tmp_path / "trace.jsonl"
+    whole = _jsonl_lines(records)
+    path.write_text(whole + whole[: len(whole) // 3])  # killed mid-write
+    assert read_trace(path) == records
+    assert trace_cli(["show", "--path", str(path)]) == 0
+
+
+@pytest.mark.parametrize(
+    "bad",
+    ['{"kind": "span", "trace_id"\n', "[1, 2]\n", '{"colour": "red"}\n', "7"],
+    ids=["cut-mid-file", "not-an-object", "not-a-record", "unterminated-non-record"],
+)
+def test_malformed_jsonl_line_names_its_place(tmp_path, capsys, bad):
+    good = _jsonl_lines(_sample_records()[:1])
+    path = tmp_path / "trace.jsonl"
+    path.write_text(good + bad + (good if bad.endswith("\n") else ""))
+    with pytest.raises(TraceQueryError, match=re.escape(f"{path}:2:")):
+        read_trace(path)
+    assert trace_cli(["show", "--path", str(path)]) == 2
+    assert f"{path}:2:" in capsys.readouterr().err
+
+
 def test_open_sink_specs(tmp_path):
     assert isinstance(open_sink("jsonl", directory=tmp_path), JsonlSink)
     assert isinstance(open_sink("sqlite", directory=tmp_path), SqliteSink)
