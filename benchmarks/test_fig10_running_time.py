@@ -3,6 +3,9 @@
 Paper result (at 600 s cutoff, 1K-6K switches): OR and OPT complete only at
 the small end and blow past the cutoff beyond it, while Chronus stays under
 the cutoff even at 6K.  Sizes and cutoff scale down proportionally here.
+OPT's loop-freedom bound proves these local reroutes at or near the root,
+so OPT no longer cuts off on this workload; OR still does (EXPERIMENTS.md,
+faithfulness note 5).
 """
 
 from repro.pipeline import run_in_memory
@@ -23,6 +26,7 @@ def test_fig10_running_time(benchmark, once):
     # The exact solvers complete at the small end...
     assert result.seconds["or"][0] is not None
     assert result.seconds["opt"][0] is not None
-    # ...and hit the cutoff at the large end.
+    # ...OR hits the cutoff at the large end, while OPT's bound proves the
+    # largest instance at the root (0.015 s at 4000 switches on a 2-cpu box).
     assert result.seconds["or"][-1] is None
-    assert result.seconds["opt"][-1] is None
+    assert result.seconds["opt"][-1] is not None

@@ -14,8 +14,11 @@ This dict layout is the flow state of the greedy scheduler, the OPT search
 and every congestion metric on short trajectories;
 :func:`repro.core.tracker.make_tracker` switches to the array layout
 (:mod:`repro.core.intervals_array`, same reports byte for byte) where paths
-are long.  Tests cross-validate it against the verifier on thousands of
-random instances.
+are long.  What both layouts share is written here once: the round
+protocol (:class:`_RoundTracker`), the emission-axis partition
+(:func:`_partition`), the report types and the event sweep.  Tests
+cross-validate the trackers against the verifier on thousands of random
+instances.
 """
 
 from __future__ import annotations
@@ -146,12 +149,18 @@ class FlowClass:
         """Whether the emission interval contains no integer time."""
         return self.lo is not None and self.hi is not None and self.lo > self.hi
 
-    def departure_interval(self, index: int) -> Tuple[Optional[int], Optional[int]]:
-        """Departure-time interval at trajectory position ``index``."""
-        offset = self.offsets[index]
-        lo = None if self.lo is None else self.lo + offset
-        hi = None if self.hi is None else self.hi + offset
-        return lo, hi
+    @property
+    def last_offset(self) -> int:
+        """The cumulative delay at the trajectory's last switch."""
+        return self.offsets[-1]
+
+    def loop_switch(self) -> Optional[Node]:
+        """The revisited switch of a ``"looped"`` trajectory."""
+        return self.loop_node
+
+    def last_switch(self) -> Node:
+        """The switch the trajectory ends on."""
+        return self.nodes[-1]
 
     def offset_at(self, position: int) -> int:
         """The cumulative delay at trajectory ``position``."""
@@ -164,11 +173,6 @@ class FlowClass:
     def trajectory_key(self) -> Tuple[Node, ...]:
         """A hashable value equal between classes of equal trajectory."""
         return self.nodes
-
-    def links(self):
-        """Iterate ``(index, (src, dst))`` over the trajectory's links."""
-        for i in range(len(self.nodes) - 1):
-            yield i, (self.nodes[i], self.nodes[i + 1])
 
     def link_positions(self) -> Dict[LinkKey, List[int]]:
         """``link -> trajectory indices`` (cached; trajectories are immutable)."""
@@ -260,19 +264,30 @@ class RoundReport:
         return not (self.loops or self.blackholes or self.congestion)
 
 
-class IntervalTracker:
-    """Exact, incremental dynamic-flow state during a timed update.
+class _RoundTracker:
+    """The layout-free half of an exact interval tracker.
 
-    Typical use -- drive a schedule round by round::
+    Both layouts judge a round by one rule (Alg. 2 over Defs. 1-3): a unit
+    emitted at ``e`` deflects at the first switch of its trajectory that it
+    reaches at or after that switch's update time.  Everything around that
+    rule is written here once -- the round API with its witness contract,
+    the argument checks, the commit bookkeeping and the state accessors --
+    and :func:`_partition` is the rule's arithmetic.  A layout
+    (:class:`IntervalTracker`, :class:`repro.core.intervals_array.
+    ArrayIntervalTracker`) keeps only its representation:
 
-        tracker = IntervalTracker(instance, t0=0)
-        for time, nodes in schedule.rounds():
-            report = tracker.apply_round(nodes, time)
-        spans = tracker.congestion_spans()
-
-    ``preview_round`` answers "would updating these switches now violate
-    anything?" without committing, which is what the greedy scheduler and
-    the OPT search branch on.
+    * how it builds its state (``__init__`` after this one's) and clones
+      it (:meth:`_clone_layout`);
+    * ``_split(nodes, time, witness)``, its hit scan and deflection walk,
+      returning ``(pieces, trims, deflected, removed, report)``: every
+      replacement piece paired with its parent, the narrowed in-place
+      replacements by parent id, the freshly routed pieces, the split
+      parents' ids and the round's report;
+    * ``_check_new_congestion(pieces, removed, report, witness)``,
+      ``congestion_spans()`` and ``crossings`` / ``crosses``;
+    * :meth:`_after_commit` for its own caches;
+    * per class, the switch a looped or black-holed piece ends on
+      (``loop_switch()`` / ``last_switch()``) and ``last_offset``.
     """
 
     def __init__(
@@ -298,37 +313,18 @@ class IntervalTracker:
                 raise KeyError(f"background load on non-existent link {src!r} -> {dst!r}")
         self._applied: Dict[Node, int] = {}
         self._last_time: Optional[int] = None
-        self._classes: Dict[int, FlowClass] = {}
+        self._classes: Dict[int, object] = {}
         self._alive: Set[int] = set()
-        self._link_index: CowIndex[LinkKey, int] = CowIndex()
-        self._node_index: CowIndex[Node, int] = CowIndex()
         self._next_id = 0
-        # Congestion-check memoisation, valid between commits: candidate
-        # -round probes (greedy's and OPT's ``preview_round`` calls) hit
-        # the same links repeatedly while the committed load is unchanged,
-        # so the committed interval list and its sweep result are cached
-        # per link and invalidated wholesale by ``apply_round``.
-        self._entry_memo: Dict[LinkKey, Tuple[_Entry, ...]] = {}
-        self._span_memo: Dict[LinkKey, Tuple[CongestionSpan, ...]] = {}
-        # Commits mark the span memo dirty instead of invalidating touched
-        # links one by one; the (rare) global congestion check clears it.
-        self._spans_dirty = False
 
-        initial = _make_class(instance)
-        self._add_class(initial)
-
-    def clone(self) -> "IntervalTracker":
+    def clone(self):
         """An independent copy in O(touched state), not O(whole state).
 
-        Flow classes are immutable and shared outright; the link and node
-        indexes are copy-on-write (:class:`repro.core.cow.CowIndex`), so
-        only their head-pointer dicts are copied -- every per-key id
-        sequence is structurally shared with this tracker.  The congestion
-        memos carry over as shallow dict copies of immutable tuples: each
-        copy appends its own commits' entries to its own dict, and readers
-        filter the entries against their own ``_alive`` set.
+        Class objects are immutable and shared outright; the per-tracker
+        dicts and sets are copied, and the layout copies or shares its own
+        state (:meth:`_clone_layout`).
         """
-        other = object.__new__(IntervalTracker)
+        other = object.__new__(self.__class__)
         other.instance = self.instance
         other.t0 = self.t0
         other.background = self.background
@@ -336,13 +332,13 @@ class IntervalTracker:
         other._last_time = self._last_time
         other._classes = dict(self._classes)
         other._alive = set(self._alive)
-        other._link_index = self._link_index.snapshot()
-        other._node_index = self._node_index.snapshot()
         other._next_id = self._next_id
-        other._entry_memo = dict(self._entry_memo)
-        other._span_memo = dict(self._span_memo)
-        other._spans_dirty = self._spans_dirty
+        self._clone_layout(other)
         return other
+
+    def _clone_layout(self, other) -> None:
+        """Give the clone ``other`` the layout's own state."""
+        raise NotImplementedError
 
     # ------------------------------------------------------------------
     # state accessors
@@ -362,25 +358,23 @@ class IntervalTracker:
         that remain looped once all rounds are applied violate Definition 2.
         """
         events: List[Tuple[int, Node]] = []
-        for cid in sorted(self._alive):
-            cls = self._classes[cid]
+        for cls in self.classes:
             if cls.outcome == LOOPED and not cls.is_empty():
-                events.append((cls.lo if cls.lo is not None else cls.hi, cls.loop_node))
+                events.append((cls.lo if cls.lo is not None else cls.hi, cls.loop_switch()))
         return events
 
     @property
     def blackholes(self) -> List[Tuple[int, Node]]:
         """Dropped-traffic events of the final flow state (see ``loops``)."""
         events: List[Tuple[int, Node]] = []
-        for cid in sorted(self._alive):
-            cls = self._classes[cid]
+        for cls in self.classes:
             if cls.outcome == BLACKHOLE and not cls.is_empty():
-                events.append((cls.lo if cls.lo is not None else cls.hi, cls.nodes[-1]))
+                events.append((cls.lo if cls.lo is not None else cls.hi, cls.last_switch()))
         return events
 
     @property
-    def classes(self) -> List[FlowClass]:
-        """All live flow classes."""
+    def classes(self) -> list:
+        """All live flow classes, ascending id."""
         return [self._classes[cid] for cid in sorted(self._alive)]
 
     def load_at(self, src: Node, dst: Node, time: int) -> float:
@@ -405,24 +399,30 @@ class IntervalTracker:
             for cls, offset in self.crossings(src, dst)
         ]
 
-    def crossings(self, src: Node, dst: Node) -> List[Tuple[FlowClass, int]]:
-        """Every alive class crossing ``src -> dst`` with its departure offset there."""
-        link = (src, dst)
-        found = []
-        for cid in self._link_index.get(link, ()):  # ascending ids; stale ones skipped
-            if cid in self._alive:
-                cls = self._classes[cid]
-                for index in cls.link_positions()[link]:
-                    found.append((cls, cls.offsets[index]))
-        return found
+    def congested_timed_link_count(self) -> int:
+        """Number of congested links of the time-extended network (Fig. 8)."""
+        return sum(span.timed_link_count for span in self.congestion_spans())
 
-    def crosses(self, cls: FlowClass, src: Node, dst: Node) -> bool:
-        """Whether ``cls``'s trajectory traverses the link ``src -> dst``."""
-        nodes = cls.nodes
-        for i in range(len(nodes) - 1):
-            if nodes[i] == src and nodes[i + 1] == dst:
-                return True
-        return False
+    def finite_drain_horizon(self) -> Optional[int]:
+        """Last departure time of any finite flow class, or ``None``.
+
+        While a scheduler makes no progress, only the draining of finite
+        classes can unblock it; once this horizon passes with no progress
+        the remaining blockers are never-ending streams (schedulers use this
+        as their stall fix-point).
+        """
+        horizon: Optional[int] = None
+        for cls in self.classes:
+            if cls.hi is None:
+                continue
+            last = cls.hi + cls.last_offset
+            horizon = last if horizon is None else max(horizon, last)
+        return horizon
+
+    @property
+    def ok(self) -> bool:
+        """No loops, black holes or congestion so far."""
+        return not (self.loops or self.blackholes or self.congestion_spans())
 
     # ------------------------------------------------------------------
     # rounds
@@ -453,12 +453,12 @@ class IntervalTracker:
         The state ``apply_round`` leaves (same classes, same ids), without
         the congestion pass and without a report: for a replay that reads
         only the final state (``loops`` / ``blackholes`` /
-        ``congestion_spans()``), never a round's report.  The per-link
-        entry memos are then built by the final check, which lists a link's
-        background load after all of its class load (a memo built mid-way
-        lists later pieces after the background).  The sum order can only
-        differ there, so the spans are ``apply_round``'s without background
-        and with dyadic background loads.
+        ``congestion_spans()``), never a round's report.  The dict layout's
+        per-link entry memos are then built by the final check, which lists
+        a link's background load after all of its class load (a memo built
+        mid-way lists later pieces after the background).  The sum order
+        can only differ there, so the spans are ``apply_round``'s without
+        background and with dyadic background loads.
         """
         self._check_round_args(nodes, time)
         _pieces, trims, deflected, removed, _report = self._split(nodes, time)
@@ -474,7 +474,8 @@ class IntervalTracker:
         untouched and costs what it takes to refuse it -- its report is a
         *witness*, not the full list of violations: the split stops at the
         first class that loops or black-holes (no congestion pass follows),
-        the congestion pass at the first over-capacity link.  The contract:
+        the congestion pass at the first over-capacity link (the array
+        layout: chain).  The contract:
         ``probe_and_commit(n, t).ok == preview_round(n, t).ok``, and each of
         ``loops`` / ``blackholes`` / ``congestion`` is a prefix of the list
         ``preview_round(n, t)`` reports (non-empty for at least one of them
@@ -500,22 +501,34 @@ class IntervalTracker:
                 recorder.count("tracker.probe.refused.congestion")
             return report
 
+    def _check_round_args(self, nodes: Sequence[Node], time: int) -> None:
+        if not nodes:
+            raise ValueError("an update round needs at least one switch")
+        if self._last_time is not None and time < self._last_time:
+            raise ValueError(
+                f"rounds must be applied chronologically ({time} < {self._last_time})"
+            )
+        for node in nodes:
+            if node in self._applied:
+                raise ValueError(f"switch {node!r} was already updated")
+            if node == self.instance.destination:
+                raise ValueError("the destination switch is never updated")
+
     def _commit(
         self,
         nodes: Sequence[Node],
         time: int,
-        trims: List[Tuple[int, FlowClass]],
-        deflected: List[FlowClass],
+        trims: List[Tuple[int, object]],
+        deflected: list,
         removed: Set[int],
     ) -> None:
         """Adopt a computed split as the new committed state.
 
         Trimmed parents keep their class id: the trim has the parent's
         exact trajectory, only narrower emission bounds, so replacing the
-        class object in place leaves the link/node indexes and the
-        offset-based memo entries valid with zero per-link work.  Only
-        parents whose every emission deflected die, and only the deflected
-        pieces (fresh routes) are registered as new classes.
+        class object in place leaves every per-link structure keyed by id
+        valid.  Only parents whose every emission deflected die, and only
+        the deflected pieces (fresh routes) are registered as new classes.
         """
         classes = self._classes
         trimmed = set()
@@ -529,9 +542,106 @@ class IntervalTracker:
         for node in nodes:
             self._applied[node] = time
         self._last_time = time
+        self._after_commit(nodes, added)
+
+    def _after_commit(self, nodes: Sequence[Node], added: List[Tuple[int, object]]) -> None:
+        """Bring the layout's caches up to a commit of ``nodes`` that
+        registered the ``(id, piece)`` pairs ``added``."""
+        raise NotImplementedError
+
+    def _add_class(self, cls) -> int:
+        cid = self._next_id
+        self._next_id += 1
+        self._classes[cid] = cls
+        self._alive.add(cid)
+        return cid
+
+
+class IntervalTracker(_RoundTracker):
+    """Exact, incremental dynamic-flow state during a timed update.
+
+    Typical use -- drive a schedule round by round::
+
+        tracker = IntervalTracker(instance, t0=0)
+        for time, nodes in schedule.rounds():
+            report = tracker.apply_round(nodes, time)
+        spans = tracker.congestion_spans()
+
+    ``preview_round`` answers "would updating these switches now violate
+    anything?" without committing, which is what the greedy scheduler and
+    the OPT search branch on.  The round protocol is :class:`_RoundTracker`'s;
+    this class holds the dict layout: tuple trajectories, copy-on-write
+    link and node indexes, and per-link congestion memos.
+    """
+
+    def __init__(
+        self,
+        instance: UpdateInstance,
+        t0: int = 0,
+        background: Optional[Dict[LinkKey, List[Tuple[Optional[int], Optional[int], float]]]] = None,
+    ) -> None:
+        super().__init__(instance, t0, background)
+        self._link_index: CowIndex[LinkKey, int] = CowIndex()
+        self._node_index: CowIndex[Node, int] = CowIndex()
+        # Congestion-check memoisation, valid between commits: candidate
+        # -round probes (greedy's and OPT's ``preview_round`` calls) hit
+        # the same links repeatedly while the committed load is unchanged,
+        # so the committed interval list and its sweep result are cached
+        # per link and invalidated wholesale by ``apply_round``.
+        self._entry_memo: Dict[LinkKey, Tuple[_Entry, ...]] = {}
+        self._span_memo: Dict[LinkKey, Tuple[CongestionSpan, ...]] = {}
+        # Commits mark the span memo dirty instead of invalidating touched
+        # links one by one; the (rare) global congestion check clears it.
+        self._spans_dirty = False
+
+        self._add_class(_make_class(instance))
+
+    def _clone_layout(self, other: "IntervalTracker") -> None:
+        """The link and node indexes are copy-on-write
+        (:class:`repro.core.cow.CowIndex`), so only their head-pointer dicts
+        are copied -- every per-key id sequence is structurally shared with
+        this tracker.  The congestion memos carry over as shallow dict copies
+        of immutable tuples: each copy appends its own commits' entries to
+        its own dict, and readers filter the entries against their own
+        ``_alive`` set.
+        """
+        other._link_index = self._link_index.snapshot()
+        other._node_index = self._node_index.snapshot()
+        other._entry_memo = dict(self._entry_memo)
+        other._span_memo = dict(self._span_memo)
+        other._spans_dirty = self._spans_dirty
+
+    def crossings(self, src: Node, dst: Node) -> List[Tuple[FlowClass, int]]:
+        """Every alive class crossing ``src -> dst`` with its departure offset there."""
+        link = (src, dst)
+        found = []
+        for cid in self._link_index.get(link, ()):  # ascending ids; stale ones skipped
+            if cid in self._alive:
+                cls = self._classes[cid]
+                for index in cls.link_positions()[link]:
+                    found.append((cls, cls.offsets[index]))
+        return found
+
+    def crosses(self, cls: FlowClass, src: Node, dst: Node) -> bool:
+        """Whether ``cls``'s trajectory traverses the link ``src -> dst``."""
+        nodes = cls.nodes
+        for i in range(len(nodes) - 1):
+            if nodes[i] == src and nodes[i + 1] == dst:
+                return True
+        return False
+
+    def _after_commit(self, nodes: Sequence[Node], added: List[Tuple[int, FlowClass]]) -> None:
+        """Offset-based memo entries of trimmed parents stay valid; the span
+        memo is flagged dirty and the fresh pieces' entries appended."""
         self._spans_dirty = True
         if added:
             self._update_memos(added)
+
+    def _add_class(self, cls: FlowClass) -> int:
+        cid = super()._add_class(cls)
+        self._link_index.add_all(cls.link_positions(), cid)
+        self._node_index.add_all(cls.nodes, cid)
+        return cid
 
     def _update_memos(self, added: List[Tuple[int, FlowClass]]) -> None:
         """Append the fresh pieces' entries to the touched links' memos.
@@ -580,47 +690,9 @@ class IntervalTracker:
         spans.sort(key=lambda span: (span.start, span.link))
         return spans
 
-    def congested_timed_link_count(self) -> int:
-        """Number of congested links of the time-extended network (Fig. 8)."""
-        return sum(span.timed_link_count for span in self.congestion_spans())
-
-    def finite_drain_horizon(self) -> Optional[int]:
-        """Last departure time of any finite flow class, or ``None``.
-
-        While a scheduler makes no progress, only the draining of finite
-        classes can unblock it; once this horizon passes with no progress
-        the remaining blockers are never-ending streams (schedulers use this
-        as their stall fix-point).
-        """
-        horizon: Optional[int] = None
-        for cls in self.classes:
-            if cls.hi is None:
-                continue
-            last = cls.hi + cls.offsets[-1]
-            horizon = last if horizon is None else max(horizon, last)
-        return horizon
-
-    @property
-    def ok(self) -> bool:
-        """No loops, black holes or congestion so far."""
-        return not (self.loops or self.blackholes or self.congestion_spans())
-
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
-    def _check_round_args(self, nodes: Sequence[Node], time: int) -> None:
-        if not nodes:
-            raise ValueError("an update round needs at least one switch")
-        if self._last_time is not None and time < self._last_time:
-            raise ValueError(
-                f"rounds must be applied chronologically ({time} < {self._last_time})"
-            )
-        for node in nodes:
-            if node in self._applied:
-                raise ValueError(f"switch {node!r} was already updated")
-            if node == self.instance.destination:
-                raise ValueError("the destination switch is never updated")
-
     def _split(
         self, nodes: Sequence[Node], time: int, witness: bool = False
     ) -> Tuple[
@@ -824,15 +896,6 @@ class IntervalTracker:
         self._span_memo[link] = spans
         return spans
 
-    def _add_class(self, cls: FlowClass) -> int:
-        cid = self._next_id
-        self._next_id += 1
-        self._classes[cid] = cls
-        self._alive.add(cid)
-        self._link_index.add_all(cls.link_positions(), cid)
-        self._node_index.add_all(cls.nodes, cid)
-        return cid
-
 
 # ----------------------------------------------------------------------
 # pure helpers
@@ -982,31 +1045,16 @@ def _split_class(
         # killed (the revisit); it cannot be re-routed from there.  Earlier
         # occurrences may still deflect units before the loop forms.
         hits.pop()
-        if not hits:
-            return None
-
-    # Deflection threshold per hit: emissions >= time - offset reach the
-    # switch after its update.  Offsets grow along the trajectory, so in
-    # ascending index order the thresholds never increase; a hit whose
-    # threshold lies past the last emission deflects nothing.
     offsets = cls.offsets
-    cls_lo = cls.lo
-    cls_hi = cls.hi
-    if cls_hi is not None:
-        hits = [i for i in hits if time - offsets[i] <= cls_hi]
-        if not hits:
-            return None
-
+    partition = _partition(hits, offsets, time, cls.lo, cls.hi)
+    if partition is None:
+        return None
+    keep, spans = partition
     trim: Optional[FlowClass] = None
-    deflected: List[FlowClass] = []
-
-    # Emissions below every threshold (the last hit's) keep the original
-    # trajectory.
-    keep_hi = time - offsets[hits[-1]] - 1
-    if cls_lo is None or cls_lo <= keep_hi:
+    if keep is not None:
         trim = FlowClass(
-            cls_lo,
-            keep_hi if cls_hi is None else min(cls_hi, keep_hi),
+            keep[0],
+            keep[1],
             cls.nodes,
             offsets,
             cls.outcome,
@@ -1017,28 +1065,69 @@ def _split_class(
             cls._link_positions,
             positions,
         )
-
-    # A unit deflects at its *first* trajectory switch whose threshold it
-    # meets, so in ascending index order the pieces partition the emission
-    # axis from the top down.
-    previous_threshold: Optional[int] = None  # threshold of the previous (smaller) index
-    for index in hits:
-        threshold = time - offsets[index]
-        lo = threshold
-        hi = None if previous_threshold is None else previous_threshold - 1
-        previous_threshold = threshold
-        lo = lo if cls_lo is None else max(lo, cls_lo)
-        if cls_hi is not None:
-            hi = cls_hi if hi is None else min(hi, cls_hi)
-        if hi is not None and lo > hi:
-            continue
+    deflected: List[FlowClass] = []
+    for index, lo, hi in spans:
         piece = _deflect(instance, config, cls, index, lo, hi)
         deflected.append(piece)
-        if piece.outcome == LOOPED:
-            report.loops.append((lo, piece.loop_node))
-        elif piece.outcome == BLACKHOLE:
-            report.blackholes.append((lo, piece.nodes[-1]))
+        _note_outcome(report, lo, piece)
     return trim, deflected
+
+
+def _partition(
+    hits: List[int],
+    offsets: Mapping[int, int],
+    time: int,
+    lo: Optional[int],
+    hi: Optional[int],
+) -> Optional[Tuple[Optional[Tuple[Optional[int], int]], List[Tuple[int, int, Optional[int]]]]]:
+    """Partition a class's emissions ``[lo, hi]`` by where a round deflects them.
+
+    ``hits`` are the ascending trajectory positions at which the round's
+    switches sit on the class's trajectory, and ``offsets[p]`` is the
+    departure offset at position ``p``.  A unit emitted at ``e`` leaves
+    position ``p`` at ``e + offsets[p]``, so it reaches a hit's switch after
+    the update when ``e >= time - offsets[p]``, the hit's threshold, and
+    deflects at its *first* hit whose threshold it meets.  Offsets grow
+    along the trajectory, so in position order the thresholds never
+    increase: the pieces cover the emission axis from the top down, and a
+    hit whose threshold lies past ``hi`` deflects nothing.
+
+    Returns ``None`` when no emission deflects, otherwise ``(keep,
+    pieces)``: the bounds of the emissions below every threshold (the last
+    hit's), which keep the trajectory (``None`` when there are none), and
+    per hit that deflects any emission, in ascending position order,
+    ``(position, first emission, last emission)``.
+    """
+    if hi is not None:
+        hits = [position for position in hits if time - offsets[position] <= hi]
+    if not hits:
+        return None
+    keep_hi = time - offsets[hits[-1]] - 1
+    keep = None
+    if lo is None or lo <= keep_hi:
+        keep = (lo, keep_hi if hi is None else min(hi, keep_hi))
+    pieces = []
+    previous_threshold: Optional[int] = None  # threshold of the previous (smaller) position
+    for position in hits:
+        threshold = time - offsets[position]
+        piece_lo = threshold if lo is None else max(threshold, lo)
+        piece_hi = None if previous_threshold is None else previous_threshold - 1
+        previous_threshold = threshold
+        if hi is not None:
+            piece_hi = hi if piece_hi is None else min(piece_hi, hi)
+        if piece_hi is not None and piece_lo > piece_hi:
+            continue
+        pieces.append((position, piece_lo, piece_hi))
+    return keep, pieces
+
+
+def _note_outcome(report: RoundReport, lo: Optional[int], piece) -> None:
+    """Add a deflected piece emitted from ``lo`` on to ``report`` if it
+    loops or black-holes."""
+    if piece.outcome == LOOPED:
+        report.loops.append((lo, piece.loop_switch()))
+    elif piece.outcome == BLACKHOLE:
+        report.blackholes.append((lo, piece.last_switch()))
 
 
 def _sweep_link(

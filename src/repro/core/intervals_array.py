@@ -99,8 +99,11 @@ from repro.core.intervals import (
     _EPS,
     _NEG_CLAMP,
     _POS_CLAMP,
+    _RoundTracker,
+    _note_outcome,
     _open_end,
     _overloads,
+    _partition,
 )
 from repro.network.graph import Node
 from repro.trace.recorder import recorder
@@ -451,6 +454,14 @@ class ArrayFlowClass:
     def is_empty(self) -> bool:
         return self.lo is not None and self.hi is not None and self.lo > self.hi
 
+    def loop_switch(self) -> Node:
+        """The revisited switch of a ``"looped"`` trajectory."""
+        return self.arrays.names[self.loop_node]
+
+    def last_switch(self) -> Node:
+        """The switch the trajectory ends on."""
+        return self.arrays.names[self.last_node]
+
     def node_at(self, position: int) -> int:
         """The switch id at trajectory ``position``."""
         run = bisect_right(self.run_pos, position) - 1
@@ -597,13 +608,13 @@ class ArrayFlowClass:
         )
 
 
-class ArrayIntervalTracker:
+class ArrayIntervalTracker(_RoundTracker):
     """Drop-in :class:`IntervalTracker` replacement on the array layout.
 
-    Same public surface (``clone`` / ``preview_round`` / ``apply_round`` /
-    ``probe_and_commit`` / ``congestion_spans`` / ...), same reports down
-    to the byte (same verdict and a witness of the same report where a
-    probe is refused); only the representation differs.
+    Same public surface and round protocol (:class:`repro.core.intervals.
+    _RoundTracker`), same reports down to the byte (same verdict and a
+    witness of the same report where a probe is refused); only the
+    representation differs.
     """
 
     def __init__(
@@ -614,17 +625,9 @@ class ArrayIntervalTracker:
             Dict[LinkKey, List[Tuple[Optional[int], Optional[int], float]]]
         ] = None,
     ) -> None:
-        self.instance = instance
-        self.t0 = t0
-        self.background = background or {}
+        super().__init__(instance, t0, background)
         self.arrays = instance_arrays(instance)
         arrays = self.arrays
-
-        self._applied: Dict[Node, int] = {}
-        self._last_time: Optional[int] = None
-        self._classes: Dict[int, ArrayFlowClass] = {}
-        self._alive: Set[int] = set()
-        self._next_id = 0
         # Ids of the applied switches: they forward by ``next_new``, every
         # other switch by ``next_old``.  A probe adds its round's ids for
         # the split and takes them out again, so neither a tracker nor a
@@ -633,12 +636,8 @@ class ArrayIntervalTracker:
         self._spans_cache: Optional[Tuple[CongestionSpan, ...]] = None
 
         # Background rows per link id, open bounds clamped (``_needs_sweep``).
-        self._bg_by_lid: Dict[int, List[Tuple[int, int, float]]] = {}
-        for (src, dst), triples in self.background.items():
-            lid = arrays.lid_of(src, dst)
-            if lid is None:
-                raise KeyError(f"background load on non-existent link {src!r} -> {dst!r}")
-            self._bg_by_lid[lid] = [
+        self._bg_by_lid: Dict[int, List[Tuple[int, int, float]]] = {
+            arrays.lid_of(src, dst): [
                 (
                     _NEG_CLAMP if lo is None else int(lo),
                     _POS_CLAMP if hi is None else int(hi),
@@ -646,6 +645,8 @@ class ArrayIntervalTracker:
                 )
                 for lo, hi, load in triples
             ]
+            for (src, dst), triples in self.background.items()
+        }
         # Background breaks a chain twice: the loaded link sees load its
         # predecessor does not, and the link after it sees less than it.
         # One byte per link id, read one link at a time by the routing loop.
@@ -673,87 +674,17 @@ class ArrayIntervalTracker:
             )
         )
 
-    def clone(self) -> "ArrayIntervalTracker":
-        """An independent copy in O(classes + applied switches), not O(network).
-
-        Class objects (and through them every run list and decisive table)
-        are shared structurally; only the small per-tracker dicts, the alive
-        set and the set of applied switches are copied.
-        """
-        other = object.__new__(ArrayIntervalTracker)
-        other.instance = self.instance
-        other.t0 = self.t0
-        other.background = self.background
+    def _clone_layout(self, other: "ArrayIntervalTracker") -> None:
+        """O(classes + applied switches), not O(network): run lists and
+        decisive tables are shared through the class objects, the instance
+        encoding and background tables outright; only the set of applied
+        switch ids is copied."""
         other.arrays = self.arrays
-        other._applied = dict(self._applied)
-        other._last_time = self._last_time
-        other._classes = dict(self._classes)
-        other._alive = set(self._alive)
-        other._next_id = self._next_id
         other._moved = set(self._moved)
         other._spans_cache = self._spans_cache
         other._bg_by_lid = self._bg_by_lid
         other._decisive = self._decisive
         other._path_dec = self._path_dec
-        return other
-
-    # ------------------------------------------------------------------
-    # state accessors (API parity with IntervalTracker)
-    # ------------------------------------------------------------------
-    @property
-    def applied(self) -> Dict[Node, int]:
-        return dict(self._applied)
-
-    @property
-    def loops(self) -> List[Tuple[int, Node]]:
-        names = self.arrays.names
-        events: List[Tuple[int, Node]] = []
-        for cid in sorted(self._alive):
-            cls = self._classes[cid]
-            if cls.outcome == LOOPED and not cls.is_empty():
-                events.append(
-                    (cls.lo if cls.lo is not None else cls.hi, names[cls.loop_node])
-                )
-        return events
-
-    @property
-    def blackholes(self) -> List[Tuple[int, Node]]:
-        names = self.arrays.names
-        events: List[Tuple[int, Node]] = []
-        for cid in sorted(self._alive):
-            cls = self._classes[cid]
-            if cls.outcome == BLACKHOLE and not cls.is_empty():
-                events.append(
-                    (cls.lo if cls.lo is not None else cls.hi, names[cls.last_node])
-                )
-        return events
-
-    @property
-    def classes(self) -> List[ArrayFlowClass]:
-        return [self._classes[cid] for cid in sorted(self._alive)]
-
-    def load_at(self, src: Node, dst: Node, time: int) -> float:
-        """This flow's load departing over ``src -> dst`` at ``time``.
-
-        Background load (the ``background`` argument) is not included.
-        """
-        demand = self.arrays.demand
-        total = 0.0
-        for lo, hi in self.link_departure_spans(src, dst):
-            if (lo is None or lo <= time) and (hi is None or time <= hi):
-                total += demand
-        return total
-
-    def link_departure_spans(
-        self, src: Node, dst: Node
-    ) -> List[Tuple[Optional[int], Optional[int]]]:
-        return [
-            (
-                None if cls.lo is None else cls.lo + offset,
-                None if cls.hi is None else cls.hi + offset,
-            )
-            for cls, offset in self.crossings(src, dst)
-        ]
 
     def crossings(self, src: Node, dst: Node) -> List[Tuple[ArrayFlowClass, int]]:
         """Every alive class crossing ``src -> dst`` with its departure offset there."""
@@ -810,58 +741,6 @@ class ArrayIntervalTracker:
         return lid is not None and self._behind(cls, *self._chain_head(lid)) is not None
 
     # ------------------------------------------------------------------
-    # rounds
-    # ------------------------------------------------------------------
-    def preview_round(self, nodes: Sequence[Node], time: int) -> RoundReport:
-        with recorder.timer("tracker.preview"):
-            _trims, _deflected, _removed, report = self._probe(nodes, time)
-            return report
-
-    def apply_round(self, nodes: Sequence[Node], time: int) -> RoundReport:
-        with recorder.timer("tracker.apply"):
-            trims, deflected, removed, report = self._probe(nodes, time)
-            self._commit(nodes, time, trims, deflected, removed)
-            return report
-
-    def commit_round(self, nodes: Sequence[Node], time: int) -> None:
-        """:meth:`IntervalTracker.commit_round`: ``apply_round``'s state,
-        no congestion pass, no report."""
-        self._check_round_args(nodes, time)
-        _pieces, trims, deflected, removed, _report = self._split(nodes, time)
-        self._commit(nodes, time, trims, deflected, removed)
-
-    def probe_and_commit(self, nodes: Sequence[Node], time: int) -> RoundReport:
-        """:meth:`IntervalTracker.probe_and_commit`: a refusal is a witness."""
-        with recorder.timer("tracker.probe"):
-            trims, deflected, removed, report = self._probe(nodes, time, witness=True)
-            if report.ok:
-                self._commit(nodes, time, trims, deflected, removed)
-            elif recorder.enabled:
-                recorder.count(
-                    "tracker.probe.refused.congestion"
-                    if report.congestion
-                    else "tracker.probe.refused.split"
-                )
-            return report
-
-    def _probe(self, nodes: Sequence[Node], time: int, witness: bool = False):
-        """Split and check one round; ``(trims, deflected, removed, report)``.
-
-        With ``witness`` a violation ends the work: the split stops at the
-        first class that loops or black-holes and no congestion pass follows
-        it; the congestion pass stops at the first chain that is over
-        capacity (every touched link is decided first either way, so only
-        the exact sweeps are saved).
-        """
-        self._check_round_args(nodes, time)
-        with recorder.timer("split"):
-            pieces, trims, deflected, removed, report = self._split(nodes, time, witness)
-        if not (witness and (report.loops or report.blackholes)):
-            with recorder.timer("check"):
-                self._check_new_congestion(pieces, removed, report, witness)
-        return trims, deflected, removed, report
-
-    # ------------------------------------------------------------------
     # global checks
     # ------------------------------------------------------------------
     def congestion_spans(self) -> List[CongestionSpan]:
@@ -912,46 +791,17 @@ class ArrayIntervalTracker:
         self._spans_cache = tuple(spans)
         return spans
 
-    def congested_timed_link_count(self) -> int:
-        return sum(span.timed_link_count for span in self.congestion_spans())
-
-    def finite_drain_horizon(self) -> Optional[int]:
-        horizon: Optional[int] = None
-        for cid in sorted(self._alive):
-            cls = self._classes[cid]
-            if cls.hi is None:
-                continue
-            last = cls.hi + cls.last_offset
-            horizon = last if horizon is None else max(horizon, last)
-        return horizon
-
-    @property
-    def ok(self) -> bool:
-        return not (self.loops or self.blackholes or self.congestion_spans())
-
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
-    def _check_round_args(self, nodes: Sequence[Node], time: int) -> None:
-        if not nodes:
-            raise ValueError("an update round needs at least one switch")
-        if self._last_time is not None and time < self._last_time:
-            raise ValueError(
-                f"rounds must be applied chronologically ({time} < {self._last_time})"
-            )
-        for node in nodes:
-            if node in self._applied:
-                raise ValueError(f"switch {node!r} was already updated")
-            if node == self.instance.destination:
-                raise ValueError("the destination switch is never updated")
-
     def _split(self, nodes: Sequence[Node], time: int, witness: bool = False):
         """Columnar port of :meth:`IntervalTracker._split`.
 
-        Class iteration order (ascending id), threshold arithmetic and the
-        emission-axis partition match the dict tracker exactly; only the
-        hit scan (each class's decisive dict) and the routing (flat next-hop
-        tables, walked run by run) differ mechanically.  ``pieces`` pairs
+        Class iteration order (ascending id) matches the dict tracker's and
+        the emission-axis partition is the one both share
+        (:func:`repro.core.intervals._partition`); only the hit scan (each
+        class's decisive dict) and the routing (flat next-hop tables, walked
+        run by run) differ.  ``pieces`` pairs
         every replacement piece -- trims and deflections, in split order --
         with its parent, the shape :mod:`repro.core.search` reads from
         either tracker.
@@ -1026,47 +876,26 @@ class ArrayIntervalTracker:
         hits: List[Tuple[int, int]],
         time: int,
         report: RoundReport,
-    ):
-        thresholds = [(time - offset, i) for i, offset in hits]
-        relevant = [
-            (threshold, i)
-            for threshold, i in thresholds
-            if cls.hi is None or threshold <= cls.hi
-        ]
-        if not relevant:
+    ) -> Optional[Tuple[Optional[ArrayFlowClass], List[ArrayFlowClass]]]:
+        """:func:`repro.core.intervals._split_class` on the hits
+        :meth:`_hits` found: the same partition, pieces routed by
+        :meth:`_deflect`."""
+        offsets = dict(hits)  # ascending positions, as ``hits``
+        partition = _partition(list(offsets), offsets, time, cls.lo, cls.hi)
+        if partition is None:
             return None
-
-        trim: Optional[ArrayFlowClass] = None
-        deflected: List[ArrayFlowClass] = []
-
-        lowest_threshold = min(threshold for threshold, _ in relevant)
-        keep_hi = lowest_threshold - 1
-        if cls.lo is None or cls.lo <= keep_hi:
-            trim = cls.trimmed(cls.lo, keep_hi if cls.hi is None else min(cls.hi, keep_hi))
-
-        relevant.sort(key=lambda item: item[1])
-        previous_threshold: Optional[int] = None
-        names = self.arrays.names
+        keep, spans = partition
+        trim = None if keep is None else cls.trimmed(*keep)
         # Past its last hit a delivered class's route is the one every
         # switch forwards on now (:meth:`_deflect`, "Tails"); a piece that
         # rejoins it there takes the rest.
         rejoin_after = hits[-1][1] if cls.outcome == DELIVERED else cls.last_offset
-        for threshold, index in relevant:
-            lo = threshold
-            hi = None if previous_threshold is None else previous_threshold - 1
-            previous_threshold = threshold
-            lo = lo if cls.lo is None else max(lo, cls.lo)
-            if cls.hi is not None:
-                hi = cls.hi if hi is None else min(hi, cls.hi)
-            if hi is not None and lo > hi:
-                continue
+        deflected: List[ArrayFlowClass] = []
+        for index, lo, hi in spans:
             with recorder.timer("deflect"):
                 piece = self._deflect(cls, index, lo, hi, rejoin_after)
             deflected.append(piece)
-            if piece.outcome == LOOPED:
-                report.loops.append((lo, names[piece.loop_node]))
-            elif piece.outcome == BLACKHOLE:
-                report.blackholes.append((lo, names[piece.last_node]))
+            _note_outcome(report, lo, piece)
         return trim, deflected
 
     def _deflect(
@@ -1454,37 +1283,12 @@ class ArrayIntervalTracker:
                 if end >= start:
                     spans.append(CongestionSpan(link, start, end, peak, capacity))
 
-    def _commit(
-        self,
-        nodes: Sequence[Node],
-        time: int,
-        trims: List[Tuple[int, ArrayFlowClass]],
-        deflected: List[ArrayFlowClass],
-        removed: Set[int],
-    ) -> None:
-        classes = self._classes
-        trimmed = set()
-        for cid, trim in trims:
-            classes[cid] = trim
-            trimmed.add(cid)
-        for cid in removed:
-            if cid not in trimmed:
-                self._alive.discard(cid)
-        for piece in deflected:
-            self._add_class(piece)
-        arrays = self.arrays
-        for node in nodes:
-            self._applied[node] = time
-            self._moved.add(arrays.id_of[node])
-        self._last_time = time
+    def _after_commit(self, nodes: Sequence[Node], added) -> None:
+        """The committed switches forward by ``next_new`` from now on; the
+        cached spans are stale."""
+        id_of = self.arrays.id_of
+        self._moved.update(id_of[node] for node in nodes)
         self._spans_cache = None
-
-    def _add_class(self, cls: ArrayFlowClass) -> int:
-        cid = self._next_id
-        self._next_id += 1
-        self._classes[cid] = cls
-        self._alive.add(cid)
-        return cid
 
 
 def _needs_sweep(

@@ -28,6 +28,7 @@ byte-for-byte -- resume, however, preserves completed records verbatim.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence
@@ -36,6 +37,7 @@ from repro.analysis.timeseries import render_table
 from repro.core.instance import segmented_instance
 from repro.pipeline.context import WorkerContext
 from repro.pipeline.scenario import Scenario, register
+from repro.trace.recorder import recorder
 from repro.updates.registry import DEFAULT_SCHEMES, get_planner, planners_for
 
 
@@ -61,6 +63,29 @@ def _record_schemes(selected: Sequence[str]) -> List[str]:
     return list(dict.fromkeys((*SCHEMES, *selected)))
 
 
+#: The untimed warm-up plan's size: 200 trajectory hops, so it takes the
+#: array layout (and loads numpy) as the larger timed sizes do.
+_WARM_UP_SWITCHES = 100
+
+
+@functools.lru_cache(maxsize=None)
+def _warm_up(name: str) -> None:
+    """Plan one small instance with scheme ``name``, once per process, untimed.
+
+    The first plan in a process pays the module imports (a cold Chronus
+    plan of ``segmented_instance(100)`` takes ~0.2 s, the next ~1 ms); a
+    timing cell should read the scheme's work, not the process's start.
+    """
+    instance = segmented_instance(_WARM_UP_SWITCHES, seed=0, segments=1)
+    # Untraced too: a traced run's items then hold the same spans whichever
+    # process (and so whichever item) warmed up.
+    traced, recorder.enabled = recorder.enabled, False
+    try:
+        get_planner(name).plan(instance, time_budget=1.0)
+    finally:
+        recorder.enabled = traced
+
+
 def _time_one(item: _TimingItem) -> Dict[str, object]:
     """Worker: time the selected schedulers on one instance.
 
@@ -71,14 +96,19 @@ def _time_one(item: _TimingItem) -> Dict[str, object]:
     planner receives the cutoff as its ``time_budget``: exact searches
     take it as an anytime budget and their plan reports the solver's own
     elapsed/proven pair, heuristics ignore it and are wall-clocked.
+
+    Each timed scheme is warm (:func:`_warm_up`) and plans its own freshly
+    built copy of the instance: a shared one would carry the encoding the
+    first scheme cached on it (``instance_arrays``) to the next.
     """
-    instance = segmented_instance(
-        item.switch_count, seed=item.seed, segments=item.segments
-    )
     fields: Dict[str, object] = {}
     for name in _record_schemes(item.schemes):
         planner = get_planner(name)
         if name in item.schemes:
+            _warm_up(name)
+            instance = segmented_instance(
+                item.switch_count, seed=item.seed, segments=item.segments
+            )
             started = time.monotonic()
             plan = planner.plan(instance, time_budget=item.cutoff)
             wall = time.monotonic() - started

@@ -328,12 +328,12 @@ def per_round(records: Sequence[TraceRecord], profile: Profile) -> Optional[Dict
 
 
 def phase_shares(records: Sequence[TraceRecord], profile: Profile) -> Optional[Dict]:
-    """The ``split`` / ``deflect`` / ``check`` timers below ``greedy`` (probes and
-    applies alike) as shares of it; ``deflect``, inside ``split``, is array-only."""
+    """The ``split`` / ``deflect`` / ``check`` timers of greedy's probes as shares
+    of ``greedy``; ``deflect``, inside ``split``, is array-only."""
     spans = profile["spans"]
     root = spans.get("greedy", {}).get("seconds")
     leaves = [(path.rsplit(".", 1)[-1], cell) for path, cell in spans.items()
-              if path.startswith("greedy.")]
+              if path.startswith("greedy.") and ".tracker.probe." in path]
     timed = [phase for phase in ("split", "deflect", "check") if phase in dict(leaves)]
     if not root or "split" not in timed:
         return None

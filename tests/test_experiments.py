@@ -208,6 +208,42 @@ class TestFig10:
                 "fig10", {"switch_counts": (20,), "schemes": ("chronus", "magic")}
             )
 
+    def test_timed_schemes_are_warm_and_plan_their_own_instance(self, monkeypatch):
+        # What each cell times, not how long it takes: every scheme plans a
+        # small instance untimed once per process, then each timed plan
+        # gets a freshly built instance of its own.
+        calls = []
+
+        class Plan:
+            elapsed, proven = 0.0, True
+
+        class Planner:
+            def __init__(self, name):
+                self.name, self.exact = name, name == "opt"
+
+            def plan(self, instance, time_budget):
+                calls.append((self.name, instance))
+                return Plan()
+
+        monkeypatch.setattr(fig10, "get_planner", Planner)
+        fig10._warm_up.cache_clear()
+        try:
+            item = fig10._TimingItem(switch_count=120, seed=5, segments=1, cutoff=1.0)
+            fig10._time_one(item)
+            fig10._time_one(item)
+        finally:
+            fig10._warm_up.cache_clear()
+        schemes = list(item.schemes)
+        assert [name for name, _ in calls] == [
+            name for name in schemes for _ in range(2)
+        ] + schemes
+        warm = [instance for _, instance in calls[: 2 * len(schemes) : 2]]
+        timed = [instance for _, instance in calls[1 : 2 * len(schemes) : 2]]
+        timed += [instance for _, instance in calls[2 * len(schemes) :]]
+        assert all(len(instance.old_path) == fig10._WARM_UP_SWITCHES for instance in warm)
+        assert all(len(instance.old_path) == 120 for instance in timed)
+        assert len({id(instance) for instance in warm + timed}) == len(calls)
+
 
 class TestFig11:
     def test_chronus_near_optimal_update_time(self):

@@ -11,16 +11,16 @@ from repro.core.tracker import replay_schedule
 from repro.validate import verify_schedule
 
 
+def _tracker_class(layout):
+    if layout == "array":
+        pytest.importorskip("numpy")
+        from repro.core.intervals_array import ArrayIntervalTracker
+
+        return ArrayIntervalTracker
+    return IntervalTracker
+
+
 class TestFlowClass:
-    def test_departure_interval_shifts_by_offset(self):
-        cls = FlowClass(lo=2, hi=5, nodes=("a", "b", "c"), offsets=(0, 1, 3))
-        assert cls.departure_interval(0) == (2, 5)
-        assert cls.departure_interval(2) == (5, 8)
-
-    def test_open_intervals(self):
-        cls = FlowClass(lo=None, hi=None, nodes=("a", "b"), offsets=(0, 1))
-        assert cls.departure_interval(1) == (None, None)
-
     def test_is_empty(self):
         assert FlowClass(lo=3, hi=2, nodes=("a", "b"), offsets=(0, 1)).is_empty()
         assert not FlowClass(lo=2, hi=2, nodes=("a", "b"), offsets=(0, 1)).is_empty()
@@ -45,14 +45,22 @@ class TestTrackerBasics:
         assert tracker.load_at("v2", "v6", 0) == 0.0
 
     @pytest.mark.parametrize("layout", ["dict", "array"])
+    def test_link_departure_spans_shift_by_offset(self, tiny_instance, layout):
+        # A class emitted over [lo, hi] departs over a link at offset o
+        # during [lo + o, hi + o]; open bounds stay open.
+        tracker = _tracker_class(layout)(tiny_instance)
+        assert tracker.link_departure_spans("c", "d") == [(None, None)]
+        tracker.apply_round(["a"], 2)  # emissions from 2 on take a -> c (delay 3)
+        assert tracker.link_departure_spans("a", "b") == [(None, 1)]
+        assert tracker.link_departure_spans("b", "c") == [(None, 2)]
+        assert tracker.link_departure_spans("a", "c") == [(2, None)]
+        assert tracker.link_departure_spans("c", "d") == [(None, 3), (5, None)]
+
+    @pytest.mark.parametrize("layout", ["dict", "array"])
     def test_load_at_leaves_background_out(self, fig1_instance, layout):
         # ``load_at`` is this flow's own load; background only enters the
         # capacity checks.
-        if layout == "array":
-            pytest.importorskip("numpy")
-            from repro.core.intervals_array import ArrayIntervalTracker as layout_class
-        else:
-            layout_class = IntervalTracker
+        layout_class = _tracker_class(layout)
         background = {("v1", "v2"): [(None, None, 0.5)], ("v2", "v6"): [(0, 9, 0.25)]}
         plain = layout_class(fig1_instance)
         loaded = layout_class(fig1_instance, background=background)

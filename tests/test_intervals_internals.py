@@ -299,7 +299,7 @@ class TestNodeIndexConsistency:
             cls = tracker._classes[cid]
             for node in cls.nodes:
                 assert cid in tracker._node_index[node]
-            for _, link in cls.links():
+            for link in cls.link_positions():
                 assert cid in tracker._link_index[link]
 
 

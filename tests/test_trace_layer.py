@@ -20,12 +20,15 @@ The hard guarantees under test:
 """
 
 import asyncio
+import dataclasses
 import json
+import multiprocessing
 import re
 from datetime import datetime, timedelta
 
 import pytest
 
+import repro.pipeline.scenario as scenario_mod
 import repro.pipeline.store as store_mod
 from repro.experiments import fig6
 from repro.experiments.sweep import mixed_instance
@@ -245,10 +248,30 @@ def _traced_run(tmp_path, label, ctx):
     return stored, read_trace(trace_path)
 
 
-def test_serial_and_pool_traces_are_lockstep(tmp_path, two_cpus):
+def _workers_meet_on_first_items(monkeypatch, name: str, workers: int = 2) -> None:
+    """Hold each pool worker's first item of scenario ``name`` at a barrier
+    the workers inherit through ``fork`` until all ``workers`` hold one, so
+    no worker can take every item (however the scheduler runs them)."""
+    barrier = multiprocessing.get_context("fork").Barrier(workers, timeout=30)
+    scenario = scenario_mod.get_scenario(name)
+    held = []  # per process: each worker gets its own (empty) copy
+
+    def evaluate(item, params, ctx):
+        if not held:
+            held.append(item["key"])
+            barrier.wait()
+        return scenario.evaluate(item, params, ctx)
+
+    monkeypatch.setitem(
+        scenario_mod._REGISTRY, name, dataclasses.replace(scenario, evaluate=evaluate)
+    )
+
+
+def test_serial_and_pool_traces_are_lockstep(tmp_path, two_cpus, monkeypatch):
     serial_stored, serial_trace = _traced_run(
         tmp_path, "serial", RunContext(trace="jsonl")
     )
+    _workers_meet_on_first_items(monkeypatch, "fig9")
     pool_stored, pool_trace = _traced_run(tmp_path, "pool", pool_ctx(trace="jsonl"))
 
     assert [r.stable_view() for r in serial_trace] == [
