@@ -21,6 +21,24 @@ def _tracker_class(layout):
 
 
 class TestFlowClass:
+    # A class emitted over [lo, hi] departs over a link at offset o during
+    # [lo + o, hi + o]; open bounds stay open.  Both tracker layouts report
+    # these spans through ``link_departure_spans``.
+
+    def test_departure_interval_shifts_by_offset(self, tiny_instance):
+        for layout in ("dict", "array"):
+            tracker = _tracker_class(layout)(tiny_instance)
+            tracker.apply_round(["a"], 2)  # emissions from 2 on take a -> c (delay 3)
+            assert tracker.link_departure_spans("a", "b") == [(None, 1)], layout
+            assert tracker.link_departure_spans("b", "c") == [(None, 2)], layout
+            assert tracker.link_departure_spans("a", "c") == [(2, None)], layout
+            assert tracker.link_departure_spans("c", "d") == [(None, 3), (5, None)], layout
+
+    def test_open_intervals(self, tiny_instance):
+        for layout in ("dict", "array"):
+            tracker = _tracker_class(layout)(tiny_instance)
+            assert tracker.link_departure_spans("c", "d") == [(None, None)], layout
+
     def test_is_empty(self):
         assert FlowClass(lo=3, hi=2, nodes=("a", "b"), offsets=(0, 1)).is_empty()
         assert not FlowClass(lo=2, hi=2, nodes=("a", "b"), offsets=(0, 1)).is_empty()
@@ -43,18 +61,6 @@ class TestTrackerBasics:
         tracker = IntervalTracker(fig1_instance)
         assert tracker.load_at("v1", "v2", -100) == 1.0
         assert tracker.load_at("v2", "v6", 0) == 0.0
-
-    @pytest.mark.parametrize("layout", ["dict", "array"])
-    def test_link_departure_spans_shift_by_offset(self, tiny_instance, layout):
-        # A class emitted over [lo, hi] departs over a link at offset o
-        # during [lo + o, hi + o]; open bounds stay open.
-        tracker = _tracker_class(layout)(tiny_instance)
-        assert tracker.link_departure_spans("c", "d") == [(None, None)]
-        tracker.apply_round(["a"], 2)  # emissions from 2 on take a -> c (delay 3)
-        assert tracker.link_departure_spans("a", "b") == [(None, 1)]
-        assert tracker.link_departure_spans("b", "c") == [(None, 2)]
-        assert tracker.link_departure_spans("a", "c") == [(2, None)]
-        assert tracker.link_departure_spans("c", "d") == [(None, 3), (5, None)]
 
     @pytest.mark.parametrize("layout", ["dict", "array"])
     def test_load_at_leaves_background_out(self, fig1_instance, layout):
