@@ -23,6 +23,7 @@ bench-full:      ## full-size perf harness (minutes)
 	$(PYTHON) scripts/bench.py
 
 bench-repo:      ## the repo benchmark (BENCHMARK.json): quick pass over all five workloads + its tests
+	$(PYTHON) -m compileall -q src
 	$(PYTHON) bench/run.py --quick
 	$(PYTHON) -m pytest bench/test_bench.py -q
 

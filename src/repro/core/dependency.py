@@ -183,6 +183,8 @@ def merge_relations(
         ``(chains, has_cycle)`` -- chains cover every pending switch
         (singletons for unconstrained ones) in a deterministic order.
     """
+    if not relations:
+        return [[node] for node in pending], False
     successors: Dict[Node, List[Node]] = {}
     indegree: Dict[Node, int] = {}
     members: Dict[Node, None] = {}
@@ -257,6 +259,27 @@ _DEFER = 2  # v_i must simply wait for in-flight old traffic to drain
 _Verdict = Tuple[int, Optional[Node], float]
 
 
+def _binders(instance: UpdateInstance, pending: Sequence[Node]) -> Set[Node]:
+    """The pending switches some step could give a verdict other than
+    "none": :meth:`DependencyState._compute`'s capacity test, on both rules
+    the examined switch ``v`` may apply."""
+    new_hop, old_hop = instance.new_config, instance.old_config
+    capacities = instance.network.capacity_map()
+    destination = instance.destination
+    double = 2 * instance.demand
+    binders: Set[Node] = set()
+    for v_i in pending:
+        v = new_hop.get(v_i)
+        if v is None or v == destination:
+            continue
+        for v_tilde in (old_hop.get(v), new_hop.get(v)):
+            capacity = capacities.get((v, v_tilde))
+            if capacity is not None and capacity + _EPS < double:
+                binders.add(v_i)
+                break
+    return binders
+
+
 class DependencyState:
     """Incremental Algorithm 3: persist the relation structure across steps.
 
@@ -299,6 +322,14 @@ class DependencyState:
     function (a property test pins this over hundreds of seeded instances).
     When nothing was committed and no verdict expired, the previous
     :class:`DependencySet` is returned outright.
+
+    A verdict other than "none" needs a link out of ``v`` below ``2d``
+    along ``v``'s old or new rule -- both fixed by the instance.  Which
+    pending switches have one (the *binders*) is decided once, at
+    construction, in O(pending); every other switch is skipped for good.
+    With no binder at all (every such link holds ``2d``, as on every
+    service pod) each step's answer is the singleton chains in pending
+    order, built without verdicts or a merge.
     """
 
     def __init__(self, instance: UpdateInstance, pending: Sequence[Node]) -> None:
@@ -319,9 +350,14 @@ class DependencyState:
         self._offsets = instance.old_path_offsets
         self._stair_pos: List[int] = []
         self._stair_key: List[int] = []
+        # Commits not yet lowered into the staircase, ``(position, key)`` in
+        # commit order: while no cached verdict watches a drain, lowering
+        # waits for the next :meth:`drain` reader (:meth:`_lowered`).
+        self._unlowered: List[Tuple[int, int]] = []
         self._cache: Optional[DependencySet] = None
         self._cache_valid_until = -_INF
         self._dirty = True
+        self._binders = _binders(instance, self._pending)
 
     # ------------------------------------------------------------------
     # queries
@@ -336,13 +372,21 @@ class DependencyState:
         :func:`dependency_relations` on the same pending/applied state)."""
         if self._cache is not None and not self._dirty and t <= self._cache_valid_until:
             return self._cache
+        self._dirty = False
+        if not self._binders:
+            self._cache = DependencySet(chains=[[node] for node in self._pending])
+            self._cache_valid_until = _INF
+            return self._cache
         pending_list = list(self._pending)
+        binders = self._binders
         verdicts = self._verdicts
         relations: List[Tuple[Node, Node]] = []
         deferred: Set[Node] = set()
         marked: Set[Node] = set()
         valid_until = _INF
         for v_i in pending_list:
+            if v_i not in binders:
+                continue
             entry = verdicts.get(v_i)
             if entry is None or t > entry[2]:
                 entry = self._compute(v_i, t)
@@ -361,7 +405,6 @@ class DependencyState:
         deps = DependencySet(chains=chains, deferred=deferred, has_cycle=has_cycle)
         self._cache = deps
         self._cache_valid_until = valid_until
-        self._dirty = False
         return deps
 
     def drain(self, node: Node) -> Optional[float]:
@@ -373,6 +416,8 @@ class DependencyState:
         position = self._old_index.get(node)
         if position is None:
             return None
+        if self._unlowered:
+            self._lowered()
         step = bisect_right(self._stair_pos, position) - 1
         if step < 0:
             return _INF
@@ -387,22 +432,22 @@ class DependencyState:
         Applies the invalidation rule documented on the class: dropped
         verdicts are recomputed lazily by the next :meth:`relations` call.
         """
-        verdicts = self._verdicts
-        old_index = self._old_index
-        lowered: List[Tuple[int, int]] = []
+        pending, applied, verdicts = self._pending, self._applied, self._verdicts
+        old_index, offsets = self._old_index, self._offsets
         for node in nodes:
-            self._pending.pop(node, None)
-            self._applied[node] = time
+            pending.pop(node, None)
+            applied[node] = time
             verdicts.pop(node, None)
             position = old_index.get(node)
             if position is not None:
-                stop = self._lower_staircase(position, time - self._offsets[node])
-                if stop is not None:
-                    lowered.append((position, stop))
+                self._unlowered.append((position, time - offsets[node]))
+        self._dirty = True
+        if not (self._watch_hop or self._watch_pred):
+            return  # no verdict is cached, so none can be dropped
         dropped = list(nodes)
         # Only watched switches can hold a verdict on a changed drain, and
         # there are at most len(pending) of them.
-        for start, stop in lowered:
+        for start, stop in self._lowered():
             dropped.extend(
                 watched
                 for watched in self._watch_hop
@@ -414,7 +459,17 @@ class DependencyState:
         for node in nodes:
             for watcher in self._watch_pred.pop(node, ()):
                 verdicts.pop(watcher, None)
-        self._dirty = True
+
+    def _lowered(self) -> List[Tuple[int, int]]:
+        """Lower the staircase by the commits not yet lowered, in commit
+        order; the ``[start, stop)`` position runs whose drains fell."""
+        lowered = []
+        for position, key in self._unlowered:
+            stop = self._lower_staircase(position, key)
+            if stop is not None:
+                lowered.append((position, stop))
+        self._unlowered.clear()
+        return lowered
 
     def _lower_staircase(self, position: int, key: int) -> Optional[int]:
         """Propagate ``applied[a] - off(a)`` into the prefix minima.

@@ -7,16 +7,20 @@ that would deflect in-flight traffic into a forwarding loop, and the
 time-extended flow state (:mod:`repro.core.intervals`) supplies the
 congestion-freedom ground truth.  Two decision modes are provided:
 
-* ``"exact"`` (default): every candidate round is previewed against the
-  interval tracker, so the resulting schedule provably satisfies
-  Definitions 2 and 3 (this realises Theorem 3's guarantee).
+* ``"exact"`` (default): every round is adopted from probes the interval
+  tracker proved clean, and a clean probe on a clean state leaves it
+  clean, so a schedule from a clean initial state provably satisfies
+  Definitions 2 and 3 (this realises Theorem 3's guarantee) and
+  ``feasible`` is read off that initial state; from a congested one the
+  final state is swept.
 * ``"paper"``: decisions use only Algorithm 3's chains and Algorithm 4's
   backward walk, exactly as printed in the paper; the final schedule is
   still validated and the result reports any violation.
 
 Exact mode runs Algorithm 3 through a persistent
 :class:`repro.core.dependency.DependencyState` that only recomputes
-verdicts invalidated by last round's commits, and probes candidate heads
+verdicts invalidated by last round's commits (and none for a switch no
+link below ``2d`` can bind), and probes candidate heads
 one at a time with ``probe_and_commit`` on a copy-on-write scratch clone
 that is adopted wholesale when the round is non-empty.  Sequential
 single-head probes split and sweep each accepted head's fresh suffix
@@ -120,6 +124,9 @@ def greedy_schedule(
         pending: Dict[Node, None] = dict.fromkeys(instance.switches_to_update)
         with recorder.timer("tracker.build"):
             tracker = make_tracker(instance, t0=t0, background=background)
+        # Exact mode never commits to this object (rounds are adopted from
+        # scratch clones), so at the end it still holds the initial state.
+        initial = tracker
         state = DependencyState(instance, pending)
         times: Dict[Node, int] = {}
         violations: List[RoundReport] = []
@@ -186,7 +193,12 @@ def greedy_schedule(
                     times[node] = when
 
         with recorder.timer("final_check"):
-            feasible = stalled_at is None and not violations and tracker.ok
+            # Without a stall every exact round was adopted from clean
+            # probes, and a clean probe on a clean state leaves it clean:
+            # a clean initial state answers for the final one.
+            feasible = stalled_at is None and not violations and (
+                (mode == EXACT and initial.ok) or tracker.ok
+            )
         schedule = UpdateSchedule(times=times, start_time=t0, feasible=feasible)
         return GreedyResult(
             schedule=schedule,

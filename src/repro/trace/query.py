@@ -465,7 +465,7 @@ def _item_table(view: Dict, counters: Mapping[str, int]) -> List[str]:
         lines.append(
             f"reuse: incumbent {counters.get('sweep.incumbent.reused', 0)}/{items} items, schedules "
             f"judged {counters['sweep.judged.fresh']} by a fresh replay + "
-            f"{counters.get('sweep.judged.greedy', 0)} by the greedy's final check + "
+            f"{counters.get('sweep.judged.greedy', 0)} by a feasible greedy + "
             f"{counters.get('sweep.judged.reused', 0)} reused")
     return lines
 

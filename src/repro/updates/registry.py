@@ -318,9 +318,11 @@ class SharedEvaluation:
     plans are judged by their own formulas and never take a tracker
     answer.  The schedule key keeps the insertion order of ``times`` --
     exactly what the replay and the verifier read.  A feasible greedy's
-    schedule is measured by the greedy itself: its final check found no
-    loop, black hole or congestion span in the flow state its rounds built,
-    which is what ``Planner.measure`` would replay them into.
+    schedule is measured by the greedy itself: it adopted every round from
+    probes proven clean on a clean state (or swept its final state, from a
+    congested start), so the flow state its rounds built -- what
+    ``Planner.measure`` would replay them into -- has no loop, black hole
+    or congestion span.
     """
 
     __slots__ = ("instance", "_greedy", "_metrics", "_checked", "_agrees")
@@ -329,7 +331,7 @@ class SharedEvaluation:
         self.instance = instance
         self._greedy: Dict[int, GreedyResult] = {}
         self._metrics: Dict[tuple, object] = {}
-        # Metrics keys the greedy's final check answered, not yet asked for.
+        # Metrics keys a feasible greedy answered, not yet asked for.
         self._checked: set = set()
         self._agrees: Dict[tuple, bool] = {}
 

@@ -8,6 +8,10 @@ identical pending/applied state.  These tests drive both implementations
 in lockstep over hundreds of seeded instances and three commit policies
 (greedy-like "commit all heads", randomised subsets, and idle steps where
 time passes with no commit -- the case that exercises verdict expiry).
+Capacity-2.0 draws, where no switch can bind and every step takes the
+singleton fast path, and mixed-capacity draws, where only some switches can,
+join the capacity-1.0 ones; ``drain()`` is held to :func:`drain_table` at
+every step too.
 """
 
 import random
@@ -38,7 +42,8 @@ def _assert_same(fresh, inc, context):
 
 
 def _drive(instance, rng, policy):
-    """Run one commit trajectory, checking equivalence at every step."""
+    """Run one commit trajectory, checking equivalence (and every drain,
+    read after the step's relations) at every step."""
     pending = [node for node in instance.switches_to_update]
     applied = {}
     state = DependencyState(instance, pending)
@@ -48,6 +53,8 @@ def _drive(instance, rng, policy):
         inc = state.relations(t)
         _assert_same(fresh, inc, f"t={t} applied={applied}")
         assert state.pending == pending, f"t={t}"
+        for node, value in drain_table(instance, applied).items():
+            assert state.drain(node) == value, f"t={t} node={node}"
 
         heads = fresh.heads
         if policy == "heads":
@@ -91,6 +98,74 @@ def test_reversal_instances_match(count, policy):
     rng = random.Random(30_000 + count)
     instance = reversal_instance(count)
     _drive(instance, rng, policy)
+
+
+def _mixed_capacities(instance, seed):
+    """``instance`` with each link's capacity drawn from 1.0 and 2.0: only
+    the switches that examine a 1.0 link can bind."""
+    rng = random.Random(seed)
+    return rebuilt(
+        instance, {link.endpoints: rng.choice((1.0, 2.0)) for link in instance.network.links}
+    )
+
+
+POLICIES = ("heads", "random", "idle")
+
+
+class TestNoBinderFastPath:
+    """Every link holds ``2d``: each step is the singleton chains in pending
+    order, built without a verdict."""
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_instances_match(self, seed, policy):
+        instance = random_instance(4 + seed % 13, seed=600 + seed, capacity=2.0, max_delay=3)
+        assert not DependencyState(instance, instance.switches_to_update)._binders
+        _drive(instance, random.Random(50_000 + seed), policy)
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    @pytest.mark.parametrize("seed", range(10))
+    def test_segmented_instances_match(self, seed, policy):
+        instance = segmented_instance(
+            20 + seed % 21, seed=1900 + seed, segments=2 + seed % 3,
+            max_segment_length=8, capacity=2.0,
+        )
+        assert not DependencyState(instance, instance.switches_to_update)._binders
+        _drive(instance, random.Random(60_000 + seed), policy)
+
+
+class TestSomeBinders:
+    """Links draw 1.0 or 2.0: binders and skipped switches in one pending
+    order, drains lowered only when a verdict reads one."""
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    @pytest.mark.parametrize("seed", range(30))
+    def test_random_instances_match(self, seed, policy):
+        instance = _mixed_capacities(
+            random_instance(4 + seed % 13, seed=700 + seed, max_delay=3), seed
+        )
+        _drive(instance, random.Random(70_000 + seed), policy)
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    @pytest.mark.parametrize("seed", range(10))
+    def test_segmented_instances_match(self, seed, policy):
+        instance = _mixed_capacities(
+            segmented_instance(
+                20 + seed % 21, seed=2900 + seed, segments=2 + seed % 3, max_segment_length=8
+            ),
+            seed,
+        )
+        _drive(instance, random.Random(80_000 + seed), policy)
+
+    def test_draws_mix_binders_and_skipped_switches(self):
+        partial = 0
+        for seed in range(30):
+            instance = _mixed_capacities(
+                random_instance(4 + seed % 13, seed=700 + seed, max_delay=3), seed
+            )
+            binders = DependencyState(instance, instance.switches_to_update)._binders
+            partial += 0 < len(binders) < len(instance.switches_to_update)
+        assert partial >= 10
 
 
 class TestDrainTableIncremental:

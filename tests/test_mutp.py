@@ -8,11 +8,13 @@ every round previews clean -- can only be longer.  The seeds below are
 """
 
 import itertools
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from repro.core.greedy import greedy_schedule
 from repro.core.mutp import ILPScheduleRejected, MUTPModel, build_mutp_model, solve_mutp
 from repro.core.optimal import exhaustive_schedule, optimal_schedule
 from repro.core.instance import random_instance
@@ -171,6 +173,36 @@ class TestThirdOpinion:
         if schedule.makespan ** switches <= self.BRUTE_FORCE_ASSIGNMENTS:
             brute = exhaustive_schedule(instance, max_makespan=schedule.makespan)
             assert brute.makespan == schedule.makespan
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        count=st.integers(4, 7),
+        seed=st.integers(0, 2**20),
+        below=st.sampled_from([0, 1]),
+    )
+    def test_presolve_off_gives_the_same_verdict(self, count, seed, below):
+        """``solve_ilp`` with HiGHS' presolve on (as shipped) and off (every
+        ``milp`` call wrapped) agrees on status and objective, at the greedy
+        makespan and one step below it."""
+        import scipy.optimize
+
+        instance = random_instance(count, seed=seed, max_delay=3)
+        greedy = greedy_schedule(instance)
+        assume(instance.switches_to_update and greedy.feasible)
+        horizon = greedy.makespan - below
+        _, shipped = solve_mutp(instance, horizon=horizon)
+        milp = scipy.optimize.milp
+
+        def presolve_off(*args, options=None, **kwargs):
+            return milp(*args, options=dict(options or {}, presolve=False), **kwargs)
+
+        with mock.patch.object(scipy.optimize, "milp", presolve_off):
+            _, off = solve_mutp(instance, horizon=horizon)
+        assert off.status == shipped.status
+        if shipped.objective is None:
+            assert off.objective is None
+        else:
+            assert off.objective == pytest.approx(shipped.objective)
 
     @pytest.mark.parametrize("seed", LOWER_BOUND_SEEDS)
     def test_solver_proves_one_step_below_opt_infeasible(self, seed):

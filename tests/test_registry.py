@@ -337,7 +337,7 @@ class TestSharingIsInvisible:
         # from Chronus', OPT returns the incumbent.  Whatever is shared, each
         # distinct schedule goes through the independent verifier once -- and
         # TP through its own pair.  The tracker replays each one once, except
-        # Chronus' feasible schedule, which the greedy's final check measured.
+        # Chronus' feasible schedule, which the greedy itself measured.
         seed = sweep_seed(0, 8, 17)
         instance = mixed_instance(8, seed)
         measured, verified = [], []

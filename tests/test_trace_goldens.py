@@ -100,6 +100,15 @@ replay's ``tracker.apply`` calls below the measure timer are gone, and the
 replay's tracker work counters fall with the rounds it no longer checks;
 ``sweep.judged.greedy`` is new (``JUDGED_COUNTERS``).
 
+A fifth cause moved two counters alone (``CLEAN_RUNS``: every run with an
+unstalled exact greedy -- ``fig6``'s one greedy stalls, ``fig9`` plans none;
+DESIGN.md 7.4): a greedy whose rounds were all adopted from clean probes
+takes ``feasible`` from its clean initial state instead of re-sweeping its
+final one.  The final sweep's
+lookups are gone, so ``tracker.entry_memo.hit`` falls; the initial state's
+check looks its links up on the initial tracker's empty memo, so
+``tracker.entry_memo.miss`` moves either way (``CLEAN_COUNTERS``).
+
 New keys, written at the refusal revision and pinned from then on
 (``REFUSAL_COUNTERS``): ``tracker.probe.refused.split`` / ``.congestion``,
 ``greedy.fallback.skipped``, ``search.include.kept`` / ``.pruned``,
@@ -307,6 +316,11 @@ JUDGED_LOWERED = MOVED_COUNTERS | {"sweep.judged.fresh"}
 JUDGED_CALLS = "analysis.metrics.measure"  # the timer and every path below it
 JUDGED_COUNTERS = {"sweep.judged.greedy"}
 
+#: The runs whose greedy plans skip the final re-sweep (module docstring):
+#: hits may only fall, misses move either way.
+CLEAN_RUNS = {"faults", "faults-giveup", "fig7", "service", "service-burst"}
+CLEAN_COUNTERS = {"tracker.entry_memo.hit", "tracker.entry_memo.miss"}
+
 #: The runs whose OPT searches the loop-freedom bound cuts short.
 BOUND_RUNS = {"fig7"}
 BOUND_LOWERED = SHARING_LOWERED | {
@@ -334,7 +348,7 @@ def _bound_explains_record(frozen, now):
 
 
 def _explained(name, kind, path, frozen, now):
-    """Does one of the four causes explain ``kind:path`` going ``frozen -> now``?
+    """Does one of the five causes explain ``kind:path`` going ``frozen -> now``?
 
     ``None`` stands for "no such key"; ``path`` is free of wrapper prefixes.
     """
@@ -355,6 +369,8 @@ def _explained(name, kind, path, frozen, now):
             return True
         if judged and path in JUDGED_LOWERED and now is not None and now < frozen:
             return True
+        if name in CLEAN_RUNS and path in CLEAN_COUNTERS and now is not None:
+            return path.endswith(".miss") or now < frozen
         lowered = SHARING_LOWERED if sharing else MOVED_COUNTERS
         return now is not None and now < frozen and path in lowered
     if frozen is None:
@@ -422,7 +438,7 @@ def test_fixture_covers_every_run_and_its_evidence():
 
 
 def test_only_refusal_work_moved():
-    """The re-pinned entries are the ones the four listed causes explain."""
+    """The re-pinned entries are the ones the five listed causes explain."""
     goldens = json.loads(GOLDENS_PATH.read_text())
     moved = goldens["moved"]["keys"]
     assert set(moved) == set(RUNS) - {"fig9"}
