@@ -259,15 +259,15 @@ _DEFER = 2  # v_i must simply wait for in-flight old traffic to drain
 _Verdict = Tuple[int, Optional[Node], float]
 
 
-def _binders(instance: UpdateInstance, pending: Sequence[Node]) -> Set[Node]:
+def _binders(instance: UpdateInstance, pending: Sequence[Node]) -> Dict[Node, None]:
     """The pending switches some step could give a verdict other than
-    "none": :meth:`DependencyState._compute`'s capacity test, on both rules
-    the examined switch ``v`` may apply."""
+    "none", in pending order: :meth:`DependencyState._compute`'s capacity
+    test, on both rules the examined switch ``v`` may apply."""
     new_hop, old_hop = instance.new_config, instance.old_config
     capacities = instance.network.capacity_map()
     destination = instance.destination
     double = 2 * instance.demand
-    binders: Set[Node] = set()
+    binders: Dict[Node, None] = {}
     for v_i in pending:
         v = new_hop.get(v_i)
         if v is None or v == destination:
@@ -275,7 +275,7 @@ def _binders(instance: UpdateInstance, pending: Sequence[Node]) -> Set[Node]:
         for v_tilde in (old_hop.get(v), new_hop.get(v)):
             capacity = capacities.get((v, v_tilde))
             if capacity is not None and capacity + _EPS < double:
-                binders.add(v_i)
+                binders[v_i] = None
                 break
     return binders
 
@@ -326,10 +326,11 @@ class DependencyState:
     A verdict other than "none" needs a link out of ``v`` below ``2d``
     along ``v``'s old or new rule -- both fixed by the instance.  Which
     pending switches have one (the *binders*) is decided once, at
-    construction, in O(pending); every other switch is skipped for good.
-    With no binder at all (every such link holds ``2d``, as on every
-    service pod) each step's answer is the singleton chains in pending
-    order, built without verdicts or a merge.
+    construction, in O(pending); a step walks the pending binders alone, in
+    pending order, and every other switch is skipped for good.  With no
+    binder at all (every such link holds ``2d``, as on every service pod)
+    a step computes no verdict and hands the merge no relation, so its
+    answer is the singleton chains in pending order.
     """
 
     def __init__(self, instance: UpdateInstance, pending: Sequence[Node]) -> None:
@@ -350,10 +351,6 @@ class DependencyState:
         self._offsets = instance.old_path_offsets
         self._stair_pos: List[int] = []
         self._stair_key: List[int] = []
-        # Commits not yet lowered into the staircase, ``(position, key)`` in
-        # commit order: while no cached verdict watches a drain, lowering
-        # waits for the next :meth:`drain` reader (:meth:`_lowered`).
-        self._unlowered: List[Tuple[int, int]] = []
         self._cache: Optional[DependencySet] = None
         self._cache_valid_until = -_INF
         self._dirty = True
@@ -372,21 +369,13 @@ class DependencyState:
         :func:`dependency_relations` on the same pending/applied state)."""
         if self._cache is not None and not self._dirty and t <= self._cache_valid_until:
             return self._cache
-        self._dirty = False
-        if not self._binders:
-            self._cache = DependencySet(chains=[[node] for node in self._pending])
-            self._cache_valid_until = _INF
-            return self._cache
         pending_list = list(self._pending)
-        binders = self._binders
         verdicts = self._verdicts
         relations: List[Tuple[Node, Node]] = []
         deferred: Set[Node] = set()
         marked: Set[Node] = set()
         valid_until = _INF
-        for v_i in pending_list:
-            if v_i not in binders:
-                continue
+        for v_i in self._binders:
             entry = verdicts.get(v_i)
             if entry is None or t > entry[2]:
                 entry = self._compute(v_i, t)
@@ -405,6 +394,7 @@ class DependencyState:
         deps = DependencySet(chains=chains, deferred=deferred, has_cycle=has_cycle)
         self._cache = deps
         self._cache_valid_until = valid_until
+        self._dirty = False
         return deps
 
     def drain(self, node: Node) -> Optional[float]:
@@ -416,8 +406,6 @@ class DependencyState:
         position = self._old_index.get(node)
         if position is None:
             return None
-        if self._unlowered:
-            self._lowered()
         step = bisect_right(self._stair_pos, position) - 1
         if step < 0:
             return _INF
@@ -432,22 +420,26 @@ class DependencyState:
         Applies the invalidation rule documented on the class: dropped
         verdicts are recomputed lazily by the next :meth:`relations` call.
         """
-        pending, applied, verdicts = self._pending, self._applied, self._verdicts
-        old_index, offsets = self._old_index, self._offsets
+        verdicts = self._verdicts
+        old_index = self._old_index
+        lowered: List[Tuple[int, int]] = []
         for node in nodes:
-            pending.pop(node, None)
-            applied[node] = time
+            self._pending.pop(node, None)
+            self._binders.pop(node, None)
+            self._applied[node] = time
             verdicts.pop(node, None)
             position = old_index.get(node)
             if position is not None:
-                self._unlowered.append((position, time - offsets[node]))
+                stop = self._lower_staircase(position, time - self._offsets[node])
+                if stop is not None:
+                    lowered.append((position, stop))
         self._dirty = True
         if not (self._watch_hop or self._watch_pred):
             return  # no verdict is cached, so none can be dropped
         dropped = list(nodes)
         # Only watched switches can hold a verdict on a changed drain, and
         # there are at most len(pending) of them.
-        for start, stop in self._lowered():
+        for start, stop in lowered:
             dropped.extend(
                 watched
                 for watched in self._watch_hop
@@ -459,17 +451,6 @@ class DependencyState:
         for node in nodes:
             for watcher in self._watch_pred.pop(node, ()):
                 verdicts.pop(watcher, None)
-
-    def _lowered(self) -> List[Tuple[int, int]]:
-        """Lower the staircase by the commits not yet lowered, in commit
-        order; the ``[start, stop)`` position runs whose drains fell."""
-        lowered = []
-        for position, key in self._unlowered:
-            stop = self._lower_staircase(position, key)
-            if stop is not None:
-                lowered.append((position, stop))
-        self._unlowered.clear()
-        return lowered
 
     def _lower_staircase(self, position: int, key: int) -> Optional[int]:
         """Propagate ``applied[a] - off(a)`` into the prefix minima.

@@ -8,9 +8,9 @@ identical pending/applied state.  These tests drive both implementations
 in lockstep over hundreds of seeded instances and three commit policies
 (greedy-like "commit all heads", randomised subsets, and idle steps where
 time passes with no commit -- the case that exercises verdict expiry).
-Capacity-2.0 draws, where no switch can bind and every step takes the
-singleton fast path, and mixed-capacity draws, where only some switches can,
-join the capacity-1.0 ones; ``drain()`` is held to :func:`drain_table` at
+Capacity-2.0 draws, where no switch can bind and no step computes a
+verdict, and mixed-capacity draws, where only some switches can, join the
+capacity-1.0 ones; ``drain()`` is held to :func:`drain_table` at
 every step too.
 """
 
@@ -114,7 +114,7 @@ POLICIES = ("heads", "random", "idle")
 
 class TestNoBinderFastPath:
     """Every link holds ``2d``: each step is the singleton chains in pending
-    order, built without a verdict."""
+    order, built without a verdict or a relation to merge."""
 
     @pytest.mark.parametrize("policy", POLICIES)
     @pytest.mark.parametrize("seed", range(20))
@@ -136,7 +136,7 @@ class TestNoBinderFastPath:
 
 class TestSomeBinders:
     """Links draw 1.0 or 2.0: binders and skipped switches in one pending
-    order, drains lowered only when a verdict reads one."""
+    order, drains lowered at every commit."""
 
     @pytest.mark.parametrize("policy", POLICIES)
     @pytest.mark.parametrize("seed", range(30))

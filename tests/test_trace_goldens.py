@@ -107,7 +107,8 @@ takes ``feasible`` from its clean initial state instead of re-sweeping its
 final one.  The final sweep's
 lookups are gone, so ``tracker.entry_memo.hit`` falls; the initial state's
 check looks its links up on the initial tracker's empty memo, so
-``tracker.entry_memo.miss`` moves either way (``CLEAN_COUNTERS``).
+``tracker.entry_memo.miss`` may rise, but only in a scope whose lookups
+(hits plus misses) fell below their frozen total (``CLEAN_COUNTERS``).
 
 New keys, written at the refusal revision and pinned from then on
 (``REFUSAL_COUNTERS``): ``tracker.probe.refused.split`` / ``.congestion``,
@@ -317,9 +318,14 @@ JUDGED_CALLS = "analysis.metrics.measure"  # the timer and every path below it
 JUDGED_COUNTERS = {"sweep.judged.greedy"}
 
 #: The runs whose greedy plans skip the final re-sweep (module docstring):
-#: hits may only fall, misses move either way.
+#: hits may only fall, misses may rise only while hits plus misses fall.
 CLEAN_RUNS = {"faults", "faults-giveup", "fig7", "service", "service-burst"}
 CLEAN_COUNTERS = {"tracker.entry_memo.hit", "tracker.entry_memo.miss"}
+
+
+def memo_lookups(counters):
+    """A scope's entry-memo lookups: hits plus misses."""
+    return sum(counters.get(path) or 0 for path in CLEAN_COUNTERS)
 
 #: The runs whose OPT searches the loop-freedom bound cuts short.
 BOUND_RUNS = {"fig7"}
@@ -347,10 +353,11 @@ def _bound_explains_record(frozen, now):
     )
 
 
-def _explained(name, kind, path, frozen, now):
+def _explained(name, kind, path, frozen, now, lookups=(0, 0)):
     """Does one of the five causes explain ``kind:path`` going ``frozen -> now``?
 
     ``None`` stands for "no such key"; ``path`` is free of wrapper prefixes.
+    ``lookups`` is the scope's :func:`memo_lookups`, ``(frozen, now)``.
     """
     sharing = name in SHARING_RUNS
     bound = name in BOUND_RUNS
@@ -370,7 +377,7 @@ def _explained(name, kind, path, frozen, now):
         if judged and path in JUDGED_LOWERED and now is not None and now < frozen:
             return True
         if name in CLEAN_RUNS and path in CLEAN_COUNTERS and now is not None:
-            return path.endswith(".miss") or now < frozen
+            return now < frozen or (path.endswith(".miss") and lookups[1] < lookups[0])
         lowered = SHARING_LOWERED if sharing else MOVED_COUNTERS
         return now is not None and now < frozen and path in lowered
     if frozen is None:
@@ -446,6 +453,11 @@ def test_only_refusal_work_moved():
         run = goldens["runs"][name]
         for scope, keys in scopes.items():
             pinned = run["registry"] if scope == "registry" else run["items"][scope]
+            first = {
+                path: keys.get("counters:" + path, [pinned["counters"].get(path)])[0]
+                for path in CLEAN_COUNTERS
+            }
+            lookups = (memo_lookups(first), memo_lookups(pinned["counters"]))
             for key, (frozen, now) in keys.items():
                 kind, _, path = key.partition(":")
                 if kind == "records":
@@ -454,7 +466,7 @@ def test_only_refusal_work_moved():
                     assert now == pinned[kind].get(path), (name, scope, key)
                 if kind == "calls":
                     path = _unwrapped(path, run["scenario"])
-                assert _explained(name, kind, path, frozen, now), (name, scope, key)
+                assert _explained(name, kind, path, frozen, now, lookups), (name, scope, key)
     # The sharing is in the fixture: no item of fig7 seeds OPT on its own,
     # and none replays the feasible schedule Chronus and OPT share.
     for item in goldens["runs"]["fig7"]["items"].values():
@@ -617,13 +629,19 @@ def _repin(goldens):
                 if not _explained(name, "calls", plain, None, calls[plain]):
                     raise SystemExit(f"{name}/{scope}: new timer path {plain}")
                 changes["calls:" + plain] = [None, calls[plain]]
+            def first_of(path):
+                history = moved.get(name, {}).get(scope, {}).get("counters:" + path)
+                return history[0] if history else pinned["counters"].get(path)
+
+            lookups = (
+                memo_lookups({path: first_of(path) for path in CLEAN_COUNTERS}),
+                memo_lookups(counters),
+            )
             for path in sorted(set(counters) | set(pinned["counters"])):
                 frozen, now = pinned["counters"].get(path), counters.get(path)
                 if frozen == now:
                     continue
-                history = moved.get(name, {}).get(scope, {}).get("counters:" + path)
-                first = history[0] if history else frozen
-                if not _explained(name, "counters", path, first, now):
+                if not _explained(name, "counters", path, first_of(path), now, lookups):
                     raise SystemExit(f"{name}/{scope}: counter {path} moved")
                 changes["counters:" + path] = [frozen, now]
             frozen = None if scope == "registry" else _pinned_record(pinned, BOUND_RECORD)
