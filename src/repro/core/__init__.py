@@ -18,7 +18,7 @@ Layout (one module per concept):
 * :mod:`repro.core.multiflow` -- multi-flow composition (program (3)'s F).
 
 Every name below loads its module on first use (:mod:`repro.lazy`), so
-``ArrayIntervalTracker`` -- and numpy with it -- loads only when read.
+``ArrayIntervalTracker`` loads only when read.
 """
 
 from repro.lazy import lazy_exports

@@ -8,11 +8,11 @@ and trajectories are O(n) while classes are few (a greedy run at n=4000
 creates ~80 classes over ~4000-hop paths).  This module stores the same
 state column-wise:
 
-* **Per instance** (computed once with numpy, shared by every tracker and
-  clone): switch ids, sorted int64 link keys (``src_id * n + dst_id``)
-  with parallel delay/capacity columns, the old/new next-hop tables
-  as flat int lists, the old path as id / link / offset columns, and the
-  chain skeleton below.
+* **Per instance** (computed once, shared by every tracker and clone):
+  the switch ids and old/new next-hop tables of
+  :func:`repro.core.rounds.union_graph_ids`, sorted link keys
+  (``src_id * n + dst_id``) with parallel delay/capacity columns, the old
+  path as id / link / offset columns, and the chain skeleton below.
 * **Per class** (:class:`ArrayFlowClass`): scalar emission bounds, the
   trajectory as a short list of *runs* (an old-path slice or a single
   switch, each with its base position and base offset) and the positions,
@@ -72,10 +72,8 @@ report is a witness (a prefix of the ``preview_round`` report, which *is*
 byte-equal): the dict tracker's congestion witness ends with a link, this
 one's with a chain.
 
-numpy builds the per-instance encoding and :meth:`ArrayFlowClass.view`;
-no probe, commit or congestion check calls it.  It is a hard dependency
-(``pyproject.toml``); importing this module without it fails with a plain
-``ImportError``.
+Everything here is plain Python over ``array`` columns, lists, bytes and
+dicts: one representation per column, and no third-party import.
 """
 
 from __future__ import annotations
@@ -84,9 +82,7 @@ import itertools
 from array import array
 from bisect import bisect_left, bisect_right
 from operator import le
-from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
-
-import numpy as np
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.instance import UpdateInstance
 from repro.core.intervals import (
@@ -105,6 +101,7 @@ from repro.core.intervals import (
     _overloads,
     _partition,
 )
+from repro.core.rounds import union_graph_ids
 from repro.network.graph import Node
 from repro.trace.recorder import recorder
 
@@ -116,7 +113,9 @@ class InstanceArrays:
 
     Built once per instance (cached on the instance object, like its
     ``cached_property`` fields) and shared by every tracker and clone.
-    Also owns the routing scratch buffer: a byte mask over the switch ids,
+    Switch ids and next-hop tables are the instance's
+    :class:`~repro.core.rounds.UnionGraphIds`, shared, not copied.  Also
+    owns the routing scratch buffer: a byte mask over the switch ids,
     zeroed again after every use, so probing rounds allocates nothing
     proportional to the network.
     """
@@ -126,10 +125,7 @@ class InstanceArrays:
         "id_of",
         "n_nodes",
         "link_key",
-        "link_keys",
-        "capacity",
         "link_capacity",
-        "delay",
         "link_delay",
         "link_name",
         "demand",
@@ -137,9 +133,6 @@ class InstanceArrays:
         "next_old",
         "next_new",
         "max_hops",
-        "old_path_ids",
-        "old_path_lids",
-        "old_path_offsets",
         "path_ids",
         "path_lids",
         "path_offsets",
@@ -154,65 +147,45 @@ class InstanceArrays:
     )
 
     def __init__(self, instance: UpdateInstance) -> None:
-        network = instance.network
-        names = network.switches
-        self.names: List[Node] = names
-        n = len(names)
-        self.id_of: Dict[Node, int] = dict(zip(names, range(n)))
-        self.n_nodes = n
+        graph = union_graph_ids(instance)
+        self.names: List[Node] = graph.names
+        self.id_of: Dict[Node, int] = graph.id_of
+        self.next_old = graph.next_old
+        self.next_new = graph.next_new
+        n = self.n_nodes = graph.n
         id_of = self.id_of
 
-        # The network's two maps share one key order, the links' insertion order.
+        # Link ids ascend with ``src_id * n + dst_id``.  The columns the
+        # routing loop and the congestion check index one scalar at a time
+        # (or bisect) are compact arrays, which index like lists (to Python
+        # numbers) at an eighth of a list's footprint.  The network's two
+        # maps share one key order, the links' insertion order.
+        network = instance.network
         delays = network.delay_map()
-        pairs = list(delays)
-        ends = _ids(id_of, itertools.chain.from_iterable(pairs), 2 * len(pairs))
-        keys = ends[0::2] * n + ends[1::2]
-        order = np.argsort(keys, kind="stable")
-        # ``link_key`` / ``link_delay`` / ``link_capacity`` / ``path_ids`` /
-        # ``path_lids`` / ``path_offsets`` are what the routing loop and the
-        # congestion check index one scalar at a time (or bisect): compact
-        # arrays, which index like lists (to Python numbers) at an eighth of
-        # a list's footprint.  ``link_keys`` / ``delay`` / ``capacity`` /
-        # ``old_path_*`` are numpy views of the same buffers for the
-        # vectorised readers.
-        self.link_key, self.link_keys = _twin("q", keys[order])
-        self.link_capacity, self.capacity = _twin(
-            "d",
-            np.fromiter(
-                network.capacity_map().values(), dtype=np.float64, count=len(pairs)
-            )[order],
-        )
-        self.link_delay, self.delay = _twin(
-            "q", np.fromiter(delays.values(), dtype=np.int64, count=len(pairs))[order]
-        )
-        self.link_name: List[LinkKey] = [pairs[i] for i in order.tolist()]
+        keys = [id_of[src] * n + id_of[dst] for src, dst in delays]
+        ranked = sorted(zip(keys, delays, delays.values(), network.capacity_map().values()))
+        keys, self.link_name, link_delay, capacity = zip(*ranked)
+        self.link_key = array("q", keys)
+        self.link_delay = array("q", link_delay)
+        self.link_capacity = array("d", capacity)
+        lid_of_key = dict(zip(keys, range(len(keys))))
+        self.old_rule_lid = _rule_lids(self.next_old, lid_of_key, n)
+        self.new_rule_lid = _rule_lids(self.next_new, lid_of_key, n)
 
         self.demand = float(instance.demand)
         self.dest = id_of[instance.destination]
-        old_path, new_path = instance.old_path, instance.new_path
-        old_ids = _ids(id_of, old_path, len(old_path))
-        next_old = _next_hops(id_of, instance.old_config, old_path, old_ids, n)
-        next_new = _next_hops(
-            id_of, instance.new_config, new_path, _ids(id_of, new_path, len(new_path)), n
-        )
-        self.next_old = next_old.tolist()
-        self.next_new = next_new.tolist()
         self.max_hops = n + 1
-        self.path_ids, self.old_path_ids = _twin("i", old_ids.astype(np.int32))
-        self.path_lids, self.old_path_lids = _twin(
-            "q", self.encode_links(self.old_path_ids)
-        )
-        self.path_offsets, self.old_path_offsets = _twin(
-            "q",
-            np.concatenate(
-                (np.zeros(1, dtype=np.int64), np.cumsum(self.delay[self.old_path_lids]))
-            ),
+        self.path_ids = array("i", map(id_of.__getitem__, instance.old_path))
+        # Every old-path hop is an old rule.
+        self.path_lids = array("q", map(self.old_rule_lid.__getitem__, self.path_ids[:-1]))
+        self.path_offsets = array(
+            "q", itertools.accumulate(map(link_delay.__getitem__, self.path_lids), initial=0)
         )
         self._suffix_mark = bytearray(n)
-        self._build_chains(next_old, next_new, id_of[instance.source])
+        self._build_chains(id_of[instance.source])
 
-    def _build_chains(self, next_old, next_new, source: int) -> None:
-        """The chain skeleton (module docstring, "Chains"), vectorised.
+    def _build_chains(self, source: int) -> None:
+        """The chain skeleton (module docstring, "Chains").
 
         Only old-path switches are taken as interiors, so every chain is a
         contiguous slice of the old path and a *run* -- the nodes from a
@@ -224,35 +197,34 @@ class InstanceArrays:
         trackers with background load add theirs to a copy.
         """
         n = self.n_nodes
-        path = self.old_path_ids
-        has_old = next_old >= 0
-        predecessors = np.bincount(next_old[has_old], minlength=n)
-        rerouted = (next_new >= 0) & (next_new != next_old)
-        predecessors += np.bincount(next_new[rerouted], minlength=n)
-        interior = np.zeros(n, dtype=bool)
-        interior[path] = True
-        interior &= has_old & (next_old == next_new) & (predecessors == 1)
-        interior[source] = False
-        interior[self.dest] = False
-        self.interior = interior.tobytes()
+        next_old, next_new = self.next_old, self.next_new
+        predecessors = [0] * n
+        for old, new in zip(next_old, next_new):
+            if old >= 0:
+                predecessors[old] += 1
+            if new >= 0 and new != old:
+                predecessors[new] += 1
+        path = self.path_ids
+        interior = bytearray(n)
+        for node in path:
+            old = next_old[node]
+            interior[node] = old >= 0 and old == next_new[node] and predecessors[node] == 1
+        interior[source] = interior[self.dest] = 0
+        self.interior = bytes(interior)
 
-        old_pos = np.full(n, -1, dtype=np.int64)
-        old_pos[path] = np.arange(path.size, dtype=np.int64)
         # Scalar-indexed in the routing loop, like ``path_ids``.
-        self.old_pos = array("q", old_pos.tobytes())
-        self.junctions = array(
-            "q", (~interior[path]).nonzero()[0].astype(np.int64).tobytes()
-        )
+        self.old_pos = array("q", [-1]) * n
+        for pos, node in enumerate(path):
+            self.old_pos[node] = pos
+        self.junctions = array("q", [pos for pos, node in enumerate(path) if not interior[node]])
 
-        lids = self.old_path_lids
-        decisive = np.ones(self.link_keys.size, dtype=bool)
-        same_capacity = self.capacity[lids[1:]] == self.capacity[lids[:-1]]
-        decisive[lids[1:][interior[path[1:-1]] & same_capacity]] = False
-        self.decisive = bytearray(decisive.tobytes())
+        lids, capacity = self.path_lids, self.link_capacity
+        decisive = bytearray(b"\x01") * len(self.link_key)
+        for pos in range(1, len(lids)):
+            if interior[path[pos]] and capacity[lids[pos]] == capacity[lids[pos - 1]]:
+                decisive[lids[pos]] = 0
+        self.decisive = decisive
         self.path_dec = self.decisive_path(decisive)
-
-        self.old_rule_lid = self._rule_lids(next_old)
-        self.new_rule_lid = self._rule_lids(next_new)
 
     def decisive_path(self, decisive) -> Tuple[List[int], List[int], List[int]]:
         """The old-path links flagged in ``decisive`` (a byte per link id).
@@ -262,43 +234,9 @@ class InstanceArrays:
         decisive entries (O(junctions) long, whatever the path), and the
         decisive tables of the initial class.
         """
-        at = np.frombuffer(decisive, dtype=np.bool_)[self.old_path_lids].nonzero()[0]
-        return (
-            at.tolist(),
-            self.old_path_lids[at].tolist(),
-            self.old_path_offsets[at].tolist(),
-        )
-
-    def _rule_lids(self, next_hop) -> array:
-        """Per switch, the link id its rule forwards over (-1 without a rule)."""
-        lids = np.full(self.n_nodes, -1, dtype=np.int64)
-        sources = np.flatnonzero(next_hop >= 0)
-        lids[sources] = self._link_ids(
-            sources * self.n_nodes + next_hop[sources],
-            "a forwarding rule crosses a non-existent link",
-        )
-        return array("q", lids.tobytes())
-
-    def _link_ids(self, keys, what: str) -> "np.ndarray":
-        """Link ids of the int64 ``keys``; ``KeyError(what)`` when one is absent."""
-        pos = np.searchsorted(self.link_keys, keys)
-        if keys.size:
-            clipped = np.minimum(pos, self.link_keys.size - 1)
-            if not bool(np.all(self.link_keys[clipped] == keys)):
-                raise KeyError(what)
-        return pos.astype(np.int64, copy=False)
-
-    def encode_links(self, node_ids) -> "np.ndarray":
-        """Link ids of the trajectory ``node_ids`` (vectorised lookup).
-
-        Raises:
-            KeyError: if any consecutive pair is not a network link (the
-                dict tracker would raise the same from its delay map).
-        """
-        ids = node_ids.astype(np.int64, copy=False)
-        return self._link_ids(
-            ids[:-1] * self.n_nodes + ids[1:], "trajectory crosses a non-existent link"
-        )
+        lids = self.path_lids
+        at = [pos for pos, lid in enumerate(lids) if decisive[lid]]
+        return at, [lids[pos] for pos in at], [self.path_offsets[pos] for pos in at]
 
     def lid_of(self, src: Node, dst: Node) -> Optional[int]:
         """Link id of ``src -> dst``, or ``None`` when absent."""
@@ -313,29 +251,15 @@ class InstanceArrays:
         return pos
 
 
-def _ids(id_of: Dict[Node, int], nodes, count: int) -> "np.ndarray":
-    """The int64 ids of the ``count`` switches ``nodes`` yields."""
-    return np.fromiter(map(id_of.__getitem__, nodes), dtype=np.int64, count=count)
-
-
-def _next_hops(id_of: Dict[Node, int], config, path, path_ids, n: int) -> "np.ndarray":
-    """Per switch id, the id its rule in ``config`` forwards to (-1 without one).
-
-    ``path`` (ids ``path_ids``) is the route traced through ``config``, so
-    its rules are its consecutive ids; only rules off it are looked up.
-    """
-    table = np.full(n, -1, dtype=np.int64)
-    table[path_ids[:-1]] = path_ids[1:]
-    if len(config) >= len(path):
-        off = config.keys() - set(path)
-        table[_ids(id_of, off, len(off))] = _ids(id_of, map(config.__getitem__, off), len(off))
-    return table
-
-
-def _twin(typecode: str, values: "np.ndarray") -> Tuple[array, "np.ndarray"]:
-    """``values`` as a compact int array and a numpy view of its buffer."""
-    flat = array(typecode, values.tobytes())
-    return flat, np.frombuffer(flat, dtype=values.dtype)
+def _rule_lids(next_hop: List[int], lid_of_key: Dict[int, int], n: int) -> array:
+    """Per switch id, the link id its rule forwards over (-1 without a rule)."""
+    try:
+        return array(
+            "q",
+            [lid_of_key[src * n + dst] if dst >= 0 else -1 for src, dst in enumerate(next_hop)],
+        )
+    except KeyError:
+        raise KeyError("a forwarding rule crosses a non-existent link") from None
 
 
 def instance_arrays(instance: UpdateInstance) -> InstanceArrays:
@@ -345,14 +269,6 @@ def instance_arrays(instance: UpdateInstance) -> InstanceArrays:
         cached = InstanceArrays(instance)
         object.__setattr__(instance, _CACHE_ATTR, cached)
     return cached
-
-
-class TrajectoryView(NamedTuple):
-    """A class's trajectory at full length (:meth:`ArrayFlowClass.view`)."""
-
-    nodes: "np.ndarray"  # switch ids, int32
-    lids: "np.ndarray"  # link ids, one fewer
-    offsets: "np.ndarray"  # cumulative delay at every switch
 
 
 class ArrayFlowClass:
@@ -368,7 +284,7 @@ class ArrayFlowClass:
     runs sit the tables a probe reads: the positions (``dec_pos``,
     ascending), ids (``dec_lids``) and departure offsets (``dec_offsets``,
     ascending) of the class's decisive links as int arrays (``array('q')``:
-    bisected and sliced in plain Python, no numpy call on a probe), and the
+    bisected and sliced in plain Python), and the
     switch and offset the trajectory ends on.  Nothing here is as long as
     the path; :meth:`view` builds the full-length columns for the few
     readers that want them.  A piece's
@@ -481,8 +397,8 @@ class ArrayFlowClass:
             offset += path[start + within] - path[start]
         return offset
 
-    def view(self) -> TrajectoryView:
-        """The full-length columns, materialised from the runs.
+    def view(self) -> Tuple[array, array]:
+        """``(switch ids, cumulative delays)`` at full length, from the runs.
 
         O(path) to build and to hold (cached, shared with trims): for the
         exact search's signature and rescuer questions and for tests,
@@ -493,37 +409,32 @@ class ArrayFlowClass:
         if view is None:
             if recorder.enabled:
                 recorder.count("tracker.array.materialised")
-            arrays = self.arrays
-            node_parts = []
-            offset_parts = []
+            path_ids, path_offsets = self.arrays.path_ids, self.arrays.path_offsets
+            nodes = array("i")
+            offsets = array("q")
             ends = self.run_pos[1:] + [self.length]
             for pos, start, offset, end in zip(
                 self.run_pos, self.run_start, self.run_off, ends
             ):
                 if start < 0:
-                    node_parts.append(np.array([~start], dtype=np.int32))
-                    offset_parts.append(np.array([offset], dtype=np.int64))
+                    nodes.append(~start)
+                    offsets.append(offset)
                 else:
                     stop = start + end - pos
-                    node_parts.append(arrays.old_path_ids[start:stop])
-                    offset_parts.append(
-                        arrays.old_path_offsets[start:stop]
-                        + (offset - arrays.path_offsets[start])
-                    )
-            nodes = np.concatenate(node_parts)
-            view = self._lazy["view"] = TrajectoryView(
-                nodes, arrays.encode_links(nodes), np.concatenate(offset_parts)
-            )
+                    nodes += path_ids[start:stop]
+                    shift = offset - path_offsets[start]
+                    offsets.extend(at + shift for at in path_offsets[start:stop])
+            view = self._lazy["view"] = (nodes, offsets)
         return view
 
     def switch_names(self) -> List[Node]:
         """The trajectory's switches, source first (off :meth:`view`)."""
         names = self.arrays.names
-        return [names[i] for i in self.view().nodes.tolist()]
+        return [names[i] for i in self.view()[0]]
 
     def trajectory_key(self) -> bytes:
         """A hashable value equal between classes of equal trajectory."""
-        return self.view().nodes.tobytes()
+        return self.view()[0].tobytes()
 
     def decisive_offsets(self) -> Dict[int, int]:
         """``link id -> departure offset`` of every decisive link it crosses.

@@ -104,7 +104,7 @@ def build_mutp_model(
     Returns:
         The model plus decoding metadata.
     """
-    from repro.solver.ilp import EQ, LEQ, ILPModel  # numpy loads with the ILP
+    from repro.solver.ilp import EQ, LEQ, ILPModel  # its dependencies load with it
 
     if horizon < 1:
         raise ValueError("horizon must be at least 1")

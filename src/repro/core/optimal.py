@@ -37,7 +37,7 @@ from typing import Dict, Optional, Tuple
 from repro.core.greedy import GreedyResult, greedy_schedule
 from repro.core.instance import UpdateInstance
 from repro.core.schedule import UpdateSchedule
-from repro.core.search import run_optimal_search
+from repro.core.search import OptimalSearch
 from repro.network.graph import Node
 from repro.trace.recorder import recorder
 from repro.validate.verifier import verify_schedule
@@ -147,16 +147,10 @@ def optimal_schedule(
         seed_makespan = seed.schedule.makespan
 
     with recorder.timer("opt.search") as search:
-        best_times, explored, timed_out, horizon_cut, width_cut = run_optimal_search(
-            instance,
-            t0,
-            time_budget,
-            max_branch_width,
-            max_horizon,
-            node_budget,
-            seed_times,
-            seed_makespan,
+        exact = OptimalSearch(
+            instance, t0, time_budget, max_branch_width, max_horizon, node_budget
         )
+        best_times, _makespan = exact.run(seed_times, seed_makespan)
         elapsed = time.monotonic() - started
         schedule = None
         if best_times is not None:
@@ -165,23 +159,23 @@ def optimal_schedule(
         # the incumbent by updating even later), but an infeasibility claim
         # does not -- and a width cut forfeits both.
         proven = (
-            not timed_out
-            and not width_cut
-            and (schedule is not None or not horizon_cut)
+            not exact.timed_out
+            and not exact.width_cut
+            and (schedule is not None or not exact.horizon_cut)
         )
         search.set(
             switches=len(pending_all),
-            explored=explored,
+            explored=exact.explored,
             proven=proven,
-            width_cut=width_cut,
+            width_cut=exact.width_cut,
             feasible=schedule is not None,
         )
     return OptimalResult(
         schedule=schedule,
         proven=proven,
-        explored=explored,
+        explored=exact.explored,
         elapsed=elapsed,
-        width_cut=width_cut,
+        width_cut=exact.width_cut,
     )
 
 

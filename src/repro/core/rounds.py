@@ -14,7 +14,10 @@ construction; it is shared by the OR baseline and by Chronus' best-effort
 fallback for infeasible instances.  The check exists twice on purpose: the
 dict-graph functions are the definition, read off the paragraph above, and
 :class:`UnionGraphIds` is the id-space oracle every planner runs on
-(``tests/test_rounds.py`` holds the two together).
+(``tests/test_rounds.py`` holds the two together).  Its switch ids and
+next-hop tables are the instance's one id-space encoding of the configs:
+:func:`union_graph_ids` caches it on the instance, and the array tracker's
+:class:`~repro.core.intervals_array.InstanceArrays` reads the same object.
 """
 
 from __future__ import annotations
@@ -95,13 +98,15 @@ def round_is_loop_free(
 
 
 class UnionGraphIds:
-    """Id-space union-graph safety oracle for rounds of one instance.
+    """Id-space encoding of one instance's routing, and its union-graph oracle.
 
-    Encodes the old/new next-hop tables as flat int lists over interned
-    switch ids (shape borrowed from
-    :class:`repro.core.intervals_array.InstanceArrays`, but numpy-free so
-    neither the OR search nor the best-effort fallback needs the
-    dependency).  A full check walks the implicit union graph with an
+    Switch ids (``names`` / ``id_of``, network insertion order) and the
+    old/new next-hop tables as flat int lists (``next_old`` / ``next_new``,
+    -1 without a rule): the one place they are built from the configs.
+    Cached per instance (:func:`union_graph_ids`) and shared by the OR
+    search, the best-effort fallback and the array tracker's
+    :class:`repro.core.intervals_array.InstanceArrays`, none of which
+    writes to it.  A full check walks the implicit union graph with an
     iterative three-colour DFS over a byte array -- no per-check dict graph
     build -- and growing a round costs one reachability walk per candidate
     (:meth:`maximal_safe_round`), not a full check each.
@@ -110,22 +115,17 @@ class UnionGraphIds:
     __slots__ = ("names", "id_of", "n", "next_old", "next_new", "starts")
 
     def __init__(self, instance: UpdateInstance) -> None:
-        names = list(instance.network.switches)
-        id_of = {name: i for i, name in enumerate(names)}
+        names = instance.network.switches
+        id_of = dict(zip(names, range(len(names))))
         self.names = names
         self.id_of = id_of
         self.n = len(names)
-        next_old = [-1] * self.n
-        for src, dst in instance.old_config.items():
-            next_old[id_of[src]] = id_of[dst]
-        next_new = [-1] * self.n
-        for src, dst in instance.new_config.items():
-            next_new[id_of[src]] = id_of[dst]
-        self.next_old = next_old
-        self.next_new = next_new
+        self.next_old = _next_hops(id_of, instance.old_config)
+        self.next_new = _next_hops(id_of, instance.new_config)
         # Only switches with at least one out-edge can be on a cycle.
         self.starts = [
-            i for i in range(self.n) if next_old[i] >= 0 or next_new[i] >= 0
+            i for i, (old, new) in enumerate(zip(self.next_old, self.next_new))
+            if old >= 0 or new >= 0
         ]
 
     def round_is_safe(self, updated: bytearray, in_round: bytearray) -> bool:
@@ -228,6 +228,26 @@ class UnionGraphIds:
         return accepted
 
 
+def _next_hops(id_of: Dict[Node, int], config) -> List[int]:
+    """Per switch id, the id its rule in ``config`` forwards to (-1 without one)."""
+    table = [-1] * len(id_of)
+    for src, dst in config.items():
+        table[id_of[src]] = id_of[dst]
+    return table
+
+
+_CACHE_ATTR = "_union_ids"
+
+
+def union_graph_ids(instance: UpdateInstance) -> UnionGraphIds:
+    """The cached :class:`UnionGraphIds` of ``instance``."""
+    cached = getattr(instance, _CACHE_ATTR, None)
+    if cached is None:
+        cached = UnionGraphIds(instance)
+        object.__setattr__(instance, _CACHE_ATTR, cached)
+    return cached
+
+
 def greedy_loop_free_rounds(
     instance: UpdateInstance,
     pending: Optional[Sequence[Node]] = None,
@@ -251,7 +271,7 @@ def greedy_loop_free_rounds(
     """
     if pending is None:
         pending = list(instance.switches_to_update)
-    graph = UnionGraphIds(instance)
+    graph = union_graph_ids(instance)
     id_of = graph.id_of
     names = graph.names
     remaining: List[int] = [id_of[node] for node in pending]

@@ -93,7 +93,7 @@ from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.core.instance import UpdateInstance
 from repro.core.intervals import _EPS, DELIVERED
-from repro.core.rounds import UnionGraphIds, greedy_loop_free_rounds
+from repro.core.rounds import greedy_loop_free_rounds, union_graph_ids
 from repro.core.tracker import make_tracker
 from repro.network.graph import Node
 from repro.trace.recorder import recorder
@@ -769,35 +769,6 @@ class OptimalSearch:
         return tracker.clone()
 
 
-def run_optimal_search(
-    instance: UpdateInstance,
-    t0: int,
-    time_budget: Optional[float],
-    max_branch_width: int,
-    max_horizon: int,
-    node_budget: Optional[int],
-    seed_times: Optional[Dict[Node, int]],
-    seed_makespan: Optional[int],
-):
-    """Run the OPT search; returns the raw search outcome.
-
-    Returns ``(best_times, explored, timed_out, horizon_cut, width_cut)``
-    -- :func:`repro.core.optimal.optimal_schedule` wraps this into an
-    :class:`~repro.core.optimal.OptimalResult`.
-    """
-    search = OptimalSearch(
-        instance, t0, time_budget, max_branch_width, max_horizon, node_budget
-    )
-    best_times, _best_makespan = search.run(seed_times, seed_makespan)
-    return (
-        best_times,
-        search.explored,
-        search.timed_out,
-        search.horizon_cut,
-        search.width_cut,
-    )
-
-
 # ----------------------------------------------------------------------
 # OR: round minimisation on the id-space union graph
 # ----------------------------------------------------------------------
@@ -830,7 +801,7 @@ def run_round_search(
     timed_out = deadline is not None and time.monotonic() > deadline
     width_cut = False
 
-    graph = UnionGraphIds(instance)
+    graph = union_graph_ids(instance)
     id_of = graph.id_of
     names = graph.names
     pending_ids = tuple(id_of[node] for node in pending_all)

@@ -69,8 +69,8 @@ def make_tracker(instance: UpdateInstance, t0: int = 0, background=None) -> Trac
     hops = len(instance.old_path) + len(instance.new_path)
     if hops < ARRAY_TRACKER_MIN_HOPS:
         return IntervalTracker(instance, t0=t0, background=background)
-    # The array layout is numpy's only user on the planning side: a process
-    # that plans nothing this long never loads it (DESIGN.md §16.1).
+    # A process that plans nothing this long never loads the array layout
+    # (DESIGN.md §16.1).
     from repro.core.intervals_array import ArrayIntervalTracker
 
     return ArrayIntervalTracker(instance, t0=t0, background=background)

@@ -64,7 +64,7 @@ def _record_schemes(selected: Sequence[str]) -> List[str]:
 
 
 #: The untimed warm-up plan's size: 200 trajectory hops, so it takes the
-#: array layout (and loads numpy) as the larger timed sizes do.
+#: array layout as the larger timed sizes do.
 _WARM_UP_SWITCHES = 100
 
 
@@ -73,7 +73,7 @@ def _warm_up(name: str) -> None:
     """Plan one small instance with scheme ``name``, once per process, untimed.
 
     The first plan in a process pays the module imports (a cold Chronus
-    plan of ``segmented_instance(100)`` takes ~0.2 s, the next ~1 ms); a
+    plan of ``segmented_instance(100)`` takes ~0.1 s, the next ~2 ms); a
     timing cell should read the scheme's work, not the process's start.
     """
     instance = segmented_instance(_WARM_UP_SWITCHES, seed=0, segments=1)

@@ -2,7 +2,7 @@
 
 A package's ``__init__`` names what it exports and where each name lives;
 nothing is imported until a name is read, so ``import repro.core.instance``
-pays for the instance module and not for the array tracker's numpy.
+pays for the instance module and not for the ILP's numpy.
 :func:`lazy_exports` returns the three module attributes that make this
 work (PEP 562): ``__all__`` (``from package import *`` binds every name),
 ``__getattr__`` (imports the name's module on first read and caches the

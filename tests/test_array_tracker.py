@@ -20,11 +20,10 @@ from array import array
 from contextlib import contextmanager
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-
-np = pytest.importorskip("numpy")
 
 from repro.core.instance import (
     instance_from_paths,
@@ -630,8 +629,9 @@ def _assert_lookups_match_scan(tracker, label):
         ), label
         lids.update(table)
     flags = np.frombuffer(tracker._decisive, dtype=bool)
-    chain_links = np.flatnonzero(~flags[arrays.old_path_lids])
-    lids.update(arrays.old_path_lids[chain_links[::17]].tolist())
+    path_lids = np.asarray(arrays.path_lids)
+    chain_links = np.flatnonzero(~flags[path_lids])
+    lids.update(path_lids[chain_links[::17]].tolist())
     lids = sorted(lids)
     for lid, expected in _scanned(tracker, lids).items():
         assert tracker.crossings(*arrays.link_name[lid]) == expected, (label, lid)

@@ -167,39 +167,6 @@ class TestScaleRegression:
         assert walked <= 8 * deflections, walked / deflections
         assert routed >= 2 * walked
 
-    def test_a_warm_plan_calls_no_numpy(self, monkeypatch):
-        """numpy encodes the instance; probes and commits never call it.
-
-        With the instance encoded, the array tracker module's ``np`` and
-        the encoding's numpy views are swapped for objects that refuse
-        every use, and a 16-segment plan, its replay and their congestion
-        checks still run: class columns are ``array('q')``, read by bisect,
-        slice and dict lookup.
-        """
-        from repro.core import intervals_array
-
-        class Refused:
-            def __getattr__(self, name):
-                raise AssertionError(f"numpy on the probe path: {name}")
-
-            def __getitem__(self, key):
-                raise AssertionError("numpy on the probe path: indexing")
-
-            def __len__(self):
-                raise AssertionError("numpy on the probe path: len")
-
-        instance = segmented_instance(10000, seed=10000, segments=16)
-        expected = greedy_schedule(instance)
-        arrays = intervals_array.instance_arrays(instance)
-        monkeypatch.setattr(intervals_array, "np", Refused())
-        for name in (
-            "link_keys", "delay", "capacity", "old_path_ids", "old_path_lids", "old_path_offsets"
-        ):
-            monkeypatch.setattr(arrays, name, Refused())
-        result = greedy_schedule(instance)
-        assert result.schedule == expected.schedule and result.feasible
-        assert replay_schedule(instance, result.schedule).ok
-
     def test_no_class_is_materialised_on_the_greedy_and_replay_paths(self):
         """Classes are runs; the full-length view is for the exact search.
 

@@ -5,8 +5,9 @@ imported everything.  The rule (DESIGN.md, "What a process imports"):
 
 * scipy (~0.4 s, ~40 MB) loads only when the MUTP ILP is solved
   (:func:`repro.solver.ilp.solve_ilp`, which calls ``scipy.optimize.milp``);
-* numpy (~0.1 s) only with the array tracker (``make_tracker`` on a
-  trajectory of ``ARRAY_TRACKER_MIN_HOPS`` or more) or the ILP;
+* numpy (~0.1 s) only with the ILP, its one importer in ``src/``: the
+  array tracker (``make_tracker`` on a trajectory of
+  ``ARRAY_TRACKER_MIN_HOPS`` or more) is plain Python;
 * ``multiprocessing`` and the process pool only when
   :func:`~repro.runtime.parallel.ordered_map` forks a pool;
 * ``sqlite3`` only when a SQLite trace sink opens or a trace file is read;
@@ -154,27 +155,21 @@ def test_service_cell_loads_no_numpy():
     assert loaded == []
 
 
-def test_long_path_plan_loads_numpy_and_keeps_its_schedule():
-    # 400 trajectory hops: make_tracker builds the array tracker, the first
-    # user of numpy.  The digest is the schedule the plan returned while
-    # every tracker module was imported eagerly.
+def test_long_path_plan_loads_no_numpy_and_keeps_its_schedule():
+    # 400 trajectory hops: make_tracker builds the array tracker, whose
+    # instance encoding is plain Python.  The digest is the schedule the plan
+    # returned while that encoding was built with numpy.
     outcome = run_fresh(
         "import hashlib, json, sys\n"
         "from repro.core.instance import segmented_instance\n"
         "from repro.updates.registry import get_planner\n"
-        "before = 'numpy' in sys.modules\n"
         "plan = get_planner('chronus').plan(segmented_instance(200, seed=7))\n"
         "times = sorted((str(node), at) for node, at in plan.schedule.times.items())\n"
-        "print(json.dumps(dict(before=before, after='numpy' in sys.modules,\n"
+        "print(json.dumps(dict(numpy='numpy' in sys.modules,\n"
         "    makespan=plan.schedule.makespan,\n"
         "    digest=hashlib.sha256(json.dumps(times).encode()).hexdigest()[:16])))"
     )
-    assert outcome == {
-        "before": False,
-        "after": True,
-        "makespan": 12,
-        "digest": "371eb6daeb10df99",
-    }
+    assert outcome == {"numpy": False, "makespan": 12, "digest": "371eb6daeb10df99"}
 
 
 def test_serial_run_loads_no_multiprocessing():
@@ -191,12 +186,15 @@ def test_ilp_loads_scipy_on_use_and_proves_fig1():
     outcome = run_fresh(
         "import json, sys\n"
         "from repro import motivating_example, solve_mutp\n"
-        "before = 'scipy' in sys.modules\n"
+        "before = sorted({'numpy', 'scipy'} & set(sys.modules))\n"
         "schedule, result = solve_mutp(motivating_example(), horizon=4)\n"
-        "print(json.dumps(dict(before=before, after='scipy' in sys.modules,\n"
+        "print(json.dumps(dict(before=before,\n"
+        "    after=sorted({'numpy', 'scipy'} & set(sys.modules)),\n"
         "    status=result.status, makespan=schedule.makespan)))"
     )
-    assert outcome == {"before": False, "after": True, "status": "optimal", "makespan": 4}
+    assert outcome == {
+        "before": [], "after": ["numpy", "scipy"], "status": "optimal", "makespan": 4
+    }
 
 
 def test_lazy_surfaces_are_complete():

@@ -13,7 +13,6 @@ from repro.validate import verify_schedule
 
 def _tracker_class(layout):
     if layout == "array":
-        pytest.importorskip("numpy")
         from repro.core.intervals_array import ArrayIntervalTracker
 
         return ArrayIntervalTracker

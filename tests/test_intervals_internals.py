@@ -20,6 +20,7 @@ from repro.core.intervals import (
     _split_class,
     _sweep_link,
 )
+from repro.core.intervals_array import ArrayIntervalTracker
 from repro.experiments.sweep import mixed_instance
 from repro.network.paths import arrival_offsets
 
@@ -276,14 +277,15 @@ class TestTrimInPlace:
         assert a.applied == b.applied
         assert a.congestion_spans() == b.congestion_spans()
 
-    def test_failed_probe_leaves_tracker_untouched(self, instance):
-        tracker = IntervalTracker(
-            instance, background={("v1", "v2"): [(None, None, instance.demand)]}
+    @pytest.mark.parametrize("layout", ["dict", "array"])
+    def test_failed_probe_leaves_tracker_untouched(self, instance, layout):
+        # The background fills v2's new link, so moving v2 overloads it.
+        tracker = (IntervalTracker if layout == "dict" else ArrayIntervalTracker)(
+            instance, background={("v2", "v6"): [(None, None, instance.demand)]}
         )
         spans_before = tracker.congestion_spans()
         report = tracker.probe_and_commit(["v2"], 0)
-        if report.ok:
-            pytest.skip("instance admits the round despite background load")
+        assert not report.ok
         assert tracker.applied == {}
         assert tracker.congestion_spans() == spans_before
 

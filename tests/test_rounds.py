@@ -199,10 +199,10 @@ class TestIdSpaceOracle:
             )
 
     def test_maximal_round_is_what_full_checks_accept(self):
-        from repro.core.rounds import UnionGraphIds
+        from repro.core.rounds import union_graph_ids
 
         for instance in self._instances():
-            graph = UnionGraphIds(instance)
+            graph = union_graph_ids(instance)
             pending = [graph.id_of[node] for node in instance.switches_to_update]
             updated = bytearray(graph.n)
             expected, mask = [], bytearray(graph.n)
@@ -215,3 +215,32 @@ class TestIdSpaceOracle:
             assert graph.maximal_safe_round(updated, pending) == expected
             if pending:
                 assert graph.maximal_safe_round(updated, pending, deadline=0.0) is None
+
+    def test_tables_are_the_configs_and_shared_by_the_array_tracker(self):
+        from repro.core.intervals_array import instance_arrays
+        from repro.core.rounds import union_graph_ids
+
+        for instance in self._instances():
+            graph = union_graph_ids(instance)
+            assert union_graph_ids(instance) is graph
+            assert graph.names == instance.network.switches
+            for name, config in (("next_old", instance.old_config), ("next_new", instance.new_config)):
+                table = getattr(graph, name)
+                assert {graph.names[i]: graph.names[hop] for i, hop in enumerate(table) if hop >= 0} == config
+            arrays = instance_arrays(instance)
+            for name in ("names", "id_of", "next_old", "next_new"):
+                assert getattr(arrays, name) is getattr(graph, name)
+
+    def test_round_search_encodes_the_instance_once(self):
+        from unittest import mock
+
+        from repro.core import rounds
+        from repro.core.instance import reversal_instance
+        from repro.core.search import run_round_search
+
+        instance = reversal_instance(8)
+        with mock.patch.object(rounds, "UnionGraphIds", wraps=rounds.UnionGraphIds) as built:
+            rounds_found, explored, *_ = run_round_search(instance, None, 12, 500)
+            run_round_search(instance, None, 12, 500)
+        assert built.call_count == 1
+        assert explored > 0 and rounds_are_loop_free(instance, rounds_found)

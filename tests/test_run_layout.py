@@ -38,11 +38,13 @@ def _key(entry):
 def _assert_layout(dict_tracker, array_tracker, label):
     arrays = array_tracker.arrays
     names = arrays.names
-    path_length = arrays.old_path_ids.size
+    path_length = len(arrays.path_ids)
     columns = []
     for cls in array_tracker.classes:
-        view = cls.view()
-        nodes, lids, offsets = view.nodes, view.lids, view.offsets
+        nodes, offsets = (np.asarray(column) for column in cls.view())
+        lids = [arrays.lid_of(names[a], names[b]) for a, b in zip(nodes, nodes[1:])]
+        assert None not in lids, label
+        lids = np.asarray(lids, dtype=np.int64)
         columns.append(
             (cls.lo, cls.hi, tuple(names[i] for i in nodes.tolist()), tuple(offsets.tolist()))
         )
@@ -211,6 +213,6 @@ def test_view_is_exact_for_a_single_switch_off_the_old_path():
     rerouted = [cls for cls in array_tracker.classes if cls.fresh_from]
     assert any(start < 0 for cls in rerouted for start in cls.run_start)
     assert np.array_equal(
-        array_tracker.classes[-1].view().nodes[:5],
+        array_tracker.classes[-1].view()[0][:5],
         [array_tracker.arrays.id_of[name] for name in ("s", "c0", "c1", "c2", "c3")],
     )
