@@ -11,13 +11,15 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.network.flows import Flow
-from repro.network.graph import Network, Node
+from repro.network.graph import Network, Node, network_from_links
 from repro.network.paths import Path, arrival_offsets, as_path, path_delay, path_links
 from repro.network.topology import (
     TwoPathTopology,
+    missing_links,
     reversal_topology,
     segmented_reversal_topology,
     two_path_topology,
@@ -53,11 +55,11 @@ class UpdateInstance:
         self.new_path
         links = self.network.delay_map()
         for config_name, config in (("old", self.old_config), ("new", self.new_config)):
-            for node, nxt in config.items():
-                if (node, nxt) not in links:
-                    raise ValueError(
-                        f"{config_name} config routes {node!r} -> {nxt!r} over a missing link"
-                    )
+            if not links.keys() >= config.items():
+                node, nxt = next(rule for rule in config.items() if rule not in links)
+                raise ValueError(
+                    f"{config_name} config routes {node!r} -> {nxt!r} over a missing link"
+                )
         if self.flow.destination in self.old_config or self.flow.destination in self.new_config:
             raise ValueError("the destination switch must not forward the flow")
 
@@ -85,11 +87,6 @@ class UpdateInstance:
     def new_path(self) -> Path:
         """The final routing path traced through ``new_config``."""
         return _trace_config(self.new_config, self.source, self.destination, len(self.network))
-
-    @cached_property
-    def _old_predecessors(self) -> Dict[Node, Node]:
-        path = self.old_path
-        return dict(zip(path[1:], path))
 
     @cached_property
     def old_path_index(self) -> Dict[Node, int]:
@@ -131,7 +128,8 @@ class UpdateInstance:
 
     def old_predecessor(self, node: Node) -> Optional[Node]:
         """The switch whose *old* rule points at ``node``, if on the old path."""
-        return self._old_predecessors.get(node)
+        index = self.old_path_index.get(node)
+        return self.old_path[index - 1] if index else None
 
     def config_at(self, updated: Mapping[Node, int], time: int) -> Config:
         """The mixed next-hop configuration active at ``time``.
@@ -167,6 +165,9 @@ class UpdateInstance:
 
 def _trace_config(config: Config, source: Node, destination: Node, max_hops: int) -> Path:
     """The path ``config`` routes from ``source``; simple whenever it returns."""
+    traced = _path_in_rule_order(config, source, destination, max_hops)
+    if traced is not None:
+        return traced
     nodes: List[Node] = [source]
     current = source
     for _ in range(max_hops + 1):
@@ -178,6 +179,35 @@ def _trace_config(config: Config, source: Node, destination: Node, max_hops: int
         nodes.append(nxt)
         current = nxt
     raise ValueError("config contains a forwarding loop")
+
+
+def _path_in_rule_order(
+    config: Config, source: Node, destination: Node, max_hops: int
+) -> Optional[Path]:
+    """:func:`_trace_config`'s answer when ``config`` lists its rules along
+    the path, source first (as :func:`config_from_path` does), else ``None``.
+
+    Checked in whole-list passes: the rules up to the first one into
+    ``destination`` start at ``source``, each forwards to the next one's
+    switch, there are few enough, and ``destination`` has none (a dict's
+    switches are distinct, so the path is simple) -- then the hop-by-hop
+    trace takes exactly these rules.
+    """
+    hops = list(config.values())
+    try:
+        last = hops.index(destination)
+    except ValueError:
+        return None
+    nodes = list(islice(config, last + 1))
+    nodes.append(destination)
+    if (
+        nodes[0] == source
+        and last < max_hops
+        and destination not in config
+        and hops[:last] == nodes[1:-1]
+    ):
+        return tuple(nodes)
+    return None
 
 
 def config_from_path(path: Sequence[Node]) -> Config:
@@ -320,9 +350,9 @@ def nested_reversal_instance(
     new_path = ["s", *before, *nest(block, depth), *after, "d"]
     network = Network()
     for path in (old_path, new_path):
-        for src, dst in zip(path, path[1:]):
-            if not network.has_link(src, dst):
-                network.add_link(src, dst, capacity=capacity, delay=rng.randint(1, max_delay))
+        links = missing_links(network, path)
+        delays = [rng.randint(1, max_delay) for _ in links]
+        network.add_links(links, capacity=capacity, delay=delays)
     return instance_from_paths(network, old_path, new_path)
 
 
@@ -337,12 +367,9 @@ def motivating_example() -> UpdateInstance:
     three transient loops and updating ``{v1, v2}`` first congests the
     ``v4 -> v3`` link (Fig. 2).
     """
-    net = Network()
     chain = ["v1", "v2", "v3", "v4", "v5", "v6"]
-    for src, dst in zip(chain, chain[1:]):
-        net.add_link(src, dst, capacity=1.0, delay=1)
-    for src, dst in [("v1", "v4"), ("v4", "v3"), ("v3", "v2"), ("v2", "v6"), ("v5", "v2")]:
-        net.add_link(src, dst, capacity=1.0, delay=1)
+    detour = [("v1", "v4"), ("v4", "v3"), ("v3", "v2"), ("v2", "v6"), ("v5", "v2")]
+    net = network_from_links([*zip(chain, chain[1:]), *detour])
     return instance_from_paths(
         net,
         old_path=chain,

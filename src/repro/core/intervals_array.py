@@ -21,8 +21,8 @@ state column-wise:
   reuses its parent's tables outright, a deflected piece takes the
   parent's runs up to the hit, walks its detour and, where that rejoins
   the parent's route past the round's last hit on it, copies the
-  parent's tail instead of walking it; the full-length columns exist only
-  as an on-demand view (:meth:`ArrayFlowClass.view`) no probe builds.
+  parent's tail instead of walking it; the full-length switch ids exist
+  only as an on-demand view (:meth:`ArrayFlowClass.view`) no probe builds.
   Each class also answers, through one lazy dict
   (:meth:`ArrayFlowClass.decisive_offsets`), when its load leaves over
   any decisive link it crosses; a deflected piece takes its parent's dict
@@ -81,7 +81,8 @@ from __future__ import annotations
 import itertools
 from array import array
 from bisect import bisect_left, bisect_right
-from operator import le
+from itertools import compress, repeat
+from operator import add, eq, gt, le, ne
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.instance import UpdateInstance
@@ -148,43 +149,60 @@ class InstanceArrays:
 
     def __init__(self, instance: UpdateInstance) -> None:
         graph = union_graph_ids(instance)
-        self.names: List[Node] = graph.names
-        self.id_of: Dict[Node, int] = graph.id_of
-        self.next_old = graph.next_old
-        self.next_new = graph.next_new
+        names = self.names = graph.names
+        id_of = self.id_of = graph.id_of
+        next_old = self.next_old = graph.next_old
+        next_new = self.next_new = graph.next_new
         n = self.n_nodes = graph.n
-        id_of = self.id_of
 
-        # Link ids ascend with ``src_id * n + dst_id``.  The columns the
-        # routing loop and the congestion check index one scalar at a time
-        # (or bisect) are compact arrays, which index like lists (to Python
-        # numbers) at an eighth of a list's footprint.  The network's two
-        # maps share one key order, the links' insertion order.
+        # Every column is built by whole-column passes (``map`` / ``zip``
+        # / ``compress``) into a list, then copied into its compact array:
+        # an array indexes like a list (to Python numbers) at an eighth of
+        # its footprint, for the routing loop and the congestion check.
+        # Link ids ascend with ``src_id * n + dst_id``; the network's two
+        # maps share one key order, the links' insertion order, and each
+        # link column is that order permuted by one sort of the keys.
         network = instance.network
         delays = network.delay_map()
         keys = [id_of[src] * n + id_of[dst] for src, dst in delays]
-        ranked = sorted(zip(keys, delays, delays.values(), network.capacity_map().values()))
-        keys, self.link_name, link_delay, capacity = zip(*ranked)
+        order = sorted(range(len(keys)), key=keys.__getitem__)
+        keys.sort()
         self.link_key = array("q", keys)
-        self.link_delay = array("q", link_delay)
+        self.link_name = tuple(map(list(delays).__getitem__, order))
+        self.link_delay = array("q", list(map(list(delays.values()).__getitem__, order)))
+        capacity = list(map(list(network.capacity_map().values()).__getitem__, order))
         self.link_capacity = array("d", capacity)
-        lid_of_key = dict(zip(keys, range(len(keys))))
-        self.old_rule_lid = _rule_lids(self.next_old, lid_of_key, n)
-        self.new_rule_lid = _rule_lids(self.next_new, lid_of_key, n)
+
+        # A rule's link id is its key's rank: one lookup per switch for the
+        # old rules (``src * n - 1`` of a switch without one may be a real
+        # key, so those are reset), and the new rules are the old ones
+        # except at the switches whose next hop changes.
+        lid_of = dict(zip(keys, range(len(keys))))
+        rule_keys = map(add, range(0, n * n, n), next_old)
+        old_rule_lid = list(map(lid_of.get, rule_keys, repeat(-1)))
+        for node in compress(range(n), map(eq, next_old, repeat(-1))):
+            old_rule_lid[node] = -1
+        changed = list(compress(range(n), map(ne, next_old, next_new)))
+        new_rule_lid = old_rule_lid.copy()
+        for node in changed:
+            hop = next_new[node]
+            new_rule_lid[node] = lid_of[node * n + hop] if hop >= 0 else -1
+        self.old_rule_lid = array("q", old_rule_lid)
+        self.new_rule_lid = array("q", new_rule_lid)
 
         self.demand = float(instance.demand)
         self.dest = id_of[instance.destination]
         self.max_hops = n + 1
-        self.path_ids = array("i", map(id_of.__getitem__, instance.old_path))
-        # Every old-path hop is an old rule.
-        self.path_lids = array("q", map(self.old_rule_lid.__getitem__, self.path_ids[:-1]))
-        self.path_offsets = array(
-            "q", itertools.accumulate(map(link_delay.__getitem__, self.path_lids), initial=0)
-        )
+        path = list(map(id_of.__getitem__, instance.old_path))
+        self.path_ids = array("i", path)
+        # Every old-path hop is an old rule; offsets are the instance's.
+        lids = list(map(old_rule_lid.__getitem__, path[:-1]))
+        self.path_lids = array("q", lids)
+        self.path_offsets = array("q", list(instance.old_path_offsets.values()))
         self._suffix_mark = bytearray(n)
-        self._build_chains(id_of[instance.source])
+        self._build_chains(instance, changed, lids, capacity)
 
-    def _build_chains(self, source: int) -> None:
+    def _build_chains(self, instance: UpdateInstance, changed, lids, capacity) -> None:
         """The chain skeleton (module docstring, "Chains").
 
         Only old-path switches are taken as interiors, so every chain is a
@@ -195,36 +213,44 @@ class InstanceArrays:
         ``decisive`` holds the instance's share of the flag (interior
         source, capacity equal to the link before), one byte per link id;
         trackers with background load add theirs to a copy.
+
+        Built from the exceptions, which are few on a long path: a switch
+        past the source on the old path is interior unless its rule
+        changes, a second old rule or a changed new rule leads into it, or
+        it is the destination (which has no rule).
         """
-        n = self.n_nodes
         next_old, next_new = self.next_old, self.next_new
-        predecessors = [0] * n
-        for old, new in zip(next_old, next_new):
-            if old >= 0:
-                predecessors[old] += 1
-            if new >= 0 and new != old:
-                predecessors[new] += 1
-        path = self.path_ids
-        interior = bytearray(n)
-        for node in path:
-            old = next_old[node]
-            interior[node] = old >= 0 and old == next_new[node] and predecessors[node] == 1
-        interior[source] = interior[self.dest] = 0
+        old_pos = list(map(instance.old_path_index.get, self.names, repeat(-1)))
+        targets = sorted(compress(next_old, map(ne, next_old, repeat(-1))))
+        exceptions = {
+            self.dest,
+            *changed,
+            *compress(targets[1:], map(eq, targets[1:], targets)),
+            *map(next_new.__getitem__, changed),
+        }
+        exceptions.discard(-1)
+        interior = bytearray(map(gt, old_pos, repeat(0)))
+        for node in exceptions:
+            interior[node] = 0
         self.interior = bytes(interior)
 
         # Scalar-indexed in the routing loop, like ``path_ids``.
-        self.old_pos = array("q", [-1]) * n
-        for pos, node in enumerate(path):
-            self.old_pos[node] = pos
-        self.junctions = array("q", [pos for pos, node in enumerate(path) if not interior[node]])
+        self.old_pos = array("q", old_pos)
+        junctions = sorted({0, *map(old_pos.__getitem__, exceptions)} - {-1})
+        self.junctions = array("q", junctions)
 
-        lids, capacity = self.path_lids, self.link_capacity
-        decisive = bytearray(b"\x01") * len(self.link_key)
-        for pos in range(1, len(lids)):
-            if interior[path[pos]] and capacity[lids[pos]] == capacity[lids[pos - 1]]:
-                decisive[lids[pos]] = 0
+        # A path link out of an interior switch with the capacity of the
+        # link before is not decisive: every link between two consecutive
+        # breaks (junctions, capacity changes) after the first.
+        path_capacity = list(map(capacity.__getitem__, lids))
+        steps = compress(range(1, len(lids)), map(ne, path_capacity[1:], path_capacity))
+        breaks = sorted({*junctions, *steps})
+        decisive = bytearray(b"\x01") * len(capacity)
+        for start, stop in zip(breaks, breaks[1:]):
+            for lid in lids[start + 1 : stop]:
+                decisive[lid] = 0
         self.decisive = decisive
-        self.path_dec = self.decisive_path(decisive)
+        self.path_dec = self._path_table(breaks[:-1])
 
     def decisive_path(self, decisive) -> Tuple[List[int], List[int], List[int]]:
         """The old-path links flagged in ``decisive`` (a byte per link id).
@@ -234,9 +260,13 @@ class InstanceArrays:
         decisive entries (O(junctions) long, whatever the path), and the
         decisive tables of the initial class.
         """
-        lids = self.path_lids
-        at = [pos for pos, lid in enumerate(lids) if decisive[lid]]
-        return at, [lids[pos] for pos in at], [self.path_offsets[pos] for pos in at]
+        flags = map(list(decisive).__getitem__, self.path_lids)
+        return self._path_table(list(compress(range(len(self.path_lids)), flags)))
+
+    def _path_table(self, at: List[int]) -> Tuple[List[int], List[int], List[int]]:
+        """:meth:`decisive_path` of the old-path positions ``at``."""
+        lids, offsets = self.path_lids, self.path_offsets
+        return at, list(map(lids.__getitem__, at)), list(map(offsets.__getitem__, at))
 
     def lid_of(self, src: Node, dst: Node) -> Optional[int]:
         """Link id of ``src -> dst``, or ``None`` when absent."""
@@ -249,17 +279,6 @@ class InstanceArrays:
         if pos == len(self.link_key) or self.link_key[pos] != key:
             return None
         return pos
-
-
-def _rule_lids(next_hop: List[int], lid_of_key: Dict[int, int], n: int) -> array:
-    """Per switch id, the link id its rule forwards over (-1 without a rule)."""
-    try:
-        return array(
-            "q",
-            [lid_of_key[src * n + dst] if dst >= 0 else -1 for src, dst in enumerate(next_hop)],
-        )
-    except KeyError:
-        raise KeyError("a forwarding rule crosses a non-existent link") from None
 
 
 def instance_arrays(instance: UpdateInstance) -> InstanceArrays:
@@ -286,7 +305,7 @@ class ArrayFlowClass:
     ascending) of the class's decisive links as int arrays (``array('q')``:
     bisected and sliced in plain Python), and the
     switch and offset the trajectory ends on.  Nothing here is as long as
-    the path; :meth:`view` builds the full-length columns for the few
+    the path; :meth:`view` builds the full-length switch ids for the few
     readers that want them.  A piece's
     fresh suffix starts at position ``fresh_from``, at departure offset
     ``fresh_offset`` (``_POS_CLAMP`` for a trim, which has none) and at
@@ -397,44 +416,38 @@ class ArrayFlowClass:
             offset += path[start + within] - path[start]
         return offset
 
-    def view(self) -> Tuple[array, array]:
-        """``(switch ids, cumulative delays)`` at full length, from the runs.
+    def view(self) -> array:
+        """The trajectory's switch ids at full length, from the runs.
 
         O(path) to build and to hold (cached, shared with trims): for the
         exact search's signature and rescuer questions and for tests,
         never for a probe -- ``tracker.array.materialised`` counts the
-        builds and stays 0 on the greedy and replay paths.
+        builds and stays 0 on the greedy and replay paths.  A position's
+        cumulative delay is :meth:`offset_at`'s.
         """
         view = self._lazy.get("view")
         if view is None:
             if recorder.enabled:
                 recorder.count("tracker.array.materialised")
-            path_ids, path_offsets = self.arrays.path_ids, self.arrays.path_offsets
-            nodes = array("i")
-            offsets = array("q")
+            path_ids = self.arrays.path_ids
+            view = array("i")
             ends = self.run_pos[1:] + [self.length]
-            for pos, start, offset, end in zip(
-                self.run_pos, self.run_start, self.run_off, ends
-            ):
+            for pos, start, end in zip(self.run_pos, self.run_start, ends):
                 if start < 0:
-                    nodes.append(~start)
-                    offsets.append(offset)
+                    view.append(~start)
                 else:
-                    stop = start + end - pos
-                    nodes += path_ids[start:stop]
-                    shift = offset - path_offsets[start]
-                    offsets.extend(at + shift for at in path_offsets[start:stop])
-            view = self._lazy["view"] = (nodes, offsets)
+                    view += path_ids[start : start + end - pos]
+            self._lazy["view"] = view
         return view
 
     def switch_names(self) -> List[Node]:
         """The trajectory's switches, source first (off :meth:`view`)."""
         names = self.arrays.names
-        return [names[i] for i in self.view()[0]]
+        return [names[i] for i in self.view()]
 
     def trajectory_key(self) -> bytes:
         """A hashable value equal between classes of equal trajectory."""
-        return self.view()[0].tobytes()
+        return self.view().tobytes()
 
     def decisive_offsets(self) -> Dict[int, int]:
         """``link id -> departure offset`` of every decisive link it crosses.

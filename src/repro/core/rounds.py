@@ -23,6 +23,7 @@ next-hop tables are the instance's one id-space encoding of the configs:
 from __future__ import annotations
 
 import time
+from itertools import repeat
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.core.instance import UpdateInstance
@@ -112,7 +113,7 @@ class UnionGraphIds:
     (:meth:`maximal_safe_round`), not a full check each.
     """
 
-    __slots__ = ("names", "id_of", "n", "next_old", "next_new", "starts")
+    __slots__ = ("names", "id_of", "n", "next_old", "next_new", "_starts")
 
     def __init__(self, instance: UpdateInstance) -> None:
         names = instance.network.switches
@@ -120,13 +121,20 @@ class UnionGraphIds:
         self.names = names
         self.id_of = id_of
         self.n = len(names)
-        self.next_old = _next_hops(id_of, instance.old_config)
-        self.next_new = _next_hops(id_of, instance.new_config)
-        # Only switches with at least one out-edge can be on a cycle.
-        self.starts = [
-            i for i, (old, new) in enumerate(zip(self.next_old, self.next_new))
-            if old >= 0 or new >= 0
-        ]
+        self.next_old = _next_hops(names, id_of, instance.old_config)
+        self.next_new = _next_hops(names, id_of, instance.new_config)
+        self._starts: Optional[List[int]] = None
+
+    @property
+    def starts(self) -> List[int]:
+        """The switches with at least one out-edge, the only ones that can
+        be on a cycle; built on first use (the array tracker never asks)."""
+        if self._starts is None:
+            self._starts = [
+                i for i, (old, new) in enumerate(zip(self.next_old, self.next_new))
+                if old >= 0 or new >= 0
+            ]
+        return self._starts
 
     def round_is_safe(self, updated: bytearray, in_round: bytearray) -> bool:
         """Acyclicity of the union graph (both rules for in-round switches).
@@ -228,12 +236,9 @@ class UnionGraphIds:
         return accepted
 
 
-def _next_hops(id_of: Dict[Node, int], config) -> List[int]:
+def _next_hops(names: List[Node], id_of: Dict[Node, int], config) -> List[int]:
     """Per switch id, the id its rule in ``config`` forwards to (-1 without one)."""
-    table = [-1] * len(id_of)
-    for src, dst in config.items():
-        table[id_of[src]] = id_of[dst]
-    return table
+    return list(map(id_of.get, map(config.get, names), repeat(-1)))
 
 
 _CACHE_ATTR = "_union_ids"

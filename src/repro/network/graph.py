@@ -9,7 +9,9 @@ time ``t`` arrives at ``v`` at time ``t + sigma_{u,v}``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from itertools import chain, cycle, repeat, starmap
+from operator import eq
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 Node = str
 
@@ -21,9 +23,25 @@ def _check_link(src: Node, dst: Node, capacity: float, delay: int) -> None:
     if src == dst:
         raise ValueError(f"self-loop link {src!r} -> {dst!r}")
     if capacity <= 0:
-        raise ValueError(f"link capacity must be positive, got {capacity}")
+        raise ValueError(f"link {src!r} -> {dst!r}: capacity must be positive, got {capacity}")
     if not isinstance(delay, int) or delay < 1:
-        raise ValueError(f"link delay must be a positive integer, got {delay}")
+        raise ValueError(
+            f"link {src!r} -> {dst!r}: delay must be a positive integer, got {delay}"
+        )
+
+
+def _duplicate(key: Tuple[Node, Node]) -> str:
+    return f"duplicate link {key[0]!r} -> {key[1]!r}"
+
+
+def _by_link(keys: List[Tuple[Node, Node]], value) -> Tuple[dict, Sequence]:
+    """``(link -> value, the values given)``: one per link from a list or
+    tuple, else ``value`` for every link (duplicate links collapse)."""
+    if isinstance(value, (list, tuple)):
+        if len(value) != len(keys):
+            raise ValueError(f"{len(value)} link attributes for {len(keys)} links")
+        return dict(zip(keys, value)), value
+    return dict.fromkeys(keys, value), (value,)
 
 
 @dataclass(frozen=True)
@@ -105,13 +123,60 @@ class Network:
         """
         key = (src, dst)
         if key in self._delay:
-            raise ValueError(f"duplicate link {src!r} -> {dst!r}")
+            raise ValueError(_duplicate(key))
         _check_link(src, dst, capacity, delay)
         self._nodes.setdefault(src)
         self._nodes.setdefault(dst)
         self._delay[key] = delay
         self._capacity[key] = capacity
         self._adjacency = None
+
+    def add_links(
+        self,
+        links: Iterable[Tuple[Node, Node]],
+        capacity: Union[float, Sequence[float]] = DEFAULT_CAPACITY,
+        delay: Union[int, Sequence[int]] = DEFAULT_DELAY,
+    ) -> None:
+        """Add directed ``(src, dst)`` links; the bulk insertion path.
+
+        ``capacity`` and ``delay`` are each one value for every link or a
+        list / tuple with one entry per link.  The network afterwards is
+        the one :meth:`add_link` on each link in order would leave (new
+        endpoints registered in order of first appearance), built by a few
+        whole-batch passes instead of a call per link.
+
+        Raises:
+            ValueError: the error :meth:`add_link` raises for the first
+                link that fails its checks (a duplicate of an existing link
+                or of an earlier one in ``links``, a self-loop, an invalid
+                attribute); nothing is added then.
+        """
+        keys = list(links)
+        delays, given_delays = _by_link(keys, delay)
+        capacities, given_capacities = _by_link(keys, capacity)
+        if not (
+            len(delays) == len(keys)
+            and (not self._delay or self._delay.keys().isdisjoint(delays))
+            and not any(starmap(eq, keys))
+            and min(given_capacities, default=1) > 0
+            and all(map(isinstance, given_delays, repeat(int)))
+            and min(given_delays, default=1) >= 1
+        ):
+            self._raise_first_fault(keys, given_capacities, given_delays)
+        self._nodes.update(dict.fromkeys(chain.from_iterable(keys)))
+        self._delay.update(delays)
+        self._capacity.update(capacities)
+        self._adjacency = None
+
+    def _raise_first_fault(self, keys, capacities, delays) -> None:
+        """Raise :meth:`add_link`'s error for the first failing link (the
+        attributes as given: one per link, or one for all)."""
+        seen = set(self._delay)
+        for (src, dst), cap, hop_delay in zip(keys, cycle(capacities), cycle(delays)):
+            if (src, dst) in seen:
+                raise ValueError(_duplicate((src, dst)))
+            _check_link(src, dst, cap, hop_delay)
+            seen.add((src, dst))
 
     def ensure_link(
         self,
@@ -240,9 +305,12 @@ class Network:
         return f"Network(switches={len(self._nodes)}, links={len(self._delay)})"
 
 
-def network_from_links(links: Iterable[Tuple[Node, Node]], capacity: float = DEFAULT_CAPACITY, delay: int = DEFAULT_DELAY) -> Network:
-    """Build a :class:`Network` from ``(src, dst)`` pairs with uniform attributes."""
+def network_from_links(
+    links: Iterable[Tuple[Node, Node]],
+    capacity: Union[float, Sequence[float]] = DEFAULT_CAPACITY,
+    delay: Union[int, Sequence[int]] = DEFAULT_DELAY,
+) -> Network:
+    """A :class:`Network` of ``(src, dst)`` links (see :meth:`Network.add_links`)."""
     net = Network()
-    for src, dst in links:
-        net.add_link(src, dst, capacity=capacity, delay=delay)
+    net.add_links(links, capacity=capacity, delay=delay)
     return net

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from itertools import filterfalse
+from typing import List, Optional, Sequence, Tuple, Union
 
 from repro.network.graph import DEFAULT_CAPACITY, DEFAULT_DELAY, Network, Node
 from repro.network.paths import Path, as_path, path_links
@@ -51,6 +52,20 @@ def switch_names(count: int, prefix: str = "v") -> List[Node]:
     return [f"{prefix}{i}" for i in range(1, count + 1)]
 
 
+def missing_links(network: Network, path: Sequence[Node]) -> List[Tuple[Node, Node]]:
+    """The links of ``path`` that ``network`` lacks, in path order."""
+    return list(filterfalse(network.delay_map().__contains__, path_links(path)))
+
+
+def _delays(
+    rng: random.Random, count: int, delay: int, max_delay: Optional[int]
+) -> Union[int, List[int]]:
+    """``delay`` for ``count`` links, or one draw from ``[1, max_delay]`` each."""
+    if max_delay is None:
+        return delay
+    return [rng.randint(1, max_delay) for _ in range(count)]
+
+
 def linear_topology(
     count: int,
     capacity: float = DEFAULT_CAPACITY,
@@ -59,8 +74,7 @@ def linear_topology(
     """A chain ``v1 -> v2 -> ... -> vn`` and the path along it."""
     nodes = switch_names(count)
     net = Network()
-    for src, dst in zip(nodes, nodes[1:]):
-        net.add_link(src, dst, capacity=capacity, delay=delay)
+    net.add_links(path_links(nodes), capacity=capacity, delay=delay)
     return net, as_path(nodes)
 
 
@@ -119,22 +133,17 @@ def two_path_topology(
     source, destination = nodes[0], nodes[-1]
     middle = nodes[1:-1]
 
-    def draw_delay() -> int:
-        if max_delay is None:
-            return delay
-        return rng.randint(1, max_delay)
-
     net = Network()
     old_path = as_path(nodes)
-    for src, dst in path_links(old_path):
-        net.add_link(src, dst, capacity=capacity, delay=draw_delay())
+    net.add_links(
+        path_links(old_path), capacity=capacity, delay=_delays(rng, count - 1, delay, max_delay)
+    )
 
     keep = max(0, round(len(middle) * detour_fraction))
     detour = rng.sample(middle, keep) if keep else []
     new_path = as_path([source, *detour, destination])
-    for src, dst in path_links(new_path):
-        if not net.has_link(src, dst):
-            net.add_link(src, dst, capacity=capacity, delay=draw_delay())
+    missing = missing_links(net, new_path)
+    net.add_links(missing, capacity=capacity, delay=_delays(rng, len(missing), delay, max_delay))
     return TwoPathTopology(network=net, old_path=old_path, new_path=new_path)
 
 
@@ -153,13 +162,10 @@ def reversal_topology(
     nodes = switch_names(count)
     net = Network()
     old_path = as_path(nodes)
-    for src, dst in path_links(old_path):
-        net.add_link(src, dst, capacity=capacity, delay=delay)
+    net.add_links(path_links(old_path), capacity=capacity, delay=delay)
     new_nodes = [nodes[0], *reversed(nodes[1:-1]), nodes[-1]]
     new_path = as_path(new_nodes)
-    for src, dst in path_links(new_path):
-        if not net.has_link(src, dst):
-            net.add_link(src, dst, capacity=capacity, delay=delay)
+    net.add_links(missing_links(net, new_path), capacity=capacity, delay=delay)
     return TwoPathTopology(network=net, old_path=old_path, new_path=new_path)
 
 
@@ -193,8 +199,7 @@ def segmented_reversal_topology(
     nodes = switch_names(count)
     net = Network()
     old_path = as_path(nodes)
-    for src, dst in path_links(old_path):
-        net.add_link(src, dst, capacity=capacity, delay=delay)
+    net.add_links(path_links(old_path), capacity=capacity, delay=delay)
 
     # Choose disjoint segments [a, b] (indices into the chain's middle).
     chosen: List[Tuple[int, int]] = []
@@ -215,16 +220,25 @@ def segmented_reversal_topology(
         chosen.append((start, start + length - 1))
     chosen.sort()
 
+    # The Fig. 1 pattern per segment: enter at nodes[a], traverse the
+    # segment's interior in reverse, exit to nodes[b + 1] via nodes[a]'s
+    # successor -- order a, b, b-1, ..., a+1, then continue at b+1.  Only
+    # the detour's links are new: a -> b and a+1 -> b+1 span b - a old-path
+    # hops, each reversed link one.
     new_nodes: List[Node] = []
+    detour: List[Tuple[Node, Node]] = []
+    spans: List[int] = []
     index = 0
     for a, b in chosen:
         new_nodes.extend(nodes[index:a])
-        # The Fig. 1 pattern: enter at nodes[a], traverse the segment's
-        # interior in reverse, exit to nodes[b + 1] via nodes[a]'s successor
-        # order: a, b, b-1, ..., a+1, then continue at b+1.
         new_nodes.append(nodes[a])
-        new_nodes.extend(reversed(nodes[a + 1: b + 1]))
+        reversed_segment = nodes[b:a:-1]
+        new_nodes.extend(reversed_segment)
         index = b + 1
+        detour.append((nodes[a], nodes[b]))
+        detour.extend(zip(reversed_segment, reversed_segment[1:]))
+        detour.append((nodes[a + 1], nodes[b + 1]))
+        spans += [b - a, *[1] * (b - a - 1), b - a]
     new_nodes.extend(nodes[index:])
     new_path = as_path(new_nodes)
 
@@ -233,11 +247,7 @@ def segmented_reversal_topology(
     # feasibility condition of Algorithm 1), so a congestion-free timed
     # schedule exists -- an adjacent swap with equal delays provably has
     # none under tight capacities.
-    position = {node: i for i, node in enumerate(nodes)}
-    for src, dst in path_links(new_path):
-        if not net.has_link(src, dst):
-            span = max(1, abs(position[dst] - position[src]))
-            net.add_link(src, dst, capacity=capacity, delay=span * delay)
+    net.add_links(detour, capacity=capacity, delay=[span * delay for span in spans])
     return TwoPathTopology(network=net, old_path=old_path, new_path=new_path)
 
 

@@ -20,19 +20,27 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Dict, Iterator, Mapping
 
-COLD_PHASES = ("import repro", "imports", "build", "first plan", "warm plan")
+COLD_PHASES = ("import repro", "imports", "build", "encode", "first plan", "warm plan")
 
 #: One fresh process: ``import repro``, the imports a Chronus plan needs,
-#: the build, the first plan (with the lazy imports it triggers), a warm
-#: re-plan, then what the process has loaded.
+#: the build, the encoding the first plan would build (the instance tables
+#: greedy reads and the tracker's id-space encoding -- for a long path the
+#: union-graph ids and the array layout's columns -- with the lazy imports
+#: that triggers), the first plan, a warm re-plan, then what the process
+#: has loaded.
 COLD_PROBE = """import json, sys, time
 t = [time.perf_counter()]
 import repro
 t.append(time.perf_counter())
 from repro.core.instance import {generator}
+from repro.core.tracker import make_tracker
 from repro.updates.registry import get_planner
 t.append(time.perf_counter())
 instance = {generator}({size}, seed={seed}{options})
+t.append(time.perf_counter())
+instance.switches_to_update, instance.old_path_index, instance.old_path_offsets
+instance.old_path_delay, instance.new_path_delay
+make_tracker(instance)
 t.append(time.perf_counter())
 for _ in range(2):
     get_planner("chronus").plan(instance)

@@ -100,30 +100,26 @@ def build_dataplane(
     links: Dict[Tuple[Node, Node], DataLink] = {}
     out_port: Dict[Tuple[Node, Node], int] = {}
     next_port: Dict[Node, int] = {name: 1 for name in network.switches}
-    in_port: Dict[Tuple[Node, Node], int] = {}
+    capacities = network.capacity_map()
 
-    # Assign an input port at the head and an output port at the tail for
-    # every directed link.
-    for link in network.links:
-        tail_port = next_port[link.src]
-        next_port[link.src] += 1
-        head_port = next_port[link.dst]
-        next_port[link.dst] += 1
-        out_port[(link.src, link.dst)] = tail_port
-        in_port[(link.src, link.dst)] = head_port
-
-    for link in network.links:
-        head_switch = switches[link.dst]
+    # Per directed link, in insertion order: an output port at the tail and
+    # an input port at the head, then the link itself.
+    for key, delay in network.delay_map().items():
+        src, dst = key
+        out_port[key] = next_port[src]
+        next_port[src] += 1
+        in_port = next_port[dst]
+        next_port[dst] += 1
         data_link = DataLink(
             sim=sim,
-            name=f"{link.src}->{link.dst}",
-            capacity=link.capacity,
-            delay=link.delay * delay_scale,
-            deliver=head_switch.receive,
-            dst_in_port=in_port[(link.src, link.dst)],
+            name=f"{src}->{dst}",
+            capacity=capacities[key],
+            delay=delay * delay_scale,
+            deliver=switches[dst].receive,
+            dst_in_port=in_port,
         )
-        links[(link.src, link.dst)] = data_link
-        switches[link.src].attach_link(out_port[(link.src, link.dst)], data_link)
+        links[key] = data_link
+        switches[src].attach_link(out_port[key], data_link)
 
     return DataPlane(sim=sim, switches=switches, links=links, out_port=out_port)
 

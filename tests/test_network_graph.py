@@ -96,3 +96,68 @@ class TestNetwork:
         net = network_from_links([("a", "b"), ("b", "c")], capacity=7.0, delay=2)
         assert net.capacity("b", "c") == 7.0
         assert net.delay("a", "b") == 2
+
+
+class TestBulkInsertion:
+    """``add_links`` / ``network_from_links`` against ``add_link`` link by link."""
+
+    BASE = [("a", "b"), ("b", "c")]
+
+    @staticmethod
+    def _add_link_error(base, batch, capacity, delay):
+        """The error ``add_link`` raises on ``batch`` after ``base``, link by link."""
+        net = network_from_links(base)
+        capacities = capacity if isinstance(capacity, list) else [capacity] * len(batch)
+        delays = delay if isinstance(delay, list) else [delay] * len(batch)
+        with pytest.raises(ValueError) as raised:
+            for (src, dst), cap, hop_delay in zip(batch, capacities, delays):
+                net.add_link(src, dst, capacity=cap, delay=hop_delay)
+        return str(raised.value)
+
+    @pytest.mark.parametrize(
+        "batch, capacity, delay, link",
+        [
+            ([("c", "d"), ("d", "e"), ("c", "d")], 1.0, 1, "'c' -> 'd'"),
+            ([("c", "d"), ("b", "c")], 1.0, 1, "'b' -> 'c'"),
+            ([("c", "d"), ("d", "d"), ("d", "e")], 1.0, 1, "'d' -> 'd'"),
+            ([("c", "d"), ("d", "e")], [1.0, 0.0], 1, "'d' -> 'e'"),
+            ([("c", "d"), ("d", "e")], -2.0, 1, "'c' -> 'd'"),
+            ([("c", "d"), ("d", "e")], 1.0, [1, 1.5], "'d' -> 'e'"),
+            ([("c", "d"), ("d", "e")], 1.0, [1, 0], "'d' -> 'e'"),
+        ],
+        ids=["duplicate-in-batch", "duplicate-of-existing", "self-loop",
+             "zero-capacity", "negative-capacity", "fractional-delay", "zero-delay"],
+    )
+    def test_a_fault_raises_add_links_error_and_adds_nothing(self, batch, capacity, delay, link):
+        expected = self._add_link_error(self.BASE, batch, capacity, delay)
+        assert link in expected
+        net = network_from_links(self.BASE)
+        with pytest.raises(ValueError) as raised:
+            net.add_links(batch, capacity=capacity, delay=delay)
+        assert str(raised.value) == expected
+        assert net.switches == ["a", "b", "c"]
+        assert list(net.delay_map()) == self.BASE == list(net.capacity_map())
+        if ("b", "c") not in batch:  # a fault of the batch alone
+            with pytest.raises(ValueError) as built:
+                network_from_links(batch, capacity=capacity, delay=delay)
+            assert str(built.value) == self._add_link_error([], batch, capacity, delay)
+
+    def test_bulk_equals_link_by_link(self):
+        links = [("x", "y"), ("a", "b"), ("y", "a"), ("b", "x"), ("a", "y")]
+        delays = [3, 1, 2, 5, 1]
+        capacities = [1.0, 2.0, 0.5, 1.0, 4.0]
+        one_by_one = Network()
+        one_by_one.add_switch("z")
+        for (src, dst), cap, delay in zip(links, capacities, delays):
+            one_by_one.add_link(src, dst, capacity=cap, delay=delay)
+        bulk = Network()
+        bulk.add_switch("z")
+        bulk.add_links(iter(links), capacity=capacities, delay=tuple(delays))
+        assert bulk.switches == one_by_one.switches == ["z", "x", "y", "a", "b"]
+        assert list(bulk.delay_map().items()) == list(one_by_one.delay_map().items())
+        assert list(bulk.capacity_map().items()) == list(one_by_one.capacity_map().items())
+        assert bulk.successors("a") == one_by_one.successors("a") == ["b", "y"]
+
+    def test_attribute_lists_must_match_the_links(self):
+        with pytest.raises(ValueError, match="2 link attributes for 3 links"):
+            network_from_links([("a", "b"), ("b", "c"), ("c", "d")], delay=[1, 2])
