@@ -127,18 +127,15 @@ def main(argv=None) -> int:
         seed = sweep_seed(0, args.switches, index)
         instance = mixed_instance(args.switches, seed)
         outcomes = run_instance(
-            instance, seed, schemes=all_schemes, verify=True, **BUDGETS
+            instance, seed, {"schemes": all_schemes, "verify": True, **BUDGETS}
         )
         for name, outcome in outcomes.items():
-            if outcome.verifier_agrees is not True:
+            if outcome["verifier_agrees"] is not True:
                 disagreements += 1
-                print(f"     {name} seed={seed}: verifier_agrees={outcome.verifier_agrees}")
+                print(f"     {name} seed={seed}: verifier_agrees={outcome['verifier_agrees']}")
         chronus, aug = outcomes["chronus"], outcomes["aug"]
-        if (aug.congestion_free, aug.congested_timed_links, aug.makespan) != (
-            chronus.congestion_free,
-            chronus.congested_timed_links,
-            chronus.makespan,
-        ):
+        fields = ("congestion_free", "congested_timed_links", "makespan")
+        if [aug[field] for field in fields] != [chronus[field] for field in fields]:
             aug_mismatches += 1
     check(
         disagreements == 0,

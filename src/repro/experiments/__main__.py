@@ -194,15 +194,18 @@ def _cmd_list() -> int:
     return 0
 
 
-def _validate_schemes(args: argparse.Namespace) -> None:
-    """Reject unregistered scheme names before any compute starts.
+def _validate_params(args: argparse.Namespace) -> None:
+    """Reject unregistered scheme names and bad grid values before any
+    run directory exists.
 
     ``--set schemes=chrnous`` used to die minutes later with a
     ``KeyError`` inside a worker; resolving the materialised params
     against the planner registry up front turns the typo into an exit-2
-    parse error listing the registered names.  Comma-separated shorthand
-    (``--set schemes=chronus,aug``) is normalised to a list here so the
-    scenario sees the same shape a JSON override would produce.
+    parse error listing the registered names.  Expanding the scenario's
+    item grid here does the same for the values the grid checks
+    (``--set workload=foo`` on the sweep scenarios).  Comma-separated
+    shorthand (``--set schemes=chronus,aug``) is normalised to a list here
+    so the scenario sees the same shape a JSON override would produce.
     """
     scenario = get_scenario(args.scenario)
     overrides = dict(args.overrides)
@@ -214,16 +217,18 @@ def _validate_schemes(args: argparse.Namespace) -> None:
     schemes = params.get("schemes")
     if schemes is not None:
         planners_for(tuple(schemes))
+    scenario.items(params)
 
 
 def _cmd_run(args: argparse.Namespace, resume: bool) -> int:
     ctx = _context(args)
     if not resume:
         try:
-            _validate_schemes(args)
+            _validate_params(args)
         except ValueError as exc:
-            # Unknown --set key, unregistered scheme or missing --paper
-            # preset: a usage error naming the valid choices, not a crash.
+            # Unknown --set key, unregistered scheme, a value the grid
+            # refuses or missing --paper preset: a usage error naming the
+            # valid choices, not a crash.
             print(str(exc), file=sys.stderr)
             return 2
     try:

@@ -6,7 +6,7 @@ Chronus and OPT, against ~15% for OR -- Chronus tracks OPT closely and
 beats OR by ~60 percentage points.
 
 Pipeline scenario ``fig7``: items come from the shared sweep grid
-(:mod:`repro.pipeline.stages`), records carry every scheme's outcome per
+(:mod:`repro.experiments.sweep`), records carry every scheme's outcome per
 instance, and the figure itself is a pure aggregation over records.
 """
 
@@ -16,13 +16,12 @@ from dataclasses import dataclass
 from typing import Dict, List, Mapping, Sequence
 
 from repro.analysis.timeseries import render_table
-from repro.experiments.sweep import congestion_free_percentage
-from repro.pipeline.scenario import Scenario, register
-from repro.pipeline.stages import (
+from repro.experiments.sweep import (
+    congestion_free_percentage,
     sweep_evaluate,
     sweep_items,
-    sweep_records_from_dicts,
 )
+from repro.pipeline.scenario import Scenario, register
 
 SCHEMES = ("opt", "chronus", "or")
 
@@ -48,11 +47,10 @@ class Fig7Result:
 
 
 def _aggregate(records: Sequence[Mapping], params: Mapping) -> Fig7Result:
-    swept = sweep_records_from_dicts(records)
     counts = [int(count) for count in params["switch_counts"]]
     percentages = {
         scheme: [
-            congestion_free_percentage(swept, scheme, count) for count in counts
+            congestion_free_percentage(records, scheme, count) for count in counts
         ]
         for scheme in params["schemes"]
     }

@@ -15,13 +15,8 @@ from dataclasses import dataclass
 from typing import Dict, List, Mapping, Sequence
 
 from repro.analysis.timeseries import render_table
-from repro.experiments.sweep import total_congested_links
+from repro.experiments.sweep import sweep_evaluate, sweep_items, total_congested_links
 from repro.pipeline.scenario import Scenario, register
-from repro.pipeline.stages import (
-    sweep_evaluate,
-    sweep_items,
-    sweep_records_from_dicts,
-)
 
 SCHEMES = ("chronus", "or")
 
@@ -46,10 +41,9 @@ class Fig8Result:
 
 
 def _aggregate(records: Sequence[Mapping], params: Mapping) -> Fig8Result:
-    swept = sweep_records_from_dicts(records)
     counts = [int(count) for count in params["switch_counts"]]
     congested = {
-        scheme: [total_congested_links(swept, scheme, count) for count in counts]
+        scheme: [total_congested_links(records, scheme, count) for count in counts]
         for scheme in params["schemes"]
     }
     return Fig8Result(switch_counts=counts, congested=congested)

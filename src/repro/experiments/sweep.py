@@ -12,16 +12,20 @@ per run.  For every instance the sweep runs:
 * **OR** -- round-minimal loop-free rounds realised with random per-switch
   asynchrony, replayed through the exact validator.
 
-The per-instance records carry everything the three figures aggregate:
+This module is the one that knows what a sweep record is:
+:func:`sweep_items` expands the grid ``sweep``, ``fig7`` and ``fig8``
+register, :func:`sweep_evaluate` turns one item into its record (``key``,
+``switch_count``, ``seed`` and :func:`run_instance`'s outcome dict per
+scheme), and the figures aggregate those stored dicts as they are:
 congestion-case flags, congested time-extended link counts and makespans.
 
 Every instance descends from its :func:`sweep_seed` alone, so serial and
-parallel runs produce byte-identical records -- with one caveat:
-``opt_budget`` / ``or_budget`` are *wall-clock* budgets, and a budget that
-expires mid-search in one run but not the other changes that instance's
-outcome.  For strict record identity (tests, the bench gate) bound OPT
-and OR with the deterministic ``opt_node_budget`` / ``or_node_budget``
-instead and size the wall-clock budgets so they never bind.
+parallel runs produce byte-identical records -- with one caveat: OPT's
+and OR's time budgets are *wall-clock* budgets, and a budget that expires
+mid-search in one run but not the other changes that instance's outcome.
+For strict record identity (tests, the bench gate) bound OPT and OR with
+their deterministic node budgets instead and size the wall-clock budgets
+so they never bind.
 
 Scheme dispatch goes through :mod:`repro.updates.registry`: the sweep
 resolves names with :func:`repro.updates.registry.sweep_planners` and loops
@@ -33,12 +37,15 @@ changing.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence
 
 from repro.core.instance import UpdateInstance, random_instance, segmented_instance
 from repro.trace.recorder import recorder
 from repro.updates.registry import DEFAULT_SCHEMES, SharedEvaluation, sweep_planners
+
+if TYPE_CHECKING:
+    from repro.pipeline.context import WorkerContext
 
 
 def sweep_seed(base_seed: int, switch_count: int, index: int) -> int:
@@ -51,66 +58,26 @@ def sweep_seed(base_seed: int, switch_count: int, index: int) -> int:
     return base_seed * 1_000_003 + switch_count * 10_007 + index
 
 
-@dataclass(frozen=True)
-class InstanceOutcome:
-    """One scheme's result on one instance.
-
-    Attributes:
-        verifier_agrees: ``None`` when the sweep ran without conformance
-            checking; otherwise whether the independent verifier
-            (:mod:`repro.validate.verifier`) reproduced this outcome's
-            consistency numbers exactly.  A ``False`` here means the
-            figures built from this record are measuring a bug.
-    """
-
-    scheme: str
-    congestion_free: bool
-    congested_timed_links: int
-    makespan: Optional[int]
-    verifier_agrees: Optional[bool] = None
-
-
-@dataclass
-class SweepRecord:
-    """All schemes' outcomes on one instance."""
-
-    switch_count: int
-    seed: int
-    outcomes: Dict[str, InstanceOutcome] = field(default_factory=dict)
-
-
 def run_instance(
-    instance: UpdateInstance,
-    seed: int,
-    schemes: Sequence[str] = DEFAULT_SCHEMES,
-    opt_budget: float = 1.0,
-    or_budget: float = 0.5,
-    or_skew: int = 3,
-    opt_node_budget: Optional[int] = None,
-    or_node_budget: Optional[int] = None,
-    verify: bool = False,
-    aug_epsilon: float = 0.0,
-) -> Dict[str, InstanceOutcome]:
-    """Evaluate the requested schemes on one instance.
+    instance: UpdateInstance, seed: int, params: Mapping[str, object]
+) -> Dict[str, Dict[str, object]]:
+    """Evaluate ``params["schemes"]`` on one instance: the stored outcomes.
 
-    Scheme names resolve through the planner registry
+    ``params`` is the scenario's flat parameter mapping; each planner takes
+    its own knobs from it
+    (:meth:`~repro.updates.registry.Planner.sweep_options`).  Scheme
+    names resolve through the planner registry
     (:class:`repro.updates.registry.UnknownSchemeError` on a typo) and
     evaluate in ``sweep_order`` -- the legacy chronus -> opt -> or code
     order -- because all schemes share one per-instance RNG stream and
     reordering would change every realised schedule.
 
-    ``opt_node_budget`` / ``or_node_budget`` bound OPT and OR by explored
-    search nodes instead of (or in addition to) wall clock -- deterministic
-    budgets, so outcomes stop depending on machine load (see
-    :func:`repro.core.optimal.optimal_schedule` and
-    :func:`repro.updates.order_replacement.minimize_rounds`).
-
-    ``aug_epsilon`` is AUG's transient capacity headroom (DESIGN.md §15);
-    at ``0.0`` AUG plans on the true network and matches Chronus exactly.
-
-    With ``verify=True`` every evaluated schedule is re-checked by the
-    independent verifier and the outcome's ``verifier_agrees`` flag is
-    filled in (see :class:`InstanceOutcome`).
+    Each outcome is the dict a sweep record stores per scheme:
+    ``congestion_free``, ``congested_timed_links``, ``makespan`` and
+    ``verifier_agrees`` -- ``None`` unless ``params["verify"]``, otherwise
+    whether the independent verifier (:mod:`repro.validate.verifier`)
+    reproduced the outcome's consistency numbers exactly (a ``False``
+    means the figures built from the record are measuring a bug).
 
     The schemes share one :class:`~repro.updates.registry.SharedEvaluation`
     for the length of this call: the default greedy runs once (Chronus'
@@ -119,30 +86,23 @@ def run_instance(
     those of each scheme evaluated alone.
     """
     rng = random.Random(seed ^ 0x5EED)
-    knobs = {
-        "opt_budget": opt_budget,
-        "or_budget": or_budget,
-        "or_skew": or_skew,
-        "opt_node_budget": opt_node_budget,
-        "or_node_budget": or_node_budget,
-        "aug_epsilon": aug_epsilon,
-    }
-    outcomes: Dict[str, InstanceOutcome] = {}
+    verify = bool(params.get("verify"))
+    outcomes: Dict[str, Dict[str, object]] = {}
     shared = SharedEvaluation(instance)
-    for planner in sweep_planners(schemes):
+    for planner in sweep_planners(params["schemes"]):
         result = planner.plan(
-            instance, rng=rng, shared=shared, **planner.sweep_options(knobs)
+            instance, rng=rng, shared=shared, **planner.sweep_options(params)
         )
         metrics = shared.metrics(planner, result)
-        outcomes[planner.name] = InstanceOutcome(
-            scheme=planner.name,
-            congestion_free=metrics.congestion_free and result.feasible,
-            congested_timed_links=metrics.congested_timed_links,
-            makespan=metrics.makespan,
-            verifier_agrees=(
+        outcomes[planner.name] = {
+            "scheme": planner.name,
+            "congestion_free": metrics.congestion_free and result.feasible,
+            "congested_timed_links": metrics.congested_timed_links,
+            "makespan": metrics.makespan,
+            "verifier_agrees": (
                 shared.agrees(planner, result, metrics) if verify else None
             ),
-        )
+        }
     return outcomes
 
 
@@ -179,26 +139,32 @@ def mixed_instance(count: int, seed: int) -> UpdateInstance:
     return random_instance(count, rng=random.Random(seed))
 
 
+#: The instance families a sweep's ``workload`` parameter names.
+WORKLOADS = ("mixed", "permutation")
+
+
+class UnknownWorkloadError(ValueError):
+    """A ``workload`` parameter naming no instance family."""
+
+    def __init__(self, workload: object):
+        self.workload = workload
+        super().__init__(
+            f"parameter 'workload' must be one of {', '.join(WORKLOADS)}; "
+            f"got {workload!r}"
+        )
+
+
 @dataclass(frozen=True)
 class SweepItem:
-    """Self-contained description of one sweep evaluation.
-
-    Carries everything a worker process needs to regenerate and evaluate
-    the instance; no ambient state crosses the process boundary.
-    """
+    """The instance one sweep item builds: everything a worker process
+    needs to regenerate it, so no ambient state crosses the process
+    boundary."""
 
     switch_count: int
     seed: int
-    schemes: tuple
-    opt_budget: float
-    workload: str = "mixed"
-    max_delay: Optional[int] = None
-    detour_fraction: float = 1.0
-    or_budget: float = 0.5
-    opt_node_budget: Optional[int] = None
-    or_node_budget: Optional[int] = None
-    verify: bool = False
-    aug_epsilon: float = 0.0
+    workload: str
+    max_delay: Optional[int]
+    detour_fraction: float
 
     def build_instance(self) -> UpdateInstance:
         if self.workload == "mixed":
@@ -210,59 +176,90 @@ class SweepItem:
                 max_delay=self.max_delay,
                 detour_fraction=self.detour_fraction,
             )
-        raise ValueError(f"unknown workload {self.workload!r}")
-
-
-def evaluate_sweep_item(item: SweepItem) -> SweepRecord:
-    """Worker function: regenerate one instance and evaluate all schemes."""
-    record = SweepRecord(switch_count=item.switch_count, seed=item.seed)
-    with recorder.timer("core.instance.build"):
-        instance = item.build_instance()
-    record.outcomes = run_instance(
-        instance,
-        item.seed,
-        schemes=item.schemes,
-        opt_budget=item.opt_budget,
-        or_budget=item.or_budget,
-        opt_node_budget=item.opt_node_budget,
-        or_node_budget=item.or_node_budget,
-        verify=item.verify,
-        aug_epsilon=item.aug_epsilon,
-    )
-    return record
+        raise UnknownWorkloadError(self.workload)
 
 
 def congestion_free_percentage(
-    records: Sequence[SweepRecord], scheme: str, switch_count: int
+    records: Sequence[Mapping], scheme: str, switch_count: int
 ) -> float:
     """Percent of instances of one size the scheme kept congestion-free."""
     relevant = [
-        r for r in records if r.switch_count == switch_count and scheme in r.outcomes
+        r["outcomes"][scheme]
+        for r in records
+        if r["switch_count"] == switch_count and scheme in r["outcomes"]
     ]
     if not relevant:
         return 0.0
-    clean = sum(1 for r in relevant if r.outcomes[scheme].congestion_free)
+    clean = sum(1 for outcome in relevant if outcome["congestion_free"])
     return 100.0 * clean / len(relevant)
 
 
 def total_congested_links(
-    records: Sequence[SweepRecord], scheme: str, switch_count: int
+    records: Sequence[Mapping], scheme: str, switch_count: int
 ) -> int:
     """Sum of congested time-extended links over one size's instances."""
     return sum(
-        r.outcomes[scheme].congested_timed_links
+        r["outcomes"][scheme]["congested_timed_links"]
         for r in records
-        if r.switch_count == switch_count and scheme in r.outcomes
+        if r["switch_count"] == switch_count and scheme in r["outcomes"]
     )
 
 
 # --- pipeline scenario -------------------------------------------------
 
+
+def sweep_items(params: Mapping[str, object]) -> List[Dict[str, object]]:
+    """Expand the (switch_counts x instances_per_size) grid.
+
+    Every item's seed follows the :func:`sweep_seed` harness contract, so
+    a record cites the exact integer that regenerates its instance.  An
+    unknown ``workload`` is refused here, before any run exists
+    (:class:`UnknownWorkloadError`).
+    """
+    workload = params.get("workload", "mixed")
+    if workload not in WORKLOADS:
+        raise UnknownWorkloadError(workload)
+    base_seed = int(params["base_seed"])
+    return [
+        {
+            "key": f"n{count}-i{index}",
+            "switch_count": int(count),
+            "index": index,
+            "seed": sweep_seed(base_seed, int(count), index),
+        }
+        for count in params["switch_counts"]  # type: ignore[union-attr]
+        for index in range(int(params["instances_per_size"]))
+    ]
+
+
+def sweep_evaluate(
+    item: Mapping[str, object], params: Mapping[str, object], ctx: WorkerContext
+) -> Dict[str, object]:
+    """Regenerate one sweep instance and record every scheme's outcome."""
+    build = SweepItem(
+        switch_count=int(item["switch_count"]),
+        seed=int(item["seed"]),
+        workload=str(params.get("workload", "mixed")),
+        max_delay=params.get("max_delay"),  # type: ignore[arg-type]
+        detour_fraction=float(params.get("detour_fraction", 1.0)),
+    )
+    with recorder.timer("core.instance.build"):
+        instance = build.build_instance()
+    if ctx.verify:
+        params = {**params, "verify": True}
+    return {
+        "key": item["key"],
+        "switch_count": build.switch_count,
+        "seed": build.seed,
+        "outcomes": run_instance(instance, build.seed, params),
+    }
+
+
 @dataclass
 class GenericSweepResult:
     """Raw sweep records plus the two standard aggregate views."""
 
-    records: List[SweepRecord]
+    records: Sequence[Mapping]
     switch_counts: Sequence[int]
     schemes: Sequence[str]
 
@@ -286,10 +283,8 @@ class GenericSweepResult:
 
 
 def _scenario_aggregate(records, params) -> GenericSweepResult:
-    from repro.pipeline.stages import sweep_records_from_dicts
-
     return GenericSweepResult(
-        records=sweep_records_from_dicts(records),
+        records=records,
         switch_counts=tuple(int(c) for c in params["switch_counts"]),
         schemes=tuple(params["schemes"]),
     )
@@ -297,7 +292,6 @@ def _scenario_aggregate(records, params) -> GenericSweepResult:
 
 def _register_scenario():
     from repro.pipeline.scenario import Scenario, register
-    from repro.pipeline.stages import sweep_evaluate, sweep_items
 
     return register(
         Scenario(

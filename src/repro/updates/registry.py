@@ -276,21 +276,32 @@ class Planner(abc.ABC):
 
         return verify_schedule(instance, schedule, background=background)
 
-    def conformance(self, instance: UpdateInstance, result: UpdatePlan, metrics) -> bool:
-        """Does the independent verifier reproduce the measured numbers?
+    def conformance(self, metrics, verdict) -> List[str]:
+        """Where ``verdict`` disagrees with ``metrics``: one line per field.
 
-        Compares the quantities the figures aggregate: congestion
-        freedom, the congested time-extended link count, and loop/drop
-        freedom.  (Loop and black-hole *event counts* are representation
-        dependent, so only their emptiness is comparable.)
+        ``metrics`` comes from :meth:`measure`, ``verdict`` from
+        :meth:`verify` on the same schedule; an empty list means the
+        independent verifier reproduced the measured numbers.  Compares the
+        quantities the figures aggregate: congestion freedom, the congested
+        time-extended link count, and loop/drop freedom.  (Loop and
+        black-hole *event counts* are representation dependent, so only
+        their emptiness is comparable.)
         """
-        verdict = self.verify(instance, result.schedule)
-        return (
-            verdict.congestion_free == metrics.congestion_free
-            and verdict.congested_timed_links == metrics.congested_timed_links
-            and verdict.loop_free == metrics.loop_free
-            and verdict.drop_free == (metrics.blackhole_events == 0)
+        fields = (
+            ("congestion_free", metrics.congestion_free, verdict.congestion_free),
+            (
+                "congested_timed_links",
+                metrics.congested_timed_links,
+                verdict.congested_timed_links,
+            ),
+            ("loop_free", metrics.loop_free, verdict.loop_free),
+            ("drop_free", metrics.blackhole_events == 0, verdict.drop_free),
         )
+        return [
+            f"{name}: measured {measured}, verifier {judged}"
+            for name, measured, judged in fields
+            if measured != judged
+        ]
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<{type(self).__name__} {self.name!r}>"
@@ -378,8 +389,9 @@ class SharedEvaluation:
         return metrics
 
     def agrees(self, planner: "Planner", result: UpdatePlan, metrics) -> bool:
-        """``planner.conformance(instance, result, metrics)`` for ``metrics``
-        from :meth:`metrics`, once per distinct schedule."""
+        """Does ``planner.verify`` of the schedule leave no field of
+        ``metrics`` (from :meth:`metrics`) disagreeing
+        (``planner.conformance``)?  Once per distinct schedule."""
         kind = type(planner)
         key = (
             kind.measure,
@@ -391,9 +403,8 @@ class SharedEvaluation:
         if agrees is None:
             with recorder.timer("validate.verifier.verify") as timed:
                 timed.set(scheme=planner.name)
-                agrees = self._agrees[key] = planner.conformance(
-                    self.instance, result, metrics
-                )
+                verdict = planner.verify(self.instance, result.schedule)
+                agrees = self._agrees[key] = not planner.conformance(metrics, verdict)
         return agrees
 
 

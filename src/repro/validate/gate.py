@@ -7,10 +7,12 @@ trajectory replay) and one fluid simulation.  For each seeded instance and
 each protocol the gate checks
 
 * **planner <-> verifier** -- a plan claiming feasibility must get a clean
-  verdict, and the verdict must agree with the interval tracker on
-  congestion-freedom, the congested time-extended link count, and the
-  presence of loops and black holes (for two-phase plans, with the exact
-  overtaking-span formula instead of the tracker);
+  verdict, and the verdict of the dispatched schedule must agree with the
+  planner's own measurement of it (``Planner.measure``: the interval
+  tracker, or the exact overtaking-span formula for two-phase plans) on
+  every field ``Planner.conformance`` compares -- congestion-freedom, the
+  congested time-extended link count, and the presence of loops and black
+  holes;
 * **verifier <-> simulator** -- :func:`repro.validate.differential_replay`
   executes the plan on the fluid data plane through the controller stack
   and cross-checks the measured link timelines and drop volumes against
@@ -22,12 +24,11 @@ them); the gate renders each one with enough context to rerun it alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, List, Optional, Sequence
 
-from repro.analysis.metrics import evaluate_schedule
 from repro.core.instance import UpdateInstance
-from repro.updates.registry import available_schemes, planners_for
+from repro.updates.registry import available_schemes, get_planner, planners_for
 from repro.validate.differential import differential_replay
 from repro.validate.verifier import verify_plan
 
@@ -124,49 +125,16 @@ def check_plan(
             "violations:\n" + verdict.describe()
         )
 
-    planner = plan.planner
-    if planner is not None and planner.two_phase:
-        # Two engines for two-phase congestion: the closed-form overtaking
-        # spans versus the verifier's per-emission walk.
-        from repro.updates.two_phase import two_phase_congestion_spans
-
-        flip_time = plan.schedule.time_of(instance.source)
-        spans = two_phase_congestion_spans(instance, flip_time)
-        span_links = sum(span.timed_link_count for span in spans)
-        if span_links != verdict.congested_timed_links:
-            planner_bug(
-                f"two-phase span formula counts {span_links} congested "
-                f"timed link(s), verifier counts {verdict.congested_timed_links}"
-            )
-        if verdict.loops or verdict.blackholes:
-            planner_bug(
-                "two-phase updates are loop- and drop-free by construction, "
-                "yet the verifier reports:\n" + verdict.describe()
-            )
-    else:
-        # The interval tracker is the figures' measurement engine; the
-        # verifier re-derives the same quantities from scratch.
-        metrics = evaluate_schedule(instance, plan.dispatched)
-        if metrics.congestion_free != verdict.congestion_free:
-            planner_bug(
-                f"tracker congestion_free={metrics.congestion_free} but "
-                f"verifier congestion_free={verdict.congestion_free}"
-            )
-        elif metrics.congested_timed_links != verdict.congested_timed_links:
-            planner_bug(
-                f"tracker counts {metrics.congested_timed_links} congested "
-                f"timed link(s), verifier counts {verdict.congested_timed_links}"
-            )
-        if metrics.loop_free != verdict.loop_free:
-            planner_bug(
-                f"tracker loop_free={metrics.loop_free} but "
-                f"verifier loop_free={verdict.loop_free}"
-            )
-        if (metrics.blackhole_events == 0) != verdict.drop_free:
-            planner_bug(
-                f"tracker blackhole_events={metrics.blackhole_events} but "
-                f"verifier drop_free={verdict.drop_free}"
-            )
+    # The planner's own measurement of what the controller is handed (the
+    # interval tracker, or TP's overtaking-span formula) must match the
+    # verifier's from-scratch derivation field by field.
+    planner = get_planner(plan.scheme)
+    metrics = planner.measure(instance, replace(plan, schedule=plan.dispatched))
+    fields = planner.conformance(metrics, verdict)
+    if fields:
+        planner_bug(
+            "measured metrics disagree with the verifier:\n" + "\n".join(fields)
+        )
 
     if replay:
         report = differential_replay(

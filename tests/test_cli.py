@@ -3,6 +3,8 @@
 import subprocess
 import sys
 
+import pytest
+
 
 def run_cli(*args, timeout=240):
     return subprocess.run(
@@ -57,3 +59,15 @@ def test_bare_scenario_name_is_a_usage_error():
 
 def test_no_arguments_is_a_usage_error():
     assert_usage_error(run_cli())
+
+
+@pytest.mark.parametrize("name", ["sweep", "fig7", "fig8"])
+def test_unknown_workload_exits_2_before_the_run_exists(name, tmp_path):
+    completed = run_cli(
+        "run", name, "--runs-dir", str(tmp_path), "--quiet", "--set", "workload=foo"
+    )
+    assert completed.returncode == 2, completed.stdout
+    assert "Traceback" not in completed.stderr
+    for word in ("'workload'", "'foo'", "mixed", "permutation"):
+        assert word in completed.stderr
+    assert not any(tmp_path.iterdir())  # no run directory, so nothing to resume

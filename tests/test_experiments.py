@@ -19,6 +19,8 @@ from repro.experiments.sweep import (
 from repro.pipeline import RunContext, WorkerContext, run_in_memory
 from repro.updates import get_planner
 
+TRIO = ("chronus", "or", "opt")
+
 
 class TestTable2:
     def test_tables_render(self):
@@ -104,20 +106,20 @@ class TestSweep:
         assert 0.0 < local_reroute_share(1000) <= 1.0
 
     def test_run_instance_produces_all_schemes(self, fig1_instance):
-        outcomes = run_instance(fig1_instance, seed=1, opt_budget=5.0)
+        outcomes = run_instance(fig1_instance, 1, {"schemes": TRIO, "opt_budget": 5.0})
         assert set(outcomes) == {"chronus", "or", "opt"}
-        assert outcomes["chronus"].congestion_free
-        assert outcomes["opt"].congestion_free
+        assert outcomes["chronus"]["congestion_free"]
+        assert outcomes["opt"]["congestion_free"]
 
     def test_run_instance_without_verify_leaves_flag_unset(self, fig1_instance):
-        outcomes = run_instance(fig1_instance, seed=1, opt_budget=5.0)
-        assert all(o.verifier_agrees is None for o in outcomes.values())
+        outcomes = run_instance(fig1_instance, 1, {"schemes": TRIO, "opt_budget": 5.0})
+        assert all(o["verifier_agrees"] is None for o in outcomes.values())
 
     def test_run_instance_verify_flags_conformance(self, fig1_instance):
         outcomes = run_instance(
-            fig1_instance, seed=1, opt_budget=5.0, verify=True
+            fig1_instance, 1, {"schemes": TRIO, "opt_budget": 5.0, "verify": True}
         )
-        assert all(o.verifier_agrees is True for o in outcomes.values())
+        assert all(o["verifier_agrees"] is True for o in outcomes.values())
 
     def test_sweep_threads_verify_flag(self):
         records = run_in_memory(
@@ -132,9 +134,9 @@ class TestSweep:
             ctx=RunContext(verify=True),
         ).records
         flags = [
-            outcome.verifier_agrees
+            outcome["verifier_agrees"]
             for record in records
-            for outcome in record.outcomes.values()
+            for outcome in record["outcomes"].values()
         ]
         assert flags and all(flag is True for flag in flags)
 

@@ -27,7 +27,6 @@ fixture's ``moved`` block (``test_moved_documents_differ_by_their_cause``).
 import hashlib
 import json
 import random
-from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -180,9 +179,9 @@ def test_aug_claim_at_positive_epsilon_is_judged_on_true_capacities(goldens, sho
         differ += plan.feasible != parent_planner["feasible"]
 
         outcome = run_instance(
-            instance, entry["seed"], schemes=("aug",), verify=True, **knobs
+            instance, entry["seed"], dict(knobs, schemes=("aug",), verify=True)
         )["aug"]
-        assert asdict(outcome) == entry["sweep_outcomes_eps1"]["aug"], entry["id"]
+        assert outcome == entry["sweep_outcomes_eps1"]["aug"], entry["id"]
     assert differ == 31  # relaxed-feasible yet congested on the true network
 
 
@@ -190,10 +189,9 @@ def test_sweep_outcome_records_unchanged(goldens, shortcut_instance):
     for entry in goldens["entries"]:
         instance = _instance(entry, shortcut_instance)
         outcomes = run_instance(
-            instance, entry["seed"], schemes=SCHEMES, verify=True, **_knobs(goldens, entry)
+            instance, entry["seed"], dict(_knobs(goldens, entry), schemes=SCHEMES, verify=True)
         )
-        records = {name: asdict(outcome) for name, outcome in sorted(outcomes.items())}
-        assert records == entry["sweep_outcomes"], entry["id"]
+        assert outcomes == entry["sweep_outcomes"], entry["id"]
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)

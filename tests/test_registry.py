@@ -18,7 +18,6 @@ import json
 import random
 import subprocess
 import sys
-from dataclasses import asdict
 from pathlib import Path
 from typing import Dict, Optional
 
@@ -30,12 +29,7 @@ from repro.analysis.metrics import evaluate_schedule
 from repro.core.greedy import greedy_schedule
 from repro.core.instance import reversal_instance, segmented_instance
 from repro.core.optimal import optimal_schedule
-from repro.experiments.sweep import (
-    InstanceOutcome,
-    mixed_instance,
-    run_instance,
-    sweep_seed,
-)
+from repro.experiments.sweep import mixed_instance, run_instance, sweep_seed
 from repro.core.rounds import greedy_loop_free_rounds
 from repro.trace import TraceSession, aggregate
 from repro.updates.order_replacement import minimize_rounds, realize_round_times
@@ -80,7 +74,7 @@ def legacy_run_instance(
     or_node_budget: Optional[int] = None,
     verify: bool = False,
     aug_epsilon: float = 0.0,
-) -> Dict[str, InstanceOutcome]:
+) -> Dict[str, dict]:
     """Frozen copy of the pre-registry if-chain (the byte-identity oracle).
 
     This is the dispatch code the registry replaced, kept verbatim minus
@@ -96,7 +90,7 @@ def legacy_run_instance(
     from repro.validate.verifier import verify_schedule, verify_two_phase
 
     rng = random.Random(seed ^ 0x5EED)
-    outcomes: Dict[str, InstanceOutcome] = {}
+    outcomes: Dict[str, dict] = {}
 
     def conformance(schedule, metrics) -> Optional[bool]:
         if not verify:
@@ -112,7 +106,7 @@ def legacy_run_instance(
     if "chronus" in schemes:
         result = greedy_schedule(instance)
         metrics = evaluate_schedule(instance, result.schedule)
-        outcomes["chronus"] = InstanceOutcome(
+        outcomes["chronus"] = dict(
             scheme="chronus",
             congestion_free=metrics.congestion_free and result.feasible,
             congested_timed_links=metrics.congested_timed_links,
@@ -126,7 +120,7 @@ def legacy_run_instance(
         )
         if result.schedule is not None:
             metrics = evaluate_schedule(instance, result.schedule)
-            outcomes["opt"] = InstanceOutcome(
+            outcomes["opt"] = dict(
                 scheme="opt",
                 congestion_free=metrics.congestion_free,
                 congested_timed_links=metrics.congested_timed_links,
@@ -137,7 +131,7 @@ def legacy_run_instance(
             rounds = greedy_loop_free_rounds(instance)
             fallback = realize_round_times(rounds, rng=rng, max_skew=0)
             metrics = evaluate_schedule(instance, fallback)
-            outcomes["opt"] = InstanceOutcome(
+            outcomes["opt"] = dict(
                 scheme="opt",
                 congestion_free=False,
                 congested_timed_links=metrics.congested_timed_links,
@@ -151,7 +145,7 @@ def legacy_run_instance(
         ).rounds
         realized = realize_round_times(rounds, rng=rng, max_skew=or_skew)
         metrics = evaluate_schedule(instance, realized)
-        outcomes["or"] = InstanceOutcome(
+        outcomes["or"] = dict(
             scheme="or",
             congestion_free=metrics.congestion_free,
             congested_timed_links=metrics.congested_timed_links,
@@ -171,7 +165,7 @@ def legacy_run_instance(
                 and verdict.loop_free
                 and verdict.drop_free
             )
-        outcomes["tp"] = InstanceOutcome(
+        outcomes["tp"] = dict(
             scheme="tp",
             congestion_free=not spans,
             congested_timed_links=links,
@@ -185,7 +179,7 @@ def legacy_run_instance(
         feasible = result.feasible
         if feasible and aug_epsilon > 0.0:
             feasible = evaluate_schedule(instance, result.schedule).congestion_free
-        outcomes["aug"] = InstanceOutcome(
+        outcomes["aug"] = dict(
             scheme="aug",
             congestion_free=metrics.congestion_free and feasible,
             congested_timed_links=metrics.congested_timed_links,
@@ -196,12 +190,9 @@ def legacy_run_instance(
     return outcomes
 
 
-def canonical(outcomes: Dict[str, InstanceOutcome]) -> str:
+def canonical(outcomes: Dict[str, dict]) -> str:
     """Byte-stable JSON rendering of a full outcome record."""
-    return json.dumps(
-        {name: asdict(outcome) for name, outcome in sorted(outcomes.items())},
-        sort_keys=True,
-    )
+    return json.dumps(outcomes, sort_keys=True)
 
 
 class TestRegistryApi:
@@ -271,7 +262,9 @@ class TestLockstepByteIdentity:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_default_trio_matches_legacy(self, seed):
         instance = mixed_instance(12, seed)
-        new = run_instance(instance, seed, verify=True, **BUDGETS)
+        new = run_instance(
+            instance, seed, dict(BUDGETS, schemes=DEFAULT_SCHEMES, verify=True)
+        )
         old = legacy_run_instance(instance, seed, verify=True, **BUDGETS)
         assert canonical(new) == canonical(old)
 
@@ -288,16 +281,16 @@ class TestLockstepByteIdentity:
         """
         seed = sweep_seed(3, 16, 14)
         instance = mixed_instance(16, seed)
-        new = run_instance(instance, seed, **BUDGETS)
+        new = run_instance(instance, seed, dict(BUDGETS, schemes=DEFAULT_SCHEMES))
         old = legacy_run_instance(instance, seed, **BUDGETS)
-        assert not new["opt"].congestion_free, "the pinned seed no longer falls back"
+        assert not new["opt"]["congestion_free"], "the pinned seed no longer falls back"
         assert canonical(new) == canonical(old)
 
     def test_subset_dispatch_matches_legacy(self):
         seed = sweep_seed(1, 12, 0)
         instance = mixed_instance(12, seed)
         for schemes in [("chronus",), ("or",), ("opt",), ("chronus", "or")]:
-            new = run_instance(instance, seed, schemes=schemes, **BUDGETS)
+            new = run_instance(instance, seed, dict(BUDGETS, schemes=schemes))
             old = legacy_run_instance(instance, seed, schemes=schemes, **BUDGETS)
             assert canonical(new) == canonical(old)
 
@@ -328,7 +321,7 @@ class TestSharingIsInvisible:
         instance = mixed_instance(count, seed)
         knobs = dict(SMALL_BUDGETS, verify=verify, aug_epsilon=aug_epsilon)
         schemes = tuple(sorted(schemes))
-        shared = run_instance(instance, seed, schemes=schemes, **knobs)
+        shared = run_instance(instance, seed, dict(knobs, schemes=schemes))
         alone = legacy_run_instance(instance, seed, schemes=schemes, **knobs)
         assert canonical(shared) == canonical(alone)
 
@@ -358,7 +351,9 @@ class TestSharingIsInvisible:
             spy(get_planner(name), "measure", measured)
             spy(get_planner(name), "verify", verified)
         outcomes = run_instance(
-            instance, seed, schemes=ALL_SCHEMES, verify=True, aug_epsilon=1.0, **SMALL_BUDGETS
+            instance,
+            seed,
+            dict(SMALL_BUDGETS, schemes=ALL_SCHEMES, verify=True, aug_epsilon=1.0),
         )
         plans = {
             name: get_planner(name).plan(
@@ -369,7 +364,7 @@ class TestSharingIsInvisible:
         assert plans["opt"].schedule == plans["chronus"].schedule
         assert plans["aug"].schedule != plans["chronus"].schedule
         assert plans["chronus"].feasible
-        assert all(outcome.verifier_agrees for outcome in outcomes.values())
+        assert all(outcome["verifier_agrees"] for outcome in outcomes.values())
         assert len(verified) == len(set(verified)) == 4  # chronus=opt, or, tp, aug
         chronus = (type(get_planner("chronus")).measure, tuple(plans["chronus"].schedule.items()))
         assert verified[0] == chronus
@@ -399,13 +394,13 @@ class TestNothingOutlivesTheItem:
         assert once["greedy"] == 1 and twice["greedy"] == 2
         assert twice == {path: 2 * calls for path, calls in once.items()}
         # ... and OPT its own seed, after an item has shared one on this object.
-        run_instance(instance, self.SEED, **self.KNOBS)
+        run_instance(instance, self.SEED, self.KNOBS)
         seeded, _ = _profile(lambda: opt.plan(instance, node_budget=60))
         assert seeded["opt.seed"] == seeded["opt.seed.greedy"] == 1
 
     def test_two_items_cost_twice_one_item(self):
         instance = mixed_instance(9, self.SEED)
-        run = lambda: run_instance(instance, self.SEED, **self.KNOBS)  # noqa: E731
+        run = lambda: run_instance(instance, self.SEED, self.KNOBS)  # noqa: E731
         run()  # the instance's own lazy fields (path delays, array encoding)
         held = set(vars(instance))
         planners = {name: dict(vars(get_planner(name))) for name in available_schemes()}
@@ -466,8 +461,9 @@ class TestVerifyAdapters:
         assert verdict.loop_free == direct.loop_free
 
     def test_gate_routes_tp_by_flag_not_name(self):
-        # The gate's two-phase branch keys off planner.two_phase; a tp run
-        # through the registry-built protocol list must come back clean.
+        # The gate judges tp by tp's own measure / verify pair (the span
+        # formula, verify_two_phase); a tp run through the registry-built
+        # protocol list must come back clean.
         from repro.validate import run_gate
 
         report = run_gate(
@@ -483,13 +479,13 @@ class TestAugPlanner:
             seed = sweep_seed(2, 12, index)
             instance = mixed_instance(12, seed)
             outcomes = run_instance(
-                instance, seed, schemes=("chronus", "aug"), verify=True
+                instance, seed, {"schemes": ("chronus", "aug"), "verify": True}
             )
             chronus, aug = outcomes["chronus"], outcomes["aug"]
-            assert aug.congestion_free == chronus.congestion_free
-            assert aug.congested_timed_links == chronus.congested_timed_links
-            assert aug.makespan == chronus.makespan
-            assert aug.verifier_agrees is True
+            assert aug["congestion_free"] == chronus["congestion_free"]
+            assert aug["congested_timed_links"] == chronus["congested_timed_links"]
+            assert aug["makespan"] == chronus["makespan"]
+            assert aug["verifier_agrees"] is True
 
     def test_epsilon_rescues_stalled_instances(self):
         # Unit-demand / unit-capacity workload: transient headroom only
@@ -558,9 +554,9 @@ class TestAugPlanner:
         assert not get_planner("aug").verify(instance, plan.schedule).ok
         # The sweep record cannot tell (congestion_free = metrics and feasible).
         outcome = run_instance(
-            instance, seed, schemes=("aug",), aug_epsilon=1.0, verify=True
+            instance, seed, {"schemes": ("aug",), "aug_epsilon": 1.0, "verify": True}
         )["aug"]
-        assert asdict(outcome) == {
+        assert outcome == {
             "scheme": "aug",
             "congestion_free": False,
             "congested_timed_links": 3,
@@ -575,9 +571,9 @@ class TestAugPlanner:
             seed = sweep_seed(5, 12, index)
             instance = mixed_instance(12, seed)
             outcome = run_instance(
-                instance, seed, schemes=("aug",), aug_epsilon=1.0, verify=True
+                instance, seed, {"schemes": ("aug",), "aug_epsilon": 1.0, "verify": True}
             )["aug"]
-            assert outcome.verifier_agrees is True
+            assert outcome["verifier_agrees"] is True
 
     @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(

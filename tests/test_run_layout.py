@@ -20,7 +20,7 @@ pins the layout itself:
 import tracemalloc
 
 import numpy as np
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from repro.core.greedy import greedy_schedule
@@ -103,6 +103,9 @@ class TestRunsAgainstTheDictTracker:
         )
         path = instance.old_path
         interior = interior_positions(instance)
+        # Dense segments can reroute every interior switch (200 hops, 28
+        # segments, seed 2): no world of the kind this test draws.
+        assume(interior)
         background = None
         if draw(st.booleans(), label="background"):
             bound = st.none() | st.integers(-5, 60)

@@ -6,8 +6,8 @@ import pickle
 import pytest
 
 import repro.runtime.parallel as parallel_module
-from repro.experiments.sweep import SweepItem, evaluate_sweep_item
-from repro.pipeline import RunContext, run_in_memory
+from repro.experiments.sweep import sweep_evaluate
+from repro.pipeline import RunContext, WorkerContext, get_scenario, run_in_memory
 from repro.runtime import available_cpus, fork_available, ordered_map
 
 
@@ -108,13 +108,6 @@ class TestSweepDeterminism:
 
     def test_item_evaluation_matches_inline_sweep(self):
         records = self.sweep((10,))
-        item = SweepItem(
-            switch_count=10,
-            seed=records[0].seed,
-            schemes=("chronus", "or", "opt"),
-            opt_budget=30.0,
-            or_budget=10.0,
-            opt_node_budget=300,
-            or_node_budget=200,
-        )
-        assert evaluate_sweep_item(item) == records[0]
+        params = get_scenario("sweep").params_with(dict(self.PARAMS, switch_counts=(10,)))
+        item = {"key": records[0]["key"], "switch_count": 10, "seed": records[0]["seed"]}
+        assert sweep_evaluate(item, params, WorkerContext()) == records[0]

@@ -7,8 +7,9 @@ from pathlib import Path
 
 import pytest
 
+from repro.core.schedule import UpdateSchedule
 from repro.updates import available_schemes, get_planner
-from repro.validate import check_plan, run_gate
+from repro.validate import check_plan, run_gate, verify_schedule
 from repro.validate.gate import Disagreement, GateReport
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -56,6 +57,57 @@ class TestCheckPlanDetectsCorruption:
         assert any(d.kind == "planner-verifier" for d in disagreements)
         rendered = disagreements[0].render()
         assert "planner-verifier" in rendered and "chronus" in rendered
+
+    def test_two_phase_span_formula_is_held_to_the_verifier(
+        self, shortcut_instance, monkeypatch
+    ):
+        # TP overtakes on (c, d) here; a span formula that lost its spans
+        # must not pass as agreement with the verifier's walk.
+        import repro.updates.two_phase as two_phase
+
+        plan = get_planner("tp").plan(shortcut_instance)
+        assert not plan.feasible
+        assert not check_plan(
+            shortcut_instance, plan, seed=0, switch_count=4, replay=False
+        )
+        monkeypatch.setattr(two_phase, "two_phase_congestion_spans", lambda *a: [])
+        disagreements = check_plan(
+            shortcut_instance, plan, seed=0, switch_count=4, replay=False
+        )
+        assert [d.kind for d in disagreements] == ["planner-verifier"]
+
+    def test_undercounting_tracker_is_caught_on_chronus(
+        self, shortcut_instance, monkeypatch
+    ):
+        from repro.core.intervals import CongestionSpan
+
+        plan = get_planner("chronus").plan(shortcut_instance)
+        assert not plan.feasible  # best effort: the plan congests
+        assert not check_plan(
+            shortcut_instance, plan, seed=0, switch_count=4, replay=False
+        )
+        counted = CongestionSpan.timed_link_count.fget
+        monkeypatch.setattr(
+            CongestionSpan, "timed_link_count", property(lambda s: counted(s) - 1)
+        )
+        disagreements = check_plan(
+            shortcut_instance, plan, seed=0, switch_count=4, replay=False
+        )
+        assert [d.kind for d in disagreements] == ["planner-verifier"]
+
+    def test_or_plan_is_judged_on_its_dispatched_rounds(self, fig1_instance):
+        plan = get_planner("or").plan(fig1_instance)
+        # A realisation that updates every switch at once loops and drops;
+        # the gate judges what the controller is handed, the nominal rounds.
+        at_once = UpdateSchedule(
+            dict.fromkeys(plan.schedule.times, 0), start_time=0
+        )
+        assert verify_schedule(fig1_instance, at_once).loops
+        tampered = replace(plan, schedule=at_once)
+        assert tampered.dispatched == plan.dispatched
+        assert not check_plan(
+            fig1_instance, tampered, seed=0, switch_count=6, replay=False
+        )
 
     def test_report_renders_disagreements(self):
         report = GateReport(instances=1, switch_count=6, protocols=("chronus",))
