@@ -21,6 +21,7 @@ Usage::
 
     python scripts/pipeline_smoke.py                   # fig9 tiny grid
     python scripts/pipeline_smoke.py --scenario fig7 --stop-after 3
+    python scripts/pipeline_smoke.py --scenario fig6 --stop-after 1
     python scripts/pipeline_smoke.py --keep            # keep the temp store
 
 Exit status: 0 when every check holds, 1 otherwise.
@@ -54,7 +55,10 @@ SMOKE_OVERRIDES = {
         "or_budget": 60.0,
         "opt_node_budget": 20_000,
         "or_node_budget": 20_000,
+        "verify": True,
     },
+    # Over a lossy control channel: a resume must replay the severity.
+    "fig6": {"fault_severity": 1.0},
 }
 
 #: Worker counts the cut-and-resume runs at: in-process, then one pool.

@@ -65,7 +65,7 @@ def dense(args, seed):
 
 
 def sweep(args, seed, label, overrides):
-    ctx, size = RunContext(profile=True), args.size or 9
+    ctx, size = RunContext(tape=[]), args.size or 9
     overrides = dict(overrides, switch_counts=(size,), instances_per_size=args.repeat, base_seed=seed)
     with tempfile.TemporaryDirectory(prefix="profile-") as root:
         run_to_store("sweep", overrides, ctx, ArtifactStore(root=root))
@@ -76,7 +76,7 @@ def service(args, seed):
     passes = []
     for _ in range(args.repeat):
         with gc_pauses() as pauses:
-            ctx = RunContext(profile=True)
+            ctx = RunContext(tape=[])
             cells = run_in_memory("service", dict(BURST_CELL, cells=args.cells, base_seed=seed), ctx=ctx)
         passes.append((profile_of(ctx.tape), pauses, [record["summary"] for record in cells.records]))
     profile, pauses, summaries = min(passes, key=lambda found: found[0]["service"]["wall_s"])

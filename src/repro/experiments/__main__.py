@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from repro.pipeline.cli import (
     finish_progress,
@@ -36,11 +36,10 @@ from repro.pipeline.runner import (
 from repro.pipeline.scenario import (
     UnknownScenarioError,
     all_scenarios,
-    get_scenario,
 )
 from repro.pipeline.store import ArtifactStore, StoreError
 from repro.trace.query import profile_of, render_report
-from repro.updates.registry import UnknownSchemeError, planners_for
+from repro.updates.registry import UnknownSchemeError
 
 #: Exit code of a ``--stop-after`` interruption (distinct from argparse's 2).
 EXIT_INTERRUPTED = 3
@@ -51,22 +50,9 @@ def _add_context_flags(parser: argparse.ArgumentParser) -> None:
         "--workers", type=int, default=1, help="worker processes (default 1)"
     )
     parser.add_argument(
-        "--verify",
-        action="store_true",
-        help="re-check every schedule with the independent verifier",
-    )
-    parser.add_argument(
         "--profile",
         action="store_true",
         help="record the run in memory and print its timers, counters and derived views",
-    )
-    parser.add_argument(
-        "--fault-severity",
-        type=float,
-        default=None,
-        metavar="S",
-        help="run over a faulty control plane at severity S (scenarios "
-        "executing on the discrete-event plane honour it)",
     )
     parser.add_argument(
         "--trace",
@@ -158,15 +144,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _context(args: argparse.Namespace) -> RunContext:
-    ctx = RunContext(
+    return RunContext(
         workers=args.workers,
-        verify=args.verify,
-        profile=args.profile,
-        fault_severity=args.fault_severity,
         trace=args.trace,
+        tape=[] if args.profile else None,
+        progress=progress_printer("record", quiet=args.quiet),
     )
-    ctx.progress = progress_printer("record", quiet=args.quiet)
-    return ctx
 
 
 def _store(args: argparse.Namespace) -> ArtifactStore:
@@ -174,7 +157,7 @@ def _store(args: argparse.Namespace) -> ArtifactStore:
 
 
 def _print_profile(ctx: RunContext) -> None:
-    if ctx.profile:
+    if ctx.tape is not None:
         print(render_report(profile_of(ctx.tape), min_seconds=0.001))
 
 
@@ -194,54 +177,36 @@ def _cmd_list() -> int:
     return 0
 
 
-def _validate_params(args: argparse.Namespace) -> None:
-    """Reject unregistered scheme names and bad grid values before any
-    run directory exists.
-
-    ``--set schemes=chrnous`` used to die minutes later with a
-    ``KeyError`` inside a worker; resolving the materialised params
-    against the planner registry up front turns the typo into an exit-2
-    parse error listing the registered names.  Expanding the scenario's
-    item grid here does the same for the values the grid checks
-    (``--set workload=foo`` on the sweep scenarios).  Comma-separated
-    shorthand (``--set schemes=chronus,aug``) is normalised to a list here
-    so the scenario sees the same shape a JSON override would produce.
-    """
-    scenario = get_scenario(args.scenario)
+def _overrides(args: argparse.Namespace) -> Dict[str, object]:
+    """The ``--set`` overrides, with the comma shorthand for ``schemes``
+    (``--set schemes=chronus,aug``) made the list a JSON override gives."""
     overrides = dict(args.overrides)
     value = overrides.get("schemes")
     if isinstance(value, str):
         overrides["schemes"] = [name for name in value.split(",") if name]
-        args.overrides = list(overrides.items())
-    params = scenario.params_with(overrides=overrides, paper=args.paper)
-    schemes = params.get("schemes")
-    if schemes is not None:
-        planners_for(tuple(schemes))
-    scenario.items(params)
+    return overrides
 
 
 def _cmd_run(args: argparse.Namespace, resume: bool) -> int:
     ctx = _context(args)
-    if not resume:
-        try:
-            _validate_params(args)
-        except ValueError as exc:
-            # Unknown --set key, unregistered scheme, a value the grid
-            # refuses or missing --paper preset: a usage error naming the
-            # valid choices, not a crash.
-            print(str(exc), file=sys.stderr)
-            return 2
     try:
         stored = run_to_store(
             args.scenario,
-            overrides=dict(args.overrides) if not resume else None,
+            overrides=_overrides(args),
             ctx=ctx,
             store=_store(args),
             run_id=args.run_id,
             resume=resume,
-            paper=args.paper if not resume else False,
+            paper=args.paper,
             stop_after=args.stop_after,
         )
+    except ValueError as exc:
+        # Unknown --set key, unregistered scheme, a value the grid refuses
+        # or missing --paper preset (all raised before a fresh run's
+        # directory exists), or stored records the grid does not hold: a
+        # usage error naming the valid choices, not a crash.
+        print(str(exc), file=sys.stderr)
+        return 2
     except RunInterrupted as interrupted:
         finish_progress(quiet=args.quiet)
         handle = interrupted.handle

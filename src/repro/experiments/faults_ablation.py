@@ -36,7 +36,7 @@ from repro.controller.channel import ConstantDelayModel, StepDelayModel
 from repro.core.verdict import Verdict
 from repro.experiments.sweep import mixed_instance, sweep_seed
 from repro.faults import FaultPlan, severity_spec
-from repro.updates.registry import UpdatePlan, get_planner, planners_for
+from repro.updates.registry import UpdatePlan, get_planner
 
 #: Default ablation trio; any registered scheme (e.g. ``aug``) can join
 #: via ``schemes=`` / ``--set schemes=``.
@@ -294,7 +294,6 @@ def _run_one(
 
 def _scenario_items(params: Mapping) -> List[Dict[str, object]]:
     """One item per (instance index, severity, scheme)."""
-    planners_for(params["schemes"])  # fail fast on unregistered names
     base_seed = int(params["base_seed"])
     switch_count = int(params["switch_count"])
     return [
@@ -311,7 +310,7 @@ def _scenario_items(params: Mapping) -> List[Dict[str, object]]:
     ]
 
 
-def _scenario_evaluate(item: Mapping, params: Mapping, ctx) -> Dict[str, object]:
+def _scenario_evaluate(item: Mapping, params: Mapping) -> Dict[str, object]:
     """Plan and execute one (instance, severity, scheme) cell.
 
     What is executed is the plan's dispatched schedule (the nominal rounds

@@ -35,27 +35,15 @@ from typing import Dict, List, Mapping, Optional, Sequence
 
 from repro.analysis.timeseries import render_table
 from repro.core.instance import segmented_instance
-from repro.pipeline.context import WorkerContext
 from repro.pipeline.scenario import Scenario, register
 from repro.trace.recorder import recorder
-from repro.updates.registry import DEFAULT_SCHEMES, get_planner, planners_for
+from repro.updates.registry import DEFAULT_SCHEMES, get_planner
 
 
 #: The legacy record columns (``*_elapsed`` / ``*_proven``) are always
 #: emitted for this trio so stored runs resume cleanly; additional
 #: registered schemes add their own columns when selected.
 SCHEMES = DEFAULT_SCHEMES
-
-
-@dataclass(frozen=True)
-class _TimingItem:
-    """One (size, run) scheduler-timing measurement."""
-
-    switch_count: int
-    seed: int
-    segments: int
-    cutoff: float
-    schemes: Sequence[str] = SCHEMES
 
 
 def _record_schemes(selected: Sequence[str]) -> List[str]:
@@ -86,8 +74,8 @@ def _warm_up(name: str) -> None:
         recorder.enabled = traced
 
 
-def _time_one(item: _TimingItem) -> Dict[str, object]:
-    """Worker: time the selected schedulers on one instance.
+def _time_one(item: Mapping, params: Mapping) -> Dict[str, object]:
+    """Worker: time ``params["schemes"]`` on one (size, run) item's instance.
 
     Every run of a size is always measured (the serial loop short-circuits
     once a scheme blows the cutoff, but the aggregation below reproduces
@@ -101,16 +89,20 @@ def _time_one(item: _TimingItem) -> Dict[str, object]:
     built copy of the instance: a shared one would carry the encoding the
     first scheme cached on it (``instance_arrays``) to the next.
     """
+    selected = tuple(params["schemes"])
+    cutoff = float(params["cutoff"])
     fields: Dict[str, object] = {}
-    for name in _record_schemes(item.schemes):
+    for name in _record_schemes(selected):
         planner = get_planner(name)
-        if name in item.schemes:
+        if name in selected:
             _warm_up(name)
             instance = segmented_instance(
-                item.switch_count, seed=item.seed, segments=item.segments
+                int(item["switch_count"]),
+                seed=int(item["seed"]),
+                segments=int(item["segments"]),
             )
             started = time.monotonic()
-            plan = planner.plan(instance, time_budget=item.cutoff)
+            plan = planner.plan(instance, time_budget=cutoff)
             wall = time.monotonic() - started
             elapsed = plan.elapsed if planner.exact else wall
             proven = plan.proven
@@ -152,7 +144,6 @@ def _segments_for(count: int) -> int:
 
 
 def _items(params: Mapping) -> List[Dict[str, object]]:
-    planners_for(params["schemes"])  # fail fast on unregistered names
     base_seed = int(params["base_seed"])
     return [
         {
@@ -167,22 +158,13 @@ def _items(params: Mapping) -> List[Dict[str, object]]:
     ]
 
 
-def _evaluate(item: Mapping, params: Mapping, ctx: WorkerContext) -> Dict[str, object]:
-    fields = _time_one(
-        _TimingItem(
-            switch_count=int(item["switch_count"]),
-            seed=int(item["seed"]),
-            segments=int(item["segments"]),
-            cutoff=float(params["cutoff"]),
-            schemes=tuple(params["schemes"]),
-        )
-    )
+def _evaluate(item: Mapping, params: Mapping) -> Dict[str, object]:
     return {
         "key": item["key"],
         "switch_count": item["switch_count"],
         "run": item["run"],
         "seed": item["seed"],
-        **fields,
+        **_time_one(item, params),
     }
 
 

@@ -20,7 +20,6 @@ from typing import Dict, List, Mapping, Sequence, Tuple
 from repro.analysis.stats import cdf_points, percentile
 from repro.analysis.timeseries import render_table
 from repro.core.instance import segmented_instance
-from repro.pipeline.context import WorkerContext
 from repro.pipeline.scenario import Scenario, register
 from repro.updates.registry import planners_for
 
@@ -80,7 +79,6 @@ class Fig11Result:
 
 def _items(params: Mapping) -> List[Dict[str, object]]:
     schemes = tuple(params.get("schemes", DEFAULT_PAIR))
-    planners_for(schemes)  # fail fast on unregistered names
     if len(schemes) != 2:
         raise ValueError(f"Fig. 11 compares exactly two schemes, got {schemes!r}")
     base_seed = int(params["base_seed"])
@@ -97,7 +95,7 @@ def _items(params: Mapping) -> List[Dict[str, object]]:
     ]
 
 
-def _evaluate(item: Mapping, params: Mapping, ctx: WorkerContext) -> Dict[str, object]:
+def _evaluate(item: Mapping, params: Mapping) -> Dict[str, object]:
     """One candidate: both schemes' makespans, or nulls when the instance
     does not contribute (some scheme's plan is infeasible: greedy stalled,
     exact search empty-handed), which keeps the CDFs paired."""

@@ -15,18 +15,17 @@ latencies.
 
 Pipeline scenario ``fig6``: one record per scheme (the bandwidth series of
 the hottest link plus the peak utilisation); because the execution runs on
-the discrete-event plane, the run context's optional fault severity is
-honoured -- ``run --fault-severity 0.5 fig6`` replays the same update over
-a lossy control channel, with retries and an abort at the ``duration``
-horizon, and the record then also says ``completed`` / ``aborted`` /
-``retries``.
+the discrete-event plane, a non-zero ``fault_severity`` parameter -- ``run
+fig6 --set fault_severity=0.5`` -- replays the same update over a lossy
+control channel, with retries and an abort at the ``duration`` horizon,
+and the record then also says ``completed`` / ``aborted`` / ``retries``.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 from repro.controller import (
     ConstantDelayModel,
@@ -37,11 +36,10 @@ from repro.controller import (
 )
 from repro.core.instance import UpdateInstance, instance_from_topology
 from repro.network.topology import two_path_topology
-from repro.pipeline.context import WorkerContext
 from repro.pipeline.scenario import Scenario, register
 from repro.simulator import BandwidthMonitor
 from repro.analysis.timeseries import render_series
-from repro.updates.registry import get_planner, planners_for
+from repro.updates.registry import get_planner
 
 SCHEMES = ("chronus", "tp", "or")
 
@@ -84,7 +82,6 @@ class Fig6Result:
 
 
 def _items(params: Mapping) -> List[Dict[str, object]]:
-    planners_for(params["schemes"])  # fail fast on unregistered names
     return [{"key": scheme, "scheme": scheme} for scheme in params["schemes"]]
 
 
@@ -100,9 +97,10 @@ def _instance(params: Mapping) -> UpdateInstance:
     return instance_from_topology(topo, demand=capacity)
 
 
-def _evaluate(item: Mapping, params: Mapping, ctx: WorkerContext) -> Dict[str, object]:
+def _evaluate(item: Mapping, params: Mapping) -> Dict[str, object]:
     """Run one scheme on the scenario's instance."""
     capacity = float(params["capacity_mbps"])
+    fault_severity = float(params["fault_severity"])
     monitor, testbed, trace = _run_scheme(
         str(item["scheme"]),
         _instance(params),
@@ -110,7 +108,7 @@ def _evaluate(item: Mapping, params: Mapping, ctx: WorkerContext) -> Dict[str, o
         float(params["duration"]),
         float(params["update_at"]),
         float(params["delay_scale"]),
-        fault_severity=ctx.fault_severity,
+        fault_severity=fault_severity,
     )
     hottest = monitor.peak_series()
     record = {
@@ -120,7 +118,7 @@ def _evaluate(item: Mapping, params: Mapping, ctx: WorkerContext) -> Dict[str, o
         "peak": max(link.peak_utilization() for link in testbed.plane.links.values()),
         "capacity": capacity,
     }
-    if ctx.fault_severity:
+    if fault_severity:
         # Only under faults, so the fault-free record stays byte-identical.
         record.update(
             completed=trace.completed,
@@ -160,6 +158,7 @@ SCENARIO = register(
             "update_at": 5.0,
             "delay_scale": 1.0,
             "max_delay_steps": 3,
+            "fault_severity": 0.0,
         },
         items=_items,
         evaluate=_evaluate,
@@ -176,7 +175,7 @@ def _run_scheme(
     duration: float,
     update_at: float,
     delay_scale: float,
-    fault_severity: Optional[float] = None,
+    fault_severity: float = 0.0,
 ):
     """Execute ``scheme``'s plan on a monitored plane; step ``t0`` is ``update_at``."""
     planner = get_planner(scheme)

@@ -21,7 +21,6 @@ from typing import Dict, List, Mapping, Sequence
 
 from repro.analysis.stats import BoxStats, box_stats, mean
 from repro.analysis.timeseries import render_table
-from repro.pipeline.context import WorkerContext
 from repro.pipeline.scenario import Scenario, register
 
 
@@ -61,7 +60,7 @@ def _items(params: Mapping) -> List[Dict[str, object]]:
     ]
 
 
-def _evaluate(item: Mapping, params: Mapping, ctx: WorkerContext) -> Dict[str, object]:
+def _evaluate(item: Mapping, params: Mapping) -> Dict[str, object]:
     from repro.core.instance import random_instance
     from repro.updates import rule_accounting
 

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Mapping, Sequence
 
 from repro.experiments.sweep import sweep_seed
-from repro.pipeline.context import WorkerContext
 from repro.service.metrics import latency_summary
 
 
@@ -35,9 +34,7 @@ def service_items(params: Mapping[str, object]) -> List[Dict[str, object]]:
 
 
 def service_evaluate(
-    item: Mapping[str, object],
-    params: Mapping[str, object],
-    ctx: WorkerContext,
+    item: Mapping[str, object], params: Mapping[str, object]
 ) -> Dict[str, object]:
     """Run one full service cell and flatten it into a record."""
     from repro.service.service import ServiceConfig, run_cell
@@ -54,7 +51,6 @@ def service_evaluate(
         planners=int(params["planners"]),  # type: ignore[arg-type]
         plan_ticks=int(params["plan_ticks"]),  # type: ignore[arg-type]
         max_queue=int(params["max_queue"]),  # type: ignore[arg-type]
-        verify=bool(ctx.verify or params["verify"]),
     )
     report = run_cell(config)
     record = report.to_record()
@@ -159,7 +155,6 @@ def _register_scenario():
                 "plan_ticks": 1,
                 "max_queue": 32,
                 "base_seed": 0,
-                "verify": True,
             },
             items=service_items,
             evaluate=service_evaluate,

@@ -38,14 +38,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence
 
 from repro.core.instance import UpdateInstance, random_instance, segmented_instance
 from repro.trace.recorder import recorder
 from repro.updates.registry import DEFAULT_SCHEMES, SharedEvaluation, sweep_planners
-
-if TYPE_CHECKING:
-    from repro.pipeline.context import WorkerContext
 
 
 def sweep_seed(base_seed: int, switch_count: int, index: int) -> int:
@@ -233,7 +230,7 @@ def sweep_items(params: Mapping[str, object]) -> List[Dict[str, object]]:
 
 
 def sweep_evaluate(
-    item: Mapping[str, object], params: Mapping[str, object], ctx: WorkerContext
+    item: Mapping[str, object], params: Mapping[str, object]
 ) -> Dict[str, object]:
     """Regenerate one sweep instance and record every scheme's outcome."""
     build = SweepItem(
@@ -245,8 +242,6 @@ def sweep_evaluate(
     )
     with recorder.timer("core.instance.build"):
         instance = build.build_instance()
-    if ctx.verify:
-        params = {**params, "verify": True}
     return {
         "key": item["key"],
         "switch_count": build.switch_count,

@@ -18,7 +18,6 @@ from typing import Dict, List, Mapping, Sequence
 
 from repro.controller.executor import shadow_rules
 from repro.core.instance import random_instance
-from repro.pipeline.context import WorkerContext
 from repro.pipeline.scenario import Scenario, register
 from repro.simulator import Simulator, build_dataplane
 from repro.simulator.dataplane import install_config
@@ -83,7 +82,7 @@ def _items(params: Mapping) -> List[Dict[str, object]]:
     return [{"key": "tables"}]
 
 
-def _evaluate(item: Mapping, params: Mapping, ctx: WorkerContext) -> Dict[str, object]:
+def _evaluate(item: Mapping, params: Mapping) -> Dict[str, object]:
     tables = _build_tables(int(params["switch_count"]), int(params["seed"]))
     return {"key": item["key"], **tables}
 

@@ -18,7 +18,6 @@ from typing import Dict, List, Mapping, Sequence
 from repro.analysis.illustrate import render_dependency_evolution, render_flow_timeline
 from repro.core.instance import motivating_example
 from repro.core.schedule import UpdateSchedule
-from repro.pipeline.context import WorkerContext
 from repro.pipeline.scenario import Scenario, register
 from repro.validate.verifier import verify_schedule
 
@@ -78,7 +77,7 @@ def _items(params: Mapping) -> List[Dict[str, object]]:
     return [{"key": "narrative"}]
 
 
-def _evaluate(item: Mapping, params: Mapping, ctx: WorkerContext) -> Dict[str, object]:
+def _evaluate(item: Mapping, params: Mapping) -> Dict[str, object]:
     return {"key": item["key"], "text": run_walkthrough()}
 
 

@@ -9,12 +9,12 @@ re-implement individually:
 * **Registry** (:mod:`repro.pipeline.scenario`): scenarios are looked up
   by exact name; the registry is populated by importing
   :mod:`repro.experiments`.
-* **RunContext** (:mod:`repro.pipeline.context`): the cross-cutting
-  services -- ``sweep_seed`` deterministic seeding, the worker count
-  (one fork pool per run, :mod:`repro.runtime.parallel`), the
-  conformance verifier flag,
-  tracing and profiling (one :mod:`repro.trace` session) and an optional
-  fault severity -- threaded through every scenario uniformly.
+* **RunContext** (:mod:`repro.pipeline.context`): how a run executes,
+  never what it computes -- the worker count (one fork pool per run,
+  :mod:`repro.runtime.parallel`), tracing and profiling (one
+  :mod:`repro.trace` session) and progress.  What a run computes is its
+  parameters alone (``--set verify=true``, ``--set fault_severity=S``),
+  which the manifest stores and a resume replays.
 * **Artifact store** (:mod:`repro.pipeline.store`): every run streams
   per-instance records to ``runs/<scenario>/<run-id>/records.jsonl``
   beside a ``manifest.json`` (config hash, params, git revision); an
@@ -44,7 +44,7 @@ __all__, __getattr__, __dir__ = lazy_exports(
     __name__,
     {
         "store": ("ArtifactStore", "RunHandle"),
-        "context": ("RunContext", "WorkerContext"),
+        "context": ("RunContext",),
         "runner": ("RunInterrupted", "report_from_store", "run_in_memory", "run_to_store"),
         "scenario": (
             "Scenario",

@@ -9,6 +9,13 @@ One code path serves every consumer:
 * ``report`` calls :func:`report_from_store` (aggregation only -- the
   compute/print decoupling the figures lacked).
 
+A run is its parameters: both entry points materialise them, resolve
+``params["schemes"]`` against the planner registry and expand the item
+grid (:func:`_expand`) before anything is evaluated or stored, so a bad
+value never leaves a run directory behind, and a resume replays exactly
+what the manifest stores.  The :class:`RunContext` only says how to run
+(workers, tracing, profiling, progress).
+
 Records are produced strictly in item order whatever the worker count:
 every pending item goes through one :func:`~repro.runtime.parallel.ordered_map`
 (one fork pool for the whole run when ``ctx.workers > 1``, a plain
@@ -23,13 +30,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Sequence
 
-from repro.pipeline.context import RunContext, WorkerContext
+from repro.pipeline.context import RunContext
 from repro.pipeline.scenario import Scenario, get_scenario
 from repro.pipeline.store import ArtifactStore, RunHandle, canonical_json, new_run_id
 from repro.runtime.parallel import ordered_map
 from repro.trace.recorder import recorder
 from repro.trace.session import TraceSession
 from repro.trace.sinks import open_sink
+from repro.updates.registry import planners_for
 
 import json
 import os
@@ -50,12 +58,18 @@ class RunInterrupted(RuntimeError):
 
 @dataclass(frozen=True)
 class _ItemTask:
-    """Self-contained work unit shipped to a pool worker."""
+    """Self-contained work unit shipped to a pool worker.
+
+    ``trace_id`` is the run's trace id when a sink is enabled, ``None``
+    otherwise: the worker links each record to its ``item:<key>`` span
+    only when it matches the process-global recorder's live trace --
+    which pool workers inherit, current span included, through ``fork``.
+    """
 
     scenario: str
     params: Mapping[str, object]
     item: Mapping[str, object]
-    worker_context: WorkerContext
+    trace_id: Optional[str] = None
 
 
 def evaluate_task(task: _ItemTask) -> Dict[str, object]:
@@ -71,9 +85,8 @@ def evaluate_task(task: _ItemTask) -> Dict[str, object]:
     untouched.
     """
     scenario = get_scenario(task.scenario)
-    wctx = task.worker_context
     if not recorder.enabled:
-        record = dict(scenario.evaluate(task.item, task.params, wctx))
+        record = dict(scenario.evaluate(task.item, task.params))
         record.setdefault("key", task.item["key"])
         return record
 
@@ -83,9 +96,9 @@ def evaluate_task(task: _ItemTask) -> Dict[str, object]:
         if extra in task.item:
             attributes[extra] = task.item[extra]
     with recorder.span(f"item:{key}", attributes) as span:
-        record = dict(scenario.evaluate(task.item, task.params, wctx))
+        record = dict(scenario.evaluate(task.item, task.params))
         record.setdefault("key", task.item["key"])
-    if wctx.trace_id == recorder.trace_id:
+    if task.trace_id == recorder.trace_id:
         record["trace"] = {"trace_id": recorder.trace_id, "span_id": span.span_id}
     return record
 
@@ -100,16 +113,46 @@ class ExecutionSummary:
     satisfied_early: bool = False  # the scenario's enough() stopped the run
 
 
+def _materialise(
+    scenario: Scenario,
+    overrides: Optional[Mapping[str, object]] = None,
+    paper: bool = False,
+) -> Dict[str, object]:
+    """The run's parameters, JSON-normalised exactly as the store keeps
+    them, so in-memory, stored and resumed runs evaluate identical data."""
+    return json.loads(canonical_json(scenario.params_with(overrides, paper=paper)))
+
+
+def _expand(scenario: Scenario, params: Mapping[str, object]) -> List[Mapping]:
+    """The run's item grid, checked before any item runs or is stored.
+
+    Raises :class:`~repro.updates.registry.UnknownSchemeError` on an
+    unregistered name in ``params["schemes"]``, whatever the grid itself
+    refuses (an unknown sweep ``workload``) and duplicate item keys.
+    """
+    if "schemes" in params:
+        planners_for(params["schemes"])  # type: ignore[arg-type]
+    items = list(scenario.items(params))
+    keys = [str(item["key"]) for item in items]
+    if len(set(keys)) != len(keys):
+        dupes = sorted({k for k in keys if keys.count(k) > 1})
+        raise ValueError(
+            f"scenario {scenario.name!r} produced duplicate item keys: {dupes}"
+        )
+    return items
+
+
 def execute(
     scenario: Scenario,
     params: Mapping[str, object],
+    items: Sequence[Mapping],
     ctx: RunContext,
     sink: Callable[[Dict[str, object]], None],
     prior_records: Sequence[Mapping[str, object]] = (),
     stop_after: Optional[int] = None,
     trace: Optional[TraceSession] = None,
 ) -> ExecutionSummary:
-    """Evaluate a scenario's items in order, feeding each record to ``sink``.
+    """Evaluate ``items`` (:func:`_expand`) in order, feeding each record to ``sink``.
 
     ``prior_records`` (a resumed run's completed prefix) are skipped by
     key and counted toward the scenario's ``enough`` predicate.  Every
@@ -125,15 +168,8 @@ def execute(
     ``interrupted`` when ``stop_after`` or the caller's kill cuts the run
     short -- however the run ends, so the recorder is never left on.
     """
-    items = list(scenario.items(params))
-    keys = [str(item["key"]) for item in items]
-    if len(set(keys)) != len(keys):
-        dupes = sorted({k for k in keys if keys.count(k) > 1})
-        raise ValueError(
-            f"scenario {scenario.name!r} produced duplicate item keys: {dupes}"
-        )
     done = {str(record["key"]) for record in prior_records}
-    unknown = done - set(keys)
+    unknown = done - {str(item["key"]) for item in items}
     if unknown:
         raise ValueError(
             f"stored records of {scenario.name!r} carry keys absent from the "
@@ -150,13 +186,8 @@ def execute(
 
     if trace is not None:
         trace.begin(params)
-    wctx = ctx.worker_context(
-        trace.trace_id if trace is not None and trace.sink is not None else None
-    )
-    tasks = [
-        _ItemTask(scenario=scenario.name, params=params, item=item, worker_context=wctx)
-        for item in pending
-    ]
+    trace_id = trace.trace_id if trace is not None and trace.sink is not None else None
+    tasks = [_ItemTask(scenario.name, params, item, trace_id) for item in pending]
     results = ordered_map(evaluate_task, tasks, ctx.workers)
     status = "interrupted"
     try:
@@ -205,15 +236,10 @@ def _trace_session(
     ctx: RunContext, scenario_name: str, run_id: str, directory=None
 ) -> Optional[TraceSession]:
     """The run's :class:`TraceSession` when ``ctx`` asks for a trace or a profile."""
-    if not (ctx.trace or ctx.profile):
+    if not ctx.trace and ctx.tape is None:
         return None
     sink = open_sink(ctx.trace, directory=directory) if ctx.trace else None
-    return TraceSession(
-        sink,
-        scenario=scenario_name,
-        run_id=run_id,
-        tape=ctx.tape if ctx.profile else None,
-    )
+    return TraceSession(sink, scenario=scenario_name, run_id=run_id, tape=ctx.tape)
 
 
 def run_in_memory(
@@ -224,16 +250,14 @@ def run_in_memory(
 ):
     """Run a scenario without the store and return its aggregate result."""
     scenario = get_scenario(name)
-    params = scenario.params_with(overrides, paper=paper)
-    # Normalise exactly as the store would, so in-memory and stored runs
-    # aggregate from identical data.
-    params = json.loads(canonical_json(params))
+    params = _materialise(scenario, overrides, paper)
+    items = _expand(scenario, params)
     records: List[Dict[str, object]] = []
     ctx = ctx or RunContext()
     # In-memory runs have no run directory: file sinks without an
     # explicit path land in the working directory.
     trace = _trace_session(ctx, name, new_run_id())
-    execute(scenario, params, ctx, records.append, trace=trace)
+    execute(scenario, params, items, ctx, records.append, trace=trace)
     return scenario.aggregate(records, params)
 
 
@@ -249,11 +273,12 @@ def run_to_store(
 ) -> StoredRun:
     """Run (or resume) a scenario against the artifact store.
 
-    A fresh run materialises the parameters, creates
-    ``<root>/<name>/<run-id>/`` and streams records; a resumed run reads
-    the parameters back from the manifest, skips the completed prefix
-    and appends only the missing records -- the final ``records.jsonl``
-    is byte-identical to an uninterrupted run.
+    A fresh run materialises the parameters and expands the grid
+    (:func:`_expand`; a bad value raises before any run directory
+    exists), creates ``<root>/<name>/<run-id>/`` and streams records; a
+    resumed run reads the parameters back from the manifest, skips the
+    completed prefix and appends only the missing records -- the final
+    ``records.jsonl`` is byte-identical to an uninterrupted run.
     """
     scenario = get_scenario(name)
     store = store or ArtifactStore()
@@ -261,13 +286,21 @@ def run_to_store(
     if resume:
         handle = store.open(name, run_id)
         params = handle.params
+        missing = sorted(set(scenario.defaults) - set(params))
+        if missing:
+            # Guessing a default would mix records of two configurations.
+            raise ValueError(
+                f"run {name}/{handle.run_id} stores no {missing}: it predates "
+                "those parameters, so start a new run"
+            )
+        items = _expand(scenario, params)
         prior = handle.load_records()
         handle.manifest["status"] = "running"
         handle.write_manifest()
     else:
-        params = scenario.params_with(overrides, paper=paper)
+        params = _materialise(scenario, overrides, paper)
+        items = _expand(scenario, params)
         handle = store.create(name, params, run_id=run_id)
-        params = handle.params  # JSON-normalised, as a resume would see it
         prior = []
 
     records: List[Dict[str, object]] = list(prior)
@@ -295,6 +328,7 @@ def run_to_store(
         summary = execute(
             scenario,
             params,
+            items,
             ctx,
             sink,
             prior_records=prior,

@@ -6,9 +6,12 @@ A :class:`Scenario` is the whole of one experiment, stated declaratively:
   budgets, seeds) at laptop scale;
 * ``items(params)`` -- the deterministic expansion of that grid into
   self-contained work items, each carrying a unique ``"key"``;
-* ``evaluate(item, params, ctx)`` -- one item to one JSON-serialisable
+* ``evaluate(item, params)`` -- one item to one JSON-serialisable
   record (runs inside pool workers, so it must be a module-level
-  function and derive all randomness from the item's seed);
+  function and derive all randomness from the item's seed).  The item
+  and the params are all it reads: whatever changes a record (the
+  ``verify`` switch, a fault severity) is a parameter, so the manifest
+  that stores the params says what every record computed;
 * ``aggregate(records, params)`` -- records to a result object whose
   ``render()`` is the printed figure/table.  Aggregation never computes:
   it only reads records, so a stored run can be re-reported at will.
@@ -27,7 +30,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, Optional, Sequence
 
 Items = Callable[[Mapping], Sequence[Mapping]]
-Evaluate = Callable[[Mapping, Mapping, object], Mapping]
+Evaluate = Callable[[Mapping, Mapping], Mapping]
 Aggregate = Callable[[Sequence[Mapping], Mapping], object]
 Enough = Callable[[Sequence[Mapping], Mapping], bool]
 

@@ -86,7 +86,6 @@ class ServiceConfig:
     max_queue: int = 32
     time_unit: float = 1.0
     max_retries: int = 3
-    verify: bool = True
     #: Registered planner that computes every tenant schedule.  Its
     #: ``executor`` flag must be ``"timed"`` (``chronus``, ``aug``, ``opt``):
     #: the service ships every schedule as scheduled FlowMods, so a
@@ -419,17 +418,15 @@ class UpdateService:
                     self._terminal(effective, "aborted", now)
                     continue
 
-                conformant: Optional[bool] = None
-                if config.verify:
-                    with effective.span.attach(), recorder.timer(
-                        "validate.verifier.verify"
-                    ) as verify:
-                        verdict = self._scheme_planner.verify(
-                            instance, result.schedule, background=background
-                        )
-                        conformant = verdict.ok
-                        window = verdict.check_end - verdict.check_start
-                        verify.set(ok=conformant, window=window)
+                with effective.span.attach(), recorder.timer(
+                    "validate.verifier.verify"
+                ) as verify:
+                    verdict = self._scheme_planner.verify(
+                        instance, result.schedule, background=background
+                    )
+                    conformant = verdict.ok
+                    window = verdict.check_end - verdict.check_start
+                    verify.set(ok=conformant, window=window)
 
                 # One tick of lead: the FlowMods due at the schedule's t0
                 # must reach their switches before they fire.

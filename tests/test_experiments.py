@@ -16,7 +16,7 @@ from repro.experiments.sweep import (
     mixed_instance,
     run_instance,
 )
-from repro.pipeline import RunContext, WorkerContext, run_in_memory
+from repro.pipeline import RunContext, run_in_memory
 from repro.updates import get_planner
 
 TRIO = ("chronus", "or", "opt")
@@ -61,8 +61,8 @@ class TestFig6:
     def test_record_reports_the_outcome_only_under_faults(self):
         item = {"key": "or", "scheme": "or"}
         params = fig6.SCENARIO.defaults
-        plain = fig6.SCENARIO.evaluate(item, params, WorkerContext())
-        faulted = fig6.SCENARIO.evaluate(item, params, WorkerContext(fault_severity=1.0))
+        plain = fig6.SCENARIO.evaluate(item, params)
+        faulted = fig6.SCENARIO.evaluate(item, {**params, "fault_severity": 1.0})
         assert set(plain) == {"key", "scheme", "series", "peak", "capacity"}
         assert set(faulted) - set(plain) == {"completed", "aborted", "retries"}
         assert faulted["completed"] != faulted["aborted"]
@@ -130,8 +130,8 @@ class TestSweep:
                 "schemes": ("chronus", "or"),
                 "opt_node_budget": 5_000,
                 "or_node_budget": 5_000,
+                "verify": True,
             },
-            ctx=RunContext(verify=True),
         ).records
         flags = [
             outcome["verifier_agrees"]
@@ -230,12 +230,13 @@ class TestFig10:
         monkeypatch.setattr(fig10, "get_planner", Planner)
         fig10._warm_up.cache_clear()
         try:
-            item = fig10._TimingItem(switch_count=120, seed=5, segments=1, cutoff=1.0)
-            fig10._time_one(item)
-            fig10._time_one(item)
+            item = {"switch_count": 120, "seed": 5, "segments": 1}
+            params = {"cutoff": 1.0, "schemes": fig10.SCHEMES}
+            fig10._time_one(item, params)
+            fig10._time_one(item, params)
         finally:
             fig10._warm_up.cache_clear()
-        schemes = list(item.schemes)
+        schemes = list(params["schemes"])
         assert [name for name, _ in calls] == [
             name for name in schemes for _ in range(2)
         ] + schemes

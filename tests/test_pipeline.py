@@ -13,7 +13,7 @@ import pytest
 import repro.pipeline.runner as runner
 import repro.runtime.parallel as parallel
 from repro.experiments.__main__ import main as cli_main
-from repro.experiments.sweep import sweep_seed
+from repro.experiments.sweep import UnknownWorkloadError, sweep_seed
 from repro.pipeline import (
     ArtifactStore,
     RunContext,
@@ -26,6 +26,7 @@ from repro.pipeline import (
     scenario_names,
 )
 from repro.pipeline.store import StoreError, canonical_json
+from repro.updates.registry import UnknownSchemeError
 
 TINY_FIG9 = {"switch_counts": [20, 30], "instances_per_size": 2}
 
@@ -336,6 +337,67 @@ def test_resume_rejects_changed_grid(tmp_path):
         run_to_store("fig9", store=store, run_id=handle.run_id, resume=True)
 
 
+#: Settings that change what a record holds, each with the mark it leaves
+#: on every record: a resume must replay them from the stored params.
+REPLAYED = {
+    "sweep": (
+        dict(TINY_FIG7, instances_per_size=3, verify=True),
+        lambda record: all(
+            outcome["verifier_agrees"] is True
+            for outcome in record["outcomes"].values()
+        ),
+    ),
+    "fig6": (
+        {"fault_severity": 1.0},
+        lambda record: {"completed", "aborted", "retries"} <= set(record),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REPLAYED))
+def test_resume_replays_the_params(tmp_path, name):
+    overrides, marked = REPLAYED[name]
+    store = ArtifactStore(root=tmp_path)
+    full = run_to_store(name, overrides, store=store, run_id="full")
+    with pytest.raises(RunInterrupted):
+        run_to_store(name, overrides, store=store, run_id="cut", stop_after=1)
+    resumed = run_to_store(name, store=store, run_id="cut", resume=True)
+    assert resumed.summary.skipped == 1
+    assert (
+        resumed.handle.records_path.read_bytes()
+        == full.handle.records_path.read_bytes()
+    )
+    assert len(resumed.records) > 1 and all(map(marked, resumed.records))
+    params = resumed.handle.manifest["params"]
+    assert {key: params[key] for key in overrides} == json.loads(canonical_json(overrides))
+
+
+@pytest.mark.parametrize(
+    "overrides, error",
+    [
+        ({"workload": "foo"}, UnknownWorkloadError),
+        ({"schemes": ["chronus", "chrnous"]}, UnknownSchemeError),
+    ],
+)
+def test_a_refused_grid_leaves_no_run(tmp_path, overrides, error):
+    # The grid is expanded and the schemes resolved before the run
+    # directory exists: no empty `running` run for report/resume to pick.
+    store = ArtifactStore(tmp_path)
+    with pytest.raises(error):
+        run_to_store("sweep", overrides, store=store)
+    assert store.run_ids("sweep") == []
+
+
+def test_resume_refuses_a_run_that_predates_a_param(tmp_path):
+    store = ArtifactStore(root=tmp_path)
+    params = get_scenario("fig6").params_with()
+    del params["fault_severity"]
+    handle = store.create("fig6", params)
+    with pytest.raises(ValueError, match="predates"):
+        run_to_store("fig6", store=store, run_id=handle.run_id, resume=True)
+    assert store.open("fig6", handle.run_id).load_records() == []
+
+
 def test_serial_and_parallel_records_are_identical(tmp_path):
     store = ArtifactStore(root=tmp_path)
     run_to_store("fig7", TINY_FIG7, store=store, run_id="serial")
@@ -420,6 +482,27 @@ def test_cli_run_interrupt_resume_report(tmp_path, capsys, monkeypatch):
     assert manifest["status"] == "complete"
     assert manifest["records"] == 3
     assert manifest["params"]["switch_counts"] == [20]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "sweep", "--verify"],
+        ["run", "fig6", "--fault-severity", "1.0"],
+        ["run", "service", "--set", "fault_severity=1.0"],
+        ["run", "faults", "--set", "fault_severity=1.0"],
+    ],
+)
+def test_cli_what_a_run_computes_is_a_param(argv, tmp_path, capsys, monkeypatch):
+    # `--set verify=true` / `--set fault_severity=S` are the one switch; a
+    # scenario without the param refuses it before any run directory exists.
+    monkeypatch.setenv("REPRO_RUNS_DIR", str(tmp_path))
+    try:
+        code = cli_main([*argv, "--quiet"])
+    except SystemExit as exit_:  # argparse: unrecognised argument
+        code = exit_.code
+    assert code == 2
+    assert not any(tmp_path.iterdir())
 
 
 def test_cli_report_without_runs_fails_cleanly(tmp_path, capsys, monkeypatch):

@@ -418,11 +418,11 @@ class TestNothingOutlivesTheItem:
     def test_fig10_times_opt_with_its_own_seed(self):
         # Fig. 10's OPT running time is the solver's own clock; it must keep
         # covering the greedy seed (nothing shares an incumbent there).
-        from repro.experiments.fig10 import _TimingItem, _time_one
+        from repro.experiments.fig10 import SCHEMES, _time_one
 
-        item = _TimingItem(switch_count=200, seed=4, segments=1, cutoff=30.0)
+        item = {"switch_count": 200, "seed": 4, "segments": 1}
         with TraceSession(scenario="test", run_id="fig10") as session:
-            fields = _time_one(item)
+            fields = _time_one(item, {"cutoff": 30.0, "schemes": SCHEMES})
         view = aggregate(session.tape)
         seed = view["spans"]["opt.seed"]
         assert seed["calls"] == 1 and view["spans"]["opt.seed.greedy"]["calls"] == 1

@@ -7,7 +7,7 @@ import pytest
 
 import repro.runtime.parallel as parallel_module
 from repro.experiments.sweep import sweep_evaluate
-from repro.pipeline import RunContext, WorkerContext, get_scenario, run_in_memory
+from repro.pipeline import RunContext, get_scenario, run_in_memory
 from repro.runtime import available_cpus, fork_available, ordered_map
 
 
@@ -110,4 +110,4 @@ class TestSweepDeterminism:
         records = self.sweep((10,))
         params = get_scenario("sweep").params_with(dict(self.PARAMS, switch_counts=(10,)))
         item = {"key": records[0]["key"], "switch_count": 10, "seed": records[0]["seed"]}
-        assert sweep_evaluate(item, params, WorkerContext()) == records[0]
+        assert sweep_evaluate(item, params) == records[0]

@@ -557,7 +557,6 @@ class TestScenarioRegistration:
         ]
 
     def test_scenario_cell_matches_direct_run(self):
-        from repro.pipeline.context import WorkerContext
         from repro.pipeline.scenario import get_scenario
 
         scenario = get_scenario("service")
@@ -565,14 +564,13 @@ class TestScenarioRegistration:
             {"cells": 1, "pods": 3, "pod_size": 5, "requests": 8}
         )
         item = scenario.items(params)[0]
-        record = scenario.evaluate(item, params, WorkerContext())
+        record = scenario.evaluate(item, params)
         direct = run_cell(ServiceConfig(
             pods=3,
             pod_size=5,
             requests=8,
             mean_interarrival=float(params["mean_interarrival"]),
             seed=int(item["seed"]),
-            verify=True,
         )).to_record()
         direct["key"] = item["key"]
         assert canonical_json(record) == canonical_json(direct)

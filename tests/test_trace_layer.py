@@ -256,11 +256,11 @@ def _workers_meet_on_first_items(monkeypatch, name: str, workers: int = 2) -> No
     scenario = scenario_mod.get_scenario(name)
     held = []  # per process: each worker gets its own (empty) copy
 
-    def evaluate(item, params, ctx):
+    def evaluate(item, params):
         if not held:
             held.append(item["key"])
             barrier.wait()
-        return scenario.evaluate(item, params, ctx)
+        return scenario.evaluate(item, params)
 
     monkeypatch.setitem(
         scenario_mod._REGISTRY, name, dataclasses.replace(scenario, evaluate=evaluate)
@@ -334,14 +334,15 @@ def test_trace_session_restores_global_state(tmp_path):
 
 
 def test_profiled_run_releases_the_recorder(tmp_path):
-    """``RunContext(profile=True)`` used to switch the process-global perf
-    registry on for good: every later plan in the process was profiled."""
-    ctx = RunContext(profile=True)
+    """A profiled run (``RunContext(tape=[])``) used to switch the
+    process-global perf registry on for good: every later plan in the
+    process was profiled."""
+    ctx = RunContext(tape=[])
     run_in_memory("fig9", overrides=TINY_FIG9, ctx=ctx)
     assert not recorder.enabled
     assert any(record.name == "run" for record in ctx.tape)
 
-    interrupted = RunContext(profile=True)
+    interrupted = RunContext(tape=[])
     with pytest.raises(RunInterrupted):
         run_to_store(
             "fig9",
@@ -361,7 +362,7 @@ def test_profiled_records_carry_no_trace_field(tmp_path):
     stored = run_to_store(
         "fig9",
         overrides=TINY_FIG9,
-        ctx=RunContext(profile=True),
+        ctx=RunContext(tape=[]),
         store=ArtifactStore(root=tmp_path),
         run_id="r1",
     )
@@ -393,8 +394,8 @@ def _profiled_counts(ctx):
 
 
 def test_pool_perf_spans_merge_back(two_cpus):
-    serial_calls, serial_counters = _profiled_counts(RunContext(profile=True))
-    pool_calls, pool_counters = _profiled_counts(pool_ctx(profile=True))
+    serial_calls, serial_counters = _profiled_counts(RunContext(tape=[]))
+    pool_calls, pool_counters = _profiled_counts(pool_ctx(tape=[]))
     # Without the worker merge the pool report only held the parent's
     # own spans; now every per-item span and counter comes back.
     assert pool_calls == serial_calls
