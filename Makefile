@@ -5,16 +5,16 @@ export PYTHONPATH := src
 
 test:            ## full tier-1 suite + quick conformance gate
 	$(PYTHON) -m pytest -x -q
-	$(PYTHON) scripts/validate.py --quick --quiet
+	$(PYTHON) -m repro.experiments run gate --quiet --set instances_per_size=8
 
 test-fast:       ## tier-1 alone, without the conformance gate
 	$(PYTHON) -m pytest -x -q
 
 validate:        ## plan-conformance gate: 50 seeded instances x every registered scheme
-	$(PYTHON) scripts/validate.py
+	$(PYTHON) -m repro.experiments run gate --quiet --set instances_per_size=50
 
 validate-fast:   ## quick gate (the `make test` configuration)
-	$(PYTHON) scripts/validate.py --quick
+	$(PYTHON) -m repro.experiments run gate --quiet --set instances_per_size=8
 
 bench:           ## quick perf harness; appends to BENCH_sweep.json, gates on parallel slowdown
 	$(PYTHON) scripts/bench.py --quick
@@ -31,7 +31,7 @@ profile:         ## the greedy engine at 6000 switches: span tree, counters and 
 	$(PYTHON) scripts/profile.py
 
 faults:          ## fault-severity ablation: chronus/or/tp under an imperfect control plane
-	$(PYTHON) scripts/faults.py
+	$(PYTHON) -m repro.experiments run faults --quiet
 
 pipeline-smoke:  ## kill-and-resume a tiny scenario; gate on byte-identical records
 	$(PYTHON) scripts/pipeline_smoke.py

@@ -16,9 +16,9 @@ Exit status is non-zero when a measured invariant fails:
   1.2x slower than the serial sweep (the pool must never cost more than
   it gives; single-core boxes skip this gate because a process pool
   cannot beat serial there), or
-* the plan-conformance verifier disagrees with any planner on the
-  seeded sweep (recorded as ``verifier_agrees``; skip with
-  ``--no-verify``), or
+* the ``gate`` scenario (the plan-conformance verifier) disagrees with
+  any planner on the seeded sweep (recorded as ``verifier_agrees``; skip
+  with ``--no-verify``), or
 * greedy regresses past 1.3x the best prior full-size record from the
   same machine class at *any* measured size -- 400 up to 100000
   switches (same ``cpus`` count; runs on other machine classes are not
@@ -60,9 +60,9 @@ for entry in (str(REPO_ROOT / "src"), str(REPO_ROOT)):
         sys.path.insert(0, entry)
 
 from benchmarks import perf_harness  # noqa: E402  (path setup above)
-from repro.pipeline.cli import add_quick_flag, script_parser  # noqa: E402
+from repro.pipeline import run_in_memory  # noqa: E402
+from repro.pipeline.cli import script_parser  # noqa: E402
 from repro.trace import TraceSession, aggregate, render_report  # noqa: E402
-from repro.validate.gate import run_gate  # noqa: E402
 
 SLOWDOWN_LIMIT = 1.2
 GREEDY_GATE_LIMIT = 1.3
@@ -344,7 +344,7 @@ def verify_regression(record, history):
 
 def main(argv=None) -> int:
     parser = script_parser(__doc__)
-    add_quick_flag(parser, "small sizes for smoke runs")
+    parser.add_argument("--quick", action="store_true", help="small sizes for smoke runs")
     parser.add_argument(
         "--workers", type=int, default=4, help="pool size for the sweep benchmark"
     )
@@ -372,10 +372,7 @@ def main(argv=None) -> int:
         record = perf_harness.collect(quick=args.quick, workers=args.workers)
 
     if not args.no_verify:
-        gate = run_gate(
-            instance_count=8 if args.quick else 50,
-            switch_count=8,
-        )
+        gate = run_in_memory("gate", {"instances_per_size": 8 if args.quick else 50})
         record["verifier_agrees"] = gate.ok
         print(f"[bench] verifier_agrees={gate.ok}")
 

@@ -11,7 +11,8 @@ ever comparing protocol names.
 from __future__ import annotations
 
 import json
-from typing import Any, Dict
+from contextlib import contextmanager
+from typing import Any, Dict, Iterator
 
 from repro.core.schedule import UpdateSchedule
 
@@ -39,13 +40,27 @@ def schedule_from_json(text: str) -> UpdateSchedule:
     payload = json.loads(text)
     if not isinstance(payload, dict) or payload.get("format") != _FORMAT:
         raise ValueError(f"not a {_FORMAT} document")
-    times = payload.get("times")
+    with _malformed(_FORMAT):
+        return _schedule(payload, "'times' mapping")
+
+
+@contextmanager
+def _malformed(document: str) -> Iterator[None]:
+    """A missing key or a mistyped value, as the promised ``ValueError``."""
+    try:
+        yield
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed {document} document: {exc!r}") from exc
+
+
+def _schedule(doc: Dict[str, Any], missing: str) -> UpdateSchedule:
+    times = doc.get("times")
     if not isinstance(times, dict):
-        raise ValueError("missing 'times' mapping")
+        raise ValueError(f"missing {missing}")
     return UpdateSchedule(
         times={str(node): int(when) for node, when in times.items()},
-        start_time=payload.get("start_time"),
-        feasible=bool(payload.get("feasible", True)),
+        start_time=doc.get("start_time"),
+        feasible=bool(doc.get("feasible", True)),
     )
 
 
@@ -113,25 +128,19 @@ def plan_from_json(text: str):
     rules_doc = payload.get("rules")
     if not isinstance(schedule_doc, dict) or not isinstance(rules_doc, dict):
         raise ValueError("missing 'schedule' or 'rules' mapping")
-    times = schedule_doc.get("times")
-    if not isinstance(times, dict):
-        raise ValueError("missing schedule 'times' mapping")
-    schedule = UpdateSchedule(
-        times={str(node): int(when) for node, when in times.items()},
-        start_time=schedule_doc.get("start_time"),
-        feasible=bool(schedule_doc.get("feasible", True)),
-    )
-    rules = RuleAccounting(
-        installs=int(rules_doc["installs"]),
-        modifies=int(rules_doc["modifies"]),
-        deletes=int(rules_doc["deletes"]),
-        baseline_rules=int(rules_doc["baseline_rules"]),
-        peak_rules=int(rules_doc["peak_rules"]),
-    )
-    rounds = [
-        (int(when), tuple(str(node) for node in nodes))
-        for when, nodes in payload.get("rounds", [])
-    ]
+    with _malformed(_PLAN_FORMAT):
+        schedule = _schedule(schedule_doc, "schedule 'times' mapping")
+        rules = RuleAccounting(
+            installs=int(rules_doc["installs"]),
+            modifies=int(rules_doc["modifies"]),
+            deletes=int(rules_doc["deletes"]),
+            baseline_rules=int(rules_doc["baseline_rules"]),
+            peak_rules=int(rules_doc["peak_rules"]),
+        )
+        rounds = [
+            (int(when), tuple(str(node) for node in nodes))
+            for when, nodes in payload.get("rounds", [])
+        ]
     return UpdatePlan(
         scheme=str(payload.get("protocol", "")),
         schedule=schedule,

@@ -21,10 +21,11 @@ knobs of the paper's original scale (``run --paper``).
 | faults        | Beyond the paper: consistency vs. control-plane faults      |
 | service       | Beyond the paper: the long-running update-service loop      |
 | sweep         | Section V-B's raw instance sweep with every knob exposed    |
+| gate          | Defs. 1-3 -- planner, verifier and fluid replay agree       |
 
 Importing an experiment module registers its scenario; importing this
 package loads none of them, so ``import repro.experiments.sweep`` pays for
-one module, not eleven.  The registry's first name lookup calls
+one module, not twelve.  The registry's first name lookup calls
 :func:`load_all`, so library users never import the experiment modules
 directly just to resolve a name; ``repro.experiments.fig7`` and friends
 import on first attribute access.
@@ -44,6 +45,7 @@ __all__ = [
     "sweep",
     "walkthrough",
     "faults_ablation",
+    "gate",
 ]
 
 

@@ -10,10 +10,14 @@ Subcommands over the scenario registry and the artifact store::
 ``run`` streams records to ``runs/<scenario>/<run-id>/`` (override the
 root with ``--runs-dir`` or ``$REPRO_RUNS_DIR``), checkpointed per
 record; a killed run resumes byte-identically.  ``report`` aggregates a
-stored run without recomputing anything.  A subcommand is required, and
-scenario names must match a registered scenario **exactly** (``run fig1``
-exits 2 naming ``fig10`` and ``fig11``).  Library callers use
-:func:`repro.pipeline.run_in_memory` instead.
+stored run without recomputing anything.  A result whose ``ok`` is false
+(the ``gate`` scenario's disagreements, the ``faults`` oracle cross-check,
+a ``verify`` sweep the verifier contradicts) is printed, even under
+``--no-report``, and ``run``, ``resume`` and ``report`` exit 1.  A
+subcommand is required, and scenario names must match a registered
+scenario **exactly** (``run fig1`` exits 2 naming ``fig10`` and
+``fig11``).  Library callers use :func:`repro.pipeline.run_in_memory`
+instead.
 """
 
 from __future__ import annotations
@@ -40,6 +44,11 @@ from repro.pipeline.scenario import (
 from repro.pipeline.store import ArtifactStore, StoreError
 from repro.trace.query import profile_of, render_report
 from repro.updates.registry import UnknownSchemeError
+
+#: Exit code of a run or report whose result says ``ok = False`` (a gate
+#: disagreement, an oracle or verifier contradicting a record); a result
+#: without ``ok`` (a plain figure) always passes.
+EXIT_FAILED = 1
 
 #: Exit code of a ``--stop-after`` interruption (distinct from argparse's 2).
 EXIT_INTERRUPTED = 3
@@ -228,10 +237,12 @@ def _cmd_run(args: argparse.Namespace, resume: bool) -> int:
         if isinstance(trace_meta, dict):
             where = trace_meta.get("path") or trace_meta.get("sink")
             print(f"trace: {where} (inspect: python -m repro.trace show)")
-    if not args.no_report:
-        print(stored.aggregate().render())
+    result = stored.aggregate()
+    ok = getattr(result, "ok", True)
+    if not args.no_report or not ok:
+        print(result.render())
     _print_profile(ctx)
-    return 0
+    return 0 if ok else EXIT_FAILED
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
@@ -239,7 +250,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
         args.scenario, store=_store(args), run_id=args.run_id
     )
     print(result.render())
-    return 0
+    return 0 if getattr(result, "ok", True) else EXIT_FAILED
 
 
 def main(argv: Optional[List[str]] = None) -> int:

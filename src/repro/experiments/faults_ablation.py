@@ -22,7 +22,8 @@ Consistency is judged by the independent oracle of :mod:`repro.validate`:
 
 Every record also cross-checks oracle and plane: a clean verdict with a
 dirty plane (drops or congestion the verifier missed) sets
-``oracle_agrees = False`` and fails ``scripts/faults.py``.
+``oracle_agrees = False``; the result is then not ``ok`` and ``python -m
+repro.experiments run faults`` exits 1.
 """
 
 from __future__ import annotations
@@ -70,7 +71,7 @@ class FaultRunRecord:
             (``None`` for aborted or off-grid runs, where no realised
             schedule exists on the integer grid).
         oracle_agrees: ``False`` when a clean verdict coexists with a dirty
-            fluid plane -- the cross-check :mod:`scripts.faults` gates on.
+            fluid plane -- the cross-check the result's ``ok`` gates on.
             ``None`` when the verdict does not apply.
         completion_steps: Update duration in schedule steps (completed
             runs; abort runs report the time until rollback finished).
@@ -156,7 +157,7 @@ class FaultsAblationResult:
         return [r for r in self.records if r.oracle_agrees is False]
 
     @property
-    def oracle_ok(self) -> bool:
+    def ok(self) -> bool:
         """No run where the verdict and the fluid plane told different stories."""
         return not self.oracle_disagreements
 
@@ -181,7 +182,7 @@ class FaultsAblationResult:
                     f"{self.mean_retries(scheme, severity):>8.2f}"
                 )
             lines.append("")
-        if self.oracle_ok:
+        if self.ok:
             lines.append("oracle cross-check: verdict and fluid plane agree on every run")
         else:
             lines.append(

@@ -17,9 +17,11 @@ from typing import Dict, List, Mapping, Sequence
 
 from repro.analysis.timeseries import render_table
 from repro.experiments.sweep import (
+    VerifiedResult,
     congestion_free_percentage,
     sweep_evaluate,
     sweep_items,
+    verifier_disagreements,
 )
 from repro.pipeline.scenario import Scenario, register
 
@@ -27,9 +29,10 @@ SCHEMES = ("opt", "chronus", "or")
 
 
 @dataclass
-class Fig7Result:
+class Fig7Result(VerifiedResult):
     switch_counts: List[int]
     percentages: Dict[str, List[float]]  # scheme -> per-size %
+    disagreements: List[str]
 
     def render(self) -> str:
         schemes = list(self.percentages)
@@ -39,10 +42,12 @@ class Fig7Result:
                 [count]
                 + [round(self.percentages[scheme][index], 1) for scheme in schemes]
             )
-        return render_table(
-            ["switches"] + [f"{s} % congestion-free" for s in schemes],
-            rows,
-            title="Fig. 7 -- congestion-free update instances (%)",
+        return self.noted(
+            render_table(
+                ["switches"] + [f"{s} % congestion-free" for s in schemes],
+                rows,
+                title="Fig. 7 -- congestion-free update instances (%)",
+            )
         )
 
 
@@ -54,7 +59,7 @@ def _aggregate(records: Sequence[Mapping], params: Mapping) -> Fig7Result:
         ]
         for scheme in params["schemes"]
     }
-    return Fig7Result(switch_counts=counts, percentages=percentages)
+    return Fig7Result(counts, percentages, verifier_disagreements(records))
 
 
 SCENARIO = register(

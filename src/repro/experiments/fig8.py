@@ -16,15 +16,17 @@ from typing import Dict, List, Mapping, Sequence
 
 from repro.analysis.timeseries import render_table
 from repro.experiments.sweep import sweep_evaluate, sweep_items, total_congested_links
+from repro.experiments.sweep import VerifiedResult, verifier_disagreements
 from repro.pipeline.scenario import Scenario, register
 
 SCHEMES = ("chronus", "or")
 
 
 @dataclass
-class Fig8Result:
+class Fig8Result(VerifiedResult):
     switch_counts: List[int]
     congested: Dict[str, List[int]]
+    disagreements: List[str]
 
     def render(self) -> str:
         rows = []
@@ -33,10 +35,12 @@ class Fig8Result:
             order = self.congested["or"][index]
             saving = 100.0 * (1 - chronus / order) if order else 0.0
             rows.append([count, chronus, order, f"{saving:.0f}%"])
-        return render_table(
-            ["switches", "chronus", "or", "reduction"],
-            rows,
-            title="Fig. 8 -- congested links of the time-extended network (sum)",
+        return self.noted(
+            render_table(
+                ["switches", "chronus", "or", "reduction"],
+                rows,
+                title="Fig. 8 -- congested links of the time-extended network (sum)",
+            )
         )
 
 
@@ -46,7 +50,7 @@ def _aggregate(records: Sequence[Mapping], params: Mapping) -> Fig8Result:
         scheme: [total_congested_links(records, scheme, count) for count in counts]
         for scheme in params["schemes"]
     }
-    return Fig8Result(switch_counts=counts, congested=congested)
+    return Fig8Result(counts, congested, verifier_disagreements(records))
 
 
 SCENARIO = register(

@@ -202,6 +202,33 @@ def total_congested_links(
     )
 
 
+def verifier_disagreements(records: Sequence[Mapping]) -> List[str]:
+    """``key/scheme`` of every stored outcome with ``verifier_agrees is
+    False``: the figures built from it would be measuring a bug."""
+    return [
+        f"{record['key']}/{scheme}"
+        for record in records
+        for scheme, outcome in record["outcomes"].items()
+        if outcome["verifier_agrees"] is False
+    ]
+
+
+class VerifiedResult:
+    """The ``sweep`` / ``fig7`` / ``fig8`` results: ``ok`` unless the
+    verifier contradicted a stored outcome, which :meth:`noted` names."""
+
+    disagreements: Sequence[str]  # verifier_disagreements(records)
+
+    @property
+    def ok(self) -> bool:
+        return not self.disagreements
+
+    def noted(self, table: str) -> str:
+        if self.ok:
+            return table
+        return f"{table}\nverifier DISAGREES on: {', '.join(self.disagreements)}"
+
+
 # --- pipeline scenario -------------------------------------------------
 
 
@@ -251,12 +278,13 @@ def sweep_evaluate(
 
 
 @dataclass
-class GenericSweepResult:
+class GenericSweepResult(VerifiedResult):
     """Raw sweep records plus the two standard aggregate views."""
 
     records: Sequence[Mapping]
     switch_counts: Sequence[int]
     schemes: Sequence[str]
+    disagreements: Sequence[str]
 
     def render(self) -> str:
         from repro.analysis.timeseries import render_table
@@ -270,10 +298,12 @@ class GenericSweepResult:
                     f" / {total_congested_links(self.records, scheme, count)}"
                 )
             rows.append(row)
-        return render_table(
-            ["switches"] + [f"{s} (free% / cong.links)" for s in self.schemes],
-            rows,
-            title="Instance sweep -- congestion freedom and congested links",
+        return self.noted(
+            render_table(
+                ["switches"] + [f"{s} (free% / cong.links)" for s in self.schemes],
+                rows,
+                title="Instance sweep -- congestion freedom and congested links",
+            )
         )
 
 
@@ -282,6 +312,7 @@ def _scenario_aggregate(records, params) -> GenericSweepResult:
         records=records,
         switch_counts=tuple(int(c) for c in params["switch_counts"]),
         schemes=tuple(params["schemes"]),
+        disagreements=verifier_disagreements(records),
     )
 
 

@@ -3,7 +3,7 @@
 Every table, figure and ablation of the evaluation is a :class:`Scenario`
 -- a named, declarative bundle of *(instance grid, per-item evaluation,
 aggregation)* registered at import time by its experiment module.  The
-pipeline supplies everything the eleven experiment modules used to
+pipeline supplies everything the experiment modules used to
 re-implement individually:
 
 * **Registry** (:mod:`repro.pipeline.scenario`): scenarios are looked up

@@ -1,11 +1,6 @@
-"""Shared command-line plumbing for ``scripts/*.py`` and the experiments CLI.
-
-Every script used to re-implement the same four fragments: an
-``ArgumentParser`` seeded from the module docstring's first line, a
-``--quick``/``--quiet`` flag pair, a carriage-return progress line and
-JSON emission.  They live here once; the scripts are thin wrappers kept
-for backward compatibility.
-"""
+"""Shared command-line plumbing for ``scripts/*.py`` and the experiments CLI:
+an ``ArgumentParser`` seeded from the module docstring's first line, a
+carriage-return progress line, JSON emission and ``--set`` parsing."""
 
 from __future__ import annotations
 
@@ -15,30 +10,11 @@ import sys
 from typing import Callable, IO, Optional
 
 
-def first_doc_line(doc: Optional[str]) -> str:
-    """The summary line of a module docstring (empty-safe)."""
-    if not doc:
-        return ""
-    for line in doc.splitlines():
-        if line.strip():
-            return line.strip()
-    return ""
-
-
 def script_parser(doc: Optional[str], **kwargs) -> argparse.ArgumentParser:
     """An ``ArgumentParser`` described by the script's docstring summary."""
-    kwargs.setdefault("description", first_doc_line(doc))
+    lines = [line.strip() for line in (doc or "").splitlines() if line.strip()]
+    kwargs.setdefault("description", lines[0] if lines else "")
     return argparse.ArgumentParser(**kwargs)
-
-
-def add_quick_flag(parser: argparse.ArgumentParser, help: str) -> None:
-    parser.add_argument("--quick", action="store_true", help=help)
-
-
-def add_quiet_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--quiet", action="store_true", help="suppress the progress line"
-    )
 
 
 def progress_printer(

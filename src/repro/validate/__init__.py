@@ -15,8 +15,9 @@ third, deliberately independent implementation:
 * :func:`differential_replay` -- executes a plan on the fluid data plane via
   the real controller/executor stack and cross-checks the measured link
   utilisation timelines and drop volumes against the verdict's predictions;
-* :mod:`repro.validate.gate` -- the ``make validate`` sweep failing on any
-  planner <-> verifier <-> simulator disagreement.
+* :mod:`repro.experiments.gate` -- the ``gate`` scenario (``make
+  validate``) holding every planner to both engine pairs on seeded
+  instances.
 
 Every name below loads its module on first use (:mod:`repro.lazy`), so
 judging a schedule does not import the simulator that
@@ -38,6 +39,5 @@ __all__, __getattr__, __dir__ = lazy_exports(
             "verify_plan",
         ),
         "differential": ("differential_replay", "DiffReport", "TimelineMismatch"),
-        "gate": ("Disagreement", "GateReport", "check_plan", "run_gate"),
     },
 )

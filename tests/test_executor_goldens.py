@@ -14,7 +14,7 @@ path -- :func:`~repro.controller.resilient.execute_plan` and the two
   finished_at)``; replayed by ``tests/test_resilient.py::TestFaultFreeParity``;
 * ``differential`` -- the ``DiffReport`` of every plan of the validation
   gate's 50-instance x 5-scheme corpus at install skew 0 and 1;
-* ``faults_quick`` -- the records of ``scripts/faults.py --quick``;
+* ``faults_quick`` -- the records of ``run faults --set instances_per_point=2``;
 * ``fig6`` -- series and peak of the three schemes x 5 seeds.
 
 Everything replays byte for byte except the Fig. 6 entries in
@@ -94,7 +94,7 @@ def test_differential_reports_replay(scheme):
         assert got == {key: entry[key] for key in got}, entry["id"]
 
 
-# --- faults --quick ------------------------------------------------------
+# --- faults, instances_per_point=2 -----------------------------------------
 
 def test_faults_quick_records_replay():
     result = run_in_memory(

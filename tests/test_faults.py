@@ -212,7 +212,7 @@ class TestFaultsAblation:
             "faults", {"severities": (0.0, 1.0), "instances_per_point": 2}
         )
         assert len(result.records) == 2 * 2 * 3
-        assert result.oracle_ok
+        assert result.ok
 
         benign = [r for r in result.records if r.severity == 0.0]
         assert all(r.completed and not r.aborted for r in benign)

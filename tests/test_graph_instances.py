@@ -1,16 +1,63 @@
 """Tests for instances generated on arbitrary graphs (fat tree, Waxman)."""
 
+import heapq
 import random
 
 import pytest
 
 from repro.core.greedy import greedy_schedule
-from repro.core.instance import random_instance
+from repro.core.instance import instance_from_paths, random_instance
 from repro.core.mutp import solve_mutp
 from repro.core.optimal import optimal_schedule
 from repro.network.topology import fat_tree_topology, waxman_topology
-from repro.planning import random_reroute_instance
 from repro.validate import verify_schedule
+
+
+def shortest_delay_path(network, source, destination, forbidden_nodes=()):
+    """Dijkstra over link delays, avoiding the given transit switches."""
+    banned = set(forbidden_nodes) - {source, destination}
+    distances = {source: 0}
+    previous = {}
+    heap = [(0, source)]
+    visited = set()
+    while heap:
+        dist, node = heapq.heappop(heap)
+        if node in visited:
+            continue
+        visited.add(node)
+        if node == destination:
+            path = [node]
+            while node in previous:
+                node = previous[node]
+                path.append(node)
+            return list(reversed(path))
+        for link in network.out_links(node):
+            if link.dst in banned:
+                continue
+            candidate = dist + link.delay
+            if candidate < distances.get(link.dst, float("inf")):
+                distances[link.dst] = candidate
+                previous[link.dst] = node
+                heapq.heappush(heap, (candidate, link.dst))
+    return None
+
+
+def random_reroute_instance(network, source, destination, rng=None):
+    """A maintenance-style reroute on an arbitrary graph: the old route is
+    the delay-shortest path, the new one avoids one random transit switch
+    of it.  ``None`` when the path has no transit switch or no detour
+    exists."""
+    rng = rng or random.Random()
+    old_path = shortest_delay_path(network, source, destination)
+    if old_path is None or len(old_path) < 3:
+        return None
+    victim = rng.choice(old_path[1:-1])
+    new_path = shortest_delay_path(
+        network, source, destination, forbidden_nodes=[victim]
+    )
+    if new_path is None or new_path == old_path:
+        return None
+    return instance_from_paths(network, old_path, new_path)
 
 
 class TestGeneratorOnFatTree:

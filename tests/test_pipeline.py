@@ -57,8 +57,10 @@ def test_registry_has_every_experiment():
         "walkthrough",
         "faults",
         "sweep",
+        "gate",
+        "service",
     }
-    assert len(names) >= 11
+    assert len(names) >= 12
 
 
 def test_unknown_scenario_lists_valid_names():

@@ -7,7 +7,8 @@ one evaluation and one record shape; any change to how the item is
 evaluated, stored or read back for Figs. 7 and 8 must leave them
 unmoved.  ``sweep`` runs at ``sweep-paper``'s overrides, shrunk to one
 size and ten items; ``fig7`` / ``fig8`` on tiny grids; the gate row is
-``scripts/validate.py --quick``'s report (plans checked, disagreements).
+the report of ``run gate --set instances_per_size=8`` (plans checked,
+disagreements).
 Wall budgets are sized never to bind, so only the node budgets do and
 the records do not depend on machine load.  ``PYTHONPATH=src:. python
 tests/test_record_pins.py`` prints a tree's digests in the table's
@@ -20,9 +21,8 @@ import hashlib
 import pytest
 
 from repro.pipeline.context import RunContext
-from repro.pipeline.runner import run_to_store
+from repro.pipeline.runner import run_in_memory, run_to_store
 from repro.pipeline.store import ArtifactStore
-from repro.validate.gate import run_gate
 
 SLACK = {"opt_budget": 600.0, "or_budget": 600.0}
 
@@ -70,7 +70,8 @@ PINS = {
     ),
 }
 
-# ``scripts/validate.py --quick``: 8 instances x every scheme at 8 switches.
+# ``run gate --set instances_per_size=8``: 8 instances x every scheme at 8
+# switches.
 GATE_QUICK = "0e9a95ee85975d8e3e1ade0f8583262d6c0c041638e66229c6626705bb2cc1cc"
 
 
@@ -85,7 +86,8 @@ def stored_digests(name, root):
 
 
 def gate_digest():
-    return sha(run_gate(instance_count=8, switch_count=8).describe().encode("utf-8"))
+    report = run_in_memory("gate", {"instances_per_size": 8})
+    return sha(report.render().encode("utf-8"))
 
 
 @pytest.mark.parametrize("name", sorted(RUNS))

@@ -463,13 +463,11 @@ class TestVerifyAdapters:
     def test_gate_routes_tp_by_flag_not_name(self):
         # The gate judges tp by tp's own measure / verify pair (the span
         # formula, verify_two_phase); a tp run through the registry-built
-        # protocol list must come back clean.
-        from repro.validate import run_gate
+        # scheme list must come back clean.
+        from repro.pipeline import run_in_memory
 
-        report = run_gate(
-            instance_count=2, switch_count=8, protocols=("tp",), replay=False
-        )
-        assert report.ok, report.describe()
+        report = run_in_memory("gate", {"instances_per_size": 2, "schemes": ["tp"]})
+        assert report.ok, report.render()
         assert report.checked == 2
 
 

@@ -1,11 +1,17 @@
 """Round-trip tests for schedule JSON persistence."""
 
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.schedule import UpdateSchedule
-from repro.core.serialization import schedule_from_json, schedule_to_json
+from repro.core.serialization import (
+    plan_from_json,
+    schedule_from_json,
+    schedule_to_json,
+)
 
 
 class TestRoundTrip:
@@ -55,3 +61,27 @@ class TestValidation:
     def test_rejects_missing_times(self):
         with pytest.raises(ValueError, match="times"):
             schedule_from_json('{"format": "chronus-schedule/1"}')
+
+
+_RULES = {
+    "installs": 1,
+    "modifies": 1,
+    "deletes": 1,
+    "baseline_rules": 2,
+    "peak_rules": 3,
+}
+_PLAN = {"format": "chronus-plan/1", "schedule": {"times": {"a": 0}}, "rules": _RULES}
+
+
+@pytest.mark.parametrize(
+    "parse, doc",
+    [
+        (plan_from_json, {**_PLAN, "rules": {}}),
+        (plan_from_json, {**_PLAN, "rounds": [1]}),
+        (schedule_from_json, {"format": "chronus-schedule/1", "times": {"a": None}}),
+    ],
+    ids=["plan-rules-empty", "plan-round-not-a-pair", "schedule-time-null"],
+)
+def test_malformed_document_raises_value_error(parse, doc):
+    with pytest.raises(ValueError, match="malformed"):
+        parse(json.dumps(doc))

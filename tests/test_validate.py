@@ -17,11 +17,12 @@ from repro.analysis.metrics import evaluate_schedule
 from repro.core.greedy import greedy_schedule
 from repro.core.instance import instance_from_paths
 from repro.core.schedule import UpdateSchedule
+from repro.experiments.gate import check_plan
 from repro.experiments.sweep import mixed_instance
 from repro.network.graph import Network
 from repro.core.rounds import greedy_loop_free_rounds
 from repro.updates import get_planner, realize_round_times, two_phase_congestion_spans
-from repro.validate import check_plan, verify_plan, verify_schedule, verify_two_phase
+from repro.validate import verify_plan, verify_schedule, verify_two_phase
 
 
 def loop_trap_instance():

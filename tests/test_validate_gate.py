@@ -1,4 +1,4 @@
-"""Tests for the ``make validate`` plan-conformance gate."""
+"""Tests for the ``gate`` scenario (``make validate``) and the CLI's exit rule."""
 
 import subprocess
 import sys
@@ -8,38 +8,52 @@ from pathlib import Path
 import pytest
 
 from repro.core.schedule import UpdateSchedule
+from repro.experiments.__main__ import main
+from repro.experiments.gate import SCHEMES, Disagreement, GateReport, check_plan
+from repro.pipeline import get_scenario, run_in_memory
 from repro.updates import available_schemes, get_planner
-from repro.validate import check_plan, run_gate, verify_schedule
-from repro.validate.gate import Disagreement, GateReport
+from repro.updates.registry import Planner
+from repro.validate import verify_schedule
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 class TestRunGate:
     def test_small_sweep_agrees(self):
-        report = run_gate(instance_count=4, switch_count=8, replay=True)
+        report = run_in_memory("gate", {"instances_per_size": 4})
         assert report.ok
-        assert report.protocols == available_schemes()
+        assert report.schemes == available_schemes()
         assert report.checked == 5 * 4  # every registered scheme per instance
-        assert "all engines agree" in report.describe()
+        assert "all engines agree" in report.render()
 
     def test_protocol_subset(self):
-        report = run_gate(
-            instance_count=3, switch_count=8, protocols=("chronus", "tp"), replay=False
+        report = run_in_memory(
+            "gate", {"instances_per_size": 3, "schemes": ("chronus", "tp")}
         )
         assert report.ok
         assert report.checked == 6
 
     def test_unknown_protocol_rejected(self):
         with pytest.raises(ValueError):
-            run_gate(instance_count=1, protocols=("chronus", "bogus"))
+            run_in_memory(
+                "gate", {"instances_per_size": 1, "schemes": ("chronus", "bogus")}
+            )
 
     def test_acceptance_sweep(self):
         """The acceptance bar: 50 seeded instances x every registered scheme."""
-        report = run_gate(instance_count=50, switch_count=8, replay=True)
-        assert report.ok, report.describe()
+        report = run_in_memory("gate")
+        assert report.ok, report.render()
         assert report.checked == 5 * 50
 
+    def test_defaults_gate_every_registered_scheme(self):
+        defaults = get_scenario("gate").defaults
+        assert set(defaults) == {
+            "switch_counts",
+            "instances_per_size",
+            "base_seed",
+            "schemes",
+        }
+        assert SCHEMES == available_schemes()
 
 class TestCheckPlanDetectsCorruption:
     def test_corrupted_schedule_reported(self, fig1_instance):
@@ -110,18 +124,22 @@ class TestCheckPlanDetectsCorruption:
         )
 
     def test_report_renders_disagreements(self):
-        report = GateReport(instances=1, switch_count=6, protocols=("chronus",))
-        report.checked = 1
-        report.disagreements.append(
-            Disagreement(
-                seed=3,
-                switch_count=6,
-                protocol="chronus",
-                kind="verifier-simulator",
-                detail="measured 2 Mbps, predicted 1 Mbps",
-            )
+        report = GateReport(
+            instances=1,
+            switch_counts=(6,),
+            schemes=("chronus",),
+            checked=1,
+            disagreements=[
+                Disagreement(
+                    seed=3,
+                    switch_count=6,
+                    protocol="chronus",
+                    kind="verifier-simulator",
+                    detail="measured 2 Mbps, predicted 1 Mbps",
+                )
+            ],
         )
-        text = report.describe()
+        text = report.render()
         assert "DISAGREEMENT" in text
         assert "seed=3" in text
         assert "measured 2 Mbps" in text
@@ -129,14 +147,20 @@ class TestCheckPlanDetectsCorruption:
 
 
 class TestValidateScript:
-    def test_cli_passes_on_quick_sweep(self):
+    def test_cli_passes_on_quick_sweep(self, tmp_path):
+        # `make test`'s configuration of the gate.
         proc = subprocess.run(
             [
                 sys.executable,
-                str(REPO_ROOT / "scripts" / "validate.py"),
-                "--quick",
+                "-m",
+                "repro.experiments",
+                "run",
+                "gate",
                 "--quiet",
-                "--no-replay",
+                "--runs-dir",
+                str(tmp_path),
+                "--set",
+                "instances_per_size=8",
             ],
             capture_output=True,
             text=True,
@@ -144,3 +168,78 @@ class TestValidateScript:
         )
         assert proc.returncode == 0, proc.stdout + proc.stderr
         assert "all engines agree" in proc.stdout
+
+
+@pytest.fixture
+def forced_disagreement(monkeypatch):
+    """Every planner's measurement now disagrees with the verifier."""
+    monkeypatch.setattr(Planner, "conformance", lambda self, m, v: ["forced: 1 != 0"])
+
+
+def run_then_report(capsys, tmp_path, name, *overrides):
+    """Exit codes and outputs of ``run`` and then ``report`` of one run."""
+    store = ["--runs-dir", str(tmp_path)]
+    sets = [arg for key in overrides for arg in ("--set", key)]
+    ran = main(["run", name, "--quiet", "--no-report", "--run-id", "x", *store, *sets])
+    ran_out = capsys.readouterr().out
+    reported = main(["report", name, "--run-id", "x", *store])
+    return (ran, ran_out), (reported, capsys.readouterr().out)
+
+
+class TestExitRule:
+    """A result whose ``ok`` is false prints its render and exits 1."""
+
+    def test_gate_disagreement_fails_run_and_report(
+        self, forced_disagreement, capsys, tmp_path
+    ):
+        for code, out in run_then_report(
+            capsys, tmp_path, "gate", "instances_per_size=1", "schemes=chronus"
+        ):
+            assert code == 1
+            assert "1 DISAGREEMENT(S)" in out
+            assert "[planner-verifier] protocol=chronus" in out
+            assert "forced: 1 != 0" in out
+
+    def test_faults_oracle_disagreement_fails_run_and_report(
+        self, monkeypatch, capsys, tmp_path
+    ):
+        # A clean verdict over a plane that dropped traffic: the oracle
+        # cross-check the faults result gates on.
+        from repro.simulator.dataplane import DataPlane
+
+        monkeypatch.setattr(DataPlane, "total_dropped_volume", lambda self: 1.0)
+        for code, out in run_then_report(
+            capsys,
+            tmp_path,
+            "faults",
+            "instances_per_point=1",
+            "severities=[0.0]",
+            "schemes=chronus",
+        ):
+            assert code == 1
+            assert "oracle cross-check: 1 DISAGREEMENT(S)" in out
+            assert "chronus severity=0 seed=" in out
+
+    def test_verified_sweep_disagreement_fails_run(
+        self, forced_disagreement, capsys, tmp_path
+    ):
+        (code, out), _ = run_then_report(
+            capsys,
+            tmp_path,
+            "fig7",
+            "verify=true",
+            "switch_counts=[10]",
+            "instances_per_size=1",
+            "opt_node_budget=50",
+            "or_node_budget=50",
+        )
+        assert code == 1
+        assert "verifier DISAGREES on: n10-i0/chronus, n10-i0/opt, n10-i0/or" in out
+
+    def test_agreeing_verified_sweep_passes(self, capsys, tmp_path):
+        (code, out), (reported, _) = run_then_report(
+            capsys, tmp_path, "fig8", "verify=true", "switch_counts=[10]",
+            "instances_per_size=1", "or_node_budget=50",
+        )
+        assert code == reported == 0
+        assert out == ""
