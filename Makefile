@@ -1,20 +1,19 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-fast bench bench-full bench-repo validate validate-fast profile faults pipeline-smoke trace-smoke service-smoke planner-smoke
+.PHONY: test test-fast bench bench-full bench-repo validate validate-fast profile faults pipeline-smoke trace-smoke service-smoke
 
-test:            ## full tier-1 suite + quick conformance gate
-	$(PYTHON) -m pytest -x -q
-	$(PYTHON) -m repro.experiments run gate --quiet --set instances_per_size=8
+test: test-fast validate-fast  ## full tier-1 suite + quick conformance gate
 
 test-fast:       ## tier-1 alone, without the conformance gate
 	$(PYTHON) -m pytest -x -q
 
-validate:        ## plan-conformance gate: 50 seeded instances x every registered scheme
+validate:        ## plan-conformance gate: 50 seeded instances x every registered scheme; a run in ./runs/ to `report`
 	$(PYTHON) -m repro.experiments run gate --quiet --set instances_per_size=50
 
-validate-fast:   ## quick gate (the `make test` configuration)
-	$(PYTHON) -m repro.experiments run gate --quiet --set instances_per_size=8
+validate-fast:   ## quick gate (the `make test` configuration) into a temporary store, removed afterwards
+	runs=$$(mktemp -d) && trap 'rm -rf "$$runs"' EXIT && \
+	$(PYTHON) -m repro.experiments run gate --quiet --runs-dir "$$runs" --set instances_per_size=8
 
 bench:           ## quick perf harness; appends to BENCH_sweep.json, gates on parallel slowdown
 	$(PYTHON) scripts/bench.py --quick
@@ -30,7 +29,7 @@ bench-repo:      ## the repo benchmark (BENCHMARK.json): quick pass over all fiv
 profile:         ## the greedy engine at 6000 switches: span tree, counters and derived views of an in-memory trace
 	$(PYTHON) scripts/profile.py
 
-faults:          ## fault-severity ablation: chronus/or/tp under an imperfect control plane
+faults:          ## fault-severity ablation: chronus/or/tp under an imperfect control plane; a run in ./runs/ to `report`
 	$(PYTHON) -m repro.experiments run faults --quiet
 
 pipeline-smoke:  ## kill-and-resume a tiny scenario; gate on byte-identical records
@@ -41,6 +40,3 @@ trace-smoke:     ## pool run with a SQLite sink + a traced service cell; gate on
 
 service-smoke:   ## burst through the update service; gate on terminal+conformant+lockstep
 	$(PYTHON) scripts/service_smoke.py
-
-planner-smoke:   ## planner registry gate: all five schemes register, dispatch and verify
-	$(PYTHON) scripts/planner_smoke.py

@@ -222,47 +222,6 @@ class TestSlackCapacityAblation:
         assert by_factor["1x"] != "100%"
 
 
-class TestMultiFlowExtension:
-    def test_sequential_composition_stays_consistent(self, benchmark, once):
-        """Extension bench: several flows on one fabric, scheduled jointly."""
-        from repro.core.instance import instance_from_paths
-        from repro.core.multiflow import MultiFlowUpdate, greedy_multiflow
-        from repro.network.graph import Network
-
-        def run():
-            net = Network()
-            # Three flows share a 2-capacity spine; each detours via its own
-            # side path with slack delays.
-            for src, dst, cap, delay in [
-                ("s1", "m", 3.0, 1), ("s2", "m", 3.0, 1), ("s3", "m", 3.0, 1),
-                ("m", "t", 3.0, 1),
-                ("s1", "d1", 3.0, 2), ("d1", "m", 3.0, 2),
-                ("s2", "d2", 3.0, 2), ("d2", "m", 3.0, 2),
-                ("s3", "d3", 3.0, 2), ("d3", "m", 3.0, 2),
-            ]:
-                net.add_link(src, dst, capacity=cap, delay=delay)
-            instances = [
-                instance_from_paths(
-                    net,
-                    [f"s{i}", "m", "t"],
-                    [f"s{i}", f"d{i}", "m", "t"],
-                    demand=1.0,
-                    flow_name=f"f{i}",
-                )
-                for i in (1, 2, 3)
-            ]
-            update = MultiFlowUpdate(network=net, instances=instances)
-            return greedy_multiflow(update)
-
-        result = once(benchmark, run)
-        print()
-        print(
-            f"Multi-flow extension: {len(result.results)} flows, joint "
-            f"makespan {result.makespan}, consistent: {result.feasible}"
-        )
-        assert result.feasible
-
-
 class TestApproximationAblation:
     def test_tree_walk_makespan_vs_greedy_and_opt(self, benchmark, once):
         """The paper's future-work direction: approximation quality.

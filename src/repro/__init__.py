@@ -61,9 +61,6 @@ __all__, __getattr__, __dir__ = lazy_exports(
             "reversal_instance",
             "instance_from_paths",
             "instance_from_topology",
-            "MultiFlowUpdate",
-            "greedy_multiflow",
-            "validate_multiflow",
         ),
         "network": ("Flow", "Link", "Network"),
         "validate": ("Verdict", "verify_schedule"),

@@ -15,7 +15,6 @@ Layout (one module per concept):
 * :mod:`repro.core.mutp` -- the MUTP integer program (program (3)) over
   the time-extended network (Definition 4).
 * :mod:`repro.core.optimal` -- OPT, the exact minimum-update-time search.
-* :mod:`repro.core.multiflow` -- multi-flow composition (program (3)'s F).
 
 Every name below loads its module on first use (:mod:`repro.lazy`), so
 ``ArrayIntervalTracker`` loads only when read.
@@ -44,13 +43,6 @@ __all__, __getattr__, __dir__ = lazy_exports(
         "tree": ("FeasibilityResult", "check_update_feasibility"),
         "optimal": ("OptimalResult", "optimal_schedule"),
         "mutp": ("build_mutp_model", "solve_mutp"),
-        "multiflow": (
-            "MultiFlowUpdate",
-            "MultiFlowReport",
-            "MultiFlowResult",
-            "greedy_multiflow",
-            "validate_multiflow",
-        ),
         "serialization": (
             "schedule_to_json",
             "schedule_from_json",

@@ -302,8 +302,9 @@ class _RoundTracker:
             background: Static load from *other* flows per link, as
                 ``(first departure, last departure, demand)`` triples
                 (``None`` bounds are open); included in every capacity
-                check.  This is how multi-flow scheduling composes.  A
-                link the network lacks is a ``KeyError``.
+                check.  This is how the update service plans around the
+                flows already on its network.  A link the network lacks
+                is a ``KeyError``.
         """
         self.instance = instance
         self.t0 = t0

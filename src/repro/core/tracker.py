@@ -31,13 +31,12 @@ The threshold stays at 200: between 100 and 200 hops the array tracker is
 already ahead on segmented plans, and moving it would trade a small
 segmented gain for filing more global reroutes on their slow side.
 
-Every caller (greedy, the OPT search, :func:`replay_schedule` and through
-it multi-flow validation, Algorithm 1) builds its tracker here and reads
-only the surface both layouts share -- the round methods, the per-link
-``link_departure_spans`` / ``crossings`` / ``crosses`` and, per class,
-``switch_names`` / ``offset_at`` / ``trajectory_key`` -- so the choice is
-made once, from the instance alone, and no other module tells the
-layouts apart.
+Every caller (greedy, the OPT search, :func:`replay_schedule`, Algorithm
+1) builds its tracker here and reads only the surface both layouts share
+-- the round methods, the per-link ``link_departure_spans`` /
+``crossings`` / ``crosses`` and, per class, ``switch_names`` /
+``offset_at`` / ``trajectory_key`` -- so the choice is made once, from
+the instance alone, and no other module tells the layouts apart.
 """
 
 from __future__ import annotations

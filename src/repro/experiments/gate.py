@@ -4,7 +4,8 @@ on any disagreement -- the defence against *silent mis-measurement*.
 Every consistency number in the figures flows through two independent
 analytic engines (the interval tracker and the
 :mod:`repro.validate.verifier` trajectory replay) and one fluid
-simulation.  :func:`check_plan` holds one plan to both engine pairs:
+simulation.  :func:`check_plan` holds one plan to both engine pairs and
+to its document:
 
 * **planner <-> verifier** -- a plan claiming feasibility must get a clean
   verdict, and the verdict of the dispatched schedule must agree with the
@@ -16,7 +17,11 @@ simulation.  :func:`check_plan` holds one plan to both engine pairs:
 * **verifier <-> simulator** -- :func:`repro.validate.differential_replay`
   executes the plan on the fluid data plane through the controller stack
   and cross-checks the measured link timelines and drop volumes against
-  the verdict.
+  the verdict;
+* **plan document** -- ``plan_from_json(plan_to_json(plan))`` gives back
+  the dispatched schedule, the rounds, the rule accounting and the
+  consistency claim, and re-serialises to the same bytes: what a
+  controller archives or is handed is the plan that was checked.
 
 Scenario ``gate`` sweeps the figures' own grid (:func:`sweep_items`), so
 a failure names an instance the figures would produce; each record stores
@@ -57,7 +62,8 @@ class Disagreement:
         seed: The instance seed (regenerate with :func:`mixed_instance`).
         switch_count: The instance's network size.
         protocol: Protocol short name.
-        kind: ``"planner-verifier"`` or ``"verifier-simulator"``.
+        kind: ``"planner-verifier"``, ``"verifier-simulator"`` or
+            ``"plan-document"``.
         detail: Human-readable description of the mismatch.
     """
 
@@ -86,7 +92,7 @@ def check_plan(
     """All conformance checks for one plan on one instance.
 
     ``replay=False`` skips the fluid differential replay (the expensive
-    half); the planner <-> verifier checks always run.
+    half); the planner <-> verifier and document checks always run.
     """
     out: List[Disagreement] = []
     verdict = verify_plan(instance, plan)
@@ -113,6 +119,30 @@ def check_plan(
         disagree(
             "planner-verifier",
             "measured metrics disagree with the verifier:\n" + "\n".join(fields),
+        )
+
+    # Imported on first check, as the replay below: registering the
+    # scenarios must not load the document format.
+    from repro.core.serialization import plan_from_json, plan_to_json
+
+    text = plan_to_json(plan)
+    parsed = plan_from_json(text)
+    lost = [
+        name
+        for name, kept in (
+            ("schedule", parsed.schedule == plan.dispatched),
+            ("rounds", list(parsed.rounds) == list(plan.rounds)),
+            ("rules", parsed.rules == plan.rules),
+            ("claim", parsed.feasible == plan.claims_consistency),
+            ("bytes", plan_to_json(parsed) == text),
+        )
+        if not kept
+    ]
+    if lost:
+        disagree(
+            "plan-document",
+            "plan_from_json(plan_to_json(plan)) does not give the plan back: "
+            + ", ".join(lost),
         )
 
     if replay:

@@ -7,6 +7,8 @@ Reproduces the paper's Section II narrative as text:
 * Fig. 2(b): updating {v1, v2} then the rest congests link (v4, v3);
 * Fig. 1(e)-(h): the consistent timed sequence, step by step in the
   time-extended network;
+* Alg. 1: the tree algorithm's feasibility verdict on the same instance
+  (identical delays, Theorem 2) and its witness, judged by the verifier;
 * Fig. 5: Algorithm 3's dependency relation sets per time step.
 """
 
@@ -18,6 +20,7 @@ from typing import Dict, List, Mapping, Sequence
 from repro.analysis.illustrate import render_dependency_evolution, render_flow_timeline
 from repro.core.instance import motivating_example
 from repro.core.schedule import UpdateSchedule
+from repro.core.tree import check_update_feasibility
 from repro.pipeline.scenario import Scenario, register
 from repro.validate.verifier import verify_schedule
 
@@ -56,6 +59,19 @@ def run_walkthrough() -> str:
     paper_schedule = UpdateSchedule({"v2": 0, "v3": 1, "v1": 2, "v4": 2, "v5": 3})
     parts.append("Fig. 1(e)-(h) -- the paper's timed sequence, step by step:")
     parts.append(render_flow_timeline(instance, paper_schedule, t_start=-2, t_end=8))
+    parts.append("")
+
+    tree = check_update_feasibility(instance)
+    witness = [f"{node}@{when}" for when, nodes in tree.schedule.rounds() for node in nodes]
+    parts.append("Alg. 1 -- the tree algorithm on identical delays (Theorem 2):")
+    parts.append(f"  feasible: {tree.feasible} ({tree.reason})")
+    parts.append(
+        f"  witness: {', '.join(witness)}"
+        f" (makespan {tree.schedule.makespan};"
+        f" the paper's sequence above: makespan {paper_schedule.makespan})"
+    )
+    verdict = verify_schedule(instance, tree.schedule)
+    parts.append(f"  verify_schedule: {'ok' if verdict.ok else verdict.describe()}")
     parts.append("")
 
     parts.append("Fig. 5 -- dependency relation sets along the greedy run:")

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain, cycle, repeat, starmap
 from operator import eq
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 Node = str
 
@@ -81,8 +81,7 @@ class Network:
     A link's attributes live in two flat ``(src, dst) -> delay / capacity``
     dicts, the ones :meth:`delay_map` / :meth:`capacity_map` hand to the
     hot paths, and that is all a build writes per link: a :class:`Link` is
-    a view built (once) only when asked for, and the adjacency lists behind
-    :meth:`successors` and friends are derived from the links on first use.
+    a view built (once) only when asked for.
 
     Example:
         >>> net = Network()
@@ -98,8 +97,6 @@ class Network:
         self._delay: Dict[Tuple[Node, Node], int] = {}
         self._capacity: Dict[Tuple[Node, Node], float] = {}
         self._views: Dict[Tuple[Node, Node], Link] = {}
-        # (out, in) adjacency, derived from the links; None after a change.
-        self._adjacency: Optional[Tuple[Dict[Node, List[Node]], Dict[Node, List[Node]]]] = None
 
     # ------------------------------------------------------------------
     # construction
@@ -129,7 +126,6 @@ class Network:
         self._nodes.setdefault(dst)
         self._delay[key] = delay
         self._capacity[key] = capacity
-        self._adjacency = None
 
     def add_links(
         self,
@@ -166,7 +162,6 @@ class Network:
         self._nodes.update(dict.fromkeys(chain.from_iterable(keys)))
         self._delay.update(delays)
         self._capacity.update(capacities)
-        self._adjacency = None
 
     def _raise_first_fault(self, keys, capacities, delays) -> None:
         """Raise :meth:`add_link`'s error for the first failing link (the
@@ -253,34 +248,6 @@ class Network:
     def capacity_map(self) -> Dict[Tuple[Node, Node], float]:
         """Flat ``(src, dst) -> capacity`` dict (see :meth:`delay_map`)."""
         return self._capacity
-
-    def successors(self, node: Node) -> List[Node]:
-        """Heads of out-links of ``node``, in link insertion order."""
-        return list(self._adjacent()[0].get(node, ()))
-
-    def predecessors(self, node: Node) -> List[Node]:
-        """Tails of in-links of ``node``, in link insertion order."""
-        return list(self._adjacent()[1].get(node, ()))
-
-    def out_links(self, node: Node) -> Iterator[Link]:
-        """Iterate over the out-links of ``node``."""
-        for dst in self.successors(node):
-            yield self._view((node, dst))
-
-    def in_links(self, node: Node) -> Iterator[Link]:
-        """Iterate over the in-links of ``node``."""
-        for src in self.predecessors(node):
-            yield self._view((src, node))
-
-    def _adjacent(self) -> Tuple[Dict[Node, List[Node]], Dict[Node, List[Node]]]:
-        if self._adjacency is None:
-            heads: Dict[Node, List[Node]] = {}
-            tails: Dict[Node, List[Node]] = {}
-            for src, dst in self._delay:
-                heads.setdefault(src, []).append(dst)
-                tails.setdefault(dst, []).append(src)
-            self._adjacency = (heads, tails)
-        return self._adjacency
 
     def _view(self, key: Tuple[Node, Node]) -> Link:
         """The :class:`Link` of an existing ``key``, built on first request."""

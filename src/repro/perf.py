@@ -1,16 +1,25 @@
-"""What a process pays outside the traced code: gc pauses and the cold path.
+"""What a bench measures outside the recorder: peak RSS, gc pauses and
+the cold path (timers and counters live in :mod:`repro.trace`).
 
-:func:`gc_pauses` counts the garbage collector's collections and seconds
-per generation through a ``gc.callbacks`` hook while a block runs (the
-recorder's timers include every collection that interrupted them).
-:func:`cold_path` plans in fresh interpreters and reports what such a
-process pays before warm numbers apply.
+* :func:`measure_peak_rss` -- ``ru_maxrss`` is a per-process high-water
+  mark that never resets, so measuring one stage inside a long-lived bench
+  process would only report the largest stage seen so far.  It therefore
+  forks a child per measurement (sharing the parent's imports, so startup
+  adds nothing to the peak), runs the stage there and ships the child's
+  counters back over a pipe.  On platforms without ``fork`` it degrades to
+  an in-process measurement, flagged in the result.
+* :func:`gc_pauses` counts the garbage collector's collections and seconds
+  per generation through a ``gc.callbacks`` hook while a block runs (the
+  recorder's timers include every collection that interrupted them).
+* :func:`cold_path` plans in fresh interpreters and reports what such a
+  process pays before warm numbers apply.
 """
 
 from __future__ import annotations
 
 import gc
 import json
+import multiprocessing
 import os
 import statistics
 import subprocess
@@ -18,7 +27,80 @@ import sys
 import time
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Dict, Iterator, Mapping
+from typing import Any, Callable, Dict, Iterator, Mapping
+
+try:
+    import resource
+except ImportError:  # pragma: no cover - Windows
+    resource = None  # type: ignore[assignment]
+
+from repro.runtime.parallel import fork_available
+
+
+def peak_rss_mb() -> float:
+    """This process's lifetime peak resident set size in MiB (0.0 if unknown)."""
+    if resource is None:  # pragma: no cover - Windows
+        return 0.0
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    # Linux reports KiB, macOS bytes.
+    if sys.platform == "darwin":  # pragma: no cover - macOS
+        return peak / (1024.0 * 1024.0)
+    return peak / 1024.0
+
+
+def _child(conn, fn: Callable[..., Any], args, kwargs) -> None:
+    baseline = peak_rss_mb()
+    try:
+        fn(*args, **kwargs)
+        conn.send({"baseline_rss_mb": baseline, "peak_rss_mb": peak_rss_mb()})
+    except BaseException as exc:  # pragma: no cover - diagnostic path
+        conn.send({"error": repr(exc)})
+    finally:
+        conn.close()
+
+
+def measure_peak_rss(fn: Callable[..., Any], *args, **kwargs) -> Dict[str, float]:
+    """Run ``fn(*args, **kwargs)`` and report its peak RSS in MiB.
+
+    Returns ``{"baseline_rss_mb", "peak_rss_mb", "delta_mb"}``, rounded to
+     0.1 MiB.  ``baseline_rss_mb`` is the RSS inherited at stage start (the
+    process image plus imports), ``delta_mb`` the stage's own growth.  The
+    function's return value is discarded -- this is a measurement harness,
+    not a call wrapper.  Adds ``"in_process": True`` when ``fork`` is
+    unavailable and the numbers describe the whole process instead.
+    """
+    if fork_available() and resource is not None:
+        context = multiprocessing.get_context("fork")
+        parent_conn, child_conn = context.Pipe(duplex=False)
+        proc = context.Process(target=_child, args=(child_conn, fn, args, kwargs))
+        proc.start()
+        child_conn.close()
+        try:
+            payload = parent_conn.recv()
+        except EOFError:  # pragma: no cover - child died before reporting
+            payload = {"error": "measurement child exited without reporting"}
+        finally:
+            parent_conn.close()
+            proc.join()
+        if "error" in payload:
+            raise RuntimeError(f"peak-RSS measurement failed: {payload['error']}")
+        baseline = payload["baseline_rss_mb"]
+        peak = payload["peak_rss_mb"]
+        return {
+            "baseline_rss_mb": round(baseline, 1),
+            "peak_rss_mb": round(peak, 1),
+            "delta_mb": round(peak - baseline, 1),
+        }
+    baseline = peak_rss_mb()
+    fn(*args, **kwargs)
+    peak = peak_rss_mb()
+    return {
+        "baseline_rss_mb": round(baseline, 1),
+        "peak_rss_mb": round(peak, 1),
+        "delta_mb": round(peak - baseline, 1),
+        "in_process": True,
+    }
+
 
 COLD_PHASES = ("import repro", "imports", "build", "encode", "first plan", "warm plan")
 
@@ -86,7 +168,7 @@ def cold_path(generator: str, size: int, seed: int, options: str = "", repeat: i
     for ``{generator}({size}, seed={seed}{options})``, and the modules the
     last process had loaded by its end."""
     env = dict(os.environ)
-    src = str(Path(__file__).resolve().parents[2])
+    src = str(Path(__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
     code = COLD_PROBE.format(generator=generator, size=size, seed=seed, options=options)
     run = [sys.executable, "-c", code]

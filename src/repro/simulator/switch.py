@@ -44,7 +44,7 @@ class DataSwitch:
         self._sim = sim
         self.name = name
         self.table = FlowTable()
-        self._out_links: Dict[int, DataLink] = {}
+        self._egress: Dict[int, DataLink] = {}
         self._in_rates: Dict[InKey, Tuple[PacketContext, float]] = {}
         # Decisions of the last full pass plus every input seen since, valid
         # while the table still has the version that pass saw.
@@ -63,19 +63,19 @@ class DataSwitch:
         """Connect an output ``port`` to a link."""
         if port == HOST_PORT:
             raise ValueError("port 0 is reserved for the host")
-        if port in self._out_links:
+        if port in self._egress:
             raise ValueError(f"port {port} already attached on {self.name}")
-        self._out_links[port] = link
+        self._egress[port] = link
         self._forwarded_version = None  # a dropped stream may now have a way out
 
     def detach_links(self) -> None:
         """Disconnect every output port (see
         :meth:`repro.simulator.dataplane.DataPlane.release`)."""
-        self._out_links.clear()
+        self._egress.clear()
 
     @property
     def ports(self) -> List[int]:
-        return sorted(self._out_links)
+        return sorted(self._egress)
 
     # ------------------------------------------------------------------
     # traffic
@@ -110,9 +110,9 @@ class DataSwitch:
         elif port is None:
             self.blackholed = total
         elif wire_context is None:
-            self._out_links[port].clear_stream(out_key)
+            self._egress[port].clear_stream(out_key)
         else:
-            self._out_links[port].set_stream_rate(wire_context, total)
+            self._egress[port].set_stream_rate(wire_context, total)
 
     def inject(self, context: PacketContext, rate: float) -> None:
         """Host-side traffic source (must use the host port)."""
@@ -151,7 +151,7 @@ class DataSwitch:
             return _DROP
         if rule.out_port == HOST_PORT:
             return _DELIVER
-        if rule.out_port not in self._out_links:
+        if rule.out_port not in self._egress:
             return _DROP
         out_tag = rule.set_tag if rule.set_tag is not None else context.tag
         out_context = context.with_tag(out_tag)
@@ -163,7 +163,7 @@ class DataSwitch:
         self._forwarded_version = self.table.version
         decisions = self._decisions = {}
         per_port: Dict[int, Dict[StreamKey, Tuple[PacketContext, float]]] = {
-            port: {} for port in self._out_links
+            port: {} for port in self._egress
         }
         delivered = 0.0
         blackholed = 0.0
@@ -182,7 +182,7 @@ class DataSwitch:
         self.delivered = delivered
         self.blackholed = blackholed
         for port, streams in per_port.items():
-            link = self._out_links[port]
+            link = self._egress[port]
             for context, rate in streams.values():
                 link.set_stream_rate(context, rate)
             link.clear_absent_streams(streams)

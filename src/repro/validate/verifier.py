@@ -74,8 +74,8 @@ def verify_schedule(
         background: Static per-link load from other flows, as
             ``(first departure, last departure, demand)`` triples with
             ``None`` bounds open -- the same shape
-            :class:`~repro.core.intervals.IntervalTracker` accepts, so
-            multi-flow checks compose identically.
+            :class:`~repro.core.intervals.IntervalTracker` accepts, so a
+            plan and its verdict see the same other flows.
         extra_horizon: Additional steps to replay past the natural window.
 
     Returns:

@@ -11,7 +11,7 @@ EXAMPLES = pathlib.Path(__file__).resolve().parent.parent / "examples"
 
 @pytest.mark.parametrize(
     "script",
-    ["quickstart.py", "emulation.py", "maintenance_reroute.py", "policy_update_batch.py"],
+    ["quickstart.py", "emulation.py", "maintenance_reroute.py"],
 )
 def test_example_runs(script):
     completed = subprocess.run(

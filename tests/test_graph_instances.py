@@ -16,6 +16,10 @@ from repro.validate import verify_schedule
 def shortest_delay_path(network, source, destination, forbidden_nodes=()):
     """Dijkstra over link delays, avoiding the given transit switches."""
     banned = set(forbidden_nodes) - {source, destination}
+    delays = network.delay_map()
+    heads = {}  # out-neighbours in link insertion order
+    for src, dst in delays:
+        heads.setdefault(src, []).append(dst)
     distances = {source: 0}
     previous = {}
     heap = [(0, source)]
@@ -31,14 +35,14 @@ def shortest_delay_path(network, source, destination, forbidden_nodes=()):
                 node = previous[node]
                 path.append(node)
             return list(reversed(path))
-        for link in network.out_links(node):
-            if link.dst in banned:
+        for head in heads.get(node, ()):
+            if head in banned:
                 continue
-            candidate = dist + link.delay
-            if candidate < distances.get(link.dst, float("inf")):
-                distances[link.dst] = candidate
-                previous[link.dst] = node
-                heapq.heappush(heap, (candidate, link.dst))
+            candidate = dist + delays[(node, head)]
+            if candidate < distances.get(head, float("inf")):
+                distances[head] = candidate
+                previous[head] = node
+                heapq.heappush(heap, (candidate, head))
     return None
 
 

@@ -41,3 +41,13 @@ class TestWalkthrough:
         assert "v4->v3 carries 2 > 1" in text
         assert "verdict: consistent" in text
         assert "Fig. 5" in text
+
+    def test_alg1_verdict_beside_the_paper_sequence(self):
+        lines = run_walkthrough().splitlines()
+        start = lines.index("Alg. 1 -- the tree algorithm on identical delays (Theorem 2):")
+        assert lines[start + 1 : start + 4] == [
+            "  feasible: True (walk completed)",
+            "  witness: v2@0, v1@1, v3@2, v4@3, v5@4"
+            " (makespan 5; the paper's sequence above: makespan 4)",
+            "  verify_schedule: ok",
+        ]

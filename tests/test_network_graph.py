@@ -63,17 +63,6 @@ class TestNetwork:
             net.link("a", "b")
         assert net.get_link("a", "b") is None
 
-    def test_successors_predecessors(self):
-        net = network_from_links([("a", "b"), ("a", "c"), ("c", "b")])
-        assert net.successors("a") == ["b", "c"]
-        assert net.predecessors("b") == ["a", "c"]
-        assert net.successors("b") == []
-
-    def test_out_in_links(self):
-        net = network_from_links([("a", "b"), ("a", "c")])
-        assert {l.dst for l in net.out_links("a")} == {"b", "c"}
-        assert [l.src for l in net.in_links("b")] == ["a"]
-
     def test_copy_is_independent(self):
         net = network_from_links([("a", "b")])
         clone = net.copy()
@@ -156,7 +145,6 @@ class TestBulkInsertion:
         assert bulk.switches == one_by_one.switches == ["z", "x", "y", "a", "b"]
         assert list(bulk.delay_map().items()) == list(one_by_one.delay_map().items())
         assert list(bulk.capacity_map().items()) == list(one_by_one.capacity_map().items())
-        assert bulk.successors("a") == one_by_one.successors("a") == ["b", "y"]
 
     def test_attribute_lists_must_match_the_links(self):
         with pytest.raises(ValueError, match="2 link attributes for 3 links"):

@@ -3,7 +3,9 @@
 One fresh interpreter runs the tiny grid of every registered scenario
 through the experiments CLI (every scheme, ``verify=true``, Fig. 6 under
 faults, a JSONL trace into a temporary runs root) and then the trace CLI
-on that trace.  The modules it never loads must be exactly
+on that trace.  Alg. 1 loads on the ``walkthrough`` path and the plan
+document format on the ``gate`` path; program (3) and the bench tools
+load on none.  The modules it never loads must be exactly
 :data:`ALLOW_LIST`: a new module on no path fails the test, and so does an
 allow-listed module that gains one (drop its entry then).  Files are
 listed with :mod:`pathlib`, never by importing them -- an import would
@@ -60,28 +62,8 @@ ALLOW_LIST = {
         "program (3) solved by HiGHS",
         "Program (3) at figure scale",
     ),
-    "repro.core.tree": (
-        "Alg. 1, the feasibility verdict on identical delays",
-        "The paper's evaluation, regenerated from artifacts, with Amiri's hard family",
-    ),
-    "repro.core.multiflow": (
-        "multi-flow validation of concurrently updating intents",
-        "One judge of concurrent intents: a plane monitor",
-    ),
-    "repro.core.serialization": (
-        "tool: plan documents of scripts/planner_smoke.py and the golden digests",
-        "Break the planners and the timing on purpose (fuzz plan_from_json)",
-    ),
     "repro.perf": (
-        "tool: scripts/profile.py and scripts/bench.py",
-        "Profiles that measure the work, not the timers",
-    ),
-    "repro.perf.memory": (
-        "tool: scripts/profile.py and scripts/bench.py",
-        "Profiles that measure the work, not the timers",
-    ),
-    "repro.perf.process": (
-        "tool: scripts/profile.py and scripts/bench.py",
+        "tool: peak RSS, gc pauses and the cold path of scripts/profile.py and scripts/bench.py",
         "Profiles that measure the work, not the timers",
     ),
 }

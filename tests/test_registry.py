@@ -14,6 +14,7 @@ its own replay and its own verifier call there, and ``run_instance`` must
 say the same thing about every hypothesis-drawn item.
 """
 
+import dataclasses
 import json
 import random
 import subprocess
@@ -25,7 +26,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import repro.controller
+import repro.updates
 from repro.analysis.metrics import evaluate_schedule
+from repro.controller import ConstantDelayModel, build_testbed, execute_plan, realized_schedule
 from repro.core.greedy import greedy_schedule
 from repro.core.instance import reversal_instance, segmented_instance
 from repro.core.optimal import optimal_schedule
@@ -247,11 +251,42 @@ class TestRegistryApi:
         register_planner(type(get_planner("chronus"))())
 
     def test_capability_flags(self):
-        assert get_planner("tp").two_phase
-        assert not get_planner("chronus").two_phase
-        assert get_planner("opt").exact
-        assert get_planner("or").exact
-        assert not get_planner("aug").exact
+        names = available_schemes()
+        assert {name for name in names if get_planner(name).two_phase} == {"tp"}
+        assert {name for name in names if get_planner(name).exact} == {"opt", "or"}
+
+
+@pytest.mark.parametrize("scheme", available_schemes())
+def test_one_plan_type_and_one_execution_path(scheme):
+    """``repro.updates`` exports one plan dataclass, ``repro.controller``
+    one executor per strategy family, and every scheme's plan, run by
+    ``execute_plan`` on a zero-latency testbed, realises its dispatched
+    schedule."""
+    plan_types = [
+        name
+        for name, exported in vars(repro.updates).items()
+        if dataclasses.is_dataclass(exported)
+        and "schedule" in {field.name for field in dataclasses.fields(exported)}
+    ]
+    assert plan_types == ["UpdatePlan"]
+    performers = sorted(name for name in repro.controller.__all__ if name.startswith("perform_"))
+    assert performers == ["perform_resilient_two_phase", "perform_resilient_update"]
+
+    instance = mixed_instance(12, sweep_seed(0, 12, 0))
+    plan = get_planner(scheme).plan(instance, node_budget=NODE_BUDGET)
+    assert type(plan) is repro.updates.UpdatePlan
+    sim, plane, controller = build_testbed(
+        instance,
+        network_delay=ConstantDelayModel(0.0),
+        install_delay=ConstantDelayModel(0.0),
+        rng=random.Random(0),
+    )
+    trace = execute_plan(controller, plane, plan, start_at=1.0)
+    sim.run(until=1.0 + plan.dispatched.makespan + 10.0)
+    realized, off_grid = realized_schedule(plan, trace, start_at=1.0)
+    assert trace.completed and controller.pending_barriers() == 0
+    assert realized is not None and not off_grid
+    assert all(when == plan.dispatched.time_of(node) for node, when in realized.times.items())
 
 
 class TestLockstepByteIdentity:

@@ -1,5 +1,6 @@
 """Tests for the ``gate`` scenario (``make validate``) and the CLI's exit rule."""
 
+import json
 import subprocess
 import sys
 from dataclasses import replace
@@ -122,6 +123,23 @@ class TestCheckPlanDetectsCorruption:
         assert not check_plan(
             fig1_instance, tampered, seed=0, switch_count=6, replay=False
         )
+
+    def test_document_that_drops_a_round_is_caught_for_every_scheme(self, monkeypatch):
+        import repro.core.serialization as serialization
+
+        written = serialization.plan_to_json
+
+        def drop_a_round(plan, indent=2):
+            document = json.loads(written(plan, indent))
+            document["rounds"].pop()
+            return json.dumps(document, indent=indent, sort_keys=True)
+
+        monkeypatch.setattr(serialization, "plan_to_json", drop_a_round)
+        report = run_in_memory("gate", {"instances_per_size": 1})
+        assert [d.protocol for d in report.disagreements] == list(SCHEMES)
+        for d in report.disagreements:
+            assert d.kind == "plan-document"
+            assert d.detail.endswith("does not give the plan back: rounds, bytes")
 
     def test_report_renders_disagreements(self):
         report = GateReport(
