@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-fast bench bench-full bench-repo validate validate-fast profile faults pipeline-smoke trace-smoke service-smoke
+.PHONY: test test-fast bench bench-full bench-repo validate validate-fast profile faults
 
 test: test-fast validate-fast  ## full tier-1 suite + quick conformance gate
 
@@ -31,12 +31,3 @@ profile:         ## the greedy engine at 6000 switches: span tree, counters and 
 
 faults:          ## fault-severity ablation: chronus/or/tp under an imperfect control plane; a run in ./runs/ to `report`
 	$(PYTHON) -m repro.experiments run faults --quiet
-
-pipeline-smoke:  ## kill-and-resume a tiny scenario; gate on byte-identical records
-	$(PYTHON) scripts/pipeline_smoke.py
-
-trace-smoke:     ## pool run with a SQLite sink + a traced service cell; gate on worker spans and per-request nesting
-	$(PYTHON) scripts/trace_smoke.py
-
-service-smoke:   ## burst through the update service; gate on terminal+conformant+lockstep
-	$(PYTHON) scripts/service_smoke.py

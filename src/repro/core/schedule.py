@@ -106,15 +106,6 @@ class UpdateSchedule:
             feasible=self.feasible,
         )
 
-    def restricted_to(self, nodes) -> "UpdateSchedule":
-        """The schedule restricted to ``nodes``."""
-        keep = set(nodes)
-        return UpdateSchedule(
-            times={n: t for n, t in self.times.items() if n in keep},
-            start_time=self.start_time,
-            feasible=self.feasible,
-        )
-
     def swapped(self, a: Node, b: Node) -> "UpdateSchedule":
         """The schedule with the times of ``a`` and ``b`` exchanged.
 

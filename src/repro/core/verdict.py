@@ -114,11 +114,6 @@ class Verdict:
         """Revisited switches, sorted and deduplicated."""
         return tuple(sorted({v.node for v in self.loops}))
 
-    @property
-    def blackhole_nodes(self) -> Tuple[Node, ...]:
-        """Dropping switches, sorted and deduplicated."""
-        return tuple(sorted({v.node for v in self.blackholes}))
-
     def describe(self) -> str:
         """A readable multi-line account of every violation."""
         if self.ok:

@@ -67,9 +67,8 @@ def _add_context_flags(parser: argparse.ArgumentParser) -> None:
         "--trace",
         default=None,
         metavar="SINK",
-        help="record an execution trace: console, jsonl[:PATH] or "
-        "sqlite[:PATH]; file sinks default into the run directory "
-        "(inspect with python -m repro.trace)",
+        help="record an execution trace to jsonl[:PATH]; the file "
+        "defaults into the run directory (inspect with python -m repro.trace)",
     )
     parser.add_argument(
         "--quiet", action="store_true", help="suppress the progress line"
@@ -210,10 +209,11 @@ def _cmd_run(args: argparse.Namespace, resume: bool) -> int:
             stop_after=args.stop_after,
         )
     except ValueError as exc:
-        # Unknown --set key, unregistered scheme, a value the grid refuses
-        # or missing --paper preset (all raised before a fresh run's
-        # directory exists), or stored records the grid does not hold: a
-        # usage error naming the valid choices, not a crash.
+        # Unknown --set key, unregistered scheme, a value the grid refuses,
+        # missing --paper preset or a refused --trace spec (all raised
+        # before a fresh run's directory exists), or stored records the
+        # grid does not hold: a usage error naming the valid choices, not
+        # a crash.
         print(str(exc), file=sys.stderr)
         return 2
     except RunInterrupted as interrupted:

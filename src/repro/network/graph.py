@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain, cycle, repeat, starmap
 from operator import eq
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Sequence, Tuple, Union
 
 Node = str
 
@@ -173,18 +173,6 @@ class Network:
             _check_link(src, dst, cap, hop_delay)
             seen.add((src, dst))
 
-    def ensure_link(
-        self,
-        src: Node,
-        dst: Node,
-        capacity: float = DEFAULT_CAPACITY,
-        delay: int = DEFAULT_DELAY,
-    ) -> Link:
-        """Return the existing link ``src -> dst`` or create it."""
-        if (src, dst) not in self._delay:
-            self.add_link(src, dst, capacity=capacity, delay=delay)
-        return self.link(src, dst)
-
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
@@ -217,10 +205,6 @@ class Network:
         if (src, dst) not in self._delay:
             raise KeyError(f"no link {src!r} -> {dst!r}")
         return self._view((src, dst))
-
-    def get_link(self, src: Node, dst: Node) -> Optional[Link]:
-        """The link ``src -> dst`` or ``None``."""
-        return self._view((src, dst)) if (src, dst) in self._delay else None
 
     def capacity(self, src: Node, dst: Node) -> float:
         """Capacity ``C_{src,dst}``; raises ``KeyError`` if absent."""

@@ -67,31 +67,3 @@ def arrival_offsets(network: Network, path: Sequence[Node]) -> List[int]:
     switches, per the paper's dynamic-flow model).
     """
     return list(accumulate(map(network.delay_map().__getitem__, path_links(path)), initial=0))
-
-
-def follow_config(config, source: Node, destination: Node, max_hops: int) -> Tuple[Path, bool]:
-    """Trace the route from ``source`` under a next-hop ``config`` mapping.
-
-    Args:
-        config: Mapping ``node -> next hop`` (nodes missing from the mapping
-            black-hole traffic).
-        source: Start node.
-        destination: Node at which tracing stops successfully.
-        max_hops: Abort after this many hops (loop guard).
-
-    Returns:
-        ``(nodes, complete)`` where ``complete`` is ``True`` iff the route
-        reaches ``destination``.  An incomplete route ends either at a
-        black-holing node or at the ``max_hops`` guard.
-    """
-    nodes: List[Node] = [source]
-    current = source
-    hops = 0
-    while current != destination and hops < max_hops:
-        nxt = config.get(current)
-        if nxt is None:
-            return tuple(nodes), False
-        nodes.append(nxt)
-        current = nxt
-        hops += 1
-    return tuple(nodes), current == destination

@@ -26,9 +26,9 @@ class RunContext:
             the usable CPUs.  The records are identical for any worker
             count because every item is seeded independently (the
             ``sweep_seed`` contract).
-        trace: Optional trace-sink spec (``"console"``, ``"jsonl[:PATH]"``,
-            ``"sqlite[:PATH]"``; see :func:`repro.trace.open_sink`).  File
-            sinks without an explicit path land in the run directory.
+        trace: Optional trace-sink spec, ``"jsonl[:PATH]"`` (see
+            :func:`repro.trace.open_sink`); without an explicit path the
+            file lands in the run directory.
             Tracing is observability-only: records stay byte-identical to
             an untraced run apart from the added ``trace`` id field.
         tape: A list makes the run a profile: the session's records land

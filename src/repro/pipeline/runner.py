@@ -273,12 +273,13 @@ def run_to_store(
 ) -> StoredRun:
     """Run (or resume) a scenario against the artifact store.
 
-    A fresh run materialises the parameters and expands the grid
-    (:func:`_expand`; a bad value raises before any run directory
-    exists), creates ``<root>/<name>/<run-id>/`` and streams records; a
-    resumed run reads the parameters back from the manifest, skips the
-    completed prefix and appends only the missing records -- the final
-    ``records.jsonl`` is byte-identical to an uninterrupted run.
+    A fresh run materialises the parameters, expands the grid
+    (:func:`_expand`) and opens the trace sink (a bad value or sink spec
+    raises before any run directory exists), creates
+    ``<root>/<name>/<run-id>/`` and streams records; a resumed run reads
+    the parameters back from the manifest, skips the completed prefix and
+    appends only the missing records -- the final ``records.jsonl`` is
+    byte-identical to an uninterrupted run.
     """
     scenario = get_scenario(name)
     store = store or ArtifactStore()
@@ -286,20 +287,27 @@ def run_to_store(
     if resume:
         handle = store.open(name, run_id)
         params = handle.params
+        run_id = handle.run_id
         missing = sorted(set(scenario.defaults) - set(params))
         if missing:
             # Guessing a default would mix records of two configurations.
             raise ValueError(
-                f"run {name}/{handle.run_id} stores no {missing}: it predates "
+                f"run {name}/{run_id} stores no {missing}: it predates "
                 "those parameters, so start a new run"
             )
-        items = _expand(scenario, params)
+    else:
+        params = _materialise(scenario, overrides, paper)
+        if run_id is None:
+            run_id = new_run_id()
+    items = _expand(scenario, params)
+    # The sink opens its file with the first record: a refused spec
+    # raises here, before the store is written.
+    trace = _trace_session(ctx, name, run_id, directory=store.run_directory(name, run_id))
+    if resume:
         prior = handle.load_records()
         handle.manifest["status"] = "running"
         handle.write_manifest()
     else:
-        params = _materialise(scenario, overrides, paper)
-        items = _expand(scenario, params)
         handle = store.create(name, params, run_id=run_id)
         prior = []
 
@@ -310,18 +318,14 @@ def run_to_store(
             handle.append(record)
         records.append(record)
 
-    trace = _trace_session(ctx, name, handle.run_id, directory=handle.directory)
     if trace is not None and trace.sink is not None:
         # Stamp the manifest so `python -m repro.trace` (and readers of
         # the run directory) can find the trace without guessing.
-        trace_meta: Dict[str, object] = {
+        handle.manifest["trace"] = {
             "sink": ctx.trace,
             "trace_id": trace.trace_id,
+            "path": str(trace.sink.path),
         }
-        sink_path = trace.sink_path
-        if sink_path is not None:
-            trace_meta["path"] = str(sink_path)
-        handle.manifest["trace"] = trace_meta
         handle.write_manifest()
 
     try:

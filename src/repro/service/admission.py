@@ -54,10 +54,6 @@ class AdmissionController(Generic[T]):
     def queue_depth(self) -> int:
         return len(self._queue)
 
-    @property
-    def in_flight_count(self) -> int:
-        return len(self._in_flight)
-
     def _conflicts_in_flight(self, footprint: Footprint) -> bool:
         return any(footprint & held for held in self._in_flight.values())
 

@@ -111,14 +111,3 @@ class BandwidthMonitor:
             mbps = max(self.series[link][index].mbps for link in self._links)
             out.append(BandwidthSample(time=time, mbps=mbps))
         return out
-
-    def most_utilized_link(self) -> Optional[LinkId]:
-        """The link with the highest single-interval sample."""
-        best: Optional[LinkId] = None
-        best_mbps = -1.0
-        for link, samples in self.series.items():
-            for sample in samples:
-                if sample.mbps > best_mbps:
-                    best_mbps = sample.mbps
-                    best = link
-        return best

@@ -1,11 +1,11 @@
-"""``repro.trace``: the one observability layer (spans, timers, counters, sinks).
+"""``repro.trace``: the one observability layer (spans, timers, counters, one sink).
 
 Everything that times, counts or explains a run meets on a single
 OTel-shaped record stream (:class:`TraceRecord`), written through the
 three verbs of the process-global :data:`recorder` (recorded span,
-aggregate timer, counter -- see :mod:`repro.trace.recorder`) and consumed
-through a pluggable :class:`TraceSink` (console / JSONL / SQLite) or, for
-profiles, a sink-less session's in-memory tape:
+aggregate timer, counter -- see :mod:`repro.trace.recorder`) and streamed
+to one JSONL file (:class:`JsonlSink`) or, for profiles, kept on a
+sink-less session's in-memory tape:
 
 * the runner opens a ``run`` root span and one ``item:<key>`` span per
   evaluated item (attributes: key, seed, pid);
@@ -28,7 +28,7 @@ sinks only ever run in the parent process.
 
 Quick tour::
 
-    python -m repro.experiments run sweep --workers 2 --trace sqlite
+    python -m repro.experiments run sweep --workers 2 --trace jsonl
     python -m repro.trace show                # tree view of the run
     python -m repro.trace spans --switch s3   # one switch's evidence
     python -m repro.trace spans --status aborted   # the intents that ended so
@@ -45,7 +45,7 @@ from repro.lazy import lazy_exports
 __all__, __getattr__, __dir__ = lazy_exports(
     __name__,
     {
-        "sinks": ("ConsoleSink", "JsonlSink", "SqliteSink", "TraceSink", "open_sink"),
+        "sinks": ("JsonlSink", "open_sink"),
         "record": ("TraceRecord", "derive_trace_id", "utc_now_iso"),
         "recorder": ("TraceRecorder",),
         "session": ("TraceSession",),

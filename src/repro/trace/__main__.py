@@ -1,6 +1,6 @@
 """The trace query CLI: ``python -m repro.trace``.
 
-Subcommands over a trace file (JSONL or SQLite, auto-detected)::
+Subcommands over a JSONL trace file::
 
     python -m repro.trace list                       # traces in the file
     python -m repro.trace show [TRACE_ID]            # tree view
@@ -10,9 +10,9 @@ Subcommands over a trace file (JSONL or SQLite, auto-detected)::
     python -m repro.trace slowest -n 15              # slowest-span report
     python -m repro.trace profile --min-ms 1         # timers, counters, derived views
 
-Without ``--path`` the newest ``trace.db``/``trace.jsonl`` under the
-runs root (``$REPRO_RUNS_DIR`` or ``./runs``) is used, i.e. the trace of
-the most recent ``--trace sqlite``/``--trace jsonl`` run.
+Without ``--path`` the newest ``trace.jsonl`` under the runs root
+(``$REPRO_RUNS_DIR`` or ``./runs``) is used, i.e. the trace of the most
+recent ``--trace jsonl`` run.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         "--path",
         default=None,
         metavar="FILE",
-        help="trace file, JSONL or SQLite (default: newest under the runs root)",
+        help="JSONL trace file (default: newest under the runs root)",
     )
     parser.add_argument(
         "--runs-dir",

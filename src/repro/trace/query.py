@@ -1,58 +1,39 @@
 """Read traces back: loading, filtering and the report renderers.
 
-Every function here is sink-agnostic: :func:`read_trace` sniffs whether
-a path is a SQLite database or a JSONL file and returns the same
-``List[TraceRecord]`` either way (pinned by the round-trip tests), and
-the renderers operate on records only -- a file's, or a sink-less
-session's in-memory tape.  :func:`aggregate` sums a tape's timers and
-counters, :func:`profile_of` adds the :data:`VIEWS` the tape holds and
-:func:`render_report` prints both (``--profile``, ``scripts/profile.py``
-and ``python -m repro.trace profile`` alike).  The CLI in
+:func:`read_trace` returns a JSONL trace file's ``List[TraceRecord]``
+(pinned by the round-trip tests), and the renderers operate on records
+only -- a file's, or a sink-less session's in-memory tape.
+:func:`aggregate` sums a tape's timers and counters, :func:`profile_of`
+adds the :data:`VIEWS` the tape holds and :func:`render_report` prints
+both (``--profile``, ``scripts/profile.py`` and ``python -m repro.trace
+profile`` alike).  The CLI in
 :mod:`repro.trace.__main__` is a thin argparse shell over this module.
 """
 
 from __future__ import annotations
 
-import json
 import os
 from pathlib import Path
 from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.trace.record import TraceRecord, record_from_line
 
-_SQLITE_MAGIC = b"SQLite format 3\x00"
-
 
 class TraceQueryError(RuntimeError):
     """A trace file that cannot be located or read."""
 
 
-def is_sqlite_file(path) -> bool:
-    path = Path(path)
-    try:
-        with open(path, "rb") as handle:
-            return handle.read(len(_SQLITE_MAGIC)) == _SQLITE_MAGIC
-    except OSError:
-        return False
-
-
 def read_trace(path) -> List[TraceRecord]:
-    """All records of one trace file (JSONL or SQLite), emission order."""
-    path = Path(path)
-    if not path.exists():
-        raise TraceQueryError(f"no trace file at {path}")
-    if is_sqlite_file(path):
-        return _read_sqlite(path)
-    return _read_jsonl(path)
-
-
-def _read_jsonl(path: Path) -> List[TraceRecord]:
-    """Every record of a JSONL trace.
+    """Every record of a JSONL trace file, in emission order.
 
     An unterminated last line that does not parse is a killed run's torn
     write and is dropped, as the artifact store drops one on resume; any
-    other bad line is a :class:`TraceQueryError` naming ``path:line``.
+    other bad line is a :class:`TraceQueryError` naming ``path:line``
+    (a SQLite trace of older versions fails on its first line).
     """
+    path = Path(path)
+    if not path.exists():
+        raise TraceQueryError(f"no trace file at {path}")
     records = []
     lines = path.read_bytes().splitlines(keepends=True)
     for number, line in enumerate(lines, 1):
@@ -68,51 +49,18 @@ def _read_jsonl(path: Path) -> List[TraceRecord]:
     return records
 
 
-def _read_sqlite(path: Path) -> List[TraceRecord]:
-    import sqlite3
-
-    conn = sqlite3.connect(str(path))
-    try:
-        rows = conn.execute(
-            "SELECT kind, trace_id, span_id, parent_id, name, scenario, "
-            "start_time, end_time, duration_ms, status, attributes "
-            "FROM records ORDER BY seq"
-        ).fetchall()
-    finally:
-        conn.close()
-    return [
-        TraceRecord(
-            kind=row[0],
-            trace_id=row[1],
-            span_id=row[2],
-            parent_id=row[3],
-            name=row[4],
-            scenario=row[5],
-            start_time=row[6],
-            end_time=row[7],
-            duration_ms=row[8],
-            status=row[9],
-            attributes=json.loads(row[10]),
-        )
-        for row in rows
-    ]
-
-
 def default_trace_path(runs_root: Optional[str] = None) -> Path:
-    """The newest ``trace.db`` / ``trace.jsonl`` under the runs root."""
+    """The newest ``trace.jsonl`` under the runs root."""
     root = Path(
         runs_root
         if runs_root is not None
         else os.environ.get("REPRO_RUNS_DIR", "runs")
     )
-    candidates = sorted(
-        list(root.glob("*/*/trace.db")) + list(root.glob("*/*/trace.jsonl")),
-        key=lambda p: p.stat().st_mtime,
-    )
+    candidates = sorted(root.glob("*/*/trace.jsonl"), key=lambda p: p.stat().st_mtime)
     if not candidates:
         raise TraceQueryError(
-            f"no trace.db or trace.jsonl under {root}; run a scenario with "
-            f"--trace sqlite (or jsonl), or pass --path explicitly"
+            f"no trace.jsonl under {root}; run a scenario with "
+            f"--trace jsonl, or pass --path explicitly"
         )
     return candidates[-1]
 

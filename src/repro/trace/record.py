@@ -1,11 +1,11 @@
-"""The one trace record schema every sink and query shares.
+"""The one trace record schema the sink and every query share.
 
 OTel-shaped on purpose: ``trace_id`` / ``span_id`` / ``parent_id`` /
 ``attributes`` map one-to-one onto an OpenTelemetry span (an OTLP
 exporter is a thin adapter over :class:`TraceRecord`), but the schema
 stays plain data -- a frozen dataclass round-trippable through JSON --
-so the JSONL and SQLite sinks, the pool-worker pickle path and the
-query CLI all speak the same language.
+so the JSONL sink, the pool-worker pickle path and the query CLI all
+speak the same language.
 
 Determinism contract: every *identity* field (ids, names, parent links,
 attributes apart from ``pid``) is derived from the run's configuration

@@ -27,7 +27,7 @@ from typing import List, Mapping, Optional
 
 from repro.trace.record import TraceRecord, derive_trace_id
 from repro.trace.recorder import recorder
-from repro.trace.sinks import TraceSink
+from repro.trace.sinks import JsonlSink
 
 
 class TraceSession:
@@ -35,7 +35,7 @@ class TraceSession:
 
     def __init__(
         self,
-        sink: Optional[TraceSink] = None,
+        sink: Optional[JsonlSink] = None,
         *,
         scenario: str,
         run_id: str,
@@ -49,11 +49,6 @@ class TraceSession:
         #: sink, beside the sink when the caller hands a list in.
         self.tape = [] if tape is None and sink is None else tape
         self._root = None
-
-    @property
-    def sink_path(self) -> Optional[str]:
-        path = getattr(self.sink, "path", None)
-        return str(path) if path is not None else None
 
     def begin(self, params: Optional[Mapping[str, object]] = None) -> None:
         """Configure the recorder and open the run root span."""

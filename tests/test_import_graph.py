@@ -10,7 +10,7 @@ imported everything.  The rule (DESIGN.md, "What a process imports"):
   ``ARRAY_TRACKER_MIN_HOPS`` or more) is plain Python;
 * ``multiprocessing`` and the process pool only when
   :func:`~repro.runtime.parallel.ordered_map` forks a pool;
-* ``sqlite3`` only when a SQLite trace sink opens or a trace file is read;
+* ``sqlite3`` never: a trace is one JSONL file;
 * a package surface (``repro``, ``repro.core``, ...) imports nothing until
   one of its names is read (:mod:`repro.lazy`).
 """

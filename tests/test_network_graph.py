@@ -49,19 +49,11 @@ class TestNetwork:
         assert net.capacity("a", "b") == 1.0
         assert net.capacity("b", "a") == 2.0
 
-    def test_ensure_link_idempotent(self):
-        net = Network()
-        first = net.ensure_link("a", "b", capacity=5.0)
-        second = net.ensure_link("a", "b", capacity=9.0)
-        assert first is second
-        assert net.capacity("a", "b") == 5.0
-
     def test_missing_link_raises_keyerror(self):
         net = Network()
         net.add_switch("a")
         with pytest.raises(KeyError):
             net.link("a", "b")
-        assert net.get_link("a", "b") is None
 
     def test_copy_is_independent(self):
         net = network_from_links([("a", "b")])

@@ -6,7 +6,6 @@ from repro.network.graph import network_from_links
 from repro.network.paths import (
     arrival_offsets,
     as_path,
-    follow_config,
     is_simple,
     path_delay,
     path_links,
@@ -63,20 +62,3 @@ class TestDelays:
     def test_is_simple(self):
         assert is_simple(("a", "b", "c"))
         assert not is_simple(("a", "b", "a"))
-
-
-class TestFollowConfig:
-    def test_complete_route(self):
-        nodes, complete = follow_config({"a": "b", "b": "c"}, "a", "c", max_hops=5)
-        assert nodes == ("a", "b", "c")
-        assert complete
-
-    def test_blackhole(self):
-        nodes, complete = follow_config({"a": "b"}, "a", "c", max_hops=5)
-        assert nodes == ("a", "b")
-        assert not complete
-
-    def test_loop_guard(self):
-        nodes, complete = follow_config({"a": "b", "b": "a"}, "a", "c", max_hops=4)
-        assert not complete
-        assert len(nodes) == 5  # a plus four hops

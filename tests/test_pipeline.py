@@ -357,21 +357,28 @@ REPLAYED = {
 
 
 @pytest.mark.parametrize("name", sorted(REPLAYED))
-def test_resume_replays_the_params(tmp_path, name):
+def test_resume_replays_the_params(tmp_path, name, two_cpus):
     overrides, marked = REPLAYED[name]
     store = ArtifactStore(root=tmp_path)
     full = run_to_store(name, overrides, store=store, run_id="full")
-    with pytest.raises(RunInterrupted):
-        run_to_store(name, overrides, store=store, run_id="cut", stop_after=1)
-    resumed = run_to_store(name, store=store, run_id="cut", resume=True)
-    assert resumed.summary.skipped == 1
-    assert (
-        resumed.handle.records_path.read_bytes()
-        == full.handle.records_path.read_bytes()
-    )
-    assert len(resumed.records) > 1 and all(map(marked, resumed.records))
-    params = resumed.handle.manifest["params"]
-    assert {key: params[key] for key in overrides} == json.loads(canonical_json(overrides))
+    for workers in (1, 2):
+        ctx = RunContext(workers=workers)
+        run_id = f"cut-w{workers}"
+        with pytest.raises(RunInterrupted):
+            run_to_store(name, overrides, ctx=ctx, store=store, run_id=run_id, stop_after=1)
+        with open(store.open(name, run_id).records_path, "a") as f:
+            f.write('{"key":"torn')  # killed mid-write
+        resumed = run_to_store(name, ctx=ctx, store=store, run_id=run_id, resume=True)
+        assert resumed.summary.skipped == 1
+        assert (
+            resumed.handle.records_path.read_bytes()
+            == full.handle.records_path.read_bytes()
+        )
+        assert resumed.handle.manifest["status"] == "complete"
+        assert resumed.handle.manifest["config_hash"] == full.handle.manifest["config_hash"]
+        assert len(resumed.records) > 1 and all(map(marked, resumed.records))
+        params = resumed.handle.manifest["params"]
+        assert {key: params[key] for key in overrides} == json.loads(canonical_json(overrides))
 
 
 @pytest.mark.parametrize(
@@ -388,6 +395,16 @@ def test_a_refused_grid_leaves_no_run(tmp_path, overrides, error):
     with pytest.raises(error):
         run_to_store("sweep", overrides, store=store)
     assert store.run_ids("sweep") == []
+
+
+@pytest.mark.parametrize("spec", ["bogus", "sqlite", "console"])
+def test_a_refused_trace_spec_leaves_no_run(tmp_path, spec):
+    # The sink is opened before the run directory exists, as the grid is.
+    store = ArtifactStore(tmp_path)
+    with pytest.raises(ValueError, match="jsonl"):
+        run_to_store("fig9", TINY_FIG9, ctx=RunContext(trace=spec), store=store)
+    assert cli_main(["run", "fig9", "--trace", spec, "--runs-dir", str(tmp_path)]) == 2
+    assert store.run_ids("fig9") == []
 
 
 def test_resume_refuses_a_run_that_predates_a_param(tmp_path):

@@ -63,11 +63,6 @@ class TestTransforms:
         assert moved.t0 == 11
         assert moved.makespan == schedule.makespan
 
-    def test_restricted_to(self):
-        schedule = UpdateSchedule({"a": 1, "b": 2})
-        small = schedule.restricted_to(["a"])
-        assert "b" not in small and small.time_of("a") == 1
-
     def test_as_dict_is_a_copy(self):
         schedule = UpdateSchedule({"a": 1})
         d = schedule.as_dict()
@@ -77,4 +72,3 @@ class TestTransforms:
     def test_feasible_flag_preserved(self):
         schedule = UpdateSchedule({"a": 1}, feasible=False)
         assert not schedule.shifted(1).feasible
-        assert not schedule.restricted_to(["a"]).feasible

@@ -5,7 +5,9 @@ The hard guarantees under test:
 * run ids never collide (same second, same process) and sort in
   creation order -- fixed-width pid and sequence fields;
 * manifests and trace records carry timezone-aware UTC timestamps;
-* a JSONL sink and a SQLite sink round-trip identical records;
+* a JSONL sink round-trips its records, and a file that is not a JSONL
+  trace (a SQLite trace of older versions too) is a typed error naming
+  ``path:line``;
 * a pool run's trace is record-for-record identical to the serial run's
   in its :meth:`TraceRecord.stable_view` projection, and a profiled pool
   run's aggregate timers and counters come back on the one tape (nothing
@@ -52,7 +54,7 @@ from repro.trace.record import (
 )
 from repro.trace.recorder import NULL_SPAN, recorder
 from repro.trace.session import TraceSession
-from repro.trace.sinks import JsonlSink, SqliteSink, open_sink
+from repro.trace.sinks import JsonlSink, open_sink
 
 TINY_FIG9 = {"switch_counts": [20], "instances_per_size": 4}
 
@@ -185,19 +187,13 @@ def _sample_records():
     ]
 
 
-def test_jsonl_and_sqlite_sinks_round_trip_identically(tmp_path):
+def test_jsonl_sink_round_trips(tmp_path):
     records = _sample_records()
-    jsonl = JsonlSink(tmp_path / "trace.jsonl")
-    sqlite = SqliteSink(tmp_path / "trace.db")
+    sink = JsonlSink(tmp_path / "trace.jsonl")
     for record in records:
-        jsonl.emit(record)
-        sqlite.emit(record)
-    jsonl.close()
-    sqlite.close()
-    from_jsonl = read_trace(tmp_path / "trace.jsonl")
-    from_sqlite = read_trace(tmp_path / "trace.db")
-    assert from_jsonl == records
-    assert from_sqlite == records
+        sink.emit(record)
+    sink.close()
+    assert read_trace(tmp_path / "trace.jsonl") == records
 
 
 def _jsonl_lines(records):
@@ -228,9 +224,35 @@ def test_malformed_jsonl_line_names_its_place(tmp_path, capsys, bad):
     assert f"{path}:2:" in capsys.readouterr().err
 
 
+def test_a_stale_sqlite_trace_is_a_typed_error(tmp_path, capsys):
+    """Older versions could trace to SQLite (``--trace sqlite``); such a
+    file ends in the error a malformed trace gets, not in a traceback or
+    an empty trace."""
+    import sqlite3
+
+    path = tmp_path / "trace.db"
+    conn = sqlite3.connect(str(path))
+    conn.execute(  # the old sink's table, multi-line DDL as it wrote it
+        """
+        CREATE TABLE records (
+            seq         INTEGER PRIMARY KEY AUTOINCREMENT,
+            kind        TEXT NOT NULL,
+            name        TEXT NOT NULL,
+            attributes  TEXT NOT NULL
+        )"""
+    )
+    conn.execute("INSERT INTO records (kind, name, attributes) VALUES ('span', 'run', '{}')")
+    conn.commit()
+    conn.close()
+    with pytest.raises(TraceQueryError, match=re.escape(f"{path}:1:")):
+        read_trace(path)
+    assert trace_cli(["show", "--path", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"{path}:" in err and "Traceback" not in err
+
+
 def test_open_sink_specs(tmp_path):
-    assert isinstance(open_sink("jsonl", directory=tmp_path), JsonlSink)
-    assert isinstance(open_sink("sqlite", directory=tmp_path), SqliteSink)
+    assert open_sink("jsonl", directory=tmp_path).path == tmp_path / "trace.jsonl"
     explicit = open_sink(f"jsonl:{tmp_path / 'custom.jsonl'}")
     assert explicit.path == tmp_path / "custom.jsonl"
     with pytest.raises(ValueError):
@@ -273,6 +295,14 @@ def test_serial_and_pool_traces_are_lockstep(tmp_path, two_cpus, monkeypatch):
     )
     _workers_meet_on_first_items(monkeypatch, "fig9")
     pool_stored, pool_trace = _traced_run(tmp_path, "pool", pool_ctx(trace="jsonl"))
+
+    # The merged pool trace is one tree: one root, every parent id
+    # resolves inside the trace, and one item span per stored record.
+    spans = {r.span_id for r in pool_trace if r.kind == "span"}
+    assert [r.name for r in pool_trace if r.name == "run"] == ["run"]
+    assert [r.name for r in pool_trace if r.parent_id and r.parent_id not in spans] == []
+    items = [r for r in pool_trace if r.kind == "span" and r.name.startswith("item:")]
+    assert len(items) == len(pool_stored.records)
 
     assert [r.stable_view() for r in serial_trace] == [
         r.stable_view() for r in pool_trace
@@ -445,7 +475,7 @@ def traced_run_dir(tmp_path):
     stored = run_to_store(
         "fig9",
         overrides=TINY_FIG9,
-        ctx=RunContext(trace="sqlite"),
+        ctx=RunContext(trace="jsonl"),
         store=store,
         run_id="r1",
     )
@@ -492,11 +522,11 @@ def test_cli_missing_trace_is_a_clean_error(tmp_path, capsys):
 
 def test_default_trace_path_picks_newest(tmp_path):
     old = tmp_path / "fig9" / "a" / "trace.jsonl"
-    new = tmp_path / "fig9" / "b" / "trace.db"
+    new = tmp_path / "fig9" / "b" / "trace.jsonl"
     old.parent.mkdir(parents=True)
     new.parent.mkdir(parents=True)
     old.write_text("")
-    new.write_bytes(b"")
+    new.write_text("")
     import os
 
     os.utime(old, (1, 1))
@@ -680,6 +710,12 @@ def test_interleaved_intents_nest_under_their_own_request(tmp_path):
         sum(1 for a, b in windows if a <= start < b) >= 2 for start, _ in windows
     )
 
+    # No span opened after its parent had closed (aggregates carry no interval).
+    for span in by_id.values():
+        parent = by_id.get(span.parent_id)
+        if span.end_time is not None and parent is not None:
+            assert span.start_time <= parent.end_time, span.name
+
     # Every plan / verify / execute span and every apply reaches its own
     # request and never another's.
     below = [
@@ -756,7 +792,7 @@ def test_cli_profile_renders_the_aggregate_view(tmp_path, capsys):
     run_to_store(
         "fig7",
         overrides=dict(TINY_FIG7, instances_per_size=1),
-        ctx=RunContext(trace="sqlite"),
+        ctx=RunContext(trace="jsonl"),
         store=ArtifactStore(root=tmp_path),
         run_id="r1",
     )

@@ -91,7 +91,7 @@ class TestVerifySchedule:
         verdict = verify_schedule(instance, schedule.without("c"))
         assert not verdict.schedule_complete
         assert not verdict.drop_free
-        assert verdict.blackhole_nodes == ("c",)
+        assert {v.node for v in verdict.blackholes} == {"c"}
 
     def test_background_load_congests(self, tiny_instance):
         schedule = greedy_schedule(tiny_instance).schedule
