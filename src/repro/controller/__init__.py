@@ -27,7 +27,6 @@ from repro.controller.channel import (
     ControlChannel,
     DionysusDelayModel,
     StepDelayModel,
-    UniformDelayModel,
 )
 from repro.controller.clock import SwitchClock, synchronized_clocks
 from repro.controller.controller import Controller, ManagedSwitch
@@ -50,7 +49,6 @@ __all__ = [
     "ControlChannel",
     "DionysusDelayModel",
     "StepDelayModel",
-    "UniformDelayModel",
     "SwitchClock",
     "synchronized_clocks",
     "Controller",

@@ -41,17 +41,6 @@ class ConstantDelayModel(DelayModel):
 
 
 @dataclass(frozen=True)
-class UniformDelayModel(DelayModel):
-    """Uniform in ``[low, high]`` seconds."""
-
-    low: float = 0.001
-    high: float = 0.050
-
-    def sample(self, rng: random.Random) -> float:
-        return rng.uniform(self.low, self.high)
-
-
-@dataclass(frozen=True)
 class DionysusDelayModel(DelayModel):
     """Log-normal rule-installation latency fit to the Dionysus data.
 

@@ -205,10 +205,6 @@ class Controller:
         """
         return self._barrier_waiters.pop(xid, None) is not None
 
-    def pending_barriers(self) -> int:
-        """Barrier requests sent but neither answered nor expired."""
-        return len(self._barrier_waiters)
-
     # ------------------------------------------------------------------
     # observations
     # ------------------------------------------------------------------

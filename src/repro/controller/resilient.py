@@ -59,6 +59,13 @@ from repro.trace.recorder import recorder
 from repro.updates.registry import ROUNDS, TIMED, TWO_PHASE, UpdatePlan, get_planner
 
 
+#: Seconds between shipping a timed update and its first execution point
+#: when the caller names no start.
+LEAD_TIME = 0.5
+#: Growth of the retry timeout per resend of one switch's FlowMod.
+BACKOFF = 2.0
+
+
 @dataclass(frozen=True)
 class _Item:
     """One switch's message within a batch."""
@@ -87,7 +94,6 @@ class _ResilientRun:
         *,
         rollback: Callable[[_Item, bool], Optional[ControlMessage]],
         retry_timeout: float,
-        backoff: float,
         max_retries: int,
         deadline: Optional[float],
         finished_at_from_applies: bool,
@@ -98,7 +104,6 @@ class _ResilientRun:
         self._batches = batches
         self._rollback = rollback
         self._retry_timeout = retry_timeout
-        self._backoff = backoff
         self._max_retries = max_retries
         self._deadline = deadline
         self.trace = ExecutionTrace()
@@ -183,7 +188,7 @@ class _ResilientRun:
         if item.planned is not None:
             # Scheduled FlowMods only complete (and ack) at execution time.
             offset = max(0.0, item.planned - self._sim.now)
-        delay = offset + self._retry_timeout * (self._backoff ** self._attempt[node])
+        delay = offset + self._retry_timeout * (BACKOFF ** self._attempt[node])
         self._timers[node] = self._sim.schedule_after(
             delay, lambda: self._on_timeout(node)
         )
@@ -336,9 +341,7 @@ def perform_resilient_update(
     strategy: str = ROUNDS,
     time_unit: float = 1.0,
     start_at: Optional[float] = None,
-    lead_time: float = 0.5,
     retry_timeout: Optional[float] = None,
-    backoff: float = 2.0,
     max_retries: int = 3,
     deadline: Optional[float] = None,
     on_finish: Optional[Callable[[ExecutionTrace], None]] = None,
@@ -357,13 +360,11 @@ def perform_resilient_update(
         start_at: True time of step ``t0``: the instant the first round is
             sent (rounds) or the first scheduled FlowMod fires (timed, whose
             messages all ship now).  Default: now for rounds, now +
-            ``lead_time`` for timed.
-        lead_time: Shipping headroom of the timed default.
+            :data:`LEAD_TIME` for timed.
         retry_timeout: Base wait for a switch's acknowledgement before
-            resending (default ``4 * time_unit``); grows by ``backoff`` per
-            attempt.  Scheduled FlowMods wait until their execution time
-            plus this.
-        backoff: Exponential backoff factor.
+            resending (default ``4 * time_unit``); grows by
+            :data:`BACKOFF` per attempt.  Scheduled FlowMods wait until
+            their execution time plus this.
         max_retries: Resends per switch before the update aborts.
         deadline: Absolute true time after which the update aborts and
             rolls back (``None``: no deadline).
@@ -388,7 +389,7 @@ def perform_resilient_update(
         send_at = start_at
     elif strategy == TIMED:
         if start_at is None:
-            start_at = sim.now + lead_time
+            start_at = sim.now + LEAD_TIME
         items = []
         for node, step in schedule.items():
             when_true = start_at + (step - schedule.t0) * time_unit
@@ -413,7 +414,6 @@ def perform_resilient_update(
             plane, instance, item.node, applied
         ),
         retry_timeout=retry_timeout,
-        backoff=backoff,
         max_retries=max_retries,
         deadline=deadline,
         finished_at_from_applies=strategy == TIMED,
@@ -430,7 +430,6 @@ def perform_resilient_two_phase(
     flip_at: float,
     *,
     retry_timeout: float = 4.0,
-    backoff: float = 2.0,
     max_retries: int = 3,
     deadline: Optional[float] = None,
     on_finish: Optional[Callable[[ExecutionTrace], None]] = None,
@@ -483,7 +482,6 @@ def perform_resilient_two_phase(
         [_Batch(items=install_items), _Batch(items=[flip_item])],
         rollback=rollback,
         retry_timeout=retry_timeout,
-        backoff=backoff,
         max_retries=max_retries,
         deadline=deadline,
         finished_at_from_applies=True,
@@ -571,7 +569,7 @@ def realized_schedule(
     dispatched = plan.dispatched
     t0 = dispatched.t0
     nodes = dispatched.times
-    if get_planner(plan.scheme).two_phase:
+    if get_planner(plan.scheme).executor == TWO_PHASE:
         nodes = [plan.instance.source]
     times: Dict[Node, int] = {}
     off_grid = False

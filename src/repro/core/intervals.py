@@ -378,32 +378,6 @@ class _RoundTracker:
         """All live flow classes, ascending id."""
         return [self._classes[cid] for cid in sorted(self._alive)]
 
-    def load_at(self, src: Node, dst: Node, time: int) -> float:
-        """This flow's load departing over ``src -> dst`` at ``time``.
-
-        Background load (the ``background`` argument) is not included.
-        """
-        demand = self.instance.demand
-        total = 0.0
-        for lo, hi in self.link_departure_spans(src, dst):
-            if (lo is None or lo <= time) and (hi is None or time <= hi):
-                total += demand
-        return total
-
-    def link_departure_spans(self, src: Node, dst: Node) -> List[Tuple[Optional[int], Optional[int]]]:
-        """Departure intervals of all live classes on ``src -> dst``."""
-        return [
-            (
-                None if cls.lo is None else cls.lo + offset,
-                None if cls.hi is None else cls.hi + offset,
-            )
-            for cls, offset in self.crossings(src, dst)
-        ]
-
-    def congested_timed_link_count(self) -> int:
-        """Number of congested links of the time-extended network (Fig. 8)."""
-        return sum(span.timed_link_count for span in self.congestion_spans())
-
     def finite_drain_horizon(self) -> Optional[int]:
         """Last departure time of any finite flow class, or ``None``.
 

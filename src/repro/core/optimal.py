@@ -86,7 +86,6 @@ def optimal_schedule(
     t0: int = 0,
     time_budget: Optional[float] = None,
     max_branch_width: int = 12,
-    max_horizon: Optional[int] = None,
     node_budget: Optional[int] = None,
     incumbent: Optional[GreedyResult] = None,
 ) -> OptimalResult:
@@ -102,8 +101,6 @@ def optimal_schedule(
             (subsets are enumerated, so this bounds the branching factor).
             Truncation is reported via ``width_cut`` and forfeits
             ``proven``.
-        max_horizon: Latest step (relative to ``t0``) any update may take;
-            defaults to a generous function of the instance size.
         node_budget: Cap on explored search nodes (``None`` = unlimited).
             Unlike ``time_budget`` this is *deterministic*: the same
             instance gives the same result on any machine or under any
@@ -126,12 +123,13 @@ def optimal_schedule(
         empty = UpdateSchedule(times={}, start_time=t0)
         return OptimalResult(schedule=empty, proven=True, explored=0, elapsed=0.0)
 
-    if max_horizon is None:
-        max_horizon = (
-            2 * (instance.old_path_delay + instance.new_path_delay)
-            + 2 * len(instance.network)
-            + 8
-        )
+    # The latest step (relative to ``t0``) any update may take: a generous
+    # function of the instance size.
+    max_horizon = (
+        2 * (instance.old_path_delay + instance.new_path_delay)
+        + 2 * len(instance.network)
+        + 8
+    )
 
     started = time.monotonic()
 

@@ -11,10 +11,10 @@ cycle is realised by some interleaving and vice versa.
 
 This module provides the exact safety check and a greedy maximal-round
 construction; it is shared by the OR baseline and by Chronus' best-effort
-fallback for infeasible instances.  The check exists twice on purpose: the
-dict-graph functions are the definition, read off the paragraph above, and
-:class:`UnionGraphIds` is the id-space oracle every planner runs on
-(``tests/test_rounds.py`` holds the two together).  Its switch ids and
+fallback for infeasible instances.  :class:`UnionGraphIds` is the
+id-space oracle every planner runs on; the dict-graph definition, read off
+the paragraph above, is the test oracle ``tests/test_rounds.py`` holds it
+to.  Its switch ids and
 next-hop tables are the instance's one id-space encoding of the configs:
 :func:`union_graph_ids` caches it on the instance, and the array tracker's
 :class:`~repro.core.intervals_array.InstanceArrays` reads the same object.
@@ -24,78 +24,10 @@ from __future__ import annotations
 
 import time
 from itertools import repeat
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.instance import UpdateInstance
 from repro.network.graph import Node
-
-
-def union_forwarding_edges(
-    instance: UpdateInstance,
-    updated: Set[Node],
-    in_round: Set[Node],
-) -> Dict[Node, List[Node]]:
-    """Out-edges of the union forwarding graph for one round.
-
-    Args:
-        instance: The update instance.
-        updated: Switches already running their new rule.
-        in_round: Switches updating in the round under test.
-    """
-    edges: Dict[Node, List[Node]] = {}
-    nodes = set(instance.old_config) | set(instance.new_config)
-    for node in nodes:
-        outs: List[Node] = []
-        old_hop = instance.old_next_hop(node)
-        new_hop = instance.new_next_hop(node)
-        if node in updated:
-            if new_hop is not None:
-                outs.append(new_hop)
-        elif node in in_round:
-            outs.extend(hop for hop in (old_hop, new_hop) if hop is not None)
-        else:
-            if old_hop is not None:
-                outs.append(old_hop)
-        edges[node] = outs
-    return edges
-
-
-def has_cycle(edges: Dict[Node, List[Node]]) -> bool:
-    """Iterative three-colour cycle detection on a small digraph."""
-    WHITE, GREY, BLACK = 0, 1, 2
-    colour: Dict[Node, int] = {}
-
-    for start in edges:
-        if colour.get(start, WHITE) != WHITE:
-            continue
-        stack: List[Tuple[Node, int]] = [(start, 0)]
-        colour[start] = GREY
-        while stack:
-            node, index = stack[-1]
-            children = edges.get(node, ())
-            if index < len(children):
-                stack[-1] = (node, index + 1)
-                child = children[index]
-                state = colour.get(child, WHITE)
-                if state == GREY:
-                    return True
-                if state == WHITE:
-                    colour[child] = GREY
-                    stack.append((child, 0))
-            else:
-                colour[node] = BLACK
-                stack.pop()
-    return False
-
-
-def round_is_loop_free(
-    instance: UpdateInstance,
-    updated: Set[Node],
-    in_round: Iterable[Node],
-) -> bool:
-    """Whether updating ``in_round`` together (after ``updated``) is safe
-    against transient forwarding loops under *every* interleaving."""
-    return not has_cycle(union_forwarding_edges(instance, updated, set(in_round)))
 
 
 class UnionGraphIds:
@@ -139,8 +71,9 @@ class UnionGraphIds:
     def round_is_safe(self, updated: bytearray, in_round: bytearray) -> bool:
         """Acyclicity of the union graph (both rules for in-round switches).
 
-        Semantically identical to :func:`round_is_loop_free`; only the
-        graph representation differs.
+        Semantically a cycle check of the dict-built union forwarding
+        graph (``tests/test_rounds.py`` holds it to one); only the graph
+        representation differs.
         """
         WHITE, GREY, BLACK = 0, 1, 2
         colour = bytearray(self.n)
@@ -298,12 +231,3 @@ def greedy_loop_free_rounds(
         rounds.append([names[i] for i in current])
     return rounds
 
-
-def rounds_are_loop_free(instance: UpdateInstance, rounds: Sequence[Sequence[Node]]) -> bool:
-    """Validate a full round partition against the union-graph criterion."""
-    done: Set[Node] = set()
-    for round_nodes in rounds:
-        if not round_is_loop_free(instance, done, set(round_nodes)):
-            return False
-        done.update(round_nodes)
-    return True

@@ -77,10 +77,10 @@ def plan_to_json(plan, indent: int = 2) -> str:
     the plan's consistency *claim* (always false for schemes that make
     none).  Unregistered schemes serialise with in-place/timed defaults.
     """
-    from repro.updates.registry import TIMED
+    from repro.updates.registry import TIMED, TWO_PHASE
 
     planner = plan.planner
-    two_phase = planner is not None and planner.two_phase
+    two_phase = planner is not None and planner.executor == TWO_PHASE
     schedule = plan.dispatched
     rules = plan.rules
     payload: Dict[str, Any] = {

@@ -33,8 +33,7 @@ segmented gain for filing more global reroutes on their slow side.
 
 Every caller (greedy, the OPT search, :func:`replay_schedule`, Algorithm
 1) builds its tracker here and reads only the surface both layouts share
--- the round methods, the per-link ``link_departure_spans`` /
-``crossings`` / ``crosses`` and, per class, ``switch_names`` /
+-- the round methods, the per-link ``crossings`` / ``crosses`` and, per class, ``switch_names`` /
 ``offset_at`` / ``trajectory_key`` -- so the choice is made once, from
 the instance alone, and no other module tells the layouts apart.
 """

@@ -71,7 +71,6 @@ SCENARIO = register(
             "or_budget": 0.5,
             "opt_node_budget": None,
             "or_node_budget": None,
-            "workload": "mixed",
             "verify": False,
         },
         items=sweep_items,

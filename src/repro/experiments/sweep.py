@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping, Sequence
 
 from repro.core.instance import UpdateInstance, random_instance, segmented_instance
 from repro.trace.recorder import recorder
@@ -136,21 +136,6 @@ def mixed_instance(count: int, seed: int) -> UpdateInstance:
     return random_instance(count, rng=random.Random(seed))
 
 
-#: The instance families a sweep's ``workload`` parameter names.
-WORKLOADS = ("mixed", "permutation")
-
-
-class UnknownWorkloadError(ValueError):
-    """A ``workload`` parameter naming no instance family."""
-
-    def __init__(self, workload: object):
-        self.workload = workload
-        super().__init__(
-            f"parameter 'workload' must be one of {', '.join(WORKLOADS)}; "
-            f"got {workload!r}"
-        )
-
-
 @dataclass(frozen=True)
 class SweepItem:
     """The instance one sweep item builds: everything a worker process
@@ -159,21 +144,9 @@ class SweepItem:
 
     switch_count: int
     seed: int
-    workload: str
-    max_delay: Optional[int]
-    detour_fraction: float
 
     def build_instance(self) -> UpdateInstance:
-        if self.workload == "mixed":
-            return mixed_instance(self.switch_count, self.seed)
-        if self.workload == "permutation":
-            return random_instance(
-                self.switch_count,
-                rng=random.Random(self.seed),
-                max_delay=self.max_delay,
-                detour_fraction=self.detour_fraction,
-            )
-        raise UnknownWorkloadError(self.workload)
+        return mixed_instance(self.switch_count, self.seed)
 
 
 def congestion_free_percentage(
@@ -236,13 +209,8 @@ def sweep_items(params: Mapping[str, object]) -> List[Dict[str, object]]:
     """Expand the (switch_counts x instances_per_size) grid.
 
     Every item's seed follows the :func:`sweep_seed` harness contract, so
-    a record cites the exact integer that regenerates its instance.  An
-    unknown ``workload`` is refused here, before any run exists
-    (:class:`UnknownWorkloadError`).
+    a record cites the exact integer that regenerates its instance.
     """
-    workload = params.get("workload", "mixed")
-    if workload not in WORKLOADS:
-        raise UnknownWorkloadError(workload)
     base_seed = int(params["base_seed"])
     return [
         {
@@ -260,13 +228,7 @@ def sweep_evaluate(
     item: Mapping[str, object], params: Mapping[str, object]
 ) -> Dict[str, object]:
     """Regenerate one sweep instance and record every scheme's outcome."""
-    build = SweepItem(
-        switch_count=int(item["switch_count"]),
-        seed=int(item["seed"]),
-        workload=str(params.get("workload", "mixed")),
-        max_delay=params.get("max_delay"),  # type: ignore[arg-type]
-        detour_fraction=float(params.get("detour_fraction", 1.0)),
-    )
+    build = SweepItem(switch_count=int(item["switch_count"]), seed=int(item["seed"]))
     with recorder.timer("core.instance.build"):
         instance = build.build_instance()
     return {
@@ -327,7 +289,7 @@ def _register_scenario():
             description=(
                 "The raw grid behind Figs. 7/8/11: seeded instances per "
                 "network size, every scheme evaluated per instance.  Use "
-                "--set to steer workload, budgets and schemes directly."
+                "--set to steer sizes, budgets and schemes directly."
             ),
             defaults={
                 "switch_counts": (10, 20, 30),
@@ -336,9 +298,6 @@ def _register_scenario():
                 "schemes": DEFAULT_SCHEMES,
                 "opt_budget": 1.0,
                 "or_budget": 0.5,
-                "workload": "mixed",
-                "max_delay": None,
-                "detour_fraction": 1.0,
                 "opt_node_budget": None,
                 "or_node_budget": None,
                 "verify": False,

@@ -82,18 +82,6 @@ class FaultSpec:
         if self.crash_window[0] > self.crash_window[1]:
             raise ValueError("crash_window must be a (lo, hi) interval")
 
-    @property
-    def benign(self) -> bool:
-        """True when no fault can ever fire."""
-        return (
-            self.drop_rate == 0.0
-            and self.duplicate_rate == 0.0
-            and self.apply_failure_rate == 0.0
-            and self.crash_rate == 0.0
-            and self.straggler_rate == 0.0
-            and self.drift_rate == 0.0
-        )
-
     def scaled(self, severity: float) -> "FaultSpec":
         """The same fault mix with every probability scaled by ``severity``.
 

@@ -65,11 +65,6 @@ class Link:
     def __post_init__(self) -> None:
         _check_link(self.src, self.dst, self.capacity, self.delay)
 
-    @property
-    def endpoints(self) -> Tuple[Node, Node]:
-        """The ``(src, dst)`` pair identifying this link."""
-        return (self.src, self.dst)
-
 
 class Network:
     """A directed graph of switches and links.

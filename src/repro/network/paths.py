@@ -36,24 +36,6 @@ def path_links(path: Sequence[Node]) -> Iterator[Tuple[Node, Node]]:
     return zip(path, path[1:])
 
 
-def is_simple(path: Sequence[Node]) -> bool:
-    """Whether ``path`` visits each node at most once."""
-    return len(set(path)) == len(path)
-
-
-def validate_path(network: Network, path: Sequence[Node]) -> None:
-    """Check that ``path`` is simple and every hop exists in ``network``.
-
-    Raises:
-        ValueError: if the path is not simple or uses a missing link.
-    """
-    if not is_simple(path):
-        raise ValueError(f"path is not simple: {list(path)!r}")
-    for src, dst in path_links(path):
-        if not network.has_link(src, dst):
-            raise ValueError(f"path uses missing link {src!r} -> {dst!r}")
-
-
 def path_delay(network: Network, path: Sequence[Node]) -> int:
     """``phi(p)``: the total transmission delay along ``path``."""
     return sum(map(network.delay_map().__getitem__, path_links(path)))

@@ -3,8 +3,9 @@
 The paper's simulations fix the initial routing path and draw the final
 routing path at random ("the final path is based on random routing"), with
 both paths sharing source and destination.  :func:`two_path_topology`
-reproduces that workload; the remaining generators provide classic fabrics
-(linear, ring, Waxman, fat-tree) for the examples and for stress tests.
+reproduces that workload; the reversal generators build adversarial and
+Fig. 10-scale instances, and :func:`waxman_topology` the WAN-like graph of the
+maintenance-reroute example.
 """
 
 from __future__ import annotations
@@ -64,35 +65,6 @@ def _delays(
     if max_delay is None:
         return delay
     return [rng.randint(1, max_delay) for _ in range(count)]
-
-
-def linear_topology(
-    count: int,
-    capacity: float = DEFAULT_CAPACITY,
-    delay: int = DEFAULT_DELAY,
-) -> Tuple[Network, Path]:
-    """A chain ``v1 -> v2 -> ... -> vn`` and the path along it."""
-    nodes = switch_names(count)
-    net = Network()
-    net.add_links(path_links(nodes), capacity=capacity, delay=delay)
-    return net, as_path(nodes)
-
-
-def ring_topology(
-    count: int,
-    capacity: float = DEFAULT_CAPACITY,
-    delay: int = DEFAULT_DELAY,
-    bidirectional: bool = True,
-) -> Network:
-    """A ring over ``count`` switches, optionally with both directions."""
-    nodes = switch_names(count)
-    net = Network()
-    for i, src in enumerate(nodes):
-        dst = nodes[(i + 1) % count]
-        net.add_link(src, dst, capacity=capacity, delay=delay)
-        if bidirectional:
-            net.add_link(dst, src, capacity=capacity, delay=delay)
-    return net
 
 
 def two_path_topology(
@@ -284,50 +256,3 @@ def waxman_topology(
                 net.add_link(u, v, capacity=capacity, delay=hop_delay)
                 net.add_link(v, u, capacity=capacity, delay=hop_delay)
     return net
-
-
-def fat_tree_topology(k: int, capacity: float = DEFAULT_CAPACITY, delay: int = DEFAULT_DELAY) -> Network:
-    """A ``k``-ary fat-tree (``k`` even): the canonical data-center fabric.
-
-    Switch naming: ``core<i>``, ``agg<pod>_<i>``, ``edge<pod>_<i>``.  All
-    links are bidirectional.
-    """
-    if k % 2 != 0 or k < 2:
-        raise ValueError("fat-tree arity k must be a positive even number")
-    half = k // 2
-    net = Network()
-    cores = [f"core{i}" for i in range(half * half)]
-    for pod in range(k):
-        aggs = [f"agg{pod}_{i}" for i in range(half)]
-        edges = [f"edge{pod}_{i}" for i in range(half)]
-        for agg in aggs:
-            for edge in edges:
-                net.add_link(agg, edge, capacity=capacity, delay=delay)
-                net.add_link(edge, agg, capacity=capacity, delay=delay)
-        for i, agg in enumerate(aggs):
-            for j in range(half):
-                core = cores[i * half + j]
-                net.add_link(core, agg, capacity=capacity, delay=delay)
-                net.add_link(agg, core, capacity=capacity, delay=delay)
-    return net
-
-
-def emulation_topology(
-    count: int = 10,
-    capacity_mbps: float = 5.0,
-    rng: Optional[random.Random] = None,
-    max_delay: int = 4,
-) -> TwoPathTopology:
-    """The Mininet-experiment analogue: a small tight-capacity topology.
-
-    Ten switches with 5 Mbps links, link delays drawn from a small integer
-    range, fixed initial path, random final path -- mirroring Section V-A's
-    setup (the paper draws delays between 5 ms and 1 s; we keep integer
-    steps and let the simulator map steps to wall-clock seconds).
-    """
-    return two_path_topology(
-        count,
-        rng=rng,
-        capacity=capacity_mbps,
-        max_delay=max_delay,
-    )

@@ -51,7 +51,6 @@ __all__, __getattr__, __dir__ = lazy_exports(
             "UnknownScenarioError",
             "get_scenario",
             "register",
-            "scenario_names",
         ),
     },
 )

@@ -295,6 +295,14 @@ def run_to_store(
                 f"run {name}/{run_id} stores no {missing}: it predates "
                 "those parameters, so start a new run"
             )
+        extra = sorted(set(params) - set(scenario.defaults))
+        if extra:
+            # Dropping a value the records were made under would append
+            # records of another configuration.
+            raise ValueError(
+                f"run {name}/{run_id} stores {extra}, which {name} no longer "
+                "declares: it predates their removal, so start a new run"
+            )
     else:
         params = _materialise(scenario, overrides, paper)
         if run_id is None:

@@ -156,12 +156,6 @@ def _ensure_loaded() -> None:
         _LOADED = True
 
 
-def scenario_names() -> List[str]:
-    """Every registered scenario name, sorted."""
-    _ensure_loaded()
-    return sorted(_REGISTRY)
-
-
 def all_scenarios() -> List[Scenario]:
     _ensure_loaded()
     return [_REGISTRY[name] for name in sorted(_REGISTRY)]

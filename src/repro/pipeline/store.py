@@ -12,7 +12,7 @@ Every scenario run writes two files:
 
 Resumability is a byte-level guarantee: records are written strictly in
 item order, so the completed records of an interrupted run are a prefix
-of the uninterrupted run's file.  :meth:`RunHandle.completed_keys`
+of the uninterrupted run's file.  :meth:`RunHandle.load_records`
 truncates a partial trailing line (a mid-write kill) before resuming,
 and the executor then appends exactly the missing suffix -- the resumed
 file is byte-identical to a never-interrupted run (pinned by
@@ -119,15 +119,6 @@ class RunHandle:
         tmp = self.manifest_path.with_suffix(".json.tmp")
         tmp.write_text(json.dumps(self.manifest, sort_keys=True, indent=2) + "\n")
         os.replace(tmp, self.manifest_path)
-
-    def completed_keys(self) -> List[str]:
-        """Keys of the records already on disk, oldest first.
-
-        A partial trailing line -- the signature of a kill mid-write --
-        is truncated away so the next append starts on a clean line
-        boundary.  A corrupt line *before* the end is a real error.
-        """
-        return [str(record["key"]) for record in self.load_records()]
 
     def load_records(self) -> List[Dict[str, object]]:
         """All complete records on disk, truncating a partial tail."""

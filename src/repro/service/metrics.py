@@ -10,19 +10,15 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
+from repro.analysis import stats
+
 
 def percentile(values: Sequence[float], q: float) -> Optional[float]:
-    """Linear-interpolation percentile (``q`` in [0, 100]); None if empty."""
+    """:func:`repro.analysis.stats.percentile` rounded to 9 places, so a
+    summary prints the same on every platform; None if empty."""
     if not values:
         return None
-    ordered = sorted(values)
-    if len(ordered) == 1:
-        return round(float(ordered[0]), 9)
-    rank = (q / 100.0) * (len(ordered) - 1)
-    low = int(rank)
-    high = min(low + 1, len(ordered) - 1)
-    frac = rank - low
-    return round(ordered[low] * (1.0 - frac) + ordered[high] * frac, 9)
+    return round(stats.percentile(values, q), 9)
 
 
 def latency_summary(latencies: Sequence[float]) -> Dict[str, Optional[float]]:

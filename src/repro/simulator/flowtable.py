@@ -145,11 +145,6 @@ class FlowTable:
         return best
 
     @property
-    def occupancy(self) -> int:
-        """Number of resident rules (the flow-table-space metric)."""
-        return len(self._rules)
-
-    @property
     def rules(self) -> List[FlowRule]:
         return [self._rules[name] for name in self._order]
 

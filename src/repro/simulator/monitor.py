@@ -92,10 +92,6 @@ class BandwidthMonitor:
     # ------------------------------------------------------------------
     # results
     # ------------------------------------------------------------------
-    def link_series(self, src: Node, dst: Node) -> List[BandwidthSample]:
-        """The sampled series of one link."""
-        return list(self.series[(src, dst)])
-
     def peak_series(self) -> List[BandwidthSample]:
         """Per-interval maximum across all watched links.
 

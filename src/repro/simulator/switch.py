@@ -17,7 +17,7 @@ full pass uses, so both passes produce the same floats bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.simulator.engine import Simulator
 from repro.simulator.flowtable import FlowRule, FlowTable, PacketContext
@@ -72,10 +72,6 @@ class DataSwitch:
         """Disconnect every output port (see
         :meth:`repro.simulator.dataplane.DataPlane.release`)."""
         self._egress.clear()
-
-    @property
-    def ports(self) -> List[int]:
-        return sorted(self._egress)
 
     # ------------------------------------------------------------------
     # traffic

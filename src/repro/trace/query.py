@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import os
 from pathlib import Path
-from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.trace.record import TraceRecord, record_from_line
 
@@ -106,16 +106,6 @@ def filter_records(
             continue
         out.append(record)
     return out
-
-
-def ancestors(
-    record: TraceRecord, spans: Mapping[str, TraceRecord]
-) -> Iterator[TraceRecord]:
-    """``record``'s enclosing spans, innermost first (``spans``: by span id)."""
-    parent = spans.get(record.parent_id)  # type: ignore[arg-type]
-    while parent is not None:
-        yield parent
-        parent = spans.get(parent.parent_id)  # type: ignore[arg-type]
 
 
 # ----------------------------------------------------------------------

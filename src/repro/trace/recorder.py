@@ -298,11 +298,19 @@ class TraceRecorder:
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
-    def configure(self, trace_id: str, scenario: str) -> None:
-        """Start recording one trace (clears any previous tape)."""
+    def configure(self, trace_id: str, scenario: str, prior_roots: int = 0) -> None:
+        """Start recording one trace (clears any previous tape).
+
+        ``prior_roots`` counts the ``run`` roots the trace already holds
+        (the earlier attempts of a resumed run): the next root continues
+        their sequence, so its id -- and every id derived under it -- is
+        new to the trace.
+        """
         self.deactivate()
         self.trace_id = trace_id
         self.scenario = scenario
+        if prior_roots:
+            self._seq[("", "run")] = prior_roots
         self.enabled = True
 
     def deactivate(self) -> None:

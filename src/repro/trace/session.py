@@ -17,11 +17,14 @@ profile.  As a context manager a sink-less session profiles a block::
 
 The trace id is :func:`~repro.trace.record.derive_trace_id` of the
 ``(scenario, run_id)`` pair, so resuming an interrupted run appends to
-the same trace and a pool run is id-identical to a serial one.
+the same trace and a pool run is id-identical to a serial one.  Each
+attempt opens its own ``run`` root, numbered after the roots the sink's
+file already holds, so no span id repeats within the trace.
 """
 
 from __future__ import annotations
 
+import json
 import os
 from typing import List, Mapping, Optional
 
@@ -52,7 +55,7 @@ class TraceSession:
 
     def begin(self, params: Optional[Mapping[str, object]] = None) -> None:
         """Configure the recorder and open the run root span."""
-        recorder.configure(self.trace_id, self.scenario)
+        recorder.configure(self.trace_id, self.scenario, self._prior_roots())
         attributes = {
             "run_id": self.run_id,
             "scenario": self.scenario,
@@ -66,6 +69,20 @@ class TraceSession:
             }
         self._root = recorder.span("run", attributes)
         self._root.__enter__()
+
+    def _prior_roots(self) -> int:
+        """``run`` roots the sink's file already holds: one per earlier
+        attempt of a resumed run (a torn last line is no root)."""
+        if self.sink is None or not self.sink.path.exists():
+            return 0
+        roots = 0
+        for line in self.sink.path.read_bytes().splitlines():
+            if b'"parent_id":null' in line:
+                try:
+                    roots += json.loads(line).get("name") == "run"
+                except ValueError:
+                    continue
+        return roots
 
     def flush(self) -> None:
         """Drain buffered records (own and absorbed) to the sink and tape."""

@@ -26,7 +26,6 @@ from repro.updates.registry import (
     DEFAULT_SCHEMES,
     DuplicateSchemeError,
     Planner,
-    SchemeMetrics,
     UnknownSchemeError,
     UpdatePlan,
     available_schemes,
@@ -48,7 +47,6 @@ __all__ = [
     "DEFAULT_SCHEMES",
     "DuplicateSchemeError",
     "Planner",
-    "SchemeMetrics",
     "UnknownSchemeError",
     "available_schemes",
     "find_planner",

@@ -42,11 +42,6 @@ class RuleAccounting:
         """Total rule operations -- the quantity plotted in Fig. 9."""
         return self.installs + self.modifies + self.deletes
 
-    @property
-    def headroom(self) -> int:
-        """Extra table space needed beyond the steady state."""
-        return max(0, self.peak_rules - self.baseline_rules)
-
 
 def rule_accounting(instance: UpdateInstance, two_phase: bool = False) -> RuleAccounting:
     """The rule footprint of updating ``instance``.

@@ -32,7 +32,6 @@ class OptPlanner(Planner):
     title = "OPT: branch-and-bound optimum of the MUTP program"
     sweep_order = 1
     exact = True
-    supports_budget = True
 
     def _plan(
         self,

@@ -106,6 +106,11 @@ def minimize_rounds(
     return result
 
 
+#: Most extra steps a switch lags within a round when OR realises its
+#: rounds: the asynchronous installation latency, in whole steps.
+SKEW = 3
+
+
 def realize_round_times(
     rounds: Sequence[Sequence[Node]],
     rng: Optional[random.Random] = None,
@@ -152,7 +157,7 @@ class OrPlanner(Planner):
     The plan carries both halves of a round-based execution: ``nominal``
     is the round partition (what the controller dispatches and the gate
     verifies), ``schedule`` one realisation of it under per-switch
-    installation latencies of up to ``skew`` steps (what the sweep
+    installation latencies of up to :data:`SKEW` steps (what the sweep
     measures).  ``time_budget`` / ``node_budget`` bound the exact round
     minimiser; the node budget is the reproducible one.
     """
@@ -161,7 +166,6 @@ class OrPlanner(Planner):
     title = "OR: round-minimal loop-free replacement, realised asynchronously"
     sweep_order = 2
     exact = True
-    supports_budget = True
     claims_consistency = False  # loop-free by design, but capacity-oblivious
     executor = ROUNDS
 
@@ -174,7 +178,6 @@ class OrPlanner(Planner):
         t0: int = 0,
         time_budget: Optional[float] = None,
         node_budget: Optional[int] = None,
-        skew: int = 3,
         **_,
     ) -> UpdatePlan:
         result = minimize_rounds(
@@ -184,7 +187,7 @@ class OrPlanner(Planner):
             rng = random.Random(0)
         return UpdatePlan(
             scheme=self.name,
-            schedule=realize_round_times(result.rounds, rng=rng, max_skew=skew, t0=t0),
+            schedule=realize_round_times(result.rounds, rng=rng, max_skew=SKEW, t0=t0),
             notes="" if result.proven else "round minimisation hit its budget",
             instance=instance,
             nominal=schedule_from_rounds(result.rounds, start_time=t0, feasible=False),
@@ -196,7 +199,6 @@ class OrPlanner(Planner):
         return {
             "time_budget": params.get("or_budget", 0.5),
             "node_budget": params.get("or_node_budget"),
-            "skew": params.get("or_skew", 3),
         }
 
 

@@ -10,12 +10,12 @@ registry of :class:`Planner` entries:
 * :meth:`Planner.plan` is the only way to obtain a plan and its return
   value, :class:`UpdatePlan`, the only plan type (wrapped in a trace span
   carrying the scheme name);
-* capability flags (``two_phase``, ``exact``, ``supports_budget``,
-  ``claims_consistency``) and the ``executor`` strategy replace every
-  name comparison downstream -- the verify adapter picks
-  ``verify_schedule`` vs ``verify_two_phase`` from ``two_phase``, the
-  gate's install skew and the differential replay pick their execution
-  strategy from ``executor``, Fig. 10 decides proven-gated aggregation
+* capability flags (``exact``, ``claims_consistency``) and the
+  ``executor`` strategy replace every name comparison downstream -- the
+  rule accounting, the plan document and the realised-schedule read-back
+  tell versioned two-phase plans apart by ``executor``, the gate's install
+  skew and the differential replay pick their execution strategy from
+  it, Fig. 10 decides proven-gated aggregation
   from ``exact``, the gate and the plan document decide whether a plan
   asserts transient consistency from ``claims_consistency``;
 * ``sweep_order`` pins the registry loop to the legacy if-chain order
@@ -151,7 +151,9 @@ class UpdatePlan:
         if self.instance is None:
             raise ValueError("a plan without its instance has no rule accounting")
         planner = self.planner
-        return rule_accounting(self.instance, planner is not None and planner.two_phase)
+        return rule_accounting(
+            self.instance, planner is not None and planner.executor == TWO_PHASE
+        )
 
     @property
     def round_count(self) -> int:
@@ -160,24 +162,6 @@ class UpdatePlan:
     @property
     def makespan(self) -> int:
         return self.schedule.makespan
-
-
-@dataclass(frozen=True)
-class SchemeMetrics:
-    """Metrics surface for planners measured outside the interval tracker.
-
-    Mirrors the attributes of
-    :class:`repro.analysis.metrics.ScheduleMetrics` that the sweep and
-    the conformance check read, so two-phase plans (judged by the exact
-    overtaking-span formula, not the tracker) flow through the same
-    registry loop.
-    """
-
-    makespan: int
-    congested_timed_links: int
-    blackhole_events: int
-    congestion_free: bool
-    loop_free: bool
 
 
 class Planner(abc.ABC):
@@ -193,12 +177,8 @@ class Planner(abc.ABC):
             legacy if-chain evaluated chronus -> opt -> or in fixed code
             order while sharing one RNG; preserving that order preserves
             the RNG stream and keeps pinned records byte-identical.
-        two_phase: Plans describe versioned rule installs plus an ingress
-            flip; verified by ``verify_two_phase`` and measured by the
-            overtaking-span formula instead of the interval tracker.
         exact: The planner is an anytime exact search -- it reports a
             ``proven`` flag and Fig. 10 aggregates it cutoff-gated.
-        supports_budget: Accepts ``time_budget=`` / ``node_budget=``.
         claims_consistency: A feasible plan of this scheme asserts a
             congestion- and loop-free transition, which the gate holds it
             to.  False for capacity-oblivious schemes (OR): their plans
@@ -206,15 +186,16 @@ class Planner(abc.ABC):
             ``"feasible": false``.
         executor: Execution strategy (``"timed"``/``"rounds"``/
             ``"two-phase"``) for the differential replay, the gate's
-            install skew and the fault-injection runner.
+            install skew and the fault-injection runner.  A two-phase
+            planner's plans are versioned rule installs plus an ingress
+            flip: it measures and verifies them itself, by the
+            overtaking-span formula and ``verify_two_phase``.
     """
 
     name: str = "abstract"
     title: str = ""
     sweep_order: int = 99
-    two_phase: bool = False
     exact: bool = False
-    supports_budget: bool = False
     claims_consistency: bool = True
     executor: str = TIMED
 
@@ -252,7 +233,7 @@ class Planner(abc.ABC):
         """Extract this planner's knobs from a flat sweep-parameter mapping.
 
         Convention: sweep parameters are prefixed with the scheme name
-        (``opt_budget``, ``or_skew``, ``aug_epsilon``); each planner owns
+        (``opt_budget``, ``or_node_budget``, ``aug_epsilon``); each planner owns
         its prefix, so the sweep itself never names a scheme.
         """
         return {}

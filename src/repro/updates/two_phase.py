@@ -31,7 +31,6 @@ from repro.network.paths import arrival_offsets
 from repro.updates.registry import (
     TWO_PHASE,
     Planner,
-    SchemeMetrics,
     UpdatePlan,
     register_planner,
 )
@@ -89,7 +88,6 @@ class TwoPhasePlanner(Planner):
     name = "tp"
     title = "TP: two-phase versioned updates with an ingress flip"
     sweep_order = 3
-    two_phase = True
     executor = TWO_PHASE
 
     def _plan(
@@ -123,15 +121,17 @@ class TwoPhasePlanner(Planner):
             ],
         )
 
-    def measure(self, instance: UpdateInstance, result: UpdatePlan) -> SchemeMetrics:
+    def measure(self, instance: UpdateInstance, result: UpdatePlan):
+        from repro.analysis.metrics import ScheduleMetrics
+
         flip_time = result.schedule.time_of(instance.source)
         spans = two_phase_congestion_spans(instance, flip_time)
-        return SchemeMetrics(
+        return ScheduleMetrics(
             makespan=result.schedule.makespan,
+            congestion_spans=len(spans),
             congested_timed_links=sum(span.timed_link_count for span in spans),
+            loop_events=0,  # per-packet consistency: loops impossible
             blackhole_events=0,
-            congestion_free=not spans,
-            loop_free=True,  # per-packet consistency: loops impossible
         )
 
     def verify(self, instance: UpdateInstance, schedule: UpdateSchedule, *, background=None):

@@ -41,6 +41,10 @@ from repro.updates.registry import get_planner
 LinkKey = Tuple[Node, Node]
 
 
+#: Absolute rate tolerance (Mbps) when a measured load is compared with the
+#: verdict's prediction.
+TOLERANCE = 1e-6
+
 @dataclass(frozen=True)
 class TimelineMismatch:
     """Predicted and measured load disagree on ``link`` at step ``step``."""
@@ -144,7 +148,6 @@ def differential_replay(
     time_unit: float = 1.0,
     seed: int = 0,
     install_skew: int = 0,
-    tolerance: float = 1e-6,
 ) -> DiffReport:
     """Execute ``plan`` on the fluid DES and cross-check every measurement.
 
@@ -162,7 +165,6 @@ def differential_replay(
             timed FlowMods are pre-programmed and a two-phase flip waits for
             its (traffic-invisible) installs, so neither moves while the
             skew does not exceed the flip delay.
-        tolerance: Absolute rate tolerance when comparing loads.
 
     Returns:
         A :class:`DiffReport`; ``report.ok`` means the simulator, executor
@@ -200,7 +202,7 @@ def differential_replay(
         executor=planner.executor,
         realized=schedule,
         verdict=Verdict(schedule_complete=True),
-        drop_tolerance=tolerance * time_unit * max(1.0, instance.demand),
+        drop_tolerance=TOLERANCE * time_unit * max(1.0, instance.demand),
     )
 
     # An acknowledgement takes at most the install skew (the control network
@@ -235,7 +237,7 @@ def differential_replay(
     # Stage 2: run the plane through the verdict's full check window, then
     # compare the measured utilisation at every unit-window midpoint.
     sim.run(until=to_true(verdict.check_end + 1) + 0.25 * time_unit)
-    _compare_timelines(report, plane, verdict, to_true, time_unit, tolerance)
+    _compare_timelines(report, plane, verdict, to_true, time_unit)
     report.predicted_drops = bool(verdict.blackholes)
     report.measured_drop_volume = plane.total_dropped_volume()
     return report
@@ -250,7 +252,6 @@ def _compare_timelines(
     verdict: Verdict,
     to_true,
     time_unit: float,
-    tolerance: float,
 ) -> None:
     """Sample each fluid link at every unit-window midpoint and compare."""
     allow_excess = not verdict.loop_free
@@ -265,7 +266,7 @@ def _compare_timelines(
                 measured = timeline[cursor].rate
                 cursor += 1
             predicted = predicted_series.get(step, 0.0)
-            if abs(measured - predicted) <= tolerance:
+            if abs(measured - predicted) <= TOLERANCE:
                 continue
             entry = TimelineMismatch(
                 link=link_key, step=step, predicted=predicted, measured=measured

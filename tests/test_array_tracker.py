@@ -42,6 +42,7 @@ from repro.core.intervals_array import (
 from repro.network.graph import Network
 from repro.trace import TraceSession, aggregate
 from tests.test_chain_goldens import assert_witness, interior_positions, rebuilt
+from tests.test_intervals import link_departure_spans, load_at
 
 
 def _pair(instance, t0=0, background=None):
@@ -88,10 +89,6 @@ def _assert_states_match(dict_tracker, array_tracker, label):
     assert (
         array_tracker.finite_drain_horizon() == dict_tracker.finite_drain_horizon()
     ), label
-    assert (
-        array_tracker.congested_timed_link_count()
-        == dict_tracker.congested_timed_link_count()
-    ), label
     # Class sets agree up to ordering of (bounds, trajectory); matched that
     # way, each pair agrees on its delay at every position.
     assert _class_entries(array_tracker) == _class_entries(dict_tracker), label
@@ -110,9 +107,9 @@ def _assert_states_match(dict_tracker, array_tracker, label):
     # same offsets, and ``crosses`` says so for every class.
     for link in dict_tracker.instance.network.links:
         src, dst = link.src, link.dst
-        assert array_tracker.link_departure_spans(
-            src, dst
-        ) == dict_tracker.link_departure_spans(src, dst), (label, link)
+        assert link_departure_spans(array_tracker, src, dst) == link_departure_spans(
+            dict_tracker, src, dst
+        ), (label, link)
         assert sorted(
             (array_keys[id(cls)], offset) for cls, offset in array_tracker.crossings(src, dst)
         ) == sorted(
@@ -152,8 +149,8 @@ def _sample_loads(dict_tracker, array_tracker, label):
     instance = dict_tracker.instance
     for link in instance.network.links:
         for time in (-5, 0, 1, 3, 7, 20):
-            assert array_tracker.load_at(link.src, link.dst, time) == pytest.approx(
-                dict_tracker.load_at(link.src, link.dst, time)
+            assert load_at(array_tracker, link.src, link.dst, time) == pytest.approx(
+                load_at(dict_tracker, link.src, link.dst, time)
             ), (label, link, time)
 
 
@@ -321,7 +318,7 @@ class TestProbeContract:
                 segments=draw(st.integers(1, 6), label="segments"),
             )
             instance = rebuilt(instance, unit_delays=draw(st.booleans(), label="unit_delays"))
-        links = [link.endpoints for link in instance.network.links]
+        links = [(link.src, link.dst) for link in instance.network.links]
         bound = st.none() | st.integers(-5, 40)
         background = draw(
             st.dictionaries(

@@ -33,12 +33,12 @@ from repro.core.intervals_array import InstanceArrays
 from repro.core.rounds import UnionGraphIds
 from repro.experiments.sweep import mixed_instance
 from repro.network.graph import Network
-from repro.network.topology import (
+from repro.network.topology import waxman_topology
+from tests.test_network_topology import (
     emulation_topology,
     fat_tree_topology,
     linear_topology,
     ring_topology,
-    waxman_topology,
 )
 
 

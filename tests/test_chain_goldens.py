@@ -251,7 +251,7 @@ def rebuilt(instance, capacities=None, unit_delays=False):
         network.add_link(
             link.src,
             link.dst,
-            capacity=capacities.get(link.endpoints, link.capacity),
+            capacity=capacities.get((link.src, link.dst), link.capacity),
             delay=1 if unit_delays else link.delay,
         )
     return instance_from_paths(

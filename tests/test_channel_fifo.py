@@ -20,7 +20,6 @@ from repro.controller import (
     ConstantDelayModel,
     ControlChannel,
     Controller,
-    UniformDelayModel,
     perform_resilient_update,
 )
 from repro.controller.channel import DelayModel
@@ -28,6 +27,7 @@ from repro.core.greedy import greedy_schedule
 from repro.core.instance import motivating_example
 from repro.simulator import Simulator, build_dataplane
 from repro.simulator.dataplane import install_config
+from tests.test_resilient import UniformDelayModel
 
 #: Wide latency spread so a late send can sample a shorter delay than an
 #: earlier one; the inter-round sleep is 0.5 s, well below the spread.

@@ -9,7 +9,6 @@ from repro.controller import (
     ControlChannel,
     Controller,
     DionysusDelayModel,
-    UniformDelayModel,
     perform_resilient_update,
     synchronized_clocks,
 )
@@ -24,18 +23,13 @@ from repro.core.greedy import greedy_schedule
 from repro.core.instance import motivating_example
 from repro.simulator import FlowRule, Match, Simulator, build_dataplane
 from repro.simulator.dataplane import install_config
+from tests.test_resilient import UniformDelayModel
 
 
 class TestDelayModels:
     def test_constant(self):
         model = ConstantDelayModel(0.25)
         assert model.sample(random.Random(0)) == 0.25
-
-    def test_uniform_in_range(self):
-        model = UniformDelayModel(0.01, 0.02)
-        rng = random.Random(1)
-        for _ in range(50):
-            assert 0.01 <= model.sample(rng) <= 0.02
 
     def test_dionysus_long_tail_capped(self):
         model = DionysusDelayModel(median=0.05, sigma=1.0, cap=0.5)

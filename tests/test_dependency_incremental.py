@@ -105,7 +105,7 @@ def _mixed_capacities(instance, seed):
     the switches that examine a 1.0 link can bind."""
     rng = random.Random(seed)
     return rebuilt(
-        instance, {link.endpoints: rng.choice((1.0, 2.0)) for link in instance.network.links}
+        instance, {(link.src, link.dst): rng.choice((1.0, 2.0)) for link in instance.network.links}
     )
 
 

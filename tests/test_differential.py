@@ -136,7 +136,7 @@ class TestTimedHarvestRegression:
         # waits longer, so nothing is resent.
         trace = perform_resilient_update(
             controller, plane, instance, schedule,
-            strategy="timed", time_unit=1.0, lead_time=0.5, retry_timeout=30.0,
+            strategy="timed", time_unit=1.0, retry_timeout=30.0,
         )
         sim.run(until=60.0)
         assert trace.total_retries == 0
@@ -152,7 +152,7 @@ class TestTimedHarvestRegression:
         schedule = greedy_schedule(instance).schedule
         trace = perform_resilient_update(
             controller, plane, instance, schedule,
-            strategy="timed", time_unit=1.0, lead_time=0.5,
+            strategy="timed", time_unit=1.0,
         )
         sim.run(until=60.0)
         assert set(trace.applied) == set(schedule.times)

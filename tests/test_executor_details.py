@@ -67,7 +67,7 @@ class TestTimedExecutorDefaults:
         schedule = greedy_schedule(instance).schedule
         trace = perform_resilient_update(
             controller, plane, instance, schedule,
-            strategy="timed", time_unit=1.0, lead_time=0.5,
+            strategy="timed", time_unit=1.0,
         )
         assert min(trace.planned.values()) == pytest.approx(2.5)
         sim.run(until=30.0)

@@ -18,6 +18,7 @@ from repro.experiments.sweep import (
 )
 from repro.pipeline import RunContext, run_in_memory
 from repro.updates import get_planner
+from tests.test_resilient import pending_barriers
 
 TRIO = ("chronus", "or", "opt")
 
@@ -56,7 +57,7 @@ class TestFig6:
         )
         assert trace.finished_at is not None
         assert trace.completed != trace.aborted
-        assert testbed.controller.pending_barriers() == 0
+        assert pending_barriers(testbed.controller) == 0
 
     def test_record_reports_the_outcome_only_under_faults(self):
         item = {"key": "or", "scheme": "or"}

@@ -9,8 +9,9 @@ from repro.core.greedy import greedy_schedule
 from repro.core.instance import instance_from_paths, random_instance
 from repro.core.mutp import solve_mutp
 from repro.core.optimal import optimal_schedule
-from repro.network.topology import fat_tree_topology, waxman_topology
+from repro.network.topology import waxman_topology
 from repro.validate import verify_schedule
+from tests.test_network_topology import fat_tree_topology
 
 
 def shortest_delay_path(network, source, destination, forbidden_nodes=()):

@@ -25,7 +25,7 @@ from repro.validate import verify_schedule
 def _background(instance, rng, t0):
     """Dyadic loads (any summation order gives the same float) on up to
     three links: open, finite, half-open or ended before ``t0``."""
-    links = [link.endpoints for link in instance.network.links]
+    links = [(link.src, link.dst) for link in instance.network.links]
     background = {}
     for link in rng.sample(links, min(len(links), rng.randint(1, 3))):
         start = rng.randint(-6, 8)

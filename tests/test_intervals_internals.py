@@ -23,6 +23,7 @@ from repro.core.intervals import (
 from repro.core.intervals_array import ArrayIntervalTracker
 from repro.experiments.sweep import mixed_instance
 from repro.network.paths import arrival_offsets
+from tests.test_intervals import link_departure_spans
 
 
 @pytest.fixture
@@ -264,8 +265,8 @@ class TestTrimInPlace:
         for link in instance.network.links:
             key = (link.src, link.dst)
             assert sorted(
-                warm.link_departure_spans(*key), key=repr
-            ) == sorted(cold.link_departure_spans(*key), key=repr)
+                link_departure_spans(warm, *key), key=repr
+            ) == sorted(link_departure_spans(cold, *key), key=repr)
 
     def test_probe_and_commit_matches_preview_apply(self, instance):
         a = IntervalTracker(instance)
@@ -376,7 +377,7 @@ class TestFastPathsEqualDefinitions:
             for link in sorted(set(tracker._link_index) | set(background)):
                 intervals = [
                     (lo, hi, instance.demand)
-                    for lo, hi in tracker.link_departure_spans(*link)
+                    for lo, hi in link_departure_spans(tracker, *link)
                 ]
                 intervals += background.get(link, [])
                 swept += _sweep_link(link, network.capacity(*link), intervals, tracker.t0)

@@ -8,7 +8,7 @@ from repro.network.graph import DEFAULT_CAPACITY, Link, Network, network_from_li
 class TestLink:
     def test_endpoints(self):
         link = Link("a", "b", capacity=2.0, delay=3)
-        assert link.endpoints == ("a", "b")
+        assert (link.src, link.dst) == ("a", "b")
         assert link.capacity == 2.0
         assert link.delay == 3
 

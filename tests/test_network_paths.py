@@ -6,11 +6,10 @@ from repro.network.graph import network_from_links
 from repro.network.paths import (
     arrival_offsets,
     as_path,
-    is_simple,
     path_delay,
     path_links,
-    validate_path,
 )
+from repro.network.topology import missing_links
 
 
 @pytest.fixture
@@ -41,15 +40,10 @@ class TestPathLinks:
 
 class TestValidatePath:
     def test_valid(self, chain):
-        validate_path(chain, ("a", "b", "c", "d"))
+        assert missing_links(chain, ("a", "b", "c", "d")) == []
 
     def test_missing_link(self, chain):
-        with pytest.raises(ValueError, match="missing link"):
-            validate_path(chain, ("a", "c"))
-
-    def test_non_simple(self, chain):
-        with pytest.raises(ValueError, match="not simple"):
-            validate_path(chain, ("a", "b", "a"))
+        assert missing_links(chain, ("a", "c", "d", "b")) == [("a", "c"), ("d", "b")]
 
 
 class TestDelays:
@@ -58,7 +52,3 @@ class TestDelays:
 
     def test_arrival_offsets(self, chain):
         assert arrival_offsets(chain, ("a", "b", "c", "d")) == [0, 2, 4, 6]
-
-    def test_is_simple(self):
-        assert is_simple(("a", "b", "c"))
-        assert not is_simple(("a", "b", "a"))

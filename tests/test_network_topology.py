@@ -1,25 +1,97 @@
-"""Unit and property tests for topology generators."""
+"""Unit and property tests for topology generators.
+
+The classic fabrics below (linear, ring, fat-tree) and the Mininet-sized
+two-path draw are test fixtures: graph-instance tests and the build pins
+run on them, no system path does.
+"""
 
 import random
+from typing import Tuple
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.network.flows import Flow
-from repro.network.paths import path_delay, validate_path
+from repro.network.graph import DEFAULT_CAPACITY, DEFAULT_DELAY, Network
+from repro.network.paths import Path, as_path, path_delay, path_links
 from repro.network.topology import (
     TwoPathTopology,
-    emulation_topology,
-    fat_tree_topology,
-    linear_topology,
+    missing_links,
     reversal_topology,
-    ring_topology,
     segmented_reversal_topology,
     switch_names,
     two_path_topology,
     waxman_topology,
 )
+
+
+def validate_path(network, path):
+    """``path`` is simple and every hop of it is a link of ``network``."""
+    assert len(set(path)) == len(path), path
+    assert not missing_links(network, path), path
+
+
+def linear_topology(
+    count: int,
+    capacity: float = DEFAULT_CAPACITY,
+    delay: int = DEFAULT_DELAY,
+) -> Tuple[Network, Path]:
+    """A chain ``v1 -> v2 -> ... -> vn`` and the path along it."""
+    nodes = switch_names(count)
+    net = Network()
+    net.add_links(path_links(nodes), capacity=capacity, delay=delay)
+    return net, as_path(nodes)
+
+
+def ring_topology(
+    count: int,
+    capacity: float = DEFAULT_CAPACITY,
+    delay: int = DEFAULT_DELAY,
+    bidirectional: bool = True,
+) -> Network:
+    """A ring over ``count`` switches, optionally with both directions."""
+    nodes = switch_names(count)
+    net = Network()
+    for i, src in enumerate(nodes):
+        dst = nodes[(i + 1) % count]
+        net.add_link(src, dst, capacity=capacity, delay=delay)
+        if bidirectional:
+            net.add_link(dst, src, capacity=capacity, delay=delay)
+    return net
+
+
+def fat_tree_topology(k: int, capacity: float = DEFAULT_CAPACITY, delay: int = DEFAULT_DELAY) -> Network:
+    """A ``k``-ary fat-tree (``k`` even): the canonical data-center fabric.
+
+    Switch naming: ``core<i>``, ``agg<pod>_<i>``, ``edge<pod>_<i>``.  All
+    links are bidirectional.
+    """
+    if k % 2 != 0 or k < 2:
+        raise ValueError("fat-tree arity k must be a positive even number")
+    half = k // 2
+    net = Network()
+    cores = [f"core{i}" for i in range(half * half)]
+    for pod in range(k):
+        aggs = [f"agg{pod}_{i}" for i in range(half)]
+        edges = [f"edge{pod}_{i}" for i in range(half)]
+        for agg in aggs:
+            for edge in edges:
+                net.add_link(agg, edge, capacity=capacity, delay=delay)
+                net.add_link(edge, agg, capacity=capacity, delay=delay)
+        for i, agg in enumerate(aggs):
+            for j in range(half):
+                core = cores[i * half + j]
+                net.add_link(core, agg, capacity=capacity, delay=delay)
+                net.add_link(agg, core, capacity=capacity, delay=delay)
+    return net
+
+
+def emulation_topology(rng: random.Random) -> TwoPathTopology:
+    """The Mininet-experiment analogue (Section V-A): ten switches, 5 Mbps
+    links, delays drawn from 1-4 steps, fixed initial path, random final
+    path."""
+    return two_path_topology(10, rng=rng, capacity=5.0, max_delay=4)
 
 
 class TestFlow:

@@ -13,7 +13,7 @@ import pytest
 import repro.pipeline.runner as runner
 import repro.runtime.parallel as parallel
 from repro.experiments.__main__ import main as cli_main
-from repro.experiments.sweep import UnknownWorkloadError, sweep_seed
+from repro.experiments.sweep import sweep_seed
 from repro.pipeline import (
     ArtifactStore,
     RunContext,
@@ -23,8 +23,8 @@ from repro.pipeline import (
     report_from_store,
     run_in_memory,
     run_to_store,
-    scenario_names,
 )
+from repro.pipeline.scenario import all_scenarios
 from repro.pipeline.store import StoreError, canonical_json
 from repro.updates.registry import UnknownSchemeError
 
@@ -45,7 +45,7 @@ TINY_FIG7 = {
 # --- registry ----------------------------------------------------------
 
 def test_registry_has_every_experiment():
-    names = scenario_names()
+    names = [scenario.name for scenario in all_scenarios()]
     assert set(names) >= {
         "fig6",
         "fig7",
@@ -95,8 +95,8 @@ def test_fig10_greedy_preset_targets_paper_sizes():
 
 
 def test_every_scenario_expands_a_unique_keyed_grid():
-    for name in scenario_names():
-        scenario = get_scenario(name)
+    for scenario in all_scenarios():
+        name = scenario.name
         items = list(scenario.items(scenario.params_with()))
         assert items, name
         keys = [item["key"] for item in items]
@@ -142,7 +142,7 @@ def test_store_roundtrip_and_manifest(tmp_path):
         {"key": "a", "value": 1},
         {"key": "b", "value": [1, 2]},
     ]
-    assert reopened.completed_keys() == ["a", "b"]
+    assert [record["key"] for record in reopened.load_records()] == ["a", "b"]
     manifest = reopened.manifest
     assert manifest["status"] == "complete"
     assert manifest["records"] == 2
@@ -384,7 +384,7 @@ def test_resume_replays_the_params(tmp_path, name, two_cpus):
 @pytest.mark.parametrize(
     "overrides, error",
     [
-        ({"workload": "foo"}, UnknownWorkloadError),
+        ({"workload": "mixed"}, ValueError),
         ({"schemes": ["chronus", "chrnous"]}, UnknownSchemeError),
     ],
 )
@@ -408,13 +408,25 @@ def test_a_refused_trace_spec_leaves_no_run(tmp_path, spec):
 
 
 def test_resume_refuses_a_run_that_predates_a_param(tmp_path):
+    # A stored run lacking a declared param (fig6 before fault_severity),
+    # or carrying one the scenario no longer declares (a sweep of the
+    # removed ``permutation`` workload): either resume would append records
+    # of another configuration, so both are refused before anything is
+    # written, by the library and by the CLI.
     store = ArtifactStore(root=tmp_path)
-    params = get_scenario("fig6").params_with()
-    del params["fault_severity"]
-    handle = store.create("fig6", params)
-    with pytest.raises(ValueError, match="predates"):
-        run_to_store("fig6", store=store, run_id=handle.run_id, resume=True)
-    assert store.open("fig6", handle.run_id).load_records() == []
+    fig6 = get_scenario("fig6").params_with()
+    del fig6["fault_severity"]
+    sweep = dict(get_scenario("sweep").params_with(), workload="permutation")
+    for name, params in (("fig6", fig6), ("sweep", sweep)):
+        handle = store.create(name, params)
+        handle.finish(status="interrupted", records=0)
+        manifest = handle.manifest_path.read_bytes()
+        with pytest.raises(ValueError, match="predates"):
+            run_to_store(name, store=store, run_id=handle.run_id, resume=True)
+        args = ["resume", name, "--runs-dir", str(tmp_path), "--run-id", handle.run_id]
+        assert cli_main(args) == 2
+        assert store.open(name, handle.run_id).load_records() == []
+        assert handle.manifest_path.read_bytes() == manifest
 
 
 def test_serial_and_parallel_records_are_identical(tmp_path):
@@ -474,8 +486,8 @@ def test_cli_rejects_inexact_name(capsys):
 def test_cli_list_names_every_scenario(capsys):
     assert cli_main(["list"]) == 0
     out = capsys.readouterr().out
-    for name in scenario_names():
-        assert name in out
+    for scenario in all_scenarios():
+        assert scenario.name in out
 
 
 def test_cli_run_interrupt_resume_report(tmp_path, capsys, monkeypatch):

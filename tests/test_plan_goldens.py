@@ -35,6 +35,7 @@ from repro.core.instance import motivating_example, random_instance
 from repro.core.serialization import plan_to_json
 from repro.experiments.sweep import mixed_instance, run_instance
 from repro.updates import available_schemes, get_planner, sweep_planners
+from repro.updates.registry import TWO_PHASE
 
 SCHEMES = ("aug", "chronus", "opt", "or", "tp")
 
@@ -138,7 +139,7 @@ def test_document_and_dispatch_match_the_protocol_path(label, goldens, shortcut_
         assert _sha(text) == frozen["sha256"], entry["id"]
 
         dispatched = entry[faults_key][scheme]
-        if planner.two_phase:
+        if planner.executor == TWO_PHASE:
             assert dispatched is None  # the ablation reads only its start time
             assert plan.dispatched.t0 == 0
         else:

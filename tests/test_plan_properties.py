@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from repro.core.serialization import plan_from_json, plan_to_json
 from repro.experiments.sweep import mixed_instance
 from repro.updates import RuleAccounting, available_schemes, get_planner
+from repro.updates.registry import TWO_PHASE
 
 NODE_BUDGET = 300
 
@@ -74,7 +75,7 @@ def test_rules_match_the_frozen_formulas_and_documents_round_trip(count, seed):
 
         frozen = (
             frozen_two_phase_accounting(instance)
-            if planner.two_phase
+            if planner.executor == TWO_PHASE
             else frozen_in_place_accounting(instance)
         )
         assert plan.rules == frozen, scheme
@@ -102,7 +103,7 @@ def test_tiny_mixed_instances_build_plan_and_verify(count):
         for scheme in schemes:
             planner = get_planner(scheme)
             plan = planner.plan(instance, node_budget=NODE_BUDGET)
-            if not planner.two_phase:  # TP times its ingress flip instead
+            if planner.executor != TWO_PHASE:  # TP times its ingress flip instead
                 assert set(plan.dispatched.times) == set(instance.switches_to_update), (
                     scheme,
                     seed,

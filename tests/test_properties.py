@@ -21,6 +21,7 @@ from repro.core.tracker import replay_schedule
 from repro.core.schedule import UpdateSchedule
 from repro.network.topology import two_path_topology
 from repro.validate import verify_schedule
+from tests.test_intervals import congested_timed_link_count
 
 COMMON = dict(
     deadline=None,
@@ -62,7 +63,7 @@ class TestTrackerOracleEquivalence:
         if oracle.loops or oracle.blackholes:
             return  # the oracle truncates loopy/dropped units' loads
         tracker = replay_schedule(instance, schedule)
-        assert oracle.congested_timed_links == tracker.congested_timed_link_count()
+        assert oracle.congested_timed_links == congested_timed_link_count(tracker)
 
 
 class TestGreedyGuarantees:

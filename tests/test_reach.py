@@ -1,4 +1,5 @@
-"""Every ``src/repro`` module earns a system path, or is named here.
+"""Every ``src/repro`` module earns a system path, and every name in it a
+caller outside the tests, or is named here.
 
 One fresh interpreter runs the tiny grid of every registered scenario
 through the experiments CLI (every scheme, ``verify=true``, Fig. 6 under
@@ -10,15 +11,30 @@ load on none.  The modules it never loads must be exactly
 allow-listed module that gains one (drop its entry then).  Files are
 listed with :mod:`pathlib`, never by importing them -- an import would
 load the very modules being counted.
+
+One level down the check is static: every function, class and method
+defined in a module off :data:`ALLOW_LIST` (dunders exempt) must be
+referenced -- as an ``ast.Name`` or an ``ast.Attribute`` -- somewhere in
+``src/``, ``scripts/``, ``bench/``, ``benchmarks/`` or ``examples/`` other
+than by its own definition.  The unreferenced names must be exactly
+:data:`NAME_ALLOW_LIST`.  It reads references rather than calls because
+most ``src`` lines that the tiny grids leave uncalled are paths only larger
+inputs reach (OPT's rescue branches, long chains, ``report`` / ``resume``).
+A string naming a definition (a lazy export, ``__all__``) is not a
+reference.
 """
 
+import ast
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+#: The trees whose code counts as a caller.
+CALLER_TREES = ("src", "scripts", "bench", "benchmarks", "examples")
 
 ALL_SCHEMES = "schemes=aug,chronus,opt,or,tp"
 SWEEP = (
@@ -69,13 +85,117 @@ ALLOW_LIST = {
 }
 
 
+#: Definitions nothing outside the tests references: qualified name ->
+#: (why it stays, the ROADMAP item that owns it).
+NAME_ALLOW_LIST = {
+    "repro.core.dependency.last_old_departure": (
+        "Alg. 3's pointwise oracle; the incremental dependency scan is held to it",
+        "Tier-1 under two minutes by trading copies for independent oracles",
+    ),
+    "repro.core.optimal.exhaustive_schedule": (
+        "OPT's brute-force oracle; OPT, the loop bound and program (3) are held to it",
+        "Program (3) at figure scale",
+    ),
+    "repro.core.instance.UpdateInstance.config_at": (
+        "Def. 1's configuration at a time; the tracker's lazy _RoundConfig is held to it",
+        "One tracker that wins everywhere, then delete the other",
+    ),
+    "repro.core.instance.nested_reversal_instance": (
+        "Amiri et al.'s nested reversals, the family the hard-family item runs on",
+        "The paper's evaluation, regenerated from artifacts, with Amiri's hard family",
+    ),
+    "repro.core.instance.reversal_instance": (
+        "the adversarial path reversal; engine goldens and loop-bound tests are keyed on it",
+        "Break the planners and the timing on purpose",
+    ),
+    "repro.core.serialization.schedule_to_json": (
+        "the golden digest format of engine_goldens.json and chain_goldens.json",
+        "Tier-1 under two minutes by trading copies for independent oracles",
+    ),
+    "repro.core.serialization.schedule_from_json": (
+        "the inverse of the golden digest format, held to a round trip",
+        "Tier-1 under two minutes by trading copies for independent oracles",
+    ),
+    "repro.core.schedule.UpdateSchedule.swapped": (
+        "mutation hook: the verifier must reject swapped update times",
+        "Break the planners and the timing on purpose",
+    ),
+    "repro.core.schedule.UpdateSchedule.without": (
+        "mutation hook: the verifier must flag a dropped switch",
+        "Break the planners and the timing on purpose",
+    ),
+    "repro.core.schedule.UpdateSchedule.shifted": (
+        "mutation hook: Defs. 1-3 are invariant under a shift in time",
+        "Break the planners and the timing on purpose",
+    ),
+    "repro.simulator.switch.DataSwitch.delivered_volume": (
+        "the DES goldens pin it and volume conservation is judged by it",
+        "One judge of concurrent intents: a plane monitor",
+    ),
+    "repro.trace.record.TraceRecord.stable_view": (
+        "the serial / pool / resumed trace lockstep compares this projection",
+        "Explain an outcome from the trace alone",
+    ),
+}
+
+
 def module_names():
     """Every module under ``src/repro``, named from its path."""
-    names = set()
+    return {_module_name(path) for path in SRC.glob("repro/**/*.py")}
+
+
+def _module_name(path):
+    parts = path.relative_to(SRC).with_suffix("").parts
+    return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+
+
+def definitions():
+    """The qualified name of every function, class and method (nested ones
+    included, dunders not) of the modules off :data:`ALLOW_LIST`."""
+    found = set()
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                qualified = f"{prefix}.{child.name}"
+                if not (child.name.startswith("__") and child.name.endswith("__")):
+                    found.add(qualified)
+                visit(child, qualified)
+
     for path in SRC.glob("repro/**/*.py"):
-        parts = path.relative_to(SRC).with_suffix("").parts
-        names.add(".".join(parts[:-1] if parts[-1] == "__init__" else parts))
+        module = _module_name(path)
+        if module not in ALLOW_LIST:
+            visit(ast.parse(path.read_text(), str(path)), module)
+    return found
+
+
+def referenced_names():
+    """Every identifier read, written or called as a name or an attribute
+    in the caller trees (a definition's own ``def`` / ``class`` line is
+    neither, so it never counts for itself)."""
+    names = set()
+    for tree in CALLER_TREES:
+        for path in (ROOT / tree).rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if isinstance(node, ast.Name):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    names.add(node.attr)
     return names
+
+
+def test_every_unreferenced_name_is_allow_listed():
+    referenced = referenced_names()
+    unreferenced = {
+        qualified
+        for qualified in definitions()
+        if qualified.rsplit(".", 1)[-1] not in referenced
+    }
+    assert unreferenced == set(NAME_ALLOW_LIST), (
+        f"referenced only by tests, not allow-listed: "
+        f"{sorted(unreferenced - set(NAME_ALLOW_LIST))}; "
+        f"allow-listed, now referenced: {sorted(set(NAME_ALLOW_LIST) - unreferenced)}"
+    )
 
 
 def reach(runs_dir):
@@ -85,7 +205,7 @@ def reach(runs_dir):
     import io
 
     from repro.experiments.__main__ import main
-    from repro.pipeline.scenario import scenario_names
+    from repro.pipeline.scenario import all_scenarios
     from repro.trace.__main__ import main as trace_main
 
     codes = {}
@@ -98,7 +218,7 @@ def reach(runs_dir):
         for command in ("show", "profile"):
             codes[f"trace {command}"] = trace_main([command, "--runs-dir", runs_dir])
     loaded = sorted(name for name in sys.modules if name.split(".")[0] == "repro")
-    print(json.dumps({"codes": codes, "scenarios": scenario_names(), "loaded": loaded}))
+    print(json.dumps({"codes": codes, "scenarios": [s.name for s in all_scenarios()], "loaded": loaded}))
 
 
 def test_every_unloaded_module_is_allow_listed(tmp_path):

@@ -39,6 +39,7 @@ from repro.trace import TraceSession, aggregate
 from repro.updates.order_replacement import minimize_rounds, realize_round_times
 from repro.updates.registry import (
     DEFAULT_SCHEMES,
+    TWO_PHASE,
     DuplicateSchemeError,
     Planner,
     UnknownSchemeError,
@@ -49,6 +50,7 @@ from repro.updates.registry import (
     register_planner,
     sweep_planners,
 )
+from tests.test_resilient import pending_barriers
 from tests.test_trace_goldens import calls_and_counters
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -252,7 +254,7 @@ class TestRegistryApi:
 
     def test_capability_flags(self):
         names = available_schemes()
-        assert {name for name in names if get_planner(name).two_phase} == {"tp"}
+        assert {name for name in names if get_planner(name).executor == TWO_PHASE} == {"tp"}
         assert {name for name in names if get_planner(name).exact} == {"opt", "or"}
 
 
@@ -284,7 +286,7 @@ def test_one_plan_type_and_one_execution_path(scheme):
     trace = execute_plan(controller, plane, plan, start_at=1.0)
     sim.run(until=1.0 + plan.dispatched.makespan + 10.0)
     realized, off_grid = realized_schedule(plan, trace, start_at=1.0)
-    assert trace.completed and controller.pending_barriers() == 0
+    assert trace.completed and pending_barriers(controller) == 0
     assert realized is not None and not off_grid
     assert all(when == plan.dispatched.time_of(node) for node, when in realized.times.items())
 

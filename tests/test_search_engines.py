@@ -32,11 +32,11 @@ from repro.core.instance import (
     segmented_instance,
 )
 from repro.core.optimal import optimal_schedule, exhaustive_schedule
-from repro.core.rounds import round_is_loop_free
 from repro.experiments.sweep import mixed_instance, sweep_seed
 from repro.updates.order_replacement import minimize_rounds
 from repro.validate.verifier import verify_schedule
 from tests.test_greedy_engines import _random, _segmented
+from tests.test_rounds import round_is_loop_free
 
 
 def _assert_opt_golden(instance, golden, label, **kwargs):

@@ -159,13 +159,13 @@ class TestFlowTable:
         table.add(FlowRule("r", Match(dst_prefix="d"), out_port=1))
         table.modify("r", out_port=7)
         assert table.rules[0].out_port == 7
-        assert table.occupancy == 1
+        assert len(table.rules) == 1
 
     def test_delete(self):
         table = FlowTable()
         table.add(FlowRule("r", Match(), out_port=1))
         table.delete("r")
-        assert table.occupancy == 0
+        assert len(table.rules) == 0
         with pytest.raises(KeyError):
             table.delete("r")
 
@@ -239,7 +239,7 @@ class TestDataPlane:
         monitor.start()
         plane.inject_flow("v1", "h1", "v6", rate=1.5)
         sim.run(until=5.5)
-        series = monitor.link_series("v1", "v2")
+        series = monitor.series[("v1", "v2")]
         assert series
         assert series[-1].mbps == pytest.approx(1.5)
 
@@ -324,7 +324,7 @@ class TestMonitorStop:
         # tripping the max_events safety valve.
         processed = sim.run(max_events=50)
         assert processed < 50
-        assert len(monitor.link_series("v1", "v2")) == 5
+        assert len(monitor.series[("v1", "v2")]) == 5
 
     def test_stop_is_idempotent_and_restartable(self):
         instance, sim, plane = self.build()
@@ -334,10 +334,10 @@ class TestMonitorStop:
         monitor.stop()
         monitor.stop()  # no-op
         sim.run(until=4.5)
-        assert len(monitor.link_series("v1", "v2")) == 2  # nothing polled late
+        assert len(monitor.series[("v1", "v2")]) == 2  # nothing polled late
         monitor.start()  # allowed again after a stop
         sim.run(until=7.0)
-        assert len(monitor.link_series("v1", "v2")) == 4
+        assert len(monitor.series[("v1", "v2")]) == 4
 
     def test_double_start_rejected(self):
         instance, sim, plane = self.build()
@@ -362,7 +362,7 @@ class TestMonitorStop:
         sim.run(until=8.0)  # 4.5 unmonitored seconds at 2 Mbps
         monitor.start()
         sim.run(until=10.5)
-        series = monitor.link_series("v1", "v2")
+        series = monitor.series[("v1", "v2")]
         assert len(series) == 5  # 3 before the gap + 2 after
         # Every sample reads the steady rate; the 9 Mbit gap volume never
         # shows up as a spike.
@@ -383,6 +383,6 @@ class TestMonitorStop:
         sim.run(until=6.0)
         monitor.start()
         sim.run(until=8.5)
-        series = monitor.link_series("v1", "v2")
+        series = monitor.series[("v1", "v2")]
         assert [s.mbps for s in series[:2]] == [pytest.approx(3.0)] * 2
         assert [s.mbps for s in series[-2:]] == [pytest.approx(0.5)] * 2

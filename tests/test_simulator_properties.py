@@ -98,7 +98,7 @@ class TestMonitorMethodology:
         plane.inject_flow(instance.source, "h", str(instance.destination), 3.0)
         sim.run(until=8.5)
         first_link = (instance.old_path[0], instance.old_path[1])
-        samples = monitor.link_series(*first_link)
+        samples = monitor.series[first_link]
         # After the first interval the link runs at the injected rate.
         assert samples[-1].mbps == pytest.approx(3.0)
         # Counter delta over the window matches rate * time.

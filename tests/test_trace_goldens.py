@@ -129,7 +129,16 @@ import pytest
 from repro.pipeline.context import RunContext
 from repro.pipeline.runner import run_to_store
 from repro.pipeline.store import ArtifactStore
-from repro.trace.query import aggregate, ancestors, profile_of, read_trace
+from repro.trace.query import aggregate, profile_of, read_trace
+
+
+def ancestors(record, spans):
+    """``record``'s enclosing spans, innermost first (``spans``: by span id)."""
+    parent = spans.get(record.parent_id)
+    while parent is not None:
+        yield parent
+        parent = spans.get(parent.parent_id)
+
 
 GOLDENS_PATH = Path(__file__).parent / "data" / "trace_goldens.json"
 

@@ -41,7 +41,6 @@ from repro.trace.__main__ import main as trace_cli
 from repro.trace.query import (
     TraceQueryError,
     aggregate,
-    ancestors,
     default_trace_path,
     profile_of,
     read_trace,
@@ -55,6 +54,7 @@ from repro.trace.record import (
 from repro.trace.recorder import NULL_SPAN, recorder
 from repro.trace.session import TraceSession
 from repro.trace.sinks import JsonlSink, open_sink
+from tests.test_trace_goldens import ancestors
 
 TINY_FIG9 = {"switch_counts": [20], "instances_per_size": 4}
 
@@ -441,30 +441,38 @@ def test_pool_perf_spans_merge_back(two_cpus):
 
 # --- resume appends to the same trace ----------------------------------
 
-def test_resumed_run_extends_the_same_trace(tmp_path):
-    store = ArtifactStore(root=tmp_path)
-    with pytest.raises(RunInterrupted):
-        run_to_store(
-            "fig9",
-            overrides=TINY_FIG9,
-            ctx=RunContext(trace="jsonl"),
-            store=store,
-            run_id="r1",
-            stop_after=2,
-        )
-    resumed = run_to_store(
-        "fig9",
-        ctx=RunContext(trace="jsonl"),
-        store=store,
-        run_id="r1",
-        resume=True,
-    )
-    trace = read_trace(resumed.handle.directory / "trace.jsonl")
-    trace_id = derive_trace_id("fig9", "r1")
-    assert {r.trace_id for r in trace} == {trace_id}
-    item_spans = [r for r in trace if r.name.startswith("item:")]
-    keys = {r.attributes["key"] for r in item_spans}
-    assert keys == {str(r["key"]) for r in resumed.records}
+def test_resumed_run_extends_the_same_trace(tmp_path, two_cpus, capsys):
+    # Each attempt opens its own root, so no id repeats: the two attempts
+    # of one run used to derive the same root (and so the same children).
+    for workers in (1, 2):
+        store = ArtifactStore(root=tmp_path / f"w{workers}")
+        ctx = RunContext(trace="jsonl", workers=workers)
+        with pytest.raises(RunInterrupted):
+            run_to_store(
+                "fig9", overrides=TINY_FIG9, ctx=ctx, store=store, run_id="r1",
+                stop_after=2,
+            )
+        resumed = run_to_store("fig9", ctx=ctx, store=store, run_id="r1", resume=True)
+        trace = read_trace(resumed.handle.directory / "trace.jsonl")
+        trace_id = derive_trace_id("fig9", "r1")
+        assert {r.trace_id for r in trace} == {trace_id}
+        ids = [r.span_id for r in trace if r.kind == "span"]
+        assert len(ids) == len(set(ids)), workers
+        roots = [r for r in trace if r.parent_id is None]
+        assert [r.name for r in roots] == ["run", "run"], workers
+        assert roots[0].span_id == derive_span_id(trace_id, None, "run", 0)
+        by_id = {r.span_id: r for r in trace if r.kind == "span"}
+        item_spans = [r for r in trace if r.name.startswith("item:")]
+        keys = [r.attributes["key"] for r in item_spans]
+        assert sorted(keys) == sorted(str(r["key"]) for r in resumed.records)
+        for item in item_spans:
+            assert [a for a in ancestors(item, by_id) if a.parent_id is None] in (
+                [roots[0]], [roots[1]]
+            ), (workers, item.name)
+        capsys.readouterr()
+        assert trace_cli(["show", "--runs-dir", str(tmp_path / f"w{workers}")]) == 0
+        shown = capsys.readouterr().out
+        assert sum("item:" in line for line in shown.splitlines()) == len(keys)
 
 
 # --- query CLI ---------------------------------------------------------

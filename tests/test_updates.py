@@ -6,13 +6,14 @@ import pytest
 
 from repro.analysis.metrics import evaluate_schedule
 from repro.core.instance import random_instance
-from repro.core.rounds import greedy_loop_free_rounds, rounds_are_loop_free
+from repro.core.rounds import greedy_loop_free_rounds
 from repro.updates import (
     get_planner,
     minimize_rounds,
     realize_round_times,
     two_phase_congestion_spans,
 )
+from tests.test_rounds import rounds_are_loop_free
 from repro.validate import verify_schedule
 
 
@@ -28,7 +29,7 @@ class TestChronusProtocol:
         assert plan.rules.modifies == 5
         assert plan.rules.installs == 0
         assert plan.rules.deletes == 0
-        assert plan.rules.headroom == 0
+        assert plan.rules.peak_rules == plan.rules.baseline_rules
 
     def test_infeasible_instance_noted(self, shortcut_instance):
         plan = get_planner("chronus").plan(shortcut_instance)
@@ -46,7 +47,7 @@ class TestChronusProtocol:
         plan = get_planner("chronus").plan(instance)
         assert plan.rules.installs == 1  # c
         assert plan.rules.modifies == 1  # a
-        assert plan.rules.headroom == 1
+        assert plan.rules.peak_rules - plan.rules.baseline_rules == 1
 
 
 class TestTwoPhaseProtocol:

@@ -13,17 +13,18 @@ class TestRuleAccounting:
         )
         assert rules.operations == 6
 
-    def test_headroom(self):
-        rules = RuleAccounting(
-            installs=5, modifies=0, deletes=0, baseline_rules=5, peak_rules=10
-        )
-        assert rules.headroom == 5
+    def test_headroom(self, fig1_instance):
+        # The table space a transition needs beyond the steady state is
+        # exactly what it installs: in place nothing on Fig. 1, TP a copy.
+        for two_phase, extra in ((False, 0), (True, 5 + 1)):
+            rules = rule_accounting(fig1_instance, two_phase)
+            assert rules.peak_rules - rules.baseline_rules == rules.installs == extra
 
-    def test_headroom_never_negative(self):
-        rules = RuleAccounting(
-            installs=0, modifies=5, deletes=2, baseline_rules=5, peak_rules=3
-        )
-        assert rules.headroom == 0
+    def test_headroom_never_negative(self, fig1_instance):
+        # Deletes come after the peak: no footprint sinks below the baseline.
+        for two_phase in (False, True):
+            rules = rule_accounting(fig1_instance, two_phase)
+            assert rules.peak_rules >= rules.baseline_rules
 
 
 class TestUpdatePlan:
