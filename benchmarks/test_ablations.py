@@ -15,7 +15,7 @@ import pytest
 from repro.analysis.timeseries import render_table
 from repro.core.greedy import EXACT, PAPER, greedy_schedule
 from repro.core.instance import motivating_example, random_instance
-from repro.core.loops import creates_forwarding_loop, new_route_revisits
+from repro.core.loops import LoopGates, new_route_revisits
 from repro.core.rounds import greedy_loop_free_rounds
 from repro.updates.order_replacement import minimize_rounds
 from repro.validate import verify_schedule
@@ -69,9 +69,10 @@ class TestLoopCheckAblation:
             checked = disagreements = missed = 0
             for seed in SEEDS:
                 instance = random_instance(4 + seed % 9, seed=1000 + seed)
+                gates = LoopGates(instance)
                 for node in instance.switches_to_update:
                     checked += 1
-                    backward = creates_forwarding_loop(instance, {}, node, 0)
+                    backward = gates.creates_loop(node, 0)
                     forward = new_route_revisits(instance, {}, node, 0) is not None
                     if backward != forward:
                         disagreements += 1

@@ -11,7 +11,7 @@ from repro.core.dependency import dependency_relations
 from repro.core.greedy import greedy_schedule
 from repro.core.instance import motivating_example, random_instance, segmented_instance
 from repro.core.intervals import IntervalTracker
-from repro.core.loops import creates_forwarding_loop
+from repro.core.loops import LoopGates
 from repro.core.tracker import replay_schedule
 from repro.validate import verify_schedule
 
@@ -45,8 +45,8 @@ class TestAlgorithmSteps:
         benchmark(lambda: dependency_relations(instance, pending, {}, 0))
 
     def test_loop_check_fig1(self, benchmark):
-        instance = motivating_example()
-        benchmark(lambda: creates_forwarding_loop(instance, {}, "v3", 0))
+        gates = LoopGates(motivating_example())
+        benchmark(lambda: gates.creates_loop("v3", 0))
 
     def test_dependency_relations_medium(self, benchmark, medium_instance):
         pending = list(medium_instance.switches_to_update)

@@ -38,7 +38,7 @@ __all__, __getattr__, __dir__ = lazy_exports(
         "intervals_array": ("ArrayIntervalTracker",),
         "tracker": ("make_tracker", "replay_schedule"),
         "dependency": ("DependencySet", "dependency_relations"),
-        "loops": ("creates_forwarding_loop",),
+        "loops": ("LoopGates",),
         "greedy": ("GreedyResult", "greedy_schedule"),
         "tree": ("FeasibilityResult", "check_update_feasibility"),
         "optimal": ("OptimalResult", "optimal_schedule"),

@@ -7,7 +7,7 @@ that would deflect in-flight traffic into a forwarding loop, and the
 time-extended flow state (:mod:`repro.core.intervals`) supplies the
 congestion-freedom ground truth.  Two decision modes are provided:
 
-* ``"exact"`` (default): every round is adopted from probes the interval
+* ``"exact"`` (default): every round is made of probes the interval
   tracker proved clean, and a clean probe on a clean state leaves it
   clean, so a schedule from a clean initial state provably satisfies
   Definitions 2 and 3 (this realises Theorem 3's guarantee) and
@@ -20,16 +20,17 @@ congestion-freedom ground truth.  Two decision modes are provided:
 Exact mode runs Algorithm 3 through a persistent
 :class:`repro.core.dependency.DependencyState` that only recomputes
 verdicts invalidated by last round's commits (and none for a switch no
-link below ``2d`` can bind), and probes candidate heads
-one at a time with ``probe_and_commit`` on a copy-on-write scratch clone
-that is adopted wholesale when the round is non-empty.  Sequential
+link below ``2d`` can bind), Algorithm 4 as a
+:class:`repro.core.loops.LoopGates` range query, and probes candidate
+heads one at a time with ``probe_and_commit`` straight into the run's one
+tracker, whose initial verdict is read first: a refused probe leaves it
+untouched (its report is a witness), so nothing is cloned.  Sequential
 single-head probes split and sweep each accepted head's fresh suffix
 exactly once; they accept exactly the heads a joint
 ``preview_round(accepted + [head])`` would (pinned at tracker level in
-``tests/test_array_tracker.py``).  A refused probe costs what it takes to
-refuse it (``probe_and_commit`` returns a witness and leaves the scratch
-untouched), and the all-heads-refused fallback does not ask again about a
-head this round already refused while the scratch has not moved.  The flow state is whichever tracker
+``tests/test_array_tracker.py``), and the all-heads-refused fallback does
+not ask again about a head this round already refused while the tracker
+has not moved.  The flow state is whichever tracker
 :func:`repro.core.tracker.make_tracker` picks for the instance's paths --
 the dict layout on short trajectories, the struct-of-arrays layout on long
 ones; the schedule is the same either way (``tests/test_tracker_choice.py``).
@@ -42,12 +43,12 @@ greedy loop-free rounds and the result is flagged infeasible.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core.dependency import DependencySet, DependencyState
 from repro.core.instance import UpdateInstance
 from repro.core.intervals import RoundReport
-from repro.core.loops import creates_forwarding_loop
+from repro.core.loops import LoopGates
 from repro.core.rounds import greedy_loop_free_rounds
 from repro.core.schedule import UpdateSchedule
 from repro.core.tracker import Tracker, make_tracker
@@ -124,9 +125,10 @@ def greedy_schedule(
         pending: Dict[Node, None] = dict.fromkeys(instance.switches_to_update)
         with recorder.timer("tracker.build"):
             tracker = make_tracker(instance, t0=t0, background=background)
-        # Exact mode never commits to this object (rounds are adopted from
-        # scratch clones), so at the end it still holds the initial state.
-        initial = tracker
+            # Exact rounds are probed into ``tracker``: judge its initial
+            # state now (the memos this builds serve the probes).
+            initially_ok = mode == EXACT and tracker.ok
+        gates = LoopGates(instance)
         state = DependencyState(instance, pending)
         times: Dict[Node, int] = {}
         violations: List[RoundReport] = []
@@ -149,15 +151,9 @@ def greedy_schedule(
                 break
 
             with recorder.timer("select"):
-                round_nodes, adopted = _select_round(
-                    instance, tracker, dependencies, pending, t, mode
-                )
+                round_nodes = _select_round(tracker, gates, dependencies, pending, t, mode)
             if round_nodes:
-                if adopted is not None:
-                    # The scratch clone already holds every accepted probe
-                    # (all verified clean); adopting it skips re-splitting.
-                    tracker = adopted
-                else:
+                if mode == PAPER:
                     with recorder.timer("apply"):
                         report = tracker.apply_round(round_nodes, t)
                     if not report.ok:
@@ -193,12 +189,10 @@ def greedy_schedule(
                     times[node] = when
 
         with recorder.timer("final_check"):
-            # Without a stall every exact round was adopted from clean
-            # probes, and a clean probe on a clean state leaves it clean:
-            # a clean initial state answers for the final one.
-            feasible = stalled_at is None and not violations and (
-                (mode == EXACT and initial.ok) or tracker.ok
-            )
+            # Without a stall every exact round came from clean probes, and
+            # a clean probe on a clean state leaves it clean: a clean
+            # initial state answers for the final one.
+            feasible = stalled_at is None and not violations and (initially_ok or tracker.ok)
         schedule = UpdateSchedule(times=times, start_time=t0, feasible=feasible)
         return GreedyResult(
             schedule=schedule,
@@ -210,61 +204,46 @@ def greedy_schedule(
 
 
 def _select_round(
-    instance: UpdateInstance,
     tracker: Tracker,
+    gates: LoopGates,
     dependencies: DependencySet,
     pending: Dict[Node, None],
     t: int,
     mode: str,
-) -> Tuple[List[Node], Optional[Tracker]]:
+) -> List[Node]:
     """Pick the switches to update at step ``t`` (lines 9-14 of Algorithm 2).
 
-    Returns ``(round_nodes, adopted)``: when ``adopted`` is not ``None`` it
-    is a tracker with the whole round already committed at ``t`` (the
-    exact mode's scratch clone) and the caller must swap it in
-    instead of re-applying the round.
+    Every pick is committed to ``gates`` as it is made, so Algorithm 4 sees
+    the switches already updated plus this round's so far.  In exact mode
+    every pick is also committed to ``tracker`` by its accepted probe; in
+    paper mode the caller applies the round.
     """
     round_nodes: List[Node] = []
-    # One committed-times snapshot per round, extended in place as heads are
-    # accepted (a head is never in it while being examined, matching the
-    # paper's "already updated plus this round so far" committed set).
-    committed = tracker.applied
-    if mode == PAPER:
-        for head in dependencies.heads:
-            if not creates_forwarding_loop(instance, committed, head, t):
-                round_nodes.append(head)
-                committed[head] = t
-        return round_nodes, None
-
-    # Probe candidates one at a time against a scratch clone that
-    # accumulates the accepted heads.  Each probe splits and sweeps only
-    # the candidate's own deflections on top of a verified-clean baseline,
-    # which is decision-equivalent to a joint preview of the whole round
-    # at a fraction of the work.
-    scratch: Optional[Tracker] = None
+    # Exact mode probes candidates one at a time against the live tracker,
+    # which accumulates the accepted heads.  Each probe splits and sweeps
+    # only the candidate's own deflections on top of a verified-clean
+    # baseline, which is decision-equivalent to a joint preview of the
+    # whole round at a fraction of the work.
     refused: Set[Node] = set()
     for head in dependencies.heads:
-        if creates_forwarding_loop(instance, committed, head, t):
+        if gates.creates_loop(head, t):
             continue
-        if scratch is None:
-            scratch = tracker.clone()
-        if scratch.probe_and_commit([head], t).ok:
+        if mode == PAPER or tracker.probe_and_commit([head], t).ok:
             round_nodes.append(head)
-            committed[head] = t
+            gates.commit(head, t)
         else:
             refused.add(head)
-    if not round_nodes and len(pending) <= _FALLBACK_PROBE_LIMIT:
+    if mode == EXACT and not round_nodes and len(pending) <= _FALLBACK_PROBE_LIMIT:
         for node in pending:
             if node in refused:
-                # A refused probe left the scratch untouched, so until a
+                # A refused probe left the tracker untouched, so until a
                 # fallback probe is accepted it is bit for bit the state
                 # this head was refused on: the answer is known.
                 if recorder.enabled:
                     recorder.count("greedy.fallback.skipped")
                 continue
-            if scratch is None:
-                scratch = tracker.clone()
-            if scratch.probe_and_commit([node], t).ok:
+            if tracker.probe_and_commit([node], t).ok:
                 round_nodes.append(node)
+                gates.commit(node, t)
                 refused.clear()
-    return round_nodes, scratch if round_nodes else None
+    return round_nodes

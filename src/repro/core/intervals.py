@@ -24,8 +24,9 @@ instances.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from operator import itemgetter
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.core.cow import CowIndex
 from repro.core.instance import UpdateInstance
@@ -83,6 +84,8 @@ class FlowClass:
             length for trimmed pieces, whose loads are a subset of their
             parent's).  Incremental congestion checks only sweep fresh
             links.
+        links: The ids (:class:`_LinkTable`) of the links ``nodes[i] ->
+            nodes[i + 1]``; derived from ``nodes``, so not compared.
     """
 
     __slots__ = (
@@ -93,6 +96,7 @@ class FlowClass:
         "outcome",
         "loop_node",
         "fresh_from",
+        "links",
         "_link_positions",
         "_node_positions",
     )
@@ -106,7 +110,8 @@ class FlowClass:
         outcome: str = DELIVERED,
         loop_node: Optional[Node] = None,
         fresh_from: int = 0,
-        _link_positions: Optional[Dict[LinkKey, List[int]]] = None,
+        links: Tuple[int, ...] = (),
+        _link_positions: Optional[Dict[int, List[int]]] = None,
         _node_positions: Optional[Dict[Node, List[int]]] = None,
     ) -> None:
         self.lo = lo
@@ -116,6 +121,7 @@ class FlowClass:
         self.outcome = outcome
         self.loop_node = loop_node
         self.fresh_from = fresh_from
+        self.links = links
         self._link_positions = _link_positions
         self._node_positions = _node_positions
 
@@ -174,14 +180,14 @@ class FlowClass:
         """A hashable value equal between classes of equal trajectory."""
         return self.nodes
 
-    def link_positions(self) -> Dict[LinkKey, List[int]]:
-        """``link -> trajectory indices`` (cached; trajectories are immutable)."""
+    def link_positions(self) -> Dict[int, List[int]]:
+        """``link id -> trajectory indices``, ascending (cached; trajectories
+        are immutable)."""
         cached = self._link_positions
         if cached is None:
             cached = {}
-            nodes = self.nodes
-            for i in range(len(nodes) - 1):
-                cached.setdefault((nodes[i], nodes[i + 1]), []).append(i)
+            for i, link in enumerate(self.links):
+                cached.setdefault(link, []).append(i)
             self._link_positions = cached
         return cached
 
@@ -455,8 +461,8 @@ class _RoundTracker:
         ``loops`` / ``blackholes`` / ``congestion`` is a prefix of the list
         ``preview_round(n, t)`` reports (non-empty for at least one of them
         when refused).  This is the greedy engine's per-candidate step:
-        probing heads one at a time against a scratch clone that accumulates
-        the accepted ones.
+        probing heads one at a time into the live tracker, which
+        accumulates the accepted ones.
         """
         with recorder.timer("tracker.probe"):
             self._check_round_args(nodes, time)
@@ -546,7 +552,8 @@ class IntervalTracker(_RoundTracker):
     anything?" without committing, which is what the greedy scheduler and
     the OPT search branch on.  The round protocol is :class:`_RoundTracker`'s;
     this class holds the dict layout: tuple trajectories, copy-on-write
-    link and node indexes, and per-link congestion memos.
+    link and node indexes, and per-link congestion memos, every per-link
+    structure keyed by the link's id in the tracker's :class:`_LinkTable`.
     """
 
     def __init__(
@@ -556,20 +563,21 @@ class IntervalTracker(_RoundTracker):
         background: Optional[Dict[LinkKey, List[Tuple[Optional[int], Optional[int], float]]]] = None,
     ) -> None:
         super().__init__(instance, t0, background)
-        self._link_index: CowIndex[LinkKey, int] = CowIndex()
+        self._links = _LinkTable(instance, self.background)
+        self._link_index: CowIndex[int, int] = CowIndex()
         self._node_index: CowIndex[Node, int] = CowIndex()
         # Congestion-check memoisation, valid between commits: candidate
         # -round probes (greedy's and OPT's ``preview_round`` calls) hit
         # the same links repeatedly while the committed load is unchanged,
         # so the committed interval list and its sweep result are cached
         # per link and invalidated wholesale by ``apply_round``.
-        self._entry_memo: Dict[LinkKey, Tuple[_Entry, ...]] = {}
-        self._span_memo: Dict[LinkKey, Tuple[CongestionSpan, ...]] = {}
+        self._entry_memo: Dict[int, Tuple[_Entry, ...]] = {}
+        self._span_memo: Dict[int, Tuple[CongestionSpan, ...]] = {}
         # Commits mark the span memo dirty instead of invalidating touched
         # links one by one; the (rare) global congestion check clears it.
         self._spans_dirty = False
 
-        self._add_class(_make_class(instance))
+        self._add_class(_make_class(instance, self._links))
 
     def _clone_layout(self, other: "IntervalTracker") -> None:
         """The link and node indexes are copy-on-write
@@ -578,8 +586,9 @@ class IntervalTracker(_RoundTracker):
         this tracker.  The congestion memos carry over as shallow dict copies
         of immutable tuples: each copy appends its own commits' entries to
         its own dict, and readers filter the entries against their own
-        ``_alive`` set.
+        ``_alive`` set.  The link table is immutable and shared.
         """
+        other._links = self._links
         other._link_index = self._link_index.snapshot()
         other._node_index = self._node_index.snapshot()
         other._entry_memo = dict(self._entry_memo)
@@ -588,7 +597,7 @@ class IntervalTracker(_RoundTracker):
 
     def crossings(self, src: Node, dst: Node) -> List[Tuple[FlowClass, int]]:
         """Every alive class crossing ``src -> dst`` with its departure offset there."""
-        link = (src, dst)
+        link = self._links.ids.get((src, dst))
         found = []
         for cid in self._link_index.get(link, ()):  # ascending ids; stale ones skipped
             if cid in self._alive:
@@ -599,11 +608,7 @@ class IntervalTracker(_RoundTracker):
 
     def crosses(self, cls: FlowClass, src: Node, dst: Node) -> bool:
         """Whether ``cls``'s trajectory traverses the link ``src -> dst``."""
-        nodes = cls.nodes
-        for i in range(len(nodes) - 1):
-            if nodes[i] == src and nodes[i + 1] == dst:
-                return True
-        return False
+        return self._links.ids.get((src, dst)) in cls.link_positions()
 
     def _after_commit(self, nodes: Sequence[Node], added: List[Tuple[int, FlowClass]]) -> None:
         """Offset-based memo entries of trimmed parents stay valid; the span
@@ -659,8 +664,7 @@ class IntervalTracker(_RoundTracker):
             self._span_memo.clear()
             self._spans_dirty = False
         spans: List[CongestionSpan] = []
-        links = set(self._link_index) | set(self.background)
-        for link in sorted(links):
+        for link in set(self._link_index).union(self._links.background):
             spans.extend(self._committed_spans(link))
         spans.sort(key=lambda span: (span.start, span.link))
         return spans
@@ -688,33 +692,42 @@ class IntervalTracker(_RoundTracker):
         double-counted against the pieces).  With ``witness`` the split
         stops at the first class that reports a loop or black hole: the
         report then refuses the round and nothing else of the result may be
-        used.  Deflected units follow a :class:`_RoundConfig` view of the
+        used.  Deflected units follow :func:`_round_rules`, a view of the
         mixed configuration, not a per-probe copy of it.  A traced split
         counts itself, the alive classes it saw and the class splits it made
         and left untouched (``tracker.splits`` / ``tracker.split.*``).
         """
         report = RoundReport(time=time, nodes=tuple(nodes))
         round_set = set(nodes)
-        config = _RoundConfig(self.instance, self._applied, round_set)
+        rule_of = _round_rules(self._links, self._applied, round_set)
 
         pieces: List[Tuple[FlowClass, FlowClass]] = []
         trims: List[Tuple[int, FlowClass]] = []
         deflected: List[FlowClass] = []
         removed: Set[int] = set()
         # Only classes whose trajectory touches a round switch can split.
-        candidates: Set[int] = set()
-        for node in round_set:
-            candidates.update(self._node_index.get(node, ()))
+        # One switch's index entry is ascending already; a repeated id (a
+        # revisit, or another round switch) sits next to its first.
+        index = self._node_index
+        single = nodes[0] if len(round_set) == 1 else None
+        candidates = index.get(single, ()) if single is not None else sorted(
+            chain.from_iterable(index.get(node, ()) for node in round_set)
+        )
         alive = self._alive
         classes = self._classes
         instance = self.instance
         class_splits = untouched = 0
-        for cid in sorted(candidates):
-            if cid not in alive:
+        previous = None
+        for cid in candidates:
+            if cid == previous or cid not in alive:
                 continue
+            previous = cid
             cls = classes[cid]
-            split = _split_class(instance, cls, round_set, time, config, report)
             class_splits += 1
+            if single is not None and _drained(cls, single, time):
+                untouched += 1
+                continue
+            split = _split_class(instance, cls, round_set, time, rule_of, report)
             if witness and (report.loops or report.blackholes):
                 break
             if split is None:
@@ -758,17 +771,15 @@ class IntervalTracker(_RoundTracker):
         first link found over capacity.
         """
         demand = self.instance.demand
-        extras: Dict[LinkKey, List[Tuple[Optional[int], Optional[int], float]]] = {}
+        extras: Dict[int, List[Tuple[Optional[int], Optional[int], float]]] = {}
         for piece, _parent in pieces:
-            nodes = piece.nodes
+            links = piece.links
             offsets = piece.offsets
             lo0, hi0 = piece.lo, piece.hi
-            for i in range(piece.fresh_from, len(nodes) - 1):
+            for i in range(piece.fresh_from, len(links)):
                 lo = None if lo0 is None else lo0 + offsets[i]
                 hi = None if hi0 is None else hi0 + offsets[i]
-                extras.setdefault((nodes[i], nodes[i + 1]), []).append(
-                    (lo, hi, demand)
-                )
+                extras.setdefault(links[i], []).append((lo, hi, demand))
         if not extras:
             return
         # Prefix positions (< fresh_from) match the parent's trajectory
@@ -787,7 +798,7 @@ class IntervalTracker(_RoundTracker):
                     lo = None if lo0 is None else lo0 + offsets[i]
                     hi = None if hi0 is None else hi0 + offsets[i]
                     fresh_list.append((lo, hi, demand))
-        capacities = self.instance.network.capacity_map()
+        capacities = self._links.capacity
         entry_memo = self._entry_memo
         classes = self._classes
         alive = self._alive
@@ -816,13 +827,13 @@ class IntervalTracker(_RoundTracker):
                 continue
             intervals.extend(fresh)
             report.congestion.extend(
-                _sweep_link(link, capacity, intervals, self.t0)
+                _sweep_link(self._links.keys[link], capacity, intervals, self.t0)
             )
             if witness and report.congestion:
                 return
 
-    def _committed_entries(self, link: LinkKey) -> Tuple[_Entry, ...]:
-        """The committed load contributions on ``link`` (memoised).
+    def _committed_entries(self, link: int) -> Tuple[_Entry, ...]:
+        """The committed load contributions on link id ``link`` (memoised).
 
         Candidate-round probes assemble their interval lists from this
         cache instead of re-walking the index and every class's link
@@ -849,25 +860,25 @@ class IntervalTracker(_RoundTracker):
             offsets = cls.offsets
             for index in cls.link_positions().get(link, ()):
                 entries.append((cid, offsets[index], demand))
-        for lo, hi, load in self.background.get(link, ()):
+        for lo, hi, load in self._links.background.get(link, ()):
             entries.append((None, lo, hi, load))
         frozen = tuple(entries)
         self._entry_memo[link] = frozen
         return frozen
 
-    def _committed_spans(self, link: LinkKey) -> Tuple[CongestionSpan, ...]:
-        """Congestion spans of the committed state on ``link`` (memoised)."""
+    def _committed_spans(self, link: int) -> Tuple[CongestionSpan, ...]:
+        """Congestion spans of the committed state on link id ``link`` (memoised)."""
         memo = self._span_memo.get(link)
         if memo is not None:
             return memo
         intervals, total = _resolve_live(
             self._committed_entries(link), self._alive, (), self._classes
         )
-        capacity = self.instance.network.capacity_map()[link]
+        capacity = self._links.capacity[link]
         if total <= capacity + _EPS:
             spans: Tuple[CongestionSpan, ...] = ()
         else:
-            spans = tuple(_sweep_link(link, capacity, intervals, self.t0))
+            spans = tuple(_sweep_link(self._links.keys[link], capacity, intervals, self.t0))
         self._span_memo[link] = spans
         return spans
 
@@ -906,45 +917,61 @@ def _resolve_live(
     return intervals, total
 
 
-class _RoundConfig:
-    """The mixed configuration a round's deflected units follow, read lazily.
+# A forwarding rule as the dict layout reads it: ``(next hop, link id, delay)``.
+_Rule = Tuple[Node, int, int]
 
-    What ``instance.config_at(applied + round, time)`` would build, without
-    copying either table per probe: rounds are chronological, so every
-    switch already applied -- and every switch of this round -- is on its
-    new rule at ``time`` (``None`` when the new configuration has no rule
-    there); every other switch is on its old rule.
+
+class _LinkTable:
+    """The links a dict-layout tracker can load, numbered once per tracker
+    (clones share it; no instance caches it).
+
+    Trajectories follow only old or new rules, so those are numbered, then
+    the background's other links.  ``old_rules`` / ``new_rules`` map a
+    switch to its rule; ``capacity`` and ``background`` are by id; ``ids``
+    and ``keys`` translate between ids and ``(src, dst)`` names.
     """
 
-    __slots__ = ("_old", "_new", "_applied", "_round")
+    __slots__ = ("ids", "keys", "capacity", "old_rules", "new_rules", "background")
 
-    def __init__(
-        self, instance: UpdateInstance, applied: Mapping[Node, int], round_set: Set[Node]
-    ) -> None:
-        self._old = instance.old_config
-        self._new = instance.new_config
-        self._applied = applied
-        self._round = round_set
-
-    def get(self, node: Node) -> Optional[Node]:
-        if node in self._applied or node in self._round:
-            return self._new.get(node)
-        return self._old.get(node)
+    def __init__(self, instance: UpdateInstance, background: Mapping[LinkKey, list]) -> None:
+        old, new = instance.old_config.items(), instance.new_config.items()
+        self.keys = keys = list(dict.fromkeys([*old, *new, *background]))
+        self.ids = ids = dict(zip(keys, range(len(keys))))
+        delays = instance.network.delay_map()
+        self.old_rules = {node: (nxt, ids[node, nxt], delays[node, nxt]) for node, nxt in old}
+        self.new_rules = {node: (nxt, ids[node, nxt], delays[node, nxt]) for node, nxt in new}
+        self.background = {ids[key]: load for key, load in background.items()}
+        self.capacity = list(map(instance.network.capacity_map().__getitem__, keys))
 
 
-def _make_class(instance: UpdateInstance) -> FlowClass:
-    """The initial class: every emission, on the old path."""
-    path = instance.old_path
-    delays = instance.network.delay_map()
-    offsets = [0]
-    for src, dst in zip(path, path[1:]):
-        offsets.append(offsets[-1] + delays[(src, dst)])
-    return FlowClass(None, None, tuple(path), tuple(offsets))
+def _round_rules(
+    links: _LinkTable, applied: Mapping[Node, int], round_set: Set[Node]
+) -> Callable[[Node], Optional[_Rule]]:
+    """``switch -> rule`` of the mixed configuration a round's deflected
+    units follow: the rules of what ``instance.config_at(applied + round,
+    time)`` would build, without copying either table per probe.  Rounds
+    are chronological, so every switch already applied -- and every switch
+    of this round -- is on its new rule at ``time`` (``None`` when the new
+    configuration has no rule there); every other switch is on its old one.
+    """
+    old, new = links.old_rules.get, links.new_rules.get
+
+    def rule_of(node: Node) -> Optional[_Rule]:
+        return new(node) if node in applied or node in round_set else old(node)
+
+    return rule_of
+
+
+def _make_class(instance: UpdateInstance, links: _LinkTable) -> FlowClass:
+    """The initial class: every emission, on the old path (its rules
+    walked from the source)."""
+    source = FlowClass(None, None, (instance.source,), (0,))
+    return _deflect(instance, links.old_rules.get, source, 0, None, None)
 
 
 def _deflect(
     instance: UpdateInstance,
-    config: Mapping[Node, Node],
+    rule_of: Callable[[Node], Optional[_Rule]],
     parent: FlowClass,
     index: int,
     lo: Optional[int],
@@ -954,16 +981,16 @@ def _deflect(
     trajectory position ``index``.
 
     One walk: the piece keeps ``parent``'s first ``index + 1`` switches and
-    their offsets, then follows ``config`` from ``parent.nodes[index]``,
-    extending nodes and offsets together.  The route ends delivered at the
-    destination, black-holed at a switch without a rule, or looped right
-    after its first revisit (also when the hop guard trips); the piece's
-    links from ``index`` on are fresh.
+    their offsets, then follows the rules ``rule_of`` gives from
+    ``parent.nodes[index]``, extending nodes, links and offsets together.
+    The route ends delivered at the destination, black-holed at a switch
+    without a rule, or looped right after its first revisit (also when the
+    hop guard trips); the piece's links from ``index`` on are fresh.
     """
     nodes = list(parent.nodes[: index + 1])
     offsets = list(parent.offsets[: index + 1])
+    links = list(parent.links[:index])
     visited = set(nodes)
-    delays = instance.network.delay_map()
     destination = instance.destination
     current = nodes[-1]
     acc = offsets[-1]
@@ -973,12 +1000,14 @@ def _deflect(
         if current == destination:
             outcome = DELIVERED
             break
-        nxt = config.get(current)
-        if nxt is None:
+        rule = rule_of(current)
+        if rule is None:
             outcome = BLACKHOLE
             break
-        acc += delays[(current, nxt)]
+        nxt, link, delay = rule
+        acc += delay
         nodes.append(nxt)
+        links.append(link)
         offsets.append(acc)
         if nxt in visited:
             loop_node = nxt
@@ -987,7 +1016,9 @@ def _deflect(
         current = nxt
     else:
         loop_node = current  # hop guard: treat as a loop
-    return FlowClass(lo, hi, tuple(nodes), tuple(offsets), outcome, loop_node, index)
+    return FlowClass(
+        lo, hi, tuple(nodes), tuple(offsets), outcome, loop_node, index, tuple(links)
+    )
 
 
 def _split_class(
@@ -995,7 +1026,7 @@ def _split_class(
     cls: FlowClass,
     round_set: Set[Node],
     time: int,
-    config: Mapping[Node, Node],
+    rule_of: Callable[[Node], Optional[_Rule]],
     report: RoundReport,
 ) -> Optional[Tuple[Optional[FlowClass], List[FlowClass]]]:
     """Split ``cls`` at this round's deflection thresholds.
@@ -1035,6 +1066,7 @@ def _split_class(
             cls.outcome,
             cls.loop_node,
             len(cls.nodes),  # trimmed: no new load anywhere
+            cls.links,
             # Identical trajectory: share the parent's position caches
             # instead of rebuilding full-trajectory dicts per trim.
             cls._link_positions,
@@ -1042,10 +1074,25 @@ def _split_class(
         )
     deflected: List[FlowClass] = []
     for index, lo, hi in spans:
-        piece = _deflect(instance, config, cls, index, lo, hi)
+        piece = _deflect(instance, rule_of, cls, index, lo, hi)
         deflected.append(piece)
         _note_outcome(report, lo, piece)
     return trim, deflected
+
+
+def _drained(cls: FlowClass, node: Node, time: int) -> bool:
+    """Whether ``_split_class`` leaves ``cls`` untouched by ``node`` alone
+    at ``time``: offsets grow along a trajectory, so ``_partition`` drops
+    every hit when the last one ``node`` can deflect at (a looped
+    trajectory's final revisit deflects nothing) departs before ``time``."""
+    positions = cls.node_positions()[node]
+    last = positions[-1]
+    if last == len(cls.nodes) - 1 and cls.outcome == LOOPED:
+        if len(positions) == 1:
+            return True
+        last = positions[-2]
+    hi = cls.hi
+    return hi is not None and hi + cls.offsets[last] < time
 
 
 def _partition(

@@ -8,66 +8,65 @@ walks backwards along the incoming solid (old-path) lines of ``v`` in the
 time-extended network -- a solid line exists at a given time only while old
 flow still arrives over it, which is determined by the committed update
 times of the upstream switches -- and reports a loop when it encounters
-``v'`` before reaching the source.  :func:`creates_forwarding_loop` answers
-that walk in closed form, from the committed switches between ``v'`` and
-``v`` instead of from every hop.
+``v'`` before reaching the source.  :class:`LoopGates` answers that walk
+in closed form, from the committed switches between ``v'`` and ``v``
+instead of from every hop, as a range query over a position-sorted list of
+those switches (the committed set of a scheduler only grows).
 """
 
 from __future__ import annotations
 
-from typing import Mapping, Optional
+from bisect import bisect_left
+from typing import List, Mapping, Optional
 
 from repro.core.instance import UpdateInstance
 from repro.network.graph import Node
 
 
-def creates_forwarding_loop(
-    instance: UpdateInstance,
-    applied: Mapping[Node, int],
-    v: Node,
-    t: int,
-) -> bool:
-    """Algorithm 4: would updating ``v`` at ``t`` create a forwarding loop?
+class LoopGates:
+    """Algorithm 4 over the switches committed so far, which only grow.
 
-    Args:
-        instance: The update instance.
-        applied: Committed ``switch -> update time`` assignments (``v`` must
-            not be among them).  Switches absent from the mapping still use
-            their old rule.
-        v: The switch whose update is being considered.
-        t: The candidate update time.
-
-    Returns:
-        ``True`` when the first deflected unit would revisit ``v`` 's new
-        next hop; ``False`` otherwise (including when no flow arrives at
-        ``v`` anymore, in which case the update cannot deflect anything).
+    The unit updating ``v`` at ``t`` would deflect left each upstream
+    switch ``p`` at ``t - off(v) + off(p)``, over a solid line that is gone
+    iff ``p``'s *gate* ``applied[p] - off(p)`` is at most ``t - off(v)``.
+    The walk reaches ``v'`` (it tests liveness first, so ``v'`` counts)
+    unless a gate at a position in ``[pos(v'), pos(v))`` says so: sorted
+    positions beside their gates make that two bisections and one ``min``.
     """
-    v_prime = instance.new_next_hop(v)
-    if v_prime is None:
-        return False
-    # The backward walk along the old path from v, in closed form.  The unit
-    # that would be deflected at v departed each upstream switch p at
-    # t - (off(v) - off(p)); the solid line out of p is live there only while
-    # p still applies its old rule, i.e. unless applied[p] - off(p) <=
-    # t - off(v).  The walk reports a loop iff it reaches v' -- v' included,
-    # it tests liveness before identity -- so only the committed switches
-    # between v' and v can say no.
-    index = instance.old_path_index
-    here = index.get(v)
-    there = index.get(v_prime)
-    if here is None or there is None or there >= here:
-        return False
-    offsets = instance.old_path_offsets
-    deadline = t - offsets[v]
-    for p, when in applied.items():
-        position = index.get(p)
-        if (
-            position is not None
-            and there <= position < here
-            and when - offsets[p] <= deadline
-        ):
+
+    __slots__ = ("_new", "_index", "_offsets", "_positions", "_gates")
+
+    def __init__(self, instance: UpdateInstance) -> None:
+        self._new = instance.new_config
+        self._index = instance.old_path_index
+        self._offsets = instance.old_path_offsets
+        self._positions: List[int] = []
+        self._gates: List[int] = []
+
+    def commit(self, node: Node, when: int) -> None:
+        """``node`` is updated at ``when`` (once; off the old path it cuts
+        no solid line)."""
+        position = self._index.get(node)
+        if position is not None:
+            at = bisect_left(self._positions, position)
+            self._positions.insert(at, position)
+            self._gates.insert(at, when - self._offsets[node])
+
+    def creates_loop(self, v: Node, t: int) -> bool:
+        """Would updating the uncommitted ``v`` at ``t`` send its first
+        deflected unit back to ``v'``, upstream of it on the old path?"""
+        v_prime = self._new.get(v)
+        if v_prime is None:
             return False
-    return True
+        index = self._index
+        here = index.get(v)
+        there = index.get(v_prime)
+        if here is None or there is None or there >= here:
+            return False
+        positions = self._positions
+        start = bisect_left(positions, there)
+        stop = bisect_left(positions, here, start)
+        return start == stop or min(self._gates[start:stop]) > t - self._offsets[v]
 
 
 def new_route_revisits(

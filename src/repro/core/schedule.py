@@ -97,39 +97,6 @@ class UpdateSchedule:
             by_time.setdefault(when, []).append(node)
         return [(when, tuple(by_time[when])) for when in sorted(by_time)]
 
-    def shifted(self, offset: int) -> "UpdateSchedule":
-        """The same schedule translated by ``offset`` time steps."""
-        start = None if self.start_time is None else self.start_time + offset
-        return UpdateSchedule(
-            times={node: when + offset for node, when in self.times.items()},
-            start_time=start,
-            feasible=self.feasible,
-        )
-
-    def swapped(self, a: Node, b: Node) -> "UpdateSchedule":
-        """The schedule with the times of ``a`` and ``b`` exchanged.
-
-        A mutation hook for verifier testing: a correct verifier must
-        reject most swaps of a tightly scheduled update.
-        """
-        times = dict(self.times)
-        times[a], times[b] = times[b], times[a]
-        return UpdateSchedule(
-            times=times, start_time=self.start_time, feasible=self.feasible
-        )
-
-    def without(self, node: Node) -> "UpdateSchedule":
-        """The schedule with ``node`` dropped (it then never updates).
-
-        The second mutation hook: dropping a switch leaves a stale rule in
-        place forever, which the verifier must flag as a loop, blackhole or
-        incomplete schedule.
-        """
-        times = {n: t for n, t in self.times.items() if n != node}
-        return UpdateSchedule(
-            times=times, start_time=self.start_time, feasible=self.feasible
-        )
-
     def items(self) -> Iterator[Tuple[Node, int]]:
         return iter(self.times.items())
 

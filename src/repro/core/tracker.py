@@ -35,7 +35,9 @@ Every caller (greedy, the OPT search, :func:`replay_schedule`, Algorithm
 1) builds its tracker here and reads only the surface both layouts share
 -- the round methods, the per-link ``crossings`` / ``crosses`` and, per class, ``switch_names`` /
 ``offset_at`` / ``trajectory_key`` -- so the choice is made once, from
-the instance alone, and no other module tells the layouts apart.
+the instance alone, and no other module tells the layouts apart.  Both
+number their links internally and speak ``(src, dst)`` names here.  Greedy
+probes into the one tracker it builds; only the OPT search clones.
 """
 
 from __future__ import annotations

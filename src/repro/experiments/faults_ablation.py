@@ -38,6 +38,7 @@ from repro.core.verdict import Verdict
 from repro.experiments.sweep import mixed_instance, sweep_seed
 from repro.faults import FaultPlan, severity_spec
 from repro.updates.registry import UpdatePlan, get_planner
+from repro.validate.differential import TOLERANCE
 
 #: Default ablation trio; any registered scheme (e.g. ``aug``) can join
 #: via ``schemes=`` / ``--set schemes=``.
@@ -246,7 +247,7 @@ def _run_one(
         if realized is not None:
             verdict = get_planner(plan.scheme).verify(instance, realized)
 
-    drop_tolerance = 1e-6 * time_unit * max(1.0, instance.demand)
+    drop_tolerance = TOLERANCE * time_unit * max(1.0, instance.demand)
     dropped_volume = plane.total_dropped_volume()
     congested = any(
         link.peak_utilization(since=start_true) > link.capacity + 1e-6

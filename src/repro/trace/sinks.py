@@ -22,7 +22,9 @@ JSONL_NAME = "trace.jsonl"
 
 
 class JsonlSink:
-    """Canonical JSON lines, appended and flushed per record."""
+    """Canonical JSON lines, appended and flushed per record.  A torn last
+    line a killed attempt left is cut before the first append, as the
+    artifact store cuts its records file."""
 
     def __init__(self, path) -> None:
         self.path = Path(path)
@@ -31,6 +33,11 @@ class JsonlSink:
     def emit(self, record: TraceRecord) -> None:
         if self._file is None:
             self.path.parent.mkdir(parents=True, exist_ok=True)
+            if self.path.exists():
+                raw = self.path.read_bytes()
+                if not raw.endswith(b"\n"):
+                    with open(self.path, "r+b") as handle:
+                        handle.truncate(raw.rfind(b"\n") + 1)
             self._file = open(self.path, "a", encoding="utf-8")
         self._file.write(record_to_line(record) + "\n")
         self._file.flush()

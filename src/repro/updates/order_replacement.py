@@ -113,10 +113,9 @@ SKEW = 3
 
 def realize_round_times(
     rounds: Sequence[Sequence[Node]],
-    rng: Optional[random.Random] = None,
+    rng: random.Random,
     max_skew: int = 3,
     t0: int = 0,
-    seed: Optional[int] = None,
 ) -> UpdateSchedule:
     """Realised asynchronous update times of a round-based execution.
 
@@ -127,18 +126,14 @@ def realize_round_times(
 
     Args:
         rounds: Round partition.
-        rng: Random source; takes precedence over ``seed``.
+        rng: Random source of the latencies.
         max_skew: Maximum extra time steps a switch may lag within a round.
         t0: Start time.
-        seed: Seed for a fresh ``random.Random`` when ``rng`` is omitted,
-            making realisations reproducible across processes.
 
     Returns:
         The realised :class:`UpdateSchedule` (generally *not* loop-free
         against in-flight traffic, which is exactly OR's weakness).
     """
-    if rng is None:
-        rng = random.Random(seed)
     times: Dict[Node, int] = {}
     start = t0
     for round_nodes in rounds:

@@ -310,7 +310,7 @@ class SharedEvaluation:
     plans are judged by their own formulas and never take a tracker
     answer.  The schedule key keeps the insertion order of ``times`` --
     exactly what the replay and the verifier read.  A feasible greedy's
-    schedule is measured by the greedy itself: it adopted every round from
+    schedule is measured by the greedy itself: it built every round from
     probes proven clean on a clean state (or swept its final state, from a
     congested start), so the flow state its rounds built -- what
     ``Planner.measure`` would replay them into -- has no loop, black hole

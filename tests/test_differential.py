@@ -24,6 +24,7 @@ from repro.simulator import Simulator, build_dataplane
 from repro.simulator.dataplane import install_config
 from repro.updates import UnknownSchemeError, get_planner
 from repro.validate import differential_replay
+from tests.test_schedule import swapped
 
 
 class TestDifferentialReplay:
@@ -93,7 +94,7 @@ class TestDifferentialReplay:
         # Corrupt the plan: swap the first and last update to force loops.
         rounds = plan.schedule.rounds()
         plan = replace(
-            plan, schedule=plan.schedule.swapped(rounds[0][1][0], rounds[-1][1][0])
+            plan, schedule=swapped(plan.schedule, rounds[0][1][0], rounds[-1][1][0])
         )
         report = differential_replay(plan, instance=instance, seed=5)
         assert not report.verdict.loop_free

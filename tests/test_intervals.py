@@ -70,9 +70,13 @@ class TestFlowClass:
         assert not FlowClass(lo=2, hi=2, nodes=("a", "b"), offsets=(0, 1)).is_empty()
 
     def test_link_positions_cached(self):
-        cls = FlowClass(lo=0, hi=0, nodes=("a", "b", "c"), offsets=(0, 1, 2))
+        # Links are the tracker's link ids; a revisited link lists every
+        # position, ascending.
+        cls = FlowClass(
+            lo=0, hi=0, nodes=("a", "b", "a", "b"), offsets=(0, 1, 2, 3), links=(7, 8, 7)
+        )
         positions = cls.link_positions()
-        assert positions[("a", "b")] == [0]
+        assert positions == {7: [0, 2], 8: [1]}
         assert cls.link_positions() is positions
 
 

@@ -3,9 +3,10 @@
 import random
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from repro.core.greedy import greedy_schedule
 from repro.core.instance import motivating_example, random_instance
 from repro.core.intervals import (
     BLACKHOLE,
@@ -15,15 +16,20 @@ from repro.core.intervals import (
     IntervalTracker,
     RoundReport,
     _deflect,
+    _drained,
+    _LinkTable,
     _make_class,
-    _RoundConfig,
+    _round_rules,
     _split_class,
     _sweep_link,
 )
 from repro.core.intervals_array import ArrayIntervalTracker
+from repro.core.loops import LoopGates
+from repro.core.tracker import replay_schedule
 from repro.experiments.sweep import mixed_instance
 from repro.network.paths import arrival_offsets
 from tests.test_intervals import link_departure_spans
+from tests.test_loops import creates_forwarding_loop
 
 
 @pytest.fixture
@@ -35,12 +41,32 @@ def make_report():
     return RoundReport(time=0, nodes=())
 
 
+def rules_of(instance, config):
+    """``config`` as the ``switch -> (next hop, link id, delay)`` lookup the
+    tracker's link table gives (every rule is an old or a new one)."""
+    table = _LinkTable(instance, {})
+    return {
+        node: (nxt, table.ids[(node, nxt)], instance.network.delay(node, nxt))
+        for node, nxt in config.items()
+    }.get
+
+
 class TestRouteFrom:
     """The deflection walk: a parent's prefix, then ``config`` onwards."""
 
     def deflect(self, instance, config, index):
-        parent = _make_class(instance)
-        return _deflect(instance, config, parent, index, 0, None)
+        parent = _make_class(instance, _LinkTable(instance, {}))
+        return _deflect(instance, rules_of(instance, config), parent, index, 0, None)
+
+    def test_links_name_the_trajectory(self, instance):
+        table = _LinkTable(instance, {})
+        piece = _deflect(
+            instance, rules_of(instance, instance.config_at({"v2": 0}, 0)),
+            _make_class(instance, table), 1, 0, None,
+        )
+        assert [table.keys[link] for link in piece.links] == list(
+            zip(piece.nodes, piece.nodes[1:])
+        )
 
     def test_reaches_destination(self, instance):
         piece = self.deflect(instance, instance.old_config, 0)
@@ -65,22 +91,18 @@ class TestRouteFrom:
 
 class TestSplitClass:
     def old_class(self, instance):
-        return FlowClass(
-            lo=None, hi=None,
-            nodes=instance.old_path,
-            offsets=tuple(range(len(instance.old_path))),
-        )
+        return _make_class(instance, _LinkTable(instance, {}))
 
     def test_unaffected_class_returns_none(self, instance):
         cls = self.old_class(instance)
         pieces = _split_class(
-            instance, cls, {"zz"}, 0, instance.old_config, make_report()
+            instance, cls, {"zz"}, 0, rules_of(instance, instance.old_config), make_report()
         )
         assert pieces is None
 
     def test_split_partitions_emissions(self, instance):
         cls = self.old_class(instance)
-        config = instance.config_at({"v2": 0}, 0)
+        config = rules_of(instance, instance.config_at({"v2": 0}, 0))
         split = _split_class(instance, cls, {"v2"}, 0, config, make_report())
         assert split is not None
         keep, fresh = split
@@ -98,7 +120,7 @@ class TestSplitClass:
             offsets=tuple(range(len(instance.old_path))),
         )
         # Updating v5 at time 100: emission 0 passes v5 at t=4 < 100.
-        config = instance.config_at({"v5": 100}, 100)
+        config = rules_of(instance, instance.config_at({"v5": 100}, 100))
         pieces = _split_class(instance, cls, {"v5"}, 100, config, make_report())
         assert pieces is None
 
@@ -112,7 +134,7 @@ class TestSplitClass:
         )
         # Updating v3 (the final, revisited position) must not resurrect
         # the already-killed units...
-        config = instance.config_at({"v3": 0}, 0)
+        config = rules_of(instance, instance.config_at({"v3": 0}, 0))
         split = _split_class(instance, looped, {"v3"}, 0, config, make_report())
         # ...but the first v3 occurrence (offset 2) still deflects them.
         assert split is not None
@@ -123,7 +145,7 @@ class TestSplitClass:
 
     def test_multiple_hits_partition_by_first_deflection(self, instance):
         cls = self.old_class(instance)
-        config = instance.config_at({"v2": 0, "v4": 0}, 0)
+        config = rules_of(instance, instance.config_at({"v2": 0, "v4": 0}, 0))
         report = make_report()
         split = _split_class(instance, cls, {"v2", "v4"}, 0, config, report)
         # Three pieces: keep, deflect-at-v4 (older emissions), deflect-at-v2.
@@ -354,12 +376,21 @@ class TestFastPathsEqualDefinitions:
         network = instance.network
         tracker = IntervalTracker(instance, background=background)
         for nodes, time in _random_rounds(instance, rounds_seed):
-            # The lazy configuration reads what ``config_at`` builds.
+            # The lazy configuration reads the rules of what ``config_at``
+            # builds: next hop, the id of the link to it, its delay.
             updated = dict(tracker.applied, **dict.fromkeys(nodes, time))
             config = instance.config_at(updated, time)
-            lazy = _RoundConfig(instance, tracker._applied, set(nodes))
+            table = tracker._links
+            lazy = _round_rules(table, tracker._applied, set(nodes))
             for node in network.switches:
-                assert lazy.get(node) == config.get(node), node
+                rule = lazy(node)
+                if rule is None:
+                    assert config.get(node) is None, node
+                else:
+                    nxt, link, delay = rule
+                    assert nxt == config.get(node), node
+                    assert table.keys[link] == (node, nxt)
+                    assert delay == network.delay(node, nxt)
             # Every deflected piece's offsets are its trajectory's delays.
             _pieces, _trims, deflected, _removed, _report = tracker._split(nodes, time)
             for piece in deflected:
@@ -371,10 +402,14 @@ class TestFastPathsEqualDefinitions:
                     scan.setdefault(node, []).append(index)
                 assert cls.node_positions() == scan
                 assert list(cls.offsets) == arrival_offsets(network, cls.nodes)
+                assert [table.keys[link] for link in cls.links] == list(
+                    zip(cls.nodes, cls.nodes[1:])
+                )
             # Links whose load fits skip the sweep: same spans as sweeping
             # every link's full interval list.
             swept = []
-            for link in sorted(set(tracker._link_index) | set(background)):
+            loaded = {table.keys[link] for link in tracker._link_index}
+            for link in sorted(loaded | set(background)):
                 intervals = [
                     (lo, hi, instance.demand)
                     for lo, hi in link_departure_spans(tracker, *link)
@@ -383,6 +418,104 @@ class TestFastPathsEqualDefinitions:
                 swept += _sweep_link(link, network.capacity(*link), intervals, tracker.t0)
             swept.sort(key=lambda span: (span.start, span.link))
             assert tracker.congestion_spans() == swept
+
+
+class TestDrainedSkip:
+    """A single-switch probe counts a class as untouched without splitting
+    it exactly when splitting it would change nothing."""
+
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        kind=st.sampled_from(["random", "mixed"]),
+        size=st.integers(8, 24),
+        seed=st.integers(0, 10_000),
+        background_seed=st.integers(0, 10_000),
+        rounds_seed=st.integers(0, 10_000),
+    )
+    def test_skip_taken_iff_split_is_none(self, kind, size, seed, background_seed, rounds_seed):
+        instance, background = _drawn_world(kind, size, seed, background_seed)
+        tracker = IntervalTracker(instance, background=background)
+        skipped = split = 0
+        for nodes, time in _random_rounds(instance, rounds_seed):
+            for node in instance.switches_to_update:
+                if node in tracker._applied:
+                    continue
+                config = _round_rules(tracker._links, tracker._applied, {node})
+                for cls in tracker.classes:
+                    if node not in cls.nodes:
+                        continue
+                    untouched = _split_class(
+                        instance, cls, {node}, time, config, make_report()
+                    ) is None
+                    assert _drained(cls, node, time) == untouched, (cls, node, time)
+                    skipped += untouched
+                    split += not untouched
+            tracker.apply_round(nodes, time)
+        assert skipped + split > 0
+
+
+class TestLoopGates:
+    """Algorithm 4 as a range query over the committed gates answers what
+    the scan over every committed switch answers."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        kind=st.sampled_from(["random", "mixed", "fig1"]),
+        size=st.integers(6, 30),
+        seed=st.integers(0, 10_000),
+        horizon=st.integers(1, 30),
+    )
+    def test_gate_query_equals_the_scan(self, kind, size, seed, horizon):
+        if kind == "fig1":
+            instance = motivating_example()
+        elif kind == "random":
+            instance = random_instance(size, seed=seed)
+        else:
+            instance = mixed_instance(size, seed)
+        rng = random.Random(seed)
+        pending = list(instance.switches_to_update)
+        rng.shuffle(pending)
+        gates = LoopGates(instance)
+        applied = {}
+        while True:
+            for v in pending:
+                for t in (0, horizon // 2, horizon, horizon + rng.randint(1, 2 * size)):
+                    assert gates.creates_loop(v, t) == creates_forwarding_loop(
+                        instance, applied, v, t
+                    ), (v, t, applied)
+            if not pending:
+                break
+            node = pending.pop()
+            applied[node] = rng.randint(0, horizon)
+            gates.commit(node, applied[node])
+
+
+class TestCongestedStart:
+    """With a background that congests the initial state, greedy's
+    ``feasible`` is the final state's verdict (no stall, no violation)."""
+
+    @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        kind=st.sampled_from(["random", "mixed"]),
+        size=st.integers(6, 20),
+        seed=st.integers(0, 10_000),
+        background_seed=st.integers(0, 10_000),
+    )
+    def test_feasible_is_the_final_verdict(self, kind, size, seed, background_seed):
+        instance, background = _drawn_world(kind, size, seed, background_seed)
+        rng = random.Random(background_seed)
+        path = instance.old_path
+        link = rng.choice(list(zip(path, path[1:])))
+        lo = rng.randint(-2, 12)
+        hi = rng.choice([None, lo + rng.randint(0, 8)])
+        # Dyadic, so every summation order gives the same float.
+        background.setdefault(link, []).append((lo, hi, instance.network.capacity(*link)))
+        assume(not IntervalTracker(instance, background=background).ok)
+        result = greedy_schedule(instance, background=background)
+        final = replay_schedule(instance, result.schedule, background=background)
+        assert result.feasible == (
+            result.stalled_at is None and not result.violations and final.ok
+        )
 
 
 class TestFlowClassValueSemantics:

@@ -7,7 +7,34 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.instance import motivating_example, random_instance, segmented_instance
-from repro.core.loops import creates_forwarding_loop, new_route_revisits
+from repro.core.loops import LoopGates, new_route_revisits
+
+
+def creates_forwarding_loop(instance, applied, v, t):
+    """Algorithm 4 in closed form over a committed mapping: ``True`` iff
+    ``v'`` is upstream of ``v`` on the old path and no committed switch
+    between them has cut its solid line by ``t - off(v)``.  The scan the
+    greedy used before :class:`LoopGates`; the walk below is its
+    reference, and it is the gates'."""
+    v_prime = instance.new_next_hop(v)
+    if v_prime is None:
+        return False
+    index = instance.old_path_index
+    here = index.get(v)
+    there = index.get(v_prime)
+    if here is None or there is None or there >= here:
+        return False
+    offsets = instance.old_path_offsets
+    deadline = t - offsets[v]
+    for p, when in applied.items():
+        position = index.get(p)
+        if (
+            position is not None
+            and there <= position < here
+            and when - offsets[p] <= deadline
+        ):
+            return False
+    return True
 
 
 class TestBackwardWalk:
@@ -62,7 +89,8 @@ def _backward_walk(instance, applied, v, t):
 
 class TestClosedFormEqualsTheWalk:
     """``creates_forwarding_loop`` scans the committed switches between
-    ``v'`` and ``v``; the hop walk it replaced is the reference."""
+    ``v'`` and ``v``, ``LoopGates`` bisects them; the hop walk both
+    replaced is the reference."""
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -86,13 +114,16 @@ class TestClosedFormEqualsTheWalk:
         applied = {
             node: rng.randint(0, horizon) for node in switches if rng.random() < share
         }
+        gates = LoopGates(instance)
+        for node, when in applied.items():
+            gates.commit(node, when)
         for v in switches:
             if v in applied:
                 continue
             for t in (0, horizon // 2, horizon, horizon + rng.randint(1, 2 * size)):
-                assert creates_forwarding_loop(instance, applied, v, t) == _backward_walk(
-                    instance, applied, v, t
-                ), (v, t, applied)
+                walk = _backward_walk(instance, applied, v, t)
+                assert creates_forwarding_loop(instance, applied, v, t) == walk, (v, t, applied)
+                assert gates.creates_loop(v, t) == walk, (v, t, applied)
 
 
 class TestForwardVariant:

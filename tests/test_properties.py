@@ -22,6 +22,7 @@ from repro.core.schedule import UpdateSchedule
 from repro.network.topology import two_path_topology
 from repro.validate import verify_schedule
 from tests.test_intervals import congested_timed_link_count
+from tests.test_schedule import shifted
 
 COMMON = dict(
     deadline=None,
@@ -109,7 +110,7 @@ class TestScheduleAlgebra:
     @settings(max_examples=60, **COMMON)
     def test_shift_preserves_structure(self, times, offset):
         schedule = UpdateSchedule(times)
-        moved = schedule.shifted(offset)
+        moved = shifted(schedule, offset)
         assert moved.makespan == schedule.makespan
         assert len(moved.rounds()) == len(schedule.rounds())
 
@@ -154,5 +155,5 @@ class TestTraceInvariants:
         rng = stdlib_random.Random(seed)
         times = {node: when + rng.randint(0, 3) for node in nodes}
         base = UpdateSchedule(times, start_time=0)
-        moved = base.shifted(100)
+        moved = shifted(base, 100)
         assert verify_schedule(instance, base).ok == verify_schedule(instance, moved).ok

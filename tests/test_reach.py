@@ -97,7 +97,7 @@ NAME_ALLOW_LIST = {
         "Program (3) at figure scale",
     ),
     "repro.core.instance.UpdateInstance.config_at": (
-        "Def. 1's configuration at a time; the tracker's lazy _RoundConfig is held to it",
+        "Def. 1's configuration at a time; the tracker's lazy _round_rules is held to it",
         "One tracker that wins everywhere, then delete the other",
     ),
     "repro.core.instance.nested_reversal_instance": (
@@ -115,18 +115,6 @@ NAME_ALLOW_LIST = {
     "repro.core.serialization.schedule_from_json": (
         "the inverse of the golden digest format, held to a round trip",
         "Tier-1 under two minutes by trading copies for independent oracles",
-    ),
-    "repro.core.schedule.UpdateSchedule.swapped": (
-        "mutation hook: the verifier must reject swapped update times",
-        "Break the planners and the timing on purpose",
-    ),
-    "repro.core.schedule.UpdateSchedule.without": (
-        "mutation hook: the verifier must flag a dropped switch",
-        "Break the planners and the timing on purpose",
-    ),
-    "repro.core.schedule.UpdateSchedule.shifted": (
-        "mutation hook: Defs. 1-3 are invariant under a shift in time",
-        "Break the planners and the timing on purpose",
     ),
     "repro.simulator.switch.DataSwitch.delivered_volume": (
         "the DES goldens pin it and volume conservation is judged by it",

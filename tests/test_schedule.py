@@ -5,6 +5,32 @@ import pytest
 from repro.core.schedule import UpdateSchedule, schedule_from_rounds
 
 
+def shifted(schedule, offset):
+    """``schedule`` translated by ``offset`` time steps (Defs. 1-3 are
+    invariant under it)."""
+    start = None if schedule.start_time is None else schedule.start_time + offset
+    return UpdateSchedule(
+        times={node: when + offset for node, when in schedule.times.items()},
+        start_time=start,
+        feasible=schedule.feasible,
+    )
+
+
+def swapped(schedule, a, b):
+    """``schedule`` with the times of ``a`` and ``b`` exchanged: a mutation
+    a correct verifier rejects on a tightly scheduled update."""
+    times = dict(schedule.times)
+    times[a], times[b] = times[b], times[a]
+    return UpdateSchedule(times=times, start_time=schedule.start_time, feasible=schedule.feasible)
+
+
+def without(schedule, node):
+    """``schedule`` with ``node`` dropped: its stale rule stays forever,
+    which the verifier flags as a loop, black hole or incomplete schedule."""
+    times = {n: t for n, t in schedule.times.items() if n != node}
+    return UpdateSchedule(times=times, start_time=schedule.start_time, feasible=schedule.feasible)
+
+
 class TestBasics:
     def test_makespan_counts_inclusive_steps(self):
         schedule = UpdateSchedule({"a": 0, "b": 3}, start_time=0)
@@ -58,7 +84,7 @@ class TestRounds:
 class TestTransforms:
     def test_shifted(self):
         schedule = UpdateSchedule({"a": 1, "b": 2}, start_time=1)
-        moved = schedule.shifted(10)
+        moved = shifted(schedule, 10)
         assert moved.time_of("a") == 11
         assert moved.t0 == 11
         assert moved.makespan == schedule.makespan
@@ -71,4 +97,4 @@ class TestTransforms:
 
     def test_feasible_flag_preserved(self):
         schedule = UpdateSchedule({"a": 1}, feasible=False)
-        assert not schedule.shifted(1).feasible
+        assert not shifted(schedule, 1).feasible

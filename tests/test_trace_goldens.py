@@ -110,6 +110,17 @@ check looks its links up on the initial tracker's empty memo, so
 ``tracker.entry_memo.miss`` may rise, but only in a scope whose lookups
 (hits plus misses) fell below their frozen total (``CLEAN_COUNTERS``).
 
+A sixth cause moved the same two counters (``LIVE_RUNS``: every run with an
+exact greedy, ``fig6``'s stalled one included; DESIGN.md 7.4): a greedy
+probes one live tracker instead of a scratch clone per round, and reads the
+initial state's verdict before its first probe instead of after its last.
+The per-link memos that verdict builds then serve the probes, so
+``tracker.entry_memo.miss`` falls and ``.hit`` rises by as much
+(``fig7`` 123 -> 112 misses, ``service-burst`` 184 -> 153); ``fig6``'s
+greedy stalls and used to skip the verdict, so its lookups rise by the
+verdict's.  Against the frozen values both still fall, or a miss count
+rises while the scope's lookups fell, as the fifth cause allows.
+
 New keys, written at the refusal revision and pinned from then on
 (``REFUSAL_COUNTERS``): ``tracker.probe.refused.split`` / ``.congestion``,
 ``greedy.fallback.skipped``, ``search.include.kept`` / ``.pruned``,
@@ -332,6 +343,10 @@ CLEAN_RUNS = {"faults", "faults-giveup", "fig7", "service", "service-burst"}
 CLEAN_COUNTERS = {"tracker.entry_memo.hit", "tracker.entry_memo.miss"}
 
 
+#: The runs whose greedy plans probe one live tracker (module docstring).
+LIVE_RUNS = CLEAN_RUNS | {"fig6"}
+
+
 def memo_lookups(counters):
     """A scope's entry-memo lookups: hits plus misses."""
     return sum(counters.get(path) or 0 for path in CLEAN_COUNTERS)
@@ -363,7 +378,7 @@ def _bound_explains_record(frozen, now):
 
 
 def _explained(name, kind, path, frozen, now, lookups=(0, 0)):
-    """Does one of the five causes explain ``kind:path`` going ``frozen -> now``?
+    """Does one of the six causes explain ``kind:path`` going ``frozen -> now``?
 
     ``None`` stands for "no such key"; ``path`` is free of wrapper prefixes.
     ``lookups`` is the scope's :func:`memo_lookups`, ``(frozen, now)``.
@@ -385,7 +400,7 @@ def _explained(name, kind, path, frozen, now, lookups=(0, 0)):
             return True
         if judged and path in JUDGED_LOWERED and now is not None and now < frozen:
             return True
-        if name in CLEAN_RUNS and path in CLEAN_COUNTERS and now is not None:
+        if name in LIVE_RUNS and path in CLEAN_COUNTERS and now is not None:
             return now < frozen or (path.endswith(".miss") and lookups[1] < lookups[0])
         lowered = SHARING_LOWERED if sharing else MOVED_COUNTERS
         return now is not None and now < frozen and path in lowered
@@ -454,7 +469,7 @@ def test_fixture_covers_every_run_and_its_evidence():
 
 
 def test_only_refusal_work_moved():
-    """The re-pinned entries are the ones the five listed causes explain."""
+    """The re-pinned entries are the ones the six listed causes explain."""
     goldens = json.loads(GOLDENS_PATH.read_text())
     moved = goldens["moved"]["keys"]
     assert set(moved) == set(RUNS) - {"fig9"}

@@ -209,6 +209,25 @@ def test_torn_last_jsonl_line_is_dropped(tmp_path, capsys):
     assert trace_cli(["show", "--path", str(path)]) == 0
 
 
+def test_a_second_session_cuts_a_torn_tail_before_appending(tmp_path):
+    """A resumed run's session appends to the file its killed attempt left:
+    the torn last line goes first, so every complete record of both
+    sessions reads back."""
+    path = tmp_path / "trace.jsonl"
+    with TraceSession(JsonlSink(path), scenario="torn", run_id="r1"):
+        with recorder.span("first"):
+            pass
+    first = read_trace(path)
+    whole = path.read_text()
+    path.write_text(whole + whole[: len(whole) // 3])  # killed mid-write
+    with TraceSession(JsonlSink(path), scenario="torn", run_id="r1"):
+        with recorder.span("second"):
+            pass
+    records = read_trace(path)
+    assert records[: len(first)] == first
+    assert [r.name for r in records[len(first):] if r.kind == "span"] == ["second", "run"]
+
+
 @pytest.mark.parametrize(
     "bad",
     ['{"kind": "span", "trace_id"\n', "[1, 2]\n", '{"colour": "red"}\n', "7"],

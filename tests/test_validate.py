@@ -11,6 +11,8 @@ Three layers:
   times, dropping a switch) must flip the verdict.
 """
 
+import random
+
 import pytest
 
 from repro.analysis.metrics import evaluate_schedule
@@ -23,6 +25,7 @@ from repro.network.graph import Network
 from repro.core.rounds import greedy_loop_free_rounds
 from repro.updates import get_planner, realize_round_times, two_phase_congestion_spans
 from repro.validate import verify_plan, verify_schedule, verify_two_phase
+from tests.test_schedule import swapped, without
 
 
 def loop_trap_instance():
@@ -88,7 +91,7 @@ class TestVerifySchedule:
     def test_missing_switch_blackholes(self):
         instance = branch_instance()
         schedule = greedy_schedule(instance).schedule
-        verdict = verify_schedule(instance, schedule.without("c"))
+        verdict = verify_schedule(instance, without(schedule, "c"))
         assert not verdict.schedule_complete
         assert not verdict.drop_free
         assert {v.node for v in verdict.blackholes} == {"c"}
@@ -184,7 +187,7 @@ class TestTrackerAgreementProperty:
         """Dirty schedules too: realised OR rounds congest and may loop."""
         instance = mixed_instance(8, seed)
         realized = realize_round_times(
-            greedy_loop_free_rounds(instance), seed=seed, max_skew=3
+            greedy_loop_free_rounds(instance), rng=random.Random(seed), max_skew=3
         )
         assert_tracker_agreement(instance, realized)
 
@@ -195,12 +198,12 @@ class TestMutationDetection:
     def test_paper_schedule_swaps_detected(self, fig1_instance, paper_schedule):
         # Every cross-round swap involving v2 or v5 breaks Fig. 1's ordering.
         for a, b in [("v2", "v3"), ("v2", "v5"), ("v4", "v5"), ("v3", "v5")]:
-            mutated = paper_schedule.swapped(a, b)
+            mutated = swapped(paper_schedule, a, b)
             assert not verify_schedule(fig1_instance, mutated).ok, (a, b)
 
     def test_paper_schedule_drops_detected(self, fig1_instance, paper_schedule):
         for node in paper_schedule.times:
-            mutated = paper_schedule.without(node)
+            mutated = without(paper_schedule, node)
             assert not verify_schedule(fig1_instance, mutated).ok, node
 
     @pytest.mark.parametrize("seed", range(40))
@@ -212,7 +215,7 @@ class TestMutationDetection:
         if not result.feasible or len(set(schedule.times.values())) < 2:
             pytest.skip("no tight multi-round schedule to mutate")
         rounds = schedule.rounds()
-        swapped = schedule.swapped(rounds[0][1][0], rounds[-1][1][0])
-        assert not verify_schedule(instance, swapped).ok
-        dropped = schedule.without(next(iter(schedule.times)))
+        exchanged = swapped(schedule, rounds[0][1][0], rounds[-1][1][0])
+        assert not verify_schedule(instance, exchanged).ok
+        dropped = without(schedule, next(iter(schedule.times)))
         assert not verify_schedule(instance, dropped).ok

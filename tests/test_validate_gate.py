@@ -15,6 +15,7 @@ from repro.pipeline import get_scenario, run_in_memory
 from repro.updates import available_schemes, get_planner
 from repro.updates.registry import Planner
 from repro.validate import verify_schedule
+from tests.test_schedule import swapped
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -63,7 +64,7 @@ class TestCheckPlanDetectsCorruption:
         # Swap the first and last updates but keep the feasibility claim:
         # exactly the silent corruption the gate exists to catch.
         plan = replace(
-            plan, schedule=plan.schedule.swapped(rounds[0][1][0], rounds[-1][1][0])
+            plan, schedule=swapped(plan.schedule, rounds[0][1][0], rounds[-1][1][0])
         )
         disagreements = check_plan(
             fig1_instance, plan, seed=0, switch_count=6, replay=False

@@ -25,6 +25,7 @@ from tests.reference_verifier import (
     reference_verify_schedule,
     reference_verify_two_phase,
 )
+from tests.test_schedule import shifted, swapped, without
 
 SIZES = (6, 9, 14, 25)
 SCHEDULE_KINDS = ("chronus", "random", "swapped", "without", "negative-t0", "positive-t0")
@@ -72,11 +73,11 @@ def build_schedule(instance, kind, rng):
             {node: rng.randint(0, 2 * len(nodes)) for node in nodes}, start_time=0
         )
     if kind == "swapped":
-        return planned.swapped(nodes[0], nodes[-1])
+        return swapped(planned, nodes[0], nodes[-1])
     if kind == "without":
-        return planned.without(DETOUR if DETOUR in nodes else rng.choice(nodes))
+        return without(planned, DETOUR if DETOUR in nodes else rng.choice(nodes))
     offset = -rng.randint(3, 40) if kind == "negative-t0" else rng.randint(3, 40)
-    return planned.shifted(offset)
+    return shifted(planned, offset)
 
 
 def build_background(instance, schedule, kind, rng):
