@@ -27,9 +27,6 @@ What it measures:
   cannot mask another's.
 * **opt** -- the budgeted branch-and-bound at 30 switches over a fixed
   seed batch: wall time, nodes explored, node throughput, proven share.
-* **clone** -- ``IntervalTracker.clone()`` micro-cost on a 1K-switch
-  end state, against an eager entry-by-entry copy of the same state (the
-  pre-copy-on-write behaviour), giving the structural-sharing speedup.
 * **sweep** -- the ``sweep`` scenario, serial vs. ``RunContext(workers=N)``
   (the ``run --workers N`` path), asserting the records are identical and
   reporting the speedup.
@@ -65,10 +62,8 @@ if str(_REPO_ROOT) not in sys.path:
 
 import repro.core.tracker as tracker_module
 from benchmarks.conftest import run_once, timed
-from repro.core.cow import CowIndex
 from repro.core.greedy import greedy_schedule
 from repro.core.instance import instance_from_paths, random_instance, segmented_instance
-from repro.core.intervals import IntervalTracker
 from repro.core.optimal import optimal_schedule
 from repro.experiments.sweep import mixed_instance
 from repro.perf import measure_peak_rss
@@ -309,51 +304,6 @@ def bench_opt(
         "nodes_per_sec": round(throughput, 1),
         "proven": proven,
         "proven_share": round(proven / len(seeds), 3),
-    }
-
-
-def _eager_clone(tracker: IntervalTracker) -> IntervalTracker:
-    """Clone with the pre-copy-on-write cost model: every per-key list of
-    both indexes is copied entry by entry (what ``clone()`` used to do)."""
-    dup = tracker.clone()
-    dup._link_index = CowIndex(
-        {key: list(tracker._link_index[key]) for key in tracker._link_index},
-        set(tracker._link_index.keys()),
-    )
-    dup._node_index = CowIndex(
-        {key: list(tracker._node_index[key]) for key in tracker._node_index},
-        set(tracker._node_index.keys()),
-    )
-    return dup
-
-
-def bench_clone(
-    switch_count: int = 1000, clones: int = 2000, repeats: int = 3
-) -> Dict[str, object]:
-    """COW vs. eager clone micro-cost on a rich end-of-schedule state."""
-    instance = segmented_instance(switch_count, seed=7)
-    # The dict tracker by name: the row measures its COW indexes.
-    tracker = IntervalTracker(instance)
-    for when, nodes in greedy_schedule(instance).schedule.rounds():
-        tracker.apply_round(nodes, when)
-
-    def clone_many(clone_fn):
-        for _ in range(clones):
-            clone_fn(tracker)
-
-    _, cow = _best_of(repeats, clone_many, IntervalTracker.clone, label="clone[cow] run")
-    _, eager = _best_of(repeats, clone_many, _eager_clone, label="clone[eager] run")
-    speedup = eager / cow if cow else 0.0
-    print(
-        f"[bench] clone x{clones} (n={switch_count}): cow={cow:.3f}s "
-        f"eager={eager:.3f}s speedup={speedup:.1f}x"
-    )
-    return {
-        "switches": switch_count,
-        "clones": clones,
-        "cow_seconds": round(cow, 4),
-        "eager_seconds": round(eager, 4),
-        "speedup": round(speedup, 2),
     }
 
 
@@ -627,7 +577,6 @@ def collect(quick: bool = False, workers: int = 4) -> Dict[str, object]:
                 long_plans=2,
             ),
             "opt": bench_opt(switch_count=20, seeds=tuple(range(4)), budget=1.0),
-            "clone": bench_clone(switch_count=300, clones=500, repeats=2),
             "sweep": bench_sweep(
                 switch_count=14,
                 instances=24,
@@ -652,7 +601,6 @@ def collect(quick: bool = False, workers: int = 4) -> Dict[str, object]:
             "greedy_dense": bench_greedy_dense(),
             "tracker_grid": bench_tracker_grid(),
             "opt": bench_opt(),
-            "clone": bench_clone(),
             "sweep": bench_sweep(workers=workers),
             "memory": {"greedy": bench_greedy_memory()},
             "service": bench_service(),

@@ -23,9 +23,14 @@ def medium_instance():
 
 class TestTrackerOps:
     def test_preview_round(self, benchmark):
+        """A probe that commits, each on a fresh tracker built outside the
+        timing."""
         instance = motivating_example()
-        tracker = IntervalTracker(instance)
-        benchmark(lambda: tracker.preview_round(["v2"], 0))
+        benchmark.pedantic(
+            lambda tracker: tracker.probe_and_commit(["v2"], 0),
+            setup=lambda: ((IntervalTracker(instance),), {}),
+            rounds=200,
+        )
 
     def test_apply_full_schedule(self, benchmark):
         instance = motivating_example()
@@ -33,9 +38,12 @@ class TestTrackerOps:
         benchmark(lambda: replay_schedule(instance, schedule))
 
     def test_preview_on_long_chain(self, benchmark, medium_instance):
-        tracker = IntervalTracker(medium_instance)
         node = medium_instance.switches_to_update[0]
-        benchmark(lambda: tracker.preview_round([node], 0))
+        benchmark.pedantic(
+            lambda tracker: tracker.probe_and_commit([node], 0),
+            setup=lambda: ((IntervalTracker(medium_instance),), {}),
+            rounds=50,
+        )
 
 
 class TestAlgorithmSteps:

@@ -26,9 +26,10 @@ heads one at a time with ``probe_and_commit`` straight into the run's one
 tracker, whose initial verdict is read first: a refused probe leaves it
 untouched (its report is a witness), so nothing is cloned.  Sequential
 single-head probes split and sweep each accepted head's fresh suffix
-exactly once; they accept exactly the heads a joint
-``preview_round(accepted + [head])`` would (pinned at tracker level in
-``tests/test_array_tracker.py``), and the all-heads-refused fallback does
+exactly once; they accept exactly the heads the joint round
+``accepted + [head]`` applied to the round's starting state would leave
+clean (pinned at tracker level in ``tests/test_array_tracker.py``), and
+the all-heads-refused fallback does
 not ask again about a head this round already refused while the tracker
 has not moved.  The flow state is whichever tracker
 :func:`repro.core.tracker.make_tracker` picks for the instance's paths --
@@ -222,7 +223,7 @@ def _select_round(
     # Exact mode probes candidates one at a time against the live tracker,
     # which accumulates the accepted heads.  Each probe splits and sweeps
     # only the candidate's own deflections on top of a verified-clean
-    # baseline, which is decision-equivalent to a joint preview of the
+    # baseline, which is decision-equivalent to a joint check of the
     # whole round at a fraction of the work.
     refused: Set[Node] = set()
     for head in dependencies.heads:

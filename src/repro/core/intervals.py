@@ -28,7 +28,6 @@ from itertools import chain
 from operator import itemgetter
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
-from repro.core.cow import CowIndex
 from repro.core.instance import UpdateInstance
 from repro.network.graph import Node
 from repro.trace.recorder import recorder
@@ -220,7 +219,7 @@ class CongestionSpan:
 
 
 class RoundReport:
-    """What applying (or previewing) one update round would do.
+    """What applying one update round does.
 
     A ``__slots__`` class (one is built per probe) with a dataclass's
     equality and ``repr``; defining ``__eq__`` alone leaves it unhashable,
@@ -282,8 +281,7 @@ class _RoundTracker:
     (:class:`IntervalTracker`, :class:`repro.core.intervals_array.
     ArrayIntervalTracker`) keeps only its representation:
 
-    * how it builds its state (``__init__`` after this one's) and clones
-      it (:meth:`_clone_layout`);
+    * how it builds its state (``__init__`` after this one's);
     * ``_split(nodes, time, witness)``, its hit scan and deflection walk,
       returning ``(pieces, trims, deflected, removed, report)``: every
       replacement piece paired with its parent, the narrowed in-place
@@ -291,7 +289,8 @@ class _RoundTracker:
       parents' ids and the round's report;
     * ``_check_new_congestion(pieces, removed, report, witness)``,
       ``congestion_spans()`` and ``crossings`` / ``crosses``;
-    * :meth:`_after_commit` for its own caches;
+    * ``_after_commit`` / ``_fork_caches`` / ``_restore_caches``: its side
+      of :meth:`_commit` and :meth:`_undo` (caches, indexes);
     * per class, the switch a looped or black-holed piece ends on
       (``loop_switch()`` / ``last_switch()``) and ``last_offset``.
     """
@@ -323,29 +322,6 @@ class _RoundTracker:
         self._classes: Dict[int, object] = {}
         self._alive: Set[int] = set()
         self._next_id = 0
-
-    def clone(self):
-        """An independent copy in O(touched state), not O(whole state).
-
-        Class objects are immutable and shared outright; the per-tracker
-        dicts and sets are copied, and the layout copies or shares its own
-        state (:meth:`_clone_layout`).
-        """
-        other = object.__new__(self.__class__)
-        other.instance = self.instance
-        other.t0 = self.t0
-        other.background = self.background
-        other._applied = dict(self._applied)
-        other._last_time = self._last_time
-        other._classes = dict(self._classes)
-        other._alive = set(self._alive)
-        other._next_id = self._next_id
-        self._clone_layout(other)
-        return other
-
-    def _clone_layout(self, other) -> None:
-        """Give the clone ``other`` the layout's own state."""
-        raise NotImplementedError
 
     # ------------------------------------------------------------------
     # state accessors
@@ -408,17 +384,6 @@ class _RoundTracker:
     # ------------------------------------------------------------------
     # rounds
     # ------------------------------------------------------------------
-    def preview_round(self, nodes: Sequence[Node], time: int) -> RoundReport:
-        """Report the violations updating ``nodes`` at ``time`` would cause.
-
-        Does not modify the tracker.
-        """
-        with recorder.timer("tracker.preview"):
-            self._check_round_args(nodes, time)
-            pieces, _trims, _deflected, removed, report = self._split(nodes, time)
-            self._check_new_congestion(pieces, removed, report)
-            return report
-
     def apply_round(self, nodes: Sequence[Node], time: int) -> RoundReport:
         """Commit updating ``nodes`` at ``time`` and report new violations."""
         with recorder.timer("tracker.apply"):
@@ -448,21 +413,19 @@ class _RoundTracker:
     def probe_and_commit(self, nodes: Sequence[Node], time: int) -> RoundReport:
         """Apply ``nodes`` at ``time`` only when doing so violates nothing.
 
-        A clean probe is one split + one sweep and commits the already
-        -computed pieces instead of re-splitting (what ``preview_round``
-        followed by ``apply_round`` would do); its report and the state it
-        leaves are ``apply_round``'s.  A refused probe leaves the tracker
-        untouched and costs what it takes to refuse it -- its report is a
-        *witness*, not the full list of violations: the split stops at the
-        first class that loops or black-holes (no congestion pass follows),
-        the congestion pass at the first over-capacity link (the array
-        layout: chain).  The contract:
-        ``probe_and_commit(n, t).ok == preview_round(n, t).ok``, and each of
-        ``loops`` / ``blackholes`` / ``congestion`` is a prefix of the list
-        ``preview_round(n, t)`` reports (non-empty for at least one of them
-        when refused).  This is the greedy engine's per-candidate step:
-        probing heads one at a time into the live tracker, which
-        accumulates the accepted ones.
+        A clean probe is one split + one sweep and commits the pieces it
+        computed; its report and the state it leaves are ``apply_round``'s.
+        A refused probe leaves the tracker untouched and costs what it
+        takes to refuse it -- its report is a *witness*, not the full list
+        of violations: the split stops at the first class that loops or
+        black-holes (no congestion pass follows), the congestion pass at
+        the first over-capacity link (the array layout: chain).  The
+        contract, against the full report ``apply_round(n, t)`` would give
+        on the same state: the same ``.ok``, and each of ``loops`` /
+        ``blackholes`` / ``congestion`` a prefix of its list (non-empty
+        for at least one of them when refused).  This is the per-candidate
+        step of greedy and of Algorithm 1: probing candidates one at a time
+        into the live tracker, which accumulates the accepted ones.
         """
         with recorder.timer("tracker.probe"):
             self._check_round_args(nodes, time)
@@ -502,7 +465,8 @@ class _RoundTracker:
         trims: List[Tuple[int, object]],
         deflected: list,
         removed: Set[int],
-    ) -> None:
+        undoable: bool = False,
+    ) -> Optional[tuple]:
         """Adopt a computed split as the new committed state.
 
         Trimmed parents keep their class id: the trim has the parent's
@@ -510,25 +474,43 @@ class _RoundTracker:
         class object in place leaves every per-link structure keyed by id
         valid.  Only parents whose every emission deflected die, and only
         the deflected pieces (fresh routes) are registered as new classes.
+
+        An ``undoable`` commit (the OPT search's, DESIGN.md 7.2) returns
+        what it replaces for :meth:`_undo`: the switches, the old
+        ``_last_time`` and ``_next_id``, the trimmed parents, the ids it
+        kills and the layout's set-aside caches.  Other commits fork none.
         """
         classes = self._classes
-        trimmed = set()
-        for cid, trim in trims:
-            classes[cid] = trim
-            trimmed.add(cid)
-        for cid in removed:
-            if cid not in trimmed:
-                self._alive.discard(cid)
+        trimmed = {cid for cid, _trim in trims}
+        killed = [cid for cid in removed if cid not in trimmed]
+        record = None
+        if undoable:
+            replaced = [(cid, classes[cid]) for cid in trimmed]
+            record = nodes, self._last_time, self._next_id, replaced, killed, self._fork_caches()
+        classes.update(trims)
+        self._alive.difference_update(killed)
         added = [(self._add_class(piece), piece) for piece in deflected]
         for node in nodes:
             self._applied[node] = time
         self._last_time = time
         self._after_commit(nodes, added)
+        return record
 
-    def _after_commit(self, nodes: Sequence[Node], added: List[Tuple[int, object]]) -> None:
-        """Bring the layout's caches up to a commit of ``nodes`` that
-        registered the ``(id, piece)`` pairs ``added``."""
-        raise NotImplementedError
+    def _undo(self, record: tuple) -> None:
+        """Take back the undoable commit that returned ``record``; every
+        commit made since must have been taken back first.  The ids it
+        added are the top of the id range."""
+        nodes, last_time, next_id, replaced, killed, caches = record
+        classes = self._classes
+        added = [classes.pop(cid) for cid in range(next_id, self._next_id)]
+        self._alive.difference_update(range(next_id, self._next_id))
+        self._next_id = next_id
+        classes.update(replaced)
+        self._alive.update(killed)
+        for node in nodes:
+            del self._applied[node]
+        self._last_time = last_time
+        self._restore_caches(nodes, added, caches)
 
     def _add_class(self, cls) -> int:
         cid = self._next_id
@@ -548,12 +530,13 @@ class IntervalTracker(_RoundTracker):
             report = tracker.apply_round(nodes, time)
         spans = tracker.congestion_spans()
 
-    ``preview_round`` answers "would updating these switches now violate
-    anything?" without committing, which is what the greedy scheduler and
-    the OPT search branch on.  The round protocol is :class:`_RoundTracker`'s;
-    this class holds the dict layout: tuple trajectories, copy-on-write
-    link and node indexes, and per-link congestion memos, every per-link
-    structure keyed by the link's id in the tracker's :class:`_LinkTable`.
+    ``probe_and_commit`` commits a round only when it violates nothing,
+    which is what greedy and Algorithm 1 build on; the OPT search commits
+    undoably and backtracks by :meth:`_undo`.  The round protocol is
+    :class:`_RoundTracker`'s; this class holds the dict layout: tuple
+    trajectories, ``key -> class ids`` link and node indexes, and per-link
+    congestion memos, every per-link structure keyed by the link's id in
+    the tracker's :class:`_LinkTable`.
     """
 
     def __init__(
@@ -564,13 +547,14 @@ class IntervalTracker(_RoundTracker):
     ) -> None:
         super().__init__(instance, t0, background)
         self._links = _LinkTable(instance, self.background)
-        self._link_index: CowIndex[int, int] = CowIndex()
-        self._node_index: CowIndex[Node, int] = CowIndex()
+        # ``key -> class ids``, ascending; stale ids are filtered on read.
+        self._link_index: Dict[int, List[int]] = {}
+        self._node_index: Dict[Node, List[int]] = {}
         # Congestion-check memoisation, valid between commits: candidate
-        # -round probes (greedy's and OPT's ``preview_round`` calls) hit
-        # the same links repeatedly while the committed load is unchanged,
-        # so the committed interval list and its sweep result are cached
-        # per link and invalidated wholesale by ``apply_round``.
+        # -round probes (greedy's, Algorithm 1's and OPT's) hit the same
+        # links repeatedly while the committed load is unchanged, so the
+        # committed interval list and its sweep result are cached per link
+        # and brought up to each commit (:meth:`_after_commit`).
         self._entry_memo: Dict[int, Tuple[_Entry, ...]] = {}
         self._span_memo: Dict[int, Tuple[CongestionSpan, ...]] = {}
         # Commits mark the span memo dirty instead of invalidating touched
@@ -578,22 +562,6 @@ class IntervalTracker(_RoundTracker):
         self._spans_dirty = False
 
         self._add_class(_make_class(instance, self._links))
-
-    def _clone_layout(self, other: "IntervalTracker") -> None:
-        """The link and node indexes are copy-on-write
-        (:class:`repro.core.cow.CowIndex`), so only their head-pointer dicts
-        are copied -- every per-key id sequence is structurally shared with
-        this tracker.  The congestion memos carry over as shallow dict copies
-        of immutable tuples: each copy appends its own commits' entries to
-        its own dict, and readers filter the entries against their own
-        ``_alive`` set.  The link table is immutable and shared.
-        """
-        other._links = self._links
-        other._link_index = self._link_index.snapshot()
-        other._node_index = self._node_index.snapshot()
-        other._entry_memo = dict(self._entry_memo)
-        other._span_memo = dict(self._span_memo)
-        other._spans_dirty = self._spans_dirty
 
     def crossings(self, src: Node, dst: Node) -> List[Tuple[FlowClass, int]]:
         """Every alive class crossing ``src -> dst`` with its departure offset there."""
@@ -617,10 +585,24 @@ class IntervalTracker(_RoundTracker):
         if added:
             self._update_memos(added)
 
+    def _fork_caches(self) -> tuple:
+        """The memos go on as shallow copies (of immutable tuples)."""
+        caches = self._entry_memo, self._span_memo, self._spans_dirty
+        self._entry_memo = dict(self._entry_memo)
+        self._span_memo = dict(self._span_memo)
+        return caches
+
+    def _restore_caches(self, nodes: Sequence[Node], added: List[FlowClass], caches) -> None:
+        """Pop the added ids off the index tails; the memos come back."""
+        for cls in added:
+            _pop_tails(self._link_index, cls.link_positions())
+            _pop_tails(self._node_index, cls.nodes)
+        self._entry_memo, self._span_memo, self._spans_dirty = caches
+
     def _add_class(self, cls: FlowClass) -> int:
         cid = super()._add_class(cls)
-        self._link_index.add_all(cls.link_positions(), cid)
-        self._node_index.add_all(cls.nodes, cid)
+        _append_all(self._link_index, cls.link_positions(), cid)
+        _append_all(self._node_index, cls.nodes, cid)
         return cid
 
     def _update_memos(self, added: List[Tuple[int, FlowClass]]) -> None:
@@ -886,6 +868,27 @@ class IntervalTracker(_RoundTracker):
 # ----------------------------------------------------------------------
 # pure helpers
 # ----------------------------------------------------------------------
+def _append_all(index: Dict, keys, cid: int) -> None:
+    """Append ``cid`` under every key of ``keys`` (once per occurrence)."""
+    get = index.get
+    for key in keys:
+        ids = get(key)
+        if ids is None:
+            index[key] = [cid]
+        else:
+            ids.append(cid)
+
+
+def _pop_tails(index: Dict, keys) -> None:
+    """Take back :func:`_append_all` of ``keys``: one id off the tail per
+    occurrence, and a key whose list this empties goes."""
+    for key in keys:
+        ids = index[key]
+        ids.pop()
+        if not ids:
+            del index[key]
+
+
 def _resolve_live(
     entries: Tuple[_Entry, ...], alive: Set[int], removed, classes: Dict[int, FlowClass]
 ) -> Tuple[List[Tuple[Optional[int], Optional[int], float]], float]:
@@ -923,7 +926,7 @@ _Rule = Tuple[Node, int, int]
 
 class _LinkTable:
     """The links a dict-layout tracker can load, numbered once per tracker
-    (clones share it; no instance caches it).
+    (no instance caches it).
 
     Trajectories follow only old or new rules, so those are numbered, then
     the background's other links.  ``old_rules`` / ``new_rules`` map a

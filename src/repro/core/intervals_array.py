@@ -8,7 +8,7 @@ and trajectories are O(n) while classes are few (a greedy run at n=4000
 creates ~80 classes over ~4000-hop paths).  This module stores the same
 state column-wise:
 
-* **Per instance** (computed once, shared by every tracker and clone):
+* **Per instance** (computed once, shared by every tracker):
   the switch ids and old/new next-hop tables of
   :func:`repro.core.rounds.union_graph_ids`, sorted link keys
   (``src_id * n + dst_id``) with parallel delay/capacity columns, the old
@@ -68,9 +68,9 @@ dicts, so on short trajectories the dict tracker is the faster of the two
 and :func:`repro.core.tracker.make_tracker` builds that one instead.
 ``tests/test_array_tracker.py`` drives both in lockstep and compares
 every report byte-for-byte -- except a refused ``probe_and_commit``, whose
-report is a witness (a prefix of the ``preview_round`` report, which *is*
-byte-equal): the dict tracker's congestion witness ends with a link, this
-one's with a chain.
+report is a witness (a prefix of the full report, which *is* byte-equal):
+the dict tracker's congestion witness ends with a link, this one's with a
+chain.
 
 Everything here is plain Python over ``array`` columns, lists, bytes and
 dicts: one representation per column, and no third-party import.
@@ -113,7 +113,7 @@ class InstanceArrays:
     """Immutable id-space encoding of one :class:`UpdateInstance`.
 
     Built once per instance (cached on the instance object, like its
-    ``cached_property`` fields) and shared by every tracker and clone.
+    ``cached_property`` fields) and shared by every tracker.
     Switch ids and next-hop tables are the instance's
     :class:`~repro.core.rounds.UnionGraphIds`, shared, not copied.  Also
     owns the routing scratch buffer: a byte mask over the switch ids,
@@ -316,8 +316,8 @@ class ArrayFlowClass:
     one slice of the run lists (a cut inside a run needs no new entry: a
     run's length is read off its successor) and, where its route rejoins
     the parent's, the parent's entries after the junction it rejoins at
-    (:meth:`ArrayIntervalTracker._deflect`), which is what makes ``clone``
-    plus ``probe_and_commit`` O(touched state).
+    (:meth:`ArrayIntervalTracker._deflect`), which is what makes a commit
+    O(touched state).
     """
 
     __slots__ = (
@@ -554,8 +554,8 @@ class ArrayIntervalTracker(_RoundTracker):
         arrays = self.arrays
         # Ids of the applied switches: they forward by ``next_new``, every
         # other switch by ``next_old``.  A probe adds its round's ids for
-        # the split and takes them out again, so neither a tracker nor a
-        # clone holds a table as long as the network.
+        # the split and takes them out again, and an undo takes out its
+        # commit's, so no tracker holds a table as long as the network.
         self._moved: Set[int] = set()
         self._spans_cache: Optional[Tuple[CongestionSpan, ...]] = None
 
@@ -597,18 +597,6 @@ class ArrayIntervalTracker(_RoundTracker):
                 (arrays.path_ids[-1], arrays.path_offsets[-1]),
             )
         )
-
-    def _clone_layout(self, other: "ArrayIntervalTracker") -> None:
-        """O(classes + applied switches), not O(network): run lists and
-        decisive tables are shared through the class objects, the instance
-        encoding and background tables outright; only the set of applied
-        switch ids is copied."""
-        other.arrays = self.arrays
-        other._moved = set(self._moved)
-        other._spans_cache = self._spans_cache
-        other._bg_by_lid = self._bg_by_lid
-        other._decisive = self._decisive
-        other._path_dec = self._path_dec
 
     def crossings(self, src: Node, dst: Node) -> List[Tuple[ArrayFlowClass, int]]:
         """Every alive class crossing ``src -> dst`` with its departure offset there."""
@@ -1213,6 +1201,15 @@ class ArrayIntervalTracker(_RoundTracker):
         id_of = self.arrays.id_of
         self._moved.update(id_of[node] for node in nodes)
         self._spans_cache = None
+
+    def _fork_caches(self) -> Optional[Tuple[CongestionSpan, ...]]:
+        return self._spans_cache  # an immutable tuple
+
+    def _restore_caches(self, nodes: Sequence[Node], added, caches) -> None:
+        """The switches go back to ``next_old``."""
+        id_of = self.arrays.id_of
+        self._moved.difference_update(id_of[node] for node in nodes)
+        self._spans_cache = caches
 
 
 def _needs_sweep(

@@ -5,7 +5,7 @@ bound.  This module provides the practical exact solver: a depth-first
 branch-and-bound over *timed update decisions* -- at every time step, branch
 over the subsets of currently-safe switches to update (plus waiting) -- with
 an interval tracker as the exact transient state.  What it proves is the
-minimum over schedules whose every round previews clean: the state after
+minimum over schedules whose every round is clean: the state after
 each round, every later switch on its old rule, is free of loops, black
 holes and congestion.  The true optimum of program (3) can be shorter -- a
 later round may reroute traffic before an earlier round's transient
@@ -18,9 +18,10 @@ honours a wall-clock budget so the Fig. 10 cutoff behaviour can be
 reproduced.
 
 The search itself is the shared array-backed core in
-:mod:`repro.core.search` (DESIGN.md §13): COW tracker clones, probe-chain
-subset expansion, a targeted pairwise-rescue candidate pass, a
-transposition/dominance memo and a drain-horizon bound.
+:mod:`repro.core.search` (DESIGN.md §13): one live tracker that
+backtracks by undo, probe-chain subset expansion, a targeted
+pairwise-rescue candidate pass, a transposition/dominance memo and a
+drain-horizon bound.
 
 :func:`exhaustive_schedule` is the brutally simple oracle used by the test
 suite on tiny instances.  The ILP formulation itself lives in
@@ -51,7 +52,7 @@ class OptimalResult:
         schedule: Best congestion- and loop-free schedule found, or ``None``.
         proven: Whether the search ran to completion without truncation
             (so the result is the minimum over schedules whose every round
-            previews clean / a proof that no such schedule exists).
+            is clean / a proof that no such schedule exists).
         explored: Number of search nodes visited.
         elapsed: Wall-clock seconds spent: the greedy seed plus the search,
             or the search alone when the caller supplied the incumbent
@@ -89,7 +90,7 @@ def optimal_schedule(
     node_budget: Optional[int] = None,
     incumbent: Optional[GreedyResult] = None,
 ) -> OptimalResult:
-    """Find the minimum makespan over schedules whose every round previews clean.
+    """Find the minimum makespan over schedules whose every round is clean.
 
     Args:
         instance: The update instance.

@@ -2,8 +2,8 @@
 
 :func:`repro.core.optimal.optimal_schedule` and
 :func:`repro.updates.order_replacement.minimize_rounds` both search here.
-OPT's search space is the schedules whose every round previews clean (no
-loop, black hole or congestion with every later switch on its old rule);
+OPT's search space is the schedules whose every round is clean (no loop,
+black hole or congestion with every later switch on its old rule);
 its proven makespan is the minimum over those, which the ILP of
 :mod:`repro.core.mutp` can beat.
 The per-node cost, not the node count, bounds what an exact search can
@@ -12,26 +12,27 @@ feasibility / makespan / round-count / ``proven`` values it must
 reproduce are frozen in ``tests/data/engine_goldens.json``
 (``tests/test_search_engines.py``).
 
-* **Path-selected search state.**  OPT nodes hold an interval tracker
-  with cheap clones, built by :func:`repro.core.tracker.make_tracker`,
-  which alone picks its layout.  Every call the search makes is on the
-  surface both layouts share: the split / check / commit internals
-  (``_split`` / ``_check_new_congestion`` / ``_commit``), the classes on
-  a link (``crossings`` / ``crosses``) and, per class, its switch names,
-  its delay at a position and its trajectory key (``switch_names`` /
-  ``offset_at`` / ``trajectory_key``).
-* **Probe chains instead of per-subset previews.**  Previewing every
+* **One live search state.**  The whole DFS walks one interval tracker,
+  built by :func:`repro.core.tracker.make_tracker`, which alone picks its
+  layout: a branch commits onto it undoably and takes the commit back
+  (``_undo``) when its subtree returns.  Every call the search makes is
+  on the surface both layouts share: the split / check / commit / undo
+  internals (``_split`` / ``_check_new_congestion`` / ``_commit`` /
+  ``_undo``), the classes on a link (``crossings`` / ``crosses``) and, per
+  class, its switch names, its delay at a position and its trajectory
+  key (``switch_names`` / ``offset_at`` / ``trajectory_key``).
+* **Probe chains instead of per-subset probes.**  Probing every
   candidate subset from scratch splits ``|S|`` switches per probe.
   Here subsets are enumerated as an include/exclude DFS over the
   candidate list: each *include* edge applies one switch on top of its
   parent's state, so a subset costs one single-switch split amortised
   instead of ``|S|`` -- and the edge is decided on the parent (both
   ``_split`` and ``_check_new_congestion`` are read-only), so only a kept
-  include pays for a clone and a commit.  Transient
+  include pays for a commit and its undo.  Transient
   violations are carried as *debt* (a rescue partner later in the chain
   may clear them); a leaf with debt runs one global cleanliness check,
-  which over a violation-free parent state is exactly the joint
-  ``preview_round(...).ok`` decision.  Debt that no remaining candidate
+  which over a violation-free parent state is exactly the joint round's
+  verdict.  Debt that no remaining candidate
   can repair (nobody left on the violating trajectories) prunes the
   whole include subtree.
 * **Targeted pairwise rescue.**  A singleton-unsafe switch can only be
@@ -40,7 +41,7 @@ reproduce are frozen in ``tests/data/engine_goldens.json``
   link, on a split parent, or on a deflected piece.  The candidate pass
   therefore probes only that partner superset instead of every pending
   switch -- same rescued set as the full O(n^2) pair scan, O(n) fewer
-  pair previews.
+  pair probes.
 * **Transposition/dominance memo.**  Keyed by (applied set, live-class
   signature); an entry ``(t', last')`` dominates a node at ``(t, last)``
   when ``t' <= t`` and ``last' <= last``: the identical flow state was
@@ -190,8 +191,8 @@ class _ChainCache:
 class OptimalSearch:
     """The OPT branch and bound (see module docstring).
 
-    Finds the minimum makespan over schedules whose every round previews
-    clean.  A DFS that branches over candidate subsets at each step plus a
+    Finds the minimum makespan over schedules whose every round is clean.
+    A DFS that branches over candidate subsets at each step plus a
     waiting branch, with probe-chain subset expansion, the targeted
     candidate pass, the dominance memo, the drain-horizon bound and the
     loop-freedom bound.  ``explored`` counts DFS nodes and committed
@@ -427,7 +428,7 @@ class OptimalSearch:
                 elif partners:
                     unsafe.append((node, partners))
                 continue
-            pieces, removed, report = self._singleton_split(tracker, node, t)
+            pieces, report = self._probe_split(tracker, [node], t)
             if report.ok:
                 safe.append(node)
                 continue
@@ -455,7 +456,7 @@ class OptimalSearch:
                     if t < held_t:
                         continue
                     del chain.retry_pair[key]
-                pieces, removed, report = self._pair_split(tracker, node, partner, t)
+                pieces, report = self._probe_split(tracker, [node, partner], t)
                 if report.ok:
                     rescued.append(node)
                     break
@@ -472,16 +473,11 @@ class OptimalSearch:
         return candidates
 
     @staticmethod
-    def _singleton_split(tracker, node: Node, t: int):
-        pieces, _trims, _deflected, removed, report = tracker._split([node], t)
+    def _probe_split(tracker, nodes: List[Node], t: int):
+        """``(pieces, full report)`` of the round ``nodes`` at ``t``, uncommitted."""
+        pieces, _trims, _deflected, removed, report = tracker._split(nodes, t)
         tracker._check_new_congestion(pieces, removed, report)
-        return pieces, removed, report
-
-    @staticmethod
-    def _pair_split(tracker, node: Node, partner: Node, t: int):
-        pieces, _trims, _deflected, removed, report = tracker._split([node, partner], t)
-        tracker._check_new_congestion(pieces, removed, report)
-        return pieces, removed, report
+        return pieces, report
 
     def _permanent_failure(self, tracker, pieces, report) -> bool:
         """Does this failed probe stay failed for the rest of the chain?
@@ -663,8 +659,8 @@ class OptimalSearch:
 
         Returns ``None`` when applying ``node`` violates something no switch
         in ``rest`` (the candidates still to be decided) can clear, else
-        ``(clean, split)`` with ``split`` the arguments ``_commit`` adopts
-        on a clone.  A later include can only remove a violation by touching
+        ``(clean, split)`` with ``split`` the arguments ``_commit`` adopts.
+        A later include can only remove a violation by touching
         the violating pieces, their parents, or a class loading a violated
         link (the completeness argument of :meth:`_partner_superset`); the
         first two are known after the split, so a loop or black hole with a
@@ -696,8 +692,9 @@ class OptimalSearch:
         single-switch applies; include-first ordering reaches the full
         candidate set first: larger rounds reach complete schedules, and
         hence strong incumbents, sooner.  An include is decided on its
-        parent's state (:meth:`_decide_include`); only a kept one pays for
-        a clone and a commit.
+        parent's state (:meth:`_decide_include`); only a kept one is
+        committed, and undone once its subtree returns, so every branch
+        leaves ``tracker`` as it found it.
         """
         applied_any = False
         k = len(candidates)
@@ -705,68 +702,65 @@ class OptimalSearch:
         chosen: List[Node] = []
         t0 = self.t0
 
-        def descend(i: int, scratch, debt: bool) -> None:
+        def descend(i: int, debt: bool) -> None:
             nonlocal applied_any
             if self.timed_out or self._tick():
                 return
             if i == k:
                 if not chosen:
                     return
-                if debt and not self._state_clean(scratch):
+                if debt and not self._state_clean(tracker):
                     return
                 applied_any = True
                 chosen_set = set(chosen)
                 remaining = tuple(n for n in pending if n not in chosen_set)
                 if remaining and t + 2 - t0 >= self.best_makespan:
                     return
-                self._dfs(scratch, remaining, t + 1, t)
+                self._dfs(tracker, remaining, t + 1, t)
                 return
             node = candidates[i]
             # Include branch first (larger subsets first).
-            decision = self._decide_include(scratch, node, t, rests[i])
+            decision = self._decide_include(tracker, node, t, rests[i])
             if decision is not None:
                 # Each committed probe-chain state is an expanded node of
                 # the (binary include/exclude) search tree.
                 if not self._spend():
                     return
                 clean, split = decision
-                child = self._clone(scratch)
-                child._commit([node], t, *split)
+                record = tracker._commit([node], t, *split, undoable=True)
                 chosen.append(node)
-                descend(i + 1, child, debt or not clean)
+                descend(i + 1, debt or not clean)
                 chosen.pop()
+                tracker._undo(record)
             if self.timed_out:
                 return
-            descend(i + 1, scratch, debt)
+            descend(i + 1, debt)
 
-        descend(0, tracker, False)
+        descend(0, False)
         return applied_any
 
     def _expand_full(self, tracker, pending: Tuple[Node, ...], t: int) -> bool:
-        """Probe only the all-pending round (the full_only fast path)."""
-        child = tracker  # cloned on the first commit; ``tracker`` stays as it is
-        debt = False
-        for index, node in enumerate(pending):
-            if not self._spend():
+        """Probe only the all-pending round (the full_only fast path); its
+        commits are undone on the way out."""
+        records = []
+        try:
+            debt = False
+            for index, node in enumerate(pending):
+                if not self._spend():
+                    return False
+                decision = self._decide_include(tracker, node, t, set(pending[index + 1 :]))
+                if decision is None:
+                    return False
+                clean, split = decision
+                debt = debt or not clean
+                records.append(tracker._commit([node], t, *split, undoable=True))
+            if debt and not self._state_clean(tracker):
                 return False
-            decision = self._decide_include(child, node, t, set(pending[index + 1 :]))
-            if decision is None:
-                return False
-            clean, split = decision
-            debt = debt or not clean
-            if child is tracker:
-                child = self._clone(tracker)
-            child._commit([node], t, *split)
-        if debt and not self._state_clean(child):
-            return False
-        self._dfs(child, (), t + 1, t)
-        return True
-
-    @staticmethod
-    def _clone(tracker):
-        if recorder.enabled:
-            recorder.count("search.clones")
-        return tracker.clone()
+            self._dfs(tracker, (), t + 1, t)
+            return True
+        finally:
+            for record in reversed(records):
+                tracker._undo(record)
 
 
 # ----------------------------------------------------------------------

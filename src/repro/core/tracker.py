@@ -36,8 +36,9 @@ Every caller (greedy, the OPT search, :func:`replay_schedule`, Algorithm
 -- the round methods, the per-link ``crossings`` / ``crosses`` and, per class, ``switch_names`` /
 ``offset_at`` / ``trajectory_key`` -- so the choice is made once, from
 the instance alone, and no other module tells the layouts apart.  Both
-number their links internally and speak ``(src, dst)`` names here.  Greedy
-probes into the one tracker it builds; only the OPT search clones.
+number their links internally and speak ``(src, dst)`` names here.  Every
+planner walks the one tracker it builds: greedy and Algorithm 1 probe and
+commit into it, and the OPT search commits undoably and backtracks by undo.
 """
 
 from __future__ import annotations

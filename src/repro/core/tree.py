@@ -19,7 +19,9 @@ This implementation realises the walk on the exact time-extended flow state
 (:func:`repro.core.tracker.make_tracker`) -- the tracker plays the
 role of the paper's ``.cons`` bookkeeping and of the "links disappear once
 drained" convention -- and uses the ``phi(p) - phi(q)`` comparison as the
-candidate priority.  The walk updates one crossing at a time and lets each
+candidate priority.  Candidates are probed in that order with
+``probe_and_commit``, so the first safe one is committed by the probe that
+found it safe.  The walk updates one crossing at a time and lets each
 settle, so it always terminates; it reports infeasible exactly when no
 crossing is safe even after all finite (draining) traffic has left the
 network, the fix-point at which Theorem 2's argument applies.
@@ -84,9 +86,8 @@ def check_update_feasibility(instance: UpdateInstance, t0: int = 0) -> Feasibili
             schedule = UpdateSchedule(times=times, start_time=t0)
             return FeasibilityResult(feasible=True, schedule=schedule, reason="walk completed")
 
-        chosen = _pick_crossing(instance, tracker, pending, t)
+        chosen = _commit_crossing(instance, tracker, pending, t)
         if chosen is not None:
-            tracker.apply_round([chosen], t)
             times[chosen] = t
             pending.remove(chosen)
             # Let the crossing settle before the next one (the paper advances
@@ -118,34 +119,33 @@ def check_update_feasibility(instance: UpdateInstance, t0: int = 0) -> Feasibili
     )
 
 
-def _pick_crossing(
+def _commit_crossing(
     instance: UpdateInstance,
     tracker: Tracker,
     pending: Sequence[Node],
     t: int,
 ) -> Optional[Node]:
-    """Line 22: the safe candidate minimising ``phi(p) - phi(q)``.
+    """Line 22: commit the safe candidate minimising ``phi(p) - phi(q)``.
 
     Candidates whose new segment is at least as slow as the old one
     (``phi(p) >= phi(q)``) are preferred in increasing slack order; if none
     of those is safe, the remaining safe candidates (possible thanks to
     drained links or spare capacity, line 23's ``cons >= 2d`` escape) are
-    taken as a fallback.
+    taken as a fallback.  Each is probed at ``t``; a refused probe leaves
+    ``tracker`` as it was, and the first clean one is committed and
+    returned (``None``: no candidate is safe).
     """
     preferred: List[Tuple[int, int, Node]] = []
-    fallback: List[Tuple[int, Node]] = []
+    fallback: List[Node] = []
     for index, node in enumerate(pending):
         phi_p, phi_q = _segment_delays(instance, node)
         if phi_q is not None and phi_p is not None and phi_p >= phi_q:
             preferred.append((phi_p - phi_q, index, node))
         else:
-            fallback.append((index, node))
+            fallback.append(node)
     preferred.sort()
-    for _, _, node in preferred:
-        if tracker.preview_round([node], t).ok:
-            return node
-    for _, node in fallback:
-        if tracker.preview_round([node], t).ok:
+    for node in [node for _slack, _index, node in preferred] + fallback:
+        if tracker.probe_and_commit([node], t).ok:
             return node
     return None
 

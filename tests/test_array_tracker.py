@@ -11,7 +11,10 @@ and violating alike) and compare everything observable at every step.
 One report is not compared byte for byte: a refused ``probe_and_commit``
 returns a *witness* (DESIGN.md 7.4), which each tracker cuts where its own
 work stops.  Those are held to the probe contract instead
-(:class:`TestProbeContract`).
+(:class:`TestProbeContract`), against the full report
+:func:`tests.test_intervals.preview` computes without committing.  An
+undoable commit taken back leaves each tracker as if it had never been
+made (:class:`TestUndoRoundTrip`).
 """
 
 import bisect
@@ -41,8 +44,8 @@ from repro.core.intervals_array import (
 )
 from repro.network.graph import Network
 from repro.trace import TraceSession, aggregate
-from tests.test_chain_goldens import assert_witness, interior_positions, rebuilt
-from tests.test_intervals import link_departure_spans, load_at
+from tests.test_chain_goldens import assert_witness, interior_positions, perform, rebuilt
+from tests.test_intervals import link_departure_spans, load_at, preview, undoable_commit
 
 
 def _pair(instance, t0=0, background=None):
@@ -207,18 +210,18 @@ def _lockstep_probe(dict_tracker, array_tracker, nodes, time, label):
     """``probe_and_commit`` on both; returns the dict tracker's report.
 
     Accepted probes report byte-equal; refused ones are each a witness of
-    the (byte-equal) preview -- the two may stop at different lengths.
+    the (byte-equal) full report -- the two may stop at different lengths.
     """
-    preview = dict_tracker.preview_round(nodes, time)
-    _assert_reports_match(preview, array_tracker.preview_round(nodes, time), label)
+    full = preview(dict_tracker, nodes, time)
+    _assert_reports_match(full, preview(array_tracker, nodes, time), label)
     dict_report = dict_tracker.probe_and_commit(nodes, time)
     array_report = array_tracker.probe_and_commit(nodes, time)
-    if preview.ok:
-        _assert_reports_match(preview, dict_report, label)
-        _assert_reports_match(preview, array_report, label)
+    if full.ok:
+        _assert_reports_match(full, dict_report, label)
+        _assert_reports_match(full, array_report, label)
     else:
-        assert_witness(dict_report, preview, label)
-        assert_witness(array_report, preview, label)
+        assert_witness(dict_report, full, label)
+        assert_witness(array_report, full, label)
     return dict_report
 
 
@@ -248,44 +251,44 @@ class TestLockstepProbe:
     def test_sequential_probes_decide_like_joint_previews(self, seed):
         """Greedy's round selection, at tracker level.
 
-        Probing candidates one at a time with ``probe_and_commit`` on a
-        scratch clone accepts exactly the candidates a joint
-        ``preview_round(accepted + [candidate])`` against the untouched
-        tracker accepts -- on both trackers, for random candidate orders
-        (most of which violate).
+        Probing candidates one at a time with ``probe_and_commit`` into a
+        live tracker accepts exactly the candidates whose joint round
+        ``accepted + [candidate]`` is clean on the round's starting state
+        -- on both trackers, for random candidate orders (most of which
+        violate).  The starting state is kept by a second pair that probes
+        the accepted candidates once the round is decided.
         """
         instance = random_instance(5 + seed % 9, seed=9900 + seed, max_delay=3)
         rng = random.Random(6000 + seed)
-        dict_tracker, array_tracker = _pair(instance)
+        start, live = _pair(instance), _pair(instance)
         pending = list(instance.switches_to_update)
         for time in range(4 * len(instance.network)):
             if not pending:
                 break
             rng.shuffle(pending)
-            scratches = dict_tracker.clone(), array_tracker.clone()
             accepted = []
             for node in pending:
                 label = f"seed={seed} t={time} accepted={accepted} node={node}"
-                joint = dict_tracker.preview_round(accepted + [node], time)
-                _assert_reports_match(
-                    joint, array_tracker.preview_round(accepted + [node], time), label
-                )
-                for scratch in scratches:
-                    assert scratch.probe_and_commit([node], time).ok == joint.ok, label
+                joint = preview(start[0], accepted + [node], time)
+                _assert_reports_match(joint, preview(start[1], accepted + [node], time), label)
+                for tracker in live:
+                    assert tracker.probe_and_commit([node], time).ok == joint.ok, label
                 if joint.ok:
                     accepted.append(node)
-            if accepted:
-                dict_tracker, array_tracker = scratches
-                _assert_states_match(dict_tracker, array_tracker, f"seed={seed} t={time}")
-                pending = [node for node in pending if node not in accepted]
+            for node in accepted:
+                for tracker in start:
+                    assert tracker.probe_and_commit([node], time).ok
+            _assert_states_match(*live, f"seed={seed} t={time}")
+            _assert_states_match(start[0], live[0], f"seed={seed} t={time} dict")
+            pending = [node for node in pending if node not in accepted]
 
     def test_preview_commits_nothing(self, seed=3):
         instance = random_instance(8, seed=seed, max_delay=3)
         dict_tracker, array_tracker = _pair(instance)
         node = instance.switches_to_update[0]
         _assert_reports_match(
-            dict_tracker.preview_round([node], 0),
-            array_tracker.preview_round([node], 0),
+            preview(dict_tracker, [node], 0),
+            preview(array_tracker, [node], 0),
             "preview",
         )
         assert array_tracker.applied == {}
@@ -295,9 +298,10 @@ class TestLockstepProbe:
 class TestProbeContract:
     """What ``probe_and_commit`` promises, on each tracker by itself.
 
-    ``.ok`` is ``preview_round``'s; refused, the tracker is untouched and
-    every list of the report is a prefix of the preview's; accepted, report
-    and state are ``apply_round``'s on a clone, byte for byte.
+    ``.ok`` is the full report's (:func:`tests.test_intervals.preview`);
+    refused, the tracker is untouched and every list of the report is a
+    prefix of the full one's; accepted, report and state are those of
+    ``apply_round`` on a twin tracker driven in lockstep, byte for byte.
     """
 
     @settings(
@@ -334,27 +338,25 @@ class TestProbeContract:
         )
         order = list(draw(st.permutations(instance.switches_to_update), label="order"))
         trackers = _pair(instance, background=background)
+        twins = _pair(instance, background=background)
         time = draw(st.integers(0, 2), label="t0")
         while order:
             nodes = [order.pop() for _ in range(min(len(order), draw(st.integers(1, 3))))]
             force = draw(st.booleans(), label="apply a refused round anyway")
             verdicts = []
-            for tracker in trackers:
+            for tracker, twin in zip(trackers, twins):
                 label = f"{type(tracker).__name__} t={time} nodes={nodes}"
-                preview = tracker.preview_round(nodes, time)
-                before, applied = tracker.clone(), tracker.clone()
-                applied_report = applied.apply_round(nodes, time)
+                full = preview(tracker, nodes, time)
                 probe = tracker.probe_and_commit(nodes, time)
-                assert_witness(probe, preview, label)
+                assert_witness(probe, full, label)
                 if probe.ok:
-                    _assert_reports_match(applied_report, probe, label)
-                    _assert_states_match(applied, tracker, label)
-                else:
-                    _assert_states_match(before, tracker, label)
-                    if force:
-                        # Later probes then run over a state that already
-                        # violates; a probe reports what *it* would add.
-                        tracker.apply_round(nodes, time)
+                    _assert_reports_match(twin.apply_round(nodes, time), probe, label)
+                _assert_states_match(twin, tracker, label)
+                if not probe.ok and force:
+                    # Later probes then run over a state that already
+                    # violates; a probe reports what *it* would add.
+                    tracker.apply_round(nodes, time)
+                    twin.apply_round(nodes, time)
                 verdicts.append(probe.ok)
             assert verdicts[0] == verdicts[1]
             time += draw(st.integers(0, 3))
@@ -364,10 +366,10 @@ class TestProbeContract:
         """Not vacuous: the shortcut world's refused probe says less than its preview."""
         instance = _shortcut_world(capacities={("t2", "t3"): 1.0, ("t5", "t6"): 1.0})
         for tracker in _pair(instance):
-            preview = tracker.preview_round(["s"], 5)
+            full = preview(tracker, ["s"], 5)
             probe = tracker.probe_and_commit(["s"], 5)
-            assert_witness(probe, preview, type(tracker).__name__)
-            assert {span.link for span in preview.congestion} == {("t2", "t3"), ("t5", "t6")}
+            assert_witness(probe, full, type(tracker).__name__)
+            assert {span.link for span in full.congestion} == {("t2", "t3"), ("t5", "t6")}
             assert {span.link for span in probe.congestion} == {("t2", "t3")}
             assert tracker.applied == {}
 
@@ -443,9 +445,9 @@ class TestLongChains:
                     dict_tracker, array_tracker, nodes, time, label
                 )
             else:
-                dict_report = getattr(dict_tracker, operation)(nodes, time)
+                dict_report = perform(dict_tracker, operation, nodes, time)
                 _assert_reports_match(
-                    dict_report, getattr(array_tracker, operation)(nodes, time), label
+                    dict_report, perform(array_tracker, operation, nodes, time), label
                 )
             if operation == "preview_round" or (
                 operation == "probe_and_commit" and not dict_report.ok
@@ -569,8 +571,8 @@ class TestRunWiseDeflection:
         dict_tracker, array_tracker = _pair(instance)
         for operation in ("preview_round", "apply_round"):
             _assert_reports_match(
-                getattr(dict_tracker, operation)(["c80", "x", "y"], 3),
-                getattr(array_tracker, operation)(["c80", "x", "y"], 3),
+                perform(dict_tracker, operation, ["c80", "x", "y"], 3),
+                perform(array_tracker, operation, ["c80", "x", "y"], 3),
                 operation,
             )
         _assert_states_match(dict_tracker, array_tracker, "mid-chain")
@@ -635,7 +637,7 @@ def _assert_lookups_match_scan(tracker, label):
 
 
 def _state(tracker):
-    """What a clone's commits must leave alone: bounds, tables, crossings."""
+    """What an undone commit must leave as it was: bounds, tables, spans."""
     return (
         tracker.applied,
         [(cls.lo, cls.hi, tuple(cls.decisive_offsets().items())) for cls in tracker.classes],
@@ -795,7 +797,8 @@ class TestLookupTables:
     A probe finds committed load on a link through every alive class's
     :meth:`ArrayFlowClass.decisive_offsets`, which a deflected piece takes
     from its parent's table; here, after every step of drawn round
-    sequences -- probes, applies, commits and clones -- each table equals
+    sequences -- probes, applies, commits and undoable commits, taken back
+    or kept -- each table equals
     the class's decisive columns and ``crossings()`` equals a scan of the
     sorted decisive tables, on long chains with background and interior
     first links, many-segment chains, nested reversals and global reroutes
@@ -810,7 +813,7 @@ class TestLookupTables:
     were taken, the comparison is not vacuous.
     """
 
-    OPERATIONS = ("probe_and_commit", "apply_round", "commit_round", "clone")
+    OPERATIONS = ("probe_and_commit", "apply_round", "commit_round", "undo")
     WORLDS = ("global reroute", "segmented", "many segments", "nested reversal")
 
     def test_tables_equal_a_scan(self):
@@ -891,17 +894,17 @@ class TestLookupTables:
                     break
                 operation = draw(st.sampled_from(self.OPERATIONS), label="operation")
                 label = f"step={step} {operation} t={time}"
-                if operation == "clone":
+                if operation == "undo":
                     before = _state(tracker)
-                    clone = tracker.clone()
-                    clone.apply_round([order[-1]], time)
-                    _assert_lookups_match_scan(clone, label + " clone")
-                    _assert_routes_match_walks(clone, references, label + " clone")
+                    _report, record = undoable_commit(tracker, [order[-1]], time)
+                    _assert_lookups_match_scan(tracker, label + " committed")
+                    _assert_routes_match_walks(tracker, references, label + " committed")
+                    if draw(st.booleans(), label="keep the commit"):
+                        order.pop()
+                        continue
+                    tracker._undo(record)
                     assert _state(tracker) == before, label
                     _assert_lookups_match_scan(tracker, label)
-                    if draw(st.booleans(), label="go on with the clone"):
-                        tracker = clone
-                        order.pop()
                     continue
                 nodes = [order.pop() for _ in range(min(len(order), draw(st.integers(1, 3))))]
                 if interior and draw(st.booleans()):
@@ -923,8 +926,8 @@ class TestBackgroundLoad:
         dict_tracker, array_tracker = _pair(instance, background=background)
         _assert_states_match(dict_tracker, array_tracker, "bg initial")
         _assert_reports_match(
-            dict_tracker.preview_round(["v2"], 0),
-            array_tracker.preview_round(["v2"], 0),
+            preview(dict_tracker, ["v2"], 0),
+            preview(array_tracker, ["v2"], 0),
             "bg preview",
         )
 
@@ -935,31 +938,111 @@ class TestBackgroundLoad:
             ArrayIntervalTracker(instance, background=background)
 
 
-class TestCloneSemantics:
-    def test_clone_is_independent(self, fig1_instance):
-        tracker = ArrayIntervalTracker(fig1_instance)
-        dup = tracker.clone()
-        dup.apply_round(["v2"], 0)
-        assert tracker.applied == {}
-        assert dup.applied == {"v2": 0}
+def _layout_state(tracker):
+    """What a commit changes, on either layout: every class ever registered
+    (dead ones included) by id, the alive ids, the applied times in commit
+    order, the last round time and the next id, and the layout's
+    ``key -> class ids`` indexes (dict) or moved switch ids (array)."""
+    if isinstance(tracker, ArrayIntervalTracker):
+        classes = {
+            cid: (cls.lo, cls.hi, cls.fresh_from, cls.fresh_offset, cls.fresh_dec, _spelled(cls))
+            for cid, cls in tracker._classes.items()
+        }
+        layout = sorted(tracker._moved)
+    else:
+        classes = dict(tracker._classes)
+        layout = (tracker._link_index, tracker._node_index)
+    return (
+        classes,
+        sorted(tracker._alive),
+        list(tracker.applied.items()),
+        tracker._last_time,
+        tracker._next_id,
+        layout,
+    )
 
-    def test_clone_matches_dict_clone(self):
-        instance = random_instance(8, seed=77, max_delay=3)
-        dict_tracker, array_tracker = _pair(instance)
-        nodes = list(instance.switches_to_update)
-        dict_tracker.apply_round(nodes[:2], 0)
-        array_tracker.apply_round(nodes[:2], 0)
-        dict_dup = dict_tracker.clone()
-        array_dup = array_tracker.clone()
-        _assert_states_match(dict_dup, array_dup, "clones")
-        _assert_reports_match(
-            dict_dup.apply_round(nodes[2:3], 2),
-            array_dup.apply_round(nodes[2:3], 2),
-            "clone apply",
+
+class TestUndoRoundTrip:
+    """A commit taken back leaves no trace (the OPT search's backtrack).
+
+    Drawn LIFO sequences of undoable commits and undos on either layout,
+    with full reports read between them (which fill the dict layout's
+    memos): after every step the tracker equals a fresh one that applied
+    only the surviving rounds -- classes, alive ids, applied times and
+    indexes, ``congestion_spans()`` and the full report of every pending
+    switch -- and at the end both probe one switch alike.
+    """
+
+    @pytest.mark.parametrize("layout", [IntervalTracker, ArrayIntervalTracker])
+    @settings(
+        max_examples=40,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+    )
+    @given(data=st.data())
+    def test_undo_leaves_the_replayed_state(self, layout, data):
+        draw = data.draw
+        seed = draw(st.integers(0, 10_000), label="seed")
+        if draw(st.booleans(), label="global reroute"):
+            instance = random_instance(draw(st.integers(4, 14), label="n"), seed=seed, max_delay=3)
+        else:
+            instance = segmented_instance(
+                draw(st.integers(12, 240), label="n"),
+                seed=seed,
+                segments=draw(st.integers(1, 6), label="segments"),
+            )
+        links = [(link.src, link.dst) for link in instance.network.links]
+        bound = st.none() | st.integers(-5, 40)
+        background = draw(
+            st.dictionaries(
+                st.sampled_from(links),
+                st.lists(
+                    st.tuples(bound, bound, st.sampled_from((0.25, 0.5, 1.0))),
+                    min_size=1,
+                    max_size=2,
+                ),
+                max_size=3,
+            ),
+            label="background",
         )
-        # Originals unchanged by work on the clones.
-        _assert_states_match(dict_tracker, array_tracker, "originals")
-        assert nodes[2] not in array_tracker.applied
+        tracker = layout(instance, background=background)
+        stack = []  # (undo record, nodes, time), oldest first
+        for step in range(draw(st.integers(1, 14), label="steps")):
+            pending = [n for n in instance.switches_to_update if n not in tracker.applied]
+            now = stack[-1][2] if stack else 0
+            if not (stack or pending):
+                break
+            if stack and (not pending or draw(st.booleans(), label="undo")):
+                record, _nodes, _time = stack.pop()
+                tracker._undo(record)
+            else:
+                nodes = draw(
+                    st.lists(st.sampled_from(pending), min_size=1, max_size=3, unique=True),
+                    label="round",
+                )
+                now += draw(st.integers(0, 3), label="wait")
+                _report, record = undoable_commit(tracker, nodes, now)
+                stack.append((record, nodes, now))
+            replayed = layout(instance, background=background)
+            for _record, nodes, time in stack:
+                replayed.apply_round(nodes, time)
+            label = f"step={step} rounds={[(nodes, time) for _, nodes, time in stack]}"
+            assert _layout_state(tracker) == _layout_state(replayed), label
+            assert tracker.congestion_spans() == replayed.congestion_spans(), label
+            now = stack[-1][2] if stack else 0
+            for node in instance.switches_to_update:
+                if node not in tracker.applied:
+                    _assert_reports_match(
+                        preview(tracker, [node], now), preview(replayed, [node], now), label
+                    )
+        pending = [n for n in instance.switches_to_update if n not in tracker.applied]
+        if pending:
+            _assert_reports_match(
+                tracker.probe_and_commit(pending[:1], now),
+                replayed.probe_and_commit(pending[:1], now),
+                "probe",
+            )
+            assert _layout_state(tracker) == _layout_state(replayed)
 
 
 class TestErrorParity:

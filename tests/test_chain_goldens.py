@@ -9,7 +9,8 @@ this file holds
 
 * a digest of every ``RoundReport`` (time, nodes, loops, black holes,
   congestion spans in reported order) of a seeded round sequence mixing
-  ``preview_round``, ``probe_and_commit`` and ``apply_round`` over a random
+  ``preview_round`` (now :func:`tests.test_intervals.preview`),
+  ``probe_and_commit`` and ``apply_round`` over a random
   switch order -- most rounds violate -- followed by one round that names a
   switch whose rule does not change (a split that starts mid-chain);
 * ``congestion_spans()``, ``loops``, ``blackholes`` and
@@ -65,6 +66,7 @@ from repro.core.intervals_array import ArrayIntervalTracker
 from repro.core.serialization import schedule_to_json
 from repro.network.graph import Network
 from repro.validate import verify_schedule
+from tests.test_intervals import preview
 
 GOLDENS_PATH = Path(__file__).parent / "data" / "chain_goldens.json"
 
@@ -115,36 +117,44 @@ def _state_record(tracker):
     }
 
 
-def assert_witness(probe, preview, label=""):
-    """``probe_and_commit``'s report against ``preview_round``'s, same round.
+def perform(tracker, operation, nodes, time):
+    """One of ``OPERATIONS`` on ``tracker``; ``"preview_round"`` is the full
+    report committing nothing (:func:`tests.test_intervals.preview`)."""
+    if operation == "preview_round":
+        return preview(tracker, nodes, time)
+    return getattr(tracker, operation)(nodes, time)
 
-    Same verdict, and every list a prefix of the preview's: nothing the
-    preview does not say, in the order it says it.  An accepted probe has
-    nothing to report and a refused one at least one violation, so the
-    verdict pins both ends.
+
+def assert_witness(probe, full, label=""):
+    """``probe_and_commit``'s report against the full report, same round.
+
+    Same verdict, and every list a prefix of the full report's: nothing it
+    does not say, in the order it says it.  An accepted probe has nothing
+    to report and a refused one at least one violation, so the verdict pins
+    both ends.
     """
-    assert (probe.time, probe.nodes) == (preview.time, preview.nodes), label
-    assert probe.ok == preview.ok, label
+    assert (probe.time, probe.nodes) == (full.time, full.nodes), label
+    assert probe.ok == full.ok, label
     for name in ("loops", "blackholes", "congestion"):
-        found, full = getattr(probe, name), getattr(preview, name)
-        assert found == full[: len(found)], (label, name)
+        found, said = getattr(probe, name), getattr(full, name)
+        assert found == said[: len(found)], (label, name)
 
 
 def checked_probe(tracker, nodes, time):
     """``probe_and_commit`` held to its contract; returns the full report.
 
-    Accepted: the probe's report is the preview's, byte for byte.  Refused:
-    it is a witness of the preview's and the tracker is left as it was.
+    Accepted: the probe's report is the full one, byte for byte.  Refused:
+    it is a witness of the full one and the tracker is left as it was.
     """
-    preview = tracker.preview_round(nodes, time)
-    before = None if preview.ok else _state_record(tracker)
+    full = preview(tracker, nodes, time)
+    before = None if full.ok else _state_record(tracker)
     probe = tracker.probe_and_commit(nodes, time)
-    if preview.ok:
-        assert _report_record("", probe) == _report_record("", preview)
+    if full.ok:
+        assert _report_record("", probe) == _report_record("", full)
     else:
-        assert_witness(probe, preview, (nodes, time))
+        assert_witness(probe, full, (nodes, time))
         assert _state_record(tracker) == before
-    return preview
+    return full
 
 
 def interior_positions(instance):
@@ -179,7 +189,7 @@ def run_rounds(instance, background, seed):
         if operation == "probe_and_commit":
             report = checked_probe(tracker, nodes, time)
         else:
-            report = getattr(tracker, operation)(nodes, time)
+            report = perform(tracker, operation, nodes, time)
         records.append(_report_record(operation, report))
         committed = operation == "apply_round" or (
             operation == "probe_and_commit" and report.ok
@@ -197,7 +207,7 @@ def run_rounds(instance, background, seed):
         node = interior[len(interior) // 2]
         for operation in ("preview_round", "apply_round"):
             records.append(
-                _report_record(operation, getattr(tracker, operation)([node], time))
+                _report_record(operation, perform(tracker, operation, [node], time))
             )
     return tracker, records
 

@@ -33,6 +33,28 @@ def load_at(tracker, src, dst, time):
     )
 
 
+def preview(tracker, nodes, time):
+    """The full report of updating ``nodes`` at ``time``, committing nothing.
+
+    ``apply_round`` without its commit: the argument checks, the split and
+    the congestion pass.  A refused ``probe_and_commit`` reports a witness
+    of this report, an accepted one this report itself.
+    """
+    tracker._check_round_args(nodes, time)
+    pieces, _trims, _deflected, removed, report = tracker._split(nodes, time)
+    tracker._check_new_congestion(pieces, removed, report)
+    return report
+
+
+def undoable_commit(tracker, nodes, time):
+    """``apply_round`` committed undoably, as the OPT search commits;
+    returns ``(report, undo record)``."""
+    tracker._check_round_args(nodes, time)
+    pieces, trims, deflected, removed, report = tracker._split(nodes, time)
+    tracker._check_new_congestion(pieces, removed, report)
+    return report, tracker._commit(nodes, time, trims, deflected, removed, undoable=True)
+
+
 def congested_timed_link_count(tracker):
     """Congested links of the time-extended network (Fig. 8's count)."""
     return sum(span.timed_link_count for span in tracker.congestion_spans())
@@ -136,28 +158,21 @@ class TestPreviewSemantics:
     def test_preview_does_not_commit(self, fig1_instance):
         tracker = IntervalTracker(fig1_instance)
         before = len(tracker.classes)
-        report = tracker.preview_round(["v2"], 0)
+        report = preview(tracker, ["v2"], 0)
         assert report.ok
         assert len(tracker.classes) == before
         assert tracker.applied == {}
 
     def test_preview_detects_loop(self, fig1_instance):
         tracker = IntervalTracker(fig1_instance)
-        report = tracker.preview_round(["v3"], 0)  # deflects into upstream v2
+        report = preview(tracker, ["v3"], 0)  # deflects into upstream v2
         assert report.loops
 
     def test_preview_detects_congestion(self, fig1_instance):
         tracker = IntervalTracker(fig1_instance)
         tracker.apply_round(["v1", "v2"], 0)
-        report = tracker.preview_round(["v3", "v4", "v5"], 1)
+        report = preview(tracker, ["v3", "v4", "v5"], 1)
         assert any(span.link == ("v4", "v3") for span in report.congestion)
-
-    def test_clone_is_independent(self, fig1_instance):
-        tracker = IntervalTracker(fig1_instance)
-        clone = tracker.clone()
-        clone.apply_round(["v2"], 0)
-        assert tracker.applied == {}
-        assert clone.applied == {"v2": 0}
 
 
 class TestReplay:

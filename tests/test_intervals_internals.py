@@ -28,7 +28,7 @@ from repro.core.loops import LoopGates
 from repro.core.tracker import replay_schedule
 from repro.experiments.sweep import mixed_instance
 from repro.network.paths import arrival_offsets
-from tests.test_intervals import link_departure_spans
+from tests.test_intervals import link_departure_spans, preview
 from tests.test_loops import creates_forwarding_loop
 
 
@@ -276,9 +276,9 @@ class TestTrimInPlace:
 
     def test_warm_memo_agrees_with_cold_tracker(self, instance):
         warm = IntervalTracker(instance)
-        warm.preview_round(["v2"], 0)  # populate the per-link entry memos
+        preview(warm, ["v2"], 0)  # populate the per-link entry memos
         warm.apply_round(["v2"], 0)
-        warm.preview_round(["v3"], 1)
+        preview(warm, ["v3"], 1)
         warm.apply_round(["v3"], 1)
         cold = IntervalTracker(instance)
         cold.apply_round(["v2"], 0)
@@ -294,9 +294,9 @@ class TestTrimInPlace:
         a = IntervalTracker(instance)
         b = IntervalTracker(instance)
         report_a = a.probe_and_commit(["v2"], 0)
-        preview = b.preview_round(["v2"], 0)
+        full = preview(b, ["v2"], 0)
         report_b = b.apply_round(["v2"], 0)
-        assert report_a.ok == preview.ok == report_b.ok
+        assert report_a.ok == full.ok == report_b.ok
         assert a.applied == b.applied
         assert a.congestion_spans() == b.congestion_spans()
 

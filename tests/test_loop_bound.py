@@ -65,8 +65,7 @@ def _reachable_state(draw, tracker_class, instance):
         if not pending:
             break
         nodes = draw(st.lists(st.sampled_from(pending), min_size=1, unique=True), label="round")
-        if tracker.preview_round(nodes, t).ok:
-            tracker.apply_round(nodes, t)
+        tracker.probe_and_commit(nodes, t)
         t += draw(st.integers(0, 2), label="wait")
     return tracker, t
 

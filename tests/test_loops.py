@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from repro.core.instance import motivating_example, random_instance, segmented_instance
 from repro.core.loops import LoopGates, new_route_revisits
+from tests.test_intervals import preview
 
 
 def creates_forwarding_loop(instance, applied, v, t):
@@ -153,7 +154,7 @@ class TestAgainstExactPreview:
         instance = random_instance(7, seed=seed)
         tracker = IntervalTracker(instance)
         for node in instance.switches_to_update:
-            exact_loops = bool(tracker.preview_round([node], 0).loops)
+            exact_loops = bool(preview(tracker, [node], 0).loops)
             claimed = creates_forwarding_loop(instance, {}, node, 0)
             if exact_loops:
                 # The backward walk checks only the immediate next hop; the

@@ -80,7 +80,7 @@ class TestSpans:
 
     def test_cross_module_nesting_is_dynamic(self):
         def tracker_op():
-            with recorder.timer("tracker.preview"):
+            with recorder.timer("tracker.probe"):
                 pass
 
         def work():
@@ -88,7 +88,7 @@ class TestSpans:
                 with recorder.timer("select"):
                     tracker_op()
 
-        assert calls(profiled(work), "greedy.select.tracker.preview") == 1
+        assert calls(profiled(work), "greedy.select.tracker.probe") == 1
 
     def test_span_survives_exceptions(self):
         def work():

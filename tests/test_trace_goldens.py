@@ -123,8 +123,10 @@ rises while the scope's lookups fell, as the fifth cause allows.
 
 New keys, written at the refusal revision and pinned from then on
 (``REFUSAL_COUNTERS``): ``tracker.probe.refused.split`` / ``.congestion``,
-``greedy.fallback.skipped``, ``search.include.kept`` / ``.pruned``,
-``search.clones``.  Every span, event, attribute, status, request fact,
+``greedy.fallback.skipped``, ``search.include.kept`` / ``.pruned``.  (The
+OPT search's ``search.clones`` counter left with the clones; the bound
+already kept every fixture search at its root, so no pinned value held
+it.)  Every span, event, attribute, status, request fact,
 timer path and every other counter is the frozen one, byte for byte: the
 re-pin (this file's ``__main__``) rewrites only the keys named here and
 refuses to run when anything else differs.
@@ -311,7 +313,6 @@ REFUSAL_COUNTERS = {
     "greedy.fallback.skipped",
     "search.include.kept",
     "search.include.pruned",
-    "search.clones",
 }
 
 
@@ -354,7 +355,6 @@ def memo_lookups(counters):
 #: The runs whose OPT searches the loop-freedom bound cuts short.
 BOUND_RUNS = {"fig7"}
 BOUND_LOWERED = SHARING_LOWERED | {
-    "search.clones",
     "search.include.kept",
     "search.include.pruned",
 }
